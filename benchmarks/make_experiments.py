@@ -50,7 +50,7 @@ def main(out_path="EXPERIMENTS.md"):
     w("# EXPERIMENTS — paper vs. measured")
     w("")
     w("All measured runtimes are **modeled seconds** on the simulated")
-    w("machine (see DESIGN.md §2 and `repro/gpu/costmodel.py`); the")
+    w("machine (see `docs/backends.md` and `repro/gpu/costmodel.py`); the")
     w("comparison targets are *shapes* — who wins, by what rough factor,")
     w("and where the failure/crossover points fall — not absolute numbers.")
     w("Surrogate matrices are ~10^3× smaller than the paper's inputs.")

@@ -46,7 +46,7 @@ def main():
     print("\nAll engines produced the same solution to machine precision.")
     print(f"log det(A) = {factor.logdet():.4f} (free with any factor)")
     print("(GPU times are modeled on the simulated device; numerics are "
-          "exact — see DESIGN.md.)")
+          "exact — see docs/backends.md.)")
 
     # Mixed precision: factorize in fp32 (half the panel bytes, single-
     # precision BLAS), then recover fp64 accuracy by iterative refinement

@@ -5,7 +5,8 @@ Right-looking supernodal sparse Cholesky in two variants — **RL** (full
 update matrix + relative-index assembly) and **RLB** (blocked, in-place
 updates) — with GPU offload of the large dense BLAS calls on a *simulated*
 device (memory-capacity accounting, async transfers, calibrated cost model;
-see DESIGN.md), plus a threaded task-DAG runtime executing the real kernels.
+see ``docs/backends.md`` and :mod:`repro.gpu.costmodel`), plus a threaded
+task-DAG runtime executing the real kernels.
 
 Quickstart — the staged ``plan → Factor`` pipeline::
 

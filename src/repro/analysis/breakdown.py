@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..gpu.costmodel import MachineModel
+from ..numeric.result import kernel_stream
 from ..numeric.threshold import (
     DEFAULT_RL_THRESHOLD,
     DEFAULT_RLB_THRESHOLD,
 )
-from ..symbolic.blocks import snode_blocks
 
 __all__ = ["Breakdown", "breakdown", "render_breakdowns", "COST_CLASSES"]
 
@@ -53,22 +51,6 @@ class Breakdown:
         return max(self.seconds, key=self.seconds.get)
 
 
-def _assembly_bytes_rl(symb, s):
-    """Raw bytes the RL assembly of supernode ``s`` moves (read+write),
-    mirroring :func:`repro.numeric.rl.assemble_update`."""
-    below = symb.snode_below_rows(s)
-    if below.size == 0:
-        return 0
-    owners = symb.col2sn[below]
-    cut = np.flatnonzero(np.diff(owners)) + 1
-    starts = np.concatenate(([0], cut))
-    ends = np.concatenate((cut, [below.size]))
-    total = 0
-    for k0, k1 in zip(starts, ends):
-        total += 2 * 8 * (below.size - k0) * (k1 - k0)
-    return int(total)
-
-
 def _add(sec, cls, dt):
     sec[cls] = sec.get(cls, 0.0) + dt
 
@@ -82,6 +64,11 @@ def breakdown(symb, *, method="rl_gpu", machine=None, threshold=None,
     overridden).  GPU breakdowns ignore overlap — they report *resource
     seconds per class*, not the critical path, which is what a where-does-
     the-time-go analysis wants.
+
+    Every method prices the same :func:`~repro.numeric.result
+    .kernel_stream` the engines' modeled report is priced from, so a CPU
+    breakdown's total is ``FactorizeResult.cpu_times_by_threads[threads]``
+    split by class.
     """
     machine = machine or MachineModel()
     threads = threads or machine.gpu_run_cpu_threads
@@ -91,48 +78,27 @@ def breakdown(symb, *, method="rl_gpu", machine=None, threshold=None,
                      else DEFAULT_RLB_THRESHOLD) if gpu else 0
     blocked = method.startswith("rlb")
     sec = {}
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        b = m - w
-        offload = gpu and machine.scaled_panel_entries(m * w) >= threshold
-
-        def charge(kind, **dims):
-            if offload:
-                _add(sec, kind, machine.gpu_kernel_seconds(kind, **dims))
-                _add(sec, "launch", _LAUNCH_S)
-            else:
-                _add(sec, kind,
-                     machine.cpu_kernel_seconds(kind, threads=threads,
-                                                **dims))
-        charge("potrf", n=w)
-        if not b:
+    for s, kind, m, n, k in kernel_stream(symb, "rlb" if blocked else "rl"):
+        if kind == "assembly":  # RL's host scatter pass; m = bytes moved
+            _add(sec, kind, machine.assembly_seconds(m, threads=threads))
             continue
-        charge("trsm", m=b, n=w)
-        if offload:
-            panel_bytes = 8.0 * m * w
+        rows, cols = symb.panel_shape(s)
+        if not gpu or machine.scaled_panel_entries(rows * cols) < threshold:
+            _add(sec, kind,
+                 machine.cpu_kernel_seconds(kind, m, n, k, threads=threads))
+            continue
+        _add(sec, kind, machine.gpu_kernel_seconds(kind, m, n, k))
+        _add(sec, "launch", _LAUNCH_S)
+        if kind == "trsm":  # the panel goes down and comes back
+            panel_bytes = 8.0 * rows * cols
             _add(sec, "h2d", machine.transfer_seconds(panel_bytes))
             _add(sec, "d2h", machine.transfer_seconds(panel_bytes))
-        if not blocked:
-            charge("syrk", n=b, k=w)
-            if offload:
-                _add(sec, "d2h", machine.transfer_seconds(8.0 * b * b))
-            _add(sec, "assembly",
-                 machine.assembly_seconds(_assembly_bytes_rl(symb, s),
-                                          threads=threads))
-        else:
-            blocks = snode_blocks(symb, s)
-            for i, bi in enumerate(blocks):
-                for bj in blocks[i:]:
-                    if bj is bi:
-                        charge("syrk", n=bi.length, k=w)
-                    else:
-                        charge("gemm", m=bj.length, n=bi.length, k=w)
-                    if offload:
-                        nb = 8.0 * bi.length * bj.length
-                        _add(sec, "d2h", machine.transfer_seconds(nb))
-                        _add(sec, "assembly",
-                             machine.assembly_seconds(2 * nb,
-                                                      threads=threads))
+        elif kind != "potrf":  # SYRK (m = 0: square in n) / GEMM output
+            nb = 8.0 * (m or n) * n
+            _add(sec, "d2h", machine.transfer_seconds(nb))
+            if blocked:
+                _add(sec, "assembly",
+                     machine.assembly_seconds(2 * nb, threads=threads))
     return Breakdown(method=method, seconds=sec)
 
 

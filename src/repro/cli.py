@@ -45,7 +45,7 @@ in-flight counter tracks.
 
 ``MATRIX`` is a suite name (see ``list``) or a path to a Matrix Market
 file.  All runtimes are modeled seconds on the simulated machine — see
-DESIGN.md.
+``docs/backends.md`` and :mod:`repro.gpu.costmodel`.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ def cmd_factorize(args):
     from .gpu import MachineModel, SimulatedGpu, Tracer
     from .gpu.device import Timeline
     from .numeric import DEFAULT_DEVICE_MEMORY
-    from .numeric.registry import BACKENDS, ENGINES, METHODS, backend_engine
+    from .numeric.registry import (BACKENDS, ENGINES, backend_engine,
+                                   engine_names)
 
     par_engine = BACKENDS["threads"]
     if args.workers is not None and args.workers < 1:
@@ -173,9 +174,9 @@ def cmd_factorize(args):
             method = par_engine[args.granularity or "coarse"]
         else:
             method = "rl_gpu"
-    if method not in METHODS:
+    if method not in ENGINES:
         print(f"unknown method {method!r}; choose from "
-              f"{sorted(METHODS)}", file=sys.stderr)
+              f"{engine_names()}", file=sys.stderr)
         return 2
     spec = ENGINES[method]
     if args.granularity is not None:
@@ -226,8 +227,7 @@ def cmd_factorize(args):
               f"{method}", file=sys.stderr)
         return 2
     system = _analyzed(args.matrix, args.ordering)
-    fn, fixed = METHODS[method]
-    kwargs = dict(fixed)
+    kwargs = dict(spec.fixed)
     if dtype is not None:
         kwargs["dtype"] = dtype
     if args.workers is not None:
@@ -259,7 +259,7 @@ def cmd_factorize(args):
         # (threaded) or worker process (proc0, proc1, ...)
         tracer = Tracer()
         kwargs["tracer"] = tracer
-    res = fn(system.symb, system.matrix, **kwargs)
+    res = spec.fn(system.symb, system.matrix, **kwargs)
     rows = [
         ("method", res.method),
         ("precision", res.storage.dtype.name),

@@ -1,8 +1,9 @@
 """Simulated GPU subsystem: device, timeline, transfer engine, cost models.
 
-See DESIGN.md §2 for why the GPU is simulated and what the simulation
-preserves (all control flow, memory pressure and overlap semantics of the
-paper's CUDA/MAGMA implementation; only the clock is modeled)."""
+See :mod:`repro.gpu.costmodel` (and ``docs/backends.md``) for why the GPU
+is simulated and what the simulation preserves (all control flow, memory
+pressure and overlap semantics of the paper's CUDA/MAGMA implementation;
+only the clock is modeled)."""
 
 from .costmodel import (
     CpuModel,

@@ -1,7 +1,7 @@
 """The simulated GPU: memory, streams, transfers and a three-clock timeline.
 
 This is the substitute for the paper's A100 + CUDA + MAGMA stack (see
-DESIGN.md §2).  It executes every numeric kernel *for real* (NumPy/LAPACK on
+:mod:`repro.gpu.costmodel`).  It executes every numeric kernel *for real* (NumPy/LAPACK on
 the host) while modeling *when* each operation would complete on a device:
 
 * one **compute stream** — kernels run in issue order, each starting when

@@ -62,7 +62,7 @@ from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..gpu.device import DeviceTimeline, SimulatedGpu, Timeline
 from ..symbolic.blocks import snode_blocks
 from ..symbolic.relind import assembly_plan
-from .result import CpuCostAccumulator, FactorizeResult
+from .result import cpu_cost
 from .rl import factor_snode, snode_update
 from .rlb import block_pair_targets, commit_block_pair, compute_block_pair
 from .storage import FactorStorage
@@ -86,40 +86,16 @@ __all__ = [
 
 GRANULARITIES = ("coarse", "fine")
 
+#: Task granularity -> the serial engine family whose kernel stream (and
+#: hence modeled cost, :func:`~repro.numeric.result.cpu_cost`) the DAG runs.
+_FAMILY = {"coarse": "rl", "fine": "rlb"}
+
 
 def default_workers():
     """Default worker count: the machine's cores, capped at 4 (the paper's
     CPU baselines sweep small MKL thread counts; beyond that the Python
     dispatch layer, not BLAS, becomes the bottleneck)."""
     return max(1, min(4, os.cpu_count() or 1))
-
-
-class _KernelLog:
-    """Per-task record of BLAS/assembly charges.
-
-    Duck-typed like :class:`~repro.numeric.result.CpuCostAccumulator` so the
-    shared task bodies accept either; logs are replayed into one accumulator
-    in task-id order after the run, keeping the modeled-cost report
-    deterministic no matter how the threads interleaved.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self):
-        self.events = []
-
-    def kernel(self, kind, m=0, n=0, k=0):
-        self.events.append(("kernel", kind, m, n, k))
-
-    def assembly(self, nbytes):
-        self.events.append(("assembly", nbytes))
-
-    def replay(self, acc):
-        for ev in self.events:
-            if ev[0] == "kernel":
-                acc.kernel(ev[1], m=ev[2], n=ev[3], k=ev[4])
-            else:
-                acc.assembly(ev[1])
 
 
 class _TargetState:
@@ -961,62 +937,50 @@ def _pair_closure(symb, storage, bi, bj, u):
     return fn
 
 
-def _run_coarse(symb, storage, committer, logs):
+def _run_coarse(symb, storage, committer):
     def run_task(s):
-        log = logs[s]
-        _, _, b = factor_snode(symb, storage, s, acc=log)
+        _, _, b = factor_snode(symb, storage, s)
         newly = []
         if b:
-            U = snode_update(symb, storage, s, acc=log)
-            moved = 0
-            for p, k0, k1, relrows, colpos, nbytes in assembly_plan(symb, s):
-                moved += nbytes
+            U = snode_update(symb, storage, s)
+            for p, k0, k1, relrows, colpos, _ in assembly_plan(symb, s):
                 fn = _assembly_closure(storage.panel(p), relrows, colpos, U, k0, k1)
                 newly.extend(committer.submit(p, s, fn))
-            # one charge for the whole scatter pass, as the serial engine does
-            log.assembly(moved)
         return newly
 
     return run_task
 
 
-def _run_fine(symb, storage, committer, logs, pairs, pair_ids):
+def _run_fine(symb, storage, committer, pairs, pair_ids):
     nsup = symb.nsup
 
     def run_task(tid):
-        log = logs[tid]
         if tid < nsup:
-            factor_snode(symb, storage, tid, acc=log)
+            factor_snode(symb, storage, tid)
             return pair_ids[tid]
         s, bi, bj = pairs[tid - nsup]
         panel = storage.panel(s)
         w = symb.snode_ncols(s)
-        u = compute_block_pair(panel, w, bi, bj, acc=log)
+        u = compute_block_pair(panel, w, bi, bj)
         return committer.submit(bi.owner, s, _pair_closure(symb, storage, bi, bj, u))
 
     return run_task
 
 
 def _matrix_tasks(symb, storage, granularity):
-    """Per-matrix task-set of one DAG instance: ``(ntasks, roots, logs,
+    """Per-matrix task-set of one DAG instance: ``(ntasks, roots,
     run_task)``.  The static plan is shared (memoised on ``symb``); the
-    committer, kernel logs and task closures are per-matrix state, so any
-    number of same-pattern instances can run concurrently on one pool while
-    each keeps the serial engines' deterministic commit order."""
+    committer and task closures are per-matrix state, so any number of
+    same-pattern instances can run concurrently on one pool while each
+    keeps the serial engines' deterministic commit order."""
     nsup = symb.nsup
     if granularity == "coarse":
         expected, roots = _coarse_plan(symb)
-        committer = _build_committer(expected)
-        ntasks = nsup
-        logs = [_KernelLog() for _ in range(ntasks)]
-        run_task = _run_coarse(symb, storage, committer, logs)
-    else:
-        pairs, pair_ids, expected, roots = _fine_plan(symb)
-        committer = _build_committer(expected)
-        ntasks = nsup + len(pairs)
-        logs = [_KernelLog() for _ in range(ntasks)]
-        run_task = _run_fine(symb, storage, committer, logs, pairs, pair_ids)
-    return ntasks, roots, logs, run_task
+        run_task = _run_coarse(symb, storage, _build_committer(expected))
+        return nsup, roots, run_task
+    pairs, pair_ids, expected, roots = _fine_plan(symb)
+    run_task = _run_fine(symb, storage, _build_committer(expected), pairs, pair_ids)
+    return nsup + len(pairs), roots, run_task
 
 
 def warm_executor_plan(symb, granularity):
@@ -1038,52 +1002,25 @@ def stream_factorize_job(
 
     The backend seam of :class:`repro.api.ServingSession`: the caller
     submits ``(ntasks, roots, run_task)`` to a :class:`StreamPool` and,
-    once the graph drains, calls ``finish(wall_seconds)`` to replay the
-    per-task kernel logs into the deterministic
+    once the graph drains, calls ``finish(wall_seconds)`` for the
     :class:`~repro.numeric.result.FactorizeResult` (same report as
-    :func:`factorize_executor`).
+    :func:`factorize_executor`).  The pattern is priced here, on the
+    submitting thread — ``finish`` runs on a pool thread and only wraps
+    the report, so it never writes the symbolic cache.
     """
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
-    ntasks, roots, logs, run_task = _matrix_tasks(symb, storage, granularity)
-    method = "rl_par" if granularity == "coarse" else "rlb_par"
+    ntasks, roots, run_task = _matrix_tasks(symb, storage, granularity)
+    family = _FAMILY[granularity]
+    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
 
     def finish(wall_seconds):
-        return _replayed_result(
-            method,
+        return cost.result(
+            family + "_par",
             storage,
-            logs,
-            machine,
-            thread_choices,
-            extra=dict(extra, wall_seconds=wall_seconds, tasks=ntasks),
+            dict(extra, wall_seconds=wall_seconds, tasks=ntasks),
         )
 
     return storage, ntasks, roots, run_task, finish
-
-
-def _replayed_result(method, storage, logs, machine, thread_choices, extra):
-    """Replay per-task kernel logs into one deterministic accumulator and
-    wrap the modeled-cost report in a :class:`FactorizeResult`."""
-    acc = CpuCostAccumulator(
-        machine,
-        thread_choices,
-        assembly_threads=None,
-        itemsize=storage.itemsize,
-    )
-    for log in logs:
-        log.replay(acc)
-    threads, seconds = acc.best()
-    return FactorizeResult(
-        method=method,
-        storage=storage,
-        modeled_seconds=seconds,
-        total_snodes=storage.symb.nsup,
-        cpu_times_by_threads=dict(acc.times),
-        best_threads=threads,
-        flops=acc.flops,
-        kernel_count=acc.kernel_count,
-        assembly_bytes=acc.assembly_bytes,
-        extra=extra,
-    )
 
 
 def factorize_executor(
@@ -1119,10 +1056,10 @@ def factorize_executor(
     backend:
         Optional :class:`Backend` instance to execute the DAG on instead of
         a fresh :class:`ThreadBackend` (mutually exclusive with
-        ``workers``).  The task bodies here charge the *CPU* cost model,
-        so any substrate yields the same report; the GPU-charging engines
-        live in :mod:`repro.numeric.gpu_dag`.  A backend that cannot run
-        in-process closures (e.g.
+        ``workers``).  The report is the pattern's *CPU* cost
+        (:func:`~repro.numeric.result.cpu_cost`) on any substrate; the
+        GPU-charging engines live in :mod:`repro.numeric.gpu_dag`.  A
+        backend that cannot run in-process closures (e.g.
         :class:`~repro.numeric.procpool.ProcessBackend`) instead exposes
         ``factorize_dag`` and the whole job is delegated to it.
     dtype:
@@ -1148,21 +1085,19 @@ def factorize_executor(
             tracer=tracer,
             dtype=dtype,
         )
-    machine = machine or MachineModel()
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
     t0 = time.perf_counter()
-    ntasks, roots, logs, run_task = _matrix_tasks(symb, storage, granularity)
+    ntasks, roots, run_task = _matrix_tasks(symb, storage, granularity)
     if tracer is not None:
         run_task = _traced_run(run_task, _task_label_fn(symb, granularity), tracer, t0)
     backend.run_graph(ntasks, roots, run_task)
     wall = time.perf_counter() - t0
-    return _replayed_result(
-        "rl_par" if granularity == "coarse" else "rlb_par",
+    family = _FAMILY[granularity]
+    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
+    return cost.result(
+        family + "_par",
         storage,
-        logs,
-        machine,
-        thread_choices,
-        extra={
+        {
             "workers": getattr(backend, "workers", 1),
             "backend": backend.name,
             "granularity": granularity,
@@ -1218,7 +1153,6 @@ def factorize_executor_batch(
     workers = default_workers() if workers is None else int(workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    machine = machine or MachineModel()
     matrices = list(matrices)
     nbatch = len(matrices)
     if nbatch == 0:
@@ -1227,7 +1161,7 @@ def factorize_executor_batch(
     t0 = time.perf_counter()
     instances = [_matrix_tasks(symb, st, granularity) for st in storages]
     ntasks = instances[0][0]
-    run_tasks = [inst[3] for inst in instances]
+    run_tasks = [inst[2] for inst in instances]
 
     def run_flat(gid):
         b, tid = divmod(gid, ntasks)
@@ -1248,18 +1182,15 @@ def factorize_executor_batch(
 
         run_flat_task = _traced_run(run_flat, label_flat, tracer, t0)
 
-    roots_flat = [b * ntasks + r for b, (_, roots, _, _) in enumerate(instances) for r in roots]
+    roots_flat = [b * ntasks + r for b, (_, roots, _) in enumerate(instances) for r in roots]
     run_task_graph(ntasks * nbatch, roots_flat, run_flat_task, workers)
     wall = time.perf_counter() - t0
-    method = "rl_par" if granularity == "coarse" else "rlb_par"
+    family = _FAMILY[granularity]
     return [
-        _replayed_result(
-            method,
-            storages[b],
-            inst[2],
-            machine,
-            thread_choices,
-            extra={
+        cpu_cost(symb, family, machine, thread_choices, storage.itemsize).result(
+            family + "_par",
+            storage,
+            {
                 "workers": workers,
                 "granularity": granularity,
                 "wall_seconds": wall,
@@ -1270,5 +1201,5 @@ def factorize_executor_batch(
                 "batch_index": b,
             },
         )
-        for b, inst in enumerate(instances)
+        for b, storage in enumerate(storages)
     ]

@@ -56,6 +56,7 @@ import numpy as np
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..symbolic.relind import assembly_plan
 from .executor import (
+    _FAMILY,
     GRANULARITIES,
     GpuStreamBackend,
     HybridBackend,
@@ -63,17 +64,16 @@ from .executor import (
     _build_committer,
     _coarse_plan,
     _fine_plan,
-    _KernelLog,
     _pair_closure,
     _run_coarse,
     _run_fine,
     _task_label_fn,
 )
 from .result import (
-    CpuCostAccumulator,
     FactorizeResult,
     GpuCostAccumulator,
     HybridResult,
+    cpu_cost,
 )
 from .rl import update_workspace_entries
 from .rl_gpu import rl_cpu_snode, rl_gpu_snode
@@ -415,11 +415,11 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
 def _coarse_hybrid_graph(symb, storage, backend, offload, acc,
                          async_panel_d2h):
     """Coarse task graph with per-task placement: ``(ntasks, roots,
-    run_task, priority, placement, counters, logs)``.
+    run_task, priority, placement, counters)``.
 
     CPU-placed supernodes run the threaded executor's real-BLAS coarse
     body (:func:`~repro.numeric.executor._run_coarse` — fresh per-task
-    workspaces, per-task kernel logs, thread-safe); GPU-placed supernodes
+    workspaces, thread-safe); GPU-placed supernodes
     run the RL offload pipeline on the modeled streams.  Both commit
     through one ordered committer, so the factor is bit-identical to the
     serial twin.  Only GPU-side scatters advance the modeled clocks — CPU
@@ -430,11 +430,10 @@ def _coarse_hybrid_graph(symb, storage, backend, offload, acc,
     committer = _build_committer(expected)
     ready = {}
     counters = {"on_gpu": 0}
-    logs = [_KernelLog() for _ in range(symb.nsup)]
     scatter = _coarse_scatter(symb, storage, backend, committer, ready, acc)
     run_gpu = _coarse_gpu_body(symb, storage, backend, scatter, ready,
                                counters, acc, async_panel_d2h)
-    run_cpu = _run_coarse(symb, storage, committer, logs)
+    run_cpu = _run_coarse(symb, storage, committer)
 
     def placement(s):
         return bool(offload[s])
@@ -444,12 +443,12 @@ def _coarse_hybrid_graph(symb, storage, backend, offload, acc,
             return run_gpu(s)
         return run_cpu(s)
 
-    return symb.nsup, roots, run_task, None, placement, counters, logs
+    return symb.nsup, roots, run_task, None, placement, counters
 
 
 def _fine_hybrid_graph(symb, storage, backend, offload, acc, inflight):
     """Fine task graph with per-task placement: ``(ntasks, roots,
-    run_task, priority, placement, counters, logs)``.
+    run_task, priority, placement, counters)``.
 
     A supernode's factor task and all of its pair tasks share its
     placement, so the per-supernode in-flight GPU pipeline state is only
@@ -464,7 +463,6 @@ def _fine_hybrid_graph(symb, storage, backend, offload, acc, inflight):
     ready = {}
     state = {}
     counters = {"on_gpu": 0}
-    logs = [_KernelLog() for _ in range(nsup + len(pairs))]
     priority = _fine_priority(nsup, pairs)
 
     def bump(p):
@@ -475,7 +473,7 @@ def _fine_hybrid_graph(symb, storage, backend, offload, acc, inflight):
     gpu_factor, gpu_pair = _fine_gpu_bodies(
         symb, storage, backend, committer, pairs, pair_ids, ready, state,
         counters, acc, inflight, bump)
-    run_cpu = _run_fine(symb, storage, committer, logs, pairs, pair_ids)
+    run_cpu = _run_fine(symb, storage, committer, pairs, pair_ids)
 
     def placement(tid):
         s = tid if tid < nsup else pairs[tid - nsup][0]
@@ -488,8 +486,7 @@ def _fine_hybrid_graph(symb, storage, backend, offload, acc, inflight):
             return gpu_factor(tid)
         return gpu_pair(tid)
 
-    return nsup + len(pairs), roots, run_task, priority, placement, \
-        counters, logs
+    return nsup + len(pairs), roots, run_task, priority, placement, counters
 
 
 def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
@@ -547,15 +544,13 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
     offload = gpu_snode_mask(symb, threshold, machine=machine)
     acc = GpuCostAccumulator(machine, itemsize=storage.itemsize)
     if granularity == "coarse":
-        ntasks, roots, run_task, priority, placement, counters, logs = \
+        ntasks, roots, run_task, priority, placement, counters = \
             _coarse_hybrid_graph(symb, storage, backend, offload, acc,
                                  async_panel_d2h)
-        method = "rl_hybrid"
     else:
-        ntasks, roots, run_task, priority, placement, counters, logs = \
+        ntasks, roots, run_task, priority, placement, counters = \
             _fine_hybrid_graph(symb, storage, backend, offload, acc,
                                inflight)
-        method = "rlb_hybrid"
 
     durations = np.zeros(ntasks)
     label_of = _task_label_fn(symb, granularity)
@@ -582,27 +577,27 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
                       placement=placement)
     wall = time.perf_counter() - t0
 
-    cacc = CpuCostAccumulator(machine, thread_choices,
-                              itemsize=storage.itemsize)
-    for log in logs:
-        log.replay(cacc)
-    best_threads, modeled_cpu = cacc.best()
+    # the CPU lanes' modeled cost is the pattern's, restricted to the
+    # CPU-placed supernodes (all of them: the memoised whole-pattern price)
+    family = _FAMILY[granularity]
+    cpu = cpu_cost(symb, family, machine, thread_choices, storage.itemsize,
+                   snodes=np.flatnonzero(~offload) if offload.any() else None)
     measured_cpu = float(durations.sum())
     modeled_gpu = backend.elapsed()
     combined = max(measured_cpu / backend.workers, modeled_gpu)
     on_gpu = counters["on_gpu"]
     return HybridResult(
-        method=method,
+        method=family + "_hybrid",
         storage=storage,
         modeled_seconds=combined,
         total_snodes=symb.nsup,
-        cpu_times_by_threads=dict(cacc.times),
-        best_threads=best_threads,
+        cpu_times_by_threads=dict(cpu.times),
+        best_threads=cpu.best_threads,
         snodes_on_gpu=on_gpu,
         gpu_stats=_aggregate_stats(backend.gpus),
-        flops=acc.flops + cacc.flops,
-        kernel_count=acc.kernel_count + cacc.kernel_count,
-        assembly_bytes=acc.assembly_bytes + cacc.assembly_bytes,
+        flops=acc.flops + cpu.flops,
+        kernel_count=acc.kernel_count + cpu.kernel_count,
+        assembly_bytes=acc.assembly_bytes + cpu.assembly_bytes,
         measured_cpu_seconds=measured_cpu,
         modeled_gpu_seconds=modeled_gpu,
         combined_seconds=combined,
@@ -616,7 +611,7 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
             "granularity": granularity,
             "tasks": ntasks,
             "wall_seconds": wall,
-            "modeled_cpu_seconds": modeled_cpu,
+            "modeled_cpu_seconds": cpu.seconds,
             "device_task_counts": list(backend.task_counts),
             "device_busy_seconds": backend.device_busy_seconds(),
         },

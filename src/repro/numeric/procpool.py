@@ -30,9 +30,11 @@ Scheduling & failure
 --------------------
 The parent owns the DAG: it tracks indegrees, dispatches ready tasks to
 the least-loaded worker over per-worker pipes (a small prefetch depth
-keeps workers busy between round trips), and collects per-task kernel
-logs at job end to replay the same deterministic modeled-cost report as
-the threaded engines.  A worker that hits a non-SPD pivot reports
+keeps workers busy between round trips); the modeled-cost report is the
+pattern's :func:`~repro.numeric.result.cpu_cost`, priced in the parent, so
+nothing but ``("done", tid)`` acknowledgements crosses a pipe at run time
+(a traced job additionally collects its per-task spans at job end).  A
+worker that hits a non-SPD pivot reports
 ``("error", tid, "npd", pivot)``; the parent stops dispatching, drains
 in-flight tasks and re-raises
 :class:`~repro.dense.kernels.NotPositiveDefiniteError` with the original
@@ -72,19 +74,19 @@ from multiprocessing.connection import wait as _connection_wait
 import numpy as np
 
 from ..dense.kernels import NotPositiveDefiniteError, check_dtype
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.relind import assembly_plan
 from .blas_limits import pinned_blas_env, process_worker_main
 from .executor import (
+    _FAMILY,
     GRANULARITIES,
     Backend,
-    _KernelLog,
     _coarse_plan,
     _fine_plan,
-    _replayed_result,
     _task_label_fn,
     default_workers,
 )
+from .result import cpu_cost
 from .rl import factor_snode, snode_update
 from .rlb import commit_block_pair, compute_block_pair
 from .storage import FactorStorage, ScatterPlan
@@ -175,14 +177,11 @@ def _scratch_layout(symb, granularity, itemsize=8):
 
 
 def _deferred_coarse(symb):
-    """Deferred-commit coarse plan: ``(incoming, out_nbytes, children,
-    indeg)``.
+    """Deferred-commit coarse plan: ``(incoming, children, indeg)``.
 
     ``incoming[p]`` lists ``(src, run)`` in ascending source order (the
     serial accumulation order) with ``run`` the cached
-    :func:`~repro.symbolic.relind.assembly_plan` entry; ``out_nbytes[s]``
-    is the total assembly bytes source ``s`` delivers (one cost charge on
-    the source task, matching the serial/threaded engines' event order);
+    :func:`~repro.symbolic.relind.assembly_plan` entry;
     ``children``/``indeg`` are the parent scheduler's DAG edges.
     """
     cache = symb.cache()
@@ -192,17 +191,13 @@ def _deferred_coarse(symb):
     _coarse_plan(symb)  # pre-warm every assembly_plan on this thread
     nsup = symb.nsup
     incoming = [[] for _ in range(nsup)]
-    out_nbytes = [0] * nsup
     children = [[] for _ in range(nsup)]
     for s in range(nsup):
-        total = 0
         for run in assembly_plan(symb, s):
             incoming[run[0]].append((s, run))
             children[s].append(run[0])
-            total += run[5]
-        out_nbytes[s] = total
     indeg = tuple(len(x) for x in incoming)
-    got = (incoming, tuple(out_nbytes), children, indeg)
+    got = (incoming, children, indeg)
     cache["procpool_coarse"] = got
     return got
 
@@ -304,12 +299,12 @@ class _WorkerState:
         self.scratch = _scratch_views(symb, granularity,
                                       self.scratch_shm.buf, dtype)
         if granularity == "coarse":
-            self.incoming, self.out_nbytes, _, _ = _deferred_coarse(symb)
+            self.incoming, _, _ = _deferred_coarse(symb)
             self.pairs = None
         else:
             self.pairs, self.incoming, _, _, _ = _deferred_fine(symb)
 
-    def run_task(self, tid, log):
+    def run_task(self, tid):
         symb = self.symb
         storage = self.storage
         if self.granularity == "coarse":
@@ -318,22 +313,21 @@ class _WorkerState:
                 _, k0, k1, relrows, colpos, _ = run
                 U = self.scratch[src]
                 panel[relrows, colpos] -= U[k0:, k0:k1]
-            _, _, b = factor_snode(symb, storage, tid, acc=log)
+            _, _, b = factor_snode(symb, storage, tid)
             if b:
-                snode_update(symb, storage, tid, W=self.scratch[tid], acc=log)
-                log.assembly(self.out_nbytes[tid])
+                snode_update(symb, storage, tid, W=self.scratch[tid])
             return
         if tid < self.nsup:
             for pid in self.incoming[tid]:
                 _, bi, bj = self.pairs[pid - self.nsup]
                 commit_block_pair(symb, storage, bi, bj,
                                   self.scratch[pid - self.nsup])
-            factor_snode(symb, storage, tid, acc=log)
+            factor_snode(symb, storage, tid)
             return
         s, bi, bj = self.pairs[tid - self.nsup]
         panel = storage.panel(s)
         w = symb.snode_ncols(s)
-        u = compute_block_pair(panel, w, bi, bj, acc=log)
+        u = compute_block_pair(panel, w, bi, bj)
         np.copyto(self.scratch[tid - self.nsup], u)
 
     def release(self):
@@ -353,7 +347,6 @@ def _worker_loop(conn, worker_index):
     :func:`repro.numeric.blas_limits.process_worker_main`)."""
     states = {}
     state = None
-    events = None
     spans = None
     want_trace = False
     t0 = 0.0
@@ -363,32 +356,25 @@ def _worker_loop(conn, worker_index):
             cmd = msg[0]
             if cmd == "task":
                 tid = msg[1]
-                log = _KernelLog()
                 start = time.perf_counter() - t0
                 try:
-                    state.run_task(tid, log)
+                    state.run_task(tid)
                 except NotPositiveDefiniteError as exc:
-                    events[tid] = log.events
                     conn.send(("error", tid, "npd", int(exc.pivot)))
                     continue
                 except BaseException:
-                    events[tid] = log.events
                     conn.send(("error", tid, "exc", traceback.format_exc()))
                     continue
-                stop = time.perf_counter() - t0
-                events[tid] = log.events
                 if want_trace:
-                    spans.append((tid, start, stop))
+                    spans.append((tid, start, time.perf_counter() - t0))
                 conn.send(("done", tid))
             elif cmd == "job":
                 state = states[msg[1]]
                 t0 = msg[2]
                 want_trace = msg[3]
-                events = {}
                 spans = []
-            elif cmd == "endjob":
-                conn.send(("logs", events, spans))
-                events = None
+            elif cmd == "endjob":  # traced jobs only
+                conn.send(("spans", spans))
                 spans = None
             elif cmd == "warm":
                 (_, key, blob, granularity, panels_name, scratch_name,
@@ -434,7 +420,7 @@ class _WarmEntry:
         self.panels_shm = _create_shm(panel_total)
         self.scratch_shm = _create_shm(scratch_total)
         if granularity == "coarse":
-            _, _, self.children, self.indeg = _deferred_coarse(symb)
+            _, self.children, self.indeg = _deferred_coarse(symb)
             self.ntasks = symb.nsup
         else:
             _, _, self.children, self.indeg, self.ntasks = _deferred_fine(symb)
@@ -596,10 +582,9 @@ class ProcessPool:
 
     # ------------------------------------------------------------------
     def run_job(self, symb, A, granularity, *, tracer=None, dtype=None):
-        """Factorize one matrix on the pool.  Returns ``(storage, logs,
+        """Factorize one matrix on the pool.  Returns ``(storage,
         wall_seconds, ntasks)`` with ``storage`` a fresh (non-shared)
-        :class:`FactorStorage` and ``logs`` the per-task kernel logs in
-        task-id order (for :func:`executor._replayed_result`)."""
+        :class:`FactorStorage`."""
         dt = check_dtype(A.data.dtype if dtype is None else dtype,
                          context="storage")
         with self._lock:
@@ -667,35 +652,29 @@ class ProcessPool:
                     failure = msg
             if failure is None:
                 dispatch()
-        for conn in conns:
-            conn.send(("endjob",))
-        all_events = {}
         spans_by_worker = []
-        for wid, conn in enumerate(conns):
-            msg = self._recv(conn)
-            if msg[0] != "logs":  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unexpected worker reply: {msg[:1]}")
-            all_events.update(msg[1])
-            spans_by_worker.append(msg[2])
+        if want_trace:
+            for conn in conns:
+                conn.send(("endjob",))
+            for conn in conns:
+                msg = self._recv(conn)
+                if msg[0] != "spans":  # pragma: no cover - protocol guard
+                    raise RuntimeError(f"unexpected worker reply: {msg[:1]}")
+                spans_by_worker.append(msg[1])
         wall = time.perf_counter() - t0
         if failure is not None:
             raise self._rebuild_error(failure)
-        logs = []
-        for tid in range(ntasks):
-            log = _KernelLog()
-            log.events = all_events.get(tid, [])
-            logs.append(log)
         panels = [np.array(view, order="F")
                   for view in _panel_views(entry.symb, entry.panels_shm.buf,
                                            entry.dtype)]
         storage = FactorStorage(entry.symb, panels)
-        if tracer is not None:
+        if want_trace:
             label_of = _task_label_fn(entry.symb, entry.granularity)
             for wid, spans in enumerate(spans_by_worker):
                 lane = f"proc{wid}"
                 for tid, start, stop in spans:
                     tracer.record(lane, label_of(tid), start, stop)
-        return storage, logs, wall, ntasks
+        return storage, wall, ntasks
 
     @staticmethod
     def _rebuild_error(failure):
@@ -781,11 +760,12 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
 
     Same contract as :func:`~repro.numeric.executor.factorize_executor`:
     factors are bit-identical to the serial twins at any worker count (the
-    deferred-commit scheme above), the modeled-cost report replays the
-    same per-task kernel logs, and ``extra`` carries ``workers`` /
-    ``backend`` / ``granularity`` / ``start_method`` / measured
-    ``wall_seconds`` / ``tasks``.  Pass ``tracer=`` to record measured
-    per-task spans on ``proc0``, ``proc1``, ... lanes.  ``pool=`` reuses
+    deferred-commit scheme above), the modeled-cost report is the same
+    priced-once :func:`~repro.numeric.result.cpu_cost` of the pattern, and
+    ``extra`` carries ``workers`` / ``backend`` / ``granularity`` /
+    ``start_method`` / measured ``wall_seconds`` / ``tasks``.  Pass
+    ``tracer=`` to record measured per-task spans on ``proc0``, ``proc1``,
+    ... lanes.  ``pool=`` reuses
     an explicit :class:`ProcessPool` (mutually exclusive with ``workers=``
     / ``start_method=``); otherwise the module's default pool for
     ``(workers, start_method)`` is used and kept warm across calls.
@@ -801,16 +781,14 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
             )
     else:
         pool = default_process_pool(workers, start_method)
-    machine = machine or MachineModel()
-    storage, logs, wall, ntasks = pool.run_job(symb, A, granularity,
-                                               tracer=tracer, dtype=dtype)
-    return _replayed_result(
-        "rl_proc" if granularity == "coarse" else "rlb_proc",
+    storage, wall, ntasks = pool.run_job(symb, A, granularity,
+                                         tracer=tracer, dtype=dtype)
+    family = _FAMILY[granularity]
+    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
+    return cost.result(
+        family + "_proc",
         storage,
-        logs,
-        machine,
-        thread_choices,
-        extra={
+        {
             "workers": pool.workers,
             "backend": "process",
             "granularity": granularity,

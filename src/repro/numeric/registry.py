@@ -1,12 +1,10 @@
 """Unified factorization-engine registry.
 
 One table maps every public engine name to its callable, its fixed keyword
-arguments and a coarse *kind* tag.  Historically the same mapping lived as a
-``METHODS`` dict in :mod:`repro.solve.driver` with ad-hoc name tests
-sprinkled through :mod:`repro.cli` (``"_gpu" in method`` ...); the staged
-``plan → Factor`` API (:mod:`repro.api`), the legacy
-:class:`~repro.solve.driver.CholeskySolver` facade and the CLI all resolve
-engines here now, so a new engine is registered exactly once.
+arguments and a coarse *kind* tag.  The staged ``plan → Factor`` API
+(:mod:`repro.api`), the legacy :class:`~repro.solve.driver.CholeskySolver`
+facade and the CLI all resolve engines here, so a new engine is registered
+exactly once.
 
 Kinds
 -----
@@ -64,7 +62,6 @@ from .rlb_gpu import factorize_rlb_gpu
 __all__ = [
     "EngineSpec",
     "ENGINES",
-    "METHODS",
     "BACKENDS",
     "engine_names",
     "get_engine",
@@ -191,10 +188,6 @@ ENGINES = {
               description="multifrontal baseline with GPU offload"),
     )
 }
-
-#: Legacy view — engine name -> ``(callable, fixed_kwargs)``.  Kept for the
-#: historical ``CholeskySolver.METHODS`` consumers; same keys as ``ENGINES``.
-METHODS = {name: (spec.fn, spec.fixed) for name, spec in ENGINES.items()}
 
 #: DAG engine of each granularity <-> its serial bit-identity twin.
 _SERIAL_TWIN = {

@@ -6,10 +6,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..symbolic.blocks import snode_blocks
+from ..symbolic.relind import assembly_plan
 
 __all__ = [
     "CpuCostAccumulator",
     "GpuCostAccumulator",
+    "CpuCost",
+    "kernel_stream",
+    "cpu_cost",
     "FactorizeResult",
     "HybridResult",
 ]
@@ -32,9 +37,14 @@ class CpuCostAccumulator:
     convention); the accumulator rescales to actual bytes.
     """
 
-    def __init__(self, machine: MachineModel,
-                 thread_choices=CPU_THREAD_CHOICES, *, assembly_threads=None,
-                 itemsize=8):
+    def __init__(
+        self,
+        machine: MachineModel,
+        thread_choices=CPU_THREAD_CHOICES,
+        *,
+        assembly_threads=None,
+        itemsize=8,
+    ):
         self.machine = machine
         self.times = {t: 0.0 for t in thread_choices}
         self.assembly_threads = assembly_threads
@@ -81,13 +91,10 @@ class GpuCostAccumulator:
     :class:`~repro.gpu.device.Timeline`; what this accumulator tracks is
     the dilated work totals (``flops``, ``kernel_count``,
     ``assembly_bytes``) every engine reports on its
-    :class:`FactorizeResult`.  Duck-typed like
-    :class:`CpuCostAccumulator` (``kernel`` / ``assembly``), so the shared
-    per-supernode task bodies accept either.
+    :class:`FactorizeResult`.
     """
 
-    __slots__ = ("machine", "flops", "kernel_count", "assembly_bytes",
-                 "itemsize")
+    __slots__ = ("machine", "flops", "kernel_count", "assembly_bytes", "itemsize")
 
     def __init__(self, machine: MachineModel, *, itemsize=8):
         self.machine = machine
@@ -105,8 +112,7 @@ class GpuCostAccumulator:
         """Count a scatter-add of ``nbytes`` (fp64-normalized raw bytes;
         rescaled to the factor's itemsize and dilated inside)."""
         actual = nbytes * self.itemsize / 8.0
-        self.assembly_bytes += self.machine.scaled_bytes(actual,
-                                                         self.itemsize)
+        self.assembly_bytes += self.machine.scaled_bytes(actual, self.itemsize)
 
 
 @dataclass
@@ -197,3 +203,97 @@ class HybridResult(FactorizeResult):
     modeled_gpu_seconds: float = 0.0
     combined_seconds: float = 0.0
     snodes_on_cpu: int = 0
+
+
+@dataclass(frozen=True)
+class CpuCost:
+    """Modeled CPU cost of one RL/RLB factorization — the frozen totals of
+    a :class:`CpuCostAccumulator` after :func:`cpu_cost`'s pattern walk.
+    ``times`` is ``((threads, seconds), ...)`` over the swept MKL thread
+    counts; ``best_threads`` / ``seconds`` the paper's best-over-threads
+    baseline."""
+
+    times: tuple
+    best_threads: int
+    seconds: float
+    flops: float
+    kernel_count: int
+    assembly_bytes: float
+
+    def result(self, method, storage, extra):
+        """The :class:`FactorizeResult` of an engine run that produced
+        ``storage`` on the priced pattern."""
+        return FactorizeResult(
+            method=method,
+            storage=storage,
+            modeled_seconds=self.seconds,
+            total_snodes=storage.symb.nsup,
+            cpu_times_by_threads=dict(self.times),
+            best_threads=self.best_threads,
+            flops=self.flops,
+            kernel_count=self.kernel_count,
+            assembly_bytes=self.assembly_bytes,
+            extra=extra,
+        )
+
+
+def kernel_stream(symb, family, snodes=None):
+    """The BLAS/assembly call stream of a serial ``"rl"`` or ``"rlb"``
+    factorization, from the sparsity pattern alone.
+
+    Yields ``(s, kind, m, n, k)`` per call in elimination order: DPOTRF
+    and DTRSM of supernode ``s``, then RL's one DSYRK and one
+    ``"assembly"`` pass (``m`` = fp64-normalized bytes moved), or RLB's
+    DSYRK/DGEMM per block pair.  ``snodes`` restricts the walk to an
+    ascending subset of supernodes.
+    """
+    if family not in ("rl", "rlb"):
+        raise ValueError(f"unknown family {family!r}; choose 'rl' or 'rlb'")
+    for s in range(symb.nsup) if snodes is None else snodes:
+        m, w = symb.panel_shape(s)
+        b = m - w
+        yield s, "potrf", 0, w, 0
+        if not b:
+            continue
+        yield s, "trsm", b, w, 0
+        if family == "rl":
+            yield s, "syrk", 0, b, w
+            moved = sum(run[5] for run in assembly_plan(symb, s))
+            yield s, "assembly", moved, 0, 0
+            continue
+        blocks = snode_blocks(symb, s)
+        for i, bi in enumerate(blocks):
+            yield s, "syrk", 0, bi.length, w
+            for bj in blocks[i + 1 :]:
+                yield s, "gemm", bj.length, bi.length, w
+
+
+def cpu_cost(symb, family, machine, thread_choices, itemsize, snodes=None):
+    """Price the pattern: the :class:`CpuCost` of ``family``'s
+    :func:`kernel_stream`, charged in the serial engines' order.
+
+    The cost depends on the pattern only, so it is computed once per
+    ``(family, machine, thread_choices, itemsize)`` and memoised on
+    ``symb.cache()`` — every CPU-lane engine and backend reports this one
+    object, and later same-pattern factorizations do no accounting.  A
+    ``snodes`` subset (the hybrid engines' CPU-placed supernodes) is priced
+    unmemoised.  ``machine=None`` is the default :class:`MachineModel`.
+    """
+    machine = machine or MachineModel()
+    choices = tuple(thread_choices)
+    key = (family, machine, choices, int(itemsize))
+    memo = symb.cache().setdefault("cpu_cost", {})
+    if snodes is None and key in memo:
+        return memo[key]
+    acc = CpuCostAccumulator(machine, choices, itemsize=itemsize)
+    for _, kind, m, n, k in kernel_stream(symb, family, snodes):
+        if kind == "assembly":
+            acc.assembly(m)
+        else:
+            acc.kernel(kind, m, n, k)
+    threads, seconds = acc.best()
+    times = tuple(acc.times.items())
+    cost = CpuCost(times, threads, seconds, acc.flops, acc.kernel_count, acc.assembly_bytes)
+    if snodes is None:
+        memo[key] = cost
+    return cost

@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense import kernels as dk
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.relind import assembly_plan
-from .result import CpuCostAccumulator, FactorizeResult
+from .result import cpu_cost
 from .storage import FactorStorage
 
 __all__ = [
@@ -36,15 +36,20 @@ __all__ = [
 
 def update_workspace_entries(symb):
     """Entries of the largest update matrix — the preallocated temporary
-    working storage RL needs (§II-A)."""
-    best = 0
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        best = max(best, (m - w) ** 2)
+    working storage RL needs (§II-A).  Pattern-only, so memoised on the
+    symbolic factor."""
+    cache = symb.cache()
+    best = cache.get("update_workspace_entries")
+    if best is None:
+        best = 0
+        for s in range(symb.nsup):
+            m, w = symb.panel_shape(s)
+            best = max(best, (m - w) ** 2)
+        cache["update_workspace_entries"] = best
     return best
 
 
-def factor_snode(symb, storage, s, acc=None):
+def factor_snode(symb, storage, s):
     """Factorize supernode ``s``'s panel in place: DPOTRF on the diagonal
     block, DTRSM on the rectangle below.
 
@@ -52,24 +57,18 @@ def factor_snode(symb, storage, s, acc=None):
     (:func:`factorize_rl_cpu`, :func:`repro.numeric.rlb.factorize_rlb_cpu`)
     and the threaded task-DAG runtime
     (:mod:`repro.numeric.executor`) — the kernels exist exactly once.
-    ``acc`` is any object with a ``kernel(kind, m=, n=, k=)`` method
-    (a :class:`~repro.numeric.result.CpuCostAccumulator` or the executor's
-    per-task log).  Returns ``(panel, w, b)``.
+    Returns ``(panel, w, b)``.
     """
     panel = storage.panel(s)
     m, w = symb.panel_shape(s)
     b = m - w
     dk.potrf(panel[:w, :w])
-    if acc is not None:
-        acc.kernel("potrf", n=w)
     if b:
         dk.trsm_right(panel[w:, :w], panel[:w, :w])
-        if acc is not None:
-            acc.kernel("trsm", m=b, n=w)
     return panel, w, b
 
 
-def snode_update(symb, storage, s, W=None, acc=None):
+def snode_update(symb, storage, s, W=None):
     """DSYRK body: the update matrix ``U_J = L_{R,J} L_{R,J}^T`` of the
     (already factorized) supernode ``s``.
 
@@ -87,8 +86,6 @@ def snode_update(symb, storage, s, W=None, acc=None):
     U = (W[:b, :b] if W is not None
          else np.zeros((b, b), dtype=panel.dtype, order="F"))
     dk.syrk_lower(panel[w:, :w], out=U)
-    if acc is not None:
-        acc.kernel("syrk", n=b, k=w)
     return U
 
 
@@ -116,34 +113,21 @@ def factorize_rl_cpu(symb, A, *, machine=None,
                      thread_choices=CPU_THREAD_CHOICES, dtype=None):
     """CPU-only RL factorization.
 
-    Numerics run once; modeled time is accumulated for every MKL thread
-    count in ``thread_choices`` and the best is reported (the paper's CPU
-    baseline protocol; assembly loops are OpenMP-parallel, §III).
+    The numerics run here; the modeled time for every MKL thread count in
+    ``thread_choices`` and the best of them (the paper's CPU baseline
+    protocol; assembly loops are OpenMP-parallel, §III) is the pattern's
+    :func:`~repro.numeric.result.cpu_cost`, priced once and shared.
     ``dtype`` selects the factor precision (``None`` keeps the values').
     """
-    machine = machine or MachineModel()
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    acc = CpuCostAccumulator(machine, thread_choices, assembly_threads=None,
-                             itemsize=storage.itemsize)
-    bmax = int(np.sqrt(update_workspace_entries(symb))) if symb.nsup else 0
+    entries = update_workspace_entries(symb)
+    bmax = int(np.sqrt(entries))
     W = (np.zeros((bmax, bmax), dtype=storage.dtype, order="F")
          if bmax else None)
     for s in range(symb.nsup):
-        _, _, b = factor_snode(symb, storage, s, acc=acc)
+        _, _, b = factor_snode(symb, storage, s)
         if b:
-            U = snode_update(symb, storage, s, W=W, acc=acc)
-            moved = assemble_update(symb, storage, s, U)
-            acc.assembly(moved)
-    threads, seconds = acc.best()
-    return FactorizeResult(
-        method="rl",
-        storage=storage,
-        modeled_seconds=seconds,
-        total_snodes=symb.nsup,
-        cpu_times_by_threads=dict(acc.times),
-        best_threads=threads,
-        flops=acc.flops,
-        kernel_count=acc.kernel_count,
-        assembly_bytes=acc.assembly_bytes,
-        extra={"workspace_entries": update_workspace_entries(symb)},
-    )
+            U = snode_update(symb, storage, s, W=W)
+            assemble_update(symb, storage, s, U)
+    cost = cpu_cost(symb, "rl", machine, thread_choices, storage.itemsize)
+    return cost.result("rl", storage, {"workspace_entries": entries})

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense import kernels as dk
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.blocks import snode_blocks
-from .result import CpuCostAccumulator, FactorizeResult
+from .result import cpu_cost
 from .rl import factor_snode
 from .storage import FactorStorage
 
@@ -65,7 +65,7 @@ def block_pair_targets(symb, bi, bj):
     return cache[key]
 
 
-def compute_block_pair(panel, w, bi, bj, acc=None):
+def compute_block_pair(panel, w, bi, bj):
     """DSYRK/DGEMM body of one block pair: the update contribution of
     ``(B_i, B_j)`` from the factorized ``panel`` of the descendant
     supernode.
@@ -79,12 +79,8 @@ def compute_block_pair(panel, w, bi, bj, acc=None):
     """
     rows_i = panel[bi.panel_start:bi.panel_start + bi.length, :w]
     if bj is bi:
-        if acc is not None:
-            acc.kernel("syrk", n=bi.length, k=w)
         return dk.syrk_lower(rows_i)
     rows_j = panel[bj.panel_start:bj.panel_start + bj.length, :w]
-    if acc is not None:
-        acc.kernel("gemm", m=bj.length, n=bi.length, k=w)
     return dk.gemm_nt(rows_j, rows_i)
 
 
@@ -112,35 +108,23 @@ def factorize_rlb_cpu(symb, A, *, machine=None,
                       thread_choices=CPU_THREAD_CHOICES, dtype=None):
     """CPU-only RLB factorization (direct in-place updates, no assembly).
 
-    As with RL, numerics run once and modeled time is tracked for all MKL
-    thread counts; RLB's cost profile differs from RL's by many smaller
-    BLAS calls and the absence of the assembly pass.
+    As with RL, the modeled time for all MKL thread counts is the
+    pattern's :func:`~repro.numeric.result.cpu_cost`; RLB's cost profile
+    differs from RL's by many smaller BLAS calls and the absence of the
+    assembly pass.
     ``dtype`` selects the factor precision (``None`` keeps the values').
     """
-    machine = machine or MachineModel()
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    acc = CpuCostAccumulator(machine, thread_choices, assembly_threads=None,
-                             itemsize=storage.itemsize)
     total_pairs = 0
     for s in range(symb.nsup):
-        panel, w, b = factor_snode(symb, storage, s, acc=acc)
+        panel, w, b = factor_snode(symb, storage, s)
         if not b:
             continue
         blocks = snode_blocks(symb, s)
         for i, bi in enumerate(blocks):
             for bj in blocks[i:]:
-                u = compute_block_pair(panel, w, bi, bj, acc=acc)
+                u = compute_block_pair(panel, w, bi, bj)
                 commit_block_pair(symb, storage, bi, bj, u)
                 total_pairs += 1
-    threads, seconds = acc.best()
-    return FactorizeResult(
-        method="rlb",
-        storage=storage,
-        modeled_seconds=seconds,
-        total_snodes=symb.nsup,
-        cpu_times_by_threads=dict(acc.times),
-        best_threads=threads,
-        flops=acc.flops,
-        kernel_count=acc.kernel_count,
-        extra={"block_pairs": total_pairs},
-    )
+    cost = cpu_cost(symb, "rlb", machine, thread_choices, storage.itemsize)
+    return cost.result("rlb", storage, {"block_pairs": total_pairs})

@@ -20,7 +20,7 @@ from .gpu_solve import (
     solve_flops,
 )
 from .sparse_rhs import solve_reach, forward_solve_sparse
-from .driver import CholeskySolver, METHODS
+from .driver import CholeskySolver
 from .refine import RefinementResult, refine, relative_residual
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "solve_reach",
     "forward_solve_sparse",
     "CholeskySolver",
-    "METHODS",
     "RefinementResult",
     "refine",
     "relative_residual",

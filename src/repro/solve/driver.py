@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import warnings
 
-from ..numeric.registry import METHODS
+from ..numeric.registry import ENGINES, engine_names
 from ..sparse.csc import SymmetricCSC
 from .refine import relative_residual
 
-__all__ = ["CholeskySolver", "METHODS"]
+__all__ = ["CholeskySolver"]
 
 
 class CholeskySolver:
@@ -76,7 +76,7 @@ class CholeskySolver:
         ``SymmetricCSC.from_scipy`` accepts via the ``from_any`` helper).
     method:
         Factorization engine (see
-        :data:`repro.numeric.registry.METHODS`).
+        :data:`repro.numeric.registry.ENGINES`).
     analyze_kwargs:
         Options forwarded to :func:`repro.symbolic.analyze` (ordering,
         merge/refine toggles, growth cap, ...).
@@ -94,9 +94,9 @@ class CholeskySolver:
             "table. Behavior is unchanged.",
             DeprecationWarning, stacklevel=2,
         )
-        if method not in METHODS:
+        if method not in ENGINES:
             raise ValueError(
-                f"unknown method {method!r}; choose from {sorted(METHODS)}"
+                f"unknown method {method!r}; choose from {engine_names()}"
             )
         self.A = A
         self.method = method

@@ -62,6 +62,17 @@ def assert_factor_matches(result, system, tol=1e-10):
     assert err < tol, f"factor mismatch: max abs error {err}"
 
 
+REPORT_FIELDS = ("cpu_times_by_threads", "best_threads", "flops",
+                 "kernel_count", "assembly_bytes")
+
+
+def assert_same_report(res, ref):
+    """Assert two FactorizeResults carry the same modeled CPU report —
+    exact ``==``: every CPU-lane engine wraps the one priced pattern."""
+    for name in REPORT_FIELDS:
+        assert getattr(res, name) == getattr(ref, name), name
+
+
 def random_spd_dense(n, rng):
     """Dense random SPD matrix for oracle tests."""
     M = rng.standard_normal((n, n))

@@ -55,7 +55,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.api", "same_pattern_values"),
     ("repro.sparse", "spd_value_sweep"),
     ("repro.numeric.registry", "ENGINES"),
-    ("repro.numeric.registry", "METHODS"),
     ("repro.numeric.registry", "EngineSpec"),
     ("repro.numeric.registry", "get_engine"),
     ("repro.numeric.registry", "engine_names"),
@@ -93,7 +92,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.blas_limits", "limit_blas_threads"),
     ("repro.numeric.blas_limits", "pinned_blas_env"),
     ("repro.solve", "CholeskySolver"),
-    ("repro.solve", "METHODS"),
     ("repro.solve", "solve_factored"),
     ("repro.solve", "solve_factored_gpu_dag"),
     ("repro.solve", "solve_offload_estimate"),
@@ -183,15 +181,15 @@ def test_subpackage_name_importable(module, name):
 
 
 def test_registry_consistency():
-    """The legacy METHODS view and the registry must agree, and every
-    engine must resolve through get_engine."""
-    from repro.numeric.registry import ENGINES, METHODS, get_engine
+    """Every registered engine must resolve through get_engine under its
+    own name, with a known kind."""
+    from repro.numeric.registry import ENGINES, engine_names, get_engine
 
-    assert set(METHODS) == set(ENGINES)
-    for name, (fn, fixed) in METHODS.items():
-        spec = get_engine(name)
-        assert spec.fn is fn
-        assert spec.fixed == fixed
+    assert engine_names() == sorted(ENGINES)
+    for name, spec in ENGINES.items():
+        assert get_engine(name) is spec
+        assert spec.name == name
+        assert callable(spec.fn)
         assert spec.kind in (
             "cpu", "threaded", "gpu", "stream", "hybrid", "process",
         )
@@ -200,6 +198,7 @@ def test_registry_consistency():
 def test_facade_methods_is_registry_view():
     """CholeskySolver and the registry share one engine table."""
     from repro.numeric import registry
-    from repro.solve import METHODS as solve_methods
+    from repro.solve import driver
 
-    assert solve_methods is registry.METHODS
+    assert driver.ENGINES is registry.ENGINES
+    assert "METHODS" not in registry.__all__ + repro.solve.__all__

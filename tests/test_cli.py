@@ -141,6 +141,19 @@ class TestBreakdownReport:
         assert breakdown(symb, method="rl").seconds.get("gemm", 0) == 0
         assert breakdown(symb, method="rlb").seconds.get("gemm", 0) > 0
 
+    @pytest.mark.parametrize("method", ["rl", "rlb"])
+    def test_cpu_total_is_the_engine_report(self, method):
+        """breakdown() prices the very kernel stream the engines' report is
+        priced from: its total is the modeled seconds at that thread count
+        (summed per class instead of per call, hence approx)."""
+        import repro
+
+        plan = repro.plan(grid_laplacian((8, 8, 3)))
+        report = plan.factorize(engine=method).result.cpu_times_by_threads
+        for t in (8, 128):
+            total = breakdown(plan.symb, method=method, threads=t).total
+            assert total == pytest.approx(report[t], rel=1e-9)
+
     def test_cpu_methods_have_no_transfers(self, symb):
         b = breakdown(symb, method="rl")
         assert "h2d" not in b.seconds and "d2h" not in b.seconds

@@ -2,7 +2,9 @@
 pair targeting, and degenerate inputs through the whole pipeline."""
 
 import numpy as np
+import pytest
 
+from repro.gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from repro.numeric import (
     FactorStorage,
     apply_block_pair,
@@ -11,6 +13,7 @@ from repro.numeric import (
     factorize_rl_cpu,
     update_workspace_entries,
 )
+from repro.numeric.result import cpu_cost, kernel_stream
 from repro.sparse import SymmetricCSC, tridiagonal
 from repro.symbolic import analyze, snode_blocks
 
@@ -44,6 +47,53 @@ class TestAssembleUpdate:
         want = max((symb.panel_shape(s)[0] - symb.panel_shape(s)[1]) ** 2
                    for s in range(symb.nsup))
         assert update_workspace_entries(symb) == want
+        # pattern-only: memoised like the other symbolic plans
+        assert symb.cache()["update_workspace_entries"] == want
+
+
+class TestCpuCost:
+    """The pattern-only pricing walk behind every CPU-lane engine."""
+
+    def test_memoised_per_family_machine_choices_itemsize(self, analyzed_vec):
+        symb, machine = analyzed_vec.symb, MachineModel()
+        one = cpu_cost(symb, "rl", machine, CPU_THREAD_CHOICES, 8)
+        assert cpu_cost(symb, "rl", MachineModel(),
+                        list(CPU_THREAD_CHOICES), 8) is one
+        assert cpu_cost(symb, "rlb", machine, CPU_THREAD_CHOICES, 8) is not one
+        fp32 = cpu_cost(symb, "rl", machine, CPU_THREAD_CHOICES, 4)
+        assert fp32.seconds < one.seconds
+        assert fp32.kernel_count == one.kernel_count
+        slow = MachineModel(dilation=20.0)
+        assert cpu_cost(symb, "rl", slow, (8, 16), 8).seconds > one.seconds
+        assert dict(one.times)[one.best_threads] == one.seconds
+
+    def test_subset_is_priced_unmemoised(self, analyzed_vec):
+        symb, machine = analyzed_vec.symb, MachineModel()
+        for family in ("rl", "rlb"):
+            whole = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8)
+            memo = dict(symb.cache()["cpu_cost"])
+            every = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8,
+                             snodes=range(symb.nsup))
+            assert every == whole and every is not whole
+            lo = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8,
+                          snodes=range(0, symb.nsup // 2))
+            hi = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8,
+                          snodes=range(symb.nsup // 2, symb.nsup))
+            assert lo.kernel_count + hi.kernel_count == whole.kernel_count
+            assert symb.cache()["cpu_cost"] == memo
+
+    def test_stream_is_the_serial_call_order(self, analyzed_vec):
+        symb = analyzed_vec.symb
+        rl = list(kernel_stream(symb, "rl"))
+        assert [e[0] for e in rl] == sorted(e[0] for e in rl)
+        assert sum(e[1] == "potrf" for e in rl) == symb.nsup
+        assert (sum(e[1] == "assembly" for e in rl)
+                == sum(e[1] == "syrk" for e in rl))
+        rlb = list(kernel_stream(symb, "rlb"))
+        assert not any(e[1] == "assembly" for e in rlb)
+        assert sum(e[1] == "gemm" for e in rlb) > 0
+        with pytest.raises(ValueError, match="family"):
+            list(kernel_stream(symb, "lu"))
 
 
 class TestBlockPairTargets:

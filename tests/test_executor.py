@@ -15,7 +15,7 @@ from repro.numeric import (
 from repro.solve.driver import CholeskySolver
 from repro.sparse import grid_laplacian, random_spd, tridiagonal
 from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches
+from tests.conftest import assert_factor_matches, assert_same_report
 
 GRANULARITIES = ["coarse", "fine"]
 SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
@@ -48,9 +48,14 @@ class TestCorrectness:
         assert res.extra["workers"] == 2
         assert res.extra["granularity"] == granularity
         assert res.extra["wall_seconds"] > 0.0
-        assert res.kernel_count == serial.kernel_count
-        # same kernels, summed in task-id order: equal up to FP reassociation
-        assert res.modeled_seconds == pytest.approx(serial.modeled_seconds, rel=1e-9)
+        # one priced pattern behind both engines: exact, in either precision
+        for dtype in (np.float64, np.float32):
+            res = factorize_executor(
+                system.symb, system.matrix, workers=2, granularity=granularity, dtype=dtype
+            )
+            serial = SERIAL[granularity](system.symb, system.matrix, dtype=dtype)
+            assert res.modeled_seconds == serial.modeled_seconds
+            assert_same_report(res, serial)
 
     def test_rejects_bad_arguments(self, system):
         with pytest.raises(ValueError, match="granularity"):

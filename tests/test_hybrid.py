@@ -44,7 +44,7 @@ from repro.numeric.registry import (
 )
 from repro.sparse import vector_stencil
 from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches
+from tests.conftest import assert_factor_matches, assert_same_report
 
 BIG = 10 ** 15
 
@@ -102,6 +102,10 @@ class TestBitIdentity:
         assert res.combined_seconds == max(res.measured_cpu_seconds / 2,
                                            res.modeled_gpu_seconds)
         assert res.modeled_seconds == res.combined_seconds
+        # the CPU lanes are priced on the CPU-placed supernodes only
+        whole = SERIAL[granularity](system.symb, system.matrix)
+        assert 0 < res.extra["modeled_cpu_seconds"] < whole.modeled_seconds
+        assert res.kernel_count == whole.kernel_count
         assert res.method == ("rl_hybrid" if granularity == "coarse"
                               else "rlb_hybrid")
         assert res.extra["workers"] == 2
@@ -126,6 +130,15 @@ class TestDegenerateThresholds:
         assert res.modeled_gpu_seconds == 0.0
         assert res.extra["device_task_counts"] == [0, 0]
         assert _bit_identical(res, ref, system.symb)
+        # all-CPU placement reports the threaded twin's priced pattern
+        for dtype in (np.float64, np.float32):
+            ref = factorize_executor(system.symb, system.matrix, workers=2,
+                                     granularity=granularity, dtype=dtype)
+            res = factorize_hybrid(system.symb, system.matrix, workers=2,
+                                   granularity=granularity, dtype=dtype,
+                                   threshold=float("inf"))
+            assert res.extra["modeled_cpu_seconds"] == ref.modeled_seconds
+            assert_same_report(res, ref)
 
     @pytest.mark.parametrize("granularity", ["coarse", "fine"])
     def test_zero_is_pure_gpu(self, system, granularity):

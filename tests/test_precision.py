@@ -329,6 +329,38 @@ class TestServingPrecision:
         for p, q in zip(_panels(got64.result), _panels(ref64.result)):
             assert np.array_equal(p, q)
 
+    def test_dtype_override_prices_on_the_submitting_thread(
+            self, base_matrix, monkeypatch):
+        """A per-submission fp32 override on an fp64 session needs a report
+        the session never priced; the walk (and its memo write into
+        ``symb.cache()``) must happen inside ``submit`` on the caller's
+        thread — pool threads only read the symbolic cache."""
+        import threading
+
+        from repro.numeric import result
+
+        walks = []
+        walker = result.kernel_stream
+
+        def recording(symb, family, snodes=None):
+            walks.append((family, threading.current_thread()))
+            return walker(symb, family, snodes)
+
+        monkeypatch.setattr(result, "kernel_stream", recording)
+        plan = repro.plan(base_matrix)
+        with plan.serve(engine="rlb_par", workers=2) as session:
+            session.submit().result()
+            memo = plan.symb.cache()["cpu_cost"]
+            assert [key[3] for key in memo] == [8]
+            fut = session.submit(dtype=np.float32)
+            # priced before submit returned, whatever the pool is doing
+            assert sorted(key[3] for key in memo) == [4, 8]
+            got = fut.result()
+        assert got.dtype == np.float32
+        assert walks == [("rlb", threading.main_thread())] * 2
+        oracle = plan.factorize(engine="rlb", dtype=np.float32).result
+        assert got.result.modeled_seconds == oracle.modeled_seconds
+
     def test_gateway_dtype_bit_identical(self, base_matrix):
         b = np.cos(np.arange(base_matrix.n))
 

@@ -32,7 +32,7 @@ from repro.numeric.procpool import close_default_pools, default_process_pool
 from repro.numeric.registry import BACKENDS, get_engine, serial_twin
 from repro.sparse import grid_laplacian, spd_value_sweep
 from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches
+from tests.conftest import assert_factor_matches, assert_same_report
 
 GRANULARITIES = ["coarse", "fine"]
 SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
@@ -97,11 +97,9 @@ class TestDeterminism:
         assert_factor_matches(res, system)
 
     @pytest.mark.parametrize("granularity", GRANULARITIES)
-    def test_result_metadata_and_modeled_replay(self, system, serial_refs,
-                                                granularity):
+    def test_result_metadata_and_modeled_replay(self, system, granularity):
         res = factorize_process(system.symb, system.matrix,
                                 granularity=granularity, workers=2)
-        serial = serial_refs[granularity]
         assert res.method == ("rl_proc" if granularity == "coarse"
                               else "rlb_proc")
         assert res.extra["workers"] == 2
@@ -110,11 +108,19 @@ class TestDeterminism:
         assert res.extra["start_method"] in mp.get_all_start_methods()
         assert res.extra["wall_seconds"] > 0.0
         assert res.extra["tasks"] >= system.symb.nsup
-        assert res.kernel_count == serial.kernel_count
-        # same kernels, replayed in task-id order: equal up to FP
-        # reassociation, exactly like the threaded executor
-        assert res.modeled_seconds == pytest.approx(serial.modeled_seconds,
-                                                    rel=1e-9)
+        # one priced pattern behind serial, threaded and process engines:
+        # exact, in either precision
+        for dtype in (np.float64, np.float32):
+            res = factorize_process(system.symb, system.matrix, dtype=dtype,
+                                    granularity=granularity, workers=2)
+            serial = SERIAL[granularity](system.symb, system.matrix,
+                                         dtype=dtype)
+            threaded = factorize_executor(system.symb, system.matrix,
+                                          dtype=dtype, workers=2,
+                                          granularity=granularity)
+            for ref in (serial, threaded):
+                assert res.modeled_seconds == ref.modeled_seconds
+                assert_same_report(res, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ top of the shared factor storage."""
 import numpy as np
 import pytest
 
+from repro.numeric.registry import engine_names
 from repro.solve import refine
-from repro.solve.driver import METHODS, CholeskySolver
+from repro.solve.driver import CholeskySolver
 from repro.sparse import SymmetricCSC, grid_laplacian
 
 
@@ -25,7 +26,7 @@ def new_values(base_matrix):
 
 
 class TestRefactorize:
-    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("method", engine_names())
     def test_bit_identical_to_fresh_factorize(self, base_matrix, new_values,
                                               method):
         solver = CholeskySolver(base_matrix, method=method)

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg as sla
 
 from repro.numeric import factorize_rl_cpu
+from repro.numeric.registry import engine_names
 from repro.solve import (
     CholeskySolver,
-    METHODS,
     backward_solve,
     forward_solve,
     refine,
@@ -77,7 +77,7 @@ class TestTriangularSolves:
 
 
 class TestCholeskySolver:
-    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("method", engine_names())
     def test_all_methods_solve(self, method):
         A = vector_stencil((4, 4, 3), 3, seed=9)
         rng = np.random.default_rng(3)
