@@ -43,7 +43,7 @@ class AdjacencyGraph:
 
     def neighbors(self, v):
         """Sorted neighbour array of vertex ``v`` (a view, do not mutate)."""
-        return self.adjncy[self.xadj[v]:self.xadj[v + 1]]
+        return self.adjncy[self.xadj[v] : self.xadj[v + 1]]
 
     def degree(self, v):
         """Degree of vertex ``v``."""
@@ -58,6 +58,19 @@ class AdjacencyGraph:
         """Number of undirected edges."""
         return int(self.adjncy.size // 2)
 
+    def gather(self, vertices):
+        """Concatenated neighbour lists of ``vertices``, in the order given.
+
+        Returns ``(nb, counts)``: ``nb`` is ``neighbors(v)`` for each ``v``
+        back to back, ``counts[k]`` the degree of ``vertices[k]``.
+        """
+        lo = self.xadj[vertices]
+        counts = self.xadj[1:][vertices] - lo
+        ends = counts.cumsum()
+        flat = np.arange(ends[-1] if ends.size else 0)
+        flat += (lo - ends + counts).repeat(counts)
+        return self.adjncy[flat], counts
+
     def subgraph(self, vertices):
         """Induced subgraph on ``vertices``.
 
@@ -65,18 +78,16 @@ class AdjacencyGraph:
         subgraph corresponds to ``vertices_sorted[k]`` in the parent.
         """
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        k = vertices.size
         local = np.full(self.n, -1, dtype=np.int64)
-        local[vertices] = np.arange(vertices.size, dtype=np.int64)
-        xadj = np.zeros(vertices.size + 1, dtype=np.int64)
-        chunks = []
-        for k, v in enumerate(vertices):
-            nb = local[self.neighbors(v)]
-            nb = nb[nb >= 0]
-            chunks.append(nb)
-            xadj[k + 1] = xadj[k] + nb.size
-        adjncy = (np.concatenate(chunks) if chunks
-                  else np.empty(0, dtype=np.int64))
-        return AdjacencyGraph(vertices.size, xadj, adjncy), vertices
+        local[vertices] = np.arange(k, dtype=np.int64)
+        nb, counts = self.gather(vertices)
+        nb = local[nb]
+        keep = nb >= 0
+        owner = np.repeat(np.arange(k, dtype=np.int64), counts)[keep]
+        xadj = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=k), out=xadj[1:])
+        return AdjacencyGraph(k, xadj, nb[keep]), vertices
 
 
 def adjacency_from_matrix(A):
@@ -115,24 +126,29 @@ def bfs_levels(graph, root, *, mask=None):
     order:
         Vertices in visitation order.
     """
-    levels = np.full(graph.n, -1, dtype=np.int64)
-    if mask is not None and not mask[root]:
+    # open = allowed and not yet discovered
+    open_ = np.ones(graph.n, dtype=bool) if mask is None else np.array(mask, dtype=bool)
+    if not open_[root]:
         raise ValueError("root excluded by mask")
-    levels[root] = 0
-    frontier = [root]
-    order = [root]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if levels[u] == -1 and (mask is None or mask[u]):
-                    levels[u] = depth
-                    nxt.append(int(u))
-        order.extend(nxt)
-        frontier = nxt
-    return levels, np.asarray(order, dtype=np.int64)
+    frontier = np.array([root], dtype=np.int64)
+    fronts = []
+    while frontier.size:
+        open_[frontier] = False
+        fronts.append(frontier)
+        # level-synchronous step: all neighbours of the frontier in frontier
+        # order; the first occurrence of each open vertex in this gather
+        # order is exactly its FIFO discovery
+        nb, _ = graph.gather(frontier)
+        nb = nb[open_[nb]]
+        by_vertex = nb.argsort(kind="stable")
+        ranked = nb[by_vertex]
+        fresh = np.ones(nb.size, dtype=bool)
+        fresh[1:] = ranked[1:] != ranked[:-1]
+        frontier = nb[np.sort(by_vertex[fresh])]
+    order = np.concatenate(fronts)
+    levels = np.full(graph.n, -1, dtype=np.int64)
+    levels[order] = np.repeat(np.arange(len(fronts)), [f.size for f in fronts])
+    return levels, order
 
 
 def connected_components(graph, *, mask=None):
@@ -140,18 +156,29 @@ def connected_components(graph, *, mask=None):
 
     Returns a list of ``int64`` vertex arrays, one per component, each sorted.
     """
-    if mask is None:
-        todo = np.ones(graph.n, dtype=bool)
-    else:
-        todo = mask.copy()
-    comps = []
-    for start in range(graph.n):
-        if not todo[start]:
-            continue
-        levels, order = bfs_levels(graph, start, mask=todo)
-        todo[order] = False
-        comps.append(np.sort(order))
-    return comps
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees())
+    dst = graph.adjncy
+    verts = np.arange(graph.n, dtype=np.int64)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        keep = mask[src] & mask[dst]
+        src, dst, verts = src[keep], dst[keep], verts[mask]
+    # min-label propagation with pointer jumping: every vertex takes the
+    # smallest label in its closed neighbourhood, then its label's label;
+    # labels are vertex ids of the same component, so the fixed point is the
+    # component's smallest vertex
+    label = np.arange(graph.n, dtype=np.int64)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    label = label[verts]
+    by_label = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[by_label])) + 1
+    return np.split(verts[by_label], cuts) if verts.size else []
 
 
 def pseudo_peripheral_vertex(graph, start, *, mask=None, max_iter=10):
@@ -166,7 +193,7 @@ def pseudo_peripheral_vertex(graph, start, *, mask=None, max_iter=10):
     ecc = levels[order].max() if order.size else 0
     for _ in range(max_iter):
         last = order[levels[order] == ecc]
-        degs = np.array([graph.degree(u) for u in last])
+        degs = graph.xadj[last + 1] - graph.xadj[last]
         cand = int(last[np.argmin(degs)])
         lv, od = bfs_levels(graph, cand, mask=mask)
         new_ecc = lv[od].max() if od.size else 0

@@ -74,14 +74,10 @@ def minimum_degree(graph, *, tie_break="index"):
             for w in adj[u]:
                 adj[w].discard(u)
             adj[u].clear()
-        survivors = [u for u in clique if not eliminated[u]]
-        for i, u in enumerate(survivors):
-            s = adj[u]
-            for w in survivors[i + 1:]:
-                if w not in s:
-                    s.add(w)
-                    adj[w].add(u)
+        survivors = clique.difference(absorbed)
         for u in survivors:
+            adj[u] |= survivors
+            adj[u].discard(u)
             heapq.heappush(heap, (len(adj[u]), u))
         adj[v] = set()
     return perm

@@ -28,19 +28,18 @@ from .mindeg import minimum_degree
 __all__ = ["nested_dissection"]
 
 
-def _level_separator(sub, *, balance=0.2):
-    """Choose a BFS level as separator.
+def _level_separator(sub, levels, *, balance=0.2):
+    """Choose a level of the BFS level structure ``levels`` (rooted at a
+    pseudo-peripheral vertex, reaching every vertex) as separator.
 
     Returns ``(sep_mask, a_mask, b_mask)`` boolean arrays over the subgraph's
     vertices, or ``None`` when no level yields two non-empty sides.
     """
     n = sub.n
-    start = int(np.argmin(sub.degrees()))
-    _, levels, order = pseudo_peripheral_vertex(sub, start)
-    depth = int(levels[order].max())
+    depth = int(levels.max())
     if depth < 2:
         return None
-    counts = np.bincount(levels[levels >= 0], minlength=depth + 1)
+    counts = np.bincount(levels, minlength=depth + 1)
     below = np.cumsum(counts)  # below[l] = # vertices at level <= l
     best = None
     for lvl in range(1, depth):
@@ -57,20 +56,18 @@ def _level_separator(sub, *, balance=0.2):
         return None
     lvl = best[1]
     sep = levels == lvl
-    a = (levels >= 0) & (levels < lvl)
-    b = (levels > lvl) | (levels < 0)  # unreached vertices join side B
+    a = levels < lvl
+    b = levels > lvl
     # minimal-separator cleanup: a separator vertex with no side-B neighbour
-    # can sink into A (and vice versa) without reconnecting the sides
-    for v in np.flatnonzero(sep):
-        nb = sub.neighbors(v)
-        touches_a = bool(a[nb].any())
-        touches_b = bool(b[nb].any())
-        if touches_a and not touches_b:
-            sep[v] = False
-            a[v] = True
-        elif touches_b and not touches_a:
-            sep[v] = False
-            b[v] = True
+    # sinks into A without reconnecting the sides (every level-``lvl`` vertex
+    # has its BFS parent in A, so none can sink into B, and sinking only
+    # grows A: the decisions are independent)
+    sepv = np.flatnonzero(sep)
+    nb, counts = sub.gather(sepv)
+    owner = np.repeat(np.arange(sepv.size), counts)
+    sink = sepv[np.bincount(owner[b[nb]], minlength=sepv.size) == 0]
+    sep[sink] = False
+    a[sink] = True
     if not a.any() or not b.any() or not sep.any():
         return None
     return sep, a, b
@@ -111,12 +108,12 @@ def nested_dissection(graph, *, leaf_size=64, balance=0.2):
             emit(verts[minimum_degree(sub)])
             return
         sub, verts = graph.subgraph(vertices)
-        comps = connected_components(sub)
-        if len(comps) > 1:
-            for comp in comps:
+        _, levels, order = pseudo_peripheral_vertex(sub, int(np.argmin(sub.degrees())))
+        if order.size < sub.n:  # the BFS missed a vertex: dissect each component
+            for comp in connected_components(sub):
                 rec(verts[comp])
             return
-        found = _level_separator(sub, balance=balance)
+        found = _level_separator(sub, levels, balance=balance)
         if found is None:
             emit(verts[minimum_degree(sub)])
             return

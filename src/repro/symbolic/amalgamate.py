@@ -63,27 +63,26 @@ def amalgamate(symb, *, growth_cap=0.25):
     """
     nsup = symb.nsup
     snptr = symb.snptr
-    w = np.diff(snptr).astype(np.int64)
-    m = np.diff(symb.rowptr).astype(np.int64)
-    b = m - w
-    parent0 = symb.sn_parent.copy()
-    base = symb.factor_nnz_dense()
-    budget = int(growth_cap * base)
+    # plain-int lists: the greedy loop below is scalar bookkeeping
+    w = np.diff(snptr).tolist()
+    b = (np.diff(symb.rowptr) - np.diff(snptr)).tolist()
+    parent0 = symb.sn_parent.tolist()
+    budget = int(growth_cap * symb.factor_nnz_dense())
 
-    alive = np.ones(nsup, dtype=bool)
-    merged_into = np.arange(nsup, dtype=np.int64)  # union-find
-    prev_sn = np.arange(-1, nsup - 1, dtype=np.int64)
-    next_sn = np.arange(1, nsup + 1, dtype=np.int64)
+    alive = [True] * nsup
+    merged_into = list(range(nsup))  # union-find
+    prev_sn = list(range(-1, nsup - 1))
+    next_sn = list(range(1, nsup + 1))
     next_sn[-1] = -1
-    first_col = snptr[:-1].copy()  # current first column of each alive snode
+    first_col = snptr[:-1].tolist()  # current first column of each alive snode
 
     def find(s):
         root = s
         while merged_into[root] != root:
             root = merged_into[root]
         while merged_into[s] != root:
-            merged_into[s], s = root, int(merged_into[s])
-        return int(root)
+            merged_into[s], s = root, merged_into[s]
+        return root
 
     def candidate(c):
         """Extra fill for merging alive snode ``c`` into its successor, or
@@ -92,9 +91,9 @@ def amalgamate(symb, *, growth_cap=0.25):
         if p == -1:
             return None
         par = parent0[c]
-        if par == -1 or find(int(par)) != p:
+        if par == -1 or find(par) != p:
             return None
-        return merge_extra_fill(int(w[c]), int(b[c]), int(w[p]), int(b[p]))
+        return merge_extra_fill(w[c], b[c], w[p], b[p])
 
     heap = []
     for c in range(nsup):
@@ -113,14 +112,14 @@ def amalgamate(symb, *, growth_cap=0.25):
             continue
         if spent + extra > budget:
             break
-        p = int(next_sn[c])
+        p = next_sn[c]
         spent += extra
         # merge c into p (p keeps its id; its columns now start at c's)
         w[p] += w[c]
         first_col[p] = first_col[c]
         alive[c] = False
         merged_into[c] = p
-        prv = int(prev_sn[c])
+        prv = prev_sn[c]
         prev_sn[p] = prv
         if prv != -1:
             next_sn[prv] = p
@@ -132,13 +131,13 @@ def amalgamate(symb, *, growth_cap=0.25):
             heapq.heappush(heap, (cur, p))
 
     # rebuild boundaries by walking the linked list of alive snodes
-    heads = np.flatnonzero(alive & (prev_sn == -1))
-    if heads.size != 1:
+    heads = [s for s in range(nsup) if alive[s] and prev_sn[s] == -1]
+    if len(heads) != 1:
         raise AssertionError("amalgamation linked list corrupted")
     bounds = []
-    s = int(heads[0])
+    s = heads[0]
     while s != -1:
-        bounds.append(int(first_col[s]))
-        s = int(next_sn[s])
+        bounds.append(first_col[s])
+        s = next_sn[s]
     bounds.append(int(snptr[-1]))
     return np.asarray(bounds, dtype=np.int64)

@@ -21,7 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.permute import compose_permutations, symmetric_permute
+from ..sparse.permute import (
+    compose_permutations,
+    invert_permutation,
+    symmetric_permute,
+)
 from .amalgamate import amalgamate
 from .colcounts import column_counts
 from .etree import elimination_tree, postorder
@@ -72,8 +76,8 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
     A:
         :class:`~repro.sparse.csc.SymmetricCSC`.
     ordering:
-        Fill-reducing ordering (``"nd"`` | ``"mindeg"`` | ``"rcm"`` |
-        ``"natural"``); the paper uses METIS nested dissection.
+        Fill-reducing ordering (``"nd"`` | ``"mindeg"`` | ``"amd"`` |
+        ``"rcm"`` | ``"natural"``); the paper uses METIS nested dissection.
     merge:
         Apply relaxed supernode amalgamation (paper: on).
     refine:
@@ -86,7 +90,13 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
     ordering_kwargs:
         Extra arguments for the ordering algorithm.
     refine_method:
-        Partition-refinement method (``"best"`` | ``"lex"`` | ``"split"``).
+        Partition-refinement method (``"best"`` | ``"lex"`` | ``"split"``;
+        the last two name the same order).
+
+    Each stage is computed once: the postordered matrix's elimination tree
+    and the merged and refined partitions' symbolic factors are
+    relabellings of the ones already in hand (``docs/api.md``, "What a cold
+    request pays").
     """
     from ..ordering import order_matrix
 
@@ -96,16 +106,19 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
     post = postorder(parent)
     perm = compose_permutations(post, perm)
     B = symmetric_permute(A, perm)
-    parent = elimination_tree(B)
-    counts = column_counts(B, parent)
+    # a postorder relabels the elimination tree, it does not change it —
+    # and the relabelled tree's own postorder is the identity
+    up = parent[post]
+    parent = np.where(up >= 0, invert_permutation(post)[up], -1)
+    counts = column_counts(B, parent, np.arange(A.n, dtype=np.int64))
     snptr = fundamental_supernodes(parent, counts, fundamental=fundamental)
     symb = symbolic_factorization(B, snptr)
     if merge:
         snptr = amalgamate(symb, growth_cap=growth_cap)
-        symb = symbolic_factorization(B, snptr)
+        symb = symb.coarsen(snptr)
     if refine:
         rperm = partition_refinement(symb, method=refine_method)
         perm = compose_permutations(rperm, perm)
         B = symmetric_permute(A, perm)
-        symb = symbolic_factorization(B, snptr)
+        symb = symb.relabel(rperm)
     return AnalyzedSystem(perm=perm, matrix=B, symb=symb)

@@ -34,48 +34,41 @@ def column_counts(A, parent, post=None):
     n = A.n
     if post is None:
         post = postorder(parent)
-    first = first_descendants(parent, post)
+    first = first_descendants(parent, post).tolist()
     # delta[j] = 1 iff j is a leaf of the elimination tree
-    delta = np.zeros(n, dtype=np.int64)
-    childcount = np.zeros(n, dtype=np.int64)
-    has_parent = parent >= 0
-    np.add.at(childcount, parent[has_parent], 1)
-    delta[childcount == 0] = 1
-    maxfirst = np.full(n, -1, dtype=np.int64)
-    prevleaf = np.full(n, -1, dtype=np.int64)
-    ancestor = np.arange(n, dtype=np.int64)
-    indptr, indices = A.indptr, A.indices
-    for k in range(n):
-        j = int(post[k])
+    delta = (np.bincount(parent[parent >= 0], minlength=n) == 0).astype(np.int64).tolist()
+    # the scalar walk below runs on plain ints
+    parent, post = parent.tolist(), post.tolist()
+    maxfirst = [-1] * n
+    prevleaf = [-1] * n
+    ancestor = list(range(n))
+    indptr, indices = A.indptr.tolist(), A.indices.tolist()
+    for j in post:
         if parent[j] != -1:
             delta[parent[j]] -= 1  # child subtree overlaps parent's diagonal
-        for p in range(indptr[j] + 1, indptr[j + 1]):  # strictly-lower of col j
-            i = int(indices[p])
+        for i in indices[indptr[j] + 1:indptr[j + 1]]:  # strictly-lower of col j
             if first[j] > maxfirst[i]:
                 # j is a new leaf of the row subtree T_i
                 delta[j] += 1
                 maxfirst[i] = first[j]
-                q = int(prevleaf[i])
+                q = prevleaf[i]
                 if q != -1:
                     # LCA(prevleaf[i], j) via path compression on `ancestor`
                     r = q
                     while r != ancestor[r]:
-                        r = int(ancestor[r])
+                        r = ancestor[r]
                     # compress the path q -> r
                     while q != r:
-                        nxt = int(ancestor[q])
-                        ancestor[q] = r
-                        q = nxt
+                        ancestor[q], q = r, ancestor[q]
                     delta[r] -= 1  # subtract the overlap counted twice
                 prevleaf[i] = j
         if parent[j] != -1:
             ancestor[j] = parent[j]
     counts = delta
-    for k in range(n):
-        j = int(post[k])
+    for j in post:
         if parent[j] != -1:
             counts[parent[j]] += counts[j]
-    return counts
+    return np.asarray(counts, dtype=np.int64)
 
 
 def column_counts_reference(A, parent=None):

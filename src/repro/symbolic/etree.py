@@ -54,12 +54,11 @@ def elimination_tree(A):
     through an ``ancestor`` array.
     """
     n = A.n
-    rowptr, rcols = _row_lists(A)
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    rowptr, rcols = (a.tolist() for a in _row_lists(A))  # plain ints: fast scalar walk
+    parent = [-1] * n
+    ancestor = [-1] * n
     for i in range(n):
-        for p in range(rowptr[i], rowptr[i + 1]):
-            k = rcols[p]
+        for k in rcols[rowptr[i]:rowptr[i + 1]]:
             # walk from k to the root of its current tree, compressing
             while True:
                 a = ancestor[k]
@@ -70,25 +69,17 @@ def elimination_tree(A):
                     parent[k] = i
                     break
                 k = a
-    return parent
+    return np.asarray(parent, dtype=np.int64)
 
 
 def children_lists(parent):
     """Return ``(childptr, child)`` CSR arrays of each node's children,
     children sorted ascending (deterministic postorders)."""
-    n = parent.size
-    childptr = np.zeros(n + 1, dtype=np.int64)
-    has_parent = parent >= 0
-    np.add.at(childptr, parent[has_parent] + 1, 1)
-    np.cumsum(childptr, out=childptr)
-    child = np.empty(int(childptr[-1]), dtype=np.int64)
-    fill = childptr[:-1].copy()
-    for j in range(n):  # ascending j => children stored ascending
-        p = parent[j]
-        if p >= 0:
-            child[fill[p]] = j
-            fill[p] += 1
-    return childptr, child
+    kids = np.flatnonzero(parent >= 0)
+    kids = kids[np.argsort(parent[kids], kind="stable")]  # ascending per parent
+    childptr = np.zeros(parent.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent[kids], minlength=parent.size), out=childptr[1:])
+    return childptr, kids
 
 
 def postorder(parent):
@@ -98,26 +89,23 @@ def postorder(parent):
     visited in ascending node order, roots in ascending order.
     """
     n = parent.size
-    childptr, child = children_lists(parent)
-    post = np.empty(n, dtype=np.int64)
-    k = 0
-    roots = np.flatnonzero(parent < 0)
-    for root in roots:
+    childptr, child = (a.tolist() for a in children_lists(parent))
+    post = []
+    for root in np.flatnonzero(parent < 0).tolist():
         # iterative DFS; stack holds (node, next-child cursor)
-        stack = [(int(root), int(childptr[root]))]
+        stack = [(root, childptr[root])]
         while stack:
             node, cursor = stack[-1]
             if cursor < childptr[node + 1]:
                 stack[-1] = (node, cursor + 1)
-                c = int(child[cursor])
-                stack.append((c, int(childptr[c])))
+                c = child[cursor]
+                stack.append((c, childptr[c]))
             else:
                 stack.pop()
-                post[k] = node
-                k += 1
-    if k != n:
+                post.append(node)
+    if len(post) != n:
         raise ValueError("parent array is not a forest (cycle detected)")
-    return post
+    return np.asarray(post, dtype=np.int64)
 
 
 def is_postordered(parent):
@@ -146,11 +134,10 @@ def etree_heights(parent):
 def first_descendants(parent, post):
     """Postorder number of the first (deepest-leftmost) descendant of each
     node — the ``first`` array of the fast column-count algorithm."""
-    n = parent.size
-    first = np.full(n, -1, dtype=np.int64)
-    for k in range(n):
-        j = post[k]
+    parent, post = parent.tolist(), post.tolist()
+    first = [-1] * len(parent)
+    for k, j in enumerate(post):
         while j != -1 and first[j] == -1:
             first[j] = k
             j = parent[j]
-    return first
+    return np.asarray(first, dtype=np.int64)

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..sparse.permute import invert_permutation
+from .etree import children_lists
 from .supernodes import snode_of_column, validate_snptr
 
 __all__ = ["SymbolicFactor", "symbolic_factorization", "pattern_fingerprint"]
@@ -167,21 +169,65 @@ class SymbolicFactor:
     def factor_flops(self):
         """Total factorization flops over the dense panels (potrf + trsm +
         syrk), the standard supernodal flop count."""
-        total = 0
-        for s in range(self.nsup):
-            m, w = self.panel_shape(s)
-            b = m - w
-            total += w ** 3 // 3 + w ** 2 * b + w * b * b
-        return int(total)
+        w = np.diff(self.snptr)
+        b = np.diff(self.rowptr) - w
+        return int(np.sum(w ** 3 // 3 + w ** 2 * b + w * b * b))
 
     def children(self):
         """List of child-supernode index arrays per supernode."""
-        out = [[] for _ in range(self.nsup)]
-        for s in range(self.nsup):
-            p = self.sn_parent[s]
-            if p >= 0:
-                out[p].append(s)
-        return [np.asarray(c, dtype=np.int64) for c in out]
+        childptr, child = children_lists(self.sn_parent)
+        return np.split(child, childptr[1:-1])
+
+    def coarsen(self, snptr):
+        """The symbolic factor of the coarser partition ``snptr`` returned by
+        :func:`~repro.symbolic.amalgamate.amalgamate` for this factor.
+
+        Every new supernode is a run of old ones whose tree parents — the
+        last member's aside — lie inside the run, so the rows below the
+        run's columns are those of its last member: the result equals
+        ``symbolic_factorization`` on ``snptr`` without walking the tree
+        again.  ``ValueError`` if ``snptr`` is not such a merge.
+        """
+        snptr = np.ascontiguousarray(snptr, dtype=np.int64)
+        validate_snptr(snptr, self.n)
+        col2sn = snode_of_column(snptr)
+        last = np.searchsorted(self.snptr, snptr[1:]) - 1  # last member of each run
+        run, up = col2sn[self.snptr[:-1]], self.sn_parent.copy()
+        up[last] = last  # a run's last member answers for the run
+        if (not np.array_equal(self.snptr[last + 1], snptr[1:]) or (up < 0).any()
+                or not np.array_equal(run[up], run)):
+            raise ValueError("snptr does not merge child supernodes into their parents")
+        # a panel is its own columns, then its last member's rows below them
+        lo = self.rowptr[last] + np.diff(self.snptr)[last]
+        nbelow = self.rowptr[last + 1] - lo
+        take = np.arange(nbelow.sum()) + np.repeat(lo - np.cumsum(nbelow) + nbelow, nbelow)
+        panel = np.concatenate((col2sn, np.repeat(np.arange(last.size), nbelow)))
+        rows = np.concatenate((np.arange(self.n, dtype=np.int64), self.rows[take]))
+        rows = rows[np.lexsort((rows, panel))]
+        rowptr = np.concatenate(([0], np.cumsum(np.diff(snptr) + nbelow)))
+        sn_parent = np.full(last.size, -1, dtype=np.int64)
+        sn_parent[nbelow > 0] = col2sn[self.rows[lo[nbelow > 0]]]
+        return SymbolicFactor(n=self.n, snptr=snptr, sn_parent=sn_parent,
+                              rowptr=rowptr, rows=rows, col2sn=col2sn)
+
+    def relabel(self, perm):
+        """The symbolic factor after permuting columns *inside* supernodes.
+
+        ``perm`` (``perm[k]`` = current index placed at position ``k``) must
+        be block-diagonal in ``snptr``, as
+        :func:`~repro.symbolic.partition_refinement.partition_refinement`
+        returns (``ValueError`` otherwise).  Such a permutation renames rows
+        without changing any supernode's row *set*, so the result equals
+        ``symbolic_factorization`` of the permuted matrix: only ``rows``
+        moves, re-sorted inside each panel.
+        """
+        if not np.array_equal(self.col2sn[perm], self.col2sn):
+            raise ValueError("perm moves columns between supernodes")
+        panel = np.repeat(np.arange(self.nsup), np.diff(self.rowptr))
+        rows = invert_permutation(perm)[self.rows]
+        return SymbolicFactor(n=self.n, snptr=self.snptr, sn_parent=self.sn_parent,
+                              rowptr=self.rowptr, rows=rows[np.lexsort((rows, panel))],
+                              col2sn=self.col2sn)
 
 
 def symbolic_factorization(A, snptr):
@@ -195,35 +241,26 @@ def symbolic_factorization(A, snptr):
     validate_snptr(snptr, n)
     nsup = snptr.size - 1
     col2sn = snode_of_column(snptr, n)
-    below = [None] * nsup
     sn_parent = np.full(nsup, -1, dtype=np.int64)
-    pending_children = [[] for _ in range(nsup)]
-    rowptr = np.zeros(nsup + 1, dtype=np.int64)
+    pending = [[] for _ in range(nsup)]  # rows children pass up the tree
+    panels = []
+    bounds = snptr.tolist()
+    colptr = A.indptr[snptr].tolist()
     for s in range(nsup):
-        first, last = snptr[s], snptr[s + 1]
-        pieces = []
-        for j in range(first, last):
-            rows = A.indices[A.indptr[j]:A.indptr[j + 1]]
-            pieces.append(rows[rows >= last])
-        pieces.extend(pending_children[s])
-        pending_children[s] = None
-        if pieces:
-            b = np.unique(np.concatenate(pieces))
-        else:
-            b = np.empty(0, dtype=np.int64)
-        below[s] = b
-        rowptr[s + 1] = rowptr[s] + (last - first) + b.size
+        first, last = bounds[s], bounds[s + 1]
+        # a supernode's columns are contiguous: one slice holds all their rows
+        own = A.indices[colptr[s]:colptr[s + 1]]
+        b = np.unique(np.concatenate([own[own >= last], *pending[s]]))
+        pending[s] = None
+        panels += (np.arange(first, last), b)
         if b.size:
-            p = int(col2sn[b[0]])
+            p = col2sn[b[0]]
             sn_parent[s] = p
             # pass rows beyond the parent's columns up the tree
-            pending_children[p].append(b[b >= snptr[p + 1]])
-    rows = np.empty(int(rowptr[-1]), dtype=np.int64)
-    for s in range(nsup):
-        first, last = snptr[s], snptr[s + 1]
-        lo = rowptr[s]
-        rows[lo:lo + (last - first)] = np.arange(first, last)
-        rows[lo + (last - first):rowptr[s + 1]] = below[s]
+            pending[p].append(b[b >= bounds[p + 1]])
+    rows = np.concatenate(panels) if panels else np.empty(0, dtype=np.int64)
+    nbelow = np.array([b.size for b in panels[1::2]], dtype=np.int64)
+    rowptr = np.concatenate(([0], np.cumsum(np.diff(snptr) + nbelow)))
     return SymbolicFactor(
         n=n, snptr=snptr, sn_parent=sn_parent,
         rowptr=rowptr, rows=rows, col2sn=col2sn,

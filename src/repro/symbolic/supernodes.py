@@ -51,25 +51,17 @@ def fundamental_supernodes(parent, counts, *, fundamental=True):
     childcount = np.zeros(n, dtype=np.int64)
     has_parent = parent >= 0
     np.add.at(childcount, parent[has_parent], 1)
-    boundaries = [0]
-    for j in range(1, n):
-        chain = parent[j - 1] == j and counts[j - 1] == counts[j] + 1
-        if fundamental:
-            chain = chain and childcount[j] == 1
-        if not chain:
-            boundaries.append(j)
-    boundaries.append(n)
-    return np.asarray(boundaries, dtype=np.int64)
+    chain = (parent[:-1] == np.arange(1, n)) & (counts[:-1] == counts[1:] + 1)
+    if fundamental:
+        chain &= childcount[1:] == 1
+    return np.concatenate(([0], np.flatnonzero(~chain) + 1, [n])).astype(np.int64)
 
 
 def snode_of_column(snptr, n=None):
     """Map each column to its supernode id (inverse of ``snptr``)."""
     if n is None:
         n = int(snptr[-1])
-    col2sn = np.empty(n, dtype=np.int64)
-    for s in range(snptr.size - 1):
-        col2sn[snptr[s]:snptr[s + 1]] = s
-    return col2sn
+    return np.repeat(np.arange(snptr.size - 1, dtype=np.int64), np.diff(snptr))[:n]
 
 
 def validate_snptr(snptr, n):
