@@ -20,6 +20,10 @@ it as a loud perf-regression guard and relax the bar on noisy/low-core
 shared runners without editing the workflow — gating on the best
 configuration hedges against runners where per-task dispatch overhead
 dominates (same protocol as ``bench_executor.py`` / ``bench_batch.py``).
+Each row also prints the absolute milliseconds and the runtime overhead per
+task, ``(parallel - serial) / tasks`` in microseconds (a full solve is two
+tasks per supernode) — the ratio alone moves whenever the serial sweep
+does, the overhead per task is the runtime's own cost.
 All timings are best-of-``--repeats``; BLAS is pinned to one thread per
 call (MA87-style): task-level parallelism is the thing being measured.
 
@@ -134,8 +138,14 @@ def main(argv=None):
 
     t_ser_block, _ = best_of(lambda: factor.solve(block), args.repeats)
     t_ser_many, _ = best_of(lambda: factor.solve_many(many), args.repeats)
+    # a full solve is one forward and one backward task per supernode
+    tasks_block = 2 * plan.nsup
+    tasks_many = tasks_block * args.solves
     print(f"serial: block {t_ser_block * 1e3:8.2f} ms | "
-          f"many {t_ser_many * 1e3:8.2f} ms   (best of {args.repeats})")
+          f"many {t_ser_many * 1e3:8.2f} ms   (best of {args.repeats}; "
+          f"{tasks_block} / {tasks_many} tasks, "
+          f"{t_ser_block * 1e6 / tasks_block:.1f} / "
+          f"{t_ser_many * 1e6 / tasks_many:.1f} us per task)")
 
     best_speedup = 0.0
     all_identical = True
@@ -152,8 +162,10 @@ def main(argv=None):
         best_speedup = max(best_speedup, s_block, s_many)
         print(f"  workers={w}: block {t_block * 1e3:8.2f} ms "
               f"({s_block:5.2f}x) | many {t_many * 1e3:8.2f} ms "
-              f"({s_many:5.2f}x) | bit-identical: "
-              f"{'yes' if ident else 'NO'}")
+              f"({s_many:5.2f}x) | overhead "
+              f"{(t_block - t_ser_block) * 1e6 / tasks_block:+6.1f} / "
+              f"{(t_many - t_ser_many) * 1e6 / tasks_many:+6.1f} us per task"
+              f" | bit-identical: {'yes' if ident else 'NO'}")
     print()
 
     if not all_identical:

@@ -900,7 +900,7 @@ class Factor:
             path = path_union(symb, roots)
             touched = np.zeros(symb.nsup, dtype=bool)
             touched[symb.col2sn[path]] = True
-            panels = [panel.copy() if touched[s] else panel
+            panels = [panel.copy(order="F") if touched[s] else panel
                       for s, panel in enumerate(storage.panels)]
             storage = FactorStorage(symb, panels)
             # the sweep runs on private copies; a failure discards the

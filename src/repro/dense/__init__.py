@@ -6,6 +6,7 @@ from .kernels import (
     trsm_right,
     syrk_lower,
     gemm_nt,
+    trtrs_lower,
     factorize_panel,
 )
 from .flops import potrf_flops, trsm_flops, syrk_flops, gemm_flops
@@ -16,6 +17,7 @@ __all__ = [
     "trsm_right",
     "syrk_lower",
     "gemm_nt",
+    "trtrs_lower",
     "factorize_panel",
     "potrf_flops",
     "trsm_flops",

@@ -4,7 +4,9 @@ A supernode panel is a Fortran-ordered ``(m, w)`` array whose top ``w x w``
 square holds the (lower-triangular) diagonal block and whose remaining
 ``(m - w) x w`` rectangle holds the below-diagonal rows.  The four kernels
 here are exactly the paper's DPOTRF / DTRSM / DSYRK / DGEMM calls; every
-numeric factorization variant is a different schedule of these four.
+numeric factorization variant is a different schedule of these four.  The
+triangular sweeps add one more, :func:`trtrs_lower` (DTRTRS on a panel's
+diagonal block).
 
 They always compute with real BLAS through SciPy (so the numerics match a
 Fortran implementation); callers that need *modeled* device timing wrap them
@@ -35,6 +37,7 @@ __all__ = [
     "trsm_right",
     "syrk_lower",
     "gemm_nt",
+    "trtrs_lower",
     "factorize_panel",
 ]
 
@@ -73,14 +76,11 @@ def check_dtype(dtype, *, context="values"):
 # Per-dtype LAPACK/BLAS routine tables.  Same call flags either way; only
 # the letter changes, so the reduction order (and hence bit-identity
 # arguments) carry over to fp32 unchanged.
-_POTRF = {SUPPORTED_DTYPES[0]: _lapack.dpotrf,
-          SUPPORTED_DTYPES[1]: _lapack.spotrf}
-_TRSM = {SUPPORTED_DTYPES[0]: _blas.dtrsm,
-         SUPPORTED_DTYPES[1]: _blas.strsm}
-_SYRK = {SUPPORTED_DTYPES[0]: _blas.dsyrk,
-         SUPPORTED_DTYPES[1]: _blas.ssyrk}
-_GEMM = {SUPPORTED_DTYPES[0]: _blas.dgemm,
-         SUPPORTED_DTYPES[1]: _blas.sgemm}
+_POTRF = {SUPPORTED_DTYPES[0]: _lapack.dpotrf, SUPPORTED_DTYPES[1]: _lapack.spotrf}
+_TRSM = {SUPPORTED_DTYPES[0]: _blas.dtrsm, SUPPORTED_DTYPES[1]: _blas.strsm}
+_SYRK = {SUPPORTED_DTYPES[0]: _blas.dsyrk, SUPPORTED_DTYPES[1]: _blas.ssyrk}
+_GEMM = {SUPPORTED_DTYPES[0]: _blas.dgemm, SUPPORTED_DTYPES[1]: _blas.sgemm}
+_TRTRS = {SUPPORTED_DTYPES[0]: _lapack.dtrtrs, SUPPORTED_DTYPES[1]: _lapack.strtrs}
 
 
 def _routine(table, array, name):
@@ -130,9 +130,7 @@ def potrf(block):
     ``block`` must be a square, Fortran-contiguous float64/float32 array;
     only its lower triangle is referenced or written.
     """
-    c, info = _routine(_POTRF, block, "potrf")(
-        block, lower=1, overwrite_a=1, clean=0
-    )
+    c, info = _routine(_POTRF, block, "potrf")(block, lower=1, overwrite_a=1, clean=0)
     if info > 0:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
@@ -177,8 +175,42 @@ def gemm_nt(a, b, out=None):
     c = _routine(_GEMM, a, "gemm")(1.0, a, b, trans_b=1)
     if out is None:
         return c
-    out[:c.shape[0], :c.shape[1]] = c
+    out[: c.shape[0], : c.shape[1]] = c
     return out
+
+
+def trtrs_lower(panel, b, trans=0):
+    """Solve ``tri x = b`` (``trans=1``: ``tri^T x = b``) with ``tri`` the
+    lower triangle of the leading ``w x w`` square of the ``(m, w)``
+    ``panel``; returns ``x``.
+
+    ``b`` has ``w`` rows (``(w,)`` or ``(w, k)``) and is overwritten when it
+    can be — Fortran-contiguous and already of the computing dtype — in
+    which case ``x is b``; otherwise ``x`` is a new array.  A
+    Fortran-ordered panel is passed whole (its row count is the leading
+    dimension), so the diagonal block is never copied out.  The routine is
+    the one for the promoted dtype of ``(panel, b)``: only the diagonal
+    block of a narrower panel is upcast, ``b`` is never downcast.
+
+    This is the LAPACK routine scipy's triangular-solve wrapper reaches,
+    called without that wrapper but with its check kept: an exactly-zero
+    diagonal entry raises :class:`numpy.linalg.LinAlgError` before ``b`` is
+    touched.
+    """
+    if panel.dtype != b.dtype:
+        dt = np.promote_types(panel.dtype, b.dtype)
+        if panel.dtype != dt:
+            panel = panel[: panel.shape[1]].astype(dt, order="F")
+        if b.dtype != dt:
+            b = b.astype(dt, order="F")
+    x, info = _routine(_TRTRS, b, "trtrs")(panel, b, lower=1, trans=trans, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular triangular block: diagonal entry {info - 1} is exactly zero"
+        )
+    if info < 0:
+        raise ValueError(f"trtrs: illegal argument {-info}")
+    return x
 
 
 def factorize_panel(panel, w):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense.kernels import check_dtype
+from ..symbolic.levels import solve_shapes
 
 __all__ = ["FactorStorage", "ScatterPlan"]
 
@@ -101,6 +102,7 @@ class FactorStorage:
     def __init__(self, symb, panels):
         self.symb = symb
         self.panels = panels
+        self._solve_program = None
 
     @classmethod
     def from_matrix(cls, symb, A, *, plan=None, dtype=None):
@@ -155,6 +157,32 @@ class FactorStorage:
     def panel(self, s):
         """The dense panel of supernode ``s``."""
         return self.panels[s]
+
+    def solve_program(self):
+        """Per supernode ``(first, last, w, panel, rect, below)`` — what the
+        triangular sweeps read (:mod:`repro.solve.triangular`): the
+        pattern-static :func:`~repro.symbolic.levels.solve_shapes` entry
+        plus this storage's panel and its below-diagonal rectangle
+        ``panel[w:]`` (``None`` when there are no below rows).
+
+        Built on first use and kept: nothing rebinds ``panels[s]`` (engines
+        and in-place updates write *into* the arrays, a copy-on-write
+        update builds a new storage), so the views always read current
+        values.
+        """
+        prog = self._solve_program
+        if prog is None:
+            prog = self._solve_program = tuple(
+                (first, last, w, panel,
+                 panel[w:] if below.size else None, below)
+                for (first, last, w, below), panel
+                in zip(solve_shapes(self.symb), self.panels)
+            )
+        return prog
+
+    def __getstate__(self):
+        # a copy's panels are new arrays: its views must be rebuilt
+        return dict(self.__dict__, _solve_program=None)
 
     def nbytes(self):
         """Total bytes of panel storage."""

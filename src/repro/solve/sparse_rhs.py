@@ -17,7 +17,6 @@ to reason about it (e.g. selected entries of ``A^{-1} b``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = ["solve_reach", "forward_solve_sparse"]
 
@@ -50,6 +49,10 @@ def forward_solve_sparse(storage, b_indices, b_values):
     supernodes actually visited — callers use ``touched.size`` vs
     ``symb.nsup`` as the work ratio.
     """
+    # numeric.updown imports solve_reach from this module while
+    # .triangular is still importing numeric.executor
+    from .triangular import forward_snode
+
     symb = storage.symb
     b_indices = np.asarray(b_indices, dtype=np.int64)
     b_values = np.asarray(b_values, dtype=np.float64)
@@ -58,14 +61,8 @@ def forward_solve_sparse(storage, b_indices, b_values):
     y = np.zeros(symb.n)
     y[b_indices] = b_values
     touched = solve_reach(symb, b_indices)
-    for s in touched:
-        first, last = symb.snode_cols(int(s))
-        w = last - first
-        panel = storage.panel(int(s))
-        y[first:last] = solve_triangular(
-            panel[:w, :w], y[first:last], lower=True, check_finite=False
-        )
-        below = symb.snode_below_rows(int(s))
-        if below.size:
-            y[below] -= panel[w:, :w] @ y[first:last]
+    for s in touched.tolist():
+        below, u = forward_snode(storage, y, s)
+        if u is not None:
+            y[below] -= u
     return y, touched

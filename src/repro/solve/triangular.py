@@ -22,13 +22,18 @@ once):
   **bit-identical** to the serial sweeps for any worker count; the backward
   sweep only reads finalized ancestor segments, so it needs dependency
   tracking but no commit ordering.
+
+The bodies read the factor's *solve program*
+(:meth:`~repro.numeric.storage.FactorStorage.solve_program`), derived once
+per pattern and storage, so a task is a tuple unpack plus kernel calls: a
+direct ``?trtrs`` (one division on a one-column supernode) and one product.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from ..dense.kernels import trtrs_lower
 from ..numeric.executor import OrderedCommitter, run_task_graph
 from ..symbolic.levels import solve_schedule
 
@@ -61,8 +66,7 @@ def check_rhs(n, b, name="b", *, copy=True):
         # validated (`b` forward, `y` backward) but it is always a
         # right-hand side of the triangular system being solved
         raise ValueError(
-            f"right-hand side {name!r} must have shape ({n},) or ({n}, k), "
-            f"got {np.shape(b)}"
+            f"right-hand side {name!r} must have shape ({n},) or ({n}, k), got {np.shape(b)}"
         )
     # identity alone is not enough: a subclass view or buffer-protocol
     # object converts to a *different* array sharing the caller's memory
@@ -77,6 +81,24 @@ _check_rhs = check_rhs  # historical internal name
 # ----------------------------------------------------------------------
 # shared per-supernode task bodies (serial sweeps and parallel tasks)
 # ----------------------------------------------------------------------
+def _solve_diagonal(panel, seg, w, trans=0):
+    """In-place solve of ``seg`` (a supernode's own rows of the right-hand
+    side) against the lower-triangular diagonal block of ``panel``.  A
+    one-column supernode is a single zero-checked division; wider ones
+    call ``?trtrs`` directly (:func:`~repro.dense.kernels.trtrs_lower`)."""
+    if w == 1:
+        d = panel[0, 0]
+        if d == 0:
+            raise np.linalg.LinAlgError(
+                "singular triangular block: diagonal entry 0 is exactly zero"
+            )
+        seg[0] /= d  # scalar for a vector, a row view for (1, k)
+        return
+    x = trtrs_lower(panel, seg, trans)
+    if x is not seg:  # seg was not overwritable in place (multi-RHS rows)
+        seg[...] = x
+
+
 def forward_snode(storage, y, s):
     """Forward task body of supernode ``s``: triangular-solve its diagonal
     block on ``y``'s own segment, then compute (NOT apply) the update of
@@ -89,17 +111,12 @@ def forward_snode(storage, y, s):
     two schedules: the arithmetic (one triangular solve + one GEMV) is
     identical, which is what makes the parallel sweep bit-identical.
     """
-    symb = storage.symb
-    first, last = symb.snode_cols(s)
-    w = last - first
-    panel = storage.panel(s)
-    y[first:last] = solve_triangular(
-        panel[:w, :w], y[first:last], lower=True, check_finite=False
-    )
-    below = symb.snode_below_rows(s)
-    if below.size:
-        return below, panel[w:, :w] @ y[first:last]
-    return below, None
+    first, last, w, panel, rect, below = storage.solve_program()[s]
+    seg = y[first:last]
+    _solve_diagonal(panel, seg, w)
+    if rect is None:
+        return below, None
+    return below, rect @ seg
 
 
 def backward_snode(storage, x, s):
@@ -108,17 +125,11 @@ def backward_snode(storage, x, s):
     diagonal block on ``x``'s own segment.  Reads ``x[below]`` and writes
     only ``x[first:last]`` — the backward sweep has no cross-supernode
     writes at all."""
-    symb = storage.symb
-    first, last = symb.snode_cols(s)
-    w = last - first
-    panel = storage.panel(s)
-    below = symb.snode_below_rows(s)
-    if below.size:
-        x[first:last] -= panel[w:, :w].T @ x[below]
-    x[first:last] = solve_triangular(
-        panel[:w, :w], x[first:last], lower=True, trans="T",
-        check_finite=False,
-    )
+    first, last, w, panel, rect, below = storage.solve_program()[s]
+    seg = x[first:last]
+    if rect is not None:
+        seg -= rect.T @ x[below]
+    _solve_diagonal(panel, seg, w, trans=1)
 
 
 # ----------------------------------------------------------------------
@@ -206,16 +217,14 @@ def solve_graph(storage, y):
     symb = storage.symb
     nsup = symb.nsup
     sched = solve_schedule(symb)
-    committer = OrderedCommitter.from_static(
-        sched.fwd_static + sched.fused_static)
+    committer = OrderedCommitter.from_static(sched.fwd_static + sched.fused_static)
 
     def run_task(tid):
         newly = []
         if tid < nsup:
             below, u = forward_snode(storage, y, tid)
             for p, lo, hi in sched.runs[tid]:
-                newly.extend(
-                    committer.submit(p, tid, _fwd_closure(y, below, u, lo, hi)))
+                newly.extend(committer.submit(p, tid, _fwd_closure(y, below, u, lo, hi)))
             # own segment final: release this supernode's backward task
             newly.extend(committer.submit(nsup + tid, -1, _noop))
             return newly

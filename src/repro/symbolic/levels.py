@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SolveSchedule", "solve_schedule", "solve_levels"]
+__all__ = ["SolveSchedule", "solve_schedule", "solve_levels", "solve_shapes"]
 
 
 def solve_levels(symb):
@@ -139,6 +139,23 @@ def _below_runs(symb, s):
         (int(owners[bounds[i]]), int(bounds[i]), int(bounds[i + 1]))
         for i in range(bounds.size - 1)
     )
+
+
+def solve_shapes(symb):
+    """Per supernode ``(first, last, w, below)`` — column range and width as
+    plain ints, below-diagonal row indices — memoised on the symbolic cache:
+    the pattern-static half of
+    :meth:`~repro.numeric.storage.FactorStorage.solve_program`."""
+    cache = symb.cache()
+    shapes = cache.get("solve_shapes")
+    if shapes is None:
+        snptr = symb.snptr.tolist()
+        shapes = cache["solve_shapes"] = tuple(
+            (snptr[s], snptr[s + 1], snptr[s + 1] - snptr[s],
+             symb.snode_below_rows(s))
+            for s in range(symb.nsup)
+        )
+    return shapes
 
 
 def solve_schedule(symb):
