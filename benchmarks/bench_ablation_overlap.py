@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from conftest import suite_names, write_result
 from repro.analysis import format_table
-from repro.gpu import MachineModel, SimulatedGpu, Tracer
-from repro.gpu.device import Timeline
+from repro.gpu import Tracer
 from repro.numeric import factorize_rl_gpu, factorize_rlb_gpu
 
 BIG_MEM = 10 ** 15
@@ -20,11 +19,8 @@ BIG_MEM = 10 ** 15
 
 def traced(fn, system, **kwargs):
     tracer = Tracer()
-    machine = MachineModel()
-    gpu = SimulatedGpu(BIG_MEM, machine=machine,
-                       timeline=Timeline(tracer=tracer))
-    res = fn(system.symb, system.matrix, machine=machine, device=gpu,
-             **kwargs)
+    res = fn(system.symb, system.matrix, tracer=tracer,
+             device_memory=BIG_MEM, **kwargs)
     return res, tracer
 
 

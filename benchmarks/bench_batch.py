@@ -74,7 +74,7 @@ def main(argv=None):
 
     engines = [e.strip() for e in args.engine.split(",")]
     for engine in engines:
-        if not get_engine(engine).is_threaded:
+        if get_engine(engine).backend != "threads":
             print(f"--engine must name threaded engines (rl_par, rlb_par), "
                   f"not {engine!r}", file=sys.stderr)
             return 2

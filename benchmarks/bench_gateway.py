@@ -162,7 +162,7 @@ def main(argv=None):
                          "this (default: 0.8)")
     args = ap.parse_args(argv)
 
-    if not get_engine(args.engine).is_threaded:
+    if get_engine(args.engine).backend != "threads":
         print(f"--engine must name a threaded engine (rl_par, rlb_par), "
               f"not {args.engine!r}", file=sys.stderr)
         return 2

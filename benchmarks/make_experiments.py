@@ -226,9 +226,6 @@ def main(out_path="EXPERIMENTS.md"):
     w("  overhead hands coarse the win at practical worker counts (§III).")
     w("* `breakdown.txt` — SYRK carries RL's time, GEMM carries RLB's, and")
     w("  the update-matrix D2H dominates transfers.")
-    w("* `multigpu_scaling.txt` — extension: 4-device RL gains nothing at")
-    w("  the default threshold (the offloaded separators form a chain) and")
-    w("  1.4–2.7× at threshold 0; host assembly serializes the rest.")
     w("* `left_vs_right.txt` — extension: a CHOLMOD-style left-looking")
     w("  offload is competitive with the paper's RL on the simulated")
     w("  machine but pays growing descendant re-transfers.")

@@ -15,7 +15,6 @@ import numpy as np
 
 import repro
 from repro.analysis import breakdown, format_table, render_breakdowns
-from repro.numeric import factorize_rl_multigpu
 from repro.numeric.registry import ENGINES
 from repro.sparse import get_entry
 
@@ -44,9 +43,9 @@ def main(name="Serena"):
                if res.snodes_on_gpu else "--")
         rows.append((engine, f"{res.modeled_seconds:.4f}",
                      str(res.kernel_count), gpu))
-    mg = factorize_rl_multigpu(symb, p.system.matrix, num_devices=4,
-                               threshold=0, device_memory=BIG_MEM)
-    rows.append((mg.method, f"{mg.modeled_seconds:.4f}",
+    mg = p.factorize(engine="rl_gpu", devices=4, threshold=0,
+                     device_memory=BIG_MEM).result
+    rows.append(("rl_gpu devices=4", f"{mg.modeled_seconds:.4f}",
                  str(mg.kernel_count), f"{mg.snodes_on_gpu}/{mg.total_snodes}"))
     print(format_table(
         ["engine", "modeled s", "BLAS calls", "snodes on GPU"], rows,

@@ -1,6 +1,6 @@
 """Trace the simulated machine: Gantt charts and overlap accounting.
 
-Attaches an event tracer to the simulated GPU's timeline, runs the paper's
+Hands an event tracer to the offload engine, runs the paper's
 RL-GPU schedule on a suite matrix, and shows
 
 * an ASCII Gantt chart of the four lanes (host, compute stream, H2D/D2H
@@ -14,8 +14,7 @@ RL-GPU schedule on a suite matrix, and shows
 Run:  python examples/trace_timeline.py
 """
 
-from repro.gpu import MachineModel, SimulatedGpu, Tracer
-from repro.gpu.device import Timeline
+from repro.gpu import Tracer
 from repro.numeric import factorize_rl_gpu
 from repro.sparse import get_entry
 from repro.symbolic import analyze
@@ -25,11 +24,8 @@ MATRIX = "Serena"
 
 def traced_run(system, **kwargs):
     tracer = Tracer()
-    machine = MachineModel()
-    gpu = SimulatedGpu(10 ** 15, machine=machine,
-                       timeline=Timeline(tracer=tracer))
-    res = factorize_rl_gpu(system.symb, system.matrix, machine=machine,
-                           device=gpu, **kwargs)
+    res = factorize_rl_gpu(system.symb, system.matrix, tracer=tracer,
+                           device_memory=10 ** 15, **kwargs)
     return res, tracer
 
 

@@ -44,11 +44,6 @@ value-scatter plan are all memoised on the
 ``SymbolicFactor.cache()``), so every engine — CPU, threaded and
 simulated-GPU — skips the index bookkeeping on refactorization.
 
-The legacy mutable :class:`~repro.solve.driver.CholeskySolver`
-(``analyze`` / ``factorize`` / ``refactorize`` / ``solve``) remains as a
-thin facade over the staged objects; see ``docs/api.md`` for the migration
-table.
-
 Subpackages
 -----------
 ``repro.sparse``
@@ -66,20 +61,18 @@ Subpackages
     The factorization engines (RL, RLB, threaded DAG, GPU variants,
     baselines) and the unified engine registry.
 ``repro.solve``
-    Triangular solves, the legacy solver facade, iterative refinement.
+    Triangular solves, iterative refinement.
 ``repro.analysis``
     Performance profiles (Dolan–Moré) and report tables.
 """
 
 from .sparse import SymmetricCSC
 from .symbolic import analyze, pattern_fingerprint
-from .solve import CholeskySolver
 from .numeric import (
     factorize_rl_cpu,
     factorize_rlb_cpu,
     factorize_rl_gpu,
     factorize_rlb_gpu,
-    factorize_rl_multigpu,
     factorize_multifrontal,
     rank1_update,
     rank_k_update,
@@ -109,7 +102,6 @@ __all__ = [
     "Factor",
     "FactorBatch",
     "ServingSession",
-    "CholeskySolver",
     "ENGINES",
     "engine_names",
     "get_engine",
@@ -118,7 +110,6 @@ __all__ = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "factorize_rl_multigpu",
     "factorize_multifrontal",
     "rank1_update",
     "rank_k_update",

@@ -51,9 +51,10 @@ Separation of concerns:
     A sequence of same-pattern ``Factor`` objects produced on one worker
     pool, with vectorized ``solve_all``.
 
-The legacy mutable :class:`~repro.solve.driver.CholeskySolver` remains as a
-thin facade over these objects (see ``docs/api.md`` for the migration
-table).
+Which engine a request runs, and which keyword arguments that engine
+takes, is decided in one place — :func:`repro.numeric.registry.resolve` —
+so every entry point below rejects the same requests with the same
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from .dense.kernels import NotPositiveDefiniteError, check_dtype
+from .dense.kernels import NotPositiveDefiniteError
 from .gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from .numeric.executor import (
     StreamPool,
@@ -76,9 +77,9 @@ from .numeric.executor import (
     warm_executor_plan,
 )
 from .numeric.registry import (
-    backend_engine,
-    get_engine,
     get_solve_mode,
+    resolve,
+    resolve_serving,
     serial_twin,
 )
 from .numeric.storage import FactorStorage, ScatterPlan
@@ -99,17 +100,14 @@ __all__ = ["plan", "SymbolicPlan", "SolvePlan", "Factor", "FactorBatch",
            "ServingSession", "same_pattern_values"]
 
 
-def same_pattern_values(A, values, *,
-                        hint="build a new plan with repro.plan(...)"):
+def same_pattern_values(A, values):
     """Validate same-pattern ``values`` against the pattern host ``A``.
 
     ``values`` is ``None`` (use ``A``'s own values), a flat array aligned
     with ``A.data`` (lower-triangle CSC order), or a full same-pattern
     :class:`~repro.sparse.csc.SymmetricCSC`; returns the flat float64 data
-    array.  Raises ``ValueError`` on a pattern or shape mismatch, with
-    ``hint`` appended to the pattern message.  This is the one definition
-    of "same pattern" shared by :class:`SymbolicPlan` and the legacy
-    :class:`~repro.solve.driver.CholeskySolver` facade.
+    array.  Raises ``ValueError`` on a pattern or shape mismatch — the one
+    definition of "same pattern".
     """
     if values is None:
         return A.data
@@ -118,7 +116,8 @@ def same_pattern_values(A, values, *,
                 or not np.array_equal(values.indptr, A.indptr)
                 or not np.array_equal(values.indices, A.indices)):
             raise ValueError(
-                f"matrix does not share the sparsity pattern; {hint}"
+                "matrix does not share the sparsity pattern; "
+                "build a new plan with repro.plan(...)"
             )
         return values.data
     data = np.ascontiguousarray(values, dtype=np.float64)
@@ -128,41 +127,6 @@ def same_pattern_values(A, values, *,
             "(one value per stored lower-triangle entry)"
         )
     return data
-
-
-def _with_devices(spec, engine, devices, engine_kwargs):
-    """Validate ``devices=`` against the engine kind and merge it into the
-    engine kwargs — the one rule shared by :meth:`SymbolicPlan.factorize`
-    and :meth:`SymbolicPlan.factorize_batch`."""
-    if devices is None:
-        return engine_kwargs
-    if not (spec.is_stream or spec.is_hybrid):
-        raise ValueError(
-            f"devices= applies to the GPU stream and hybrid engines only "
-            f"(rl_gpu_dag, rlb_gpu_dag, rl_hybrid, rlb_hybrid — or "
-            f"backend='gpu'/'hybrid'), not {engine!r}"
-        )
-    return dict(engine_kwargs, devices=devices)
-
-
-def _with_dtype(spec, engine, dtype, engine_kwargs):
-    """Validate ``dtype=`` against the engine and merge it into the engine
-    kwargs — the precision-lane twin of :func:`_with_devices`, shared by
-    :meth:`SymbolicPlan.factorize`, :meth:`SymbolicPlan.factorize_batch`
-    and the streaming :class:`ServingSession`.  Unsupported numpy dtypes
-    (complex, float16, ints) raise
-    :class:`~repro.dense.kernels.UnsupportedDtypeError`; engines outside
-    the RL/RLB precision lane raise ``ValueError``."""
-    if dtype is None:
-        return engine_kwargs
-    dt = check_dtype(dtype, context="storage")
-    if not spec.supports_dtype:
-        raise ValueError(
-            f"dtype= applies to the RL/RLB engine families only "
-            f"(see repro.numeric.registry: EngineSpec.supports_dtype), "
-            f"not {engine!r}"
-        )
-    return dict(engine_kwargs, dtype=dt)
 
 
 def plan(A, *, ordering="nd", **analyze_kwargs):
@@ -241,8 +205,7 @@ class SymbolicPlan:
     @property
     def gather(self):
         """Data-gather index: ``permuted.data == original.data[gather]``
-        (pattern-only; computed once on first use and shared with the
-        legacy facade)."""
+        (pattern-only; computed once on first use)."""
         if self._gather is None:
             self._gather = permutation_gather(self._A, self._system.perm)
         return self._gather
@@ -309,15 +272,6 @@ class SymbolicPlan:
         M._mv_plan = B._mv_plan
         return M
 
-    def _install_values(self, A, M):
-        """Facade support (:class:`~repro.solve.driver.CholeskySolver`):
-        swap same-pattern values into the plan — ``A`` replaces the pattern
-        host, ``M`` the analyzed (permuted) matrix.  Both must share the
-        previous matrices' structure arrays; pattern-only state (gather,
-        scatter plan, DAG plans) stays valid by construction."""
-        self._A = A
-        self._system.matrix = M
-
     # ------------------------------------------------------------------
     # numeric stage
     # ------------------------------------------------------------------
@@ -336,17 +290,17 @@ class SymbolicPlan:
         engine:
             Engine name from :mod:`repro.numeric.registry` (``"rl"``,
             ``"rlb"``, ``"rl_par"``, ``"rlb_par"``, ``"rl_gpu"``,
-            ``"rl_gpu_dag"``, ...).
+            ``"rlb_gpu_v2"``, ...).
         workers:
-            Worker count for the threaded, hybrid and process engines
-            (threads or processes respectively); rejected for serial/GPU
-            engines.
+            Worker count for the engines that take one — the threads,
+            hybrid and process backends (threads or processes
+            respectively).
         backend:
             ``"threads"``, ``"gpu"``, ``"hybrid"`` or ``"process"``: run
             ``engine``'s task-DAG granularity on that scheduling substrate
             (:func:`repro.numeric.registry.backend_engine`) — e.g.
             ``engine="rlb_par", backend="gpu"`` runs the fine DAG on
-            simulated-GPU streams (``rlb_gpu_dag``),
+            simulated-GPU streams (``rlb_gpu_v2``),
             ``backend="hybrid", workers=N, devices=M, threshold=...``
             splits the same DAG across CPU worker threads and GPU streams
             (``rl_hybrid`` / ``rlb_hybrid``), and ``backend="process",
@@ -356,35 +310,30 @@ class SymbolicPlan:
             across backends.
         devices:
             Simulated-GPU count for the stream and hybrid engines
-            (``backend="gpu"`` / ``"hybrid"``); rejected elsewhere.
+            (``backend="gpu"`` / ``"hybrid"``).
         dtype:
             Factor storage/compute precision for the RL/RLB engine
             families: ``numpy.float64`` (default) or ``numpy.float32``
             (single-precision panels and BLAS, ~half the memory traffic —
             pair with :meth:`Factor.solve_refined` to recover fp64
             accuracy; see ``docs/precision.md``).  Unsupported dtypes
-            raise :class:`~repro.dense.kernels.UnsupportedDtypeError`;
-            engines outside the precision lane raise ``ValueError``.
+            raise :class:`~repro.dense.kernels.UnsupportedDtypeError`.
         engine_kwargs:
-            Forwarded to the engine (``machine=``, ``device=``,
-            ``threshold=``, ``tracer=``, ...).
+            Forwarded to the engine (``machine=``, ``threshold=``,
+            ``device_memory=``, ``tracer=``, ...).
+
+        An option ``engine`` does not take raises ``ValueError`` naming
+        the option and the engines that accept it
+        (:func:`repro.numeric.registry.resolve`).
         """
-        if backend is not None:
-            engine = backend_engine(engine, backend)
-        spec = get_engine(engine)
-        if workers is not None:
-            if not (spec.is_threaded or spec.is_hybrid or spec.is_process):
-                raise ValueError(
-                    f"workers= applies to the threaded, hybrid and process "
-                    f"engines only (rl_par, rlb_par, rl_hybrid, rlb_hybrid, "
-                    f"rl_proc, rlb_proc), not {engine!r}"
-                )
-            engine_kwargs = dict(engine_kwargs, workers=workers)
-        engine_kwargs = _with_devices(spec, engine, devices, engine_kwargs)
-        engine_kwargs = _with_dtype(spec, engine, dtype, engine_kwargs)
-        data = self._values_of(values)
-        M = self._permuted_matrix(data)
-        result = spec.fn(self._system.symb, M, **spec.fixed, **engine_kwargs)
+        spec, kwargs = resolve(engine, backend, workers=workers,
+                               devices=devices, dtype=dtype, **engine_kwargs)
+        return self._factor(spec, kwargs, self._values_of(values))
+
+    def _factor(self, spec, kwargs, data):
+        """Run a resolved engine on validated same-pattern ``data``."""
+        result = spec.fn(self._system.symb, self._permuted_matrix(data),
+                         **kwargs)
         return Factor(self, result, self._original_matrix(data))
 
     def factorize_batch(self, values_list, *, engine="rlb_par", workers=None,
@@ -393,55 +342,39 @@ class SymbolicPlan:
         """Factorize a batch of same-pattern matrices; returns a
         :class:`FactorBatch`.
 
-        For the threaded engines (``rl_par`` / ``rlb_par``) all matrices run
+        On the threads backend (``rl_par`` / ``rlb_par``) all matrices run
         as independent task-DAG instances on ONE shared worker pool
         (:func:`repro.numeric.executor.factorize_executor_batch`), so the
         pool stays saturated across matrix boundaries — this is the
         high-throughput serving mode for parameter sweeps, time stepping
-        and many concurrent users on one pattern.  Serial and GPU engines
-        fall back to an amortized loop over :meth:`factorize` (symbolic
-        work still shared).  ``backend`` / ``devices`` select a scheduling
-        substrate exactly as in :meth:`factorize` (``backend="gpu"`` runs
-        every matrix on the stream engines, modeled time per matrix).
+        and many concurrent users on one pattern.  Every other engine
+        runs an amortized loop, one engine call per matrix (symbolic work
+        still shared).  ``backend`` / ``devices`` and every other option
+        are resolved exactly as in :meth:`factorize` (``backend="gpu"``
+        runs every matrix on the stream engines, modeled time per matrix).
 
         Every factor is bit-identical to a serial ``factorize`` of that
         matrix alone.  A non-SPD matrix anywhere in the batch raises
         :class:`~repro.dense.kernels.NotPositiveDefiniteError` with
         ``batch_index`` set to its position in ``values_list``.
         """
-        if backend is not None:
-            engine = backend_engine(engine, backend)
-        spec = get_engine(engine)
-        engine_kwargs = _with_devices(spec, engine, devices, engine_kwargs)
-        engine_kwargs = _with_dtype(spec, engine, dtype, engine_kwargs)
+        spec, kwargs = resolve(engine, backend, workers=workers,
+                               devices=devices, dtype=dtype, **engine_kwargs)
         datas = [self._values_of(v) for v in values_list]
-        if not spec.is_threaded:
-            if workers is not None:
-                if spec.is_hybrid or spec.is_process:
-                    # hybrid/process run the amortized loop; each matrix
-                    # keeps its worker setting (the process pool itself is
-                    # cached per (workers, start_method) and stays warm
-                    # across the loop)
-                    engine_kwargs = dict(engine_kwargs, workers=workers)
-                else:
-                    raise ValueError(
-                        f"workers= applies to the threaded, hybrid and "
-                        f"process engines only (rl_par, rlb_par, rl_hybrid, "
-                        f"rlb_hybrid, rl_proc, rlb_proc), not {engine!r}"
-                    )
+        if spec.backend != "threads":
+            # one engine call per matrix; each keeps its worker/device
+            # setting (the process pool itself is cached per (workers,
+            # start_method) and stays warm across the loop)
             factors = []
             for b, data in enumerate(datas):
                 try:
-                    factors.append(self.factorize(data, engine=engine,
-                                                  **engine_kwargs))
+                    factors.append(self._factor(spec, kwargs, data))
                 except NotPositiveDefiniteError as exc:
                     raise NotPositiveDefiniteError.for_batch(exc, b) from exc
             return FactorBatch(self, tuple(factors))
         matrices = [self._permuted_matrix(data) for data in datas]
-        results = factorize_executor_batch(
-            self._system.symb, matrices, workers=workers,
-            granularity=spec.granularity, **engine_kwargs,
-        )
+        results = factorize_executor_batch(self._system.symb, matrices,
+                                           **kwargs)
         factors = tuple(
             Factor(self, res, self._original_matrix(data))
             for res, data in zip(results, datas)
@@ -482,7 +415,7 @@ class SymbolicPlan:
         scheduling substrate exactly as in :meth:`factorize`: the threaded
         engines (``rl_par`` / ``rlb_par``) drain each submission's task DAG
         across the pool's workers; ``backend="gpu"`` (engines
-        ``rl_gpu_dag`` / ``rlb_gpu_dag``), ``backend="hybrid"``
+        ``rl_gpu`` / ``rlb_gpu_v2``), ``backend="hybrid"``
         (``rl_hybrid`` / ``rlb_hybrid``, which also take ``workers=`` and
         ``threshold=``) and ``backend="process"`` (``rl_proc`` /
         ``rlb_proc``: each submission drains its DAG through the shared
@@ -710,6 +643,14 @@ class Factor:
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"Factor(n={self.n}, engine={self.engine!r})"
 
+    def _serial_engine(self):
+        """The serial engine producing this factor's bits at full
+        precision (``"rl"`` for a result no registered engine names)."""
+        try:
+            return serial_twin(self.engine)
+        except ValueError:
+            return "rl"
+
     def solve_plan(self):
         """The pattern's :class:`SolvePlan` (shared, memoised) — what
         ``workers=N`` executes."""
@@ -830,11 +771,7 @@ class Factor:
         if is_reduced and fallback and not out.converged:
             # precision-limited chain: refactorize at full precision and
             # refine on the fp64 factor (serial twin of this engine)
-            eng = serial_twin(self.engine)
-            try:
-                get_engine(eng)
-            except (KeyError, ValueError):
-                eng = "rl"
+            eng = self._serial_engine()
             matrix = self._matrix
             if hasattr(matrix, "materialize"):  # UpdatedMatrix
                 matrix = matrix.materialize()
@@ -967,11 +904,7 @@ class Factor:
             B = UpdatedMatrix(self._matrix, W,
                               downdate=downdate).materialize()
             if engine is None:
-                engine = serial_twin(self.engine)
-                try:
-                    get_engine(engine)
-                except (KeyError, ValueError):
-                    engine = "rl"
+                engine = self._serial_engine()
             try:
                 out = self._plan.factorize(B, engine=engine,
                                            **engine_kwargs)
@@ -1142,41 +1075,11 @@ class ServingSession:
                  machine=None, thread_choices=CPU_THREAD_CHOICES,
                  backend=None, devices=None, threshold=None, dtype=None,
                  pool=None, tracer=None, trace_origin=None):
-        if backend is not None:
-            engine = backend_engine(engine, backend)
-        spec = get_engine(engine)
-        if not (spec.is_threaded or spec.is_stream or spec.is_hybrid
-                or spec.is_process):
-            raise ValueError(
-                f"serve() runs on the task-DAG engines only (rl_par, "
-                f"rlb_par — or backend='gpu'/'hybrid'/'process' for "
-                f"rl_gpu_dag, rlb_gpu_dag, rl_hybrid, rlb_hybrid, rl_proc, "
-                f"rlb_proc), not {engine!r}"
-            )
-        if workers is not None:
-            if not (spec.is_threaded or spec.is_hybrid or spec.is_process):
-                raise ValueError(
-                    f"workers= applies to the threaded, hybrid and process "
-                    f"engines only (rl_par, rlb_par, rl_hybrid, rlb_hybrid, "
-                    f"rl_proc, rlb_proc), not {engine!r}"
-                )
-            workers = int(workers)
-            if workers < 1:
-                raise ValueError("workers must be >= 1")
-        engine_kwargs = _with_devices(spec, engine, devices, {})
-        if threshold is not None:
-            if not (spec.is_stream or spec.is_hybrid):
-                raise ValueError(
-                    f"threshold= applies to the GPU stream and hybrid "
-                    f"engines only (rl_gpu_dag, rlb_gpu_dag, rl_hybrid, "
-                    f"rlb_hybrid — or backend='gpu'/'hybrid'), not "
-                    f"{engine!r}"
-                )
-            engine_kwargs = dict(engine_kwargs, threshold=threshold)
-        self._dtype = (None if dtype is None
-                       else _with_dtype(spec, engine, dtype, {})["dtype"])
+        spec, kwargs = resolve_serving(
+            engine, backend, workers=workers, devices=devices,
+            threshold=threshold, dtype=dtype, machine=machine)
+        self._dtype = kwargs.pop("dtype", None)
         self._plan = plan
-        self._engine = engine
         self._spec = spec
         self._granularity = spec.granularity
         self._machine = machine or MachineModel()
@@ -1184,20 +1087,16 @@ class ServingSession:
         self._tracer = tracer
         self._t0 = (time.perf_counter() if trace_origin is None
                     else trace_origin)
-        if spec.is_threaded:
+        if spec.backend == "threads":
             # the pool's threads ARE the engine's parallelism
             self._engine_kwargs = None
-            pool_width = workers
+            pool_width = kwargs.get("workers")
         else:
             # each submission runs its stream/hybrid/process engine as ONE
             # task; the pool only sequences submissions (hybrid spawns its
             # own worker threads per call and the process engine runs on
             # its worker-process pool, so width 1 avoids oversubscription)
-            if (spec.is_hybrid or spec.is_process) and workers is not None:
-                engine_kwargs = dict(engine_kwargs, workers=workers)
-            if machine is not None:
-                engine_kwargs = dict(engine_kwargs, machine=machine)
-            self._engine_kwargs = engine_kwargs
+            self._engine_kwargs = kwargs
             pool_width = 1
         # pre-build every memoised pattern structure on this (caller)
         # thread: worker-thread callbacks may then only *read* the symbolic
@@ -1208,7 +1107,7 @@ class ServingSession:
         solve_schedule(plan.symb)
         plan.matrix._matvec_plan()
         if pool is not None:
-            if workers is not None and spec.is_threaded:
+            if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")
             self._pool = pool
             self._owns_pool = False
@@ -1228,8 +1127,8 @@ class ServingSession:
 
     @property
     def engine(self):
-        """Name of the threaded engine factorizing the submissions."""
-        return self._engine
+        """Name of the engine factorizing the submissions."""
+        return self._spec.name
 
     @property
     def submitted(self):
@@ -1238,7 +1137,7 @@ class ServingSession:
 
     def __repr__(self):  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"
-        return (f"ServingSession(engine={self._engine!r}, "
+        return (f"ServingSession(engine={self.engine!r}, "
                 f"workers={self.workers}, submitted={self._submitted}, "
                 f"{state})")
 
@@ -1269,12 +1168,12 @@ class ServingSession:
             raise RuntimeError("serving session is closed")
         plan = self._plan
         index = self._submitted
-        dt = self._dtype if dtype is None else _with_dtype(
-            self._spec, self._engine, dtype, {})["dtype"]
+        dt = (self._dtype if dtype is None
+              else resolve(self.engine, dtype=dtype)[1]["dtype"])
         data = plan._values_of(values)
         matrix = plan._original_matrix(data)  # copies: the Factor owns it
         M = plan._permuted_matrix(data)
-        if self._spec.is_threaded:
+        if self._spec.backend == "threads":
             _, ntasks, roots, run_task, finish = stream_factorize_job(
                 plan.symb, M, self._granularity,
                 self._machine, self._thread_choices,
@@ -1295,8 +1194,7 @@ class ServingSession:
             holder = {}
 
             def run_task(tid):
-                holder["result"] = spec.fn(plan.symb, M,
-                                           **spec.fixed, **kwargs)
+                holder["result"] = spec.fn(plan.symb, M, **kwargs)
                 return ()
 
             def finish(wall_seconds):

@@ -142,123 +142,58 @@ def cmd_factorize(args):
     from .gpu import MachineModel, SimulatedGpu, Tracer
     from .gpu.device import Timeline
     from .numeric import DEFAULT_DEVICE_MEMORY
-    from .numeric.registry import (BACKENDS, ENGINES, backend_engine,
-                                   engine_names)
+    from .numeric.registry import BACKENDS, backend_engine, resolve
 
-    par_engine = BACKENDS["threads"]
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.devices is not None and args.devices < 1:
-        print("--devices must be >= 1", file=sys.stderr)
-        return 2
+    granularity = args.granularity or "coarse"
     method = args.method
-    if args.backend is not None:
-        # --backend re-targets the task-DAG granularity of the requested
-        # (or implied) engine onto the chosen scheduling substrate
-        base = method or par_engine[args.granularity or "coarse"]
-        try:
-            method = backend_engine(base, args.backend)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    elif method is None:
-        # --workers / --granularity / --devices select a task-DAG engine;
-        # both --workers and --devices at once imply the hybrid split;
-        # plain `factorize` keeps the historical rl_gpu default
-        if args.devices is not None and args.workers is not None:
-            method = BACKENDS["hybrid"][args.granularity or "coarse"]
-        elif args.devices is not None:
-            method = BACKENDS["gpu"][args.granularity or "coarse"]
-        elif args.workers is not None or args.granularity is not None:
-            method = par_engine[args.granularity or "coarse"]
-        else:
-            method = "rl_gpu"
-    if method not in ENGINES:
-        print(f"unknown method {method!r}; choose from "
-              f"{engine_names()}", file=sys.stderr)
-        return 2
-    spec = ENGINES[method]
-    if args.granularity is not None:
-        if spec.granularity is None:
-            print("--granularity applies to the task-DAG engines only "
-                  "(rl_par, rlb_par, rl_gpu_dag, rlb_gpu_dag), not "
-                  f"--method {method}", file=sys.stderr)
-            return 2
-        if spec.granularity != args.granularity:
-            kind_backend = {"stream": "gpu", "hybrid": "hybrid",
-                            "process": "process"}
-            want = BACKENDS[kind_backend.get(spec.kind, "threads")][
-                args.granularity]
-            print(f"--granularity {args.granularity} conflicts with "
-                  f"--method {method} (use {want})", file=sys.stderr)
-            return 2
-    if args.workers is not None and not (spec.is_threaded or spec.is_hybrid
-                                         or spec.is_process):
-        print("--workers applies to the threaded, hybrid and process "
-              "engines only (rl_par, rlb_par, rl_hybrid, rlb_hybrid, "
-              f"rl_proc, rlb_proc), not --method {method}", file=sys.stderr)
-        return 2
-    if args.devices is not None and not (spec.is_stream or spec.is_hybrid):
-        print("--devices applies to the GPU stream and hybrid engines only "
-              "(rl_gpu_dag, rlb_gpu_dag, rl_hybrid, rlb_hybrid; use "
-              f"--backend gpu/hybrid), not --method {method}",
-              file=sys.stderr)
-        return 2
-    if (args.threshold is not None
-            and not (spec.is_gpu or spec.is_stream or spec.is_hybrid)):
-        print("--threshold applies to the GPU offload and hybrid engines, "
-              "not the threaded executor", file=sys.stderr)
-        return 2
-    if ((args.gantt or args.trace)
-            and not (spec.is_gpu or spec.is_stream or spec.is_hybrid
-                     or spec.is_threaded or spec.is_process)):
-        # refuse loudly instead of exiting 0 with no trace written (the
-        # batch subcommand treats --trace the same way)
-        print("--gantt/--trace need a timeline: a GPU/stream/hybrid engine "
-              "(modeled) or the threaded/process executors (rl_par, "
-              f"rlb_par, rl_proc, rlb_proc; measured), not --method "
-              f"{method}", file=sys.stderr)
-        return 2
-    dtype = _cli_dtype(args)
-    if dtype is not None and not spec.supports_dtype:
-        print("--dtype applies to the RL/RLB engine families only "
-              f"(precision lane; see docs/precision.md), not --method "
-              f"{method}", file=sys.stderr)
+    options = {"workers": args.workers, "devices": args.devices,
+               "threshold": args.threshold, "dtype": _cli_dtype(args),
+               "device_memory": args.device_memory or None}
+    tracer = Tracer() if args.gantt or args.trace else None
+    try:
+        if args.backend is not None:
+            # --backend re-targets the task DAG of the requested (or
+            # implied) engine onto the chosen scheduling substrate
+            method = backend_engine(
+                method or BACKENDS["threads"][granularity], args.backend)
+        elif method is None:
+            # --workers / --granularity / --devices select a task-DAG
+            # engine; both --workers and --devices at once imply the hybrid
+            # split; plain `factorize` keeps the historical rl_gpu default
+            if args.devices is not None and args.workers is not None:
+                method = BACKENDS["hybrid"][granularity]
+            elif args.devices is not None:
+                method = BACKENDS["gpu"][granularity]
+            elif args.workers is not None or args.granularity is not None:
+                method = BACKENDS["threads"][granularity]
+            else:
+                method = "rl_gpu"
+        spec, kwargs = resolve(method, **options)
+        if args.granularity not in (None, kwargs.get("granularity")):
+            want = (f" (use {BACKENDS[spec.backend][args.granularity]})"
+                    if "granularity" in kwargs else
+                    ": it applies to the task-DAG engines only")
+            raise ValueError(f"--granularity {args.granularity} conflicts "
+                             f"with --method {method}{want}")
+        if tracer is not None:
+            if "tracer" in spec.accepts:
+                # modeled stream lanes and/or measured worker lanes
+                kwargs["tracer"] = tracer
+            elif "device" in spec.accepts:
+                # the serial offload loops drive a device handed to them
+                machine = MachineModel()
+                kwargs.update(machine=machine, device=SimulatedGpu(
+                    kwargs.pop("device_memory", DEFAULT_DEVICE_MEMORY),
+                    machine=machine, timeline=Timeline(tracer=tracer)))
+            else:
+                # refuse loudly instead of exiting 0 with no trace written
+                raise ValueError(
+                    "--gantt/--trace need a timeline: an engine that "
+                    f"accepts tracer= or device=, not --method {method}")
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     system = _analyzed(args.matrix, args.ordering)
-    kwargs = dict(spec.fixed)
-    if dtype is not None:
-        kwargs["dtype"] = dtype
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    tracer = None
-    if spec.is_gpu:
-        if args.threshold is not None:
-            kwargs["threshold"] = args.threshold
-        machine = MachineModel()
-        tracer = Tracer()
-        kwargs["machine"] = machine
-        kwargs["device"] = SimulatedGpu(
-            args.device_memory or DEFAULT_DEVICE_MEMORY, machine=machine,
-            timeline=Timeline(tracer=tracer))
-    elif spec.is_stream or spec.is_hybrid:
-        # the stream/hybrid backends build their own devices; hand them
-        # the flags (the hybrid tracer carries both lane families:
-        # measured worker lanes and modeled stream lanes)
-        if args.threshold is not None:
-            kwargs["threshold"] = args.threshold
-        if args.devices is not None:
-            kwargs["devices"] = args.devices
-        if args.device_memory:
-            kwargs["device_memory"] = args.device_memory
-        tracer = Tracer()
-        kwargs["tracer"] = tracer
-    elif (spec.is_threaded or spec.is_process) and (args.gantt or args.trace):
-        # measured per-task occupancy: one trace lane per worker thread
-        # (threaded) or worker process (proc0, proc1, ...)
-        tracer = Tracer()
-        kwargs["tracer"] = tracer
     res = spec.fn(system.symb, system.matrix, **kwargs)
     rows = [
         ("method", res.method),
@@ -270,7 +205,7 @@ def cmd_factorize(args):
     ]
     if res.best_threads:
         rows.append(("best MKL threads", str(res.best_threads)))
-    if spec.is_hybrid:
+    if spec.backend == "hybrid":
         # hybrid results carry both "devices" and "wall_seconds"; one
         # dedicated block instead of the two substrate blocks below
         rows.append(("workers (CPU lanes)", str(res.extra["workers"])))
@@ -320,16 +255,12 @@ def cmd_solve(args):
     import time
 
     from .api import plan as make_plan
-    from .numeric.registry import backend_engine
 
     if args.rhs < 1:
         print("--rhs must be >= 1", file=sys.stderr)
         return 2
     if args.workers is not None and args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.devices is not None and args.devices < 1:
-        print("--devices must be >= 1", file=sys.stderr)
         return 2
     # argparse restricts --backend to "gpu" (thread parallelism is
     # --workers); bare --devices implies the gpu backend
@@ -345,21 +276,9 @@ def cmd_solve(args):
     shape = A.n if args.rhs == 1 else (A.n, args.rhs)
     b = rng.standard_normal(shape)
     plan = make_plan(A, ordering=args.ordering)
-    engine = args.method
-    dtype = _cli_dtype(args)
-    factor_kwargs = {}
-    if dtype is not None:
-        factor_kwargs["dtype"] = dtype
-    if backend == "gpu":
-        try:
-            engine = backend_engine(args.method, "gpu")
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        if args.devices is not None:
-            factor_kwargs["devices"] = args.devices
     try:
-        factor = plan.factorize(engine=engine, **factor_kwargs)
+        factor = plan.factorize(engine=args.method, backend=backend,
+                                devices=args.devices, dtype=_cli_dtype(args))
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -368,7 +287,7 @@ def cmd_solve(args):
     else:
         x = factor.solve(b)
     rel = factor.residual_norm(x, b)
-    print(f"n = {A.n}, method = {engine}, "
+    print(f"n = {A.n}, method = {factor.engine}, "
           f"precision = {factor.dtype.name}, "
           f"modeled factor time = {factor.result.modeled_seconds:.4f}s")
     if args.rhs > 1:
@@ -427,42 +346,20 @@ def cmd_serve(args):
 
     from .analysis import format_table
     from .api import plan as make_plan
-    from .numeric.registry import backend_engine, get_engine, serial_twin
+    from .numeric.registry import resolve_serving, serial_twin
     from .sparse import spd_value_sweep
 
-    engine = args.engine
-    if args.backend is not None:
-        try:
-            engine = backend_engine(engine, args.backend)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    dtype = _cli_dtype(args)
     try:
-        spec = get_engine(engine)
+        spec, _ = resolve_serving(
+            args.engine, args.backend, workers=args.workers,
+            devices=args.devices, threshold=args.threshold, dtype=dtype)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if not (spec.is_threaded or spec.is_stream or spec.is_hybrid
-            or spec.is_process):
-        print("serve runs on the task-DAG engines only (rl_par, rlb_par — "
-              "or --backend gpu/hybrid/process), "
-              f"not --engine {engine}", file=sys.stderr)
-        return 2
+    engine = spec.name
     if args.count < 1:
         print("--count must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.devices is not None and not (spec.is_stream or spec.is_hybrid):
-        print("--devices applies to the GPU stream and hybrid engines only "
-              "(use --backend gpu/hybrid)", file=sys.stderr)
-        return 2
-    dtype = _cli_dtype(args)
-    if dtype is not None and not spec.supports_dtype:
-        print("--dtype applies to the RL/RLB engine families only "
-              f"(precision lane; see docs/precision.md), not --engine "
-              f"{engine}", file=sys.stderr)
         return 2
     if args.gateway:
         return _cmd_serve_gateway(args, engine)
@@ -646,78 +543,43 @@ def cmd_batch(args):
 
     from .analysis import format_table
     from .api import plan as make_plan
-    from .numeric.registry import backend_engine, get_engine, serial_twin
+    from .numeric.registry import resolve, serial_twin
     from .sparse import spd_value_sweep
 
-    engine = args.engine
-    if args.backend is not None:
-        try:
-            engine = backend_engine(engine, args.backend)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+    dtype = _cli_dtype(args)
+    kwargs = {"workers": args.workers, "devices": args.devices,
+              "dtype": dtype}
     try:
-        spec = get_engine(engine)
+        spec, _ = resolve(args.engine, args.backend, **kwargs)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    engine = spec.name
     if args.batch < 1:
         print("--batch must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers is not None and not (spec.is_threaded or spec.is_hybrid
-                                         or spec.is_process):
-        print("--workers applies to the threaded, hybrid and process "
-              f"engines only (rl_par, rlb_par, rl_hybrid, rlb_hybrid, "
-              f"rl_proc, rlb_proc), not --engine {engine}", file=sys.stderr)
-        return 2
-    if args.devices is not None and args.devices < 1:
-        print("--devices must be >= 1", file=sys.stderr)
-        return 2
-    if args.devices is not None and not (spec.is_stream or spec.is_hybrid):
-        print("--devices applies to the GPU stream and hybrid engines only "
-              "(rl_gpu_dag, rlb_gpu_dag, rl_hybrid, rlb_hybrid; use "
-              f"--backend gpu/hybrid), not --engine {engine}",
-              file=sys.stderr)
         return 2
     if args.rhs < 1:
         print("--rhs must be >= 1", file=sys.stderr)
         return 2
-    if args.trace and not spec.is_threaded:
+    if args.trace and spec.backend != "threads":
         print("--trace records the threaded executor's per-task occupancy; "
               f"it does not apply to --engine {engine}",
               file=sys.stderr)
         return 2
-    dtype = _cli_dtype(args)
-    if dtype is not None and not spec.supports_dtype:
-        print("--dtype applies to the RL/RLB engine families only "
-              f"(precision lane; see docs/precision.md), not --engine "
-              f"{engine}", file=sys.stderr)
-        return 2
     A = _load_matrix(args.matrix)
     rng = np.random.default_rng(args.seed)
     datas = spd_value_sweep(A, args.batch, seed=args.seed)
-    kwargs = {}
-    if dtype is not None:
-        kwargs["dtype"] = dtype
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    if (spec.is_stream or spec.is_hybrid) and args.devices is not None:
-        kwargs["devices"] = args.devices
     tracer = None
     if args.trace:
         from .gpu import Tracer
 
         tracer = Tracer()
-        kwargs["tracer"] = tracer
 
     plan = make_plan(A, ordering=args.ordering)
-    plan.factorize(datas[0], engine=engine,
-                   **{k: v for k, v in kwargs.items() if k != "tracer"})
+    plan.factorize(datas[0], engine=engine, **kwargs)
     t0 = time.perf_counter()
-    batch = plan.factorize_batch(datas, engine=engine, **kwargs)
+    batch = plan.factorize_batch(datas, engine=engine, tracer=tracer,
+                                 **kwargs)
     t_batch = time.perf_counter() - t0
 
     # the pre-batching protocol: one serial refactorize after another
@@ -943,7 +805,7 @@ def build_parser():
                     choices=backend_names,
                     help="scheduling substrate for the task DAG: worker "
                          "threads (measured), simulated-GPU streams "
-                         "(modeled offload; rl_gpu_dag / rlb_gpu_dag), or "
+                         "(modeled offload; rl_gpu / rlb_gpu_v2), or "
                          "hybrid (CPU workers + GPU streams split by "
                          "--threshold)")
     sp.add_argument("--devices", type=int, default=None,

@@ -70,11 +70,11 @@ class Timeline:
     modeled interval for Gantt/Chrome-trace rendering.
 
     ``coupled`` selects the issue model.  ``True`` (the default, and the
-    semantics of every hand-rolled engine) means device operations are
+    semantics of every single-device engine) means device operations are
     issued *by the host*: a kernel or transfer starts no earlier than the
     host clock at its issue point.  ``False`` models a dispatcher thread
-    issuing work out of band (the multi-device assumption of
-    :mod:`repro.numeric.multigpu`): device operations are gated only by
+    issuing work out of band (the multi-device assumption): device
+    operations are gated only by
     their engine and their explicit ``ready`` times, never by the host
     clock — the decoupling :class:`~repro.numeric.executor.GpuStreamBackend`
     uses for ``devices > 1``.

@@ -22,12 +22,10 @@ Outputs:
 
 Example::
 
-    from repro.gpu import SimulatedGpu, Tracer
-    from repro.gpu.device import Timeline
+    from repro.gpu import Tracer
 
     tracer = Tracer()
-    gpu = SimulatedGpu(4 * 2**30, timeline=Timeline(tracer=tracer))
-    factorize_rl_gpu(symb, A, device=gpu)
+    factorize_rl_gpu(symb, A, tracer=tracer, device_memory=4 * 2**30)
     print(tracer.ascii_gantt())
     tracer.save_chrome_trace("rl_gpu.trace.json")
 """

@@ -28,7 +28,12 @@ from .executor import (
     GRANULARITIES,
     default_workers,
 )
-from .gpu_dag import factorize_gpu_dag, factorize_hybrid
+from .gpu_dag import (
+    factorize_gpu_dag,
+    factorize_hybrid,
+    factorize_rl_gpu,
+    factorize_rlb_gpu,
+)
 from .procpool import (
     ProcessBackend,
     ProcessPool,
@@ -37,8 +42,6 @@ from .procpool import (
     close_default_pools,
 )
 from .blas_limits import BLAS_ENV_VARS, limit_blas_threads, pinned_blas_env
-from .rl_gpu import factorize_rl_gpu
-from .rlb_gpu import factorize_rlb_gpu
 from .left_looking import factorize_left_looking
 from .left_looking_gpu import factorize_left_looking_gpu
 from .multifrontal import (
@@ -47,7 +50,6 @@ from .multifrontal import (
     front_relative_indices,
     peak_front_entries,
 )
-from .multigpu import factorize_rl_multigpu
 from .schedule import (
     Task,
     TaskGraph,
@@ -98,7 +100,6 @@ __all__ = [
     "factorize_multifrontal_gpu",
     "front_relative_indices",
     "peak_front_entries",
-    "factorize_rl_multigpu",
     "simplicial_cholesky",
     "Task",
     "TaskGraph",

@@ -24,8 +24,8 @@ Two properties are load-bearing:
 
 The task DAG and all index structures (assembly plans, block lists, block
 pair offsets) are memoised on :meth:`SymbolicFactor.cache`, so repeated
-same-pattern refactorization (``SymbolicPlan.factorize`` /
-``CholeskySolver.refactorize``) re-executes only the numeric kernels — the
+same-pattern refactorization (``SymbolicPlan.factorize``) re-executes
+only the numeric kernels — the
 parallel path stays on the PR-1 fast path.
 
 :func:`factorize_executor_batch` extends the runtime to batched
@@ -325,9 +325,9 @@ class _StreamLanes:
     placement/accounting queries (:meth:`place`, :meth:`elapsed`,
     :meth:`device_busy_seconds`) that :class:`GpuStreamBackend` and
     :class:`HybridBackend` have in common.  ``couple_single`` controls the
-    single-device clock discipline: a host-coupled timeline reproduces the
-    hand-rolled offload engines exactly (the stream backend's parity
-    contract), while the hybrid backend always decouples so its modeled
+    single-device clock discipline: a host-coupled timeline is the
+    paper's host-driven offload schedule (the stream backend's contract,
+    pinned by ``tests/test_gpu_golden.py``), while the hybrid backend always decouples so its modeled
     lanes are named ``gpu0``/``copy_in0``/``copy_out0`` at any device
     count and never serialize against measured CPU work.
     """
@@ -411,27 +411,27 @@ class GpuStreamBackend(_StreamLanes, Backend):
     modeled time lands on the device timelines:
 
     * ``devices == 1`` — the single device's :class:`~repro.gpu.device
-      .Timeline` is host-coupled, so a DAG engine reproduces the
-      hand-rolled offload engines' schedule *exactly* (same factors, same
-      modeled seconds).
+      .Timeline` is host-coupled, so a DAG engine's schedule is exactly
+      a serial host loop over the supernodes — the paper's (same factors,
+      same modeled seconds).
     * ``devices > 1`` — every device gets its own
       :class:`~repro.gpu.device.DeviceTimeline` sharing one host clock,
       decoupled from host issue (``coupled=False``): device pipelines are
-      gated by engine availability and explicit task ready times, the
-      dispatcher-thread model of :mod:`repro.numeric.multigpu` — whose
-      least-loaded placement :meth:`place` subsumes.  Host-side work
+      gated by engine availability and explicit task ready times (a
+      dispatcher thread issuing work out of band), placed least-loaded
+      by :meth:`place`.  Host-side work
       (assembly, blocking waits) still serializes on the shared host
       clock.
 
     Device memory is byte-accounted per device by each
     :class:`~repro.gpu.device.SimulatedGpu`;
-    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the caller
-    at the same supernode as the hand-rolled engines.  Pass a
+    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
+    caller.  Pass a
     :class:`~repro.gpu.trace.Tracer` to record every modeled interval —
     one ``gpu``/``copy_in``/``copy_out`` lane triple per device (suffixed
     ``gpu0``, ``gpu1``, ... when ``devices > 1``) next to the shared
     ``cpu`` lane, rendered by the same :mod:`repro.gpu.trace` outputs as
-    the hand-rolled engines and the thread-occupancy traces.
+    the thread-occupancy traces.
     """
 
     name = "gpu"

@@ -1,38 +1,36 @@
-"""DAG-scheduled GPU offload engines on the stream backend.
+"""The GPU offload engines: task DAGs on the stream backend.
 
-The hand-rolled GPU engines (:mod:`repro.numeric.rl_gpu`,
-:mod:`repro.numeric.rlb_gpu`, :mod:`repro.numeric.multigpu`) each walk the
-supernodes in elimination order and schedule their own H2D → POTRF/TRSM →
-SYRK/GEMM → D2H pipelines.  This module retargets the *task-DAG runtime* —
-the same coarse and fine DAG plans, ordered committers and release
-bookkeeping the threaded engines of :mod:`repro.numeric.executor` use —
-onto a :class:`~repro.numeric.executor.GpuStreamBackend`, with the engines'
-own kernel pipelines (:func:`~repro.numeric.rl_gpu.rl_gpu_snode`,
-:func:`~repro.numeric.rlb_gpu.rlb_gpu_pair`, ...) as the task bodies:
+The paper's two offload pipelines — RL's per-supernode H2D → POTRF/TRSM →
+async D2H → SYRK → D2H → assembly and RLB version 2's double-buffered
+per-block-pair transfers (§III) — exist once, as the task bodies of
+:mod:`repro.numeric.rl_gpu` and :mod:`repro.numeric.rlb_gpu`.  This module
+is their one scheduler: the *task-DAG runtime* — the same coarse and fine
+DAG plans, ordered committers and release bookkeeping the threaded engines
+of :mod:`repro.numeric.executor` use — on a
+:class:`~repro.numeric.executor.GpuStreamBackend`:
 
-* ``rl_gpu_dag`` — the coarse DAG (one task per supernode) running RL's
-  three-transfer pipeline per offloaded task;
-* ``rlb_gpu_dag`` — the fine DAG (one factor task per supernode, one task
-  per block pair) running RLB version 2's double-buffered per-pair
-  transfers.
+* ``rl_gpu`` (also spelled ``rl_gpu_dag``) — the coarse DAG, one task per
+  supernode, RL's three-transfer pipeline per offloaded task (Table I);
+* ``rlb_gpu_v2`` (``rlb_gpu_dag``) — the fine DAG, one factor task per
+  supernode and one task per block pair (Table II).
 
-**Single-device parity.**  The stream backend pops ready tasks in a
-deterministic priority order that reproduces the serial engines'
-elimination-order schedule (factor task ``s``, then ``s``'s pair tasks,
-then ``s+1``).  At ``devices=1`` the device timeline is host-coupled, so
-both engines are *bit-identical* to their hand-rolled twins (``rl_gpu`` /
-``rlb_gpu_v2`` — and hence to the serial CPU engines) AND reproduce their
-modeled seconds exactly; :class:`~repro.gpu.device.DeviceOutOfMemory`
-fires at the same supernode with the same accounting.
+**One device is the paper's schedule.**  The stream backend pops ready
+tasks in a deterministic priority order that is the elimination-order
+schedule (factor task ``s``, then ``s``'s pair tasks, then ``s+1``).  At
+``devices=1`` the device timeline is host-coupled, so the host issues every
+operation exactly as a serial loop over the supernodes would: factors are
+bit-identical to the serial CPU engines, and the modeled seconds, transfer
+counts and the allocation at which
+:class:`~repro.gpu.device.DeviceOutOfMemory` fires are pinned by
+``tests/test_gpu_golden.py`` against the hand-rolled loops this scheduler
+replaced.
 
 **Multi-device scaling.**  At ``devices=N`` the backend switches the
 device timelines to the dispatcher-issue model (shared host clock, device
 pipelines gated by engine availability and per-task modeled *ready times*
 maintained here at assembly-commit time), and tasks go to the least-loaded
-device — subsuming the bespoke scheduler of
-:func:`repro.numeric.multigpu.factorize_rl_multigpu` with the same honest
-story: host-serialized assembly bounds the speedup by the elimination
-tree's branch independence.
+device.  The honest story of the extension: host-serialized assembly
+bounds the speedup by the elimination tree's branch independence.
 
 **Heterogeneous CPU+GPU.**  :func:`factorize_hybrid` runs the *same* task
 DAG on a :class:`~repro.numeric.executor.HybridBackend` with per-task
@@ -76,9 +74,9 @@ from .result import (
     cpu_cost,
 )
 from .rl import update_workspace_entries
-from .rl_gpu import rl_cpu_snode, rl_gpu_snode
+from .rl_gpu import cpu_factor_snode, rl_cpu_snode, rl_gpu_snode
 from .rlb_gpu import (
-    rlb_cpu_factor,
+    factorize_rlb_gpu_v1,
     rlb_cpu_pair,
     rlb_drain_pair,
     rlb_gpu_factor,
@@ -92,7 +90,8 @@ from .threshold import (
     gpu_snode_mask,
 )
 
-__all__ = ["factorize_gpu_dag", "factorize_hybrid"]
+__all__ = ["factorize_gpu_dag", "factorize_rl_gpu", "factorize_rlb_gpu",
+           "factorize_hybrid"]
 
 
 def _aggregate_stats(gpus):
@@ -194,7 +193,7 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h):
 def _fine_priority(nsup, pairs):
     """The fine DAG's deterministic schedule key: every supernode's factor
     task before its pair tasks, both before the next supernode — the
-    hand-rolled engine's elimination-order schedule.  Also the dispatch
+    serial elimination-order schedule.  Also the dispatch
     order of the hybrid backend's GPU lane, where it guarantees progress:
     every dependency of a task has a strictly lower key."""
 
@@ -270,9 +269,9 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     """Fine (RLB v2) task graph on the stream backend: ``(ntasks, roots,
     run_task, priority, counters)``.
 
-    The priority key (:func:`_fine_priority`) reproduces the hand-rolled
-    engine's schedule, which is what makes ``devices=1`` reproduce
-    ``rlb_gpu_v2`` exactly.
+    The priority key (:func:`_fine_priority`) is the serial
+    elimination-order schedule, which is what makes ``devices=1`` the
+    paper's RLB version 2.
     """
     machine = backend.machine
     host = backend.host
@@ -297,8 +296,8 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     def run_factor(s):
         if not offload[s]:
             host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
-            panel, w, _ = rlb_cpu_factor(symb, storage, s, machine, host,
-                                         cpu_t, acc)
+            panel, w, _ = cpu_factor_snode(symb, storage, s, machine, host,
+                                           cpu_t, acc)
             if pair_ids[s]:
                 state[s] = {"gpu": None, "panel": panel, "w": w,
                             "left": len(pair_ids[s])}
@@ -339,30 +338,36 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
     Parameters
     ----------
     granularity:
-        ``"coarse"`` — RL's per-supernode pipeline (engine name
-        ``rl_gpu_dag``); ``"fine"`` — RLB version 2's per-block-pair
-        pipeline (``rlb_gpu_dag``).
+        ``"coarse"`` — RL's per-supernode pipeline (engine ``rl_gpu``,
+        :func:`factorize_rl_gpu`); ``"fine"`` — RLB version 2's
+        per-block-pair pipeline (``rlb_gpu_v2``,
+        :func:`factorize_rlb_gpu`).
     devices:
-        Simulated GPUs.  ``1`` reproduces the hand-rolled single-device
-        engines exactly; ``N > 1`` places tasks least-loaded across N
-        devices (the :mod:`~repro.numeric.multigpu` scaling story).
+        Simulated GPUs.  ``1`` is the paper's host-driven single-device
+        schedule; ``N > 1`` places tasks least-loaded across N devices.
     threshold:
-        Dilated panel entries below which a supernode stays on the CPU;
-        defaults to the granularity's engine default
-        (:data:`~repro.numeric.threshold.DEFAULT_RL_THRESHOLD` /
+        Dilated panel entries below which a supernode stays on the CPU
+        (directly comparable to the paper's 600,000 / 750,000); ``0`` is
+        the paper's "GPU only" variant.  Defaults to the granularity's
+        own (:data:`~repro.numeric.threshold.DEFAULT_RL_THRESHOLD` /
         :data:`~repro.numeric.threshold.DEFAULT_RLB_THRESHOLD`).
     device_memory:
-        Per-device capacity in dilated bytes;
-        :class:`~repro.gpu.device.DeviceOutOfMemory` propagates exactly as
-        in the hand-rolled engines (extra devices never rescue a single
-        oversized working set).
+        Per-device capacity in dilated bytes.  A panel or update matrix
+        exceeding free device memory raises
+        :class:`~repro.gpu.device.DeviceOutOfMemory` — the paper's
+        nlpkkt120 failure mode; extra devices never rescue a single
+        oversized working set.
     backend:
         An existing :class:`~repro.numeric.executor.GpuStreamBackend` to
         run on (overrides ``devices`` / ``machine`` / ``device_memory`` /
         ``tracer``).
     async_panel_d2h / inflight:
-        The pipeline ablation switches of the hand-rolled engines
-        (coarse / fine respectively).
+        The pipeline ablation switches (coarse / fine respectively):
+        ``async_panel_d2h=False`` makes the factored-panel transfer a
+        host-blocking copy issued at the same point of the schedule,
+        removing the overlap with the SYRK that the paper's step 3 ("this
+        second transfer is asynchronous") buys; ``inflight`` is the number
+        of pair-update buffers in flight (2 = double buffering).
     """
     if granularity not in GRANULARITIES:
         raise ValueError(
@@ -383,11 +388,11 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
     if granularity == "coarse":
         ntasks, roots, run_task, priority, counters = _coarse_graph(
             symb, storage, backend, offload, acc, async_panel_d2h)
-        method = "rl_gpu_dag"
+        method = "rl_gpu"
     else:
         ntasks, roots, run_task, priority, counters = _fine_graph(
             symb, storage, backend, offload, acc, inflight)
-        method = "rlb_gpu_dag"
+        method = "rlb_gpu_v2"
     backend.run_graph(ntasks, roots, run_task, priority=priority)
     return FactorizeResult(
         method=method,
@@ -410,6 +415,27 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
             "device_busy_seconds": backend.device_busy_seconds(),
         },
     )
+
+
+def factorize_rl_gpu(symb, A, **options):
+    """RL with large supernodes offloaded to the (simulated) GPU — Table
+    I's method: :func:`factorize_gpu_dag` at coarse granularity."""
+    return factorize_gpu_dag(symb, A, granularity="coarse", **options)
+
+
+def factorize_rlb_gpu(symb, A, *, version=2, **options):
+    """RLB with large supernodes offloaded to the (simulated) GPU.
+
+    ``version=2`` (per-block transfers; Table II's method) is
+    :func:`factorize_gpu_dag` at fine granularity; ``version=1`` (one
+    batched update transfer per supernode, §III's negative result) is
+    :func:`~repro.numeric.rlb_gpu.factorize_rlb_gpu_v1`.
+    """
+    if version == 2:
+        return factorize_gpu_dag(symb, A, granularity="fine", **options)
+    if version == 1:
+        return factorize_rlb_gpu_v1(symb, A, **options)
+    raise ValueError("version must be 1 or 2")
 
 
 def _coarse_hybrid_graph(symb, storage, backend, offload, acc,

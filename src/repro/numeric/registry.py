@@ -1,222 +1,163 @@
 """Unified factorization-engine registry.
 
-One table maps every public engine name to its callable, its fixed keyword
-arguments and a coarse *kind* tag.  The staged ``plan → Factor`` API
-(:mod:`repro.api`), the legacy :class:`~repro.solve.driver.CholeskySolver`
-facade and the CLI all resolve engines here, so a new engine is registered
-exactly once.
+One table row per engine: ``(name, callable, family, backend)``.  Which
+keyword arguments a row takes is not typed in — :attr:`EngineSpec.accepts`
+is read off the callable's own signature — and every place a request
+enters (:meth:`repro.api.SymbolicPlan.factorize` / ``factorize_batch`` /
+``serve``, the CLI's ``factorize`` / ``batch`` / ``serve`` commands) asks
+:func:`resolve` which engine runs and with which arguments, so a new engine
+is registered exactly once and every door gives the same answer.
 
-Kinds
------
-``"cpu"``
-    Serial CPU engines (``rl``, ``rlb``, baselines).  Modeled
-    best-over-threads timing; real BLAS numerics.
-``"threaded"``
-    The task-DAG worker-pool engines (``rl_par``, ``rlb_par``) of
-    :mod:`repro.numeric.executor`.  Accept ``workers=``; also the engines
-    that power batched same-pattern serving
-    (:meth:`repro.api.SymbolicPlan.factorize_batch`).
+``family`` names the task DAG a row belongs to (``"rl"`` — the coarse DAG,
+one task per supernode; ``"rlb"`` — the fine DAG, one task per block pair;
+``None`` for engines with no DAG twin: the baselines and the paper's
+negative-result ``rlb_gpu_v1``).  ``backend`` names what schedules it:
+
+``"serial"``
+    One supernode after another on the host; modeled best-over-threads
+    timing, real BLAS numerics.
+``"threads"``
+    The task DAG on a worker-thread pool (:mod:`repro.numeric.executor`);
+    measured wall-clock.  The rows behind batched and streaming serving.
 ``"gpu"``
-    Simulated-device offload engines.  Accept ``threshold=`` /
-    ``device=`` / ``machine=``.
-``"stream"``
-    The DAG-scheduled GPU engines (``rl_gpu_dag``, ``rlb_gpu_dag``) of
-    :mod:`repro.numeric.gpu_dag`: the task-DAG runtime on a
-    :class:`~repro.numeric.executor.GpuStreamBackend`.  Accept
-    ``devices=`` / ``threshold=`` / ``machine=`` / ``tracer=``.
+    Offload to the simulated device; modeled seconds.  For the two
+    families this is the task DAG on a
+    :class:`~repro.numeric.executor.GpuStreamBackend`
+    (:mod:`repro.numeric.gpu_dag`; ``devices=N``), for the family-less rows
+    a serial loop driving one device (``device=``).
 ``"hybrid"``
-    The heterogeneous engines (``rl_hybrid``, ``rlb_hybrid``) of
-    :func:`repro.numeric.gpu_dag.factorize_hybrid`: one task DAG across
-    measured CPU worker lanes and modeled GPU stream lanes on a
-    :class:`~repro.numeric.executor.HybridBackend`.  Accept ``workers=``
-    AND ``devices=`` / ``threshold=`` / ``machine=`` / ``tracer=``.
+    One task DAG across measured CPU worker lanes and modeled GPU stream
+    lanes (:func:`repro.numeric.gpu_dag.factorize_hybrid`).
 ``"process"``
-    The multiprocess engines (``rl_proc``, ``rlb_proc``) of
-    :mod:`repro.numeric.procpool`: the same task DAGs drained by a
-    persistent worker-process pool over shared-memory panels — real
-    parallelism for the GIL-bound scatter/commit python.  Accept
-    ``workers=`` / ``start_method=`` / ``tracer=``.
+    The task DAG drained by a persistent worker-process pool over
+    shared-memory panels (:mod:`repro.numeric.procpool`).
 
-:data:`BACKENDS` maps the public backend names of
-``plan.factorize(..., backend=...)`` and the CLI ``--backend`` flag to the
-engine of each task-DAG granularity; :func:`backend_engine` resolves an
-engine name onto a backend ("run rlb's fine DAG on gpu streams").
+Within a family the backends are interchangeable — factors are
+bit-identical — which is what :func:`backend_engine` ("run rlb's DAG on gpu
+streams") and :func:`serial_twin` look up.  The rows, as
+:func:`engine_table` prints them (``docs/backends.md`` and the README carry
+the same block) — appended below.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .executor import factorize_executor
+from ..dense.kernels import check_dtype
+from .executor import _FAMILY, factorize_executor
 from .gpu_dag import factorize_gpu_dag, factorize_hybrid
 from .left_looking import factorize_left_looking
 from .left_looking_gpu import factorize_left_looking_gpu
 from .multifrontal import factorize_multifrontal, factorize_multifrontal_gpu
 from .procpool import factorize_process
 from .rl import factorize_rl_cpu
-from .rl_gpu import factorize_rl_gpu
 from .rlb import factorize_rlb_cpu
-from .rlb_gpu import factorize_rlb_gpu
+from .rlb_gpu import factorize_rlb_gpu_v1
 
 __all__ = [
     "EngineSpec",
     "ENGINES",
     "BACKENDS",
     "engine_names",
+    "engine_table",
     "get_engine",
     "serial_twin",
     "backend_engine",
+    "resolve",
+    "resolve_serving",
     "SolveModeSpec",
     "SOLVE_MODES",
     "solve_mode_names",
     "get_solve_mode",
 ]
 
+#: Task-DAG granularity of each family (the inverse of the executor's map).
+_GRANULARITY = {family: g for g, family in _FAMILY.items()}
+
 
 @dataclass(frozen=True)
 class EngineSpec:
     """One registered factorization engine.
 
-    ``fn(symb, A, **fixed, **user_kwargs)`` runs the engine; ``kind`` is
-    ``"cpu"`` | ``"threaded"`` | ``"gpu"`` (see module docstring);
-    ``granularity`` is set for threaded engines only and names the task-DAG
-    granularity the executor uses for it.  ``supports_dtype`` marks the
-    engines whose callable accepts a ``dtype=`` keyword (the RL/RLB
-    families' mixed-precision lane; see :doc:`docs/precision`) — the staged
-    API rejects ``dtype=np.float32`` for engines without it rather than
-    passing an unknown keyword through.
+    ``fn(symb, A, **fixed, **options)`` runs the engine.  ``family`` is
+    ``"rl"`` | ``"rlb"`` | ``None`` and ``backend`` is ``"serial"`` |
+    ``"threads"`` | ``"gpu"`` | ``"hybrid"`` | ``"process"`` (see the module
+    docstring).  ``accepts`` — the option names a caller may pass — is
+    computed from ``fn``'s signature: every parameter after ``(symb, A)``
+    that ``fixed`` does not already bind.
     """
 
     name: str
     fn: Callable
-    kind: str
     fixed: dict = field(default_factory=dict)
-    granularity: str | None = None
+    family: str | None = None
+    backend: str = "serial"
     description: str = ""
-    supports_dtype: bool = False
+    accepts: frozenset = field(init=False)
+
+    def __post_init__(self):
+        params = list(inspect.signature(self.fn).parameters)[2:]
+        object.__setattr__(self, "accepts", frozenset(params) - frozenset(self.fixed))
 
     @property
-    def is_gpu(self) -> bool:
-        return self.kind == "gpu"
-
-    @property
-    def is_threaded(self) -> bool:
-        return self.kind == "threaded"
-
-    @property
-    def is_stream(self) -> bool:
-        return self.kind == "stream"
-
-    @property
-    def is_hybrid(self) -> bool:
-        return self.kind == "hybrid"
-
-    @property
-    def is_process(self) -> bool:
-        return self.kind == "process"
+    def granularity(self):
+        """Task-DAG granularity of the row's family (rl: ``"coarse"``,
+        rlb: ``"fine"``); ``None`` without a family."""
+        return _GRANULARITY.get(self.family)
 
 
-def _spec(name, fn, kind, fixed=None, granularity=None, description="",
-          supports_dtype=False):
-    return EngineSpec(name=name, fn=fn, kind=kind, fixed=dict(fixed or {}),
-                      granularity=granularity, description=description,
-                      supports_dtype=supports_dtype)
+def _row(name, fn, family, backend, description):
+    """A table row; the DAG callables are bound to the family's
+    granularity."""
+    fixed = {}
+    if "granularity" in inspect.signature(fn).parameters:
+        fixed["granularity"] = _GRANULARITY[family]
+    return EngineSpec(name, fn, fixed, family, backend, description)
 
 
-#: Engine name -> :class:`EngineSpec`; the single source of truth.
-ENGINES = {
-    spec.name: spec
-    for spec in (
-        _spec("rl", factorize_rl_cpu, "cpu", supports_dtype=True,
-              description="right-looking, full update matrix (serial)"),
-        _spec("rlb", factorize_rlb_cpu, "cpu", supports_dtype=True,
-              description="right-looking blocked, in-place updates (serial)"),
-        _spec("rl_par", factorize_executor, "threaded",
-              fixed={"granularity": "coarse"}, granularity="coarse",
-              supports_dtype=True,
-              description="threaded task-DAG, one task per supernode"),
-        _spec("rlb_par", factorize_executor, "threaded",
-              fixed={"granularity": "fine"}, granularity="fine",
-              supports_dtype=True,
-              description="threaded task-DAG, one task per block pair"),
-        _spec("rl_gpu", factorize_rl_gpu, "gpu", supports_dtype=True,
-              description="RL with large-supernode GPU offload"),
-        _spec("rlb_gpu_v1", factorize_rlb_gpu, "gpu", fixed={"version": 1},
-              supports_dtype=True,
-              description="blocked GPU offload, per-pair transfers"),
-        _spec("rlb_gpu_v2", factorize_rlb_gpu, "gpu", fixed={"version": 2},
-              supports_dtype=True,
-              description="blocked GPU offload, batched transfers"),
-        _spec("rl_gpu_dag", factorize_gpu_dag, "stream",
-              fixed={"granularity": "coarse"}, granularity="coarse",
-              supports_dtype=True,
-              description="RL offload pipeline scheduled by the task DAG "
-                          "on simulated-GPU streams (devices=N)"),
-        _spec("rlb_gpu_dag", factorize_gpu_dag, "stream",
-              fixed={"granularity": "fine"}, granularity="fine",
-              supports_dtype=True,
-              description="RLB v2 per-pair pipeline scheduled by the task "
-                          "DAG on simulated-GPU streams (devices=N)"),
-        _spec("rl_proc", factorize_process, "process",
-              fixed={"granularity": "coarse"}, granularity="coarse",
-              supports_dtype=True,
-              description="multiprocess coarse DAG over shared-memory "
-                          "panels (escapes the GIL; workers=N processes)"),
-        _spec("rlb_proc", factorize_process, "process",
-              fixed={"granularity": "fine"}, granularity="fine",
-              supports_dtype=True,
-              description="multiprocess fine DAG over shared-memory "
-                          "panels (escapes the GIL; workers=N processes)"),
-        _spec("rl_hybrid", factorize_hybrid, "hybrid",
-              fixed={"granularity": "coarse"}, granularity="coarse",
-              supports_dtype=True,
-              description="heterogeneous coarse DAG: small supernodes on "
-                          "CPU worker threads, large ones on GPU streams"),
-        _spec("rlb_hybrid", factorize_hybrid, "hybrid",
-              fixed={"granularity": "fine"}, granularity="fine",
-              supports_dtype=True,
-              description="heterogeneous fine DAG: small supernodes' block "
-                          "pairs on CPU workers, large ones on GPU streams"),
-        _spec("left_looking", factorize_left_looking, "cpu",
-              description="left-looking baseline (serial)"),
-        _spec("left_looking_gpu", factorize_left_looking_gpu, "gpu",
-              description="left-looking baseline with GPU offload"),
-        _spec("multifrontal", factorize_multifrontal, "cpu",
-              description="multifrontal baseline (serial)"),
-        _spec("multifrontal_gpu", factorize_multifrontal_gpu, "gpu",
-              description="multifrontal baseline with GPU offload"),
-    )
-}
+_ROWS = (
+    _row("rl", factorize_rl_cpu, "rl", "serial", "right-looking, full update matrix"),
+    _row("rlb", factorize_rlb_cpu, "rlb", "serial", "right-looking blocked, in-place updates"),
+    _row("rl_par", factorize_executor, "rl", "threads", "coarse DAG on worker threads"),
+    _row("rlb_par", factorize_executor, "rlb", "threads", "fine DAG on worker threads"),
+    _row("rl_gpu", factorize_gpu_dag, "rl", "gpu", "RL offload (Table I): coarse stream DAG"),
+    _row("rlb_gpu_v2", factorize_gpu_dag, "rlb", "gpu", "RLB offload v2 (Table II): fine DAG"),
+    _row("rl_proc", factorize_process, "rl", "process", "coarse DAG on worker processes"),
+    _row("rlb_proc", factorize_process, "rlb", "process", "fine DAG on worker processes"),
+    _row("rl_hybrid", factorize_hybrid, "rl", "hybrid", "coarse DAG on CPU workers + GPU streams"),
+    _row("rlb_hybrid", factorize_hybrid, "rlb", "hybrid", "fine DAG on CPU workers + GPU streams"),
+    _row("rlb_gpu_v1", factorize_rlb_gpu_v1, None, "gpu", "RLB offload v1: one batched D2H"),
+    _row("left_looking", factorize_left_looking, None, "serial", "left-looking baseline"),
+    _row("left_looking_gpu", factorize_left_looking_gpu, None, "gpu", "left-looking + offload"),
+    _row("multifrontal", factorize_multifrontal, None, "serial", "multifrontal baseline"),
+    _row("multifrontal_gpu", factorize_multifrontal_gpu, None, "gpu", "multifrontal + offload"),
+)
 
-#: DAG engine of each granularity <-> its serial bit-identity twin.
-_SERIAL_TWIN = {
-    "rl_par": "rl",
-    "rlb_par": "rlb",
-    "rl_gpu_dag": "rl_gpu",
-    "rlb_gpu_dag": "rlb_gpu_v2",
-    "rl_hybrid": "rl",
-    "rlb_hybrid": "rlb",
-    "rl_proc": "rl",
-    "rlb_proc": "rlb",
-}
+#: Engine name -> :class:`EngineSpec`; the single source of truth.  Rows
+#: with a family are unique on ``(family, backend)``.
+ENGINES = {spec.name: spec for spec in _ROWS}
 
-#: Public backend names -> the DAG engine of each task granularity.  One
-#: DAG runtime, four scheduling substrates: worker threads (measured
-#: wall-clock), simulated-GPU streams (modeled offload), both at once
-#: (the hybrid per-task placement), or worker processes over shared
-#: memory (measured, GIL-free).  The single source of truth for the
-#: ``plan.factorize(backend=...)`` API and the CLI ``--backend`` choices.
-BACKENDS = {
-    "threads": {"coarse": "rl_par", "fine": "rlb_par"},
-    "gpu": {"coarse": "rl_gpu_dag", "fine": "rlb_gpu_dag"},
-    "hybrid": {"coarse": "rl_hybrid", "fine": "rlb_hybrid"},
-    "process": {"coarse": "rl_proc", "fine": "rlb_proc"},
-}
+#: ``(family, backend)`` -> row name, over the rows with a family.
+_BY_COLUMNS = {(spec.family, spec.backend): spec.name for spec in _ROWS if spec.family}
+
+#: Public backend names -> the DAG engine of each task granularity:
+#: ``BACKENDS["gpu"]["fine"] == "rlb_gpu_v2"``.  The ``--backend`` choices.
+BACKENDS = {}
+for (_family, _backend), _name in _BY_COLUMNS.items():
+    if _backend != "serial":
+        BACKENDS.setdefault(_backend, {})[_GRANULARITY[_family]] = _name
+
+# the stream rows' second spelling: their names before they replaced the
+# single-device loops that used to be called rl_gpu / rlb_gpu_v2
+ENGINES["rl_gpu_dag"] = ENGINES["rl_gpu"]
+ENGINES["rlb_gpu_dag"] = ENGINES["rlb_gpu_v2"]
 
 
 def engine_names():
-    """Sorted names of every registered engine."""
+    """Sorted names of every registered engine (both spellings of the
+    stream rows included)."""
     return sorted(ENGINES)
 
 
@@ -225,50 +166,104 @@ def get_engine(name):
     the valid names) when unknown."""
     spec = ENGINES.get(name)
     if spec is None:
-        raise ValueError(
-            f"unknown engine {name!r}; choose from {engine_names()}"
-        )
+        raise ValueError(f"unknown engine {name!r}; choose from {engine_names()}")
     return spec
 
 
 def serial_twin(name):
-    """The serial engine producing bit-identical factors to the DAG engine
-    ``name`` (``rl_par``/``rl_hybrid``/``rl_proc -> rl``,
-    ``rlb_par``/``rlb_hybrid``/``rlb_proc -> rlb``, ``rl_gpu_dag ->
-    rl_gpu``, ``rlb_gpu_dag -> rlb_gpu_v2``); other engines map to
-    themselves."""
-    return _SERIAL_TWIN.get(name, name)
+    """The serial engine of ``name``'s family — bit-identical factors on
+    one host thread (``rl_par`` / ``rl_gpu`` / ``rl_hybrid`` / ``rl_proc``
+    -> ``rl``, likewise ``rlb``); engines without a family map to
+    themselves.  Unknown names raise like :func:`get_engine`."""
+    spec = get_engine(name)
+    return _BY_COLUMNS.get((spec.family, "serial"), spec.name)
+
+
+def _names(rows):
+    """One spelling of each row of ``rows``, sorted, for an error message."""
+    return ", ".join(sorted({spec.name for spec in rows})) or "no engine"
 
 
 def backend_engine(name, backend):
-    """The engine running ``name``'s task-DAG granularity on ``backend``.
+    """The engine running ``name``'s task DAG on ``backend``.
 
     ``backend`` is a :data:`BACKENDS` key (``"threads"``, ``"gpu"``,
-    ``"hybrid"``); ``name`` is any engine with a DAG granularity
-    (``rl_par``, ``rlb_par``, ``rl_gpu_dag``, ``rlb_gpu_dag``,
-    ``rl_hybrid``, ``rlb_hybrid``) or a serial engine whose family
-    implies one (``rl``/``rl_gpu`` -> coarse, ``rlb``/``rlb_gpu_v*`` ->
-    fine).  Raises ``ValueError`` for unknown backends or engines without
-    a DAG granularity.
+    ``"hybrid"``, ``"process"``); ``name`` is any engine with a family.
+    Raises ``ValueError`` for unknown backends or family-less engines.
     """
-    granularities = BACKENDS.get(backend)
-    if granularities is None:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-        )
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}")
     spec = get_engine(name)
-    granularity = spec.granularity
-    if granularity is None:
-        granularity = {"rl": "coarse", "rl_gpu": "coarse", "rlb": "fine",
-                       "rlb_gpu_v1": "fine", "rlb_gpu_v2": "fine"}.get(name)
-    if granularity is None:
+    if spec.family is None:
         raise ValueError(
-            f"engine {name!r} has no task-DAG granularity; backends apply "
-            "to the RL/RLB families (rl, rl_par, rl_gpu, rl_gpu_dag, "
-            "rl_hybrid, rlb, rlb_par, rlb_gpu_v1, rlb_gpu_v2, rlb_gpu_dag, "
-            "rlb_hybrid)"
+            f"engine {name!r} has no task-DAG family; backends apply to the "
+            f"RL/RLB families ({_names(s for s in _ROWS if s.family)})"
         )
-    return granularities[granularity]
+    return _BY_COLUMNS[spec.family, backend]
+
+
+def resolve(engine, backend=None, **options):
+    """Which engine runs and with which keyword arguments:
+    ``(spec, kwargs)`` such that ``spec.fn(symb, A, **kwargs)`` is the
+    request.
+
+    ``backend`` re-targets ``engine`` through :func:`backend_engine`;
+    options that are ``None`` mean "not given".  An option the row's
+    callable does not take — or one its name already fixes — raises ONE
+    ``ValueError`` naming the option, the engine and the engines that do
+    accept it.  ``workers`` / ``devices`` must be >= 1 and ``dtype`` passes
+    through :func:`~repro.dense.kernels.check_dtype` (unsupported dtypes
+    raise :class:`~repro.dense.kernels.UnsupportedDtypeError`).
+    """
+    if backend is not None:
+        engine = backend_engine(engine, backend)
+    spec = get_engine(engine)
+    options = {k: v for k, v in options.items() if v is not None}
+    for key in options:
+        if key not in spec.accepts:
+            verb = "fixed" if key in spec.fixed else "not accepted"
+            raise ValueError(
+                f"{key}= is {verb} by engine {spec.name!r}; "
+                f"accepted by: {_names(s for s in _ROWS if key in s.accepts)}"
+            )
+    for key in ("workers", "devices"):
+        if key in options:
+            options[key] = int(options[key])
+            if options[key] < 1:
+                raise ValueError(f"{key} must be >= 1")
+    if "dtype" in options:
+        options["dtype"] = check_dtype(options["dtype"], context="storage")
+    return spec, {**spec.fixed, **options}
+
+
+def resolve_serving(engine, backend=None, **options):
+    """:func:`resolve` for a streaming session: additionally requires a
+    row whose task DAG something other than the submitting thread can run
+    — a family and a non-serial backend."""
+    spec, kwargs = resolve(engine, backend, **options)
+    if spec.family is None or spec.backend == "serial":
+        servable = _names(s for s in _ROWS if s.family and s.backend != "serial")
+        raise ValueError(
+            f"serving runs on the task-DAG engines only ({servable} — or "
+            f"backend={sorted(BACKENDS)}), not {spec.name!r}"
+        )
+    return spec, kwargs
+
+
+def engine_table():
+    """The engine table as GitHub-flavoured markdown, one line per row:
+    name (other spelling), family, backend, accepted options — generated,
+    so the docs cannot drift from the callables."""
+    lines = ["| engine | family | backend | accepted options |", "|---|---|---|---|"]
+    for spec in _ROWS:
+        also = [n for n, s in ENGINES.items() if s is spec and n != spec.name]
+        label = f"`{spec.name}`" + "".join(f" (`{n}`)" for n in also)
+        options = ", ".join(f"`{o}`" for o in sorted(spec.accepts))
+        lines.append(f"| {label} | {spec.family or '—'} | {spec.backend} | {options} |")
+    return "\n".join(lines)
+
+
+__doc__ += "\n" + engine_table() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +294,9 @@ class SolveModeSpec:
 SOLVE_MODES = {
     spec.name: spec
     for spec in (
-        SolveModeSpec("serial", False,
-                      "one supernode after another (the historical sweeps)"),
-        SolveModeSpec("level", True,
-                      "elimination-tree level schedule on the threaded "
-                      "task-graph runtime; accepts workers="),
-        SolveModeSpec("gpu", False,
-                      "offloaded sweeps: the forward/backward solve graphs "
-                      "on the simulated-GPU stream backend; accepts "
-                      "devices=", offload=True),
+        SolveModeSpec("serial", False, "one supernode after another (the historical sweeps)"),
+        SolveModeSpec("level", True, "level schedule on the task-graph runtime; accepts workers="),
+        SolveModeSpec("gpu", False, "solve graphs on GPU streams; accepts devices=", offload=True),
     )
 }
 
@@ -322,7 +311,5 @@ def get_solve_mode(name):
     (listing the valid names) when unknown."""
     spec = SOLVE_MODES.get(name)
     if spec is None:
-        raise ValueError(
-            f"unknown solve mode {name!r}; choose from {solve_mode_names()}"
-        )
+        raise ValueError(f"unknown solve mode {name!r}; choose from {solve_mode_names()}")
     return spec

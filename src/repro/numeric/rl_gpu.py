@@ -16,68 +16,64 @@ Per offloaded supernode ``J`` the schedule is exactly the paper's:
 Supernodes with panels below the size threshold take the CPU-only RL path
 (host BLAS + assembly at the configured host thread count).
 
-Both halves of the per-supernode work exist as standalone *task bodies*
-(:func:`rl_cpu_snode`, :func:`rl_gpu_snode`) shared by this serial engine
-and the DAG-scheduled stream engine of :mod:`repro.numeric.gpu_dag` — the
-kernel pipeline exists exactly once, the two engines differ only in who
-schedules it.  The ``scatter(s, U)`` callback seam is what varies: the
-serial engine assembles the update matrix directly
-(:func:`repro.numeric.rl.assemble_update`), the DAG engine routes the same
-per-ancestor runs through an ordered committer and returns the released
-task ids.
+The two halves of the per-supernode work are the *task bodies*
+:func:`rl_cpu_snode` and :func:`rl_gpu_snode`; the coarse task graph of
+:mod:`repro.numeric.gpu_dag` schedules them (engine ``rl_gpu``), so the
+kernel pipeline exists exactly once.  The ``scatter(s, U)`` callback seam
+delivers the update matrix: the graph routes the per-ancestor runs through
+an ordered committer, charges the one host assembly pass and returns the
+released task ids.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from .rl import factor_snode, snode_update
 
-from ..dense import kernels as dk
-from ..gpu.costmodel import MachineModel
-from ..gpu.device import SimulatedGpu, Timeline
-from .result import FactorizeResult, GpuCostAccumulator
-from .rl import assemble_update, update_workspace_entries
-from .storage import FactorStorage
-from .threshold import DEFAULT_DEVICE_MEMORY, DEFAULT_RL_THRESHOLD, \
-    gpu_snode_mask
+__all__ = ["charge_cpu_kernel", "cpu_factor_snode", "rl_cpu_snode",
+           "rl_gpu_snode"]
 
-__all__ = ["factorize_rl_gpu", "rl_cpu_snode", "rl_gpu_snode"]
+
+def charge_cpu_kernel(machine, timeline, cpu_t, acc, itemsize, kind,
+                      m=0, n=0, k=0):
+    """Charge one host BLAS call: its modeled seconds at ``cpu_t`` threads
+    on ``timeline``'s host clock, its dilated work on ``acc``."""
+    timeline.advance_cpu(
+        machine.cpu_kernel_seconds(kind, m, n, k, threads=cpu_t,
+                                   itemsize=itemsize),
+        label="cpu_blas")
+    acc.kernel(kind, m, n, k)
+
+
+def cpu_factor_snode(symb, storage, s, machine, timeline, cpu_t, acc):
+    """CPU-path factor body of one supernode (RL and RLB alike): the serial
+    engines' :func:`~repro.numeric.rl.factor_snode` with its POTRF + TRSM
+    charged on the host clock; returns ``(panel, w, b)``."""
+    panel, w, b = factor_snode(symb, storage, s)
+    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
+                      "potrf", n=w)
+    if b:
+        charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
+                          "trsm", m=b, n=w)
+    return panel, w, b
 
 
 def rl_cpu_snode(symb, storage, s, machine, timeline, cpu_t, W, scatter,
                  acc):
-    """CPU-path task body of one RL supernode: host POTRF + TRSM + SYRK
-    (into the ``W`` workspace) charged on ``timeline``'s host clock at
-    ``cpu_t`` threads, then ``scatter(s, U)`` delivers the update matrix.
+    """CPU-path task body of one RL supernode: :func:`cpu_factor_snode`,
+    then the serial engine's :func:`~repro.numeric.rl.snode_update` (into
+    the ``W`` workspace) charged the same way, then ``scatter(s, U)``
+    delivers the update matrix.
 
-    ``scatter`` owns assembly *and its charging* (so the serial engine and
-    the DAG runtime can differ in how updates land) and returns the task
-    ids it released — forwarded to the caller.
+    ``scatter`` owns assembly *and its charging* and returns the task ids
+    it released — forwarded to the caller.
     """
-    panel = storage.panel(s)
-    m, w = symb.panel_shape(s)
-    b = m - w
-    isz = panel.itemsize
-    dk.potrf(panel[:w, :w])
-    timeline.advance_cpu(
-        machine.cpu_kernel_seconds("potrf", n=w, threads=cpu_t,
-                                   itemsize=isz),
-        label="cpu_blas")
-    acc.kernel("potrf", n=w)
+    panel, w, b = cpu_factor_snode(symb, storage, s, machine, timeline,
+                                   cpu_t, acc)
     if not b:
         return ()
-    dk.trsm_right(panel[w:, :w], panel[:w, :w])
-    timeline.advance_cpu(
-        machine.cpu_kernel_seconds("trsm", m=b, n=w, threads=cpu_t,
-                                   itemsize=isz),
-        label="cpu_blas")
-    acc.kernel("trsm", m=b, n=w)
-    U = W[:b, :b]
-    dk.syrk_lower(panel[w:, :w], out=U)
-    timeline.advance_cpu(
-        machine.cpu_kernel_seconds("syrk", n=b, k=w, threads=cpu_t,
-                                   itemsize=isz),
-        label="cpu_blas")
-    acc.kernel("syrk", n=b, k=w)
+    U = snode_update(symb, storage, s, W=W)
+    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
+                      "syrk", n=b, k=w)
     return scatter(s, U)
 
 
@@ -89,10 +85,11 @@ def rl_gpu_snode(symb, storage, s, gpu, scatter, acc, *,
     callback) → free.
 
     ``ready`` optionally gates the H2D on a task-DAG ready time (the
-    multi-device dispatcher model); the host-driven serial schedule
-    already dominates it.  Raises
-    :class:`~repro.gpu.device.DeviceOutOfMemory` exactly where the
-    hand-rolled schedule does.  Returns whatever ``scatter`` returned
+    multi-device dispatcher model; at one host-coupled device the host
+    clock already dominates it).  Raises
+    :class:`~repro.gpu.device.DeviceOutOfMemory` when the panel or the
+    update matrix exceeds free device memory — the paper's nlpkkt120
+    failure mode.  Returns whatever ``scatter`` returned
     (released task ids; ``()`` without below rows).
     """
     panel = storage.panel(s)
@@ -121,69 +118,3 @@ def rl_gpu_snode(symb, storage, s, gpu, scatter, acc, *,
     gpu.wait(panel_back)
     gpu.free(dbuf)
     return newly
-
-
-def factorize_rl_gpu(symb, A, *, machine=None,
-                     threshold=DEFAULT_RL_THRESHOLD,
-                     device_memory=DEFAULT_DEVICE_MEMORY,
-                     device=None, async_panel_d2h=True, dtype=None):
-    """RL with large supernodes offloaded to the (simulated) GPU.
-
-    Raises :class:`~repro.gpu.device.DeviceOutOfMemory` when a panel or
-    update matrix exceeds free device memory — the paper's nlpkkt120
-    failure mode.  Pass ``threshold=0`` for the paper's "GPU only" variant
-    (every BLAS call on the device).  ``threshold`` is in *dilated* panel
-    entries, i.e. directly comparable to the paper's 600,000.
-
-    ``async_panel_d2h=False`` is an ablation switch: the factored-panel
-    transfer becomes a host-blocking copy issued at the same point of the
-    schedule, removing the overlap with the SYRK that the paper's step 3
-    ("this second transfer is asynchronous") buys.
-    """
-    machine = machine or MachineModel()
-    gpu = device or SimulatedGpu(device_memory, machine=machine,
-                                 timeline=Timeline())
-    timeline = gpu.timeline
-    cpu_t = machine.gpu_run_cpu_threads
-    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    itemsize = storage.itemsize
-    bmax = int(np.sqrt(update_workspace_entries(symb))) if symb.nsup else 0
-    W = (np.zeros((bmax, bmax), dtype=storage.dtype, order="F")
-         if bmax else None)
-    offload = gpu_snode_mask(symb, threshold, machine=machine)
-    acc = GpuCostAccumulator(machine, itemsize=itemsize)
-
-    def scatter(s, U):
-        # serial assembly: one scatter pass over every ancestor run
-        # (``moved`` is fp64-normalized; rescale to actual bytes)
-        moved = assemble_update(symb, storage, s, U)
-        timeline.advance_cpu(
-            machine.assembly_seconds(moved * itemsize / 8.0,
-                                     threads=cpu_t, itemsize=itemsize),
-            label="assembly")
-        acc.assembly(moved)
-        return ()
-
-    on_gpu = 0
-    for s in range(symb.nsup):
-        if not offload[s]:
-            # small supernode: the whole chain stays on the CPU
-            rl_cpu_snode(symb, storage, s, machine, timeline, cpu_t, W,
-                         scatter, acc)
-            continue
-        # large supernode: the paper's three-transfer GPU schedule
-        on_gpu += 1
-        rl_gpu_snode(symb, storage, s, gpu, scatter, acc,
-                     async_panel_d2h=async_panel_d2h)
-    return FactorizeResult(
-        method="rl_gpu",
-        storage=storage,
-        modeled_seconds=timeline.elapsed(),
-        total_snodes=symb.nsup,
-        snodes_on_gpu=on_gpu,
-        gpu_stats=gpu.stats,
-        flops=acc.flops,
-        kernel_count=acc.kernel_count,
-        assembly_bytes=acc.assembly_bytes,
-        extra={"threshold": threshold, "device_memory": gpu.capacity},
-    )

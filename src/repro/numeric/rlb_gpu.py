@@ -22,29 +22,28 @@ are memoised on the symbolic factor (see :func:`repro.symbolic.blocks
 refactorization repeats none of the structural bookkeeping.
 
 As in :mod:`repro.numeric.rl_gpu`, the pipeline pieces are standalone *task
-bodies* (:func:`rlb_cpu_factor` / :func:`rlb_cpu_pair` /
-:func:`rlb_gpu_factor` / :func:`rlb_gpu_pair` / :func:`rlb_drain_pair`)
-shared between this serial engine and the fine-granularity DAG stream
-engine of :mod:`repro.numeric.gpu_dag`; the ``commit(bi, bj, u)`` callback
-seam decides whether a drained pair update lands directly
-(:func:`_apply_pair_result`, serial) or through an ordered committer (DAG).
+bodies* (:func:`rlb_cpu_pair` / :func:`rlb_gpu_factor` /
+:func:`rlb_gpu_pair` / :func:`rlb_drain_pair`).
+**Version 2** is the fine task graph of :mod:`repro.numeric.gpu_dag`
+scheduling them (engine ``rlb_gpu_v2``); **version 1** — the paper's
+negative result, one batched transfer per supernode and no per-pair task to
+schedule — keeps its serial loop here (:func:`factorize_rlb_gpu_v1`).
 """
 
 from __future__ import annotations
 
-from ..dense import kernels as dk
 from ..gpu.costmodel import MachineModel
 from ..gpu.device import SimulatedGpu, Timeline
 from ..symbolic.blocks import snode_blocks
 from .result import FactorizeResult, GpuCostAccumulator
-from .rlb import block_pair_targets, compute_block_pair
+from .rl_gpu import charge_cpu_kernel, cpu_factor_snode
+from .rlb import commit_block_pair, compute_block_pair
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY, DEFAULT_RLB_THRESHOLD, \
     gpu_snode_mask
 
 __all__ = [
-    "factorize_rlb_gpu",
-    "rlb_cpu_factor",
+    "factorize_rlb_gpu_v1",
     "rlb_cpu_pair",
     "rlb_gpu_factor",
     "rlb_gpu_pair",
@@ -52,55 +51,18 @@ __all__ = [
 ]
 
 
-def _apply_pair_result(symb, storage, u, bi, bj):
-    """Subtract a computed pair-update ``u`` into the owner's panel; returns
-    bytes moved (raw)."""
-    p, row_off, col_off = block_pair_targets(symb, bi, bj)
-    target = storage.panel(p)
-    nj = bj.length
-    ni = bi.length
-    target[row_off:row_off + nj, col_off:col_off + ni] -= u[:nj, :ni]
-    return 2 * 8 * ni * nj
-
-
-def rlb_cpu_factor(symb, storage, s, machine, timeline, cpu_t, acc):
-    """CPU factor body of one RLB supernode (host POTRF + TRSM, charged on
-    the host clock); returns ``(panel, w, b)``."""
-    panel = storage.panel(s)
-    m, w = symb.panel_shape(s)
-    b = m - w
-    isz = panel.itemsize
-    dk.potrf(panel[:w, :w])
-    timeline.advance_cpu(
-        machine.cpu_kernel_seconds("potrf", n=w, threads=cpu_t,
-                                   itemsize=isz),
-        label="cpu_blas")
-    acc.kernel("potrf", n=w)
-    if b:
-        dk.trsm_right(panel[w:, :w], panel[:w, :w])
-        timeline.advance_cpu(
-            machine.cpu_kernel_seconds("trsm", m=b, n=w, threads=cpu_t,
-                                       itemsize=isz),
-            label="cpu_blas")
-        acc.kernel("trsm", m=b, n=w)
-    return panel, w, b
-
-
 def rlb_cpu_pair(panel, w, bi, bj, machine, timeline, cpu_t, acc):
     """CPU pair body: compute one block pair's update on the host (charged
     at ``cpu_t`` threads); returns the dense update ``u`` — committing it
-    is the caller's (direct in-place for the serial engine, ordered for
-    the DAG runtime)."""
+    is the caller's (direct in-place for the version-1 loop, ordered for
+    the task graph)."""
     u = compute_block_pair(panel, w, bi, bj)
     if bj is bi:
-        kind, km, kn, kk = "syrk", 0, bi.length, w
+        kind, km = "syrk", 0
     else:
-        kind, km, kn, kk = "gemm", bj.length, bi.length, w
-    timeline.advance_cpu(
-        machine.cpu_kernel_seconds(kind, m=km, n=kn, k=kk, threads=cpu_t,
-                                   itemsize=panel.itemsize),
-        label="cpu_blas")
-    acc.kernel(kind, km, kn, kk)
+        kind, km = "gemm", bj.length
+    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize, kind,
+                      km, bi.length, w)
     return u
 
 
@@ -157,25 +119,19 @@ def rlb_drain_pair(gpu, machine, cpu_t, acc, item, commit):
     return newly
 
 
-def factorize_rlb_gpu(symb, A, *, version=2, machine=None,
-                      threshold=DEFAULT_RLB_THRESHOLD,
-                      device_memory=DEFAULT_DEVICE_MEMORY,
-                      device=None, inflight=2, dtype=None):
-    """RLB with large supernodes offloaded to the (simulated) GPU.
+def factorize_rlb_gpu_v1(symb, A, *, machine=None,
+                         threshold=DEFAULT_RLB_THRESHOLD,
+                         device_memory=DEFAULT_DEVICE_MEMORY,
+                         device=None, dtype=None):
+    """RLB version 1 (engine ``rlb_gpu_v1``): large supernodes offloaded to
+    the (simulated) GPU, every pair's update matrix held on the device
+    until one *batched* D2H returns them all.
 
-    Parameters
-    ----------
-    version:
-        1 (batched update transfer) or 2 (per-block transfer; the paper's
-        Table II method).
-    threshold:
-        Dilated panel entries below which a supernode stays on the CPU
-        (directly comparable to the paper's 750,000).
-    inflight:
-        Device buffers in flight for version 2 (double buffering).
+    ``threshold`` is in dilated panel entries (directly comparable to the
+    paper's 750,000); supernodes below it run plain RLB on the host.
+    ``device`` is an existing :class:`~repro.gpu.device.SimulatedGpu` to
+    run on (overrides ``device_memory``).
     """
-    if version not in (1, 2):
-        raise ValueError("version must be 1 or 2")
     machine = machine or MachineModel()
     gpu = device or SimulatedGpu(device_memory, machine=machine,
                                  timeline=Timeline())
@@ -185,74 +141,50 @@ def factorize_rlb_gpu(symb, A, *, version=2, machine=None,
     itemsize = storage.itemsize
     offload = gpu_snode_mask(symb, threshold, machine=machine)
     acc = GpuCostAccumulator(machine, itemsize=itemsize)
-
-    def commit_direct(bi, bj, u):
-        _apply_pair_result(symb, storage, u, bi, bj)
-        return ()
-
     on_gpu = 0
     for s in range(symb.nsup):
-        if not offload[s]:
-            # CPU path: plain RLB with direct in-place updates
-            panel, w, b = rlb_cpu_factor(symb, storage, s, machine,
-                                         timeline, cpu_t, acc)
-            if not b:
-                continue
-            blocks = snode_blocks(symb, s)
-            for i, bi in enumerate(blocks):
-                for bj in blocks[i:]:
-                    u = rlb_cpu_pair(panel, w, bi, bj, machine, timeline,
-                                     cpu_t, acc)
-                    _apply_pair_result(symb, storage, u, bi, bj)
-            continue
-        # GPU path
-        on_gpu += 1
-        panel, w, dbuf, panel_back = rlb_gpu_factor(symb, storage, s, gpu,
-                                                    acc)
         blocks = snode_blocks(symb, s)
         pairs = [(bi, bj)
                  for i, bi in enumerate(blocks) for bj in blocks[i:]]
-        if version == 1:
-            bufs = []
+        if not offload[s]:
+            # CPU path: plain RLB with direct in-place updates
+            panel, w, _ = cpu_factor_snode(symb, storage, s, machine,
+                                           timeline, cpu_t, acc)
             for bi, bj in pairs:
-                bufs.append(rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc))
-            if bufs:
-                # one batched transfer of all update matrices (§III v1)
-                raw_total = sum(u.array.nbytes for u in bufs)
-                timeline.advance_cpu(gpu.launch_overhead_s)
-                done = timeline.enqueue_copy(
-                    machine.transfer_seconds(raw_total, itemsize),
-                    ready=max(u.ready for u in bufs),
-                )
-                gpu.stats.d2h_bytes += machine.scaled_bytes(raw_total,
-                                                            itemsize)
-                gpu.stats.transfers += 1
-                timeline.wait_cpu_until(done)
-                for ubuf, (bi, bj) in zip(bufs, pairs):
-                    moved = _apply_pair_result(
-                        symb, storage, ubuf.array, bi, bj)
-                    timeline.advance_cpu(
-                        machine.assembly_seconds(moved * itemsize / 8.0,
-                                                 threads=cpu_t,
-                                                 itemsize=itemsize),
-                        label="assembly")
-                    acc.assembly(moved)
-                    gpu.free(ubuf)
-        else:
-            in_flight = []  # (handle, ubuf, bi, bj)
-            for bi, bj in pairs:
-                if len(in_flight) >= inflight:
-                    rlb_drain_pair(gpu, machine, cpu_t, acc,
-                                   in_flight.pop(0), commit_direct)
-                ubuf = rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc)
-                in_flight.append((gpu.d2h_async(ubuf), ubuf, bi, bj))
-            while in_flight:
-                rlb_drain_pair(gpu, machine, cpu_t, acc,
-                               in_flight.pop(0), commit_direct)
+                u = rlb_cpu_pair(panel, w, bi, bj, machine, timeline,
+                                 cpu_t, acc)
+                commit_block_pair(symb, storage, bi, bj, u)
+            continue
+        on_gpu += 1
+        panel, w, dbuf, panel_back = rlb_gpu_factor(symb, storage, s, gpu,
+                                                    acc)
+        bufs = [rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc)
+                for bi, bj in pairs]
+        if bufs:
+            # one batched transfer of all update matrices (§III v1)
+            raw_total = sum(u.array.nbytes for u in bufs)
+            timeline.advance_cpu(gpu.launch_overhead_s)
+            done = timeline.enqueue_copy(
+                machine.transfer_seconds(raw_total, itemsize),
+                ready=max(u.ready for u in bufs),
+            )
+            gpu.stats.d2h_bytes += machine.scaled_bytes(raw_total, itemsize)
+            gpu.stats.transfers += 1
+            timeline.wait_cpu_until(done)
+            for ubuf, (bi, bj) in zip(bufs, pairs):
+                commit_block_pair(symb, storage, bi, bj, ubuf.array)
+                moved = 2 * 8 * bi.length * bj.length  # fp64-normalized
+                timeline.advance_cpu(
+                    machine.assembly_seconds(moved * itemsize / 8.0,
+                                             threads=cpu_t,
+                                             itemsize=itemsize),
+                    label="assembly")
+                acc.assembly(moved)
+                gpu.free(ubuf)
         gpu.wait(panel_back)
         gpu.free(dbuf)
     return FactorizeResult(
-        method=f"rlb_gpu_v{version}",
+        method="rlb_gpu_v1",
         storage=storage,
         modeled_seconds=timeline.elapsed(),
         total_snodes=symb.nsup,
@@ -261,6 +193,5 @@ def factorize_rlb_gpu(symb, A, *, version=2, machine=None,
         flops=acc.flops,
         kernel_count=acc.kernel_count,
         assembly_bytes=acc.assembly_bytes,
-        extra={"threshold": threshold, "device_memory": gpu.capacity,
-               "version": version},
+        extra={"threshold": threshold, "device_memory": gpu.capacity},
     )

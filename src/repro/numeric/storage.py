@@ -12,7 +12,7 @@ factorizations, so the index arithmetic lives in a reusable
 :class:`ScatterPlan`: one ``searchsorted`` pass over the whole matrix maps
 every stored entry of ``A`` to a flat position inside its supernode panel.
 The plan is memoised on the symbolic factor, so same-pattern refactorization
-(:meth:`repro.solve.driver.CholeskySolver.refactorize`) does no index work
+(:meth:`repro.api.SymbolicPlan.factorize` on new values) does no index work
 at all — only a bulk value scatter per panel.
 
 Precision

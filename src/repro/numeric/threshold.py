@@ -95,7 +95,7 @@ def scaled_panel_entries_array(machine, entries):
     ``σ = dilation^frac``) so the two paths agree to the last ulp of
     ``log`` — a supernode would have to land within one ``np.log`` vs
     ``math.log`` rounding of the threshold for the vectorized mask to
-    disagree with the scalar consumers (planner, breakdown, multigpu).
+    disagree with the scalar consumers (planner, breakdown).
     """
     e = np.asarray(entries, dtype=np.float64)
     lo, hi = machine.entries_lo, machine.entries_hi

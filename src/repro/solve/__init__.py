@@ -1,5 +1,5 @@
-"""Solve layer: supernodal triangular solves, the high-level solver driver,
-and iterative refinement."""
+"""Solve layer: supernodal triangular solves (serial, level-scheduled and
+offloaded) and iterative refinement."""
 
 from .triangular import (
     forward_solve,
@@ -20,7 +20,6 @@ from .gpu_solve import (
     solve_flops,
 )
 from .sparse_rhs import solve_reach, forward_solve_sparse
-from .driver import CholeskySolver
 from .refine import RefinementResult, refine, relative_residual
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "solve_flops",
     "solve_reach",
     "forward_solve_sparse",
-    "CholeskySolver",
     "RefinementResult",
     "refine",
     "relative_residual",

@@ -31,9 +31,8 @@ def relative_residual(A, x, b):
     """Relative residual ``||b - A x|| / ||b||`` (infinity norm; for block
     right-hand sides the max of the *per-column* relative residuals).
 
-    The one residual convention shared by :func:`refine`,
-    :meth:`repro.api.Factor.residual_norm` and the legacy
-    :meth:`~repro.solve.driver.CholeskySolver.residual_norm`.
+    The one residual convention shared by :func:`refine` and
+    :meth:`repro.api.Factor.residual_norm`.
     """
     b = np.asarray(b, dtype=np.float64)
     return _relative_residual_norm(b, b - A.matvec(x))

@@ -93,10 +93,9 @@ def permutation_gather(A, perm):
     """Data-gather index of the symmetric permutation.
 
     Returns ``g`` with ``symmetric_permute(A, perm).data == A.data[g]`` —
-    the permuted matrix's values are a pure gather of the original's.  The
-    solver driver caches this to push new numeric values through a fixed
-    ordering without redoing any structural work
-    (:meth:`repro.solve.driver.CholeskySolver.update_values`).
+    the permuted matrix's values are a pure gather of the original's.
+    :class:`repro.api.SymbolicPlan` caches this to push new numeric values
+    through a fixed ordering without redoing any structural work.
     """
     order, _, _ = _permuted_entries(A, perm)
     return order

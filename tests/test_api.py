@@ -1,8 +1,7 @@
 """Staged ``plan → Factor`` pipeline API tests.
 
-Covers the :mod:`repro.api` redesign: stage-object equivalence with the
-legacy ``CholeskySolver`` facade, error paths (pattern mismatch, unknown
-engine, workers on serial engines), ``Factor`` conveniences (``logdet``,
+Covers :mod:`repro.api`: error paths (pattern mismatch, unknown engine,
+workers on serial engines), ``Factor`` conveniences (``logdet``,
 ``diag``, ``solve_refined``, ``residual_norm``) and batched same-pattern
 serving — bit-identity of :meth:`SymbolicPlan.factorize_batch` factors
 against a serial ``refactorize`` loop, and non-SPD propagation with the
@@ -13,9 +12,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import Factor, FactorBatch, SymbolicPlan
+from repro.api import FactorBatch, SymbolicPlan
 from repro.dense.kernels import NotPositiveDefiniteError
-from repro.solve.driver import CholeskySolver
 from repro.sparse import SymmetricCSC, grid_laplacian
 
 
@@ -142,14 +140,6 @@ class TestFactor:
         factor = base_plan.factorize(value_batch[0], engine="rl")
         assert np.array_equal(factor.matrix.data, value_batch[0])
 
-    def test_matches_legacy_solver_bitwise(self, base_matrix, value_batch):
-        plan = repro.plan(base_matrix)
-        factor = plan.factorize(value_batch[0], engine="rlb")
-        solver = CholeskySolver(base_matrix, method="rlb")
-        res = solver.refactorize(value_batch[0])
-        for p, q in zip(factor.storage.panels, res.storage.panels):
-            assert np.array_equal(p, q)
-
 
 class TestErrorPaths:
     def test_pattern_mismatch_rejected(self, base_plan):
@@ -170,9 +160,10 @@ class TestErrorPaths:
             base_plan.factorize_batch(value_batch, engine="lu")
 
     def test_workers_rejected_for_serial_engine(self, base_plan):
-        with pytest.raises(ValueError, match="threaded"):
+        message = "workers= is not accepted by engine 'rl'; accepted by: .*rl_par"
+        with pytest.raises(ValueError, match=message):
             base_plan.factorize(engine="rl", workers=2)
-        with pytest.raises(ValueError, match="threaded"):
+        with pytest.raises(ValueError, match=message):
             base_plan.factorize_batch([None], engine="rl", workers=2)
 
     def test_batch_pattern_mismatch_rejected(self, base_plan, value_batch):
@@ -202,11 +193,9 @@ class TestFactorizeBatch:
         batch = plan.factorize_batch(value_batch, engine=engine, workers=4)
         assert isinstance(batch, FactorBatch)
         assert len(batch) == len(value_batch)
-        solver = CholeskySolver(base_matrix,
-                                method="rl" if engine == "rl_par" else "rlb")
-        solver.factorize()
+        serial = "rl" if engine == "rl_par" else "rlb"
         for i, data in enumerate(value_batch):
-            ref = solver.refactorize(data)
+            ref = plan.factorize(data, engine=serial)
             assert len(batch[i].storage.panels) == len(ref.storage.panels)
             for p, q in zip(batch[i].storage.panels, ref.storage.panels):
                 assert np.array_equal(p, q)
@@ -315,15 +304,6 @@ class TestImmutability:
         assert not hasattr(factor, "refactorize")
         with pytest.raises(AttributeError):
             factor.result = None  # __slots__ + property: read-only
-
-    def test_facade_exposes_staged_factor(self, base_matrix):
-        solver = CholeskySolver(base_matrix, method="rl")
-        assert solver.factor is None
-        solver.factorize()
-        assert isinstance(solver.factor, Factor)
-        assert solver.factor.result is solver.result
-        solver.update_values(base_matrix.data.copy())
-        assert solver.factor is None  # stale factor dropped with result
 
 
 class TestPricedOnce:

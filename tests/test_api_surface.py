@@ -1,7 +1,7 @@
 """Tier-1 API-surface guard: every documented public name must import.
 
-``docs/api.md`` documents the staged pipeline and the legacy facade; this
-test pins that surface so a refactor cannot silently drop a documented
+``docs/api.md`` documents the staged pipeline; this test pins that
+surface so a refactor cannot silently drop a documented
 name from ``repro`` (or from the subpackage homes the docs reference).
 """
 
@@ -19,7 +19,6 @@ DOCUMENTED_TOP_LEVEL = [
     "Factor",
     "FactorBatch",
     "ServingSession",
-    "CholeskySolver",
     "analyze",
     "pattern_fingerprint",
     "SymmetricCSC",
@@ -32,7 +31,6 @@ DOCUMENTED_TOP_LEVEL = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "factorize_rl_multigpu",
     "factorize_multifrontal",
     "rank1_update",
     "rank_k_update",
@@ -65,6 +63,8 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "solve_mode_names"),
     ("repro.numeric.registry", "BACKENDS"),
     ("repro.numeric.registry", "backend_engine"),
+    ("repro.numeric.registry", "resolve"),
+    ("repro.numeric.registry", "engine_table"),
     ("repro.numeric", "factorize_executor_batch"),
     ("repro.numeric", "factorize_gpu_dag"),
     ("repro.numeric", "factorize_hybrid"),
@@ -91,7 +91,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.blas_limits", "BLAS_ENV_VARS"),
     ("repro.numeric.blas_limits", "limit_blas_threads"),
     ("repro.numeric.blas_limits", "pinned_blas_env"),
-    ("repro.solve", "CholeskySolver"),
     ("repro.solve", "solve_factored"),
     ("repro.solve", "solve_factored_gpu_dag"),
     ("repro.solve", "solve_offload_estimate"),
@@ -181,24 +180,80 @@ def test_subpackage_name_importable(module, name):
 
 
 def test_registry_consistency():
-    """Every registered engine must resolve through get_engine under its
-    own name, with a known kind."""
+    """Every registered engine resolves through get_engine; a row's second
+    spelling is the same object; rows with a family are unique on
+    (family, backend)."""
     from repro.numeric.registry import ENGINES, engine_names, get_engine
 
     assert engine_names() == sorted(ENGINES)
+    rows = {}
     for name, spec in ENGINES.items():
         assert get_engine(name) is spec
-        assert spec.name == name
+        assert ENGINES[spec.name] is spec
         assert callable(spec.fn)
-        assert spec.kind in (
-            "cpu", "threaded", "gpu", "stream", "hybrid", "process",
+        assert spec.family in ("rl", "rlb", None)
+        assert spec.backend in (
+            "serial", "threads", "gpu", "hybrid", "process",
         )
+        rows[spec.name] = spec
+    columns = [(s.family, s.backend) for s in rows.values() if s.family]
+    assert len(columns) == len(set(columns))
+    assert ENGINES["rl_gpu_dag"] is ENGINES["rl_gpu"]
+    assert ENGINES["rlb_gpu_dag"] is ENGINES["rlb_gpu_v2"]
+
+
+def test_accepts_is_read_off_the_signature():
+    """``EngineSpec.accepts`` is computed, not typed in: a throw-away
+    callable's keywords show up without touching any table."""
+    from repro.numeric.registry import EngineSpec
+
+    def engine(symb, A, *, knob=1, granularity="coarse", dtype=None):
+        return None
+
+    spec = EngineSpec("throwaway", engine, fixed={"granularity": "fine"})
+    assert spec.accepts == {"knob", "dtype"}
 
 
 def test_facade_methods_is_registry_view():
-    """CholeskySolver and the registry share one engine table."""
-    from repro.numeric import registry
-    from repro.solve import driver
+    """The registry is the only engine table: the deprecated facade, its
+    ``METHODS`` view and the reference multi-device loop are gone
+    (docs/api.md, "Removed")."""
+    import repro.numeric
+    import repro.solve
 
-    assert driver.ENGINES is registry.ENGINES
-    assert "METHODS" not in registry.__all__ + repro.solve.__all__
+    for mod, name in ((repro, "CholeskySolver"),
+                      (repro.solve, "CholeskySolver"),
+                      (repro, "factorize_rl_multigpu"),
+                      (repro.numeric, "factorize_rl_multigpu")):
+        assert not hasattr(mod, name)
+    assert "METHODS" not in repro.numeric.registry.__all__ + repro.solve.__all__
+
+
+@pytest.mark.parametrize("path", ["docs/backends.md", "README.md"])
+def test_engine_table_in_docs_is_generated(path):
+    """The engine table in the docs is ``registry.engine_table()`` output,
+    not a hand-kept copy; the registry's own docstring ends with it."""
+    import pathlib
+
+    from repro.numeric import registry
+
+    text = (pathlib.Path(__file__).parent.parent / path).read_text()
+    begin, end = "<!-- engine-table:begin -->\n", "\n<!-- engine-table:end -->"
+    block = text[text.index(begin) + len(begin):text.index(end)]
+    assert block == registry.engine_table()
+    assert registry.__doc__.endswith(registry.engine_table() + "\n")
+
+
+def test_version_has_one_source():
+    """pyproject.toml reads ``repro.__version__``; it states no version of
+    its own."""
+    import pathlib
+
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parent.parent
+    config = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"}
+    assert (root / config["project"]["readme"]).exists()

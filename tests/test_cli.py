@@ -81,10 +81,10 @@ class TestCommands:
         assert main(["factorize", SMALL, "--workers", "2",
                      "--threshold", "0"]) == 2
         err = capsys.readouterr().err
-        assert "--workers must be >= 1" in err
-        assert "threaded, hybrid and process engines" in err
+        assert "workers must be >= 1" in err
+        assert "workers= is not accepted by engine 'rl'" in err
         assert "conflicts" in err
-        assert "--threshold" in err
+        assert "threshold= is not accepted by engine 'rl_par'" in err
 
     def test_factorize_gpu_with_gantt_and_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.json"

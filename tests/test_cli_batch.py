@@ -62,10 +62,10 @@ class TestBatchCommand:
         assert main(["batch", SMALL, "--engine", "rl", "--workers", "2"]) == 2
         err = capsys.readouterr().err
         assert "--batch must be >= 1" in err
-        assert "--workers must be >= 1" in err
+        assert "workers must be >= 1" in err
         assert "--rhs must be >= 1" in err
         assert "unknown engine" in err
-        assert "threaded, hybrid and process engines" in err
+        assert "workers= is not accepted by engine 'rl'" in err
 
     def test_batch_parser_defaults(self):
         args = build_parser().parse_args(["batch", "x"])
@@ -147,7 +147,7 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert "task-DAG engines only" in err
         assert "--count must be >= 1" in err
-        assert "--workers must be >= 1" in err
+        assert "workers must be >= 1" in err
         assert "unknown engine" in err
 
     def test_parser_defaults(self):

@@ -1,0 +1,179 @@
+"""Every door gives the registry's answer.
+
+A request names an engine and some options; ``registry.resolve`` decides
+whether that engine takes them.  This module walks every registered engine
+× a set of options through every place a request enters —
+``plan.factorize``, ``plan.factorize_batch``, ``plan.serve`` and the CLI's
+``factorize`` / ``batch`` / ``serve`` commands — and asserts they all give
+the *same* outcome: the request runs, or ONE ``ValueError`` naming the
+option and the engine (exit code 2 with that message on stderr).
+"""
+
+import numpy as np
+import pytest
+
+import repro
+from repro.cli import main
+from repro.gpu import Tracer
+from repro.numeric.procpool import close_default_pools
+from repro.numeric.registry import ENGINES, resolve
+from repro.sparse import grid_laplacian
+from repro.sparse.io import write_matrix_market
+
+#: option -> a valid value for it (``bogus`` is a keyword no engine has)
+OPTIONS = {
+    "workers": 1,
+    "devices": 1,
+    "threshold": 0,
+    "dtype": np.float32,
+    "tracer": None,  # a fresh Tracer per request
+    "granularity": "fine",
+    "bogus": 1,
+}
+
+#: the options each CLI command spells as a flag
+CLI_FLAGS = {
+    "workers": ["--workers", "1"],
+    "devices": ["--devices", "1"],
+    "threshold": ["--threshold", "0"],
+    "dtype": ["--dtype", "fp32"],
+}
+
+#: What the parent commit's ``kind`` / ``supports_dtype`` rules allowed, per
+#: engine, out of {workers, devices, threshold, dtype, tracer} — typed in
+#: here as the independent record; ``rl_gpu`` / ``rlb_gpu_v2`` now also take
+#: ``devices`` and ``tracer`` (they are the stream rows).
+_CPU = {"dtype"}
+_PAR = {"workers", "dtype", "tracer"}
+_STREAM = {"devices", "threshold", "dtype", "tracer"}
+_HYBRID = _STREAM | {"workers"}
+CAPABILITIES = {
+    "rl": _CPU, "rlb": _CPU,
+    "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
+    "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM,
+    "rl_gpu_dag": _STREAM, "rlb_gpu_dag": _STREAM,
+    "rl_hybrid": _HYBRID, "rlb_hybrid": _HYBRID,
+    "rlb_gpu_v1": {"threshold", "dtype"},
+    "left_looking": set(), "multifrontal": set(),
+    "left_looking_gpu": {"threshold"}, "multifrontal_gpu": {"threshold"},
+}
+
+
+@pytest.fixture(scope="module")
+def plan():
+    yield repro.plan(grid_laplacian((4, 4)))
+    close_default_pools()
+
+
+@pytest.fixture(scope="module")
+def matrix_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("doors") / "grid.mtx"
+    write_matrix_market(path, grid_laplacian((4, 4)))
+    return str(path)
+
+
+def _value(option):
+    return Tracer() if option == "tracer" else OPTIONS[option]
+
+
+def _outcome(call):
+    """``None`` when the request ran, else the ValueError's message."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _servable(spec):
+    return spec.family is not None and spec.backend != "serial"
+
+
+def test_capabilities_are_the_parents():
+    assert set(CAPABILITIES) == set(ENGINES)
+    for name, spec in ENGINES.items():
+        got = spec.accepts & {"workers", "devices", "threshold", "dtype",
+                              "tracer"}
+        assert got == CAPABILITIES[name], name
+
+
+@pytest.mark.parametrize("option", sorted(OPTIONS))
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_api_doors_agree(plan, name, option):
+    spec = ENGINES[name]
+    want = _outcome(lambda: resolve(name, **{option: _value(option)}))
+    if option in spec.accepts:
+        assert want is None
+    else:
+        assert f"{option}=" in want and repr(spec.name) in want
+
+    got = _outcome(
+        lambda: plan.factorize(engine=name, **{option: _value(option)}))
+    assert got == want, "plan.factorize"
+    got = _outcome(lambda: plan.factorize_batch(
+        [None, None], engine=name, **{option: _value(option)}))
+    assert got == want, "plan.factorize_batch"
+
+    if option not in ("workers", "devices", "threshold", "dtype"):
+        return  # serve() spells only these four
+    got = _outcome(
+        lambda: plan.serve(engine=name, **{option: _value(option)}).close())
+    if want is None and not _servable(spec):
+        assert "task-DAG engines only" in got and repr(spec.name) in got
+    else:
+        assert got == want, "plan.serve"
+
+
+@pytest.mark.parametrize("option", sorted(CLI_FLAGS))
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_cli_doors_agree(matrix_file, capsys, name, option):
+    spec = ENGINES[name]
+    want = _outcome(lambda: resolve(name, **{option: OPTIONS[option]}))
+    commands = {
+        "factorize": ["factorize", matrix_file, "--method", name],
+        "batch": ["batch", matrix_file, "--engine", name, "--batch", "2"],
+        "serve": ["serve", matrix_file, "--engine", name, "--stream",
+                  "--count", "2"],
+    }
+    if option == "threshold":
+        del commands["batch"]  # no --threshold flag there
+    for command, argv in commands.items():
+        code = main(argv + CLI_FLAGS[option])
+        err = capsys.readouterr().err
+        if want is not None:
+            assert (code, err.strip()) == (2, want), command
+        elif command == "serve" and not _servable(spec):
+            assert code == 2 and "task-DAG engines only" in err
+        else:
+            assert code == 0, (command, err)
+
+
+def test_the_doors_disagreed_at_the_parent(plan):
+    """The three requests whose outcome depended on the door: a bare
+    ``TypeError`` from the engine, another from the batch runtime, and a
+    "multiple values" collision with the row's fixed keyword."""
+    with pytest.raises(ValueError, match="threshold= is not accepted by "
+                                         "engine 'rl'; accepted by: .*rl_gpu"):
+        plan.factorize(engine="rl", threshold=1)
+    with pytest.raises(ValueError, match="threshold= is not accepted by "
+                                         "engine 'rl_par'"):
+        plan.factorize_batch([None], engine="rl_par", threshold=0)
+    with pytest.raises(ValueError, match="granularity= is fixed by engine "
+                                         "'rl_par'"):
+        plan.factorize(engine="rl_par", granularity="fine")
+    with pytest.raises(ValueError, match="unknown engine"):
+        repro.numeric.registry.serial_twin("nonsense")
+
+
+def test_invalid_counts_and_dtypes_are_rejected_once(plan):
+    from repro.dense.kernels import UnsupportedDtypeError
+
+    for door in (plan.factorize,
+                 lambda **kw: plan.factorize_batch([None], **kw),
+                 lambda **kw: plan.serve(**kw).close()):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            door(engine="rl_par", workers=0)
+        with pytest.raises(ValueError, match="devices must be >= 1"):
+            door(engine="rl_gpu", devices=0)
+        with pytest.raises(UnsupportedDtypeError):
+            door(engine="rlb_par", dtype=np.float16)

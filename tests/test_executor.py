@@ -6,13 +6,13 @@ symbolic-cache fast path under refactorization."""
 import numpy as np
 import pytest
 
+import repro
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import (
     factorize_executor,
     factorize_rl_cpu,
     factorize_rlb_cpu,
 )
-from repro.solve.driver import CholeskySolver
 from repro.sparse import grid_laplacian, random_spd, tridiagonal
 from repro.symbolic import analyze
 from tests.conftest import assert_factor_matches, assert_same_report
@@ -125,10 +125,10 @@ class TestSolverIntegration:
     @pytest.mark.parametrize("method", ["rl_par", "rlb_par"])
     def test_solve_through_driver(self, method):
         A = grid_laplacian((6, 5, 3))
-        solver = CholeskySolver(A, method=method, factor_kwargs={"workers": 3})
+        factor = repro.plan(A).factorize(engine=method, workers=3)
         x_true = np.arange(1, A.n + 1, dtype=np.float64)
         b = A.matvec(x_true)
-        x = solver.solve(b)
+        x = factor.solve(b)
         assert np.allclose(x, x_true, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -137,16 +137,16 @@ class TestSolverIntegration:
     )
     def test_refactorize_reuses_executor_plan(self, method, plan_key):
         A = grid_laplacian((6, 5, 3))
-        solver = CholeskySolver(A, method=method, factor_kwargs={"workers": 2})
-        solver.factorize()
-        plan = solver.system.symb.cache()[plan_key]
+        splan = repro.plan(A)
+        splan.factorize(engine=method, workers=2)
+        plan = splan.symb.cache()[plan_key]
         rng = np.random.default_rng(3)
         data = A.data * (1.0 + 0.01 * rng.random(A.data.size))
         data[A.indptr[:-1]] += 0.5
-        res = solver.refactorize(data)
+        res = splan.factorize(data, engine=method, workers=2).result
         # the DAG plan (and everything beneath it) must be reused, not rebuilt
-        assert solver.system.symb.cache()[plan_key] is plan
+        assert splan.symb.cache()[plan_key] is plan
         serial = SERIAL["coarse" if method == "rl_par" else "fine"](
-            solver.system.symb, solver.system.matrix
+            splan.symb, splan._permuted_matrix(data)
         )
         assert_same_panels(res, serial)

@@ -16,7 +16,6 @@ from repro.numeric import (
     factorize_multifrontal_gpu,
     factorize_rl_cpu,
     factorize_rl_gpu,
-    factorize_rl_multigpu,
     factorize_rlb_cpu,
     factorize_rlb_gpu,
 )
@@ -35,8 +34,8 @@ ALL_ENGINES = [
      dict(version=2, device_memory=10 ** 13)),
     ("ll_gpu", factorize_left_looking_gpu, dict(device_memory=10 ** 13)),
     ("mf_gpu", factorize_multifrontal_gpu, dict(device_memory=10 ** 13)),
-    ("rl_multigpu", factorize_rl_multigpu,
-     dict(num_devices=2, device_memory=10 ** 13)),
+    ("rl_multigpu", factorize_rl_gpu,
+     dict(devices=2, device_memory=10 ** 13)),
 ]
 
 

@@ -559,7 +559,7 @@ def test_gateway_tracer_spans_and_counters(base_matrix):
 
 
 # ---------------------------------------------------------------------------
-# unified plan.serve kwargs + facade deprecation
+# unified plan.serve kwargs
 # ---------------------------------------------------------------------------
 def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
     plan = repro.plan(base_matrix)
@@ -575,15 +575,6 @@ def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
     ref = plan.factorize(engine="rlb_gpu_dag")
     assert all(np.array_equal(p, q) for p, q in
                zip(f.storage.panels, ref.result.storage.panels))
-
-
-def test_cholesky_solver_deprecated_but_working(base_matrix):
-    with pytest.warns(DeprecationWarning, match="staged pipeline"):
-        solver = repro.CholeskySolver(base_matrix, method="rl")
-    x = solver.solve(np.ones(base_matrix.n))
-    ref = repro.plan(base_matrix).factorize(engine="rl").solve(
-        np.ones(base_matrix.n))
-    assert np.array_equal(x, ref)
 
 
 def test_plan_api_emits_no_deprecation_warning(base_matrix):

@@ -110,13 +110,12 @@ class TestMemoryBehaviour:
         assert v2.gpu_stats.peak_memory <= rl.gpu_stats.peak_memory * 1.01
 
     def test_all_memory_released(self, system):
-        from repro.gpu import SimulatedGpu, Timeline
+        from repro.numeric import GpuStreamBackend
 
-        gpu = SimulatedGpu(BIG_MEM, machine=MachineModel(),
-                           timeline=Timeline())
-        factorize_rl_gpu(system.symb, system.matrix, device=gpu,
+        backend = GpuStreamBackend(device_memory=BIG_MEM)
+        factorize_rl_gpu(system.symb, system.matrix, backend=backend,
                          threshold=0)
-        assert gpu.used == 0
+        assert backend.gpus[0].used == 0
 
 
 class TestScheduleStatistics:

@@ -254,9 +254,8 @@ class TestRegistryAndApi:
     def test_engine_specs(self):
         for name in ("rl_hybrid", "rlb_hybrid"):
             spec = get_engine(name)
-            assert spec.kind == "hybrid"
-            assert spec.is_hybrid
-            assert not spec.is_threaded and not spec.is_stream
+            assert spec.backend == "hybrid"
+            assert {"workers", "devices", "threshold"} <= spec.accepts
         assert serial_twin("rl_hybrid") == "rl"
         assert serial_twin("rlb_hybrid") == "rlb"
 

@@ -8,6 +8,7 @@ pipeline.
 
 import numpy as np
 import pytest
+import repro
 from hypothesis import given, settings, strategies as st
 
 from repro.numeric import (
@@ -17,7 +18,7 @@ from repro.numeric import (
     factorize_rlb_cpu,
     factorize_rlb_gpu,
 )
-from repro.solve import CholeskySolver, solve_factored
+from repro.solve import solve_factored
 from repro.sparse import (
     anisotropic_laplacian,
     arrow_matrix,
@@ -69,9 +70,9 @@ def test_solve_residuals_small(matrix):
     rng = np.random.default_rng(99)
     x_true = rng.standard_normal(A.n)
     b = A.matvec(x_true)
-    solver = CholeskySolver(A, method="rl")
-    x = solver.solve(b)
-    assert solver.residual_norm(x, b) < 1e-10
+    factor = repro.plan(A).factorize(engine="rl")
+    x = factor.solve(b)
+    assert factor.residual_norm(x, b) < 1e-10
 
 
 class TestHypothesisPipeline:

@@ -96,11 +96,11 @@ class TestOffloadBehaviour:
 
 class TestSolverIntegration:
     def test_driver_method(self):
-        from repro import CholeskySolver
+        import repro
 
         A = grid_laplacian((6, 6, 2))
         rng = np.random.default_rng(7)
         b = rng.standard_normal(A.n)
-        solver = CholeskySolver(A, method="left_looking_gpu")
-        x = solver.solve(b)
-        assert solver.residual_norm(x, b) < 1e-10
+        factor = repro.plan(A).factorize(engine="left_looking_gpu")
+        x = factor.solve(b)
+        assert factor.residual_norm(x, b) < 1e-10

@@ -163,11 +163,11 @@ class TestMultifrontalGpu:
 class TestSolverIntegration:
     @pytest.mark.parametrize("method", ["multifrontal", "multifrontal_gpu"])
     def test_solver_driver(self, method):
-        from repro import CholeskySolver
+        import repro
 
         A = grid_laplacian((6, 6, 2))
         rng = np.random.default_rng(5)
         b = rng.standard_normal(A.n)
-        solver = CholeskySolver(A, method=method)
-        x = solver.solve(b)
-        assert solver.residual_norm(x, b) < 1e-10
+        factor = repro.plan(A).factorize(engine=method)
+        x = factor.solve(b)
+        assert factor.residual_norm(x, b) < 1e-10

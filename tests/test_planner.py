@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpu import DeviceOutOfMemory, MachineModel, SimulatedGpu
-from repro.gpu.device import Timeline
+from repro.gpu import DeviceOutOfMemory
 from repro.numeric import (
     DEFAULT_DEVICE_MEMORY,
     factorize_multifrontal_gpu,
@@ -26,10 +25,8 @@ def system():
 
 
 def measured_peak(system, fn, **kwargs):
-    machine = MachineModel()
-    gpu = SimulatedGpu(BIG, machine=machine, timeline=Timeline())
-    fn(system.symb, system.matrix, machine=machine, device=gpu, **kwargs)
-    return gpu.stats.peak_memory
+    res = fn(system.symb, system.matrix, device_memory=BIG, **kwargs)
+    return res.gpu_stats.peak_memory
 
 
 class TestPredictions:

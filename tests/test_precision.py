@@ -128,7 +128,9 @@ class TestDtypeValidation:
             repro.plan(base_matrix).factorize(dtype=np.complex128)
 
     def test_api_rejects_non_lane_engine(self, base_matrix):
-        with pytest.raises(ValueError, match="RL/RLB"):
+        with pytest.raises(ValueError,
+                           match="dtype= is not accepted by engine "
+                                 "'left_looking'"):
             repro.plan(base_matrix).factorize(engine="left_looking",
                                               dtype=np.float32)
 

@@ -227,9 +227,9 @@ class TestBackendSeam:
                                        "fine": "rlb_proc"}
         for name in ("rl_proc", "rlb_proc"):
             spec = get_engine(name)
-            assert spec.kind == "process"
-            assert spec.is_process
-            assert not (spec.is_threaded or spec.is_hybrid)
+            assert spec.backend == "process"
+            assert "workers" in spec.accepts
+            assert "devices" not in spec.accepts
         assert serial_twin("rl_proc") == "rl"
         assert serial_twin("rlb_proc") == "rlb"
 

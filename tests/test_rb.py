@@ -138,7 +138,7 @@ class TestReader:
 
 class TestPipelineIntegration:
     def test_rb_file_through_full_solver(self, tmp_path):
-        from repro import CholeskySolver
+        import repro
 
         A = grid_laplacian((8, 8))
         path = tmp_path / "grid.rb"
@@ -146,6 +146,6 @@ class TestPipelineIntegration:
         B = read_rutherford_boeing(path)
         rng = np.random.default_rng(2)
         b = rng.standard_normal(B.n)
-        solver = CholeskySolver(B, method="rl_gpu")
-        x = solver.solve(b)
-        assert solver.residual_norm(x, b) < 1e-10
+        factor = repro.plan(B).factorize(engine="rl_gpu")
+        x = factor.solve(b)
+        assert factor.residual_norm(x, b) < 1e-10

@@ -1,13 +1,14 @@
-"""Solve-layer tests: triangular solves, the driver, iterative refinement."""
+"""Solve-layer tests: triangular solves, end-to-end solves through every
+engine, iterative refinement."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import repro
 from repro.numeric import factorize_rl_cpu
 from repro.numeric.registry import engine_names
 from repro.solve import (
-    CholeskySolver,
     backward_solve,
     forward_solve,
     refine,
@@ -77,48 +78,41 @@ class TestTriangularSolves:
 
 
 class TestCholeskySolver:
+    """End-to-end ``plan → factorize → solve`` through every engine."""
+
     @pytest.mark.parametrize("method", engine_names())
     def test_all_methods_solve(self, method):
         A = vector_stencil((4, 4, 3), 3, seed=9)
         rng = np.random.default_rng(3)
         x_true = rng.standard_normal(A.n)
         b = A.matvec(x_true)
-        kw = {}
-        if "gpu" in method:
-            kw = {"factor_kwargs": {"device_memory": 10 ** 15}}
-        solver = CholeskySolver(A, method=method, **kw)
-        x = solver.solve(b)
+        kw = {"device_memory": 10 ** 15} if "gpu" in method else {}
+        factor = repro.plan(A).factorize(engine=method, **kw)
+        x = factor.solve(b)
         assert np.allclose(x, x_true, atol=1e-7)
-        assert solver.residual_norm(x, b) < 1e-10
+        assert factor.residual_norm(x, b) < 1e-10
 
     def test_unknown_method(self, small_grid):
-        with pytest.raises(ValueError, match="unknown method"):
-            CholeskySolver(small_grid, method="lu")
-
-    def test_lazy_pipeline(self, small_grid):
-        solver = CholeskySolver(small_grid)
-        assert solver.system is None and solver.result is None
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal(small_grid.n)
-        solver.solve(b)
-        assert solver.system is not None and solver.result is not None
-
-    def test_analyze_options_forwarded(self, small_grid):
-        solver = CholeskySolver(
-            small_grid,
-            analyze_kwargs={"ordering": "mindeg", "merge": False,
-                            "refine": False},
-        )
-        solver.analyze()
-        assert solver.system.nsup >= 1
+        with pytest.raises(ValueError, match="unknown engine"):
+            repro.plan(small_grid).factorize(engine="lu")
 
     def test_repeated_solves_reuse_factor(self, small_grid):
-        solver = CholeskySolver(small_grid)
-        rng = np.random.default_rng(5)
-        solver.solve(rng.standard_normal(small_grid.n))
-        result_ref = solver.result
-        solver.solve(rng.standard_normal(small_grid.n))
-        assert solver.result is result_ref
+        """Solving never touches the factor: same result object, panels
+        bit-unchanged, same answer the second time."""
+        factor = repro.plan(small_grid).factorize()
+        result_ref = factor.result
+        panels = [p.copy() for p in factor.storage.panels]
+        b = np.random.default_rng(5).standard_normal(small_grid.n)
+        x = factor.solve(b)
+        assert np.array_equal(factor.solve(b), x)
+        assert factor.result is result_ref
+        assert all(np.array_equal(p, q)
+                   for p, q in zip(factor.storage.panels, panels))
+
+    def test_analyze_options_forwarded(self, small_grid):
+        plan = repro.plan(small_grid, ordering="mindeg", merge=False,
+                          refine=False)
+        assert plan.nsup >= 1
 
 
 class TestRefinement:

@@ -7,8 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.gpu import LANES, MachineModel, SimulatedGpu, Tracer
-from repro.gpu.device import Timeline
+from repro.gpu import LANES, Tracer
 from repro.numeric import factorize_rl_gpu, factorize_rlb_gpu
 from repro.sparse import grid_laplacian
 from repro.symbolic import analyze
@@ -21,11 +20,8 @@ def system():
 
 def traced_run(system, fn=factorize_rl_gpu, **kwargs):
     tracer = Tracer()
-    machine = MachineModel()
-    gpu = SimulatedGpu(10 ** 12, machine=machine,
-                       timeline=Timeline(tracer=tracer))
-    res = fn(system.symb, system.matrix, machine=machine, device=gpu,
-             threshold=0, **kwargs)
+    res = fn(system.symb, system.matrix, tracer=tracer,
+             device_memory=10 ** 12, threshold=0, **kwargs)
     return tracer, res
 
 
