@@ -15,10 +15,9 @@ sweeps, over two serving-shaped workloads:
 Every parallel solution is verified **bit-identical** to the serial sweep
 (the solve-side determinism contract).  Exits non-zero when the BEST
 speedup over the ``workers x workload`` sweep falls below ``--min-speedup``
-(default: the ``BENCH_SOLVE_MIN_SPEEDUP`` env var, else 1.3) so CI can run
-it as a loud perf-regression guard and relax the bar on noisy/low-core
-shared runners without editing the workflow — gating on the best
-configuration hedges against runners where per-task dispatch overhead
+(default 1.3; a local floor — CI tracks the level-scheduled solve through
+the end-to-end per-layer ``solve.level_w2_s``) — gating on the best
+configuration hedges against boxes where per-task dispatch overhead
 dominates (same protocol as ``bench_executor.py`` / ``bench_batch.py``).
 Each row also prints the absolute milliseconds and the runtime overhead per
 task, ``(parallel - serial) / tasks`` in microseconds (a full solve is two
@@ -32,8 +31,8 @@ bit-identity contract across worker counts and repeated runs — the CI
 ``determinism`` job's solve-side extension.
 
 Run:  PYTHONPATH=src python benchmarks/bench_solve_parallel.py
-      BENCH_SOLVE_MIN_SPEEDUP=1.05 PYTHONPATH=src \\
-          python benchmarks/bench_solve_parallel.py --shape 20,20,8   # CI
+      PYTHONPATH=src python benchmarks/bench_solve_parallel.py \\
+          --shape 20,20,6 --determinism-only        # CI determinism gate
 """
 
 from __future__ import annotations
@@ -94,9 +93,9 @@ def main(argv=None):
     ap.add_argument(
         "--min-speedup",
         type=float,
-        default=float(os.environ.get("BENCH_SOLVE_MIN_SPEEDUP", "1.3")),
+        default=1.3,
         help="fail when the best parallel-vs-serial solve speedup is "
-             "below this (env default: BENCH_SOLVE_MIN_SPEEDUP)",
+             "below this",
     )
     args = ap.parse_args(argv)
 

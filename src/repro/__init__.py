@@ -77,6 +77,7 @@ from .numeric import (
     rank1_update,
     rank_k_update,
 )
+from .numeric import WorkerDiedError
 from .numeric import plan as memory_plan
 from .numeric.registry import ENGINES, engine_names, get_engine
 from .dense import NotPositiveDefiniteError
@@ -106,6 +107,7 @@ __all__ = [
     "engine_names",
     "get_engine",
     "NotPositiveDefiniteError",
+    "WorkerDiedError",
     "factorize_rl_cpu",
     "factorize_rlb_cpu",
     "factorize_rl_gpu",

@@ -37,6 +37,7 @@ from .gpu_dag import (
 from .procpool import (
     ProcessBackend,
     ProcessPool,
+    WorkerDiedError,
     factorize_process,
     default_process_pool,
     close_default_pools,
@@ -127,6 +128,7 @@ __all__ = [
     "HybridBackend",
     "ProcessBackend",
     "ProcessPool",
+    "WorkerDiedError",
     "factorize_process",
     "default_process_pool",
     "close_default_pools",

@@ -22,25 +22,34 @@ Two properties are load-bearing:
   until their turn.  Factors are therefore bit-identical for any worker
   count, including ``workers=1`` and the serial engines themselves.
 
-The task DAG and all index structures (assembly plans, block lists, block
-pair offsets) are memoised on :meth:`SymbolicFactor.cache`, so repeated
-same-pattern refactorization (``SymbolicPlan.factorize``) re-executes
-only the numeric kernels — the
-parallel path stays on the PR-1 fast path.
+**One plan, one pool.**  :func:`dag_plan` is the single static description
+of a task DAG per granularity (task ids, ordered-commit contract, roots,
+edges), memoised with all its index structures (assembly plans, block
+lists, block pair offsets) on :meth:`SymbolicFactor.cache`, so repeated
+same-pattern refactorization (``SymbolicPlan.factorize``) re-executes only
+the numeric kernels; the thread, process, stream and hybrid substrates all
+read it.  :class:`StreamPool` is the single threaded dispatch loop: a
+shared ready queue of ``(graph, task)`` entries drained by ``workers``
+threads, any number of graphs in flight, a failing graph (a non-SPD
+matrix) failing only its own ``on_error`` callback, never the pool.
 
-:func:`factorize_executor_batch` extends the runtime to batched
-multi-matrix serving: B same-pattern matrices run as B independent DAG
-instances (per-matrix storage and committer) draining one shared ready
-queue — the backend of :meth:`repro.api.SymbolicPlan.factorize_batch`.
+* :func:`run_task_graph` runs any static ``(ntasks, roots, run_task)``
+  triple as one graph on a transient pool and re-raises its first
+  exception — the runtime behind :class:`ThreadBackend`,
+  :func:`factorize_executor` and the level-scheduled triangular solves of
+  :mod:`repro.solve.triangular`;
+* :func:`factorize_executor_batch` submits B same-pattern matrices as B
+  graphs (per-matrix storage and committer, from
+  :func:`stream_factorize_job`) to one transient pool — the backend of
+  :meth:`repro.api.SymbolicPlan.factorize_batch`;
+* :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
+  keep one *persistent* pool alive and submit graphs as matrices arrive;
+* :class:`HybridBackend` runs its mixed CPU/GPU graph on the same pool,
+  with the GPU-placed tasks chained in a fixed order
+  (:meth:`HybridBackend.chain_gpu`).
 
-The runtime itself is task-graph agnostic: :func:`run_task_graph` executes
-any static ``(ntasks, roots, run_task)`` triple on a transient pool (the
-level-scheduled parallel triangular solves of :mod:`repro.solve.triangular`
-run through it), and :class:`StreamPool` keeps one *persistent* worker pool
-alive across graph submissions — the backend of the streaming
-:class:`repro.api.ServingSession`, where same-pattern matrices arrive one
-at a time instead of as a closed batch and a failing graph (a non-SPD
-matrix) fails only its own completion callback, never the pool.
+:class:`GpuStreamBackend` is not threaded at all: one host thread pops a
+priority heap, which is the paper's schedule.
 
 Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor` /
 :func:`factorize_executor_batch` records every task's measured start/stop
@@ -51,11 +60,13 @@ next to the *modeled* Gantt charts of :mod:`repro.numeric.schedule`
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 import threading
 import time
 from collections import deque
+from typing import NamedTuple
 
 from ..dense.kernels import NotPositiveDefiniteError
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
@@ -80,6 +91,7 @@ __all__ = [
     "StreamPool",
     "stream_factorize_job",
     "warm_executor_plan",
+    "dag_plan",
     "GRANULARITIES",
     "default_workers",
 ]
@@ -96,6 +108,13 @@ def default_workers():
     CPU baselines sweep small MKL thread counts; beyond that the Python
     dispatch layer, not BLAS, becomes the bottleneck)."""
     return max(1, min(4, os.cpu_count() or 1))
+
+
+def _resolve_workers(workers):
+    workers = default_workers() if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return workers
 
 
 class _TargetState:
@@ -184,503 +203,6 @@ class OrderedCommitter:
         return [target] if done else []
 
 
-class _ReadyQueue:
-    """Shared ready queue + completion/error bookkeeping for the pool."""
-
-    def __init__(self, ntasks):
-        self.cv = threading.Condition()
-        self.ready = deque()
-        self.outstanding = ntasks
-        self.error = None
-        self.stop = False
-
-    def seed(self, task_ids):
-        self.ready.extend(task_ids)
-
-    def worker(self, run_task):
-        while True:
-            with self.cv:
-                while not self.ready and not self.stop and self.outstanding:
-                    self.cv.wait()
-                if self.stop or not self.outstanding:
-                    return
-                tid = self.ready.popleft()
-            try:
-                newly = run_task(tid)
-            except BaseException as exc:
-                with self.cv:
-                    if self.error is None:
-                        self.error = exc
-                    self.stop = True
-                    self.cv.notify_all()
-                return
-            with self.cv:
-                self.outstanding -= 1
-                if newly:
-                    self.ready.extend(newly)
-                    self.cv.notify(len(newly))
-                if not self.outstanding:
-                    self.cv.notify_all()
-
-    def run(self, run_task, workers):
-        if self.outstanding:
-            threads = [
-                threading.Thread(
-                    target=self.worker,
-                    args=(run_task,),
-                    name=f"repro-exec-{i}",
-                    daemon=True,
-                )
-                for i in range(workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        if self.error is not None:
-            raise self.error
-
-
-def run_task_graph(ntasks, roots, run_task, workers):
-    """Execute one static task graph on a transient shared-ready-queue pool.
-
-    ``run_task(tid)`` performs task ``tid`` and returns the task ids it
-    released; ``roots`` are the initially ready tasks.  The pool is sized
-    ``min(workers, ntasks)`` (more threads than tasks can never help) and
-    torn down when the graph drains; the first task exception aborts the
-    run and is re-raised.  This is the generic runtime behind
-    :func:`factorize_executor` and the parallel triangular sweeps of
-    :mod:`repro.solve.triangular`.
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    queue = _ReadyQueue(ntasks)
-    queue.seed(roots)
-    queue.run(run_task, max(1, min(workers, ntasks)))
-
-
-class Backend:
-    """A scheduling substrate for static task DAGs.
-
-    The runtime above (plans, committers, task bodies) is substrate
-    agnostic: anything that can execute a ``(ntasks, roots, run_task)``
-    triple to completion is a backend.  Three substrates ship:
-
-    * :class:`ThreadBackend` — real worker threads on a shared ready queue
-      (measured wall-clock parallelism; the PR-2 runtime);
-    * :class:`GpuStreamBackend` — a deterministic dispatcher driving the
-      simulated GPU's compute stream and DMA copy engines (modeled-time
-      parallelism; the substrate of :mod:`repro.numeric.gpu_dag` and the
-      solve offload of :mod:`repro.solve.gpu_solve`);
-    * :class:`HybridBackend` — both at once: one DAG whose tasks carry a
-      per-task *placement*, CPU-placed tasks draining through real worker
-      threads while GPU-placed tasks dispatch onto the modeled streams.
-
-    ``priority`` optionally orders ready-task selection for backends that
-    schedule deterministically; backends with scheduling freedom (threads)
-    may ignore it.
-
-    ``placement`` is the per-task placement protocol of the seam:
-    ``placement(tid) -> bool`` returns True for tasks bound to the modeled
-    GPU lanes and False for tasks bound to the measured CPU lanes.  The
-    single-substrate backends accept and ignore it (every task runs on
-    their one substrate); :class:`HybridBackend` routes by it.
-    """
-
-    name = "abstract"
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None, placement=None):
-        """Execute one static task graph to completion.  ``run_task(tid)``
-        performs task ``tid`` and returns the task ids it released."""
-        raise NotImplementedError
-
-
-class ThreadBackend(Backend):
-    """The shared-ready-queue worker-pool substrate (PR 2).
-
-    A transient pool of ``workers`` threads per graph — exactly
-    :func:`run_task_graph`, packaged behind the :class:`Backend` seam.
-    Ready-task order is whatever the pool pops; determinism comes from the
-    ordered committers, not the schedule, so ``priority`` is ignored, and
-    every task runs on a worker thread, so ``placement`` is too.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers=None):
-        self.workers = default_workers() if workers is None else int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None, placement=None):
-        run_task_graph(ntasks, roots, run_task, self.workers)
-
-
-class _StreamLanes:
-    """Simulated-device state shared by the stream-scheduling backends.
-
-    Owns the modeled host :class:`~repro.gpu.device.Timeline`, the
-    per-device :class:`~repro.gpu.device.SimulatedGpu` instances and the
-    placement/accounting queries (:meth:`place`, :meth:`elapsed`,
-    :meth:`device_busy_seconds`) that :class:`GpuStreamBackend` and
-    :class:`HybridBackend` have in common.  ``couple_single`` controls the
-    single-device clock discipline: a host-coupled timeline is the
-    paper's host-driven offload schedule (the stream backend's contract,
-    pinned by ``tests/test_gpu_golden.py``), while the hybrid backend always decouples so its modeled
-    lanes are named ``gpu0``/``copy_in0``/``copy_out0`` at any device
-    count and never serialize against measured CPU work.
-    """
-
-    def _init_streams(
-        self,
-        devices,
-        machine,
-        device_memory,
-        tracer,
-        launch_overhead_s,
-        *,
-        couple_single,
-    ):
-        devices = int(devices)
-        if devices < 1:
-            raise ValueError("devices must be >= 1")
-        self.devices = devices
-        self.machine = machine or MachineModel()
-        self.tracer = tracer
-        self.host = Timeline(tracer=tracer)
-        if devices == 1 and couple_single:
-            timelines = [self.host]
-        else:
-            timelines = [
-                DeviceTimeline(
-                    self.host,
-                    coupled=False,
-                    gpu_lane=f"gpu{k}",
-                    copy_in_lane=f"copy_in{k}",
-                    copy_out_lane=f"copy_out{k}",
-                )
-                for k in range(devices)
-            ]
-        self.gpus = [
-            SimulatedGpu(
-                device_memory,
-                machine=self.machine,
-                timeline=tl,
-                launch_overhead_s=launch_overhead_s,
-            )
-            for tl in timelines
-        ]
-        self.task_counts = [0] * devices
-
-    def place(self):
-        """Least-loaded placement: ``(device_index, SimulatedGpu)`` of the
-        device whose engines free up earliest (ties break to the lowest
-        index, keeping placement deterministic)."""
-
-        def load(k):
-            tl = self.gpus[k].timeline
-            return max(tl.gpu, tl.copy_in, tl.copy_out)
-
-        d = min(range(self.devices), key=load)
-        self.task_counts[d] += 1
-        return d, self.gpus[d]
-
-    def elapsed(self):
-        """Modeled wall-clock: the shared host clock joined with every
-        device engine (the host's final waits normally dominate)."""
-        t = self.host.cpu
-        for g in self.gpus:
-            tl = g.timeline
-            t = max(t, tl.gpu, tl.copy_in, tl.copy_out)
-        return t
-
-    def device_busy_seconds(self):
-        """Per-device compute-stream busy seconds (modeled)."""
-        return [g.stats.kernel_seconds for g in self.gpus]
-
-
-class GpuStreamBackend(_StreamLanes, Backend):
-    """Deterministic stream dispatcher over ``devices`` simulated GPUs.
-
-    Ready tasks are popped lowest-``priority``-first by ONE host thread
-    (the numerics of any task graph therefore execute in a fixed,
-    reproducible order — ascending task id by default, which for the
-    factorization DAGs is exactly the serial engines' elimination order).
-    Task bodies run their kernel pipelines against the backend's devices;
-    modeled time lands on the device timelines:
-
-    * ``devices == 1`` — the single device's :class:`~repro.gpu.device
-      .Timeline` is host-coupled, so a DAG engine's schedule is exactly
-      a serial host loop over the supernodes — the paper's (same factors,
-      same modeled seconds).
-    * ``devices > 1`` — every device gets its own
-      :class:`~repro.gpu.device.DeviceTimeline` sharing one host clock,
-      decoupled from host issue (``coupled=False``): device pipelines are
-      gated by engine availability and explicit task ready times (a
-      dispatcher thread issuing work out of band), placed least-loaded
-      by :meth:`place`.  Host-side work
-      (assembly, blocking waits) still serializes on the shared host
-      clock.
-
-    Device memory is byte-accounted per device by each
-    :class:`~repro.gpu.device.SimulatedGpu`;
-    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
-    caller.  Pass a
-    :class:`~repro.gpu.trace.Tracer` to record every modeled interval —
-    one ``gpu``/``copy_in``/``copy_out`` lane triple per device (suffixed
-    ``gpu0``, ``gpu1``, ... when ``devices > 1``) next to the shared
-    ``cpu`` lane, rendered by the same :mod:`repro.gpu.trace` outputs as
-    the thread-occupancy traces.
-    """
-
-    name = "gpu"
-
-    def __init__(
-        self,
-        *,
-        devices=1,
-        machine=None,
-        device_memory=DEFAULT_DEVICE_MEMORY,
-        tracer=None,
-        launch_overhead_s=2.0e-6,
-    ):
-        self._init_streams(
-            devices,
-            machine,
-            device_memory,
-            tracer,
-            launch_overhead_s,
-            couple_single=True,
-        )
-
-    # ------------------------------------------------------------------
-    def run_graph(self, ntasks, roots, run_task, *, priority=None, placement=None):
-        """Drain the graph deterministically: pop the ready task with the
-        lowest priority key, run it on this (single) host thread, push
-        whatever it released.  Raises ``RuntimeError`` on a graph that
-        deadlocks (a task never released)."""
-        key = priority if priority is not None else (lambda tid: tid)
-        heap = [(key(t), t) for t in roots]
-        heapq.heapify(heap)
-        done = 0
-        while heap:
-            _, tid = heapq.heappop(heap)
-            newly = run_task(tid)
-            done += 1
-            for t in newly or ():
-                heapq.heappush(heap, (key(t), t))
-        if done != ntasks:
-            raise RuntimeError(f"stream backend deadlock: ran {done} of {ntasks} tasks")
-
-
-class _HybridQueue:
-    """Two-lane ready state of the hybrid backend.
-
-    CPU-placed tasks land in a deque drained by real worker threads
-    (arbitrary order, like :class:`_ReadyQueue`); GPU-placed tasks land in
-    a ready *set* consumed by the single dispatcher thread, which walks
-    them in a fixed priority order so every modeled-time decision is
-    reproducible.  One condition variable covers both lanes plus the
-    completion/error bookkeeping.
-    """
-
-    def __init__(self, ntasks, placement):
-        self.cv = threading.Condition()
-        self.placement = placement
-        self.cpu_ready = deque()
-        self.gpu_ready = set()
-        self.outstanding = ntasks
-        self.error = None
-        self.stop = False
-
-    def route(self, task_ids):
-        """File released tasks into their placement lane (caller holds cv)."""
-        for t in task_ids:
-            if self.placement(t):
-                self.gpu_ready.add(t)
-            else:
-                self.cpu_ready.append(t)
-
-    def _fail(self, exc):
-        with self.cv:
-            if self.error is None:
-                self.error = exc
-            self.stop = True
-            self.cv.notify_all()
-
-    def _finish_one(self, newly):
-        with self.cv:
-            self.outstanding -= 1
-            if newly:
-                self.route(newly)
-            self.cv.notify_all()
-
-    def worker(self, run_task):
-        """CPU lane: pop any ready CPU task, run it, route its releases."""
-        while True:
-            with self.cv:
-                while not self.cpu_ready and not self.stop and self.outstanding:
-                    self.cv.wait()
-                if self.stop or not self.outstanding:
-                    return
-                tid = self.cpu_ready.popleft()
-            try:
-                newly = run_task(tid)
-            except BaseException as exc:
-                self._fail(exc)
-                return
-            self._finish_one(newly)
-
-    def dispatcher(self, run_task, gpu_order):
-        """GPU lane: execute ``gpu_order`` strictly in order, waiting for
-        each task to become ready.  Safe because in the factorization DAGs
-        every dependency of a GPU task has a strictly lower priority key
-        (sources precede targets; a supernode's factor precedes its
-        pairs), so the next task in order can never be blocked on a later
-        one.  Being the only thread that touches the simulated device
-        timelines, it makes the modeled GPU seconds run-to-run
-        deterministic no matter how the CPU workers interleave."""
-        for tid in gpu_order:
-            with self.cv:
-                while tid not in self.gpu_ready and not self.stop:
-                    self.cv.wait()
-                if self.stop:
-                    return
-                self.gpu_ready.discard(tid)
-            try:
-                newly = run_task(tid)
-            except BaseException as exc:
-                self._fail(exc)
-                return
-            self._finish_one(newly)
-
-
-class HybridBackend(_StreamLanes, Backend):
-    """Heterogeneous substrate: measured worker lanes + modeled stream lanes.
-
-    One task DAG, two execution substrates.  ``placement(tid)`` (passed to
-    :meth:`run_graph` by the hybrid graph builders of
-    :mod:`repro.numeric.gpu_dag`) splits the tasks: CPU-placed tasks run
-    real BLAS on ``workers`` threads exactly like :class:`ThreadBackend`
-    (wall-clock measured), GPU-placed tasks run the simulated-device
-    kernel pipelines of :class:`GpuStreamBackend` (modeled time on
-    ``devices`` stream/copy timelines).  Cross-placement dependencies flow
-    through the shared two-lane ready queue, and panel updates from both
-    substrates reduce through one :class:`OrderedCommitter` — so the
-    factors are bit-identical to the serial twin at any
-    ``(workers, devices)``.
-
-    All GPU-placed tasks execute on ONE dispatcher thread in a fixed
-    priority order, so the modeled clocks, least-loaded placement and
-    transfer accounting are deterministic even though the CPU side is
-    real concurrency.  The device timelines are always decoupled from the
-    host clock (``couple_single=False``): modeled lanes are named
-    ``gpu0``/``copy_in0``/``copy_out0`` from the first device up, and the
-    modeled host clock only advances for GPU-side assembly/drain work —
-    measured CPU task time is accounted separately by
-    :func:`repro.numeric.gpu_dag.factorize_hybrid`.
-
-    Without a ``placement`` the backend degrades to a plain thread pool,
-    so it can stand in anywhere a :class:`ThreadBackend` is expected.
-    """
-
-    name = "hybrid"
-
-    def __init__(
-        self,
-        *,
-        workers=None,
-        devices=1,
-        machine=None,
-        device_memory=DEFAULT_DEVICE_MEMORY,
-        tracer=None,
-        launch_overhead_s=2.0e-6,
-    ):
-        self.workers = default_workers() if workers is None else int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._init_streams(
-            devices,
-            machine,
-            device_memory,
-            tracer,
-            launch_overhead_s,
-            couple_single=False,
-        )
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None, placement=None):
-        if placement is None:
-            run_task_graph(ntasks, roots, run_task, self.workers)
-            return
-        key = priority if priority is not None else (lambda tid: tid)
-        gpu_order = sorted((t for t in range(ntasks) if placement(t)), key=key)
-        queue = _HybridQueue(ntasks, placement)
-        queue.route(roots)  # threads not started yet: no lock needed
-        ncpu = ntasks - len(gpu_order)
-        threads = [
-            threading.Thread(
-                target=queue.worker,
-                args=(run_task,),
-                name=f"repro-hybrid-{i}",
-                daemon=True,
-            )
-            for i in range(max(1, min(self.workers, ncpu)) if ncpu else 0)
-        ]
-        if gpu_order:
-            threads.append(
-                threading.Thread(
-                    target=queue.dispatcher,
-                    args=(run_task, gpu_order),
-                    name="repro-hybrid-gpu",
-                    daemon=True,
-                )
-            )
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if queue.error is not None:
-            raise queue.error
-
-
-def _traced_run(run_task, label_of, tracer, t0):
-    """Wrap ``run_task`` so every execution records a measured
-    ``(worker-thread lane, task label, start, stop)`` interval (seconds
-    since ``t0``) into ``tracer`` — the real-occupancy counterpart of the
-    modeled schedules."""
-
-    def run(tid):
-        start = time.perf_counter() - t0
-        try:
-            return run_task(tid)
-        finally:
-            tracer.record(
-                threading.current_thread().name,
-                label_of(tid),
-                start,
-                time.perf_counter() - t0,
-            )
-
-    return run
-
-
-def _task_label_fn(symb, granularity, prefix=""):
-    """Human-readable task labels for trace events (``snode:12``,
-    ``factor:3``, ``pair:7`` — pairs named by their source supernode)."""
-    nsup = symb.nsup
-    if granularity == "coarse":
-        return lambda tid: f"{prefix}snode:{tid}"
-    pairs, _, _, _ = _fine_plan(symb)
-
-    def label(tid):
-        if tid < nsup:
-            return f"{prefix}factor:{tid}"
-        return f"{prefix}pair:{pairs[tid - nsup][0]}"
-
-    return label
-
-
 class _StreamJob:
     """One task graph in flight on a :class:`StreamPool`."""
 
@@ -695,14 +217,14 @@ class _StreamJob:
 
 
 class StreamPool:
-    """Persistent shared-ready-queue worker pool for streaming serving.
+    """The shared-ready-queue worker pool: the one threaded dispatch loop.
 
-    Where :func:`run_task_graph` spins a pool up for one graph and tears it
-    down, a ``StreamPool`` keeps ``workers`` threads alive across any number
-    of :meth:`submit_graph` calls — task graphs arrive whenever the caller
-    has them (no closed batch) and all drain through one shared ready
-    queue, so the pool stays saturated across graph boundaries exactly as
-    :func:`factorize_executor_batch` does within a batch.
+    A ``StreamPool`` keeps ``workers`` threads alive across any number of
+    :meth:`submit_graph` calls — task graphs arrive whenever the caller has
+    them and all drain through one shared ready queue, so the pool stays
+    saturated across graph boundaries.  Streaming serving keeps one pool
+    for the session's life; :func:`run_task_graph` (one graph) and
+    :func:`factorize_executor_batch` (B graphs) open one for the call.
 
     Failure isolation: the first exception inside a graph marks *that*
     graph failed — its ``on_error`` callback fires once, its not-yet-run
@@ -717,10 +239,7 @@ class StreamPool:
     """
 
     def __init__(self, workers=None, *, name="repro-stream"):
-        workers = default_workers() if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+        self.workers = workers = _resolve_workers(workers)
         self._cv = threading.Condition()
         self._ready = deque()  # (job, tid)
         self._active = 0  # submitted graphs not yet completed/failed
@@ -741,8 +260,12 @@ class StreamPool:
         exception.  ``on_complete`` may itself submit a follow-up graph —
         the pool counts the current graph as active until the callback
         returns, so a chained submission can never race ``close`` into a
-        premature shutdown.
+        premature shutdown.  A non-empty graph without a root could never
+        start (and would wedge :meth:`close`), so it is refused here.
         """
+        roots = list(roots)
+        if ntasks and not roots:
+            raise ValueError("ntasks > 0 needs at least one root")
         job = _StreamJob(run_task, ntasks, on_complete, on_error)
         with self._cv:
             # a closed pool still accepts submissions while graphs are in
@@ -754,7 +277,6 @@ class StreamPool:
                 raise RuntimeError("pool is closed")
             self._active += 1
             if ntasks:
-                roots = list(roots)
                 self._ready.extend((job, t) for t in roots)
                 self._cv.notify(len(roots))
         if not ntasks:
@@ -852,75 +374,446 @@ class StreamPool:
                 self._finish(job)
 
 
-# NOTE: the static-plan/committer/closure helpers below (_coarse_plan,
-# _fine_plan, _build_committer, _assembly_closure, _pair_closure) are the
-# shared substrate of BOTH DAG backends — repro.numeric.gpu_dag builds the
-# stream engines' task graphs from them.  Renaming them is a cross-module
-# change.
-def _coarse_plan(symb):
-    """Static coarse-DAG plan, memoised on the symbolic factor.
+def _noop():
+    return None
 
-    Returns ``(expected, roots)`` where ``expected[p]`` maps each source
-    supernode updating ``p`` to its contribution-part count (always 1: RL
-    assembly delivers one run per (source, ancestor)), and ``roots`` are the
-    supernodes with no incoming updates (initially ready).  Building the
-    plan also pre-warms every ``assembly_plan`` so worker threads never
-    mutate the symbolic cache concurrently.
+
+def _run_on_pool(ntasks, roots, run_task, workers, name):
+    """One graph on a transient :class:`StreamPool` named ``name``, sized
+    ``min(workers, ntasks)`` (more threads than tasks can never help) and
+    torn down when the graph drains; the first task exception is
+    re-raised."""
+    errors = []
+    with StreamPool(max(1, min(workers, ntasks)), name=name) as pool:
+        pool.submit_graph(ntasks, roots, run_task, on_complete=_noop, on_error=errors.append)
+    if errors:
+        raise errors[0]
+
+
+def run_task_graph(ntasks, roots, run_task, workers):
+    """Execute one static task graph on a transient worker pool.
+
+    ``run_task(tid)`` performs task ``tid`` and returns the task ids it
+    released; ``roots`` are the initially ready tasks.  The graph is one
+    :meth:`StreamPool.submit_graph` on a pool of ``min(workers, ntasks)``
+    ``repro-exec-*`` threads; the first task exception drops the graph's
+    remaining tasks and is re-raised.  This is the generic runtime behind
+    :func:`factorize_executor` and the parallel triangular sweeps of
+    :mod:`repro.solve.triangular`.
+    """
+    _run_on_pool(ntasks, roots, run_task, _resolve_workers(workers), "repro-exec")
+
+
+class Backend:
+    """A scheduling substrate for static task DAGs.
+
+    The runtime above (plans, committers, task bodies) is substrate
+    agnostic: anything that can execute a ``(ntasks, roots, run_task)``
+    triple to completion is a backend.  Three substrates ship:
+
+    * :class:`ThreadBackend` — real worker threads on a shared ready queue
+      (measured wall-clock parallelism; the PR-2 runtime);
+    * :class:`GpuStreamBackend` — a deterministic dispatcher driving the
+      simulated GPU's compute stream and DMA copy engines (modeled-time
+      parallelism; the substrate of :mod:`repro.numeric.gpu_dag` and the
+      solve offload of :mod:`repro.solve.gpu_solve`);
+    * :class:`HybridBackend` — both at once: one DAG on one worker pool,
+      CPU-placed tasks running real BLAS while the GPU-placed tasks,
+      chained in a fixed order, charge the modeled streams.
+
+    ``priority`` optionally orders ready-task selection for backends that
+    schedule deterministically; backends with scheduling freedom (threads)
+    may ignore it.
+    """
+
+    name = "abstract"
+
+    def run_graph(self, ntasks, roots, run_task, *, priority=None):
+        """Execute one static task graph to completion.  ``run_task(tid)``
+        performs task ``tid`` and returns the task ids it released."""
+        raise NotImplementedError
+
+
+class ThreadBackend(Backend):
+    """The shared-ready-queue worker-pool substrate (PR 2).
+
+    A transient pool of ``workers`` threads per graph — exactly
+    :func:`run_task_graph`, packaged behind the :class:`Backend` seam.
+    Ready-task order is whatever the pool pops; determinism comes from the
+    ordered committers, not the schedule, so ``priority`` is ignored.
+    """
+
+    name = "threads"
+
+    def __init__(self, workers=None):
+        self.workers = _resolve_workers(workers)
+
+    def run_graph(self, ntasks, roots, run_task, *, priority=None):
+        run_task_graph(ntasks, roots, run_task, self.workers)
+
+
+class _StreamLanes:
+    """Simulated-device state shared by the stream-scheduling backends.
+
+    Owns the modeled host :class:`~repro.gpu.device.Timeline`, the
+    per-device :class:`~repro.gpu.device.SimulatedGpu` instances and the
+    placement/accounting queries (:meth:`place`, :meth:`elapsed`,
+    :meth:`device_busy_seconds`) that :class:`GpuStreamBackend` and
+    :class:`HybridBackend` have in common.  ``couple_single`` controls the
+    single-device clock discipline: a host-coupled timeline is the
+    paper's host-driven offload schedule (the stream backend's contract,
+    pinned by ``tests/test_gpu_golden.py``), while the hybrid backend always decouples so its modeled
+    lanes are named ``gpu0``/``copy_in0``/``copy_out0`` at any device
+    count and never serialize against measured CPU work.
+    """
+
+    couple_single = True
+
+    def __init__(
+        self,
+        *,
+        devices=1,
+        machine=None,
+        device_memory=DEFAULT_DEVICE_MEMORY,
+        tracer=None,
+        launch_overhead_s=2.0e-6,
+    ):
+        devices = int(devices)
+        if devices < 1:
+            raise ValueError("devices must be >= 1")
+        self.devices = devices
+        self.machine = machine or MachineModel()
+        self.tracer = tracer
+        self.host = Timeline(tracer=tracer)
+        if devices == 1 and self.couple_single:
+            timelines = [self.host]
+        else:
+            timelines = [
+                DeviceTimeline(
+                    self.host,
+                    coupled=False,
+                    gpu_lane=f"gpu{k}",
+                    copy_in_lane=f"copy_in{k}",
+                    copy_out_lane=f"copy_out{k}",
+                )
+                for k in range(devices)
+            ]
+        self.gpus = [
+            SimulatedGpu(
+                device_memory,
+                machine=self.machine,
+                timeline=tl,
+                launch_overhead_s=launch_overhead_s,
+            )
+            for tl in timelines
+        ]
+        self.task_counts = [0] * devices
+
+    def place(self):
+        """Least-loaded placement: ``(device_index, SimulatedGpu)`` of the
+        device whose engines free up earliest (ties break to the lowest
+        index, keeping placement deterministic)."""
+
+        def load(k):
+            tl = self.gpus[k].timeline
+            return max(tl.gpu, tl.copy_in, tl.copy_out)
+
+        d = min(range(self.devices), key=load)
+        self.task_counts[d] += 1
+        return d, self.gpus[d]
+
+    def elapsed(self):
+        """Modeled wall-clock: the shared host clock joined with every
+        device engine (the host's final waits normally dominate)."""
+        t = self.host.cpu
+        for g in self.gpus:
+            tl = g.timeline
+            t = max(t, tl.gpu, tl.copy_in, tl.copy_out)
+        return t
+
+    def device_busy_seconds(self):
+        """Per-device compute-stream busy seconds (modeled)."""
+        return [g.stats.kernel_seconds for g in self.gpus]
+
+
+class GpuStreamBackend(_StreamLanes, Backend):
+    """Deterministic stream dispatcher over ``devices`` simulated GPUs.
+
+    Ready tasks are popped lowest-``priority``-first by ONE host thread
+    (the numerics of any task graph therefore execute in a fixed,
+    reproducible order — ascending task id by default, which for the
+    factorization DAGs is exactly the serial engines' elimination order).
+    Task bodies run their kernel pipelines against the backend's devices;
+    modeled time lands on the device timelines:
+
+    * ``devices == 1`` — the single device's :class:`~repro.gpu.device
+      .Timeline` is host-coupled, so a DAG engine's schedule is exactly
+      a serial host loop over the supernodes — the paper's (same factors,
+      same modeled seconds).
+    * ``devices > 1`` — every device gets its own
+      :class:`~repro.gpu.device.DeviceTimeline` sharing one host clock,
+      decoupled from host issue (``coupled=False``): device pipelines are
+      gated by engine availability and explicit task ready times (a
+      dispatcher thread issuing work out of band), placed least-loaded
+      by :meth:`place`.  Host-side work
+      (assembly, blocking waits) still serializes on the shared host
+      clock.
+
+    Device memory is byte-accounted per device by each
+    :class:`~repro.gpu.device.SimulatedGpu`;
+    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
+    caller.  Pass a
+    :class:`~repro.gpu.trace.Tracer` to record every modeled interval —
+    one ``gpu``/``copy_in``/``copy_out`` lane triple per device (suffixed
+    ``gpu0``, ``gpu1``, ... when ``devices > 1``) next to the shared
+    ``cpu`` lane, rendered by the same :mod:`repro.gpu.trace` outputs as
+    the thread-occupancy traces.
+    """
+
+    name = "gpu"
+
+    def run_graph(self, ntasks, roots, run_task, *, priority=None):
+        """Drain the graph deterministically: pop the ready task with the
+        lowest priority key, run it on this (single) host thread, push
+        whatever it released.  Raises ``RuntimeError`` on a graph that
+        deadlocks (a task never released)."""
+        key = priority if priority is not None else (lambda tid: tid)
+        heap = [(key(t), t) for t in roots]
+        heapq.heapify(heap)
+        done = 0
+        while heap:
+            _, tid = heapq.heappop(heap)
+            newly = run_task(tid)
+            done += 1
+            for t in newly or ():
+                heapq.heappush(heap, (key(t), t))
+        if done != ntasks:
+            raise RuntimeError(f"stream backend deadlock: ran {done} of {ntasks} tasks")
+
+
+class HybridBackend(_StreamLanes, Backend):
+    """Heterogeneous substrate: measured worker lanes + modeled stream lanes.
+
+    One task DAG, two execution substrates, one worker pool.  The hybrid
+    graph builders of :mod:`repro.numeric.gpu_dag` emit each task's body
+    CPU-or-GPU: CPU-placed tasks run real BLAS exactly like
+    :class:`ThreadBackend` (wall-clock measured), GPU-placed tasks run the
+    simulated-device kernel pipelines of :class:`GpuStreamBackend`
+    (modeled time on ``devices`` stream/copy timelines).  Panel updates
+    from both substrates reduce through one :class:`OrderedCommitter` — so
+    the factors are bit-identical to the serial twin at any
+    ``(workers, devices)``.
+
+    The GPU-placed tasks are chained (:meth:`chain_gpu`): at most one runs
+    at a time, in a fixed priority order, so the modeled clocks,
+    least-loaded placement and transfer accounting are deterministic even
+    though the CPU side is real concurrency.  The device timelines are
+    always decoupled from the host clock (``couple_single=False``):
+    modeled lanes are named ``gpu0``/``copy_in0``/``copy_out0`` from the
+    first device up, and the modeled host clock only advances for GPU-side
+    assembly/drain work — measured CPU task time is accounted separately
+    by :func:`repro.numeric.gpu_dag.factorize_hybrid`.
+
+    A graph that was not chained runs on a plain pool of ``workers``
+    threads, so the backend can stand in anywhere a :class:`ThreadBackend`
+    is expected.
+    """
+
+    name = "hybrid"
+    couple_single = False
+
+    def __init__(self, *, workers=None, **lanes):
+        """``lanes``: the simulated-device keywords of
+        :class:`GpuStreamBackend` (``devices``, ``machine``,
+        ``device_memory``, ``tracer``, ``launch_overhead_s``)."""
+        self.workers = _resolve_workers(workers)
+        self._gpu_lane = 0  # one extra pool thread once GPU tasks are chained
+        super().__init__(**lanes)
+
+    def chain_gpu(self, order, roots, run_task):
+        """Serialise the GPU-placed tasks ``order`` of a graph; returns the
+        chained graph's ``(roots, run_task)``.
+
+        Every task of ``order`` gains one edge from its predecessor there:
+        it is released once its data dependencies *and* that predecessor
+        are done, so the GPU tasks run one at a time, strictly in
+        ``order``, on whichever pool thread is free.  Safe because in the
+        factorization DAGs every dependency of a GPU task has a strictly
+        lower priority key (sources precede targets; a supernode's factor
+        precedes its pairs), so the next task in ``order`` can never be
+        blocked on a later one.  One task at a time on the simulated
+        device timelines makes the modeled GPU seconds run-to-run
+        deterministic no matter how the CPU tasks interleave.  The pool
+        grows one thread so the chain never takes a lane from the
+        ``workers`` CPU lanes.
+        """
+        if not order:
+            return roots, run_task
+        self._gpu_lane = 1
+        successor = dict(zip(order, order[1:]))
+        tokens = dict.fromkeys(order[1:], 2)  # data-ready + predecessor-done
+        lock = threading.Lock()
+
+        def gate(tids):
+            passed = []
+            with lock:
+                for t in tids:
+                    left = tokens.get(t, 1) - 1
+                    if left:
+                        tokens[t] = left
+                    else:
+                        passed.append(t)
+            return passed
+
+        def run(tid):
+            newly = list(run_task(tid) or ())
+            if tid in successor:
+                newly.append(successor[tid])
+            return gate(newly)
+
+        return gate(roots), run
+
+    def run_graph(self, ntasks, roots, run_task, *, priority=None):
+        _run_on_pool(ntasks, roots, run_task, self.workers + self._gpu_lane, "repro-hybrid")
+
+
+def _traced_run(run_task, label_of, tracer, t0):
+    """Wrap ``run_task`` so every execution records a measured
+    ``(worker-thread lane, task label, start, stop)`` interval (seconds
+    since ``t0``) into ``tracer`` — the real-occupancy counterpart of the
+    modeled schedules."""
+
+    def run(tid):
+        start = time.perf_counter() - t0
+        try:
+            return run_task(tid)
+        finally:
+            tracer.record(
+                threading.current_thread().name,
+                label_of(tid),
+                start,
+                time.perf_counter() - t0,
+            )
+
+    return run
+
+
+def _task_label_fn(symb, granularity, prefix=""):
+    """Human-readable task labels for trace events (``snode:12``,
+    ``factor:3``, ``pair:7`` — pairs named by their source supernode)."""
+    if granularity == "coarse":
+        return lambda tid: f"{prefix}snode:{tid}"
+    plan = dag_plan(symb, "fine")
+
+    def label(tid):
+        kind = "factor" if tid < symb.nsup else "pair"
+        return f"{prefix}{kind}:{plan.snode_of(tid)}"
+
+    return label
+
+
+# NOTE: dag_plan and the closure/body helpers below (_assembly_closure,
+# _pair_closure, _run_coarse, _run_fine) are the shared substrate of every
+# DAG backend — repro.numeric.gpu_dag builds the stream and hybrid engines'
+# task graphs from them and repro.numeric.procpool reads the plan's edges.
+# Renaming them is a cross-module change.
+class DagPlan(NamedTuple):
+    """Static task DAG of one granularity (see :func:`dag_plan`).
+
+    Task ids ``0..nsup-1`` are the per-supernode tasks (coarse: the whole
+    RL supernode; fine: its factor task); fine plans continue with one
+    task per block pair, ``nsup..ntasks-1``.
+    """
+
+    ntasks: int
+    #: fine only: pair ``(s, bi, bj)`` of task ``nsup + i``, and the pair
+    #: task ids of each supernode (both empty for coarse)
+    pairs: tuple
+    pair_ids: tuple
+    #: ``(target, sources ascending, {source: nparts})`` per updated
+    #: supernode — the :meth:`OrderedCommitter.from_static` contract
+    static: tuple
+    #: supernodes with no incoming updates (initially ready)
+    roots: tuple
+    #: tasks each task feeds / how many feed it (a parent-side scheduler's
+    #: edges: a task is ready once ``indeg`` of its feeders are done)
+    children: tuple
+    indeg: tuple
+    #: per target supernode, what feeds its panel in the serial engines'
+    #: accumulation order — coarse: ``(source, assembly_plan run)``
+    #: ascending by source; fine: pair task ids ascending (ascending
+    #: source, then the serial pair enumeration order)
+    incoming: tuple
+
+    def snode_of(self, tid):
+        """The supernode task ``tid`` works on (a pair task's source)."""
+        nsup = len(self.incoming)
+        return tid if tid < nsup else self.pairs[tid - nsup][0]
+
+
+def dag_plan(symb, granularity):
+    """The static :class:`DagPlan` of ``granularity``, memoised on the
+    symbolic factor — the one description of the task DAG that the thread,
+    process, stream and hybrid substrates all schedule from.
+
+    Building it pre-warms every index cache beneath it (``assembly_plan``
+    for coarse; the block lists and every pair's ``block_pair_targets``
+    offsets for fine), so call it once on the submitting thread and later
+    reads from worker threads or streaming callbacks never mutate the
+    symbolic cache concurrently.  Idempotent and cheap after the first
+    call.
     """
     cache = symb.cache()
-    plan = cache.get("executor_coarse")
-    if plan is not None:
-        return plan
-    expected = {}
-    for s in range(symb.nsup):
-        for run in assembly_plan(symb, s):
-            expected.setdefault(run[0], {})[s] = 1
-    roots = tuple(s for s in range(symb.nsup) if s not in expected)
-    cache["executor_coarse"] = (expected, roots)
-    return cache["executor_coarse"]
-
-
-def _fine_plan(symb):
-    """Static fine-DAG plan, memoised on the symbolic factor.
-
-    Task ids: ``0..nsup-1`` are factor tasks, ``nsup..`` are block-pair
-    tasks.  Returns ``(pairs, pair_ids, expected, roots)`` — the pair list
-    ``(s, bi, bj)``, the pair-task ids of each supernode, the per-target
-    expected contribution counts per source, and the initially ready factor
-    tasks.  Pre-warms the block lists and every pair's relative-index
-    offset (``block_pair_targets``) for thread-safe cache reads.
-    """
-    cache = symb.cache()
-    plan = cache.get("executor_fine")
+    key = "executor_" + granularity
+    plan = cache.get(key)
     if plan is not None:
         return plan
     nsup = symb.nsup
     pairs = []
     pair_ids = []
-    expected = {}
-    for s in range(nsup):
-        blocks = snode_blocks(symb, s)
-        ids = []
-        for i, bi in enumerate(blocks):
-            per_target = expected.setdefault(bi.owner, {})
-            for bj in blocks[i:]:
-                ids.append(nsup + len(pairs))
-                pairs.append((s, bi, bj))
-                per_target[s] = per_target.get(s, 0) + 1
-                block_pair_targets(symb, bi, bj)
-        pair_ids.append(tuple(ids))
-    roots = tuple(s for s in range(nsup) if s not in expected)
-    cache["executor_fine"] = (tuple(pairs), tuple(pair_ids), expected, roots)
-    return cache["executor_fine"]
+    incoming = [[] for _ in range(nsup)]
+    expected = [{} for _ in range(nsup)]
+    if granularity == "coarse":
+        children = []
+        for s in range(nsup):
+            runs = assembly_plan(symb, s)
+            children.append(tuple(run[0] for run in runs))
+            for run in runs:
+                # RL assembly delivers one run per (source, ancestor)
+                incoming[run[0]].append((s, run))
+                expected[run[0]][s] = 1
+    else:
+        for s in range(nsup):
+            blocks = snode_blocks(symb, s)
+            ids = []
+            for i, bi in enumerate(blocks):
+                per_target = expected[bi.owner]
+                for bj in blocks[i:]:
+                    ids.append(nsup + len(pairs))
+                    incoming[bi.owner].append(ids[-1])
+                    pairs.append((s, bi, bj))
+                    per_target[s] = per_target.get(s, 0) + 1
+                    block_pair_targets(symb, bi, bj)
+            pair_ids.append(tuple(ids))
+        children = pair_ids + [(bi.owner,) for _, bi, _ in pairs]
+    # sources were visited ascending, so each dict's key order is the
+    # committer's ascending source order
+    static = tuple((p, tuple(exp), exp) for p, exp in enumerate(expected) if exp)
+    cache[key] = DagPlan(
+        ntasks=nsup + len(pairs),
+        pairs=tuple(pairs),
+        pair_ids=tuple(pair_ids),
+        static=static,
+        roots=tuple(p for p, exp in enumerate(expected) if not exp),
+        children=tuple(children),
+        indeg=tuple(len(x) for x in incoming) + (1,) * len(pairs),
+        incoming=tuple(tuple(x) for x in incoming),
+    )
+    return cache[key]
 
 
-def _build_committer(expected):
-    committer = OrderedCommitter()
-    for target, sources in expected.items():
-        for src, nparts in sources.items():
-            committer.expect(target, src, nparts)
-    committer.finalize()
-    return committer
+#: the name streaming callers warm a pattern under (``ServingSession``)
+warm_executor_plan = dag_plan
 
 
 def _assembly_closure(target_panel, relrows, colpos, U, k0, k1):
@@ -967,31 +860,23 @@ def _run_fine(symb, storage, committer, pairs, pair_ids):
     return run_task
 
 
-def _matrix_tasks(symb, storage, granularity):
-    """Per-matrix task-set of one DAG instance: ``(ntasks, roots,
-    run_task)``.  The static plan is shared (memoised on ``symb``); the
-    committer and task closures are per-matrix state, so any number of
-    same-pattern instances can run concurrently on one pool while each
-    keeps the serial engines' deterministic commit order."""
-    nsup = symb.nsup
-    if granularity == "coarse":
-        expected, roots = _coarse_plan(symb)
-        run_task = _run_coarse(symb, storage, _build_committer(expected))
-        return nsup, roots, run_task
-    pairs, pair_ids, expected, roots = _fine_plan(symb)
-    run_task = _run_fine(symb, storage, _build_committer(expected), pairs, pair_ids)
-    return nsup + len(pairs), roots, run_task
+def _check_granularity(granularity):
+    if granularity not in GRANULARITIES:
+        raise ValueError(
+            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}",
+        )
 
 
-def warm_executor_plan(symb, granularity):
-    """Pre-build the memoised static DAG plan of ``granularity`` (and every
-    index cache beneath it) on the caller's thread, so later reads from
-    worker threads or streaming callbacks never mutate the symbolic cache
-    concurrently.  Idempotent and cheap after the first call."""
-    if granularity == "coarse":
-        _coarse_plan(symb)
-    else:
-        _fine_plan(symb)
+def _cpu_report(symb, granularity, suffix, storage, machine, thread_choices):
+    """Price the pattern now (:func:`~repro.numeric.result.cpu_cost`,
+    memoised on ``symb``) and return ``report(extra)``: the
+    :class:`~repro.numeric.result.FactorizeResult` of a CPU-lane DAG engine
+    (``rl``/``rlb`` + ``suffix``) that produced ``storage``.  ``report``
+    only wraps the priced cost, so it may run on a pool thread without
+    touching the symbolic cache."""
+    family = _FAMILY[granularity]
+    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
+    return lambda extra: cost.result(family + suffix, storage, extra)
 
 
 def stream_factorize_job(
@@ -1000,27 +885,32 @@ def stream_factorize_job(
     """One streaming factorize job: ``(storage, ntasks, roots, run_task,
     finish)`` for a single same-pattern matrix ``M``.
 
-    The backend seam of :class:`repro.api.ServingSession`: the caller
-    submits ``(ntasks, roots, run_task)`` to a :class:`StreamPool` and,
-    once the graph drains, calls ``finish(wall_seconds)`` for the
+    The per-matrix seam of :class:`repro.api.ServingSession` and
+    :func:`factorize_executor_batch`: the caller submits ``(ntasks, roots,
+    run_task)`` to a :class:`StreamPool` and, once the graph drains, calls
+    ``finish(wall_seconds)`` for the
     :class:`~repro.numeric.result.FactorizeResult` (same report as
     :func:`factorize_executor`).  The pattern is priced here, on the
     submitting thread — ``finish`` runs on a pool thread and only wraps
     the report, so it never writes the symbolic cache.
     """
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
-    ntasks, roots, run_task = _matrix_tasks(symb, storage, granularity)
-    family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
+    # the static plan is shared (memoised on ``symb``); the committer and
+    # task closures are per-matrix state, so any number of same-pattern
+    # instances can run concurrently on one pool while each keeps the
+    # serial engines' deterministic commit order
+    plan = dag_plan(symb, granularity)
+    committer = OrderedCommitter.from_static(plan.static)
+    if granularity == "coarse":
+        run_task = _run_coarse(symb, storage, committer)
+    else:
+        run_task = _run_fine(symb, storage, committer, plan.pairs, plan.pair_ids)
+    report = _cpu_report(symb, granularity, "_par", storage, machine, thread_choices)
 
     def finish(wall_seconds):
-        return cost.result(
-            family + "_par",
-            storage,
-            dict(extra, wall_seconds=wall_seconds, tasks=ntasks),
-        )
+        return report(dict(extra, wall_seconds=wall_seconds, tasks=plan.ntasks))
 
-    return storage, ntasks, roots, run_task, finish
+    return storage, plan.ntasks, plan.roots, run_task, finish
 
 
 def factorize_executor(
@@ -1067,10 +957,7 @@ def factorize_executor(
         mixed-precision lane).  Bit-identity across worker counts holds in
         every precision — the committer order is dtype-independent.
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}",
-        )
+    _check_granularity(granularity)
     if backend is None:
         backend = ThreadBackend(workers)
     elif workers is not None:
@@ -1085,26 +972,19 @@ def factorize_executor(
             tracer=tracer,
             dtype=dtype,
         )
-    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
+    extra = {
+        "workers": getattr(backend, "workers", 1),
+        "backend": backend.name,
+        "granularity": granularity,
+    }
+    _, ntasks, roots, run_task, finish = stream_factorize_job(
+        symb, A, granularity, machine, thread_choices, extra, dtype
+    )
     t0 = time.perf_counter()
-    ntasks, roots, run_task = _matrix_tasks(symb, storage, granularity)
     if tracer is not None:
         run_task = _traced_run(run_task, _task_label_fn(symb, granularity), tracer, t0)
     backend.run_graph(ntasks, roots, run_task)
-    wall = time.perf_counter() - t0
-    family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
-    return cost.result(
-        family + "_par",
-        storage,
-        {
-            "workers": getattr(backend, "workers", 1),
-            "backend": backend.name,
-            "granularity": granularity,
-            "wall_seconds": wall,
-            "tasks": ntasks,
-        },
-    )
+    return finish(time.perf_counter() - t0)
 
 
 def factorize_executor_batch(
@@ -1122,84 +1002,74 @@ def factorize_executor_batch(
 
     The batched multi-matrix serving runtime: every matrix of ``matrices``
     (all sharing the sparsity pattern ``symb`` was computed for — typically
-    a parameter sweep or time-stepping sequence) gets its own
+    a parameter sweep or time-stepping sequence) is one
+    :func:`stream_factorize_job` — its own
     :class:`~repro.numeric.storage.FactorStorage`, its own
-    :class:`OrderedCommitter` and its own task-DAG *instance*, but all
-    ``B x ntasks`` tasks drain through a single shared ready queue, so the
-    pool stays busy across matrix boundaries — the scheduling slack at the
-    top of one elimination tree is filled with work from the others.  The
-    static DAG plan, relative-index caches and panel scatter plan are
-    built once (memoised on ``symb``) and shared by every instance.
+    :class:`OrderedCommitter` and its own task graph — and all B graphs
+    drain through one transient :class:`StreamPool`, so the pool stays busy
+    across matrix boundaries: the scheduling slack at the top of one
+    elimination tree is filled with work from the others.  The static DAG
+    plan, relative-index caches and panel scatter plan are built once
+    (memoised on ``symb``) and shared by every instance.
 
     Determinism is per matrix: each matrix's commits retain the serial
     engines' ascending source order, so every returned factor is
     bit-identical to a serial ``factorize``/``refactorize`` of that matrix
     alone, for any worker count and any batch size.
 
-    A non-SPD matrix anywhere in the batch aborts the whole run with the
-    serial engines' :class:`~repro.dense.kernels.NotPositiveDefiniteError`,
-    annotated with the offending position: ``exc.batch_index`` holds the
-    index into ``matrices`` and ``exc.pivot`` the failing pivot.
+    A non-SPD matrix fails its own graph only; once the pool has drained,
+    the batch raises the serial engines'
+    :class:`~repro.dense.kernels.NotPositiveDefiniteError` of the *lowest*
+    failing position: ``exc.batch_index`` holds the index into
+    ``matrices`` and ``exc.pivot`` the failing pivot.
 
     Returns a list of :class:`~repro.numeric.result.FactorizeResult`, one
     per matrix in input order; ``extra`` carries ``batch_size``,
     ``batch_index`` and the whole-batch ``wall_seconds`` (shared — divide by
     ``batch_size`` for the amortized per-matrix cost).
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}",
-        )
-    workers = default_workers() if workers is None else int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_granularity(granularity)
+    workers = _resolve_workers(workers)
     matrices = list(matrices)
     nbatch = len(matrices)
-    if nbatch == 0:
-        return []
-    storages = [FactorStorage.from_matrix(symb, A, dtype=dtype) for A in matrices]
-    t0 = time.perf_counter()
-    instances = [_matrix_tasks(symb, st, granularity) for st in storages]
-    ntasks = instances[0][0]
-    run_tasks = [inst[2] for inst in instances]
-
-    def run_flat(gid):
-        b, tid = divmod(gid, ntasks)
-        try:
-            newly = run_tasks[b](tid)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError.for_batch(exc, b) from exc
-        base = b * ntasks
-        return [base + t for t in newly]
-
-    run_flat_task = run_flat
-    if tracer is not None:
-        labels = [_task_label_fn(symb, granularity, prefix=f"m{b}:") for b in range(nbatch)]
-
-        def label_flat(gid):
-            b, tid = divmod(gid, ntasks)
-            return labels[b](tid)
-
-        run_flat_task = _traced_run(run_flat, label_flat, tracer, t0)
-
-    roots_flat = [b * ntasks + r for b, (_, roots, _) in enumerate(instances) for r in roots]
-    run_task_graph(ntasks * nbatch, roots_flat, run_flat_task, workers)
-    wall = time.perf_counter() - t0
-    family = _FAMILY[granularity]
-    return [
-        cpu_cost(symb, family, machine, thread_choices, storage.itemsize).result(
-            family + "_par",
-            storage,
-            {
+    jobs = [
+        stream_factorize_job(
+            symb,
+            A,
+            granularity,
+            machine,
+            thread_choices,
+            # "tasks" is the per-matrix DAG size, consistent with
+            # factorize_executor; the pool drains batch_size * tasks
+            extra={
                 "workers": workers,
                 "granularity": granularity,
-                "wall_seconds": wall,
-                # per-matrix DAG size, consistent with factorize_executor;
-                # the pool drained batch_size * tasks tasks in total
-                "tasks": ntasks,
                 "batch_size": nbatch,
                 "batch_index": b,
             },
+            dtype=dtype,
         )
-        for b, storage in enumerate(storages)
+        for b, A in enumerate(matrices)
     ]
+    errors = {}
+    t0 = time.perf_counter()
+    total = sum(job[1] for job in jobs)
+    with StreamPool(max(1, min(workers, total)), name="repro-exec") as pool:
+        for b, (_, ntasks, roots, run_task, _) in enumerate(jobs):
+            if tracer is not None:
+                label_of = _task_label_fn(symb, granularity, prefix=f"m{b}:")
+                run_task = _traced_run(run_task, label_of, tracer, t0)
+            pool.submit_graph(
+                ntasks,
+                roots,
+                run_task,
+                on_complete=_noop,
+                on_error=functools.partial(errors.__setitem__, b),
+            )
+    wall = time.perf_counter() - t0
+    if errors:
+        b = min(errors)
+        if isinstance(errors[b], NotPositiveDefiniteError):
+            raise NotPositiveDefiniteError.for_batch(errors[b], b) from errors[b]
+        raise errors[b]
+    return [finish(wall) for *_, finish in jobs]

@@ -33,15 +33,23 @@ device.  The honest story of the extension: host-serialized assembly
 bounds the speedup by the elimination tree's branch independence.
 
 **Heterogeneous CPU+GPU.**  :func:`factorize_hybrid` runs the *same* task
-DAG on a :class:`~repro.numeric.executor.HybridBackend` with per-task
-placement: supernodes below the :func:`~repro.numeric.threshold
-.gpu_snode_mask` cutoff execute the threaded engines' real-BLAS task
-bodies on measured worker lanes, supernodes above it execute the GPU
-kernel pipelines here on the modeled stream lanes, and all updates reduce
-through one :class:`~repro.numeric.executor.OrderedCommitter` — the
-paper's CPU/GPU split as one schedule instead of two engines.  The graph
-builders are shared: the per-task bodies below are emitted CPU-or-GPU per
-task, for both the pure stream graphs and the hybrid graphs.
+DAG on a :class:`~repro.numeric.executor.HybridBackend`: supernodes below
+the :func:`~repro.numeric.threshold.gpu_snode_mask` cutoff execute the
+threaded engines' real-BLAS task bodies on measured worker lanes,
+supernodes above it execute the GPU kernel pipelines here on the modeled
+stream lanes, and all updates reduce through one
+:class:`~repro.numeric.executor.OrderedCommitter` — the paper's CPU/GPU
+split as one schedule instead of two engines.
+
+**One builder per granularity, one driver prelude.**  :func:`_coarse_graph`
+and :func:`_fine_graph` emit each task's body CPU-or-GPU from the offload
+mask; the only thing the stream and hybrid engines disagree on is the
+CPU-side body — *modeled* (``rl_cpu_snode`` / ``rlb_cpu_pair`` charging the
+host clock, the paper's schedule) or *measured* (the threaded executor's
+``_run_coarse`` / ``_run_fine``) — so that is the builders' one parameter.
+With measured CPU bodies the builder also chains the GPU-placed tasks in
+priority order (:meth:`~repro.numeric.executor.HybridBackend.chain_gpu`),
+so they run one at a time, in a fixed order, on the shared worker pool.
 """
 
 from __future__ import annotations
@@ -55,17 +63,16 @@ from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..symbolic.relind import assembly_plan
 from .executor import (
     _FAMILY,
-    GRANULARITIES,
     GpuStreamBackend,
     HybridBackend,
+    OrderedCommitter,
     _assembly_closure,
-    _build_committer,
-    _coarse_plan,
-    _fine_plan,
+    _check_granularity,
     _pair_closure,
     _run_coarse,
     _run_fine,
     _task_label_fn,
+    dag_plan,
 )
 from .result import (
     FactorizeResult,
@@ -114,8 +121,8 @@ def _coarse_scatter(symb, storage, backend, committer, ready, acc):
     """Ordered-committer scatter of one source supernode's update matrix,
     charged as ONE host assembly pass on the modeled host clock (as the
     serial engine charges it); bumps each target's modeled ready time.
-    Shared by the stream and hybrid coarse graphs — commit closures from
-    either substrate reduce through the same committer."""
+    Commit closures from either substrate reduce through the same
+    committer."""
     machine = backend.machine
     host = backend.host
     cpu_t = machine.gpu_run_cpu_threads
@@ -148,77 +155,95 @@ def _coarse_scatter(symb, storage, backend, committer, ready, acc):
     return scatter
 
 
-def _coarse_gpu_body(symb, storage, backend, scatter, ready, counters, acc,
-                     async_panel_d2h):
-    """GPU-placed coarse task body: least-loaded device placement followed
-    by RL's three-transfer per-supernode pipeline."""
+def _fine_priority(plan):
+    """The fine DAG's deterministic schedule key: every supernode's factor
+    task before its pair tasks, both before the next supernode — the
+    serial elimination-order schedule.  Also the order the hybrid graph
+    chains its GPU-placed tasks in, where it guarantees progress: every
+    dependency of a task has a strictly lower key."""
+    return lambda tid: (plan.snode_of(tid), tid)
+
+
+def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h,
+                  stopwatch):
+    """Coarse (RL) task graph: ``(plan, run_task, priority)``.
+
+    GPU-placed supernodes run the RL offload pipeline on the modeled
+    streams (least-loaded device placement, then the three-transfer
+    pipeline).  CPU-placed supernodes run the *modeled* host body
+    (:func:`~repro.numeric.rl_gpu.rl_cpu_snode` behind a ``dag_wait`` on
+    the supernode's modeled ready time — the stream engines) or, given a
+    ``stopwatch``, the threaded executor's *measured* real-BLAS body
+    (:func:`~repro.numeric.executor._run_coarse` — fresh per-task
+    workspaces, thread-safe) wrapped by it.  Both commit through one
+    ordered committer, so the factor is bit-identical to the serial twin.
+    Only modeled bodies and GPU-side scatters advance the modeled clocks —
+    measured CPU tasks impose no modeled delay on downstream GPU tasks.
+    """
+    machine = backend.machine
+    host = backend.host
+    cpu_t = machine.gpu_run_cpu_threads
+    plan = dag_plan(symb, "coarse")
+    committer = OrderedCommitter.from_static(plan.static)
+    ready = {}  # supernode -> modeled time its inbound updates assembled
+    scatter = _coarse_scatter(symb, storage, backend, committer, ready, acc)
 
     def run_gpu(s):
-        counters["on_gpu"] += 1
         _, gpu = backend.place()
         return rl_gpu_snode(symb, storage, s, gpu, scatter, acc,
                             async_panel_d2h=async_panel_d2h,
                             ready=ready.get(s, 0.0))
 
-    return run_gpu
+    if stopwatch is not None:
+        run_cpu = stopwatch(_run_coarse(symb, storage, committer))
+    else:
+        bmax = int(np.sqrt(update_workspace_entries(symb))) if symb.nsup else 0
+        W = (np.zeros((bmax, bmax), dtype=storage.dtype, order="F")
+             if bmax else None)
 
-
-def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h):
-    """Coarse (RL) task graph on the stream backend: ``(ntasks, roots,
-    run_task, priority, counters)``."""
-    machine = backend.machine
-    host = backend.host
-    cpu_t = machine.gpu_run_cpu_threads
-    expected, roots = _coarse_plan(symb)
-    committer = _build_committer(expected)
-    bmax = int(np.sqrt(update_workspace_entries(symb))) if symb.nsup else 0
-    W = (np.zeros((bmax, bmax), dtype=storage.dtype, order="F")
-         if bmax else None)
-    ready = {}  # supernode -> modeled time its inbound updates assembled
-    counters = {"on_gpu": 0}
-    scatter = _coarse_scatter(symb, storage, backend, committer, ready, acc)
-    run_gpu = _coarse_gpu_body(symb, storage, backend, scatter, ready,
-                               counters, acc, async_panel_d2h)
-
-    def run_task(s):
-        if not offload[s]:
+        def run_cpu(s):
             host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
             return rl_cpu_snode(symb, storage, s, machine, host, cpu_t, W,
                                 scatter, acc)
-        return run_gpu(s)
 
-    return symb.nsup, roots, run_task, None, counters
+    def run_task(s):
+        return run_gpu(s) if offload[s] else run_cpu(s)
 
-
-def _fine_priority(nsup, pairs):
-    """The fine DAG's deterministic schedule key: every supernode's factor
-    task before its pair tasks, both before the next supernode — the
-    serial elimination-order schedule.  Also the dispatch
-    order of the hybrid backend's GPU lane, where it guarantees progress:
-    every dependency of a task has a strictly lower key."""
-
-    def priority(tid):
-        if tid < nsup:
-            return (tid, 0, 0)
-        return (pairs[tid - nsup][0], 1, tid)
-
-    return priority
+    return plan, run_task, None
 
 
-def _fine_gpu_bodies(symb, storage, backend, committer, pairs, pair_ids,
-                     ready, state, counters, acc, inflight, bump):
-    """GPU-placed fine task bodies ``(run_factor, run_pair)``: RLB v2's
-    double-buffered per-pair pipeline, threaded through ``state`` (the
-    per-supernode in-flight pipeline) and committing through the shared
-    ordered committer.  Shared by the stream and hybrid fine graphs; on
-    the hybrid backend only the dispatcher thread calls these, keeping
-    every modeled clock deterministic."""
+def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
+    """Fine (RLB v2) task graph: ``(plan, run_task, priority)``.
+
+    The priority key (:func:`_fine_priority`) is the serial
+    elimination-order schedule, which is what makes ``devices=1`` on the
+    stream backend the paper's RLB version 2.  A supernode's factor task
+    and all of its pair tasks share its placement.  GPU-placed ones run
+    RLB v2's double-buffered per-pair pipeline, threaded through ``state``
+    (the per-supernode in-flight pipeline) — only ever touched by one
+    task at a time (the stream backend's single host thread, or the
+    hybrid graph's chain).  CPU-placed ones run the modeled host bodies
+    (:func:`~repro.numeric.rl_gpu.cpu_factor_snode` /
+    :func:`~repro.numeric.rlb_gpu.rlb_cpu_pair`, direct ordered commit)
+    or, given a ``stopwatch``, the threaded executor's measured fine
+    bodies (:func:`~repro.numeric.executor._run_fine`) wrapped by it.
+    """
     machine = backend.machine
+    host = backend.host
     cpu_t = machine.gpu_run_cpu_threads
     nsup = symb.nsup
+    plan = dag_plan(symb, "fine")
+    pairs, pair_ids = plan.pairs, plan.pair_ids
+    committer = OrderedCommitter.from_static(plan.static)
+    ready = {}
+    state = {}  # GPU-placed supernode -> in-flight pipeline state
 
-    def run_factor(s):
-        counters["on_gpu"] += 1
+    def bump(p):
+        t = host.cpu
+        if ready.get(p, 0.0) < t:
+            ready[p] = t
+
+    def gpu_factor(s):
         _, gpu = backend.place()
         panel, w, dbuf, panel_back = rlb_gpu_factor(
             symb, storage, s, gpu, acc, ready=ready.get(s, 0.0))
@@ -231,7 +256,7 @@ def _fine_gpu_bodies(symb, storage, backend, committer, pairs, pair_ids,
                     "inflight": []}
         return pair_ids[s]
 
-    def run_pair(tid):
+    def gpu_pair(tid):
         s, bi, bj = pairs[tid - nsup]
         st = state[s]
         gpu = st["gpu"]
@@ -262,70 +287,79 @@ def _fine_gpu_bodies(symb, storage, backend, committer, pairs, pair_ids,
             del state[s]
         return newly
 
-    return run_factor, run_pair
+    if stopwatch is not None:
+        run_cpu = stopwatch(_run_fine(symb, storage, committer, pairs,
+                                      pair_ids))
+    else:
 
-
-def _fine_graph(symb, storage, backend, offload, acc, inflight):
-    """Fine (RLB v2) task graph on the stream backend: ``(ntasks, roots,
-    run_task, priority, counters)``.
-
-    The priority key (:func:`_fine_priority`) is the serial
-    elimination-order schedule, which is what makes ``devices=1`` the
-    paper's RLB version 2.
-    """
-    machine = backend.machine
-    host = backend.host
-    cpu_t = machine.gpu_run_cpu_threads
-    nsup = symb.nsup
-    pairs, pair_ids, expected, roots = _fine_plan(symb)
-    committer = _build_committer(expected)
-    ready = {}
-    state = {}  # supernode -> in-flight pipeline state
-    counters = {"on_gpu": 0}
-    priority = _fine_priority(nsup, pairs)
-
-    def bump(p):
-        t = host.cpu
-        if ready.get(p, 0.0) < t:
-            ready[p] = t
-
-    gpu_factor, gpu_pair = _fine_gpu_bodies(
-        symb, storage, backend, committer, pairs, pair_ids, ready, state,
-        counters, acc, inflight, bump)
-
-    def run_factor(s):
-        if not offload[s]:
-            host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
-            panel, w, _ = cpu_factor_snode(symb, storage, s, machine, host,
-                                           cpu_t, acc)
-            if pair_ids[s]:
-                state[s] = {"gpu": None, "panel": panel, "w": w,
-                            "left": len(pair_ids[s])}
-            return pair_ids[s]
-        return gpu_factor(s)
-
-    def run_pair(tid):
-        s, bi, bj = pairs[tid - nsup]
-        st = state[s]
-        if st["gpu"] is not None:
-            return gpu_pair(tid)
-        # small supernode: host kernel, direct ordered commit
-        u = rlb_cpu_pair(st["panel"], st["w"], bi, bj, machine, host,
-                         cpu_t, acc)
-        newly = list(committer.submit(
-            bi.owner, s, _pair_closure(symb, storage, bi, bj, u)))
-        bump(bi.owner)
-        st["left"] -= 1
-        if st["left"] == 0:
-            del state[s]
-        return newly
+        def run_cpu(tid):
+            if tid < nsup:
+                host.wait_cpu_until(ready.get(tid, 0.0), label="dag_wait")
+                cpu_factor_snode(symb, storage, tid, machine, host, cpu_t,
+                                 acc)
+                return pair_ids[tid]
+            # small supernode: host kernel, direct ordered commit
+            s, bi, bj = pairs[tid - nsup]
+            u = rlb_cpu_pair(storage.panel(s), symb.snode_ncols(s), bi, bj,
+                             machine, host, cpu_t, acc)
+            newly = list(committer.submit(
+                bi.owner, s, _pair_closure(symb, storage, bi, bj, u)))
+            bump(bi.owner)
+            return newly
 
     def run_task(tid):
-        if tid < nsup:
-            return run_factor(tid)
-        return run_pair(tid)
+        if not offload[plan.snode_of(tid)]:
+            return run_cpu(tid)
+        return gpu_factor(tid) if tid < nsup else gpu_pair(tid)
 
-    return nsup + len(pairs), roots, run_task, priority, counters
+    return plan, run_task, _fine_priority(plan)
+
+
+def _run_dag(symb, A, granularity, backend, threshold, dtype,
+             async_panel_d2h, inflight, stopwatch=None):
+    """The one driver of both DAG engines: resolve the granularity's
+    default threshold, scatter ``A``, cut the offload mask, build the task
+    graph and run it on ``backend``.  ``stopwatch`` selects the measured
+    CPU bodies (the hybrid engine); the GPU-placed tasks are then chained
+    in priority order on the backend's pool.  Returns ``(threshold,
+    storage, offload, acc, ntasks)``; every supernode of ``offload`` ran
+    on a device."""
+    if threshold is None:
+        threshold = (DEFAULT_RL_THRESHOLD if granularity == "coarse"
+                     else DEFAULT_RLB_THRESHOLD)
+    machine = backend.machine
+    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
+    offload = gpu_snode_mask(symb, threshold, machine=machine)
+    acc = GpuCostAccumulator(machine, itemsize=storage.itemsize)
+    if granularity == "coarse":
+        graph = _coarse_graph(symb, storage, backend, offload, acc,
+                              async_panel_d2h, stopwatch)
+    else:
+        graph = _fine_graph(symb, storage, backend, offload, acc, inflight,
+                            stopwatch)
+    plan, run_task, priority = graph
+    roots = plan.roots
+    if stopwatch is not None:
+        order = sorted((t for t in range(plan.ntasks)
+                        if offload[plan.snode_of(t)]), key=priority)
+        roots, run_task = backend.chain_gpu(order, roots, run_task)
+    backend.run_graph(plan.ntasks, roots, run_task, priority=priority)
+    return threshold, storage, offload, acc, plan.ntasks
+
+
+def _device_extra(backend, threshold, granularity, ntasks):
+    """The ``extra`` entries every DAG engine on simulated devices
+    reports."""
+    return {
+        "threshold": threshold,
+        "device_memory": backend.gpus[0].capacity,
+        "devices": backend.devices,
+        "backend": backend.name,
+        "granularity": granularity,
+        "tasks": ntasks,
+        "device_task_counts": list(backend.task_counts),
+        "device_busy_seconds": backend.device_busy_seconds(),
+    }
 
 
 def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
@@ -369,51 +403,26 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
         second transfer is asynchronous") buys; ``inflight`` is the number
         of pair-update buffers in flight (2 = double buffering).
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}",
-        )
+    _check_granularity(granularity)
     if backend is None:
         backend = GpuStreamBackend(devices=devices,
                                    machine=machine or MachineModel(),
                                    device_memory=device_memory,
                                    tracer=tracer)
-    if threshold is None:
-        threshold = (DEFAULT_RL_THRESHOLD if granularity == "coarse"
-                     else DEFAULT_RLB_THRESHOLD)
-    machine = backend.machine
-    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    offload = gpu_snode_mask(symb, threshold, machine=machine)
-    acc = GpuCostAccumulator(machine, itemsize=storage.itemsize)
-    if granularity == "coarse":
-        ntasks, roots, run_task, priority, counters = _coarse_graph(
-            symb, storage, backend, offload, acc, async_panel_d2h)
-        method = "rl_gpu"
-    else:
-        ntasks, roots, run_task, priority, counters = _fine_graph(
-            symb, storage, backend, offload, acc, inflight)
-        method = "rlb_gpu_v2"
-    backend.run_graph(ntasks, roots, run_task, priority=priority)
+    threshold, storage, offload, acc, ntasks = _run_dag(
+        symb, A, granularity, backend, threshold, dtype, async_panel_d2h,
+        inflight)
     return FactorizeResult(
-        method=method,
+        method="rl_gpu" if granularity == "coarse" else "rlb_gpu_v2",
         storage=storage,
         modeled_seconds=backend.elapsed(),
         total_snodes=symb.nsup,
-        snodes_on_gpu=counters["on_gpu"],
+        snodes_on_gpu=int(np.count_nonzero(offload)),
         gpu_stats=_aggregate_stats(backend.gpus),
         flops=acc.flops,
         kernel_count=acc.kernel_count,
         assembly_bytes=acc.assembly_bytes,
-        extra={
-            "threshold": threshold,
-            "device_memory": backend.gpus[0].capacity,
-            "devices": backend.devices,
-            "backend": backend.name,
-            "granularity": granularity,
-            "tasks": ntasks,
-            "device_task_counts": list(backend.task_counts),
-            "device_busy_seconds": backend.device_busy_seconds(),
-        },
+        extra=_device_extra(backend, threshold, granularity, ntasks),
     )
 
 
@@ -436,83 +445,6 @@ def factorize_rlb_gpu(symb, A, *, version=2, **options):
     if version == 1:
         return factorize_rlb_gpu_v1(symb, A, **options)
     raise ValueError("version must be 1 or 2")
-
-
-def _coarse_hybrid_graph(symb, storage, backend, offload, acc,
-                         async_panel_d2h):
-    """Coarse task graph with per-task placement: ``(ntasks, roots,
-    run_task, priority, placement, counters)``.
-
-    CPU-placed supernodes run the threaded executor's real-BLAS coarse
-    body (:func:`~repro.numeric.executor._run_coarse` — fresh per-task
-    workspaces, thread-safe); GPU-placed supernodes
-    run the RL offload pipeline on the modeled streams.  Both commit
-    through one ordered committer, so the factor is bit-identical to the
-    serial twin.  Only GPU-side scatters advance the modeled clocks — CPU
-    tasks are measured, not modeled, so they impose no modeled delay on
-    downstream GPU tasks.
-    """
-    expected, roots = _coarse_plan(symb)
-    committer = _build_committer(expected)
-    ready = {}
-    counters = {"on_gpu": 0}
-    scatter = _coarse_scatter(symb, storage, backend, committer, ready, acc)
-    run_gpu = _coarse_gpu_body(symb, storage, backend, scatter, ready,
-                               counters, acc, async_panel_d2h)
-    run_cpu = _run_coarse(symb, storage, committer)
-
-    def placement(s):
-        return bool(offload[s])
-
-    def run_task(s):
-        if offload[s]:
-            return run_gpu(s)
-        return run_cpu(s)
-
-    return symb.nsup, roots, run_task, None, placement, counters
-
-
-def _fine_hybrid_graph(symb, storage, backend, offload, acc, inflight):
-    """Fine task graph with per-task placement: ``(ntasks, roots,
-    run_task, priority, placement, counters)``.
-
-    A supernode's factor task and all of its pair tasks share its
-    placement, so the per-supernode in-flight GPU pipeline state is only
-    ever touched by the hybrid backend's single dispatcher thread.
-    CPU-placed tasks run the threaded executor's fine bodies
-    (:func:`~repro.numeric.executor._run_fine`) on the worker lanes.
-    """
-    host = backend.host
-    nsup = symb.nsup
-    pairs, pair_ids, expected, roots = _fine_plan(symb)
-    committer = _build_committer(expected)
-    ready = {}
-    state = {}
-    counters = {"on_gpu": 0}
-    priority = _fine_priority(nsup, pairs)
-
-    def bump(p):
-        t = host.cpu
-        if ready.get(p, 0.0) < t:
-            ready[p] = t
-
-    gpu_factor, gpu_pair = _fine_gpu_bodies(
-        symb, storage, backend, committer, pairs, pair_ids, ready, state,
-        counters, acc, inflight, bump)
-    run_cpu = _run_fine(symb, storage, committer, pairs, pair_ids)
-
-    def placement(tid):
-        s = tid if tid < nsup else pairs[tid - nsup][0]
-        return bool(offload[s])
-
-    def run_task(tid):
-        if not placement(tid):
-            return run_cpu(tid)
-        if tid < nsup:
-            return gpu_factor(tid)
-        return gpu_pair(tid)
-
-    return nsup + len(pairs), roots, run_task, priority, placement, counters
 
 
 def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
@@ -551,56 +483,39 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
     / ``devices`` / ``machine`` / ``device_memory`` / ``tracer``;
     mutually exclusive with ``workers``).
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}",
-        )
+    _check_granularity(granularity)
     if backend is None:
         backend = HybridBackend(workers=workers, devices=devices,
                                 machine=machine or MachineModel(),
                                 device_memory=device_memory, tracer=tracer)
     elif workers is not None:
         raise ValueError("pass either workers= or backend=, not both")
-    if threshold is None:
-        threshold = (DEFAULT_RL_THRESHOLD if granularity == "coarse"
-                     else DEFAULT_RLB_THRESHOLD)
     machine = backend.machine
     tracer = backend.tracer
-    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    offload = gpu_snode_mask(symb, threshold, machine=machine)
-    acc = GpuCostAccumulator(machine, itemsize=storage.itemsize)
-    if granularity == "coarse":
-        ntasks, roots, run_task, priority, placement, counters = \
-            _coarse_hybrid_graph(symb, storage, backend, offload, acc,
-                                 async_panel_d2h)
-    else:
-        ntasks, roots, run_task, priority, placement, counters = \
-            _fine_hybrid_graph(symb, storage, backend, offload, acc,
-                               inflight)
-
-    durations = np.zeros(ntasks)
+    durations = []  # list.append is atomic: one entry per CPU-placed task
     label_of = _task_label_fn(symb, granularity)
-    base_run = run_task
     t0 = time.perf_counter()
 
-    def run_timed(tid):
+    def stopwatch(run_cpu):
         # GPU-placed tasks live on the modeled clocks; only CPU-placed
         # tasks get measured wall-clock intervals (and trace events on
         # their worker-thread lane, sharing the modeled lanes' origin)
-        if placement(tid):
-            return base_run(tid)
-        start = time.perf_counter()
-        try:
-            return base_run(tid)
-        finally:
-            stop = time.perf_counter()
-            durations[tid] = stop - start
-            if tracer is not None:
-                tracer.record(threading.current_thread().name,
-                              label_of(tid), start - t0, stop - t0)
+        def run_timed(tid):
+            start = time.perf_counter()
+            try:
+                return run_cpu(tid)
+            finally:
+                stop = time.perf_counter()
+                durations.append(stop - start)
+                if tracer is not None:
+                    tracer.record(threading.current_thread().name,
+                                  label_of(tid), start - t0, stop - t0)
 
-    backend.run_graph(ntasks, roots, run_timed, priority=priority,
-                      placement=placement)
+        return run_timed
+
+    threshold, storage, offload, acc, ntasks = _run_dag(
+        symb, A, granularity, backend, threshold, dtype, async_panel_d2h,
+        inflight, stopwatch)
     wall = time.perf_counter() - t0
 
     # the CPU lanes' modeled cost is the pattern's, restricted to the
@@ -608,10 +523,10 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
     family = _FAMILY[granularity]
     cpu = cpu_cost(symb, family, machine, thread_choices, storage.itemsize,
                    snodes=np.flatnonzero(~offload) if offload.any() else None)
-    measured_cpu = float(durations.sum())
+    measured_cpu = sum(durations)
     modeled_gpu = backend.elapsed()
     combined = max(measured_cpu / backend.workers, modeled_gpu)
-    on_gpu = counters["on_gpu"]
+    on_gpu = int(np.count_nonzero(offload))
     return HybridResult(
         method=family + "_hybrid",
         storage=storage,
@@ -628,17 +543,10 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
         modeled_gpu_seconds=modeled_gpu,
         combined_seconds=combined,
         snodes_on_cpu=symb.nsup - on_gpu,
-        extra={
-            "threshold": threshold,
-            "device_memory": backend.gpus[0].capacity,
-            "devices": backend.devices,
-            "workers": backend.workers,
-            "backend": backend.name,
-            "granularity": granularity,
-            "tasks": ntasks,
-            "wall_seconds": wall,
-            "modeled_cpu_seconds": cpu.seconds,
-            "device_task_counts": list(backend.task_counts),
-            "device_busy_seconds": backend.device_busy_seconds(),
-        },
+        extra=dict(
+            _device_extra(backend, threshold, granularity, ntasks),
+            workers=backend.workers,
+            wall_seconds=wall,
+            modeled_cpu_seconds=cpu.seconds,
+        ),
     )

@@ -7,8 +7,11 @@ real multicore hosts.  This module escapes the GIL with a third
 the same coarse/fine task DAGs as :mod:`repro.numeric.executor`, with the
 :class:`~repro.numeric.storage.FactorStorage` panels living in a
 ``multiprocessing.shared_memory`` arena so the per-task protocol is
-pickle-free — the symbolic factor, scatter offsets and DAG plan ship
-once at pool warm-up, and every task message is just ``("task", tid)``.
+pickle-free — the symbolic factor ships once at pool warm-up, each side
+rebuilds the same :func:`~repro.numeric.executor.dag_plan` from it (the
+parent schedules from its ``children`` / ``indeg`` edges, the workers
+apply its ``incoming`` lists), and every task message is just
+``("task", tid)``.
 
 Determinism (the ``OrderedCommitter`` contract, deferred)
 ---------------------------------------------------------
@@ -39,7 +42,11 @@ worker that hits a non-SPD pivot reports
 in-flight tasks and re-raises
 :class:`~repro.dense.kernels.NotPositiveDefiniteError` with the original
 pivot, so the ``batch_index`` / ``for_stream`` annotation layers above
-work unchanged.
+work unchanged.  A worker that *dies* (killed, crashed, pipe closed) is a
+different failure: the request that notices raises the typed
+:class:`WorkerDiedError` and closes the pool — surviving workers joined,
+arenas unlinked — and :func:`default_process_pool` replaces a closed pool
+on next use, so one lost process costs one request.
 
 Lifecycle
 ---------
@@ -75,18 +82,15 @@ import numpy as np
 
 from ..dense.kernels import NotPositiveDefiniteError, check_dtype
 from ..gpu.costmodel import CPU_THREAD_CHOICES
-from ..symbolic.relind import assembly_plan
 from .blas_limits import pinned_blas_env, process_worker_main
 from .executor import (
-    _FAMILY,
-    GRANULARITIES,
     Backend,
-    _coarse_plan,
-    _fine_plan,
+    _check_granularity,
+    _cpu_report,
+    _resolve_workers,
     _task_label_fn,
-    default_workers,
+    dag_plan,
 )
-from .result import cpu_cost
 from .rl import factor_snode, snode_update
 from .rlb import commit_block_pair, compute_block_pair
 from .storage import FactorStorage, ScatterPlan
@@ -94,6 +98,7 @@ from .storage import FactorStorage, ScatterPlan
 __all__ = [
     "ProcessBackend",
     "ProcessPool",
+    "WorkerDiedError",
     "factorize_process",
     "default_process_pool",
     "close_default_pools",
@@ -102,6 +107,13 @@ __all__ = [
 _WATCHDOG_S = 120.0  # give up on a silent worker after this long
 _PREFETCH = 2  # tasks in flight per worker (hides pipe round trips)
 _SHM_COUNTER = itertools.count()
+
+
+class WorkerDiedError(RuntimeError):
+    """A :class:`ProcessPool` worker process died (killed, crashed, or
+    closed its pipe).  Only the request that noticed fails; the pool is
+    closed — surviving workers joined, shared-memory arenas unlinked — and
+    :func:`default_process_pool` hands the next request a fresh one."""
 
 
 def _resolve_start_method(start_method):
@@ -117,8 +129,9 @@ def _resolve_start_method(start_method):
 
 
 # ---------------------------------------------------------------------------
-# Shared layouts & deferred-commit plans (memoised on the symbolic factor;
-# computed identically — and independently — by the parent and every worker)
+# Shared layouts (memoised on the symbolic factor, next to the dag_plan
+# whose edges the scheduler and the deferred commits read; computed
+# identically — and independently — by the parent and every worker)
 # ---------------------------------------------------------------------------
 def _panel_layout(symb, itemsize=8):
     """Byte offset of each supernode's F-order ``(m, w)`` panel in the
@@ -164,8 +177,7 @@ def _scratch_layout(symb, granularity, itemsize=8):
             shapes.append((b, b))
             total += b * b * itemsize
     else:
-        pairs, _, _, _ = _fine_plan(symb)
-        for _, bi, bj in pairs:
+        for _, bi, bj in dag_plan(symb, "fine").pairs:
             shape = ((bi.length, bi.length) if bj is bi
                      else (bj.length, bi.length))
             offsets.append(total)
@@ -173,58 +185,6 @@ def _scratch_layout(symb, granularity, itemsize=8):
             total += shape[0] * shape[1] * itemsize
     got = (tuple(offsets), tuple(shapes), total)
     cache[key] = got
-    return got
-
-
-def _deferred_coarse(symb):
-    """Deferred-commit coarse plan: ``(incoming, children, indeg)``.
-
-    ``incoming[p]`` lists ``(src, run)`` in ascending source order (the
-    serial accumulation order) with ``run`` the cached
-    :func:`~repro.symbolic.relind.assembly_plan` entry;
-    ``children``/``indeg`` are the parent scheduler's DAG edges.
-    """
-    cache = symb.cache()
-    got = cache.get("procpool_coarse")
-    if got is not None:
-        return got
-    _coarse_plan(symb)  # pre-warm every assembly_plan on this thread
-    nsup = symb.nsup
-    incoming = [[] for _ in range(nsup)]
-    children = [[] for _ in range(nsup)]
-    for s in range(nsup):
-        for run in assembly_plan(symb, s):
-            incoming[run[0]].append((s, run))
-            children[s].append(run[0])
-    indeg = tuple(len(x) for x in incoming)
-    got = (incoming, children, indeg)
-    cache["procpool_coarse"] = got
-    return got
-
-
-def _deferred_fine(symb):
-    """Deferred-commit fine plan: ``(pairs, incoming, children, indeg,
-    ntasks)`` over the fine task ids (``0..nsup-1`` factor tasks,
-    ``nsup..`` pair tasks, exactly :func:`executor._fine_plan`'s
-    numbering).  ``incoming[p]`` lists the pair-task ids targeting
-    supernode ``p`` in ascending id order — which is ascending source
-    order, then the serial engine's pair enumeration order."""
-    cache = symb.cache()
-    got = cache.get("procpool_fine")
-    if got is not None:
-        return got
-    pairs, pair_ids, _, _ = _fine_plan(symb)
-    nsup = symb.nsup
-    npairs = len(pairs)
-    ntasks = nsup + npairs
-    incoming = [[] for _ in range(nsup)]
-    for i, (_, bi, _) in enumerate(pairs):
-        incoming[bi.owner].append(nsup + i)
-    children = [list(pair_ids[s]) for s in range(nsup)]
-    children += [[pairs[i][1].owner] for i in range(npairs)]
-    indeg = tuple(len(x) for x in incoming) + (1,) * npairs
-    got = (pairs, incoming, children, indeg, ntasks)
-    cache["procpool_fine"] = got
     return got
 
 
@@ -284,7 +244,7 @@ def _attach_shm(name):
 
 class _WorkerState:
     """One warmed pattern inside a worker process: shared-memory views plus
-    the locally rebuilt deferred-commit plan."""
+    the locally rebuilt DAG plan's deferred-commit lists."""
 
     def __init__(self, symb, granularity, panels_name, scratch_name,
                  dtype=np.float64):
@@ -298,11 +258,12 @@ class _WorkerState:
         )
         self.scratch = _scratch_views(symb, granularity,
                                       self.scratch_shm.buf, dtype)
-        if granularity == "coarse":
-            self.incoming, _, _ = _deferred_coarse(symb)
-            self.pairs = None
-        else:
-            self.pairs, self.incoming, _, _, _ = _deferred_fine(symb)
+        # incoming[p]: what p's factor task applies first, in the serial
+        # accumulation order (coarse: (source, assembly run); fine: pair
+        # task ids)
+        plan = dag_plan(symb, granularity)
+        self.pairs = plan.pairs
+        self.incoming = plan.incoming
 
     def run_task(self, tid):
         symb = self.symb
@@ -419,11 +380,10 @@ class _WarmEntry:
         _, _, scratch_total = _scratch_layout(symb, granularity, itemsize)
         self.panels_shm = _create_shm(panel_total)
         self.scratch_shm = _create_shm(scratch_total)
-        if granularity == "coarse":
-            _, self.children, self.indeg = _deferred_coarse(symb)
-            self.ntasks = symb.nsup
-        else:
-            _, _, self.children, self.indeg, self.ntasks = _deferred_fine(symb)
+        plan = dag_plan(symb, granularity)
+        self.children = plan.children
+        self.indeg = plan.indeg
+        self.ntasks = plan.ntasks
 
     def close(self):
         for shm in (self.panels_shm, self.scratch_shm):
@@ -451,9 +411,7 @@ class ProcessPool:
     """
 
     def __init__(self, workers=None, *, start_method=None):
-        self.workers = default_workers() if workers is None else int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        self.workers = _resolve_workers(workers)
         self.start_method = _resolve_start_method(start_method)
         ctx = mp.get_context(self.start_method)
         self._lock = threading.Lock()
@@ -517,8 +475,7 @@ class ProcessPool:
     def _check_alive(self):
         dead = [i for i, p in enumerate(self._procs) if not p.is_alive()]
         if dead:
-            self._closed = True
-            raise RuntimeError(
+            raise WorkerDiedError(
                 f"process backend worker(s) {dead} died unexpectedly "
                 f"(exitcodes {[self._procs[i].exitcode for i in dead]})"
             )
@@ -531,7 +488,7 @@ class ProcessPool:
                     return conn.recv()
                 except (EOFError, OSError):
                     self._check_alive()
-                    raise RuntimeError(
+                    raise WorkerDiedError(
                         "process backend worker closed its pipe"
                     ) from None
             self._check_alive()
@@ -590,9 +547,19 @@ class ProcessPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("process pool is closed")
-            entry = self._warm_entry(symb, granularity, dt)
-            self._scatter(entry, A)
-            return self._drain(entry, tracer)
+            try:
+                entry = self._warm_entry(symb, granularity, dt)
+                self._scatter(entry, A)
+                return self._drain(entry, tracer)
+            except (ConnectionError, EOFError, WorkerDiedError) as exc:
+                # a send to / recv from a dead worker: this request fails
+                # typed, the pool is released, the next one starts fresh
+                self._shutdown()
+                if isinstance(exc, WorkerDiedError):
+                    raise
+                raise WorkerDiedError(
+                    f"process backend worker died mid-request ({exc!r})"
+                ) from exc
 
     def _drain(self, entry, tracer):
         conns = self._conns
@@ -690,26 +657,28 @@ class ProcessPool:
         """Stop the workers and release every shared-memory arena.  Safe
         to call more than once; afterwards the pool rejects jobs."""
         with self._lock:
-            if self._closed and not self._procs:
-                return
-            self._closed = True
-            for conn in self._conns:
-                try:
-                    conn.send(("close",))
-                except (OSError, BrokenPipeError):
-                    pass
-            for proc in self._procs:
+            self._shutdown()
+
+    def _shutdown(self):
+        """:meth:`close` with the lock already held."""
+        self._closed = True
+        for conn in self._conns:
+            try:
+                conn.send(("close",))
+            except OSError:
+                pass
+        for proc in self._procs:
+            proc.join(timeout=10.0)
+            if proc.is_alive():  # pragma: no cover - stuck worker
+                proc.terminate()
                 proc.join(timeout=10.0)
-                if proc.is_alive():  # pragma: no cover - stuck worker
-                    proc.terminate()
-                    proc.join(timeout=10.0)
-            for conn in self._conns:
-                conn.close()
-            self._procs = []
-            self._conns = []
-            for entry in self._warm.values():
-                entry.close()
-            self._warm.clear()
+        for conn in self._conns:
+            conn.close()
+        self._procs = []
+        self._conns = []
+        for entry in self._warm.values():
+            entry.close()
+        self._warm.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +694,14 @@ def default_process_pool(workers=None, start_method=None):
     pool :func:`factorize_process` and :class:`ProcessBackend` use when no
     explicit ``pool=`` is given — serving sessions and the gateway
     therefore share worker processes instead of spawning per request."""
-    workers = default_workers() if workers is None else int(workers)
+    workers = _resolve_workers(workers)
     start_method = _resolve_start_method(start_method)
     key = (workers, start_method)
     with _DEFAULT_LOCK:
         pool = _DEFAULT_POOLS.get(key)
         if pool is None or pool.closed:
+            if pool is not None:
+                pool.close()  # release whatever a closed pool still holds
             pool = ProcessPool(workers, start_method=start_method)
             _DEFAULT_POOLS[key] = pool
         return pool
@@ -770,10 +741,7 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
     / ``start_method=``); otherwise the module's default pool for
     ``(workers, start_method)`` is used and kept warm across calls.
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}"
-        )
+    _check_granularity(granularity)
     if pool is not None:
         if workers is not None or start_method is not None:
             raise ValueError(
@@ -783,11 +751,9 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
         pool = default_process_pool(workers, start_method)
     storage, wall, ntasks = pool.run_job(symb, A, granularity,
                                          tracer=tracer, dtype=dtype)
-    family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
-    return cost.result(
-        family + "_proc",
-        storage,
+    report = _cpu_report(symb, granularity, "_proc", storage, machine,
+                         thread_choices)
+    return report(
         {
             "workers": pool.workers,
             "backend": "process",
@@ -795,7 +761,7 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
             "start_method": pool.start_method,
             "wall_seconds": wall,
             "tasks": ntasks,
-        },
+        }
     )
 
 
@@ -825,8 +791,7 @@ class ProcessBackend(Backend):
         self.workers = self.pool.workers
         self.start_method = self.pool.start_method
 
-    def run_graph(self, ntasks, roots, run_task, *, priority=None,
-                  placement=None):
+    def run_graph(self, ntasks, roots, run_task, *, priority=None):
         raise TypeError(
             "ProcessBackend cannot run arbitrary task closures: Python "
             "closures do not cross the process boundary.  Use "

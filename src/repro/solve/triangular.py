@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense.kernels import trtrs_lower
-from ..numeric.executor import OrderedCommitter, run_task_graph
+from ..numeric.executor import OrderedCommitter, _noop, run_task_graph
 from ..symbolic.levels import solve_schedule
 
 __all__ = [
@@ -140,10 +140,6 @@ def _fwd_closure(y, below, u, lo, hi):
         y[below[lo:hi]] -= u[lo:hi]
 
     return fn
-
-
-def _noop():
-    return None
 
 
 def forward_solve_graph(storage, y):

@@ -297,6 +297,21 @@ class TestBatchNotSpd:
         assert "batch matrix 3" in str(exc_info.value)
 
 
+    @pytest.mark.parametrize("engine", ["rl_par", "rlb_par"])
+    def test_two_non_spd_report_the_lower_index(self, base_plan,
+                                                value_batch, engine):
+        """Every matrix is its own graph on one pool and fails alone; the
+        batch then raises the lowest failing position, however the
+        workers interleaved."""
+        bad = [d.copy() for d in value_batch[:5]]
+        bad[1][:] = 0.0
+        bad[3][:] = 0.0
+        for _ in range(20):
+            with pytest.raises(NotPositiveDefiniteError) as exc_info:
+                base_plan.factorize_batch(bad, engine=engine, workers=3)
+            assert exc_info.value.batch_index == 1
+
+
 class TestImmutability:
     def test_factor_has_no_mutators(self, base_plan):
         factor = base_plan.factorize(engine="rl")

@@ -26,6 +26,7 @@ DOCUMENTED_TOP_LEVEL = [
     "engine_names",
     "get_engine",
     "NotPositiveDefiniteError",
+    "WorkerDiedError",
     # direct engine entry points (power users; the staged API wraps these)
     "factorize_rl_cpu",
     "factorize_rlb_cpu",
@@ -80,11 +81,13 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.executor", "StreamPool"),
     ("repro.numeric.executor", "stream_factorize_job"),
     ("repro.numeric.executor", "warm_executor_plan"),
+    ("repro.numeric.executor", "dag_plan"),
     ("repro.numeric", "ProcessBackend"),
     ("repro.numeric", "ProcessPool"),
     ("repro.numeric", "factorize_process"),
     ("repro.numeric.procpool", "ProcessBackend"),
     ("repro.numeric.procpool", "ProcessPool"),
+    ("repro.numeric.procpool", "WorkerDiedError"),
     ("repro.numeric.procpool", "factorize_process"),
     ("repro.numeric.procpool", "default_process_pool"),
     ("repro.numeric.procpool", "close_default_pools"),

@@ -201,6 +201,29 @@ class TestModeledDeterminism:
         assert _bit_identical(runs[0], runs[1], system.symb)
 
 
+    @pytest.mark.parametrize("granularity", ["coarse", "fine"])
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_modeled_side_is_independent_of_workers(self, system,
+                                                    mixed_threshold,
+                                                    granularity, devices):
+        """The GPU-placed tasks are chained on the shared worker pool: one
+        at a time, in priority order, whatever the CPU lanes do.  So the
+        modeled clocks and transfer accounting repeat exactly across
+        worker counts and runs, and the panels equal the serial twin's."""
+        ref = SERIAL[granularity](system.symb, system.matrix)
+        runs = [factorize_hybrid(system.symb, system.matrix,
+                                 granularity=granularity, workers=workers,
+                                 devices=devices, threshold=mixed_threshold,
+                                 device_memory=BIG)
+                for workers in (1, 2, 4, 4)]
+        for res in runs:
+            assert res.modeled_gpu_seconds == runs[0].modeled_gpu_seconds
+            assert res.gpu_stats == runs[0].gpu_stats
+            assert (res.extra["device_task_counts"]
+                    == runs[0].extra["device_task_counts"])
+            assert _bit_identical(res, ref, system.symb)
+
+
 class TestTraceMerge:
     """Satellite: one hybrid trace carries measured worker lanes and
     modeled stream lanes on a shared clock origin."""

@@ -203,6 +203,33 @@ class TestPoolLifecycle:
         q = default_process_pool(2)
         assert q is not p and not q.closed
 
+    def test_dead_worker_fails_one_request_typed_and_releases_the_pool(self):
+        """SIGKILL one worker between two requests: the next request
+        raises ``WorkerDiedError`` (at the parent: a raw BrokenPipeError
+        on every later request, pool never closed, arenas left in
+        /dev/shm), the pool is closed with its segments unlinked, and the
+        request after that runs on a fresh default pool."""
+        A = grid_laplacian((6, 5, 3))
+        plan = repro.plan(A)
+        ref = plan.factorize(engine="rl")
+        pool = default_process_pool(2)
+        plan.factorize(engine="rl_proc", workers=2)
+        names = pool.shm_names()
+        assert len(names) == 2
+        victim = pool._procs[0]
+        victim.kill()
+        victim.join(timeout=30)
+        assert not victim.is_alive()
+        with pytest.raises(repro.WorkerDiedError):
+            plan.factorize(engine="rl_proc", workers=2)
+        assert pool.closed and pool.shm_names() == []
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+        factor = plan.factorize(engine="rl_proc", workers=2)
+        assert default_process_pool(2) is not pool
+        assert_same_panels(factor.result, ref.result)
+
     def test_rejects_bad_arguments(self, system):
         with pytest.raises(ValueError, match="workers"):
             ProcessPool(0)

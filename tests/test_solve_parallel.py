@@ -9,8 +9,13 @@ covers the :class:`SolvePlan` level-schedule introspection, the executor's
 per-task trace instrumentation and the solve-mode registry dispatch.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.dense import NotPositiveDefiniteError
@@ -362,6 +367,134 @@ class TestStreamPoolRobustness:
                 on_complete=lambda: done.set_result("ok"),
                 on_error=done.set_exception)
             assert done.result(timeout=30) == "ok"
+
+
+    def test_rootless_graph_is_refused_at_submission(self):
+        """A non-empty graph without a root can never start: the workers
+        would wait forever and close() would block on the active graph
+        (by reading the parent's code; never returned there)."""
+        from repro.numeric.executor import StreamPool, run_task_graph
+
+        with pytest.raises(ValueError, match="at least one root"):
+            run_task_graph(3, [], lambda tid: [], 2)
+        with StreamPool(1) as pool:
+            with pytest.raises(ValueError, match="at least one root"):
+                pool.submit_graph(3, [], lambda tid: [],
+                                  on_complete=lambda: None,
+                                  on_error=lambda exc: None)
+            assert pool.active == 0
+        # the pool closed cleanly: nothing was left active
+
+    def test_empty_graph_completes(self):
+        from repro.numeric.executor import run_task_graph
+
+        run_task_graph(0, [], lambda tid: [], 2)
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RecordedGraph:
+    """A random DAG as a ``(ntasks, roots, run_task)`` triple that logs
+    its execution order; task ``bad`` (if any) raises."""
+
+    def __init__(self, preds, bad):
+        self.preds = preds
+        self.bad = bad
+        self.ntasks = len(preds)
+        self.roots = [t for t, p in enumerate(preds) if not p]
+        self.children = [[] for _ in preds]
+        for t, ps in enumerate(preds):
+            for p in ps:
+                self.children[p].append(t)
+        self.waiting = [len(p) for p in preds]
+        self.lock = threading.Lock()
+        self.order = []
+        self.completed = 0
+        self.errors = []
+
+    def run_task(self, tid):
+        with self.lock:
+            self.order.append(tid)
+        if tid == self.bad:
+            raise _Boom(tid)
+        newly = []
+        with self.lock:
+            for c in self.children[tid]:
+                self.waiting[c] -= 1
+                if not self.waiting[c]:
+                    newly.append(c)
+        return newly
+
+    def on_complete(self):
+        with self.lock:
+            self.completed += 1
+
+    def check(self):
+        # exactly once, and only after every predecessor
+        assert len(set(self.order)) == len(self.order)
+        seen = set()
+        for t in self.order:
+            assert self.preds[t] <= seen
+            seen.add(t)
+        if self.bad is None:
+            assert sorted(self.order) == list(range(self.ntasks))
+            assert self.completed == 1 and not self.errors
+        else:
+            assert self.completed == 0
+            assert [type(e) for e in self.errors] == [_Boom]
+            assert self.errors[0].args == (self.bad,)
+            assert not set(self.children[self.bad]) & set(self.order)
+
+
+@st.composite
+def _recorded_graphs(draw):
+    n = draw(st.integers(1, 9))
+    preds = [draw(st.sets(st.integers(0, t - 1), max_size=3)) if t else set()
+             for t in range(n)]
+    bad = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return preds, bad
+
+
+class TestOneWorkerPool:
+    """The one threaded dispatch loop under generated load: random DAGs x
+    workers 1-4 (more than this box's cores) x 1-3 graphs in flight."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(specs=st.lists(_recorded_graphs(), min_size=1, max_size=3),
+           workers=st.integers(1, 4))
+    def test_random_dags_run_once_in_order_and_fail_alone(self, specs,
+                                                          workers):
+        from repro.numeric.executor import StreamPool, run_task_graph
+
+        graphs = [_RecordedGraph(preds, bad) for preds, bad in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = StreamPool(workers)
+            for g in graphs:
+                pool.submit_graph(g.ntasks, g.roots, g.run_task,
+                                  on_complete=g.on_complete,
+                                  on_error=g.errors.append)
+            closer = threading.Thread(target=pool.close)
+            closer.start()
+            closer.join(timeout=60)
+            assert not closer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for g in graphs:
+            g.check()
+        # the transient-pool door re-raises a graph's failure
+        preds, bad = specs[0]
+        again = _RecordedGraph(preds, bad)
+        if bad is None:
+            run_task_graph(again.ntasks, again.roots, again.run_task, workers)
+            assert sorted(again.order) == list(range(again.ntasks))
+        else:
+            with pytest.raises(_Boom):
+                run_task_graph(again.ntasks, again.roots, again.run_task,
+                               workers)
 
 
 class TestExecutorTraceInstrumentation:
