@@ -80,7 +80,7 @@ from .numeric import (
 from .numeric import WorkerDiedError
 from .numeric import plan as memory_plan
 from .numeric.registry import ENGINES, engine_names, get_engine
-from .dense import NotPositiveDefiniteError
+from .dense import NonFiniteValuesError, NotPositiveDefiniteError
 from .gpu import SimulatedGpu, MachineModel, DeviceOutOfMemory, Tracer
 from .api import (
     plan,
@@ -107,6 +107,7 @@ __all__ = [
     "engine_names",
     "get_engine",
     "NotPositiveDefiniteError",
+    "NonFiniteValuesError",
     "WorkerDiedError",
     "factorize_rl_cpu",
     "factorize_rlb_cpu",

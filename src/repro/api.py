@@ -65,7 +65,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from .dense.kernels import NotPositiveDefiniteError
+from .dense.kernels import NonFiniteValuesError, NotPositiveDefiniteError
 from .gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from .numeric.executor import (
     StreamPool,
@@ -241,8 +241,15 @@ class SymbolicPlan:
     # ------------------------------------------------------------------
     def _values_of(self, values):
         """Validate same-pattern ``values`` (flat data array or full
-        ``SymmetricCSC``); returns the flat data in ``A.data`` order."""
-        return same_pattern_values(self._A, values)
+        ``SymmetricCSC``); returns the flat data in ``A.data`` order.
+        Every numeric door funnels through here, so this is also where
+        NaN/Inf values are refused
+        (:class:`~repro.dense.kernels.NonFiniteValuesError`)."""
+        data = same_pattern_values(self._A, values)
+        finite = np.isfinite(data)
+        if not finite.all():
+            raise NonFiniteValuesError(data.size - np.count_nonzero(finite))
+        return data
 
     def _original_matrix(self, data):
         """Same-pattern ``SymmetricCSC`` in the original ordering holding
@@ -360,7 +367,12 @@ class SymbolicPlan:
         """
         spec, kwargs = resolve(engine, backend, workers=workers,
                                devices=devices, dtype=dtype, **engine_kwargs)
-        datas = [self._values_of(v) for v in values_list]
+        datas = []
+        for b, values in enumerate(values_list):
+            try:
+                datas.append(self._values_of(values))
+            except NonFiniteValuesError as exc:
+                raise NonFiniteValuesError(exc.count, batch_index=b) from exc
         if spec.backend != "threads":
             # one engine call per matrix; each keeps its worker/device
             # setting (the process pool itself is cached per (workers,

@@ -2,6 +2,7 @@
 
 from .kernels import (
     NotPositiveDefiniteError,
+    NonFiniteValuesError,
     potrf,
     trsm_right,
     syrk_lower,
@@ -13,6 +14,7 @@ from .flops import potrf_flops, trsm_flops, syrk_flops, gemm_flops
 
 __all__ = [
     "NotPositiveDefiniteError",
+    "NonFiniteValuesError",
     "potrf",
     "trsm_right",
     "syrk_lower",

@@ -30,6 +30,7 @@ from scipy.linalg import lapack as _lapack
 
 __all__ = [
     "NotPositiveDefiniteError",
+    "NonFiniteValuesError",
     "UnsupportedDtypeError",
     "SUPPORTED_DTYPES",
     "check_dtype",
@@ -39,6 +40,7 @@ __all__ = [
     "gemm_nt",
     "trtrs_lower",
     "factorize_panel",
+    "factor_routines",
 ]
 
 #: The dtypes the numeric lane supports, in preference order.
@@ -83,6 +85,14 @@ _GEMM = {SUPPORTED_DTYPES[0]: _blas.dgemm, SUPPORTED_DTYPES[1]: _blas.sgemm}
 _TRTRS = {SUPPORTED_DTYPES[0]: _lapack.dtrtrs, SUPPORTED_DTYPES[1]: _lapack.strtrs}
 
 
+def factor_routines(dtype):
+    """The raw ``(?potrf, ?trsm, ?syrk)`` f2py routines of ``dtype`` — for a
+    caller that picks them once per factorization and then hands each
+    operand across f2py itself (:func:`repro.numeric.rl.factor_update`)."""
+    dt = check_dtype(dtype, context="storage")
+    return _POTRF[dt], _TRSM[dt], _SYRK[dt]
+
+
 def _routine(table, array, name):
     fn = table.get(array.dtype)
     if fn is None:
@@ -122,6 +132,22 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         err.args = (f"stream submission {stream_index}: {err.args[0]}",)
         err.stream_index = int(stream_index)
         return err
+
+
+class NonFiniteValuesError(ValueError):
+    """Raised when a matrix's values hold NaN or ±Inf.  Checked once per
+    request where every door funnels
+    (:meth:`repro.api.SymbolicPlan.factorize`, ``factorize_batch``, the
+    serving sessions and the gateway), before any numeric work: a
+    non-finite factor is never built, let alone served.  ``count`` is the
+    number of offending entries; ``batch_index`` the position in a batch
+    (``None`` outside one)."""
+
+    def __init__(self, count, batch_index=None):
+        where = "" if batch_index is None else f"batch matrix {batch_index}: "
+        super().__init__(f"{where}values contain {count} non-finite entries (NaN or Inf)")
+        self.count = int(count)
+        self.batch_index = batch_index
 
 
 def potrf(block):

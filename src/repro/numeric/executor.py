@@ -68,13 +68,13 @@ import time
 from collections import deque
 from typing import NamedTuple
 
-from ..dense.kernels import NotPositiveDefiniteError
+from ..dense.kernels import NotPositiveDefiniteError, factor_routines
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..gpu.device import DeviceTimeline, SimulatedGpu, Timeline
 from ..symbolic.blocks import snode_blocks
-from ..symbolic.relind import assembly_plan
+from ..symbolic.relind import assembly_index
 from .result import cpu_cost
-from .rl import factor_snode, snode_update
+from .rl import apply_run, factor_snode, factor_update
 from .rlb import block_pair_targets, commit_block_pair, compute_block_pair
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY
@@ -132,9 +132,9 @@ class OrderedCommitter:
     """Deterministic reduction of panel updates.
 
     Each *target* supernode panel receives updates from several *source*
-    supernodes.  ``expect(target, src, nparts)`` registers (at plan-build
-    time) that ``src`` will deliver ``nparts`` update closures for
-    ``target``; ``submit(target, src, fn)`` hands one closure over.  Under
+    supernodes.  The per-target contract (:meth:`from_static`) says which
+    sources deliver how many update closures; ``submit(target, src, fn)``
+    hands one closure over.  Under
     the target's lock, closures are applied strictly in ascending ``src``
     order — a source's closures run only once every lower-numbered source
     has fully committed — which reproduces the serial engines' accumulation
@@ -155,8 +155,8 @@ class OrderedCommitter:
 
         ``static`` is an iterable of ``(target, order, expected)`` triples
         with ``order`` the ascending source tuple and ``expected`` the
-        ``{source: nparts}`` mapping — the result of an ``expect``/
-        ``finalize`` pass hoisted out to pattern-analysis time (e.g.
+        ``{source: nparts}`` mapping, computed at pattern-analysis time
+        (:attr:`DagPlan.static`,
         :attr:`repro.symbolic.levels.SolveSchedule.fwd_static`).  The
         shared containers are never mutated by ``submit`` (only the
         per-run ``received``/``head`` counters are fresh), so any number
@@ -170,21 +170,6 @@ class OrderedCommitter:
             state.expected = expected
             self._targets[target] = state
         return self
-
-    def expect(self, target, src, nparts=1):
-        state = self._targets.get(target)
-        if state is None:
-            state = self._targets[target] = _TargetState()
-        state.expected[src] = state.expected.get(src, 0) + nparts
-
-    def finalize(self):
-        """Freeze the per-target source order; call once after ``expect``."""
-        for state in self._targets.values():
-            state.order = tuple(sorted(state.expected))
-
-    def targets(self):
-        """Registered target ids (supernodes that receive updates)."""
-        return self._targets.keys()
 
     def submit(self, target, src, fn):
         state = self._targets[target]
@@ -712,7 +697,7 @@ def _task_label_fn(symb, granularity, prefix=""):
     return label
 
 
-# NOTE: dag_plan and the closure/body helpers below (_assembly_closure,
+# NOTE: dag_plan and the closure/body helpers below (_coarse_commits,
 # _pair_closure, _run_coarse, _run_fine) are the shared substrate of every
 # DAG backend — repro.numeric.gpu_dag builds the stream and hybrid engines'
 # task graphs from them and repro.numeric.procpool reads the plan's edges.
@@ -740,8 +725,9 @@ class DagPlan(NamedTuple):
     children: tuple
     indeg: tuple
     #: per target supernode, what feeds its panel in the serial engines'
-    #: accumulation order — coarse: ``(source, assembly_plan run)``
-    #: ascending by source; fine: pair task ids ascending (ascending
+    #: accumulation order — coarse: ``(source, run)``, ``run`` the position
+    #: among the source's assembly runs (what :func:`~repro.numeric.rl.apply_run`
+    #: takes), ascending by source; fine: pair task ids ascending (ascending
     #: source, then the serial pair enumeration order)
     incoming: tuple
 
@@ -756,9 +742,10 @@ def dag_plan(symb, granularity):
     symbolic factor — the one description of the task DAG that the thread,
     process, stream and hybrid substrates all schedule from.
 
-    Building it pre-warms every index cache beneath it (``assembly_plan``
-    for coarse; the block lists and every pair's ``block_pair_targets``
-    offsets for fine), so call it once on the submitting thread and later
+    Building it pre-warms every index cache beneath it (the pattern's
+    :func:`~repro.symbolic.relind.assembly_index` for coarse; the block
+    lists and every pair's ``block_pair_targets`` offsets for fine), so
+    call it once on the submitting thread and later
     reads from worker threads or streaming callbacks never mutate the
     symbolic cache concurrently.  Idempotent and cheap after the first
     call.
@@ -774,14 +761,12 @@ def dag_plan(symb, granularity):
     incoming = [[] for _ in range(nsup)]
     expected = [{} for _ in range(nsup)]
     if granularity == "coarse":
-        children = []
-        for s in range(nsup):
-            runs = assembly_plan(symb, s)
-            children.append(tuple(run[0] for run in runs))
-            for run in runs:
+        children = list(assembly_index(symb).targets)
+        for s, targets in enumerate(children):
+            for r, p in enumerate(targets):
                 # RL assembly delivers one run per (source, ancestor)
-                incoming[run[0]].append((s, run))
-                expected[run[0]][s] = 1
+                incoming[p].append((s, r))
+                expected[p][s] = 1
     else:
         for s in range(nsup):
             blocks = snode_blocks(symb, s)
@@ -816,11 +801,14 @@ def dag_plan(symb, granularity):
 warm_executor_plan = dag_plan
 
 
-def _assembly_closure(target_panel, relrows, colpos, U, k0, k1):
-    def fn():
-        target_panel[relrows, colpos] -= U[k0:, k0:k1]
-
-    return fn
+def _coarse_commits(storage, index, s, U):
+    """``(target, closure)`` per assembly run of source ``s``'s update
+    matrix ``U``, ascending by target — what a coarse task hands to the
+    :class:`OrderedCommitter`."""
+    return [
+        (p, functools.partial(apply_run, storage, index, s, r, U))
+        for r, p in enumerate(index.targets[s])
+    ]
 
 
 def _pair_closure(symb, storage, bi, bj, u):
@@ -831,13 +819,15 @@ def _pair_closure(symb, storage, bi, bj, u):
 
 
 def _run_coarse(symb, storage, committer):
+    program = storage.factor_program()
+    routines = factor_routines(storage.dtype)
+    index = assembly_index(symb)
+
     def run_task(s):
-        _, _, b = factor_snode(symb, storage, s)
+        U = factor_update(program[s], routines)
         newly = []
-        if b:
-            U = snode_update(symb, storage, s)
-            for p, k0, k1, relrows, colpos, _ in assembly_plan(symb, s):
-                fn = _assembly_closure(storage.panel(p), relrows, colpos, U, k0, k1)
+        if U is not None:
+            for p, fn in _coarse_commits(storage, index, s, U):
                 newly.extend(committer.submit(p, s, fn))
         return newly
 
@@ -846,6 +836,7 @@ def _run_coarse(symb, storage, committer):
 
 def _run_fine(symb, storage, committer, pairs, pair_ids):
     nsup = symb.nsup
+    storage.factor_program()  # built here, on the submitting thread
 
     def run_task(tid):
         if tid < nsup:

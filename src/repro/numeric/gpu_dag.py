@@ -60,14 +60,14 @@ import time
 import numpy as np
 
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
-from ..symbolic.relind import assembly_plan
+from ..symbolic.relind import assembly_index
 from .executor import (
     _FAMILY,
     GpuStreamBackend,
     HybridBackend,
     OrderedCommitter,
-    _assembly_closure,
     _check_granularity,
+    _coarse_commits,
     _pair_closure,
     _run_coarse,
     _run_fine,
@@ -80,7 +80,6 @@ from .result import (
     HybridResult,
     cpu_cost,
 )
-from .rl import update_workspace_entries
 from .rl_gpu import cpu_factor_snode, rl_cpu_snode, rl_gpu_snode
 from .rlb_gpu import (
     factorize_rlb_gpu_v1,
@@ -127,19 +126,15 @@ def _coarse_scatter(symb, storage, backend, committer, ready, acc):
     host = backend.host
     cpu_t = machine.gpu_run_cpu_threads
     itemsize = storage.itemsize
+    index = assembly_index(symb)
 
     def scatter(s, U):
         # deterministic per-source order means every run lands exactly as
         # assemble_update's pass; out-of-order sources are buffered by the
         # committer
-        moved = 0
+        moved = index.moved[s]
         newly = []
-        targets = set()
-        for p, k0, k1, relrows, colpos, nbytes in assembly_plan(symb, s):
-            moved += nbytes
-            targets.add(p)
-            fn = _assembly_closure(storage.panel(p), relrows, colpos, U,
-                                   k0, k1)
+        for p, fn in _coarse_commits(storage, index, s, U):
             newly.extend(committer.submit(p, s, fn))
         host.advance_cpu(
             machine.assembly_seconds(moved * itemsize / 8.0,
@@ -147,7 +142,7 @@ def _coarse_scatter(symb, storage, backend, committer, ready, acc):
             label="assembly")
         acc.assembly(moved)
         t = host.cpu
-        for p in targets:
+        for p in index.targets[s]:
             if ready.get(p, 0.0) < t:
                 ready[p] = t
         return newly
@@ -197,13 +192,9 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h,
     if stopwatch is not None:
         run_cpu = stopwatch(_run_coarse(symb, storage, committer))
     else:
-        bmax = int(np.sqrt(update_workspace_entries(symb))) if symb.nsup else 0
-        W = (np.zeros((bmax, bmax), dtype=storage.dtype, order="F")
-             if bmax else None)
-
         def run_cpu(s):
             host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
-            return rl_cpu_snode(symb, storage, s, machine, host, cpu_t, W,
+            return rl_cpu_snode(symb, storage, s, machine, host, cpu_t,
                                 scatter, acc)
 
     def run_task(s):

@@ -7,7 +7,9 @@ real multicore hosts.  This module escapes the GIL with a third
 the same coarse/fine task DAGs as :mod:`repro.numeric.executor`, with the
 :class:`~repro.numeric.storage.FactorStorage` panels living in a
 ``multiprocessing.shared_memory`` arena so the per-task protocol is
-pickle-free — the symbolic factor ships once at pool warm-up, each side
+pickle-free (the shared factor is an ordinary ``FactorStorage`` over the
+segment, :meth:`FactorStorage.over <repro.numeric.storage.FactorStorage.over>`)
+— the symbolic factor ships once at pool warm-up, each side
 rebuilds the same :func:`~repro.numeric.executor.dag_plan` from it (the
 parent schedules from its ``children`` / ``indeg`` edges, the workers
 apply its ``incoming`` lists), and every task message is just
@@ -80,8 +82,9 @@ from multiprocessing.connection import wait as _connection_wait
 
 import numpy as np
 
-from ..dense.kernels import NotPositiveDefiniteError, check_dtype
+from ..dense.kernels import NotPositiveDefiniteError, check_dtype, factor_routines
 from ..gpu.costmodel import CPU_THREAD_CHOICES
+from ..symbolic.relind import assembly_index
 from .blas_limits import pinned_blas_env, process_worker_main
 from .executor import (
     Backend,
@@ -91,7 +94,7 @@ from .executor import (
     _task_label_fn,
     dag_plan,
 )
-from .rl import factor_snode, snode_update
+from .rl import apply_run, factor_snode, factor_update
 from .rlb import commit_block_pair, compute_block_pair
 from .storage import FactorStorage, ScatterPlan
 
@@ -133,26 +136,6 @@ def _resolve_start_method(start_method):
 # whose edges the scheduler and the deferred commits read; computed
 # identically — and independently — by the parent and every worker)
 # ---------------------------------------------------------------------------
-def _panel_layout(symb, itemsize=8):
-    """Byte offset of each supernode's F-order ``(m, w)`` panel in the
-    panels arena at ``itemsize`` bytes/entry, plus the arena's total
-    size."""
-    cache = symb.cache()
-    key = f"procpool_panel_layout_{itemsize}"
-    got = cache.get(key)
-    if got is not None:
-        return got
-    offsets = []
-    total = 0
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        offsets.append(total)
-        total += m * w * itemsize
-    got = (tuple(offsets), total)
-    cache[key] = got
-    return got
-
-
 def _scratch_layout(symb, granularity, itemsize=8):
     """Per-slot ``(offset, shape)`` of the deferred-update scratch arena
     at ``itemsize`` bytes/entry.
@@ -186,18 +169,6 @@ def _scratch_layout(symb, granularity, itemsize=8):
     got = (tuple(offsets), tuple(shapes), total)
     cache[key] = got
     return got
-
-
-def _panel_views(symb, buf, dtype=np.float64):
-    """Per-supernode panel views over a panels-arena buffer."""
-    dt = np.dtype(dtype)
-    offsets, _ = _panel_layout(symb, dt.itemsize)
-    views = []
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        views.append(np.ndarray((m, w), dtype=dt, buffer=buf,
-                                offset=offsets[s], order="F"))
-    return views
 
 
 def _scratch_views(symb, granularity, buf, dtype=np.float64):
@@ -253,9 +224,8 @@ class _WorkerState:
         self.nsup = symb.nsup
         self.panels_shm = _attach_shm(panels_name)
         self.scratch_shm = _attach_shm(scratch_name)
-        self.storage = FactorStorage(
-            symb, _panel_views(symb, self.panels_shm.buf, dtype)
-        )
+        # the same storage class as in-process, its arena in shared memory
+        self.storage = FactorStorage.over(symb, self.panels_shm.buf, dtype)
         self.scratch = _scratch_views(symb, granularity,
                                       self.scratch_shm.buf, dtype)
         # incoming[p]: what p's factor task applies first, in the serial
@@ -264,19 +234,19 @@ class _WorkerState:
         plan = dag_plan(symb, granularity)
         self.pairs = plan.pairs
         self.incoming = plan.incoming
+        self.program = self.storage.factor_program()
+        self.routines = factor_routines(dtype)
+        self.index = assembly_index(symb) if granularity == "coarse" else None
 
     def run_task(self, tid):
         symb = self.symb
         storage = self.storage
         if self.granularity == "coarse":
-            panel = storage.panel(tid)
             for src, run in self.incoming[tid]:
-                _, k0, k1, relrows, colpos, _ = run
-                U = self.scratch[src]
-                panel[relrows, colpos] -= U[k0:, k0:k1]
-            _, _, b = factor_snode(symb, storage, tid)
-            if b:
-                snode_update(symb, storage, tid, W=self.scratch[tid])
+                apply_run(storage, self.index, src, run, self.scratch[src])
+            U = factor_update(self.program[tid], self.routines)
+            if U is not None:
+                np.copyto(self.scratch[tid], U)
             return
         if tid < self.nsup:
             for pid in self.incoming[tid]:
@@ -294,7 +264,7 @@ class _WorkerState:
     def release(self):
         # drop every numpy view before closing, else the exported
         # memoryviews keep the mapping alive (BufferError)
-        self.storage = None
+        self.storage = self.program = None
         self.scratch = None
         for shm in (self.panels_shm, self.scratch_shm):
             try:
@@ -367,7 +337,7 @@ class _WarmEntry:
     the scheduler's DAG edges."""
 
     __slots__ = ("key", "wkey", "symb", "granularity", "dtype", "panels_shm",
-                 "scratch_shm", "children", "indeg", "ntasks")
+                 "scratch_shm", "storage", "children", "indeg", "ntasks")
 
     def __init__(self, key, symb, granularity, dtype=np.float64):
         self.key = key
@@ -376,16 +346,17 @@ class _WarmEntry:
         self.symb = symb
         self.granularity = granularity
         itemsize = self.dtype.itemsize
-        _, panel_total = _panel_layout(symb, itemsize)
         _, _, scratch_total = _scratch_layout(symb, granularity, itemsize)
-        self.panels_shm = _create_shm(panel_total)
+        self.panels_shm = _create_shm(int(symb.panel_offsets()[-1]) * itemsize)
         self.scratch_shm = _create_shm(scratch_total)
+        self.storage = FactorStorage.over(symb, self.panels_shm.buf, self.dtype)
         plan = dag_plan(symb, granularity)
         self.children = plan.children
         self.indeg = plan.indeg
         self.ntasks = plan.ntasks
 
     def close(self):
+        self.storage = None  # its views pin the mapping
         for shm in (self.panels_shm, self.scratch_shm):
             try:
                 shm.close()
@@ -524,18 +495,15 @@ class ProcessPool:
         return entry
 
     def _scatter(self, entry, A):
-        """Scatter ``A``'s values into the shared panels arena (the
-        :class:`FactorStorage.from_matrix` hot path, writing into shm).
-        Assigning fp64 values into fp32 views rounds exactly like the
-        explicit ``astype`` downcast, so fp32 arenas start bit-identical
-        to an fp32 :meth:`FactorStorage.from_matrix`."""
-        plan = ScatterPlan.get(entry.symb, A)
-        data, seg, dst = A.data, plan.seg, plan.dst
-        views = _panel_views(entry.symb, entry.panels_shm.buf, entry.dtype)
-        for s, view in enumerate(views):
-            flat = view.reshape(-1, order="F")
-            flat[:] = 0.0
-            flat[dst[seg[s]:seg[s + 1]]] = data[seg[s]:seg[s + 1]]
+        """Scatter ``A``'s values into the shared factor arena — the
+        :meth:`FactorStorage.from_matrix` assignment, preceded by the
+        clearing a fresh arena does not need.  Assigning fp64 values into
+        an fp32 arena rounds exactly like the explicit ``astype`` downcast,
+        so fp32 arenas start bit-identical to an fp32
+        :meth:`FactorStorage.from_matrix`."""
+        arena = entry.storage.arena
+        arena.fill(0.0)
+        arena[ScatterPlan.get(entry.symb, A).dst] = A.data
 
     # ------------------------------------------------------------------
     def run_job(self, symb, A, granularity, *, tracer=None, dtype=None):
@@ -631,10 +599,8 @@ class ProcessPool:
         wall = time.perf_counter() - t0
         if failure is not None:
             raise self._rebuild_error(failure)
-        panels = [np.array(view, order="F")
-                  for view in _panel_views(entry.symb, entry.panels_shm.buf,
-                                           entry.dtype)]
-        storage = FactorStorage(entry.symb, panels)
+        storage = FactorStorage.zeros(entry.symb, entry.dtype)
+        storage.arena[:] = entry.storage.arena
         if want_trace:
             label_of = _task_label_fn(entry.symb, entry.granularity)
             for wid, spans in enumerate(spans_by_worker):

@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..symbolic.blocks import snode_blocks
-from ..symbolic.relind import assembly_plan
+from ..symbolic.relind import assembly_index
 
 __all__ = [
     "CpuCostAccumulator",
@@ -249,6 +249,7 @@ def kernel_stream(symb, family, snodes=None):
     """
     if family not in ("rl", "rlb"):
         raise ValueError(f"unknown family {family!r}; choose 'rl' or 'rlb'")
+    moved = assembly_index(symb).moved if family == "rl" else None
     for s in range(symb.nsup) if snodes is None else snodes:
         m, w = symb.panel_shape(s)
         b = m - w
@@ -258,8 +259,7 @@ def kernel_stream(symb, family, snodes=None):
         yield s, "trsm", b, w, 0
         if family == "rl":
             yield s, "syrk", 0, b, w
-            moved = sum(run[5] for run in assembly_plan(symb, s))
-            yield s, "assembly", moved, 0, 0
+            yield s, "assembly", moved[s], 0, 0
             continue
         blocks = snode_blocks(symb, s)
         for i, bi in enumerate(blocks):

@@ -5,112 +5,178 @@ For each supernode ``J`` (left to right):
 1. DPOTRF on the dense diagonal block, DTRSM on the rectangle below — ``J``
    is now factorized;
 2. one DSYRK computes the *entire* update matrix
-   ``U_J = L_{R,J} L_{R,J}^T`` (``R`` = below-diagonal rows of ``J``) into a
-   preallocated workspace sized for the largest update matrix of the whole
-   factorization;
+   ``U_J = L_{R,J} L_{R,J}^T`` (``R`` = below-diagonal rows of ``J``);
 3. the update matrix is *assembled* (scatter-subtracted) into every ancestor
    supernode's panel using generalized relative indices.
 
 The assembly routine is shared with the GPU variant (where it runs on the
 host, OpenMP-parallel in the paper's implementation).
+
+One body, every lane
+--------------------
+Steps 1–2 are :func:`factor_update` over one entry of the storage's
+:meth:`~repro.numeric.storage.FactorStorage.factor_program`; step 3 is
+:func:`assemble_update` (a whole source at once) or :func:`apply_run` (one
+(source, ancestor) run — what the ordered committers and the process pool's
+deferred commits apply), both reading the pattern's
+:func:`~repro.symbolic.relind.assembly_index`.  The serial engine, the
+threaded and process task bodies and the GPU engines' CPU path all run these;
+:func:`factor_snode` and :func:`snode_update` are the same steps behind the
+per-supernode signatures.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..dense import kernels as dk
 from ..gpu.costmodel import CPU_THREAD_CHOICES
-from ..symbolic.relind import assembly_plan
+from ..symbolic.relind import assembly_index
 from .result import cpu_cost
 from .storage import FactorStorage
 
 __all__ = [
     "factorize_rl_cpu",
+    "factor_entry",
+    "factor_update",
     "factor_snode",
     "snode_update",
     "assemble_update",
+    "apply_run",
     "update_workspace_entries",
 ]
 
 
 def update_workspace_entries(symb):
-    """Entries of the largest update matrix — the preallocated temporary
-    working storage RL needs (§II-A).  Pattern-only, so memoised on the
-    symbolic factor."""
+    """Entries of the largest update matrix — the temporary working storage
+    RL needs (§II-A).  Pattern-only, so memoised on the symbolic factor."""
     cache = symb.cache()
     best = cache.get("update_workspace_entries")
     if best is None:
-        best = 0
-        for s in range(symb.nsup):
-            m, w = symb.panel_shape(s)
-            best = max(best, (m - w) ** 2)
-        cache["update_workspace_entries"] = best
+        best = cache["update_workspace_entries"] = symb.largest_update_size()
     return best
+
+
+def factor_entry(entry, potrf, trsm):
+    """Factorize one :meth:`~repro.numeric.storage.FactorStorage.factor_program`
+    entry in place — ``potrf`` on the diagonal block, ``trsm`` on the
+    rectangle below (the dtype's routines from
+    :func:`~repro.dense.kernels.factor_routines`).
+
+    Each operand crosses f2py once: ``?potrf`` hands back a contiguous copy
+    of the strided diagonal block, which is written back and then *itself*
+    passed to ``?trsm``; ``?trsm`` hands back the contiguous factorized
+    rectangle, which is written back and returned for ``?syrk`` (``None``
+    without below rows).  Same routines, flags and operand values as
+    :func:`~repro.dense.kernels.potrf` / :func:`~repro.dense.kernels.trsm_right`
+    on the panel's slices, so the same bits.
+    """
+    _, _, b, _, diag, rect = entry
+    c, info = potrf(diag, lower=1, overwrite_a=1, clean=0)
+    if info > 0:
+        raise dk.NotPositiveDefiniteError(info - 1)
+    if info < 0:
+        raise ValueError(f"potrf: illegal argument {-info}")
+    if c is not diag:
+        diag[:] = c
+    if not b:
+        return None
+    out = trsm(1.0, c, rect, side=1, lower=1, trans_a=1, diag=0, overwrite_b=1)
+    if out is not rect:
+        rect[:] = out
+    return out
+
+
+def factor_update(entry, routines):
+    """The fused per-supernode body: :func:`factor_entry`, then ``?syrk`` on
+    the rectangle it returned.  ``routines`` is the dtype's
+    :func:`~repro.dense.kernels.factor_routines` triple.  Returns the fresh
+    lower-valid ``(b, b)`` update matrix (upper triangle zero), or ``None``
+    when the supernode has no below-diagonal rows."""
+    potrf, trsm, syrk = routines
+    out = factor_entry(entry, potrf, trsm)
+    if out is None:
+        return None
+    return syrk(1.0, out, lower=1, trans=0)
 
 
 def factor_snode(symb, storage, s):
     """Factorize supernode ``s``'s panel in place: DPOTRF on the diagonal
-    block, DTRSM on the rectangle below.
+    block, DTRSM on the rectangle below (:func:`factor_entry` on the
+    storage's program entry).
 
-    This is the per-supernode *factor body* shared by the serial engines
-    (:func:`factorize_rl_cpu`, :func:`repro.numeric.rlb.factorize_rlb_cpu`)
-    and the threaded task-DAG runtime
-    (:mod:`repro.numeric.executor`) — the kernels exist exactly once.
+    This is the per-supernode *factor body* of the RLB engines and of every
+    caller that drives a factorization supernode by supernode.
     Returns ``(panel, w, b)``.
     """
-    panel = storage.panel(s)
-    m, w = symb.panel_shape(s)
-    b = m - w
-    dk.potrf(panel[:w, :w])
-    if b:
-        dk.trsm_right(panel[w:, :w], panel[:w, :w])
-    return panel, w, b
+    entry = storage.factor_program()[s]
+    potrf, trsm, _ = dk.factor_routines(entry[3].dtype)
+    factor_entry(entry, potrf, trsm)
+    return entry[3], entry[1], entry[2]
 
 
 def snode_update(symb, storage, s, W=None):
     """DSYRK body: the update matrix ``U_J = L_{R,J} L_{R,J}^T`` of the
     (already factorized) supernode ``s``.
 
-    ``W`` is an optional preallocated workspace (the serial engine's single
-    reusable buffer); when ``None`` a fresh ``(b, b)`` buffer is allocated —
-    the parallel runtime needs one live buffer per in-flight task.  Returns
-    the lower-valid ``(b, b)`` update matrix, or ``None`` when ``s`` has no
-    below-diagonal rows.
+    Returns the lower-valid ``(b, b)`` update matrix — a fresh array, or the
+    leading square of the caller's workspace ``W`` when one is given — or
+    ``None`` when ``s`` has no below-diagonal rows.
     """
-    panel = storage.panel(s)
-    m, w = symb.panel_shape(s)
-    b = m - w
+    _, _, b, panel, _, rect = storage.factor_program()[s]
     if not b:
         return None
-    U = (W[:b, :b] if W is not None
-         else np.zeros((b, b), dtype=panel.dtype, order="F"))
-    dk.syrk_lower(panel[w:, :w], out=U)
-    return U
+    u = dk.factor_routines(panel.dtype)[2](1.0, rect, lower=1, trans=0)
+    if W is None:
+        return u
+    W[:b, :b] = u
+    return W[:b, :b]
+
+
+def _assemble(storage, index, s, U):
+    flat = index.flat[s] if storage.arena is not None else None
+    if flat is not None:
+        storage.arena[flat[0]] -= U.reshape(-1, order="F")[flat[1]]
+        return
+    panels = storage.panels
+    for p, k0, k1, relrows, colpos, _ in index.plan(s):
+        panels[p][relrows, colpos] -= U[k0:, k0:k1]
 
 
 def assemble_update(symb, storage, s, U):
     """Scatter-subtract supernode ``s``'s update matrix into its ancestors.
 
     ``U`` is the ``(b, b)`` lower-valid update matrix over the below-diagonal
-    rows of ``s``.  Rows are grouped into runs owned by a single ancestor
-    supernode; each run becomes one fancy-indexed ``-=`` (this is the loop
-    nest the paper parallelizes with OpenMP).  The per-(supernode, ancestor)
-    relative indices come from the cached
-    :func:`~repro.symbolic.relind.assembly_plan`, so repeated factorizations
-    of the same structure do no index recomputation here.
+    rows of ``s`` (upper triangle zero).  A small source on an arena-backed
+    storage is ONE fancy-indexed ``-=`` over the arena (the flat form of the
+    pattern's :func:`~repro.symbolic.relind.assembly_index`); otherwise each
+    run of rows owned by a single ancestor is one broadcast ``-=`` into that
+    ancestor's panel (this is the loop nest the paper parallelizes with
+    OpenMP).  Either way every destination is written once, so the result
+    is the same.
 
     Returns the number of bytes moved (for the assembly cost model).
     """
-    bytes_moved = 0
-    for p, k0, k1, relrows, colpos, nbytes in assembly_plan(symb, s):
-        storage.panel(p)[relrows, colpos] -= U[k0:, k0:k1]
-        bytes_moved += nbytes
-    return bytes_moved
+    index = assembly_index(symb)
+    _assemble(storage, index, s, U)
+    return index.moved[s]
 
 
-def factorize_rl_cpu(symb, A, *, machine=None,
-                     thread_choices=CPU_THREAD_CHOICES, dtype=None):
+def apply_run(storage, index, s, r, U):
+    """Run ``r`` of source ``s``'s assembly alone: subtract the part of its
+    update matrix ``U`` owned by one ancestor from that ancestor's panel.
+    All runs of a source together are :func:`assemble_update`; the ordered
+    committers and the process pool's deferred commits apply them one by
+    one, in ascending source order per target."""
+    flat = index.flat[s] if storage.arena is not None else None
+    if flat is not None:
+        dst, src, bounds = flat
+        _, f0, f1 = bounds[r]
+        storage.arena[dst[f0:f1]] -= U.reshape(-1, order="F")[src[f0:f1]]
+        return
+    p, k0, k1, relrows, colpos, _ = index.plan(s)[r]
+    storage.panels[p][relrows, colpos] -= U[k0:, k0:k1]
+
+
+def factorize_rl_cpu(symb, A, *, machine=None, thread_choices=CPU_THREAD_CHOICES, dtype=None):
     """CPU-only RL factorization.
 
     The numerics run here; the modeled time for every MKL thread count in
@@ -120,14 +186,11 @@ def factorize_rl_cpu(symb, A, *, machine=None,
     ``dtype`` selects the factor precision (``None`` keeps the values').
     """
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    entries = update_workspace_entries(symb)
-    bmax = int(np.sqrt(entries))
-    W = (np.zeros((bmax, bmax), dtype=storage.dtype, order="F")
-         if bmax else None)
-    for s in range(symb.nsup):
-        _, _, b = factor_snode(symb, storage, s)
-        if b:
-            U = snode_update(symb, storage, s, W=W)
-            assemble_update(symb, storage, s, U)
+    index = assembly_index(symb)
+    routines = dk.factor_routines(storage.dtype)
+    for s, entry in enumerate(storage.factor_program()):
+        U = factor_update(entry, routines)
+        if U is not None:
+            _assemble(storage, index, s, U)
     cost = cpu_cost(symb, "rl", machine, thread_choices, storage.itemsize)
-    return cost.result("rl", storage, {"workspace_entries": entries})
+    return cost.result("rl", storage, {"workspace_entries": update_workspace_entries(symb)})

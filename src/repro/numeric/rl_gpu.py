@@ -27,7 +27,8 @@ released task ids.
 
 from __future__ import annotations
 
-from .rl import factor_snode, snode_update
+from ..dense.kernels import factor_routines
+from .rl import factor_snode, factor_update
 
 __all__ = ["charge_cpu_kernel", "cpu_factor_snode", "rl_cpu_snode",
            "rl_gpu_snode"]
@@ -57,21 +58,24 @@ def cpu_factor_snode(symb, storage, s, machine, timeline, cpu_t, acc):
     return panel, w, b
 
 
-def rl_cpu_snode(symb, storage, s, machine, timeline, cpu_t, W, scatter,
-                 acc):
-    """CPU-path task body of one RL supernode: :func:`cpu_factor_snode`,
-    then the serial engine's :func:`~repro.numeric.rl.snode_update` (into
-    the ``W`` workspace) charged the same way, then ``scatter(s, U)``
-    delivers the update matrix.
+def rl_cpu_snode(symb, storage, s, machine, timeline, cpu_t, scatter, acc):
+    """CPU-path task body of one RL supernode: the serial engine's fused
+    :func:`~repro.numeric.rl.factor_update` with its POTRF, TRSM and SYRK
+    charged on the host clock, then ``scatter(s, U)`` delivers the update
+    matrix.
 
     ``scatter`` owns assembly *and its charging* and returns the task ids
     it released — forwarded to the caller.
     """
-    panel, w, b = cpu_factor_snode(symb, storage, s, machine, timeline,
-                                   cpu_t, acc)
+    entry = storage.factor_program()[s]
+    _, w, b, panel = entry[:4]
+    U = factor_update(entry, factor_routines(panel.dtype))
+    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
+                      "potrf", n=w)
     if not b:
         return ()
-    U = snode_update(symb, storage, s, W=W)
+    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
+                      "trsm", m=b, n=w)
     charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
                       "syrk", n=b, k=w)
     return scatter(s, U)

@@ -11,13 +11,58 @@ The paper's RL variant uses *generalized relative indices* — relative indices
 of an arbitrary subset of ``J``'s rows w.r.t. any ancestor — while RLB only
 needs a single offset per consecutive-row block (see
 :mod:`repro.symbolic.blocks`).
+
+The assembly index
+------------------
+:func:`assembly_index` computes every relative index RL assembly will ever
+need for a pattern in ONE array-at-a-time pass — all below-diagonal rows of
+all supernodes expanded into their per-ancestor *runs*, one global
+``searchsorted`` over ``(supernode, row)`` keys (:func:`locate_rows`) — and
+memoises it on the symbolic factor.  It holds
+two forms of the same ``(destination, source)`` pairs:
+
+* **per run** — for each maximal run of a source's below rows owned by one
+  ancestor, the relative rows of the remaining tail and the run's column
+  positions: a broadcast index into the ancestor's ``(m, w)`` panel, ``O(b)``
+  integers per run.  :func:`assembly_plan` materialises a source's runs
+  from it on demand.
+* **flat** — for a source whose update matrix is small (``b² <=``
+  :data:`FLAT_UPDATE_ENTRIES`), one ``dst`` array of positions in the
+  factor's arena (:meth:`SymbolicFactor.panel_offsets` layout) and one
+  ``src`` array of positions in the F-ordered ``(b, b)`` update matrix,
+  lower triangle only, ordered by ancestor with the run boundaries kept.
+  Assembly of such a source is a single ``arena[dst] -= u[src]``.
+
+Why both: a fancy-indexed NumPy op costs a few microseconds before it moves
+its first entry, so on narrow supernodes the per-run loop is all overhead
+(2 635 ops on a 64² grid against 956 flat ones) and the flat form wins; its
+memory is ``b (b + 1) / 2`` index pairs per source, which for a 1 500-row
+update matrix would be tens of megabytes for no gain — the per-entry work
+dominates there — so large sources keep the per-run form.  The cut depends
+on ``b`` alone, a property of the input.  Every destination is written once
+per source in either form, so which form applies an update never changes
+the result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["relative_indices", "relative_indices_bottom", "assembly_plan"]
+__all__ = [
+    "relative_indices",
+    "relative_indices_bottom",
+    "locate_rows",
+    "assembly_index",
+    "assembly_plan",
+    "AssemblyIndex",
+    "FLAT_UPDATE_ENTRIES",
+]
+
+#: A source supernode gets the flat assembly form when its update matrix has
+#: at most this many entries (``b² <= 16384``, i.e. ``b <= 128``): below it
+#: the per-run Python and fancy-index setup cost exceeds the per-entry cost,
+#: above it the flat index would cost more memory than it saves time.
+FLAT_UPDATE_ENTRIES = 16384
 
 
 def relative_indices(symb, global_rows, ancestor):
@@ -40,8 +85,7 @@ def relative_indices(symb, global_rows, ancestor):
     """
     prows = symb.snode_rows(ancestor)
     pos = np.searchsorted(prows, global_rows)
-    if pos.size and (pos.max() >= prows.size or
-                     not np.array_equal(prows[pos], global_rows)):
+    if pos.size and (pos.max() >= prows.size or not np.array_equal(prows[pos], global_rows)):
         raise ValueError(
             "rows are not contained in the ancestor's structure; "
             "symbolic factorization is inconsistent"
@@ -49,15 +93,157 @@ def relative_indices(symb, global_rows, ancestor):
     return pos
 
 
+def locate_rows(symb, targets, rows):
+    """Relative index of ``rows[i]`` inside the panel of supernode
+    ``targets[i]``, any number of (target, row) pairs at once.
+
+    ``supernode * n + row`` over the concatenated panel row lists is strictly
+    increasing, so ONE ``searchsorted`` finds every pair.  ``ValueError`` when
+    a row is not in its target's structure."""
+    owner = np.repeat(np.arange(symb.nsup, dtype=np.int64), np.diff(symb.rowptr))
+    haystack = owner * symb.n + symb.rows
+    keys = targets * symb.n + rows
+    pos = np.searchsorted(haystack, keys)
+    if pos.size and (pos.max() >= haystack.size or not np.array_equal(haystack[pos], keys)):
+        raise ValueError("rows are not contained in their target supernode's structure")
+    return pos - symb.rowptr[targets]
+
+
+def _ranges(counts):
+    """``(ptr, owner, within)`` of the concatenation of ``len(counts)``
+    ranges ``0..counts[i]``: boundaries, the range each element belongs to
+    and its position inside it."""
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    return ptr, owner, np.arange(ptr[-1], dtype=np.int64) - ptr[owner]
+
+
+class AssemblyIndex:
+    """Every relative index of a pattern's RL assembly (see the module
+    docstring); build with :func:`assembly_index`.
+
+    Attributes
+    ----------
+    moved:
+        Per source supernode, the fp64-normalized bytes its assembly reads
+        and writes (the cost model's unit; a Python ``int`` list).
+    targets:
+        Per source supernode, the ancestor of each of its runs, ascending.
+    flat:
+        Per source supernode ``(dst, src, bounds)`` — arena positions,
+        positions in the F-ordered ``(b, b)`` update matrix, and
+        ``(ancestor, f0, f1)`` per run delimiting ``dst[f0:f1]`` — or
+        ``None`` for a source without below rows or above
+        :data:`FLAT_UPDATE_ENTRIES`.
+    """
+
+    __slots__ = ("moved", "targets", "flat", "_runs", "_rel", "_colpos", "_plans")
+
+    def __init__(self, symb):
+        nsup = symb.nsup
+        w = np.diff(symb.snptr)
+        m = np.diff(symb.rowptr)
+        b = m - w
+        # every below-diagonal row of every supernode, grouped by source
+        below_ptr, source, k = _ranges(b)
+        below = symb.rows[(symb.rowptr[:-1] + w)[source] + k]
+        owner = symb.col2sn[below]
+        colpos = below - symb.snptr[owner]
+        # runs: maximal stretches of one source's rows owned by one ancestor
+        first = np.ones(below.size, dtype=bool)
+        first[1:] = (source[1:] != source[:-1]) | (owner[1:] != owner[:-1])
+        run_start = np.flatnonzero(first)
+        run_end = run_start + np.diff(np.append(run_start, below.size))
+        run_source = source[run_start]
+        run_p = owner[run_start]
+        run_k0 = k[run_start]
+        run_k1 = run_k0 + (run_end - run_start)
+        run_ptr = np.searchsorted(run_source, np.arange(nsup + 1))
+        # each run updates its ancestor with the whole remaining tail of the
+        # source's rows: locate all tails in their ancestors at once
+        tail = b[run_source] - run_k0
+        rel_ptr, run_of, t = _ranges(tail)
+        rel = locate_rows(symb, run_p[run_of], below[run_start[run_of] + t])
+        nbytes = 2 * 8 * tail * (run_k1 - run_k0)
+        moved_ptr = np.concatenate(([0], np.cumsum(nbytes)))[run_ptr]
+        self.moved = np.diff(moved_ptr).tolist()
+        run_ptr, run_p = run_ptr.tolist(), run_p.tolist()
+        self.targets = tuple(tuple(run_p[r0:r1]) for r0, r1 in zip(run_ptr[:-1], run_ptr[1:]))
+        self._runs = run_ptr, run_p, run_k0.tolist(), run_k1.tolist(), nbytes.tolist()
+        self._rel = rel, rel_ptr.tolist()
+        self._colpos = colpos, below_ptr.tolist()
+        self._plans = {}
+
+        # the flat form of every small source, built at once: one entry per
+        # lower-triangle position (i, j) of each update matrix, column by
+        # column — ascending j walks a source's runs (its ancestors) in order.
+        # Down a column the position in ``rel``, in the arena's target column
+        # and in the update matrix all advance by one per row, so a column is
+        # its diagonal entry's three positions plus a count
+        small = (b > 0) & (b * b <= FLAT_UPDATE_ENTRIES)
+        count = np.where(small[source], b[source] - k, 0)  # rows i >= j of column j
+        col_ptr = np.concatenate(([0], np.cumsum(count)))
+        run = np.cumsum(first) - 1
+        rel0 = rel_ptr[run] + (k - run_k0[run])
+        dst0 = symb.panel_offsets()[owner] + colpos * m[owner]
+        src0 = k * (b[source] + 1)
+        at = np.arange(col_ptr[-1], dtype=np.int64)
+        at += np.repeat(rel0 - col_ptr[:-1], count)  # every entry's position in ``rel``
+        src = at + np.repeat(src0 - rel0, count)
+        dst = rel[at] + np.repeat(dst0, count)
+        f_run0 = col_ptr[run_start].tolist()
+        f_run1 = col_ptr[run_end].tolist()
+        f_source = col_ptr[below_ptr].tolist()
+        flat = [None] * nsup
+        for s in np.flatnonzero(small).tolist():
+            f0, f1 = f_source[s], f_source[s + 1]
+            runs = range(run_ptr[s], run_ptr[s + 1])
+            bounds = tuple((run_p[r], f_run0[r] - f0, f_run1[r] - f0) for r in runs)
+            flat[s] = dst[f0:f1], src[f0:f1], bounds
+        self.flat = tuple(flat)
+
+    def plan(self, s):
+        """The per-run form of source ``s`` — see :func:`assembly_plan`."""
+        plan = self._plans.get(s)
+        if plan is None:
+            run_ptr, run_p, run_k0, run_k1, nbytes = self._runs
+            rel, rel_ptr = self._rel
+            colpos, below_ptr = self._colpos
+            base = below_ptr[s]
+            plan = self._plans[s] = tuple(
+                (
+                    run_p[r],
+                    run_k0[r],
+                    run_k1[r],
+                    rel[rel_ptr[r] : rel_ptr[r + 1], None],
+                    colpos[base + run_k0[r] : base + run_k1[r]],
+                    nbytes[r],
+                )
+                for r in range(run_ptr[s], run_ptr[s + 1])
+            )
+        return plan
+
+
+def assembly_index(symb):
+    """The pattern's :class:`AssemblyIndex`, built on first use and memoised
+    on the symbolic factor (``dag_plan(symb, "coarse")`` warms it on the
+    submitting thread, so worker threads only ever read it)."""
+    cache = symb.cache()
+    index = cache.get("assembly_index")
+    if index is None:
+        index = cache["assembly_index"] = AssemblyIndex(symb)
+    return index
+
+
 def assembly_plan(symb, s):
-    """Cached per-ancestor scatter runs for RL assembly of supernode ``s``.
+    """Per-ancestor scatter runs for RL assembly of supernode ``s``.
 
     The below-diagonal rows of ``s`` are grouped into maximal runs owned by a
-    single ancestor supernode (the loop nest of
-    :func:`repro.numeric.rl.assemble_update`).  For each run the generalized
-    relative indices of the *remaining tail* of rows w.r.t. that ancestor are
-    precomputed once per symbolic factor, so repeated numeric factorizations
-    pay no ``searchsorted`` cost.
+    single ancestor supernode.  For each run the generalized relative indices
+    of the *remaining tail* of rows w.r.t. that ancestor come from the
+    pattern's :func:`assembly_index` (computed once per symbolic factor, all
+    sources at a time), so repeated numeric factorizations pay no
+    ``searchsorted`` cost; the tuple itself is materialised on first request.
 
     Returns
     -------
@@ -67,27 +253,7 @@ def assembly_plan(symb, s):
     ``col_positions``) and ``nbytes`` is the read+write traffic of the run
     for the assembly cost model.
     """
-    cache = symb.cache().setdefault("assembly_plan", {})
-    plan = cache.get(s)
-    if plan is not None:
-        return plan
-    below = symb.snode_below_rows(s)
-    if below.size == 0:
-        cache[s] = ()
-        return cache[s]
-    owners = symb.col2sn[below]
-    cut = np.flatnonzero(np.diff(owners)) + 1
-    starts = np.concatenate(([0], cut))
-    ends = np.concatenate((cut, [below.size]))
-    runs = []
-    for k0, k1 in zip(starts, ends):
-        p = int(owners[k0])
-        colpos = below[k0:k1] - symb.snptr[p]
-        relrows = relative_indices(symb, below[k0:], p)
-        nbytes = 2 * 8 * (below.size - int(k0)) * int(k1 - k0)
-        runs.append((p, int(k0), int(k1), relrows[:, None], colpos, nbytes))
-    cache[s] = tuple(runs)
-    return cache[s]
+    return assembly_index(symb).plan(s)
 
 
 def relative_indices_bottom(symb, global_rows, ancestor):

@@ -149,6 +149,17 @@ class SymbolicFactor:
         m, w = self.panel_shape(s)
         return m * w
 
+    def panel_offsets(self):
+        """Entry offset of every panel in one flat arena holding the
+        F-ordered ``(m, w)`` panels back to back (``nsup + 1`` entries, the
+        last is the arena's size) — the layout of
+        :class:`~repro.numeric.storage.FactorStorage` and the base of the
+        flat assembly index (:mod:`repro.symbolic.relind`)."""
+        if self._panel_offsets is None:
+            sizes = np.diff(self.rowptr) * np.diff(self.snptr)
+            self._panel_offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        return self._panel_offsets
+
     # -- aggregate statistics ---------------------------------------------
     def factor_nnz_dense(self):
         """Entries of the trapezoidal dense panels (= stored factor size,

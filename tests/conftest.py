@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from repro.sparse import (
+    SymmetricCSC,
     grid_laplacian,
     random_spd,
     tridiagonal,
@@ -77,3 +78,29 @@ def random_spd_dense(n, rng):
     """Dense random SPD matrix for oracle tests."""
     M = rng.standard_normal((n, n))
     return M @ M.T + n * np.eye(n)
+
+
+def spd_from_pattern(pattern):
+    """Diagonally dominant SPD matrix with the (symmetrised) off-diagonal
+    pattern of the boolean array ``pattern``."""
+    off = np.triu(pattern, 1).astype(float)
+    off = -(off + off.T)
+    return SymmetricCSC.from_dense(off + np.diag(1.0 - off.sum(axis=1)))
+
+
+def arrow_spd(n):
+    """Arrow matrix: the first row/column is full."""
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[0, 1:] = True
+    return spd_from_pattern(pattern)
+
+
+def two_component_spd(n):
+    """Two disconnected paths of ``n`` vertices, the second closed into a
+    cycle."""
+    pattern = np.zeros((2 * n, 2 * n), dtype=bool)
+    idx = np.arange(n - 1)
+    pattern[idx, idx + 1] = True
+    pattern[n + idx, n + idx + 1] = True
+    pattern[n, 2 * n - 1] = True
+    return spd_from_pattern(pattern)

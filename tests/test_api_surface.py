@@ -26,6 +26,7 @@ DOCUMENTED_TOP_LEVEL = [
     "engine_names",
     "get_engine",
     "NotPositiveDefiniteError",
+    "NonFiniteValuesError",
     "WorkerDiedError",
     # direct engine entry points (power users; the staged API wraps these)
     "factorize_rl_cpu",

@@ -114,20 +114,45 @@ class TestDeviceDiscipline:
 
 
 class TestInputValidation:
-    def test_nan_input_propagates_or_raises(self):
-        """NaNs must never silently disappear: the factor either carries
-        them or the engine raises on the broken pivot."""
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, bad):
+        """NaN/Inf never reaches a kernel: ``plan.factorize``,
+        ``factorize_batch`` (naming the batch position) and
+        ``Gateway.submit`` raise the typed error, and the gateway keeps
+        serving."""
+        import asyncio
+
+        import repro
+        from repro.serving import Gateway
+
         A = grid_laplacian((4, 4))
-        system = analyze(A)
-        B = system.matrix
-        data = B.data.copy()
-        data[0] = np.nan
-        bad = SymmetricCSC(B.n, B.indptr, B.indices, data, check=False)
-        try:
-            res = factorize_rl_cpu(system.symb, bad)
-            assert np.isnan(res.storage.to_dense_lower()).any()
-        except (NotPositiveDefiniteError, ValueError):
-            pass
+        plan = repro.plan(A)
+        values = A.data.copy()
+        values[3] = bad
+        with pytest.raises(repro.NonFiniteValuesError) as ei:
+            plan.factorize(values, engine="rl")
+        assert isinstance(ei.value, ValueError)
+        assert ei.value.count == 1 and ei.value.batch_index is None
+        with pytest.raises(repro.NonFiniteValuesError) as ei:
+            plan.factorize_batch([A.data, A.data, values], engine="rl_par",
+                                 workers=2)
+        assert ei.value.batch_index == 2
+        assert "batch matrix 2" in str(ei.value)
+        b = np.ones(A.n)
+
+        async def go():
+            async with Gateway(workers=2) as gw:
+                good = await gw.submit(A, b)
+                with pytest.raises(repro.NonFiniteValuesError):
+                    await gw.submit(
+                        SymmetricCSC(A.n, A.indptr, A.indices, values,
+                                     check=False), b)
+                again = await gw.submit(A, b)
+                return good, again, gw.stats()
+
+        good, again, stats = asyncio.run(go())
+        assert np.array_equal(good, again)
+        assert stats.in_flight == 0
 
     def test_dimension_mismatch(self):
         sy_small = analyze(grid_laplacian((4, 4)))

@@ -35,34 +35,14 @@ from repro.numeric import storage as storage_module
 from repro.numeric.procpool import close_default_pools
 from repro.numeric.registry import BACKENDS, ENGINES
 from repro.solve import backward_solve, forward_solve
-from repro.sparse import SymmetricCSC, grid_laplacian
+from repro.sparse import grid_laplacian
 from repro.symbolic.structure import SymbolicFactor
 from repro.update import structured_update
+from tests.conftest import arrow_spd as _arrow
+from tests.conftest import spd_from_pattern as _spd
+from tests.conftest import two_component_spd as _two_components
 
 DTYPES = [np.float64, np.float32]
-
-
-def _spd(pattern):
-    """SPD matrix with the (symmetrised) off-diagonal pattern of the
-    boolean array ``pattern``: diagonally dominant."""
-    off = np.triu(pattern, 1).astype(float)
-    off = -(off + off.T)
-    return SymmetricCSC.from_dense(off + np.diag(1.0 - off.sum(axis=1)))
-
-
-def _arrow(n):
-    pattern = np.zeros((n, n), dtype=bool)
-    pattern[0, 1:] = True
-    return _spd(pattern)
-
-
-def _two_components(n):
-    pattern = np.zeros((2 * n, 2 * n), dtype=bool)
-    idx = np.arange(n - 1)
-    pattern[idx, idx + 1] = True
-    pattern[n + idx, n + idx + 1] = True
-    pattern[n, 2 * n - 1] = True
-    return _spd(pattern)
 
 
 EDGE_PATTERNS = {

@@ -109,6 +109,7 @@ class TestExtraction:
         assert np.allclose(S, D)
 
     def test_max_update_entries(self, analyzed_grid):
-        storage = FactorStorage.zeros(analyzed_grid.symb)
-        assert storage.max_update_entries() == update_workspace_entries(
-            analyzed_grid.symb)
+        symb = analyzed_grid.symb
+        shapes = [symb.panel_shape(s) for s in range(symb.nsup)]
+        assert update_workspace_entries(symb) == max(
+            (m - w) ** 2 for m, w in shapes)
