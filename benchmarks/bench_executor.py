@@ -22,8 +22,9 @@ snapshot lands in ``BENCH_PROCESS.json``.
 
 ``--determinism-only`` skips the timing sweep and only checks the
 bit-reproducibility contract (twice at ``workers=4``, once at ``workers=1``,
-against serial) — the mode CI's determinism job runs on every PR, for both
-backends.
+against serial) under every forced task-range cut (every supernode its own
+task, the default cut, the whole pattern one task) — the mode CI's
+determinism job runs on every PR, for both backends.
 
 Run:  PYTHONPATH=src python benchmarks/bench_executor.py
       PYTHONPATH=src python benchmarks/bench_executor.py --workers 1,2,4
@@ -52,12 +53,12 @@ from functools import partial
 
 import numpy as np
 
-from harness import best_of, save_snapshot
+from harness import best_of, forced_cuts, save_snapshot
 from repro.numeric import factorize_rl_cpu, factorize_rlb_cpu
 from repro.numeric.executor import factorize_executor
 from repro.numeric.procpool import default_process_pool, factorize_process
 from repro.sparse import grid_laplacian
-from repro.symbolic import analyze
+from repro.symbolic import analyze, task_ranges
 
 SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
 
@@ -161,7 +162,11 @@ def main(argv=None):
 
     if args.determinism_only:
         print(f"determinism contract (bit-identical factors, {args.backend}):")
-        failures = check_determinism(symb, M, backend=args.backend)
+        failures = []
+        for cut in forced_cuts():
+            symb = analyze(A).symb  # a fresh partition under this cut
+            print(f" cut = {cut}: {len(task_ranges(symb))} task ranges")
+            failures += check_determinism(symb, M, backend=args.backend)
         if failures:
             print(f"\nFAIL: {len(failures)} non-deterministic run(s)")
             return 1

@@ -21,14 +21,15 @@ configuration hedges against boxes where per-task dispatch overhead
 dominates (same protocol as ``bench_executor.py`` / ``bench_batch.py``).
 Each row also prints the absolute milliseconds and the runtime overhead per
 task, ``(parallel - serial) / tasks`` in microseconds (a full solve is two
-tasks per supernode) — the ratio alone moves whenever the serial sweep
+tasks per task range) — the ratio alone moves whenever the serial sweep
 does, the overhead per task is the runtime's own cost.
 All timings are best-of-``--repeats``; BLAS is pinned to one thread per
 call (MA87-style): task-level parallelism is the thing being measured.
 
 ``--determinism-only`` skips the timing gate and only checks the
-bit-identity contract across worker counts and repeated runs — the CI
-``determinism`` job's solve-side extension.
+bit-identity contract across worker counts, repeated runs and the forced
+task-range cuts (every supernode its own task, the default cut, one task
+per sweep) — the CI ``determinism`` job's solve-side extension.
 
 Run:  PYTHONPATH=src python benchmarks/bench_solve_parallel.py
       PYTHONPATH=src python benchmarks/bench_solve_parallel.py \\
@@ -53,9 +54,10 @@ import argparse
 
 import numpy as np
 
-from harness import best_of
+from harness import best_of, forced_cuts
 import repro
 from repro.sparse import grid_laplacian
+from repro.symbolic import task_ranges
 
 
 def build_workloads(A, rhs, solves, seed=0):
@@ -119,14 +121,18 @@ def main(argv=None):
 
     if args.determinism_only:
         ok = True
-        for w in workers_sweep:
-            for _ in range(2):  # repeated runs must agree exactly too
-                ok &= check_identical(factor.solve(block, workers=w),
-                                      ref_block)
-                ok &= check_identical(factor.solve_many(many, workers=w),
-                                      ref_many)
-            print(f"  workers={w}: bit-identical "
-                  f"{'yes' if ok else 'NO'}")
+        for cut in forced_cuts():
+            cut_plan = repro.plan(A)  # a fresh partition under this cut
+            cut_factor = cut_plan.factorize(engine="rl")
+            print(f" cut = {cut}: {len(task_ranges(cut_plan.symb))} task ranges")
+            for w in workers_sweep:
+                for _ in range(2):  # repeated runs must agree exactly too
+                    ok &= check_identical(cut_factor.solve(block, workers=w),
+                                          ref_block)
+                    ok &= check_identical(
+                        cut_factor.solve_many(many, workers=w), ref_many)
+                print(f"  workers={w}: bit-identical "
+                      f"{'yes' if ok else 'NO'}")
         if not ok:
             print("FAIL: parallel solves are not bit-identical to the "
                   "serial sweeps")
@@ -137,8 +143,8 @@ def main(argv=None):
 
     t_ser_block, _ = best_of(lambda: factor.solve(block), args.repeats)
     t_ser_many, _ = best_of(lambda: factor.solve_many(many), args.repeats)
-    # a full solve is one forward and one backward task per supernode
-    tasks_block = 2 * plan.nsup
+    # a full solve is one forward and one backward task per task range
+    tasks_block = 2 * len(task_ranges(plan.symb))
     tasks_many = tasks_block * args.solves
     print(f"serial: block {t_ser_block * 1e3:8.2f} ms | "
           f"many {t_ser_many * 1e3:8.2f} ms   (best of {args.repeats}; "

@@ -38,7 +38,7 @@ from repro.numeric import (
 from repro.sparse import SUITE, get_entry
 from repro.symbolic import analyze
 
-__all__ = ["MatrixRun", "run_matrix", "run_suite", "best_of",
+__all__ = ["MatrixRun", "run_matrix", "run_suite", "best_of", "forced_cuts",
            "save_snapshot", "SUITE_NAMES"]
 
 SUITE_NAMES = [e.name for e in SUITE]
@@ -81,6 +81,25 @@ def best_of(fn, repeats):
         out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def forced_cuts():
+    """Iterate over the forced task-range cuts of the determinism sweeps —
+    ``"singletons"`` (every supernode its own task), ``"default"`` (the
+    fitted constants) and ``"one range"`` (the whole pattern one task) —
+    with the cut's constants in :mod:`repro.symbolic.ranges` patched while
+    each is current.  The partition is memoised per symbolic factor, so
+    analyze inside the loop."""
+    from repro.symbolic import ranges
+
+    saved = ranges.RANGE_WORK, ranges.RANGE_SHARE
+    try:
+        for name, work, share in (("singletons", 0.0, 0.0), ("default", *saved),
+                                  ("one range", float("inf"), 0.0)):
+            ranges.RANGE_WORK, ranges.RANGE_SHARE = work, share
+            yield name
+    finally:
+        ranges.RANGE_WORK, ranges.RANGE_SHARE = saved
 
 
 @dataclass

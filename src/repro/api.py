@@ -1194,7 +1194,8 @@ class ServingSession:
                        "stream_index": index},
                 dtype=dt,
             )
-            label_of = _task_label_fn(plan.symb, self._granularity)
+            label_of = _task_label_fn(
+                warm_executor_plan(plan.symb, self._granularity))
         else:
             # stream/hybrid engines: the whole factorization is ONE pool
             # task (the engine schedules its own device/worker lanes

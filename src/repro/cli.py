@@ -799,8 +799,9 @@ def build_parser():
     sp.add_argument("--granularity", default=None,
                     choices=["coarse", "fine"],
                     help="task granularity for the task-DAG engines: "
-                         "coarse = one task per supernode (RL), "
-                         "fine = per block pair (RLB)")
+                         "coarse = the per-supernode RL bodies, "
+                         "fine = per block pair (RLB); CPU backends run "
+                         "whole subtrees as one task")
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
                     help="scheduling substrate for the task DAG: worker "

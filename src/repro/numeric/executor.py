@@ -3,41 +3,56 @@
 Where :mod:`repro.numeric.schedule` only *simulates* list scheduling of the
 coarse (RL-style) and fine (RLB-style) task DAGs on a machine model, this
 module actually executes them: a shared-ready-queue worker pool (the
-MA87-style DAG runtime of the paper's ref [9]) runs the per-supernode and
-per-block-pair task bodies of :mod:`repro.numeric.rl` /
-:mod:`repro.numeric.rlb` on ``workers`` Python threads.  The dense kernels
-release the GIL inside BLAS, so coarse tasks (one POTRF + TRSM + SYRK per
-supernode) and fine tasks (one SYRK/GEMM per block pair) overlap on real
-cores.
+MA87-style DAG runtime of the paper's ref [9]) runs the task bodies of
+:mod:`repro.numeric.rl` / :mod:`repro.numeric.rlb` on ``workers`` Python
+threads.  The dense kernels release the GIL inside BLAS, so tasks overlap
+on real cores.
+
+**Subtrees, not supernodes.**  What is scheduled is a *task range*
+(:mod:`repro.symbolic.ranges`): a run of consecutive supernodes closed
+under descendants — whole elimination subtrees — executes the serial
+bodies in elimination order as ONE task (:func:`run_coarse_range` /
+:func:`run_fine_range`), with no lock, closure or committer for any update
+whose target lies inside the range.  Only the supernodes at the top of the
+tree are tasks of their own (coarse: POTRF + TRSM + SYRK per supernode;
+fine: one factor task plus one task per block pair), and only updates that
+*leave* a range are committed.
 
 Two properties are load-bearing:
 
-* **Safety** — a supernode's panel is only mutated by (a) its own factor
-  task and (b) committed updates from descendants; commits into a panel are
-  serialised by a per-target lock and the panel's factor task only becomes
-  ready once every expected contribution has been committed.
+* **Safety** — a supernode's panel is only mutated by (a) the task of its
+  own range and (b) committed updates from descendants in other ranges;
+  commits into a panel are serialised by a per-target lock and the panel's
+  task only becomes ready once every expected contribution has been
+  committed.
 * **Determinism** — floating-point accumulation is not associative, so
-  commits into each target panel are applied in *ascending source-supernode
-  order* (the serial engines' order), buffering out-of-order contributions
-  until their turn.  Factors are therefore bit-identical for any worker
-  count, including ``workers=1`` and the serial engines themselves.
+  updates reach each panel in *ascending source-supernode order* (the
+  serial engines' order): inside a range because the range runs its
+  supernodes in that order and holds every source of its targets; across
+  ranges because commits are applied in ascending range order (ranges are
+  disjoint intervals), buffering out-of-order contributions until their
+  turn.  Factors are therefore bit-identical for any worker count,
+  including ``workers=1`` and the serial engines themselves.
 
 **One plan, one pool.**  :func:`dag_plan` is the single static description
-of a task DAG per granularity (task ids, ordered-commit contract, roots,
-edges), memoised with all its index structures (assembly plans, block
-lists, block pair offsets) on :meth:`SymbolicFactor.cache`, so repeated
-same-pattern refactorization (``SymbolicPlan.factorize``) re-executes only
-the numeric kernels; the thread, process, stream and hybrid substrates all
-read it.  :class:`StreamPool` is the single threaded dispatch loop: a
-shared ready queue of ``(graph, task)`` entries drained by ``workers``
-threads, any number of graphs in flight, a failing graph (a non-SPD
-matrix) failing only its own ``on_error`` callback, never the pool.
+of a task DAG per granularity and partition (task ids, ordered-commit
+contract, roots, edges), memoised on the partition with all the index
+structures beneath it (assembly index, block lists, block pair offsets) on
+:meth:`SymbolicFactor.cache`, so repeated same-pattern refactorization
+(``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
+thread and process substrates read it at the pattern's
+:func:`~repro.symbolic.ranges.task_ranges`, the stream and hybrid
+substrates at the trivial partition (device placement and modeled seconds
+are per supernode).  :class:`StreamPool` is the single threaded dispatch
+loop: a shared ready queue of ``(graph, task)`` entries drained by
+``workers`` threads, any number of graphs in flight, a failing graph (a
+non-SPD matrix) failing only its own ``on_error`` callback, never the pool.
 
 * :func:`run_task_graph` runs any static ``(ntasks, roots, run_task)``
-  triple as one graph on a transient pool and re-raises its first
-  exception — the runtime behind :class:`ThreadBackend`,
-  :func:`factorize_executor` and the level-scheduled triangular solves of
-  :mod:`repro.solve.triangular`;
+  triple as one graph on a transient pool — a one-task graph on the calling
+  thread — and re-raises its first exception: the runtime behind
+  :class:`ThreadBackend`, :func:`factorize_executor` and the level-scheduled
+  triangular solves of :mod:`repro.solve.triangular`;
 * :func:`factorize_executor_batch` submits B same-pattern matrices as B
   graphs (per-matrix storage and committer, from
   :func:`stream_factorize_job`) to one transient pool — the backend of
@@ -60,6 +75,7 @@ next to the *modeled* Gantt charts of :mod:`repro.numeric.schedule`
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import os
@@ -72,9 +88,10 @@ from ..dense.kernels import NotPositiveDefiniteError, factor_routines
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..gpu.device import DeviceTimeline, SimulatedGpu, Timeline
 from ..symbolic.blocks import snode_blocks
+from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
 from .result import cpu_cost
-from .rl import apply_run, factor_snode, factor_update
+from .rl import _assemble, apply_run, factor_snode, factor_update
 from .rlb import block_pair_targets, commit_block_pair, compute_block_pair
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY
@@ -131,15 +148,18 @@ class _TargetState:
 class OrderedCommitter:
     """Deterministic reduction of panel updates.
 
-    Each *target* supernode panel receives updates from several *source*
-    supernodes.  The per-target contract (:meth:`from_static`) says which
+    Each *target* task's panel receives updates from several *source*
+    task ranges.  The per-target contract (:meth:`from_static`) says which
     sources deliver how many update closures; ``submit(target, src, fn)``
     hands one closure over.  Under
     the target's lock, closures are applied strictly in ascending ``src``
     order — a source's closures run only once every lower-numbered source
     has fully committed — which reproduces the serial engines' accumulation
-    order bit-for-bit.  Closures of a single source touch pairwise-disjoint
-    panel regions, so their relative order is free.
+    order bit-for-bit (ranges are disjoint intervals: ascending range is
+    ascending source supernode, and a range's one closure applies its own
+    sources' updates in order).  Several closures of one source (the pair
+    tasks of a single supernode) touch pairwise-disjoint panel regions, so
+    their relative order is free.
 
     ``submit`` returns the list of targets (0 or 1 here) whose final
     contribution was just applied; the runtime uses that to release the
@@ -367,7 +387,13 @@ def _run_on_pool(ntasks, roots, run_task, workers, name):
     """One graph on a transient :class:`StreamPool` named ``name``, sized
     ``min(workers, ntasks)`` (more threads than tasks can never help) and
     torn down when the graph drains; the first task exception is
-    re-raised."""
+    re-raised.  A graph of one task needs no pool: it runs right here, on
+    the calling thread (starting and joining a thread costs more than the
+    whole factorization of a small matrix)."""
+    roots = tuple(roots)
+    if ntasks == 1 and roots:
+        run_task(roots[0])
+        return
     errors = []
     with StreamPool(max(1, min(workers, ntasks)), name=name) as pool:
         pool.submit_graph(ntasks, roots, run_task, on_complete=_noop, on_error=errors.append)
@@ -683,64 +709,90 @@ def _traced_run(run_task, label_of, tracer, t0):
     return run
 
 
-def _task_label_fn(symb, granularity, prefix=""):
-    """Human-readable task labels for trace events (``snode:12``,
-    ``factor:3``, ``pair:7`` — pairs named by their source supernode)."""
-    if granularity == "coarse":
-        return lambda tid: f"{prefix}snode:{tid}"
-    plan = dag_plan(symb, "fine")
+def _task_label_fn(plan, prefix=""):
+    """Human-readable task labels for trace events: a range of several
+    supernodes is ``snodes:lo-hi`` (its first and last supernode); a single
+    supernode is ``snode:12`` (coarse) or ``factor:3`` with its pair tasks
+    ``pair:3`` (fine — pairs named by their source supernode)."""
+    bounds = plan.ranges.bounds
+    nranges = len(plan.ranges)
+    single = "snode" if plan.granularity == "coarse" else "factor"
 
     def label(tid):
-        kind = "factor" if tid < symb.nsup else "pair"
-        return f"{prefix}{kind}:{plan.snode_of(tid)}"
+        if tid >= nranges:
+            return f"{prefix}pair:{plan.pairs[tid - nranges][0]}"
+        lo, hi = bounds[tid], bounds[tid + 1]
+        if hi - lo == 1:
+            return f"{prefix}{single}:{lo}"
+        return f"{prefix}snodes:{lo}-{hi - 1}"
 
     return label
 
 
-# NOTE: dag_plan and the closure/body helpers below (_coarse_commits,
-# _pair_closure, _run_coarse, _run_fine) are the shared substrate of every
-# DAG backend — repro.numeric.gpu_dag builds the stream and hybrid engines'
-# task graphs from them and repro.numeric.procpool reads the plan's edges.
-# Renaming them is a cross-module change.
+# NOTE: dag_plan and the body helpers below (run_coarse_range,
+# run_fine_range, _coarse_tasks, _fine_tasks) are the shared substrate of
+# every DAG backend — repro.numeric.gpu_dag builds the stream and hybrid
+# engines' task graphs from them and repro.numeric.procpool runs the same
+# range bodies and schedules from the plan's edges.  Renaming them is a
+# cross-module change.
 class DagPlan(NamedTuple):
-    """Static task DAG of one granularity (see :func:`dag_plan`).
+    """Static task DAG of one granularity over one partition of the
+    supernodes (see :func:`dag_plan`).
 
-    Task ids ``0..nsup-1`` are the per-supernode tasks (coarse: the whole
-    RL supernode; fine: its factor task); fine plans continue with one
-    task per block pair, ``nsup..ntasks-1``.
+    Task ids ``0..len(ranges)-1`` are the range tasks: a range of several
+    supernodes runs the serial bodies over all of them, a single-supernode
+    range is that supernode's task (coarse: the whole RL supernode; fine:
+    its factor task).  Fine plans continue with one task per block pair of
+    every single-supernode range.
     """
 
+    granularity: str
+    ranges: TaskRanges
     ntasks: int
-    #: fine only: pair ``(s, bi, bj)`` of task ``nsup + i``, and the pair
-    #: task ids of each supernode (both empty for coarse)
+    #: per supernode, how many of its leading assembly runs (coarse) or
+    #: blocks (fine) are owned by a supernode of its own range — their
+    #: updates are applied by the range's task itself; the rest *leave*
+    stay: tuple
+    #: fine only (empty for coarse): ``(s, bi, bj)`` of every pair that leaves
+    #: its source's range, pair ``i`` under the id ``len(ranges) + i``, and
+    #: per supernode the ids of its leaving pairs.  The pairs of
+    #: single-supernode ranges come first and are the pair tasks; an id from
+    #: ``ntasks`` up only names a leaving pair of a multi-supernode range
+    #: (its slot in the process pool's scratch arena)
     pairs: tuple
     pair_ids: tuple
-    #: ``(target, sources ascending, {source: nparts})`` per updated
-    #: supernode — the :meth:`OrderedCommitter.from_static` contract
+    #: ``(target task, source range tasks ascending, {source: nparts})`` per
+    #: task updated from outside its range — the
+    #: :meth:`OrderedCommitter.from_static` contract: one part per (range,
+    #: target), but one per pair task of a single-supernode source
     static: tuple
-    #: supernodes with no incoming updates (initially ready)
+    #: tasks that wait for nothing (initially ready)
     roots: tuple
     #: tasks each task feeds / how many feed it (a parent-side scheduler's
     #: edges: a task is ready once ``indeg`` of its feeders are done)
     children: tuple
     indeg: tuple
-    #: per target supernode, what feeds its panel in the serial engines'
-    #: accumulation order — coarse: ``(source, run)``, ``run`` the position
-    #: among the source's assembly runs (what :func:`~repro.numeric.rl.apply_run`
-    #: takes), ascending by source; fine: pair task ids ascending (ascending
-    #: source, then the serial pair enumeration order)
+    #: per range task, the updates that reach it from outside its range, in
+    #: the serial engines' accumulation order — coarse: ``(source, run)``,
+    #: ``run`` the position among the source's assembly runs (what
+    #: :func:`~repro.numeric.rl.apply_run` takes), ascending by source; fine:
+    #: pair ids, ascending source, then the serial pair enumeration order
     incoming: tuple
 
     def snode_of(self, tid):
-        """The supernode task ``tid`` works on (a pair task's source)."""
-        nsup = len(self.incoming)
-        return tid if tid < nsup else self.pairs[tid - nsup][0]
+        """The supernode task ``tid`` works on: a pair task's source, a range
+        task's first supernode."""
+        nranges = len(self.ranges)
+        return self.ranges.bounds[tid] if tid < nranges else self.pairs[tid - nranges][0]
 
 
-def dag_plan(symb, granularity):
-    """The static :class:`DagPlan` of ``granularity``, memoised on the
-    symbolic factor — the one description of the task DAG that the thread,
-    process, stream and hybrid substrates all schedule from.
+def dag_plan(symb, granularity, ranges=None):
+    """The static :class:`DagPlan` of ``granularity`` over ``ranges``
+    (default: the pattern's :func:`~repro.symbolic.ranges.task_ranges`),
+    memoised on the partition — the one description of the task DAG that the
+    thread, process, stream and hybrid substrates all schedule from.  The
+    simulated-device substrates pass
+    :func:`~repro.symbolic.ranges.trivial_ranges`: one task per supernode.
 
     Building it pre-warms every index cache beneath it (the pattern's
     :func:`~repro.symbolic.relind.assembly_index` for coarse; the block
@@ -750,103 +802,206 @@ def dag_plan(symb, granularity):
     symbolic cache concurrently.  Idempotent and cheap after the first
     call.
     """
-    cache = symb.cache()
+    if ranges is None:
+        ranges = task_ranges(symb)
     key = "executor_" + granularity
-    plan = cache.get(key)
+    plan = ranges.memo.get(key)
     if plan is not None:
         return plan
     nsup = symb.nsup
+    nranges = len(ranges)
+    bounds, range_of = ranges.bounds, ranges.range_of
+    stay = []
     pairs = []
     pair_ids = []
-    incoming = [[] for _ in range(nsup)]
-    expected = [{} for _ in range(nsup)]
+    incoming = [[] for _ in range(nranges)]
+    expected = [{} for _ in range(nranges)]
+    children = [[] for _ in range(nranges)]
+    ntasks = nranges
     if granularity == "coarse":
-        children = list(assembly_index(symb).targets)
-        for s, targets in enumerate(children):
-            for r, p in enumerate(targets):
-                # RL assembly delivers one run per (source, ancestor)
+        for s, targets in enumerate(assembly_index(symb).targets):
+            t = range_of[s]
+            # runs ascend by target, so the ones inside the range come first
+            stay.append(bisect.bisect_left(targets, bounds[t + 1]))
+            for r in range(stay[s], len(targets)):
+                p = range_of[targets[r]]
                 incoming[p].append((s, r))
-                expected[p][s] = 1
+                if t not in expected[p]:
+                    expected[p][t] = 1
+                    children[t].append(p)
     else:
+        leaving = []  # per supernode, the pairs whose target is outside its range
         for s in range(nsup):
             blocks = snode_blocks(symb, s)
-            ids = []
             for i, bi in enumerate(blocks):
-                per_target = expected[bi.owner]
                 for bj in blocks[i:]:
-                    ids.append(nsup + len(pairs))
-                    incoming[bi.owner].append(ids[-1])
-                    pairs.append((s, bi, bj))
-                    per_target[s] = per_target.get(s, 0) + 1
                     block_pair_targets(symb, bi, bj)
-            pair_ids.append(tuple(ids))
-        children = pair_ids + [(bi.owner,) for _, bi, _ in pairs]
+            hi = bounds[range_of[s] + 1]
+            stay.append(sum(bi.owner < hi for bi in blocks))
+            tail = blocks[stay[s] :]
+            leaving.append([(s, bi, bj) for i, bi in enumerate(tail) for bj in tail[i:]])
+        # the pair tasks take the first ids: stable sort, single-supernode
+        # ranges before the rest
+        single = [bounds[t + 1] - bounds[t] == 1 for t in range_of]
+        pair_ids = [()] * nsup
+        for s in sorted(range(nsup), key=lambda s: not single[s]):
+            first = nranges + len(pairs)
+            pairs.extend(leaving[s])
+            pair_ids[s] = tuple(range(first, nranges + len(pairs)))
+            if single[s]:
+                ntasks = nranges + len(pairs)
+        for s in range(nsup):  # ascending source, serial pair order
+            t = range_of[s]
+            for pid, (_, bi, _) in zip(pair_ids[s], leaving[s]):
+                p = range_of[bi.owner]
+                incoming[p].append(pid)
+                if single[s]:
+                    expected[p][t] = expected[p].get(t, 0) + 1
+                elif t not in expected[p]:
+                    expected[p][t] = 1
+                    children[t].append(p)
+            if single[s]:
+                children[t] = pair_ids[s]
+        children += [(range_of[bi.owner],) for _, bi, _ in pairs[: ntasks - nranges]]
     # sources were visited ascending, so each dict's key order is the
     # committer's ascending source order
     static = tuple((p, tuple(exp), exp) for p, exp in enumerate(expected) if exp)
-    cache[key] = DagPlan(
-        ntasks=nsup + len(pairs),
+    plan = ranges.memo[key] = DagPlan(
+        granularity=granularity,
+        ranges=ranges,
+        ntasks=ntasks,
+        stay=tuple(stay),
         pairs=tuple(pairs),
         pair_ids=tuple(pair_ids),
         static=static,
         roots=tuple(p for p, exp in enumerate(expected) if not exp),
-        children=tuple(children),
-        indeg=tuple(len(x) for x in incoming) + (1,) * len(pairs),
+        children=tuple(tuple(kids) for kids in children),
+        indeg=tuple(sum(exp.values()) for exp in expected) + (1,) * (ntasks - nranges),
         incoming=tuple(tuple(x) for x in incoming),
     )
-    return cache[key]
+    return plan
 
 
 #: the name streaming callers warm a pattern under (``ServingSession``)
 warm_executor_plan = dag_plan
 
 
-def _coarse_commits(storage, index, s, U):
-    """``(target, closure)`` per assembly run of source ``s``'s update
-    matrix ``U``, ascending by target — what a coarse task hands to the
-    :class:`OrderedCommitter`."""
-    return [
-        (p, functools.partial(apply_run, storage, index, s, r, U))
-        for r, p in enumerate(index.targets[s])
-    ]
+def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
+    """The serial RL bodies over the supernodes ``lo..hi-1`` of one range:
+    factorize, form the update matrix, subtract the runs that stay inside the
+    range (:attr:`DagPlan.stay`) straight from it.  ``leave(s, U)`` gets every
+    source that also has runs leaving the range — the thread substrate hands
+    those to the ordered committer, the process substrate parks ``U`` in its
+    scratch slot."""
+    targets = index.targets
+    stay = plan.stay
+    for s in range(lo, hi):
+        U = factor_update(program[s], routines)
+        if U is None:
+            continue
+        if stay[s] == len(targets[s]):
+            _assemble(storage, index, s, U)
+            continue
+        if stay[s]:
+            _assemble(storage, index, s, U, stay[s])
+        leave(s, U)
 
 
-def _pair_closure(symb, storage, bi, bj, u):
-    def fn():
+def run_fine_range(symb, storage, plan, lo, hi, leave):
+    """The serial RLB bodies over the supernodes ``lo..hi-1`` of one range:
+    factorize, then every block pair — committed at once when its target
+    stays inside the range, else handed to ``leave(pid, bi, bj, u)`` with its
+    pair id (see :func:`run_coarse_range`)."""
+    for s in range(lo, hi):
+        panel, w, b = factor_snode(symb, storage, s)
+        if not b:
+            continue
+        blocks = snode_blocks(symb, s)
+        nstay = plan.stay[s]
+        pids = iter(plan.pair_ids[s])
+        for i, bi in enumerate(blocks):
+            for bj in blocks[i:]:
+                u = compute_block_pair(panel, w, bi, bj)
+                if i < nstay:
+                    commit_block_pair(symb, storage, bi, bj, u)
+                else:
+                    leave(next(pids), bi, bj, u)
+
+
+def _apply_runs(storage, index, items):
+    for s, r, U in items:
+        apply_run(storage, index, s, r, U)
+
+
+def _commit_pairs(symb, storage, items):
+    for bi, bj, u in items:
         commit_block_pair(symb, storage, bi, bj, u)
 
-    return fn
+
+def _submit_deferred(committer, tid, deferred, apply):
+    """Hand the updates range task ``tid`` deferred — ``{target task:
+    items}``, items in the order the range produced them (ascending source)
+    — to the committer as ONE part ``apply(items)`` per (range, target).
+    Returns the released tasks."""
+    newly = []
+    for target, items in deferred.items():
+        newly.extend(committer.submit(target, tid, functools.partial(apply, items)))
+    return newly
 
 
-def _run_coarse(symb, storage, committer):
+def _coarse_tasks(symb, storage, committer, plan):
+    """``run_task`` of the coarse graph on in-process workers: one
+    :func:`run_coarse_range` per task, the leaving runs through
+    ``committer``."""
     program = storage.factor_program()
     routines = factor_routines(storage.dtype)
     index = assembly_index(symb)
+    targets = index.targets
+    stay = plan.stay
+    bounds, range_of = plan.ranges.bounds, plan.ranges.range_of
+    apply = functools.partial(_apply_runs, storage, index)
 
-    def run_task(s):
-        U = factor_update(program[s], routines)
-        newly = []
-        if U is not None:
-            for p, fn in _coarse_commits(storage, index, s, U):
-                newly.extend(committer.submit(p, s, fn))
-        return newly
+    def run_task(tid):
+        deferred = {}
+
+        def leave(s, U):
+            for r in range(stay[s], len(targets[s])):
+                deferred.setdefault(range_of[targets[s][r]], []).append((s, r, U))
+
+        lo, hi = bounds[tid], bounds[tid + 1]
+        run_coarse_range(storage, index, plan, program, routines, lo, hi, leave)
+        return _submit_deferred(committer, tid, deferred, apply)
 
     return run_task
 
 
-def _run_fine(symb, storage, committer, pairs, pair_ids):
-    nsup = symb.nsup
+def _fine_tasks(symb, storage, committer, plan):
+    """``run_task`` of the fine graph on in-process workers: a range of
+    several supernodes is one :func:`run_fine_range`; a single-supernode
+    range is its factor task releasing one task per block pair."""
+    nranges = len(plan.ranges)
+    bounds, range_of = plan.ranges.bounds, plan.ranges.range_of
+    pairs, pair_ids = plan.pairs, plan.pair_ids
+    apply = functools.partial(_commit_pairs, symb, storage)
     storage.factor_program()  # built here, on the submitting thread
 
     def run_task(tid):
-        if tid < nsup:
-            factor_snode(symb, storage, tid)
-            return pair_ids[tid]
-        s, bi, bj = pairs[tid - nsup]
-        panel = storage.panel(s)
-        w = symb.snode_ncols(s)
-        u = compute_block_pair(panel, w, bi, bj)
-        return committer.submit(bi.owner, s, _pair_closure(symb, storage, bi, bj, u))
+        if tid >= nranges:
+            s, bi, bj = pairs[tid - nranges]
+            u = compute_block_pair(storage.panel(s), symb.snode_ncols(s), bi, bj)
+            commit = functools.partial(commit_block_pair, symb, storage, bi, bj, u)
+            return committer.submit(range_of[bi.owner], range_of[s], commit)
+        lo, hi = bounds[tid], bounds[tid + 1]
+        if hi - lo == 1:
+            factor_snode(symb, storage, lo)
+            return pair_ids[lo]
+        deferred = {}
+
+        def leave(pid, bi, bj, u):
+            deferred.setdefault(range_of[bi.owner], []).append((bi, bj, u))
+
+        run_fine_range(symb, storage, plan, lo, hi, leave)
+        return _submit_deferred(committer, tid, deferred, apply)
 
     return run_task
 
@@ -892,10 +1047,8 @@ def stream_factorize_job(
     # serial engines' deterministic commit order
     plan = dag_plan(symb, granularity)
     committer = OrderedCommitter.from_static(plan.static)
-    if granularity == "coarse":
-        run_task = _run_coarse(symb, storage, committer)
-    else:
-        run_task = _run_fine(symb, storage, committer, plan.pairs, plan.pair_ids)
+    build = _coarse_tasks if granularity == "coarse" else _fine_tasks
+    run_task = build(symb, storage, committer, plan)
     report = _cpu_report(symb, granularity, "_par", storage, machine, thread_choices)
 
     def finish(wall_seconds):
@@ -924,9 +1077,10 @@ def factorize_executor(
         Thread count (``None``: :func:`default_workers`).  Results are
         bit-identical for every value — see :class:`OrderedCommitter`.
     granularity:
-        ``"coarse"`` — one task per supernode (RL-style: POTRF + TRSM +
-        SYRK + ordered assembly); ``"fine"`` — one factor task per
-        supernode plus one task per block pair (RLB-style).
+        ``"coarse"`` — the RL bodies (POTRF + TRSM + SYRK + ordered
+        assembly), one task per task range; ``"fine"`` — the RLB bodies,
+        one task per range of several supernodes, one factor task plus one
+        task per block pair for each single supernode above the cut.
     machine / thread_choices:
         Machine model for the modeled-cost report (the numerics themselves
         run on real BLAS; ``extra["wall_seconds"]`` holds measured time).
@@ -973,7 +1127,8 @@ def factorize_executor(
     )
     t0 = time.perf_counter()
     if tracer is not None:
-        run_task = _traced_run(run_task, _task_label_fn(symb, granularity), tracer, t0)
+        label_of = _task_label_fn(dag_plan(symb, granularity))
+        run_task = _traced_run(run_task, label_of, tracer, t0)
     backend.run_graph(ntasks, roots, run_task)
     return finish(time.perf_counter() - t0)
 
@@ -1048,7 +1203,7 @@ def factorize_executor_batch(
     with StreamPool(max(1, min(workers, total)), name="repro-exec") as pool:
         for b, (_, ntasks, roots, run_task, _) in enumerate(jobs):
             if tracer is not None:
-                label_of = _task_label_fn(symb, granularity, prefix=f"m{b}:")
+                label_of = _task_label_fn(dag_plan(symb, granularity), f"m{b}:")
                 run_task = _traced_run(run_task, label_of, tracer, t0)
             pool.submit_graph(
                 ntasks,

@@ -46,7 +46,10 @@ and :func:`_fine_graph` emit each task's body CPU-or-GPU from the offload
 mask; the only thing the stream and hybrid engines disagree on is the
 CPU-side body — *modeled* (``rl_cpu_snode`` / ``rlb_cpu_pair`` charging the
 host clock, the paper's schedule) or *measured* (the threaded executor's
-``_run_coarse`` / ``_run_fine``) — so that is the builders' one parameter.
+``_coarse_tasks`` / ``_fine_tasks``) — so that is the builders' one parameter.
+The device substrates schedule the *trivial* partition
+(:func:`~repro.symbolic.ranges.trivial_ranges`, one task per supernode):
+placement, the offload mask and every modeled second are per supernode.
 With measured CPU bodies the builder also chains the GPU-placed tasks in
 priority order (:meth:`~repro.numeric.executor.HybridBackend.chain_gpu`),
 so they run one at a time, in a fixed order, on the shared worker pool.
@@ -54,12 +57,14 @@ so they run one at a time, in a fixed order, on the shared worker pool.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
 import numpy as np
 
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..symbolic.ranges import trivial_ranges
 from ..symbolic.relind import assembly_index
 from .executor import (
     _FAMILY,
@@ -67,10 +72,8 @@ from .executor import (
     HybridBackend,
     OrderedCommitter,
     _check_granularity,
-    _coarse_commits,
-    _pair_closure,
-    _run_coarse,
-    _run_fine,
+    _coarse_tasks,
+    _fine_tasks,
     _task_label_fn,
     dag_plan,
 )
@@ -80,7 +83,9 @@ from .result import (
     HybridResult,
     cpu_cost,
 )
+from .rl import apply_run
 from .rl_gpu import cpu_factor_snode, rl_cpu_snode, rl_gpu_snode
+from .rlb import commit_block_pair
 from .rlb_gpu import (
     factorize_rlb_gpu_v1,
     rlb_cpu_pair,
@@ -134,7 +139,8 @@ def _coarse_scatter(symb, storage, backend, committer, ready, acc):
         # committer
         moved = index.moved[s]
         newly = []
-        for p, fn in _coarse_commits(storage, index, s, U):
+        for r, p in enumerate(index.targets[s]):
+            fn = functools.partial(apply_run, storage, index, s, r, U)
             newly.extend(committer.submit(p, s, fn))
         host.advance_cpu(
             machine.assembly_seconds(moved * itemsize / 8.0,
@@ -169,7 +175,7 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h,
     (:func:`~repro.numeric.rl_gpu.rl_cpu_snode` behind a ``dag_wait`` on
     the supernode's modeled ready time — the stream engines) or, given a
     ``stopwatch``, the threaded executor's *measured* real-BLAS body
-    (:func:`~repro.numeric.executor._run_coarse` — fresh per-task
+    (:func:`~repro.numeric.executor._coarse_tasks` — fresh per-task
     workspaces, thread-safe) wrapped by it.  Both commit through one
     ordered committer, so the factor is bit-identical to the serial twin.
     Only modeled bodies and GPU-side scatters advance the modeled clocks —
@@ -178,7 +184,7 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h,
     machine = backend.machine
     host = backend.host
     cpu_t = machine.gpu_run_cpu_threads
-    plan = dag_plan(symb, "coarse")
+    plan = dag_plan(symb, "coarse", trivial_ranges(symb))
     committer = OrderedCommitter.from_static(plan.static)
     ready = {}  # supernode -> modeled time its inbound updates assembled
     scatter = _coarse_scatter(symb, storage, backend, committer, ready, acc)
@@ -190,7 +196,7 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h,
                             ready=ready.get(s, 0.0))
 
     if stopwatch is not None:
-        run_cpu = stopwatch(_run_coarse(symb, storage, committer))
+        run_cpu = stopwatch(_coarse_tasks(symb, storage, committer, plan))
     else:
         def run_cpu(s):
             host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
@@ -217,13 +223,13 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
     (:func:`~repro.numeric.rl_gpu.cpu_factor_snode` /
     :func:`~repro.numeric.rlb_gpu.rlb_cpu_pair`, direct ordered commit)
     or, given a ``stopwatch``, the threaded executor's measured fine
-    bodies (:func:`~repro.numeric.executor._run_fine`) wrapped by it.
+    bodies (:func:`~repro.numeric.executor._fine_tasks`) wrapped by it.
     """
     machine = backend.machine
     host = backend.host
     cpu_t = machine.gpu_run_cpu_threads
     nsup = symb.nsup
-    plan = dag_plan(symb, "fine")
+    plan = dag_plan(symb, "fine", trivial_ranges(symb))
     pairs, pair_ids = plan.pairs, plan.pair_ids
     committer = OrderedCommitter.from_static(plan.static)
     ready = {}
@@ -256,7 +262,8 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
 
         def commit(cbi, cbj, u):
             return committer.submit(
-                cbi.owner, s, _pair_closure(symb, storage, cbi, cbj, u))
+                cbi.owner, s,
+                functools.partial(commit_block_pair, symb, storage, cbi, cbj, u))
 
         def drain_one():
             item = fl.pop(0)
@@ -279,8 +286,7 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
         return newly
 
     if stopwatch is not None:
-        run_cpu = stopwatch(_run_fine(symb, storage, committer, pairs,
-                                      pair_ids))
+        run_cpu = stopwatch(_fine_tasks(symb, storage, committer, plan))
     else:
 
         def run_cpu(tid):
@@ -294,7 +300,8 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
             u = rlb_cpu_pair(storage.panel(s), symb.snode_ncols(s), bi, bj,
                              machine, host, cpu_t, acc)
             newly = list(committer.submit(
-                bi.owner, s, _pair_closure(symb, storage, bi, bj, u)))
+                bi.owner, s,
+                functools.partial(commit_block_pair, symb, storage, bi, bj, u)))
             bump(bi.owner)
             return newly
 
@@ -484,7 +491,7 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
     machine = backend.machine
     tracer = backend.tracer
     durations = []  # list.append is atomic: one entry per CPU-placed task
-    label_of = _task_label_fn(symb, granularity)
+    label_of = _task_label_fn(dag_plan(symb, granularity, trivial_ranges(symb)))
     t0 = time.perf_counter()
 
     def stopwatch(run_cpu):

@@ -9,21 +9,29 @@ the same coarse/fine task DAGs as :mod:`repro.numeric.executor`, with the
 ``multiprocessing.shared_memory`` arena so the per-task protocol is
 pickle-free (the shared factor is an ordinary ``FactorStorage`` over the
 segment, :meth:`FactorStorage.over <repro.numeric.storage.FactorStorage.over>`)
-— the symbolic factor ships once at pool warm-up, each side
-rebuilds the same :func:`~repro.numeric.executor.dag_plan` from it (the
-parent schedules from its ``children`` / ``indeg`` edges, the workers
+— the symbolic factor and the bounds of the pattern's task ranges
+(:mod:`repro.symbolic.ranges`) ship once at pool warm-up, each worker
+rebuilds the parent's :func:`~repro.numeric.executor.dag_plan` from them
+(the parent schedules from its ``children`` / ``indeg`` edges, the workers
 apply its ``incoming`` lists), and every task message is just
-``("task", tid)``.
+``("task", tid)`` — one per task range (plus, fine, one per block pair of
+the single supernodes above the cut), not one per supernode: a job on the
+64² grid is 21 messages each way instead of 957.
 
 Determinism (the ``OrderedCommitter`` contract, deferred)
 ---------------------------------------------------------
 The threaded runtime serializes cross-panel updates through a per-target
 lock, applying them in ascending source order.  Locks don't cross
-process boundaries, so the process backend *defers* instead: every
-source task writes its update matrix (coarse: the SYRK ``U_s``; fine:
-one block-pair product per pair task) into a private slot of a shared
-scratch arena, and each target's own factor task begins by applying the
-buffered contributions in ascending source order — exactly the serial
+process boundaries, so the process backend *defers* instead.  A task runs
+the serial bodies over its range (the same
+:func:`~repro.numeric.executor.run_coarse_range` /
+:func:`~repro.numeric.executor.run_fine_range` the threads run) and applies
+every update whose target is inside the range at once; an update that
+*leaves* the range (coarse: the source's SYRK ``U_s``; fine: one block-pair
+product) is written into a private slot of a shared scratch arena — only
+such sources and pairs have a slot — and the target, always a single
+supernode above the cut, begins its own task by applying the buffered
+contributions in ascending source order — exactly the serial
 engines' per-panel accumulation order, and exactly the order the
 threaded :class:`~repro.numeric.executor.OrderedCommitter` enforces.
 Factors are therefore bit-identical to the serial twins at any worker
@@ -84,6 +92,7 @@ import numpy as np
 
 from ..dense.kernels import NotPositiveDefiniteError, check_dtype, factor_routines
 from ..gpu.costmodel import CPU_THREAD_CHOICES
+from ..symbolic.ranges import TaskRanges
 from ..symbolic.relind import assembly_index
 from .blas_limits import pinned_blas_env, process_worker_main
 from .executor import (
@@ -93,8 +102,10 @@ from .executor import (
     _resolve_workers,
     _task_label_fn,
     dag_plan,
+    run_coarse_range,
+    run_fine_range,
 )
-from .rl import apply_run, factor_snode, factor_update
+from .rl import apply_run, factor_snode
 from .rlb import commit_block_pair, compute_block_pair
 from .storage import FactorStorage, ScatterPlan
 
@@ -132,57 +143,36 @@ def _resolve_start_method(start_method):
 
 
 # ---------------------------------------------------------------------------
-# Shared layouts (memoised on the symbolic factor, next to the dag_plan
-# whose edges the scheduler and the deferred commits read; computed
-# identically — and independently — by the parent and every worker)
+# The scratch arena (the parent ships the partition's bounds at warm-up and
+# every worker derives the same plan, hence the same slots, from them)
 # ---------------------------------------------------------------------------
-def _scratch_layout(symb, granularity, itemsize=8):
-    """Per-slot ``(offset, shape)`` of the deferred-update scratch arena
-    at ``itemsize`` bytes/entry.
+def _scratch_shapes(symb, plan):
+    """``{slot: shape}`` of the deferred-update scratch arena, in arena
+    order.  Only updates that *leave* their source's task range are
+    deferred, so only they get a slot.
 
-    Coarse: one ``(b_s, b_s)`` slot per supernode (its RL update matrix).
-    Fine: one slot per block pair — ``(len(B_i), len(B_i))`` for a
-    diagonal pair, ``(len(B_j), len(B_i))`` otherwise.
+    Coarse: one ``(b_s, b_s)`` slot (the RL update matrix) per source
+    supernode ``s`` with a run that leaves its range, keyed ``s``.  Fine:
+    one slot per leaving block pair, keyed by its position in
+    :attr:`DagPlan.pairs` — ``(len(B_i), len(B_i))`` for a diagonal pair,
+    ``(len(B_j), len(B_i))`` otherwise.
     """
-    cache = symb.cache()
-    key = f"procpool_scratch_{granularity}_{itemsize}"
-    got = cache.get(key)
-    if got is not None:
-        return got
-    offsets = []
-    shapes = []
-    total = 0
-    if granularity == "coarse":
-        for s in range(symb.nsup):
-            m, w = symb.panel_shape(s)
-            b = m - w
-            offsets.append(total)
-            shapes.append((b, b))
-            total += b * b * itemsize
-    else:
-        for _, bi, bj in dag_plan(symb, "fine").pairs:
-            shape = ((bi.length, bi.length) if bj is bi
-                     else (bj.length, bi.length))
-            offsets.append(total)
-            shapes.append(shape)
-            total += shape[0] * shape[1] * itemsize
-    got = (tuple(offsets), tuple(shapes), total)
-    cache[key] = got
-    return got
+    if plan.granularity == "coarse":
+        targets = assembly_index(symb).targets
+        below = (np.diff(symb.rowptr) - np.diff(symb.snptr)).tolist()
+        return {s: (below[s], below[s]) for s in range(symb.nsup)
+                if plan.stay[s] < len(targets[s])}
+    return {i: (bi.length, bi.length) if bj is bi else (bj.length, bi.length)
+            for i, (_, bi, bj) in enumerate(plan.pairs)}
 
 
-def _scratch_views(symb, granularity, buf, dtype=np.float64):
-    """Per-slot update-matrix views over a scratch-arena buffer (``None``
-    for empty slots — supernodes with no below-diagonal rows)."""
-    dt = np.dtype(dtype)
-    offsets, shapes, _ = _scratch_layout(symb, granularity, dt.itemsize)
-    views = []
-    for off, shape in zip(offsets, shapes):
-        if shape[0] == 0 or shape[1] == 0:
-            views.append(None)
-            continue
-        views.append(np.ndarray(shape, dtype=dt, buffer=buf,
-                                offset=off, order="F"))
+def _scratch_views(shapes, buf, dtype):
+    """``{slot: update-matrix view}`` over a scratch-arena buffer."""
+    views = {}
+    offset = 0
+    for slot, shape in shapes.items():
+        views[slot] = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset, order="F")
+        offset += views[slot].nbytes
     return views
 
 
@@ -215,51 +205,55 @@ def _attach_shm(name):
 
 class _WorkerState:
     """One warmed pattern inside a worker process: shared-memory views plus
-    the locally rebuilt DAG plan's deferred-commit lists."""
+    the DAG plan rebuilt locally over the parent's partition."""
 
-    def __init__(self, symb, granularity, panels_name, scratch_name,
+    def __init__(self, symb, granularity, bounds, panels_name, scratch_name,
                  dtype=np.float64):
         self.symb = symb
-        self.granularity = granularity
-        self.nsup = symb.nsup
         self.panels_shm = _attach_shm(panels_name)
         self.scratch_shm = _attach_shm(scratch_name)
         # the same storage class as in-process, its arena in shared memory
         self.storage = FactorStorage.over(symb, self.panels_shm.buf, dtype)
-        self.scratch = _scratch_views(symb, granularity,
-                                      self.scratch_shm.buf, dtype)
-        # incoming[p]: what p's factor task applies first, in the serial
-        # accumulation order (coarse: (source, assembly run); fine: pair
-        # task ids)
-        plan = dag_plan(symb, granularity)
-        self.pairs = plan.pairs
-        self.incoming = plan.incoming
+        self.plan = plan = dag_plan(symb, granularity, TaskRanges(bounds))
+        self.scratch = _scratch_views(_scratch_shapes(symb, plan), self.scratch_shm.buf, dtype)
         self.program = self.storage.factor_program()
         self.routines = factor_routines(dtype)
         self.index = assembly_index(symb) if granularity == "coarse" else None
 
     def run_task(self, tid):
+        """One task of the plan: first the deferred updates that reach a
+        single supernode from outside (:attr:`DagPlan.incoming`, the serial
+        accumulation order), then the range's serial bodies; whatever leaves
+        the range is parked in the scratch arena for its target's task."""
         symb = self.symb
         storage = self.storage
-        if self.granularity == "coarse":
-            for src, run in self.incoming[tid]:
-                apply_run(storage, self.index, src, run, self.scratch[src])
-            U = factor_update(self.program[tid], self.routines)
-            if U is not None:
-                np.copyto(self.scratch[tid], U)
+        plan = self.plan
+        scratch = self.scratch
+        nranges = len(plan.ranges)
+        if tid >= nranges:  # a pair task of a single-supernode range
+            s, bi, bj = plan.pairs[tid - nranges]
+            u = compute_block_pair(storage.panel(s), symb.snode_ncols(s), bi, bj)
+            np.copyto(scratch[tid - nranges], u)
             return
-        if tid < self.nsup:
-            for pid in self.incoming[tid]:
-                _, bi, bj = self.pairs[pid - self.nsup]
-                commit_block_pair(symb, storage, bi, bj,
-                                  self.scratch[pid - self.nsup])
-            factor_snode(symb, storage, tid)
+        lo, hi = plan.ranges.bounds[tid], plan.ranges.bounds[tid + 1]
+        if plan.granularity == "coarse":
+            for src, run in plan.incoming[tid]:
+                apply_run(storage, self.index, src, run, scratch[src])
+            run_coarse_range(
+                storage, self.index, plan, self.program, self.routines, lo, hi,
+                lambda s, U: np.copyto(scratch[s], U),
+            )
             return
-        s, bi, bj = self.pairs[tid - self.nsup]
-        panel = storage.panel(s)
-        w = symb.snode_ncols(s)
-        u = compute_block_pair(panel, w, bi, bj)
-        np.copyto(self.scratch[tid - self.nsup], u)
+        for pid in plan.incoming[tid]:
+            _, bi, bj = plan.pairs[pid - nranges]
+            commit_block_pair(symb, storage, bi, bj, scratch[pid - nranges])
+        if hi - lo == 1:
+            factor_snode(symb, storage, lo)  # its pairs are tasks of their own
+            return
+        run_fine_range(
+            symb, storage, plan, lo, hi,
+            lambda pid, bi, bj, u: np.copyto(scratch[pid - nranges], u),
+        )
 
     def release(self):
         # drop every numpy view before closing, else the exported
@@ -308,11 +302,11 @@ def _worker_loop(conn, worker_index):
                 conn.send(("spans", spans))
                 spans = None
             elif cmd == "warm":
-                (_, key, blob, granularity, panels_name, scratch_name,
-                 dtype_name) = msg
+                (_, key, blob, granularity, bounds, panels_name,
+                 scratch_name, dtype_name) = msg
                 symb = pickle.loads(blob)
-                states[key] = _WorkerState(symb, granularity, panels_name,
-                                           scratch_name,
+                states[key] = _WorkerState(symb, granularity, bounds,
+                                           panels_name, scratch_name,
                                            np.dtype(dtype_name))
                 conn.send(("warmed", key))
             elif cmd == "close":
@@ -336,24 +330,20 @@ class _WarmEntry:
     """Parent-side record of one warmed pattern: the arenas it owns plus
     the scheduler's DAG edges."""
 
-    __slots__ = ("key", "wkey", "symb", "granularity", "dtype", "panels_shm",
-                 "scratch_shm", "storage", "children", "indeg", "ntasks")
+    __slots__ = ("key", "wkey", "symb", "plan", "dtype", "panels_shm",
+                 "scratch_shm", "storage")
 
     def __init__(self, key, symb, granularity, dtype=np.float64):
         self.key = key
         self.dtype = np.dtype(dtype)
         self.wkey = f"{id(symb):x}:{granularity}:{self.dtype.name}"
         self.symb = symb
-        self.granularity = granularity
+        self.plan = dag_plan(symb, granularity)
         itemsize = self.dtype.itemsize
-        _, _, scratch_total = _scratch_layout(symb, granularity, itemsize)
+        entries = sum(m * n for m, n in _scratch_shapes(symb, self.plan).values())
         self.panels_shm = _create_shm(int(symb.panel_offsets()[-1]) * itemsize)
-        self.scratch_shm = _create_shm(scratch_total)
+        self.scratch_shm = _create_shm(entries * itemsize)
         self.storage = FactorStorage.over(symb, self.panels_shm.buf, self.dtype)
-        plan = dag_plan(symb, granularity)
-        self.children = plan.children
-        self.indeg = plan.indeg
-        self.ntasks = plan.ntasks
 
     def close(self):
         self.storage = None  # its views pin the mapping
@@ -480,8 +470,8 @@ class ProcessPool:
         try:
             for conn in self._conns:
                 conn.send(("warm", entry.wkey, blob, granularity,
-                           entry.panels_shm.name, entry.scratch_shm.name,
-                           dtype.name))
+                           entry.plan.ranges.bounds, entry.panels_shm.name,
+                           entry.scratch_shm.name, dtype.name))
             for conn in self._conns:
                 msg = self._recv(conn)
                 if msg[0] != "warmed" or msg[1] != entry.wkey:
@@ -536,9 +526,9 @@ class ProcessPool:
         want_trace = tracer is not None
         for conn in conns:
             conn.send(("job", entry.wkey, t0, want_trace))
-        indeg = list(entry.indeg)
-        children = entry.children
-        ntasks = entry.ntasks
+        indeg = list(entry.plan.indeg)
+        children = entry.plan.children
+        ntasks = entry.plan.ntasks
         heap = [t for t in range(ntasks) if indeg[t] == 0]
         heapq.heapify(heap)
         inflight = [0] * nworkers
@@ -602,7 +592,7 @@ class ProcessPool:
         storage = FactorStorage.zeros(entry.symb, entry.dtype)
         storage.arena[:] = entry.storage.arena
         if want_trace:
-            label_of = _task_label_fn(entry.symb, entry.granularity)
+            label_of = _task_label_fn(entry.plan)
             for wid, spans in enumerate(spans_by_worker):
                 lane = f"proc{wid}"
                 for tid, start, stop in spans:

@@ -9,9 +9,11 @@ enters (:meth:`repro.api.SymbolicPlan.factorize` / ``factorize_batch`` /
 is registered exactly once and every door gives the same answer.
 
 ``family`` names the task DAG a row belongs to (``"rl"`` — the coarse DAG,
-one task per supernode; ``"rlb"`` — the fine DAG, one task per block pair;
-``None`` for engines with no DAG twin: the baselines and the paper's
-negative-result ``rlb_gpu_v1``).  ``backend`` names what schedules it:
+the per-supernode RL bodies; ``"rlb"`` — the fine DAG, one body per block
+pair; the CPU backends schedule whole task ranges of either,
+:mod:`repro.symbolic.ranges`; ``None`` for engines with no DAG twin: the
+baselines and the paper's negative-result ``rlb_gpu_v1``).  ``backend``
+names what schedules it:
 
 ``"serial"``
     One supernode after another on the host; modeled best-over-threads

@@ -131,13 +131,20 @@ def snode_update(symb, storage, s, W=None):
     return W[:b, :b]
 
 
-def _assemble(storage, index, s, U):
+def _assemble(storage, index, s, U, stop=None):
+    """Subtract source ``s``'s update matrix ``U`` from its ancestors — all
+    of its assembly runs, or only the first ``stop`` (the ones whose target
+    lies inside ``s``'s task range; runs ascend by target)."""
     flat = index.flat[s] if storage.arena is not None else None
     if flat is not None:
-        storage.arena[flat[0]] -= U.reshape(-1, order="F")[flat[1]]
+        dst, src, bounds = flat
+        if stop is not None:
+            end = bounds[stop - 1][2]
+            dst, src = dst[:end], src[:end]
+        storage.arena[dst] -= U.reshape(-1, order="F")[src]
         return
     panels = storage.panels
-    for p, k0, k1, relrows, colpos, _ in index.plan(s):
+    for p, k0, k1, relrows, colpos, _ in index.plan(s)[:stop]:
         panels[p][relrows, colpos] -= U[k0:, k0:k1]
 
 

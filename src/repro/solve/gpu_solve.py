@@ -37,6 +37,7 @@ import numpy as np
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..numeric.executor import GpuStreamBackend
 from ..symbolic.levels import solve_schedule
+from ..symbolic.ranges import trivial_ranges
 from .triangular import (
     backward_solve,
     backward_solve_graph,
@@ -222,7 +223,9 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
                                    tracer=tracer,
                                    device_memory=float("inf"))
     symb = storage.symb
-    sched = solve_schedule(symb)
+    # placement and modeled charges are per supernode: the trivial partition
+    ranges = trivial_ranges(symb)
+    sched = solve_schedule(symb, ranges)
     k = _rhs_cols(b)
     nbytes_rhs = 8.0 * symb.n * k
     gpu0 = backend.gpus[0]
@@ -281,12 +284,12 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
 
     y = check_rhs(symb.n, b, "b", copy=not overwrite_b)
 
-    ntasks, roots, run_task = forward_solve_graph(storage, y)
+    ntasks, roots, run_task = forward_solve_graph(storage, y, ranges)
     backend.run_graph(
         ntasks, roots,
         lambda s: (charge_forward(s), run_task(s))[1])
     ready.clear()
-    ntasks, roots, run_task = backward_solve_graph(storage, y)
+    ntasks, roots, run_task = backward_solve_graph(storage, y, ranges)
     backend.run_graph(
         ntasks, roots,
         lambda s: (charge_backward(s), run_task(s))[1])

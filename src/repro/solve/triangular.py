@@ -13,12 +13,14 @@ once):
 
 * **serial** (``workers=None``) — one supernode after another, the
   historical sweeps;
-* **level-scheduled parallel** (``workers=N``) — the elimination-tree level
+* **level-scheduled parallel** (``workers=N``) — the elimination-tree
   schedule of :func:`repro.symbolic.levels.solve_schedule` executed on the
-  shared-ready-queue runtime of :mod:`repro.numeric.executor`.  Forward
-  cross-supernode updates go through an
-  :class:`~repro.numeric.executor.OrderedCommitter` (ascending
-  source-supernode order per target segment), so solutions are
+  shared-ready-queue runtime of :mod:`repro.numeric.executor`, one task per
+  *task range* (:mod:`repro.symbolic.ranges`): a range of whole subtrees is
+  the serial sweep over its supernodes, only the single supernodes above
+  the cut are tasks of their own.  Forward updates that leave a range go
+  through an :class:`~repro.numeric.executor.OrderedCommitter` (ascending
+  source order per target segment), so solutions are
   **bit-identical** to the serial sweeps for any worker count; the backward
   sweep only reads finalized ancestor segments, so it needs dependency
   tracking but no commit ordering.
@@ -31,10 +33,12 @@ direct ``?trtrs`` (one division on a one-column supernode) and one product.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..dense.kernels import trtrs_lower
-from ..numeric.executor import OrderedCommitter, _noop, run_task_graph
+from ..numeric.executor import OrderedCommitter, _noop, _submit_deferred, run_task_graph
 from ..symbolic.levels import solve_schedule
 
 __all__ = [
@@ -135,102 +139,127 @@ def backward_snode(storage, x, s):
 # ----------------------------------------------------------------------
 # level-scheduled task graphs (transient pools and the streaming session)
 # ----------------------------------------------------------------------
-def _fwd_closure(y, below, u, lo, hi):
-    def fn():
+def _subtract_runs(y, items):
+    for below, u, lo, hi in items:
         y[below[lo:hi]] -= u[lo:hi]
 
-    return fn
+
+def _forward_range(storage, y, sched, committer, tid):
+    """Forward task ``tid``: the serial forward body over the supernodes of
+    range ``tid``, ascending.  Updates of rows inside the range are
+    subtracted at once (every source of such a row is in the range, so this
+    is the serial order); the runs that leave are committed in ascending
+    range order, one part per (range, target).  Returns the released
+    tasks."""
+    bounds = sched.ranges.bounds
+    leaving = sched.leaving
+    deferred = {}
+    for s in range(bounds[tid], bounds[tid + 1]):
+        below, u = forward_snode(storage, y, s)
+        if u is None:
+            continue
+        if leaving[s] is None:
+            y[below] -= u
+            continue
+        stay, runs = leaving[s]
+        if stay:
+            y[below[:stay]] -= u[:stay]
+        for target, lo, hi in runs:
+            deferred.setdefault(target, []).append((below, u, lo, hi))
+    return _submit_deferred(committer, tid, deferred, functools.partial(_subtract_runs, y))
 
 
-def forward_solve_graph(storage, y):
+def _backward_range(storage, x, sched, tid):
+    """Backward task ``tid``: the serial backward body over the supernodes
+    of range ``tid``, descending (every row it reads is final: in-range
+    ancestors ran earlier in this loop, the others are this task's
+    dependencies)."""
+    bounds = sched.ranges.bounds
+    for s in range(bounds[tid + 1] - 1, bounds[tid] - 1, -1):
+        backward_snode(storage, x, s)
+
+
+def forward_solve_graph(storage, y, ranges=None):
     """``(ntasks, roots, run_task)`` of the level-scheduled forward sweep
     on ``y`` (solved in place).
 
-    One task per supernode.  A task triangular-solves its own segment (the
-    committer guarantees every descendant update has been applied first, in
-    ascending source order — the serial accumulation order, so the sweep is
-    bit-identical), then submits one update closure per ancestor-owned run
-    of its below rows.  Feed the triple to
-    :func:`repro.numeric.executor.run_task_graph` or a
+    One task per range of ``ranges`` (default: the pattern's
+    :func:`~repro.symbolic.ranges.task_ranges`).  A task runs the forward
+    body over its supernodes in elimination order (the committer guarantees
+    every update from outside the range has been applied first, in ascending
+    source order — the serial accumulation order, so the sweep is
+    bit-identical), then submits one update closure per target above the cut.
+    Feed the triple to :func:`repro.numeric.executor.run_task_graph` or a
     :class:`~repro.numeric.executor.StreamPool`.
     """
-    symb = storage.symb
-    sched = solve_schedule(symb)
+    sched = solve_schedule(storage.symb, ranges)
     # the ordered-commit contract is pattern-static and pre-finalized on
     # the schedule; construction here is per-run counters only
     committer = OrderedCommitter.from_static(sched.fwd_static)
 
-    def run_task(s):
-        below, u = forward_snode(storage, y, s)
-        newly = []
-        for p, lo, hi in sched.runs[s]:
-            newly.extend(committer.submit(p, s, _fwd_closure(y, below, u, lo, hi)))
-        return newly
+    def run_task(tid):
+        return _forward_range(storage, y, sched, committer, tid)
 
-    return symb.nsup, sched.fwd_roots, run_task
+    return len(sched.ranges), sched.fwd_roots, run_task
 
 
-def backward_solve_graph(storage, x):
+def backward_solve_graph(storage, x, ranges=None):
     """``(ntasks, roots, run_task)`` of the level-scheduled backward sweep
     on ``x`` (solved in place).
 
-    One task per supernode; a task becomes ready once every ancestor owning
-    a run of its below rows has finalized its own segment.  There are no
-    cross-supernode writes, so the committer is used purely as the
-    dependency tracker (no-op closures) — each task's single GEMV reads the
+    One task per range; a task becomes ready once every range owning one of
+    its leaving below rows has finalized its own segments.  There are no
+    cross-range writes, so the committer is used purely as the
+    dependency tracker (no-op closures) — each GEMV reads the
     same finalized values as the serial sweep, hence bit-identity needs no
     commit ordering at all.
     """
-    symb = storage.symb
-    sched = solve_schedule(symb)
+    sched = solve_schedule(storage.symb, ranges)
     committer = OrderedCommitter.from_static(sched.bwd_static)
 
-    def run_task(s):
-        backward_snode(storage, x, s)
+    def run_task(tid):
+        _backward_range(storage, x, sched, tid)
         newly = []
-        for t in sched.bwd_dependents.get(s, ()):
-            newly.extend(committer.submit(t, s, _noop))
+        for t in sched.bwd_dependents.get(tid, ()):
+            newly.extend(committer.submit(t, tid, _noop))
         return newly
 
-    return symb.nsup, sched.bwd_roots, run_task
+    return len(sched.ranges), sched.bwd_roots, run_task
 
 
-def solve_graph(storage, y):
+def solve_graph(storage, y, ranges=None):
     """``(ntasks, roots, run_task)`` of the FUSED full solve
     ``L L^T x = b`` on ``y`` (solved in place) — both sweeps as one task
     graph on one pool.
 
-    Task ids ``0..nsup-1`` are forward tasks, ``nsup..2*nsup-1`` backward
-    tasks.  Backward task ``s`` waits for (a) its own forward task — its
-    segment of ``y`` is final — and (b) the backward tasks of every
-    ancestor owning a run of its below rows, encoded in the pre-finalized
+    With ``R`` ranges, task ids ``0..R-1`` are forward tasks, ``R..2R-1``
+    backward tasks.  Backward task ``t`` waits for (a) its own forward task —
+    its segments of ``y`` are final — and (b) the backward tasks of every
+    range owning one of its leaving below rows, encoded in the pre-finalized
     ``fused_static`` contract.  Because a supernode's segment receives no
     writes after its own forward solve, the backward GEMVs read exactly
     the values the serial back-to-back sweeps read — bit-identity holds
     while the backward leaves overlap in time with the forward root, and
     a full solve costs ONE pool instead of two.
     """
-    symb = storage.symb
-    nsup = symb.nsup
-    sched = solve_schedule(symb)
+    sched = solve_schedule(storage.symb, ranges)
+    nranges = len(sched.ranges)
     committer = OrderedCommitter.from_static(sched.fwd_static + sched.fused_static)
 
     def run_task(tid):
-        newly = []
-        if tid < nsup:
-            below, u = forward_snode(storage, y, tid)
-            for p, lo, hi in sched.runs[tid]:
-                newly.extend(committer.submit(p, tid, _fwd_closure(y, below, u, lo, hi)))
-            # own segment final: release this supernode's backward task
-            newly.extend(committer.submit(nsup + tid, -1, _noop))
+        if tid < nranges:
+            newly = _forward_range(storage, y, sched, committer, tid)
+            # own segments final: release this range's backward task
+            newly.extend(committer.submit(nranges + tid, -1, _noop))
             return newly
-        s = tid - nsup
-        backward_snode(storage, y, s)
-        for t in sched.bwd_dependents.get(s, ()):
-            newly.extend(committer.submit(nsup + t, s, _noop))
+        t = tid - nranges
+        _backward_range(storage, y, sched, t)
+        newly = []
+        for d in sched.bwd_dependents.get(t, ()):
+            newly.extend(committer.submit(nranges + d, t, _noop))
         return newly
 
-    return 2 * nsup, sched.fwd_roots, run_task
+    return 2 * nranges, sched.fwd_roots, run_task
 
 
 # ----------------------------------------------------------------------

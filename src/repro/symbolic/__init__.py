@@ -18,6 +18,7 @@ from .structure import SymbolicFactor, pattern_fingerprint, symbolic_factorizati
 from .relind import assembly_plan, relative_indices, relative_indices_bottom
 from .blocks import Block, snode_blocks, all_blocks, count_blocks
 from .partition_refinement import partition_refinement
+from .ranges import TaskRanges, task_ranges, trivial_ranges
 from .levels import SolveSchedule, solve_levels, solve_schedule
 from .analyze import AnalyzedSystem, analyze
 
@@ -49,6 +50,9 @@ __all__ = [
     "all_blocks",
     "count_blocks",
     "partition_refinement",
+    "TaskRanges",
+    "task_ranges",
+    "trivial_ranges",
     "SolveSchedule",
     "solve_levels",
     "solve_schedule",

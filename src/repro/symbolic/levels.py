@@ -13,10 +13,12 @@ tree; the width of each level bounds the exploitable task parallelism.
 
 :func:`solve_schedule` computes everything the parallel sweeps need —
 levels, per-supernode update *runs* (which ancestor owns which slice of the
-below rows) and both dependency directions — once per pattern, memoised on
-:meth:`SymbolicFactor.cache() <repro.symbolic.structure.SymbolicFactor.cache>`
-like the factorization task-DAG plans, so repeated solves (many right-hand
-sides, streaming serving) do no structural work.
+below rows) and, over a partition of the supernodes into task ranges
+(:mod:`repro.symbolic.ranges`; one task per range, not per supernode), which
+runs leave their range and both dependency directions between the ranges —
+once per pattern, memoised like the factorization task-DAG plans, so
+repeated solves (many right-hand sides, streaming serving) do no structural
+work.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ranges import TaskRanges, task_ranges
 
 __all__ = ["SolveSchedule", "solve_schedule", "solve_levels", "solve_shapes"]
 
@@ -47,7 +51,16 @@ def solve_levels(symb):
 
 @dataclass(frozen=True)
 class SolveSchedule:
-    """Pattern-only schedule of the level-scheduled triangular solves.
+    """Pattern-only schedule of the level-scheduled triangular solves over
+    one partition of the supernodes into task ranges
+    (:mod:`repro.symbolic.ranges`).
+
+    Task ``t`` of a sweep runs the serial body over the supernodes of range
+    ``t`` — ascending in the forward sweep, descending in the backward one.
+    A below-diagonal row owned by a supernode of the same range is updated
+    (forward) or read (backward) by the task itself; the rows that *leave*
+    the range belong to single-supernode ranges above the cut and go through
+    the ordered committer.
 
     Attributes
     ----------
@@ -62,40 +75,44 @@ class SolveSchedule:
         Per supernode ``s``, a tuple of ``(owner, lo, hi)`` triples: slice
         ``lo:hi`` of ``s``'s below-diagonal row list is owned by ancestor
         supernode ``owner`` (rows are sorted, so owners form contiguous
-        runs).  These are the forward sweep's scatter targets and the
-        backward sweep's read dependencies.
-    fwd_expected:
-        ``{target: {source: 1}}`` — the forward sweep's ordered-commit
-        contract (one update run per (source, target) pair), same shape as
-        the factorization DAG plans consume.
+        runs).
+    ranges:
+        The :class:`~repro.symbolic.ranges.TaskRanges` scheduled.
+    leaving:
+        Per supernode ``s``, ``None`` when every below row stays inside
+        ``s``'s range, else ``(stay, runs)``: the first ``stay`` below rows
+        stay, and ``runs`` are the ``(owner task, lo, hi)`` runs that leave —
+        the forward sweep's committed updates and the backward sweep's read
+        dependencies.
     fwd_roots:
-        Supernodes with no incoming forward updates (initially ready).
+        Tasks that receive no forward update from outside their range
+        (initially ready).
     fwd_static / bwd_static / fused_static:
-        The same contracts pre-finalized for
-        :meth:`OrderedCommitter.from_static
+        The contracts for :meth:`OrderedCommitter.from_static
         <repro.numeric.executor.OrderedCommitter.from_static>`: tuples of
-        ``(target, ascending source order, expected counts)``.  Sorting
-        and dict-building happen once per pattern, so per-solve committer
+        ``(target task, ascending source tasks, {source: 1})`` — one part
+        per (range, target).  Built once per pattern, so per-solve committer
         construction is a thin per-run-counter wrapper — this keeps
         repeated solves (many-RHS serving) off the graph-build cost.
         ``fused_static`` is the *combined* full-solve graph's backward
-        half: backward task ``s`` (id ``nsup + s``) waits for its own
-        forward task (source ``-1``) plus its ancestors' backward tasks,
-        so one task graph runs both sweeps on one pool, overlapping the
-        backward leaves with the forward root.
+        half: backward task ``t`` (id ``len(ranges) + t``) waits for its own
+        forward task (source ``-1``) plus the backward tasks of the ranges
+        owning its leaving rows, so one task graph runs both sweeps on one
+        pool, overlapping the backward leaves with the forward root.
     bwd_dependents:
-        ``{ancestor: (dependents...)}`` — supernodes whose backward task
-        becomes ready once ``ancestor``'s segment of ``x`` is final.
+        ``{task: (dependents...)}`` — tasks whose backward body becomes
+        ready once ``task``'s segments of ``x`` are final.
     bwd_roots:
-        Supernodes with no below-diagonal rows (tree roots; initially ready
-        in the backward sweep).
+        Tasks none of whose below rows leave their range (tree roots;
+        initially ready in the backward sweep).
     """
 
     level: np.ndarray
     level_ptr: np.ndarray
     level_nodes: np.ndarray
     runs: tuple
-    fwd_expected: dict
+    ranges: TaskRanges
+    leaving: tuple
     fwd_roots: tuple
     fwd_static: tuple
     bwd_dependents: dict
@@ -158,62 +175,70 @@ def solve_shapes(symb):
     return shapes
 
 
-def solve_schedule(symb):
-    """The :class:`SolveSchedule` of ``symb``, memoised on its cache."""
+def _solve_structure(symb):
+    """``(level, level_ptr, level_nodes, runs)`` — the part of a
+    :class:`SolveSchedule` that no partition changes, memoised on ``symb``."""
     cache = symb.cache()
-    sched = cache.get("solve_schedule")
+    got = cache.get("solve_structure")
+    if got is None:
+        level = solve_levels(symb)
+        nlevels = int(level.max()) + 1 if symb.nsup else 0
+        level_ptr = np.zeros(nlevels + 1, dtype=np.int64)
+        np.add.at(level_ptr, level + 1, 1)
+        np.cumsum(level_ptr, out=level_ptr)
+        # stable ascending-id order within each level (the serial sweep order)
+        level_nodes = np.argsort(level, kind="stable").astype(np.int64)
+        runs = tuple(_below_runs(symb, s) for s in range(symb.nsup))
+        got = cache["solve_structure"] = (level, level_ptr, level_nodes, runs)
+    return got
+
+
+def solve_schedule(symb, ranges=None):
+    """The :class:`SolveSchedule` of ``symb`` over ``ranges`` (default: the
+    pattern's :func:`~repro.symbolic.ranges.task_ranges`), memoised on the
+    partition."""
+    if ranges is None:
+        ranges = task_ranges(symb)
+    sched = ranges.memo.get("solve")
     if sched is not None:
         return sched
-    nsup = symb.nsup
-    level = solve_levels(symb)
-    nlevels = int(level.max()) + 1 if nsup else 0
-    level_ptr = np.zeros(nlevels + 1, dtype=np.int64)
-    np.add.at(level_ptr, level + 1, 1)
-    np.cumsum(level_ptr, out=level_ptr)
-    # stable ascending-id order within each level (the serial sweep order)
-    level_nodes = np.argsort(level, kind="stable").astype(np.int64)
-
-    runs = tuple(_below_runs(symb, s) for s in range(nsup))
-    fwd_expected = {}
+    level, level_ptr, level_nodes, runs = _solve_structure(symb)
+    nranges = len(ranges)
+    bounds, range_of = ranges.bounds, ranges.range_of
+    leaving = []
+    feeds = [{} for _ in range(nranges)]  # target task -> {source task: 1}
+    needs = [{} for _ in range(nranges)]  # task -> {task owning a leaving row: 1}
+    for s, srun in enumerate(runs):
+        t = range_of[s]
+        hi = bounds[t + 1]
+        out = tuple((range_of[p], a, b) for p, a, b in srun if p >= hi)
+        leaving.append((out[0][1], out) if out else None)
+        for p, _, _ in out:
+            feeds[p][t] = 1
+            needs[t][p] = 1
     bwd_dependents = {}
-    for s in range(nsup):
-        for p, _, _ in runs[s]:
-            fwd_expected.setdefault(p, {})[s] = 1
-            bwd_dependents.setdefault(p, []).append(s)
-    fwd_roots = tuple(s for s in range(nsup) if s not in fwd_expected)
-    bwd_roots = tuple(s for s in range(nsup) if not runs[s])
-    # pre-finalized OrderedCommitter contracts (ascending-source order;
-    # sources/owners of sorted runs are naturally ascending already)
-    fwd_static = tuple(
-        (target, tuple(sorted(sources)), sources)
-        for target, sources in fwd_expected.items()
-    )
-    bwd_static = tuple(
-        (s, tuple(p for p, _, _ in runs[s]), {p: 1 for p, _, _ in runs[s]})
-        for s in range(nsup) if runs[s]
-    )
-    # fused full-solve graph: backward task s (id nsup + s) additionally
-    # waits for its own forward task, encoded as pseudo-source -1 (sorts
-    # before every real supernode id; commit order is irrelevant — the
-    # backward dependencies are no-op closures)
-    fused_static = tuple(
-        (nsup + s,
-         (-1,) + tuple(p for p, _, _ in runs[s]),
-         {-1: 1, **{p: 1 for p, _, _ in runs[s]}})
-        for s in range(nsup)
-    )
-    sched = SolveSchedule(
+    for t, owners in enumerate(needs):
+        for p in owners:
+            bwd_dependents.setdefault(p, []).append(t)
+    # sources were visited ascending and a task's leaving runs ascend by
+    # owner within each source; the backward contracts carry no-op closures,
+    # so only the forward order matters
+    sched = ranges.memo["solve"] = SolveSchedule(
         level=level,
         level_ptr=level_ptr,
         level_nodes=level_nodes,
         runs=runs,
-        fwd_expected=fwd_expected,
-        fwd_roots=fwd_roots,
-        fwd_static=fwd_static,
+        ranges=ranges,
+        leaving=tuple(leaving),
+        fwd_roots=tuple(t for t in range(nranges) if not feeds[t]),
+        fwd_static=tuple((t, tuple(src), src) for t, src in enumerate(feeds) if src),
         bwd_dependents={p: tuple(d) for p, d in bwd_dependents.items()},
-        bwd_roots=bwd_roots,
-        bwd_static=bwd_static,
-        fused_static=fused_static,
+        bwd_roots=tuple(t for t in range(nranges) if not needs[t]),
+        bwd_static=tuple((t, tuple(own), own) for t, own in enumerate(needs) if own),
+        # fused full-solve graph: backward task t (id nranges + t) also waits
+        # for its own forward task, encoded as pseudo-source -1
+        fused_static=tuple(
+            (nranges + t, (-1,) + tuple(own), {-1: 1, **own}) for t, own in enumerate(needs)
+        ),
     )
-    cache["solve_schedule"] = sched
     return sched

@@ -104,3 +104,28 @@ def two_component_spd(n):
     pattern[n + idx, n + idx + 1] = True
     pattern[n, 2 * n - 1] = True
     return spd_from_pattern(pattern)
+
+
+#: The forced task-range cuts (``repro.symbolic.ranges``): every supernode
+#: alone, a budget of a few small supernodes (closed ranges under single
+#: supernodes even on test-sized patterns), the fitted constants, one range
+#: per pattern.
+CUTS = ("singletons", "mixed", "default", "one")
+
+
+def force_cut(monkeypatch, cut):
+    """Patch the cut's module constants to force the partition ``cut`` (one
+    of :data:`CUTS`) on every pattern analyzed *afterwards* — partitions are
+    memoised per symbolic factor, so build fresh systems under it."""
+    from repro.symbolic import ranges
+
+    if cut == "singletons":
+        monkeypatch.setattr(ranges, "RANGE_WORK", 0.0)
+        monkeypatch.setattr(ranges, "RANGE_SHARE", 0.0)
+    elif cut == "mixed":
+        monkeypatch.setattr(ranges, "RANGE_WORK", 5 * ranges.SNODE_WORK)
+        monkeypatch.setattr(ranges, "RANGE_SHARE", 0.0)
+    elif cut == "one":
+        monkeypatch.setattr(ranges, "RANGE_WORK", float("inf"))
+    else:
+        assert cut == "default"

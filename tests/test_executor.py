@@ -14,7 +14,7 @@ from repro.numeric import (
     factorize_rlb_cpu,
 )
 from repro.sparse import grid_laplacian, random_spd, tridiagonal
-from repro.symbolic import analyze
+from repro.symbolic import analyze, task_ranges
 from tests.conftest import assert_factor_matches, assert_same_report
 
 GRANULARITIES = ["coarse", "fine"]
@@ -139,13 +139,15 @@ class TestSolverIntegration:
         A = grid_laplacian((6, 5, 3))
         splan = repro.plan(A)
         splan.factorize(engine=method, workers=2)
-        plan = splan.symb.cache()[plan_key]
+        # the plan lives on the partition it was built for
+        memo = task_ranges(splan.symb).memo
+        plan = memo[plan_key]
         rng = np.random.default_rng(3)
         data = A.data * (1.0 + 0.01 * rng.random(A.data.size))
         data[A.indptr[:-1]] += 0.5
         res = splan.factorize(data, engine=method, workers=2).result
         # the DAG plan (and everything beneath it) must be reused, not rebuilt
-        assert splan.symb.cache()[plan_key] is plan
+        assert memo[plan_key] is plan
         serial = SERIAL["coarse" if method == "rl_par" else "fine"](
             splan.symb, splan._permuted_matrix(data)
         )

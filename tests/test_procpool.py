@@ -28,11 +28,17 @@ from repro.numeric import (
     factorize_rl_cpu,
     factorize_rlb_cpu,
 )
+from repro.numeric.executor import dag_plan
 from repro.numeric.procpool import close_default_pools, default_process_pool
 from repro.numeric.registry import BACKENDS, get_engine, serial_twin
 from repro.sparse import grid_laplacian, spd_value_sweep
-from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches, assert_same_report
+from repro.symbolic import analyze, task_ranges
+from tests.conftest import (
+    CUTS,
+    assert_factor_matches,
+    assert_same_report,
+    force_cut,
+)
 
 GRANULARITIES = ["coarse", "fine"]
 SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
@@ -107,7 +113,10 @@ class TestDeterminism:
         assert res.extra["granularity"] == granularity
         assert res.extra["start_method"] in mp.get_all_start_methods()
         assert res.extra["wall_seconds"] > 0.0
-        assert res.extra["tasks"] >= system.symb.nsup
+        # the scheduled tasks: one per task range, plus (fine) the pair
+        # tasks of the single supernodes above the cut
+        plan = dag_plan(system.symb, granularity)
+        assert res.extra["tasks"] == plan.ntasks >= len(task_ranges(system.symb))
         # one priced pattern behind serial, threaded and process engines:
         # exact, in either precision
         for dtype in (np.float64, np.float32):
@@ -315,14 +324,30 @@ class TestApiIntegration:
 # ---------------------------------------------------------------------------
 # tracing: measured per-task spans on proc0, proc1, ... lanes
 # ---------------------------------------------------------------------------
-def test_tracer_records_proc_lanes(system):
+def test_tracer_records_proc_lanes(monkeypatch):
     from repro.gpu import Tracer
 
-    tracer = Tracer()
-    res = factorize_process(system.symb, system.matrix, workers=2,
-                            tracer=tracer)
-    spans = {w: tracer.by_lane(f"proc{w}") for w in range(2)}
-    assert sum(len(evs) for evs in spans.values()) == res.extra["tasks"]
-    # both workers actually ran tasks on this DAG (wide enough to share)
-    assert all(spans[w] for w in range(2))
-    assert all(e.end >= e.start for evs in spans.values() for e in evs)
+    for cut in CUTS:
+        with monkeypatch.context() as patch:
+            force_cut(patch, cut)
+            system = analyze(grid_laplacian((7, 6, 3)))
+            symb = system.symb
+            bounds = task_ranges(symb).bounds
+        tracer = Tracer()
+        res = factorize_process(symb, system.matrix, workers=2, tracer=tracer)
+        spans = {w: tracer.by_lane(f"proc{w}") for w in range(2)}
+        assert res.extra["tasks"] == len(bounds) - 1
+        assert sum(len(evs) for evs in spans.values()) == res.extra["tasks"]
+        # every scheduled range ran once, labelled as what it was
+        want = sorted(
+            f"snode:{lo}" if hi - lo == 1 else f"snodes:{lo}-{hi - 1}"
+            for lo, hi in zip(bounds, bounds[1:]))
+        assert sorted(e.name for evs in spans.values() for e in evs) == want
+        if cut == "singletons":
+            assert res.extra["tasks"] == symb.nsup
+            # both workers actually ran tasks on this DAG (wide enough to
+            # share)
+            assert all(spans[w] for w in range(2))
+        elif cut == "one":
+            assert want == [f"snodes:0-{symb.nsup - 1}"]
+        assert all(e.end >= e.start for evs in spans.values() for e in evs)

@@ -30,7 +30,8 @@ from repro.sparse import (
     spd_value_sweep,
     tridiagonal,
 )
-from repro.symbolic import analyze, solve_levels, solve_schedule
+from repro.symbolic import analyze, solve_levels, solve_schedule, task_ranges
+from tests.conftest import force_cut
 
 WORKERS = [1, 2, 4]
 #: factor-producing engines of both task granularities — the solve sweeps
@@ -192,8 +193,8 @@ class TestSolveSchedule:
         sched = solve_schedule(system.symb)
         # every forward source sits at a strictly lower level than its
         # target, so processing whole levels is a valid schedule
-        for target, sources in sched.fwd_expected.items():
-            for src in sources:
+        for src, runs in enumerate(sched.runs):
+            for target, _, _ in runs:
                 assert sched.level[src] < sched.level[target]
 
     def test_levels_match_tree_depth(self, system):
@@ -498,7 +499,17 @@ class TestOneWorkerPool:
 
 
 class TestExecutorTraceInstrumentation:
-    def test_per_task_events_on_worker_lanes(self, system):
+    @pytest.fixture
+    def singles(self, monkeypatch):
+        """The module's pattern with every supernode its own task."""
+        with monkeypatch.context() as patch:
+            force_cut(patch, "singletons")
+            system = analyze(grid_laplacian((7, 6, 3)))
+            assert len(task_ranges(system.symb)) == system.symb.nsup
+        return system
+
+    def test_per_task_events_on_worker_lanes(self, singles):
+        system = singles
         tracer = Tracer()
         res = factorize_executor(system.symb, system.matrix, workers=2,
                                  granularity="coarse", tracer=tracer)
@@ -513,8 +524,21 @@ class TestExecutorTraceInstrumentation:
         # real timestamps: strictly ordered per event, non-negative
         assert all(0.0 <= e.start < e.end for e in tracer.events)
 
-    def test_chrome_trace_gives_each_worker_its_own_pid(self, system,
+    def test_range_task_is_labelled_as_a_range(self, system):
+        """Under the default cut this small pattern is ONE task: it runs on
+        the calling thread and its label names the range."""
+        assert len(task_ranges(system.symb)) == 1
+        tracer = Tracer()
+        res = factorize_executor(system.symb, system.matrix, workers=2,
+                                 granularity="fine", tracer=tracer)
+        assert res.extra["tasks"] == 1
+        (event,) = tracer.events
+        assert event.name == f"snodes:0-{system.symb.nsup - 1}"
+        assert event.lane == threading.current_thread().name
+
+    def test_chrome_trace_gives_each_worker_its_own_pid(self, singles,
                                                         tmp_path):
+        system = singles
         tracer = Tracer()
         factorize_executor(system.symb, system.matrix, workers=2,
                            granularity="fine", tracer=tracer)
@@ -523,6 +547,7 @@ class TestExecutorTraceInstrumentation:
                 if r.get("ph") == "M"}
         worker_pids = {pid for lane, pid in meta.items()
                        if lane.startswith("repro-exec-")}
+        assert worker_pids
         assert len(worker_pids) == len(
             [ln for ln in meta if ln.startswith("repro-exec-")])
         assert worker_pids.isdisjoint(
