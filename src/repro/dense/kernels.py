@@ -41,6 +41,7 @@ __all__ = [
     "trtrs_lower",
     "factorize_panel",
     "factor_routines",
+    "pair_routines",
 ]
 
 #: The dtypes the numeric lane supports, in preference order.
@@ -91,6 +92,14 @@ def factor_routines(dtype):
     operand across f2py itself (:func:`repro.numeric.rl.factor_update`)."""
     dt = check_dtype(dtype, context="storage")
     return _POTRF[dt], _TRSM[dt], _SYRK[dt]
+
+
+def pair_routines(dtype):
+    """The raw ``(?syrk, ?gemm)`` f2py routines of ``dtype`` — RLB's two
+    block-pair kernels, for a caller that hands them F-contiguous row blocks
+    itself (:func:`repro.numeric.rlb.pair_updates`)."""
+    dt = check_dtype(dtype, context="storage")
+    return _SYRK[dt], _GEMM[dt]
 
 
 def _routine(table, array, name):

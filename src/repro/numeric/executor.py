@@ -36,8 +36,8 @@ Two properties are load-bearing:
 
 **One plan, one pool.**  :func:`dag_plan` is the single static description
 of a task DAG per granularity and partition (task ids, ordered-commit
-contract, roots, edges), memoised on the partition with all the index
-structures beneath it (assembly index, block lists, block pair offsets) on
+contract, roots, edges), memoised on the partition with the index beneath
+it (RL's assembly index, RLB's pair index) on
 :meth:`SymbolicFactor.cache`, so repeated same-pattern refactorization
 (``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
 thread and process substrates read it at the pattern's
@@ -84,15 +84,17 @@ import time
 from collections import deque
 from typing import NamedTuple
 
+import numpy as np
+
 from ..dense.kernels import NotPositiveDefiniteError, factor_routines
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..gpu.device import DeviceTimeline, SimulatedGpu, Timeline
-from ..symbolic.blocks import snode_blocks
+from ..symbolic.blocks import pair_index
 from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
 from .result import cpu_cost
 from .rl import _assemble, apply_run, factor_snode, factor_update
-from .rlb import block_pair_targets, commit_block_pair, compute_block_pair
+from .rlb import commit_block_pair, compute_block_pair, run_pair_range
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY
 
@@ -720,13 +722,39 @@ def _task_label_fn(plan, prefix=""):
 
     def label(tid):
         if tid >= nranges:
-            return f"{prefix}pair:{plan.pairs[tid - nranges][0]}"
+            return f"{prefix}pair:{plan.pairs.source[tid - nranges]}"
         lo, hi = bounds[tid], bounds[tid + 1]
         if hi - lo == 1:
             return f"{prefix}{single}:{lo}"
         return f"{prefix}snodes:{lo}-{hi - 1}"
 
     return label
+
+
+class LeavingPairs:
+    """The block pairs of :attr:`DagPlan.pairs` as a sequence of ``(s, bi,
+    bj)`` — source supernode, upper and lower
+    :class:`~repro.symbolic.blocks.Block` — read off the pattern's
+    :func:`~repro.symbolic.blocks.pair_index` when asked for; ``source`` is
+    the plain list of the pairs' source supernodes."""
+
+    __slots__ = ("source", "_index", "_upper", "_lower")
+
+    def __init__(self, index, pairs):
+        upper, lower = index.upper[pairs], index.lower[pairs]
+        source = index.blk_source[upper]
+        first = np.asarray(index.blk_ptr)[source]
+        self.source = source.tolist()
+        self._index = index
+        self._upper, self._lower = upper - first, lower - first  # positions among s's blocks
+
+    def __len__(self):
+        return len(self.source)
+
+    def __getitem__(self, i):
+        s = self.source[i]
+        blocks = self._index.blocks(s)
+        return s, blocks[self._upper[i]], blocks[self._lower[i]]
 
 
 # NOTE: dag_plan and the body helpers below (run_coarse_range,
@@ -754,12 +782,15 @@ class DagPlan(NamedTuple):
     #: updates are applied by the range's task itself; the rest *leave*
     stay: tuple
     #: fine only (empty for coarse): ``(s, bi, bj)`` of every pair that leaves
-    #: its source's range, pair ``i`` under the id ``len(ranges) + i``, and
-    #: per supernode the ids of its leaving pairs.  The pairs of
-    #: single-supernode ranges come first and are the pair tasks; an id from
-    #: ``ntasks`` up only names a leaving pair of a multi-supernode range
-    #: (its slot in the process pool's scratch arena)
-    pairs: tuple
+    #: its source's range (a :class:`LeavingPairs`), pair ``i`` under the id
+    #: ``len(ranges) + i``; where each lands — ``(owner, r0, r1, c0, c1)``,
+    #: :meth:`~repro.symbolic.blocks.PairIndex.targets` — and per supernode
+    #: the (consecutive) ids of its leaving pairs, in serial order.  The
+    #: pairs of single-supernode ranges come first and are the pair tasks; an
+    #: id from ``ntasks`` up only names a leaving pair of a multi-supernode
+    #: range (its slot in the process pool's scratch arena)
+    pairs: object
+    targets: tuple
     pair_ids: tuple
     #: ``(target task, source range tasks ascending, {source: nparts})`` per
     #: task updated from outside its range — the
@@ -783,7 +814,7 @@ class DagPlan(NamedTuple):
         """The supernode task ``tid`` works on: a pair task's source, a range
         task's first supernode."""
         nranges = len(self.ranges)
-        return self.ranges.bounds[tid] if tid < nranges else self.pairs[tid - nranges][0]
+        return self.ranges.bounds[tid] if tid < nranges else self.pairs.source[tid - nranges]
 
 
 def dag_plan(symb, granularity, ranges=None):
@@ -794,11 +825,11 @@ def dag_plan(symb, granularity, ranges=None):
     simulated-device substrates pass
     :func:`~repro.symbolic.ranges.trivial_ranges`: one task per supernode.
 
-    Building it pre-warms every index cache beneath it (the pattern's
-    :func:`~repro.symbolic.relind.assembly_index` for coarse; the block
-    lists and every pair's ``block_pair_targets`` offsets for fine), so
-    call it once on the submitting thread and later
-    reads from worker threads or streaming callbacks never mutate the
+    Building it builds the index beneath it (the pattern's
+    :func:`~repro.symbolic.relind.assembly_index` for coarse, its
+    :func:`~repro.symbolic.blocks.pair_index` and the ``Block`` tuples of
+    the pair tasks for fine), so call it once on the submitting thread and
+    later reads from worker threads or streaming callbacks never mutate the
     symbolic cache concurrently.  Idempotent and cheap after the first
     call.
     """
@@ -808,78 +839,100 @@ def dag_plan(symb, granularity, ranges=None):
     plan = ranges.memo.get(key)
     if plan is not None:
         return plan
-    nsup = symb.nsup
+    build = _coarse_edges if granularity == "coarse" else _fine_edges
+    stay, incoming, expected, children, pairs, targets, pair_ids = build(symb, ranges)
     nranges = len(ranges)
-    bounds, range_of = ranges.bounds, ranges.range_of
-    stay = []
-    pairs = []
-    pair_ids = []
-    incoming = [[] for _ in range(nranges)]
-    expected = [{} for _ in range(nranges)]
-    children = [[] for _ in range(nranges)]
-    ntasks = nranges
-    if granularity == "coarse":
-        for s, targets in enumerate(assembly_index(symb).targets):
-            t = range_of[s]
-            # runs ascend by target, so the ones inside the range come first
-            stay.append(bisect.bisect_left(targets, bounds[t + 1]))
-            for r in range(stay[s], len(targets)):
-                p = range_of[targets[r]]
-                incoming[p].append((s, r))
-                if t not in expected[p]:
-                    expected[p][t] = 1
-                    children[t].append(p)
-    else:
-        leaving = []  # per supernode, the pairs whose target is outside its range
-        for s in range(nsup):
-            blocks = snode_blocks(symb, s)
-            for i, bi in enumerate(blocks):
-                for bj in blocks[i:]:
-                    block_pair_targets(symb, bi, bj)
-            hi = bounds[range_of[s] + 1]
-            stay.append(sum(bi.owner < hi for bi in blocks))
-            tail = blocks[stay[s] :]
-            leaving.append([(s, bi, bj) for i, bi in enumerate(tail) for bj in tail[i:]])
-        # the pair tasks take the first ids: stable sort, single-supernode
-        # ranges before the rest
-        single = [bounds[t + 1] - bounds[t] == 1 for t in range_of]
-        pair_ids = [()] * nsup
-        for s in sorted(range(nsup), key=lambda s: not single[s]):
-            first = nranges + len(pairs)
-            pairs.extend(leaving[s])
-            pair_ids[s] = tuple(range(first, nranges + len(pairs)))
-            if single[s]:
-                ntasks = nranges + len(pairs)
-        for s in range(nsup):  # ascending source, serial pair order
-            t = range_of[s]
-            for pid, (_, bi, _) in zip(pair_ids[s], leaving[s]):
-                p = range_of[bi.owner]
-                incoming[p].append(pid)
-                if single[s]:
-                    expected[p][t] = expected[p].get(t, 0) + 1
-                elif t not in expected[p]:
-                    expected[p][t] = 1
-                    children[t].append(p)
-            if single[s]:
-                children[t] = pair_ids[s]
-        children += [(range_of[bi.owner],) for _, bi, _ in pairs[: ntasks - nranges]]
-    # sources were visited ascending, so each dict's key order is the
-    # committer's ascending source order
-    static = tuple((p, tuple(exp), exp) for p, exp in enumerate(expected) if exp)
+    ntasks = len(children)
     plan = ranges.memo[key] = DagPlan(
         granularity=granularity,
         ranges=ranges,
         ntasks=ntasks,
         stay=tuple(stay),
-        pairs=tuple(pairs),
+        pairs=pairs,
+        targets=targets,
         pair_ids=tuple(pair_ids),
-        static=static,
+        # sources were visited ascending, so each dict's key order is the
+        # committer's ascending source order
+        static=tuple((p, tuple(exp), exp) for p, exp in enumerate(expected) if exp),
         roots=tuple(p for p, exp in enumerate(expected) if not exp),
         children=tuple(tuple(kids) for kids in children),
         indeg=tuple(sum(exp.values()) for exp in expected) + (1,) * (ntasks - nranges),
         incoming=tuple(tuple(x) for x in incoming),
     )
     return plan
+
+
+def _coarse_edges(symb, ranges):
+    """The coarse half of :func:`dag_plan`: per supernode the assembly runs
+    that stay, per range task the runs reaching it from outside, the
+    committer's ``{source range: parts}`` and the scheduler's edges."""
+    nranges = len(ranges)
+    bounds, range_of = ranges.bounds, ranges.range_of
+    stay = []
+    incoming = [[] for _ in range(nranges)]
+    expected = [{} for _ in range(nranges)]
+    children = [[] for _ in range(nranges)]
+    for s, targets in enumerate(assembly_index(symb).targets):
+        t = range_of[s]
+        # runs ascend by target, so the ones inside the range come first
+        stay.append(bisect.bisect_left(targets, bounds[t + 1]))
+        for r in range(stay[s], len(targets)):
+            p = range_of[targets[r]]
+            incoming[p].append((s, r))
+            if t not in expected[p]:
+                expected[p][t] = 1
+                children[t].append(p)
+    return stay, incoming, expected, children, (), (), ()
+
+
+def _fine_edges(symb, ranges):
+    """The fine half of :func:`dag_plan`, array-at-a-time from the pattern's
+    :func:`~repro.symbolic.blocks.pair_index`: a block stays when its owner
+    lies inside its source's range (owners ascend, so the staying blocks of
+    a source lead), a pair leaves with its upper block."""
+    index = pair_index(symb)
+    nsup, nranges = symb.nsup, len(ranges)
+    bounds, range_of = np.asarray(ranges.bounds), np.asarray(ranges.range_of)
+    single = np.diff(bounds) == 1
+    blk_range = range_of[index.blk_source]
+    inside = index.blk_owner < bounds[blk_range + 1]
+    stay = np.bincount(index.blk_source[inside], minlength=nsup).tolist()
+    gone = np.flatnonzero(~inside[index.upper])  # the leaving pairs, serial order
+    source = index.blk_source[index.upper[gone]]
+    src, dst = range_of[source], range_of[index.blk_owner[index.upper[gone]]]
+    # the pair tasks take the first ids: single-supernode ranges before the
+    # rest, serial order kept within each
+    order = np.argsort(~single[src], kind="stable")
+    pid = np.empty(gone.size, dtype=np.int64)
+    pid[order] = np.arange(nranges, nranges + gone.size)
+    ntasks = nranges + int(np.count_nonzero(single[src]))
+    count = np.bincount(source, minlength=nsup)
+    first = np.append(pid, 0)[np.cumsum(count) - count]  # of each source's leaving pairs
+    pair_ids = [range(a, a + n) for a, n in zip(first.tolist(), count.tolist())]
+    # per target, ascending source then serial order — the order of ``gone``
+    by_target = np.argsort(dst, kind="stable")
+    cut = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=nranges)))).tolist()
+    reaching = pid[by_target].tolist()
+    incoming = [reaching[a:b] for a, b in zip(cut[:-1], cut[1:])]
+    # one part per (range, target), but one per pair task of a single source
+    edges, parts = np.unique(dst * nranges + src, return_counts=True)
+    edge_dst, edge_src = np.divmod(edges, nranges)
+    expected = [{} for _ in range(nranges)]
+    children = [[] for _ in range(nranges)]
+    for p, t, n, alone in zip(
+        edge_dst.tolist(), edge_src.tolist(), parts.tolist(), single[edge_src].tolist()
+    ):
+        expected[p][t] = n if alone else 1
+        if not alone:
+            children[t].append(p)
+    for t in np.flatnonzero(single).tolist():
+        children[t] = pair_ids[bounds[t]]
+    children += [(p,) for p in dst[order][: ntasks - nranges].tolist()]
+    pairs = LeavingPairs(index, gone[order])
+    for s in set(pairs.source[: ntasks - nranges]):  # what the pair tasks read
+        index.blocks(s)
+        index.targets(s)
+    return stay, incoming, expected, children, pairs, index.targets_of(gone[order]), pair_ids
 
 
 #: the name streaming callers warm a pattern under (``ServingSession``)
@@ -908,24 +961,12 @@ def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
 
 
 def run_fine_range(symb, storage, plan, lo, hi, leave):
-    """The serial RLB bodies over the supernodes ``lo..hi-1`` of one range:
-    factorize, then every block pair — committed at once when its target
-    stays inside the range, else handed to ``leave(pid, bi, bj, u)`` with its
-    pair id (see :func:`run_coarse_range`)."""
-    for s in range(lo, hi):
-        panel, w, b = factor_snode(symb, storage, s)
-        if not b:
-            continue
-        blocks = snode_blocks(symb, s)
-        nstay = plan.stay[s]
-        pids = iter(plan.pair_ids[s])
-        for i, bi in enumerate(blocks):
-            for bj in blocks[i:]:
-                u = compute_block_pair(panel, w, bi, bj)
-                if i < nstay:
-                    commit_block_pair(symb, storage, bi, bj, u)
-                else:
-                    leave(next(pids), bi, bj, u)
+    """The serial RLB bodies over the supernodes ``lo..hi-1`` of one range
+    (:func:`~repro.numeric.rlb.run_pair_range`): factorize, then every block
+    pair — committed at once when its target stays inside the range, else
+    handed over as ``leave(pid, updates)``, ``updates[t]`` the update of the
+    leaving pair ``pid + t`` (see :func:`run_coarse_range`)."""
+    run_pair_range(storage, pair_index(symb), lo, hi, plan, leave)
 
 
 def _apply_runs(storage, index, items):
@@ -933,9 +974,9 @@ def _apply_runs(storage, index, items):
         apply_run(storage, index, s, r, U)
 
 
-def _commit_pairs(symb, storage, items):
-    for bi, bj, u in items:
-        commit_block_pair(symb, storage, bi, bj, u)
+def _commit_pairs(panels, items):
+    for (p, r0, r1, c0, c1), u in items:
+        panels[p][r0:r1, c0:c1] -= u
 
 
 def _submit_deferred(committer, tid, deferred, apply):
@@ -981,9 +1022,9 @@ def _fine_tasks(symb, storage, committer, plan):
     range is its factor task releasing one task per block pair."""
     nranges = len(plan.ranges)
     bounds, range_of = plan.ranges.bounds, plan.ranges.range_of
-    pairs, pair_ids = plan.pairs, plan.pair_ids
-    apply = functools.partial(_commit_pairs, symb, storage)
+    pairs, pair_ids, targets = plan.pairs, plan.pair_ids, plan.targets
     storage.factor_program()  # built here, on the submitting thread
+    apply = functools.partial(_commit_pairs, storage.panels)
 
     def run_task(tid):
         if tid >= nranges:
@@ -997,8 +1038,9 @@ def _fine_tasks(symb, storage, committer, plan):
             return pair_ids[lo]
         deferred = {}
 
-        def leave(pid, bi, bj, u):
-            deferred.setdefault(range_of[bi.owner], []).append((bi, bj, u))
+        def leave(pid, updates):
+            for i, u in enumerate(updates, pid - nranges):
+                deferred.setdefault(range_of[targets[i][0]], []).append((targets[i], u))
 
         run_fine_range(symb, storage, plan, lo, hi, leave)
         return _submit_deferred(committer, tid, deferred, apply)

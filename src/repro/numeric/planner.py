@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gpu.costmodel import MachineModel
-from ..symbolic.blocks import snode_blocks
+from ..symbolic.blocks import pair_index
 from .threshold import (
     DEFAULT_DEVICE_MEMORY,
     DEFAULT_RL_THRESHOLD,
@@ -72,13 +72,11 @@ def predict_peak_device_bytes(symb, *, method="rl_gpu", machine=None,
         elif method == "multifrontal_gpu":
             need = machine.scaled_bytes(8.0 * m * m)
         elif method in ("rlb_gpu_v1", "rlb_gpu_v2"):
-            sizes = []
-            blocks = snode_blocks(symb, s)
-            for i, bi in enumerate(blocks):
-                for bj in blocks[i:]:
-                    sizes.append(
-                        machine.scaled_bytes(8.0 * bi.length * bj.length))
-            sizes.sort(reverse=True)
+            index = pair_index(symb)
+            pairs = slice(index.pair_ptr[s], index.pair_ptr[s + 1])
+            entries = index.blk_len[index.upper[pairs]] * index.blk_len[index.lower[pairs]]
+            sizes = sorted((machine.scaled_bytes(8.0 * e) for e in entries.tolist()),
+                           reverse=True)
             if method == "rlb_gpu_v1":
                 need = panel + sum(sizes)
             else:

@@ -106,7 +106,7 @@ from .executor import (
     run_fine_range,
 )
 from .rl import apply_run, factor_snode
-from .rlb import commit_block_pair, compute_block_pair
+from .rlb import compute_block_pair
 from .storage import FactorStorage, ScatterPlan
 
 __all__ = [
@@ -154,16 +154,15 @@ def _scratch_shapes(symb, plan):
     Coarse: one ``(b_s, b_s)`` slot (the RL update matrix) per source
     supernode ``s`` with a run that leaves its range, keyed ``s``.  Fine:
     one slot per leaving block pair, keyed by its position in
-    :attr:`DagPlan.pairs` — ``(len(B_i), len(B_i))`` for a diagonal pair,
-    ``(len(B_j), len(B_i))`` otherwise.
+    :attr:`DagPlan.pairs` and shaped like its target slice
+    (:attr:`DagPlan.targets`) — ``(len(B_j), len(B_i))``.
     """
     if plan.granularity == "coarse":
         targets = assembly_index(symb).targets
         below = (np.diff(symb.rowptr) - np.diff(symb.snptr)).tolist()
         return {s: (below[s], below[s]) for s in range(symb.nsup)
                 if plan.stay[s] < len(targets[s])}
-    return {i: (bi.length, bi.length) if bj is bi else (bj.length, bi.length)
-            for i, (_, bi, bj) in enumerate(plan.pairs)}
+    return {i: (r1 - r0, c1 - c0) for i, (_, r0, r1, c0, c1) in enumerate(plan.targets)}
 
 
 def _scratch_views(shapes, buf, dtype):
@@ -244,16 +243,19 @@ class _WorkerState:
                 lambda s, U: np.copyto(scratch[s], U),
             )
             return
+        panels = storage.panels
         for pid in plan.incoming[tid]:
-            _, bi, bj = plan.pairs[pid - nranges]
-            commit_block_pair(symb, storage, bi, bj, scratch[pid - nranges])
+            p, r0, r1, c0, c1 = plan.targets[pid - nranges]
+            panels[p][r0:r1, c0:c1] -= scratch[pid - nranges]
         if hi - lo == 1:
             factor_snode(symb, storage, lo)  # its pairs are tasks of their own
             return
-        run_fine_range(
-            symb, storage, plan, lo, hi,
-            lambda pid, bi, bj, u: np.copyto(scratch[pid - nranges], u),
-        )
+
+        def leave(pid, updates):
+            for slot, u in enumerate(updates, pid - nranges):
+                np.copyto(scratch[slot], u)
+
+        run_fine_range(symb, storage, plan, lo, hi, leave)
 
     def release(self):
         # drop every numpy view before closing, else the exported

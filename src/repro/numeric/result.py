@@ -1,12 +1,24 @@
-"""Result and accounting types shared by all factorization engines."""
+"""Result and accounting types shared by all factorization engines.
+
+:func:`kernel_stream` is the BLAS/assembly call stream of a serial RL or RLB
+factorization read off the pattern's index arrays
+(:func:`~repro.symbolic.relind.assembly_index`,
+:func:`~repro.symbolic.blocks.pair_index`); :func:`cpu_cost` prices it once
+per pattern.  A stream repeats few distinct calls many times (8 038 block
+pairs of 60-odd shapes on a 64² grid), so :class:`CpuCostAccumulator` prices
+each distinct ``(kind, m, n, k)`` once and only *adds* per call — in stream
+order, so the totals are the same floats a call-by-call pricing gives.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
-from ..symbolic.blocks import snode_blocks
+from ..symbolic.blocks import pair_index
 from ..symbolic.relind import assembly_index
 
 __all__ = [
@@ -53,27 +65,68 @@ class CpuCostAccumulator:
         self.flops = 0.0
         self.assembly_bytes = 0
 
+    def _kernel_price(self, kind, m, n, k):
+        """``(dilated flops, modeled seconds per thread count)`` of one BLAS
+        call."""
+        f = self.machine.scaled_kernel_flops(kind, m, n, k)
+        cpu = self.machine.cpu
+        speedup = self.machine.cpu_fp_speedup(self.itemsize)
+        return f, [cpu.kernel_time(f, t, speedup) for t in self.times]
+
+    def _assembly_price(self, nbytes):
+        """``(dilated bytes, modeled seconds per thread count)`` of one
+        scatter-add pass."""
+        actual = nbytes * self.itemsize / 8.0
+        scaled = self.machine.scaled_bytes(actual, self.itemsize)
+        cpu = self.machine.cpu
+        return scaled, [cpu.assembly_time(scaled, self.assembly_threads or t) for t in self.times]
+
     def kernel(self, kind, m=0, n=0, k=0):
         """Charge one BLAS call (at dilated dimensions) to every thread
         configuration."""
-        f = self.machine.scaled_kernel_flops(kind, m, n, k)
+        f, seconds = self._kernel_price(kind, m, n, k)
         self.flops += f
         self.kernel_count += 1
-        cpu = self.machine.cpu
-        speedup = self.machine.cpu_fp_speedup(self.itemsize)
-        for t in self.times:
-            self.times[t] += cpu.kernel_time(f, t, speedup)
+        for t, dt in zip(self.times, seconds):
+            self.times[t] += dt
 
     def assembly(self, nbytes):
         """Charge a scatter-add moving ``nbytes`` (fp64-normalized raw
         bytes; rescaled to the factor's itemsize and dilated inside)."""
-        actual = nbytes * self.itemsize / 8.0
-        scaled = self.machine.scaled_bytes(actual, self.itemsize)
+        scaled, seconds = self._assembly_price(nbytes)
         self.assembly_bytes += scaled
-        cpu = self.machine.cpu
-        for t in self.times:
-            at = self.assembly_threads if self.assembly_threads else t
-            self.times[t] += cpu.assembly_time(scaled, at)
+        for t, dt in zip(self.times, seconds):
+            self.times[t] += dt
+
+    def charge(self, stream):
+        """Charge a whole :func:`kernel_stream` — the same totals, to the
+        last bit, as one :meth:`kernel` / :meth:`assembly` per call, at a
+        fraction of the cost: each distinct ``(kind, m, n, k)`` is priced
+        once, and the additions still happen call by call, in stream order
+        (``cumsum`` accumulates sequentially; a call adds an exact ``0.0``
+        to the totals it does not touch)."""
+        # a row: kernel calls, flops, assembly bytes, seconds per thread count
+        rows = [(self.kernel_count, self.flops, self.assembly_bytes, *self.times.values())]
+        row_of = {}
+        calls = [0]
+        for call in stream:
+            call = call[1:]
+            row = row_of.get(call)
+            if row is None:
+                row = row_of[call] = len(rows)
+                if call[0] == "assembly":
+                    scaled, seconds = self._assembly_price(call[1])
+                    rows.append((0, 0.0, scaled, *seconds))
+                else:
+                    f, seconds = self._kernel_price(*call)
+                    rows.append((1, f, 0.0, *seconds))
+            calls.append(row)
+        totals = np.cumsum(np.array(rows, dtype=np.float64)[calls], axis=0)[-1].tolist()
+        count, self.flops, nbytes, *seconds = totals
+        self.kernel_count = int(count)
+        if any(call[0] == "assembly" for call in row_of):  # else it stays the int it was
+            self.assembly_bytes = nbytes
+        self.times = dict(zip(self.times, seconds))
 
     def best(self):
         """``(threads, seconds)`` of the fastest configuration."""
@@ -249,7 +302,15 @@ def kernel_stream(symb, family, snodes=None):
     """
     if family not in ("rl", "rlb"):
         raise ValueError(f"unknown family {family!r}; choose 'rl' or 'rlb'")
-    moved = assembly_index(symb).moved if family == "rl" else None
+    if family == "rl":
+        moved = assembly_index(symb).moved
+    else:
+        index = pair_index(symb)
+        pair_ptr = index.pair_ptr
+        diagonal = index.upper == index.lower
+        kinds = np.where(diagonal, "syrk", "gemm").tolist()
+        rows = np.where(diagonal, 0, index.blk_len[index.lower]).tolist()
+        cols = index.blk_len[index.upper].tolist()
     for s in range(symb.nsup) if snodes is None else snodes:
         m, w = symb.panel_shape(s)
         b = m - w
@@ -261,11 +322,8 @@ def kernel_stream(symb, family, snodes=None):
             yield s, "syrk", 0, b, w
             yield s, "assembly", moved[s], 0, 0
             continue
-        blocks = snode_blocks(symb, s)
-        for i, bi in enumerate(blocks):
-            yield s, "syrk", 0, bi.length, w
-            for bj in blocks[i + 1 :]:
-                yield s, "gemm", bj.length, bi.length, w
+        for pair in range(pair_ptr[s], pair_ptr[s + 1]):
+            yield s, kinds[pair], rows[pair], cols[pair], w
 
 
 def cpu_cost(symb, family, machine, thread_choices, itemsize, snodes=None):
@@ -286,11 +344,7 @@ def cpu_cost(symb, family, machine, thread_choices, itemsize, snodes=None):
     if snodes is None and key in memo:
         return memo[key]
     acc = CpuCostAccumulator(machine, choices, itemsize=itemsize)
-    for _, kind, m, n, k in kernel_stream(symb, family, snodes):
-        if kind == "assembly":
-            acc.assembly(m)
-        else:
-            acc.kernel(kind, m, n, k)
+    acc.charge(kernel_stream(symb, family, snodes))
     threads, seconds = acc.best()
     times = tuple(acc.times.items())
     cost = CpuCost(times, threads, seconds, acc.flops, acc.kernel_count, acc.assembly_bytes)

@@ -17,9 +17,9 @@ differ in when those small update matrices come back:
 
 Small supernodes stay on the CPU with RLB's direct in-place updates (no
 assembly), per the size threshold.  Block lists and per-pair panel offsets
-are memoised on the symbolic factor (see :func:`repro.symbolic.blocks
-.snode_blocks` and :func:`repro.numeric.rlb.block_pair_targets`), so
-refactorization repeats none of the structural bookkeeping.
+are rows of the pattern's :func:`~repro.symbolic.blocks.pair_index`,
+memoised on the symbolic factor, so refactorization repeats none of the
+structural bookkeeping.
 
 As in :mod:`repro.numeric.rl_gpu`, the pipeline pieces are standalone *task
 bodies* (:func:`rlb_cpu_pair` / :func:`rlb_gpu_factor` /
@@ -32,12 +32,13 @@ schedule — keeps its serial loop here (:func:`factorize_rlb_gpu_v1`).
 
 from __future__ import annotations
 
+from ..dense.kernels import pair_routines
 from ..gpu.costmodel import MachineModel
 from ..gpu.device import SimulatedGpu, Timeline
-from ..symbolic.blocks import snode_blocks
+from ..symbolic.blocks import pair_index
 from .result import FactorizeResult, GpuCostAccumulator
 from .rl_gpu import charge_cpu_kernel, cpu_factor_snode
-from .rlb import commit_block_pair, compute_block_pair
+from .rlb import commit_block_pair, compute_block_pair, pair_kernel, pair_updates
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY, DEFAULT_RLB_THRESHOLD, \
     gpu_snode_mask
@@ -57,12 +58,8 @@ def rlb_cpu_pair(panel, w, bi, bj, machine, timeline, cpu_t, acc):
     is the caller's (direct in-place for the version-1 loop, ordered for
     the task graph)."""
     u = compute_block_pair(panel, w, bi, bj)
-    if bj is bi:
-        kind, km = "syrk", 0
-    else:
-        kind, km = "gemm", bj.length
-    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize, kind,
-                      km, bi.length, w)
+    charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
+                      *pair_kernel(w, bi, bj))
     return u
 
 
@@ -93,11 +90,10 @@ def rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc):
     rows_i = panel[bi.panel_start:bi.panel_start + bi.length, :w]
     if bj is bi:
         gpu.syrk(dbuf, ubuf, rows_i, ubuf.array)
-        acc.kernel("syrk", n=bi.length, k=w)
     else:
         rows_j = panel[bj.panel_start:bj.panel_start + bj.length, :w]
         gpu.gemm(dbuf, ubuf, rows_j, rows_i, ubuf.array)
-        acc.kernel("gemm", m=bj.length, n=bi.length, k=w)
+    acc.kernel(*pair_kernel(w, bi, bj))
     return ubuf
 
 
@@ -141,19 +137,23 @@ def factorize_rlb_gpu_v1(symb, A, *, machine=None,
     itemsize = storage.itemsize
     offload = gpu_snode_mask(symb, threshold, machine=machine)
     acc = GpuCostAccumulator(machine, itemsize=itemsize)
+    index = pair_index(symb)
+    routines = pair_routines(storage.dtype)
     on_gpu = 0
     for s in range(symb.nsup):
-        blocks = snode_blocks(symb, s)
+        blocks = index.blocks(s)
         pairs = [(bi, bj)
                  for i, bi in enumerate(blocks) for bj in blocks[i:]]
         if not offload[s]:
-            # CPU path: plain RLB with direct in-place updates
-            panel, w, _ = cpu_factor_snode(symb, storage, s, machine,
+            # CPU path: plain RLB with direct in-place updates — the serial
+            # engine's body, its kernels charged in the order it runs them
+            panel, w, b = cpu_factor_snode(symb, storage, s, machine,
                                            timeline, cpu_t, acc)
             for bi, bj in pairs:
-                u = rlb_cpu_pair(panel, w, bi, bj, machine, timeline,
-                                 cpu_t, acc)
-                commit_block_pair(symb, storage, bi, bj, u)
+                charge_cpu_kernel(machine, timeline, cpu_t, acc, itemsize,
+                                  *pair_kernel(w, bi, bj))
+            if b:
+                pair_updates(storage, index, s, panel[w:, :w], routines)
             continue
         on_gpu += 1
         panel, w, dbuf, panel_back = rlb_gpu_factor(symb, storage, s, gpu,

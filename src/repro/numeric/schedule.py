@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gpu.costmodel import MachineModel, kernel_flops
-from ..symbolic.blocks import snode_blocks
+from ..symbolic.blocks import pair_index
 
 __all__ = [
     "Task",
@@ -163,24 +163,24 @@ def build_fine_graph(symb, *, machine=None, threads=1):
         tasks.append(Task(f"factor{s}", "factor", t, s))
         preds.append([])
         succs.append([])
-    for s in range(symb.nsup):
-        blocks = snode_blocks(symb, s)
-        w = symb.snode_ncols(s)
-        for i, bi in enumerate(blocks):
-            for bj in blocks[i:]:
-                if bj is bi:
-                    dur = _kernel_seconds(machine, "syrk", threads,
-                                          n=bi.length, k=w)
-                else:
-                    dur = _kernel_seconds(machine, "gemm", threads,
-                                          m=bj.length, n=bi.length, k=w)
-                tid = len(tasks)
-                tasks.append(Task(f"pair{s}:{bi.first_row}:{bj.first_row}",
-                                  "pair", dur, s))
-                preds.append([factor_id[s]])
-                succs.append([factor_id[bi.owner]])
-                succs[factor_id[s]].append(tid)
-                preds[factor_id[bi.owner]].append(tid)
+    index = pair_index(symb)
+    source, owner = index.blk_source.tolist(), index.blk_owner.tolist()
+    first, length = index.blk_first.tolist(), index.blk_len.tolist()
+    width = np.diff(symb.snptr).tolist()
+    for i, j in zip(index.upper.tolist(), index.lower.tolist()):
+        s = source[i]
+        if j == i:
+            dur = _kernel_seconds(machine, "syrk", threads,
+                                  n=length[i], k=width[s])
+        else:
+            dur = _kernel_seconds(machine, "gemm", threads,
+                                  m=length[j], n=length[i], k=width[s])
+        tid = len(tasks)
+        tasks.append(Task(f"pair{s}:{first[i]}:{first[j]}", "pair", dur, s))
+        preds.append([factor_id[s]])
+        succs.append([factor_id[owner[i]]])
+        succs[factor_id[s]].append(tid)
+        preds[factor_id[owner[i]]].append(tid)
     return TaskGraph(tasks, preds, succs).validate()
 
 
