@@ -6,7 +6,7 @@ plus the two degenerate endpoints — ``inf`` (all supernodes on the measured
 CPU worker lanes) and ``0`` (all on the modeled GPU stream lanes) — and
 reports the combined time ``max(measured_cpu / workers, modeled_gpu)`` at
 each cutoff, verifying on every run that the hybrid factors are
-*bit-identical* to the serial engines (the ordered-committer contract).
+*bit-identical* to the serial engines (every update is pulled by its target).
 
 The offload crossover is the point of the sweep: moving the cutoff down
 drains work off the worker lanes (measured term falls) and onto the stream

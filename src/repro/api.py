@@ -69,9 +69,9 @@ from .dense.kernels import NonFiniteValuesError, NotPositiveDefiniteError
 from .gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from .numeric.executor import (
     StreamPool,
+    _resolve_workers,
     _task_label_fn,
     _traced_run,
-    default_workers,
     factorize_executor_batch,
     stream_factorize_job,
     warm_executor_plan,
@@ -436,7 +436,7 @@ class SymbolicPlan:
         ``fork``) run each submission through those engines instead.
         Every produced factor and solution is
         bit-identical to its serial counterpart regardless of substrate
-        (same ordered-commit contract as the batch path).
+        (same pull rule as the batch path).
 
         ``dtype=`` sets the session's default factor precision
         (``numpy.float32`` for the mixed-precision serving lane; see
@@ -710,11 +710,7 @@ class Factor:
                 self.storage, b[perm], overwrite_b=True,
                 devices=1 if devices is None else int(devices))
         else:
-            if spec.parallel:
-                workers = (default_workers() if workers is None
-                           else int(workers))
-            else:
-                workers = None
+            workers = _resolve_workers(workers) if spec.parallel else None
             # b[perm] is a fresh gather; both sweeps run in place on it
             y = solve_factored(self.storage, b[perm], overwrite_b=True,
                                workers=workers)
@@ -1070,8 +1066,8 @@ class ServingSession:
 
     * **Determinism** — every factor and solution is bit-identical to the
       serial path (``plan.factorize(values)`` / ``factor.solve(b)``), for
-      any worker count and any interleaving of submissions (per-matrix
-      ordered commits, as everywhere else in the runtime).
+      any worker count and any interleaving of submissions (a panel is
+      written by its own task alone, as everywhere else in the runtime).
     * **Failure isolation** — a non-SPD matrix raises
       :class:`~repro.dense.kernels.NotPositiveDefiniteError` (annotated
       with ``stream_index``) on *its own* future only; the pool and every

@@ -24,7 +24,6 @@ from .executor import (
     ThreadBackend,
     GpuStreamBackend,
     HybridBackend,
-    OrderedCommitter,
     GRANULARITIES,
     default_workers,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "BLAS_ENV_VARS",
     "limit_blas_threads",
     "pinned_blas_env",
-    "OrderedCommitter",
     "GRANULARITIES",
     "default_workers",
     "ENGINES",

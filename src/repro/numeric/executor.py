@@ -12,31 +12,28 @@ on real cores.
 (:mod:`repro.symbolic.ranges`): a run of consecutive supernodes closed
 under descendants — whole elimination subtrees — executes the serial
 bodies in elimination order as ONE task (:func:`run_coarse_range` /
-:func:`run_fine_range`), with no lock, closure or committer for any update
-whose target lies inside the range.  Only the supernodes at the top of the
-tree are tasks of their own (coarse: POTRF + TRSM + SYRK per supernode;
-fine: one factor task plus one task per block pair), and only updates that
-*leave* a range are committed.
+:func:`~repro.numeric.rlb.run_pair_range`).  Only the supernodes at the top
+of the tree are tasks of their own (coarse: POTRF + TRSM + SYRK per
+supernode; fine: one factor task plus one task per block pair).
 
-Two properties are load-bearing:
+**The target pulls.**  The right-looking step's one cross-task write — a
+factorized supernode's update assembled into an ancestor of another range —
+follows one rule on every substrate (:func:`range_tasks`): the source
+*parks* the update, and the target's own task subtracts what was parked
+for it, in the order :attr:`DagPlan.incoming` lists (ascending source: the
+serial engines' accumulation order), before it factorizes.
 
-* **Safety** — a supernode's panel is only mutated by (a) the task of its
-  own range and (b) committed updates from descendants in other ranges;
-  commits into a panel are serialised by a per-target lock and the panel's
-  task only becomes ready once every expected contribution has been
-  committed.
-* **Determinism** — floating-point accumulation is not associative, so
-  updates reach each panel in *ascending source-supernode order* (the
-  serial engines' order): inside a range because the range runs its
-  supernodes in that order and holds every source of its targets; across
-  ranges because commits are applied in ascending range order (ranges are
-  disjoint intervals), buffering out-of-order contributions until their
-  turn.  Factors are therefore bit-identical for any worker count,
-  including ``workers=1`` and the serial engines themselves.
+* **Safety** — a panel has one writer, its own range's task, which starts
+  once a :class:`Countdown` over :attr:`DagPlan.indeg` has seen every task
+  that parks for it finish: no per-panel lock, no second writer.
+* **Determinism** — floating-point accumulation is not associative, and the
+  order a panel accumulates in is a list in the plan, not a property of
+  the schedule: any topological order of the graph gives the serial
+  engines' bits at any worker count (``tests/test_pull_order.py``).
 
 **One plan, one pool.**  :func:`dag_plan` is the single static description
-of a task DAG per granularity and partition (task ids, ordered-commit
-contract, roots, edges), memoised on the partition with the index beneath
+of a task DAG per granularity and partition (task ids, incoming updates,
+roots, edges), memoised on the partition with the index beneath
 it (RL's assembly index, RLB's pair index) on
 :meth:`SymbolicFactor.cache`, so repeated same-pattern refactorization
 (``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
@@ -54,7 +51,7 @@ non-SPD matrix) failing only its own ``on_error`` callback, never the pool.
   :class:`ThreadBackend`, :func:`factorize_executor` and the level-scheduled
   triangular solves of :mod:`repro.solve.triangular`;
 * :func:`factorize_executor_batch` submits B same-pattern matrices as B
-  graphs (per-matrix storage and committer, from
+  graphs (per-matrix storage, parked store and countdown, from
   :func:`stream_factorize_job`) to one transient pool — the backend of
   :meth:`repro.api.SymbolicPlan.factorize_batch`;
 * :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
@@ -78,6 +75,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import operator
 import os
 import threading
 import time
@@ -93,8 +91,8 @@ from ..symbolic.blocks import pair_index
 from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
 from .result import cpu_cost
-from .rl import _assemble, apply_run, factor_snode, factor_update
-from .rlb import commit_block_pair, compute_block_pair, run_pair_range
+from .rl import _assemble, apply_run, factor_snode, factor_update, park_runs
+from .rlb import compute_block_pair, run_pair_range
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY
 
@@ -106,7 +104,7 @@ __all__ = [
     "ThreadBackend",
     "GpuStreamBackend",
     "HybridBackend",
-    "OrderedCommitter",
+    "Countdown",
     "StreamPool",
     "stream_factorize_job",
     "warm_executor_plan",
@@ -130,84 +128,45 @@ def default_workers():
 
 
 def _resolve_workers(workers):
-    workers = default_workers() if workers is None else int(workers)
+    # operator.index: 2.5 workers is a TypeError, not two workers
+    workers = default_workers() if workers is None else operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
 
 
-class _TargetState:
-    __slots__ = ("lock", "order", "head", "expected", "received")
+class Countdown:
+    """The readiness counter of one task graph in flight, over a copy of the
+    plan's ``indeg``: :meth:`deliver` hands one part to each task of
+    ``targets`` and returns the ones that just received their last — each
+    task exactly once, whichever thread delivers it.  It orders nothing: what
+    a target applies, and in which order, is the plan's ``incoming`` list."""
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.order = ()
-        self.head = 0
-        self.expected = {}
-        self.received = {}
+    __slots__ = ("_left", "_lock")
 
+    def __init__(self, indeg):
+        self._left = list(indeg)
+        self._lock = threading.Lock()
 
-class OrderedCommitter:
-    """Deterministic reduction of panel updates.
+    def deliver(self, targets):
+        left = self._left
+        ready = []
+        with self._lock:
+            for t in targets:
+                left[t] -= 1
+                if not left[t]:
+                    ready.append(t)
+        return ready
 
-    Each *target* task's panel receives updates from several *source*
-    task ranges.  The per-target contract (:meth:`from_static`) says which
-    sources deliver how many update closures; ``submit(target, src, fn)``
-    hands one closure over.  Under
-    the target's lock, closures are applied strictly in ascending ``src``
-    order — a source's closures run only once every lower-numbered source
-    has fully committed — which reproduces the serial engines' accumulation
-    order bit-for-bit (ranges are disjoint intervals: ascending range is
-    ascending source supernode, and a range's one closure applies its own
-    sources' updates in order).  Several closures of one source (the pair
-    tasks of a single supernode) touch pairwise-disjoint panel regions, so
-    their relative order is free.
+    def task(self, run, children):
+        """The ``run_task`` of a graph counted here: ``run(tid)``, then one
+        part to each of ``children[tid]``; returns the tasks that released."""
 
-    ``submit`` returns the list of targets (0 or 1 here) whose final
-    contribution was just applied; the runtime uses that to release the
-    target's own factor task.
-    """
+        def run_task(tid):
+            run(tid)
+            return self.deliver(children[tid])
 
-    def __init__(self):
-        self._targets = {}
-
-    @classmethod
-    def from_static(cls, static):
-        """Committer over a precomputed per-target contract.
-
-        ``static`` is an iterable of ``(target, order, expected)`` triples
-        with ``order`` the ascending source tuple and ``expected`` the
-        ``{source: nparts}`` mapping, computed at pattern-analysis time
-        (:attr:`DagPlan.static`,
-        :attr:`repro.symbolic.levels.SolveSchedule.fwd_static`).  The
-        shared containers are never mutated by ``submit`` (only the
-        per-run ``received``/``head`` counters are fresh), so any number
-        of concurrent committers may be built from one static contract —
-        this keeps per-solve construction off the many-RHS hot path.
-        """
-        self = cls()
-        for target, order, expected in static:
-            state = _TargetState()
-            state.order = order
-            state.expected = expected
-            self._targets[target] = state
-        return self
-
-    def submit(self, target, src, fn):
-        state = self._targets[target]
-        with state.lock:
-            state.received.setdefault(src, []).append(fn)
-            while state.head < len(state.order):
-                nxt = state.order[state.head]
-                fns = state.received.get(nxt)
-                if fns is None or len(fns) != state.expected[nxt]:
-                    break
-                for f in fns:
-                    f()
-                del state.received[nxt]
-                state.head += 1
-            done = state.head == len(state.order)
-        return [target] if done else []
+        return run_task
 
 
 class _StreamJob:
@@ -420,7 +379,7 @@ def run_task_graph(ntasks, roots, run_task, workers):
 class Backend:
     """A scheduling substrate for static task DAGs.
 
-    The runtime above (plans, committers, task bodies) is substrate
+    The runtime above (plans, parked stores, task bodies) is substrate
     agnostic: anything that can execute a ``(ntasks, roots, run_task)``
     triple to completion is a backend.  Three substrates ship:
 
@@ -453,7 +412,7 @@ class ThreadBackend(Backend):
     A transient pool of ``workers`` threads per graph — exactly
     :func:`run_task_graph`, packaged behind the :class:`Backend` seam.
     Ready-task order is whatever the pool pops; determinism comes from the
-    ordered committers, not the schedule, so ``priority`` is ignored.
+    plan's ``incoming`` lists, not the schedule, so ``priority`` is ignored.
     """
 
     name = "threads"
@@ -612,8 +571,8 @@ class HybridBackend(_StreamLanes, Backend):
     CPU-or-GPU: CPU-placed tasks run real BLAS exactly like
     :class:`ThreadBackend` (wall-clock measured), GPU-placed tasks run the
     simulated-device kernel pipelines of :class:`GpuStreamBackend`
-    (modeled time on ``devices`` stream/copy timelines).  Panel updates
-    from both substrates reduce through one :class:`OrderedCommitter` — so
+    (modeled time on ``devices`` stream/copy timelines).  Updates from both
+    substrates park in one store and are pulled by their target's task — so
     the factors are bit-identical to the serial twin at any
     ``(workers, devices)``.
 
@@ -757,12 +716,10 @@ class LeavingPairs:
         return s, blocks[self._upper[i]], blocks[self._lower[i]]
 
 
-# NOTE: dag_plan and the body helpers below (run_coarse_range,
-# run_fine_range, _coarse_tasks, _fine_tasks) are the shared substrate of
-# every DAG backend — repro.numeric.gpu_dag builds the stream and hybrid
-# engines' task graphs from them and repro.numeric.procpool runs the same
-# range bodies and schedules from the plan's edges.  Renaming them is a
-# cross-module change.
+# NOTE: dag_plan and range_tasks below are the shared substrate of every DAG
+# backend — repro.numeric.gpu_dag builds the stream and hybrid engines' task
+# graphs from them and repro.numeric.procpool runs the same task body and
+# schedules from the plan's edges.  Renaming them is a cross-module change.
 class DagPlan(NamedTuple):
     """Static task DAG of one granularity over one partition of the
     supernodes (see :func:`dag_plan`).
@@ -792,15 +749,12 @@ class DagPlan(NamedTuple):
     pairs: object
     targets: tuple
     pair_ids: tuple
-    #: ``(target task, source range tasks ascending, {source: nparts})`` per
-    #: task updated from outside its range — the
-    #: :meth:`OrderedCommitter.from_static` contract: one part per (range,
-    #: target), but one per pair task of a single-supernode source
-    static: tuple
     #: tasks that wait for nothing (initially ready)
     roots: tuple
-    #: tasks each task feeds / how many feed it (a parent-side scheduler's
-    #: edges: a task is ready once ``indeg`` of its feeders are done)
+    #: tasks each task feeds / how many parts each task waits for (counted by
+    #: a :class:`Countdown` or the process pool's parent): a finished range
+    #: delivers one part to every task it parked an update for, a factor task
+    #: to its pair tasks, a pair task to its target
     children: tuple
     indeg: tuple
     #: per range task, the updates that reach it from outside its range, in
@@ -840,7 +794,7 @@ def dag_plan(symb, granularity, ranges=None):
     if plan is not None:
         return plan
     build = _coarse_edges if granularity == "coarse" else _fine_edges
-    stay, incoming, expected, children, pairs, targets, pair_ids = build(symb, ranges)
+    stay, incoming, indeg, children, pairs, targets, pair_ids = build(symb, ranges)
     nranges = len(ranges)
     ntasks = len(children)
     plan = ranges.memo[key] = DagPlan(
@@ -851,12 +805,9 @@ def dag_plan(symb, granularity, ranges=None):
         pairs=pairs,
         targets=targets,
         pair_ids=tuple(pair_ids),
-        # sources were visited ascending, so each dict's key order is the
-        # committer's ascending source order
-        static=tuple((p, tuple(exp), exp) for p, exp in enumerate(expected) if exp),
-        roots=tuple(p for p, exp in enumerate(expected) if not exp),
+        roots=tuple(p for p, n in enumerate(indeg) if not n),
         children=tuple(tuple(kids) for kids in children),
-        indeg=tuple(sum(exp.values()) for exp in expected) + (1,) * (ntasks - nranges),
+        indeg=tuple(indeg) + (1,) * (ntasks - nranges),
         incoming=tuple(tuple(x) for x in incoming),
     )
     return plan
@@ -864,13 +815,13 @@ def dag_plan(symb, granularity, ranges=None):
 
 def _coarse_edges(symb, ranges):
     """The coarse half of :func:`dag_plan`: per supernode the assembly runs
-    that stay, per range task the runs reaching it from outside, the
-    committer's ``{source range: parts}`` and the scheduler's edges."""
+    that stay, per range task the runs reaching it from outside, and the
+    scheduler's edges: one part per (source range, target)."""
     nranges = len(ranges)
     bounds, range_of = ranges.bounds, ranges.range_of
     stay = []
     incoming = [[] for _ in range(nranges)]
-    expected = [{} for _ in range(nranges)]
+    indeg = [0] * nranges
     children = [[] for _ in range(nranges)]
     for s, targets in enumerate(assembly_index(symb).targets):
         t = range_of[s]
@@ -878,11 +829,12 @@ def _coarse_edges(symb, ranges):
         stay.append(bisect.bisect_left(targets, bounds[t + 1]))
         for r in range(stay[s], len(targets)):
             p = range_of[targets[r]]
-            incoming[p].append((s, r))
-            if t not in expected[p]:
-                expected[p][t] = 1
+            # sources ascend, so a range's runs into ``p`` are consecutive
+            if not incoming[p] or range_of[incoming[p][-1][0]] != t:
+                indeg[p] += 1
                 children[t].append(p)
-    return stay, incoming, expected, children, (), (), ()
+            incoming[p].append((s, r))
+    return stay, incoming, indeg, children, (), (), ()
 
 
 def _fine_edges(symb, ranges):
@@ -917,12 +869,12 @@ def _fine_edges(symb, ranges):
     # one part per (range, target), but one per pair task of a single source
     edges, parts = np.unique(dst * nranges + src, return_counts=True)
     edge_dst, edge_src = np.divmod(edges, nranges)
-    expected = [{} for _ in range(nranges)]
+    indeg = [0] * nranges
     children = [[] for _ in range(nranges)]
     for p, t, n, alone in zip(
         edge_dst.tolist(), edge_src.tolist(), parts.tolist(), single[edge_src].tolist()
     ):
-        expected[p][t] = n if alone else 1
+        indeg[p] += n if alone else 1
         if not alone:
             children[t].append(p)
     for t in np.flatnonzero(single).tolist():
@@ -932,7 +884,7 @@ def _fine_edges(symb, ranges):
     for s in set(pairs.source[: ntasks - nranges]):  # what the pair tasks read
         index.blocks(s)
         index.targets(s)
-    return stay, incoming, expected, children, pairs, index.targets_of(gone[order]), pair_ids
+    return stay, incoming, indeg, children, pairs, index.targets_of(gone[order]), pair_ids
 
 
 #: the name streaming callers warm a pattern under (``ServingSession``)
@@ -943,9 +895,8 @@ def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
     """The serial RL bodies over the supernodes ``lo..hi-1`` of one range:
     factorize, form the update matrix, subtract the runs that stay inside the
     range (:attr:`DagPlan.stay`) straight from it.  ``leave(s, U)`` gets every
-    source that also has runs leaving the range — the thread substrate hands
-    those to the ordered committer, the process substrate parks ``U`` in its
-    scratch slot."""
+    source that also has runs leaving the range, to park ``U`` for their
+    targets."""
     targets = index.targets
     stay = plan.stay
     for s in range(lo, hi):
@@ -960,92 +911,77 @@ def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
         leave(s, U)
 
 
-def run_fine_range(symb, storage, plan, lo, hi, leave):
-    """The serial RLB bodies over the supernodes ``lo..hi-1`` of one range
-    (:func:`~repro.numeric.rlb.run_pair_range`): factorize, then every block
-    pair — committed at once when its target stays inside the range, else
-    handed over as ``leave(pid, updates)``, ``updates[t]`` the update of the
-    leaving pair ``pid + t`` (see :func:`run_coarse_range`)."""
-    run_pair_range(storage, pair_index(symb), lo, hi, plan, leave)
+def range_tasks(symb, storage, plan, parked):
+    """``(pull, run)`` — the task bodies of ``plan``'s graph over ``storage``,
+    the same on a pool thread, in a worker process and as the hybrid engine's
+    measured CPU task.
 
+    ``pull(tid)`` subtracts from range task ``tid``'s panels the updates that
+    reach it from outside its range: :attr:`DagPlan.incoming` in the order
+    listed, read from ``parked``, each entry dropped after its last reader.
+    ``run(tid)`` is the whole task: pull, then the serial bodies over the
+    range (:func:`run_coarse_range` / ``run_pair_range``; a single supernode
+    of a fine plan only factorizes, its pairs are tasks that park one product
+    each), parking what leaves.  ``parked`` maps a coarse source supernode to
+    what :func:`~repro.numeric.rl.park_runs` keeps of its update matrix and a
+    fine pair's slot (id minus ``len(plan.ranges)``) to its product: a plain
+    dict in-process, the shared scratch views across processes.
+    """
+    nranges = len(plan.ranges)
+    bounds = plan.ranges.bounds
+    incoming = plan.incoming
+    program = storage.factor_program()  # built here, on the submitting thread
+    if plan.granularity == "coarse":
+        index = assembly_index(symb)
+        routines = factor_routines(storage.dtype)
+        runs, stay = index.targets, plan.stay
 
-def _apply_runs(storage, index, items):
-    for s, r, U in items:
-        apply_run(storage, index, s, r, U)
-
-
-def _commit_pairs(panels, items):
-    for (p, r0, r1, c0, c1), u in items:
-        panels[p][r0:r1, c0:c1] -= u
-
-
-def _submit_deferred(committer, tid, deferred, apply):
-    """Hand the updates range task ``tid`` deferred — ``{target task:
-    items}``, items in the order the range produced them (ascending source)
-    — to the committer as ONE part ``apply(items)`` per (range, target).
-    Returns the released tasks."""
-    newly = []
-    for target, items in deferred.items():
-        newly.extend(committer.submit(target, tid, functools.partial(apply, items)))
-    return newly
-
-
-def _coarse_tasks(symb, storage, committer, plan):
-    """``run_task`` of the coarse graph on in-process workers: one
-    :func:`run_coarse_range` per task, the leaving runs through
-    ``committer``."""
-    program = storage.factor_program()
-    routines = factor_routines(storage.dtype)
-    index = assembly_index(symb)
-    targets = index.targets
-    stay = plan.stay
-    bounds, range_of = plan.ranges.bounds, plan.ranges.range_of
-    apply = functools.partial(_apply_runs, storage, index)
-
-    def run_task(tid):
-        deferred = {}
+        def pull(tid):
+            for s, r in incoming[tid]:
+                apply_run(storage, index, s, r, parked[s], stay[s])
+                # the targets of a source lie on one path of the elimination
+                # tree, so the task reading its last run reads last
+                if r + 1 == len(runs[s]):
+                    del parked[s]
 
         def leave(s, U):
-            for r in range(stay[s], len(targets[s])):
-                deferred.setdefault(range_of[targets[s][r]], []).append((s, r, U))
+            parked[s] = park_runs(storage, index, s, U, stay[s])
 
-        lo, hi = bounds[tid], bounds[tid + 1]
-        run_coarse_range(storage, index, plan, program, routines, lo, hi, leave)
-        return _submit_deferred(committer, tid, deferred, apply)
+        def run(tid):
+            pull(tid)
+            lo, hi = bounds[tid], bounds[tid + 1]
+            run_coarse_range(storage, index, plan, program, routines, lo, hi, leave)
 
-    return run_task
+        return pull, run
 
+    index = pair_index(symb)
+    panels, pairs, targets = storage.panels, plan.pairs, plan.targets
 
-def _fine_tasks(symb, storage, committer, plan):
-    """``run_task`` of the fine graph on in-process workers: a range of
-    several supernodes is one :func:`run_fine_range`; a single-supernode
-    range is its factor task releasing one task per block pair."""
-    nranges = len(plan.ranges)
-    bounds, range_of = plan.ranges.bounds, plan.ranges.range_of
-    pairs, pair_ids, targets = plan.pairs, plan.pair_ids, plan.targets
-    storage.factor_program()  # built here, on the submitting thread
-    apply = functools.partial(_commit_pairs, storage.panels)
+    def pull(tid):
+        for pid in incoming[tid]:
+            p, r0, r1, c0, c1 = targets[pid - nranges]
+            panels[p][r0:r1, c0:c1] -= parked[pid - nranges]
+            del parked[pid - nranges]
 
-    def run_task(tid):
+    def leave(pid, updates):
+        for slot, u in enumerate(updates, pid - nranges):
+            parked[slot] = u
+
+    def run(tid):
         if tid >= nranges:
             s, bi, bj = pairs[tid - nranges]
-            u = compute_block_pair(storage.panel(s), symb.snode_ncols(s), bi, bj)
-            commit = functools.partial(commit_block_pair, symb, storage, bi, bj, u)
-            return committer.submit(range_of[bi.owner], range_of[s], commit)
+            parked[tid - nranges] = compute_block_pair(
+                storage.panel(s), symb.snode_ncols(s), bi, bj
+            )
+            return
+        pull(tid)
         lo, hi = bounds[tid], bounds[tid + 1]
         if hi - lo == 1:
             factor_snode(symb, storage, lo)
-            return pair_ids[lo]
-        deferred = {}
+        else:
+            run_pair_range(storage, index, lo, hi, plan, leave)
 
-        def leave(pid, updates):
-            for i, u in enumerate(updates, pid - nranges):
-                deferred.setdefault(range_of[targets[i][0]], []).append((targets[i], u))
-
-        run_fine_range(symb, storage, plan, lo, hi, leave)
-        return _submit_deferred(committer, tid, deferred, apply)
-
-    return run_task
+    return pull, run
 
 
 def _check_granularity(granularity):
@@ -1083,14 +1019,12 @@ def stream_factorize_job(
     the report, so it never writes the symbolic cache.
     """
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
-    # the static plan is shared (memoised on ``symb``); the committer and
-    # task closures are per-matrix state, so any number of same-pattern
-    # instances can run concurrently on one pool while each keeps the
-    # serial engines' deterministic commit order
+    # the static plan is shared (memoised on ``symb``); the parked store,
+    # the countdown and the task closures are per-matrix state, so any
+    # number of same-pattern instances can run concurrently on one pool
     plan = dag_plan(symb, granularity)
-    committer = OrderedCommitter.from_static(plan.static)
-    build = _coarse_tasks if granularity == "coarse" else _fine_tasks
-    run_task = build(symb, storage, committer, plan)
+    _, run = range_tasks(symb, storage, plan, {})
+    run_task = Countdown(plan.indeg).task(run, plan.children)
     report = _cpu_report(symb, granularity, "_par", storage, machine, thread_choices)
 
     def finish(wall_seconds):
@@ -1117,7 +1051,7 @@ def factorize_executor(
     ----------
     workers:
         Thread count (``None``: :func:`default_workers`).  Results are
-        bit-identical for every value — see :class:`OrderedCommitter`.
+        bit-identical for every value — see :func:`range_tasks`.
     granularity:
         ``"coarse"`` — the RL bodies (POTRF + TRSM + SYRK + ordered
         assembly), one task per task range; ``"fine"`` — the RLB bodies,
@@ -1142,7 +1076,7 @@ def factorize_executor(
     dtype:
         Factor precision (``None`` keeps the values' dtype; float32 is the
         mixed-precision lane).  Bit-identity across worker counts holds in
-        every precision — the committer order is dtype-independent.
+        every precision — the order a panel accumulates in is dtype-independent.
     """
     _check_granularity(granularity)
     if backend is None:
@@ -1192,15 +1126,15 @@ def factorize_executor_batch(
     (all sharing the sparsity pattern ``symb`` was computed for — typically
     a parameter sweep or time-stepping sequence) is one
     :func:`stream_factorize_job` — its own
-    :class:`~repro.numeric.storage.FactorStorage`, its own
-    :class:`OrderedCommitter` and its own task graph — and all B graphs
+    :class:`~repro.numeric.storage.FactorStorage`, its own parked store and
+    :class:`Countdown` and its own task graph — and all B graphs
     drain through one transient :class:`StreamPool`, so the pool stays busy
     across matrix boundaries: the scheduling slack at the top of one
     elimination tree is filled with work from the others.  The static DAG
     plan, relative-index caches and panel scatter plan are built once
     (memoised on ``symb``) and shared by every instance.
 
-    Determinism is per matrix: each matrix's commits retain the serial
+    Determinism is per matrix: each matrix's panels accumulate in the serial
     engines' ascending source order, so every returned factor is
     bit-identical to a serial ``factorize``/``refactorize`` of that matrix
     alone, for any worker count and any batch size.

@@ -5,8 +5,8 @@ async D2H → SYRK → D2H → assembly and RLB version 2's double-buffered
 per-block-pair transfers (§III) — exist once, as the task bodies of
 :mod:`repro.numeric.rl_gpu` and :mod:`repro.numeric.rlb_gpu`.  This module
 is their one scheduler: the *task-DAG runtime* — the same coarse and fine
-DAG plans, ordered committers and release bookkeeping the threaded engines
-of :mod:`repro.numeric.executor` use — on a
+DAG plans, pull rule (:func:`~repro.numeric.executor.range_tasks`) and
+countdown the threaded engines of :mod:`repro.numeric.executor` use — on a
 :class:`~repro.numeric.executor.GpuStreamBackend`:
 
 * ``rl_gpu`` (also spelled ``rl_gpu_dag``) — the coarse DAG, one task per
@@ -28,7 +28,7 @@ replaced.
 **Multi-device scaling.**  At ``devices=N`` the backend switches the
 device timelines to the dispatcher-issue model (shared host clock, device
 pipelines gated by engine availability and per-task modeled *ready times*
-maintained here at assembly-commit time), and tasks go to the least-loaded
+maintained here when an update is parked), and tasks go to the least-loaded
 device.  The honest story of the extension: host-serialized assembly
 bounds the speedup by the elimination tree's branch independence.
 
@@ -37,16 +37,17 @@ DAG on a :class:`~repro.numeric.executor.HybridBackend`: supernodes below
 the :func:`~repro.numeric.threshold.gpu_snode_mask` cutoff execute the
 threaded engines' real-BLAS task bodies on measured worker lanes,
 supernodes above it execute the GPU kernel pipelines here on the modeled
-stream lanes, and all updates reduce through one
-:class:`~repro.numeric.executor.OrderedCommitter` — the paper's CPU/GPU
-split as one schedule instead of two engines.
+stream lanes, and every update, from either side, is parked in one store
+and pulled by its target's task before that task dispatches to its CPU or
+device body — the paper's CPU/GPU split as one schedule instead of two
+engines.
 
 **One builder per granularity, one driver prelude.**  :func:`_coarse_graph`
 and :func:`_fine_graph` emit each task's body CPU-or-GPU from the offload
 mask; the only thing the stream and hybrid engines disagree on is the
 CPU-side body — *modeled* (``rl_cpu_snode`` / ``rlb_cpu_pair`` charging the
 host clock, the paper's schedule) or *measured* (the threaded executor's
-``_coarse_tasks`` / ``_fine_tasks``) — so that is the builders' one parameter.
+task, ``range_tasks``' ``run``) — so that is the builders' one parameter.
 The device substrates schedule the *trivial* partition
 (:func:`~repro.symbolic.ranges.trivial_ranges`, one task per supernode):
 placement, the offload mask and every modeled second are per supernode.
@@ -57,7 +58,6 @@ so they run one at a time, in a fixed order, on the shared worker pool.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 
@@ -69,13 +69,12 @@ from ..symbolic.relind import assembly_index
 from .executor import (
     _FAMILY,
     GpuStreamBackend,
+    Countdown,
     HybridBackend,
-    OrderedCommitter,
     _check_granularity,
-    _coarse_tasks,
-    _fine_tasks,
     _task_label_fn,
     dag_plan,
+    range_tasks,
 )
 from .result import (
     FactorizeResult,
@@ -83,9 +82,8 @@ from .result import (
     HybridResult,
     cpu_cost,
 )
-from .rl import apply_run
+from .rl import park_runs
 from .rl_gpu import cpu_factor_snode, rl_cpu_snode, rl_gpu_snode
-from .rlb import commit_block_pair
 from .rlb_gpu import (
     factorize_rlb_gpu_v1,
     rlb_cpu_pair,
@@ -121,41 +119,6 @@ def _aggregate_stats(gpus):
     return agg
 
 
-def _coarse_scatter(symb, storage, backend, committer, ready, acc):
-    """Ordered-committer scatter of one source supernode's update matrix,
-    charged as ONE host assembly pass on the modeled host clock (as the
-    serial engine charges it); bumps each target's modeled ready time.
-    Commit closures from either substrate reduce through the same
-    committer."""
-    machine = backend.machine
-    host = backend.host
-    cpu_t = machine.gpu_run_cpu_threads
-    itemsize = storage.itemsize
-    index = assembly_index(symb)
-
-    def scatter(s, U):
-        # deterministic per-source order means every run lands exactly as
-        # assemble_update's pass; out-of-order sources are buffered by the
-        # committer
-        moved = index.moved[s]
-        newly = []
-        for r, p in enumerate(index.targets[s]):
-            fn = functools.partial(apply_run, storage, index, s, r, U)
-            newly.extend(committer.submit(p, s, fn))
-        host.advance_cpu(
-            machine.assembly_seconds(moved * itemsize / 8.0,
-                                     threads=cpu_t, itemsize=itemsize),
-            label="assembly")
-        acc.assembly(moved)
-        t = host.cpu
-        for p in index.targets[s]:
-            if ready.get(p, 0.0) < t:
-                ready[p] = t
-        return newly
-
-    return scatter
-
-
 def _fine_priority(plan):
     """The fine DAG's deterministic schedule key: every supernode's factor
     task before its pair tasks, both before the next supernode — the
@@ -169,36 +132,59 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h,
                   stopwatch):
     """Coarse (RL) task graph: ``(plan, run_task, priority)``.
 
+    Every task first pulls the parked updates of its supernode
+    (:func:`~repro.numeric.executor.range_tasks`), then dispatches.
     GPU-placed supernodes run the RL offload pipeline on the modeled
     streams (least-loaded device placement, then the three-transfer
     pipeline).  CPU-placed supernodes run the *modeled* host body
     (:func:`~repro.numeric.rl_gpu.rl_cpu_snode` behind a ``dag_wait`` on
     the supernode's modeled ready time — the stream engines) or, given a
-    ``stopwatch``, the threaded executor's *measured* real-BLAS body
-    (:func:`~repro.numeric.executor._coarse_tasks` — fresh per-task
-    workspaces, thread-safe) wrapped by it.  Both commit through one
-    ordered committer, so the factor is bit-identical to the serial twin.
-    Only modeled bodies and GPU-side scatters advance the modeled clocks —
+    ``stopwatch``, the threaded executor's *measured* real-BLAS task wrapped
+    by it.  All park into one store and count down on one counter.  Only
+    modeled bodies and GPU-side scatters advance the modeled clocks —
     measured CPU tasks impose no modeled delay on downstream GPU tasks.
     """
     machine = backend.machine
     host = backend.host
     cpu_t = machine.gpu_run_cpu_threads
     plan = dag_plan(symb, "coarse", trivial_ranges(symb))
-    committer = OrderedCommitter.from_static(plan.static)
+    parked = {}
+    countdown = Countdown(plan.indeg)
+    pull, run = range_tasks(symb, storage, plan, parked)
     ready = {}  # supernode -> modeled time its inbound updates assembled
-    scatter = _coarse_scatter(symb, storage, backend, committer, ready, acc)
+    itemsize = storage.itemsize
+    index = assembly_index(symb)
+
+    def scatter(s, U):
+        """Source ``s``'s update matrix lands: parked for its targets to
+        pull, charged as ONE host assembly pass on the modeled host clock (as
+        the serial engine charges it); each target's modeled ready time moves
+        up to now and gets one part delivered."""
+        moved = index.moved[s]
+        parked[s] = park_runs(storage, index, s, U)
+        host.advance_cpu(
+            machine.assembly_seconds(moved * itemsize / 8.0,
+                                     threads=cpu_t, itemsize=itemsize),
+            label="assembly")
+        acc.assembly(moved)
+        t = host.cpu
+        for p in index.targets[s]:
+            if ready.get(p, 0.0) < t:
+                ready[p] = t
+        return countdown.deliver(index.targets[s])
 
     def run_gpu(s):
+        pull(s)
         _, gpu = backend.place()
         return rl_gpu_snode(symb, storage, s, gpu, scatter, acc,
                             async_panel_d2h=async_panel_d2h,
                             ready=ready.get(s, 0.0))
 
     if stopwatch is not None:
-        run_cpu = stopwatch(_coarse_tasks(symb, storage, committer, plan))
+        run_cpu = stopwatch(countdown.task(run, plan.children))
     else:
         def run_cpu(s):
+            pull(s)
             host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
             return rl_cpu_snode(symb, storage, s, machine, host, cpu_t,
                                 scatter, acc)
@@ -215,15 +201,16 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
     The priority key (:func:`_fine_priority`) is the serial
     elimination-order schedule, which is what makes ``devices=1`` on the
     stream backend the paper's RLB version 2.  A supernode's factor task
-    and all of its pair tasks share its placement.  GPU-placed ones run
+    and all of its pair tasks share its placement; a factor task first
+    pulls the parked pair products of its supernode.  GPU-placed ones run
     RLB v2's double-buffered per-pair pipeline, threaded through ``state``
     (the per-supernode in-flight pipeline) — only ever touched by one
     task at a time (the stream backend's single host thread, or the
-    hybrid graph's chain).  CPU-placed ones run the modeled host bodies
-    (:func:`~repro.numeric.rl_gpu.cpu_factor_snode` /
-    :func:`~repro.numeric.rlb_gpu.rlb_cpu_pair`, direct ordered commit)
-    or, given a ``stopwatch``, the threaded executor's measured fine
-    bodies (:func:`~repro.numeric.executor._fine_tasks`) wrapped by it.
+    hybrid graph's chain); a product is parked, and its target delivered
+    to, when its transfer drains.  CPU-placed ones run the modeled host
+    bodies (:func:`~repro.numeric.rl_gpu.cpu_factor_snode` /
+    :func:`~repro.numeric.rlb_gpu.rlb_cpu_pair`) or, given a ``stopwatch``,
+    the threaded executor's measured fine task wrapped by it.
     """
     machine = backend.machine
     host = backend.host
@@ -231,16 +218,24 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
     nsup = symb.nsup
     plan = dag_plan(symb, "fine", trivial_ranges(symb))
     pairs, pair_ids = plan.pairs, plan.pair_ids
-    committer = OrderedCommitter.from_static(plan.static)
+    parked = {}
+    countdown = Countdown(plan.indeg)
+    pull, run = range_tasks(symb, storage, plan, parked)
     ready = {}
     state = {}  # GPU-placed supernode -> in-flight pipeline state
 
-    def bump(p):
+    def park(tid, u):
+        """Pair task ``tid``'s product lands: parked, one part delivered to
+        its target, whose modeled ready time moves up to now."""
+        parked[tid - nsup] = u
+        owner = plan.targets[tid - nsup][0]
         t = host.cpu
-        if ready.get(p, 0.0) < t:
-            ready[p] = t
+        if ready.get(owner, 0.0) < t:
+            ready[owner] = t
+        return countdown.deliver((owner,))
 
     def gpu_factor(s):
+        pull(s)
         _, gpu = backend.place()
         panel, w, dbuf, panel_back = rlb_gpu_factor(
             symb, storage, s, gpu, acc, ready=ready.get(s, 0.0))
@@ -260,22 +255,15 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
         fl = st["inflight"]
         newly = []
 
-        def commit(cbi, cbj, u):
-            return committer.submit(
-                cbi.owner, s,
-                functools.partial(commit_block_pair, symb, storage, cbi, cbj, u))
-
         def drain_one():
-            item = fl.pop(0)
-            newly.extend(rlb_drain_pair(gpu, machine, cpu_t, acc,
-                                        item, commit))
-            bump(item[2].owner)
+            drained, item = fl.pop(0)
+            newly.extend(park(drained, rlb_drain_pair(gpu, machine, cpu_t, acc, item)))
 
         if len(fl) >= inflight:
             drain_one()
         ubuf = rlb_gpu_pair(gpu, st["dbuf"], st["panel"], st["w"],
                             bi, bj, acc)
-        fl.append((gpu.d2h_async(ubuf), ubuf, bi, bj))
+        fl.append((tid, (gpu.d2h_async(ubuf), ubuf, bi, bj)))
         st["left"] -= 1
         if st["left"] == 0:
             while fl:
@@ -286,24 +274,21 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight, stopwatch):
         return newly
 
     if stopwatch is not None:
-        run_cpu = stopwatch(_fine_tasks(symb, storage, committer, plan))
+        run_cpu = stopwatch(countdown.task(run, plan.children))
     else:
 
         def run_cpu(tid):
             if tid < nsup:
+                pull(tid)
                 host.wait_cpu_until(ready.get(tid, 0.0), label="dag_wait")
                 cpu_factor_snode(symb, storage, tid, machine, host, cpu_t,
                                  acc)
                 return pair_ids[tid]
-            # small supernode: host kernel, direct ordered commit
+            # small supernode: host kernel, product parked for its target
             s, bi, bj = pairs[tid - nsup]
             u = rlb_cpu_pair(storage.panel(s), symb.snode_ncols(s), bi, bj,
                              machine, host, cpu_t, acc)
-            newly = list(committer.submit(
-                bi.owner, s,
-                functools.partial(commit_block_pair, symb, storage, bi, bj, u)))
-            bump(bi.owner)
-            return newly
+            return park(tid, u)
 
     def run_task(tid):
         if not offload[plan.snode_of(tid)]:
@@ -458,8 +443,8 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
     ``workers`` threads (measured wall-clock lanes), the rest dispatch
     their kernel pipelines onto ``devices`` simulated GPUs (modeled
     stream/copy lanes), with cross-placement dependencies honored through
-    the shared ready queue and every update reduced through one ordered
-    committer — factors are bit-identical to the serial twin at any
+    the shared ready queue and every update pulled by its target's own
+    task — factors are bit-identical to the serial twin at any
     ``(workers, devices)``.
 
     Degenerate thresholds select the pure substrates: ``float("inf")``

@@ -12,32 +12,25 @@ segment, :meth:`FactorStorage.over <repro.numeric.storage.FactorStorage.over>`)
 — the symbolic factor and the bounds of the pattern's task ranges
 (:mod:`repro.symbolic.ranges`) ship once at pool warm-up, each worker
 rebuilds the parent's :func:`~repro.numeric.executor.dag_plan` from them
-(the parent schedules from its ``children`` / ``indeg`` edges, the workers
+(the parent counts down its ``children`` / ``indeg`` edges, the workers
 apply its ``incoming`` lists), and every task message is just
 ``("task", tid)`` — one per task range (plus, fine, one per block pair of
 the single supernodes above the cut), not one per supernode: a job on the
 64² grid is 21 messages each way instead of 957.
 
-Determinism (the ``OrderedCommitter`` contract, deferred)
----------------------------------------------------------
-The threaded runtime serializes cross-panel updates through a per-target
-lock, applying them in ascending source order.  Locks don't cross
-process boundaries, so the process backend *defers* instead.  A task runs
-the serial bodies over its range (the same
-:func:`~repro.numeric.executor.run_coarse_range` /
-:func:`~repro.numeric.executor.run_fine_range` the threads run) and applies
-every update whose target is inside the range at once; an update that
-*leaves* the range (coarse: the source's SYRK ``U_s``; fine: one block-pair
-product) is written into a private slot of a shared scratch arena — only
-such sources and pairs have a slot — and the target, always a single
-supernode above the cut, begins its own task by applying the buffered
-contributions in ascending source order — exactly the serial
-engines' per-panel accumulation order, and exactly the order the
-threaded :class:`~repro.numeric.executor.OrderedCommitter` enforces.
-Factors are therefore bit-identical to the serial twins at any worker
-count, under both ``fork`` and ``spawn``.  (This is sound because RL
-assembly delivers each (source, target) contribution exactly once and a
-single source's fine pairs touch pairwise-disjoint target regions.)
+Determinism (the target pulls, across processes)
+------------------------------------------------
+A worker runs the thread lane's task body
+(:func:`~repro.numeric.executor.range_tasks`) over the shared arenas: it
+first subtracts the updates parked for its range
+(:attr:`~repro.numeric.executor.DagPlan.incoming`, ascending source order —
+the serial engines' per-panel accumulation order), then runs the serial
+bodies over the range and parks what *leaves* it.  The only difference to the
+threads is the store — a private slot per leaving source or pair in a shared
+scratch arena, written with ``np.copyto``, instead of a dict holding arrays
+by reference.  A panel has one writer, so nothing needs a lock that would
+have to cross a process boundary, and factors are bit-identical to the serial
+twins at any worker count, under both ``fork`` and ``spawn``.
 
 Scheduling & failure
 --------------------
@@ -79,6 +72,7 @@ import atexit
 import dataclasses
 import heapq
 import itertools
+import math
 import os
 import pickle
 import threading
@@ -90,7 +84,7 @@ from multiprocessing.connection import wait as _connection_wait
 
 import numpy as np
 
-from ..dense.kernels import NotPositiveDefiniteError, check_dtype, factor_routines
+from ..dense.kernels import NotPositiveDefiniteError, check_dtype
 from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.ranges import TaskRanges
 from ..symbolic.relind import assembly_index
@@ -102,11 +96,8 @@ from .executor import (
     _resolve_workers,
     _task_label_fn,
     dag_plan,
-    run_coarse_range,
-    run_fine_range,
+    range_tasks,
 )
-from .rl import apply_run, factor_snode
-from .rlb import compute_block_pair
 from .storage import FactorStorage, ScatterPlan
 
 __all__ = [
@@ -147,21 +138,22 @@ def _resolve_start_method(start_method):
 # every worker derives the same plan, hence the same slots, from them)
 # ---------------------------------------------------------------------------
 def _scratch_shapes(symb, plan):
-    """``{slot: shape}`` of the deferred-update scratch arena, in arena
-    order.  Only updates that *leave* their source's task range are
-    deferred, so only they get a slot.
-
-    Coarse: one ``(b_s, b_s)`` slot (the RL update matrix) per source
-    supernode ``s`` with a run that leaves its range, keyed ``s``.  Fine:
-    one slot per leaving block pair, keyed by its position in
-    :attr:`DagPlan.pairs` and shaped like its target slice
-    (:attr:`DagPlan.targets`) — ``(len(B_j), len(B_i))``.
-    """
+    """``{slot: shape}`` of the parked-update scratch arena, in arena order.
+    Only updates that *leave* their source's task range are parked, so only
+    they get a slot: coarse, per such source supernode ``s`` (keyed ``s``)
+    what :func:`~repro.numeric.rl.park_runs` keeps of its update matrix; fine,
+    per leaving block pair, keyed by its position in :attr:`DagPlan.pairs` and
+    shaped like its target slice (:attr:`DagPlan.targets`)."""
     if plan.granularity == "coarse":
-        targets = assembly_index(symb).targets
+        index = assembly_index(symb)
         below = (np.diff(symb.rowptr) - np.diff(symb.snptr)).tolist()
-        return {s: (below[s], below[s]) for s in range(symb.nsup)
-                if plan.stay[s] < len(targets[s])}
+        shapes = {}
+        for s, stay in enumerate(plan.stay):
+            if stay < len(index.targets[s]):
+                flat = index.flat[s]  # what rl.park_runs keeps of the update
+                shapes[s] = ((below[s], below[s]) if flat is None
+                             else (len(flat[1]) - flat[2][stay][1],))
+        return shapes
     return {i: (r1 - r0, c1 - c0) for i, (_, r0, r1, c0, c1) in enumerate(plan.targets)}
 
 
@@ -202,66 +194,39 @@ def _attach_shm(name):
     return shared_memory.SharedMemory(name=name)
 
 
+class _SharedParked(dict):
+    """The parked-update store of a worker process: the scratch-arena views.
+    Parking copies into the slot every process sees; dropping is nothing,
+    the arena outlives the job."""
+
+    def __setitem__(self, slot, update):
+        np.copyto(self[slot], update)
+
+    def __delitem__(self, slot):
+        pass
+
+
 class _WorkerState:
     """One warmed pattern inside a worker process: shared-memory views plus
-    the DAG plan rebuilt locally over the parent's partition."""
+    the task body (:func:`~repro.numeric.executor.range_tasks`) over the DAG
+    plan rebuilt locally from the parent's partition."""
 
     def __init__(self, symb, granularity, bounds, panels_name, scratch_name,
                  dtype=np.float64):
-        self.symb = symb
         self.panels_shm = _attach_shm(panels_name)
         self.scratch_shm = _attach_shm(scratch_name)
         # the same storage class as in-process, its arena in shared memory
         self.storage = FactorStorage.over(symb, self.panels_shm.buf, dtype)
-        self.plan = plan = dag_plan(symb, granularity, TaskRanges(bounds))
-        self.scratch = _scratch_views(_scratch_shapes(symb, plan), self.scratch_shm.buf, dtype)
-        self.program = self.storage.factor_program()
-        self.routines = factor_routines(dtype)
-        self.index = assembly_index(symb) if granularity == "coarse" else None
-
-    def run_task(self, tid):
-        """One task of the plan: first the deferred updates that reach a
-        single supernode from outside (:attr:`DagPlan.incoming`, the serial
-        accumulation order), then the range's serial bodies; whatever leaves
-        the range is parked in the scratch arena for its target's task."""
-        symb = self.symb
-        storage = self.storage
-        plan = self.plan
-        scratch = self.scratch
-        nranges = len(plan.ranges)
-        if tid >= nranges:  # a pair task of a single-supernode range
-            s, bi, bj = plan.pairs[tid - nranges]
-            u = compute_block_pair(storage.panel(s), symb.snode_ncols(s), bi, bj)
-            np.copyto(scratch[tid - nranges], u)
-            return
-        lo, hi = plan.ranges.bounds[tid], plan.ranges.bounds[tid + 1]
-        if plan.granularity == "coarse":
-            for src, run in plan.incoming[tid]:
-                apply_run(storage, self.index, src, run, scratch[src])
-            run_coarse_range(
-                storage, self.index, plan, self.program, self.routines, lo, hi,
-                lambda s, U: np.copyto(scratch[s], U),
-            )
-            return
-        panels = storage.panels
-        for pid in plan.incoming[tid]:
-            p, r0, r1, c0, c1 = plan.targets[pid - nranges]
-            panels[p][r0:r1, c0:c1] -= scratch[pid - nranges]
-        if hi - lo == 1:
-            factor_snode(symb, storage, lo)  # its pairs are tasks of their own
-            return
-
-        def leave(pid, updates):
-            for slot, u in enumerate(updates, pid - nranges):
-                np.copyto(scratch[slot], u)
-
-        run_fine_range(symb, storage, plan, lo, hi, leave)
+        plan = dag_plan(symb, granularity, TaskRanges(bounds))
+        shapes = _scratch_shapes(symb, plan)
+        scratch = _SharedParked(_scratch_views(shapes, self.scratch_shm.buf, dtype))
+        # the thread lane's task body, over the shared arenas
+        _, self.run_task = range_tasks(symb, self.storage, plan, scratch)
 
     def release(self):
         # drop every numpy view before closing, else the exported
         # memoryviews keep the mapping alive (BufferError)
-        self.storage = self.program = None
-        self.scratch = None
+        self.storage = self.run_task = None
         for shm in (self.panels_shm, self.scratch_shm):
             try:
                 shm.close()
@@ -342,7 +307,7 @@ class _WarmEntry:
         self.symb = symb
         self.plan = dag_plan(symb, granularity)
         itemsize = self.dtype.itemsize
-        entries = sum(m * n for m, n in _scratch_shapes(symb, self.plan).values())
+        entries = sum(map(math.prod, _scratch_shapes(symb, self.plan).values()))
         self.panels_shm = _create_shm(int(symb.panel_offsets()[-1]) * itemsize)
         self.scratch_shm = _create_shm(entries * itemsize)
         self.storage = FactorStorage.over(symb, self.panels_shm.buf, self.dtype)
@@ -689,7 +654,7 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
 
     Same contract as :func:`~repro.numeric.executor.factorize_executor`:
     factors are bit-identical to the serial twins at any worker count (the
-    deferred-commit scheme above), the modeled-cost report is the same
+    pull rule above), the modeled-cost report is the same
     priced-once :func:`~repro.numeric.result.cpu_cost` of the pattern, and
     ``extra`` carries ``workers`` / ``backend`` / ``granularity`` /
     ``start_method`` / measured ``wall_seconds`` / ``tasks``.  Pass

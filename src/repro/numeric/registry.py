@@ -44,6 +44,7 @@ the same block) — appended below.
 from __future__ import annotations
 
 import inspect
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -230,7 +231,7 @@ def resolve(engine, backend=None, **options):
             )
     for key in ("workers", "devices"):
         if key in options:
-            options[key] = int(options[key])
+            options[key] = operator.index(options[key])  # 2.5 is a TypeError
             if options[key] < 1:
                 raise ValueError(f"{key} must be >= 1")
     if "dtype" in options:

@@ -17,8 +17,8 @@ One body, every lane
 Steps 1–2 are :func:`factor_update` over one entry of the storage's
 :meth:`~repro.numeric.storage.FactorStorage.factor_program`; step 3 is
 :func:`assemble_update` (a whole source at once) or :func:`apply_run` (one
-(source, ancestor) run — what the ordered committers and the process pool's
-deferred commits apply), both reading the pattern's
+(source, ancestor) run out of what :func:`park_runs` kept — what a target's
+task pulls, :func:`repro.numeric.executor.range_tasks`), both reading the pattern's
 :func:`~repro.symbolic.relind.assembly_index`.  The serial engine, the
 threaded and process task bodies and the GPU engines' CPU path all run these;
 :func:`factor_snode` and :func:`snode_update` are the same steps behind the
@@ -40,6 +40,7 @@ __all__ = [
     "factor_snode",
     "snode_update",
     "assemble_update",
+    "park_runs",
     "apply_run",
     "update_workspace_entries",
 ]
@@ -167,20 +168,33 @@ def assemble_update(symb, storage, s, U):
     return index.moved[s]
 
 
-def apply_run(storage, index, s, r, U):
+def park_runs(storage, index, s, U, stay=0):
+    """What source ``s``'s assembly runs from ``stay`` on need of its update
+    matrix ``U``, to be subtracted later, run by run (:func:`apply_run`): a
+    flat source's entries gathered once for all of them — under a third of
+    ``U``'s bytes, and ``U`` is free to go — else ``U`` itself."""
+    flat = index.flat[s] if storage.arena is not None else None
+    if flat is None:
+        return U
+    return U.reshape(-1, order="F")[flat[1][flat[2][stay][1] :]]
+
+
+def apply_run(storage, index, s, r, parked, stay=0):
     """Run ``r`` of source ``s``'s assembly alone: subtract the part of its
-    update matrix ``U`` owned by one ancestor from that ancestor's panel.
-    All runs of a source together are :func:`assemble_update`; the ordered
-    committers and the process pool's deferred commits apply them one by
-    one, in ascending source order per target."""
+    update matrix owned by one ancestor from that ancestor's panel, out of
+    what :func:`park_runs` kept of it.  All runs of a source together are
+    :func:`assemble_update` — the same gather, the same subtraction, the same
+    bits; a target's task applies the runs parked for it one by one, in
+    ascending source order."""
     flat = index.flat[s] if storage.arena is not None else None
     if flat is not None:
-        dst, src, bounds = flat
+        dst, _, bounds = flat
         _, f0, f1 = bounds[r]
-        storage.arena[dst[f0:f1]] -= U.reshape(-1, order="F")[src[f0:f1]]
+        first = bounds[stay][1]
+        storage.arena[dst[f0:f1]] -= parked[f0 - first : f1 - first]
         return
     p, k0, k1, relrows, colpos, _ = index.plan(s)[r]
-    storage.panels[p][relrows, colpos] -= U[k0:, k0:k1]
+    storage.panels[p][relrows, colpos] -= parked[k0:, k0:k1]
 
 
 def factorize_rl_cpu(symb, A, *, machine=None, thread_choices=CPU_THREAD_CHOICES, dtype=None):

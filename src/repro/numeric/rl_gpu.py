@@ -20,9 +20,8 @@ The two halves of the per-supernode work are the *task bodies*
 :func:`rl_cpu_snode` and :func:`rl_gpu_snode`; the coarse task graph of
 :mod:`repro.numeric.gpu_dag` schedules them (engine ``rl_gpu``), so the
 kernel pipeline exists exactly once.  The ``scatter(s, U)`` callback seam
-delivers the update matrix: the graph routes the per-ancestor runs through
-an ordered committer, charges the one host assembly pass and returns the
-released task ids.
+delivers the update matrix: the graph parks it for its targets' tasks to
+pull, charges the one host assembly pass and returns the released task ids.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ write disjoint entries, so both commits give the same factor.
 
 The serial engine runs the body over all supernodes; the threaded and
 process task ranges run it over theirs with the pairs that leave the range
-handed to ``leave`` (:func:`repro.numeric.executor.run_fine_range`).
+handed to ``leave`` (:func:`repro.numeric.executor.range_tasks`).
 :func:`compute_block_pair` / :func:`commit_block_pair` /
 :func:`apply_block_pair` are the same work for ONE pair — the bodies of pair
 *tasks* (a single supernode above the cut, the simulated-device graphs).

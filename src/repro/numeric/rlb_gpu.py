@@ -97,14 +97,13 @@ def rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc):
     return ubuf
 
 
-def rlb_drain_pair(gpu, machine, cpu_t, acc, item, commit):
+def rlb_drain_pair(gpu, machine, cpu_t, acc, item):
     """Drain one in-flight pair transfer (version-2 discipline): host waits
-    for the D2H, ``commit(bi, bj, u)`` lands the update (and returns any
-    released task ids), the assembly pass is charged, the device buffer is
-    freed."""
+    for the D2H, the assembly pass is charged, the device buffer is freed.
+    Returns the update, now valid on the host — the caller's to park for its
+    target."""
     handle, ubuf, bi, bj = item
     gpu.wait(handle)
-    newly = commit(bi, bj, ubuf.array)
     isz = ubuf.array.itemsize
     moved = 2 * isz * bi.length * bj.length
     gpu.timeline.advance_cpu(
@@ -112,7 +111,7 @@ def rlb_drain_pair(gpu, machine, cpu_t, acc, item, commit):
         label="assembly")
     acc.assembly(2 * 8 * bi.length * bj.length)
     gpu.free(ubuf)
-    return newly
+    return ubuf.array
 
 
 def factorize_rlb_gpu_v1(symb, A, *, machine=None,

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api import plan as build_plan
-from ..numeric.executor import StreamPool, default_workers
+from ..numeric.executor import StreamPool
 from ..sparse.csc import SymmetricCSC
 from ..symbolic.structure import pattern_fingerprint
 
@@ -283,8 +283,7 @@ class Gateway:
         self._tracer = tracer
         self._origin = (time.perf_counter() if trace_origin is None
                         else trace_origin)
-        self._pool = StreamPool(default_workers() if workers is None
-                                else workers, name="repro-gateway")
+        self._pool = StreamPool(workers, name="repro-gateway")
         self._analysis = ThreadPoolExecutor(
             max_workers=analysis_workers,
             thread_name_prefix="repro-gw-analysis")

@@ -277,7 +277,7 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
         t = tl.enqueue_gpu(machine.gpu_kernel_seconds("trsm", m=k, n=w),
                            ready=r, label="trsm")
         counters["kernels"] += 1
-        for p in sched.bwd_dependents.get(s, ()):
+        for p in sched.bwd.children[s]:
             if ready.get(p, 0.0) < t:
                 ready[p] = t
         done[s] = t

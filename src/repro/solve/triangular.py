@@ -18,12 +18,12 @@ once):
   shared-ready-queue runtime of :mod:`repro.numeric.executor`, one task per
   *task range* (:mod:`repro.symbolic.ranges`): a range of whole subtrees is
   the serial sweep over its supernodes, only the single supernodes above
-  the cut are tasks of their own.  Forward updates that leave a range go
-  through an :class:`~repro.numeric.executor.OrderedCommitter` (ascending
-  source order per target segment), so solutions are
-  **bit-identical** to the serial sweeps for any worker count; the backward
-  sweep only reads finalized ancestor segments, so it needs dependency
-  tracking but no commit ordering.
+  the cut are tasks of their own.  A forward update that leaves a range is
+  parked, and the task owning the rows subtracts what was parked for it
+  itself, in ascending source order, so solutions are **bit-identical** to
+  the serial sweeps for any worker count and any order the ready tasks run
+  in; the backward sweep only reads finalized ancestor segments, so its
+  graph is a pure countdown (:class:`~repro.numeric.executor.Countdown`).
 
 The bodies read the factor's *solve program*
 (:meth:`~repro.numeric.storage.FactorStorage.solve_program`), derived once
@@ -37,8 +37,8 @@ import functools
 
 import numpy as np
 
-from ..dense.kernels import trtrs_lower
-from ..numeric.executor import OrderedCommitter, _noop, _submit_deferred, run_task_graph
+from ..dense.kernels import NonFiniteValuesError, trtrs_lower
+from ..numeric.executor import Countdown, run_task_graph
 from ..symbolic.levels import solve_schedule
 
 __all__ = [
@@ -62,7 +62,8 @@ def check_rhs(n, b, name="b", *, copy=True):
     ``copy=False`` — the caller has declared it owns the buffer (or only
     wants the validated conversion).  The one right-hand-side validation
     shared by both sweeps and the staged API, so every caller reports the
-    same message with the expected ``n`` and the offending shape.
+    same message with the expected ``n`` and the offending shape, and NaN/Inf
+    entries are refused here (:class:`~repro.dense.kernels.NonFiniteValuesError`).
     """
     out = np.asarray(b, dtype=np.float64)
     if out.ndim not in (1, 2) or out.shape[0] != n:
@@ -72,14 +73,17 @@ def check_rhs(n, b, name="b", *, copy=True):
         raise ValueError(
             f"right-hand side {name!r} must have shape ({n},) or ({n}, k), got {np.shape(b)}"
         )
+    finite = np.isfinite(out)
+    if not finite.all():
+        # a NaN defeats every comparison downstream (refinement would burn
+        # max_iter solves on it and serve NaN)
+        raise NonFiniteValuesError(out.size - np.count_nonzero(finite))
     # identity alone is not enough: a subclass view or buffer-protocol
     # object converts to a *different* array sharing the caller's memory
     if copy and np.may_share_memory(out, b):
         out = out.copy()
     return out
 
-
-_check_rhs = check_rhs  # historical internal name
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +115,7 @@ def forward_snode(storage, y, s):
     Returns ``(below, u)`` — the below-row indices and the dense update
     ``u`` to subtract from ``y[below]`` (``None`` when ``s`` has no below
     rows).  The serial sweep subtracts ``u`` whole; the parallel sweep
-    splits it into per-ancestor runs committed in source order.  One body,
+    splits it into per-ancestor runs, each subtracted by its owner.  One body,
     two schedules: the arithmetic (one triangular solve + one GEMV) is
     identical, which is what makes the parallel sweep bit-identical.
     """
@@ -139,21 +143,21 @@ def backward_snode(storage, x, s):
 # ----------------------------------------------------------------------
 # level-scheduled task graphs (transient pools and the streaming session)
 # ----------------------------------------------------------------------
-def _subtract_runs(y, items):
-    for below, u, lo, hi in items:
+def _forward_range(storage, y, sched, parked, tid):
+    """Forward task ``tid``: subtract the updates parked for it
+    (``sched.fwd.incoming``, ascending source — the serial accumulation
+    order), then run the serial forward body over the supernodes of range
+    ``tid``, ascending.  Updates of rows inside the range are subtracted at
+    once; a source whose rows leave parks its ``(below, u)`` for their owners."""
+    for s, lo, hi in sched.fwd.incoming[tid]:
+        below, u = parked[s]
         y[below[lo:hi]] -= u[lo:hi]
-
-
-def _forward_range(storage, y, sched, committer, tid):
-    """Forward task ``tid``: the serial forward body over the supernodes of
-    range ``tid``, ascending.  Updates of rows inside the range are
-    subtracted at once (every source of such a row is in the range, so this
-    is the serial order); the runs that leave are committed in ascending
-    range order, one part per (range, target).  Returns the released
-    tasks."""
+        # the owners of a source's rows lie on one path of the elimination
+        # tree, so the one reading its last rows reads last
+        if hi == len(below):
+            del parked[s]
     bounds = sched.ranges.bounds
     leaving = sched.leaving
-    deferred = {}
     for s in range(bounds[tid], bounds[tid + 1]):
         below, u = forward_snode(storage, y, s)
         if u is None:
@@ -161,12 +165,10 @@ def _forward_range(storage, y, sched, committer, tid):
         if leaving[s] is None:
             y[below] -= u
             continue
-        stay, runs = leaving[s]
+        stay = leaving[s][0]
         if stay:
             y[below[:stay]] -= u[:stay]
-        for target, lo, hi in runs:
-            deferred.setdefault(target, []).append((below, u, lo, hi))
-    return _submit_deferred(committer, tid, deferred, functools.partial(_subtract_runs, y))
+        parked[s] = (below, u)
 
 
 def _backward_range(storage, x, sched, tid):
@@ -179,28 +181,28 @@ def _backward_range(storage, x, sched, tid):
         backward_snode(storage, x, s)
 
 
+def _graph(edges, run):
+    """``(ntasks, roots, run_task)`` over one sweep's
+    :class:`~repro.symbolic.levels.SweepEdges`: task ``tid`` is ``run(tid)``,
+    then one part to each task it feeds."""
+    return len(edges.children), edges.roots, Countdown(edges.indeg).task(run, edges.children)
+
+
 def forward_solve_graph(storage, y, ranges=None):
     """``(ntasks, roots, run_task)`` of the level-scheduled forward sweep
     on ``y`` (solved in place).
 
     One task per range of ``ranges`` (default: the pattern's
-    :func:`~repro.symbolic.ranges.task_ranges`).  A task runs the forward
-    body over its supernodes in elimination order (the committer guarantees
-    every update from outside the range has been applied first, in ascending
-    source order — the serial accumulation order, so the sweep is
-    bit-identical), then submits one update closure per target above the cut.
-    Feed the triple to :func:`repro.numeric.executor.run_task_graph` or a
+    :func:`~repro.symbolic.ranges.task_ranges`).  A task is released once
+    every range with rows leaving into it has run; it subtracts their parked
+    updates itself, in ascending source order — the serial accumulation
+    order, so the sweep is bit-identical — then runs the forward body over
+    its supernodes in elimination order.  Feed the triple to
+    :func:`repro.numeric.executor.run_task_graph` or a
     :class:`~repro.numeric.executor.StreamPool`.
     """
     sched = solve_schedule(storage.symb, ranges)
-    # the ordered-commit contract is pattern-static and pre-finalized on
-    # the schedule; construction here is per-run counters only
-    committer = OrderedCommitter.from_static(sched.fwd_static)
-
-    def run_task(tid):
-        return _forward_range(storage, y, sched, committer, tid)
-
-    return len(sched.ranges), sched.fwd_roots, run_task
+    return _graph(sched.fwd, functools.partial(_forward_range, storage, y, sched, {}))
 
 
 def backward_solve_graph(storage, x, ranges=None):
@@ -209,22 +211,11 @@ def backward_solve_graph(storage, x, ranges=None):
 
     One task per range; a task becomes ready once every range owning one of
     its leaving below rows has finalized its own segments.  There are no
-    cross-range writes, so the committer is used purely as the
-    dependency tracker (no-op closures) — each GEMV reads the
-    same finalized values as the serial sweep, hence bit-identity needs no
-    commit ordering at all.
+    cross-range writes, so the graph is a pure countdown — each GEMV reads
+    the same finalized values as the serial sweep.
     """
     sched = solve_schedule(storage.symb, ranges)
-    committer = OrderedCommitter.from_static(sched.bwd_static)
-
-    def run_task(tid):
-        _backward_range(storage, x, sched, tid)
-        newly = []
-        for t in sched.bwd_dependents.get(tid, ()):
-            newly.extend(committer.submit(t, tid, _noop))
-        return newly
-
-    return len(sched.ranges), sched.bwd_roots, run_task
+    return _graph(sched.bwd, functools.partial(_backward_range, storage, x, sched))
 
 
 def solve_graph(storage, y, ranges=None):
@@ -235,31 +226,23 @@ def solve_graph(storage, y, ranges=None):
     With ``R`` ranges, task ids ``0..R-1`` are forward tasks, ``R..2R-1``
     backward tasks.  Backward task ``t`` waits for (a) its own forward task —
     its segments of ``y`` are final — and (b) the backward tasks of every
-    range owning one of its leaving below rows, encoded in the pre-finalized
-    ``fused_static`` contract.  Because a supernode's segment receives no
-    writes after its own forward solve, the backward GEMVs read exactly
-    the values the serial back-to-back sweeps read — bit-identity holds
-    while the backward leaves overlap in time with the forward root, and
-    a full solve costs ONE pool instead of two.
+    range owning one of its leaving below rows (``SolveSchedule.fused``).
+    Because a supernode's segment receives no writes after its own forward
+    solve, the backward GEMVs read exactly the values the serial back-to-back
+    sweeps read — bit-identity holds while the backward leaves overlap in
+    time with the forward root, and a full solve costs ONE pool, not two.
     """
     sched = solve_schedule(storage.symb, ranges)
     nranges = len(sched.ranges)
-    committer = OrderedCommitter.from_static(sched.fwd_static + sched.fused_static)
+    parked = {}
 
-    def run_task(tid):
+    def run(tid):
         if tid < nranges:
-            newly = _forward_range(storage, y, sched, committer, tid)
-            # own segments final: release this range's backward task
-            newly.extend(committer.submit(nranges + tid, -1, _noop))
-            return newly
-        t = tid - nranges
-        _backward_range(storage, y, sched, t)
-        newly = []
-        for d in sched.bwd_dependents.get(t, ()):
-            newly.extend(committer.submit(nranges + d, t, _noop))
-        return newly
+            _forward_range(storage, y, sched, parked, tid)
+        else:
+            _backward_range(storage, y, sched, tid - nranges)
 
-    return 2 * nranges, sched.fwd_roots, run_task
+    return _graph(sched.fused, run)
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +262,7 @@ def forward_solve(storage, b, *, overwrite_b=False, workers=None):
     sweep for every worker count.
     """
     symb = storage.symb
-    y = _check_rhs(symb.n, b, "b", copy=not overwrite_b)
+    y = check_rhs(symb.n, b, "b", copy=not overwrite_b)
     if workers is not None:
         run_task_graph(*forward_solve_graph(storage, y), workers)
         return y
@@ -296,7 +279,7 @@ def backward_solve(storage, y, *, overwrite_y=False, workers=None):
     ``workers=N`` runs the level schedule in reverse on N threads
     (bit-identical to the serial sweep)."""
     symb = storage.symb
-    x = _check_rhs(symb.n, y, "y", copy=not overwrite_y)
+    x = check_rhs(symb.n, y, "y", copy=not overwrite_y)
     if workers is not None:
         run_task_graph(*backward_solve_graph(storage, x), workers)
         return x
@@ -317,7 +300,7 @@ def solve_factored(storage, b, *, overwrite_b=False, workers=None):
     backward leaves overlap the forward root — bit-identical to the serial
     sweeps.
     """
-    y = _check_rhs(storage.symb.n, b, "b", copy=not overwrite_b)
+    y = check_rhs(storage.symb.n, b, "b", copy=not overwrite_b)
     if workers is not None:
         run_task_graph(*solve_graph(storage, y), workers)
         return y

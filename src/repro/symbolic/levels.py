@@ -15,7 +15,8 @@ tree; the width of each level bounds the exploitable task parallelism.
 levels, per-supernode update *runs* (which ancestor owns which slice of the
 below rows) and, over a partition of the supernodes into task ranges
 (:mod:`repro.symbolic.ranges`; one task per range, not per supernode), which
-runs leave their range and both dependency directions between the ranges —
+runs leave their range, which reach each task from outside (what it pulls)
+and both dependency directions between the ranges (:class:`SweepEdges`) —
 once per pattern, memoised like the factorization task-DAG plans, so
 repeated solves (many right-hand sides, streaming serving) do no structural
 work.
@@ -24,12 +25,13 @@ work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .ranges import TaskRanges, task_ranges
 
-__all__ = ["SolveSchedule", "solve_schedule", "solve_levels", "solve_shapes"]
+__all__ = ["SolveSchedule", "SweepEdges", "solve_schedule", "solve_levels", "solve_shapes"]
 
 
 def solve_levels(symb):
@@ -49,6 +51,20 @@ def solve_levels(symb):
     return level
 
 
+class SweepEdges(NamedTuple):
+    """The task graph of one sweep, in the shape of the factorization's
+    :class:`~repro.numeric.executor.DagPlan`: a finished task delivers one
+    part to each of its ``children``, a task is ready once ``indeg`` parts
+    arrived, ``roots`` wait for nothing.  ``incoming`` is per task what it
+    applies itself before it runs — the forward sweep's ``(source supernode,
+    lo, hi)`` update runs, ascending by source; empty for backward tasks."""
+
+    roots: tuple
+    children: tuple
+    indeg: tuple
+    incoming: tuple
+
+
 @dataclass(frozen=True)
 class SolveSchedule:
     """Pattern-only schedule of the level-scheduled triangular solves over
@@ -59,8 +75,8 @@ class SolveSchedule:
     ``t`` — ascending in the forward sweep, descending in the backward one.
     A below-diagonal row owned by a supernode of the same range is updated
     (forward) or read (backward) by the task itself; the rows that *leave*
-    the range belong to single-supernode ranges above the cut and go through
-    the ordered committer.
+    the range belong to single-supernode ranges above the cut, whose own
+    tasks subtract the parked updates (forward) or are waited for (backward).
 
     Attributes
     ----------
@@ -82,29 +98,15 @@ class SolveSchedule:
         Per supernode ``s``, ``None`` when every below row stays inside
         ``s``'s range, else ``(stay, runs)``: the first ``stay`` below rows
         stay, and ``runs`` are the ``(owner task, lo, hi)`` runs that leave —
-        the forward sweep's committed updates and the backward sweep's read
-        dependencies.
-    fwd_roots:
-        Tasks that receive no forward update from outside their range
-        (initially ready).
-    fwd_static / bwd_static / fused_static:
-        The contracts for :meth:`OrderedCommitter.from_static
-        <repro.numeric.executor.OrderedCommitter.from_static>`: tuples of
-        ``(target task, ascending source tasks, {source: 1})`` — one part
-        per (range, target).  Built once per pattern, so per-solve committer
-        construction is a thin per-run-counter wrapper — this keeps
-        repeated solves (many-RHS serving) off the graph-build cost.
-        ``fused_static`` is the *combined* full-solve graph's backward
-        half: backward task ``t`` (id ``len(ranges) + t``) waits for its own
-        forward task (source ``-1``) plus the backward tasks of the ranges
-        owning its leaving rows, so one task graph runs both sweeps on one
-        pool, overlapping the backward leaves with the forward root.
-    bwd_dependents:
-        ``{task: (dependents...)}`` — tasks whose backward body becomes
-        ready once ``task``'s segments of ``x`` are final.
-    bwd_roots:
-        Tasks none of whose below rows leave their range (tree roots;
-        initially ready in the backward sweep).
+        the updates the forward task parks for their owners and the backward
+        task's read dependencies.
+    fwd / bwd / fused:
+        The :class:`SweepEdges` of the forward sweep (a range feeds the
+        tasks owning its leaving rows), of the backward sweep (the same
+        edges reversed) and of the *combined* full solve — forward tasks
+        ``0..R-1``, backward task ``t`` under the id ``R + t`` and also fed
+        by its own forward task, so one graph runs both sweeps on one pool,
+        overlapping the backward leaves with the forward root.
     """
 
     level: np.ndarray
@@ -113,12 +115,9 @@ class SolveSchedule:
     runs: tuple
     ranges: TaskRanges
     leaving: tuple
-    fwd_roots: tuple
-    fwd_static: tuple
-    bwd_dependents: dict
-    bwd_roots: tuple
-    bwd_static: tuple
-    fused_static: tuple
+    fwd: SweepEdges
+    bwd: SweepEdges
+    fused: SweepEdges
 
     @property
     def nlevels(self):
@@ -206,23 +205,27 @@ def solve_schedule(symb, ranges=None):
     nranges = len(ranges)
     bounds, range_of = ranges.bounds, ranges.range_of
     leaving = []
-    feeds = [{} for _ in range(nranges)]  # target task -> {source task: 1}
-    needs = [{} for _ in range(nranges)]  # task -> {task owning a leaving row: 1}
+    incoming = [[] for _ in range(nranges)]
+    owners = [[] for _ in range(nranges)]  # task -> the tasks owning its leaving rows
+    sources = [[] for _ in range(nranges)]  # task -> the tasks whose rows leave into it
     for s, srun in enumerate(runs):
         t = range_of[s]
-        hi = bounds[t + 1]
-        out = tuple((range_of[p], a, b) for p, a, b in srun if p >= hi)
+        out = tuple((range_of[p], a, b) for p, a, b in srun if p >= bounds[t + 1])
         leaving.append((out[0][1], out) if out else None)
-        for p, _, _ in out:
-            feeds[p][t] = 1
-            needs[t][p] = 1
-    bwd_dependents = {}
-    for t, owners in enumerate(needs):
-        for p in owners:
-            bwd_dependents.setdefault(p, []).append(t)
-    # sources were visited ascending and a task's leaving runs ascend by
-    # owner within each source; the backward contracts carry no-op closures,
-    # so only the forward order matters
+        for p, a, b in out:
+            incoming[p].append((s, a, b))
+            # sources ascend, so a range's runs into ``p`` are consecutive
+            if not sources[p] or sources[p][-1] != t:
+                owners[t].append(p)
+                sources[p].append(t)
+
+    def edges(children, feeders, incoming):
+        indeg = tuple(len(f) for f in feeders)
+        roots = tuple(t for t, n in enumerate(indeg) if not n)
+        return SweepEdges(roots, tuple(map(tuple, children)), indeg, tuple(map(tuple, incoming)))
+
+    fwd = edges(owners, sources, incoming)
+    bwd = edges(sources, owners, [()] * nranges)
     sched = ranges.memo["solve"] = SolveSchedule(
         level=level,
         level_ptr=level_ptr,
@@ -230,15 +233,14 @@ def solve_schedule(symb, ranges=None):
         runs=runs,
         ranges=ranges,
         leaving=tuple(leaving),
-        fwd_roots=tuple(t for t in range(nranges) if not feeds[t]),
-        fwd_static=tuple((t, tuple(src), src) for t, src in enumerate(feeds) if src),
-        bwd_dependents={p: tuple(d) for p, d in bwd_dependents.items()},
-        bwd_roots=tuple(t for t in range(nranges) if not needs[t]),
-        bwd_static=tuple((t, tuple(own), own) for t, own in enumerate(needs) if own),
-        # fused full-solve graph: backward task t (id nranges + t) also waits
-        # for its own forward task, encoded as pseudo-source -1
-        fused_static=tuple(
-            (nranges + t, (-1,) + tuple(own), {-1: 1, **own}) for t, own in enumerate(needs)
+        fwd=fwd,
+        bwd=bwd,
+        fused=SweepEdges(
+            fwd.roots,
+            tuple(kids + (nranges + t,) for t, kids in enumerate(fwd.children))
+            + tuple(tuple(nranges + d for d in kids) for kids in bwd.children),
+            fwd.indeg + tuple(n + 1 for n in bwd.indeg),
+            fwd.incoming,
         ),
     )
     return sched

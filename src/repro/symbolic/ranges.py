@@ -1,7 +1,7 @@
 """Task ranges: the partition of the supernodes that the runtimes schedule.
 
 Scheduling every supernode as its own task costs more than running it: a
-task's dispatch, its committer traffic and its closures are tens of
+task's dispatch, its countdown traffic and its closures are tens of
 microseconds, and under nested dissection most supernodes are a few columns
 wide.  The standard remedy is subtree-to-worker mapping (Geist & Ng 1989):
 hand each worker whole elimination subtrees and schedule individually only
@@ -16,10 +16,10 @@ goes from a descendant to an ancestor), so inside the range the accumulation
 order is the serial one and nothing needs a lock.  An update that *leaves* a
 range lands on a proper ancestor of one of its subtree roots; a closed range
 containing that ancestor would contain the subtree too, so the target is
-always a single-supernode range.  The ordered-commit contract therefore
-shrinks to the single supernodes above the cut, and because ranges are
-disjoint intervals it can be keyed per (range, target): ascending range is
-ascending source.
+always a single-supernode range.  Parked updates are therefore pulled only
+by the single supernodes above the cut, and because ranges are disjoint
+intervals the scheduler counts one part per (range, target): ascending range
+is ascending source.
 
 The partition depends on the pattern only — same ranges at every worker
 count, dtype and backend — and is memoised on the symbolic factor.

@@ -154,6 +154,88 @@ class TestInputValidation:
         assert np.array_equal(good, again)
         assert stats.in_flight == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_refused(self, bad):
+        """A NaN/Inf right-hand side is refused once, where every solve door
+        validates it — not solved ``max_iter`` times by a refinement whose
+        every comparison is false, and never served.  The session and the
+        gateway fail that request only."""
+        import asyncio
+
+        import repro
+        from repro.serving import Gateway
+
+        A = grid_laplacian((6, 5))
+        plan = repro.plan(A)
+        factor = plan.factorize(engine="rl")
+        good = np.ones(A.n)
+        b = good.copy()
+        b[4] = bad
+        block = np.ones((A.n, 3))
+        block[2, 1] = bad
+        doors = [
+            lambda: factor.solve(b),
+            lambda: factor.solve(block, workers=2),
+            lambda: factor.solve(b, mode="gpu"),
+            lambda: factor.solve_refined(b),
+            lambda: factor.solve_many([good, b], workers=2),
+        ]
+        for door in doors:
+            with pytest.raises(repro.NonFiniteValuesError) as ei:
+                door()
+            assert ei.value.count == 1
+        want = factor.solve(good)
+        with plan.serve(engine="rl_par", workers=2) as session:
+            for refine in (False, True):
+                with pytest.raises(repro.NonFiniteValuesError):
+                    session.submit_solve(None, b, refine=refine)
+            assert np.array_equal(session.submit_solve(None, good).result(timeout=60), want)
+
+        async def go():
+            async with Gateway(workers=2) as gw:
+                with pytest.raises(repro.NonFiniteValuesError):
+                    await gw.submit(A, b)
+                return await gw.submit(A, good), gw.stats()
+
+        served, stats = asyncio.run(go())
+        assert np.allclose(served, want) and stats.in_flight == 0
+
+    @pytest.mark.parametrize("workers", [2.5, "2", 2.0, None])
+    def test_non_integral_workers_refused(self, workers):
+        """``workers=2.5`` used to run two workers silently: every door that
+        takes a worker count refuses a non-integer with ``TypeError``
+        (``None`` — and integers, NumPy's included — keep working)."""
+        import asyncio
+
+        import repro
+        from repro.numeric import ProcessPool
+        from repro.serving import Gateway
+
+        async def gateway(w):
+            async with Gateway(workers=w):
+                pass
+
+        A = grid_laplacian((4, 4))
+        plan = repro.plan(A)
+        factor = plan.factorize(engine="rl")
+        doors = [
+            lambda w: plan.factorize(engine="rl_par", workers=w),
+            lambda w: plan.factorize_batch([A.data], engine="rl_par", workers=w),
+            lambda w: plan.serve(workers=w).close(),
+            lambda w: factor.solve(np.ones(A.n), workers=w),
+            lambda w: asyncio.run(gateway(w)),
+            lambda w: ProcessPool(w).close(),
+        ]
+        if workers is None:
+            doors.pop()  # the default is the core count: no pool for this check
+            for door in doors:
+                door(None)
+                door(np.int64(2))
+            return
+        for door in doors:
+            with pytest.raises(TypeError):
+                door(workers)
+
     def test_dimension_mismatch(self):
         sy_small = analyze(grid_laplacian((4, 4)))
         other = grid_laplacian((5, 5))
