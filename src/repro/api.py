@@ -65,7 +65,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from .dense.kernels import NonFiniteValuesError, NotPositiveDefiniteError
+from .dense.kernels import NonFiniteValuesError, NotPositiveDefiniteError, check_finite
 from .gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from .numeric.executor import (
     StreamPool,
@@ -86,11 +86,11 @@ from .numeric.storage import FactorStorage, ScatterPlan
 from .numeric.updown import path_union, rank_k_update
 from .solve.gpu_solve import solve_factored_gpu_dag, solve_offload_estimate
 from .solve.refine import _relative_residual_norm, refine, relative_residual
-from .solve.triangular import check_rhs, solve_factored, solve_graph
+from .solve.triangular import check_rhs, solve_graph, solve_in_place
 from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
-from .symbolic.levels import solve_schedule
+from .symbolic.levels import leaf_block, solve_schedule
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
 from .update.crossover import update_cost as _modeled_update_cost
@@ -245,11 +245,7 @@ class SymbolicPlan:
         Every numeric door funnels through here, so this is also where
         NaN/Inf values are refused
         (:class:`~repro.dense.kernels.NonFiniteValuesError`)."""
-        data = same_pattern_values(self._A, values)
-        finite = np.isfinite(data)
-        if not finite.all():
-            raise NonFiniteValuesError(data.size - np.count_nonzero(finite))
-        return data
+        return check_finite(same_pattern_values(self._A, values), "values")
 
     def _original_matrix(self, data):
         """Same-pattern ``SymmetricCSC`` in the original ordering holding
@@ -511,6 +507,14 @@ class SolvePlan:
         """Supernodes per level, leaves first (``np.ndarray``)."""
         return self._schedule.level_widths()
 
+    @property
+    def leaf_block(self):
+        """``(supernodes, columns, entries, nbytes)`` of the pattern's
+        :func:`~repro.symbolic.levels.leaf_block`: the narrow leaves solved as
+        one block, their columns, factor entries gathered per sweep, index bytes."""
+        block = leaf_block(self._plan.symb)
+        return len(block.members), block.cols.size, block.pos.size, block.nbytes()
+
     def offload_estimate(self, k=1, *, machine=None):
         """Pattern-only modeled comparison of this pattern's solve phase
         for ``k`` right-hand sides: best-over-threads host sweeps vs the
@@ -522,7 +526,8 @@ class SolvePlan:
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"SolvePlan(nsup={self.nsup}, nlevels={self.nlevels}, "
-                f"max_parallelism={self.max_parallelism})")
+                f"max_parallelism={self.max_parallelism}, "
+                f"leaf_block={self.leaf_block})")
 
 
 def _guarded(fn, future):
@@ -561,7 +566,7 @@ def _submit_solve_graph(pool, storage, y, future, on_done):
     the solved buffer is bit-identical to the serial sweeps'."""
 
     def done():
-        on_done(y)
+        on_done(check_finite(y, "solution"))
 
     ntasks, roots, run_task = solve_graph(storage, y)
     pool.submit_graph(ntasks, roots, run_task,
@@ -712,8 +717,7 @@ class Factor:
         else:
             workers = _resolve_workers(workers) if spec.parallel else None
             # b[perm] is a fresh gather; both sweeps run in place on it
-            y = solve_factored(self.storage, b[perm], overwrite_b=True,
-                               workers=workers)
+            y = solve_in_place(self.storage, b[perm], workers)
         x = np.empty_like(y)
         x[perm] = y
         return x

@@ -324,6 +324,8 @@ def cmd_solve(args):
         print(f"level schedule: {sp.nlevels} levels, "
               f"max parallelism {sp.max_parallelism} "
               f"(avg {sp.avg_parallelism:.1f}) over {sp.nsup} supernodes")
+        print("leaf block    : {} supernodes, {} columns, {} entries, "
+              "{} index bytes".format(*sp.leaf_block))
         print(f"serial solve   : {t_ser * 1e3:8.2f} ms")
         print(f"parallel solve : {t_par * 1e3:8.2f} ms "
               f"(workers={args.workers}, {t_ser / t_par:.2f}x, "

@@ -34,6 +34,7 @@ __all__ = [
     "UnsupportedDtypeError",
     "SUPPORTED_DTYPES",
     "check_dtype",
+    "check_finite",
     "potrf",
     "trsm_right",
     "syrk_lower",
@@ -144,19 +145,29 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 class NonFiniteValuesError(ValueError):
-    """Raised when a matrix's values hold NaN or ±Inf.  Checked once per
-    request where every door funnels
-    (:meth:`repro.api.SymbolicPlan.factorize`, ``factorize_batch``, the
-    serving sessions and the gateway), before any numeric work: a
-    non-finite factor is never built, let alone served.  ``count`` is the
-    number of offending entries; ``batch_index`` the position in a batch
-    (``None`` outside one)."""
+    """Raised when a matrix's values, a right-hand side or a solution hold
+    NaN or ±Inf (``what`` names which).  Values are checked once per request
+    where every door funnels (:meth:`repro.api.SymbolicPlan.factorize`,
+    ``factorize_batch``, the serving sessions and the gateway), before any
+    numeric work; every solve door checks its right-hand side on the way in
+    and its solution on the way out: a non-finite factor is never built, a
+    NaN never served.  ``count`` is the number of offending entries;
+    ``batch_index`` the position in a batch (``None`` outside one)."""
 
-    def __init__(self, count, batch_index=None):
+    def __init__(self, count, batch_index=None, what="values"):
         where = "" if batch_index is None else f"batch matrix {batch_index}: "
-        super().__init__(f"{where}values contain {count} non-finite entries (NaN or Inf)")
+        super().__init__(f"{where}{count} non-finite entries (NaN or Inf) in the {what}")
         self.count = int(count)
         self.batch_index = batch_index
+        self.what = what
+
+
+def check_finite(x, what):
+    """``x`` — or :class:`NonFiniteValuesError` naming ``what`` if it holds NaN or ±Inf."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteValuesError(x.size - np.count_nonzero(finite), what=what)
+    return x
 
 
 def potrf(block):

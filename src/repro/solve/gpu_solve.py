@@ -25,6 +25,9 @@ amortize the factor transfer.  This module makes that trade-off measurable:
 
 All variants return identical ``x`` — the offload changes the clock, never
 the arithmetic (the solve graphs preserve the serial accumulation order).
+Charges are per supernode, from the pattern: the narrow leaves the sweeps
+solve as one block (:func:`repro.symbolic.levels.leaf_block`) still pay their
+own panel H2D and kernels — modeled seconds ignore how the host groups work.
 The crossover in the number of right-hand sides ``k`` is regenerated by
 ``benchmarks/bench_solve_offload.py``.  ``Factor.solve(mode="gpu")``
 dispatches here through :data:`repro.numeric.registry.SOLVE_MODES`.
@@ -38,13 +41,8 @@ from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..numeric.executor import GpuStreamBackend
 from ..symbolic.levels import solve_schedule
 from ..symbolic.ranges import trivial_ranges
-from .triangular import (
-    backward_solve,
-    backward_solve_graph,
-    check_rhs,
-    forward_solve,
-    forward_solve_graph,
-)
+from ..dense.kernels import check_finite
+from .triangular import backward_solve_graph, check_rhs, forward_solve_graph, solve_factored
 
 __all__ = [
     "solve_factored_cpu",
@@ -162,8 +160,7 @@ def solve_factored_cpu(storage, b, *, machine=None,
     symb = storage.symb
     k = _rhs_cols(b)
     times, calls = _cpu_sweep_times(symb, k, machine, thread_choices)
-    # the forward result is already a temporary: back-solve in place
-    x = backward_solve(storage, forward_solve(storage, b), overwrite_y=True)
+    x = solve_factored(storage, b)
     threads, seconds = machine.cpu.best_threads(times)
     return x, seconds, {
         "kind": "cpu", "threads": threads, "kernel_calls": calls,
@@ -188,7 +185,7 @@ def solve_factored_gpu(storage, b, *, machine=None, factor_resident=False):
     k = _rhs_cols(b)
     seconds, kernels, h2d_bytes = _gpu_sweep_seconds(
         symb, k, machine, factor_resident)
-    x = backward_solve(storage, forward_solve(storage, b), overwrite_y=True)
+    x = solve_factored(storage, b)
     return x, seconds, {
         "kind": "gpu", "factor_resident": factor_resident,
         "kernel_calls": kernels, "rhs": k,
@@ -237,6 +234,10 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
     dev_of = {}
     counters = {"kernels": 0, "h2d_bytes": 0.0}
 
+    def kernel(tl, kind, ready, **dims):
+        counters["kernels"] += 1
+        return tl.enqueue_gpu(machine.gpu_kernel_seconds(kind, **dims), ready=ready, label=kind)
+
     def charge_forward(s):
         d, gpu = backend.place()
         dev_of[s] = gpu
@@ -250,14 +251,9 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
             r = tl.enqueue_copy(machine.transfer_seconds(nb), ready=r,
                                 direction="h2d", label="panel_h2d",
                                 nbytes=machine.scaled_bytes(nb))
-        t = tl.enqueue_gpu(machine.gpu_kernel_seconds("trsm", m=k, n=w),
-                           ready=r, label="trsm")
-        counters["kernels"] += 1
+        t = kernel(tl, "trsm", r, m=k, n=w)
         if bb:
-            t = tl.enqueue_gpu(
-                machine.gpu_kernel_seconds("gemm", m=bb, n=k, k=w),
-                ready=t, label="gemm")
-            counters["kernels"] += 1
+            t = kernel(tl, "gemm", t, m=bb, n=k, k=w)
         done[s] = t
         for p, _, _ in sched.runs[s]:
             if ready.get(p, 0.0) < t:
@@ -270,13 +266,8 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
         bb = m - w
         r = max(ready.get(s, 0.0), done[s])  # own segment final
         if bb:
-            r = tl.enqueue_gpu(
-                machine.gpu_kernel_seconds("gemm", m=bb, n=k, k=w),
-                ready=r, label="gemm")
-            counters["kernels"] += 1
-        t = tl.enqueue_gpu(machine.gpu_kernel_seconds("trsm", m=k, n=w),
-                           ready=r, label="trsm")
-        counters["kernels"] += 1
+            r = kernel(tl, "gemm", r, m=bb, n=k, k=w)
+        t = kernel(tl, "trsm", r, m=k, n=w)
         for p in sched.bwd.children[s]:
             if ready.get(p, 0.0) < t:
                 ready[p] = t
@@ -284,15 +275,20 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
 
     y = check_rhs(symb.n, b, "b", copy=not overwrite_b)
 
-    ntasks, roots, run_task = forward_solve_graph(storage, y, ranges)
-    backend.run_graph(
-        ntasks, roots,
-        lambda s: (charge_forward(s), run_task(s))[1])
+    def charged(charge, ntasks, roots, run_task):
+        def run(tid):
+            # the leaf block's own task (the id past the supernodes) has no
+            # charge: its members are charged as the supernodes they are
+            if tid < symb.nsup:
+                charge(tid)
+            return run_task(tid)
+
+        backend.run_graph(ntasks, roots, run)
+
+    charged(charge_forward, *forward_solve_graph(storage, y, ranges))
     ready.clear()
-    ntasks, roots, run_task = backward_solve_graph(storage, y, ranges)
-    backend.run_graph(
-        ntasks, roots,
-        lambda s: (charge_backward(s), run_task(s))[1])
+    charged(charge_backward, *backward_solve_graph(storage, y, ranges))
+    check_finite(y, "solution")
 
     final = gpu0.timeline.enqueue_copy(
         machine.transfer_seconds(nbytes_rhs), direction="d2h",

@@ -7,12 +7,18 @@ each diagonal block and a GEMV-style update with each rectangle — the
 standard supernodal solve that completes the paper's "direct method" story
 (§I: the triangular factors are used to compute the solution).
 
-Both sweeps exist in two *schedules* over the same task bodies
-(:func:`forward_snode` / :func:`backward_snode` — the kernels exist exactly
-once):
+The narrow leaves of the elimination tree are not walked: nothing updates
+them, so they are solved as ONE sparse block (:func:`_leaf_sweep` over the
+pattern's :class:`~repro.symbolic.levels.LeafBlock`) — a few array-at-a-time
+column stages and one compiled sparse product per sweep instead of a
+``?trtrs`` and a GEMV per leaf.
 
-* **serial** (``workers=None``) — one supernode after another, the
-  historical sweeps;
+Both sweeps exist in two *schedules* over the same task bodies (the block's
+halves, :func:`forward_snode` / :func:`backward_snode` for every other
+supernode — the kernels exist exactly once):
+
+* **serial** (``workers=None``) — the block, then one supernode after
+  another (backward: the mirror);
 * **level-scheduled parallel** (``workers=N``) — the elimination-tree
   schedule of :func:`repro.symbolic.levels.solve_schedule` executed on the
   shared-ready-queue runtime of :mod:`repro.numeric.executor`, one task per
@@ -24,27 +30,32 @@ once):
   the serial sweeps for any worker count and any order the ready tasks run
   in; the backward sweep only reads finalized ancestor segments, so its
   graph is a pure countdown (:class:`~repro.numeric.executor.Countdown`).
+  The block's halves are tasks too: ahead of every forward root, behind
+  every backward task.
 
 The bodies read the factor's *solve program*
 (:meth:`~repro.numeric.storage.FactorStorage.solve_program`), derived once
 per pattern and storage, so a task is a tuple unpack plus kernel calls: a
-direct ``?trtrs`` (one division on a one-column supernode) and one product.
+direct ``?trtrs`` and one product.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
-from ..dense.kernels import NonFiniteValuesError, trtrs_lower
+from ..dense.kernels import check_finite, trtrs_lower
 from ..numeric.executor import Countdown, run_task_graph
-from ..symbolic.levels import solve_schedule
+from ..symbolic.levels import leaf_block, solve_schedule
 
 __all__ = [
     "forward_solve",
     "backward_solve",
     "solve_factored",
+    "solve_in_place",
     "check_rhs",
     "forward_snode",
     "backward_snode",
@@ -73,11 +84,9 @@ def check_rhs(n, b, name="b", *, copy=True):
         raise ValueError(
             f"right-hand side {name!r} must have shape ({n},) or ({n}, k), got {np.shape(b)}"
         )
-    finite = np.isfinite(out)
-    if not finite.all():
-        # a NaN defeats every comparison downstream (refinement would burn
-        # max_iter solves on it and serve NaN)
-        raise NonFiniteValuesError(out.size - np.count_nonzero(finite))
+    # a NaN defeats every comparison downstream (refinement would burn
+    # max_iter solves on it and serve NaN)
+    check_finite(out, "right-hand side")
     # identity alone is not enough: a subclass view or buffer-protocol
     # object converts to a *different* array sharing the caller's memory
     if copy and np.may_share_memory(out, b):
@@ -85,23 +94,14 @@ def check_rhs(n, b, name="b", *, copy=True):
     return out
 
 
-
 # ----------------------------------------------------------------------
 # shared per-supernode task bodies (serial sweeps and parallel tasks)
 # ----------------------------------------------------------------------
-def _solve_diagonal(panel, seg, w, trans=0):
+def _solve_diagonal(panel, seg, trans=0):
     """In-place solve of ``seg`` (a supernode's own rows of the right-hand
-    side) against the lower-triangular diagonal block of ``panel``.  A
-    one-column supernode is a single zero-checked division; wider ones
-    call ``?trtrs`` directly (:func:`~repro.dense.kernels.trtrs_lower`)."""
-    if w == 1:
-        d = panel[0, 0]
-        if d == 0:
-            raise np.linalg.LinAlgError(
-                "singular triangular block: diagonal entry 0 is exactly zero"
-            )
-        seg[0] /= d  # scalar for a vector, a row view for (1, k)
-        return
+    side) against the lower-triangular diagonal block of ``panel``: a direct
+    ``?trtrs`` (:func:`~repro.dense.kernels.trtrs_lower`) at every width —
+    the one-column supernodes are leaves, and those are the leaf block's."""
     x = trtrs_lower(panel, seg, trans)
     if x is not seg:  # seg was not overwritable in place (multi-RHS rows)
         seg[...] = x
@@ -121,7 +121,7 @@ def forward_snode(storage, y, s):
     """
     first, last, w, panel, rect, below = storage.solve_program()[s]
     seg = y[first:last]
-    _solve_diagonal(panel, seg, w)
+    _solve_diagonal(panel, seg)
     if rect is None:
         return below, None
     return below, rect @ seg
@@ -137,7 +137,50 @@ def backward_snode(storage, x, s):
     seg = x[first:last]
     if rect is not None:
         seg -= rect.T @ x[below]
-    _solve_diagonal(panel, seg, w, trans=1)
+    _solve_diagonal(panel, seg, trans=1)
+
+
+# ----------------------------------------------------------------------
+# the leaf block: every narrow leaf supernode at once
+# ----------------------------------------------------------------------
+def _leaf_sweep(storage, y, backward=False):
+    """One half of the leaf block (:class:`~repro.symbolic.levels.LeafBlock`)
+    in place on ``y``.  Forward, before any other forward work:
+    ``y_C = L_CC^-1 y_C`` by column *stages* — the same column of every
+    member at once: one division of a slice, one fancy-indexed ``-=`` on
+    distinct targets — then ``y -= L_RC @ y_C`` as ONE compiled sparse
+    product: the members' contributions come first, in block-column order,
+    in every schedule.  Backward, after all other backward work, the mirror
+    ``x_C = L_CC^-T (x_C - L_RC^T x)``: the same arrays read as CSR, stages
+    descending.  Values are read from ``storage`` now; an exactly-zero
+    diagonal entry is refused as ``?trtrs`` refuses it."""
+    block = leaf_block(storage.symb)
+    ncols, ptr = block.cols.size, block.stage_ptr
+    if not ncols:
+        return
+    values = storage.leaf_values(block)
+    a, b, c = block.cuts
+    if not values[:a].all():
+        stage = bisect_right(ptr, int(np.flatnonzero(values[:a] == 0)[0])) - 1
+        raise np.linalg.LinAlgError(
+            f"singular triangular block: diagonal entry {stage} is exactly zero"
+        )
+    rect = values[c:], block.rowidx, block.colptr
+    values = values.reshape((-1,) + (1,) * (y.ndim - 1))  # broadcast over (n, k)
+    z = y[block.cols]
+    if backward:
+        z -= csr_matrix(rect, shape=(ncols, len(y))) @ y
+        (src, tgt, at), lower, stages = block.bwd, values[b:c], range(len(ptr) - 2, -1, -1)
+    else:
+        (src, tgt, at), lower, stages = block.fwd, values[a:b], range(len(ptr) - 1)
+    for j in stages:
+        z[ptr[j] : ptr[j + 1]] /= values[ptr[j] : ptr[j + 1]]
+        lo, hi = at[j], at[j + 1]
+        if hi > lo:
+            z[tgt[lo:hi]] -= lower[lo:hi] * z[src[lo:hi]]
+    y[block.cols] = z
+    if not backward:
+        y -= csc_matrix(rect, shape=(len(y), ncols)) @ z
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +191,10 @@ def _forward_range(storage, y, sched, parked, tid):
     (``sched.fwd.incoming``, ascending source — the serial accumulation
     order), then run the serial forward body over the supernodes of range
     ``tid``, ascending.  Updates of rows inside the range are subtracted at
-    once; a source whose rows leave parks its ``(below, u)`` for their owners."""
+    once; a source whose rows leave parks its ``(below, u)`` for their owners.
+    The task past the last range is the leaf block's forward half."""
+    if tid == len(sched.rest):
+        return _leaf_sweep(storage, y)
     for s, lo, hi in sched.fwd.incoming[tid]:
         below, u = parked[s]
         y[below[lo:hi]] -= u[lo:hi]
@@ -156,9 +202,8 @@ def _forward_range(storage, y, sched, parked, tid):
         # tree, so the one reading its last rows reads last
         if hi == len(below):
             del parked[s]
-    bounds = sched.ranges.bounds
     leaving = sched.leaving
-    for s in range(bounds[tid], bounds[tid + 1]):
+    for s in sched.rest[tid]:
         below, u = forward_snode(storage, y, s)
         if u is None:
             continue
@@ -175,9 +220,10 @@ def _backward_range(storage, x, sched, tid):
     """Backward task ``tid``: the serial backward body over the supernodes
     of range ``tid``, descending (every row it reads is final: in-range
     ancestors ran earlier in this loop, the others are this task's
-    dependencies)."""
-    bounds = sched.ranges.bounds
-    for s in range(bounds[tid + 1] - 1, bounds[tid] - 1, -1):
+    dependencies).  The task past the last range is the leaf block's."""
+    if tid == len(sched.rest):
+        return _leaf_sweep(storage, x, backward=True)
+    for s in reversed(sched.rest[tid]):
         backward_snode(storage, x, s)
 
 
@@ -193,12 +239,12 @@ def forward_solve_graph(storage, y, ranges=None):
     on ``y`` (solved in place).
 
     One task per range of ``ranges`` (default: the pattern's
-    :func:`~repro.symbolic.ranges.task_ranges`).  A task is released once
-    every range with rows leaving into it has run; it subtracts their parked
-    updates itself, in ascending source order — the serial accumulation
-    order, so the sweep is bit-identical — then runs the forward body over
-    its supernodes in elimination order.  Feed the triple to
-    :func:`repro.numeric.executor.run_task_graph` or a
+    :func:`~repro.symbolic.ranges.task_ranges`), behind the leaf block's.
+    A task is released once every range with rows leaving into it has run;
+    it subtracts their parked updates itself, in ascending source order —
+    the serial accumulation order, so the sweep is bit-identical — then runs
+    the forward body over its supernodes in elimination order.  Feed the
+    triple to :func:`repro.numeric.executor.run_task_graph` or a
     :class:`~repro.numeric.executor.StreamPool`.
     """
     sched = solve_schedule(storage.symb, ranges)
@@ -209,10 +255,10 @@ def backward_solve_graph(storage, x, ranges=None):
     """``(ntasks, roots, run_task)`` of the level-scheduled backward sweep
     on ``x`` (solved in place).
 
-    One task per range; a task becomes ready once every range owning one of
-    its leaving below rows has finalized its own segments.  There are no
-    cross-range writes, so the graph is a pure countdown — each GEMV reads
-    the same finalized values as the serial sweep.
+    One task per range, ready once every range owning one of its leaving
+    below rows has finalized its own segments; the leaf block's runs behind
+    them all.  There are no cross-range writes, so the graph is a pure
+    countdown — each GEMV reads the same finalized values as the serial sweep.
     """
     sched = solve_schedule(storage.symb, ranges)
     return _graph(sched.bwd, functools.partial(_backward_range, storage, x, sched))
@@ -223,8 +269,8 @@ def solve_graph(storage, y, ranges=None):
     ``L L^T x = b`` on ``y`` (solved in place) — both sweeps as one task
     graph on one pool.
 
-    With ``R`` ranges, task ids ``0..R-1`` are forward tasks, ``R..2R-1``
-    backward tasks.  Backward task ``t`` waits for (a) its own forward task —
+    The forward graph's ``F`` tasks keep their ids, backward task ``t`` is
+    id ``F + t``.  A backward range task waits for (a) its own forward task —
     its segments of ``y`` are final — and (b) the backward tasks of every
     range owning one of its leaving below rows (``SolveSchedule.fused``).
     Because a supernode's segment receives no writes after its own forward
@@ -233,14 +279,13 @@ def solve_graph(storage, y, ranges=None):
     time with the forward root, and a full solve costs ONE pool, not two.
     """
     sched = solve_schedule(storage.symb, ranges)
-    nranges = len(sched.ranges)
-    parked = {}
+    nforward, parked = len(sched.fwd.children), {}
 
     def run(tid):
-        if tid < nranges:
+        if tid < nforward:
             _forward_range(storage, y, sched, parked, tid)
         else:
-            _backward_range(storage, y, sched, tid - nranges)
+            _backward_range(storage, y, sched, tid - nforward)
 
     return _graph(sched.fused, run)
 
@@ -248,28 +293,41 @@ def solve_graph(storage, y, ranges=None):
 # ----------------------------------------------------------------------
 # public sweeps
 # ----------------------------------------------------------------------
+def _forward(storage, y):
+    """The serial forward sweep: the leaf block, then every other supernode
+    in elimination order."""
+    _leaf_sweep(storage, y)
+    for s in leaf_block(storage.symb).rest:
+        below, u = forward_snode(storage, y, s)
+        if u is not None:
+            y[below] -= u
+    return y
+
+
+def _backward(storage, x):
+    """The serial backward sweep, :func:`_forward` mirrored: every other
+    supernode descending, the leaf block last."""
+    for s in reversed(leaf_block(storage.symb).rest):
+        backward_snode(storage, x, s)
+    _leaf_sweep(storage, x, backward=True)
+    return x
+
+
 def forward_solve(storage, b, *, overwrite_b=False, workers=None):
     """Solve ``L Y = B``; returns ``y``.
 
     ``b`` may be a single ``(n,)`` vector or an ``(n, k)`` block of
     right-hand sides (solved together with level-3 BLAS).  By default the
-    solve runs on a copy; ``overwrite_b=True`` solves in place on ``b``
-    (callers handing over a scratch buffer, e.g. :func:`solve_factored`,
-    skip the extra copy — measurable for many-RHS blocks).
+    solve runs on a copy; ``overwrite_b=True`` solves in place on ``b``.
 
     ``workers=N`` runs the elimination-tree level schedule on N threads
     (see the module docstring); the result is bit-identical to the serial
     sweep for every worker count.
     """
-    symb = storage.symb
-    y = check_rhs(symb.n, b, "b", copy=not overwrite_b)
-    if workers is not None:
-        run_task_graph(*forward_solve_graph(storage, y), workers)
-        return y
-    for s in range(symb.nsup):
-        below, u = forward_snode(storage, y, s)
-        if u is not None:
-            y[below] -= u
+    y = check_rhs(storage.symb.n, b, "b", copy=not overwrite_b)
+    if workers is None:
+        return _forward(storage, y)
+    run_task_graph(*forward_solve_graph(storage, y), workers)
     return y
 
 
@@ -278,31 +336,33 @@ def backward_solve(storage, y, *, overwrite_y=False, workers=None):
     ``overwrite_y=True`` solves in place on ``y`` instead of a copy;
     ``workers=N`` runs the level schedule in reverse on N threads
     (bit-identical to the serial sweep)."""
-    symb = storage.symb
-    x = check_rhs(symb.n, y, "y", copy=not overwrite_y)
-    if workers is not None:
-        run_task_graph(*backward_solve_graph(storage, x), workers)
-        return x
-    for s in range(symb.nsup - 1, -1, -1):
-        backward_snode(storage, x, s)
+    x = check_rhs(storage.symb.n, y, "y", copy=not overwrite_y)
+    if workers is None:
+        return _backward(storage, x)
+    run_task_graph(*backward_solve_graph(storage, x), workers)
     return x
+
+
+def solve_in_place(storage, y, workers=None):
+    """Full solve ``L L^T x = y`` in place on ``y``, a float64 buffer the
+    caller owns and has validated (:func:`check_rhs`): the sweeps trust their
+    own buffer, the *solution* is checked once on the way out (a NaN is never
+    served).  ``workers=N``: ONE fused task graph (:func:`solve_graph`)."""
+    if workers is None:
+        _backward(storage, _forward(storage, y))
+    else:
+        run_task_graph(*solve_graph(storage, y), workers)
+    return check_finite(y, "solution")
 
 
 def solve_factored(storage, b, *, overwrite_b=False, workers=None):
     """Full solve ``L L^T x = b`` with an existing factor.
 
-    The right-hand side is validated and copied exactly once at the top
-    (not once per sweep); both triangular sweeps then run in place on that
-    buffer.  ``overwrite_b=True`` skips even the initial copy and clobbers
-    ``b`` — the natural mode when ``b`` is already a temporary (a permuted
-    gather like ``b[perm]``).  ``workers=N`` runs both sweeps as ONE fused
-    level-scheduled task graph (:func:`solve_graph`) on N threads —
-    backward leaves overlap the forward root — bit-identical to the serial
-    sweeps.
+    The right-hand side is validated and copied exactly once, here, then
+    solved by :func:`solve_in_place`.  ``overwrite_b=True`` skips even that
+    copy and clobbers ``b`` (natural when ``b`` is already a temporary).
+    ``workers=N`` runs the fused level-scheduled task graph on N threads —
+    backward leaves overlap the forward root — bit-identical to serial.
     """
     y = check_rhs(storage.symb.n, b, "b", copy=not overwrite_b)
-    if workers is not None:
-        run_task_graph(*solve_graph(storage, y), workers)
-        return y
-    forward_solve(storage, y, overwrite_b=True)
-    return backward_solve(storage, y, overwrite_y=True)
+    return solve_in_place(storage, y, workers)

@@ -108,6 +108,11 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.symbolic", "solve_schedule"),
     ("repro.symbolic", "solve_levels"),
     ("repro.symbolic", "SolveSchedule"),
+    ("repro.symbolic.levels", "leaf_block"),
+    ("repro.symbolic.levels", "LeafBlock"),
+    ("repro.symbolic.levels", "LEAF_BLOCK_COLS"),
+    ("repro.solve.triangular", "solve_in_place"),
+    ("repro.dense.kernels", "check_finite"),
     ("repro.symbolic", "pattern_fingerprint"),
     ("repro.serving", "Gateway"),
     ("repro.serving", "GatewayStats"),
@@ -181,6 +186,20 @@ def test_serving_all_is_exact():
 def test_subpackage_name_importable(module, name):
     mod = importlib.import_module(module)
     assert hasattr(mod, name), f"{module}.{name} missing"
+
+
+def test_solve_plan_surface():
+    """The documented ``SolvePlan`` introspection, ``leaf_block`` included:
+    ``(supernodes, columns, entries, nbytes)`` as plain ints."""
+    from repro.sparse import grid_laplacian
+
+    solve_plan = repro.plan(grid_laplacian((6, 5))).solve_plan()
+    for name in ("plan", "schedule", "nsup", "nlevels", "max_parallelism", "avg_parallelism",
+                 "level_widths", "offload_estimate", "leaf_block"):
+        assert hasattr(solve_plan, name), f"SolvePlan.{name} missing"
+    block = solve_plan.leaf_block
+    assert len(block) == 4 and all(int(v) == v and v > 0 for v in block)
+    assert "leaf_block=" in repr(solve_plan)
 
 
 def test_registry_consistency():

@@ -200,6 +200,123 @@ class TestInputValidation:
         served, stats = asyncio.run(go())
         assert np.allclose(served, want) and stats.in_flight == 0
 
+    def test_non_finite_rhs_is_named(self):
+        """The error says *what* is not finite: a vector is not "values"."""
+        import repro
+
+        A = grid_laplacian((6, 5))
+        factor = repro.plan(A).factorize(engine="rl")
+        b = np.ones(A.n)
+        b[4] = np.nan
+        with pytest.raises(repro.NonFiniteValuesError, match="right-hand side") as ei:
+            factor.solve(b)
+        assert ei.value.what == "right-hand side" and "values" not in str(ei.value)
+        values = A.data.copy()
+        values[0] = np.inf
+        with pytest.raises(repro.NonFiniteValuesError, match="in the values") as ei:
+            factor.plan.factorize(values)
+        assert ei.value.what == "values"
+
+    def test_one_validation_per_solve(self, monkeypatch):
+        """A right-hand side is validated once at the door and the solution
+        checked once on the way out — per ``Factor.solve`` and per step of
+        ``solve_refined`` — not once per sweep (it was four times)."""
+        import repro
+        from repro import api
+        from repro.solve import triangular
+
+        calls = []
+        for module in (api, triangular):
+            def counted(x, what, _real=module.check_finite):
+                calls.append(what)
+                return _real(x, what)
+
+            monkeypatch.setattr(module, "check_finite", counted)
+        A = grid_laplacian((9, 8))
+        plan = repro.plan(A)
+        rng = np.random.default_rng(0)
+        b, B = rng.standard_normal(A.n), rng.standard_normal((A.n, 3))
+        factor = plan.factorize(engine="rl")
+        calls.clear()
+        for how in (dict(), dict(workers=2)):
+            for rhs in (b, B):
+                factor.solve(rhs, **how)
+                assert calls == ["right-hand side", "solution"], how
+                calls.clear()
+        assert len(factor.solve_many([b, B], workers=2)) == 2
+        assert sorted(calls) == ["right-hand side"] * 2 + ["solution"] * 2
+        f32 = plan.factorize(engine="rl", dtype=np.float32)
+        calls.clear()
+        info = f32.solve_refined(b, tol=1e-13, return_info=True, fallback=False)
+        steps = info.iterations if info.converged else info.iterations + 1
+        assert steps >= 2  # the initial solve and at least one correction
+        assert calls == ["right-hand side", "solution"] * steps
+        calls.clear()
+        with plan.serve(engine="rl_par", workers=2) as session:
+            session.submit_solve(None, b).result(timeout=60)
+        assert sorted(c for c in calls if c != "values") == ["right-hand side", "solution"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["member", "rest"])
+    def test_overflowing_sweep_raises_the_typed_solution_error(self, where):
+        """A pivot overwritten in place with 1e-320: the forward sweep
+        overflows.  Every lane raises the typed error naming the *solution*
+        (it used to surface as "values contain N non-finite entries" from the
+        backward sweep's entry check) and serves again once repaired."""
+        import repro
+        from repro.symbolic.levels import leaf_block
+
+        A = grid_laplacian((6, 5, 2))
+        plan = repro.plan(A)
+        factor = plan.factorize(engine="rl")
+        block = leaf_block(plan.symb)
+        s = block.members[0] if where == "member" else block.rest[0]
+        b = np.ones(A.n)
+        want = factor.solve(b)
+        panel = factor.storage.panels[s]
+        kept = panel[0, 0]
+        for how in (dict(), dict(workers=2), dict(mode="gpu")):
+            panel[0, 0] = 1e-320
+            with pytest.raises(repro.NonFiniteValuesError, match="solution") as ei:
+                factor.solve(b, **how)
+            assert ei.value.what == "solution" and ei.value.count > 0
+            with pytest.raises(repro.NonFiniteValuesError, match="solution"):
+                factor.solve_refined(b, **({} if "mode" in how else how))
+            panel[0, 0] = kept
+            assert np.array_equal(factor.solve(b, **how), want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_solution_fails_one_request_only(self):
+        """Finite (denormal) values whose factor overflows the solve: the
+        session and the gateway fail that request with the typed solution
+        error and keep serving."""
+        import asyncio
+
+        import repro
+        from repro.serving import Gateway
+
+        A = grid_laplacian((6, 5))
+        plan = repro.plan(A)
+        b = np.ones(A.n)
+        tiny = A.data * 1e-310
+        want = plan.factorize(engine="rl").solve(b)
+        with plan.serve(engine="rl_par", workers=2) as session:
+            for refine in (False, True):
+                bad = session.submit_solve(tiny, b, refine=refine)
+                good = session.submit_solve(None, b, refine=refine)
+                exc = bad.exception(timeout=60)
+                assert isinstance(exc, repro.NonFiniteValuesError) and exc.what == "solution"
+                assert np.allclose(good.result(timeout=60), want)
+
+        async def go():
+            async with Gateway(workers=2) as gw:
+                with pytest.raises(repro.NonFiniteValuesError, match="solution"):
+                    await gw.submit(SymmetricCSC(A.n, A.indptr, A.indices, tiny, check=False), b)
+                return await gw.submit(A, b), gw.stats()
+
+        served, stats = asyncio.run(go())
+        assert np.allclose(served, want) and stats.in_flight == 0
+
     @pytest.mark.parametrize("workers", [2.5, "2", 2.0, None])
     def test_non_integral_workers_refused(self, workers):
         """``workers=2.5`` used to run two workers silently: every door that
