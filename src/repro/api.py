@@ -66,7 +66,6 @@ from concurrent.futures import Future
 import numpy as np
 
 from .dense.kernels import NonFiniteValuesError, NotPositiveDefiniteError, check_finite
-from .gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from .numeric.executor import (
     StreamPool,
     _resolve_workers,
@@ -83,9 +82,9 @@ from .numeric.registry import (
     serial_twin,
 )
 from .numeric.storage import FactorStorage, ScatterPlan
-from .numeric.updown import path_union, rank_k_update
+from .numeric.updown import _modification_plan, _run_atomic
 from .solve.gpu_solve import solve_factored_gpu_dag, solve_offload_estimate
-from .solve.refine import _relative_residual_norm, refine, relative_residual
+from .solve.refine import _RefinementChain, refine, relative_residual
 from .solve.triangular import check_rhs, solve_graph, solve_in_place
 from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
@@ -97,7 +96,13 @@ from .update.crossover import update_cost as _modeled_update_cost
 from .update.matrix import UpdatedMatrix
 
 __all__ = ["plan", "SymbolicPlan", "SolvePlan", "Factor", "FactorBatch",
-           "ServingSession", "same_pattern_values"]
+           "ServingSession", "same_pattern_values", "PatternMismatchError"]
+
+
+class PatternMismatchError(ValueError):
+    """``values`` do not have the pattern host's sparsity pattern
+    (:func:`same_pattern_values`).  The one failure a new symbolic analysis
+    cures — :meth:`Factor.apply` re-plans on this and on nothing else."""
 
 
 def same_pattern_values(A, values):
@@ -106,8 +111,8 @@ def same_pattern_values(A, values):
     ``values`` is ``None`` (use ``A``'s own values), a flat array aligned
     with ``A.data`` (lower-triangle CSC order), or a full same-pattern
     :class:`~repro.sparse.csc.SymmetricCSC`; returns the flat float64 data
-    array.  Raises ``ValueError`` on a pattern or shape mismatch — the one
-    definition of "same pattern".
+    array.  Raises :class:`PatternMismatchError` (a ``ValueError``) on a
+    pattern or shape mismatch — the one definition of "same pattern".
     """
     if values is None:
         return A.data
@@ -115,14 +120,14 @@ def same_pattern_values(A, values):
         if (values.n != A.n
                 or not np.array_equal(values.indptr, A.indptr)
                 or not np.array_equal(values.indices, A.indices)):
-            raise ValueError(
+            raise PatternMismatchError(
                 "matrix does not share the sparsity pattern; "
                 "build a new plan with repro.plan(...)"
             )
         return values.data
     data = np.ascontiguousarray(values, dtype=np.float64)
     if data.shape != A.data.shape:
-        raise ValueError(
+        raise PatternMismatchError(
             f"values must have shape {A.data.shape} "
             "(one value per stored lower-triangle entry)"
         )
@@ -713,7 +718,7 @@ class Factor:
             # b[perm] is a fresh gather the graphs may solve in place
             y, _, _ = solve_factored_gpu_dag(
                 self.storage, b[perm], overwrite_b=True,
-                devices=1 if devices is None else int(devices))
+                devices=1 if devices is None else devices)
         else:
             workers = _resolve_workers(workers) if spec.parallel else None
             # b[perm] is a fresh gather; both sweeps run in place on it
@@ -806,20 +811,24 @@ class Factor:
     # ------------------------------------------------------------------
     # serve-time rank-k update / downdate (repro.update)
     # ------------------------------------------------------------------
-    def _permuted_W(self, W):
-        """Validate a modification matrix and gather it into the factor's
-        ordering (``B = P A P^T`` means ``W_perm = W[perm]``)."""
-        W = np.asarray(W, dtype=np.float64)
+    def _permuted_W(self, W, name="W", dtype=np.float64):
+        """Validate a modification matrix and gather it — once — into the
+        factor's ordering (``B = P A P^T`` means ``W_perm = W[perm]``).
+        ``dtype=None`` is the pattern-only door: values are neither
+        converted nor required to be finite."""
+        W = np.asarray(W, dtype=dtype)
         if W.ndim == 1:
             W = W[:, None]
         if W.ndim != 2 or W.shape[0] != self.n:
-            raise ValueError("W must have shape (n,) or (n, k)")
+            raise ValueError(f"{name} must have shape (n,) or (n, k)")
+        if dtype is not None:
+            check_finite(W, "update vectors")
         return W, W[self._plan.perm]
 
     def update(self, W, *, downdate=False):
         """Factor of ``A + W W^T`` (or ``A - W W^T``) as a NEW immutable
         :class:`Factor`, by the rank-k GGMS path sweep
-        (:func:`repro.numeric.updown.rank_k_update`) — O(path · k), not a
+        (:mod:`repro.numeric.updown`) — O(path · k), not a
         refactorization.
 
         Copy-on-write: only the panels of supernodes on the merged
@@ -830,35 +839,34 @@ class Factor:
         refactorize automatically).  A downdate that destroys positive
         definiteness raises
         :class:`~repro.dense.kernels.NotPositiveDefiniteError` and leaves
-        both factors intact.
+        both factors intact; a NaN or ±Inf entry of ``W`` is refused with
+        :class:`~repro.dense.kernels.NonFiniteValuesError` before any
+        panel is copied.
 
         The new factor's :attr:`matrix` is the implicit
         :class:`~repro.update.matrix.UpdatedMatrix`, so ``solve_refined``
         and ``residual_norm`` keep working against the *updated* system.
         """
         W, Wp = self._permuted_W(W)
-        symb = self.storage.symb
-        roots = []
-        for r in range(Wp.shape[1]):
-            nz = np.flatnonzero(Wp[:, r])
-            if nz.size:
-                roots.append(int(nz[0]))
+        mod = _modification_plan(self.storage.symb, Wp)
+        return self._updated(W, Wp, mod, downdate)
+
+    def _updated(self, W, Wp, mod, downdate):
+        """:meth:`update` of a gathered (``Wp``: a private copy, swept in
+        place) and planned modification."""
+        mod.require_contained()
         storage = self.storage
-        cols = []
-        if roots:
-            path = path_union(symb, roots)
-            touched = np.zeros(symb.nsup, dtype=bool)
-            touched[symb.col2sn[path]] = True
-            panels = [panel.copy(order="F") if touched[s] else panel
-                      for s, panel in enumerate(storage.panels)]
-            storage = FactorStorage(symb, panels)
+        if mod.roots:
+            panels = list(storage.panels)
+            for s in mod.snodes.tolist():
+                panels[s] = panels[s].copy(order="F")
+            storage = FactorStorage(storage.symb, panels)
             # the sweep runs on private copies; a failure discards the
             # whole candidate storage, so the atomicity snapshot is moot
-            cols = rank_k_update(storage, Wp, downdate=downdate,
-                                 snapshot=False)
+            _run_atomic(storage, Wp, mod, downdate, snapshot=False)
         extra = dict(self._result.extra,
                      update_rank=int(Wp.shape[1]),
-                     update_cols=len(cols),
+                     update_cols=int(mod.union.size),
                      update_downdate=bool(downdate))
         result = dataclasses.replace(self._result, storage=storage,
                                      extra=extra)
@@ -876,14 +884,9 @@ class Factor:
         values ignored) — the modeled flops and seconds of both roads,
         the containment verdict, and what ``policy="auto"`` would pick
         (:class:`~repro.update.crossover.UpdateCost`)."""
-        W = np.asarray(W_pattern)
-        if W.ndim == 1:
-            W = W[:, None]
-        if W.ndim != 2 or W.shape[0] != self.n:
-            raise ValueError("W_pattern must have shape (n,) or (n, k)")
-        Wp = W[self._plan.perm]
-        patterns = [np.flatnonzero(Wp[:, r]) for r in range(Wp.shape[1])]
-        return _modeled_update_cost(self.storage.symb, patterns)
+        symb = self.storage.symb
+        _, Wp = self._permuted_W(W_pattern, "W_pattern", dtype=None)
+        return _modeled_update_cost(symb, _modification_plan(symb, Wp))
 
     def apply(self, W, *, policy="auto", downdate=False, engine=None,
               **engine_kwargs):
@@ -894,24 +897,29 @@ class Factor:
         factorizes it from scratch, and ``policy="auto"`` (default) takes
         the modeled winner from :meth:`update_cost` — automatically
         falling back to refactorize when the modification fails the
-        no-new-fill containment check, where the sweep is unsound.
+        no-new-fill containment check, where the sweep is unsound.  ``W``
+        is gathered and planned once; pricing and sweep read that plan.
 
         The refactorize road reuses this factor's plan when the modified
         matrix keeps ``A``'s sparsity pattern and transparently builds a
-        fresh plan when the modification grew it.  ``engine`` (default:
-        this factor's serial twin) and ``engine_kwargs`` configure that
-        road only.  The chosen road lands in
-        ``factor.result.extra["applied_policy"]``.
+        fresh plan when the modification grew it
+        (:class:`PatternMismatchError` — nothing else re-analyzes).
+        ``engine`` (default: this factor's serial twin) and
+        ``engine_kwargs`` configure that road only.  The chosen road lands
+        in ``factor.result.extra["applied_policy"]``.
         """
         if policy not in ("auto", "update", "refactorize"):
             raise ValueError(
                 f"policy must be 'auto', 'update' or 'refactorize', "
                 f"not {policy!r}"
             )
-        cost = self.update_cost(W)
+        W, Wp = self._permuted_W(W, "W_pattern")
+        symb = self.storage.symb
+        mod = _modification_plan(symb, Wp)
+        cost = _modeled_update_cost(symb, mod)
         choice = cost.recommended if policy == "auto" else policy
         if choice == "update":
-            out = self.update(W, downdate=downdate)
+            out = self._updated(W, Wp, mod, downdate)
         else:
             B = UpdatedMatrix(self._matrix, W,
                               downdate=downdate).materialize()
@@ -920,7 +928,7 @@ class Factor:
             try:
                 out = self._plan.factorize(B, engine=engine,
                                            **engine_kwargs)
-            except ValueError:
+            except PatternMismatchError:
                 # the modification grew A's pattern beyond the plan's:
                 # re-analyze (new fill needs a new symbolic factorization)
                 out = plan(B).factorize(engine=engine, **engine_kwargs)
@@ -1084,9 +1092,8 @@ class ServingSession:
     """
 
     def __init__(self, plan, *, engine="rlb_par", workers=None,
-                 machine=None, thread_choices=CPU_THREAD_CHOICES,
-                 backend=None, devices=None, threshold=None, dtype=None,
-                 pool=None, tracer=None, trace_origin=None):
+                 machine=None, backend=None, devices=None, threshold=None,
+                 dtype=None, pool=None, tracer=None, trace_origin=None):
         spec, kwargs = resolve_serving(
             engine, backend, workers=workers, devices=devices,
             threshold=threshold, dtype=dtype, machine=machine)
@@ -1094,8 +1101,7 @@ class ServingSession:
         self._plan = plan
         self._spec = spec
         self._granularity = spec.granularity
-        self._machine = machine or MachineModel()
-        self._thread_choices = thread_choices
+        self._machine = machine
         self._tracer = tracer
         self._t0 = (time.perf_counter() if trace_origin is None
                     else trace_origin)
@@ -1170,6 +1176,40 @@ class ServingSession:
             self._pool.close()
 
     # ------------------------------------------------------------------
+    def _enqueue(self, ntasks, roots, run_task, label_of, index, future,
+                 done):
+        """Submit one graph of submission ``index`` under the session's
+        contracts: tasks traced (when the session has a tracer), a non-SPD
+        failure annotated with ``stream_index``, every failure — the
+        graph's or the completion callback ``done``'s — on ``future``."""
+        if self._tracer is not None:
+            run_task = _traced_run(run_task, label_of, self._tracer,
+                                   self._t0)
+
+        def err(exc):
+            if isinstance(exc, NotPositiveDefiniteError):
+                exc = NotPositiveDefiniteError.for_stream(exc, index)
+            future.set_exception(exc)
+
+        self._pool.submit_graph(ntasks, roots, run_task,
+                                on_complete=_guarded(done, future),
+                                on_error=err)
+
+    def _enqueue_one(self, compute, label, index, future, done):
+        """``compute()`` as ONE pool task (a whole stream/hybrid/process
+        factorization, an update): the engine schedules its own lanes
+        internally, the pool still provides the streaming futures, failure
+        isolation and drain semantics.  ``done(value)`` gets what it
+        returned."""
+        holder = []
+
+        def run_task(tid):
+            holder.append(compute())
+            return ()
+
+        self._enqueue(1, (0,), run_task, lambda tid: label, index, future,
+                      lambda: done(holder.pop()))
+
     def _factor_job(self, values, future, on_factor, dtype=None):
         """Build one submission's factorize graph (on the caller thread —
         values validation, permutation gather, panel scatter) and enqueue
@@ -1185,10 +1225,13 @@ class ServingSession:
         data = plan._values_of(values)
         matrix = plan._original_matrix(data)  # copies: the Factor owns it
         M = plan._permuted_matrix(data)
+
+        def done(result):
+            on_factor(Factor(plan, result, matrix), result.storage)
+
         if self._spec.backend == "threads":
             _, ntasks, roots, run_task, finish = stream_factorize_job(
-                plan.symb, M, self._granularity,
-                self._machine, self._thread_choices,
+                plan.symb, M, self._granularity, self._machine,
                 extra={"workers": self.workers,
                        "granularity": self._granularity,
                        "stream_index": index},
@@ -1196,45 +1239,22 @@ class ServingSession:
             )
             label_of = _task_label_fn(
                 warm_executor_plan(plan.symb, self._granularity))
+            t0 = time.perf_counter()
+            self._enqueue(ntasks, roots, run_task, label_of, index, future,
+                          lambda: done(finish(time.perf_counter() - t0)))
         else:
-            # stream/hybrid engines: the whole factorization is ONE pool
-            # task (the engine schedules its own device/worker lanes
-            # internally); the pool still provides the streaming futures,
-            # failure isolation and drain semantics
             spec, kwargs = self._spec, self._engine_kwargs
             if dt is not None:
                 kwargs = dict(kwargs, dtype=dt)
-            holder = {}
+            t0 = time.perf_counter()
 
-            def run_task(tid):
-                holder["result"] = spec.fn(plan.symb, M, **kwargs)
-                return ()
-
-            def finish(wall_seconds):
-                result = holder["result"]
+            def finish(result):
                 result.extra["stream_index"] = index
-                result.extra["wall_seconds"] = wall_seconds
-                return result
+                result.extra["wall_seconds"] = time.perf_counter() - t0
+                done(result)
 
-            ntasks, roots = 1, (0,)
-            label_of = (lambda tid: f"factorize:{index}")
-        if self._tracer is not None:
-            run_task = _traced_run(run_task, label_of, self._tracer,
-                                   self._t0)
-        t0 = time.perf_counter()
-
-        def done():
-            result = finish(time.perf_counter() - t0)
-            on_factor(Factor(plan, result, matrix), result.storage)
-
-        def err(exc):
-            if isinstance(exc, NotPositiveDefiniteError):
-                exc = NotPositiveDefiniteError.for_stream(exc, index)
-            future.set_exception(exc)
-
-        self._pool.submit_graph(ntasks, roots, run_task,
-                                on_complete=_guarded(done, future),
-                                on_error=err)
+            self._enqueue_one(lambda: spec.fn(plan.symb, M, **kwargs),
+                              f"factorize:{index}", index, future, finish)
         self._submitted += 1
 
     def submit(self, values=None, *, dtype=None):
@@ -1290,32 +1310,22 @@ class ServingSession:
         future = Future()
         finish = _unpermute(perm)
 
-        if not refine:
-            def on_factor(factor, storage):
-                _submit_solve_chain(self._pool, storage, y, future, finish)
-        else:
-            def on_factor(factor, storage):
-                matrix = factor.matrix
-                state = {"x": None, "it": 0}
+        def on_factor(factor, storage):
+            # the chain of refine(..., stall_ratio=None), its solves as
+            # graphs on this pool; a plain solve is the chain that stops
+            # at x0
+            chain = _RefinementChain(factor.matrix, b, tol,
+                                     max_iter if refine else 0)
 
-                def advance(buf):
-                    # buf = the solved permuted rhs: x0 first, then the
-                    # corrections — same update sequence as refine()
-                    delta = finish(buf)
-                    x = delta if state["x"] is None else state["x"] + delta
-                    state["x"] = x
-                    state["it"] += 1
-                    if state["it"] > max_iter:
-                        future.set_result(x)
-                        return
-                    r = b - matrix.matvec(x)
-                    if _relative_residual_norm(b, r) <= tol:
-                        future.set_result(x)
-                        return
-                    _submit_solve_graph(self._pool, storage, r[perm],
+            def advance(buf):
+                rhs = chain.step(finish(buf))
+                if rhs is None:
+                    future.set_result(chain.out.x)
+                else:
+                    _submit_solve_graph(self._pool, storage, rhs[perm],
                                         future, advance)
 
-                _submit_solve_graph(self._pool, storage, y, future, advance)
+            _submit_solve_graph(self._pool, storage, y, future, advance)
 
         self._factor_job(values, future, on_factor, dtype=dtype)
         return future
@@ -1334,7 +1344,9 @@ class ServingSession:
         positive definiteness (or an uncontained pattern under
         ``policy="update"``) rejects *this* future only, annotated with
         ``stream_index``; the parent factor and every other submission are
-        untouched (updates are copy-on-write).  ``policy`` is
+        untouched (updates are copy-on-write); a NaN or ±Inf entry of
+        ``W`` raises :class:`~repro.dense.kernels.NonFiniteValuesError`
+        here, at submission.  ``policy`` is
         :meth:`Factor.apply`'s knob — ``"update"`` (default) forces the
         path sweep, ``"auto"`` lets the modeled crossover fall back to a
         serial refactorize inside the task.
@@ -1349,7 +1361,9 @@ class ServingSession:
         plan = self._plan
         index = self._submitted
         future = Future()
-        W = np.array(W, dtype=np.float64, copy=True)  # capture at submit
+        # captured — and, like a NaN ``b``, refused — at submit
+        W = check_finite(np.array(W, dtype=np.float64, copy=True),
+                         "update vectors")
         y = None
         if b is not None:
             b = check_rhs(plan.n, b, "b", copy=False)
@@ -1357,20 +1371,7 @@ class ServingSession:
         finish = _unpermute(plan.perm)
 
         def enqueue(parent):
-            holder = {}
-
-            def run_task(tid):
-                holder["factor"] = parent.apply(W, policy=policy,
-                                                downdate=downdate)
-                return ()
-
-            if self._tracer is not None:
-                run_task = _traced_run(run_task,
-                                       lambda tid: f"update:{index}",
-                                       self._tracer, self._t0)
-
-            def done():
-                new_factor = holder["factor"]
+            def done(new_factor):
                 if on_factor is not None:
                     on_factor(new_factor)
                 if y is None:
@@ -1379,14 +1380,9 @@ class ServingSession:
                     _submit_solve_chain(self._pool, new_factor.storage, y,
                                         future, finish)
 
-            def err(exc):
-                if isinstance(exc, NotPositiveDefiniteError):
-                    exc = NotPositiveDefiniteError.for_stream(exc, index)
-                future.set_exception(exc)
-
-            self._pool.submit_graph(1, (0,), run_task,
-                                    on_complete=_guarded(done, future),
-                                    on_error=err)
+            self._enqueue_one(
+                lambda: parent.apply(W, policy=policy, downdate=downdate),
+                f"update:{index}", index, future, done)
 
         if isinstance(factor, Future):
             # chained submission: enqueue once the parent resolves — the

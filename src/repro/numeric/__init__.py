@@ -20,8 +20,6 @@ from .rlb import (
 from .executor import (
     factorize_executor,
     factorize_executor_batch,
-    Backend,
-    ThreadBackend,
     GpuStreamBackend,
     HybridBackend,
     GRANULARITIES,
@@ -34,7 +32,6 @@ from .gpu_dag import (
     factorize_rlb_gpu,
 )
 from .procpool import (
-    ProcessBackend,
     ProcessPool,
     WorkerDiedError,
     factorize_process,
@@ -121,11 +118,8 @@ __all__ = [
     "factorize_gpu_dag",
     "factorize_hybrid",
     "HybridResult",
-    "Backend",
-    "ThreadBackend",
     "GpuStreamBackend",
     "HybridBackend",
-    "ProcessBackend",
     "ProcessPool",
     "WorkerDiedError",
     "factorize_process",

@@ -48,8 +48,8 @@ non-SPD matrix) failing only its own ``on_error`` callback, never the pool.
 * :func:`run_task_graph` runs any static ``(ntasks, roots, run_task)``
   triple as one graph on a transient pool — a one-task graph on the calling
   thread — and re-raises its first exception: the runtime behind
-  :class:`ThreadBackend`, :func:`factorize_executor` and the level-scheduled
-  triangular solves of :mod:`repro.solve.triangular`;
+  :func:`factorize_executor` and the level-scheduled triangular solves of
+  :mod:`repro.solve.triangular`;
 * :func:`factorize_executor_batch` submits B same-pattern matrices as B
   graphs (per-matrix storage, parked store and countdown, from
   :func:`stream_factorize_job`) to one transient pool — the backend of
@@ -100,8 +100,6 @@ __all__ = [
     "factorize_executor",
     "factorize_executor_batch",
     "run_task_graph",
-    "Backend",
-    "ThreadBackend",
     "GpuStreamBackend",
     "HybridBackend",
     "Countdown",
@@ -376,54 +374,6 @@ def run_task_graph(ntasks, roots, run_task, workers):
     _run_on_pool(ntasks, roots, run_task, _resolve_workers(workers), "repro-exec")
 
 
-class Backend:
-    """A scheduling substrate for static task DAGs.
-
-    The runtime above (plans, parked stores, task bodies) is substrate
-    agnostic: anything that can execute a ``(ntasks, roots, run_task)``
-    triple to completion is a backend.  Three substrates ship:
-
-    * :class:`ThreadBackend` — real worker threads on a shared ready queue
-      (measured wall-clock parallelism; the PR-2 runtime);
-    * :class:`GpuStreamBackend` — a deterministic dispatcher driving the
-      simulated GPU's compute stream and DMA copy engines (modeled-time
-      parallelism; the substrate of :mod:`repro.numeric.gpu_dag` and the
-      solve offload of :mod:`repro.solve.gpu_solve`);
-    * :class:`HybridBackend` — both at once: one DAG on one worker pool,
-      CPU-placed tasks running real BLAS while the GPU-placed tasks,
-      chained in a fixed order, charge the modeled streams.
-
-    ``priority`` optionally orders ready-task selection for backends that
-    schedule deterministically; backends with scheduling freedom (threads)
-    may ignore it.
-    """
-
-    name = "abstract"
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None):
-        """Execute one static task graph to completion.  ``run_task(tid)``
-        performs task ``tid`` and returns the task ids it released."""
-        raise NotImplementedError
-
-
-class ThreadBackend(Backend):
-    """The shared-ready-queue worker-pool substrate (PR 2).
-
-    A transient pool of ``workers`` threads per graph — exactly
-    :func:`run_task_graph`, packaged behind the :class:`Backend` seam.
-    Ready-task order is whatever the pool pops; determinism comes from the
-    plan's ``incoming`` lists, not the schedule, so ``priority`` is ignored.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers=None):
-        self.workers = _resolve_workers(workers)
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None):
-        run_task_graph(ntasks, roots, run_task, self.workers)
-
-
 class _StreamLanes:
     """Simulated-device state shared by the stream-scheduling backends.
 
@@ -450,7 +400,7 @@ class _StreamLanes:
         tracer=None,
         launch_overhead_s=2.0e-6,
     ):
-        devices = int(devices)
+        devices = operator.index(devices)  # 2.5 devices is a TypeError, as workers
         if devices < 1:
             raise ValueError("devices must be >= 1")
         self.devices = devices
@@ -508,7 +458,7 @@ class _StreamLanes:
         return [g.stats.kernel_seconds for g in self.gpus]
 
 
-class GpuStreamBackend(_StreamLanes, Backend):
+class GpuStreamBackend(_StreamLanes):
     """Deterministic stream dispatcher over ``devices`` simulated GPUs.
 
     Ready tasks are popped lowest-``priority``-first by ONE host thread
@@ -563,13 +513,13 @@ class GpuStreamBackend(_StreamLanes, Backend):
             raise RuntimeError(f"stream backend deadlock: ran {done} of {ntasks} tasks")
 
 
-class HybridBackend(_StreamLanes, Backend):
+class HybridBackend(_StreamLanes):
     """Heterogeneous substrate: measured worker lanes + modeled stream lanes.
 
     One task DAG, two execution substrates, one worker pool.  The hybrid
     graph builders of :mod:`repro.numeric.gpu_dag` emit each task's body
-    CPU-or-GPU: CPU-placed tasks run real BLAS exactly like
-    :class:`ThreadBackend` (wall-clock measured), GPU-placed tasks run the
+    CPU-or-GPU: CPU-placed tasks run real BLAS exactly like the threaded
+    engines (wall-clock measured), GPU-placed tasks run the
     simulated-device kernel pipelines of :class:`GpuStreamBackend`
     (modeled time on ``devices`` stream/copy timelines).  Updates from both
     substrates park in one store and are pulled by their target's task — so
@@ -587,8 +537,7 @@ class HybridBackend(_StreamLanes, Backend):
     by :func:`repro.numeric.gpu_dag.factorize_hybrid`.
 
     A graph that was not chained runs on a plain pool of ``workers``
-    threads, so the backend can stand in anywhere a :class:`ThreadBackend`
-    is expected.
+    threads.
     """
 
     name = "hybrid"
@@ -991,20 +940,8 @@ def _check_granularity(granularity):
         )
 
 
-def _cpu_report(symb, granularity, suffix, storage, machine, thread_choices):
-    """Price the pattern now (:func:`~repro.numeric.result.cpu_cost`,
-    memoised on ``symb``) and return ``report(extra)``: the
-    :class:`~repro.numeric.result.FactorizeResult` of a CPU-lane DAG engine
-    (``rl``/``rlb`` + ``suffix``) that produced ``storage``.  ``report``
-    only wraps the priced cost, so it may run on a pool thread without
-    touching the symbolic cache."""
-    family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
-    return lambda extra: cost.result(family + suffix, storage, extra)
-
-
 def stream_factorize_job(
-    symb, M, granularity, machine, thread_choices, extra, dtype=None
+    symb, M, granularity, machine, thread_choices=CPU_THREAD_CHOICES, extra=None, dtype=None
 ):
     """One streaming factorize job: ``(storage, ntasks, roots, run_task,
     finish)`` for a single same-pattern matrix ``M``.
@@ -1016,7 +953,9 @@ def stream_factorize_job(
     :class:`~repro.numeric.result.FactorizeResult` (same report as
     :func:`factorize_executor`).  The pattern is priced here, on the
     submitting thread — ``finish`` runs on a pool thread and only wraps
-    the report, so it never writes the symbolic cache.
+    the report, so it never writes the symbolic cache.  ``thread_choices``
+    (the thread counts the report's modeled seconds sweep) is positional
+    for ``tests/test_pull_order.py``; no caller in ``src/`` passes it.
     """
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
     # the static plan is shared (memoised on ``symb``); the parked store,
@@ -1025,10 +964,12 @@ def stream_factorize_job(
     plan = dag_plan(symb, granularity)
     _, run = range_tasks(symb, storage, plan, {})
     run_task = Countdown(plan.indeg).task(run, plan.children)
-    report = _cpu_report(symb, granularity, "_par", storage, machine, thread_choices)
+    family = _FAMILY[granularity]
+    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
 
     def finish(wall_seconds):
-        return report(dict(extra, wall_seconds=wall_seconds, tasks=plan.ntasks))
+        report = dict(extra or (), wall_seconds=wall_seconds, tasks=plan.ntasks)
+        return cost.result(family + "_par", storage, report)
 
     return storage, plan.ntasks, plan.roots, run_task, finish
 
@@ -1040,12 +981,10 @@ def factorize_executor(
     workers=None,
     granularity="coarse",
     machine=None,
-    thread_choices=CPU_THREAD_CHOICES,
     tracer=None,
-    backend=None,
     dtype=None,
 ):
-    """Factorize with the task-DAG runtime (threaded by default).
+    """Factorize with the task-DAG runtime on worker threads.
 
     Parameters
     ----------
@@ -1057,55 +996,29 @@ def factorize_executor(
         assembly), one task per task range; ``"fine"`` — the RLB bodies,
         one task per range of several supernodes, one factor task plus one
         task per block pair for each single supernode above the cut.
-    machine / thread_choices:
+    machine:
         Machine model for the modeled-cost report (the numerics themselves
         run on real BLAS; ``extra["wall_seconds"]`` holds measured time).
     tracer:
         Optional :class:`~repro.gpu.trace.Tracer`; when given, every task's
         measured start/stop is recorded on its worker thread's lane
         (real occupancy next to the modeled Gantt charts).
-    backend:
-        Optional :class:`Backend` instance to execute the DAG on instead of
-        a fresh :class:`ThreadBackend` (mutually exclusive with
-        ``workers``).  The report is the pattern's *CPU* cost
-        (:func:`~repro.numeric.result.cpu_cost`) on any substrate; the
-        GPU-charging engines live in :mod:`repro.numeric.gpu_dag`.  A
-        backend that cannot run in-process closures (e.g.
-        :class:`~repro.numeric.procpool.ProcessBackend`) instead exposes
-        ``factorize_dag`` and the whole job is delegated to it.
     dtype:
         Factor precision (``None`` keeps the values' dtype; float32 is the
         mixed-precision lane).  Bit-identity across worker counts holds in
         every precision — the order a panel accumulates in is dtype-independent.
     """
     _check_granularity(granularity)
-    if backend is None:
-        backend = ThreadBackend(workers)
-    elif workers is not None:
-        raise ValueError("pass either workers= or backend=, not both")
-    if hasattr(backend, "factorize_dag"):
-        return backend.factorize_dag(
-            symb,
-            A,
-            granularity=granularity,
-            machine=machine,
-            thread_choices=thread_choices,
-            tracer=tracer,
-            dtype=dtype,
-        )
-    extra = {
-        "workers": getattr(backend, "workers", 1),
-        "backend": backend.name,
-        "granularity": granularity,
-    }
+    workers = _resolve_workers(workers)
+    extra = {"workers": workers, "backend": "threads", "granularity": granularity}
     _, ntasks, roots, run_task, finish = stream_factorize_job(
-        symb, A, granularity, machine, thread_choices, extra, dtype
+        symb, A, granularity, machine, extra=extra, dtype=dtype
     )
     t0 = time.perf_counter()
     if tracer is not None:
         label_of = _task_label_fn(dag_plan(symb, granularity))
         run_task = _traced_run(run_task, label_of, tracer, t0)
-    backend.run_graph(ntasks, roots, run_task)
+    run_task_graph(ntasks, roots, run_task, workers)
     return finish(time.perf_counter() - t0)
 
 
@@ -1116,7 +1029,6 @@ def factorize_executor_batch(
     workers=None,
     granularity="fine",
     machine=None,
-    thread_choices=CPU_THREAD_CHOICES,
     tracer=None,
     dtype=None,
 ):
@@ -1160,7 +1072,6 @@ def factorize_executor_batch(
             A,
             granularity,
             machine,
-            thread_choices,
             # "tasks" is the per-matrix DAG size, consistent with
             # factorize_executor; the pool drains batch_size * tasks
             extra={

@@ -63,7 +63,7 @@ import time
 
 import numpy as np
 
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..gpu.costmodel import MachineModel
 from ..symbolic.ranges import trivial_ranges
 from ..symbolic.relind import assembly_index
 from .executor import (
@@ -434,7 +434,7 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
                      devices=1, machine=None, threshold=None,
                      device_memory=DEFAULT_DEVICE_MEMORY, backend=None,
                      tracer=None, async_panel_d2h=True, inflight=2,
-                     thread_choices=CPU_THREAD_CHOICES, dtype=None):
+                     dtype=None):
     """Factorize heterogeneously: one task DAG across CPU workers and GPU
     streams (engine names ``rl_hybrid`` / ``rlb_hybrid``).
 
@@ -504,7 +504,7 @@ def factorize_hybrid(symb, A, *, granularity="coarse", workers=None,
     # the CPU lanes' modeled cost is the pattern's, restricted to the
     # CPU-placed supernodes (all of them: the memoised whole-pattern price)
     family = _FAMILY[granularity]
-    cpu = cpu_cost(symb, family, machine, thread_choices, storage.itemsize,
+    cpu = cpu_cost(symb, family, machine, itemsize=storage.itemsize,
                    snodes=np.flatnonzero(~offload) if offload.any() else None)
     measured_cpu = sum(durations)
     modeled_gpu = backend.elapsed()

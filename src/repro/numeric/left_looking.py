@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense import kernels as dk
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..gpu.costmodel import MachineModel
 from ..symbolic.relind import relative_indices
 from .result import CpuCostAccumulator, FactorizeResult
 from .storage import FactorStorage
@@ -26,12 +26,11 @@ from .storage import FactorStorage
 __all__ = ["factorize_left_looking"]
 
 
-def factorize_left_looking(symb, A, *, machine=None,
-                           thread_choices=CPU_THREAD_CHOICES):
+def factorize_left_looking(symb, A, *, machine=None):
     """CPU left-looking supernodal factorization."""
     machine = machine or MachineModel()
     storage = FactorStorage.from_matrix(symb, A)
-    acc = CpuCostAccumulator(machine, thread_choices, assembly_threads=None)
+    acc = CpuCostAccumulator(machine)
     nsup = symb.nsup
     # update lists: pending[J] = list of (descendant, cursor)
     pending = [[] for _ in range(nsup)]

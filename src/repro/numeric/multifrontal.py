@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense import kernels as dk
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from ..gpu.costmodel import MachineModel
 from ..gpu.device import SimulatedGpu, Timeline
 from .result import CpuCostAccumulator, FactorizeResult
 from .storage import FactorStorage
@@ -118,8 +118,7 @@ class _UpdateStack:
         return len(self.updates)
 
 
-def factorize_multifrontal(symb, A, *, machine=None,
-                           thread_choices=CPU_THREAD_CHOICES):
+def factorize_multifrontal(symb, A, *, machine=None):
     """CPU multifrontal factorization.
 
     Produces the same :class:`~repro.numeric.storage.FactorStorage` as every
@@ -129,7 +128,7 @@ def factorize_multifrontal(symb, A, *, machine=None,
     """
     machine = machine or MachineModel()
     storage = FactorStorage.zeros(symb)
-    acc = CpuCostAccumulator(machine, thread_choices, assembly_threads=None)
+    acc = CpuCostAccumulator(machine)
     children = symb.children()
     stack = _UpdateStack()
     for s in range(symb.nsup):

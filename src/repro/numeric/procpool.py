@@ -1,9 +1,9 @@
 """Shared-memory multiprocess execution of the factorization task DAGs.
 
-:class:`ThreadBackend` only scales where BLAS releases the GIL; the
+Worker threads only scale where BLAS releases the GIL; the
 scatter/commit/bookkeeping Python inside the task bodies serializes on
 real multicore hosts.  This module escapes the GIL with a third
-``Backend`` substrate: a persistent pool of **worker processes** draining
+substrate: a persistent pool of **worker processes** draining
 the same coarse/fine task DAGs as :mod:`repro.numeric.executor`, with the
 :class:`~repro.numeric.storage.FactorStorage` panels living in a
 ``multiprocessing.shared_memory`` arena so the per-task protocol is
@@ -85,23 +85,21 @@ from multiprocessing.connection import wait as _connection_wait
 import numpy as np
 
 from ..dense.kernels import NotPositiveDefiniteError, check_dtype
-from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.ranges import TaskRanges
 from ..symbolic.relind import assembly_index
 from .blas_limits import pinned_blas_env, process_worker_main
 from .executor import (
-    Backend,
+    _FAMILY,
     _check_granularity,
-    _cpu_report,
     _resolve_workers,
     _task_label_fn,
     dag_plan,
     range_tasks,
 )
+from .result import cpu_cost
 from .storage import FactorStorage, ScatterPlan
 
 __all__ = [
-    "ProcessBackend",
     "ProcessPool",
     "WorkerDiedError",
     "factorize_process",
@@ -614,9 +612,9 @@ _DEFAULT_LOCK = threading.Lock()
 def default_process_pool(workers=None, start_method=None):
     """The shared :class:`ProcessPool` for ``(workers, start_method)``,
     creating (or re-creating, after a close) it on first use.  This is the
-    pool :func:`factorize_process` and :class:`ProcessBackend` use when no
-    explicit ``pool=`` is given — serving sessions and the gateway
-    therefore share worker processes instead of spawning per request."""
+    pool :func:`factorize_process` uses when no explicit ``pool=`` is given
+    — serving sessions and the gateway therefore share worker processes
+    instead of spawning per request."""
     workers = _resolve_workers(workers)
     start_method = _resolve_start_method(start_method)
     key = (workers, start_method)
@@ -643,11 +641,10 @@ atexit.register(close_default_pools)
 
 
 # ---------------------------------------------------------------------------
-# Engine + Backend seam
+# Engine
 # ---------------------------------------------------------------------------
 def factorize_process(symb, A, *, granularity="coarse", workers=None,
-                      start_method=None, machine=None,
-                      thread_choices=CPU_THREAD_CHOICES, tracer=None,
+                      start_method=None, machine=None, tracer=None,
                       pool=None, dtype=None):
     """Factorize with the task-DAG runtime on a worker-*process* pool
     (engines ``rl_proc`` / ``rlb_proc``).
@@ -674,9 +671,11 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
         pool = default_process_pool(workers, start_method)
     storage, wall, ntasks = pool.run_job(symb, A, granularity,
                                          tracer=tracer, dtype=dtype)
-    report = _cpu_report(symb, granularity, "_proc", storage, machine,
-                         thread_choices)
-    return report(
+    family = _FAMILY[granularity]
+    cost = cpu_cost(symb, family, machine, itemsize=storage.itemsize)
+    return cost.result(
+        family + "_proc",
+        storage,
         {
             "workers": pool.workers,
             "backend": "process",
@@ -684,52 +683,5 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
             "start_method": pool.start_method,
             "wall_seconds": wall,
             "tasks": ntasks,
-        }
+        },
     )
-
-
-class ProcessBackend(Backend):
-    """The worker-process scheduling substrate behind ``rl_proc`` /
-    ``rlb_proc`` and ``backend="process"``.
-
-    Unlike the thread/stream/hybrid backends this one cannot execute
-    arbitrary Python task closures — closures don't cross the process
-    boundary — so :meth:`run_graph` raises and
-    :func:`~repro.numeric.executor.factorize_executor` instead delegates
-    whole factorization DAGs through :meth:`factorize_dag`, which ships
-    the shared plan to the workers once at pool warm-up.
-    """
-
-    name = "process"
-
-    def __init__(self, workers=None, *, start_method=None, pool=None):
-        if pool is not None:
-            if workers is not None or start_method is not None:
-                raise ValueError(
-                    "pass either pool= or workers=/start_method=, not both"
-                )
-            self.pool = pool
-        else:
-            self.pool = default_process_pool(workers, start_method)
-        self.workers = self.pool.workers
-        self.start_method = self.pool.start_method
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None):
-        raise TypeError(
-            "ProcessBackend cannot run arbitrary task closures: Python "
-            "closures do not cross the process boundary.  Use "
-            "factorize_executor(..., backend=ProcessBackend(...)) or "
-            "factorize_process(), which ship the shared task-DAG plan to "
-            "the worker processes at pool warm-up."
-        )
-
-    def factorize_dag(self, symb, A, *, granularity, machine=None,
-                      thread_choices=CPU_THREAD_CHOICES, tracer=None,
-                      dtype=None):
-        """Run one factorization DAG on the pool (the delegation hook
-        :func:`factorize_executor` uses for pickle-free backends)."""
-        return factorize_process(
-            symb, A, granularity=granularity, machine=machine,
-            thread_choices=thread_choices, tracer=tracer, pool=self.pool,
-            dtype=dtype,
-        )

@@ -326,7 +326,7 @@ def kernel_stream(symb, family, snodes=None):
             yield s, kinds[pair], rows[pair], cols[pair], w
 
 
-def cpu_cost(symb, family, machine, thread_choices, itemsize, snodes=None):
+def cpu_cost(symb, family, machine, thread_choices=CPU_THREAD_CHOICES, itemsize=8, snodes=None):
     """Price the pattern: the :class:`CpuCost` of ``family``'s
     :func:`kernel_stream`, charged in the serial engines' order.
 

@@ -28,7 +28,6 @@ per-supernode signatures.
 from __future__ import annotations
 
 from ..dense import kernels as dk
-from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.relind import assembly_index
 from .result import cpu_cost
 from .storage import FactorStorage
@@ -197,11 +196,11 @@ def apply_run(storage, index, s, r, parked, stay=0):
     storage.panels[p][relrows, colpos] -= parked[k0:, k0:k1]
 
 
-def factorize_rl_cpu(symb, A, *, machine=None, thread_choices=CPU_THREAD_CHOICES, dtype=None):
+def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):
     """CPU-only RL factorization.
 
-    The numerics run here; the modeled time for every MKL thread count in
-    ``thread_choices`` and the best of them (the paper's CPU baseline
+    The numerics run here; the modeled time for every MKL thread count the
+    paper sweeps and the best of them (the paper's CPU baseline
     protocol; assembly loops are OpenMP-parallel, §III) is the pattern's
     :func:`~repro.numeric.result.cpu_cost`, priced once and shared.
     ``dtype`` selects the factor precision (``None`` keeps the values').
@@ -213,5 +212,5 @@ def factorize_rl_cpu(symb, A, *, machine=None, thread_choices=CPU_THREAD_CHOICES
         U = factor_update(entry, routines)
         if U is not None:
             _assemble(storage, index, s, U)
-    cost = cpu_cost(symb, "rl", machine, thread_choices, storage.itemsize)
+    cost = cpu_cost(symb, "rl", machine, itemsize=storage.itemsize)
     return cost.result("rl", storage, {"workspace_entries": update_workspace_entries(symb)})

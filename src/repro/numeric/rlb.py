@@ -41,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..dense import kernels as dk
-from ..gpu.costmodel import CPU_THREAD_CHOICES
 from ..symbolic.blocks import pair_index
 from .result import cpu_cost
 from .rl import factor_entry
@@ -179,8 +178,7 @@ def run_pair_range(storage, index, lo, hi, plan=None, leave=None):
             pair_updates(storage, index, s, rect, routines, plan, leave)
 
 
-def factorize_rlb_cpu(symb, A, *, machine=None,
-                      thread_choices=CPU_THREAD_CHOICES, dtype=None):
+def factorize_rlb_cpu(symb, A, *, machine=None, dtype=None):
     """CPU-only RLB factorization (direct in-place updates, no assembly).
 
     As with RL, the modeled time for all MKL thread counts is the
@@ -192,5 +190,5 @@ def factorize_rlb_cpu(symb, A, *, machine=None,
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
     index = pair_index(symb)
     run_pair_range(storage, index, 0, symb.nsup)
-    cost = cpu_cost(symb, "rlb", machine, thread_choices, storage.itemsize)
+    cost = cpu_cost(symb, "rlb", machine, itemsize=storage.itemsize)
     return cost.result("rlb", storage, {"block_pairs": index.npairs})

@@ -7,7 +7,9 @@ SYRK/GEMM block-pair calls.  DAG-scheduled factorization codes (MA87, the
 paper's ref [9]) make this trade-off concrete: finer tasks expose more
 parallelism but pay per-task scheduling overhead.
 
-This module builds both task DAGs over a symbolic factorization —
+This module reads both task DAGs of a symbolic factorization off the
+executor's own plan (:func:`~repro.numeric.executor.dag_plan` at one task
+per supernode — what runs is what is analysed) —
 
 * **coarse** (RL-style): one task per supernode (its POTRF + TRSM + SYRK +
   assembly), with an edge from every descendant that updates it;
@@ -30,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gpu.costmodel import MachineModel, kernel_flops
-from ..symbolic.blocks import pair_index
+from ..symbolic.ranges import trivial_ranges
+from .executor import _FAMILY, dag_plan
+from .result import kernel_stream
 
 __all__ = [
     "Task",
@@ -90,35 +94,46 @@ class TaskGraph:
         return self
 
 
-def _snode_ancestor_owners(symb, s):
-    """Distinct supernodes that supernode ``s`` updates."""
-    below = symb.snode_below_rows(s)
-    if below.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(symb.col2sn[below])
+def _graph(symb, granularity, machine, threads):
+    """The executor's per-supernode task DAG as a :class:`TaskGraph`.
 
-
-def _kernel_seconds(machine, kind, threads, **dims):
-    """Modeled seconds of one BLAS call at *raw* (undilated) dimensions.
-
-    Scheduling compares two decompositions of the *same* flops; the graded
-    dilation of :class:`~repro.gpu.costmodel.MachineModel` would make the
-    split kernels artificially cheap (smaller kernels dilate less), so the
-    DAG durations deliberately stay at surrogate scale.
+    Edges are :attr:`~repro.numeric.executor.DagPlan.children` of
+    ``dag_plan(symb, granularity, trivial_ranges(symb))`` — task ``s`` is
+    supernode ``s``, the fine plan's pair tasks follow in the serial pair
+    order — and durations come from the family's
+    :func:`~repro.numeric.result.kernel_stream`: POTRF and TRSM (coarse:
+    and the SYRK) are charged to the supernode's task, each fine SYRK/GEMM
+    to its pair's.  Durations are modeled seconds at *raw* (undilated)
+    dimensions: scheduling compares two decompositions of the *same*
+    flops, and the graded dilation of
+    :class:`~repro.gpu.costmodel.MachineModel` would make the split
+    kernels artificially cheap (smaller kernels dilate less).
     """
-    f = kernel_flops(kind, dims.get("m", 0), dims.get("n", 0),
-                     dims.get("k", 0))
-    return machine.cpu.kernel_time(f, threads)
-
-
-def _snode_kernel_seconds(machine, m, w, threads):
-    """Modeled seconds of POTRF + TRSM + SYRK for an ``(m, w)`` panel."""
-    b = m - w
-    t = _kernel_seconds(machine, "potrf", threads, n=w)
-    if b:
-        t += _kernel_seconds(machine, "trsm", threads, m=b, n=w)
-        t += _kernel_seconds(machine, "syrk", threads, n=b, k=w)
-    return t
+    cpu = (machine or MachineModel()).cpu
+    plan = dag_plan(symb, granularity, trivial_ranges(symb))
+    nsup = symb.nsup
+    fine = granularity == "fine"
+    duration = [0.0] * plan.ntasks
+    pair = nsup
+    for s, kind, m, n, k in kernel_stream(symb, _FAMILY[granularity]):
+        if kind == "assembly":
+            continue
+        seconds = cpu.kernel_time(kernel_flops(kind, m, n, k), threads)
+        if fine and kind not in ("potrf", "trsm"):
+            duration[pair] = seconds
+            pair += 1
+        else:
+            duration[s] += seconds
+    single = "factor" if fine else "snode"
+    tasks = [Task(f"{single}{s}", single, duration[s], s) for s in range(nsup)]
+    for i, (s, upper, lower) in enumerate(plan.pairs):
+        tasks.append(Task(f"pair{s}:{upper.first_row}:{lower.first_row}",
+                          "pair", duration[nsup + i], s))
+    preds = [[] for _ in tasks]
+    for t, children in enumerate(plan.children):
+        for c in children:
+            preds[c].append(t)
+    return TaskGraph(tasks, preds, [list(c) for c in plan.children]).validate()
 
 
 def build_coarse_graph(symb, *, machine=None, threads=1):
@@ -127,19 +142,7 @@ def build_coarse_graph(symb, *, machine=None, threads=1):
     ``threads`` is the BLAS thread count *inside* one task (coarse tasks
     parallelize internally — the paper's point).
     """
-    machine = machine or MachineModel()
-    tasks = []
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        tasks.append(Task(f"snode{s}", "snode",
-                          _snode_kernel_seconds(machine, m, w, threads), s))
-    preds = [[] for _ in range(symb.nsup)]
-    succs = [[] for _ in range(symb.nsup)]
-    for s in range(symb.nsup):
-        for p in _snode_ancestor_owners(symb, s):
-            preds[int(p)].append(s)
-            succs[s].append(int(p))
-    return TaskGraph(tasks, preds, succs).validate()
+    return _graph(symb, "coarse", machine, threads)
 
 
 def build_fine_graph(symb, *, machine=None, threads=1):
@@ -148,40 +151,7 @@ def build_fine_graph(symb, *, machine=None, threads=1):
     Edges: ``factor(J) → pair(J, bi, bj) → factor(owner(bi))`` — an update
     into an ancestor panel must land before that ancestor factorizes.
     """
-    machine = machine or MachineModel()
-    tasks = []
-    preds = []
-    succs = []
-    factor_id = {}
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        b = m - w
-        t = _kernel_seconds(machine, "potrf", threads, n=w)
-        if b:
-            t += _kernel_seconds(machine, "trsm", threads, m=b, n=w)
-        factor_id[s] = len(tasks)
-        tasks.append(Task(f"factor{s}", "factor", t, s))
-        preds.append([])
-        succs.append([])
-    index = pair_index(symb)
-    source, owner = index.blk_source.tolist(), index.blk_owner.tolist()
-    first, length = index.blk_first.tolist(), index.blk_len.tolist()
-    width = np.diff(symb.snptr).tolist()
-    for i, j in zip(index.upper.tolist(), index.lower.tolist()):
-        s = source[i]
-        if j == i:
-            dur = _kernel_seconds(machine, "syrk", threads,
-                                  n=length[i], k=width[s])
-        else:
-            dur = _kernel_seconds(machine, "gemm", threads,
-                                  m=length[j], n=length[i], k=width[s])
-        tid = len(tasks)
-        tasks.append(Task(f"pair{s}:{first[i]}:{first[j]}", "pair", dur, s))
-        preds.append([factor_id[s]])
-        succs.append([factor_id[owner[i]]])
-        succs[factor_id[s]].append(tid)
-        preds[factor_id[owner[i]]].append(tid)
-    return TaskGraph(tasks, preds, succs).validate()
+    return _graph(symb, "fine", machine, threads)
 
 
 def critical_path(graph):

@@ -39,10 +39,11 @@ failed downdate leaves the factor exactly as it was.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ..dense.kernels import NotPositiveDefiniteError
+from ..dense.kernels import NotPositiveDefiniteError, check_finite
 from ..solve.sparse_rhs import solve_reach
 
 __all__ = [
@@ -52,18 +53,6 @@ __all__ = [
     "column_structure",
     "path_union",
 ]
-
-
-def _column_parent(symb, j):
-    """Parent of column ``j`` in the (column) elimination tree, derived
-    from the supernodal structure: the smallest row index > j in
-    ``struct(L_{:,j})``; ``-1`` at a root."""
-    s = int(symb.col2sn[j])
-    first, last = symb.snode_cols(s)
-    if j + 1 < last:
-        return j + 1
-    below = symb.snode_below_rows(s)
-    return int(below[0]) if below.size else -1
 
 
 def column_structure(symb, j):
@@ -118,16 +107,60 @@ def affected_columns(symb, w_pattern):
     return path_union(symb, [int(w_pattern.min())]).tolist()
 
 
-def _check_no_fill(symb, nz, j0, rank=None):
-    """The no-new-fill containment check for one carry vector."""
-    outside = np.setdiff1d(nz[1:], column_structure(symb, j0))
-    if outside.size:
-        which = "" if rank is None else f" (column {rank} of W)"
+class _Modification(NamedTuple):
+    """What one rank-k modification touches — see :func:`_modification_plan`.
+
+    ``roots`` are the entry columns ``j0 = min struct(W[:, r])`` of the
+    nonempty columns of ``W``; ``paths[i]`` is the elimination-tree path of
+    ``roots[i]``, ``union`` their merged union (ascending — what the sweep
+    walks) and ``snodes`` the supernodes it touches.  ``uncontained`` is
+    ``None`` when every column passes the no-new-fill check, else ``(r, j0,
+    rows)`` of the first column ``r`` that fails.
+    """
+
+    roots: tuple
+    paths: tuple
+    union: np.ndarray
+    snodes: np.ndarray
+    uncontained: tuple | None
+
+    def require_contained(self, name_column=True):
+        """Raise the containment ``ValueError`` if a column failed."""
+        if self.uncontained is None:
+            return
+        r, j0, outside = self.uncontained
+        which = f" (column {r} of W)" if name_column else ""
         raise ValueError(
             f"rank-1 vector{which} has entries at rows "
             f"{outside[:5].tolist()} outside struct(L[:, {j0}]) — the "
             "modification would create new fill; refactorize instead"
         )
+
+
+def _modification_plan(symb, W, check=True):
+    """Everything a consumer of the modification ``A ± W W^T`` derives from
+    the pattern of ``W`` (``(n, k)``, factor ordering, values ignored), once:
+    per column the entry column, the containment verdict (skipped with
+    ``check=False``) and the path; the merged union; the touched supernodes.
+    The sweep, the copy-on-write of :meth:`repro.api.Factor.update` and the
+    pricing of :func:`repro.update.crossover.update_cost` all read the
+    returned :class:`_Modification`."""
+    roots, paths = [], []
+    uncontained = None
+    for r in range(W.shape[1]):
+        nz = np.flatnonzero(W[:, r])
+        if nz.size == 0:
+            continue  # identity column
+        j0 = int(nz[0])
+        if check and uncontained is None:
+            outside = np.setdiff1d(nz[1:], column_structure(symb, j0))
+            if outside.size:
+                uncontained = (r, j0, outside)
+        roots.append(j0)
+        paths.append(path_union(symb, [j0]))
+    union = np.unique(np.concatenate(paths)) if paths else np.empty(0, dtype=np.int64)
+    return _Modification(tuple(roots), tuple(paths), union,
+                         np.unique(symb.col2sn[union]), uncontained)
 
 
 def _sweep(storage, W, path, sign):
@@ -167,20 +200,28 @@ def _sweep(storage, W, path, sign):
                 W[rows_below, r] = c * wb - sfac * col_new
 
 
-def _run_atomic(storage, W, path, sign, snapshot):
-    """Run the sweep, restoring the touched panels on failure."""
-    symb = storage.symb
+def _run_atomic(storage, W, mod, downdate, snapshot):
+    """Sweep the carry vectors ``W`` (mutated) along ``mod.union``,
+    restoring the touched panels on failure when ``snapshot``."""
     saved = None
     if snapshot:
-        snodes = np.unique(symb.col2sn[path]) if len(path) else ()
-        saved = {int(s): storage.panel(int(s)).copy() for s in snodes}
+        saved = {s: storage.panel(s).copy() for s in mod.snodes.tolist()}
     try:
-        _sweep(storage, W, path, sign)
+        _sweep(storage, W, mod.union, -1.0 if downdate else 1.0)
     except NotPositiveDefiniteError:
         if saved is not None:
             for s, panel in saved.items():
                 storage.panel(s)[...] = panel
         raise
+
+
+def _modify(storage, W, downdate, check_structure, snapshot, name_column):
+    """The in-place entry points after shape validation: refuse non-finite
+    values, plan, check containment, sweep ``W`` (a private copy)."""
+    mod = _modification_plan(storage.symb, check_finite(W, "update vectors"), check_structure)
+    mod.require_contained(name_column)
+    _run_atomic(storage, W, mod, downdate, snapshot)
+    return mod.union.tolist()
 
 
 def rank1_update(storage, w, *, downdate=False, check_structure=True, snapshot=True):
@@ -213,16 +254,7 @@ def rank1_update(storage, w, *, downdate=False, check_structure=True, snapshot=T
     w = np.array(w, dtype=np.float64, copy=True)
     if w.shape != (symb.n,):
         raise ValueError("w must have shape (n,)")
-    nz = np.flatnonzero(w)
-    if nz.size == 0:
-        return []
-    j0 = int(nz[0])
-    if check_structure:
-        _check_no_fill(symb, nz, j0)
-    path = affected_columns(symb, nz)
-    sign = -1.0 if downdate else 1.0
-    _run_atomic(storage, w[:, None], path, sign, snapshot)
-    return path
+    return _modify(storage, w[:, None], downdate, check_structure, snapshot, name_column=False)
 
 
 def rank_k_update(storage, W, *, downdate=False, check_structure=True, snapshot=True):
@@ -255,18 +287,4 @@ def rank_k_update(storage, W, *, downdate=False, check_structure=True, snapshot=
         W = W[:, None]
     if W.ndim != 2 or W.shape[0] != symb.n:
         raise ValueError("W must have shape (n,) or (n, k)")
-    roots = []
-    for r in range(W.shape[1]):
-        nz = np.flatnonzero(W[:, r])
-        if nz.size == 0:
-            continue
-        j0 = int(nz[0])
-        if check_structure:
-            _check_no_fill(symb, nz, j0, rank=r)
-        roots.append(j0)
-    if not roots:
-        return []
-    path = path_union(symb, roots)
-    sign = -1.0 if downdate else 1.0
-    _run_atomic(storage, W, path, sign, snapshot)
-    return path.tolist()
+    return _modify(storage, W, downdate, check_structure, snapshot, name_column=True)

@@ -43,6 +43,7 @@ before any work is enqueued and leaves every other request untouched.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -632,25 +633,28 @@ class Gateway:
                 f"request on pattern {fp[:8]} timed out after {timeout}s"
             ) from None
 
-    async def _serve(self, fp, matrix, values, b, tenant, timeout=None,
-                     dtype=None):
+    @contextlib.asynccontextmanager
+    async def _request(self, fp, matrix, tenant, *, update=False):
+        """The envelope of every request, whatever its kind: admit, find
+        (or analyze) the entry, pin it while the body — the numeric
+        submission and its :meth:`_await_numeric` — runs, then account the
+        latency, unpin, evict what the pin deferred, release the admission
+        slot and record the trace span.  Yields the pinned entry.  An
+        ``update`` additionally needs the pattern's base factor and is
+        traced as ``upd:`` instead of ``req:``."""
         self._admit(tenant)
         t0 = time.perf_counter()
         try:
             entry = await self._entry_for(fp, matrix)
+            if update and entry.latest_factor is None:
+                raise NoBaseFactorError(
+                    f"pattern {fp[:8]} has no served base factor; submit "
+                    "the full matrix (without b) before submitting updates"
+                )
             entry.pins += 1
             entry.requests += 1
             try:
-                if b is None:
-                    cf = entry.session.submit(values, dtype=dtype)
-                else:
-                    cf = entry.session.submit_solve(values, b, dtype=dtype)
-                result = await self._await_numeric(cf, fp, timeout)
-                if b is None:
-                    # back on the loop thread: the freshest factor of this
-                    # pattern becomes the base for submit_update
-                    entry.latest_factor = result
-                return result
+                yield entry
             finally:
                 entry.pins -= 1
                 dt = time.perf_counter() - t0
@@ -660,9 +664,23 @@ class Gateway:
         finally:
             self._release(tenant)
             if self._tracer is not None:
-                self._tracer.record("gateway", f"req:{fp[:8]}",
-                                    t0 - self._origin,
-                                    time.perf_counter() - self._origin)
+                self._tracer.record(
+                    "gateway", f"{'upd' if update else 'req'}:{fp[:8]}",
+                    t0 - self._origin, time.perf_counter() - self._origin)
+
+    async def _serve(self, fp, matrix, values, b, tenant, timeout=None,
+                     dtype=None):
+        async with self._request(fp, matrix, tenant) as entry:
+            if b is None:
+                cf = entry.session.submit(values, dtype=dtype)
+            else:
+                cf = entry.session.submit_solve(values, b, dtype=dtype)
+            result = await self._await_numeric(cf, fp, timeout)
+            if b is None:
+                # back on the loop thread: the freshest factor of this
+                # pattern becomes the base for submit_update
+                entry.latest_factor = result
+            return result
 
     async def submit_update(self, fingerprint, W, b=None, *,
                             tenant="default", downdate=False,
@@ -684,50 +702,27 @@ class Gateway:
         (:class:`NoBaseFactorError` otherwise).  Admission control,
         ``timeout`` and failure isolation behave exactly as in
         :meth:`submit`; a failed update (non-SPD downdate, uncontained
-        pattern) rejects only this call and leaves the base factor intact
-        (updates are copy-on-write).  Counted in
+        pattern, a NaN or ±Inf entry of ``W`` —
+        :class:`~repro.dense.kernels.NonFiniteValuesError`, refused at
+        submission) rejects only this call and leaves the base factor
+        intact (updates are copy-on-write).  Counted in
         :attr:`GatewayStats.updates`.
         """
         self._bind_loop()
-        self._admit(tenant)
         fp = fingerprint
-        t0 = time.perf_counter()
-        try:
-            entry = await self._entry_for(fp, None)
-            if entry.latest_factor is None:
-                raise NoBaseFactorError(
-                    f"pattern {fp[:8]} has no served base factor; submit "
-                    "the full matrix (without b) before submitting updates"
-                )
-            entry.pins += 1
-            entry.requests += 1
-            try:
-                base = entry.latest_factor
-                holder = {}
-                cf = entry.session.submit_update(
-                    base, W, b=b, downdate=downdate, policy=policy,
-                    on_factor=lambda f: holder.setdefault("factor", f))
-                result = await self._await_numeric(cf, fp, timeout)
-                # a successful await implies the factor stage completed
-                # (any chained solve runs after it), so the holder is
-                # populated; back on the loop thread, advance the base
-                entry.latest_factor = holder.get(
-                    "factor", result if b is None else None)
-                entry.updates += 1
-                self._updates += 1
-                return result
-            finally:
-                entry.pins -= 1
-                dt = time.perf_counter() - t0
-                entry.latency_sum += dt
-                entry.latency_max = max(entry.latency_max, dt)
-                self._evict()
-        finally:
-            self._release(tenant)
-            if self._tracer is not None:
-                self._tracer.record("gateway", f"upd:{fp[:8]}",
-                                    t0 - self._origin,
-                                    time.perf_counter() - self._origin)
+        async with self._request(fp, None, tenant, update=True) as entry:
+            made = []
+            cf = entry.session.submit_update(
+                entry.latest_factor, W, b=b, downdate=downdate,
+                policy=policy, on_factor=made.append)
+            result = await self._await_numeric(cf, fp, timeout)
+            # a successful await implies the factor stage completed (any
+            # chained solve runs after it), so ``made`` holds the factor;
+            # back on the loop thread, advance the base
+            entry.latest_factor = made[0]
+            entry.updates += 1
+            self._updates += 1
+            return result
 
     # ------------------------------------------------------------------
     # introspection

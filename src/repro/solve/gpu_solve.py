@@ -73,10 +73,10 @@ def solve_flops(symb, k=1):
 # ----------------------------------------------------------------------
 # pattern-only cost accumulation (shared by the solvers and the estimate)
 # ----------------------------------------------------------------------
-def _cpu_sweep_times(symb, k, machine, thread_choices):
+def _cpu_sweep_times(symb, k, machine):
     """Best-over-threads accumulation of the host solve's BLAS calls for
     ``k`` right-hand sides: ``({threads: seconds}, calls)``."""
-    times = {t: 0.0 for t in thread_choices}
+    times = {t: 0.0 for t in CPU_THREAD_CHOICES}
     calls = 0
     for s in range(symb.nsup):
         m, w = symb.panel_shape(s)
@@ -117,8 +117,7 @@ def _gpu_sweep_seconds(symb, k, machine, factor_resident):
     return seconds, kernels, h2d_bytes
 
 
-def solve_offload_estimate(symb, k=1, *, machine=None,
-                           thread_choices=CPU_THREAD_CHOICES):
+def solve_offload_estimate(symb, k=1, *, machine=None):
     """Pattern-only modeled comparison of the solve phase for ``k``
     right-hand sides — no numerics, usable straight from a
     :class:`~repro.api.SymbolicPlan`.
@@ -130,7 +129,7 @@ def solve_offload_estimate(symb, k=1, *, machine=None,
     (``"cpu"`` or ``"gpu"``, cold-factor comparison).
     """
     machine = machine or MachineModel()
-    times, _ = _cpu_sweep_times(symb, k, machine, thread_choices)
+    times, _ = _cpu_sweep_times(symb, k, machine)
     threads, cpu_seconds = machine.cpu.best_threads(times)
     gpu_seconds, _, _ = _gpu_sweep_seconds(symb, k, machine, False)
     gpu_resident, _, _ = _gpu_sweep_seconds(symb, k, machine, True)
@@ -149,8 +148,7 @@ def solve_offload_estimate(symb, k=1, *, machine=None,
 # ----------------------------------------------------------------------
 # executing solvers (real numerics + the modeled clock)
 # ----------------------------------------------------------------------
-def solve_factored_cpu(storage, b, *, machine=None,
-                       thread_choices=CPU_THREAD_CHOICES):
+def solve_factored_cpu(storage, b, *, machine=None):
     """Supernodal ``L L^T x = b`` on the host with modeled time.
 
     Returns ``(x, seconds, stats)``; ``seconds`` is best-over-threads as in
@@ -159,7 +157,7 @@ def solve_factored_cpu(storage, b, *, machine=None,
     machine = machine or MachineModel()
     symb = storage.symb
     k = _rhs_cols(b)
-    times, calls = _cpu_sweep_times(symb, k, machine, thread_choices)
+    times, calls = _cpu_sweep_times(symb, k, machine)
     x = solve_factored(storage, b)
     threads, seconds = machine.cpu.best_threads(times)
     return x, seconds, {

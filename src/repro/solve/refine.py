@@ -20,9 +20,7 @@ __all__ = ["RefinementResult", "refine", "relative_residual"]
 
 def _relative_residual_norm(b, r):
     """Max over columns of ``||r||_inf / ||b||_inf`` (per-column norms so
-    no small-scale column hides behind a large one).  Also consumed by
-    the streaming refinement chain of :meth:`repro.api.ServingSession
-    .submit_solve` — keep the convention in sync with :func:`refine`."""
+    no small-scale column hides behind a large one)."""
     denom = np.maximum(np.abs(b).max(axis=0), 1e-300)
     return float((np.abs(r).max(axis=0) / denom).max())
 
@@ -54,6 +52,44 @@ class RefinementResult:
     iterations: int
     converged: bool
     stalled: bool = False
+
+
+class _RefinementChain:
+    """One refinement chain's state, advanced in one place.
+
+    Whoever runs the solves — :func:`refine`'s loop, or the pool callbacks
+    of :meth:`repro.api.ServingSession.submit_solve` — hands each solved
+    vector (original ordering) to :meth:`step`: first ``x0``, then the
+    corrections.  ``step`` returns the next right-hand side (the residual
+    ``b - A x``), or ``None`` once the chain has ended — ``tol`` reached,
+    ``max_iter`` residuals evaluated, or, with a ``stall_ratio``, a step
+    failed to contract the residual; ``out`` is then the result.
+    """
+
+    def __init__(self, A, b, tol, max_iter, stall_ratio=None):
+        self.A = A
+        self.b = np.asarray(b, dtype=np.float64)
+        self.tol = tol
+        self.max_iter = max_iter
+        self.stall_ratio = stall_ratio
+        self.out = RefinementResult(None, [], 0, converged=False)
+
+    def step(self, solved):
+        out = self.out
+        out.x = solved if out.x is None else out.x + solved
+        if out.iterations >= self.max_iter:
+            return None
+        r = self.b - self.A.matvec(out.x)
+        out.residual_norms.append(_relative_residual_norm(self.b, r))
+        out.iterations += 1
+        if out.residual_norms[-1] <= self.tol:
+            out.converged = True
+            return None
+        if self.stall_ratio is not None:
+            from ..numeric.threshold import refinement_stalled
+
+            out.stalled = refinement_stalled(out.residual_norms, ratio=self.stall_ratio)
+        return None if out.stalled else r
 
 
 def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
@@ -91,10 +127,6 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
         reach ``tol`` however long it iterates.  ``None`` (default)
         disables stall detection and keeps the historical behaviour.
     """
-    from ..numeric.threshold import refinement_stalled
-
-    b = np.asarray(b, dtype=np.float64)
-
     def direct_solve(rhs):
         # rhs[perm] is already a fresh gather: solve it in place, one copy
         y = solve_factored(storage, rhs[perm], overwrite_b=True,
@@ -103,23 +135,9 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
         out[perm] = y
         return out
 
-    x = direct_solve(b) if x0 is None else np.array(x0, dtype=np.float64)
-    history = []
-    converged = False
-    stalled = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        r = b - A.matvec(x)
-        rnorm = _relative_residual_norm(b, r)
-        history.append(rnorm)
-        if rnorm <= tol:
-            converged = True
-            break
-        if stall_ratio is not None and refinement_stalled(
-                history, ratio=stall_ratio):
-            stalled = True
-            break
-        x = x + direct_solve(r)
-    return RefinementResult(x=x, residual_norms=history,
-                            iterations=it, converged=converged,
-                            stalled=stalled)
+    chain = _RefinementChain(A, b, tol, max_iter, stall_ratio)
+    rhs = chain.step(direct_solve(chain.b) if x0 is None
+                     else np.array(x0, dtype=np.float64))
+    while rhs is not None:
+        rhs = chain.step(direct_solve(rhs))
+    return chain.out

@@ -18,10 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..numeric.updown import column_structure, path_union
-
 __all__ = ["UpdateCost", "UpdateCostModel", "update_cost", "DEFAULT_UPDATE_MODEL"]
 
 # flops per touched factor entry per rank: the GGMS rotation reads and
@@ -93,27 +89,24 @@ def _column_entries(symb, path):
     """Touched factor entries (diagonal included) per path column,
     vectorized per supernode: column ``first + i`` of a supernode with
     ``nrows`` panel rows owns ``nrows - i`` entries."""
-    if len(path) == 0:
-        return np.empty(0, dtype=np.int64)
-    path = np.asarray(path, dtype=np.int64)
     snodes = symb.col2sn[path]
     first = symb.snptr[snodes]
     nrows = symb.rowptr[snodes + 1] - symb.rowptr[snodes]
     return nrows - (path - first)
 
 
-def update_cost(symb, patterns, *, model=None):
-    """Price update vs refactorize for per-rank patterns ``patterns``.
+def update_cost(symb, mod, *, model=None):
+    """Price update vs refactorize for one planned modification.
 
     Parameters
     ----------
     symb:
-        The :class:`~repro.symbolic.structure.SymbolicFactor` (permuted
-        ordering — patterns must be row indices into the factor).
-    patterns:
-        Sequence of k index arrays, one per rank: the nonzero rows of each
-        column of ``W`` in the factor's ordering.  Empty patterns are
-        identity columns and are skipped.
+        The :class:`~repro.symbolic.structure.SymbolicFactor`.
+    mod:
+        The modification's plan on ``symb``
+        (:func:`repro.numeric.updown._modification_plan`): its per-rank
+        paths, merged union, touched supernodes and containment verdict
+        are priced as they stand — nothing is derived from ``W`` here.
     model:
         :class:`UpdateCostModel` constants (default
         :data:`DEFAULT_UPDATE_MODEL`).
@@ -123,53 +116,25 @@ def update_cost(symb, patterns, *, model=None):
     :class:`UpdateCost`
     """
     model = model or DEFAULT_UPDATE_MODEL
-    roots = []
-    contained = True
-    per_rank_roots = []
-    for pattern in patterns:
-        pattern = np.unique(np.asarray(pattern, dtype=np.int64))
-        if pattern.size == 0:
-            continue
-        j0 = int(pattern[0])
-        if contained:
-            outside = np.setdiff1d(pattern[1:], column_structure(symb, j0))
-            contained = outside.size == 0
-        roots.append(j0)
-        per_rank_roots.append(j0)
-    if not roots:
-        refz_flops = float(symb.factor_flops())
-        return UpdateCost(
-            rank=0,
-            path_cols=0,
-            path_snodes=0,
-            update_flops=0.0,
-            refactorize_flops=refz_flops,
-            update_seconds=0.0,
-            refactorize_seconds=model.refactorize_seconds(refz_flops, symb.nsup),
-            contained=True,
-            recommended="update",
-        )
-    union = path_union(symb, roots)
     # each rank sweeps its own root-to-tree-root path; price them
     # individually (the union alone would overprice disjoint short paths)
     update_flops = 0.0
     rotations = 0
-    for j0 in per_rank_roots:
-        path = path_union(symb, [j0])
+    for path in mod.paths:
         update_flops += _FLOPS_PER_ENTRY * float(_column_entries(symb, path).sum())
         rotations += len(path)
     refz_flops = float(symb.factor_flops())
     up_s = model.update_seconds(update_flops, rotations)
     refz_s = model.refactorize_seconds(refz_flops, symb.nsup)
-    recommended = "update" if (contained and up_s <= refz_s) else "refactorize"
+    contained = mod.uncontained is None
     return UpdateCost(
-        rank=len(per_rank_roots),
-        path_cols=int(union.size),
-        path_snodes=int(np.unique(symb.col2sn[union]).size) if union.size else 0,
+        rank=len(mod.roots),
+        path_cols=int(mod.union.size),
+        path_snodes=int(mod.snodes.size),
         update_flops=update_flops,
         refactorize_flops=refz_flops,
         update_seconds=up_s,
         refactorize_seconds=refz_s,
         contained=contained,
-        recommended=recommended,
+        recommended="update" if (contained and up_s <= refz_s) else "refactorize",
     )

@@ -53,6 +53,7 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.api", "FactorBatch"),
     ("repro.api", "ServingSession"),
     ("repro.api", "same_pattern_values"),
+    ("repro.api", "PatternMismatchError"),
     ("repro.sparse", "spd_value_sweep"),
     ("repro.numeric.registry", "ENGINES"),
     ("repro.numeric.registry", "EngineSpec"),
@@ -75,18 +76,14 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric", "scaled_panel_entries_array"),
     ("repro.numeric.result", "HybridResult"),
     ("repro.numeric.executor", "run_task_graph"),
-    ("repro.numeric.executor", "Backend"),
-    ("repro.numeric.executor", "ThreadBackend"),
     ("repro.numeric.executor", "GpuStreamBackend"),
     ("repro.numeric.executor", "HybridBackend"),
     ("repro.numeric.executor", "StreamPool"),
     ("repro.numeric.executor", "stream_factorize_job"),
     ("repro.numeric.executor", "warm_executor_plan"),
     ("repro.numeric.executor", "dag_plan"),
-    ("repro.numeric", "ProcessBackend"),
     ("repro.numeric", "ProcessPool"),
     ("repro.numeric", "factorize_process"),
-    ("repro.numeric.procpool", "ProcessBackend"),
     ("repro.numeric.procpool", "ProcessPool"),
     ("repro.numeric.procpool", "WorkerDiedError"),
     ("repro.numeric.procpool", "factorize_process"),

@@ -46,6 +46,7 @@ class TestCorrectness:
         res = factorize_executor(system.symb, system.matrix, workers=2, granularity=granularity)
         serial = SERIAL[granularity](system.symb, system.matrix)
         assert res.extra["workers"] == 2
+        assert res.extra["backend"] == "threads"
         assert res.extra["granularity"] == granularity
         assert res.extra["wall_seconds"] > 0.0
         # one priced pattern behind both engines: exact, in either precision

@@ -155,6 +155,65 @@ class TestInputValidation:
         assert stats.in_flight == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_update_vectors_refused(self, bad):
+        """A NaN/Inf entry of ``W`` used to sweep NaN into the panels (the
+        pivot test is false for NaN) and, through the gateway, into the
+        pattern's base factor.  Every door refuses it where the values
+        enter — ``update_cost`` alone ignores values — and a valid update
+        after the refused one succeeds."""
+        import asyncio
+        import copy
+
+        import repro
+        from repro.numeric import rank1_update, rank_k_update
+        from repro.serving import Gateway
+        from repro.update import structured_update
+
+        A = grid_laplacian((6, 5))
+        plan = repro.plan(A)
+        factor = plan.factorize(engine="rl")
+        good = structured_update(plan.symb, plan.perm, [3, 11], nent=3, seed=1, scale=0.1)
+        W = good.copy()
+        W[np.flatnonzero(W[:, 1])[0], 1] = bad
+        before = factor.storage.arena.copy()
+        scratch = copy.deepcopy(factor.storage)
+        doors = [
+            lambda: factor.update(W),
+            lambda: factor.downdate(W),
+            lambda: factor.apply(W),
+            lambda: factor.apply(W, policy="refactorize"),
+            lambda: rank_k_update(scratch, W[plan.perm]),
+            lambda: rank1_update(scratch, W[plan.perm][:, 1]),
+        ]
+        for door in doors:
+            with pytest.raises(repro.NonFiniteValuesError, match="update vectors") as ei:
+                door()
+            assert ei.value.count == 1 and ei.value.what == "update vectors"
+        assert np.array_equal(factor.storage.arena, before)
+        assert np.array_equal(scratch.arena, before)
+        assert factor.update_cost(W) == factor.update_cost(good)  # pattern only
+        b = np.ones(A.n)
+        want = factor.update(good).solve(b)
+        with plan.serve(engine="rl_par", workers=2) as session:
+            with pytest.raises(repro.NonFiniteValuesError, match="update vectors"):
+                session.submit_update(factor, W, b=b)
+            assert np.array_equal(session.submit_update(factor, good, b=b).result(timeout=60), want)
+
+        async def go():
+            async with Gateway(workers=2, tenant_budget=1) as gw:
+                fp = gw.fingerprint(A)
+                base = await gw.submit(A)
+                for rhs in (None, b):
+                    with pytest.raises(repro.NonFiniteValuesError, match="update vectors"):
+                        await gw.submit_update(fp, W, rhs)
+                stats = gw.stats()
+                return base, await gw.submit_update(fp, good, b), stats
+
+        base, served, stats = asyncio.run(go())
+        assert stats.in_flight == 0 and stats.updates == 0
+        assert np.array_equal(served, base.update(good).solve(b))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rhs_refused(self, bad):
         """A NaN/Inf right-hand side is refused once, where every solve door
         validates it — not solved ``max_iter`` times by a refinement whose
@@ -352,6 +411,49 @@ class TestInputValidation:
         for door in doors:
             with pytest.raises(TypeError):
                 door(workers)
+
+    @pytest.mark.parametrize("devices", [2.5, "2", 2.0, None])
+    def test_non_integral_devices_refused(self, devices):
+        """``devices=2.5`` was two devices on the solve side (``int()``
+        truncated it) and a ``TypeError`` on the factorize side: now a
+        ``TypeError`` at every door that takes a device count."""
+        import asyncio
+
+        import repro
+        from repro.numeric import GpuStreamBackend, HybridBackend, factorize_gpu_dag
+        from repro.serving import Gateway
+        from repro.solve import solve_factored_gpu_dag
+
+        A = grid_laplacian((4, 4))
+        plan = repro.plan(A)
+        factor = plan.factorize(engine="rl")
+        b = np.ones(A.n)
+
+        async def gateway(d):
+            async with Gateway(workers=1, backend="gpu", devices=d) as gw:
+                await gw.submit(A, b)
+
+        doors = [
+            lambda d: plan.factorize(engine="rl_gpu", devices=d),
+            lambda d: plan.factorize_batch([A.data], backend="gpu", devices=d),
+            lambda d: plan.serve(backend="gpu", devices=d).close(),
+            lambda d: factor.solve(b, devices=d),
+            lambda d: factor.solve(b, mode="gpu", devices=d),
+            lambda d: asyncio.run(gateway(d)),
+            lambda d: factorize_gpu_dag(plan.symb, plan.system.matrix, devices=d),
+            lambda d: solve_factored_gpu_dag(factor.storage, b, devices=d),
+            lambda d: GpuStreamBackend(devices=d),
+            lambda d: HybridBackend(workers=1, devices=d),
+        ]
+        if devices is None:
+            for door in doors[:6]:  # None is "not given" at the staged doors only
+                door(None)
+            for door in doors:
+                door(np.int64(2))
+            return
+        for door in doors:
+            with pytest.raises(TypeError):
+                door(devices)
 
     def test_dimension_mismatch(self):
         sy_small = analyze(grid_laplacian((4, 4)))

@@ -26,7 +26,7 @@ from repro.numeric import (
     factorize_rlb_cpu,
     factorize_rlb_gpu,
 )
-from repro.numeric.executor import GpuStreamBackend, ThreadBackend
+from repro.numeric.executor import GpuStreamBackend
 from repro.numeric.registry import BACKENDS, backend_engine, get_engine, \
     serial_twin
 from repro.sparse import grid_laplacian, vector_stencil
@@ -294,17 +294,6 @@ class TestRegistryAndApi:
         assert est["recommended"] in ("cpu", "gpu")
         assert est["speedup_cold"] == pytest.approx(
             est["cpu_seconds"] / est["gpu_seconds"])
-
-    def test_factorize_executor_accepts_backend(self, system):
-        from repro.numeric.executor import factorize_executor
-
-        res = factorize_executor(system.symb, system.matrix,
-                                 backend=ThreadBackend(2))
-        assert res.extra["backend"] == "threads"
-        assert res.extra["workers"] == 2
-        with pytest.raises(ValueError, match="backend"):
-            factorize_executor(system.symb, system.matrix, workers=2,
-                               backend=ThreadBackend(2))
 
 
 class TestGpuSolveDag:

@@ -7,9 +7,8 @@ equality with the threaded twin, ``NotPositiveDefiniteError``
 propagation across the process boundary (raw pivot, ``batch_index``
 through :meth:`SymbolicPlan.factorize_batch`, ``stream_index`` through
 ``plan.serve``), leak-free shared-memory teardown on :meth:`ProcessPool.
-close`, the registry/Backend seam (``rl_proc``/``rlb_proc``,
-``backend="process"``, the ``factorize_dag`` delegation hook), and the
-measured ``proc0``/``proc1`` tracer lanes.
+close`, the registry wiring (``rl_proc``/``rlb_proc``,
+``backend="process"``), and the measured ``proc0``/``proc1`` tracer lanes.
 """
 
 import multiprocessing as mp
@@ -21,7 +20,6 @@ import pytest
 import repro
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import (
-    ProcessBackend,
     ProcessPool,
     factorize_executor,
     factorize_process,
@@ -251,11 +249,12 @@ class TestPoolLifecycle:
                 factorize_process(system.symb, system.matrix, pool=pool,
                                   workers=2)
             with pytest.raises(ValueError, match="not both"):
-                ProcessBackend(workers=2, pool=pool)
+                factorize_process(system.symb, system.matrix, pool=pool,
+                                  start_method="spawn")
 
 
 # ---------------------------------------------------------------------------
-# registry + Backend seam
+# registry wiring
 # ---------------------------------------------------------------------------
 class TestBackendSeam:
     def test_registry_wiring(self):
@@ -268,19 +267,6 @@ class TestBackendSeam:
             assert "devices" not in spec.accepts
         assert serial_twin("rl_proc") == "rl"
         assert serial_twin("rlb_proc") == "rlb"
-
-    def test_run_graph_rejects_closures(self):
-        backend = ProcessBackend(workers=1)
-        with pytest.raises(TypeError, match="process boundary"):
-            backend.run_graph(3, [0], lambda tid: [])
-
-    def test_factorize_executor_delegates_whole_dag(self, system,
-                                                    serial_refs):
-        res = factorize_executor(system.symb, system.matrix,
-                                 backend=ProcessBackend(workers=2),
-                                 granularity="fine")
-        assert_same_panels(res, serial_refs["fine"])
-        assert res.extra["backend"] == "process"
 
 
 # ---------------------------------------------------------------------------
