@@ -17,9 +17,6 @@ Results are cached per process so the table/figure benches can share runs.
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,68 +35,9 @@ from repro.numeric import (
 from repro.sparse import SUITE, get_entry
 from repro.symbolic import analyze
 
-__all__ = ["MatrixRun", "run_matrix", "run_suite", "best_of", "forced_cuts",
-           "save_snapshot", "SUITE_NAMES"]
+__all__ = ["MatrixRun", "run_matrix", "run_suite", "SUITE_NAMES"]
 
 SUITE_NAMES = [e.name for e in SUITE]
-
-
-def save_snapshot(name, payload, *, directory=None):
-    """Persist a bench's results as ``BENCH_<NAME>.json``.
-
-    ``directory`` defaults to the ``BENCH_SNAPSHOT_DIR`` environment
-    variable, and — when that is unset too — to ``bench-snapshots/`` at
-    the repo root, so every bench run (local or CI) leaves a
-    machine-readable perf trajectory the next change can diff against.
-    CI's perf-smoke job uploads the directory as a build artifact next to
-    the pass/fail log.  Set ``BENCH_SNAPSHOT_DIR=`` (empty) to opt out of
-    writing any file; the call then returns ``None``.
-    """
-    if directory is None:
-        directory = os.environ.get("BENCH_SNAPSHOT_DIR")
-        if directory is None:
-            directory = pathlib.Path(__file__).resolve().parent.parent \
-                / "bench-snapshots"
-    if not directory:
-        return None
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name.upper()}.json"
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def best_of(fn, repeats):
-    """``(best_seconds, last_result)`` of ``fn()`` over ``repeats`` runs —
-    the wall-clock benches' noise-rejecting timing protocol."""
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def forced_cuts():
-    """Iterate over the forced task-range cuts of the determinism sweeps —
-    ``"singletons"`` (every supernode its own task), ``"default"`` (the
-    fitted constants) and ``"one range"`` (the whole pattern one task) —
-    with the cut's constants in :mod:`repro.symbolic.ranges` patched while
-    each is current.  The partition is memoised per symbolic factor, so
-    analyze inside the loop."""
-    from repro.symbolic import ranges
-
-    saved = ranges.RANGE_WORK, ranges.RANGE_SHARE
-    try:
-        for name, work, share in (("singletons", 0.0, 0.0), ("default", *saved),
-                                  ("one range", float("inf"), 0.0)):
-            ranges.RANGE_WORK, ranges.RANGE_SHARE = work, share
-            yield name
-    finally:
-        ranges.RANGE_WORK, ranges.RANGE_SHARE = saved
 
 
 @dataclass

@@ -88,8 +88,8 @@ def main():
     print(f"batched : {t_batch * 1e3:8.1f} ms "
           f"({t_batch / nbatch * 1e3:6.1f} ms/matrix, workers={workers})")
     print(f"speedup : {t_loop / t_batch:.2f}x "
-          "(grows with cores; BLAS should be pinned to 1 thread — "
-          "see benchmarks/bench_batch.py)")
+          "(below 1x on two cores, see docs/api.md; pin BLAS to 1 thread "
+          "when measuring — `python -m repro batch` prints the same pair)")
 
     # -- streaming: the arrival-driven serving loop -----------------------
     # matrices now arrive one at a time (think: requests on a queue); one

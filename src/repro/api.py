@@ -71,9 +71,9 @@ from .numeric.executor import (
     _resolve_workers,
     _task_label_fn,
     _traced_run,
+    dag_plan,
     factorize_executor_batch,
     stream_factorize_job,
-    warm_executor_plan,
 )
 from .numeric.registry import (
     get_solve_mode,
@@ -1121,7 +1121,7 @@ class ServingSession:
         # cache (DAG plan, solve schedule, scatter plan, block offsets);
         # the matvec plan feeds refinement's residuals, and sharing the
         # host's keeps every submitted matrix from rebuilding it
-        warm_executor_plan(plan.symb, self._granularity)
+        dag_plan(plan.symb, self._granularity)
         solve_schedule(plan.symb)
         plan.matrix._matvec_plan()
         if pool is not None:
@@ -1237,8 +1237,7 @@ class ServingSession:
                        "stream_index": index},
                 dtype=dt,
             )
-            label_of = _task_label_fn(
-                warm_executor_plan(plan.symb, self._granularity))
+            label_of = _task_label_fn(dag_plan(plan.symb, self._granularity))
             t0 = time.perf_counter()
             self._enqueue(ntasks, roots, run_task, label_of, index, future,
                           lambda: done(finish(time.perf_counter() - t0)))

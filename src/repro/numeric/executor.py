@@ -105,7 +105,6 @@ __all__ = [
     "Countdown",
     "StreamPool",
     "stream_factorize_job",
-    "warm_executor_plan",
     "dag_plan",
     "GRANULARITIES",
     "default_workers",
@@ -834,10 +833,6 @@ def _fine_edges(symb, ranges):
         index.blocks(s)
         index.targets(s)
     return stay, incoming, indeg, children, pairs, index.targets_of(gone[order]), pair_ids
-
-
-#: the name streaming callers warm a pattern under (``ServingSession``)
-warm_executor_plan = dag_plan
 
 
 def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):

@@ -112,11 +112,17 @@ class EngineSpec:
 
 
 def _row(name, fn, family, backend, description):
-    """A table row; the DAG callables are bound to the family's
-    granularity."""
+    """A table row; the DAG callables are bound to the family's granularity
+    and to the default of the *other* granularity's ablation switch (the
+    coarse graph has no pair-buffer window, the fine graph no whole-panel
+    transfer) — typed against the wrong engine it is refused, not ignored."""
     fixed = {}
-    if "granularity" in inspect.signature(fn).parameters:
+    params = inspect.signature(fn).parameters
+    if "granularity" in params:
         fixed["granularity"] = _GRANULARITY[family]
+        switch = "inflight" if family == "rl" else "async_panel_d2h"
+        if switch in params:
+            fixed[switch] = params[switch].default
     return EngineSpec(name, fn, fixed, family, backend, description)
 
 

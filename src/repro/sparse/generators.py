@@ -313,8 +313,8 @@ def spd_value_sweep(A, nbatch, *, seed=0, jitter=0.01):
     the diagonal enough to stay safely positive definite.  Returns a list
     of flat data arrays aligned with ``A.data`` (lower-triangle CSC order)
     — exactly what :meth:`repro.api.SymbolicPlan.factorize_batch` consumes.
-    Shared by the CLI ``batch`` command and ``benchmarks/bench_batch.py``
-    so both measure the same protocol.
+    Shared by the CLI ``batch`` / ``serve`` commands and the
+    ``benchmarks/e2e`` workloads, so they measure the same protocol.
     """
     rng = np.random.default_rng(seed)
     diag_pos = A.indptr[:-1]  # first stored entry of each column = diagonal

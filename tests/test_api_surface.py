@@ -80,7 +80,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.executor", "HybridBackend"),
     ("repro.numeric.executor", "StreamPool"),
     ("repro.numeric.executor", "stream_factorize_job"),
-    ("repro.numeric.executor", "warm_executor_plan"),
     ("repro.numeric.executor", "dag_plan"),
     ("repro.numeric", "ProcessPool"),
     ("repro.numeric", "factorize_process"),

@@ -9,6 +9,8 @@ the *same* outcome: the request runs, or ONE ``ValueError`` naming the
 option and the engine (exit code 2 with that message on stderr).
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ OPTIONS = {
     "dtype": np.float32,
     "tracer": None,  # a fresh Tracer per request
     "granularity": "fine",
+    # each granularity's pipeline-ablation switch; the other one's is fixed
+    "inflight": 1,
+    "async_panel_d2h": False,
     "bogus": 1,
 }
 
@@ -163,6 +168,26 @@ def test_the_doors_disagreed_at_the_parent(plan):
         plan.factorize(engine="rl_par", granularity="fine")
     with pytest.raises(ValueError, match="unknown engine"):
         repro.numeric.registry.serial_twin("nonsense")
+
+
+@pytest.mark.parametrize("name,switch", [
+    ("rl_gpu", "inflight"), ("rl_gpu_dag", "inflight"), ("rl_hybrid", "inflight"),
+    ("rlb_gpu_v2", "async_panel_d2h"), ("rlb_gpu_dag", "async_panel_d2h"),
+    ("rlb_hybrid", "async_panel_d2h"),
+])
+def test_the_other_granularitys_ablation_is_refused(plan, name, switch):
+    """At the parent these ran and reported the default's modeled seconds —
+    an ablation typed against the wrong engine read as "no effect"."""
+    spec = ENGINES[name]
+    assert switch in spec.fixed and switch not in spec.accepts
+    # bound to the callable's own default, so the row runs what it ran
+    assert spec.fixed[switch] == inspect.signature(spec.fn).parameters[switch].default
+    with pytest.raises(ValueError, match=f"{switch}= is fixed by engine {spec.name!r}"):
+        plan.factorize(engine=name, **{switch: OPTIONS[switch]})
+    # the row's own switch still moves the schedule
+    own = ({"inflight", "async_panel_d2h"} - {switch}).pop()
+    assert own in spec.accepts
+    plan.factorize(engine=name, **{own: OPTIONS[own]})
 
 
 def test_invalid_counts_and_dtypes_are_rejected_once(plan):

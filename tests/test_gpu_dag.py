@@ -116,6 +116,24 @@ class TestModeledTimeParity:
         assert res.gpu_stats.peak_memory == ref.gpu_stats.peak_memory
         assert res.kernel_count == ref.kernel_count
 
+    @pytest.mark.parametrize("granularity,seconds", [
+        ("coarse", 0.08338973894239704), ("fine", 0.6460361237346575)])
+    def test_ci_grid_repeats_the_hand_rolled_numbers(self, granularity,
+                                                     seconds):
+        """The 20x20x6 grid (447 supernodes, five times the golden table's
+        largest pattern): ``devices=1`` modeled seconds with everything
+        offloaded, and the allocation a 2 KiB device refuses, as the
+        hand-rolled loops printed them on the commit that deleted them —
+        exact, a drift is a changed schedule."""
+        ci = analyze(grid_laplacian((20, 20, 6)))
+        res = factorize_gpu_dag(ci.symb, ci.matrix, granularity=granularity,
+                                threshold=0, device_memory=BIG)
+        assert res.modeled_seconds == seconds
+        with pytest.raises(DeviceOutOfMemory) as oom:
+            factorize_gpu_dag(ci.symb, ci.matrix, granularity=granularity,
+                              threshold=0, device_memory=2048)
+        assert (oom.value.requested, oom.value.free) == (4800.0, 2048.0)
+
     def test_work_totals_match(self, system):
         ref = HAND_ROLLED["coarse"](system.symb, system.matrix, 0)
         res = factorize_gpu_dag(system.symb, system.matrix,
@@ -140,14 +158,16 @@ class TestMultiDevice:
         assert times[2] <= times[1] + 1e-12
 
     def test_reproduces_multigpu_speedup(self, grid_system):
-        """devices=4 gains from the tree's independent branches, and never
-        more than the device count."""
+        """devices=4 gains from the tree's independent branches, on both
+        graphs, and never more than the device count."""
         symb, M = grid_system.symb, grid_system.matrix
-        dag1 = factorize_gpu_dag(symb, M, granularity="coarse", threshold=0,
-                                 device_memory=BIG).modeled_seconds
-        dag4 = factorize_gpu_dag(symb, M, granularity="coarse", threshold=0,
-                                 device_memory=BIG, devices=4).modeled_seconds
-        assert 1.5 < dag1 / dag4 <= 4.0 + 1e-9
+        for granularity in ("coarse", "fine"):
+            dag1, dag4 = (
+                factorize_gpu_dag(symb, M, granularity=granularity,
+                                  threshold=0, device_memory=BIG,
+                                  devices=k).modeled_seconds
+                for k in (1, 4))
+            assert 1.5 < dag1 / dag4 <= 4.0 + 1e-9, granularity
 
     def test_device_busy_seconds_sum_to_the_aggregate(self, grid_system):
         res = factorize_gpu_dag(grid_system.symb, grid_system.matrix,

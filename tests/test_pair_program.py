@@ -24,7 +24,6 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
 
 from __future__ import annotations
 
-import pathlib
 import sys
 
 import numpy as np
@@ -52,10 +51,6 @@ from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, tridiagonal, ve
 from repro.symbolic import relind, snode_blocks, task_ranges
 from repro.symbolic.blocks import pair_index
 from tests.conftest import CUTS, arrow_spd, force_cut, spd_from_pattern, two_component_spd
-
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
-
-from harness import forced_cuts  # noqa: E402
 
 DTYPES = [np.float64, np.float32]
 
@@ -339,24 +334,17 @@ class TestOneBodySameBits:
 
 class TestForcedCuts:
     """The determinism job's sweep: every parallel RLB lane against the
-    reference loop under the benchmark harness's forced task-range cuts."""
+    reference loop on a grid large enough that the fitted cut is neither
+    extreme — every supernode its own task, the default cut, one range."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_lanes_under_the_harness_cuts(self, dtype):
+    def test_lanes_under_the_harness_cuts(self, monkeypatch, dtype):
         A = grid_laplacian((12, 12, 4))
         base = repro.plan(A)
         want = _reference_rlb(base.symb, base.system.matrix, dtype)
-        tasks = []
-        for cut in forced_cuts():
-            plan = repro.plan(A)  # the partition is memoised per symbolic factor
-            tasks.append(len(task_ranges(plan.symb)))
-            for workers in (1, 4):
-                got = plan.factorize(engine="rlb_par", workers=workers, dtype=dtype).storage
-                _assert_same_factor(got, want, f"rlb_par workers={workers}, {cut}")
-            got = plan.factorize(engine="rlb_proc", workers=2, dtype=dtype).storage
-            _assert_same_factor(got, want, f"rlb_proc, {cut}")
-            for factor in plan.factorize_batch([None] * 3, engine="rlb_par", workers=2, dtype=dtype):
-                _assert_same_factor(factor.storage, want, f"batch, {cut}")
+        cuts = ("singletons", "default", "one")
+        _check_parallel_lanes(monkeypatch, A, dtype, want, cuts=cuts)
+        tasks = [len(task_ranges(plan_under(monkeypatch, cut, A).symb)) for cut in cuts]
         assert tasks[0] == base.symb.nsup > tasks[1] > tasks[2] == 1
 
 

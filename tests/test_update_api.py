@@ -21,6 +21,7 @@ import pytest
 import repro
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import column_structure
+from repro.numeric.procpool import close_default_pools
 from repro.serving import Gateway, NoBaseFactorError, UnknownPatternError
 from repro.sparse import grid_laplacian
 from repro.update import UpdateCost, UpdatedMatrix, structured_update
@@ -53,6 +54,12 @@ def scratch(splan, base, W, *, downdate=False):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_default_pools():
+    yield
+    close_default_pools()
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +139,19 @@ class TestFactorUpdate:
         "backend_kwargs",
         [{}, {"backend": "threads", "workers": 2},
          {"backend": "gpu", "devices": 2},
-         {"backend": "hybrid", "workers": 2}],
-        ids=["serial", "threads", "gpu", "hybrid"])
+         {"backend": "hybrid", "workers": 2},
+         {"backend": "process", "workers": 2}],
+        ids=["serial", "threads", "gpu", "hybrid", "process"])
     def test_bit_identity_across_backends(self, splan, engine,
                                           backend_kwargs):
-        """Updating bit-identical base factors gives bit-identical updated
-        factors on every scheduling substrate."""
+        """Updating, then downdating, bit-identical base factors gives
+        bit-identical factors on every scheduling substrate."""
         W = make_W(splan, [0, 4], seed=8)
         ref = splan.factorize(engine=engine).update(W)
         got = splan.factorize(engine=engine, **backend_kwargs).update(W)
-        for p, q in zip(ref.storage.panels, got.storage.panels):
-            np.testing.assert_array_equal(p, q)
+        for a, b in ((ref, got), (ref.downdate(W), got.downdate(W))):
+            for p, q in zip(a.storage.panels, b.storage.panels):
+                np.testing.assert_array_equal(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +199,20 @@ class TestCrossover:
         assert (applied.result.extra["applied_policy"]
                 == cost.recommended
                 == applied.result.extra["update_recommended"])
+
+    def test_crossover_flips_inside_the_rank_sweep(self, splan, factor):
+        """Priced, not timed: small ranks recommend the sweep, large ranks
+        the refactorize, the recommendation flips once on the way up, and
+        policy="auto" takes the recommended road on both sides of the flip."""
+        sweep = [make_W(splan, [3 * i for i in range(k)], seed=5, scale=0.02)
+                 for k in (1, 2, 4, 8, 16, 32)]
+        roads = [factor.update_cost(W).recommended for W in sweep]
+        flip = roads.index("refactorize")
+        assert flip > 0
+        assert roads == ["update"] * flip + ["refactorize"] * (len(roads) - flip)
+        for W, road in ((sweep[0], "update"), (sweep[flip], "refactorize")):
+            applied = factor.apply(W, policy="auto")
+            assert applied.result.extra["applied_policy"] == road
 
     def test_apply_falls_back_on_containment_failure(self, splan, factor):
         """A modification that would create new fill cannot take the sweep
