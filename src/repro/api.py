@@ -254,7 +254,7 @@ class SymbolicPlan:
 
     def _original_matrix(self, data):
         """Same-pattern ``SymmetricCSC`` in the original ordering holding
-        ``data`` (structure arrays and matvec cache shared with the host).
+        ``data`` (structure arrays shared with the host).
 
         The data is *copied*: a ``Factor`` documents immutability, so the
         caller mutating its values buffer afterwards (buffer-reusing time
@@ -264,9 +264,7 @@ class SymbolicPlan:
         A = self._A
         if data is A.data:
             return A
-        M = SymmetricCSC(A.n, A.indptr, A.indices, data.copy(), check=False)
-        M._mv_plan = A._mv_plan  # same structure: share the matvec cache
-        return M
+        return SymmetricCSC(A.n, A.indptr, A.indices, data.copy(), check=False)
 
     def _permuted_matrix(self, data):
         """The permuted system matrix for ``data`` — a pure gather through
@@ -275,10 +273,8 @@ class SymbolicPlan:
         B = self._system.matrix
         if data is self._A.data:
             return B
-        M = SymmetricCSC(B.n, B.indptr, B.indices, data[self.gather],
-                         check=False)
-        M._mv_plan = B._mv_plan
-        return M
+        return SymmetricCSC(B.n, B.indptr, B.indices, data[self.gather],
+                            check=False)
 
     # ------------------------------------------------------------------
     # numeric stage
@@ -747,20 +743,21 @@ class Factor:
                       return_info=False, stall_ratio=None, fallback=True):
         """Solve ``A x = b`` with iterative refinement.
 
-        Runs classical fixed-precision refinement
-        (:func:`repro.solve.refine.refine`) until the relative residual
-        reaches ``tol`` or ``max_iter`` correction steps were taken.
-        ``workers=N`` routes every repeated solve (the initial one and
-        each correction) through the level-scheduled fused task graph —
-        the refined solution is bit-identical to the serial path, the
-        inner solves just run in parallel.  Returns the refined ``x``;
-        with ``return_info=True`` returns the full
-        :class:`~repro.solve.refine.RefinementResult` (residual history,
-        iteration count, convergence flag).
+        Runs iterative refinement (:func:`repro.solve.refine.refine`)
+        until the relative residual reaches ``tol`` or ``max_iter``
+        residuals were evaluated; ``max_iter=0`` is the plain
+        :meth:`solve`, bit for bit.  ``workers=N`` routes every repeated
+        solve (the initial one and each correction) through the
+        level-scheduled fused task graph — the refined solution is
+        bit-identical to the serial path, the inner solves just run in
+        parallel.  Returns the refined ``x``; with ``return_info=True``
+        returns the full :class:`~repro.solve.refine.RefinementResult`
+        (residual history, iteration count, convergence flag).
 
         **Mixed-precision recovery** (see ``docs/precision.md``): on a
-        reduced-precision factor the residuals are always evaluated in
-        fp64 and each refinement step contracts the error by roughly
+        reduced-precision factor the triangular solves run in the
+        factor's own precision while the residuals and ``x`` stay fp64;
+        each refinement step contracts the error by roughly
         ``cond(A) · eps32``, so a well-conditioned system reaches fp64
         accuracy in a few cheap steps.  When the chain *stalls* — one
         step fails to shrink the residual to below ``stall_ratio ×`` the
@@ -774,9 +771,11 @@ class Factor:
         factor.  The recovery is recorded in
         ``factor.result.extra["refine_fallback"]`` (reason, the
         reduced-precision residual history, and the fp64 engine used);
-        ``fallback=False`` returns the stalled result as-is.  On fp64
-        factors stall detection and fallback are inert unless
-        ``stall_ratio`` is passed explicitly.
+        ``fallback=False`` returns the stalled result as-is.  The
+        fallback only follows a measured residual: a chain with
+        ``max_iter=0`` never refactorizes.  On fp64 factors stall
+        detection and fallback are inert unless ``stall_ratio`` is
+        passed explicitly.
         """
         is_reduced = self.dtype != np.float64
         ratio = stall_ratio
@@ -785,7 +784,7 @@ class Factor:
         out = refine(self._matrix, self.storage, self._plan.perm, b,
                      tol=tol, max_iter=max_iter, workers=workers,
                      stall_ratio=ratio)
-        if is_reduced and fallback and not out.converged:
+        if is_reduced and fallback and out.residual_norms and not out.converged:
             # precision-limited chain: refactorize at full precision and
             # refine on the fp64 factor (serial twin of this engine)
             eng = self._serial_engine()
@@ -1118,12 +1117,9 @@ class ServingSession:
             pool_width = 1
         # pre-build every memoised pattern structure on this (caller)
         # thread: worker-thread callbacks may then only *read* the symbolic
-        # cache (DAG plan, solve schedule, scatter plan, block offsets);
-        # the matvec plan feeds refinement's residuals, and sharing the
-        # host's keeps every submitted matrix from rebuilding it
+        # cache (DAG plan, solve schedule, scatter plan, block offsets)
         dag_plan(plan.symb, self._granularity)
         solve_schedule(plan.symb)
-        plan.matrix._matvec_plan()
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")
@@ -1284,10 +1280,10 @@ class ServingSession:
         both phases.  ``b`` is captured at submit time (``(n,)`` or
         ``(n, k)``); the caller may reuse its buffer afterwards.
 
-        ``refine=True`` chains classical iterative refinement onto the
-        same pool: after the initial solve, residuals are evaluated on a
-        worker thread and each correction runs as one more fused solve
-        graph, until the relative residual reaches ``tol`` or ``max_iter``
+        ``refine=True`` chains iterative refinement onto the same pool:
+        after the initial solve, residuals are evaluated on a worker
+        thread and each correction runs as one more fused solve graph,
+        until the relative residual reaches ``tol`` or ``max_iter``
         corrections were taken.  The resolved ``x`` is bit-identical to
         ``factor.solve_refined(b, tol=tol, max_iter=max_iter)`` — mixed
         factorize/solve/refine streams share one worker pool end to end.
@@ -1295,36 +1291,37 @@ class ServingSession:
         ``dtype`` overrides the session's default factor precision for
         this submission.  Pair ``dtype=numpy.float32`` with
         ``refine=True`` for the mixed-precision serving lane: single
-        precision factorization, fp64 residual refinement on the same
-        pool.  The streaming chain caps at ``max_iter`` without the
-        fp64-refactorize stall fallback of :meth:`Factor.solve_refined`
-        (stall recovery needs a second factorization — do that through
-        :meth:`submit` + :meth:`Factor.solve_refined` when the system is
-        ill-conditioned enough to need it).
+        precision factorization and solves, fp64 residuals and ``x``, on
+        the same pool (``refine=False`` solves in float64, as
+        :meth:`Factor.solve` does).  The streaming chain caps at
+        ``max_iter`` without the fp64-refactorize stall fallback of
+        :meth:`Factor.solve_refined` (stall recovery needs a second
+        factorization — do that through :meth:`submit` +
+        :meth:`Factor.solve_refined` when the system is ill-conditioned
+        enough to need it).
         """
         plan = self._plan
         b = check_rhs(plan.n, b, "b", copy=refine)
         perm = plan.perm
         y = b[perm]  # fresh gather, owned by the chain
         future = Future()
-        finish = _unpermute(perm)
 
         def on_factor(factor, storage):
             # the chain of refine(..., stall_ratio=None), its solves as
             # graphs on this pool; a plain solve is the chain that stops
             # at x0
-            chain = _RefinementChain(factor.matrix, b, tol,
-                                     max_iter if refine else 0)
+            chain = _RefinementChain(factor.matrix, b, perm, storage.dtype,
+                                     tol, max_iter if refine else 0)
 
             def advance(buf):
-                rhs = chain.step(finish(buf))
+                rhs = chain.step(buf)
                 if rhs is None:
                     future.set_result(chain.out.x)
                 else:
-                    _submit_solve_graph(self._pool, storage, rhs[perm],
-                                        future, advance)
+                    _submit_solve_graph(self._pool, storage,
+                                        chain.work(rhs[perm]), future, advance)
 
-            _submit_solve_graph(self._pool, storage, y, future, advance)
+            _submit_solve_graph(self._pool, storage, chain.work(y), future, advance)
 
         self._factor_job(values, future, on_factor, dtype=dtype)
         return future

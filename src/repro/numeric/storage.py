@@ -267,17 +267,18 @@ class FactorStorage:
             )
         return prog
 
-    def leaf_values(self, block):
+    def leaf_values(self, block, dtype=np.float64):
         """The values at ``block.pos`` (:class:`~repro.symbolic.levels.LeafBlock`)
-        as float64 (fp32 upcast exactly), gathered *now*: nothing is kept that
-        an in-place update could leave stale.  A loose-panel storage gathers
-        from its member panels laid back to back (``block.loose_pos``)."""
+        in the sweep's work ``dtype`` (an fp32 factor under a float64 buffer
+        is upcast exactly), gathered *now*: nothing is kept that an in-place
+        update could leave stale.  A loose-panel storage gathers from its
+        member panels laid back to back (``block.loose_pos``)."""
         if self.arena is not None:
             values = self.arena[block.pos]
         else:
             flat = [self.panels[s].ravel(order="F") for s in block.members.tolist()]
             values = np.concatenate(flat)[block.loose_pos]
-        return values.astype(np.float64, copy=False)
+        return values.astype(dtype, copy=False)
 
     def __getstate__(self):
         # a copy's panels are new arrays: its views must be rebuilt, and an

@@ -1,10 +1,10 @@
 """Iterative refinement on top of a computed factorization.
 
-Classical fixed-precision refinement: repeat ``r = b - A x``;
-``x += solve(L L^T, r)`` until the residual stalls or a tolerance is met.
-Cheap insurance for the amalgamated factors (explicit zeros do not affect
-accuracy, but refinement quantifies that) and a building block for the
-examples.
+Mixed-precision refinement: repeat ``r = b - A x``; ``x += solve(L L^T, r)``
+until the residual stalls or a tolerance is met.  ``r`` and ``x`` are
+float64; the solves run in the factor's own dtype — on an fp32 factor, fp32
+sweeps over the fp32 panels, nothing upcast per call.  On an fp64 factor it
+is classical fixed-precision refinement, a building block for the examples.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .triangular import solve_factored
+from .triangular import check_rhs, solve_in_place
 
 __all__ = ["RefinementResult", "refine", "relative_residual"]
 
@@ -58,25 +58,52 @@ class _RefinementChain:
     """One refinement chain's state, advanced in one place.
 
     Whoever runs the solves — :func:`refine`'s loop, or the pool callbacks
-    of :meth:`repro.api.ServingSession.submit_solve` — hands each solved
-    vector (original ordering) to :meth:`step`: first ``x0``, then the
-    corrections.  ``step`` returns the next right-hand side (the residual
-    ``b - A x``), or ``None`` once the chain has ended — ``tol`` reached,
-    ``max_iter`` residuals evaluated, or, with a ``stall_ratio``, a step
-    failed to contract the residual; ``out`` is then the result.
+    of :meth:`repro.api.ServingSession.submit_solve` — solves the
+    :meth:`work` vector of each gathered right-hand side (``rhs[perm]``) in
+    place and hands it to :meth:`step`: first ``b``'s, then the residuals'.
+    ``step`` returns the next right-hand side (``b - A x``), or ``None``
+    once the chain has ended — ``tol`` reached, ``max_iter`` residuals
+    evaluated, or, with a ``stall_ratio``, a step failed to contract the
+    residual; ``out`` is then the result.  The one work-dtype rule: a chain
+    that refines solves in the factor's ``dtype``, one that stops at ``x0``
+    in float64 — bit for bit the plain solve.
     """
 
-    def __init__(self, A, b, tol, max_iter, stall_ratio=None):
+    def __init__(self, A, b, perm, dtype, tol, max_iter, stall_ratio=None):
         self.A = A
         self.b = np.asarray(b, dtype=np.float64)
+        self.perm = perm
+        self.dtype = np.dtype(dtype if max_iter >= 1 else np.float64)
         self.tol = tol
         self.max_iter = max_iter
         self.stall_ratio = stall_ratio
+        self.scale = None
         self.out = RefinementResult(None, [], 0, converged=False)
 
+    def work(self, y):
+        """``y`` (a float64 gather the chain owns) in the work dtype: a
+        narrower one gets ``y`` divided by its per-column max-norm first, so
+        the cast neither overflows nor flushes to zero at any scale of ``b``."""
+        if self.dtype == np.float64:
+            return y
+        scale = np.abs(y).max(axis=0)
+        self.scale = np.where(scale > 0, scale, 1.0)
+        y /= self.scale
+        return y.astype(self.dtype)
+
     def step(self, solved):
+        """:meth:`advance` by the solved work vector, unscaled and scattered
+        back to the original ordering in float64."""
+        x = np.empty(solved.shape)
+        x[self.perm] = solved
+        if self.scale is not None:
+            x *= self.scale
+        return self.advance(x)
+
+    def advance(self, x):
+        """Add ``x`` (float64, original ordering) to the solution."""
         out = self.out
-        out.x = solved if out.x is None else out.x + solved
+        out.x = x if out.x is None else out.x + x
         if out.iterations >= self.max_iter:
             return None
         r = self.b - self.A.matvec(out.x)
@@ -101,7 +128,7 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
     A:
         Original (unpermuted) matrix.
     storage:
-        Factor of the *permuted* matrix.
+        Factor of the *permuted* matrix; the solves run in its dtype.
     perm:
         Permutation used by the factorization.
     b:
@@ -113,11 +140,11 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
     tol:
         Target relative residual (infinity norm).
     max_iter:
-        Refinement step limit.
+        Refinement step limit; ``0`` is the plain float64 solve.
     workers:
         When given, every repeated solve (the initial one and each
         correction) runs the level-scheduled fused task graph on
-        ``workers`` threads (:func:`repro.solve.triangular.solve_factored`)
+        ``workers`` threads (:func:`repro.solve.triangular.solve_in_place`)
         — bit-identical to the serial sweeps, so the refinement trajectory
         is unchanged; only the wall-clock of the inner solves drops.
     stall_ratio:
@@ -127,17 +154,10 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
         reach ``tol`` however long it iterates.  ``None`` (default)
         disables stall detection and keeps the historical behaviour.
     """
-    def direct_solve(rhs):
-        # rhs[perm] is already a fresh gather: solve it in place, one copy
-        y = solve_factored(storage, rhs[perm], overwrite_b=True,
-                           workers=workers)
-        out = np.empty_like(y)
-        out[perm] = y
-        return out
-
-    chain = _RefinementChain(A, b, tol, max_iter, stall_ratio)
-    rhs = chain.step(direct_solve(chain.b) if x0 is None
-                     else np.array(x0, dtype=np.float64))
+    chain = _RefinementChain(A, b, perm, storage.dtype, tol, max_iter, stall_ratio)
+    rhs = chain.b if x0 is None else chain.advance(np.array(x0, dtype=np.float64))
     while rhs is not None:
-        rhs = chain.step(direct_solve(rhs))
+        # validated before the gather, which would truncate an oversized rhs
+        y = chain.work(check_rhs(storage.symb.n, rhs, copy=False)[perm])
+        rhs = chain.step(solve_in_place(storage, y, workers))
     return chain.out

@@ -158,7 +158,7 @@ def _leaf_sweep(storage, y, backward=False):
     ncols, ptr = block.cols.size, block.stage_ptr
     if not ncols:
         return
-    values = storage.leaf_values(block)
+    values = storage.leaf_values(block, y.dtype)
     a, b, c = block.cuts
     if not values[:a].all():
         stage = bisect_right(ptr, int(np.flatnonzero(values[:a] == 0)[0])) - 1
@@ -344,10 +344,11 @@ def backward_solve(storage, y, *, overwrite_y=False, workers=None):
 
 
 def solve_in_place(storage, y, workers=None):
-    """Full solve ``L L^T x = y`` in place on ``y``, a float64 buffer the
-    caller owns and has validated (:func:`check_rhs`): the sweeps trust their
-    own buffer, the *solution* is checked once on the way out (a NaN is never
-    served).  ``workers=N``: ONE fused task graph (:func:`solve_graph`)."""
+    """Full solve ``L L^T x = y`` in place on ``y``, a float64 (or, in a
+    refinement chain, factor-dtype) buffer the caller owns and has validated
+    (:func:`check_rhs`): the sweeps trust their own buffer, the *solution* is
+    checked once on the way out (a NaN is never served).  ``workers=N``: ONE
+    fused task graph (:func:`solve_graph`)."""
     if workers is None:
         _backward(storage, _forward(storage, y))
     else:

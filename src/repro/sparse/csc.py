@@ -41,14 +41,13 @@ class SymmetricCSC:
         ``False`` only from internal code that constructs valid inputs.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "_mv_plan")
+    __slots__ = ("n", "indptr", "indices", "data")
 
     def __init__(self, n, indptr, indices, data, *, check=True):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self._mv_plan = None
         if check:
             self._validate()
 
@@ -261,54 +260,23 @@ class SymmetricCSC:
         data[self.indptr[:-1]] += sigma
         return SymmetricCSC(self.n, self.indptr, self.indices, data, check=False)
 
-    def _matvec_plan(self):
-        """Cached CSR-like expansion of the full symmetric matrix.
-
-        Returns ``(val_idx, col_idx, row_starts)``: the full matrix's entries
-        in row-major order, as gather indices into ``self.data`` (mirrored
-        off-diagonals appear twice) and into the operand, plus ``reduceat``
-        segment starts (every row is non-empty — the diagonal is structurally
-        present — so the segments are well-formed).
-        """
-        plan = self._mv_plan
-        if plan is None:
-            cols = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.indptr)
-            )
-            off = np.flatnonzero(self.indices != cols)
-            rows_full = np.concatenate([self.indices, cols[off]])
-            cols_full = np.concatenate([cols, self.indices[off]])
-            val_idx = np.concatenate(
-                [np.arange(self.indices.size, dtype=np.int64), off]
-            )
-            order = np.argsort(rows_full, kind="stable")
-            row_starts = np.zeros(self.n, dtype=np.int64)
-            counts = np.bincount(rows_full, minlength=self.n)
-            np.cumsum(counts[:-1], out=row_starts[1:])
-            plan = (val_idx[order], cols_full[order], row_starts)
-            self._mv_plan = plan
-        return plan
-
     def matvec(self, x):
         """Full symmetric matrix product ``A @ x`` from the lower triangle.
 
         ``x`` may be a single ``(n,)`` vector or an ``(n, k)`` block of
-        operands (matching the multi-RHS triangular solves).  The CSR-like
-        expansion of the full matrix is computed once and cached, so repeated
-        products (iterative refinement, residual checks) are pure gathers
-        plus one segmented ``reduceat`` — no ``np.add.at``, no per-call
-        index rebuild.
+        operands (matching the multi-RHS triangular solves).  Computed as
+        ``L x + L^T x - d * x`` by scipy's compiled CSC / CSR kernels over
+        the stored arrays (the transpose is the same arrays read as CSR):
+        nothing is cached, so the product always reads the current ``data``.
         """
+        from scipy.sparse import csc_matrix
+
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError("x must have shape (n,) or (n, k)")
-        val_idx, col_idx, row_starts = self._matvec_plan()
-        vals = self.data[val_idx]
-        if x.ndim == 2:
-            prod = vals[:, None] * x[col_idx]
-        else:
-            prod = vals * x[col_idx]
-        return np.add.reduceat(prod, row_starts, axis=0)
+        lower = csc_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        diag = self.data[self.indptr[:-1]].reshape((-1,) + (1,) * (x.ndim - 1))
+        return lower @ x + lower.T @ x - diag * x
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"SymmetricCSC(n={self.n}, nnz_lower={self.nnz_lower})")

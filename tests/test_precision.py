@@ -15,9 +15,11 @@ import asyncio
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import repro
 from repro.cli import main as cli_main
+from repro.dense import kernels
 from repro.dense.kernels import UnsupportedDtypeError, check_dtype
 from repro.gpu.costmodel import CpuModel, GpuModel, MachineModel
 from repro.numeric import (
@@ -30,8 +32,11 @@ from repro.numeric import (
 from repro.numeric.registry import serial_twin
 from repro.numeric.threshold import DEFAULT_STALL_RATIO, refinement_stalled
 from repro.serving import Gateway, plan_nbytes
-from repro.sparse import SymmetricCSC, grid_laplacian
+from repro.sparse import SymmetricCSC, grid_laplacian, random_spd
 from repro.symbolic import analyze
+from repro.symbolic.ranges import task_ranges
+from repro.update import UpdatedMatrix
+from tests.conftest import force_cut
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +402,153 @@ class TestCliPrecision:
         with pytest.raises(SystemExit):
             from repro.cli import build_parser
             build_parser().parse_args(["factorize", "x", "--dtype", "fp8"])
+
+
+class TestRefinementWorkPrecision:
+    """A refining chain solves in the factor's own dtype — ``strtrs`` and
+    fp32 products on the fp32 panels, each right-hand side scaled to unit
+    max-norm before the cast — while ``x`` and the residuals stay fp64; a
+    plain solve keeps its float64 buffer."""
+
+    @pytest.fixture()
+    def f32(self, fp32_plan):
+        return fp32_plan.factorize(dtype=np.float32)
+
+    @staticmethod
+    def _spy(monkeypatch, storage):
+        """Record every ``?trtrs`` call as ``(routine, panel is the factor's
+        own memory, right-hand side dtype)`` and every leaf-block gather's
+        dtype."""
+        calls, leaves = [], []
+
+        def spied(routine):
+            def call(a, b, **kw):
+                calls.append((routine, np.shares_memory(a, storage.arena), b.dtype))
+                return routine(a, b, **kw)
+
+            return call
+
+        routines = {dt: spied(fn) for dt, fn in kernels._TRTRS.items()}
+        monkeypatch.setattr(kernels, "_TRTRS", routines)
+        gather = FactorStorage.leaf_values
+
+        def leaf_values(self, block, dtype=np.float64):
+            values = gather(self, block, dtype)
+            leaves.append(values.dtype)
+            return values
+
+        monkeypatch.setattr(FactorStorage, "leaf_values", leaf_values)
+        return calls, leaves
+
+    def test_refinement_solves_in_fp32_on_the_panels(self, monkeypatch, f32, base_matrix):
+        b = np.cos(np.arange(base_matrix.n))
+        calls, leaves = self._spy(monkeypatch, f32.storage)
+        out = f32.solve_refined(b, return_info=True)
+        assert out.converged and out.x.dtype == np.float64
+        assert calls and leaves
+        assert set(calls) == {(lapack.strtrs, True, np.dtype(np.float32))}
+        assert set(leaves) == {np.dtype(np.float32)}
+
+    def test_plain_solve_keeps_the_float64_buffer(self, monkeypatch, f32, base_matrix):
+        b = np.cos(np.arange(base_matrix.n))
+        want = f32.solve(b)
+        calls, leaves = self._spy(monkeypatch, f32.storage)
+        assert np.array_equal(f32.solve(b), want)
+        assert calls and leaves
+        assert set(calls) == {(lapack.dtrtrs, False, np.dtype(np.float64))}
+        assert set(leaves) == {np.dtype(np.float64)}
+
+    def test_max_iter_zero_is_the_plain_solve(self, f32, base_matrix):
+        """No residual was measured, so there is nothing to fall back from:
+        the chain returns ``Factor.solve``'s bits and refactorizes nothing."""
+        for b in (np.cos(np.arange(base_matrix.n)), np.ones((base_matrix.n, 2))):
+            out = f32.solve_refined(b, max_iter=0, return_info=True)
+            assert np.array_equal(out.x, f32.solve(b))
+            assert out.residual_norms == [] and out.iterations == 0
+            assert "refine_fallback" not in f32.result.extra
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
+    def test_rhs_scale_does_not_matter(self, f32, base_matrix, scale):
+        """An unscaled fp32 cast of ``b`` would overflow (1e30, 1e300) or
+        flush to zero (1e-300); scaled per column it converges as ``b``."""
+        b = np.cos(np.arange(base_matrix.n))
+        ref = f32.solve_refined(b, return_info=True)
+        out = f32.solve_refined(b * scale, return_info=True)
+        assert out.converged and out.iterations == ref.iterations
+        assert out.residual_norms[-1] == pytest.approx(ref.residual_norms[-1], rel=0.5)
+        assert f32.residual_norm(out.x, b * scale) <= 1e-14
+        block = f32.solve_refined(np.column_stack([b, b * scale]), return_info=True)
+        assert block.converged and block.iterations == ref.iterations
+        assert "refine_fallback" not in f32.result.extra
+
+    def test_zero_rhs_is_converged_zeros(self, f32, base_matrix):
+        for b in (np.zeros(base_matrix.n), np.zeros((base_matrix.n, 2))):
+            out = f32.solve_refined(b, return_info=True)
+            assert out.converged and not out.x.any()
+        assert "refine_fallback" not in f32.result.extra
+
+    def test_parallel_refinement_is_the_serial_bits(self, monkeypatch):
+        force_cut(monkeypatch, "singletons")
+        plan = repro.plan(grid_laplacian((9, 8, 3)))
+        assert len(task_ranges(plan.symb).bounds) > 3
+        f32 = plan.factorize(dtype=np.float32)
+        rng = np.random.default_rng(1)
+        for b in (rng.standard_normal(plan.n), rng.standard_normal((plan.n, 3))):
+            serial = f32.solve_refined(b, return_info=True)
+            par = f32.solve_refined(b, workers=2, return_info=True)
+            assert serial.converged and serial.iterations >= 2
+            assert np.array_equal(par.x, serial.x)
+            assert par.residual_norms == serial.residual_norms
+
+
+class TestResidualProduct:
+    """``SymmetricCSC.matvec`` — the refinement residual — against a dense
+    oracle on every operand layout; it caches no values."""
+
+    @staticmethod
+    def _check(A, x):
+        want = A.to_dense() @ x
+        got = A.matvec(x)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_operand_layouts(self, seed):
+        A = random_spd(60, density=0.1, seed=seed)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((A.n, 5))
+        self._check(A, X[:, 0])
+        self._check(A, X)
+        self._check(A, np.asfortranarray(X))
+        self._check(A, X[:, ::2])
+        self._check(A, rng.standard_normal(2 * A.n)[::2])
+
+    def test_one_by_one(self):
+        A = SymmetricCSC(1, [0, 1], [0], [3.0])
+        assert A.matvec(np.array([2.0])).tolist() == [6.0]
+        assert A.matvec(np.array([[2.0, -1.0]])).tolist() == [[6.0, -3.0]]
+
+    def test_stored_explicit_zeros(self):
+        A = grid_laplacian((5, 4))
+        data = A.data.copy()
+        cols = np.flatnonzero(np.diff(A.indptr) > 1)
+        data[A.indptr[cols] + 1] = 0.0  # the first off-diagonal entry of each
+        Z = SymmetricCSC(A.n, A.indptr, A.indices, data)
+        assert Z.nnz_lower == A.nnz_lower
+        self._check(Z, np.arange(A.n, dtype=float))
+
+    def test_updated_matrix(self):
+        A = grid_laplacian((5, 4))
+        rng = np.random.default_rng(3)
+        U = UpdatedMatrix(UpdatedMatrix(A, rng.standard_normal((A.n, 2))),
+                          0.1 * rng.standard_normal(A.n), downdate=True)
+        self._check(U, rng.standard_normal(A.n))
+        self._check(U, rng.standard_normal((A.n, 3)))
+
+    def test_in_place_edit_shows_in_the_next_product(self):
+        A = grid_laplacian((5, 4))
+        x = np.linspace(-1.0, 1.0, A.n)
+        self._check(A, x)
+        A.data *= 3.0
+        A.data[A.indptr[2] + 1] = 7.5
+        self._check(A, x)
