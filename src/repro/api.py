@@ -296,25 +296,20 @@ class SymbolicPlan:
             ``"rlb"``, ``"rl_par"``, ``"rlb_par"``, ``"rl_gpu"``,
             ``"rlb_gpu_v2"``, ...).
         workers:
-            Worker count for the engines that take one — the threads,
-            hybrid and process backends (threads or processes
-            respectively).
+            Worker count for the engines that take one — the threads and
+            process backends (threads or processes respectively).
         backend:
-            ``"threads"``, ``"gpu"``, ``"hybrid"`` or ``"process"``: run
-            ``engine``'s task-DAG granularity on that scheduling substrate
+            ``"threads"``, ``"gpu"`` or ``"process"``: run ``engine``'s
+            task-DAG granularity on that scheduling substrate
             (:func:`repro.numeric.registry.backend_engine`) — e.g.
             ``engine="rlb_par", backend="gpu"`` runs the fine DAG on
-            simulated-GPU streams (``rlb_gpu_v2``),
-            ``backend="hybrid", workers=N, devices=M, threshold=...``
-            splits the same DAG across CPU worker threads and GPU streams
-            (``rl_hybrid`` / ``rlb_hybrid``), and ``backend="process",
-            workers=N`` drains it through a shared-memory worker-process
-            pool (``rl_proc`` / ``rlb_proc`` —
-            :mod:`repro.numeric.procpool`).  Factors are bit-identical
-            across backends.
+            simulated-GPU streams (``rlb_gpu_v2``), and
+            ``backend="process", workers=N`` drains it through a
+            shared-memory worker-process pool (``rl_proc`` / ``rlb_proc``
+            — :mod:`repro.numeric.procpool`).  One DAG runs on one
+            substrate.  Factors are bit-identical across backends.
         devices:
-            Simulated-GPU count for the stream and hybrid engines
-            (``backend="gpu"`` / ``"hybrid"``).
+            Simulated-GPU count for the stream engines (``backend="gpu"``).
         dtype:
             Factor storage/compute precision for the RL/RLB engine
             families: ``numpy.float64`` (default) or ``numpy.float32``
@@ -424,9 +419,7 @@ class SymbolicPlan:
         scheduling substrate exactly as in :meth:`factorize`: the threaded
         engines (``rl_par`` / ``rlb_par``) drain each submission's task DAG
         across the pool's workers; ``backend="gpu"`` (engines
-        ``rl_gpu`` / ``rlb_gpu_v2``), ``backend="hybrid"``
-        (``rl_hybrid`` / ``rlb_hybrid``, which also take ``workers=`` and
-        ``threshold=``) and ``backend="process"`` (``rl_proc`` /
+        ``rl_gpu`` / ``rlb_gpu_v2``) and ``backend="process"`` (``rl_proc`` /
         ``rlb_proc``: each submission drains its DAG through the shared
         worker-process pool — create it on the main thread first via
         :func:`repro.numeric.procpool.default_process_pool` when using
@@ -446,7 +439,7 @@ class SymbolicPlan:
         (and later closing) its own — the sharing seam the multi-tenant
         :class:`repro.serving.Gateway` uses to multiplex many per-pattern
         sessions over one set of workers.  ``tracer=`` records measured
-        per-task (threaded) or per-submission (gpu/hybrid) spans, with
+        per-task (threaded) or per-submission (gpu/process) spans, with
         times relative to ``trace_origin`` (a ``time.perf_counter()``
         value; default: session creation).
         """
@@ -1109,10 +1102,10 @@ class ServingSession:
             self._engine_kwargs = None
             pool_width = kwargs.get("workers")
         else:
-            # each submission runs its stream/hybrid/process engine as ONE
-            # task; the pool only sequences submissions (hybrid spawns its
-            # own worker threads per call and the process engine runs on
-            # its worker-process pool, so width 1 avoids oversubscription)
+            # each submission runs its stream/process engine as ONE task;
+            # the pool only sequences submissions (the process engine runs
+            # on its worker-process pool, so width 1 avoids
+            # oversubscription)
             self._engine_kwargs = kwargs
             pool_width = 1
         # pre-build every memoised pattern structure on this (caller)
@@ -1192,7 +1185,7 @@ class ServingSession:
                                 on_error=err)
 
     def _enqueue_one(self, compute, label, index, future, done):
-        """``compute()`` as ONE pool task (a whole stream/hybrid/process
+        """``compute()`` as ONE pool task (a whole stream/process
         factorization, an update): the engine schedules its own lanes
         internally, the pool still provides the streaming futures, failure
         isolation and drain semantics.  ``done(value)`` gets what it

@@ -158,11 +158,10 @@ def cmd_factorize(args):
                 method or BACKENDS["threads"][granularity], args.backend)
         elif method is None:
             # --workers / --granularity / --devices select a task-DAG
-            # engine; both --workers and --devices at once imply the hybrid
-            # split; plain `factorize` keeps the historical rl_gpu default
-            if args.devices is not None and args.workers is not None:
-                method = BACKENDS["hybrid"][granularity]
-            elif args.devices is not None:
+            # engine (--workers wins, so --devices next to it is refused by
+            # the threaded row); plain `factorize` keeps the historical
+            # rl_gpu default
+            if args.workers is None and args.devices is not None:
                 method = BACKENDS["gpu"][granularity]
             elif args.workers is not None or args.granularity is not None:
                 method = BACKENDS["threads"][granularity]
@@ -177,7 +176,7 @@ def cmd_factorize(args):
                              f"with --method {method}{want}")
         if tracer is not None:
             if "tracer" in spec.accepts:
-                # modeled stream lanes and/or measured worker lanes
+                # modeled stream lanes or measured worker lanes
                 kwargs["tracer"] = tracer
             elif "device" in spec.accepts:
                 # the serial offload loops drive a device handed to them
@@ -205,19 +204,7 @@ def cmd_factorize(args):
     ]
     if res.best_threads:
         rows.append(("best MKL threads", str(res.best_threads)))
-    if spec.backend == "hybrid":
-        # hybrid results carry both "devices" and "wall_seconds"; one
-        # dedicated block instead of the two substrate blocks below
-        rows.append(("workers (CPU lanes)", str(res.extra["workers"])))
-        rows.append(("devices (GPU lanes)", str(res.extra["devices"])))
-        rows.append(("task granularity", res.extra["granularity"]))
-        rows.append(("DAG tasks", str(res.extra["tasks"])))
-        rows.append(("measured CPU seconds",
-                     f"{res.measured_cpu_seconds:.4f}"))
-        rows.append(("modeled GPU seconds",
-                     f"{res.modeled_gpu_seconds:.4f}"))
-        rows.append(("combined seconds", f"{res.combined_seconds:.4f}"))
-    elif "devices" in res.extra:
+    if "devices" in res.extra:
         rows.append(("devices (stream DAG)", str(res.extra["devices"])))
         rows.append(("task granularity", res.extra["granularity"]))
         rows.append(("DAG tasks", str(res.extra["tasks"])))
@@ -796,8 +783,7 @@ def build_parser():
                     help="simulated device capacity in bytes")
     sp.add_argument("--workers", type=int, default=None,
                     help="run the threaded task-DAG executor with this many "
-                         "worker threads (real wall-clock parallelism); "
-                         "with --devices, runs the hybrid backend")
+                         "worker threads (real wall-clock parallelism)")
     sp.add_argument("--granularity", default=None,
                     choices=["coarse", "fine"],
                     help="task granularity for the task-DAG engines: "
@@ -807,12 +793,11 @@ def build_parser():
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
                     help="scheduling substrate for the task DAG: worker "
-                         "threads (measured), simulated-GPU streams "
-                         "(modeled offload; rl_gpu / rlb_gpu_v2), or "
-                         "hybrid (CPU workers + GPU streams split by "
-                         "--threshold)")
+                         "threads or processes (measured), or "
+                         "simulated-GPU streams (modeled offload; rl_gpu / "
+                         "rlb_gpu_v2)")
     sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs for the stream/hybrid backends "
+                    help="simulated GPUs for the stream backend "
                          "(least-loaded task placement)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization "
@@ -861,11 +846,9 @@ def build_parser():
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
                     help="scheduling substrate for the batch's task-DAG "
-                         "engine (gpu = modeled stream offload per matrix; "
-                         "hybrid = CPU workers + GPU streams per matrix)")
+                         "engine (gpu = modeled stream offload per matrix)")
     sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs per factorize for --backend "
-                         "gpu/hybrid")
+                    help="simulated GPUs per factorize for --backend gpu")
     sp.add_argument("--batch", type=int, default=8,
                     help="number of same-pattern matrices (default: 8)")
     sp.add_argument("--rhs", type=int, default=1,
@@ -901,13 +884,11 @@ def build_parser():
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
                     help="scheduling substrate for the serving engine "
-                         "(gpu = modeled stream offload; hybrid = CPU "
-                         "workers + GPU streams)")
+                         "(gpu = modeled stream offload)")
     sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs per factorize for --backend "
-                         "gpu/hybrid")
+                    help="simulated GPUs per factorize for --backend gpu")
     sp.add_argument("--threshold", type=int, default=None,
-                    help="GPU offload threshold (stream/hybrid engines)")
+                    help="GPU offload threshold (stream engines)")
     sp.add_argument("--count", type=int, default=8,
                     help="number of streamed matrices / gateway requests "
                          "(default: 8)")

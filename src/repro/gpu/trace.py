@@ -14,11 +14,10 @@ Outputs:
   Chrome ``chrome://tracing`` / Perfetto JSON array format;
 * :meth:`Tracer.ascii_gantt` — a terminal Gantt chart, one row per lane;
 * :meth:`Tracer.lane_busy` / :meth:`Tracer.utilization` /
-  :meth:`Tracer.overlap` — aggregate concurrency statistics;
-* :meth:`Tracer.merged` — combine several tracers into one view (the
-  hybrid engine instead shares ONE tracer between its measured worker
-  lanes and modeled stream lanes, so both families land in one trace
-  with a common clock origin).
+  :meth:`Tracer.overlap` — aggregate concurrency statistics.
+
+A simulated-device run records modeled lanes; the threaded and process
+executors record measured worker lanes.
 
 Example::
 
@@ -99,33 +98,15 @@ class Tracer:
         return sorted((t, v) for ln, nm, t, v in self.counters
                       if ln == lane and nm == name)
 
-    @classmethod
-    def merged(cls, *tracers):
-        """One tracer over the events of several.
-
-        All inputs must share a clock origin (the hybrid engine satisfies
-        this by handing ONE tracer to both the modeled timelines and the
-        measured-task instrumentation, so merging is only needed when
-        separate runs were traced separately).  Events keep their lanes;
-        the result renders measured worker lanes next to modeled stream
-        lanes in one Chrome trace / Gantt chart.
-        """
-        merged = cls()
-        for t in tracers:
-            merged.events.extend(t.events)
-            merged.counters.extend(t.counters)
-        return merged
-
     # -- queries ---------------------------------------------------------
     def lane_names(self):
         """Every lane in display order: the fixed :data:`LANES` first, then
         any dynamically recorded lanes sorted by name.  The simulated
         timelines only ever use the fixed lanes at ``devices=1``; the
-        decoupled multi-device and hybrid timelines record per-device
-        lanes (``gpu0``, ``copy_in0``, ``copy_out0``, ...), and the
-        executors' real-occupancy instrumentation records one lane per
-        worker thread (``repro-exec-0``, ... — ``repro-hybrid-0``, ... for
-        the hybrid backend's measured lanes)."""
+        decoupled multi-device timelines record per-device lanes
+        (``gpu0``, ``copy_in0``, ``copy_out0``, ...), and the executors'
+        real-occupancy instrumentation records one lane per worker thread
+        (``repro-exec-0``, ...)."""
         extra = sorted({e.lane for e in self.events} - set(LANES))
         return tuple(LANES) + tuple(extra)
 

@@ -2,7 +2,7 @@
 variants, baselines, and factor storage."""
 
 from .storage import FactorStorage, ScatterPlan
-from .result import CpuCostAccumulator, FactorizeResult, HybridResult
+from .result import CpuCostAccumulator, FactorizeResult
 from .rl import (
     factorize_rl_cpu,
     factor_snode,
@@ -21,13 +21,11 @@ from .executor import (
     factorize_executor,
     factorize_executor_batch,
     GpuStreamBackend,
-    HybridBackend,
     GRANULARITIES,
     default_workers,
 )
 from .gpu_dag import (
     factorize_gpu_dag,
-    factorize_hybrid,
     factorize_rl_gpu,
     factorize_rlb_gpu,
 )
@@ -116,10 +114,7 @@ __all__ = [
     "factorize_executor",
     "factorize_executor_batch",
     "factorize_gpu_dag",
-    "factorize_hybrid",
-    "HybridResult",
     "GpuStreamBackend",
-    "HybridBackend",
     "ProcessPool",
     "WorkerDiedError",
     "factorize_process",

@@ -38,12 +38,14 @@ it (RL's assembly index, RLB's pair index) on
 :meth:`SymbolicFactor.cache`, so repeated same-pattern refactorization
 (``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
 thread and process substrates read it at the pattern's
-:func:`~repro.symbolic.ranges.task_ranges`, the stream and hybrid
-substrates at the trivial partition (device placement and modeled seconds
-are per supernode).  :class:`StreamPool` is the single threaded dispatch
-loop: a shared ready queue of ``(graph, task)`` entries drained by
-``workers`` threads, any number of graphs in flight, a failing graph (a
-non-SPD matrix) failing only its own ``on_error`` callback, never the pool.
+:func:`~repro.symbolic.ranges.task_ranges`, the stream substrate at the
+trivial partition (device placement and modeled seconds are per
+supernode).  One graph runs on one substrate: threads, processes or
+simulated-GPU streams, never a mix.  :class:`StreamPool` is the single
+threaded dispatch loop: a shared ready queue of ``(graph, task)`` entries
+drained by ``workers`` threads, any number of graphs in flight, a failing
+graph (a non-SPD matrix) failing only its own ``on_error`` callback, never
+the pool.
 
 * :func:`run_task_graph` runs any static ``(ntasks, roots, run_task)``
   triple as one graph on a transient pool — a one-task graph on the calling
@@ -55,10 +57,7 @@ non-SPD matrix) failing only its own ``on_error`` callback, never the pool.
   :func:`stream_factorize_job`) to one transient pool — the backend of
   :meth:`repro.api.SymbolicPlan.factorize_batch`;
 * :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
-  keep one *persistent* pool alive and submit graphs as matrices arrive;
-* :class:`HybridBackend` runs its mixed CPU/GPU graph on the same pool,
-  with the GPU-placed tasks chained in a fixed order
-  (:meth:`HybridBackend.chain_gpu`).
+  keep one *persistent* pool alive and submit graphs as matrices arrive.
 
 :class:`GpuStreamBackend` is not threaded at all: one host thread pops a
 priority heap, which is the paper's schedule.
@@ -101,7 +100,6 @@ __all__ = [
     "factorize_executor_batch",
     "run_task_graph",
     "GpuStreamBackend",
-    "HybridBackend",
     "Countdown",
     "StreamPool",
     "stream_factorize_job",
@@ -373,22 +371,41 @@ def run_task_graph(ntasks, roots, run_task, workers):
     _run_on_pool(ntasks, roots, run_task, _resolve_workers(workers), "repro-exec")
 
 
-class _StreamLanes:
-    """Simulated-device state shared by the stream-scheduling backends.
+class GpuStreamBackend:
+    """Deterministic stream dispatcher over ``devices`` simulated GPUs.
 
-    Owns the modeled host :class:`~repro.gpu.device.Timeline`, the
-    per-device :class:`~repro.gpu.device.SimulatedGpu` instances and the
-    placement/accounting queries (:meth:`place`, :meth:`elapsed`,
-    :meth:`device_busy_seconds`) that :class:`GpuStreamBackend` and
-    :class:`HybridBackend` have in common.  ``couple_single`` controls the
-    single-device clock discipline: a host-coupled timeline is the
-    paper's host-driven offload schedule (the stream backend's contract,
-    pinned by ``tests/test_gpu_golden.py``), while the hybrid backend always decouples so its modeled
-    lanes are named ``gpu0``/``copy_in0``/``copy_out0`` at any device
-    count and never serialize against measured CPU work.
+    Ready tasks are popped lowest-``priority``-first by ONE host thread
+    (the numerics of any task graph therefore execute in a fixed,
+    reproducible order — ascending task id by default, which for the
+    factorization DAGs is exactly the serial engines' elimination order).
+    Task bodies run their kernel pipelines against the backend's devices;
+    modeled time lands on the device timelines:
+
+    * ``devices == 1`` — the single device's :class:`~repro.gpu.device
+      .Timeline` is host-coupled, so a DAG engine's schedule is exactly
+      a serial host loop over the supernodes — the paper's (same factors,
+      same modeled seconds).
+    * ``devices > 1`` — every device gets its own
+      :class:`~repro.gpu.device.DeviceTimeline` sharing one host clock,
+      decoupled from host issue (``coupled=False``): device pipelines are
+      gated by engine availability and explicit task ready times (a
+      dispatcher thread issuing work out of band), placed least-loaded
+      by :meth:`place`.  Host-side work
+      (assembly, blocking waits) still serializes on the shared host
+      clock.
+
+    Device memory is byte-accounted per device by each
+    :class:`~repro.gpu.device.SimulatedGpu`;
+    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
+    caller.  Pass a
+    :class:`~repro.gpu.trace.Tracer` to record every modeled interval —
+    one ``gpu``/``copy_in``/``copy_out`` lane triple per device (suffixed
+    ``gpu0``, ``gpu1``, ... when ``devices > 1``) next to the shared
+    ``cpu`` lane, rendered by the same :mod:`repro.gpu.trace` outputs as
+    the thread-occupancy traces.
     """
 
-    couple_single = True
+    name = "gpu"
 
     def __init__(
         self,
@@ -406,7 +423,7 @@ class _StreamLanes:
         self.machine = machine or MachineModel()
         self.tracer = tracer
         self.host = Timeline(tracer=tracer)
-        if devices == 1 and self.couple_single:
+        if devices == 1:
             timelines = [self.host]
         else:
             timelines = [
@@ -456,43 +473,6 @@ class _StreamLanes:
         """Per-device compute-stream busy seconds (modeled)."""
         return [g.stats.kernel_seconds for g in self.gpus]
 
-
-class GpuStreamBackend(_StreamLanes):
-    """Deterministic stream dispatcher over ``devices`` simulated GPUs.
-
-    Ready tasks are popped lowest-``priority``-first by ONE host thread
-    (the numerics of any task graph therefore execute in a fixed,
-    reproducible order — ascending task id by default, which for the
-    factorization DAGs is exactly the serial engines' elimination order).
-    Task bodies run their kernel pipelines against the backend's devices;
-    modeled time lands on the device timelines:
-
-    * ``devices == 1`` — the single device's :class:`~repro.gpu.device
-      .Timeline` is host-coupled, so a DAG engine's schedule is exactly
-      a serial host loop over the supernodes — the paper's (same factors,
-      same modeled seconds).
-    * ``devices > 1`` — every device gets its own
-      :class:`~repro.gpu.device.DeviceTimeline` sharing one host clock,
-      decoupled from host issue (``coupled=False``): device pipelines are
-      gated by engine availability and explicit task ready times (a
-      dispatcher thread issuing work out of band), placed least-loaded
-      by :meth:`place`.  Host-side work
-      (assembly, blocking waits) still serializes on the shared host
-      clock.
-
-    Device memory is byte-accounted per device by each
-    :class:`~repro.gpu.device.SimulatedGpu`;
-    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
-    caller.  Pass a
-    :class:`~repro.gpu.trace.Tracer` to record every modeled interval —
-    one ``gpu``/``copy_in``/``copy_out`` lane triple per device (suffixed
-    ``gpu0``, ``gpu1``, ... when ``devices > 1``) next to the shared
-    ``cpu`` lane, rendered by the same :mod:`repro.gpu.trace` outputs as
-    the thread-occupancy traces.
-    """
-
-    name = "gpu"
-
     def run_graph(self, ntasks, roots, run_task, *, priority=None):
         """Drain the graph deterministically: pop the ready task with the
         lowest priority key, run it on this (single) host thread, push
@@ -510,91 +490,6 @@ class GpuStreamBackend(_StreamLanes):
                 heapq.heappush(heap, (key(t), t))
         if done != ntasks:
             raise RuntimeError(f"stream backend deadlock: ran {done} of {ntasks} tasks")
-
-
-class HybridBackend(_StreamLanes):
-    """Heterogeneous substrate: measured worker lanes + modeled stream lanes.
-
-    One task DAG, two execution substrates, one worker pool.  The hybrid
-    graph builders of :mod:`repro.numeric.gpu_dag` emit each task's body
-    CPU-or-GPU: CPU-placed tasks run real BLAS exactly like the threaded
-    engines (wall-clock measured), GPU-placed tasks run the
-    simulated-device kernel pipelines of :class:`GpuStreamBackend`
-    (modeled time on ``devices`` stream/copy timelines).  Updates from both
-    substrates park in one store and are pulled by their target's task — so
-    the factors are bit-identical to the serial twin at any
-    ``(workers, devices)``.
-
-    The GPU-placed tasks are chained (:meth:`chain_gpu`): at most one runs
-    at a time, in a fixed priority order, so the modeled clocks,
-    least-loaded placement and transfer accounting are deterministic even
-    though the CPU side is real concurrency.  The device timelines are
-    always decoupled from the host clock (``couple_single=False``):
-    modeled lanes are named ``gpu0``/``copy_in0``/``copy_out0`` from the
-    first device up, and the modeled host clock only advances for GPU-side
-    assembly/drain work — measured CPU task time is accounted separately
-    by :func:`repro.numeric.gpu_dag.factorize_hybrid`.
-
-    A graph that was not chained runs on a plain pool of ``workers``
-    threads.
-    """
-
-    name = "hybrid"
-    couple_single = False
-
-    def __init__(self, *, workers=None, **lanes):
-        """``lanes``: the simulated-device keywords of
-        :class:`GpuStreamBackend` (``devices``, ``machine``,
-        ``device_memory``, ``tracer``, ``launch_overhead_s``)."""
-        self.workers = _resolve_workers(workers)
-        self._gpu_lane = 0  # one extra pool thread once GPU tasks are chained
-        super().__init__(**lanes)
-
-    def chain_gpu(self, order, roots, run_task):
-        """Serialise the GPU-placed tasks ``order`` of a graph; returns the
-        chained graph's ``(roots, run_task)``.
-
-        Every task of ``order`` gains one edge from its predecessor there:
-        it is released once its data dependencies *and* that predecessor
-        are done, so the GPU tasks run one at a time, strictly in
-        ``order``, on whichever pool thread is free.  Safe because in the
-        factorization DAGs every dependency of a GPU task has a strictly
-        lower priority key (sources precede targets; a supernode's factor
-        precedes its pairs), so the next task in ``order`` can never be
-        blocked on a later one.  One task at a time on the simulated
-        device timelines makes the modeled GPU seconds run-to-run
-        deterministic no matter how the CPU tasks interleave.  The pool
-        grows one thread so the chain never takes a lane from the
-        ``workers`` CPU lanes.
-        """
-        if not order:
-            return roots, run_task
-        self._gpu_lane = 1
-        successor = dict(zip(order, order[1:]))
-        tokens = dict.fromkeys(order[1:], 2)  # data-ready + predecessor-done
-        lock = threading.Lock()
-
-        def gate(tids):
-            passed = []
-            with lock:
-                for t in tids:
-                    left = tokens.get(t, 1) - 1
-                    if left:
-                        tokens[t] = left
-                    else:
-                        passed.append(t)
-            return passed
-
-        def run(tid):
-            newly = list(run_task(tid) or ())
-            if tid in successor:
-                newly.append(successor[tid])
-            return gate(newly)
-
-        return gate(roots), run
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None):
-        _run_on_pool(ntasks, roots, run_task, self.workers + self._gpu_lane, "repro-hybrid")
 
 
 def _traced_run(run_task, label_of, tracer, t0):
@@ -665,8 +560,8 @@ class LeavingPairs:
 
 
 # NOTE: dag_plan and range_tasks below are the shared substrate of every DAG
-# backend — repro.numeric.gpu_dag builds the stream and hybrid engines' task
-# graphs from them and repro.numeric.procpool runs the same task body and
+# backend — repro.numeric.gpu_dag builds the stream engines' task graphs
+# from them and repro.numeric.procpool runs the same task body and
 # schedules from the plan's edges.  Renaming them is a cross-module change.
 class DagPlan(NamedTuple):
     """Static task DAG of one granularity over one partition of the
@@ -723,8 +618,8 @@ def dag_plan(symb, granularity, ranges=None):
     """The static :class:`DagPlan` of ``granularity`` over ``ranges``
     (default: the pattern's :func:`~repro.symbolic.ranges.task_ranges`),
     memoised on the partition — the one description of the task DAG that the
-    thread, process, stream and hybrid substrates all schedule from.  The
-    simulated-device substrates pass
+    thread, process and stream substrates all schedule from.  The
+    simulated-device substrate passes
     :func:`~repro.symbolic.ranges.trivial_ranges`: one task per supernode.
 
     Building it builds the index beneath it (the pattern's
@@ -857,8 +752,8 @@ def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
 
 def range_tasks(symb, storage, plan, parked):
     """``(pull, run)`` — the task bodies of ``plan``'s graph over ``storage``,
-    the same on a pool thread, in a worker process and as the hybrid engine's
-    measured CPU task.
+    the same on a pool thread and in a worker process; the stream engines
+    call ``pull`` before each task's device or modeled host body.
 
     ``pull(tid)`` subtracts from range task ``tid``'s panels the updates that
     reach it from outside its range: :attr:`DagPlan.incoming` in the order

@@ -27,9 +27,6 @@ names what schedules it:
     :class:`~repro.numeric.executor.GpuStreamBackend`
     (:mod:`repro.numeric.gpu_dag`; ``devices=N``), for the family-less rows
     a serial loop driving one device (``device=``).
-``"hybrid"``
-    One task DAG across measured CPU worker lanes and modeled GPU stream
-    lanes (:func:`repro.numeric.gpu_dag.factorize_hybrid`).
 ``"process"``
     The task DAG drained by a persistent worker-process pool over
     shared-memory panels (:mod:`repro.numeric.procpool`).
@@ -50,7 +47,7 @@ from typing import Callable
 
 from ..dense.kernels import check_dtype
 from .executor import _FAMILY, factorize_executor
-from .gpu_dag import factorize_gpu_dag, factorize_hybrid
+from .gpu_dag import factorize_gpu_dag
 from .left_looking import factorize_left_looking
 from .left_looking_gpu import factorize_left_looking_gpu
 from .multifrontal import factorize_multifrontal, factorize_multifrontal_gpu
@@ -86,10 +83,12 @@ class EngineSpec:
 
     ``fn(symb, A, **fixed, **options)`` runs the engine.  ``family`` is
     ``"rl"`` | ``"rlb"`` | ``None`` and ``backend`` is ``"serial"`` |
-    ``"threads"`` | ``"gpu"`` | ``"hybrid"`` | ``"process"`` (see the module
-    docstring).  ``accepts`` — the option names a caller may pass — is
-    computed from ``fn``'s signature: every parameter after ``(symb, A)``
-    that ``fixed`` does not already bind.
+    ``"threads"`` | ``"gpu"`` | ``"process"`` (see the module docstring).
+    ``accepts`` — the option names a caller may pass — is computed from
+    ``fn``'s signature: every parameter after ``(symb, A)`` that ``fixed``
+    does not already bind, except ``backend``: every door reads that
+    keyword as the substrate name (:func:`resolve`), so a callable's own
+    ``backend=`` parameter is not an option a request can reach.
     """
 
     name: str
@@ -102,7 +101,7 @@ class EngineSpec:
 
     def __post_init__(self):
         params = list(inspect.signature(self.fn).parameters)[2:]
-        object.__setattr__(self, "accepts", frozenset(params) - frozenset(self.fixed))
+        object.__setattr__(self, "accepts", frozenset(params) - {*self.fixed, "backend"})
 
     @property
     def granularity(self):
@@ -135,8 +134,6 @@ _ROWS = (
     _row("rlb_gpu_v2", factorize_gpu_dag, "rlb", "gpu", "RLB offload v2 (Table II): fine DAG"),
     _row("rl_proc", factorize_process, "rl", "process", "coarse DAG on worker processes"),
     _row("rlb_proc", factorize_process, "rlb", "process", "fine DAG on worker processes"),
-    _row("rl_hybrid", factorize_hybrid, "rl", "hybrid", "coarse DAG on CPU workers + GPU streams"),
-    _row("rlb_hybrid", factorize_hybrid, "rlb", "hybrid", "fine DAG on CPU workers + GPU streams"),
     _row("rlb_gpu_v1", factorize_rlb_gpu_v1, None, "gpu", "RLB offload v1: one batched D2H"),
     _row("left_looking", factorize_left_looking, None, "serial", "left-looking baseline"),
     _row("left_looking_gpu", factorize_left_looking_gpu, None, "gpu", "left-looking + offload"),
@@ -181,9 +178,9 @@ def get_engine(name):
 
 def serial_twin(name):
     """The serial engine of ``name``'s family — bit-identical factors on
-    one host thread (``rl_par`` / ``rl_gpu`` / ``rl_hybrid`` / ``rl_proc``
-    -> ``rl``, likewise ``rlb``); engines without a family map to
-    themselves.  Unknown names raise like :func:`get_engine`."""
+    one host thread (``rl_par`` / ``rl_gpu`` / ``rl_proc`` -> ``rl``,
+    likewise ``rlb``); engines without a family map to themselves.  Unknown
+    names raise like :func:`get_engine`."""
     spec = get_engine(name)
     return _BY_COLUMNS.get((spec.family, "serial"), spec.name)
 
@@ -197,7 +194,7 @@ def backend_engine(name, backend):
     """The engine running ``name``'s task DAG on ``backend``.
 
     ``backend`` is a :data:`BACKENDS` key (``"threads"``, ``"gpu"``,
-    ``"hybrid"``, ``"process"``); ``name`` is any engine with a family.
+    ``"process"``); ``name`` is any engine with a family.
     Raises ``ValueError`` for unknown backends or family-less engines.
     """
     if backend not in BACKENDS:

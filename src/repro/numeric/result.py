@@ -28,7 +28,6 @@ __all__ = [
     "kernel_stream",
     "cpu_cost",
     "FactorizeResult",
-    "HybridResult",
 ]
 
 
@@ -223,41 +222,6 @@ class FactorizeResult:
         return self.extra.get("wall_seconds")
 
 
-@dataclass
-class HybridResult(FactorizeResult):
-    """Outcome of one heterogeneous CPU+GPU factorization
-    (:func:`~repro.numeric.gpu_dag.factorize_hybrid`).
-
-    The hybrid engines mix two clock disciplines, so the combined report
-    keeps them apart instead of pretending they share a unit:
-
-    Attributes
-    ----------
-    measured_cpu_seconds:
-        Sum of the *measured* wall-clock durations of every CPU-placed
-        task (real BLAS on the worker lanes).  Total work, not elapsed
-        time — divide by the worker count for the ideal-overlap span.
-    modeled_gpu_seconds:
-        The stream lanes' modeled elapsed time
-        (:meth:`~repro.numeric.executor.GpuStreamBackend.elapsed` of the
-        hybrid backend): device kernels, DMA transfers and GPU-side host
-        assembly on the simulated clocks.
-    combined_seconds:
-        ``max(measured_cpu_seconds / workers, modeled_gpu_seconds)`` — the
-        two substrates run concurrently, so the schedule is bounded by
-        whichever lane family finishes last.  Also mirrored as
-        ``modeled_seconds`` so generic reporting keeps working.
-    snodes_on_cpu:
-        Supernodes kept on the worker lanes
-        (``snodes_on_cpu + snodes_on_gpu == total_snodes``).
-    """
-
-    measured_cpu_seconds: float = 0.0
-    modeled_gpu_seconds: float = 0.0
-    combined_seconds: float = 0.0
-    snodes_on_cpu: int = 0
-
-
 @dataclass(frozen=True)
 class CpuCost:
     """Modeled CPU cost of one RL/RLB factorization — the frozen totals of
@@ -334,8 +298,8 @@ def cpu_cost(symb, family, machine, thread_choices=CPU_THREAD_CHOICES, itemsize=
     ``(family, machine, thread_choices, itemsize)`` and memoised on
     ``symb.cache()`` — every CPU-lane engine and backend reports this one
     object, and later same-pattern factorizations do no accounting.  A
-    ``snodes`` subset (the hybrid engines' CPU-placed supernodes) is priced
-    unmemoised.  ``machine=None`` is the default :class:`MachineModel`.
+    ``snodes`` subset is priced unmemoised.  ``machine=None`` is the
+    default :class:`MachineModel`.
     """
     machine = machine or MachineModel()
     choices = tuple(thread_choices)

@@ -115,12 +115,10 @@ def gpu_snode_mask(symb, threshold, *, machine=None):
     this once per plan; the historical per-supernode Python loop was a
     measurable fixed cost on repeated small factorizations).
 
-    Degenerate thresholds have defined semantics, relied on by the hybrid
-    engines' substrate-parity contract: ``0`` offloads *every* supernode
-    (a panel always has at least one dilated entry, so the all-GPU mask
-    makes the hybrid engines equal the pure stream backend), and
-    ``float("inf")`` keeps every supernode on the CPU (all-False mask;
-    hybrid equals the pure thread backend).  A pattern with no supernodes
+    Degenerate thresholds have defined semantics: ``0`` offloads *every*
+    supernode (a panel always has at least one dilated entry; the paper's
+    "GPU only" variant), and ``float("inf")`` keeps every supernode on the
+    CPU (all-False mask).  A pattern with no supernodes
     yields a well-formed empty mask, and a singleton supernode list yields
     a one-element mask under the same comparison.  ``NaN`` and negative
     thresholds are rejected with ``ValueError`` — a NaN compares False

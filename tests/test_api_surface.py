@@ -70,14 +70,9 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "engine_table"),
     ("repro.numeric", "factorize_executor_batch"),
     ("repro.numeric", "factorize_gpu_dag"),
-    ("repro.numeric", "factorize_hybrid"),
-    ("repro.numeric", "HybridResult"),
-    ("repro.numeric", "HybridBackend"),
     ("repro.numeric", "scaled_panel_entries_array"),
-    ("repro.numeric.result", "HybridResult"),
     ("repro.numeric.executor", "run_task_graph"),
     ("repro.numeric.executor", "GpuStreamBackend"),
-    ("repro.numeric.executor", "HybridBackend"),
     ("repro.numeric.executor", "StreamPool"),
     ("repro.numeric.executor", "stream_factorize_job"),
     ("repro.numeric.executor", "dag_plan"),
@@ -211,9 +206,7 @@ def test_registry_consistency():
         assert ENGINES[spec.name] is spec
         assert callable(spec.fn)
         assert spec.family in ("rl", "rlb", None)
-        assert spec.backend in (
-            "serial", "threads", "gpu", "hybrid", "process",
-        )
+        assert spec.backend in ("serial", "threads", "gpu", "process")
         rows[spec.name] = spec
     columns = [(s.family, s.backend) for s in rows.values() if s.family]
     assert len(columns) == len(set(columns))

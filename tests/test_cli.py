@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis import COST_CLASSES, breakdown, render_breakdowns
 from repro.cli import build_parser, main
+from repro.numeric.registry import BACKENDS
 from repro.sparse import grid_laplacian
 from repro.sparse.io import write_matrix_market
 from repro.symbolic import analyze
@@ -27,6 +28,17 @@ class TestParser:
     def test_ordering_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze", "x", "--ordering", "bogus"])
+
+    def test_backend_choices_track_registry(self):
+        """``--backend`` choices derive from the registry's ``BACKENDS``."""
+        parser = build_parser()
+        for name in BACKENDS:
+            args = parser.parse_args(["factorize", "x", "--backend", name])
+            assert args.backend == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["factorize", "x", "--backend", "quantum"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["batch", "x", "--backend", "quantum"])
 
 
 class TestCommands:
@@ -59,6 +71,21 @@ class TestCommands:
         assert "rl_par" in out
         assert "workers (threaded DAG)" in out
         assert "measured wall seconds" in out
+
+    def test_factorize_workers_plus_devices_is_refused(self, capsys):
+        """No engine runs one DAG on threads and devices at once: the
+        threaded row --workers selects refuses --devices, with the
+        registry's one message."""
+        assert main(["factorize", SMALL, "--workers", "2",
+                     "--devices", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "devices= is not accepted by engine 'rl_par'")
+        assert main(["factorize", SMALL, "--workers", "2", "--devices", "1",
+                     "--granularity", "fine"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "devices= is not accepted by engine 'rlb_par'")
 
     def test_factorize_workers_fine_granularity(self, capsys):
         assert main(["factorize", SMALL, "--workers", "2",

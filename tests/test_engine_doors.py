@@ -9,6 +9,9 @@ the *same* outcome: the request runs, or ONE ``ValueError`` naming the
 option and the engine (exit code 2 with that message on stderr).
 """
 
+import asyncio
+import dataclasses
+import functools
 import inspect
 
 import numpy as np
@@ -17,8 +20,10 @@ import pytest
 import repro
 from repro.cli import main
 from repro.gpu import Tracer
+from repro.numeric import registry
 from repro.numeric.procpool import close_default_pools
-from repro.numeric.registry import ENGINES, resolve
+from repro.numeric.registry import BACKENDS, ENGINES, resolve
+from repro.serving import Gateway
 from repro.sparse import grid_laplacian
 from repro.sparse.io import write_matrix_market
 
@@ -51,13 +56,11 @@ CLI_FLAGS = {
 _CPU = {"dtype"}
 _PAR = {"workers", "dtype", "tracer"}
 _STREAM = {"devices", "threshold", "dtype", "tracer"}
-_HYBRID = _STREAM | {"workers"}
 CAPABILITIES = {
     "rl": _CPU, "rlb": _CPU,
     "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
     "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM,
     "rl_gpu_dag": _STREAM, "rlb_gpu_dag": _STREAM,
-    "rl_hybrid": _HYBRID, "rlb_hybrid": _HYBRID,
     "rlb_gpu_v1": {"threshold", "dtype"},
     "left_looking": set(), "multifrontal": set(),
     "left_looking_gpu": {"threshold"}, "multifrontal_gpu": {"threshold"},
@@ -171,9 +174,8 @@ def test_the_doors_disagreed_at_the_parent(plan):
 
 
 @pytest.mark.parametrize("name,switch", [
-    ("rl_gpu", "inflight"), ("rl_gpu_dag", "inflight"), ("rl_hybrid", "inflight"),
+    ("rl_gpu", "inflight"), ("rl_gpu_dag", "inflight"),
     ("rlb_gpu_v2", "async_panel_d2h"), ("rlb_gpu_dag", "async_panel_d2h"),
-    ("rlb_hybrid", "async_panel_d2h"),
 ])
 def test_the_other_granularitys_ablation_is_refused(plan, name, switch):
     """At the parent these ran and reported the default's modeled seconds —
@@ -202,3 +204,70 @@ def test_invalid_counts_and_dtypes_are_rejected_once(plan):
             door(engine="rl_gpu", devices=0)
         with pytest.raises(UnsupportedDtypeError):
             door(engine="rlb_par", dtype=np.float16)
+
+
+class _Reached(Exception):
+    """Raised by a spy engine with the keyword arguments it was called with."""
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_every_advertised_option_reaches_the_engine(plan, monkeypatch, name):
+    """Every option the engine table lists for a row arrives at the row's
+    callable through ``plan.factorize``.  The stream rows used to list
+    ``backend``, which every door reads as the substrate name, so
+    ``plan.factorize(engine="rl_gpu", backend=GpuStreamBackend())`` raised
+    ``unknown backend``."""
+    spec = ENGINES[name]
+    values = {"workers": 2, "devices": 2, "dtype": np.float32}
+
+    @functools.wraps(spec.fn)  # same signature, so the same ``accepts``
+    def spy(symb, A, **kwargs):
+        raise _Reached(kwargs)
+
+    monkeypatch.setitem(registry.ENGINES, name, dataclasses.replace(spec, fn=spy))
+    assert registry.ENGINES[name].accepts == spec.accepts
+    for option in sorted(spec.accepts):
+        value = values.get(option, object())
+        with pytest.raises(_Reached) as reached:
+            plan.factorize(engine=name, **{option: value})
+        got = reached.value.args[0][option]
+        assert got == value if option in values else got is value, option
+
+
+@pytest.mark.parametrize("retired", [
+    {"engine": "rl_hybrid"}, {"engine": "rlb_hybrid"}, {"backend": "hybrid"},
+], ids=["rl_hybrid", "rlb_hybrid", "backend-hybrid"])
+def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, retired):
+    """The CPU-worker + GPU-stream lane is gone: its engine names and its
+    backend name are one registry ``ValueError`` at every door."""
+    assert sorted(BACKENDS) == ["gpu", "process", "threads"]
+    assert len(ENGINES) == 15
+    ((key, value),) = retired.items()
+    want = _outcome(lambda: resolve(**{"engine": "rl", **retired}))
+    assert want.startswith(f"unknown {key} {value!r}")
+
+    async def gateway():
+        async with Gateway(workers=1, **retired) as gw:
+            await gw.submit(grid_laplacian((4, 4)), np.ones(16))
+
+    doors = {
+        "plan.factorize": lambda: plan.factorize(**retired),
+        "plan.factorize_batch": lambda: plan.factorize_batch([None], **retired),
+        "plan.serve": lambda: plan.serve(**retired).close(),
+        "Gateway": lambda: asyncio.run(gateway()),
+    }
+    for door, call in doors.items():
+        assert _outcome(call) == want, door
+
+    method, engine = ("--method", "--engine") if key == "engine" else ("--backend",) * 2
+    for argv in (["factorize", matrix_file, method, value],
+                 ["batch", matrix_file, engine, value, "--batch", "2"],
+                 ["serve", matrix_file, engine, value, "--stream", "--count", "2"]):
+        if key == "engine":
+            assert main(argv) == 2, argv[0]
+            assert capsys.readouterr().err.strip() == want, argv[0]
+        else:  # --backend's choices are BACKENDS: argparse refuses the name
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice: 'hybrid'" in capsys.readouterr().err

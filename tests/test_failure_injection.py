@@ -420,7 +420,7 @@ class TestInputValidation:
         import asyncio
 
         import repro
-        from repro.numeric import GpuStreamBackend, HybridBackend, factorize_gpu_dag
+        from repro.numeric import GpuStreamBackend, factorize_gpu_dag
         from repro.serving import Gateway
         from repro.solve import solve_factored_gpu_dag
 
@@ -443,7 +443,6 @@ class TestInputValidation:
             lambda d: factorize_gpu_dag(plan.symb, plan.system.matrix, devices=d),
             lambda d: solve_factored_gpu_dag(factor.storage, b, devices=d),
             lambda d: GpuStreamBackend(devices=d),
-            lambda d: HybridBackend(workers=1, devices=d),
         ]
         if devices is None:
             for door in doors[:6]:  # None is "not given" at the staged doors only

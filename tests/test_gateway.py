@@ -569,7 +569,7 @@ def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
         plan.serve(workers=0)
     with pytest.raises(ValueError, match="backend"):
         plan.serve(backend="nope")
-    # gpu/hybrid substrates open fine and serve bit-identically
+    # the gpu substrate opens fine and serves bit-identically
     with plan.serve(backend="gpu") as session:
         f = session.submit(base_matrix.data).result()
     ref = plan.factorize(engine="rlb_gpu_dag")

@@ -10,10 +10,14 @@
   hand-rolled loops these engines replaced are pinned, as data, by
   ``tests/test_gpu_golden.py``;
 * ``devices=N`` scales with the elimination tree's branch independence;
-* trace lanes of the stream backend render next to the host lane.
+* trace lanes of the stream backend render next to the host lane;
+* ``gpu_snode_mask`` edge cases (0 / inf / empty / singleton / NaN /
+  negative) are well-formed or rejected.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.numeric import (
     factorize_rl_gpu,
     factorize_rlb_cpu,
     factorize_rlb_gpu,
+    gpu_snode_mask,
 )
 from repro.numeric.executor import GpuStreamBackend
 from repro.numeric.registry import BACKENDS, backend_engine, get_engine, \
@@ -410,3 +415,39 @@ class TestThresholdVectorization:
         assert out[1] == machine.entries_lo / 2  # below the ramp: sigma=1
         assert out[2] == pytest.approx(
             machine.entries_hi * 10 * machine.dilation ** 2)
+
+
+class TestMaskEdgeCases:
+    """gpu_snode_mask degenerate inputs."""
+
+    def test_zero_offloads_everything(self, system):
+        mask = gpu_snode_mask(system.symb, 0)
+        assert mask.dtype == np.bool_
+        assert mask.shape == (system.symb.nsup,)
+        assert mask.all()
+
+    def test_inf_keeps_everything_on_cpu(self, system):
+        mask = gpu_snode_mask(system.symb, float("inf"))
+        assert not mask.any()
+
+    def test_negative_rejected(self, system):
+        with pytest.raises(ValueError, match=">= 0"):
+            gpu_snode_mask(system.symb, -1)
+
+    def test_nan_rejected(self, system):
+        with pytest.raises(ValueError, match="NaN"):
+            gpu_snode_mask(system.symb, float("nan"))
+
+    def test_empty_pattern(self):
+        symb = SimpleNamespace(rowptr=np.zeros(1, dtype=np.int64),
+                               snptr=np.zeros(1, dtype=np.int64))
+        mask = gpu_snode_mask(symb, 100.0)
+        assert mask.dtype == np.bool_
+        assert mask.shape == (0,)
+
+    def test_singleton_supernode(self):
+        symb = SimpleNamespace(rowptr=np.array([0, 4], dtype=np.int64),
+                               snptr=np.array([0, 2], dtype=np.int64))
+        assert gpu_snode_mask(symb, 0).tolist() == [True]
+        assert gpu_snode_mask(symb, float("inf")).tolist() == [False]
+        assert gpu_snode_mask(symb, 100.0).shape == (1,)

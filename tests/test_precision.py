@@ -211,8 +211,7 @@ class TestFp32BitIdentity:
 
     @pytest.mark.parametrize("engine", ["rl_par", "rlb_par", "rl_gpu",
                                         "rlb_gpu_v2", "rl_gpu_dag",
-                                        "rlb_gpu_dag", "rl_hybrid",
-                                        "rlb_hybrid"])
+                                        "rlb_gpu_dag"])
     def test_api_engines_match_serial_twin(self, fp32_plan, engine):
         twin = serial_twin(engine)
         ref = fp32_plan.factorize(engine=twin, dtype=np.float32)

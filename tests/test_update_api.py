@@ -139,9 +139,8 @@ class TestFactorUpdate:
         "backend_kwargs",
         [{}, {"backend": "threads", "workers": 2},
          {"backend": "gpu", "devices": 2},
-         {"backend": "hybrid", "workers": 2},
          {"backend": "process", "workers": 2}],
-        ids=["serial", "threads", "gpu", "hybrid", "process"])
+        ids=["serial", "threads", "gpu", "process"])
     def test_bit_identity_across_backends(self, splan, engine,
                                           backend_kwargs):
         """Updating, then downdating, bit-identical base factors gives
