@@ -1,15 +1,14 @@
-"""Batched AND streaming same-pattern serving: one plan, many matrices.
+"""Closed batches AND streaming same-pattern serving: one plan, many matrices.
 
-The high-throughput serving patterns the staged API unlocks: a parameter
-sweep produces B matrices sharing one sparsity pattern; a single
-:class:`repro.api.SymbolicPlan` owns the symbolic work and either
+A parameter sweep produces B matrices sharing one sparsity pattern; a
+single :class:`repro.api.SymbolicPlan` owns the symbolic work and either
 
-* ``plan.factorize_batch`` pushes all B numeric factorizations through ONE
-  threaded task-DAG worker pool (the *closed batch* — everything exists up
-  front), or
+* ``plan.factorize_batch`` factorizes the *closed batch* — everything
+  exists up front — one matrix after another, or
 * ``plan.serve()`` opens a streaming :class:`repro.api.ServingSession` —
-  the same worker pool kept alive while matrices are submitted one at a
-  time (``submit_solve`` futures), the arrival-driven serving loop.
+  one persistent worker pool that drains every in-flight submission's task
+  graph while matrices are submitted one at a time (``submit_solve``
+  futures), the arrival-driven serving loop.
 
 The example
 
@@ -17,10 +16,9 @@ The example
 2. factorizes the whole sweep in one batch call,
 3. verifies every batch factor is bit-identical to a serial
    ``refactorize`` of the same matrix (the determinism contract),
-4. serves a shared right-hand side with ``solve_all`` — serial and
-   level-scheduled parallel (``workers=4``, bit-identical again) — and
-   reads the ``logdet`` of every sweep member,
-5. compares batched vs looped wall-clock,
+4. serves a shared right-hand side with ``solve_all`` and reads the
+   ``logdet`` of every sweep member,
+5. prints the batch's summed wall-clock next to a loop of the serial twin,
 6. replays the sweep through a streaming session, one submission at a
    time, with a mid-stream non-SPD request that fails only its own future.
 
@@ -54,13 +52,10 @@ def main():
     print(f"Problem: n = {A.n}, {plan.nsup} supernodes, "
           f"sweep of {nbatch} same-pattern matrices\n")
 
-    # -- batched: one worker pool drains all 8 task DAGs ------------------
-    t0 = time.perf_counter()
+    # -- closed batch: a loop of rlb_par factorizations in one call -------
     batch = plan.factorize_batch(sweep, engine="rlb_par", workers=4)
-    t_batch = time.perf_counter() - t0
 
-    # -- looped: one same-plan factorize at a time (symbolic work shared,
-    # but no cross-matrix overlap) ----------------------------------------
+    # -- looped: the serial twin, one same-plan factorize at a time -------
     plan.factorize(engine="rlb")  # prime the index caches, like the batch
     t0 = time.perf_counter()
     loop = [plan.factorize(data, engine="rlb") for data in sweep]
@@ -74,22 +69,19 @@ def main():
 
     b = A.matvec(np.ones(A.n))
     xs = batch.solve_all(b)  # one shared RHS across the sweep
-    xs_par = batch.solve_all(b, workers=4)  # level-scheduled, one pool
-    assert all(np.array_equal(x, xp) for x, xp in zip(xs, xs_par))
     worst = max(f.residual_norm(x, b) for f, x in zip(batch, xs))
-    print(f"solve_all: {len(xs)} solutions (parallel solves bit-identical), "
-          f"worst residual {worst:.2e}")
+    print(f"solve_all: {len(xs)} solutions, worst residual {worst:.2e}")
     print("log det over the sweep:",
           np.array2string(batch.logdets(), precision=1))
 
     workers = batch[0].result.extra["workers"]
-    print(f"\nlooped  : {t_loop * 1e3:8.1f} ms "
+    print(f"\nrlb     : {t_loop * 1e3:8.1f} ms "
           f"({t_loop / nbatch * 1e3:6.1f} ms/matrix)")
-    print(f"batched : {t_batch * 1e3:8.1f} ms "
-          f"({t_batch / nbatch * 1e3:6.1f} ms/matrix, workers={workers})")
-    print(f"speedup : {t_loop / t_batch:.2f}x "
-          "(below 1x on two cores, see docs/api.md; pin BLAS to 1 thread "
-          "when measuring — `python -m repro batch` prints the same pair)")
+    print(f"rlb_par : {batch.wall_seconds * 1e3:8.1f} ms "
+          f"({batch.amortized_seconds * 1e3:6.1f} ms/matrix, "
+          f"workers={workers}; the sum of each factorization's own time)")
+    print("pin BLAS to 1 thread when measuring — `python -m repro batch` "
+          "prints the same pair, docs/api.md has a dated table")
 
     # -- streaming: the arrival-driven serving loop -----------------------
     # matrices now arrive one at a time (think: requests on a queue); one

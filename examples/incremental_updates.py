@@ -22,9 +22,9 @@ refactorizing, this example
    :class:`repro.api.SymbolicPlan` — the symbolic analysis, relative-index
    caches and panel scatter plan are computed once and every subsequent
    factorization pays only for the numeric kernels.
-   (When the whole sweep is known up front, prefer
-   :meth:`repro.api.SymbolicPlan.factorize_batch` — the batched serving
-   mode demonstrated in ``examples/batched_serving.py``.)
+   (When the whole sweep is known up front,
+   :meth:`repro.api.SymbolicPlan.factorize_batch` is the same loop in one
+   call, demonstrated in ``examples/batched_serving.py``.)
 
 Run:  python examples/incremental_updates.py
 """

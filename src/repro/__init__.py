@@ -19,8 +19,8 @@ Quickstart — the staged ``plan → Factor`` pipeline::
     factor = plan.factorize(engine="rl_gpu")    # numeric factorization
     x = factor.solve(np.ones(A.n))              # triangular solves
 
-Symbolic reuse and batched serving
-----------------------------------
+Symbolic reuse, batches and serving
+-----------------------------------
 Symbolic analysis (ordering, supernodes, relative indices) and the panel
 scatter plan depend only on the sparsity pattern, so a sequence of
 factorizations with fixed structure and changing values — time stepping,
@@ -30,13 +30,15 @@ parameter sweeps, re-weighted least squares — reuses one plan::
     for data_t in value_stream:                 # same pattern, new values
         x = plan.factorize(data_t).solve(b)     # numeric kernels only
 
-and a whole *batch* of same-pattern matrices can be fanned out over the
-threaded task-DAG worker pool in one call — the high-throughput serving
-mode::
+and a closed *batch* is that loop in one call, one factorization after
+another, with a shared or per-matrix right-hand side::
 
-    batch = plan.factorize_batch(list_of_values, engine="rlb_par",
-                                 workers=4)
+    batch = plan.factorize_batch(list_of_values, engine="rl")
     xs = batch.solve_all(b)
+
+Requests that overlap in time share one worker pool through
+``plan.serve(...)`` (a :class:`~repro.api.ServingSession`) or the
+multi-tenant :class:`repro.serving.Gateway`.
 
 Under the hood the relative-index runs, block lists, task DAGs and
 value-scatter plan are all memoised on the

@@ -15,21 +15,22 @@ module exposes those stages as explicit, immutable objects::
         f_t = plan.factorize(values_t)         # numeric kernels only
         x_t = f_t.solve(b)
 
-and builds high-throughput *batched* serving on top — one shared symbolic
-plan fanning a whole batch of same-pattern matrices out over the threaded
-task-DAG worker pool (:func:`repro.numeric.executor.factorize_executor_batch`)::
+A closed batch of same-pattern values is that loop, one ``factorize``
+per value set, with the batch's bookkeeping (shared or per-matrix
+right-hand sides, summed wall time, the failing position)::
 
-    batch = plan.factorize_batch(values_list, engine="rlb_par", workers=4)
+    batch = plan.factorize_batch(values_list, engine="rl")
     xs = batch.solve_all(b)                    # one solution per matrix
 
 The *solve* side is staged the same way.  ``plan.solve_plan()`` exposes the
 pattern-only elimination-tree level schedule as a :class:`SolvePlan`;
-``factor.solve(b, workers=N)`` / ``batch.solve_all(b, workers=N)`` execute
-the level-scheduled forward/backward sweeps on the same task-graph runtime
-(bit-identical to the serial sweeps for every worker count).  And when
-same-pattern matrices arrive *one at a time* instead of as a closed batch,
-:meth:`SymbolicPlan.serve` opens a streaming :class:`ServingSession` — one
-persistent worker pool, ``submit``/``submit_solve`` returning futures::
+``factor.solve(b, workers=N)`` executes the level-scheduled forward/backward
+sweeps on the task-graph runtime (bit-identical to the serial sweeps for
+every worker count).  And when same-pattern requests *overlap* — arriving
+one at a time from concurrent clients — :meth:`SymbolicPlan.serve` opens a
+streaming :class:`ServingSession`: one persistent worker pool that drains
+every in-flight request's task graph, ``submit``/``submit_solve`` returning
+futures::
 
     with plan.serve(engine="rlb_par", workers=4) as session:
         futures = [session.submit_solve(vals, b) for vals in value_stream]
@@ -48,8 +49,8 @@ Separation of concerns:
     new ``Factor``; nothing is re-analyzed and nothing is invalidated
     behind your back.
 :class:`FactorBatch`
-    A sequence of same-pattern ``Factor`` objects produced on one worker
-    pool, with vectorized ``solve_all``.
+    A sequence of same-pattern ``Factor`` objects, one per value set, with
+    ``solve_all`` over shared or per-matrix right-hand sides.
 
 Which engine a request runs, and which keyword arguments that engine
 takes, is decided in one place — :func:`repro.numeric.registry.resolve` —
@@ -72,7 +73,6 @@ from .numeric.executor import (
     _task_label_fn,
     _traced_run,
     dag_plan,
-    factorize_executor_batch,
     stream_factorize_job,
 )
 from .numeric.registry import (
@@ -338,24 +338,22 @@ class SymbolicPlan:
     def factorize_batch(self, values_list, *, engine="rlb_par", workers=None,
                         backend=None, devices=None, dtype=None,
                         **engine_kwargs):
-        """Factorize a batch of same-pattern matrices; returns a
-        :class:`FactorBatch`.
+        """Factorize a batch of same-pattern matrices, one after another;
+        returns a :class:`FactorBatch`.
 
-        On the threads backend (``rl_par`` / ``rlb_par``) all matrices run
-        as independent task-DAG instances on ONE shared worker pool
-        (:func:`repro.numeric.executor.factorize_executor_batch`), so the
-        pool stays saturated across matrix boundaries — this is the
-        high-throughput serving mode for parameter sweeps, time stepping
-        and many concurrent users on one pattern.  Every other engine
-        runs an amortized loop, one engine call per matrix (symbolic work
-        still shared).  ``backend`` / ``devices`` and every other option
-        are resolved exactly as in :meth:`factorize` (``backend="gpu"``
-        runs every matrix on the stream engines, modeled time per matrix).
+        The loop ``[plan.factorize(v, ...) for v in values_list]``, with
+        ``engine`` and every option resolved once, exactly as in
+        :meth:`factorize`, and every value set validated before the first
+        factorization.  Each factor is therefore the one ``factorize``
+        returns for that matrix alone, bit for bit, on every engine and
+        backend.  Requests that *overlap* share a worker pool through
+        :meth:`serve` instead.
 
-        Every factor is bit-identical to a serial ``factorize`` of that
-        matrix alone.  A non-SPD matrix anywhere in the batch raises
-        :class:`~repro.dense.kernels.NotPositiveDefiniteError` with
-        ``batch_index`` set to its position in ``values_list``.
+        A NaN/Inf value set raises
+        :class:`~repro.dense.kernels.NonFiniteValuesError` and a non-SPD
+        matrix :class:`~repro.dense.kernels.NotPositiveDefiniteError`, with
+        ``batch_index`` set to the first failing position in
+        ``values_list``.
         """
         spec, kwargs = resolve(engine, backend, workers=workers,
                                devices=devices, dtype=dtype, **engine_kwargs)
@@ -365,24 +363,12 @@ class SymbolicPlan:
                 datas.append(self._values_of(values))
             except NonFiniteValuesError as exc:
                 raise NonFiniteValuesError(exc.count, batch_index=b) from exc
-        if spec.backend != "threads":
-            # one engine call per matrix; each keeps its worker/device
-            # setting (the process pool itself is cached per (workers,
-            # start_method) and stays warm across the loop)
-            factors = []
-            for b, data in enumerate(datas):
-                try:
-                    factors.append(self._factor(spec, kwargs, data))
-                except NotPositiveDefiniteError as exc:
-                    raise NotPositiveDefiniteError.for_batch(exc, b) from exc
-            return FactorBatch(self, tuple(factors))
-        matrices = [self._permuted_matrix(data) for data in datas]
-        results = factorize_executor_batch(self._system.symb, matrices,
-                                           **kwargs)
-        factors = tuple(
-            Factor(self, res, self._original_matrix(data))
-            for res, data in zip(results, datas)
-        )
+        factors = []
+        for b, data in enumerate(datas):
+            try:
+                factors.append(self._factor(spec, kwargs, data))
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError.for_batch(exc, b) from exc
         return FactorBatch(self, factors)
 
     # ------------------------------------------------------------------
@@ -403,8 +389,8 @@ class SymbolicPlan:
               pool=None, tracer=None, trace_origin=None):
         """Open a streaming :class:`ServingSession` on this pattern.
 
-        Where :meth:`factorize_batch` needs the whole batch up front, a
-        serving session owns ONE persistent worker pool and accepts
+        Where :meth:`factorize_batch` runs a closed batch one matrix after
+        another, a serving session owns ONE persistent worker pool and accepts
         same-pattern matrices *as they arrive*: ``session.submit(values)``
         returns a future resolving to a :class:`Factor`,
         ``session.submit_solve(values, b)`` one resolving to the solution
@@ -426,7 +412,7 @@ class SymbolicPlan:
         ``fork``) run each submission through those engines instead.
         Every produced factor and solution is
         bit-identical to its serial counterpart regardless of substrate
-        (same pull rule as the batch path).
+        (the same pull rule as :meth:`factorize`).
 
         ``dtype=`` sets the session's default factor precision
         (``numpy.float32`` for the mixed-precision serving lane; see
@@ -538,18 +524,6 @@ def _guarded(fn, future):
     return run
 
 
-def _unpermute(perm):
-    """``finish`` closure of a solve chain: scatter the solved (permuted)
-    buffer back to the original ordering."""
-
-    def finish(buf):
-        x = np.empty_like(buf)
-        x[perm] = buf
-        return x
-
-    return finish
-
-
 def _submit_solve_graph(pool, storage, y, future, on_done):
     """Submit the fused level-scheduled solve of one factor on a
     persistent pool.  ``y`` is the already-permuted right-hand side
@@ -566,34 +540,6 @@ def _submit_solve_graph(pool, storage, y, future, on_done):
     pool.submit_graph(ntasks, roots, run_task,
                       on_complete=_guarded(done, future),
                       on_error=future.set_exception)
-
-
-def _submit_solve_chain(pool, storage, y, future, finish):
-    """One plain solve on the pool: resolve ``future`` with ``finish(y)``
-    (the un-permutation) once the fused graph drains — bit-identical to
-    :meth:`Factor.solve` of the same factor."""
-    _submit_solve_graph(pool, storage, y, future,
-                        lambda buf: future.set_result(finish(buf)))
-
-
-def _pooled_solves(storage_rhs_pairs, perm, n, workers, name):
-    """Run many independent level-scheduled solves on ONE transient pool.
-
-    ``storage_rhs_pairs`` yields ``(FactorStorage, rhs)`` — the same
-    storage repeated for many-RHS serving (:meth:`Factor.solve_many`) or
-    one per factor (:meth:`FactorBatch.solve_all`).  Each right-hand side
-    is validated and gathered through ``perm`` up front; all fused solve
-    graphs drain one shared ready queue, and the solutions come back in
-    submission order, bit-identical to the serial path."""
-    finish = _unpermute(perm)
-    futures = []
-    with StreamPool(workers, name=name) as pool:
-        for storage, b in storage_rhs_pairs:
-            b = check_rhs(n, b, "b", copy=False)
-            future = Future()
-            _submit_solve_chain(pool, storage, b[perm], future, finish)
-            futures.append(future)
-    return [f.result() for f in futures]
 
 
 class Factor:
@@ -715,22 +661,6 @@ class Factor:
         x = np.empty_like(y)
         x[perm] = y
         return x
-
-    def solve_many(self, rhs_list, *, workers=None):
-        """Solve ``A x_i = b_i`` for a list of independent right-hand sides;
-        returns one solution per entry (each ``(n,)`` or ``(n, k)``).
-
-        With ``workers=N`` every solve's level-scheduled forward/backward
-        sweeps run as chained task graphs on ONE shared worker pool — the
-        many-RHS serving mode: cross-solve parallelism fills the dependency
-        stalls near the elimination tree's root exactly as batched
-        factorization does.  Bit-identical to looping :meth:`solve`.
-        """
-        if workers is None:
-            return [self.solve(b) for b in rhs_list]
-        return _pooled_solves(((self.storage, b) for b in rhs_list),
-                              self._plan.perm, self.n, workers,
-                              "repro-manysolve")
 
     def solve_refined(self, b, *, tol=1e-14, max_iter=5, workers=None,
                       return_info=False, stall_ratio=None, fallback=True):
@@ -992,39 +922,31 @@ class FactorBatch:
     # ------------------------------------------------------------------
     @property
     def wall_seconds(self):
-        """Measured wall-clock of the whole batch (threaded engines; the
-        run is shared, so this is NOT a per-matrix time — see
-        :attr:`amortized_seconds`).  ``None`` whenever there is no
-        measurement: an empty batch, or serial/GPU engines (consistent
-        with :attr:`repro.numeric.result.FactorizeResult.wall_seconds`)."""
-        if not self._factors:
+        """Measured wall-clock of the whole batch: the sum of the factors'
+        :attr:`~repro.numeric.result.FactorizeResult.wall_seconds` (each
+        factor timed its own run).  ``None`` whenever a factor has no
+        measurement (serial and GPU engines) and for an empty batch."""
+        walls = [f.result.wall_seconds for f in self._factors]
+        if not walls or None in walls:
             return None
-        return self._factors[0].result.extra.get("wall_seconds")
+        return sum(walls)
 
     @property
     def amortized_seconds(self):
-        """Batch wall-clock divided by the batch size — the per-matrix
-        throughput cost of batched serving."""
+        """Batch wall-clock divided by the batch size — the mean
+        per-matrix cost."""
         wall = self.wall_seconds
-        if wall is None or not self._factors:
-            return wall
-        return wall / len(self._factors)
+        return None if wall is None else wall / len(self._factors)
 
     # ------------------------------------------------------------------
-    def solve_all(self, rhs, *, workers=None):
+    def solve_all(self, rhs):
         """Solve every system of the batch; returns a list of solutions.
 
         ``rhs`` is either one shared right-hand side (an ``(n,)`` vector —
         ndarray or plain numeric list — or an ``(n, k)`` block applied to
         every matrix, the parameter-sweep shape) or a ``list``/``tuple`` of
         ``len(batch)`` per-matrix right-hand sides (each ``(n,)`` or
-        ``(n, k)``).
-
-        ``workers=N`` runs ALL of the batch's level-scheduled solve sweeps
-        on one shared worker pool (the solve-side analogue of
-        :meth:`SymbolicPlan.factorize_batch`: cross-matrix task parallelism
-        fills the dependency stalls near each elimination tree's root).
-        Every solution is bit-identical to the serial ``solve_all``.
+        ``(n, k)``).  Each solution is that factor's :meth:`Factor.solve`.
         """
         nfac = len(self._factors)
         if not isinstance(rhs, (list, tuple)):
@@ -1042,11 +964,7 @@ class FactorBatch:
                     f"expected {nfac} right-hand sides, "
                     f"got {len(rhs_list)}"
                 )
-        if workers is None:
-            return [f.solve(b) for f, b in zip(self._factors, rhs_list)]
-        return _pooled_solves(
-            ((f.storage, b) for f, b in zip(self._factors, rhs_list)),
-            self._plan.perm, self._plan.n, workers, "repro-batchsolve")
+        return [f.solve(b) for f, b in zip(self._factors, rhs_list)]
 
     def logdets(self):
         """``log det`` of every matrix in the batch, as one array."""
@@ -1062,9 +980,11 @@ class ServingSession:
     ``submit_solve``, the chained level-scheduled forward/backward solve
     graphs) on the session's :class:`~repro.numeric.executor.StreamPool`
     and immediately returns a :class:`concurrent.futures.Future` — there is
-    no closed batch, and the pool stays saturated across submissions
-    exactly as :meth:`SymbolicPlan.factorize_batch` keeps it busy within
-    one batch.
+    no closed batch, and every in-flight submission's graph drains through
+    the one pool, so overlapping requests keep all workers busy.  This is
+    the one place the runtime runs several graphs at once (with
+    :class:`repro.serving.Gateway`, which multiplexes sessions over a
+    shared pool); :meth:`SymbolicPlan.factorize_batch` is a plain loop.
 
     Contracts:
 
@@ -1357,7 +1277,11 @@ class ServingSession:
         if b is not None:
             b = check_rhs(plan.n, b, "b", copy=False)
             y = b[plan.perm]  # fresh gather, owned by the chain
-        finish = _unpermute(plan.perm)
+
+        def solved(buf):
+            x = np.empty_like(buf)
+            x[plan.perm] = buf  # back to the original ordering
+            future.set_result(x)
 
         def enqueue(parent):
             def done(new_factor):
@@ -1366,8 +1290,8 @@ class ServingSession:
                 if y is None:
                     future.set_result(new_factor)
                 else:
-                    _submit_solve_chain(self._pool, new_factor.storage, y,
-                                        future, finish)
+                    _submit_solve_graph(self._pool, new_factor.storage, y,
+                                        future, solved)
 
             self._enqueue_one(
                 lambda: parent.apply(W, policy=policy, downdate=downdate),

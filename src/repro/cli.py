@@ -15,9 +15,10 @@ Commands
     additionally times the level-scheduled parallel triangular solves
     against the serial sweeps (bit-identical by contract).
 ``batch MATRIX``
-    Batched same-pattern serving: push ``--batch B`` value sets through
-    ``plan.factorize_batch`` on one worker pool and compare against a
-    looped serial ``refactorize`` (per-matrix vs amortized timings).
+    Same-pattern batch: factorize ``--batch B`` value sets with
+    ``plan.factorize_batch`` (one factorization after another) on the
+    chosen engine and on its serial twin, and solve them with
+    ``solve_all``.
 ``serve MATRIX --stream``
     Streaming same-pattern serving demo: a ``ServingSession`` (one
     persistent worker pool) consumes ``--count`` matrices arriving one at
@@ -33,7 +34,7 @@ Commands
     what ``Factor.apply(policy="auto")`` picks at each depth, verifying
     the updated factor against a scratch factorization of ``A ± W Wᵀ``.
 
-``factorize``/``batch``/``serve`` accept ``--trace FILE`` with the
+``factorize``/``serve`` accept ``--trace FILE`` with the
 threaded engines to export *measured* per-task start/stop intervals (one
 Chrome-trace lane per worker thread) — real occupancy next to the modeled
 Gantt charts; ``--gateway`` traces add request/analysis spans and
@@ -550,38 +551,22 @@ def cmd_batch(args):
     if args.rhs < 1:
         print("--rhs must be >= 1", file=sys.stderr)
         return 2
-    if args.trace and spec.backend != "threads":
-        print("--trace records the threaded executor's per-task occupancy; "
-              f"it does not apply to --engine {engine}",
-              file=sys.stderr)
-        return 2
     A = _load_matrix(args.matrix)
     rng = np.random.default_rng(args.seed)
     datas = spd_value_sweep(A, args.batch, seed=args.seed)
-    tracer = None
-    if args.trace:
-        from .gpu import Tracer
-
-        tracer = Tracer()
-
     plan = make_plan(A, ordering=args.ordering)
-    plan.factorize(datas[0], engine=engine, **kwargs)
-    t0 = time.perf_counter()
-    batch = plan.factorize_batch(datas, engine=engine, tracer=tracer,
-                                 **kwargs)
-    t_batch = time.perf_counter() - t0
 
-    # the pre-batching protocol: one serial refactorize after another
-    # (fresh plan, so the loop pays its own cache warm-up outside the timer)
-    loop_engine = serial_twin(engine)
-    loop_kwargs = {} if dtype is None else {"dtype": dtype}
-    loop_plan = make_plan(A, ordering=args.ordering)
-    loop_plan.factorize(engine=loop_engine,
-                        **loop_kwargs)  # symbolic + cache warm-up
-    t0 = time.perf_counter()
-    for data in datas:
-        loop_plan.factorize(data, engine=loop_engine, **loop_kwargs)
-    t_loop = time.perf_counter() - t0
+    def looped(name, **kw):
+        # factorize_batch is a loop of factorize; the first call warms the
+        # plan's caches outside the timer
+        plan.factorize(datas[0], engine=name, **kw)
+        t0 = time.perf_counter()
+        batch = plan.factorize_batch(datas, engine=name, **kw)
+        return batch, time.perf_counter() - t0
+
+    twin = serial_twin(engine)
+    batch, t_engine = looped(engine, **kwargs)
+    _, t_twin = looped(twin, **({} if dtype is None else {"dtype": dtype}))
 
     shape = A.n if args.rhs == 1 else (A.n, args.rhs)
     b = rng.standard_normal(shape)
@@ -589,8 +574,8 @@ def cmd_batch(args):
     worst = max(f.residual_norm(x, b) for f, x in zip(batch, xs))
 
     rows = [
-        ("engine (batched)", engine),
-        ("engine (looped)", loop_engine),
+        ("engine", engine),
+        ("serial twin", twin),
         ("precision", batch[0].dtype.name),
         ("batch size", str(args.batch)),
     ]
@@ -599,23 +584,16 @@ def cmd_batch(args):
     if "devices" in batch[0].result.extra:
         rows.append(("devices (stream DAG)",
                      str(batch[0].result.extra["devices"])))
+    for name, t in ((engine, t_engine), (twin, t_twin)):
+        rows.append((f"looped {name}",
+                     f"{t * 1e3:.2f} ms ({t / args.batch * 1e3:.2f} ms "
+                     f"per matrix)"))
     rows += [
-        ("looped refactorize total", f"{t_loop * 1e3:.2f} ms"),
-        ("looped per matrix", f"{t_loop / args.batch * 1e3:.2f} ms"),
-        ("batched total", f"{t_batch * 1e3:.2f} ms"),
-        ("batched per matrix (amortized)",
-         f"{t_batch / args.batch * 1e3:.2f} ms"),
-        ("batch speedup", f"{t_loop / t_batch:.2f}x"),
         ("right-hand sides per matrix", str(args.rhs)),
         ("worst relative residual", f"{worst:.3e}"),
     ]
     print(format_table(["field", "value"], rows,
-                       title=f"Batched same-pattern serving: {args.matrix}"))
-    if tracer is not None:
-        tracer.save_chrome_trace(args.trace)
-        print(f"\nwrote Chrome trace to {args.trace} "
-              f"(one lane per worker thread; open in chrome://tracing "
-              f"or Perfetto)")
+                       title=f"Same-pattern batch: {args.matrix}"))
     # a single-precision factor's direct solve sits at the fp32 residual
     # floor (~1e-6); the fp64 gate applies to full-precision runs only
     return 0 if worst < (1e-4 if dtype == np.float32 else 1e-8) else 1
@@ -834,13 +812,12 @@ def build_parser():
     common(sp)
 
     sp = sub.add_parser("batch",
-                        help="batched same-pattern serving vs looped "
-                             "refactorize")
+                        help="same-pattern batch: an engine against its "
+                             "serial twin")
     sp.add_argument("matrix")
     sp.add_argument("--engine", default="rlb_par",
-                    help="factorization engine for the batch (threaded "
-                         "engines run the whole batch on one worker pool; "
-                         "default: rlb_par)")
+                    help="factorization engine for the batch, one matrix "
+                         "after another (default: rlb_par)")
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads for the threaded engines")
     sp.add_argument("--backend", default=None,
@@ -854,10 +831,6 @@ def build_parser():
     sp.add_argument("--rhs", type=int, default=1,
                     help="right-hand sides per matrix for solve_all")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trace", metavar="FILE",
-                    help="write a Chrome/Perfetto trace of measured "
-                         "per-task occupancy (threaded engines; one lane "
-                         "per worker thread)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the batched factorizations "
                          "(RL/RLB engine families)")

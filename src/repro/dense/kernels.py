@@ -114,8 +114,7 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """Raised when a diagonal block fails dense Cholesky — the matrix is not
     (numerically) positive definite at the offending pivot.
 
-    Batched factorizations (:mod:`repro.api`,
-    :func:`repro.numeric.executor.factorize_executor_batch`) re-raise via
+    :meth:`repro.api.SymbolicPlan.factorize_batch` re-raises via
     :meth:`for_batch`, which adds a ``batch_index`` attribute naming the
     offending matrix's position in the batch.
     """

@@ -19,7 +19,6 @@ from .rlb import (
 )
 from .executor import (
     factorize_executor,
-    factorize_executor_batch,
     GpuStreamBackend,
     GRANULARITIES,
     default_workers,
@@ -112,7 +111,6 @@ __all__ = [
     "commit_block_pair",
     "block_pair_targets",
     "factorize_executor",
-    "factorize_executor_batch",
     "factorize_gpu_dag",
     "GpuStreamBackend",
     "ProcessPool",

@@ -52,27 +52,26 @@ the pool.
   thread — and re-raises its first exception: the runtime behind
   :func:`factorize_executor` and the level-scheduled triangular solves of
   :mod:`repro.solve.triangular`;
-* :func:`factorize_executor_batch` submits B same-pattern matrices as B
-  graphs (per-matrix storage, parked store and countdown, from
-  :func:`stream_factorize_job`) to one transient pool — the backend of
-  :meth:`repro.api.SymbolicPlan.factorize_batch`;
 * :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
-  keep one *persistent* pool alive and submit graphs as matrices arrive.
+  keep one *persistent* pool alive and submit graphs (one
+  :func:`stream_factorize_job` per matrix) as requests arrive — the only
+  place several graphs share a pool, because only there do requests
+  overlap.  A closed batch (:meth:`repro.api.SymbolicPlan.factorize_batch`)
+  is a loop of factorizations, one graph after another.
 
 :class:`GpuStreamBackend` is not threaded at all: one host thread pops a
 priority heap, which is the paper's schedule.
 
-Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor` /
-:func:`factorize_executor_batch` records every task's measured start/stop
-interval on a per-worker-thread lane, so real thread occupancy can be laid
-next to the *modeled* Gantt charts of :mod:`repro.numeric.schedule`
-(CLI: ``factorize --workers N --trace out.json``).
+Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor`
+records every task's measured start/stop interval on a per-worker-thread
+lane, so real thread occupancy can be laid next to the *modeled* Gantt
+charts of :mod:`repro.numeric.schedule` (CLI: ``factorize --workers N
+--trace out.json``).
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import operator
 import os
@@ -83,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..dense.kernels import NotPositiveDefiniteError, factor_routines
+from ..dense.kernels import factor_routines
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from ..gpu.device import DeviceTimeline, SimulatedGpu, Timeline
 from ..symbolic.blocks import pair_index
@@ -97,7 +96,6 @@ from .threshold import DEFAULT_DEVICE_MEMORY
 
 __all__ = [
     "factorize_executor",
-    "factorize_executor_batch",
     "run_task_graph",
     "GpuStreamBackend",
     "Countdown",
@@ -184,8 +182,8 @@ class StreamPool:
     :meth:`submit_graph` calls — task graphs arrive whenever the caller has
     them and all drain through one shared ready queue, so the pool stays
     saturated across graph boundaries.  Streaming serving keeps one pool
-    for the session's life; :func:`run_task_graph` (one graph) and
-    :func:`factorize_executor_batch` (B graphs) open one for the call.
+    for the session's life; :func:`run_task_graph` opens one for its one
+    graph.
 
     Failure isolation: the first exception inside a graph marks *that*
     graph failed — its ``on_error`` callback fires once, its not-yet-run
@@ -513,7 +511,7 @@ def _traced_run(run_task, label_of, tracer, t0):
     return run
 
 
-def _task_label_fn(plan, prefix=""):
+def _task_label_fn(plan):
     """Human-readable task labels for trace events: a range of several
     supernodes is ``snodes:lo-hi`` (its first and last supernode); a single
     supernode is ``snode:12`` (coarse) or ``factor:3`` with its pair tasks
@@ -524,11 +522,11 @@ def _task_label_fn(plan, prefix=""):
 
     def label(tid):
         if tid >= nranges:
-            return f"{prefix}pair:{plan.pairs.source[tid - nranges]}"
+            return f"pair:{plan.pairs.source[tid - nranges]}"
         lo, hi = bounds[tid], bounds[tid + 1]
         if hi - lo == 1:
-            return f"{prefix}{single}:{lo}"
-        return f"{prefix}snodes:{lo}-{hi - 1}"
+            return f"{single}:{lo}"
+        return f"snodes:{lo}-{hi - 1}"
 
     return label
 
@@ -836,8 +834,9 @@ def stream_factorize_job(
     """One streaming factorize job: ``(storage, ntasks, roots, run_task,
     finish)`` for a single same-pattern matrix ``M``.
 
-    The per-matrix seam of :class:`repro.api.ServingSession` and
-    :func:`factorize_executor_batch`: the caller submits ``(ntasks, roots,
+    The per-matrix seam of :func:`factorize_executor`,
+    :class:`repro.api.ServingSession` and, through the session,
+    :class:`repro.serving.Gateway`: the caller submits ``(ntasks, roots,
     run_task)`` to a :class:`StreamPool` and, once the graph drains, calls
     ``finish(wall_seconds)`` for the
     :class:`~repro.numeric.result.FactorizeResult` (same report as
@@ -911,88 +910,3 @@ def factorize_executor(
     run_task_graph(ntasks, roots, run_task, workers)
     return finish(time.perf_counter() - t0)
 
-
-def factorize_executor_batch(
-    symb,
-    matrices,
-    *,
-    workers=None,
-    granularity="fine",
-    machine=None,
-    tracer=None,
-    dtype=None,
-):
-    """Factorize a batch of same-pattern matrices on ONE worker pool.
-
-    The batched multi-matrix serving runtime: every matrix of ``matrices``
-    (all sharing the sparsity pattern ``symb`` was computed for — typically
-    a parameter sweep or time-stepping sequence) is one
-    :func:`stream_factorize_job` — its own
-    :class:`~repro.numeric.storage.FactorStorage`, its own parked store and
-    :class:`Countdown` and its own task graph — and all B graphs
-    drain through one transient :class:`StreamPool`, so the pool stays busy
-    across matrix boundaries: the scheduling slack at the top of one
-    elimination tree is filled with work from the others.  The static DAG
-    plan, relative-index caches and panel scatter plan are built once
-    (memoised on ``symb``) and shared by every instance.
-
-    Determinism is per matrix: each matrix's panels accumulate in the serial
-    engines' ascending source order, so every returned factor is
-    bit-identical to a serial ``factorize``/``refactorize`` of that matrix
-    alone, for any worker count and any batch size.
-
-    A non-SPD matrix fails its own graph only; once the pool has drained,
-    the batch raises the serial engines'
-    :class:`~repro.dense.kernels.NotPositiveDefiniteError` of the *lowest*
-    failing position: ``exc.batch_index`` holds the index into
-    ``matrices`` and ``exc.pivot`` the failing pivot.
-
-    Returns a list of :class:`~repro.numeric.result.FactorizeResult`, one
-    per matrix in input order; ``extra`` carries ``batch_size``,
-    ``batch_index`` and the whole-batch ``wall_seconds`` (shared — divide by
-    ``batch_size`` for the amortized per-matrix cost).
-    """
-    _check_granularity(granularity)
-    workers = _resolve_workers(workers)
-    matrices = list(matrices)
-    nbatch = len(matrices)
-    jobs = [
-        stream_factorize_job(
-            symb,
-            A,
-            granularity,
-            machine,
-            # "tasks" is the per-matrix DAG size, consistent with
-            # factorize_executor; the pool drains batch_size * tasks
-            extra={
-                "workers": workers,
-                "granularity": granularity,
-                "batch_size": nbatch,
-                "batch_index": b,
-            },
-            dtype=dtype,
-        )
-        for b, A in enumerate(matrices)
-    ]
-    errors = {}
-    t0 = time.perf_counter()
-    total = sum(job[1] for job in jobs)
-    with StreamPool(max(1, min(workers, total)), name="repro-exec") as pool:
-        for b, (_, ntasks, roots, run_task, _) in enumerate(jobs):
-            if tracer is not None:
-                label_of = _task_label_fn(dag_plan(symb, granularity), f"m{b}:")
-                run_task = _traced_run(run_task, label_of, tracer, t0)
-            pool.submit_graph(
-                ntasks,
-                roots,
-                run_task,
-                on_complete=_noop,
-                on_error=functools.partial(errors.__setitem__, b),
-            )
-    wall = time.perf_counter() - t0
-    if errors:
-        b = min(errors)
-        if isinstance(errors[b], NotPositiveDefiniteError):
-            raise NotPositiveDefiniteError.for_batch(errors[b], b) from errors[b]
-        raise errors[b]
-    return [finish(wall) for *_, finish in jobs]

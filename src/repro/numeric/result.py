@@ -194,12 +194,10 @@ class FactorizeResult:
         Work statistics at the machine model's dilated scale (flops × σ³,
         bytes × σ²) — the scale the modeled seconds correspond to.
     extra:
-        Engine-specific measurements.  The threaded executor records
-        ``workers``, ``granularity``, ``tasks`` and measured
-        ``wall_seconds``; batched runs
-        (:func:`~repro.numeric.executor.factorize_executor_batch`) add
-        ``batch_size`` and ``batch_index`` (``wall_seconds`` is then the
-        whole batch's shared wall time).
+        Engine-specific measurements.  The threaded and process executors
+        record ``workers``, ``granularity``, ``tasks`` and this one
+        factorization's measured ``wall_seconds``; a serving session adds
+        ``stream_index``.
     """
 
     method: str
@@ -254,15 +252,14 @@ class CpuCost:
         )
 
 
-def kernel_stream(symb, family, snodes=None):
+def kernel_stream(symb, family):
     """The BLAS/assembly call stream of a serial ``"rl"`` or ``"rlb"``
     factorization, from the sparsity pattern alone.
 
     Yields ``(s, kind, m, n, k)`` per call in elimination order: DPOTRF
     and DTRSM of supernode ``s``, then RL's one DSYRK and one
     ``"assembly"`` pass (``m`` = fp64-normalized bytes moved), or RLB's
-    DSYRK/DGEMM per block pair.  ``snodes`` restricts the walk to an
-    ascending subset of supernodes.
+    DSYRK/DGEMM per block pair.
     """
     if family not in ("rl", "rlb"):
         raise ValueError(f"unknown family {family!r}; choose 'rl' or 'rlb'")
@@ -275,7 +272,7 @@ def kernel_stream(symb, family, snodes=None):
         kinds = np.where(diagonal, "syrk", "gemm").tolist()
         rows = np.where(diagonal, 0, index.blk_len[index.lower]).tolist()
         cols = index.blk_len[index.upper].tolist()
-    for s in range(symb.nsup) if snodes is None else snodes:
+    for s in range(symb.nsup):
         m, w = symb.panel_shape(s)
         b = m - w
         yield s, "potrf", 0, w, 0
@@ -290,28 +287,26 @@ def kernel_stream(symb, family, snodes=None):
             yield s, kinds[pair], rows[pair], cols[pair], w
 
 
-def cpu_cost(symb, family, machine, thread_choices=CPU_THREAD_CHOICES, itemsize=8, snodes=None):
+def cpu_cost(symb, family, machine, thread_choices=CPU_THREAD_CHOICES, itemsize=8):
     """Price the pattern: the :class:`CpuCost` of ``family``'s
     :func:`kernel_stream`, charged in the serial engines' order.
 
     The cost depends on the pattern only, so it is computed once per
     ``(family, machine, thread_choices, itemsize)`` and memoised on
     ``symb.cache()`` — every CPU-lane engine and backend reports this one
-    object, and later same-pattern factorizations do no accounting.  A
-    ``snodes`` subset is priced unmemoised.  ``machine=None`` is the
-    default :class:`MachineModel`.
+    object, and later same-pattern factorizations do no accounting.
+    ``machine=None`` is the default :class:`MachineModel`.
     """
     machine = machine or MachineModel()
     choices = tuple(thread_choices)
     key = (family, machine, choices, int(itemsize))
     memo = symb.cache().setdefault("cpu_cost", {})
-    if snodes is None and key in memo:
+    if key in memo:
         return memo[key]
     acc = CpuCostAccumulator(machine, choices, itemsize=itemsize)
-    acc.charge(kernel_stream(symb, family, snodes))
+    acc.charge(kernel_stream(symb, family))
     threads, seconds = acc.best()
     times = tuple(acc.times.items())
     cost = CpuCost(times, threads, seconds, acc.flops, acc.kernel_count, acc.assembly_bytes)
-    if snodes is None:
-        memo[key] = cost
+    memo[key] = cost
     return cost

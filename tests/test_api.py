@@ -2,10 +2,10 @@
 
 Covers :mod:`repro.api`: error paths (pattern mismatch, unknown engine,
 workers on serial engines), ``Factor`` conveniences (``logdet``,
-``diag``, ``solve_refined``, ``residual_norm``) and batched same-pattern
-serving — bit-identity of :meth:`SymbolicPlan.factorize_batch` factors
-against a serial ``refactorize`` loop, and non-SPD propagation with the
-offending batch index.
+``diag``, ``solve_refined``, ``residual_norm``) and same-pattern
+batches — :meth:`SymbolicPlan.factorize_batch` is a loop of
+``factorize`` on every backend, bit for bit, and non-SPD propagation names
+the offending batch index.
 """
 
 import numpy as np
@@ -15,6 +15,8 @@ import repro
 from repro.api import FactorBatch, SymbolicPlan
 from repro.dense.kernels import NotPositiveDefiniteError
 from repro.sparse import SymmetricCSC, grid_laplacian
+from repro.symbolic import task_ranges
+from tests.conftest import force_cut
 
 
 @pytest.fixture(scope="module")
@@ -266,12 +268,52 @@ class TestFactorizeBatch:
     def test_batch_results_metadata(self, base_plan, value_batch):
         batch = base_plan.factorize_batch(value_batch[:4], engine="rlb_par",
                                           workers=2)
-        for i, f in enumerate(batch):
-            assert f.result.extra["batch_size"] == 4
-            assert f.result.extra["batch_index"] == i
-        assert batch.wall_seconds > 0
+        walls = [f.result.wall_seconds for f in batch]
+        for f in batch:
+            # a batch member's report is a lone factorize's report
+            assert "batch_index" not in f.result.extra
+        assert all(w > 0 for w in walls)
+        assert batch.wall_seconds == sum(walls)
         assert batch.amortized_seconds == pytest.approx(
             batch.wall_seconds / 4)
+
+    @pytest.fixture(scope="class")
+    def cut_plan(self, base_matrix):
+        """The module's pattern cut into several task ranges, so the
+        threads and process backends run real task graphs."""
+        with pytest.MonkeyPatch.context() as patch:
+            force_cut(patch, "mixed")
+            plan = repro.plan(base_matrix)
+            assert len(task_ranges(plan.symb)) > 1
+        return plan
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("backend", [None, "threads", "process", "gpu"])
+    @pytest.mark.parametrize("family", ["rl", "rlb"])
+    def test_batch_is_a_loop_of_factorize(self, cut_plan, value_batch,
+                                          family, backend, dtype):
+        """Panel for panel, ``factorize_batch(values, **kw)`` is
+        ``[factorize(v, **kw) for v in values]`` on every backend and in
+        either precision; two non-SPD matrices raise the lower position."""
+        kw = {"engine": family, "backend": backend, "dtype": dtype}
+        if backend in ("threads", "process"):
+            kw["workers"] = 2
+        values = value_batch[:3]
+        batch = cut_plan.factorize_batch(values, **kw)
+        assert len(batch) == len(values)
+        for data, got in zip(values, batch):
+            want = cut_plan.factorize(data, **kw)
+            assert got.engine == want.engine
+            assert len(got.storage.panels) == len(want.storage.panels)
+            for p, q in zip(got.storage.panels, want.storage.panels):
+                assert p.dtype == q.dtype == dtype
+                assert np.array_equal(p, q)
+        bad = [d.copy() for d in value_batch[:4]]
+        bad[1][:] = 0.0
+        bad[3][:] = 0.0
+        with pytest.raises(NotPositiveDefiniteError) as exc_info:
+            cut_plan.factorize_batch(bad, **kw)
+        assert exc_info.value.batch_index == 1
 
     def test_logdets(self, base_plan, value_batch):
         batch = base_plan.factorize_batch(value_batch[:3], engine="rl_par",
@@ -300,9 +342,9 @@ class TestBatchNotSpd:
     @pytest.mark.parametrize("engine", ["rl_par", "rlb_par"])
     def test_two_non_spd_report_the_lower_index(self, base_plan,
                                                 value_batch, engine):
-        """Every matrix is its own graph on one pool and fails alone; the
-        batch then raises the lowest failing position, however the
-        workers interleaved."""
+        """The loop stops at the first failing matrix, so the batch raises
+        the lowest failing position, however the workers interleaved
+        inside each factorization."""
         bad = [d.copy() for d in value_batch[:5]]
         bad[1][:] = 0.0
         bad[3][:] = 0.0
@@ -333,9 +375,9 @@ class TestPricedOnce:
         walks = []
         walker = result.kernel_stream
 
-        def counting(symb, family, snodes=None):
+        def counting(symb, family):
             walks.append(family)
-            return walker(symb, family, snodes)
+            return walker(symb, family)
 
         monkeypatch.setattr(result, "kernel_stream", counting)
         plan = repro.plan(base_matrix)

@@ -68,7 +68,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "backend_engine"),
     ("repro.numeric.registry", "resolve"),
     ("repro.numeric.registry", "engine_table"),
-    ("repro.numeric", "factorize_executor_batch"),
     ("repro.numeric", "factorize_gpu_dag"),
     ("repro.numeric", "scaled_panel_entries_array"),
     ("repro.numeric.executor", "run_task_graph"),

@@ -38,10 +38,11 @@ class TestBatchCommand:
         assert main(["batch", SMALL, "--engine", "rlb_par", "--workers", "2",
                      "--batch", "4"]) == 0
         out = capsys.readouterr().out
-        assert "Batched same-pattern serving" in out
-        assert "batched per matrix (amortized)" in out
-        assert "looped per matrix" in out
-        assert "batch speedup" in out
+        assert "Same-pattern batch" in out
+        # the engine and its serial twin, each a loop; no speedup claim
+        assert "looped rlb_par" in out
+        assert "looped rlb " in out
+        assert "speedup" not in out
         assert "worst relative residual" in out
 
     def test_batch_with_block_rhs(self, capsys):
@@ -53,7 +54,7 @@ class TestBatchCommand:
     def test_batch_serial_engine_fallback(self, capsys):
         assert main(["batch", SMALL, "--engine", "rl", "--batch", "2"]) == 0
         out = capsys.readouterr().out
-        assert "engine (batched)" in out
+        assert "looped rl " in out
 
     def test_batch_flag_validation(self, capsys):
         assert main(["batch", SMALL, "--batch", "0"]) == 2
@@ -75,23 +76,10 @@ class TestBatchCommand:
         assert args.batch == 8
         assert args.rhs == 1
         assert args.workers is None
-        assert args.trace is None
-
-    def test_batch_trace_export(self, tmp_path, capsys):
-        trace = tmp_path / "batch.trace.json"
-        assert main(["batch", SMALL, "--engine", "rlb_par", "--batch", "2",
-                     "--workers", "2", "--trace", str(trace)]) == 0
-        assert "wrote Chrome trace" in capsys.readouterr().out
-        assert trace.exists()
-
-    def test_batch_trace_rejected_for_serial_engine(self, capsys):
-        assert main(["batch", SMALL, "--engine", "rl",
-                     "--trace", "x.json"]) == 2
-        assert "--trace" in capsys.readouterr().err
 
     def test_factorize_trace_rejected_for_serial_engine(self, capsys):
         # a serial engine has no timeline; exiting 0 with no trace file
-        # written would be a silent lie (parity with batch --trace)
+        # written would be a silent lie
         assert main(["factorize", SMALL, "--method", "rl",
                      "--trace", "x.json"]) == 2
         assert main(["factorize", SMALL, "--method", "rlb",

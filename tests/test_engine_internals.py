@@ -67,21 +67,6 @@ class TestCpuCost:
         assert cpu_cost(symb, "rl", slow, (8, 16), 8).seconds > one.seconds
         assert dict(one.times)[one.best_threads] == one.seconds
 
-    def test_subset_is_priced_unmemoised(self, analyzed_vec):
-        symb, machine = analyzed_vec.symb, MachineModel()
-        for family in ("rl", "rlb"):
-            whole = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8)
-            memo = dict(symb.cache()["cpu_cost"])
-            every = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8,
-                             snodes=range(symb.nsup))
-            assert every == whole and every is not whole
-            lo = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8,
-                          snodes=range(0, symb.nsup // 2))
-            hi = cpu_cost(symb, family, machine, CPU_THREAD_CHOICES, 8,
-                          snodes=range(symb.nsup // 2, symb.nsup))
-            assert lo.kernel_count + hi.kernel_count == whole.kernel_count
-            assert symb.cache()["cpu_cost"] == memo
-
     def test_stream_is_the_serial_call_order(self, analyzed_vec):
         symb = analyzed_vec.symb
         rl = list(kernel_stream(symb, "rl"))

@@ -237,7 +237,6 @@ class TestInputValidation:
             lambda: factor.solve(block, workers=2),
             lambda: factor.solve(b, mode="gpu"),
             lambda: factor.solve_refined(b),
-            lambda: factor.solve_many([good, b], workers=2),
         ]
         for door in doors:
             with pytest.raises(repro.NonFiniteValuesError) as ei:
@@ -302,8 +301,6 @@ class TestInputValidation:
                 factor.solve(rhs, **how)
                 assert calls == ["right-hand side", "solution"], how
                 calls.clear()
-        assert len(factor.solve_many([b, B], workers=2)) == 2
-        assert sorted(calls) == ["right-hand side"] * 2 + ["solution"] * 2
         f32 = plan.factorize(engine="rl", dtype=np.float32)
         calls.clear()
         info = f32.solve_refined(b, tol=1e-13, return_info=True, fallback=False)

@@ -184,8 +184,6 @@ def _check_every_schedule(plan, dtype, seed=0):
         np.testing.assert_array_equal(y, serial[plan.perm], err_msg="trivial_ranges")
         np.testing.assert_array_equal(
             factor.solve_refined(b, workers=2), factor.solve_refined(b))
-    for got, b in zip(factor.solve_many(rhs, workers=2), rhs):
-        np.testing.assert_array_equal(got, factor.solve(b))
     return factor, rhs[0]
 
 

@@ -348,9 +348,9 @@ class TestServingPrecision:
         walks = []
         walker = result.kernel_stream
 
-        def recording(symb, family, snodes=None):
+        def recording(symb, family):
             walks.append((family, threading.current_thread()))
-            return walker(symb, family, snodes)
+            return walker(symb, family)
 
         monkeypatch.setattr(result, "kernel_stream", recording)
         plan = repro.plan(base_matrix)

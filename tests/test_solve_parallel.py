@@ -1,8 +1,7 @@
 """Level-scheduled parallel triangular solves + streaming serving tests.
 
 The solve-side determinism contract: the parallel forward/backward sweeps,
-``Factor.solve(workers=N)``, ``Factor.solve_many``,
-``FactorBatch.solve_all(workers=N)`` and every ``ServingSession`` result
+``Factor.solve(workers=N)`` and every ``ServingSession`` result
 must be *bit-identical* to the serial path for every worker count; a
 non-SPD matrix in a streaming session fails only its own future.  Also
 covers the :class:`SolvePlan` level-schedule introspection, the executor's
@@ -115,30 +114,7 @@ class TestBitIdentity:
         with pytest.raises(ValueError, match="right-hand side 'b'"):
             factor.solve(np.ones(3))
         with pytest.raises(ValueError, match="right-hand side 'b'"):
-            factor.solve_many([np.ones(3)], workers=2)
-
-    def test_solve_many_pooled(self, aplan):
-        factor = aplan.factorize(engine="rl")
-        rng = np.random.default_rng(3)
-        bs = [rng.standard_normal(aplan.n) for _ in range(4)]
-        bs.append(rng.standard_normal((aplan.n, 3)))
-        ref = factor.solve_many(bs)
-        par = factor.solve_many(bs, workers=3)
-        assert all(np.array_equal(r, p) for r, p in zip(ref, par))
-
-    def test_batch_solve_all_pooled(self, aplan):
-        datas = spd_value_sweep(aplan.matrix, 4)
-        batch = aplan.factorize_batch(datas, engine="rlb_par", workers=2)
-        b = rhs(aplan.n, "block", seed=4)
-        ref = batch.solve_all(b)
-        par = batch.solve_all(b, workers=3)
-        assert all(np.array_equal(r, p) for r, p in zip(ref, par))
-        # per-matrix RHS list too
-        rng = np.random.default_rng(5)
-        bs = [rng.standard_normal(aplan.n) for _ in range(len(batch))]
-        ref = batch.solve_all(bs)
-        par = batch.solve_all(bs, workers=2)
-        assert all(np.array_equal(r, p) for r, p in zip(ref, par))
+            factor.solve(np.ones(3), workers=2)
 
 
 class TestEdgeCases:
@@ -554,14 +530,3 @@ class TestExecutorTraceInstrumentation:
             {meta[lane] for lane in LANES})
         tracer.save_chrome_trace(tmp_path / "exec.json")
         assert (tmp_path / "exec.json").exists()
-
-    def test_batch_trace_labels_carry_matrix_index(self, aplan):
-        from repro.numeric.executor import factorize_executor_batch
-
-        datas = spd_value_sweep(aplan.matrix, 2)
-        matrices = [aplan._permuted_matrix(d) for d in datas]
-        tracer = Tracer()
-        factorize_executor_batch(aplan.symb, matrices, workers=2,
-                                 granularity="coarse", tracer=tracer)
-        prefixes = {e.name.split(":")[0] for e in tracer.events}
-        assert prefixes == {"m0", "m1"}

@@ -238,9 +238,6 @@ def _check_every_lane(plan, dtype, procs):
         want = rl.solve(b)
         for workers in (1, 2, 4):
             assert np.array_equal(rl.solve(b, workers=workers), want)
-    many = rl.solve_many([b1, b16, b1 + 1.0], workers=2)
-    for got, b in zip(many, (b1, b16, b1 + 1.0)):
-        assert np.array_equal(got, rl.solve(b))
     with plan.serve(engine="rlb_par", workers=2, dtype=dtype) as session:
         plain = [session.submit_solve(v, b1) for v in values]
         refined = session.submit_solve(values[1], b1, refine=True, tol=1e-30, max_iter=2)
