@@ -10,6 +10,8 @@ nested dissection), and subgraph extraction.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 __all__ = [
     "AdjacencyGraph",
@@ -107,6 +109,50 @@ def adjacency_from_matrix(A):
     return AdjacencyGraph(A.n, xadj, dst)
 
 
+def _csgraph(graph, root, mask):
+    """``graph`` as a scipy CSR matrix for :func:`_bfs`, edges into
+    ``mask``-false vertices dropped (``ValueError`` if ``root`` is one).
+
+    float64 data and int32 indices are what ``scipy.sparse.csgraph``
+    validates to, so every BFS on the result copies nothing.
+    """
+    xadj, adjncy = graph.xadj, graph.adjncy
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask[root]:
+            raise ValueError("root excluded by mask")
+        keep = mask[adjncy]
+        xadj = np.concatenate(([0], np.cumsum(keep)))[xadj]
+        adjncy = adjncy[keep]
+    return csr_matrix(
+        (np.ones(adjncy.size), adjncy.astype(np.int32), xadj.astype(np.int32)),
+        shape=(graph.n, graph.n),
+    )
+
+
+def _bfs(G, root):
+    """``(levels, order)`` of a FIFO breadth-first search of ``G`` from
+    ``root``, neighbours taken in CSR order."""
+    order, pred = breadth_first_order(G, root, directed=True, return_predecessors=True)
+    order = order.astype(np.int64)
+    n = G.shape[0]
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(order.size)
+    # pointer jumping over the BFS tree in queue positions: ``depth[k]`` is
+    # the distance from ``order[k]`` to ``order[up[k]]``, and ``up`` doubles
+    # its reach each pass until every vertex points at the root
+    up = np.zeros(order.size, dtype=np.int64)
+    up[1:] = pos[pred[order[1:]]]
+    depth = np.ones(order.size, dtype=np.int64)
+    depth[0] = 0
+    while up.any():
+        depth += depth[up]
+        up = up[up]
+    levels = np.full(n, -1, dtype=np.int64)
+    levels[order] = depth
+    return levels, order
+
+
 def bfs_levels(graph, root, *, mask=None):
     """Breadth-first level structure from ``root``.
 
@@ -124,31 +170,9 @@ def bfs_levels(graph, root, *, mask=None):
     levels:
         ``int64`` array of per-vertex level, ``-1`` for unreached vertices.
     order:
-        Vertices in visitation order.
+        Vertices in FIFO visitation order, neighbours in ``adjncy`` order.
     """
-    # open = allowed and not yet discovered
-    open_ = np.ones(graph.n, dtype=bool) if mask is None else np.array(mask, dtype=bool)
-    if not open_[root]:
-        raise ValueError("root excluded by mask")
-    frontier = np.array([root], dtype=np.int64)
-    fronts = []
-    while frontier.size:
-        open_[frontier] = False
-        fronts.append(frontier)
-        # level-synchronous step: all neighbours of the frontier in frontier
-        # order; the first occurrence of each open vertex in this gather
-        # order is exactly its FIFO discovery
-        nb, _ = graph.gather(frontier)
-        nb = nb[open_[nb]]
-        by_vertex = nb.argsort(kind="stable")
-        ranked = nb[by_vertex]
-        fresh = np.ones(nb.size, dtype=bool)
-        fresh[1:] = ranked[1:] != ranked[:-1]
-        frontier = nb[np.sort(by_vertex[fresh])]
-    order = np.concatenate(fronts)
-    levels = np.full(graph.n, -1, dtype=np.int64)
-    levels[order] = np.repeat(np.arange(len(fronts)), [f.size for f in fronts])
-    return levels, order
+    return _bfs(_csgraph(graph, root, mask), root)
 
 
 def connected_components(graph, *, mask=None):
@@ -189,14 +213,15 @@ def pseudo_peripheral_vertex(graph, start, *, mask=None, max_iter=10):
     Returns ``(vertex, levels, order)`` of the final BFS.
     """
     v = int(start)
-    levels, order = bfs_levels(graph, v, mask=mask)
-    ecc = levels[order].max() if order.size else 0
+    G = _csgraph(graph, v, mask)
+    levels, order = _bfs(G, v)
+    ecc = levels[order[-1]]
     for _ in range(max_iter):
         last = order[levels[order] == ecc]
         degs = graph.xadj[last + 1] - graph.xadj[last]
         cand = int(last[np.argmin(degs)])
-        lv, od = bfs_levels(graph, cand, mask=mask)
-        new_ecc = lv[od].max() if od.size else 0
+        lv, od = _bfs(G, cand)
+        new_ecc = lv[od[-1]]
         if new_ecc <= ecc:
             break
         v, levels, order, ecc = cand, lv, od, new_ecc

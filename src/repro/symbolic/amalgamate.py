@@ -26,7 +26,9 @@ import heapq
 
 import numpy as np
 
-__all__ = ["amalgamate", "merge_extra_fill"]
+from .supernodes import snode_of_column
+
+__all__ = ["amalgamate", "amalgamate_counts", "merge_extra_fill"]
 
 
 def _trapezoid(w, b):
@@ -61,20 +63,34 @@ def amalgamate(symb, *, growth_cap=0.25):
     snptr:
         New (coarser) supernode boundary array.  Column order is unchanged.
     """
-    nsup = symb.nsup
-    snptr = symb.snptr
+    w = np.diff(symb.snptr)
+    return _merge(symb.snptr, w, np.diff(symb.rowptr) - w, symb.sn_parent, growth_cap)
+
+
+def amalgamate_counts(snptr, counts, parent, *, growth_cap=0.25):
+    """:func:`amalgamate` of the fundamental (or maximal) partition ``snptr``
+    read off the elimination tree ``parent`` and column ``counts`` it was
+    found from, not off its symbolic factor: such a supernode's panel is its
+    first column's structure, and its parent supernode holds ``parent[last]``."""
+    snptr = np.asarray(snptr, dtype=np.int64)
+    w = np.diff(snptr)
+    up = parent[snptr[1:] - 1]
+    sn_parent = np.where(up >= 0, snode_of_column(snptr)[up], -1)
+    return _merge(snptr, w, counts[snptr[:-1]] - w, sn_parent, growth_cap)
+
+
+def _merge(snptr, w, b, sn_parent, growth_cap):
+    """The greedy merge over supernodes of widths ``w``, below-row counts
+    ``b`` and supernodal tree ``sn_parent``."""
+    nsup = snptr.size - 1
+    budget = int(growth_cap * int(np.sum(_trapezoid(w, b))))
     # plain-int lists: the greedy loop below is scalar bookkeeping
-    w = np.diff(snptr).tolist()
-    b = (np.diff(symb.rowptr) - np.diff(snptr)).tolist()
-    parent0 = symb.sn_parent.tolist()
-    budget = int(growth_cap * symb.factor_nnz_dense())
+    w, b, parent0 = w.tolist(), b.tolist(), sn_parent.tolist()
 
     alive = [True] * nsup
     merged_into = list(range(nsup))  # union-find
     prev_sn = list(range(-1, nsup - 1))
-    next_sn = list(range(1, nsup + 1))
-    next_sn[-1] = -1
-    first_col = snptr[:-1].tolist()  # current first column of each alive snode
+    next_sn = [*range(1, nsup), -1]
 
     def find(s):
         root = s
@@ -95,11 +111,8 @@ def amalgamate(symb, *, growth_cap=0.25):
             return None
         return merge_extra_fill(w[c], b[c], w[p], b[p])
 
-    heap = []
-    for c in range(nsup):
-        extra = candidate(c)
-        if extra is not None:
-            heapq.heappush(heap, (extra, c))
+    heap = [(extra, c) for c in range(nsup) if (extra := candidate(c)) is not None]
+    heapq.heapify(heap)
     spent = 0
     while heap:
         extra, c = heapq.heappop(heap)
@@ -116,7 +129,6 @@ def amalgamate(symb, *, growth_cap=0.25):
         spent += extra
         # merge c into p (p keeps its id; its columns now start at c's)
         w[p] += w[c]
-        first_col[p] = first_col[c]
         alive[c] = False
         merged_into[c] = p
         prv = prev_sn[c]
@@ -130,14 +142,8 @@ def amalgamate(symb, *, growth_cap=0.25):
         if cur is not None:
             heapq.heappush(heap, (cur, p))
 
-    # rebuild boundaries by walking the linked list of alive snodes
-    heads = [s for s in range(nsup) if alive[s] and prev_sn[s] == -1]
-    if len(heads) != 1:
-        raise AssertionError("amalgamation linked list corrupted")
-    bounds = []
-    s = heads[0]
-    while s != -1:
-        bounds.append(first_col[s])
-        s = next_sn[s]
-    bounds.append(int(snptr[-1]))
-    return np.asarray(bounds, dtype=np.int64)
+    # a merged run keeps its last member's id: a boundary survives where the
+    # snode before it is alive
+    keep = np.ones(nsup + 1, dtype=bool)
+    keep[1:] = alive
+    return snptr[keep]

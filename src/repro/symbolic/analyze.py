@@ -26,7 +26,7 @@ from ..sparse.permute import (
     invert_permutation,
     symmetric_permute,
 )
-from .amalgamate import amalgamate
+from .amalgamate import amalgamate_counts
 from .colcounts import column_counts
 from .etree import elimination_tree, postorder
 from .partition_refinement import partition_refinement
@@ -94,9 +94,10 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
         the last two name the same order).
 
     Each stage is computed once: the postordered matrix's elimination tree
-    and the merged and refined partitions' symbolic factors are
-    relabellings of the ones already in hand (``docs/api.md``, "What a cold
-    request pays").
+    is a relabelling of the one already in hand, amalgamation reads the
+    column counts, and the one symbolic factorization (of the merged
+    partition) is relabelled by the refinement (``docs/api.md``, "What a
+    cold request pays").
     """
     from ..ordering import order_matrix
 
@@ -112,10 +113,9 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
     parent = np.where(up >= 0, invert_permutation(post)[up], -1)
     counts = column_counts(B, parent, np.arange(A.n, dtype=np.int64))
     snptr = fundamental_supernodes(parent, counts, fundamental=fundamental)
-    symb = symbolic_factorization(B, snptr)
     if merge:
-        snptr = amalgamate(symb, growth_cap=growth_cap)
-        symb = symb.coarsen(snptr)
+        snptr = amalgamate_counts(snptr, counts, parent, growth_cap=growth_cap)
+    symb = symbolic_factorization(B, snptr)
     if refine:
         rperm = partition_refinement(symb, method=refine_method)
         perm = compose_permutations(rperm, perm)

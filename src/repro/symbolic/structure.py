@@ -189,38 +189,6 @@ class SymbolicFactor:
         childptr, child = children_lists(self.sn_parent)
         return np.split(child, childptr[1:-1])
 
-    def coarsen(self, snptr):
-        """The symbolic factor of the coarser partition ``snptr`` returned by
-        :func:`~repro.symbolic.amalgamate.amalgamate` for this factor.
-
-        Every new supernode is a run of old ones whose tree parents — the
-        last member's aside — lie inside the run, so the rows below the
-        run's columns are those of its last member: the result equals
-        ``symbolic_factorization`` on ``snptr`` without walking the tree
-        again.  ``ValueError`` if ``snptr`` is not such a merge.
-        """
-        snptr = np.ascontiguousarray(snptr, dtype=np.int64)
-        validate_snptr(snptr, self.n)
-        col2sn = snode_of_column(snptr)
-        last = np.searchsorted(self.snptr, snptr[1:]) - 1  # last member of each run
-        run, up = col2sn[self.snptr[:-1]], self.sn_parent.copy()
-        up[last] = last  # a run's last member answers for the run
-        if (not np.array_equal(self.snptr[last + 1], snptr[1:]) or (up < 0).any()
-                or not np.array_equal(run[up], run)):
-            raise ValueError("snptr does not merge child supernodes into their parents")
-        # a panel is its own columns, then its last member's rows below them
-        lo = self.rowptr[last] + np.diff(self.snptr)[last]
-        nbelow = self.rowptr[last + 1] - lo
-        take = np.arange(nbelow.sum()) + np.repeat(lo - np.cumsum(nbelow) + nbelow, nbelow)
-        panel = np.concatenate((col2sn, np.repeat(np.arange(last.size), nbelow)))
-        rows = np.concatenate((np.arange(self.n, dtype=np.int64), self.rows[take]))
-        rows = rows[np.lexsort((rows, panel))]
-        rowptr = np.concatenate(([0], np.cumsum(np.diff(snptr) + nbelow)))
-        sn_parent = np.full(last.size, -1, dtype=np.int64)
-        sn_parent[nbelow > 0] = col2sn[self.rows[lo[nbelow > 0]]]
-        return SymbolicFactor(n=self.n, snptr=snptr, sn_parent=sn_parent,
-                              rowptr=rowptr, rows=rows, col2sn=col2sn)
-
     def relabel(self, perm):
         """The symbolic factor after permuting columns *inside* supernodes.
 

@@ -8,6 +8,8 @@ The edge cases at the bottom are the inputs the old loops handled
 implicitly — empty gathers, duplicate discoveries, untouched supernodes.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,11 +43,15 @@ from repro.symbolic import (
     postorder,
     symbolic_factorization,
 )
+from repro.symbolic.amalgamate import amalgamate_counts
 from repro.symbolic.partition_refinement import (
     _order_lex,
     _pivot_segments,
     segment_runs,
 )
+
+# the package re-exports the function under the submodule's name
+analyze_module = importlib.import_module("repro.symbolic.analyze")
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -72,6 +78,22 @@ def bfs_levels_ref(graph, root, *, mask=None):
         order.extend(nxt)
         frontier = nxt
     return levels, np.asarray(order, dtype=np.int64)
+
+
+def pseudo_peripheral_vertex_ref(graph, start, *, mask=None, max_iter=10):
+    v = int(start)
+    levels, order = bfs_levels_ref(graph, v, mask=mask)
+    ecc = levels[order].max() if order.size else 0
+    for _ in range(max_iter):
+        last = order[levels[order] == ecc]
+        degs = graph.xadj[last + 1] - graph.xadj[last]
+        cand = int(last[np.argmin(degs)])
+        lv, od = bfs_levels_ref(graph, cand, mask=mask)
+        new_ecc = lv[od].max() if od.size else 0
+        if new_ecc <= ecc:
+            break
+        v, levels, order, ecc = cand, lv, od, new_ecc
+    return v, levels, order
 
 
 def connected_components_ref(graph, *, mask=None):
@@ -276,6 +298,22 @@ def graphs(draw, max_n=24):
 
 
 @st.composite
+def disconnected_graphs(draw):
+    """Two :func:`graphs` side by side, vertex ids interleaved so neither
+    part is a prefix of the other."""
+    g, h = draw(graphs(max_n=20)), draw(graphs(max_n=20))
+    n = g.n + h.n
+    relabel = np.asarray(draw(st.permutations(range(n))))
+    src = np.concatenate((np.repeat(np.arange(g.n), g.degrees()),
+                          g.n + np.repeat(np.arange(h.n), h.degrees())))
+    dst = relabel[np.concatenate((g.adjncy, g.n + h.adjncy))]
+    src = relabel[src]
+    by_edge = np.lexsort((dst, src))
+    xadj = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return AdjacencyGraph(n, xadj, dst[by_edge])
+
+
+@st.composite
 def segment_families(draw, laminar):
     """``(segs, w)``: segments over ``0..w-1`` as sorted unique index
     arrays.  Laminar families are built by recursive halving (any two
@@ -340,6 +378,22 @@ class TestGraphAgainstReference:
         ref_levels, ref_order = bfs_levels_ref(g, root, mask=mask)
         assert np.array_equal(levels, ref_levels)
         assert np.array_equal(order, ref_order)
+
+    @given(disconnected_graphs(), st.booleans(), st.data())
+    @PROPERTY
+    def test_pseudo_peripheral_vertex(self, g, masked, data):
+        # nested dissection's candidate tie-break and separator read the FIFO
+        # order, not only the levels
+        assert len(connected_components(g)) >= 2
+        start = data.draw(st.integers(0, g.n - 1))
+        mask = None
+        if masked:
+            mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+            mask[start] = True
+        v, levels, order = pseudo_peripheral_vertex(g, start, mask=mask)
+        ref_v, ref_levels, ref_order = pseudo_peripheral_vertex_ref(g, start, mask=mask)
+        assert v == ref_v
+        assert np.array_equal(levels, ref_levels) and np.array_equal(order, ref_order)
 
     @given(graphs(), st.data())
     @PROPERTY
@@ -424,6 +478,8 @@ class TestRefinementAgainstReference:
 # symbolic/structure.py, supernodes.py, analyze.py
 # ----------------------------------------------------------------------
 class TestRelabelledStructures:
+    # the two ids below keep the names they had when ``SymbolicFactor`` also
+    # relabelled a merged partition (``coarsen``); their relabel halves stay
     @given(st.integers(2, 90), st.integers(0, 10**6), st.sampled_from(["nd", "amd", "natural"]),
            st.sampled_from([0.0, 0.1, 0.25, 1.0, 5.0]), st.booleans())
     @PROPERTY
@@ -433,8 +489,7 @@ class TestRelabelledStructures:
         base = analyze(A, ordering=ordering, merge=False, refine=False,
                        fundamental=fundamental)
         snptr = amalgamate(base.symb, growth_cap=growth_cap)
-        merged = base.symb.coarsen(snptr)
-        assert_same_symb(merged, symbolic_factorization(base.matrix, snptr))
+        merged = symbolic_factorization(base.matrix, snptr)
         for method in ("best", "lex"):
             rperm = partition_refinement(merged, method=method)
             B = symmetric_permute(A, compose_permutations(rperm, base.perm))
@@ -442,14 +497,35 @@ class TestRelabelledStructures:
 
     def test_coarsen_and_relabel_reject_what_they_cannot_relabel(self):
         symb = analyze(grid_laplacian((6, 6)), merge=False, refine=False).symb
-        leaf = int(np.flatnonzero(symb.sn_parent != np.arange(1, symb.nsup + 1))[0])
-        with pytest.raises(ValueError):  # a run whose member's parent is elsewhere
-            symb.coarsen(np.delete(symb.snptr, leaf + 1))
-        with pytest.raises(ValueError):  # a boundary the factor does not have
-            inside = next(c for c in range(symb.n) if c not in set(symb.snptr.tolist()))
-            symb.coarsen(np.array([0, inside, symb.n]))
         with pytest.raises(ValueError):  # columns leaving their supernode
             symb.relabel(np.roll(np.arange(symb.n), 1))
+
+    @given(st.integers(1, 90), st.integers(0, 10**6), st.sampled_from(["nd", "amd", "natural"]),
+           st.sampled_from([0.0, 0.1, 0.25, 1.0, 5.0]), st.booleans())
+    @PROPERTY
+    def test_amalgamate_from_counts_equals_amalgamate_of_the_symbolic_factor(
+            self, n, seed, ordering, growth_cap, fundamental):
+        # what ``analyze`` merges without walking the fundamental partition
+        base = analyze(spd_pattern(n, seed), ordering=ordering, merge=False, refine=False,
+                       fundamental=fundamental)
+        parent = elimination_tree(base.matrix)
+        counts = column_counts(base.matrix, parent)
+        snptr = fundamental_supernodes(parent, counts, fundamental=fundamental)
+        want = amalgamate(symbolic_factorization(base.matrix, snptr), growth_cap=growth_cap)
+        got = amalgamate_counts(snptr, counts, parent, growth_cap=growth_cap)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_analyze_walks_the_supernodal_tree_once(self, monkeypatch, merge):
+        calls = []
+
+        def spy(B, snptr):
+            calls.append(snptr.size - 1)
+            return symbolic_factorization(B, snptr)
+
+        monkeypatch.setattr(analyze_module, "symbolic_factorization", spy)
+        system = analyze(grid_laplacian((9, 8)), merge=merge)
+        assert calls == [system.nsup]
 
     @given(st.integers(1, 90), st.integers(0, 10**6))
     @PROPERTY

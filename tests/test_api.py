@@ -60,6 +60,15 @@ class TestPlan:
         assert np.array_equal(base_plan.matrix.data, data_before)
         assert base_plan.symb is symb_before
 
+    @pytest.mark.parametrize("engine", ["rl", "rlb", "rl_par"])
+    def test_empty_matrix_plans_factorizes_and_solves(self, engine):
+        # the default plan amalgamates an empty partition
+        A = SymmetricCSC(0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
+                         np.empty(0))
+        plan = repro.plan(A)
+        assert plan.nsup == 0 and plan.symb.snptr.tolist() == [0]
+        assert plan.factorize(engine=engine).solve(np.empty(0)).shape == (0,)
+
     def test_symbolic_reused_across_factorizations(self, base_plan,
                                                    value_batch):
         f1 = base_plan.factorize(value_batch[0], engine="rl")
