@@ -131,6 +131,12 @@ def snode_update(symb, storage, s, W=None):
     return W[:b, :b]
 
 
+def _subtract_pieces(panel, pieces, U):
+    """One run of the block form: each piece is a slice subtraction."""
+    for r0, r1, c0, c1, i0, i1, j0, j1 in pieces:
+        panel[r0:r1, c0:c1] -= U[i0:i1, j0:j1]
+
+
 def _assemble(storage, index, s, U, stop=None):
     """Subtract source ``s``'s update matrix ``U`` from its ancestors — all
     of its assembly runs, or only the first ``stop`` (the ones whose target
@@ -143,22 +149,21 @@ def _assemble(storage, index, s, U, stop=None):
             dst, src = dst[:end], src[:end]
         storage.arena[dst] -= U.reshape(-1, order="F")[src]
         return
-    panels = storage.panels
-    for p, k0, k1, relrows, colpos, _ in index.plan(s)[:stop]:
-        panels[p][relrows, colpos] -= U[k0:, k0:k1]
+    for p, pieces in index.pieces(s)[:stop]:
+        _subtract_pieces(storage.panels[p], pieces, U)
 
 
 def assemble_update(symb, storage, s, U):
-    """Scatter-subtract supernode ``s``'s update matrix into its ancestors.
+    """Subtract supernode ``s``'s update matrix from its ancestors.
 
     ``U`` is the ``(b, b)`` lower-valid update matrix over the below-diagonal
     rows of ``s`` (upper triangle zero).  A small source on an arena-backed
     storage is ONE fancy-indexed ``-=`` over the arena (the flat form of the
     pattern's :func:`~repro.symbolic.relind.assembly_index`); otherwise each
-    run of rows owned by a single ancestor is one broadcast ``-=`` into that
-    ancestor's panel (this is the loop nest the paper parallelizes with
-    OpenMP).  Either way every destination is written once, so the result
-    is the same.
+    run of rows owned by a single ancestor is a few slice ``-=`` into that
+    ancestor's panel (the block form; the loop nest the paper parallelizes
+    with OpenMP).  Either way every destination is written once, so the
+    result is the same.
 
     Returns the number of bytes moved (for the assembly cost model).
     """
@@ -181,10 +186,11 @@ def park_runs(storage, index, s, U, stay=0):
 def apply_run(storage, index, s, r, parked, stay=0):
     """Run ``r`` of source ``s``'s assembly alone: subtract the part of its
     update matrix owned by one ancestor from that ancestor's panel, out of
-    what :func:`park_runs` kept of it.  All runs of a source together are
-    :func:`assemble_update` — the same gather, the same subtraction, the same
-    bits; a target's task applies the runs parked for it one by one, in
-    ascending source order."""
+    what :func:`park_runs` kept of it — a slice of the flat form's gather,
+    or the run's pieces of the block form.  All runs of a source together
+    are :func:`assemble_update` — the same subtractions, the same bits; a
+    target's task applies the runs parked for it one by one, in ascending
+    source order."""
     flat = index.flat[s] if storage.arena is not None else None
     if flat is not None:
         dst, _, bounds = flat
@@ -192,8 +198,8 @@ def apply_run(storage, index, s, r, parked, stay=0):
         first = bounds[stay][1]
         storage.arena[dst[f0:f1]] -= parked[f0 - first : f1 - first]
         return
-    p, k0, k1, relrows, colpos, _ = index.plan(s)[r]
-    storage.panels[p][relrows, colpos] -= parked[k0:, k0:k1]
+    p, pieces = index.pieces(s)[r]
+    _subtract_pieces(storage.panels[p], pieces, parked)
 
 
 def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):

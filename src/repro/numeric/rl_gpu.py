@@ -10,8 +10,9 @@ Per offloaded supernode ``J`` the schedule is exactly the paper's:
    this is the allocation that overflows the device for nlpkkt120;
 5. blocking **D2H** of the update matrix;
 6. assembly into ancestor panels on the CPU (OpenMP-parallel), driven by the
-   relative-index runs cached on the symbolic factor
-   (:func:`repro.symbolic.relind.assembly_plan`).
+   relative indices cached on the symbolic factor
+   (:func:`repro.symbolic.relind.assembly_index`: the flat form, or the
+   block form's slice pieces, :meth:`~repro.symbolic.relind.AssemblyIndex.pieces`).
 
 Supernodes with panels below the size threshold take the CPU-only RL path
 (host BLAS + assembly at the configured host thread count).

@@ -15,7 +15,7 @@ from .supernodes import fundamental_supernodes, snode_of_column, validate_snptr
 from .amalgamate import amalgamate, merge_extra_fill
 from .treeviz import render_tree, tree_stats, TreeStats
 from .structure import SymbolicFactor, pattern_fingerprint, symbolic_factorization
-from .relind import assembly_plan, relative_indices, relative_indices_bottom
+from .relind import relative_indices, relative_indices_bottom
 from .blocks import Block, snode_blocks, all_blocks, count_blocks
 from .partition_refinement import partition_refinement
 from .ranges import TaskRanges, task_ranges, trivial_ranges
@@ -42,7 +42,6 @@ __all__ = [
     "SymbolicFactor",
     "symbolic_factorization",
     "pattern_fingerprint",
-    "assembly_plan",
     "relative_indices",
     "relative_indices_bottom",
     "Block",

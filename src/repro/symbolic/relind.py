@@ -3,9 +3,9 @@
 When supernode ``J`` updates an ancestor ``P``, every affected global row
 ``i`` must be located inside ``P``'s dense panel.  The *relative index* of
 ``i`` w.r.t. ``P`` is its position in ``rowind(P)``; computing these once per
-(descendant, ancestor) interaction turns scattered updates into fancy-indexed
-NumPy scatter-adds (the paper's Fortran code uses them to drive assembly
-loops).
+(descendant, ancestor) interaction turns scattered updates into NumPy slice
+or fancy-indexed subtractions (the paper's Fortran code uses them to drive
+assembly loops).
 
 The paper's RL variant uses *generalized relative indices* — relative indices
 of an arbitrary subset of ``J``'s rows w.r.t. any ancestor — while RLB only
@@ -21,11 +21,12 @@ all supernodes expanded into their per-ancestor *runs*, one global
 memoises it on the symbolic factor.  It holds
 two forms of the same ``(destination, source)`` pairs:
 
-* **per run** — for each maximal run of a source's below rows owned by one
+* **blocks** — for each maximal run of a source's below rows owned by one
   ancestor, the relative rows of the remaining tail and the run's column
-  positions: a broadcast index into the ancestor's ``(m, w)`` panel, ``O(b)``
-  integers per run.  :func:`assembly_plan` materialises a source's runs
-  from it on demand.
+  positions, each cut into stretches that step by one: every (row stretch,
+  column stretch) rectangle is one *piece*, a plain slice subtraction
+  ``panel[r0:r1, c0:c1] -= U[i0:i1, j0:j1]`` (:meth:`AssemblyIndex.pieces`).
+  A piece wholly above ``U``'s diagonal would subtract zeros and is left out.
 * **flat** — for a source whose update matrix is small (``b² <=``
   :data:`FLAT_UPDATE_ENTRIES`), one ``dst`` array of positions in the
   factor's arena (:meth:`SymbolicFactor.panel_offsets` layout) and one
@@ -33,15 +34,16 @@ two forms of the same ``(destination, source)`` pairs:
   lower triangle only, ordered by ancestor with the run boundaries kept.
   Assembly of such a source is a single ``arena[dst] -= u[src]``.
 
-Why both: a fancy-indexed NumPy op costs a few microseconds before it moves
-its first entry, so on narrow supernodes the per-run loop is all overhead
-(2 635 ops on a 64² grid against 956 flat ones) and the flat form wins; its
-memory is ``b (b + 1) / 2`` index pairs per source, which for a 1 500-row
-update matrix would be tens of megabytes for no gain — the per-entry work
-dominates there — so large sources keep the per-run form.  The cut depends
-on ``b`` alone, a property of the input.  Every destination is written once
-per source in either form, so which form applies an update never changes
-the result.
+Why both: a NumPy op costs a microsecond or more before it moves its first
+entry, so on narrow supernodes a per-run loop is all overhead (2 635 runs on
+a 64² grid against 956 flat ops) and the flat form wins; its memory is
+``b (b + 1) / 2`` index pairs per source, which for a 1 500-row update
+matrix would be tens of megabytes for no gain — the per-entry work
+dominates there, and slices move it without the gather and scatter of an
+index — so large sources take the block form.  The cut depends on ``b``
+alone, a property of the input.  Every destination is written once per
+source in either form, so which form applies an update never changes the
+result.
 
 RLB's counterpart, :func:`repro.symbolic.blocks.pair_index`, is built from
 the same two pieces — :func:`locate_rows` for every block pair's offset and
@@ -58,7 +60,6 @@ __all__ = [
     "relative_indices_bottom",
     "locate_rows",
     "assembly_index",
-    "assembly_plan",
     "AssemblyIndex",
     "FLAT_UPDATE_ENTRIES",
 ]
@@ -124,6 +125,15 @@ def _ranges(counts):
     return ptr, owner, np.arange(ptr[-1], dtype=np.int64) - ptr[owner]
 
 
+def _stretches(values, cut):
+    """Start and length of every maximal stretch of ``values`` that steps by
+    one and starts anew wherever ``cut`` is set."""
+    step = np.zeros(values.size, dtype=bool)
+    step[1:] = np.diff(values) == 1
+    start = np.flatnonzero(cut | ~step)
+    return start, np.diff(np.append(start, values.size))
+
+
 class AssemblyIndex:
     """Every relative index of a pattern's RL assembly (see the module
     docstring); build with :func:`assembly_index`.
@@ -143,7 +153,7 @@ class AssemblyIndex:
         :data:`FLAT_UPDATE_ENTRIES`.
     """
 
-    __slots__ = ("moved", "targets", "flat", "_runs", "_rel", "_colpos", "_plans")
+    __slots__ = ("moved", "targets", "flat", "_table", "_pieces")
 
     def __init__(self, symb):
         nsup = symb.nsup
@@ -173,12 +183,32 @@ class AssemblyIndex:
         nbytes = 2 * 8 * tail * (run_k1 - run_k0)
         moved_ptr = np.concatenate(([0], np.cumsum(nbytes)))[run_ptr]
         self.moved = np.diff(moved_ptr).tolist()
+        run = np.cumsum(first) - 1
+
+        # the block form: a run's tail rows and its columns cut into
+        # stretches that step by one in the ancestor's panel, ``(r0, r1, i0,
+        # i1)`` / ``(c0, c1, j0, j1)`` each; per run every (column stretch,
+        # row stretch) pair is a piece unless i1 <= j0 — wholly above U's
+        # diagonal
+        nruns = run_start.size
+        at, n = _stretches(rel, t == 0)
+        i0 = run_k0[run_of[at]] + t[at]
+        rows = np.column_stack((rel[at], rel[at] + n, i0, i0 + n))
+        nr = np.bincount(run_of[at], minlength=nruns)
+        at, n = _stretches(colpos, first)
+        cols = np.column_stack((colpos[at], colpos[at] + n, k[at], k[at] + n))
+        nc = np.bincount(run[at], minlength=nruns)
+        _, piece_run, within = _ranges(nr * nc)
+        ci, ri = np.divmod(within, nr[piece_run])
+        ri += (np.cumsum(nr) - nr)[piece_run]
+        ci += (np.cumsum(nc) - nc)[piece_run]
+        keep = rows[ri, 3] > cols[ci, 2]
+        table = np.hstack((rows[ri[keep]], cols[ci[keep]]))[:, [0, 1, 4, 5, 2, 3, 6, 7]]
+        piece_ptr = np.cumsum(np.bincount(piece_run[keep], minlength=nruns))
         run_ptr, run_p = run_ptr.tolist(), run_p.tolist()
         self.targets = tuple(tuple(run_p[r0:r1]) for r0, r1 in zip(run_ptr[:-1], run_ptr[1:]))
-        self._runs = run_ptr, run_p, run_k0.tolist(), run_k1.tolist(), nbytes.tolist()
-        self._rel = rel, rel_ptr.tolist()
-        self._colpos = colpos, below_ptr.tolist()
-        self._plans = {}
+        self._table = table, [0] + piece_ptr.tolist(), run_ptr
+        self._pieces = [None] * nsup
 
         # the flat form of every small source, built at once: one entry per
         # lower-triangle position (i, j) of each update matrix, column by
@@ -189,7 +219,6 @@ class AssemblyIndex:
         small = (b > 0) & (b * b <= FLAT_UPDATE_ENTRIES)
         count = np.where(small[source], b[source] - k, 0)  # rows i >= j of column j
         col_ptr = np.concatenate(([0], np.cumsum(count)))
-        run = np.cumsum(first) - 1
         rel0 = rel_ptr[run] + (k - run_k0[run])
         dst0 = symb.panel_offsets()[owner] + colpos * m[owner]
         src0 = k * (b[source] + 1)
@@ -208,26 +237,25 @@ class AssemblyIndex:
             flat[s] = dst[f0:f1], src[f0:f1], bounds
         self.flat = tuple(flat)
 
-    def plan(self, s):
-        """The per-run form of source ``s`` — see :func:`assembly_plan`."""
-        plan = self._plans.get(s)
-        if plan is None:
-            run_ptr, run_p, run_k0, run_k1, nbytes = self._runs
-            rel, rel_ptr = self._rel
-            colpos, below_ptr = self._colpos
-            base = below_ptr[s]
-            plan = self._plans[s] = tuple(
-                (
-                    run_p[r],
-                    run_k0[r],
-                    run_k1[r],
-                    rel[rel_ptr[r] : rel_ptr[r + 1], None],
-                    colpos[base + run_k0[r] : base + run_k1[r]],
-                    nbytes[r],
-                )
-                for r in range(run_ptr[s], run_ptr[s + 1])
+    def pieces(self, s):
+        """The block form of source ``s``, built on first request: per run
+        ``(ancestor, pieces)``, a piece ``(r0, r1, c0, c1, i0, i1, j0, j1)``
+        standing for ``panels[ancestor][r0:r1, c0:c1] -= U[i0:i1, j0:j1]``.
+        The pieces of a source are disjoint and cover ``U``'s lower
+        triangle."""
+        if not 0 <= s < len(self._pieces):
+            raise IndexError(f"source supernode {s} is outside [0, {len(self._pieces)})")
+        pieces = self._pieces[s]
+        if pieces is None:
+            table, piece_ptr, run_ptr = self._table
+            first, last = run_ptr[s], run_ptr[s + 1]
+            base = piece_ptr[first]
+            rows = list(map(tuple, table[base : piece_ptr[last]].tolist()))
+            pieces = self._pieces[s] = tuple(
+                (p, tuple(rows[piece_ptr[r] - base : piece_ptr[r + 1] - base]))
+                for p, r in zip(self.targets[s], range(first, last))
             )
-        return plan
+        return pieces
 
 
 def assembly_index(symb):
@@ -239,27 +267,6 @@ def assembly_index(symb):
     if index is None:
         index = cache["assembly_index"] = AssemblyIndex(symb)
     return index
-
-
-def assembly_plan(symb, s):
-    """Per-ancestor scatter runs for RL assembly of supernode ``s``.
-
-    The below-diagonal rows of ``s`` are grouped into maximal runs owned by a
-    single ancestor supernode.  For each run the generalized relative indices
-    of the *remaining tail* of rows w.r.t. that ancestor come from the
-    pattern's :func:`assembly_index` (computed once per symbolic factor, all
-    sources at a time), so repeated numeric factorizations pay no
-    ``searchsorted`` cost; the tuple itself is materialised on first request.
-
-    Returns
-    -------
-    Tuple of ``(ancestor, k0, k1, rel_rows_col, col_positions, nbytes)``
-    runs, where ``rel_rows_col`` is the ``(tail, 1)``-shaped relative row
-    index array (ready for broadcasted fancy indexing against
-    ``col_positions``) and ``nbytes`` is the read+write traffic of the run
-    for the assembly cost model.
-    """
-    return assembly_index(symb).plan(s)
 
 
 def relative_indices_bottom(symb, global_rows, ancestor):

@@ -116,7 +116,7 @@ class SymbolicFactor:
 
         The structure arrays are immutable after construction, so cached
         entries never need invalidation; consumers key their own namespaces
-        (e.g. ``"scatter_plan"``, ``"assembly_plan"``).
+        (e.g. ``"scatter_plan"``, ``"assembly_index"``).
         """
         if self._cache is None:
             self._cache = {}

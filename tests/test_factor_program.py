@@ -8,12 +8,14 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
   on panel slices, one ``relative_indices`` per run) ≡ a loop of the public
   ``factor_snode`` / ``snode_update`` / ``assemble_update`` bodies ≡
   ``rl_par`` at any worker count ≡ ``rl_proc``, ``np.array_equal`` on whole
-  panels, dead space included, fp64 and fp32; the flat and the per-run
+  panels, dead space included, fp64 and fp32; the flat and the block
   assembly forms are interchangeable;
-* **the index** — the flat form is the per-run plan as a multiset of
-  ``(dst, src)`` pairs, writes every destination once per source, stays
-  inside the ancestor's panel, is built without a per-run ``searchsorted``
-  and costs a bounded multiple of the factor's own bytes;
+* **the index** — the flat form and the block form's slice pieces are, as
+  multisets of ``(dst, src)`` pairs over the update's lower triangle, the
+  runs located here by ``relative_indices``; each writes every destination
+  once per source and stays inside the ancestor's panel; the index is built
+  without a per-run ``searchsorted``, costs a bounded multiple of the
+  factor's own bytes and a bounded number of pieces per run;
 * **the storage** — panels are F-contiguous views tiling one arena, copies
   come back arena-backed, a storage of loose panels still works;
 * **failures** — a non-SPD matrix raises the reference loop's pivot from
@@ -23,6 +25,7 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
 from __future__ import annotations
 
 import copy
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -42,11 +45,11 @@ from repro.numeric import (
     snode_update,
     update_workspace_entries,
 )
-from repro.numeric.procpool import close_default_pools
+from repro.numeric.procpool import ProcessPool, close_default_pools, factorize_process
 from repro.solve import backward_solve, forward_solve
 from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, vector_stencil
 from repro.symbolic import relind
-from repro.symbolic.relind import assembly_index, assembly_plan, relative_indices
+from repro.symbolic.relind import assembly_index, relative_indices
 from repro.update import structured_update
 from tests.conftest import arrow_spd as _arrow
 from tests.conftest import spd_from_pattern as _spd
@@ -71,6 +74,8 @@ PATTERNS = {
     "grid3d": lambda: grid_laplacian((6, 5, 2)),
     # the one pattern here with update matrices on both sides of the cut
     "vec3d_wide": lambda: vector_stencil((5, 5, 5), 4, connectivity="box"),
+    # block-form runs of 1-9 row stretches (median 4)
+    "kkt": lambda: kkt_like(120, 30, density=0.05),
 }
 
 
@@ -141,15 +146,62 @@ def _check_every_lane(A, dtype, procs=True):
     return plan, want
 
 
+def _reference_runs(symb, s):
+    """Source ``s``'s assembly runs ``(ancestor, k0, k1, relrows, colpos)``,
+    their relative indices searched here as :func:`_reference_rl` does."""
+    below = symb.snode_below_rows(s)
+    if not below.size:
+        return []
+    owners = symb.col2sn[below]
+    cut = np.flatnonzero(np.diff(owners)) + 1
+    runs = []
+    for k0, k1 in zip(np.r_[0, cut].tolist(), np.r_[cut, below.size].tolist()):
+        p = int(owners[k0])
+        runs.append((p, k0, k1, relative_indices(symb, below[k0:], p),
+                     below[k0:k1] - symb.snptr[p]))
+    return runs
+
+
 def _check_index(symb):
-    """The flat form against the per-run plan, source by source."""
+    """Both assembly forms against the reference runs, source by source:
+    as ``(arena position, position in the F-ordered update)`` pairs, the
+    lower triangle of each run's ``U[k0:, k0:k1]`` goes exactly where the
+    reference relative indices send it."""
     index = assembly_index(symb)
     offsets = symb.panel_offsets()
     for s in range(symb.nsup):
         b = symb.snode_below_rows(s).size
-        runs = assembly_plan(symb, s)
+        runs = _reference_runs(symb, s)
         assert index.targets[s] == tuple(run[0] for run in runs)
-        assert index.moved[s] == sum(run[5] for run in runs)
+        assert index.moved[s] == sum(16 * (b - k0) * (k1 - k0) for _, k0, k1, _, _ in runs)
+        want = []
+        for p, k0, k1, relrows, colpos in runs:
+            rows, cols = np.arange(k0, b)[:, None], np.arange(k0, k1)
+            lower = rows >= cols  # (tail, run) mask of the lower triangle
+            m = symb.panel_shape(p)[0]
+            want_dst = (offsets[p] + relrows[:, None] + colpos * m)[lower]
+            want.append(sorted(zip(want_dst.tolist(), (rows + cols * b)[lower].tolist())))
+
+        pieces = index.pieces(s)
+        assert len(pieces) == len(runs)
+        written = []
+        for (p, k0, k1, relrows, colpos), (q, run_pieces), pairs in zip(runs, pieces, want):
+            assert p == q and run_pieces
+            m, w = symb.panel_shape(p)
+            got = []
+            for r0, r1, c0, c1, i0, i1, j0, j1 in run_pieces:
+                assert 0 <= r0 < r1 <= m and 0 <= c0 < c1 <= w, "outside the panel"
+                assert k0 <= i0 < i1 <= b and k0 <= j0 < j1 <= k1
+                assert i1 - 1 >= j0, "a piece wholly above the diagonal"
+                assert np.array_equal(relrows[i0 - k0 : i1 - k0], np.arange(r0, r1))
+                assert np.array_equal(colpos[j0 - k0 : j1 - k0], np.arange(c0, c1))
+                i, j = np.arange(i0, i1)[:, None], np.arange(j0, j1)
+                dst = offsets[p] + np.arange(r0, r1)[:, None] + np.arange(c0, c1) * m
+                written += dst.ravel().tolist()
+                got += zip(dst[i >= j].tolist(), (i + j * b)[i >= j].tolist())
+            assert sorted(got) == pairs
+        assert len(set(written)) == len(written), "pieces overlap"
+
         flat = index.flat[s]
         if flat is None:
             assert b == 0 or b * b > relind.FLAT_UPDATE_ENTRIES
@@ -159,15 +211,9 @@ def _check_index(symb):
         assert dst.size == src.size == b * (b + 1) // 2
         assert np.unique(dst).size == dst.size, "a destination written twice"
         assert len(bounds) == len(runs)
-        for (p, k0, k1, relrows, colpos, _), (q, f0, f1) in zip(runs, bounds):
+        for (p, _, _, _, _), (q, f0, f1), pairs in zip(runs, bounds, want):
             assert p == q
-            rows, cols = np.arange(k0, b)[:, None], np.arange(k0, k1)
-            lower = rows >= cols  # (tail, run) mask of the lower triangle
-            m = symb.panel_shape(p)[0]
-            want_dst = (offsets[p] + relrows + colpos * m)[lower]
-            want_src = (rows + cols * b)[lower]
-            got = sorted(zip(dst[f0:f1].tolist(), src[f0:f1].tolist()))
-            assert got == sorted(zip(want_dst.tolist(), want_src.tolist()))
+            assert sorted(zip(dst[f0:f1].tolist(), src[f0:f1].tolist())) == pairs
             assert (dst[f0:f1] >= offsets[p]).all() and (dst[f0:f1] < offsets[p + 1]).all()
         assert bounds[0][1] == 0 and bounds[-1][2] == dst.size
         assert all(a[2] == c[1] for a, c in zip(bounds, bounds[1:]))
@@ -189,26 +235,68 @@ class TestOneBodySameBits:
                                     np.float32 if fp32 else np.float64, procs=seed % 4 == 0)
         _check_index(plan.symb)
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 40), density=st.floats(0.02, 0.6),
+           seed=st.integers(0, 2**16), fp32=st.booleans())
+    def test_random_spd_patterns_all_blocks(self, n, density, seed, fp32):
+        """Every source in the block form: its pieces against the reference
+        runs, the factor against the reference loop."""
+        pattern = sp.random(n, n, density=density, random_state=seed, format="csr")
+        dtype = np.float32 if fp32 else np.float64
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relind, "FLAT_UPDATE_ENTRIES", 0)
+            plan = repro.plan(_spd(pattern.toarray() != 0))
+            assert not any(f is not None for f in assembly_index(plan.symb).flat)
+            _check_index(plan.symb)
+        want = _reference_rl(plan.symb, plan.system.matrix, dtype)
+        _assert_same_panels(plan.factorize(engine="rl", dtype=dtype).storage, want, "rl")
+
     def test_wide_stencil_has_both_assembly_forms(self):
         index = assembly_index(repro.plan(PATTERNS["vec3d_wide"]()).symb)
         below = [len(t) > 0 for t in index.targets]
         flat = [f is not None for f in index.flat]
         assert any(flat) and any(b and not f for b, f in zip(below, flat))
 
+    def test_pieces_of_a_source_outside_the_pattern_raise(self):
+        symb = repro.plan(PATTERNS["grid3d"]()).symb
+        index = assembly_index(symb)
+        for s in (-1, -symb.nsup, symb.nsup):
+            with pytest.raises(IndexError, match=rf"{s} is outside \[0, {symb.nsup}\)"):
+                index.pieces(s)
+        assert index.pieces(symb.nsup - 1) == ()  # the root updates nothing
+
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("cut", [0, 100, 10**9], ids=["per_run", "mixed", "flat"])
-    def test_the_cut_never_changes_the_factor(self, monkeypatch, dtype, cut):
-        """All per-run, a mix, all flat: the same factor."""
-        A = PATTERNS["grid3d"]()
-        want = repro.plan(A).factorize(engine="rl", dtype=dtype).storage
+    @pytest.mark.parametrize("pattern, cut", [
+        # the grid3d cases carry the bare cut as their id
+        pytest.param(pattern, cut, id=name if pattern == "grid3d" else f"{pattern}-{name}")
+        for pattern in ("grid3d", "vec3d_wide", "kkt")
+        for cut, name in ((0, "per_run"), (None, "mixed"), (10**9, "flat"))
+    ])
+    def test_the_cut_never_changes_the_factor(self, monkeypatch, dtype, pattern, cut):
+        """All blocks, a mix, all flat: the same factor from every lane, and
+        with every source in the block form, the reference loop's."""
+        A = PATTERNS[pattern]()
+        base = repro.plan(A)
+        want = base.factorize(engine="rl", dtype=dtype).storage
+        if cut is None:  # between the smallest and the largest update matrix
+            b = np.diff(base.symb.rowptr) - np.diff(base.symb.snptr)
+            cut = int(b[b > 0].min() ** 2 + b.max() ** 2) // 2
         monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", cut)
         plan = repro.plan(A)
-        flat = [f is not None for f in assembly_index(plan.symb).flat]
-        assert any(flat) == (cut > 0) and (cut < 10**9 or sum(flat) == sum(
-            len(t) > 0 for t in assembly_index(plan.symb).targets))
+        index = assembly_index(plan.symb)
+        flat = [f is not None for f, t in zip(index.flat, index.targets) if t]
+        assert any(flat) == (cut > 0) and all(flat) == (cut == 10**9)
+        if cut == 0:
+            _assert_same_panels(_reference_rl(plan.symb, plan.system.matrix, dtype), want,
+                                "reference")
         _assert_same_panels(plan.factorize(engine="rl", dtype=dtype).storage, want, "rl")
         _assert_same_panels(
             plan.factorize(engine="rl_par", workers=2, dtype=dtype).storage, want, "rl_par")
+        if "fork" in multiprocessing.get_all_start_methods():
+            # workers forked under the patch build their index at the same cut
+            with ProcessPool(2, start_method="fork") as pool:
+                got = factorize_process(plan.symb, plan.system.matrix, pool=pool, dtype=dtype)
+            _assert_same_panels(got.storage, want, "rl_proc")
         _check_index(plan.symb)
 
     def test_whole_request_solution_is_the_reference(self):
@@ -355,6 +443,18 @@ class TestIndexCost:
         index = assembly_index(plan.symb)
         flat_nbytes = sum(f[0].nbytes + f[1].nbytes for f in index.flat if f is not None)
         assert flat_nbytes <= 3 * FactorStorage.zeros(plan.symb).nbytes()
+
+    @pytest.mark.parametrize("pattern, per_run", [
+        (PATTERNS["vec3d_wide"], 7),  # measured 90 pieces over 13 runs
+        (lambda: vector_stencil((10, 10, 10), 4, connectivity="box"), 12),  # 809 over 71
+    ], ids=["vec3d_wide", "refactor_vec3d_full"])
+    def test_block_form_pieces_per_run_stay_bounded(self, pattern, per_run):
+        """Every piece is one NumPy op per factorization: a rule that cut
+        runs finer than consecutive rows × consecutive columns shows here."""
+        symb = repro.plan(pattern()).symb
+        index = assembly_index(symb)
+        runs = [run for s in range(symb.nsup) for run in index.pieces(s)]
+        assert sum(len(pieces) for _, pieces in runs) <= per_run * len(runs)
 
     def test_index_build_searches_once_not_per_run(self, monkeypatch):
         """The cold-path guard: the first ``factorize(engine="rl")`` of the
