@@ -1,8 +1,8 @@
 """Engine tour: every factorization organisation on one matrix.
 
-Runs all eight engines — the paper's RL/RLB (CPU + GPU), the left-looking
-and multifrontal baselines and their GPU offloads, and the multi-GPU RL
-extension — on one suite matrix, verifying that every factor is identical,
+Runs every registered engine — the paper's RL/RLB (CPU + GPU), their
+task-DAG twins, and the left-looking and multifrontal baselines with their
+GPU offloads — on one suite matrix, verifying that every factor is identical,
 then prints the modeled-time comparison, the per-kernel-class breakdown,
 and the memory planner's feasibility report.
 
@@ -43,10 +43,6 @@ def main(name="Serena"):
                if res.snodes_on_gpu else "--")
         rows.append((engine, f"{res.modeled_seconds:.4f}",
                      str(res.kernel_count), gpu))
-    mg = p.factorize(engine="rl_gpu", devices=4, threshold=0,
-                     device_memory=BIG_MEM).result
-    rows.append(("rl_gpu devices=4", f"{mg.modeled_seconds:.4f}",
-                 str(mg.kernel_count), f"{mg.snodes_on_gpu}/{mg.total_snodes}"))
     print(format_table(
         ["engine", "modeled s", "BLAS calls", "snodes on GPU"], rows,
         title="All engines, identical factors"))

@@ -280,7 +280,7 @@ class SymbolicPlan:
     # numeric stage
     # ------------------------------------------------------------------
     def factorize(self, values=None, *, engine="rl", workers=None,
-                  backend=None, devices=None, dtype=None, **engine_kwargs):
+                  backend=None, dtype=None, **engine_kwargs):
         """Numeric factorization of same-pattern ``values``; returns an
         immutable :class:`Factor`.
 
@@ -308,8 +308,6 @@ class SymbolicPlan:
             shared-memory worker-process pool (``rl_proc`` / ``rlb_proc``
             — :mod:`repro.numeric.procpool`).  One DAG runs on one
             substrate.  Factors are bit-identical across backends.
-        devices:
-            Simulated-GPU count for the stream engines (``backend="gpu"``).
         dtype:
             Factor storage/compute precision for the RL/RLB engine
             families: ``numpy.float64`` (default) or ``numpy.float32``
@@ -325,8 +323,8 @@ class SymbolicPlan:
         the option and the engines that accept it
         (:func:`repro.numeric.registry.resolve`).
         """
-        spec, kwargs = resolve(engine, backend, workers=workers,
-                               devices=devices, dtype=dtype, **engine_kwargs)
+        spec, kwargs = resolve(engine, backend, workers=workers, dtype=dtype,
+                               **engine_kwargs)
         return self._factor(spec, kwargs, self._values_of(values))
 
     def _factor(self, spec, kwargs, data):
@@ -336,8 +334,7 @@ class SymbolicPlan:
         return Factor(self, result, self._original_matrix(data))
 
     def factorize_batch(self, values_list, *, engine="rlb_par", workers=None,
-                        backend=None, devices=None, dtype=None,
-                        **engine_kwargs):
+                        backend=None, dtype=None, **engine_kwargs):
         """Factorize a batch of same-pattern matrices, one after another;
         returns a :class:`FactorBatch`.
 
@@ -355,8 +352,8 @@ class SymbolicPlan:
         ``batch_index`` set to the first failing position in
         ``values_list``.
         """
-        spec, kwargs = resolve(engine, backend, workers=workers,
-                               devices=devices, dtype=dtype, **engine_kwargs)
+        spec, kwargs = resolve(engine, backend, workers=workers, dtype=dtype,
+                               **engine_kwargs)
         datas = []
         for b, values in enumerate(values_list):
             try:
@@ -385,8 +382,8 @@ class SymbolicPlan:
         return SolvePlan(self, solve_schedule(self._system.symb))
 
     def serve(self, *, engine="rlb_par", workers=None, machine=None,
-              backend=None, devices=None, threshold=None, dtype=None,
-              pool=None, tracer=None, trace_origin=None):
+              backend=None, threshold=None, dtype=None, pool=None,
+              tracer=None, trace_origin=None, **engine_kwargs):
         """Open a streaming :class:`ServingSession` on this pattern.
 
         Where :meth:`factorize_batch` runs a closed batch one matrix after
@@ -401,8 +398,9 @@ class SymbolicPlan:
                 futs = [session.submit_solve(v, b) for v in value_stream]
                 xs = [f.result() for f in futs]
 
-        ``engine`` / ``backend`` / ``devices`` / ``threshold`` select the
-        scheduling substrate exactly as in :meth:`factorize`: the threaded
+        ``engine`` / ``backend`` / ``threshold`` (and any further engine
+        option, e.g. ``device_memory=``) select the scheduling substrate
+        exactly as in :meth:`factorize`: the threaded
         engines (``rl_par`` / ``rlb_par``) drain each submission's task DAG
         across the pool's workers; ``backend="gpu"`` (engines
         ``rl_gpu`` / ``rlb_gpu_v2``) and ``backend="process"`` (``rl_proc`` /
@@ -431,9 +429,9 @@ class SymbolicPlan:
         """
         return ServingSession(self, engine=engine, workers=workers,
                               machine=machine, backend=backend,
-                              devices=devices, threshold=threshold,
-                              dtype=dtype, pool=pool, tracer=tracer,
-                              trace_origin=trace_origin)
+                              threshold=threshold, dtype=dtype, pool=pool,
+                              tracer=tracer, trace_origin=trace_origin,
+                              **engine_kwargs)
 
 
 class SolvePlan:
@@ -614,7 +612,7 @@ class Factor:
         return self._plan.solve_plan()
 
     # ------------------------------------------------------------------
-    def solve(self, b, *, workers=None, mode=None, devices=None):
+    def solve(self, b, *, workers=None, mode=None):
         """Solve ``A x = b``.
 
         ``mode`` picks the triangular-solve schedule from
@@ -623,27 +621,20 @@ class Factor:
         schedule of :meth:`solve_plan` on the threaded task-graph runtime;
         accepts ``workers=``) or ``"gpu"`` (the same solve graphs on the
         simulated-GPU stream backend —
-        :func:`repro.solve.gpu_solve.solve_factored_gpu_dag`; accepts
-        ``devices=``).  ``mode=None`` infers ``"level"`` when ``workers``
-        is given, ``"gpu"`` when ``devices`` is given, else ``"serial"``.
-        Solutions are **bit-identical** across modes, worker counts and
-        device counts — every schedule preserves the serial accumulation
+        :func:`repro.solve.gpu_solve.solve_factored_gpu_dag`).
+        ``mode=None`` infers ``"level"`` when ``workers`` is given, else
+        ``"serial"``.  Solutions are **bit-identical** across modes and
+        worker counts — every schedule preserves the serial accumulation
         order.
         """
         spec = get_solve_mode(
             mode if mode is not None
-            else ("level" if workers is not None
-                  else "gpu" if devices is not None else "serial")
+            else "level" if workers is not None else "serial"
         )
         if workers is not None and not spec.parallel:
             raise ValueError(
                 f"workers= applies to the parallel solve modes only "
                 f"(level), not {spec.name!r}"
-            )
-        if devices is not None and not spec.offload:
-            raise ValueError(
-                f"devices= applies to the offloaded solve modes only "
-                f"(gpu), not {spec.name!r}"
             )
         # validate BEFORE the permutation gather: b[perm] would silently
         # truncate an oversized right-hand side
@@ -651,9 +642,7 @@ class Factor:
         perm = self._plan.perm
         if spec.offload:
             # b[perm] is a fresh gather the graphs may solve in place
-            y, _, _ = solve_factored_gpu_dag(
-                self.storage, b[perm], overwrite_b=True,
-                devices=1 if devices is None else devices)
+            y, _, _ = solve_factored_gpu_dag(self.storage, b[perm], overwrite_b=True)
         else:
             workers = _resolve_workers(workers) if spec.parallel else None
             # b[perm] is a fresh gather; both sweeps run in place on it
@@ -1004,11 +993,11 @@ class ServingSession:
     """
 
     def __init__(self, plan, *, engine="rlb_par", workers=None,
-                 machine=None, backend=None, devices=None, threshold=None,
-                 dtype=None, pool=None, tracer=None, trace_origin=None):
+                 machine=None, backend=None, threshold=None, dtype=None,
+                 pool=None, tracer=None, trace_origin=None, **engine_kwargs):
         spec, kwargs = resolve_serving(
-            engine, backend, workers=workers, devices=devices,
-            threshold=threshold, dtype=dtype, machine=machine)
+            engine, backend, workers=workers, threshold=threshold,
+            dtype=dtype, machine=machine, **engine_kwargs)
         self._dtype = kwargs.pop("dtype", None)
         self._plan = plan
         self._spec = spec

@@ -147,7 +147,7 @@ def cmd_factorize(args):
 
     granularity = args.granularity or "coarse"
     method = args.method
-    options = {"workers": args.workers, "devices": args.devices,
+    options = {"workers": args.workers,
                "threshold": args.threshold, "dtype": _cli_dtype(args),
                "device_memory": args.device_memory or None}
     tracer = Tracer() if args.gantt or args.trace else None
@@ -158,13 +158,9 @@ def cmd_factorize(args):
             method = backend_engine(
                 method or BACKENDS["threads"][granularity], args.backend)
         elif method is None:
-            # --workers / --granularity / --devices select a task-DAG
-            # engine (--workers wins, so --devices next to it is refused by
-            # the threaded row); plain `factorize` keeps the historical
-            # rl_gpu default
-            if args.workers is None and args.devices is not None:
-                method = BACKENDS["gpu"][granularity]
-            elif args.workers is not None or args.granularity is not None:
+            # --workers / --granularity select a threaded task-DAG engine;
+            # plain `factorize` keeps the historical rl_gpu default
+            if args.workers is not None or args.granularity is not None:
                 method = BACKENDS["threads"][granularity]
             else:
                 method = "rl_gpu"
@@ -205,9 +201,8 @@ def cmd_factorize(args):
     ]
     if res.best_threads:
         rows.append(("best MKL threads", str(res.best_threads)))
-    if "devices" in res.extra:
-        rows.append(("devices (stream DAG)", str(res.extra["devices"])))
-        rows.append(("task granularity", res.extra["granularity"]))
+    if res.extra.get("backend") == "gpu":
+        rows.append(("task granularity (stream DAG)", res.extra["granularity"]))
         rows.append(("DAG tasks", str(res.extra["tasks"])))
     elif "start_method" in res.extra:
         rows.append(("workers (process DAG)", str(res.extra["workers"])))
@@ -251,10 +246,8 @@ def cmd_solve(args):
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     # argparse restricts --backend to "gpu" (thread parallelism is
-    # --workers); bare --devices implies the gpu backend
+    # --workers)
     backend = args.backend
-    if backend is None and args.devices is not None:
-        backend = "gpu"
     if backend == "gpu" and args.workers is not None:
         print("--workers and --backend gpu are mutually exclusive (the "
               "offloaded solve runs on device streams)", file=sys.stderr)
@@ -266,12 +259,12 @@ def cmd_solve(args):
     plan = make_plan(A, ordering=args.ordering)
     try:
         factor = plan.factorize(engine=args.method, backend=backend,
-                                devices=args.devices, dtype=_cli_dtype(args))
+                                dtype=_cli_dtype(args))
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     if backend == "gpu":
-        x = factor.solve(b, mode="gpu", devices=args.devices)
+        x = factor.solve(b, mode="gpu")
     else:
         x = factor.solve(b)
     rel = factor.residual_norm(x, b)
@@ -343,7 +336,7 @@ def cmd_serve(args):
     try:
         spec, _ = resolve_serving(
             args.engine, args.backend, workers=args.workers,
-            devices=args.devices, threshold=args.threshold, dtype=dtype)
+            threshold=args.threshold, dtype=dtype)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -376,9 +369,8 @@ def cmd_serve(args):
     t0 = time.perf_counter()
     first_latency = None
     with plan.serve(engine=args.engine, workers=args.workers,
-                    backend=args.backend, devices=args.devices,
-                    threshold=args.threshold, dtype=dtype,
-                    tracer=tracer) as session:
+                    backend=args.backend, threshold=args.threshold,
+                    dtype=dtype, tracer=tracer) as session:
         futures = [session.submit_solve(d, b) for d in datas]
         xs = []
         for fut in futures:
@@ -464,9 +456,9 @@ def _cmd_serve_gateway(args, engine):
         async with Gateway(capacity=args.capacity,
                            max_in_flight=args.max_in_flight,
                            workers=args.workers, engine=args.engine,
-                           backend=args.backend, devices=args.devices,
-                           threshold=args.threshold, dtype=dtype,
-                           ordering=args.ordering, tracer=tracer) as gw:
+                           backend=args.backend, threshold=args.threshold,
+                           dtype=dtype, ordering=args.ordering,
+                           tracer=tracer) as gw:
 
             async def tenant(t):
                 out = []
@@ -537,8 +529,7 @@ def cmd_batch(args):
     from .sparse import spd_value_sweep
 
     dtype = _cli_dtype(args)
-    kwargs = {"workers": args.workers, "devices": args.devices,
-              "dtype": dtype}
+    kwargs = {"workers": args.workers, "dtype": dtype}
     try:
         spec, _ = resolve(args.engine, args.backend, **kwargs)
     except ValueError as exc:
@@ -581,9 +572,6 @@ def cmd_batch(args):
     ]
     if "workers" in batch[0].result.extra:
         rows.append(("workers", str(batch[0].result.extra["workers"])))
-    if "devices" in batch[0].result.extra:
-        rows.append(("devices (stream DAG)",
-                     str(batch[0].result.extra["devices"])))
     for name, t in ((engine, t_engine), (twin, t_twin)):
         rows.append((f"looped {name}",
                      f"{t * 1e3:.2f} ms ({t / args.batch * 1e3:.2f} ms "
@@ -774,9 +762,6 @@ def build_parser():
                          "threads or processes (measured), or "
                          "simulated-GPU streams (modeled offload; rl_gpu / "
                          "rlb_gpu_v2)")
-    sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs for the stream backend "
-                         "(least-loaded task placement)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization "
                          "(RL/RLB engine families; fp32 halves factor "
@@ -803,8 +788,6 @@ def build_parser():
                          "DAG engine and solve via the solve graphs on "
                          "simulated-GPU streams (prints the offload "
                          "estimate)")
-    sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs for --backend gpu (implies it)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization; fp32 "
                          "additionally reports the fp64-refined residual "
@@ -824,8 +807,6 @@ def build_parser():
                     choices=backend_names,
                     help="scheduling substrate for the batch's task-DAG "
                          "engine (gpu = modeled stream offload per matrix)")
-    sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs per factorize for --backend gpu")
     sp.add_argument("--batch", type=int, default=8,
                     help="number of same-pattern matrices (default: 8)")
     sp.add_argument("--rhs", type=int, default=1,
@@ -858,8 +839,6 @@ def build_parser():
                     choices=backend_names,
                     help="scheduling substrate for the serving engine "
                          "(gpu = modeled stream offload)")
-    sp.add_argument("--devices", type=int, default=None,
-                    help="simulated GPUs per factorize for --backend gpu")
     sp.add_argument("--threshold", type=int, default=None,
                     help="GPU offload threshold (stream engines)")
     sp.add_argument("--count", type=int, default=8,

@@ -17,7 +17,6 @@ from .device import (
     DeviceOutOfMemory,
     DeviceBuffer,
     Timeline,
-    DeviceTimeline,
     TransferHandle,
     SimulatedGpu,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "DeviceOutOfMemory",
     "DeviceBuffer",
     "Timeline",
-    "DeviceTimeline",
     "TransferHandle",
     "SimulatedGpu",
     "TraceEvent",

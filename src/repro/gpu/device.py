@@ -40,7 +40,6 @@ __all__ = [
     "DeviceOutOfMemory",
     "DeviceBuffer",
     "Timeline",
-    "DeviceTimeline",
     "TransferHandle",
     "GpuStats",
     "SimulatedGpu",
@@ -69,19 +68,9 @@ class Timeline:
     Pass a :class:`~repro.gpu.trace.Tracer` as ``tracer`` to record every
     modeled interval for Gantt/Chrome-trace rendering.
 
-    ``coupled`` selects the issue model.  ``True`` (the default, and the
-    semantics of every single-device engine) means device operations are
-    issued *by the host*: a kernel or transfer starts no earlier than the
-    host clock at its issue point.  ``False`` models a dispatcher thread
-    issuing work out of band (the multi-device assumption): device
-    operations are gated only by
-    their engine and their explicit ``ready`` times, never by the host
-    clock — the decoupling :class:`~repro.numeric.executor.GpuStreamBackend`
-    uses for ``devices > 1``.
-
-    ``gpu_lane`` / ``copy_in_lane`` / ``copy_out_lane`` name the trace
-    lanes the device clocks record on, so several device timelines can
-    share one tracer (``"gpu0"``, ``"gpu1"``, ... in a multi-device run).
+    Device operations are issued *by the host*: a kernel or transfer starts
+    no earlier than the host clock at its issue point — the paper's
+    single-GPU, host-driven schedule.
     """
 
     cpu: float = 0.0
@@ -89,10 +78,6 @@ class Timeline:
     copy_in: float = 0.0
     copy_out: float = 0.0
     tracer: object = None
-    coupled: bool = True
-    gpu_lane: str = "gpu"
-    copy_in_lane: str = "copy_in"
-    copy_out_lane: str = "copy_out"
 
     def advance_cpu(self, dt, label="host"):
         """Host does ``dt`` seconds of work."""
@@ -103,11 +88,10 @@ class Timeline:
     def enqueue_gpu(self, duration, ready=0.0, label="kernel"):
         """Issue a kernel now (host clock); it runs when the stream and its
         inputs are free.  Returns its completion time."""
-        start = max(self.gpu, self.cpu, ready) if self.coupled \
-            else max(self.gpu, ready)
+        start = max(self.gpu, self.cpu, ready)
         self.gpu = start + duration
         if self.tracer is not None:
-            self.tracer.record(self.gpu_lane, label, start, self.gpu)
+            self.tracer.record("gpu", label, start, self.gpu)
         return self.gpu
 
     def enqueue_copy(self, duration, ready=0.0, *, direction="d2h",
@@ -115,17 +99,16 @@ class Timeline:
         """Issue a transfer now on the engine for ``direction`` (``"h2d"``
         or ``"d2h"``); engines are serial individually but independent of
         each other and of the compute stream.  Returns completion time."""
-        issue = self.cpu if self.coupled else 0.0
         if direction == "h2d":
-            start = max(self.copy_in, issue, ready)
+            start = max(self.copy_in, self.cpu, ready)
             self.copy_in = start + duration
             done = self.copy_in
-            lane = self.copy_in_lane
+            lane = "copy_in"
         else:
-            start = max(self.copy_out, issue, ready)
+            start = max(self.copy_out, self.cpu, ready)
             self.copy_out = start + duration
             done = self.copy_out
-            lane = self.copy_out_lane
+            lane = "copy_out"
         if self.tracer is not None:
             self.tracer.record(lane, label or direction, start, done,
                                nbytes=nbytes)
@@ -141,41 +124,6 @@ class Timeline:
     def elapsed(self):
         """Wall-clock so far = host clock (completion requires host sync)."""
         return self.cpu
-
-
-class DeviceTimeline(Timeline):
-    """The per-device clocks of one GPU in a multi-device run.
-
-    Compute-stream and copy-engine clocks are the device's own; the *host*
-    clock is shared — every ``advance_cpu`` / ``wait_cpu_until`` (and every
-    ``cpu`` read) goes through the ``host`` timeline, so N devices
-    serialize their host-side work (assembly, blocking waits) on one CPU
-    exactly as the single-device model does.  Construct with distinct
-    ``gpu_lane`` / ``copy_in_lane`` / ``copy_out_lane`` names so all
-    devices can share the host timeline's tracer.
-    """
-
-    def __init__(self, host, **kwargs):
-        object.__setattr__(self, "_host", host)
-        kwargs.setdefault("tracer", host.tracer)
-        super().__init__(cpu=host.cpu, **kwargs)
-
-    @property
-    def cpu(self):
-        return self._host.cpu
-
-    @cpu.setter
-    def cpu(self, value):
-        # the dataclass __init__ assigns the field; never rewind the
-        # shared clock from a device's construction or local bookkeeping
-        if value > self._host.cpu:
-            self._host.cpu = value
-
-    def advance_cpu(self, dt, label="host"):
-        self._host.advance_cpu(dt, label)
-
-    def wait_cpu_until(self, t, label="sync"):
-        self._host.wait_cpu_until(t, label)
 
 
 class DeviceBuffer:
@@ -275,24 +223,19 @@ class SimulatedGpu:
     # transfers
     # ------------------------------------------------------------------
     def _launch(self):
-        """Charge the host-side issue overhead of one device operation —
-        only in the coupled (host-driven) issue model; a decoupled
-        timeline's dispatcher thread issues out of band."""
-        if self.timeline.coupled:
-            self.timeline.advance_cpu(self.launch_overhead_s, label="launch")
+        """Charge the host-side issue overhead of one device operation."""
+        self.timeline.advance_cpu(self.launch_overhead_s, label="launch")
 
-    def h2d(self, array, *, ready=0.0):
+    def h2d(self, array):
         """Allocate and copy a host array to the device (async; the returned
-        buffer's ``ready`` marks copy completion).  ``ready`` optionally
-        delays the copy's start — e.g. a task-DAG ready time; in the
-        host-driven issue model the host clock already dominates it."""
+        buffer's ``ready`` marks copy completion)."""
         itemsize = array.itemsize
         nbytes = self.machine.scaled_bytes(array.nbytes, itemsize)
         self._alloc(nbytes)
         self._launch()
         done = self.timeline.enqueue_copy(
             self.machine.transfer_seconds(array.nbytes, itemsize),
-            ready=ready, direction="h2d", label="h2d", nbytes=nbytes,
+            direction="h2d", label="h2d", nbytes=nbytes,
         )
         self.stats.h2d_bytes += nbytes
         self.stats.transfers += 1
@@ -305,8 +248,7 @@ class SimulatedGpu:
         nbytes = self.machine.scaled_bytes(array.nbytes, array.itemsize)
         self._alloc(nbytes)
         self._launch()
-        ready = self.timeline.cpu if self.timeline.coupled else 0.0
-        return DeviceBuffer(array, nbytes, ready)
+        return DeviceBuffer(array, nbytes, self.timeline.cpu)
 
     def d2h_async(self, buf, *, raw_nbytes=None):
         """Start copying a buffer back to the host; returns a

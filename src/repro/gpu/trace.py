@@ -102,9 +102,7 @@ class Tracer:
     def lane_names(self):
         """Every lane in display order: the fixed :data:`LANES` first, then
         any dynamically recorded lanes sorted by name.  The simulated
-        timelines only ever use the fixed lanes at ``devices=1``; the
-        decoupled multi-device timelines record per-device lanes
-        (``gpu0``, ``copy_in0``, ``copy_out0``, ...), and the executors'
+        timeline only ever uses the fixed lanes; the executors'
         real-occupancy instrumentation records one lane per worker thread
         (``repro-exec-0``, ...)."""
         extra = sorted({e.lane for e in self.events} - set(LANES))

@@ -39,7 +39,7 @@ it (RL's assembly index, RLB's pair index) on
 (``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
 thread and process substrates read it at the pattern's
 :func:`~repro.symbolic.ranges.task_ranges`, the stream substrate at the
-trivial partition (device placement and modeled seconds are per
+trivial partition (the offload mask and modeled seconds are per
 supernode).  One graph runs on one substrate: threads, processes or
 simulated-GPU streams, never a mix.  :class:`StreamPool` is the single
 threaded dispatch loop: a shared ready queue of ``(graph, task)`` entries
@@ -83,8 +83,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dense.kernels import factor_routines
-from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
-from ..gpu.device import DeviceTimeline, SimulatedGpu, Timeline
+from ..gpu.costmodel import MachineModel
+from ..gpu.device import SimulatedGpu, Timeline
 from ..symbolic.blocks import pair_index
 from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
@@ -370,37 +370,25 @@ def run_task_graph(ntasks, roots, run_task, workers):
 
 
 class GpuStreamBackend:
-    """Deterministic stream dispatcher over ``devices`` simulated GPUs.
+    """Deterministic stream dispatcher over one simulated GPU.
 
     Ready tasks are popped lowest-``priority``-first by ONE host thread
     (the numerics of any task graph therefore execute in a fixed,
     reproducible order — ascending task id by default, which for the
     factorization DAGs is exactly the serial engines' elimination order).
-    Task bodies run their kernel pipelines against the backend's devices;
-    modeled time lands on the device timelines:
+    Task bodies run their kernel pipelines against :attr:`gpu`, whose
+    :class:`~repro.gpu.device.Timeline` is the host's own: device work is
+    issued by the host, so a DAG engine's schedule is exactly a serial host
+    loop over the supernodes — the paper's (same factors, same modeled
+    seconds).
 
-    * ``devices == 1`` — the single device's :class:`~repro.gpu.device
-      .Timeline` is host-coupled, so a DAG engine's schedule is exactly
-      a serial host loop over the supernodes — the paper's (same factors,
-      same modeled seconds).
-    * ``devices > 1`` — every device gets its own
-      :class:`~repro.gpu.device.DeviceTimeline` sharing one host clock,
-      decoupled from host issue (``coupled=False``): device pipelines are
-      gated by engine availability and explicit task ready times (a
-      dispatcher thread issuing work out of band), placed least-loaded
-      by :meth:`place`.  Host-side work
-      (assembly, blocking waits) still serializes on the shared host
-      clock.
-
-    Device memory is byte-accounted per device by each
+    Device memory is byte-accounted by the
     :class:`~repro.gpu.device.SimulatedGpu`;
     :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
-    caller.  Pass a
-    :class:`~repro.gpu.trace.Tracer` to record every modeled interval —
-    one ``gpu``/``copy_in``/``copy_out`` lane triple per device (suffixed
-    ``gpu0``, ``gpu1``, ... when ``devices > 1``) next to the shared
-    ``cpu`` lane, rendered by the same :mod:`repro.gpu.trace` outputs as
-    the thread-occupancy traces.
+    caller.  Pass a :class:`~repro.gpu.trace.Tracer` to record every
+    modeled interval on the ``cpu`` / ``gpu`` / ``copy_in`` / ``copy_out``
+    lanes, rendered by the same :mod:`repro.gpu.trace` outputs as the
+    thread-occupancy traces.
     """
 
     name = "gpu"
@@ -408,68 +396,26 @@ class GpuStreamBackend:
     def __init__(
         self,
         *,
-        devices=1,
         machine=None,
         device_memory=DEFAULT_DEVICE_MEMORY,
         tracer=None,
         launch_overhead_s=2.0e-6,
     ):
-        devices = operator.index(devices)  # 2.5 devices is a TypeError, as workers
-        if devices < 1:
-            raise ValueError("devices must be >= 1")
-        self.devices = devices
         self.machine = machine or MachineModel()
         self.tracer = tracer
         self.host = Timeline(tracer=tracer)
-        if devices == 1:
-            timelines = [self.host]
-        else:
-            timelines = [
-                DeviceTimeline(
-                    self.host,
-                    coupled=False,
-                    gpu_lane=f"gpu{k}",
-                    copy_in_lane=f"copy_in{k}",
-                    copy_out_lane=f"copy_out{k}",
-                )
-                for k in range(devices)
-            ]
-        self.gpus = [
-            SimulatedGpu(
-                device_memory,
-                machine=self.machine,
-                timeline=tl,
-                launch_overhead_s=launch_overhead_s,
-            )
-            for tl in timelines
-        ]
-        self.task_counts = [0] * devices
-
-    def place(self):
-        """Least-loaded placement: ``(device_index, SimulatedGpu)`` of the
-        device whose engines free up earliest (ties break to the lowest
-        index, keeping placement deterministic)."""
-
-        def load(k):
-            tl = self.gpus[k].timeline
-            return max(tl.gpu, tl.copy_in, tl.copy_out)
-
-        d = min(range(self.devices), key=load)
-        self.task_counts[d] += 1
-        return d, self.gpus[d]
+        self.gpu = SimulatedGpu(
+            device_memory,
+            machine=self.machine,
+            timeline=self.host,
+            launch_overhead_s=launch_overhead_s,
+        )
 
     def elapsed(self):
-        """Modeled wall-clock: the shared host clock joined with every
-        device engine (the host's final waits normally dominate)."""
-        t = self.host.cpu
-        for g in self.gpus:
-            tl = g.timeline
-            t = max(t, tl.gpu, tl.copy_in, tl.copy_out)
-        return t
-
-    def device_busy_seconds(self):
-        """Per-device compute-stream busy seconds (modeled)."""
-        return [g.stats.kernel_seconds for g in self.gpus]
+        """Modeled wall-clock: the host clock joined with the device
+        engines (the host's final waits normally dominate)."""
+        tl = self.host
+        return max(tl.cpu, tl.gpu, tl.copy_in, tl.copy_out)
 
     def run_graph(self, ntasks, roots, run_task, *, priority=None):
         """Drain the graph deterministically: pop the ready task with the
@@ -831,9 +777,7 @@ def _check_granularity(granularity):
         )
 
 
-def stream_factorize_job(
-    symb, M, granularity, machine, thread_choices=CPU_THREAD_CHOICES, extra=None, dtype=None
-):
+def stream_factorize_job(symb, M, granularity, machine, extra=None, dtype=None):
     """One streaming factorize job: ``(storage, ntasks, roots, run_task,
     finish)`` for a single same-pattern matrix ``M``.
 
@@ -845,9 +789,7 @@ def stream_factorize_job(
     :class:`~repro.numeric.result.FactorizeResult` (same report as
     :func:`factorize_executor`).  The pattern is priced here, on the
     submitting thread — ``finish`` runs on a pool thread and only wraps
-    the report, so it never writes the symbolic cache.  ``thread_choices``
-    (the thread counts the report's modeled seconds sweep) is positional
-    for ``tests/test_pull_order.py``; no caller in ``src/`` passes it.
+    the report, so it never writes the symbolic cache.
     """
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
     # the static plan is shared (memoised on ``symb``); the parked store,
@@ -857,7 +799,7 @@ def stream_factorize_job(
     _, run = range_tasks(symb, storage, plan, {})
     run_task = Countdown(plan.indeg).task(run, plan.children)
     family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, thread_choices, storage.itemsize)
+    cost = cpu_cost(symb, family, machine, itemsize=storage.itemsize)
 
     def finish(wall_seconds):
         report = dict(extra or (), wall_seconds=wall_seconds, tasks=plan.ntasks)

@@ -16,21 +16,14 @@ countdown the threaded engines of :mod:`repro.numeric.executor` use — on a
 
 **One device is the paper's schedule.**  The stream backend pops ready
 tasks in a deterministic priority order that is the elimination-order
-schedule (factor task ``s``, then ``s``'s pair tasks, then ``s+1``).  At
-``devices=1`` the device timeline is host-coupled, so the host issues every
-operation exactly as a serial loop over the supernodes would: factors are
+schedule (factor task ``s``, then ``s``'s pair tasks, then ``s+1``).  Its
+one device shares the host's timeline, so the host issues every operation
+exactly as a serial loop over the supernodes would: factors are
 bit-identical to the serial CPU engines, and the modeled seconds, transfer
 counts and the allocation at which
 :class:`~repro.gpu.device.DeviceOutOfMemory` fires are pinned by
 ``tests/test_gpu_golden.py`` against the hand-rolled loops this scheduler
 replaced.
-
-**Multi-device scaling.**  At ``devices=N`` the backend switches the
-device timelines to the dispatcher-issue model (shared host clock, device
-pipelines gated by engine availability and per-task modeled *ready times*
-maintained here when an update is parked), and tasks go to the least-loaded
-device.  The honest story of the extension: host-serialized assembly
-bounds the speedup by the elimination tree's branch independence.
 
 **One builder per granularity.**  :func:`_coarse_graph` and
 :func:`_fine_graph` emit each task's body CPU-or-GPU from the
@@ -40,7 +33,7 @@ per-supernode CPU/GPU split.  The CPU-side body is the *modeled* one
 host clock), so every second an engine here reports is on one clock.  The
 stream substrate schedules the *trivial* partition
 (:func:`~repro.symbolic.ranges.trivial_ranges`, one task per supernode):
-placement, the offload mask and every modeled second are per supernode.
+the offload mask and every modeled second are per supernode.
 """
 
 from __future__ import annotations
@@ -78,22 +71,6 @@ from .threshold import (
 __all__ = ["factorize_gpu_dag", "factorize_rl_gpu", "factorize_rlb_gpu"]
 
 
-def _aggregate_stats(gpus):
-    """One :class:`~repro.gpu.device.GpuStats` over every device (counts
-    and bytes summed; ``peak_memory`` is the worst single device)."""
-    from ..gpu.device import GpuStats
-
-    agg = GpuStats()
-    for g in gpus:
-        agg.kernels += g.stats.kernels
-        agg.kernel_seconds += g.stats.kernel_seconds
-        agg.h2d_bytes += g.stats.h2d_bytes
-        agg.d2h_bytes += g.stats.d2h_bytes
-        agg.transfers += g.stats.transfers
-        agg.peak_memory = max(agg.peak_memory, g.stats.peak_memory)
-    return agg
-
-
 def _fine_priority(plan):
     """The fine DAG's deterministic schedule key: every supernode's factor
     task before its pair tasks, both before the next supernode — the
@@ -106,12 +83,10 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h):
 
     Every task first pulls the parked updates of its supernode
     (:func:`~repro.numeric.executor.range_tasks`), then dispatches.
-    GPU-placed supernodes run the RL offload pipeline on the modeled
-    streams (least-loaded device placement, then the three-transfer
-    pipeline).  CPU-placed supernodes run the *modeled* host body
-    (:func:`~repro.numeric.rl_gpu.rl_cpu_snode` behind a ``dag_wait`` on
-    the supernode's modeled ready time).  All park into one store and count
-    down on one counter.
+    GPU-placed supernodes run the RL offload pipeline (the three-transfer
+    pipeline) on the modeled streams.  CPU-placed supernodes run the
+    *modeled* host body (:func:`~repro.numeric.rl_gpu.rl_cpu_snode`).  All
+    park into one store and count down on one counter.
     """
     machine = backend.machine
     host = backend.host
@@ -120,15 +95,13 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h):
     parked = {}
     countdown = Countdown(plan.indeg)
     pull, _ = range_tasks(symb, storage, plan, parked)
-    ready = {}  # supernode -> modeled time its inbound updates assembled
     itemsize = storage.itemsize
     index = assembly_index(symb)
 
     def scatter(s, U):
         """Source ``s``'s update matrix lands: parked for its targets to
         pull, charged as ONE host assembly pass on the modeled host clock (as
-        the serial engine charges it); each target's modeled ready time moves
-        up to now and gets one part delivered."""
+        the serial engine charges it); each target gets one part delivered."""
         moved = index.moved[s]
         parked[s] = park_runs(storage, index, s, U)
         host.advance_cpu(
@@ -136,27 +109,15 @@ def _coarse_graph(symb, storage, backend, offload, acc, async_panel_d2h):
                                      threads=cpu_t, itemsize=itemsize),
             label="assembly")
         acc.assembly(moved)
-        t = host.cpu
-        for p in index.targets[s]:
-            if ready.get(p, 0.0) < t:
-                ready[p] = t
         return countdown.deliver(index.targets[s])
 
-    def run_gpu(s):
+    def run_task(s):
         pull(s)
-        _, gpu = backend.place()
-        return rl_gpu_snode(symb, storage, s, gpu, scatter, acc,
-                            async_panel_d2h=async_panel_d2h,
-                            ready=ready.get(s, 0.0))
-
-    def run_cpu(s):
-        pull(s)
-        host.wait_cpu_until(ready.get(s, 0.0), label="dag_wait")
+        if offload[s]:
+            return rl_gpu_snode(symb, storage, s, backend.gpu, scatter, acc,
+                                async_panel_d2h=async_panel_d2h)
         return rl_cpu_snode(symb, storage, s, machine, host, cpu_t,
                             scatter, acc)
-
-    def run_task(s):
-        return run_gpu(s) if offload[s] else run_cpu(s)
 
     return plan, run_task, None
 
@@ -165,9 +126,9 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     """Fine (RLB v2) task graph: ``(plan, run_task, priority)``.
 
     The priority key (:func:`_fine_priority`) is the serial
-    elimination-order schedule, which is what makes ``devices=1`` on the
-    stream backend the paper's RLB version 2.  A supernode's factor task
-    and all of its pair tasks share its placement; a factor task first
+    elimination-order schedule, which is what makes the stream backend the
+    paper's RLB version 2.  A supernode's factor task and all of its pair
+    tasks share its placement (CPU or GPU); a factor task first
     pulls the parked pair products of its supernode.  GPU-placed ones run
     RLB v2's double-buffered per-pair pipeline, threaded through ``state``
     (the per-supernode in-flight pipeline) — only ever touched by the
@@ -185,29 +146,23 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     parked = {}
     countdown = Countdown(plan.indeg)
     pull, _ = range_tasks(symb, storage, plan, parked)
-    ready = {}
+    gpu = backend.gpu
     state = {}  # GPU-placed supernode -> in-flight pipeline state
 
     def park(tid, u):
         """Pair task ``tid``'s product lands: parked, one part delivered to
-        its target, whose modeled ready time moves up to now."""
+        its target."""
         parked[tid - nsup] = u
-        owner = plan.targets[tid - nsup][0]
-        t = host.cpu
-        if ready.get(owner, 0.0) < t:
-            ready[owner] = t
-        return countdown.deliver((owner,))
+        return countdown.deliver((plan.targets[tid - nsup][0],))
 
     def gpu_factor(s):
         pull(s)
-        _, gpu = backend.place()
-        panel, w, dbuf, panel_back = rlb_gpu_factor(
-            symb, storage, s, gpu, acc, ready=ready.get(s, 0.0))
+        panel, w, dbuf, panel_back = rlb_gpu_factor(symb, storage, s, gpu, acc)
         if not pair_ids[s]:
             gpu.wait(panel_back)
             gpu.free(dbuf)
             return ()
-        state[s] = {"gpu": gpu, "panel": panel, "w": w, "dbuf": dbuf,
+        state[s] = {"panel": panel, "w": w, "dbuf": dbuf,
                     "panel_back": panel_back, "left": len(pair_ids[s]),
                     "inflight": []}
         return pair_ids[s]
@@ -215,7 +170,6 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     def gpu_pair(tid):
         s, bi, bj = pairs[tid - nsup]
         st = state[s]
-        gpu = st["gpu"]
         fl = st["inflight"]
         newly = []
 
@@ -240,7 +194,6 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     def run_cpu(tid):
         if tid < nsup:
             pull(tid)
-            host.wait_cpu_until(ready.get(tid, 0.0), label="dag_wait")
             cpu_factor_snode(symb, storage, tid, machine, host, cpu_t, acc)
             return pair_ids[tid]
         # small supernode: host kernel, product parked for its target
@@ -257,9 +210,9 @@ def _fine_graph(symb, storage, backend, offload, acc, inflight):
     return plan, run_task, _fine_priority(plan)
 
 
-def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
-                      machine=None, threshold=None,
-                      device_memory=DEFAULT_DEVICE_MEMORY, backend=None,
+def factorize_gpu_dag(symb, A, *, granularity="coarse", machine=None,
+                      threshold=None, device_memory=DEFAULT_DEVICE_MEMORY,
+                      backend=None,
                       tracer=None, async_panel_d2h=True, inflight=2,
                       dtype=None):
     """Factorize on the GPU stream backend, scheduled by the task DAG.
@@ -271,9 +224,6 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
         :func:`factorize_rl_gpu`); ``"fine"`` — RLB version 2's
         per-block-pair pipeline (``rlb_gpu_v2``,
         :func:`factorize_rlb_gpu`).
-    devices:
-        Simulated GPUs.  ``1`` is the paper's host-driven single-device
-        schedule; ``N > 1`` places tasks least-loaded across N devices.
     threshold:
         Dilated panel entries below which a supernode stays on the CPU
         (directly comparable to the paper's 600,000 / 750,000); ``0`` is
@@ -281,15 +231,13 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
         own (:data:`~repro.numeric.threshold.DEFAULT_RL_THRESHOLD` /
         :data:`~repro.numeric.threshold.DEFAULT_RLB_THRESHOLD`).
     device_memory:
-        Per-device capacity in dilated bytes.  A panel or update matrix
+        Device capacity in dilated bytes.  A panel or update matrix
         exceeding free device memory raises
         :class:`~repro.gpu.device.DeviceOutOfMemory` — the paper's
-        nlpkkt120 failure mode; extra devices never rescue a single
-        oversized working set.
+        nlpkkt120 failure mode.
     backend:
         An existing :class:`~repro.numeric.executor.GpuStreamBackend` to
-        run on (overrides ``devices`` / ``machine`` / ``device_memory`` /
-        ``tracer``).
+        run on (overrides ``machine`` / ``device_memory`` / ``tracer``).
     async_panel_d2h / inflight:
         The pipeline ablation switches (coarse / fine respectively):
         ``async_panel_d2h=False`` makes the factored-panel transfer a
@@ -300,8 +248,7 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
     """
     _check_granularity(granularity)
     if backend is None:
-        backend = GpuStreamBackend(devices=devices,
-                                   machine=machine or MachineModel(),
+        backend = GpuStreamBackend(machine=machine or MachineModel(),
                                    device_memory=device_memory,
                                    tracer=tracer)
     if threshold is None:
@@ -323,19 +270,16 @@ def factorize_gpu_dag(symb, A, *, granularity="coarse", devices=1,
         modeled_seconds=backend.elapsed(),
         total_snodes=symb.nsup,
         snodes_on_gpu=int(np.count_nonzero(offload)),
-        gpu_stats=_aggregate_stats(backend.gpus),
+        gpu_stats=backend.gpu.stats,
         flops=acc.flops,
         kernel_count=acc.kernel_count,
         assembly_bytes=acc.assembly_bytes,
         extra={
             "threshold": threshold,
-            "device_memory": backend.gpus[0].capacity,
-            "devices": backend.devices,
+            "device_memory": backend.gpu.capacity,
             "backend": backend.name,
             "granularity": granularity,
             "tasks": plan.ntasks,
-            "device_task_counts": list(backend.task_counts),
-            "device_busy_seconds": backend.device_busy_seconds(),
         },
     )
 

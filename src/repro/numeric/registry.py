@@ -25,8 +25,8 @@ names what schedules it:
     Offload to the simulated device; modeled seconds.  For the two
     families this is the task DAG on a
     :class:`~repro.numeric.executor.GpuStreamBackend`
-    (:mod:`repro.numeric.gpu_dag`; ``devices=N``), for the family-less rows
-    a serial loop driving one device (``device=``).
+    (:mod:`repro.numeric.gpu_dag`), for the family-less rows a serial loop
+    driving one device (``device=``).
 ``"process"``
     The task DAG drained by a persistent worker-process pool over
     shared-memory panels (:mod:`repro.numeric.procpool`).
@@ -217,7 +217,7 @@ def resolve(engine, backend=None, **options):
     options that are ``None`` mean "not given".  An option the row's
     callable does not take — or one its name already fixes — raises ONE
     ``ValueError`` naming the option, the engine and the engines that do
-    accept it.  ``workers`` / ``devices`` must be >= 1 and ``dtype`` passes
+    accept it.  ``workers`` must be >= 1 and ``dtype`` passes
     through :func:`~repro.dense.kernels.check_dtype` (unsupported dtypes
     raise :class:`~repro.dense.kernels.UnsupportedDtypeError`).
     """
@@ -232,11 +232,10 @@ def resolve(engine, backend=None, **options):
                 f"{key}= is {verb} by engine {spec.name!r}; "
                 f"accepted by: {_names(s for s in _ROWS if key in s.accepts)}"
             )
-    for key in ("workers", "devices"):
-        if key in options:
-            options[key] = operator.index(options[key])  # 2.5 is a TypeError
-            if options[key] < 1:
-                raise ValueError(f"{key} must be >= 1")
+    if "workers" in options:
+        options["workers"] = operator.index(options["workers"])  # 2.5 is a TypeError
+        if options["workers"] < 1:
+            raise ValueError("workers must be >= 1")
     if "dtype" in options:
         options["dtype"] = check_dtype(options["dtype"], context="storage")
     return spec, {**spec.fixed, **options}
@@ -283,11 +282,10 @@ class SolveModeSpec:
     """One registered triangular-solve schedule.
 
     ``parallel`` marks the modes that accept ``workers=`` (executed by the
-    task-graph runtime); ``offload`` marks the simulated-device modes that
-    accept ``devices=`` (the solve graphs on a
-    :class:`~repro.numeric.executor.GpuStreamBackend`).  All modes produce
-    bit-identical solutions — every schedule preserves the serial sweeps'
-    accumulation order.
+    task-graph runtime); ``offload`` marks the simulated-device mode (the
+    solve graphs on a :class:`~repro.numeric.executor.GpuStreamBackend`).
+    All modes produce bit-identical solutions — every schedule preserves the
+    serial sweeps' accumulation order.
     """
 
     name: str
@@ -302,7 +300,7 @@ SOLVE_MODES = {
     for spec in (
         SolveModeSpec("serial", False, "one supernode after another (the historical sweeps)"),
         SolveModeSpec("level", True, "level schedule on the task-graph runtime; accepts workers="),
-        SolveModeSpec("gpu", False, "solve graphs on GPU streams; accepts devices=", offload=True),
+        SolveModeSpec("gpu", False, "solve graphs on simulated-GPU streams", offload=True),
     )
 }
 

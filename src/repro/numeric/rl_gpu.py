@@ -82,16 +82,13 @@ def rl_cpu_snode(symb, storage, s, machine, timeline, cpu_t, scatter, acc):
 
 
 def rl_gpu_snode(symb, storage, s, gpu, scatter, acc, *,
-                 async_panel_d2h=True, ready=0.0):
+                 async_panel_d2h=True):
     """Offload task body of one RL supernode — the paper's three-transfer
     pipeline on ``gpu``: H2D → POTRF → TRSM → async panel D2H → SYRK →
     blocking update D2H → ``scatter(s, U)`` (host assembly, owned by the
     callback) → free.
 
-    ``ready`` optionally gates the H2D on a task-DAG ready time (the
-    multi-device dispatcher model; at one host-coupled device the host
-    clock already dominates it).  Raises
-    :class:`~repro.gpu.device.DeviceOutOfMemory` when the panel or the
+    Raises :class:`~repro.gpu.device.DeviceOutOfMemory` when the panel or the
     update matrix exceeds free device memory — the paper's nlpkkt120
     failure mode.  Returns whatever ``scatter`` returned
     (released task ids; ``()`` without below rows).
@@ -99,7 +96,7 @@ def rl_gpu_snode(symb, storage, s, gpu, scatter, acc, *,
     panel = storage.panel(s)
     m, w = symb.panel_shape(s)
     b = m - w
-    dbuf = gpu.h2d(panel, ready=ready)
+    dbuf = gpu.h2d(panel)
     gpu.potrf(dbuf, panel[:w, :w])
     acc.kernel("potrf", n=w)
     if b:

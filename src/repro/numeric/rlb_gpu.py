@@ -63,7 +63,7 @@ def rlb_cpu_pair(panel, w, bi, bj, machine, timeline, cpu_t, acc):
     return u
 
 
-def rlb_gpu_factor(symb, storage, s, gpu, acc, *, ready=0.0):
+def rlb_gpu_factor(symb, storage, s, gpu, acc):
     """Offload factor body: H2D → device POTRF → device TRSM → asynchronous
     panel D2H.  Returns ``(panel, w, dbuf, panel_back)``; the caller owns
     the buffers (wait ``panel_back`` and ``free(dbuf)`` once every pair of
@@ -71,7 +71,7 @@ def rlb_gpu_factor(symb, storage, s, gpu, acc, *, ready=0.0):
     panel = storage.panel(s)
     m, w = symb.panel_shape(s)
     b = m - w
-    dbuf = gpu.h2d(panel, ready=ready)
+    dbuf = gpu.h2d(panel)
     gpu.potrf(dbuf, panel[:w, :w])
     acc.kernel("potrf", n=w)
     if b:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import time
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
@@ -54,6 +55,7 @@ import numpy as np
 from ..api import plan as build_plan
 from ..numeric.executor import StreamPool
 from ..sparse.csc import SymmetricCSC
+from ..symbolic.analyze import analyze
 from ..symbolic.structure import pattern_fingerprint
 
 __all__ = [
@@ -236,7 +238,7 @@ class Gateway:
         Width of the ONE shared :class:`~repro.numeric.executor.StreamPool`
         every per-pattern session runs on (``None``:
         :func:`~repro.numeric.executor.default_workers`).
-    engine / backend / devices / threshold:
+    engine / backend / threshold:
         Substrate of every per-pattern session, exactly as
         :meth:`repro.api.SymbolicPlan.serve` takes them.
     dtype:
@@ -259,10 +261,12 @@ class Gateway:
 
     def __init__(self, *, capacity=8, plan_bytes_budget=None,
                  max_in_flight=64, tenant_budget=None, workers=None,
-                 engine="rlb_par", backend=None, devices=None,
-                 threshold=None, dtype=None, ordering="nd",
+                 engine="rlb_par", backend=None, threshold=None,
+                 dtype=None, ordering="nd",
                  analysis_workers=1, tracer=None, trace_origin=None,
                  **analyze_kwargs):
+        # a keyword analyze() does not take fails here, not on every miss
+        inspect.signature(analyze).bind_partial(**analyze_kwargs)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if max_in_flight < 1:
@@ -276,7 +280,6 @@ class Gateway:
                               else int(tenant_budget))
         self._engine = engine
         self._backend = backend
-        self._devices = devices
         self._threshold = threshold
         self._dtype = dtype
         self._ordering = ordering
@@ -465,7 +468,6 @@ class Gateway:
         capacity / byte budget.  Runs on the loop thread with no awaits, so
         the new entry cannot be evicted before its caller pins it."""
         session = plan.serve(engine=self._engine, backend=self._backend,
-                             devices=self._devices,
                              threshold=self._threshold, dtype=self._dtype,
                              pool=self._pool,
                              tracer=self._tracer, trace_origin=self._origin)

@@ -17,8 +17,8 @@ amortize the factor transfer.  This module makes that trade-off measurable:
   (``forward_solve_graph`` / ``backward_solve_graph``) on a
   :class:`~repro.numeric.executor.GpuStreamBackend`: per-supernode panel
   H2D and TRSM/GEMM charges land on the device streams gated by the DAG
-  ready times, so independent elimination-tree branches overlap (and
-  spread across ``devices=N``) instead of accumulating serially;
+  ready times, so independent elimination-tree branches overlap on the
+  copy and compute engines instead of accumulating serially;
 * :func:`solve_offload_estimate` — the *pattern-only* CPU-vs-GPU modeled
   comparison (no numerics), surfaced by
   :meth:`repro.api.SolvePlan.offload_estimate`.
@@ -92,10 +92,12 @@ def _cpu_sweep_times(symb, k, machine):
     return times, calls
 
 
-def _gpu_sweep_seconds(symb, k, machine, factor_resident):
+def _gpu_sweep_seconds(symb, k, machine, factor_resident, itemsize=8):
     """Serial accumulation of the offloaded solve's transfers and device
     kernels for ``k`` right-hand sides: ``(seconds, kernels, h2d_bytes)``
-    — the sequential-dependence model of :func:`solve_factored_gpu`."""
+    — the sequential-dependence model of :func:`solve_factored_gpu`.
+    Panels upload at the factor's ``itemsize``; the right-hand side is
+    float64."""
     seconds = 0.0
     nbytes_rhs = 8.0 * symb.n * k
     seconds += machine.transfer_seconds(nbytes_rhs)  # RHS H2D
@@ -105,9 +107,9 @@ def _gpu_sweep_seconds(symb, k, machine, factor_resident):
         m, w = symb.panel_shape(s)
         bb = m - w
         if not factor_resident:
-            nb = 8.0 * (m * w)
-            seconds += machine.transfer_seconds(nb)
-            h2d_bytes += machine.scaled_bytes(nb)
+            nb = float(itemsize) * (m * w)
+            seconds += machine.transfer_seconds(nb, itemsize)
+            h2d_bytes += machine.scaled_bytes(nb, itemsize)
         seconds += 2 * machine.gpu_kernel_seconds("trsm", m=k, n=w)
         kernels += 2
         if bb:
@@ -182,7 +184,7 @@ def solve_factored_gpu(storage, b, *, machine=None, factor_resident=False):
     symb = storage.symb
     k = _rhs_cols(b)
     seconds, kernels, h2d_bytes = _gpu_sweep_seconds(
-        symb, k, machine, factor_resident)
+        symb, k, machine, factor_resident, storage.itemsize)
     x = solve_factored(storage, b)
     return x, seconds, {
         "kind": "gpu", "factor_resident": factor_resident,
@@ -191,21 +193,19 @@ def solve_factored_gpu(storage, b, *, machine=None, factor_resident=False):
     }
 
 
-def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
-                           factor_resident=False, backend=None,
+def solve_factored_gpu_dag(storage, b, *, machine=None, factor_resident=False,
                            tracer=None, overwrite_b=False):
-    """Offloaded supernodal solve driven by the PR-4 solve graphs on the
-    GPU stream backend.
+    """Offloaded supernodal solve driven by the solve graphs on the GPU
+    stream backend.
 
     The forward and backward sweeps execute as the level-scheduled task
     graphs of :mod:`repro.solve.triangular` (real numerics, bit-identical
-    to the serial sweeps); each supernode's modeled charges — panel H2D
-    (forward only, unless ``factor_resident``) and the two TRSM/GEMV-style
-    device kernels — are enqueued on its device's streams gated by its DAG
-    ready time, with the backward task pinned to the device that holds the
-    supernode's panel.  Independent elimination-tree branches therefore
-    overlap on one device's copy/compute engines and scale across
-    ``devices=N``, unlike :func:`solve_factored_gpu`'s serial sum.
+    to the serial sweeps); each supernode's modeled charges — panel H2D at
+    the factor's itemsize (forward only, unless ``factor_resident``) and
+    the two TRSM/GEMV-style device kernels — are enqueued on the device's
+    streams gated by its DAG ready time.  Independent elimination-tree
+    branches therefore overlap on the copy and compute engines, unlike
+    :func:`solve_factored_gpu`'s serial sum.
 
     Returns ``(x, seconds, stats)`` with ``x`` bit-identical to
     :func:`~repro.solve.triangular.solve_factored`.  ``overwrite_b=True``
@@ -213,59 +213,52 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
     gather) instead of a fresh copy.
     """
     machine = machine or MachineModel()
-    if backend is None:
-        backend = GpuStreamBackend(devices=devices, machine=machine,
-                                   tracer=tracer,
-                                   device_memory=float("inf"))
+    backend = GpuStreamBackend(machine=machine, tracer=tracer,
+                               device_memory=float("inf"))
+    tl = backend.host
     symb = storage.symb
-    # placement and modeled charges are per supernode: the trivial partition
+    itemsize = storage.itemsize
+    # modeled charges are per supernode: the trivial partition
     ranges = trivial_ranges(symb)
     sched = solve_schedule(symb, ranges)
     k = _rhs_cols(b)
     nbytes_rhs = 8.0 * symb.n * k
-    gpu0 = backend.gpus[0]
-    start = gpu0.timeline.enqueue_copy(
+    start = tl.enqueue_copy(
         machine.transfer_seconds(nbytes_rhs), direction="h2d",
         label="rhs_h2d", nbytes=machine.scaled_bytes(nbytes_rhs))
     ready = {}
     done = {}
-    dev_of = {}
     counters = {"kernels": 0, "h2d_bytes": 0.0}
 
-    def kernel(tl, kind, ready, **dims):
+    def kernel(kind, ready, **dims):
         counters["kernels"] += 1
         return tl.enqueue_gpu(machine.gpu_kernel_seconds(kind, **dims), ready=ready, label=kind)
 
     def charge_forward(s):
-        d, gpu = backend.place()
-        dev_of[s] = gpu
-        tl = gpu.timeline
         m, w = symb.panel_shape(s)
         bb = m - w
         r = max(ready.get(s, 0.0), start)
         if not factor_resident:
-            nb = 8.0 * (m * w)
-            counters["h2d_bytes"] += machine.scaled_bytes(nb)
-            r = tl.enqueue_copy(machine.transfer_seconds(nb), ready=r,
-                                direction="h2d", label="panel_h2d",
-                                nbytes=machine.scaled_bytes(nb))
-        t = kernel(tl, "trsm", r, m=k, n=w)
+            nb = float(itemsize) * (m * w)
+            scaled = machine.scaled_bytes(nb, itemsize)
+            counters["h2d_bytes"] += scaled
+            r = tl.enqueue_copy(machine.transfer_seconds(nb, itemsize), ready=r,
+                                direction="h2d", label="panel_h2d", nbytes=scaled)
+        t = kernel("trsm", r, m=k, n=w)
         if bb:
-            t = kernel(tl, "gemm", t, m=bb, n=k, k=w)
+            t = kernel("gemm", t, m=bb, n=k, k=w)
         done[s] = t
         for p, _, _ in sched.runs[s]:
             if ready.get(p, 0.0) < t:
                 ready[p] = t
 
     def charge_backward(s):
-        gpu = dev_of[s]  # panel already resident from the forward sweep
-        tl = gpu.timeline
         m, w = symb.panel_shape(s)
         bb = m - w
         r = max(ready.get(s, 0.0), done[s])  # own segment final
         if bb:
-            r = kernel(tl, "gemm", r, m=bb, n=k, k=w)
-        t = kernel(tl, "trsm", r, m=k, n=w)
+            r = kernel("gemm", r, m=bb, n=k, k=w)
+        t = kernel("trsm", r, m=k, n=w)
         for p in sched.bwd.children[s]:
             if ready.get(p, 0.0) < t:
                 ready[p] = t
@@ -288,14 +281,13 @@ def solve_factored_gpu_dag(storage, b, *, devices=1, machine=None,
     charged(charge_backward, *backward_solve_graph(storage, y, ranges))
     check_finite(y, "solution")
 
-    final = gpu0.timeline.enqueue_copy(
+    final = tl.enqueue_copy(
         machine.transfer_seconds(nbytes_rhs), direction="d2h",
         label="rhs_d2h", ready=max(done.values(), default=start),
         nbytes=machine.scaled_bytes(nbytes_rhs))
-    backend.host.wait_cpu_until(final)
+    tl.wait_cpu_until(final)
     return y, backend.elapsed(), {
-        "kind": "gpu_dag", "devices": backend.devices,
-        "factor_resident": factor_resident,
+        "kind": "gpu_dag", "factor_resident": factor_resident,
         "kernel_calls": counters["kernels"], "rhs": k,
         "panel_h2d_bytes": counters["h2d_bytes"],
     }

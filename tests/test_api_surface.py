@@ -88,7 +88,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.solve", "solve_factored"),
     ("repro.solve", "solve_factored_gpu_dag"),
     ("repro.solve", "solve_offload_estimate"),
-    ("repro.gpu", "DeviceTimeline"),
     ("repro.solve", "forward_solve_graph"),
     ("repro.solve", "backward_solve_graph"),
     ("repro.solve", "solve_graph"),

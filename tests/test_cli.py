@@ -72,21 +72,6 @@ class TestCommands:
         assert "workers (threaded DAG)" in out
         assert "measured wall seconds" in out
 
-    def test_factorize_workers_plus_devices_is_refused(self, capsys):
-        """No engine runs one DAG on threads and devices at once: the
-        threaded row --workers selects refuses --devices, with the
-        registry's one message."""
-        assert main(["factorize", SMALL, "--workers", "2",
-                     "--devices", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "devices= is not accepted by engine 'rl_par'")
-        assert main(["factorize", SMALL, "--workers", "2", "--devices", "1",
-                     "--granularity", "fine"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "devices= is not accepted by engine 'rlb_par'")
-
     def test_factorize_workers_fine_granularity(self, capsys):
         assert main(["factorize", SMALL, "--workers", "2",
                      "--granularity", "fine"]) == 0

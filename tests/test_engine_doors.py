@@ -30,7 +30,7 @@ from repro.sparse.io import write_matrix_market
 #: option -> a valid value for it (``bogus`` is a keyword no engine has)
 OPTIONS = {
     "workers": 1,
-    "devices": 1,
+    "devices": 1,  # no engine takes it: one device is the only GPU model
     "threshold": 0,
     "dtype": np.float32,
     "tracer": None,  # a fresh Tracer per request
@@ -44,18 +44,17 @@ OPTIONS = {
 #: the options each CLI command spells as a flag
 CLI_FLAGS = {
     "workers": ["--workers", "1"],
-    "devices": ["--devices", "1"],
     "threshold": ["--threshold", "0"],
     "dtype": ["--dtype", "fp32"],
 }
 
-#: What the parent commit's ``kind`` / ``supports_dtype`` rules allowed, per
-#: engine, out of {workers, devices, threshold, dtype, tracer} — typed in
-#: here as the independent record; ``rl_gpu`` / ``rlb_gpu_v2`` now also take
-#: ``devices`` and ``tracer`` (they are the stream rows).
+#: What the ``kind`` / ``supports_dtype`` rules allowed, per engine, out of
+#: {workers, threshold, dtype, tracer} — typed in here as the independent
+#: record; ``rl_gpu`` / ``rlb_gpu_v2`` now also take ``tracer`` (they are
+#: the stream rows).  No engine takes ``devices`` any more.
 _CPU = {"dtype"}
 _PAR = {"workers", "dtype", "tracer"}
-_STREAM = {"devices", "threshold", "dtype", "tracer"}
+_STREAM = {"threshold", "dtype", "tracer"}
 CAPABILITIES = {
     "rl": _CPU, "rlb": _CPU,
     "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
@@ -123,7 +122,7 @@ def test_api_doors_agree(plan, name, option):
     assert got == want, "plan.factorize_batch"
 
     if option not in ("workers", "devices", "threshold", "dtype"):
-        return  # serve() spells only these four
+        return  # serve() resolves only these four like factorize
     got = _outcome(
         lambda: plan.serve(engine=name, **{option: _value(option)}).close())
     if want is None and not _servable(spec):
@@ -200,8 +199,6 @@ def test_invalid_counts_and_dtypes_are_rejected_once(plan):
                  lambda **kw: plan.serve(**kw).close()):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             door(engine="rl_par", workers=0)
-        with pytest.raises(ValueError, match="devices must be >= 1"):
-            door(engine="rl_gpu", devices=0)
         with pytest.raises(UnsupportedDtypeError):
             door(engine="rlb_par", dtype=np.float16)
 
@@ -218,7 +215,7 @@ def test_every_advertised_option_reaches_the_engine(plan, monkeypatch, name):
     ``plan.factorize(engine="rl_gpu", backend=GpuStreamBackend())`` raised
     ``unknown backend``."""
     spec = ENGINES[name]
-    values = {"workers": 2, "devices": 2, "dtype": np.float32}
+    values = {"workers": 2, "dtype": np.float32}
 
     @functools.wraps(spec.fn)  # same signature, so the same ``accepts``
     def spy(symb, A, **kwargs):
@@ -271,3 +268,36 @@ def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, ret
                 main(argv)
             assert exc.value.code == 2
             assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+
+
+def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):
+    """The simulated GPU is one host-coupled device, so ``devices=`` has no
+    door left: one registry ``ValueError`` where a door resolves its
+    options, a ``TypeError`` where the signature is fixed, and an unknown
+    flag (exit 2) at every CLI command."""
+    from repro.numeric import GpuStreamBackend
+
+    want = _outcome(lambda: resolve("rl_gpu", devices=2))
+    assert want == "devices= is not accepted by engine 'rl_gpu'; accepted by: no engine"
+    doors = {
+        "plan.factorize": lambda: plan.factorize(engine="rl_gpu", devices=2),
+        "plan.factorize_batch": lambda: plan.factorize_batch(
+            [None], engine="rl_gpu", devices=2),
+        "plan.serve": lambda: plan.serve(engine="rl_gpu", devices=2).close(),
+    }
+    for door, call in doors.items():
+        assert _outcome(call) == want, door
+
+    factor = plan.factorize(engine="rl")
+    for door in (lambda: factor.solve(np.ones(plan.n), devices=2),
+                 lambda: Gateway(devices=2),
+                 lambda: GpuStreamBackend(devices=2)):
+        with pytest.raises(TypeError, match="devices"):
+            door()
+
+    for argv in (["factorize", matrix_file], ["batch", matrix_file],
+                 ["solve", matrix_file], ["serve", matrix_file, "--stream"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--devices", "2"])
+        assert exc.value.code == 2, argv[0]
+        assert "unrecognized arguments: --devices 2" in capsys.readouterr().err

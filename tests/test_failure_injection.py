@@ -34,8 +34,6 @@ ALL_ENGINES = [
      dict(version=2, device_memory=10 ** 13)),
     ("ll_gpu", factorize_left_looking_gpu, dict(device_memory=10 ** 13)),
     ("mf_gpu", factorize_multifrontal_gpu, dict(device_memory=10 ** 13)),
-    ("rl_multigpu", factorize_rl_gpu,
-     dict(devices=2, device_memory=10 ** 13)),
 ]
 
 
@@ -408,48 +406,6 @@ class TestInputValidation:
         for door in doors:
             with pytest.raises(TypeError):
                 door(workers)
-
-    @pytest.mark.parametrize("devices", [2.5, "2", 2.0, None])
-    def test_non_integral_devices_refused(self, devices):
-        """``devices=2.5`` was two devices on the solve side (``int()``
-        truncated it) and a ``TypeError`` on the factorize side: now a
-        ``TypeError`` at every door that takes a device count."""
-        import asyncio
-
-        import repro
-        from repro.numeric import GpuStreamBackend, factorize_gpu_dag
-        from repro.serving import Gateway
-        from repro.solve import solve_factored_gpu_dag
-
-        A = grid_laplacian((4, 4))
-        plan = repro.plan(A)
-        factor = plan.factorize(engine="rl")
-        b = np.ones(A.n)
-
-        async def gateway(d):
-            async with Gateway(workers=1, backend="gpu", devices=d) as gw:
-                await gw.submit(A, b)
-
-        doors = [
-            lambda d: plan.factorize(engine="rl_gpu", devices=d),
-            lambda d: plan.factorize_batch([A.data], backend="gpu", devices=d),
-            lambda d: plan.serve(backend="gpu", devices=d).close(),
-            lambda d: factor.solve(b, devices=d),
-            lambda d: factor.solve(b, mode="gpu", devices=d),
-            lambda d: asyncio.run(gateway(d)),
-            lambda d: factorize_gpu_dag(plan.symb, plan.system.matrix, devices=d),
-            lambda d: solve_factored_gpu_dag(factor.storage, b, devices=d),
-            lambda d: GpuStreamBackend(devices=d),
-        ]
-        if devices is None:
-            for door in doors[:6]:  # None is "not given" at the staged doors only
-                door(None)
-            for door in doors:
-                door(np.int64(2))
-            return
-        for door in doors:
-            with pytest.raises(TypeError):
-                door(devices)
 
     def test_dimension_mismatch(self):
         sy_small = analyze(grid_laplacian((4, 4)))

@@ -2,15 +2,15 @@
 
 * ``rl_gpu`` / ``rlb_gpu_v2`` (also spelled ``rl_gpu_dag`` /
   ``rlb_gpu_dag``) are bit-identical to the serial CPU engines for every
-  threshold and device count, through every entry point
-  (:func:`factorize_gpu_dag`, :func:`factorize_rl_gpu` /
-  :func:`factorize_rlb_gpu`, the registry);
-* the ``devices=1`` modeled seconds, transfer counts and
+  threshold, through every entry point (:func:`factorize_gpu_dag`,
+  :func:`factorize_rl_gpu` / :func:`factorize_rlb_gpu`, the registry);
+* the modeled seconds, transfer counts and
   :class:`~repro.gpu.device.DeviceOutOfMemory` accounting of the
   hand-rolled loops these engines replaced are pinned, as data, by
   ``tests/test_gpu_golden.py``;
-* ``devices=N`` scales with the elimination tree's branch independence;
 * trace lanes of the stream backend render next to the host lane;
+* the offloaded solve overlaps independent branches and charges panels
+  at the factor's itemsize;
 * ``gpu_snode_mask`` edge cases (0 / inf / empty / singleton / NaN /
   negative) are well-formed or rejected.
 """
@@ -67,24 +67,27 @@ def _bit_identical(a, b, symb):
 class TestBitIdentity:
     @pytest.mark.parametrize("granularity", ["coarse", "fine"])
     @pytest.mark.parametrize("threshold", [0, 100_000, 10 ** 14])
-    @pytest.mark.parametrize("devices", [1, 2, 4])
-    def test_matches_hand_rolled_twin(self, system, granularity, threshold,
-                                      devices):
+    def test_matches_hand_rolled_twin(self, system, granularity, threshold):
         ref = HAND_ROLLED[granularity](system.symb, system.matrix, threshold)
         res = factorize_gpu_dag(system.symb, system.matrix,
                                 granularity=granularity, threshold=threshold,
-                                devices=devices, device_memory=BIG)
+                                device_memory=BIG)
         assert _bit_identical(res, ref, system.symb)
         assert res.snodes_on_gpu == ref.snodes_on_gpu
         assert_factor_matches(res, system)
 
     @pytest.mark.parametrize("granularity", ["coarse", "fine"])
-    def test_matches_serial_twin(self, system, granularity):
-        ref = SERIAL[granularity](system.symb, system.matrix)
-        res = factorize_gpu_dag(system.symb, system.matrix,
-                                granularity=granularity, threshold=0,
-                                devices=1, device_memory=BIG)
-        assert _bit_identical(res, ref, system.symb)
+    def test_matches_serial_twin(self, system, grid_system, granularity):
+        """All offloaded and a CPU/GPU split, on the vector stencil and on
+        the 9x9x3 grid; each factor also against the dense reference."""
+        for sy in (system, grid_system):
+            ref = SERIAL[granularity](sy.symb, sy.matrix)
+            for threshold in (0, 50_000):
+                res = factorize_gpu_dag(sy.symb, sy.matrix,
+                                        granularity=granularity,
+                                        threshold=threshold, device_memory=BIG)
+                assert _bit_identical(res, ref, sy.symb)
+                assert_factor_matches(res, sy)
 
     def test_method_names(self, system):
         rl = factorize_gpu_dag(system.symb, system.matrix,
@@ -100,9 +103,9 @@ class TestBitIdentity:
 
 
 class TestModeledTimeParity:
-    """Acceptance: modeled time within 5% of the hand-rolled schedules at
-    ``devices=1`` — the deterministic priority order reproduces them
-    exactly, so the bound here is far tighter."""
+    """Acceptance: modeled time within 5% of the hand-rolled schedules —
+    the deterministic priority order reproduces them exactly, so the bound
+    here is far tighter."""
 
     @pytest.mark.parametrize("granularity", ["coarse", "fine"])
     @pytest.mark.parametrize("threshold", [0, 100_000])
@@ -126,9 +129,9 @@ class TestModeledTimeParity:
     def test_ci_grid_repeats_the_hand_rolled_numbers(self, granularity,
                                                      seconds):
         """The 20x20x6 grid (447 supernodes, five times the golden table's
-        largest pattern): ``devices=1`` modeled seconds with everything
-        offloaded, and the allocation a 2 KiB device refuses, as the
-        hand-rolled loops printed them on the commit that deleted them —
+        largest pattern): modeled seconds with everything offloaded, and
+        the allocation a 2 KiB device refuses, as the hand-rolled loops
+        printed them on the commit that deleted them —
         exact, a drift is a changed schedule."""
         ci = analyze(grid_laplacian((20, 20, 6)))
         res = factorize_gpu_dag(ci.symb, ci.matrix, granularity=granularity,
@@ -147,60 +150,6 @@ class TestModeledTimeParity:
         assert res.flops == pytest.approx(ref.flops, rel=1e-12)
         assert res.assembly_bytes == pytest.approx(ref.assembly_bytes,
                                                    rel=1e-12)
-
-
-class TestMultiDevice:
-    def test_monotone_in_devices(self, grid_system):
-        times = [
-            factorize_gpu_dag(grid_system.symb, grid_system.matrix,
-                              granularity="coarse", threshold=0,
-                              device_memory=BIG, devices=k).modeled_seconds
-            for k in (1, 2, 4)
-        ]
-        # the k=1 host-driven schedule is the upper bound; more devices
-        # only add overlap
-        assert times[1] <= times[0] + 1e-12
-        assert times[2] <= times[1] + 1e-12
-
-    def test_reproduces_multigpu_speedup(self, grid_system):
-        """devices=4 gains from the tree's independent branches, on both
-        graphs, and never more than the device count."""
-        symb, M = grid_system.symb, grid_system.matrix
-        for granularity in ("coarse", "fine"):
-            dag1, dag4 = (
-                factorize_gpu_dag(symb, M, granularity=granularity,
-                                  threshold=0, device_memory=BIG,
-                                  devices=k).modeled_seconds
-                for k in (1, 4))
-            assert 1.5 < dag1 / dag4 <= 4.0 + 1e-9, granularity
-
-    def test_device_busy_seconds_sum_to_the_aggregate(self, grid_system):
-        res = factorize_gpu_dag(grid_system.symb, grid_system.matrix,
-                                granularity="coarse", threshold=0,
-                                device_memory=BIG, devices=3)
-        busy = res.extra["device_busy_seconds"]
-        assert all(b > 0 for b in busy)
-        assert sum(busy) == pytest.approx(res.gpu_stats.kernel_seconds,
-                                          rel=1e-12)
-        assert max(busy) <= res.modeled_seconds + 1e-12
-
-    def test_all_devices_used(self, grid_system):
-        res = factorize_gpu_dag(grid_system.symb, grid_system.matrix,
-                                granularity="coarse", threshold=0,
-                                device_memory=BIG, devices=3)
-        counts = res.extra["device_task_counts"]
-        assert len(counts) == 3
-        assert sum(counts) == res.snodes_on_gpu
-        assert all(c > 0 for c in counts)
-        assert len(res.extra["device_busy_seconds"]) == 3
-
-    def test_backend_reuse_and_validation(self, system):
-        backend = GpuStreamBackend(devices=2, device_memory=BIG)
-        res = factorize_gpu_dag(system.symb, system.matrix,
-                                granularity="coarse", backend=backend)
-        assert res.extra["devices"] == 2
-        with pytest.raises(ValueError, match="devices"):
-            GpuStreamBackend(devices=0)
 
 
 class TestMemoryParity:
@@ -222,17 +171,11 @@ class TestMemoryParity:
         assert got.value.free == ref.value.free
         assert got.value.capacity == ref.value.capacity
 
-    def test_more_devices_do_not_fix_oom(self, system):
-        with pytest.raises(DeviceOutOfMemory):
-            factorize_gpu_dag(system.symb, system.matrix,
-                              granularity="coarse", threshold=0,
-                              device_memory=2048, devices=8)
-
     def test_all_memory_released(self, system):
-        backend = GpuStreamBackend(devices=2, device_memory=BIG)
+        backend = GpuStreamBackend(device_memory=BIG)
         factorize_gpu_dag(system.symb, system.matrix, granularity="fine",
                           threshold=0, backend=backend)
-        assert all(g.used == 0 for g in backend.gpus)
+        assert backend.gpu.used == 0
 
 
 class TestTraceLanes:
@@ -242,20 +185,6 @@ class TestTraceLanes:
                           threshold=0, device_memory=BIG, tracer=tracer)
         assert {e.lane for e in tracer.events} == {"cpu", "gpu", "copy_in",
                                                   "copy_out"}
-
-    def test_multi_device_lane_names(self, system):
-        tracer = Tracer()
-        factorize_gpu_dag(system.symb, system.matrix, granularity="coarse",
-                          threshold=0, device_memory=BIG, devices=2,
-                          tracer=tracer)
-        lanes = {e.lane for e in tracer.events}
-        assert {"cpu", "gpu0", "gpu1", "copy_in0", "copy_out0",
-                "copy_in1", "copy_out1"} <= lanes
-        # every lane renders through the shared trace outputs
-        assert tracer.ascii_gantt()
-        pids = {e["args"]["name"] for e in tracer.chrome_trace()
-                if e.get("ph") == "M"}
-        assert {"gpu0", "gpu1"} <= pids
 
 
 class TestRegistryAndApi:
@@ -284,7 +213,7 @@ class TestRegistryAndApi:
         plan = repro.plan(A)
         f_thr = plan.factorize(engine="rlb_par", backend="threads",
                                workers=2)
-        f_gpu = plan.factorize(engine="rlb_par", backend="gpu", devices=2,
+        f_gpu = plan.factorize(engine="rlb_par", backend="gpu",
                                device_memory=BIG)
         assert f_thr.engine == "rlb_par"
         assert f_gpu.engine == "rlb_gpu_v2"
@@ -304,9 +233,6 @@ class TestRegistryAndApi:
         b = rng.standard_normal((A.n, 3))
         x = factor.solve(b)
         assert np.array_equal(x, factor.solve(b, mode="gpu"))
-        assert np.array_equal(x, factor.solve(b, devices=2))
-        with pytest.raises(ValueError, match="devices"):
-            factor.solve(b, devices=2, mode="serial")
 
     def test_offload_estimate(self, system):
         import repro
@@ -324,7 +250,7 @@ class TestRegistryAndApi:
 class TestGpuSolveDag:
     def test_bit_identical_and_scales(self, grid_system):
         from repro.numeric import factorize_rl_cpu
-        from repro.solve.gpu_solve import solve_factored_gpu_dag
+        from repro.solve.gpu_solve import solve_factored_gpu, solve_factored_gpu_dag
         from repro.solve.triangular import solve_factored
 
         storage = factorize_rl_cpu(grid_system.symb,
@@ -332,13 +258,31 @@ class TestGpuSolveDag:
         rng = np.random.default_rng(1)
         b = rng.standard_normal((grid_system.symb.n, 2))
         ref = solve_factored(storage, b)
-        x1, t1, stats1 = solve_factored_gpu_dag(storage, b)
-        x4, t4, stats4 = solve_factored_gpu_dag(storage, b, devices=4)
-        assert np.array_equal(x1, ref)
-        assert np.array_equal(x4, ref)
-        assert stats1["kind"] == "gpu_dag"
-        assert t4 <= t1 + 1e-12  # level parallelism across devices
-        assert stats1["kernel_calls"] == stats4["kernel_calls"]
+        x, t, stats = solve_factored_gpu_dag(storage, b)
+        x_serial, t_serial, stats_serial = solve_factored_gpu(storage, b)
+        assert np.array_equal(x, ref)
+        assert np.array_equal(x_serial, ref)
+        assert stats["kind"] == "gpu_dag"
+        # the graphs overlap independent branches on the copy and compute
+        # engines; the serial model sums the same charges
+        assert t < t_serial
+        assert stats["kernel_calls"] == stats_serial["kernel_calls"]
+        assert stats["panel_h2d_bytes"] == pytest.approx(
+            stats_serial["panel_h2d_bytes"], rel=1e-12)
+
+    def test_fp32_panels_upload_at_half_the_bytes(self):
+        """An fp32 factor's panels cross the bus at four bytes an entry:
+        the solve used to charge them as fp64."""
+        import repro
+        from repro.solve.gpu_solve import solve_factored_gpu, solve_factored_gpu_dag
+
+        plan = repro.plan(grid_laplacian((12, 12, 4)))
+        b = np.ones(plan.n)
+        for solve in (solve_factored_gpu_dag, solve_factored_gpu):
+            _, t64, s64 = solve(plan.factorize(engine="rl").storage, b)
+            _, t32, s32 = solve(plan.factorize(engine="rl", dtype=np.float32).storage, b)
+            assert s32["panel_h2d_bytes"] * 2 == s64["panel_h2d_bytes"] > 0
+            assert t32 < t64
 
     def test_resident_factor_cheaper(self, grid_system):
         from repro.numeric import factorize_rl_cpu

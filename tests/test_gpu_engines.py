@@ -115,7 +115,7 @@ class TestMemoryBehaviour:
         backend = GpuStreamBackend(device_memory=BIG_MEM)
         factorize_rl_gpu(system.symb, system.matrix, backend=backend,
                          threshold=0)
-        assert backend.gpus[0].used == 0
+        assert backend.gpu.used == 0
 
 
 class TestScheduleStatistics:

@@ -138,7 +138,7 @@ class TestFactorUpdate:
     @pytest.mark.parametrize(
         "backend_kwargs",
         [{}, {"backend": "threads", "workers": 2},
-         {"backend": "gpu", "devices": 2},
+         {"backend": "gpu"},
          {"backend": "process", "workers": 2}],
         ids=["serial", "threads", "gpu", "process"])
     def test_bit_identity_across_backends(self, splan, engine,
