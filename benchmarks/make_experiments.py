@@ -221,9 +221,6 @@ def main(out_path="EXPERIMENTS.md"):
     w("* `ablation_overlap.txt` — making the paper's async panel D2H")
     w("  blocking (or RLB-v2 single-buffered) only ever slows things down,")
     w("  by up to ~1.3% at suite scale.")
-    w("* `ablation_granularity.txt` — RL's coarse task DAG vs RLB's fine")
-    w("  one: more inherent parallelism in fine tasks, but dispatch")
-    w("  overhead hands coarse the win at practical worker counts (§III).")
     w("* `breakdown.txt` — SYRK carries RL's time, GEMM carries RLB's, and")
     w("  the update-matrix D2H dominates transfers.")
     w("* `left_vs_right.txt` — extension: a CHOLMOD-style left-looking")

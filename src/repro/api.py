@@ -619,8 +619,8 @@ class Factor:
         :data:`repro.numeric.registry.SOLVE_MODES`: ``"serial"`` (one
         supernode after another), ``"level"`` (the elimination-tree level
         schedule of :meth:`solve_plan` on the threaded task-graph runtime;
-        accepts ``workers=``) or ``"gpu"`` (the same solve graphs on the
-        simulated-GPU stream backend —
+        accepts ``workers=``) or ``"gpu"`` (the serial sweeps priced on the
+        solve graphs' simulated-GPU clock —
         :func:`repro.solve.gpu_solve.solve_factored_gpu_dag`).
         ``mode=None`` infers ``"level"`` when ``workers`` is given, else
         ``"serial"``.  Solutions are **bit-identical** across modes and

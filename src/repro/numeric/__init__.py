@@ -44,15 +44,6 @@ from .multifrontal import (
     front_relative_indices,
     peak_front_entries,
 )
-from .schedule import (
-    Task,
-    TaskGraph,
-    ScheduleResult,
-    build_coarse_graph,
-    build_fine_graph,
-    critical_path,
-    list_schedule,
-)
 from .simplicial import simplicial_cholesky
 from .planner import MemoryPlan, plan, predict_peak_device_bytes
 from .updown import (
@@ -95,13 +86,6 @@ __all__ = [
     "front_relative_indices",
     "peak_front_entries",
     "simplicial_cholesky",
-    "Task",
-    "TaskGraph",
-    "ScheduleResult",
-    "build_coarse_graph",
-    "build_fine_graph",
-    "critical_path",
-    "list_schedule",
     "assemble_update",
     "update_workspace_entries",
     "factor_snode",

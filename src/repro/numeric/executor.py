@@ -1,9 +1,8 @@
 """Threaded task-DAG execution of the *real* numeric kernels.
 
-Where :mod:`repro.numeric.schedule` only *simulates* list scheduling of the
-coarse (RL-style) and fine (RLB-style) task DAGs on a machine model, this
-module actually executes them: a shared-ready-queue worker pool (the
-MA87-style DAG runtime of the paper's ref [9]) runs the task bodies of
+This module executes the coarse (RL-style) and fine (RLB-style) task DAGs:
+a shared-ready-queue worker pool (the MA87-style DAG runtime of the
+paper's ref [9]) runs the task bodies of
 :mod:`repro.numeric.rl` / :mod:`repro.numeric.rlb` on ``workers`` Python
 threads.  The dense kernels release the GIL inside BLAS, so tasks overlap
 on real cores.
@@ -65,8 +64,8 @@ priority heap, which is the paper's schedule.
 Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor`
 records every task's measured start/stop interval on a per-worker-thread
 lane, so real thread occupancy can be laid next to the *modeled* Gantt
-charts of :mod:`repro.numeric.schedule` (CLI: ``factorize --workers N
---trace out.json``).
+charts of the stream backend (CLI: ``factorize --workers N --trace
+out.json``).
 """
 
 from __future__ import annotations
@@ -634,7 +633,8 @@ def _fine_edges(symb, ranges):
     a source lead), a pair leaves with its upper block."""
     index = pair_index(symb)
     nsup, nranges = symb.nsup, len(ranges)
-    bounds, range_of = np.asarray(ranges.bounds), np.asarray(ranges.range_of)
+    bounds = np.asarray(ranges.bounds)
+    range_of = np.asarray(ranges.range_of, dtype=np.int64)  # an empty list is float64
     single = np.diff(bounds) == 1
     blk_range = range_of[index.blk_source]
     inside = index.blk_owner < bounds[blk_range + 1]

@@ -14,7 +14,6 @@ from .triangular import (
 )
 from .gpu_solve import (
     solve_factored_cpu,
-    solve_factored_gpu,
     solve_factored_gpu_dag,
     solve_offload_estimate,
     solve_flops,
@@ -33,7 +32,6 @@ __all__ = [
     "backward_solve_graph",
     "solve_graph",
     "solve_factored_cpu",
-    "solve_factored_gpu",
     "solve_factored_gpu_dag",
     "solve_offload_estimate",
     "solve_flops",

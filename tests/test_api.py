@@ -60,14 +60,25 @@ class TestPlan:
         assert np.array_equal(base_plan.matrix.data, data_before)
         assert base_plan.symb is symb_before
 
-    @pytest.mark.parametrize("engine", ["rl", "rlb", "rl_par"])
-    def test_empty_matrix_plans_factorizes_and_solves(self, engine):
+    @staticmethod
+    def _empty_plan():
         # the default plan amalgamates an empty partition
         A = SymmetricCSC(0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
                          np.empty(0))
         plan = repro.plan(A)
         assert plan.nsup == 0 and plan.symb.snptr.tolist() == [0]
+        return plan
+
+    @pytest.mark.parametrize("engine", repro.engine_names())
+    def test_empty_matrix_plans_factorizes_and_solves(self, engine):
+        plan = self._empty_plan()
         assert plan.factorize(engine=engine).solve(np.empty(0)).shape == (0,)
+
+    def test_empty_matrix_serves(self):
+        plan = self._empty_plan()
+        with plan.serve(workers=2) as session:
+            x = session.submit_solve(np.empty(0), np.empty(0)).result()
+        assert x.shape == (0,)
 
     def test_symbolic_reused_across_factorizations(self, base_plan,
                                                    value_batch):

@@ -9,8 +9,11 @@
   hand-rolled loops these engines replaced are pinned, as data, by
   ``tests/test_gpu_golden.py``;
 * trace lanes of the stream backend render next to the host lane;
-* the offloaded solve overlaps independent branches and charges panels
-  at the factor's itemsize;
+* the offloaded solve overlaps independent branches, charges panels at
+  the factor's itemsize, keeps its pinned clock and is the clock
+  ``offload_estimate`` reports;
+* the coarse and fine DAGs at one task per supernode follow the pattern's
+  updates;
 * ``gpu_snode_mask`` edge cases (0 / inf / empty / singleton / NaN /
   negative) are well-formed or rejected.
 """
@@ -22,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.gpu import DeviceOutOfMemory, Tracer
+from repro.gpu import DeviceOutOfMemory, MachineModel, Tracer
 from repro.numeric import (
     factorize_gpu_dag,
     factorize_rl_cpu,
@@ -31,12 +34,12 @@ from repro.numeric import (
     factorize_rlb_gpu,
     gpu_snode_mask,
 )
-from repro.numeric.executor import GpuStreamBackend
+from repro.numeric.executor import GpuStreamBackend, dag_plan
 from repro.numeric.registry import BACKENDS, backend_engine, get_engine, \
     serial_twin
-from repro.sparse import grid_laplacian, vector_stencil
-from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches
+from repro.sparse import grid_laplacian, random_spd, tridiagonal, vector_stencil
+from repro.symbolic import analyze, trivial_ranges
+from tests.conftest import arrow_spd, assert_factor_matches, two_component_spd
 
 BIG = 10 ** 15
 
@@ -247,42 +250,71 @@ class TestRegistryAndApi:
             est["cpu_seconds"] / est["gpu_seconds"])
 
 
+#: ``(seconds, kernel_calls, panel_h2d_bytes)`` of ``solve_factored_gpu_dag``
+#: on an ``rl`` factor, as the solve graphs' clock printed them while it still
+#: ran inside the graphs' numerics — exact: a drift is a changed schedule
+SOLVE_CLOCK = {
+    ("grid", "float64", False, 1): (0.031799848799272216, 614, 183188.35341714576),
+    ("grid", "float64", False, 4): (0.0318008458467829, 614, 183188.35341714576),
+    ("grid", "float64", True, 1): (0.03148764760625007, 614, 0.0),
+    ("grid", "float64", True, 4): (0.031488644653760764, 614, 0.0),
+    ("grid", "float32", False, 1): (0.03179874820276115, 614, 91594.17670857288),
+    ("grid", "float32", False, 4): (0.031799745250271835, 614, 91594.17670857288),
+    ("grid", "float32", True, 1): (0.03148764760625007, 614, 0.0),
+    ("grid", "float32", True, 4): (0.031488644653760764, 614, 0.0),
+    ("vec", "float64", False, 1): (0.005731427934743831, 110, 287215.85770651855),
+    ("vec", "float64", False, 4): (0.005731712453235018, 110, 287215.85770651855),
+    ("vec", "float64", True, 1): (0.005657577810249997, 110, 0.0),
+    ("vec", "float64", True, 4): (0.005657862328741184, 110, 0.0),
+    ("vec", "float32", False, 1): (0.005729502872496913, 110, 143607.92885325928),
+    ("vec", "float32", False, 4): (0.0057297873909881005, 110, 143607.92885325928),
+    ("vec", "float32", True, 1): (0.005657577810249997, 110, 0.0),
+    ("vec", "float32", True, 4): (0.005657862328741184, 110, 0.0),
+}
+SOLVE_PATTERNS = {
+    "grid": lambda: grid_laplacian((12, 12, 4)),
+    "vec": lambda: vector_stencil((5, 5, 4), 3, seed=4),
+}
+
+
 class TestGpuSolveDag:
     def test_bit_identical_and_scales(self, grid_system):
         from repro.numeric import factorize_rl_cpu
-        from repro.solve.gpu_solve import solve_factored_gpu, solve_factored_gpu_dag
+        from repro.solve.gpu_solve import solve_factored_gpu_dag
         from repro.solve.triangular import solve_factored
 
-        storage = factorize_rl_cpu(grid_system.symb,
-                                   grid_system.matrix).storage
+        symb = grid_system.symb
+        storage = factorize_rl_cpu(symb, grid_system.matrix).storage
         rng = np.random.default_rng(1)
-        b = rng.standard_normal((grid_system.symb.n, 2))
+        b = rng.standard_normal((symb.n, 2))
         ref = solve_factored(storage, b)
-        x, t, stats = solve_factored_gpu_dag(storage, b)
-        x_serial, t_serial, stats_serial = solve_factored_gpu(storage, b)
+        tracer = Tracer()
+        x, t, stats = solve_factored_gpu_dag(storage, b, tracer=tracer)
         assert np.array_equal(x, ref)
-        assert np.array_equal(x_serial, ref)
         assert stats["kind"] == "gpu_dag"
         # the graphs overlap independent branches on the copy and compute
-        # engines; the serial model sums the same charges
-        assert t < t_serial
-        assert stats["kernel_calls"] == stats_serial["kernel_calls"]
+        # engines: the clock is shorter than the sum of the same charges
+        busy = sum(e.end - e.start for e in tracer.events
+                   if e.lane in ("gpu", "copy_in", "copy_out"))
+        assert t < busy
+        shapes = [symb.panel_shape(s) for s in range(symb.nsup)]
+        assert stats["kernel_calls"] == sum(2 + 2 * (m > w) for m, w in shapes)
         assert stats["panel_h2d_bytes"] == pytest.approx(
-            stats_serial["panel_h2d_bytes"], rel=1e-12)
+            sum(MachineModel().scaled_bytes(8.0 * m * w, 8) for m, w in shapes), rel=1e-12)
 
     def test_fp32_panels_upload_at_half_the_bytes(self):
         """An fp32 factor's panels cross the bus at four bytes an entry:
         the solve used to charge them as fp64."""
         import repro
-        from repro.solve.gpu_solve import solve_factored_gpu, solve_factored_gpu_dag
+        from repro.solve.gpu_solve import solve_factored_gpu_dag
 
         plan = repro.plan(grid_laplacian((12, 12, 4)))
         b = np.ones(plan.n)
-        for solve in (solve_factored_gpu_dag, solve_factored_gpu):
-            _, t64, s64 = solve(plan.factorize(engine="rl").storage, b)
-            _, t32, s32 = solve(plan.factorize(engine="rl", dtype=np.float32).storage, b)
-            assert s32["panel_h2d_bytes"] * 2 == s64["panel_h2d_bytes"] > 0
-            assert t32 < t64
+        _, t64, s64 = solve_factored_gpu_dag(plan.factorize(engine="rl").storage, b)
+        _, t32, s32 = solve_factored_gpu_dag(
+            plan.factorize(engine="rl", dtype=np.float32).storage, b)
+        assert s32["panel_h2d_bytes"] * 2 == s64["panel_h2d_bytes"] > 0
+        assert t32 < t64
 
     def test_resident_factor_cheaper(self, grid_system):
         from repro.numeric import factorize_rl_cpu
@@ -295,6 +327,87 @@ class TestGpuSolveDag:
         _, resident, _ = solve_factored_gpu_dag(storage, b,
                                                 factor_resident=True)
         assert resident < cold
+
+    @pytest.mark.parametrize("key", sorted(SOLVE_CLOCK), ids=lambda key: "-".join(
+        (key[0], key[1], "resident" if key[2] else "cold", f"k{key[3]}")))
+    def test_clock_is_pinned(self, key):
+        import repro
+        from repro.solve.gpu_solve import solve_factored_gpu_dag
+
+        pattern, dtype, resident, k = key
+        plan = repro.plan(SOLVE_PATTERNS[pattern]())
+        factor = plan.factorize(engine="rl", dtype=np.dtype(dtype))
+        B = np.ones(plan.n) if k == 1 else np.ones((plan.n, k))
+        x, seconds, stats = solve_factored_gpu_dag(factor.storage, B, factor_resident=resident)
+        assert (seconds, stats["kernel_calls"], stats["panel_h2d_bytes"]) == SOLVE_CLOCK[key]
+        assert np.array_equal(factor.solve(B, mode="gpu"), factor.solve(B))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_offload_estimate_reads_the_solve_clock(self, k):
+        """The pattern-only estimate and the offloaded solve of an fp64
+        factor are one clock, cold and resident."""
+        import repro
+        from repro.solve.gpu_solve import solve_factored_gpu_dag
+
+        plan = repro.plan(vector_stencil((5, 5, 4), 3, seed=4))
+        storage = plan.factorize(engine="rl").storage
+        B = np.ones((plan.n, k))
+        est = plan.solve_plan().offload_estimate(k)
+        assert est["gpu_seconds"] == solve_factored_gpu_dag(storage, B)[1]
+        assert est["gpu_resident_seconds"] == solve_factored_gpu_dag(
+            storage, B, factor_resident=True)[1]
+
+
+DAG_PATTERNS = {
+    "grid": lambda: grid_laplacian((8, 8, 3)),
+    "vec": lambda: vector_stencil((5, 5, 4), 3, seed=7),
+    "random": lambda: random_spd(120, density=0.05, seed=3),
+    "tridiag": lambda: tridiagonal(16),
+    "arrow": lambda: arrow_spd(12),
+    "two_component": lambda: two_component_spd(6),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DAG_PATTERNS))
+def dag_symb(request):
+    return analyze(DAG_PATTERNS[request.param]()).symb
+
+
+class TestFactorizationGraphs:
+    """The task DAGs the stream substrate schedules: ``dag_plan`` at one
+    task per supernode."""
+
+    def test_coarse_task_per_snode(self, dag_symb):
+        plan = dag_plan(dag_symb, "coarse", trivial_ranges(dag_symb))
+        assert plan.ntasks == dag_symb.nsup
+        assert [plan.snode_of(t) for t in range(plan.ntasks)] == list(range(dag_symb.nsup))
+
+    def test_fine_has_factor_plus_pairs(self, dag_symb):
+        from repro.symbolic.blocks import snode_blocks
+
+        plan = dag_plan(dag_symb, "fine", trivial_ranges(dag_symb))
+        nblocks = [len(snode_blocks(dag_symb, s)) for s in range(dag_symb.nsup)]
+        assert plan.ntasks == dag_symb.nsup + sum(b * (b + 1) // 2 for b in nblocks)
+
+    def test_coarse_edges_follow_updates(self, dag_symb):
+        plan = dag_plan(dag_symb, "coarse", trivial_ranges(dag_symb))
+        for s in range(dag_symb.nsup):
+            below = dag_symb.snode_below_rows(s)
+            owners = set(np.unique(dag_symb.col2sn[below]).tolist())
+            assert set(plan.children[s]) == owners
+            assert plan.indeg[s] == sum(s in kids for kids in plan.children)
+
+    def test_fine_pair_edges_target_owner_factor(self, dag_symb):
+        nsup = dag_symb.nsup
+        plan = dag_plan(dag_symb, "fine", trivial_ranges(dag_symb))
+        feeders = [[] for _ in range(plan.ntasks)]
+        for t, kids in enumerate(plan.children):
+            for c in kids:
+                feeders[c].append(t)
+        for tid in range(nsup, plan.ntasks):
+            source, upper, _ = plan.pairs[tid - nsup]
+            assert feeders[tid] == [source] and plan.indeg[tid] == 1
+            assert plan.children[tid] == (upper.owner,) and upper.owner < nsup
 
 
 class TestRefinement:

@@ -13,7 +13,7 @@ from repro.solve import (
     forward_solve,
     solve_factored,
     solve_factored_cpu,
-    solve_factored_gpu,
+    solve_factored_gpu_dag,
     solve_flops,
 )
 from repro.sparse import grid_laplacian, random_spd
@@ -71,17 +71,17 @@ class TestModeledSolves:
         rng = np.random.default_rng(5)
         B = rng.standard_normal((system.symb.n, 3))
         xc, tc, sc = solve_factored_cpu(storage, B)
-        xg, tg, sg = solve_factored_gpu(storage, B)
+        xg, tg, sg = solve_factored_gpu_dag(storage, B)
         np.testing.assert_array_equal(xc, xg)
         assert tc > 0 and tg > 0
-        assert sc["kind"] == "cpu" and sg["kind"] == "gpu"
+        assert sc["kind"] == "cpu" and sg["kind"] == "gpu_dag"
 
     def test_resident_factor_cheaper(self, factored):
         _, storage = factored
         b = np.ones(storage.symb.n)
-        _, t_cold, s_cold = solve_factored_gpu(storage, b)
-        _, t_res, s_res = solve_factored_gpu(storage, b,
-                                             factor_resident=True)
+        _, t_cold, s_cold = solve_factored_gpu_dag(storage, b)
+        _, t_res, s_res = solve_factored_gpu_dag(storage, b,
+                                                 factor_resident=True)
         assert t_res < t_cold
         assert s_res["panel_h2d_bytes"] == 0.0
         assert s_cold["panel_h2d_bytes"] > 0.0
@@ -96,7 +96,7 @@ class TestModeledSolves:
         def times(k):
             B = rng.standard_normal((n, k))
             _, tc, _ = solve_factored_cpu(storage, B)
-            _, tg, _ = solve_factored_gpu(storage, B, factor_resident=True)
+            _, tg, _ = solve_factored_gpu_dag(storage, B, factor_resident=True)
             return tc, tg
         tc1, tg1 = times(1)
         tc64, tg64 = times(64)

@@ -7,8 +7,7 @@ doors of a sweep — copy-on-write ``Factor.update``, in-place
 ``rank_k_update``, k sequential ``rank1_update`` — write the same bits; one
 ``apply`` gathers ``W`` once, plans it once and walks each root's path once,
 directly and behind a served session; ``apply`` re-analyzes for a grown
-pattern and for nothing else; and ``numeric.schedule`` draws its edges from
-the executor's plan.
+pattern and for nothing else.
 """
 
 from __future__ import annotations
@@ -24,19 +23,14 @@ from hypothesis import strategies as st
 import repro
 import repro.api
 from repro.numeric import (
-    build_coarse_graph,
-    build_fine_graph,
     column_structure,
     rank1_update,
     rank_k_update,
     updown,
 )
-from repro.numeric.executor import dag_plan
 from repro.serving import Gateway
-from repro.sparse import grid_laplacian, random_spd, tridiagonal, vector_stencil
-from repro.symbolic import analyze, trivial_ranges
+from repro.sparse import grid_laplacian, random_spd
 from repro.update import structured_update
-from tests.conftest import arrow_spd, two_component_spd
 
 
 def draw_W(symb, perm, kinds, rng):
@@ -204,25 +198,3 @@ class TestApplyReanalyzesForGrowthOnly:
         with pytest.raises(repro.api.PatternMismatchError):
             factor.plan.factorize(applied.matrix)
 
-
-PATTERNS = {
-    "grid": lambda: grid_laplacian((8, 8, 3)),
-    "vec": lambda: vector_stencil((5, 5, 4), 3, seed=7),
-    "random": lambda: random_spd(120, density=0.05, seed=3),
-    "tridiag": lambda: tridiagonal(16),
-    "arrow": lambda: arrow_spd(12),
-    "two_component": lambda: two_component_spd(6),
-}
-
-
-@pytest.mark.parametrize("pattern", sorted(PATTERNS))
-def test_schedule_reads_the_executors_edges(pattern):
-    """``build_*_graph`` edge sets are ``dag_plan(.., trivial_ranges).children``."""
-    symb = analyze(PATTERNS[pattern]()).symb
-    for granularity, build in (("coarse", build_coarse_graph), ("fine", build_fine_graph)):
-        plan = dag_plan(symb, granularity, trivial_ranges(symb))
-        graph = build(symb)
-        assert graph.ntasks == plan.ntasks
-        assert [tuple(s) for s in graph.succs] == [tuple(c) for c in plan.children]
-        assert [len(p) for p in graph.preds] == list(plan.indeg)
-        assert [t.snode for t in graph.tasks] == [plan.snode_of(t) for t in range(plan.ntasks)]
