@@ -4,11 +4,12 @@ A parameter sweep produces B matrices sharing one sparsity pattern; a
 single :class:`repro.api.SymbolicPlan` owns the symbolic work and either
 
 * ``plan.factorize_batch`` factorizes the *closed batch* — everything
-  exists up front — one matrix after another, or
+  exists up front — one matrix after another and returns the list of
+  factors, or
 * ``plan.serve()`` opens a streaming :class:`repro.api.ServingSession` —
-  one persistent worker pool that drains every in-flight submission's task
-  graph while matrices are submitted one at a time (``submit_solve``
-  futures), the arrival-driven serving loop.
+  one persistent worker pool that drains every in-flight submission while
+  matrices are submitted one at a time (``submit_solve`` futures), the
+  arrival-driven serving loop, on any registered engine.
 
 The example
 
@@ -16,11 +17,12 @@ The example
 2. factorizes the whole sweep in one batch call,
 3. verifies every batch factor is bit-identical to a serial
    ``refactorize`` of the same matrix (the determinism contract),
-4. serves a shared right-hand side with ``solve_all`` and reads the
+4. solves a shared right-hand side with every factor and reads the
    ``logdet`` of every sweep member,
 5. prints the batch's summed wall-clock next to a loop of the serial twin,
 6. replays the sweep through a streaming session, one submission at a
-   time, with a mid-stream non-SPD request that fails only its own future.
+   time, with a mid-stream non-SPD request that fails only its own future,
+   and once more through a session on the serial ``rl`` engine.
 
 Run:  python examples/batched_serving.py
 """
@@ -68,17 +70,18 @@ def main():
           "refactorize loop")
 
     b = A.matvec(np.ones(A.n))
-    xs = batch.solve_all(b)  # one shared RHS across the sweep
+    xs = [f.solve(b) for f in batch]  # one shared RHS across the sweep
     worst = max(f.residual_norm(x, b) for f, x in zip(batch, xs))
-    print(f"solve_all: {len(xs)} solutions, worst residual {worst:.2e}")
+    print(f"solves: {len(xs)} solutions, worst residual {worst:.2e}")
     print("log det over the sweep:",
-          np.array2string(batch.logdets(), precision=1))
+          np.array2string(np.array([f.logdet() for f in batch]), precision=1))
 
     workers = batch[0].result.extra["workers"]
+    wall = sum(f.result.wall_seconds for f in batch)
     print(f"\nrlb     : {t_loop * 1e3:8.1f} ms "
           f"({t_loop / nbatch * 1e3:6.1f} ms/matrix)")
-    print(f"rlb_par : {batch.wall_seconds * 1e3:8.1f} ms "
-          f"({batch.amortized_seconds * 1e3:6.1f} ms/matrix, "
+    print(f"rlb_par : {wall * 1e3:8.1f} ms "
+          f"({wall / nbatch * 1e3:6.1f} ms/matrix, "
           f"workers={workers}; the sum of each factorization's own time)")
     print("pin BLAS to 1 thread when measuring — `python -m repro batch` "
           "prints the same pair, docs/api.md has a dated table")
@@ -101,6 +104,16 @@ def main():
           f"{t_stream * 1e3:.1f} ms, all bit-identical to the batch path")
     print(f"poisoned submission failed alone: {type(err).__name__} "
           f"(stream_index={err.stream_index}) — the pool kept serving")
+
+    # any registered row can be served: serial rl runs each submission as
+    # one pool task, with the bits of a direct rl factorize + solve
+    with plan.serve(engine="rl") as session:
+        rl_xs = [f.result() for f in
+                 [session.submit_solve(data, b) for data in sweep]]
+    assert all(np.array_equal(x, plan.factorize(data, engine="rl").solve(b))
+               for x, data in zip(rl_xs, sweep))
+    print("serial rl session: every solution bit-identical to "
+          "plan.factorize(engine='rl').solve(b)")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Engine tour: every factorization organisation on one matrix.
 
-Runs every registered engine — the paper's RL/RLB (CPU + GPU), their
-task-DAG twins, and the left-looking and multifrontal baselines with their
-GPU offloads — on one suite matrix, verifying that every factor is identical,
+Runs every registry row once, under its one name — the paper's RL/RLB
+(CPU + GPU), their task-DAG twins, and the left-looking and multifrontal
+baselines with their GPU offloads — on one suite matrix, verifying that
+every factor is identical,
 then prints the modeled-time comparison, the per-kernel-class breakdown,
 and the memory planner's feasibility report.
 
@@ -31,8 +32,8 @@ def main(name="Serena"):
 
     rows = []
     reference = None
-    for engine in ENGINES:
-        kwargs = {"device_memory": BIG_MEM} if "gpu" in engine else {}
+    for engine, spec in ENGINES.items():
+        kwargs = {"device_memory": BIG_MEM} if "device_memory" in spec.accepts else {}
         res = p.factorize(engine=engine, **kwargs).result
         L = res.storage.to_dense_lower()
         if reference is None:

@@ -30,15 +30,16 @@ parameter sweeps, re-weighted least squares — reuses one plan::
     for data_t in value_stream:                 # same pattern, new values
         x = plan.factorize(data_t).solve(b)     # numeric kernels only
 
-and a closed *batch* is that loop in one call, one factorization after
-another, with a shared or per-matrix right-hand side::
+and a closed *batch* is that loop in one call, returning the list of
+factors::
 
-    batch = plan.factorize_batch(list_of_values, engine="rl")
-    xs = batch.solve_all(b)
+    factors = plan.factorize_batch(list_of_values, engine="rl")
+    xs = [f.solve(b) for f in factors]
 
 Requests that overlap in time share one worker pool through
 ``plan.serve(...)`` (a :class:`~repro.api.ServingSession`) or the
-multi-tenant :class:`repro.serving.Gateway`.
+multi-tenant :class:`repro.serving.Gateway`; both serve every registered
+engine.
 
 Under the hood the relative-index runs, block lists, task DAGs and
 value-scatter plan are all memoised on the
@@ -89,7 +90,6 @@ from .api import (
     SymbolicPlan,
     SolvePlan,
     Factor,
-    FactorBatch,
     ServingSession,
 )
 
@@ -103,7 +103,6 @@ __all__ = [
     "SymbolicPlan",
     "SolvePlan",
     "Factor",
-    "FactorBatch",
     "ServingSession",
     "ENGINES",
     "engine_names",

@@ -16,11 +16,11 @@ module exposes those stages as explicit, immutable objects::
         x_t = f_t.solve(b)
 
 A closed batch of same-pattern values is that loop, one ``factorize``
-per value set, with the batch's bookkeeping (shared or per-matrix
-right-hand sides, summed wall time, the failing position)::
+per value set, returning the list of factors (and naming the failing
+position)::
 
-    batch = plan.factorize_batch(values_list, engine="rl")
-    xs = batch.solve_all(b)                    # one solution per matrix
+    factors = plan.factorize_batch(values_list, engine="rl")
+    xs = [f.solve(b) for f in factors]         # one solution per matrix
 
 The *solve* side is staged the same way.  ``plan.solve_plan()`` exposes the
 pattern-only elimination-tree level schedule as a :class:`SolvePlan`;
@@ -29,8 +29,8 @@ sweeps on the task-graph runtime (bit-identical to the serial sweeps for
 every worker count).  And when same-pattern requests *overlap* — arriving
 one at a time from concurrent clients — :meth:`SymbolicPlan.serve` opens a
 streaming :class:`ServingSession`: one persistent worker pool that drains
-every in-flight request's task graph, ``submit``/``submit_solve`` returning
-futures::
+every in-flight request, ``submit``/``submit_solve`` returning futures —
+on any registered engine::
 
     with plan.serve(engine="rlb_par", workers=4) as session:
         futures = [session.submit_solve(vals, b) for vals in value_stream]
@@ -48,9 +48,6 @@ Separation of concerns:
     ``logdet``, ``diag``, ``residual_norm``.  A new set of values makes a
     new ``Factor``; nothing is re-analyzed and nothing is invalidated
     behind your back.
-:class:`FactorBatch`
-    A sequence of same-pattern ``Factor`` objects, one per value set, with
-    ``solve_all`` over shared or per-matrix right-hand sides.
 
 Which engine a request runs, and which keyword arguments that engine
 takes, is decided in one place — :func:`repro.numeric.registry.resolve` —
@@ -78,7 +75,6 @@ from .numeric.executor import (
 from .numeric.registry import (
     get_solve_mode,
     resolve,
-    resolve_serving,
     serial_twin,
 )
 from .numeric.storage import FactorStorage, ScatterPlan
@@ -95,8 +91,8 @@ from .numeric.threshold import DEFAULT_STALL_RATIO
 from .update.crossover import update_cost as _modeled_update_cost
 from .update.matrix import UpdatedMatrix
 
-__all__ = ["plan", "SymbolicPlan", "SolvePlan", "Factor", "FactorBatch",
-           "ServingSession", "same_pattern_values", "PatternMismatchError"]
+__all__ = ["plan", "SymbolicPlan", "SolvePlan", "Factor", "ServingSession",
+           "same_pattern_values", "PatternMismatchError"]
 
 
 class PatternMismatchError(ValueError):
@@ -336,7 +332,7 @@ class SymbolicPlan:
     def factorize_batch(self, values_list, *, engine="rlb_par", workers=None,
                         backend=None, dtype=None, **engine_kwargs):
         """Factorize a batch of same-pattern matrices, one after another;
-        returns a :class:`FactorBatch`.
+        returns the list of their :class:`Factor` objects.
 
         The loop ``[plan.factorize(v, ...) for v in values_list]``, with
         ``engine`` and every option resolved once, exactly as in
@@ -366,7 +362,7 @@ class SymbolicPlan:
                 factors.append(self._factor(spec, kwargs, data))
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError.for_batch(exc, b) from exc
-        return FactorBatch(self, factors)
+        return factors
 
     # ------------------------------------------------------------------
     # solve stage
@@ -399,18 +395,17 @@ class SymbolicPlan:
                 xs = [f.result() for f in futs]
 
         ``engine`` / ``backend`` / ``threshold`` (and any further engine
-        option, e.g. ``device_memory=``) select the scheduling substrate
-        exactly as in :meth:`factorize`: the threaded
-        engines (``rl_par`` / ``rlb_par``) drain each submission's task DAG
-        across the pool's workers; ``backend="gpu"`` (engines
-        ``rl_gpu`` / ``rlb_gpu_v2``) and ``backend="process"`` (``rl_proc`` /
-        ``rlb_proc``: each submission drains its DAG through the shared
-        worker-process pool — create it on the main thread first via
+        option, e.g. ``device_memory=``) select the engine exactly as in
+        :meth:`factorize`, and every registered row can be served.  The
+        threaded engines (``rl_par`` / ``rlb_par``) drain each submission's
+        task DAG across the pool's workers; every other row runs each
+        submission as ONE pool task (the process rows drain their DAG
+        through the shared worker-process pool — create it on the main
+        thread first via
         :func:`repro.numeric.procpool.default_process_pool` when using
-        ``fork``) run each submission through those engines instead.
-        Every produced factor and solution is
-        bit-identical to its serial counterpart regardless of substrate
-        (the same pull rule as :meth:`factorize`).
+        ``fork``).  Every produced factor and solution is bit-identical
+        to ``plan.factorize(values, engine=...).solve(b)`` on the same
+        row.
 
         ``dtype=`` sets the session's default factor precision
         (``numpy.float32`` for the mixed-precision serving lane; see
@@ -423,7 +418,7 @@ class SymbolicPlan:
         (and later closing) its own — the sharing seam the multi-tenant
         :class:`repro.serving.Gateway` uses to multiplex many per-pattern
         sessions over one set of workers.  ``tracer=`` records measured
-        per-task (threaded) or per-submission (gpu/process) spans, with
+        per-task (threaded) or per-submission (every other row) spans, with
         times relative to ``trace_origin`` (a ``time.perf_counter()``
         value; default: session creation).
         """
@@ -874,100 +869,15 @@ class Factor:
         return 2.0 * float(np.sum(np.log(self._diag_permuted())))
 
 
-class FactorBatch:
-    """Factors of a batch of same-pattern matrices (one shared
-    :class:`SymbolicPlan`), produced by :meth:`SymbolicPlan.factorize_batch`.
-
-    Sequence-like: ``len(batch)``, ``batch[i]``, iteration.  ``batch[i]``
-    is the :class:`Factor` of ``values_list[i]``.
-    """
-
-    __slots__ = ("_plan", "_factors")
-
-    def __init__(self, plan, factors):
-        self._plan = plan
-        self._factors = tuple(factors)
-
-    @property
-    def plan(self):
-        return self._plan
-
-    @property
-    def factors(self):
-        return self._factors
-
-    def __len__(self):
-        return len(self._factors)
-
-    def __getitem__(self, i):
-        return self._factors[i]
-
-    def __iter__(self):
-        return iter(self._factors)
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return f"FactorBatch(B={len(self._factors)}, n={self._plan.n})"
-
-    # ------------------------------------------------------------------
-    @property
-    def wall_seconds(self):
-        """Measured wall-clock of the whole batch: the sum of the factors'
-        :attr:`~repro.numeric.result.FactorizeResult.wall_seconds` (each
-        factor timed its own run).  ``None`` whenever a factor has no
-        measurement (serial and GPU engines) and for an empty batch."""
-        walls = [f.result.wall_seconds for f in self._factors]
-        if not walls or None in walls:
-            return None
-        return sum(walls)
-
-    @property
-    def amortized_seconds(self):
-        """Batch wall-clock divided by the batch size — the mean
-        per-matrix cost."""
-        wall = self.wall_seconds
-        return None if wall is None else wall / len(self._factors)
-
-    # ------------------------------------------------------------------
-    def solve_all(self, rhs):
-        """Solve every system of the batch; returns a list of solutions.
-
-        ``rhs`` is either one shared right-hand side (an ``(n,)`` vector —
-        ndarray or plain numeric list — or an ``(n, k)`` block applied to
-        every matrix, the parameter-sweep shape) or a ``list``/``tuple`` of
-        ``len(batch)`` per-matrix right-hand sides (each ``(n,)`` or
-        ``(n, k)``).  Each solution is that factor's :meth:`Factor.solve`.
-        """
-        nfac = len(self._factors)
-        if not isinstance(rhs, (list, tuple)):
-            # one shared RHS: an ndarray or any array-like
-            shared = np.asarray(rhs, dtype=np.float64)
-            rhs_list = [shared] * nfac
-        elif rhs and all(np.ndim(r) == 0 for r in rhs):
-            # a flat numeric vector like [1.0] * n: also one shared RHS
-            shared = np.asarray(rhs, dtype=np.float64)
-            rhs_list = [shared] * nfac
-        else:
-            rhs_list = list(rhs)
-            if len(rhs_list) != nfac:
-                raise ValueError(
-                    f"expected {nfac} right-hand sides, "
-                    f"got {len(rhs_list)}"
-                )
-        return [f.solve(b) for f, b in zip(self._factors, rhs_list)]
-
-    def logdets(self):
-        """``log det`` of every matrix in the batch, as one array."""
-        return np.array([f.logdet() for f in self._factors])
-
-
 class ServingSession:
     """Streaming same-pattern serving: one persistent worker pool, matrices
     submitted as they arrive.
 
-    Produced by :meth:`SymbolicPlan.serve`.  Each :meth:`submit` /
-    :meth:`submit_solve` call enqueues one task-DAG instance (and, for
-    ``submit_solve``, the chained level-scheduled forward/backward solve
-    graphs) on the session's :class:`~repro.numeric.executor.StreamPool`
+    Produced by :meth:`SymbolicPlan.serve`, on any registered engine.  Each
+    :meth:`submit` / :meth:`submit_solve` call enqueues one factorization
+    graph (a threaded row's task DAG; one task for every other row) and,
+    for ``submit_solve``, the chained level-scheduled forward/backward
+    solve graphs on the session's :class:`~repro.numeric.executor.StreamPool`
     and immediately returns a :class:`concurrent.futures.Future` — there is
     no closed batch, and every in-flight submission's graph drains through
     the one pool, so overlapping requests keep all workers busy.  This is
@@ -978,7 +888,8 @@ class ServingSession:
     Contracts:
 
     * **Determinism** — every factor and solution is bit-identical to the
-      serial path (``plan.factorize(values)`` / ``factor.solve(b)``), for
+      direct path (``plan.factorize(values, engine=...)`` /
+      ``factor.solve(b)``), for
       any worker count and any interleaving of submissions (a panel is
       written by its own task alone, as everywhere else in the runtime).
     * **Failure isolation** — a non-SPD matrix raises
@@ -995,7 +906,7 @@ class ServingSession:
     def __init__(self, plan, *, engine="rlb_par", workers=None,
                  machine=None, backend=None, threshold=None, dtype=None,
                  pool=None, tracer=None, trace_origin=None, **engine_kwargs):
-        spec, kwargs = resolve_serving(
+        spec, kwargs = resolve(
             engine, backend, workers=workers, threshold=threshold,
             dtype=dtype, machine=machine, **engine_kwargs)
         self._dtype = kwargs.pop("dtype", None)
@@ -1011,16 +922,16 @@ class ServingSession:
             self._engine_kwargs = None
             pool_width = kwargs.get("workers")
         else:
-            # each submission runs its stream/process engine as ONE task;
-            # the pool only sequences submissions (the process engine runs
-            # on its worker-process pool, so width 1 avoids
-            # oversubscription)
+            # each submission runs its engine as ONE task; the pool only
+            # sequences submissions (the process engine runs on its
+            # worker-process pool, so width 1 avoids oversubscription)
             self._engine_kwargs = kwargs
             pool_width = 1
         # pre-build every memoised pattern structure on this (caller)
         # thread: worker-thread callbacks may then only *read* the symbolic
         # cache (DAG plan, solve schedule, scatter plan, block offsets)
-        dag_plan(plan.symb, self._granularity)
+        if spec.family is not None:
+            dag_plan(plan.symb, self._granularity)
         solve_schedule(plan.symb)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
@@ -1094,8 +1005,8 @@ class ServingSession:
                                 on_error=err)
 
     def _enqueue_one(self, compute, label, index, future, done):
-        """``compute()`` as ONE pool task (a whole stream/process
-        factorization, an update): the engine schedules its own lanes
+        """``compute()`` as ONE pool task (a whole factorization of a
+        non-threaded row, an update): the engine schedules its own lanes
         internally, the pool still provides the streaming futures, failure
         isolation and drain semantics.  ``done(value)`` gets what it
         returned."""

@@ -17,8 +17,7 @@ Commands
 ``batch MATRIX``
     Same-pattern batch: factorize ``--batch B`` value sets with
     ``plan.factorize_batch`` (one factorization after another) on the
-    chosen engine and on its serial twin, and solve them with
-    ``solve_all``.
+    chosen engine and on its serial twin, and solve each factor.
 ``serve MATRIX --stream``
     Streaming same-pattern serving demo: a ``ServingSession`` (one
     persistent worker pool) consumes ``--count`` matrices arriving one at
@@ -43,6 +42,11 @@ in-flight counter tracks.
     The paper's Tables I/II protocol over (a subset of) the suite.
 ``breakdown MATRIX``
     Per-kernel-class modeled time for all four methods.
+
+``factorize``, ``solve``, ``batch``, ``serve`` and ``update`` name the
+engine with ``--engine`` (any registry row; ``--backend`` re-targets it),
+resolved by :func:`repro.numeric.registry.resolve`: a bad engine or option
+exits 2 with the registry's message.
 
 ``MATRIX`` is a suite name (see ``list``) or a path to a Matrix Market
 file.  All runtimes are modeled seconds on the simulated machine — see
@@ -143,34 +147,13 @@ def cmd_factorize(args):
     from .gpu import MachineModel, SimulatedGpu, Tracer
     from .gpu.device import Timeline
     from .numeric import DEFAULT_DEVICE_MEMORY
-    from .numeric.registry import BACKENDS, backend_engine, resolve
+    from .numeric.registry import resolve
 
-    granularity = args.granularity or "coarse"
-    method = args.method
-    options = {"workers": args.workers,
-               "threshold": args.threshold, "dtype": _cli_dtype(args),
-               "device_memory": args.device_memory or None}
     tracer = Tracer() if args.gantt or args.trace else None
     try:
-        if args.backend is not None:
-            # --backend re-targets the task DAG of the requested (or
-            # implied) engine onto the chosen scheduling substrate
-            method = backend_engine(
-                method or BACKENDS["threads"][granularity], args.backend)
-        elif method is None:
-            # --workers / --granularity select a threaded task-DAG engine;
-            # plain `factorize` keeps the historical rl_gpu default
-            if args.workers is not None or args.granularity is not None:
-                method = BACKENDS["threads"][granularity]
-            else:
-                method = "rl_gpu"
-        spec, kwargs = resolve(method, **options)
-        if args.granularity not in (None, kwargs.get("granularity")):
-            want = (f" (use {BACKENDS[spec.backend][args.granularity]})"
-                    if "granularity" in kwargs else
-                    ": it applies to the task-DAG engines only")
-            raise ValueError(f"--granularity {args.granularity} conflicts "
-                             f"with --method {method}{want}")
+        spec, kwargs = resolve(args.engine, args.backend, workers=args.workers,
+                               threshold=args.threshold, dtype=_cli_dtype(args),
+                               device_memory=args.device_memory or None)
         if tracer is not None:
             if "tracer" in spec.accepts:
                 # modeled stream lanes or measured worker lanes
@@ -185,7 +168,7 @@ def cmd_factorize(args):
                 # refuse loudly instead of exiting 0 with no trace written
                 raise ValueError(
                     "--gantt/--trace need a timeline: an engine that "
-                    f"accepts tracer= or device=, not --method {method}")
+                    f"accepts tracer= or device=, not --engine {spec.name}")
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -258,7 +241,7 @@ def cmd_solve(args):
     b = rng.standard_normal(shape)
     plan = make_plan(A, ordering=args.ordering)
     try:
-        factor = plan.factorize(engine=args.method, backend=backend,
+        factor = plan.factorize(engine=args.engine, backend=backend,
                                 dtype=_cli_dtype(args))
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -329,14 +312,15 @@ def cmd_serve(args):
 
     from .analysis import format_table
     from .api import plan as make_plan
-    from .numeric.registry import resolve_serving, serial_twin
+    from .numeric.registry import resolve, serial_twin
     from .sparse import spd_value_sweep
 
     dtype = _cli_dtype(args)
     try:
-        spec, _ = resolve_serving(
-            args.engine, args.backend, workers=args.workers,
-            threshold=args.threshold, dtype=dtype)
+        # the gateway's --workers sizes its shared pool, not the engine
+        spec, _ = resolve(
+            args.engine, args.backend, threshold=args.threshold, dtype=dtype,
+            workers=None if args.gateway else args.workers)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -561,8 +545,7 @@ def cmd_batch(args):
 
     shape = A.n if args.rhs == 1 else (A.n, args.rhs)
     b = rng.standard_normal(shape)
-    xs = batch.solve_all(b)
-    worst = max(f.residual_norm(x, b) for f, x in zip(batch, xs))
+    worst = max(f.residual_norm(f.solve(b), b) for f in batch)
 
     rows = [
         ("engine", engine),
@@ -739,29 +722,20 @@ def build_parser():
 
     sp = sub.add_parser("factorize", help="run one engine")
     sp.add_argument("matrix")
-    sp.add_argument("--method", default=None,
-                    help="factorization engine (default: rl_gpu, or the "
-                         "threaded executor when --workers/--granularity "
-                         "are given)")
+    sp.add_argument("--engine", default="rl_gpu",
+                    help="factorization engine (default: rl_gpu)")
     sp.add_argument("--threshold", type=int, default=None,
                     help="CPU/GPU supernode-size threshold (dilated entries)")
     sp.add_argument("--device-memory", type=int, default=None,
                     help="simulated device capacity in bytes")
     sp.add_argument("--workers", type=int, default=None,
-                    help="run the threaded task-DAG executor with this many "
-                         "worker threads (real wall-clock parallelism)")
-    sp.add_argument("--granularity", default=None,
-                    choices=["coarse", "fine"],
-                    help="task granularity for the task-DAG engines: "
-                         "coarse = the per-supernode RL bodies, "
-                         "fine = per block pair (RLB); CPU backends run "
-                         "whole subtrees as one task")
+                    help="worker threads or processes of the threads and "
+                         "process engines (real wall-clock parallelism)")
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
-                    help="scheduling substrate for the task DAG: worker "
-                         "threads or processes (measured), or "
-                         "simulated-GPU streams (modeled offload; rl_gpu / "
-                         "rlb_gpu_v2)")
+                    help="run the engine's task DAG on this substrate: "
+                         "worker threads or processes (measured), or "
+                         "simulated-GPU streams (modeled offload)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization "
                          "(RL/RLB engine families; fp32 halves factor "
@@ -774,7 +748,8 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="factorize + solve a random system")
     sp.add_argument("matrix")
-    sp.add_argument("--method", default="rl")
+    sp.add_argument("--engine", default="rl",
+                    help="factorization engine (default: rl)")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rhs", type=int, default=1,
                     help="number of right-hand sides (K > 1 solves one "
@@ -810,7 +785,7 @@ def build_parser():
     sp.add_argument("--batch", type=int, default=8,
                     help="number of same-pattern matrices (default: 8)")
     sp.add_argument("--rhs", type=int, default=1,
-                    help="right-hand sides per matrix for solve_all")
+                    help="right-hand sides per matrix")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the batched factorizations "
@@ -831,8 +806,8 @@ def build_parser():
                          "sparsity patterns through one pattern-keyed "
                          "plan cache")
     sp.add_argument("--engine", default="rlb_par",
-                    help="task-DAG factorization engine (default: "
-                         "rlb_par)")
+                    help="factorization engine, any registered row "
+                         "(default: rlb_par)")
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads of the persistent pool")
     sp.add_argument("--backend", default=None,

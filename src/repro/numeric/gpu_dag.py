@@ -9,10 +9,10 @@ DAG plans, pull rule (:func:`~repro.numeric.executor.range_tasks`) and
 countdown the threaded engines of :mod:`repro.numeric.executor` use — on a
 :class:`~repro.numeric.executor.GpuStreamBackend`:
 
-* ``rl_gpu`` (also spelled ``rl_gpu_dag``) — the coarse DAG, one task per
-  supernode, RL's three-transfer pipeline per offloaded task (Table I);
-* ``rlb_gpu_v2`` (``rlb_gpu_dag``) — the fine DAG, one factor task per
-  supernode and one task per block pair (Table II).
+* ``rl_gpu`` — the coarse DAG, one task per supernode, RL's
+  three-transfer pipeline per offloaded task (Table I);
+* ``rlb_gpu_v2`` — the fine DAG, one factor task per supernode and one
+  task per block pair (Table II).
 
 **One device is the paper's schedule.**  The stream backend pops ready
 tasks in a deterministic priority order that is the elimination-order

@@ -4,9 +4,10 @@ One table row per engine: ``(name, callable, family, backend)``.  Which
 keyword arguments a row takes is not typed in — :attr:`EngineSpec.accepts`
 is read off the callable's own signature — and every place a request
 enters (:meth:`repro.api.SymbolicPlan.factorize` / ``factorize_batch`` /
-``serve``, the CLI's ``factorize`` / ``batch`` / ``serve`` commands) asks
-:func:`resolve` which engine runs and with which arguments, so a new engine
-is registered exactly once and every door gives the same answer.
+``serve``, :class:`repro.serving.Gateway`, the CLI's ``--engine`` /
+``--backend``) asks :func:`resolve` which engine runs and with which
+arguments, so a new engine is registered exactly once, every row can be
+served, and every door gives the same answer.
 
 ``family`` names the task DAG a row belongs to (``"rl"`` — the coarse DAG,
 the per-supernode RL bodies; ``"rlb"`` — the fine DAG, one body per block
@@ -20,7 +21,8 @@ names what schedules it:
     timing, real BLAS numerics.
 ``"threads"``
     The task DAG on a worker-thread pool (:mod:`repro.numeric.executor`);
-    measured wall-clock.  The rows behind batched and streaming serving.
+    measured wall-clock.  A serving session drains these rows' tasks
+    across its pool; every other row runs a submission as one pool task.
 ``"gpu"``
     Offload to the simulated device; modeled seconds.  For the two
     families this is the task DAG on a
@@ -66,7 +68,6 @@ __all__ = [
     "serial_twin",
     "backend_engine",
     "resolve",
-    "resolve_serving",
     "SolveModeSpec",
     "SOLVE_MODES",
     "solve_mode_names",
@@ -155,15 +156,9 @@ for (_family, _backend), _name in _BY_COLUMNS.items():
     if _backend != "serial":
         BACKENDS.setdefault(_backend, {})[_GRANULARITY[_family]] = _name
 
-# the stream rows' second spelling: their names before they replaced the
-# single-device loops that used to be called rl_gpu / rlb_gpu_v2
-ENGINES["rl_gpu_dag"] = ENGINES["rl_gpu"]
-ENGINES["rlb_gpu_dag"] = ENGINES["rlb_gpu_v2"]
-
 
 def engine_names():
-    """Sorted names of every registered engine (both spellings of the
-    stream rows included)."""
+    """Sorted names of every registered engine."""
     return sorted(ENGINES)
 
 
@@ -186,8 +181,8 @@ def serial_twin(name):
 
 
 def _names(rows):
-    """One spelling of each row of ``rows``, sorted, for an error message."""
-    return ", ".join(sorted({spec.name for spec in rows})) or "no engine"
+    """The names of ``rows``, sorted, for an error message."""
+    return ", ".join(sorted(spec.name for spec in rows)) or "no engine"
 
 
 def backend_engine(name, backend):
@@ -241,30 +236,14 @@ def resolve(engine, backend=None, **options):
     return spec, {**spec.fixed, **options}
 
 
-def resolve_serving(engine, backend=None, **options):
-    """:func:`resolve` for a streaming session: additionally requires a
-    row whose task DAG something other than the submitting thread can run
-    — a family and a non-serial backend."""
-    spec, kwargs = resolve(engine, backend, **options)
-    if spec.family is None or spec.backend == "serial":
-        servable = _names(s for s in _ROWS if s.family and s.backend != "serial")
-        raise ValueError(
-            f"serving runs on the task-DAG engines only ({servable} — or "
-            f"backend={sorted(BACKENDS)}), not {spec.name!r}"
-        )
-    return spec, kwargs
-
-
 def engine_table():
     """The engine table as GitHub-flavoured markdown, one line per row:
-    name (other spelling), family, backend, accepted options — generated,
-    so the docs cannot drift from the callables."""
+    name, family, backend, accepted options — generated, so the docs
+    cannot drift from the callables."""
     lines = ["| engine | family | backend | accepted options |", "|---|---|---|---|"]
     for spec in _ROWS:
-        also = [n for n, s in ENGINES.items() if s is spec and n != spec.name]
-        label = f"`{spec.name}`" + "".join(f" (`{n}`)" for n in also)
         options = ", ".join(f"`{o}`" for o in sorted(spec.accepts))
-        lines.append(f"| {label} | {spec.family or '—'} | {spec.backend} | {options} |")
+        lines.append(f"| `{spec.name}` | {spec.family or '—'} | {spec.backend} | {options} |")
     return "\n".join(lines)
 
 

@@ -14,8 +14,8 @@ Architecture — three layers, one shared pool::
                        ONE shared StreamPool       (worker threads)
 
 Cache **hits** skip straight to the numeric stage: the request's values
-are pushed through the warm plan's serving session (factorize task DAG +
-chained level-scheduled solve graphs on the shared pool).  Cache
+are pushed through the warm plan's serving session (the engine's
+factorization + chained level-scheduled solve graphs on the shared pool).  Cache
 **misses** run :func:`repro.plan` — ordering, supernode amalgamation,
 symbolic factorization — on a small analysis thread pool *off the event
 loop*, with concurrent same-pattern misses deduplicated onto one pending
@@ -54,6 +54,7 @@ import numpy as np
 
 from ..api import plan as build_plan
 from ..numeric.executor import StreamPool
+from ..numeric.registry import resolve
 from ..sparse.csc import SymmetricCSC
 from ..symbolic.analyze import analyze
 from ..symbolic.structure import pattern_fingerprint
@@ -239,8 +240,10 @@ class Gateway:
         every per-pattern session runs on (``None``:
         :func:`~repro.numeric.executor.default_workers`).
     engine / backend / threshold:
-        Substrate of every per-pattern session, exactly as
-        :meth:`repro.api.SymbolicPlan.serve` takes them.
+        Engine of every per-pattern session, exactly as
+        :meth:`repro.api.SymbolicPlan.serve` takes them: any registered
+        row.  A bad engine or option raises the registry's ``ValueError``
+        here, before any request is analyzed.
     dtype:
         Default factor precision of every per-pattern session
         (``numpy.float32`` for a mixed-precision gateway; see
@@ -265,8 +268,10 @@ class Gateway:
                  dtype=None, ordering="nd",
                  analysis_workers=1, tracer=None, trace_origin=None,
                  **analyze_kwargs):
-        # a keyword analyze() does not take fails here, not on every miss
+        # a keyword analyze() does not take, or an engine option the
+        # registry refuses, fails here, not on every miss
         inspect.signature(analyze).bind_partial(**analyze_kwargs)
+        resolve(engine, backend, threshold=threshold, dtype=dtype)
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if max_in_flight < 1:

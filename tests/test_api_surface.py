@@ -17,7 +17,6 @@ DOCUMENTED_TOP_LEVEL = [
     "SymbolicPlan",
     "SolvePlan",
     "Factor",
-    "FactorBatch",
     "ServingSession",
     "analyze",
     "pattern_fingerprint",
@@ -50,7 +49,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.api", "SymbolicPlan"),
     ("repro.api", "SolvePlan"),
     ("repro.api", "Factor"),
-    ("repro.api", "FactorBatch"),
     ("repro.api", "ServingSession"),
     ("repro.api", "same_pattern_values"),
     ("repro.api", "PatternMismatchError"),
@@ -192,24 +190,21 @@ def test_solve_plan_surface():
 
 
 def test_registry_consistency():
-    """Every registered engine resolves through get_engine; a row's second
-    spelling is the same object; rows with a family are unique on
-    (family, backend)."""
+    """Every registered engine resolves through get_engine under its one
+    name; rows with a family are unique on (family, backend)."""
     from repro.numeric.registry import ENGINES, engine_names, get_engine
 
     assert engine_names() == sorted(ENGINES)
     rows = {}
     for name, spec in ENGINES.items():
         assert get_engine(name) is spec
-        assert ENGINES[spec.name] is spec
+        assert spec.name == name
         assert callable(spec.fn)
         assert spec.family in ("rl", "rlb", None)
         assert spec.backend in ("serial", "threads", "gpu", "process")
         rows[spec.name] = spec
     columns = [(s.family, s.backend) for s in rows.values() if s.family]
     assert len(columns) == len(set(columns))
-    assert ENGINES["rl_gpu_dag"] is ENGINES["rl_gpu"]
-    assert ENGINES["rlb_gpu_dag"] is ENGINES["rlb_gpu_v2"]
 
 
 def test_accepts_is_read_off_the_signature():
@@ -226,15 +221,18 @@ def test_accepts_is_read_off_the_signature():
 
 def test_facade_methods_is_registry_view():
     """The registry is the only engine table: the deprecated facade, its
-    ``METHODS`` view and the reference multi-device loop are gone
-    (docs/api.md, "Removed")."""
+    ``METHODS`` view, the reference multi-device loop, the batch wrapper and
+    the serving-only resolver are gone (docs/api.md, "Removed")."""
     import repro.numeric
     import repro.solve
 
     for mod, name in ((repro, "CholeskySolver"),
                       (repro.solve, "CholeskySolver"),
                       (repro, "factorize_rl_multigpu"),
-                      (repro.numeric, "factorize_rl_multigpu")):
+                      (repro.numeric, "factorize_rl_multigpu"),
+                      (repro, "FactorBatch"),
+                      (repro.api, "FactorBatch"),
+                      (repro.numeric.registry, "resolve_serving")):
         assert not hasattr(mod, name)
     assert "METHODS" not in repro.numeric.registry.__all__ + repro.solve.__all__
 

@@ -59,48 +59,54 @@ class TestCommands:
         assert "n" in capsys.readouterr().out
 
     def test_factorize_cpu(self, capsys):
-        assert main(["factorize", SMALL, "--method", "rl"]) == 0
+        assert main(["factorize", SMALL, "--engine", "rl"]) == 0
         out = capsys.readouterr().out
         assert "modeled seconds" in out and "best MKL threads" in out
 
-    def test_factorize_workers_selects_executor(self, capsys):
-        # --workers routes to the threaded task-DAG engine, overriding the
-        # GPU-default --method
-        assert main(["factorize", SMALL, "--workers", "2"]) == 0
+    def test_factorize_threaded_engine(self, capsys):
+        assert main(["factorize", SMALL, "--engine", "rl_par",
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "rl_par" in out
         assert "workers (threaded DAG)" in out
         assert "measured wall seconds" in out
 
-    def test_factorize_workers_fine_granularity(self, capsys):
-        assert main(["factorize", SMALL, "--workers", "2",
-                     "--granularity", "fine"]) == 0
+    def test_factorize_fine_threaded_engine(self, capsys):
+        # the engine name carries the granularity; --backend re-targets it
+        assert main(["factorize", SMALL, "--engine", "rlb",
+                     "--backend", "threads", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "rlb_par" in out and "fine" in out
 
-    def test_factorize_granularity_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["factorize", "x",
-                                       "--granularity", "huge"])
+    def test_retired_engine_flags_refused(self, capsys):
+        # --engine is the one spelling; the granularity is in its name
+        for argv in (["factorize", "x", "--method", "rl"],
+                     ["solve", "x", "--method", "rl"],
+                     ["factorize", "x", "--granularity", "fine"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_factorize_flag_conflicts_rejected(self, capsys):
         # clean exit 2 (no traceback) for every invalid flag combination
-        assert main(["factorize", SMALL, "--workers", "0"]) == 2
-        assert main(["factorize", SMALL, "--method", "rl",
+        assert main(["factorize", SMALL, "--engine", "rl_par",
+                     "--workers", "0"]) == 2
+        assert main(["factorize", SMALL, "--engine", "rl",
                      "--workers", "2"]) == 2
-        assert main(["factorize", SMALL, "--method", "rl_par",
-                     "--granularity", "fine"]) == 2
-        assert main(["factorize", SMALL, "--workers", "2",
+        # no engine named: the rl_gpu default takes no workers
+        assert main(["factorize", SMALL, "--workers", "2"]) == 2
+        assert main(["factorize", SMALL, "--engine", "rl_par",
                      "--threshold", "0"]) == 2
         err = capsys.readouterr().err
         assert "workers must be >= 1" in err
         assert "workers= is not accepted by engine 'rl'" in err
-        assert "conflicts" in err
+        assert "workers= is not accepted by engine 'rl_gpu'" in err
         assert "threshold= is not accepted by engine 'rl_par'" in err
 
     def test_factorize_gpu_with_gantt_and_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
-        assert main(["factorize", SMALL, "--method", "rl_gpu", "--gantt",
+        assert main(["factorize", SMALL, "--engine", "rl_gpu", "--gantt",
                      "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "copy_out" in out  # the Gantt lanes
@@ -108,10 +114,10 @@ class TestCommands:
         assert any(r.get("ph") == "X" for r in data)
 
     def test_factorize_unknown_method(self, capsys):
-        assert main(["factorize", SMALL, "--method", "nope"]) == 2
+        assert main(["factorize", SMALL, "--engine", "nope"]) == 2
 
     def test_factorize_threshold_flag(self, capsys):
-        assert main(["factorize", SMALL, "--method", "rlb_gpu_v2",
+        assert main(["factorize", SMALL, "--engine", "rlb_gpu_v2",
                      "--threshold", "0"]) == 0
         out = capsys.readouterr().out
         # threshold 0 offloads every supernode
@@ -120,7 +126,7 @@ class TestCommands:
         assert ongpu == total
 
     def test_solve(self, capsys):
-        assert main(["solve", SMALL, "--method", "rlb"]) == 0
+        assert main(["solve", SMALL, "--engine", "rlb"]) == 0
         assert "relative residual" in capsys.readouterr().out
 
     def test_solve_with_amd_ordering(self, capsys):

@@ -13,13 +13,13 @@ SMALL = "Fault_639"  # smallest-ish suite member keeps CLI tests quick
 
 class TestSolveRhs:
     def test_block_rhs(self, capsys):
-        assert main(["solve", SMALL, "--method", "rlb", "--rhs", "3"]) == 0
+        assert main(["solve", SMALL, "--engine", "rlb", "--rhs", "3"]) == 0
         out = capsys.readouterr().out
         assert "right-hand sides = 3" in out
         assert "relative residual" in out
 
     def test_single_rhs_output_unchanged(self, capsys):
-        assert main(["solve", SMALL, "--method", "rl"]) == 0
+        assert main(["solve", SMALL, "--engine", "rl"]) == 0
         out = capsys.readouterr().out
         assert "right-hand sides" not in out
         assert "relative residual" in out
@@ -29,7 +29,7 @@ class TestSolveRhs:
         assert "--rhs must be >= 1" in capsys.readouterr().err
 
     def test_unknown_method_clean_exit(self, capsys):
-        assert main(["solve", SMALL, "--method", "nope"]) == 2
+        assert main(["solve", SMALL, "--engine", "nope"]) == 2
         assert "unknown engine" in capsys.readouterr().err
 
 
@@ -80,16 +80,16 @@ class TestBatchCommand:
     def test_factorize_trace_rejected_for_serial_engine(self, capsys):
         # a serial engine has no timeline; exiting 0 with no trace file
         # written would be a silent lie
-        assert main(["factorize", SMALL, "--method", "rl",
+        assert main(["factorize", SMALL, "--engine", "rl",
                      "--trace", "x.json"]) == 2
-        assert main(["factorize", SMALL, "--method", "rlb",
+        assert main(["factorize", SMALL, "--engine", "rlb",
                      "--gantt"]) == 2
         err = capsys.readouterr().err
         assert "--gantt/--trace need a timeline" in err
 
     def test_factorize_threaded_trace_export(self, tmp_path, capsys):
         trace = tmp_path / "exec.trace.json"
-        assert main(["factorize", SMALL, "--workers", "2",
+        assert main(["factorize", SMALL, "--engine", "rl_par", "--workers", "2",
                      "--trace", str(trace), "--gantt"]) == 0
         out = capsys.readouterr().out
         # per-worker-thread gantt lanes: a lane, not lane 0 — on a pattern
@@ -100,7 +100,7 @@ class TestBatchCommand:
 
 class TestSolveWorkers:
     def test_parallel_solve_report(self, capsys):
-        assert main(["solve", SMALL, "--method", "rlb", "--rhs", "4",
+        assert main(["solve", SMALL, "--engine", "rlb", "--rhs", "4",
                      "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "level schedule:" in out
@@ -113,7 +113,7 @@ class TestSolveWorkers:
         assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_serial_output_unchanged_without_workers(self, capsys):
-        assert main(["solve", SMALL, "--method", "rl"]) == 0
+        assert main(["solve", SMALL, "--engine", "rl"]) == 0
         assert "parallel solve" not in capsys.readouterr().out
 
 
@@ -132,12 +132,13 @@ class TestServeCommand:
         assert "--stream" in capsys.readouterr().err
 
     def test_flag_validation(self, capsys):
-        assert main(["serve", SMALL, "--stream", "--engine", "rl"]) == 2
+        assert main(["serve", SMALL, "--stream", "--engine", "rl",
+                     "--workers", "2"]) == 2
         assert main(["serve", SMALL, "--stream", "--count", "0"]) == 2
         assert main(["serve", SMALL, "--stream", "--workers", "0"]) == 2
         assert main(["serve", SMALL, "--stream", "--engine", "nope"]) == 2
         err = capsys.readouterr().err
-        assert "task-DAG engines only" in err
+        assert "workers= is not accepted by engine 'rl'" in err
         assert "--count must be >= 1" in err
         assert "workers must be >= 1" in err
         assert "unknown engine" in err

@@ -3,10 +3,12 @@
 A request names an engine and some options; ``registry.resolve`` decides
 whether that engine takes them.  This module walks every registered engine
 × a set of options through every place a request enters —
-``plan.factorize``, ``plan.factorize_batch``, ``plan.serve`` and the CLI's
-``factorize`` / ``batch`` / ``serve`` commands — and asserts they all give
-the *same* outcome: the request runs, or ONE ``ValueError`` naming the
-option and the engine (exit code 2 with that message on stderr).
+``plan.factorize``, ``plan.factorize_batch``, ``plan.serve``, ``Gateway``
+and the CLI's ``factorize`` / ``batch`` / ``serve`` commands — and asserts
+they all give the *same* outcome: the request runs, or ONE ``ValueError``
+naming the option and the engine (exit code 2 with that message on
+stderr).  Every row can be served, and a served solution has the bits of
+``plan.factorize(engine=row).solve(b)``.
 """
 
 import asyncio
@@ -59,7 +61,6 @@ CAPABILITIES = {
     "rl": _CPU, "rlb": _CPU,
     "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
     "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM,
-    "rl_gpu_dag": _STREAM, "rlb_gpu_dag": _STREAM,
     "rlb_gpu_v1": {"threshold", "dtype"},
     "left_looking": set(), "multifrontal": set(),
     "left_looking_gpu": {"threshold"}, "multifrontal_gpu": {"threshold"},
@@ -92,8 +93,15 @@ def _outcome(call):
     return None
 
 
-def _servable(spec):
-    return spec.family is not None and spec.backend != "serial"
+def _gateway(submit=None, **kwargs):
+    """Open a one-worker ``Gateway(**kwargs)``, await ``submit(gw)`` on it
+    (when given) and close it; returns what ``submit`` returned."""
+
+    async def run():
+        async with Gateway(workers=1, **kwargs) as gw:
+            return None if submit is None else await submit(gw)
+
+    return asyncio.run(run())
 
 
 def test_capabilities_are_the_parents():
@@ -121,23 +129,23 @@ def test_api_doors_agree(plan, name, option):
         [None, None], engine=name, **{option: _value(option)}))
     assert got == want, "plan.factorize_batch"
 
-    if option not in ("workers", "devices", "threshold", "dtype"):
-        return  # serve() resolves only these four like factorize
+    if option == "tracer":
+        return  # serve() and the Gateway take a tracer for every row
     got = _outcome(
         lambda: plan.serve(engine=name, **{option: _value(option)}).close())
-    if want is None and not _servable(spec):
-        assert "task-DAG engines only" in got and repr(spec.name) in got
-    else:
-        assert got == want, "plan.serve"
+    assert got == want, "plan.serve"
+    if option in ("threshold", "dtype"):
+        # the Gateway's other keywords size its pool or go to analyze()
+        got = _outcome(lambda: _gateway(engine=name, **{option: _value(option)}))
+        assert got == want, "Gateway"
 
 
 @pytest.mark.parametrize("option", sorted(CLI_FLAGS))
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_cli_doors_agree(matrix_file, capsys, name, option):
-    spec = ENGINES[name]
     want = _outcome(lambda: resolve(name, **{option: OPTIONS[option]}))
     commands = {
-        "factorize": ["factorize", matrix_file, "--method", name],
+        "factorize": ["factorize", matrix_file, "--engine", name],
         "batch": ["batch", matrix_file, "--engine", name, "--batch", "2"],
         "serve": ["serve", matrix_file, "--engine", name, "--stream",
                   "--count", "2"],
@@ -149,10 +157,29 @@ def test_cli_doors_agree(matrix_file, capsys, name, option):
         err = capsys.readouterr().err
         if want is not None:
             assert (code, err.strip()) == (2, want), command
-        elif command == "serve" and not _servable(spec):
-            assert code == 2 and "task-DAG engines only" in err
         else:
             assert code == 0, (command, err)
+
+
+@pytest.mark.parametrize("name,dtype", [
+    *((name, None) for name in sorted(ENGINES)),
+    *((name, np.float32) for name in sorted(ENGINES) if "dtype" in ENGINES[name].accepts),
+])
+def test_every_row_serves_the_direct_bits(plan, name, dtype):
+    """A session and a gateway run any registered row (fp32 too where the
+    row takes ``dtype=``); each served solution is
+    ``plan.factorize(engine=name).solve(b)`` bit for bit."""
+    A = plan.matrix
+    b = np.random.default_rng(3).standard_normal(plan.n)
+    values = A.data * 1.5
+    want = plan.factorize(values, engine=name, dtype=dtype).solve(b)
+    with plan.serve(engine=name, dtype=dtype) as session:
+        got = session.submit_solve(values, b).result()
+    np.testing.assert_array_equal(got, want)
+
+    B = repro.SymmetricCSC(A.n, A.indptr, A.indices, values, check=False)
+    got = _gateway(lambda gw: gw.submit(B, b), engine=name, dtype=dtype)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_the_doors_disagreed_at_the_parent(plan):
@@ -173,8 +200,7 @@ def test_the_doors_disagreed_at_the_parent(plan):
 
 
 @pytest.mark.parametrize("name,switch", [
-    ("rl_gpu", "inflight"), ("rl_gpu_dag", "inflight"),
-    ("rlb_gpu_v2", "async_panel_d2h"), ("rlb_gpu_dag", "async_panel_d2h"),
+    ("rl_gpu", "inflight"), ("rlb_gpu_v2", "async_panel_d2h"),
 ])
 def test_the_other_granularitys_ablation_is_refused(plan, name, switch):
     """At the parent these ran and reported the default's modeled seconds —
@@ -231,35 +257,28 @@ def test_every_advertised_option_reaches_the_engine(plan, monkeypatch, name):
         assert got == value if option in values else got is value, option
 
 
-@pytest.mark.parametrize("retired", [
-    {"engine": "rl_hybrid"}, {"engine": "rlb_hybrid"}, {"backend": "hybrid"},
-], ids=["rl_hybrid", "rlb_hybrid", "backend-hybrid"])
-def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, retired):
-    """The CPU-worker + GPU-stream lane is gone: its engine names and its
-    backend name are one registry ``ValueError`` at every door."""
-    assert sorted(BACKENDS) == ["gpu", "process", "threads"]
-    assert len(ENGINES) == 15
+def _refused_at_every_door(plan, matrix_file, capsys, retired):
+    """``retired`` (one ``engine=`` or ``backend=``) is one registry
+    ``ValueError`` at every API door; the CLI exits 2 with it, or argparse
+    refuses a ``--backend`` outside its choices."""
     ((key, value),) = retired.items()
     want = _outcome(lambda: resolve(**{"engine": "rl", **retired}))
     assert want.startswith(f"unknown {key} {value!r}")
-
-    async def gateway():
-        async with Gateway(workers=1, **retired) as gw:
-            await gw.submit(grid_laplacian((4, 4)), np.ones(16))
 
     doors = {
         "plan.factorize": lambda: plan.factorize(**retired),
         "plan.factorize_batch": lambda: plan.factorize_batch([None], **retired),
         "plan.serve": lambda: plan.serve(**retired).close(),
-        "Gateway": lambda: asyncio.run(gateway()),
+        "Gateway": lambda: _gateway(**retired),
     }
     for door, call in doors.items():
         assert _outcome(call) == want, door
 
-    method, engine = ("--method", "--engine") if key == "engine" else ("--backend",) * 2
-    for argv in (["factorize", matrix_file, method, value],
-                 ["batch", matrix_file, engine, value, "--batch", "2"],
-                 ["serve", matrix_file, engine, value, "--stream", "--count", "2"]):
+    flag = f"--{key}"
+    for argv in (["factorize", matrix_file, flag, value],
+                 ["solve", matrix_file, flag, value],
+                 ["batch", matrix_file, flag, value, "--batch", "2"],
+                 ["serve", matrix_file, flag, value, "--stream", "--count", "2"]):
         if key == "engine":
             assert main(argv) == 2, argv[0]
             assert capsys.readouterr().err.strip() == want, argv[0]
@@ -267,7 +286,26 @@ def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, ret
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+            assert f"invalid choice: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("retired", [
+    {"engine": "rl_hybrid"}, {"engine": "rlb_hybrid"}, {"backend": "hybrid"},
+], ids=["rl_hybrid", "rlb_hybrid", "backend-hybrid"])
+def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, retired):
+    """The CPU-worker + GPU-stream lane is gone: its engine names and its
+    backend name are one registry ``ValueError`` at every door."""
+    assert sorted(BACKENDS) == ["gpu", "process", "threads"]
+    assert len(ENGINES) == 13
+    _refused_at_every_door(plan, matrix_file, capsys, retired)
+
+
+@pytest.mark.parametrize("name", ["rl_gpu_dag", "rlb_gpu_dag"])
+def test_the_second_spellings_are_refused_at_every_door(plan, matrix_file, capsys, name):
+    """Each row has one name: the stream rows' second spellings are unknown
+    engines at every door, like any other name the registry lacks."""
+    assert all(spec.name == key for key, spec in ENGINES.items())
+    _refused_at_every_door(plan, matrix_file, capsys, {"engine": name})
 
 
 def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):

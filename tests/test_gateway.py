@@ -8,8 +8,9 @@ backend), LRU + byte-budget eviction with in-flight pinning, per-tenant
 admission budgets and the global in-flight cap (typed rejections that
 fail only the offending request), non-SPD failure isolation through the
 shared per-pattern session, ``submit_values``/``register`` fast paths,
-tracer request/analysis spans and counter tracks, and the unified
-``plan.serve(backend=...)`` kwargs with the legacy-facade deprecation.
+tracer request/analysis spans and counter tracks, the unified
+``plan.serve(backend=...)`` kwargs with the legacy-facade deprecation, and
+engine options refused when the gateway is built.
 """
 
 import asyncio
@@ -20,7 +21,7 @@ import pytest
 
 import repro
 from repro.dense.kernels import NotPositiveDefiniteError
-from repro.numeric.registry import serial_twin
+from repro.numeric.registry import resolve, serial_twin
 from repro.serving import (
     Gateway,
     GatewayOverloaded,
@@ -161,7 +162,7 @@ def test_gateway_gpu_backend_matches_direct(base_matrix):
             return await gw.submit(with_values(base_matrix, v), b)
 
     x = run(go())
-    ref = direct_solution(base_matrix, v, b, engine="rlb_gpu_dag")
+    ref = direct_solution(base_matrix, v, b, engine="rlb_gpu_v2")
     assert np.array_equal(x, ref)
 
 
@@ -563,8 +564,8 @@ def test_gateway_tracer_spans_and_counters(base_matrix):
 # ---------------------------------------------------------------------------
 def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
     plan = repro.plan(base_matrix)
-    with pytest.raises(ValueError, match="task-DAG engines only"):
-        plan.serve(engine="rlb")
+    with pytest.raises(ValueError, match="workers= is not accepted by engine 'rlb'"):
+        plan.serve(engine="rlb", workers=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         plan.serve(workers=0)
     with pytest.raises(ValueError, match="backend"):
@@ -572,9 +573,25 @@ def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
     # the gpu substrate opens fine and serves bit-identically
     with plan.serve(backend="gpu") as session:
         f = session.submit(base_matrix.data).result()
-    ref = plan.factorize(engine="rlb_gpu_dag")
+    ref = plan.factorize(engine="rlb_gpu_v2")
     assert all(np.array_equal(p, q) for p, q in
                zip(f.storage.panels, ref.result.storage.panels))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"engine": "nope"}, {"engine": "rl", "threshold": 1},
+    {"backend": "nope"}, {"engine": "left_looking", "dtype": np.float32},
+], ids=["unknown-engine", "rl-threshold", "unknown-backend", "left_looking-fp32"])
+def test_bad_engine_fails_at_construction(kwargs):
+    """A gateway's engine options are resolved once, when it is built: the
+    registry's ``ValueError`` is raised there, not on every request after
+    that request paid for its ordering and symbolic analysis."""
+    request = {"engine": "rlb_par", "backend": None, **kwargs}
+    with pytest.raises(ValueError) as want:
+        resolve(request.pop("engine"), request.pop("backend"), **request)
+    with pytest.raises(ValueError) as got:
+        Gateway(**kwargs)
+    assert str(got.value) == str(want.value)
 
 
 def test_plan_api_emits_no_deprecation_warning(base_matrix):

@@ -1,8 +1,7 @@
 """Tests for the GPU offload engines — the task DAGs on the stream backend.
 
-* ``rl_gpu`` / ``rlb_gpu_v2`` (also spelled ``rl_gpu_dag`` /
-  ``rlb_gpu_dag``) are bit-identical to the serial CPU engines for every
-  threshold, through every entry point (:func:`factorize_gpu_dag`,
+* ``rl_gpu`` / ``rlb_gpu_v2`` are bit-identical to the serial CPU engines
+  for every threshold, through every entry point (:func:`factorize_gpu_dag`,
   :func:`factorize_rl_gpu` / :func:`factorize_rlb_gpu`, the registry);
 * the modeled seconds, transfer counts and
   :class:`~repro.gpu.device.DeviceOutOfMemory` accounting of the
@@ -192,17 +191,15 @@ class TestTraceLanes:
 
 class TestRegistryAndApi:
     def test_engines_registered(self):
-        assert get_engine("rl_gpu_dag") is get_engine("rl_gpu")
-        assert get_engine("rlb_gpu_dag") is get_engine("rlb_gpu_v2")
         assert get_engine("rl_gpu").backend == "gpu"
-        assert get_engine("rlb_gpu_dag").granularity == "fine"
-        assert serial_twin("rl_gpu_dag") == serial_twin("rl_gpu") == "rl"
-        assert serial_twin("rlb_gpu_dag") == "rlb"
+        assert get_engine("rlb_gpu_v2").granularity == "fine"
+        assert serial_twin("rl_gpu") == "rl"
+        assert serial_twin("rlb_gpu_v2") == "rlb"
 
     def test_backend_engine_mapping(self):
         assert BACKENDS["gpu"]["coarse"] == "rl_gpu"
         assert backend_engine("rl_par", "gpu") == "rl_gpu"
-        assert backend_engine("rlb_gpu_dag", "threads") == "rlb_par"
+        assert backend_engine("rlb_gpu_v2", "threads") == "rlb_par"
         assert backend_engine("rl", "gpu") == "rl_gpu"
         with pytest.raises(ValueError, match="unknown backend"):
             backend_engine("rl_par", "quantum")

@@ -210,8 +210,7 @@ class TestFp32BitIdentity:
             assert np.array_equal(p, q)
 
     @pytest.mark.parametrize("engine", ["rl_par", "rlb_par", "rl_gpu",
-                                        "rlb_gpu_v2", "rl_gpu_dag",
-                                        "rlb_gpu_dag"])
+                                        "rlb_gpu_v2"])
     def test_api_engines_match_serial_twin(self, fp32_plan, engine):
         twin = serial_twin(engine)
         ref = fp32_plan.factorize(engine=twin, dtype=np.float32)
@@ -383,18 +382,18 @@ class TestServingPrecision:
 
 class TestCliPrecision:
     def test_factorize_reports_precision(self, capsys):
-        assert cli_main(["factorize", "Fault_639", "--method", "rlb_par",
+        assert cli_main(["factorize", "Fault_639", "--engine", "rlb_par",
                          "--workers", "2", "--dtype", "fp32"]) == 0
         assert "float32" in capsys.readouterr().out
 
     def test_solve_reports_refined_residual(self, capsys):
-        assert cli_main(["solve", "Fault_639", "--method", "rl",
+        assert cli_main(["solve", "Fault_639", "--engine", "rl",
                          "--dtype", "fp32"]) == 0
         out = capsys.readouterr().out
         assert "precision = float32" in out and "refined residual" in out
 
     def test_non_lane_method_exits_2(self, capsys):
-        assert cli_main(["factorize", "Fault_639", "--method",
+        assert cli_main(["factorize", "Fault_639", "--engine",
                          "left_looking", "--dtype", "fp32"]) == 2
 
     def test_parser_rejects_unknown_dtype(self):

@@ -294,18 +294,6 @@ class TestApiIntegration:
             assert_same_panels(f.result, plan.factorize(d,
                                                         engine=twin).result)
 
-    def test_batch_wall_seconds_sums_every_factorization(self):
-        """Each process-backend factor times its own run, so the batch's
-        wall clock is their sum — not matrix 0's alone."""
-        A = grid_laplacian((12, 12, 4))
-        plan = repro.plan(A)
-        batch = plan.factorize_batch(spd_value_sweep(A, 4), backend="process",
-                                     workers=2)
-        walls = [f.result.wall_seconds for f in batch]
-        assert all(w > 0 for w in walls)
-        assert batch.wall_seconds == sum(walls) > walls[0]
-        assert batch.amortized_seconds == batch.wall_seconds / 4
-
     def test_serve_process_submit_and_solve(self, plan):
         datas = spd_value_sweep(plan.matrix, 2)
         b = np.ones(plan.n)

@@ -281,9 +281,13 @@ class TestServingSession:
                 session.submit_solve(None, np.ones(3))
             assert session.submitted == 0
 
-    def test_serial_engine_rejected(self, aplan):
-        with pytest.raises(ValueError, match="task-DAG engines only"):
-            aplan.serve(engine="rl")
+    def test_serial_engine_served(self, aplan):
+        # a serial row runs each submission as one pool task
+        b = rhs(aplan.n, "vector", seed=12)
+        with aplan.serve(engine="rl") as session:
+            assert session.workers == 1
+            x = session.submit_solve(None, b).result(timeout=60)
+        assert np.array_equal(x, aplan.factorize(engine="rl").solve(b))
 
     def test_counts_and_default_values(self, aplan):
         b = rhs(aplan.n, "vector", seed=13)
