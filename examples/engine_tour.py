@@ -1,8 +1,8 @@
 """Engine tour: every factorization organisation on one matrix.
 
 Runs every registry row once, under its one name — the paper's RL/RLB
-(CPU + GPU), their task-DAG twins, and the left-looking and multifrontal
-baselines with their GPU offloads — on one suite matrix, verifying that
+on the host, on worker threads and processes, and offloaded to the GPU
+(the stream DAGs and RLB version 1) — on one suite matrix, verifying that
 every factor is identical,
 then prints the modeled-time comparison, the per-kernel-class breakdown,
 and the memory planner's feasibility report.

@@ -61,8 +61,8 @@ Subpackages
 ``repro.gpu``
     Simulated device, timeline, transfer engine, cost models.
 ``repro.numeric``
-    The factorization engines (RL, RLB, threaded DAG, GPU variants,
-    baselines) and the unified engine registry.
+    The factorization engines (RL, RLB, threaded DAG, GPU variants) and
+    the unified engine registry.
 ``repro.solve``
     Triangular solves, iterative refinement.
 ``repro.analysis``
@@ -76,7 +76,6 @@ from .numeric import (
     factorize_rlb_cpu,
     factorize_rl_gpu,
     factorize_rlb_gpu,
-    factorize_multifrontal,
     rank1_update,
     rank_k_update,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "factorize_multifrontal",
     "rank1_update",
     "rank_k_update",
     "memory_plan",

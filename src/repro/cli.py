@@ -18,7 +18,7 @@ Commands
     Same-pattern batch: factorize ``--batch B`` value sets with
     ``plan.factorize_batch`` (one factorization after another) on the
     chosen engine and on its serial twin, and solve each factor.
-``serve MATRIX --stream``
+``serve MATRIX``
     Streaming same-pattern serving demo: a ``ServingSession`` (one
     persistent worker pool) consumes ``--count`` matrices arriving one at
     a time via ``submit_solve`` futures.
@@ -70,10 +70,14 @@ _DTYPE_FLAGS = {"fp64": np.float64, "fp32": np.float32}
 
 def _cli_dtype(args):
     """The numpy dtype of ``--dtype`` (``None`` when the flag was not
-    given: engines keep their fp64 default and non-precision-lane engines
-    stay usable)."""
+    given: engines keep their fp64 default)."""
     name = getattr(args, "dtype", None)
     return None if name is None else _DTYPE_FLAGS[name]
+
+
+class _BadMatrix(Exception):
+    """A ``MATRIX`` argument that is neither a suite name nor a readable
+    Matrix Market file; :func:`main` prints it and exits 2."""
 
 
 def _load_matrix(spec):
@@ -82,7 +86,10 @@ def _load_matrix(spec):
 
     if spec in suite_names():
         return get_entry(spec).builder()
-    return read_matrix_market(spec)
+    try:
+        return read_matrix_market(spec)
+    except (OSError, ValueError) as exc:
+        raise _BadMatrix(f"cannot read matrix {spec!r}: {exc}") from exc
 
 
 def _analyzed(spec, ordering):
@@ -144,9 +151,7 @@ def cmd_analyze(args):
 
 def cmd_factorize(args):
     from .analysis import format_table
-    from .gpu import MachineModel, SimulatedGpu, Tracer
-    from .gpu.device import Timeline
-    from .numeric import DEFAULT_DEVICE_MEMORY
+    from .gpu import Tracer
     from .numeric.registry import resolve
 
     tracer = Tracer() if args.gantt or args.trace else None
@@ -155,20 +160,13 @@ def cmd_factorize(args):
                                threshold=args.threshold, dtype=_cli_dtype(args),
                                device_memory=args.device_memory or None)
         if tracer is not None:
-            if "tracer" in spec.accepts:
-                # modeled stream lanes or measured worker lanes
-                kwargs["tracer"] = tracer
-            elif "device" in spec.accepts:
-                # the serial offload loops drive a device handed to them
-                machine = MachineModel()
-                kwargs.update(machine=machine, device=SimulatedGpu(
-                    kwargs.pop("device_memory", DEFAULT_DEVICE_MEMORY),
-                    machine=machine, timeline=Timeline(tracer=tracer)))
-            else:
+            if "tracer" not in spec.accepts:
                 # refuse loudly instead of exiting 0 with no trace written
                 raise ValueError(
                     "--gantt/--trace need a timeline: an engine that "
-                    f"accepts tracer= or device=, not --engine {spec.name}")
+                    f"accepts tracer=, not --engine {spec.name}")
+            # modeled device lanes or measured worker lanes
+            kwargs["tracer"] = tracer
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -330,12 +328,6 @@ def cmd_serve(args):
         return 2
     if args.gateway:
         return _cmd_serve_gateway(args, engine)
-    if not args.stream:
-        print("closed-batch serving lives under `python -m repro batch`; "
-              "pass --stream for the streaming ServingSession demo or "
-              "--gateway for the multi-tenant gateway demo",
-              file=sys.stderr)
-        return 2
     A = _load_matrix(args.matrix)
     rng = np.random.default_rng(args.seed)
     datas = spd_value_sweep(A, args.count, seed=args.seed)
@@ -738,8 +730,8 @@ def build_parser():
                          "simulated-GPU streams (modeled offload)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization "
-                         "(RL/RLB engine families; fp32 halves factor "
-                         "memory and runs single-precision BLAS)")
+                         "(fp32 halves factor memory and runs "
+                         "single-precision BLAS)")
     sp.add_argument("--gantt", action="store_true",
                     help="print an ASCII Gantt chart of the timeline")
     sp.add_argument("--trace", metavar="FILE",
@@ -788,18 +780,13 @@ def build_parser():
                     help="right-hand sides per matrix")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
-                    help="numeric precision of the batched factorizations "
-                         "(RL/RLB engine families)")
+                    help="numeric precision of the batched factorizations")
     common(sp)
 
     sp = sub.add_parser("serve",
                         help="streaming same-pattern serving "
                              "(ServingSession / Gateway demos)")
     sp.add_argument("matrix")
-    sp.add_argument("--stream", action="store_true",
-                    help="run the streaming ServingSession demo "
-                         "(matrices submitted one at a time; closed "
-                         "batches live under `batch`)")
     sp.add_argument("--gateway", action="store_true",
                     help="run the multi-tenant Gateway demo instead: "
                          "N tenants submit a Zipf-popular mix of M "
@@ -833,7 +820,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the served factorizations "
-                         "(session-wide; RL/RLB engine families)")
+                         "(session-wide)")
     sp.add_argument("--trace", metavar="FILE",
                     help="write a Chrome/Perfetto trace (request spans, "
                          "analysis spans and in-flight counters for "
@@ -900,7 +887,11 @@ _COMMANDS = {
 def main(argv=None):
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _BadMatrix as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -324,11 +324,3 @@ class SimulatedGpu:
         _dk.gemm_nt(a, b, out=out)
         return self._issue("gemm", a.shape[0], b.shape[0], a.shape[1],
                            src, dst)
-
-    def syrk_sub(self, buf, rect, target):
-        """Device DSYRK-accumulate: ``target -= rect @ rect^T`` (lower
-        triangle valid) within the same buffer — the Schur-complement update
-        of a multifrontal front."""
-        u = _dk.syrk_lower(rect)
-        target[:u.shape[0], :u.shape[1]] -= u
-        return self._issue("syrk", 0, rect.shape[0], rect.shape[1], buf)

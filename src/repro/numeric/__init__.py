@@ -1,5 +1,5 @@
 """Numeric factorization engines: RL / RLB (CPU), their GPU-offloaded
-variants, baselines, and factor storage."""
+variants, the left-looking offload ablation, and factor storage."""
 
 from .storage import FactorStorage, ScatterPlan
 from .result import CpuCostAccumulator, FactorizeResult
@@ -36,14 +36,7 @@ from .procpool import (
     close_default_pools,
 )
 from .blas_limits import BLAS_ENV_VARS, limit_blas_threads, pinned_blas_env
-from .left_looking import factorize_left_looking
 from .left_looking_gpu import factorize_left_looking_gpu
-from .multifrontal import (
-    factorize_multifrontal,
-    factorize_multifrontal_gpu,
-    front_relative_indices,
-    peak_front_entries,
-)
 from .simplicial import simplicial_cholesky
 from .planner import MemoryPlan, plan, predict_peak_device_bytes
 from .updown import (
@@ -79,12 +72,7 @@ __all__ = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "factorize_left_looking",
     "factorize_left_looking_gpu",
-    "factorize_multifrontal",
-    "factorize_multifrontal_gpu",
-    "front_relative_indices",
-    "peak_front_entries",
     "simplicial_cholesky",
     "assemble_update",
     "update_workspace_entries",

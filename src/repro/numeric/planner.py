@@ -11,8 +11,7 @@ each GPU engine's peak device working set from the structure alone:
   small blocks ever coexist on the device — the low-memory design);
 * **RLB v1**: panel + *all* pair buffers of the supernode (≈ the lower
   triangle of the full update matrix — why the paper says v1 has no
-  advantage over RL);
-* **multifrontal**: the full ``m²`` front.
+  advantage over RL).
 
 ``plan()`` compares the predictions against a device capacity and
 recommends the fastest feasible engine, reproducing the paper's
@@ -37,7 +36,7 @@ from .threshold import (
 __all__ = ["predict_peak_device_bytes", "MemoryPlan", "plan"]
 
 #: Engines the planner understands, in the paper's preference order.
-_ENGINES = ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1", "multifrontal_gpu")
+_ENGINES = ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1")
 
 
 def _offloaded(symb, machine, threshold):
@@ -53,9 +52,8 @@ def predict_peak_device_bytes(symb, *, method="rl_gpu", machine=None,
     """Predicted peak device memory (dilated bytes) of ``method``.
 
     Returns 0.0 when no supernode crosses the threshold.  The prediction is
-    an upper bound that is tight for RL and the multifrontal method (their
-    working sets are deterministic) and within the double-buffering slack
-    for RLB v2.
+    an upper bound that is tight for RL (its working set is deterministic)
+    and within the double-buffering slack for RLB v2.
     """
     if method not in _ENGINES:
         raise ValueError(f"unknown method {method!r}; one of {_ENGINES}")
@@ -69,9 +67,7 @@ def predict_peak_device_bytes(symb, *, method="rl_gpu", machine=None,
         panel = machine.scaled_bytes(8.0 * m * w)
         if method == "rl_gpu":
             need = panel + machine.scaled_bytes(8.0 * b * b)
-        elif method == "multifrontal_gpu":
-            need = machine.scaled_bytes(8.0 * m * m)
-        elif method in ("rlb_gpu_v1", "rlb_gpu_v2"):
+        else:
             index = pair_index(symb)
             pairs = slice(index.pair_ptr[s], index.pair_ptr[s + 1])
             entries = index.blk_len[index.upper[pairs]] * index.blk_len[index.lower[pairs]]
@@ -81,8 +77,6 @@ def predict_peak_device_bytes(symb, *, method="rl_gpu", machine=None,
                 need = panel + sum(sizes)
             else:
                 need = panel + sum(sizes[:inflight])
-        else:
-            raise ValueError(f"unknown method {method!r}")
         peak = max(peak, need)
     return peak
 

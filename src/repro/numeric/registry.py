@@ -12,9 +12,9 @@ served, and every door gives the same answer.
 ``family`` names the task DAG a row belongs to (``"rl"`` — the coarse DAG,
 the per-supernode RL bodies; ``"rlb"`` — the fine DAG, one body per block
 pair; the CPU backends schedule whole task ranges of either,
-:mod:`repro.symbolic.ranges`; ``None`` for engines with no DAG twin: the
-baselines and the paper's negative-result ``rlb_gpu_v1``).  ``backend``
-names what schedules it:
+:mod:`repro.symbolic.ranges`; ``None`` for the one row with no DAG twin,
+the paper's negative-result ``rlb_gpu_v1``).  ``backend`` names what
+schedules it:
 
 ``"serial"``
     One supernode after another on the host; modeled best-over-threads
@@ -27,8 +27,8 @@ names what schedules it:
     Offload to the simulated device; modeled seconds.  For the two
     families this is the task DAG on a
     :class:`~repro.numeric.executor.GpuStreamBackend`
-    (:mod:`repro.numeric.gpu_dag`), for the family-less rows a serial loop
-    driving one device (``device=``).
+    (:mod:`repro.numeric.gpu_dag`); ``rlb_gpu_v1`` is a serial loop
+    driving one device.
 ``"process"``
     The task DAG drained by a persistent worker-process pool over
     shared-memory panels (:mod:`repro.numeric.procpool`).
@@ -50,9 +50,6 @@ from typing import Callable
 from ..dense.kernels import check_dtype
 from .executor import _FAMILY, factorize_executor
 from .gpu_dag import factorize_gpu_dag
-from .left_looking import factorize_left_looking
-from .left_looking_gpu import factorize_left_looking_gpu
-from .multifrontal import factorize_multifrontal, factorize_multifrontal_gpu
 from .procpool import factorize_process
 from .rl import factorize_rl_cpu
 from .rlb import factorize_rlb_cpu
@@ -136,10 +133,6 @@ _ROWS = (
     _row("rl_proc", factorize_process, "rl", "process", "coarse DAG on worker processes"),
     _row("rlb_proc", factorize_process, "rlb", "process", "fine DAG on worker processes"),
     _row("rlb_gpu_v1", factorize_rlb_gpu_v1, None, "gpu", "RLB offload v1: one batched D2H"),
-    _row("left_looking", factorize_left_looking, None, "serial", "left-looking baseline"),
-    _row("left_looking_gpu", factorize_left_looking_gpu, None, "gpu", "left-looking + offload"),
-    _row("multifrontal", factorize_multifrontal, None, "serial", "multifrontal baseline"),
-    _row("multifrontal_gpu", factorize_multifrontal_gpu, None, "gpu", "multifrontal + offload"),
 )
 
 #: Engine name -> :class:`EngineSpec`; the single source of truth.  Rows

@@ -117,19 +117,19 @@ def rlb_drain_pair(gpu, machine, cpu_t, acc, item):
 def factorize_rlb_gpu_v1(symb, A, *, machine=None,
                          threshold=DEFAULT_RLB_THRESHOLD,
                          device_memory=DEFAULT_DEVICE_MEMORY,
-                         device=None, dtype=None):
+                         tracer=None, dtype=None):
     """RLB version 1 (engine ``rlb_gpu_v1``): large supernodes offloaded to
     the (simulated) GPU, every pair's update matrix held on the device
     until one *batched* D2H returns them all.
 
     ``threshold`` is in dilated panel entries (directly comparable to the
     paper's 750,000); supernodes below it run plain RLB on the host.
-    ``device`` is an existing :class:`~repro.gpu.device.SimulatedGpu` to
-    run on (overrides ``device_memory``).
+    ``tracer`` (a :class:`~repro.gpu.trace.Tracer`) records the timeline's
+    ``cpu`` / ``gpu`` / ``copy_in`` / ``copy_out`` lanes.
     """
     machine = machine or MachineModel()
-    gpu = device or SimulatedGpu(device_memory, machine=machine,
-                                 timeline=Timeline())
+    gpu = SimulatedGpu(device_memory, machine=machine,
+                       timeline=Timeline(tracer=tracer))
     timeline = gpu.timeline
     cpu_t = machine.gpu_run_cpu_threads
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)

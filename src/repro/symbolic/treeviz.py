@@ -1,12 +1,12 @@
 """ASCII rendering and shape statistics of supernodal elimination trees.
 
 The shape of the supernodal elimination tree decides everything downstream:
-wide independent subtrees mean parallelism (task-DAG overlap, multifrontal
-stack reuse), a heavy separator chain near the root means the offloaded
-work serializes, and the per-depth panel sizes are exactly what the
-CPU/GPU threshold slices.  ``render_tree`` draws the tree (largest panels
-first, optionally truncated), ``tree_stats`` summarizes depth, branching
-and where the flops live.
+wide independent subtrees mean parallelism (task-DAG overlap), a heavy
+separator chain near the root means the offloaded work serializes, and the
+per-depth panel sizes are exactly what the CPU/GPU threshold slices.
+``render_tree`` draws the tree (largest panels first, optionally
+truncated), ``tree_stats`` summarizes depth, branching and where the flops
+live.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ DOCUMENTED_TOP_LEVEL = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "factorize_multifrontal",
     "rank1_update",
     "rank_k_update",
     "memory_plan",

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis import COST_CLASSES, breakdown, render_breakdowns
 from repro.cli import build_parser, main
 from repro.numeric.registry import BACKENDS
-from repro.sparse import grid_laplacian
+from repro.sparse import get_entry, grid_laplacian
 from repro.sparse.io import write_matrix_market
 from repro.symbolic import analyze
 
@@ -113,6 +113,22 @@ class TestCommands:
         data = json.loads(trace.read_text())
         assert any(r.get("ph") == "X" for r in data)
 
+    def test_factorize_v1_gantt_and_trace(self, tmp_path, capsys):
+        """``rlb_gpu_v1`` takes the tracer like every gpu row: its serial
+        loop's timeline draws all four lanes, at the untraced seconds."""
+        from repro.numeric.rlb_gpu import factorize_rlb_gpu_v1
+
+        trace = tmp_path / "v1.json"
+        assert main(["factorize", SMALL, "--engine", "rlb_gpu_v1", "--threshold", "0",
+                     "--gantt", "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        for lane in ("cpu", "gpu", "copy_in", "copy_out"):
+            assert any(line.split("|")[0].strip() == lane for line in out.splitlines()), lane
+        assert any(r.get("ph") == "X" for r in json.loads(trace.read_text()))
+        system = analyze(get_entry(SMALL).builder())
+        seconds = factorize_rlb_gpu_v1(system.symb, system.matrix, threshold=0).modeled_seconds
+        assert f"modeled seconds {seconds:.4f}" in " ".join(out.split())
+
     def test_factorize_unknown_method(self, capsys):
         assert main(["factorize", SMALL, "--engine", "nope"]) == 2
 
@@ -201,3 +217,21 @@ def test_plan_cmd(capsys):
     assert main(["plan", "nlpkkt120"]) == 0
     out = capsys.readouterr().out
     assert "rlb_gpu_v2" in out and "recommended" in out
+
+
+@pytest.mark.parametrize("command", [
+    "analyze", "factorize", "solve", "batch", "serve", "update", "breakdown", "plan",
+])
+@pytest.mark.parametrize("content", [None, "not a matrix\n"], ids=["missing", "malformed"])
+def test_unreadable_matrix_exits_2(tmp_path, capsys, command, content):
+    """A ``MATRIX`` that is neither a suite name nor a readable Matrix Market
+    file is one line on stderr and exit 2, like any other bad argument."""
+    path = tmp_path / "nope.mtx"
+    if content is not None:
+        path.write_text(content)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(f"cannot read matrix {str(path)!r}")
+    assert len(err.splitlines()) == 1

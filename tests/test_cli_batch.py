@@ -119,24 +119,25 @@ class TestSolveWorkers:
 
 class TestServeCommand:
     def test_stream_demo(self, capsys):
-        assert main(["serve", SMALL, "--stream", "--count", "3",
-                     "--workers", "2"]) == 0
+        assert main(["serve", SMALL, "--count", "3", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "Streaming serving session" in out
         assert "bit-identical to serial" in out
         assert "first-result latency" in out
         assert "worst relative residual" in out
 
-    def test_stream_flag_required(self, capsys):
-        assert main(["serve", SMALL]) == 2
-        assert "--stream" in capsys.readouterr().err
+    def test_stream_flag_is_gone(self, capsys):
+        # a bare `serve` is the session demo; there is no flag to ask for it
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", SMALL, "--stream"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
     def test_flag_validation(self, capsys):
-        assert main(["serve", SMALL, "--stream", "--engine", "rl",
-                     "--workers", "2"]) == 2
-        assert main(["serve", SMALL, "--stream", "--count", "0"]) == 2
-        assert main(["serve", SMALL, "--stream", "--workers", "0"]) == 2
-        assert main(["serve", SMALL, "--stream", "--engine", "nope"]) == 2
+        assert main(["serve", SMALL, "--engine", "rl", "--workers", "2"]) == 2
+        assert main(["serve", SMALL, "--count", "0"]) == 2
+        assert main(["serve", SMALL, "--workers", "0"]) == 2
+        assert main(["serve", SMALL, "--engine", "nope"]) == 2
         err = capsys.readouterr().err
         assert "workers= is not accepted by engine 'rl'" in err
         assert "--count must be >= 1" in err
@@ -147,7 +148,7 @@ class TestServeCommand:
         args = build_parser().parse_args(["serve", "x"])
         assert args.engine == "rlb_par"
         assert args.count == 8
-        assert not args.stream
+        assert not args.gateway
 
 
 def test_batch_command_registered():

@@ -52,18 +52,16 @@ CLI_FLAGS = {
 
 #: What the ``kind`` / ``supports_dtype`` rules allowed, per engine, out of
 #: {workers, threshold, dtype, tracer} — typed in here as the independent
-#: record; ``rl_gpu`` / ``rlb_gpu_v2`` now also take ``tracer`` (they are
-#: the stream rows).  No engine takes ``devices`` any more.
+#: record; the gpu rows also take ``tracer`` (``rlb_gpu_v1`` records its
+#: serial loop's timeline through it, the others are the stream rows).  No
+#: engine takes ``devices`` any more.
 _CPU = {"dtype"}
 _PAR = {"workers", "dtype", "tracer"}
 _STREAM = {"threshold", "dtype", "tracer"}
 CAPABILITIES = {
     "rl": _CPU, "rlb": _CPU,
     "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
-    "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM,
-    "rlb_gpu_v1": {"threshold", "dtype"},
-    "left_looking": set(), "multifrontal": set(),
-    "left_looking_gpu": {"threshold"}, "multifrontal_gpu": {"threshold"},
+    "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM, "rlb_gpu_v1": _STREAM,
 }
 
 
@@ -112,6 +110,15 @@ def test_capabilities_are_the_parents():
         assert got == CAPABILITIES[name], name
 
 
+def test_nine_rows_all_take_dtype_none_takes_device():
+    """The paper's {rl, rlb} x {serial, threads, gpu, process} rows plus
+    ``rlb_gpu_v1``: every row is in the precision lane, and a trace reaches
+    a row through ``tracer=`` only — no row is handed a device."""
+    assert len(ENGINES) == 9
+    assert all("dtype" in spec.accepts for spec in ENGINES.values())
+    assert not any("device" in spec.accepts for spec in ENGINES.values())
+
+
 @pytest.mark.parametrize("option", sorted(OPTIONS))
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_api_doors_agree(plan, name, option):
@@ -147,8 +154,7 @@ def test_cli_doors_agree(matrix_file, capsys, name, option):
     commands = {
         "factorize": ["factorize", matrix_file, "--engine", name],
         "batch": ["batch", matrix_file, "--engine", name, "--batch", "2"],
-        "serve": ["serve", matrix_file, "--engine", name, "--stream",
-                  "--count", "2"],
+        "serve": ["serve", matrix_file, "--engine", name, "--count", "2"],
     }
     if option == "threshold":
         del commands["batch"]  # no --threshold flag there
@@ -161,13 +167,11 @@ def test_cli_doors_agree(matrix_file, capsys, name, option):
             assert code == 0, (command, err)
 
 
-@pytest.mark.parametrize("name,dtype", [
-    *((name, None) for name in sorted(ENGINES)),
-    *((name, np.float32) for name in sorted(ENGINES) if "dtype" in ENGINES[name].accepts),
-])
+@pytest.mark.parametrize("dtype", [None, np.float32], ids=["None", "float32"])
+@pytest.mark.parametrize("name", sorted(ENGINES))
 def test_every_row_serves_the_direct_bits(plan, name, dtype):
-    """A session and a gateway run any registered row (fp32 too where the
-    row takes ``dtype=``); each served solution is
+    """A session and a gateway run any registered row, in fp64 and fp32;
+    each served solution is
     ``plan.factorize(engine=name).solve(b)`` bit for bit."""
     A = plan.matrix
     b = np.random.default_rng(3).standard_normal(plan.n)
@@ -275,10 +279,13 @@ def _refused_at_every_door(plan, matrix_file, capsys, retired):
         assert _outcome(call) == want, door
 
     flag = f"--{key}"
-    for argv in (["factorize", matrix_file, flag, value],
-                 ["solve", matrix_file, flag, value],
-                 ["batch", matrix_file, flag, value, "--batch", "2"],
-                 ["serve", matrix_file, flag, value, "--stream", "--count", "2"]):
+    commands = [["factorize", matrix_file, flag, value],
+                ["solve", matrix_file, flag, value],
+                ["batch", matrix_file, flag, value, "--batch", "2"],
+                ["serve", matrix_file, flag, value, "--count", "2"]]
+    if key == "engine":
+        commands.append(["update", matrix_file, flag, value])
+    for argv in commands:
         if key == "engine":
             assert main(argv) == 2, argv[0]
             assert capsys.readouterr().err.strip() == want, argv[0]
@@ -296,8 +303,17 @@ def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, ret
     """The CPU-worker + GPU-stream lane is gone: its engine names and its
     backend name are one registry ``ValueError`` at every door."""
     assert sorted(BACKENDS) == ["gpu", "process", "threads"]
-    assert len(ENGINES) == 13
     _refused_at_every_door(plan, matrix_file, capsys, retired)
+
+
+@pytest.mark.parametrize(
+    "name", ["left_looking", "left_looking_gpu", "multifrontal", "multifrontal_gpu"]
+)
+def test_the_baselines_are_refused_at_every_door(plan, matrix_file, capsys, name):
+    """The left-looking and multifrontal baselines are not paper engines:
+    their names are unknown engines at every door, like any other name the
+    registry lacks."""
+    _refused_at_every_door(plan, matrix_file, capsys, {"engine": name})
 
 
 @pytest.mark.parametrize("name", ["rl_gpu_dag", "rlb_gpu_dag"])
@@ -334,7 +350,7 @@ def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):
             door()
 
     for argv in (["factorize", matrix_file], ["batch", matrix_file],
-                 ["solve", matrix_file], ["serve", matrix_file, "--stream"]):
+                 ["solve", matrix_file], ["serve", matrix_file]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--devices", "2"])
         assert exc.value.code == 2, argv[0]

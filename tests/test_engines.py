@@ -7,7 +7,6 @@ import pytest
 
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import (
-    factorize_left_looking,
     factorize_rl_cpu,
     factorize_rlb_cpu,
     simplicial_cholesky,
@@ -17,7 +16,7 @@ from repro.sparse import grid_laplacian, random_spd, vector_stencil
 from repro.symbolic import analyze
 from tests.conftest import assert_factor_matches, dense_chol_lower
 
-ENGINES = [factorize_rl_cpu, factorize_rlb_cpu, factorize_left_looking]
+ENGINES = [factorize_rl_cpu, factorize_rlb_cpu]
 
 
 @pytest.fixture(scope="module", params=["grid", "vec", "random", "aniso"])
@@ -107,8 +106,3 @@ class TestResultMetadata:
         # raw flop identity holds exactly; dilation weights kernels by size,
         # so compare within a tolerance
         assert rlb.flops == pytest.approx(rl.flops, rel=0.35)
-
-    def test_left_looking_fields(self, system):
-        res = factorize_left_looking(system.symb, system.matrix)
-        assert res.method == "left_looking"
-        assert res.assembly_bytes > 0

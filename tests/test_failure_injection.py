@@ -10,10 +10,7 @@ from repro.dense import NotPositiveDefiniteError
 from repro.gpu import DeviceOutOfMemory, MachineModel, SimulatedGpu
 from repro.gpu.device import Timeline
 from repro.numeric import (
-    factorize_left_looking,
     factorize_left_looking_gpu,
-    factorize_multifrontal,
-    factorize_multifrontal_gpu,
     factorize_rl_cpu,
     factorize_rl_gpu,
     factorize_rlb_cpu,
@@ -25,15 +22,12 @@ from repro.symbolic import analyze
 ALL_ENGINES = [
     ("rl", factorize_rl_cpu, {}),
     ("rlb", factorize_rlb_cpu, {}),
-    ("left_looking", factorize_left_looking, {}),
-    ("multifrontal", factorize_multifrontal, {}),
     ("rl_gpu", factorize_rl_gpu, dict(device_memory=10 ** 13)),
     ("rlb_gpu_v1", factorize_rlb_gpu,
      dict(version=1, device_memory=10 ** 13)),
     ("rlb_gpu_v2", factorize_rlb_gpu,
      dict(version=2, device_memory=10 ** 13)),
     ("ll_gpu", factorize_left_looking_gpu, dict(device_memory=10 ** 13)),
-    ("mf_gpu", factorize_multifrontal_gpu, dict(device_memory=10 ** 13)),
 ]
 
 

@@ -580,8 +580,8 @@ def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
 
 @pytest.mark.parametrize("kwargs", [
     {"engine": "nope"}, {"engine": "rl", "threshold": 1},
-    {"backend": "nope"}, {"engine": "left_looking", "dtype": np.float32},
-], ids=["unknown-engine", "rl-threshold", "unknown-backend", "left_looking-fp32"])
+    {"backend": "nope"},
+], ids=["unknown-engine", "rl-threshold", "unknown-backend"])
 def test_bad_engine_fails_at_construction(kwargs):
     """A gateway's engine options are resolved once, when it is built: the
     registry's ``ValueError`` is raised there, not on every request after

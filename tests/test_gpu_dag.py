@@ -204,7 +204,7 @@ class TestRegistryAndApi:
         with pytest.raises(ValueError, match="unknown backend"):
             backend_engine("rl_par", "quantum")
         with pytest.raises(ValueError, match="family"):
-            backend_engine("multifrontal", "gpu")
+            backend_engine("rlb_gpu_v1", "gpu")
 
     def test_plan_factorize_backend(self, system):
         import repro

@@ -1,6 +1,6 @@
 """Cross-engine integration and whole-pipeline property tests.
 
-The strongest invariant in the system: all six factorization engines must
+The strongest invariant in the system: all five factorization engines must
 produce the same factor, and that factor must solve linear systems to
 near-machine accuracy through the whole ordering/merging/refinement
 pipeline.
@@ -12,7 +12,6 @@ import repro
 from hypothesis import given, settings, strategies as st
 
 from repro.numeric import (
-    factorize_left_looking,
     factorize_rl_cpu,
     factorize_rl_gpu,
     factorize_rlb_cpu,
@@ -34,7 +33,6 @@ BIG_MEM = 10 ** 15
 ALL_ENGINES = {
     "rl": lambda s, m: factorize_rl_cpu(s, m),
     "rlb": lambda s, m: factorize_rlb_cpu(s, m),
-    "left_looking": lambda s, m: factorize_left_looking(s, m),
     "rl_gpu": lambda s, m: factorize_rl_gpu(s, m, device_memory=BIG_MEM),
     "rlb_gpu_v1": lambda s, m: factorize_rlb_gpu(s, m, version=1,
                                                  device_memory=BIG_MEM),

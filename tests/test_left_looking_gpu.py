@@ -1,4 +1,5 @@
-"""Tests for the CHOLMOD-style left-looking GPU variant."""
+"""Tests for the CHOLMOD-style left-looking GPU variant (an ablation the
+left-vs-right benchmark reads; not a registry row)."""
 
 from __future__ import annotations
 
@@ -7,11 +8,8 @@ import pytest
 
 from repro.gpu import DeviceOutOfMemory, MachineModel, SimulatedGpu
 from repro.gpu.device import Timeline
-from repro.numeric import (
-    factorize_left_looking,
-    factorize_left_looking_gpu,
-    factorize_rl_cpu,
-)
+from repro.numeric import factorize_left_looking_gpu, factorize_rl_cpu
+from repro.solve import solve_factored
 from repro.sparse import grid_laplacian, random_spd
 from repro.symbolic import analyze
 
@@ -32,13 +30,16 @@ class TestCorrectness:
                                          threshold=thr, device_memory=BIG)
         assert_factor_matches(res, system)
 
-    def test_matches_cpu_left_looking(self, system):
+    def test_matches_rl(self, system):
+        """The same panels as RL's; the strict upper triangle of a diagonal
+        block is scratch that neither engine defines, so ``np.tril`` keeps
+        the factor's lower trapezoid."""
         g = factorize_left_looking_gpu(system.symb, system.matrix,
                                        threshold=0, device_memory=BIG)
-        c = factorize_left_looking(system.symb, system.matrix)
+        c = factorize_rl_cpu(system.symb, system.matrix)
         for s in range(system.symb.nsup):
-            np.testing.assert_allclose(g.storage.panel(s),
-                                       c.storage.panel(s), atol=1e-12)
+            np.testing.assert_allclose(np.tril(g.storage.panel(s)),
+                                       np.tril(c.storage.panel(s)), atol=1e-12)
 
     def test_random_spd(self):
         system = analyze(random_spd(80, density=0.08, seed=13))
@@ -96,11 +97,11 @@ class TestOffloadBehaviour:
 
 class TestSolverIntegration:
     def test_driver_method(self):
-        import repro
-
         A = grid_laplacian((6, 6, 2))
+        system = analyze(A)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(A.n)
-        factor = repro.plan(A).factorize(engine="left_looking_gpu")
-        x = factor.solve(b)
-        assert factor.residual_norm(x, b) < 1e-10
+        res = factorize_left_looking_gpu(system.symb, system.matrix)
+        x = np.empty_like(b)
+        x[system.perm] = solve_factored(res.storage, b[system.perm])
+        assert np.linalg.norm(b - A.matvec(x)) / np.linalg.norm(b) < 1e-10

@@ -7,7 +7,6 @@ import pytest
 from repro.gpu import DeviceOutOfMemory
 from repro.numeric import (
     DEFAULT_DEVICE_MEMORY,
-    factorize_multifrontal_gpu,
     factorize_rl_gpu,
     factorize_rlb_gpu,
     plan,
@@ -35,15 +34,6 @@ class TestPredictions:
         pred = predict_peak_device_bytes(system.symb, method="rl_gpu",
                                          threshold=thr)
         meas = measured_peak(system, factorize_rl_gpu, threshold=thr)
-        assert pred == pytest.approx(meas, rel=1e-12)
-
-    @pytest.mark.parametrize("thr", [0, 20_000])
-    def test_multifrontal_prediction_is_exact(self, system, thr):
-        pred = predict_peak_device_bytes(system.symb,
-                                         method="multifrontal_gpu",
-                                         threshold=thr)
-        meas = measured_peak(system, factorize_multifrontal_gpu,
-                             threshold=thr)
         assert pred == pytest.approx(meas, rel=1e-12)
 
     @pytest.mark.parametrize("thr", [0, 20_000])
@@ -100,14 +90,12 @@ class TestPlan:
     def test_everything_fits_big_device(self, system):
         mp = plan(system.symb, device_memory=BIG)
         assert mp.recommended == "rl_gpu"
-        assert set(mp.feasible) == {"rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1",
-                                    "multifrontal_gpu"}
+        assert set(mp.feasible) == {"rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"}
 
     def test_nothing_fits_tiny_device(self, system):
         mp = plan(system.symb, device_memory=1.0,
                   thresholds={m: 0 for m in
-                              ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1",
-                               "multifrontal_gpu")})
+                              ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1")})
         assert mp.feasible == []
         assert mp.recommended is None
 

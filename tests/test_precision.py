@@ -132,13 +132,6 @@ class TestDtypeValidation:
         with pytest.raises(UnsupportedDtypeError):
             repro.plan(base_matrix).factorize(dtype=np.complex128)
 
-    def test_api_rejects_non_lane_engine(self, base_matrix):
-        with pytest.raises(ValueError,
-                           match="dtype= is not accepted by engine "
-                                 "'left_looking'"):
-            repro.plan(base_matrix).factorize(engine="left_looking",
-                                              dtype=np.float32)
-
     def test_serve_rejects_unsupported_dtype(self, base_matrix):
         # serve() only admits task-DAG engines (all in the precision
         # lane), so its dtype guard is the UnsupportedDtypeError path
@@ -391,10 +384,6 @@ class TestCliPrecision:
                          "--dtype", "fp32"]) == 0
         out = capsys.readouterr().out
         assert "precision = float32" in out and "refined residual" in out
-
-    def test_non_lane_method_exits_2(self, capsys):
-        assert cli_main(["factorize", "Fault_639", "--engine",
-                         "left_looking", "--dtype", "fp32"]) == 2
 
     def test_parser_rejects_unknown_dtype(self):
         with pytest.raises(SystemExit):
