@@ -2,8 +2,8 @@
 
 Runs every registry row once, under its one name — the paper's RL/RLB
 on the host, on worker threads and processes, and offloaded to the GPU
-(the stream DAGs and RLB version 1) — on one suite matrix, verifying that
-every factor is identical,
+(the paper's offload loops: RL, RLB versions 2 and 1) — on one suite
+matrix, verifying that every factor is identical,
 then prints the modeled-time comparison, the per-kernel-class breakdown,
 and the memory planner's feasibility report.
 

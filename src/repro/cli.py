@@ -182,10 +182,7 @@ def cmd_factorize(args):
     ]
     if res.best_threads:
         rows.append(("best MKL threads", str(res.best_threads)))
-    if res.extra.get("backend") == "gpu":
-        rows.append(("task granularity (stream DAG)", res.extra["granularity"]))
-        rows.append(("DAG tasks", str(res.extra["tasks"])))
-    elif "start_method" in res.extra:
+    if "start_method" in res.extra:
         rows.append(("workers (process DAG)", str(res.extra["workers"])))
         rows.append(("start method", res.extra["start_method"]))
         rows.append(("task granularity", res.extra["granularity"]))
@@ -725,9 +722,9 @@ def build_parser():
                          "process engines (real wall-clock parallelism)")
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
-                    help="run the engine's task DAG on this substrate: "
+                    help="run the engine's family on this substrate: "
                          "worker threads or processes (measured), or "
-                         "simulated-GPU streams (modeled offload)")
+                         "the simulated GPU (modeled offload)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization "
                          "(fp32 halves factor memory and runs "
@@ -751,8 +748,8 @@ def build_parser():
                          "solves with this many threads and report "
                          "serial-vs-parallel solve timings (bit-identical)")
     sp.add_argument("--backend", default=None, choices=["gpu"],
-                    help="offload both phases: factorize on the stream "
-                         "DAG engine and solve via the solve graphs on "
+                    help="offload both phases: factorize on the gpu "
+                         "engine and solve via the solve graphs on "
                          "simulated-GPU streams (prints the offload "
                          "estimate)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
@@ -773,7 +770,7 @@ def build_parser():
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
                     help="scheduling substrate for the batch's task-DAG "
-                         "engine (gpu = modeled stream offload per matrix)")
+                         "engine (gpu = modeled offload per matrix)")
     sp.add_argument("--batch", type=int, default=8,
                     help="number of same-pattern matrices (default: 8)")
     sp.add_argument("--rhs", type=int, default=1,
@@ -800,9 +797,9 @@ def build_parser():
     sp.add_argument("--backend", default=None,
                     choices=backend_names,
                     help="scheduling substrate for the serving engine "
-                         "(gpu = modeled stream offload)")
+                         "(gpu = modeled offload)")
     sp.add_argument("--threshold", type=int, default=None,
-                    help="GPU offload threshold (stream engines)")
+                    help="GPU offload threshold (gpu engines)")
     sp.add_argument("--count", type=int, default=8,
                     help="number of streamed matrices / gateway requests "
                          "(default: 8)")

@@ -19,15 +19,11 @@ from .rlb import (
 )
 from .executor import (
     factorize_executor,
-    GpuStreamBackend,
     GRANULARITIES,
     default_workers,
 )
-from .gpu_dag import (
-    factorize_gpu_dag,
-    factorize_rl_gpu,
-    factorize_rlb_gpu,
-)
+from .rl_gpu import factorize_rl_gpu
+from .rlb_gpu import factorize_rlb_gpu
 from .procpool import (
     ProcessPool,
     WorkerDiedError,
@@ -83,8 +79,6 @@ __all__ = [
     "commit_block_pair",
     "block_pair_targets",
     "factorize_executor",
-    "factorize_gpu_dag",
-    "GpuStreamBackend",
     "ProcessPool",
     "WorkerDiedError",
     "factorize_process",

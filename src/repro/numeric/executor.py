@@ -37,10 +37,8 @@ it (RL's assembly index, RLB's pair index) on
 :meth:`SymbolicFactor.cache`, so repeated same-pattern refactorization
 (``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
 thread and process substrates read it at the pattern's
-:func:`~repro.symbolic.ranges.task_ranges`, the stream substrate at the
-trivial partition (the offload mask and modeled seconds are per
-supernode).  One graph runs on one substrate: threads, processes or
-simulated-GPU streams, never a mix.  :class:`StreamPool` is the single
+:func:`~repro.symbolic.ranges.task_ranges`.  One graph runs on one
+substrate, threads or processes, never a mix.  :class:`StreamPool` is the single
 threaded dispatch loop: a shared ready queue of ``(graph, task)`` entries
 drained by ``workers`` threads, any number of graphs in flight, a failing
 graph (a non-SPD matrix) failing only its own ``on_error`` callback, never
@@ -58,20 +56,16 @@ the pool.
   overlap.  A closed batch (:meth:`repro.api.SymbolicPlan.factorize_batch`)
   is a loop of factorizations, one graph after another.
 
-:class:`GpuStreamBackend` is not threaded at all: one host thread pops a
-priority heap, which is the paper's schedule.
-
 Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor`
 records every task's measured start/stop interval on a per-worker-thread
 lane, so real thread occupancy can be laid next to the *modeled* Gantt
-charts of the stream backend (CLI: ``factorize --workers N --trace
+charts of the offload engines (CLI: ``factorize --workers N --trace
 out.json``).
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import operator
 import os
 import threading
@@ -82,8 +76,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dense.kernels import factor_routines
-from ..gpu.costmodel import MachineModel
-from ..gpu.device import SimulatedGpu, Timeline
 from ..symbolic.blocks import pair_index
 from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
@@ -91,12 +83,10 @@ from .result import cpu_cost
 from .rl import _assemble, apply_run, factor_snode, factor_update, park_runs
 from .rlb import compute_block_pair, run_pair_range
 from .storage import FactorStorage
-from .threshold import DEFAULT_DEVICE_MEMORY
 
 __all__ = [
     "factorize_executor",
     "run_task_graph",
-    "GpuStreamBackend",
     "Countdown",
     "StreamPool",
     "stream_factorize_job",
@@ -368,73 +358,6 @@ def run_task_graph(ntasks, roots, run_task, workers):
     _run_on_pool(ntasks, roots, run_task, _resolve_workers(workers), "repro-exec")
 
 
-class GpuStreamBackend:
-    """Deterministic stream dispatcher over one simulated GPU.
-
-    Ready tasks are popped lowest-``priority``-first by ONE host thread
-    (the numerics of any task graph therefore execute in a fixed,
-    reproducible order — ascending task id by default, which for the
-    factorization DAGs is exactly the serial engines' elimination order).
-    Task bodies run their kernel pipelines against :attr:`gpu`, whose
-    :class:`~repro.gpu.device.Timeline` is the host's own: device work is
-    issued by the host, so a DAG engine's schedule is exactly a serial host
-    loop over the supernodes — the paper's (same factors, same modeled
-    seconds).
-
-    Device memory is byte-accounted by the
-    :class:`~repro.gpu.device.SimulatedGpu`;
-    :class:`~repro.gpu.device.DeviceOutOfMemory` propagates to the
-    caller.  Pass a :class:`~repro.gpu.trace.Tracer` to record every
-    modeled interval on the ``cpu`` / ``gpu`` / ``copy_in`` / ``copy_out``
-    lanes, rendered by the same :mod:`repro.gpu.trace` outputs as the
-    thread-occupancy traces.
-    """
-
-    name = "gpu"
-
-    def __init__(
-        self,
-        *,
-        machine=None,
-        device_memory=DEFAULT_DEVICE_MEMORY,
-        tracer=None,
-        launch_overhead_s=2.0e-6,
-    ):
-        self.machine = machine or MachineModel()
-        self.tracer = tracer
-        self.host = Timeline(tracer=tracer)
-        self.gpu = SimulatedGpu(
-            device_memory,
-            machine=self.machine,
-            timeline=self.host,
-            launch_overhead_s=launch_overhead_s,
-        )
-
-    def elapsed(self):
-        """Modeled wall-clock: the host clock joined with the device
-        engines (the host's final waits normally dominate)."""
-        tl = self.host
-        return max(tl.cpu, tl.gpu, tl.copy_in, tl.copy_out)
-
-    def run_graph(self, ntasks, roots, run_task, *, priority=None):
-        """Drain the graph deterministically: pop the ready task with the
-        lowest priority key, run it on this (single) host thread, push
-        whatever it released.  Raises ``RuntimeError`` on a graph that
-        deadlocks (a task never released)."""
-        key = priority if priority is not None else (lambda tid: tid)
-        heap = [(key(t), t) for t in roots]
-        heapq.heapify(heap)
-        done = 0
-        while heap:
-            _, tid = heapq.heappop(heap)
-            newly = run_task(tid)
-            done += 1
-            for t in newly or ():
-                heapq.heappush(heap, (key(t), t))
-        if done != ntasks:
-            raise RuntimeError(f"stream backend deadlock: ran {done} of {ntasks} tasks")
-
-
 def _traced_run(run_task, label_of, tracer, t0):
     """Wrap ``run_task`` so every execution records a measured
     ``(worker-thread lane, task label, start, stop)`` interval (seconds
@@ -502,10 +425,9 @@ class LeavingPairs:
         return s, blocks[self._upper[i]], blocks[self._lower[i]]
 
 
-# NOTE: dag_plan and range_tasks below are the shared substrate of every DAG
-# backend — repro.numeric.gpu_dag builds the stream engines' task graphs
-# from them and repro.numeric.procpool runs the same task body and
-# schedules from the plan's edges.  Renaming them is a cross-module change.
+# NOTE: dag_plan and range_tasks below are the shared substrate of both DAG
+# backends — repro.numeric.procpool runs the same task body and schedules
+# from the plan's edges.  Renaming them is a cross-module change.
 class DagPlan(NamedTuple):
     """Static task DAG of one granularity over one partition of the
     supernodes (see :func:`dag_plan`).
@@ -550,20 +472,12 @@ class DagPlan(NamedTuple):
     #: pair ids, ascending source, then the serial pair enumeration order
     incoming: tuple
 
-    def snode_of(self, tid):
-        """The supernode task ``tid`` works on: a pair task's source, a range
-        task's first supernode."""
-        nranges = len(self.ranges)
-        return self.ranges.bounds[tid] if tid < nranges else self.pairs.source[tid - nranges]
-
 
 def dag_plan(symb, granularity, ranges=None):
     """The static :class:`DagPlan` of ``granularity`` over ``ranges``
     (default: the pattern's :func:`~repro.symbolic.ranges.task_ranges`),
     memoised on the partition — the one description of the task DAG that the
-    thread, process and stream substrates all schedule from.  The
-    simulated-device substrate passes
-    :func:`~repro.symbolic.ranges.trivial_ranges`: one task per supernode.
+    thread and process substrates both schedule from.
 
     Building it builds the index beneath it (the pattern's
     :func:`~repro.symbolic.relind.assembly_index` for coarse, its
@@ -698,17 +612,15 @@ def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
 
 
 def range_tasks(symb, storage, plan, parked):
-    """``(pull, run)`` — the task bodies of ``plan``'s graph over ``storage``,
-    the same on a pool thread and in a worker process; the stream engines
-    call ``pull`` before each task's device or modeled host body.
+    """``run(tid)`` — the task body of ``plan``'s graph over ``storage``, the
+    same on a pool thread and in a worker process.
 
-    ``pull(tid)`` subtracts from range task ``tid``'s panels the updates that
-    reach it from outside its range: :attr:`DagPlan.incoming` in the order
+    A range task first *pulls*: it subtracts from its panels the updates that
+    reach it from outside its range, :attr:`DagPlan.incoming` in the order
     listed, read from ``parked``, each entry dropped after its last reader.
-    ``run(tid)`` is the whole task: pull, then the serial bodies over the
-    range (:func:`run_coarse_range` / ``run_pair_range``; a single supernode
-    of a fine plan only factorizes, its pairs are tasks that park one product
-    each), parking what leaves.  ``parked`` maps a coarse source supernode to
+    Then it runs the serial bodies over the range (:func:`run_coarse_range` /
+    ``run_pair_range``; a single supernode of a fine plan only factorizes,
+    its pairs are tasks that park one product each), parking what leaves.  ``parked`` maps a coarse source supernode to
     what :func:`~repro.numeric.rl.park_runs` keeps of its update matrix and a
     fine pair's slot (id minus ``len(plan.ranges)``) to its product: a plain
     dict in-process, the shared scratch views across processes.
@@ -738,7 +650,7 @@ def range_tasks(symb, storage, plan, parked):
             lo, hi = bounds[tid], bounds[tid + 1]
             run_coarse_range(storage, index, plan, program, routines, lo, hi, leave)
 
-        return pull, run
+        return run
 
     index = pair_index(symb)
     panels, pairs, targets = storage.panels, plan.pairs, plan.targets
@@ -767,7 +679,7 @@ def range_tasks(symb, storage, plan, parked):
         else:
             run_pair_range(storage, index, lo, hi, plan, leave)
 
-    return pull, run
+    return run
 
 
 def _check_granularity(granularity):
@@ -796,7 +708,7 @@ def stream_factorize_job(symb, M, granularity, machine, extra=None, dtype=None):
     # the countdown and the task closures are per-matrix state, so any
     # number of same-pattern instances can run concurrently on one pool
     plan = dag_plan(symb, granularity)
-    _, run = range_tasks(symb, storage, plan, {})
+    run = range_tasks(symb, storage, plan, {})
     run_task = Countdown(plan.indeg).task(run, plan.children)
     family = _FAMILY[granularity]
     cost = cpu_cost(symb, family, machine, itemsize=storage.itemsize)

@@ -219,7 +219,7 @@ class _WorkerState:
         shapes = _scratch_shapes(symb, plan)
         scratch = _SharedParked(_scratch_views(shapes, self.scratch_shm.buf, dtype))
         # the thread lane's task body, over the shared arenas
-        _, self.run_task = range_tasks(symb, self.storage, plan, scratch)
+        self.run_task = range_tasks(symb, self.storage, plan, scratch)
 
     def release(self):
         # drop every numpy view before closing, else the exported

@@ -9,10 +9,10 @@ enters (:meth:`repro.api.SymbolicPlan.factorize` / ``factorize_batch`` /
 arguments, so a new engine is registered exactly once, every row can be
 served, and every door gives the same answer.
 
-``family`` names the task DAG a row belongs to (``"rl"`` — the coarse DAG,
-the per-supernode RL bodies; ``"rlb"`` — the fine DAG, one body per block
-pair; the CPU backends schedule whole task ranges of either,
-:mod:`repro.symbolic.ranges`; ``None`` for the one row with no DAG twin,
+``family`` names the algorithm a row runs (``"rl"`` — the per-supernode RL
+bodies, the coarse DAG; ``"rlb"`` — one body per block pair, the fine DAG;
+the CPU backends schedule whole task ranges of either,
+:mod:`repro.symbolic.ranges`; ``None`` for the one row with no serial twin,
 the paper's negative-result ``rlb_gpu_v1``).  ``backend`` names what
 schedules it:
 
@@ -24,18 +24,17 @@ schedules it:
     measured wall-clock.  A serving session drains these rows' tasks
     across its pool; every other row runs a submission as one pool task.
 ``"gpu"``
-    Offload to the simulated device; modeled seconds.  For the two
-    families this is the task DAG on a
-    :class:`~repro.numeric.executor.GpuStreamBackend`
-    (:mod:`repro.numeric.gpu_dag`); ``rlb_gpu_v1`` is a serial loop
-    driving one device.
+    Offload to the simulated device; modeled seconds.  Each row is the
+    paper's host loop over the supernodes driving one device
+    (:func:`~repro.numeric.rl_gpu.factorize_rl_gpu`,
+    :func:`~repro.numeric.rlb_gpu.factorize_rlb_gpu` versions 2 and 1).
 ``"process"``
     The task DAG drained by a persistent worker-process pool over
     shared-memory panels (:mod:`repro.numeric.procpool`).
 
 Within a family the backends are interchangeable — factors are
-bit-identical — which is what :func:`backend_engine` ("run rlb's DAG on gpu
-streams") and :func:`serial_twin` look up.  The rows, as
+bit-identical — which is what :func:`backend_engine` ("run rlb on the
+gpu") and :func:`serial_twin` look up.  The rows, as
 :func:`engine_table` prints them (``docs/backends.md`` and the README carry
 the same block) — appended below.
 """
@@ -49,11 +48,11 @@ from typing import Callable
 
 from ..dense.kernels import check_dtype
 from .executor import _FAMILY, factorize_executor
-from .gpu_dag import factorize_gpu_dag
 from .procpool import factorize_process
 from .rl import factorize_rl_cpu
+from .rl_gpu import factorize_rl_gpu
 from .rlb import factorize_rlb_cpu
-from .rlb_gpu import factorize_rlb_gpu_v1
+from .rlb_gpu import factorize_rlb_gpu, factorize_rlb_gpu_v1
 
 __all__ = [
     "EngineSpec",
@@ -84,9 +83,7 @@ class EngineSpec:
     ``"threads"`` | ``"gpu"`` | ``"process"`` (see the module docstring).
     ``accepts`` — the option names a caller may pass — is computed from
     ``fn``'s signature: every parameter after ``(symb, A)`` that ``fixed``
-    does not already bind, except ``backend``: every door reads that
-    keyword as the substrate name (:func:`resolve`), so a callable's own
-    ``backend=`` parameter is not an option a request can reach.
+    does not already bind.
     """
 
     name: str
@@ -99,7 +96,7 @@ class EngineSpec:
 
     def __post_init__(self):
         params = list(inspect.signature(self.fn).parameters)[2:]
-        object.__setattr__(self, "accepts", frozenset(params) - {*self.fixed, "backend"})
+        object.__setattr__(self, "accepts", frozenset(params) - set(self.fixed))
 
     @property
     def granularity(self):
@@ -108,18 +105,11 @@ class EngineSpec:
         return _GRANULARITY.get(self.family)
 
 
-def _row(name, fn, family, backend, description):
-    """A table row; the DAG callables are bound to the family's granularity
-    and to the default of the *other* granularity's ablation switch (the
-    coarse graph has no pair-buffer window, the fine graph no whole-panel
-    transfer) — typed against the wrong engine it is refused, not ignored."""
-    fixed = {}
-    params = inspect.signature(fn).parameters
-    if "granularity" in params:
+def _row(name, fn, family, backend, description, **fixed):
+    """A table row; the DAG callables are bound to the family's
+    granularity."""
+    if "granularity" in inspect.signature(fn).parameters:
         fixed["granularity"] = _GRANULARITY[family]
-        switch = "inflight" if family == "rl" else "async_panel_d2h"
-        if switch in params:
-            fixed[switch] = params[switch].default
     return EngineSpec(name, fn, fixed, family, backend, description)
 
 
@@ -128,8 +118,8 @@ _ROWS = (
     _row("rlb", factorize_rlb_cpu, "rlb", "serial", "right-looking blocked, in-place updates"),
     _row("rl_par", factorize_executor, "rl", "threads", "coarse DAG on worker threads"),
     _row("rlb_par", factorize_executor, "rlb", "threads", "fine DAG on worker threads"),
-    _row("rl_gpu", factorize_gpu_dag, "rl", "gpu", "RL offload (Table I): coarse stream DAG"),
-    _row("rlb_gpu_v2", factorize_gpu_dag, "rlb", "gpu", "RLB offload v2 (Table II): fine DAG"),
+    _row("rl_gpu", factorize_rl_gpu, "rl", "gpu", "RL offload (Table I): per-supernode loop"),
+    _row("rlb_gpu_v2", factorize_rlb_gpu, "rlb", "gpu", "RLB offload v2 (Table II)", version=2),
     _row("rl_proc", factorize_process, "rl", "process", "coarse DAG on worker processes"),
     _row("rlb_proc", factorize_process, "rlb", "process", "fine DAG on worker processes"),
     _row("rlb_gpu_v1", factorize_rlb_gpu_v1, None, "gpu", "RLB offload v1: one batched D2H"),
@@ -255,7 +245,8 @@ class SolveModeSpec:
 
     ``parallel`` marks the modes that accept ``workers=`` (executed by the
     task-graph runtime); ``offload`` marks the simulated-device mode (the
-    solve graphs on a :class:`~repro.numeric.executor.GpuStreamBackend`).
+    solve graphs' modeled device clock,
+    :func:`~repro.solve.gpu_solve.solve_factored_gpu_dag`).
     All modes produce bit-identical solutions — every schedule preserves the
     serial sweeps' accumulation order.
     """

@@ -21,29 +21,28 @@ are rows of the pattern's :func:`~repro.symbolic.blocks.pair_index`,
 memoised on the symbolic factor, so refactorization repeats none of the
 structural bookkeeping.
 
-As in :mod:`repro.numeric.rl_gpu`, the pipeline pieces are standalone *task
-bodies* (:func:`rlb_cpu_pair` / :func:`rlb_gpu_factor` /
-:func:`rlb_gpu_pair` / :func:`rlb_drain_pair`).
-**Version 2** is the fine task graph of :mod:`repro.numeric.gpu_dag`
-scheduling them (engine ``rlb_gpu_v2``); **version 1** — the paper's
-negative result, one batched transfer per supernode and no per-pair task to
-schedule — keeps its serial loop here (:func:`factorize_rlb_gpu_v1`).
+As in :mod:`repro.numeric.rl_gpu`, the pipeline pieces are standalone
+bodies (:func:`rlb_cpu_pair` / :func:`rlb_gpu_factor` / :func:`rlb_gpu_pair`
+/ :func:`rlb_drain_pair`) and :func:`factorize_rlb_gpu` is the paper's host
+loop over the supernodes.  Both versions share it: the CPU path (factor,
+then every pair computed and committed in serial order) is the same, and
+only the offloaded pairs' return path differs — version 1's one batched D2H
+per supernode, version 2's window of ``inflight`` transfers, each pair
+committed into its ancestor as it drains.
 """
 
 from __future__ import annotations
 
-from ..dense.kernels import pair_routines
-from ..gpu.costmodel import MachineModel
-from ..gpu.device import SimulatedGpu, Timeline
+from collections import deque
+
 from ..symbolic.blocks import pair_index
-from .result import FactorizeResult, GpuCostAccumulator
-from .rl_gpu import charge_cpu_kernel, cpu_factor_snode
-from .rlb import commit_block_pair, compute_block_pair, pair_kernel, pair_updates
-from .storage import FactorStorage
-from .threshold import DEFAULT_DEVICE_MEMORY, DEFAULT_RLB_THRESHOLD, \
-    gpu_snode_mask
+from .rl_gpu import _offload_result, _offload_setup, charge_cpu_kernel, \
+    cpu_factor_snode
+from .rlb import commit_block_pair, compute_block_pair, pair_kernel
+from .threshold import DEFAULT_DEVICE_MEMORY, DEFAULT_RLB_THRESHOLD
 
 __all__ = [
+    "factorize_rlb_gpu",
     "factorize_rlb_gpu_v1",
     "rlb_cpu_pair",
     "rlb_gpu_factor",
@@ -54,9 +53,8 @@ __all__ = [
 
 def rlb_cpu_pair(panel, w, bi, bj, machine, timeline, cpu_t, acc):
     """CPU pair body: compute one block pair's update on the host (charged
-    at ``cpu_t`` threads); returns the dense update ``u`` — committing it
-    is the caller's (direct in-place for the version-1 loop, ordered for
-    the task graph)."""
+    at ``cpu_t`` threads); returns the dense update ``u`` for the caller to
+    commit."""
     u = compute_block_pair(panel, w, bi, bj)
     charge_cpu_kernel(machine, timeline, cpu_t, acc, panel.itemsize,
                       *pair_kernel(w, bi, bj))
@@ -100,8 +98,8 @@ def rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc):
 def rlb_drain_pair(gpu, machine, cpu_t, acc, item):
     """Drain one in-flight pair transfer (version-2 discipline): host waits
     for the D2H, the assembly pass is charged, the device buffer is freed.
-    Returns the update, now valid on the host — the caller's to park for its
-    target."""
+    Returns the update, now valid on the host — the caller's to commit into
+    its target."""
     handle, ubuf, bi, bj = item
     gpu.wait(handle)
     isz = ubuf.array.itemsize
@@ -114,83 +112,100 @@ def rlb_drain_pair(gpu, machine, cpu_t, acc, item):
     return ubuf.array
 
 
-def factorize_rlb_gpu_v1(symb, A, *, machine=None,
-                         threshold=DEFAULT_RLB_THRESHOLD,
-                         device_memory=DEFAULT_DEVICE_MEMORY,
-                         tracer=None, dtype=None):
-    """RLB version 1 (engine ``rlb_gpu_v1``): large supernodes offloaded to
-    the (simulated) GPU, every pair's update matrix held on the device
-    until one *batched* D2H returns them all.
+def factorize_rlb_gpu(symb, A, *, version=2, machine=None,
+                      threshold=DEFAULT_RLB_THRESHOLD,
+                      device_memory=DEFAULT_DEVICE_MEMORY, tracer=None,
+                      inflight=2, dtype=None):
+    """RLB with large supernodes offloaded to the (simulated) GPU.
+
+    ``version=2`` (per-block transfers; Table II's method, engine
+    ``rlb_gpu_v2``) keeps ``inflight`` pair-update transfers in flight (2 =
+    double buffering, the pipeline ablation switch); ``version=1`` (one
+    batched update transfer per supernode, §III's negative result, engine
+    ``rlb_gpu_v1``) holds every pair's update on the device until it
+    returns them all, and ``inflight`` does not apply.
 
     ``threshold`` is in dilated panel entries (directly comparable to the
-    paper's 750,000); supernodes below it run plain RLB on the host.
-    ``tracer`` (a :class:`~repro.gpu.trace.Tracer`) records the timeline's
-    ``cpu`` / ``gpu`` / ``copy_in`` / ``copy_out`` lanes.
+    paper's 750,000); supernodes below it run RLB on the host.
+    ``device_memory`` is the device capacity in dilated bytes (overflowing
+    it raises :class:`~repro.gpu.device.DeviceOutOfMemory`); ``tracer`` (a
+    :class:`~repro.gpu.trace.Tracer`) records the timeline's ``cpu`` /
+    ``gpu`` / ``copy_in`` / ``copy_out`` lanes.
     """
-    machine = machine or MachineModel()
-    gpu = SimulatedGpu(device_memory, machine=machine,
-                       timeline=Timeline(tracer=tracer))
+    if version not in (1, 2):
+        raise ValueError("version must be 1 or 2")
+    machine, gpu, storage, offload, acc = _offload_setup(
+        symb, A, machine, threshold, device_memory, tracer, dtype)
     timeline = gpu.timeline
     cpu_t = machine.gpu_run_cpu_threads
-    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
     itemsize = storage.itemsize
-    offload = gpu_snode_mask(symb, threshold, machine=machine)
-    acc = GpuCostAccumulator(machine, itemsize=itemsize)
     index = pair_index(symb)
-    routines = pair_routines(storage.dtype)
-    on_gpu = 0
+
+    def commit_drained(item):
+        _, _, bi, bj = item
+        u = rlb_drain_pair(gpu, machine, cpu_t, acc, item)
+        commit_block_pair(symb, storage, bi, bj, u)
+
     for s in range(symb.nsup):
         blocks = index.blocks(s)
         pairs = [(bi, bj)
                  for i, bi in enumerate(blocks) for bj in blocks[i:]]
         if not offload[s]:
-            # CPU path: plain RLB with direct in-place updates — the serial
-            # engine's body, its kernels charged in the order it runs them
-            panel, w, b = cpu_factor_snode(symb, storage, s, machine,
+            panel, w, _ = cpu_factor_snode(symb, storage, s, machine,
                                            timeline, cpu_t, acc)
             for bi, bj in pairs:
-                charge_cpu_kernel(machine, timeline, cpu_t, acc, itemsize,
-                                  *pair_kernel(w, bi, bj))
-            if b:
-                pair_updates(storage, index, s, panel[w:, :w], routines)
+                u = rlb_cpu_pair(panel, w, bi, bj, machine, timeline, cpu_t,
+                                 acc)
+                commit_block_pair(symb, storage, bi, bj, u)
             continue
-        on_gpu += 1
         panel, w, dbuf, panel_back = rlb_gpu_factor(symb, storage, s, gpu,
                                                     acc)
-        bufs = [rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc)
-                for bi, bj in pairs]
-        if bufs:
-            # one batched transfer of all update matrices (§III v1)
-            raw_total = sum(u.array.nbytes for u in bufs)
-            timeline.advance_cpu(gpu.launch_overhead_s)
-            done = timeline.enqueue_copy(
-                machine.transfer_seconds(raw_total, itemsize),
-                ready=max(u.ready for u in bufs),
-            )
-            gpu.stats.d2h_bytes += machine.scaled_bytes(raw_total, itemsize)
-            gpu.stats.transfers += 1
-            timeline.wait_cpu_until(done)
-            for ubuf, (bi, bj) in zip(bufs, pairs):
-                commit_block_pair(symb, storage, bi, bj, ubuf.array)
-                moved = 2 * 8 * bi.length * bj.length  # fp64-normalized
-                timeline.advance_cpu(
-                    machine.assembly_seconds(moved * itemsize / 8.0,
-                                             threads=cpu_t,
-                                             itemsize=itemsize),
-                    label="assembly")
-                acc.assembly(moved)
-                gpu.free(ubuf)
+        if version == 1:
+            bufs = [rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc)
+                    for bi, bj in pairs]
+            if bufs:
+                # one batched transfer of all update matrices (§III v1)
+                raw_total = sum(u.array.nbytes for u in bufs)
+                timeline.advance_cpu(gpu.launch_overhead_s)
+                done = timeline.enqueue_copy(
+                    machine.transfer_seconds(raw_total, itemsize),
+                    ready=max(u.ready for u in bufs),
+                )
+                gpu.stats.d2h_bytes += machine.scaled_bytes(raw_total,
+                                                            itemsize)
+                gpu.stats.transfers += 1
+                timeline.wait_cpu_until(done)
+                for ubuf, (bi, bj) in zip(bufs, pairs):
+                    commit_block_pair(symb, storage, bi, bj, ubuf.array)
+                    moved = 2 * 8 * bi.length * bj.length  # fp64-normalized
+                    timeline.advance_cpu(
+                        machine.assembly_seconds(moved * itemsize / 8.0,
+                                                 threads=cpu_t,
+                                                 itemsize=itemsize),
+                        label="assembly")
+                    acc.assembly(moved)
+                    gpu.free(ubuf)
+        else:
+            window = deque()
+            for bi, bj in pairs:
+                if len(window) >= inflight:
+                    commit_drained(window.popleft())
+                ubuf = rlb_gpu_pair(gpu, dbuf, panel, w, bi, bj, acc)
+                window.append((gpu.d2h_async(ubuf), ubuf, bi, bj))
+            while window:
+                commit_drained(window.popleft())
         gpu.wait(panel_back)
         gpu.free(dbuf)
-    return FactorizeResult(
-        method="rlb_gpu_v1",
-        storage=storage,
-        modeled_seconds=timeline.elapsed(),
-        total_snodes=symb.nsup,
-        snodes_on_gpu=on_gpu,
-        gpu_stats=gpu.stats,
-        flops=acc.flops,
-        kernel_count=acc.kernel_count,
-        assembly_bytes=acc.assembly_bytes,
-        extra={"threshold": threshold, "device_memory": gpu.capacity},
-    )
+    return _offload_result(f"rlb_gpu_v{version}", symb, gpu, storage,
+                           offload, acc, threshold)
+
+
+def factorize_rlb_gpu_v1(symb, A, *, machine=None,
+                         threshold=DEFAULT_RLB_THRESHOLD,
+                         device_memory=DEFAULT_DEVICE_MEMORY,
+                         tracer=None, dtype=None):
+    """RLB version 1 (engine ``rlb_gpu_v1``): :func:`factorize_rlb_gpu`
+    with ``version=1``."""
+    return factorize_rlb_gpu(symb, A, version=1, machine=machine,
+                             threshold=threshold, device_memory=device_memory,
+                             tracer=tracer, dtype=dtype)

@@ -11,8 +11,8 @@ amortize the factor transfer.  This module makes that trade-off measurable:
 * :func:`solve_factored_gpu_dag` — the same numerics with device-kernel
   modeled time: the sweeps' per-supernode panel H2D (unless
   ``factor_resident``, the factor stayed on the device after a GPU
-  factorization) and TRSM/GEMM charges land on the streams of a
-  :class:`~repro.numeric.executor.GpuStreamBackend`, gated by the ready
+  factorization) and TRSM/GEMM charges land on the device streams of a
+  :class:`~repro.gpu.device.Timeline`, gated by the ready
   times of the level-scheduled solve graphs
   (:func:`~repro.symbolic.levels.solve_schedule`), so independent
   elimination-tree branches overlap on the copy and compute engines
@@ -36,10 +36,12 @@ dispatches here through :data:`repro.numeric.registry.SOLVE_MODES`.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from ..gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
-from ..numeric.executor import Countdown, GpuStreamBackend
+from ..gpu.device import Timeline
 from ..symbolic.levels import solve_schedule
 from ..symbolic.ranges import trivial_ranges
 from .triangular import solve_factored
@@ -95,18 +97,16 @@ def _gpu_solve_clock(symb, k, machine, factor_resident, itemsize=8, tracer=None)
     """The offloaded solve's modeled clock for ``k`` right-hand sides:
     ``(seconds, kernels, h2d_bytes)``, from the pattern alone.
 
-    The forward and backward sweeps are drained as the task graphs of
+    The forward and backward sweeps walk the task graphs of
     ``solve_schedule(symb, trivial_ranges(symb))`` (one task per supernode,
-    the ``fwd`` / ``bwd`` edges) on a :class:`GpuStreamBackend`, in its
-    deterministic order; each supernode's charges — panel H2D at
+    the ``fwd`` / ``bwd`` edges), lowest ready task id first; each
+    supernode's charges — panel H2D at
     ``itemsize`` (forward only, unless ``factor_resident``) and the two
     TRSM/GEMM-style device kernels — are enqueued on the device's streams
     gated by its DAG ready time.  The right-hand side crosses the bus as
     float64.
     """
-    backend = GpuStreamBackend(machine=machine, tracer=tracer,
-                               device_memory=float("inf"))
-    tl = backend.host
+    tl = Timeline(tracer=tracer)
     sched = solve_schedule(symb, trivial_ranges(symb))
     nbytes_rhs = 8.0 * symb.n * k
     start = tl.enqueue_copy(
@@ -152,22 +152,26 @@ def _gpu_solve_clock(symb, k, machine, factor_resident, itemsize=8, tracer=None)
 
     for charge, edges in ((charge_forward, sched.fwd), (charge_backward, sched.bwd)):
         ready.clear()
-
-        def run(tid, charge=charge):
+        left = list(edges.indeg)
+        heap = list(edges.roots)
+        heapq.heapify(heap)
+        while heap:
+            tid = heapq.heappop(heap)
             # the leaf block's own task (the id past the supernodes) has no
             # charge: its members are charged as the supernodes they are
             if tid < symb.nsup:
                 charge(tid)
-
-        backend.run_graph(len(edges.children), edges.roots,
-                          Countdown(edges.indeg).task(run, edges.children))
+            for t in edges.children[tid]:
+                left[t] -= 1
+                if not left[t]:
+                    heapq.heappush(heap, t)
 
     final = tl.enqueue_copy(
         machine.transfer_seconds(nbytes_rhs), direction="d2h",
         label="rhs_d2h", ready=max(done.values(), default=start),
         nbytes=machine.scaled_bytes(nbytes_rhs))
     tl.wait_cpu_until(final)
-    return backend.elapsed(), counters["kernels"], counters["h2d_bytes"]
+    return tl.elapsed(), counters["kernels"], counters["h2d_bytes"]
 
 
 def solve_offload_estimate(symb, k=1, *, machine=None):

@@ -129,3 +129,19 @@ def force_cut(monkeypatch, cut):
         monkeypatch.setattr(ranges, "RANGE_WORK", float("inf"))
     else:
         assert cut == "default"
+
+
+def capture_devices(monkeypatch):
+    """Record every :class:`~repro.gpu.device.SimulatedGpu` the offload
+    engines construct (they all build theirs in :mod:`repro.numeric.rl_gpu`)."""
+    from repro.numeric import rl_gpu
+
+    made = []
+
+    class Recorded(rl_gpu.SimulatedGpu):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(rl_gpu, "SimulatedGpu", Recorded)
+    return made

@@ -65,10 +65,8 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "backend_engine"),
     ("repro.numeric.registry", "resolve"),
     ("repro.numeric.registry", "engine_table"),
-    ("repro.numeric", "factorize_gpu_dag"),
     ("repro.numeric", "scaled_panel_entries_array"),
     ("repro.numeric.executor", "run_task_graph"),
-    ("repro.numeric.executor", "GpuStreamBackend"),
     ("repro.numeric.executor", "StreamPool"),
     ("repro.numeric.executor", "stream_factorize_job"),
     ("repro.numeric.executor", "dag_plan"),
@@ -220,9 +218,11 @@ def test_accepts_is_read_off_the_signature():
 
 def test_facade_methods_is_registry_view():
     """The registry is the only engine table: the deprecated facade, its
-    ``METHODS`` view, the reference multi-device loop, the batch wrapper and
-    the serving-only resolver are gone (docs/api.md, "Removed")."""
+    ``METHODS`` view, the reference multi-device loop, the batch wrapper,
+    the serving-only resolver and the stream-DAG scheduler are gone
+    (docs/api.md, "Removed")."""
     import repro.numeric
+    import repro.numeric.executor
     import repro.solve
 
     for mod, name in ((repro, "CholeskySolver"),
@@ -231,7 +231,10 @@ def test_facade_methods_is_registry_view():
                       (repro.numeric, "factorize_rl_multigpu"),
                       (repro, "FactorBatch"),
                       (repro.api, "FactorBatch"),
-                      (repro.numeric.registry, "resolve_serving")):
+                      (repro.numeric.registry, "resolve_serving"),
+                      (repro.numeric, "GpuStreamBackend"),
+                      (repro.numeric.executor, "GpuStreamBackend"),
+                      (repro.numeric, "factorize_gpu_dag")):
         assert not hasattr(mod, name)
     assert "METHODS" not in repro.numeric.registry.__all__ + repro.solve.__all__
 

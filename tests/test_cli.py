@@ -129,6 +129,15 @@ class TestCommands:
         seconds = factorize_rlb_gpu_v1(system.symb, system.matrix, threshold=0).modeled_seconds
         assert f"modeled seconds {seconds:.4f}" in " ".join(out.split())
 
+    @pytest.mark.parametrize("engine", ["rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"])
+    def test_factorize_gpu_rows_name_no_dag(self, engine, capsys):
+        """The gpu rows are host loops over the supernodes: the report
+        names no task granularity and counts no DAG tasks."""
+        assert main(["factorize", SMALL, "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert "modeled seconds" in out and "transfers" in out
+        assert "granularity" not in out and "DAG" not in out
+
     def test_factorize_unknown_method(self, capsys):
         assert main(["factorize", SMALL, "--engine", "nope"]) == 2
 

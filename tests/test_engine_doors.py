@@ -207,13 +207,13 @@ def test_the_doors_disagreed_at_the_parent(plan):
     ("rl_gpu", "inflight"), ("rlb_gpu_v2", "async_panel_d2h"),
 ])
 def test_the_other_granularitys_ablation_is_refused(plan, name, switch):
-    """At the parent these ran and reported the default's modeled seconds —
-    an ablation typed against the wrong engine read as "no effect"."""
+    """These once ran and reported the default's modeled seconds — an
+    ablation typed against the wrong engine read as "no effect".  Each gpu
+    row's loop takes only its own switch, so the other one is refused."""
     spec = ENGINES[name]
-    assert switch in spec.fixed and switch not in spec.accepts
-    # bound to the callable's own default, so the row runs what it ran
-    assert spec.fixed[switch] == inspect.signature(spec.fn).parameters[switch].default
-    with pytest.raises(ValueError, match=f"{switch}= is fixed by engine {spec.name!r}"):
+    assert switch not in inspect.signature(spec.fn).parameters
+    assert switch not in spec.accepts
+    with pytest.raises(ValueError, match=f"{switch}= is not accepted by engine {spec.name!r}"):
         plan.factorize(engine=name, **{switch: OPTIONS[switch]})
     # the row's own switch still moves the schedule
     own = ({"inflight", "async_panel_d2h"} - {switch}).pop()
@@ -240,10 +240,10 @@ class _Reached(Exception):
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_every_advertised_option_reaches_the_engine(plan, monkeypatch, name):
     """Every option the engine table lists for a row arrives at the row's
-    callable through ``plan.factorize``.  The stream rows used to list
-    ``backend``, which every door reads as the substrate name, so
-    ``plan.factorize(engine="rl_gpu", backend=GpuStreamBackend())`` raised
-    ``unknown backend``."""
+    callable through ``plan.factorize``.  The gpu rows once listed
+    ``backend``, which every door reads as the substrate name, so passing a
+    backend object to ``plan.factorize(engine="rl_gpu", backend=...)``
+    raised ``unknown backend``."""
     spec = ENGINES[name]
     values = {"workers": 2, "dtype": np.float32}
 
@@ -329,8 +329,6 @@ def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):
     door left: one registry ``ValueError`` where a door resolves its
     options, a ``TypeError`` where the signature is fixed, and an unknown
     flag (exit 2) at every CLI command."""
-    from repro.numeric import GpuStreamBackend
-
     want = _outcome(lambda: resolve("rl_gpu", devices=2))
     assert want == "devices= is not accepted by engine 'rl_gpu'; accepted by: no engine"
     doors = {
@@ -344,8 +342,7 @@ def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):
 
     factor = plan.factorize(engine="rl")
     for door in (lambda: factor.solve(np.ones(plan.n), devices=2),
-                 lambda: Gateway(devices=2),
-                 lambda: GpuStreamBackend(devices=2)):
+                 lambda: Gateway(devices=2)):
         with pytest.raises(TypeError, match="devices"):
             door()
 

@@ -1,18 +1,19 @@
-"""Tests for the GPU offload engines — the task DAGs on the stream backend.
+"""Tests for the GPU offload engines — the paper's host loops over the
+supernodes.
 
 * ``rl_gpu`` / ``rlb_gpu_v2`` are bit-identical to the serial CPU engines
-  for every threshold, through every entry point (:func:`factorize_gpu_dag`,
-  :func:`factorize_rl_gpu` / :func:`factorize_rlb_gpu`, the registry);
+  for every threshold, through every entry point
+  (:func:`factorize_rl_gpu` / :func:`factorize_rlb_gpu`, the registry);
 * the modeled seconds, transfer counts and
-  :class:`~repro.gpu.device.DeviceOutOfMemory` accounting of the
-  hand-rolled loops these engines replaced are pinned, as data, by
-  ``tests/test_gpu_golden.py``;
-* trace lanes of the stream backend render next to the host lane;
+  :class:`~repro.gpu.device.DeviceOutOfMemory` accounting are pinned, as
+  data, by ``tests/test_gpu_golden.py``;
+* every gpu row releases all device memory it allocated;
+* trace lanes of the device render next to the host lane;
 * the offloaded solve overlaps independent branches, charges panels at
   the factor's itemsize, keeps its pinned clock and is the clock
   ``offload_estimate`` reports;
-* the coarse and fine DAGs at one task per supernode follow the pattern's
-  updates;
+* the coarse and fine DAGs at one task per supernode (the singleton cut)
+  follow the pattern's updates;
 * ``gpu_snode_mask`` edge cases (0 / inf / empty / singleton / NaN /
   negative) are well-formed or rejected.
 """
@@ -26,27 +27,25 @@ import pytest
 
 from repro.gpu import DeviceOutOfMemory, MachineModel, Tracer
 from repro.numeric import (
-    factorize_gpu_dag,
     factorize_rl_cpu,
     factorize_rl_gpu,
     factorize_rlb_cpu,
     factorize_rlb_gpu,
     gpu_snode_mask,
 )
-from repro.numeric.executor import GpuStreamBackend, dag_plan
+from repro.numeric.executor import dag_plan
 from repro.numeric.registry import BACKENDS, backend_engine, get_engine, \
-    serial_twin
+    resolve, serial_twin
 from repro.sparse import grid_laplacian, random_spd, tridiagonal, vector_stencil
 from repro.symbolic import analyze, trivial_ranges
-from tests.conftest import arrow_spd, assert_factor_matches, two_component_spd
+from tests.conftest import arrow_spd, assert_factor_matches, \
+    capture_devices, two_component_spd
 
 BIG = 10 ** 15
 
-HAND_ROLLED = {
-    "coarse": lambda s, m, thr: factorize_rl_gpu(
-        s, m, threshold=thr, device_memory=BIG),
-    "fine": lambda s, m, thr: factorize_rlb_gpu(
-        s, m, version=2, threshold=thr, device_memory=BIG),
+GPU = {
+    "coarse": factorize_rl_gpu,
+    "fine": lambda s, m, **kw: factorize_rlb_gpu(s, m, version=2, **kw),
 }
 SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
 
@@ -68,64 +67,35 @@ def _bit_identical(a, b, symb):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("granularity", ["coarse", "fine"])
-    @pytest.mark.parametrize("threshold", [0, 100_000, 10 ** 14])
-    def test_matches_hand_rolled_twin(self, system, granularity, threshold):
-        ref = HAND_ROLLED[granularity](system.symb, system.matrix, threshold)
-        res = factorize_gpu_dag(system.symb, system.matrix,
-                                granularity=granularity, threshold=threshold,
-                                device_memory=BIG)
-        assert _bit_identical(res, ref, system.symb)
-        assert res.snodes_on_gpu == ref.snodes_on_gpu
-        assert_factor_matches(res, system)
-
-    @pytest.mark.parametrize("granularity", ["coarse", "fine"])
     def test_matches_serial_twin(self, system, grid_system, granularity):
         """All offloaded and a CPU/GPU split, on the vector stencil and on
         the 9x9x3 grid; each factor also against the dense reference."""
         for sy in (system, grid_system):
             ref = SERIAL[granularity](sy.symb, sy.matrix)
             for threshold in (0, 50_000):
-                res = factorize_gpu_dag(sy.symb, sy.matrix,
-                                        granularity=granularity,
-                                        threshold=threshold, device_memory=BIG)
+                res = GPU[granularity](sy.symb, sy.matrix,
+                                       threshold=threshold, device_memory=BIG)
                 assert _bit_identical(res, ref, sy.symb)
                 assert_factor_matches(res, sy)
 
     def test_method_names(self, system):
-        rl = factorize_gpu_dag(system.symb, system.matrix,
-                               granularity="coarse", device_memory=BIG)
-        rlb = factorize_gpu_dag(system.symb, system.matrix,
-                                granularity="fine", device_memory=BIG)
-        assert rl.method == "rl_gpu"
-        assert rlb.method == "rlb_gpu_v2"
+        for version in (1, 2):
+            res = factorize_rlb_gpu(system.symb, system.matrix,
+                                    version=version, device_memory=BIG)
+            assert res.method == f"rlb_gpu_v{version}"
+        assert GPU["coarse"](system.symb, system.matrix,
+                             device_memory=BIG).method == "rl_gpu"
+        with pytest.raises(ValueError, match="version"):
+            factorize_rlb_gpu(system.symb, system.matrix, version=3)
 
     def test_unknown_granularity(self, system):
-        with pytest.raises(ValueError, match="granularity"):
-            factorize_gpu_dag(system.symb, system.matrix, granularity="huge")
+        """The gpu rows are loops, not task graphs: no granularity."""
+        for name in ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"):
+            with pytest.raises(ValueError, match="granularity= is not accepted"):
+                resolve(name, granularity="huge")
 
 
 class TestModeledTimeParity:
-    """Acceptance: modeled time within 5% of the hand-rolled schedules —
-    the deterministic priority order reproduces them exactly, so the bound
-    here is far tighter."""
-
-    @pytest.mark.parametrize("granularity", ["coarse", "fine"])
-    @pytest.mark.parametrize("threshold", [0, 100_000])
-    def test_single_device_time_reproduced(self, system, granularity,
-                                           threshold):
-        ref = HAND_ROLLED[granularity](system.symb, system.matrix, threshold)
-        res = factorize_gpu_dag(system.symb, system.matrix,
-                                granularity=granularity, threshold=threshold,
-                                device_memory=BIG)
-        assert res.modeled_seconds == pytest.approx(ref.modeled_seconds,
-                                                    rel=0.05)
-        # the schedules are in fact identical, operation for operation
-        assert res.modeled_seconds == pytest.approx(ref.modeled_seconds,
-                                                    rel=1e-12)
-        assert res.gpu_stats.transfers == ref.gpu_stats.transfers
-        assert res.gpu_stats.peak_memory == ref.gpu_stats.peak_memory
-        assert res.kernel_count == ref.kernel_count
-
     @pytest.mark.parametrize("granularity,seconds", [
         ("coarse", 0.08338973894239704), ("fine", 0.6460361237346575)])
     def test_ci_grid_repeats_the_hand_rolled_numbers(self, granularity,
@@ -136,55 +106,32 @@ class TestModeledTimeParity:
         printed them on the commit that deleted them —
         exact, a drift is a changed schedule."""
         ci = analyze(grid_laplacian((20, 20, 6)))
-        res = factorize_gpu_dag(ci.symb, ci.matrix, granularity=granularity,
-                                threshold=0, device_memory=BIG)
+        res = GPU[granularity](ci.symb, ci.matrix, threshold=0,
+                               device_memory=BIG)
         assert res.modeled_seconds == seconds
         with pytest.raises(DeviceOutOfMemory) as oom:
-            factorize_gpu_dag(ci.symb, ci.matrix, granularity=granularity,
-                              threshold=0, device_memory=2048)
+            GPU[granularity](ci.symb, ci.matrix, threshold=0,
+                             device_memory=2048)
         assert (oom.value.requested, oom.value.free) == (4800.0, 2048.0)
-
-    def test_work_totals_match(self, system):
-        ref = HAND_ROLLED["coarse"](system.symb, system.matrix, 0)
-        res = factorize_gpu_dag(system.symb, system.matrix,
-                                granularity="coarse", threshold=0,
-                                device_memory=BIG)
-        assert res.flops == pytest.approx(ref.flops, rel=1e-12)
-        assert res.assembly_bytes == pytest.approx(ref.assembly_bytes,
-                                                   rel=1e-12)
 
 
 class TestMemoryParity:
-    @pytest.mark.parametrize("granularity", ["coarse", "fine"])
-    def test_oom_matches_hand_rolled(self, system, granularity):
-        hand = {"coarse": factorize_rl_gpu,
-                "fine": lambda s, m, **kw: factorize_rlb_gpu(s, m,
-                                                             version=2,
-                                                             **kw)}
-        with pytest.raises(DeviceOutOfMemory) as ref:
-            hand[granularity](system.symb, system.matrix, threshold=0,
-                              device_memory=2048)
-        with pytest.raises(DeviceOutOfMemory) as got:
-            factorize_gpu_dag(system.symb, system.matrix,
-                              granularity=granularity, threshold=0,
-                              device_memory=2048)
-        # same supernode, same allocation: identical accounting
-        assert got.value.requested == ref.value.requested
-        assert got.value.free == ref.value.free
-        assert got.value.capacity == ref.value.capacity
-
-    def test_all_memory_released(self, system):
-        backend = GpuStreamBackend(device_memory=BIG)
-        factorize_gpu_dag(system.symb, system.matrix, granularity="fine",
-                          threshold=0, backend=backend)
-        assert backend.gpu.used == 0
+    def test_all_memory_released(self, system, monkeypatch):
+        """Every gpu row frees every buffer it allocated, everything
+        offloaded."""
+        made = capture_devices(monkeypatch)
+        for name in ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"):
+            spec, kwargs = resolve(name, threshold=0, device_memory=BIG)
+            spec.fn(system.symb, system.matrix, **kwargs)
+        assert len(made) == 3
+        assert all(gpu.used == 0 and gpu.stats.peak_memory > 0 for gpu in made)
 
 
 class TestTraceLanes:
     def test_single_device_lanes_match_hand_rolled(self, system):
         tracer = Tracer()
-        factorize_gpu_dag(system.symb, system.matrix, granularity="coarse",
-                          threshold=0, device_memory=BIG, tracer=tracer)
+        factorize_rl_gpu(system.symb, system.matrix, threshold=0,
+                         device_memory=BIG, tracer=tracer)
         assert {e.lane for e in tracer.events} == {"cpu", "gpu", "copy_in",
                                                   "copy_out"}
 
@@ -371,13 +318,13 @@ def dag_symb(request):
 
 
 class TestFactorizationGraphs:
-    """The task DAGs the stream substrate schedules: ``dag_plan`` at one
-    task per supernode."""
+    """The task DAGs at one task per supernode: ``dag_plan`` over the
+    singleton cut."""
 
     def test_coarse_task_per_snode(self, dag_symb):
         plan = dag_plan(dag_symb, "coarse", trivial_ranges(dag_symb))
         assert plan.ntasks == dag_symb.nsup
-        assert [plan.snode_of(t) for t in range(plan.ntasks)] == list(range(dag_symb.nsup))
+        assert list(plan.ranges.bounds) == list(range(dag_symb.nsup + 1))
 
     def test_fine_has_factor_plus_pairs(self, dag_symb):
         from repro.symbolic.blocks import snode_blocks

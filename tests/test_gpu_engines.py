@@ -13,7 +13,7 @@ from repro.numeric import (
 )
 from repro.sparse import grid_laplacian, vector_stencil
 from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches
+from tests.conftest import assert_factor_matches, capture_devices
 
 BIG_MEM = 10 ** 15
 
@@ -109,13 +109,15 @@ class TestMemoryBehaviour:
                                threshold=0, device_memory=BIG_MEM)
         assert v2.gpu_stats.peak_memory <= rl.gpu_stats.peak_memory * 1.01
 
-    def test_all_memory_released(self, system):
-        from repro.numeric import GpuStreamBackend
-
-        backend = GpuStreamBackend(device_memory=BIG_MEM)
-        factorize_rl_gpu(system.symb, system.matrix, backend=backend,
-                         threshold=0)
-        assert backend.gpu.used == 0
+    def test_all_memory_released(self, system, monkeypatch):
+        """Every gpu row, everything offloaded and a CPU/GPU split."""
+        made = capture_devices(monkeypatch)
+        for threshold in (0, 50_000):
+            for _, fn in GPU_VARIANTS:
+                fn(system.symb, system.matrix, threshold=threshold,
+                   device_memory=BIG_MEM)
+        assert len(made) == 2 * len(GPU_VARIANTS)
+        assert all(gpu.used == 0 for gpu in made)
 
 
 class TestScheduleStatistics:

@@ -215,7 +215,7 @@ class TestOneBody:
                 entry.scratch_shm.name,
                 np.dtype(dtype),
             )
-            thread_run = range_tasks(symb, entry.storage, plan, {})[1]
+            thread_run = range_tasks(symb, entry.storage, plan, {})
             assert state.run_task.__code__ is thread_run.__code__
             procpool.ProcessPool._scatter(None, entry, M)
             count = Countdown(plan.indeg)
