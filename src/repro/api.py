@@ -698,14 +698,14 @@ class Factor:
             matrix = self._matrix
             if hasattr(matrix, "materialize"):  # UpdatedMatrix
                 matrix = matrix.materialize()
-            full = self._plan.factorize(matrix, engine=eng)
+            full = self._refactorized(matrix, eng)
             self._result.extra["refine_fallback"] = {
                 "reason": "stalled" if out.stalled else "max_iter",
                 "from_dtype": self.dtype.name,
                 "engine": eng,
                 "residual_norms": list(out.residual_norms),
             }
-            out = refine(matrix, full.storage, self._plan.perm, b,
+            out = refine(matrix, full.storage, full.plan.perm, b,
                          tol=tol, max_iter=max_iter, workers=workers)
         return out if return_info else out.x
 
@@ -831,16 +831,19 @@ class Factor:
                               downdate=downdate).materialize()
             if engine is None:
                 engine = self._serial_engine()
-            try:
-                out = self._plan.factorize(B, engine=engine,
-                                           **engine_kwargs)
-            except PatternMismatchError:
-                # the modification grew A's pattern beyond the plan's:
-                # re-analyze (new fill needs a new symbolic factorization)
-                out = plan(B).factorize(engine=engine, **engine_kwargs)
+            out = self._refactorized(B, engine, **engine_kwargs)
         out._result.extra["applied_policy"] = choice
         out._result.extra["update_recommended"] = cost.recommended
         return out
+
+    def _refactorized(self, B, engine, **engine_kwargs):
+        """Factorize the modified matrix ``B`` on this factor's plan, or —
+        when a modification grew ``A``'s pattern beyond the plan's
+        (:class:`PatternMismatchError`, nothing else) — on a fresh one."""
+        try:
+            return self._plan.factorize(B, engine=engine, **engine_kwargs)
+        except PatternMismatchError:
+            return plan(B).factorize(engine=engine, **engine_kwargs)
 
     # ------------------------------------------------------------------
     def _diag_permuted(self):

@@ -11,24 +11,24 @@ and no new fill is created when ``struct(w) \\ {j0}`` is contained in
 so containment at ``j0`` propagates.  The condition is checked up front and
 a clear ``ValueError`` names the offending rows otherwise.
 
-This is the standard "many solves against a slowly changing matrix"
-workflow (optimization re-weighting, sliding-window least squares) that
-motivates keeping a factorization live instead of recomputing — a natural
-companion feature for the paper's solver.
+The sweep is blocked by supernode (Davis & Hager, TOMS 2009).  Each rank
+runs after the previous one, over its own path, so rank k is k sequential
+rank-1 sweeps bit for bit.  A path crosses a supernode in one *segment*,
+columns ``j_in .. last`` of its panel; with carry ``z`` on the segment's
+rows, diagonal block ``L11`` and below block ``L21`` (``±``: update /
+downdate), one Python iteration per (rank, path supernode) does::
 
-Per affected column ``j`` (update; downdate flips the inner signs)::
+    p   = L11^{-1} z1,   t_0 = 1,   t_{j+1} = t_j ± p_j^2
+    L[:, j] <- sqrt(t_j / t_{j+1}) L[:, j]
+               ± p_j / sqrt(t_j t_{j+1}) (z - sum_{i<j} L[:, i] p_i)
+    carry   <- (z2 - L21 p) / sqrt(t_end)          (on to the below rows)
 
-    r   = sqrt(L_jj^2 + w_j^2)
-    c   = r / L_jj,   s = w_j / L_jj
-    L_jj        = r
-    L_below,j   = (L_below,j + s * w_below) / c
-    w_below     = c * w_below - s * L_below,j     (updated column)
-
-Rank k sweeps the k columns of ``W`` over the *merged* path union in one
-ascending pass with an inner loop over the ranks.  Because each rotation at
-column ``j`` reads and writes only panel column ``j`` and its own carry
-vector ``w_r``, the interleaved order is bitwise identical to k sequential
-rank-1 sweeps — the determinism contract the rest of the runtime keeps.
+— the Gill-Golub-Murray-Saunders rotations with ``s_j = p_j / sqrt(t_j)``
+and ``c_j = sqrt(t_{j+1} / t_j)``, up to rounding.  The column sum runs as
+one GEMM per :data:`_BLOCK` columns from the block's first row down, so only
+a segment's lower trapezoid is touched.  A column where ``t ≤ 0`` or ``t``
+is not finite (a zero or NaN pivot, an overflow) raises before its segment
+is written.
 
 Both entry points are *atomic*: the affected panels are snapshotted up
 front and restored before a
@@ -42,8 +42,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dger
 
-from ..dense.kernels import NotPositiveDefiniteError, check_finite
+from ..dense.kernels import NotPositiveDefiniteError, check_finite, trtrs_lower
 from ..solve.sparse_rhs import solve_reach
 
 __all__ = [
@@ -110,14 +111,15 @@ def affected_columns(symb, w_pattern):
 class _Modification(NamedTuple):
     """What one rank-k modification touches — see :func:`_modification_plan`.
 
-    ``roots`` are the entry columns ``j0 = min struct(W[:, r])`` of the
-    nonempty columns of ``W``; ``paths[i]`` is the elimination-tree path of
-    ``roots[i]``, ``union`` their merged union (ascending — what the sweep
-    walks) and ``snodes`` the supernodes it touches.  ``uncontained`` is
+    ``cols`` are the nonempty columns of ``W``, ``roots`` their entry columns
+    ``j0 = min struct(W[:, r])``, ``paths[i]`` the elimination-tree path the
+    sweep walks for ``cols[i]``, ``union`` their merged union (ascending)
+    and ``snodes`` the supernodes it touches.  ``uncontained`` is
     ``None`` when every column passes the no-new-fill check, else ``(r, j0,
     rows)`` of the first column ``r`` that fails.
     """
 
+    cols: tuple
     roots: tuple
     paths: tuple
     union: np.ndarray
@@ -145,7 +147,7 @@ def _modification_plan(symb, W, check=True):
     The sweep, the copy-on-write of :meth:`repro.api.Factor.update` and the
     pricing of :func:`repro.update.crossover.update_cost` all read the
     returned :class:`_Modification`."""
-    roots, paths = [], []
+    cols, roots, paths = [], [], []
     uncontained = None
     for r in range(W.shape[1]):
         nz = np.flatnonzero(W[:, r])
@@ -156,58 +158,82 @@ def _modification_plan(symb, W, check=True):
             outside = np.setdiff1d(nz[1:], column_structure(symb, j0))
             if outside.size:
                 uncontained = (r, j0, outside)
+        cols.append(r)
         roots.append(j0)
         paths.append(path_union(symb, [j0]))
     union = np.unique(np.concatenate(paths)) if paths else np.empty(0, dtype=np.int64)
-    return _Modification(tuple(roots), tuple(paths), union,
+    return _Modification(tuple(cols), tuple(roots), tuple(paths), union,
                          np.unique(symb.col2sn[union]), uncontained)
 
 
-def _sweep(storage, W, path, sign):
-    """Apply the GGMS rotations of every column of ``W`` along ``path``.
+_BLOCK = 64  #: columns per GEMM of a segment's rewrite
+_STRICT_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
-    Mutates ``storage`` panels and the carry vectors in ``W`` in place;
-    raises :class:`NotPositiveDefiniteError` at the offending pivot (the
-    caller restores its snapshot).  One panel/structure lookup per path
-    column is shared by all k ranks.
-    """
+
+def _sweep_segment(panel, c0, z, sign, j_in):
+    """Sweep one carry ``z`` (on the panel rows ``c0:``) over the segment of
+    columns ``c0:`` of ``panel``, in place; returns the carry for the below
+    rows.  ``j_in`` is column ``c0``'s index, to name a failure."""
+    w = panel.shape[1]
+    nseg = w - c0
+    rhs = np.zeros(w)  # solve on the whole panel (no copy): c0 leading zeros
+    rhs[c0:] = z[:nseg]
+    try:
+        p = trtrs_lower(panel, rhs)[c0:]
+    except np.linalg.LinAlgError:  # an exactly-zero pivot
+        raise NotPositiveDefiniteError(j_in - c0 + int(np.argmin(np.diagonal(panel) != 0)))
+    t = np.cumsum(p * p)  # t[j] is t_{j+1}: monotone, so t[-1] decides
+    t *= sign
+    t += 1.0
+    if not 0.0 < t[-1] < math.inf:
+        raise NotPositiveDefiniteError(j_in + int(np.argmin((t > 0.0) & np.isfinite(t))))
+    t_in = np.concatenate(([1.0], t[:-1]))
+    a, b = np.sqrt(t_in / t), sign * p / np.sqrt(t_in * t)
+    v = z  # z - sum_{i < b0} L[:, i] p_i on the rows b0: of the segment
+    for b0 in range(0, nseg, _BLOCK):
+        b1 = min(b0 + _BLOCK, nseg)
+        bw = b1 - b0
+        blk = panel[c0 + b0:, c0 + b0:c0 + b1]
+        pb, bb = p[b0:b1], b[b0:b1]
+        # T's row j < bw: a_j at j, -b_j p_i at i < j; row bw: p (the carry step)
+        T = np.empty((bw + 1, bw))
+        np.multiply(np.multiply.outer(bb, -pb), _STRICT_UPPER[:bw, :bw].T, out=T[:bw])
+        T.ravel()[:bw * (bw + 1):bw + 1] = a[b0:b1]
+        T[bw] = pb
+        # scipy's BLAS, like trtrs and dger: alternating with numpy's own
+        # BLAS pool, the two pools' idle threads spin against each other
+        X = dgemm(1.0, blk, T.T)
+        new = dger(1.0, v[b0:], bb, a=X[:, :bw], overwrite_a=1)  # + v b^T
+        v[b1:] -= X[bw:, bw]
+        np.copyto(new[:bw], blk[:bw], where=_STRICT_UPPER[:bw, :bw])
+        blk[...] = new
+    return v[nseg:] / math.sqrt(t[-1])
+
+
+def _sweep(storage, W, mod, sign):
+    """Sweep each rank's carry ``W[:, r]`` (mutated) along its own path,
+    one :func:`_sweep_segment` per supernode the path crosses; raises
+    :class:`NotPositiveDefiniteError` at the offending column (the caller
+    restores its snapshot)."""
     symb = storage.symb
-    k = W.shape[1]
-    for j in path:
-        j = int(j)
-        s = int(symb.col2sn[j])
-        first, _last = symb.snode_cols(s)
-        c_loc = j - first
-        panel = storage.panel(s)
-        rows_below = symb.snode_rows(s)[c_loc + 1:]
-        for r in range(k):
-            wj = W[j, r]
-            if wj == 0.0:
-                continue  # identity rotation; the pattern cannot grow here
-            d = panel[c_loc, c_loc]
-            r2 = d * d + sign * wj * wj
-            if r2 <= 0.0 or d == 0.0:
-                raise NotPositiveDefiniteError(j)
-            rad = math.sqrt(r2)
-            c = rad / d
-            sfac = wj / d
-            panel[c_loc, c_loc] = rad
-            if rows_below.size:
-                col = panel[c_loc + 1:, c_loc]
-                wb = W[rows_below, r]
-                col_new = (col + sign * sfac * wb) / c
-                panel[c_loc + 1:, c_loc] = col_new
-                W[rows_below, r] = c * wb - sfac * col_new
+    for r, path in zip(mod.cols, mod.paths):
+        sn = symb.col2sn[path]
+        enter = np.flatnonzero(np.r_[True, sn[1:] != sn[:-1]])
+        for s, j_in in zip(sn[enter].tolist(), path[enter].tolist()):
+            c0 = j_in - int(symb.snptr[s])
+            rows = symb.snode_rows(s)[c0:]
+            carry = _sweep_segment(storage.panel(s), c0, W[rows, r], sign, j_in)
+            W[symb.snode_below_rows(s), r] = carry
 
 
 def _run_atomic(storage, W, mod, downdate, snapshot):
-    """Sweep the carry vectors ``W`` (mutated) along ``mod.union``,
+    """Sweep the carry vectors ``W`` (mutated) along ``mod.paths``,
     restoring the touched panels on failure when ``snapshot``."""
     saved = None
     if snapshot:
         saved = {s: storage.panel(s).copy() for s in mod.snodes.tolist()}
     try:
-        _sweep(storage, W, mod.union, -1.0 if downdate else 1.0)
+        _sweep(storage, W, mod, -1.0 if downdate else 1.0)
     except NotPositiveDefiniteError:
         if saved is not None:
             for s, panel in saved.items():
@@ -260,11 +286,10 @@ def rank1_update(storage, w, *, downdate=False, check_structure=True, snapshot=T
 def rank_k_update(storage, W, *, downdate=False, check_structure=True, snapshot=True):
     """In-place rank-k update (``A + W W^T``) or downdate (``A - W W^T``).
 
-    Sweeps the k columns of ``W`` over the merged elimination-tree path
-    union in one ascending pass, reusing each path column's panel and
-    structure lookups across all k rotations.  Bitwise identical to k
-    sequential :func:`rank1_update` calls (see the module docstring), and
-    atomic on failure like them.
+    Sweeps the k columns of ``W`` one after the other, each over its own
+    elimination-tree path, one supernode segment at a time.  Bitwise
+    identical to k sequential :func:`rank1_update` calls (see the module
+    docstring), and atomic on failure like them.
 
     Parameters
     ----------

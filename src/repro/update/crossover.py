@@ -1,9 +1,10 @@
 """The update-vs-refactorize crossover: modeled cost of both roads.
 
-A rank-k up/downdate is a level-1 sweep — ``~6`` flops per touched factor
-entry per rank, at memory-bound throughput with a per-(column, rank)
-rotation overhead — while a refactorize replays the whole task DAG at
-BLAS-3 throughput (the graded-dilation machine model of
+A rank-k up/downdate sweeps each rank's elimination-tree path one
+supernode segment at a time (:mod:`repro.numeric.updown`): a per-(rank,
+path supernode) overhead plus ``~6`` flops per touched factor entry per
+rank at an effective sweep rate — while a refactorize replays the whole
+task DAG at BLAS-3 throughput (the graded-dilation machine model of
 :mod:`repro.gpu.costmodel` prices that road).  Short elimination-tree
 paths make the update a few panels of work against the full factor's
 cubic flops; as the rank grows, or the entry columns sink toward the
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 
 __all__ = ["UpdateCost", "UpdateCostModel", "update_cost", "DEFAULT_UPDATE_MODEL"]
 
-# flops per touched factor entry per rank: the GGMS rotation reads and
-# rewrites the column (3 flops) and carries the w vector forward (3 flops)
+# flops per touched factor entry per rank, counted as the GGMS rotation's
+# (rewrite the column: 3, carry w forward: 3); the blocked sweep spends them
+# as GEMMs, and ``sweep_gflops`` is the fitted rate of this count
 _FLOPS_PER_ENTRY = 6.0
 
 
@@ -29,24 +31,24 @@ _FLOPS_PER_ENTRY = 6.0
 class UpdateCostModel:
     """Throughput/overhead constants pricing the two roads.
 
-    The sweep runs python-orchestrated vectorized level-1 math: a
-    per-(column, rank) rotation overhead plus streaming flops at a
-    memory-bound rate.  The refactorize road reuses the DAG cost shape:
-    the symbolic factor's total flops at a BLAS-3 rate plus a
+    The sweep: an overhead per (rank, path supernode) segment plus the
+    rotation flops at an effective rate, both fitted by
+    ``benchmarks/fit_update_model.py`` to the measured ``Factor.update``
+    on the four benchmark primaries, less the gather and plan of ``W``
+    that :meth:`repro.api.Factor.apply` pays before it picks a road.  The
+    refactorize road: the factor's flops at a BLAS-3 rate plus a
     per-supernode scheduling/assembly overhead.
     """
 
-    sweep_gflops: float = 1.2
-    rotation_overhead_s: float = 2.5e-6
+    sweep_gflops: float = 0.8
+    segment_overhead_s: float = 4.5e-5
     refactorize_gflops: float = 10.0
     snode_overhead_s: float = 6.0e-6
 
-    def update_seconds(self, flops, rotations):
+    def update_seconds(self, flops, segments):
         """Modeled seconds for a path sweep of ``flops`` total rotation
-        flops issued as ``rotations`` (column, rank) steps."""
-        return rotations * self.rotation_overhead_s + flops / (
-            self.sweep_gflops * 1e9
-        )
+        flops issued as ``segments`` (rank, path supernode) kernel calls."""
+        return segments * self.segment_overhead_s + flops / (self.sweep_gflops * 1e9)
 
     def refactorize_seconds(self, flops, nsup):
         """Modeled seconds for replaying the full factorization DAG."""
@@ -119,12 +121,12 @@ def update_cost(symb, mod, *, model=None):
     # each rank sweeps its own root-to-tree-root path; price them
     # individually (the union alone would overprice disjoint short paths)
     update_flops = 0.0
-    rotations = 0
+    segments = 0
     for path in mod.paths:
         update_flops += _FLOPS_PER_ENTRY * float(_column_entries(symb, path).sum())
-        rotations += len(path)
+        segments += len(set(symb.col2sn[path].tolist()))
     refz_flops = float(symb.factor_flops())
-    up_s = model.update_seconds(update_flops, rotations)
+    up_s = model.update_seconds(update_flops, segments)
     refz_s = model.refactorize_seconds(refz_flops, symb.nsup)
     contained = mod.uncontained is None
     return UpdateCost(

@@ -6,8 +6,9 @@ patterns, ranks 1-4, empty / contained / uncontained columns); the three
 doors of a sweep — copy-on-write ``Factor.update``, in-place
 ``rank_k_update``, k sequential ``rank1_update`` — write the same bits; one
 ``apply`` gathers ``W`` once, plans it once and walks each root's path once,
-directly and behind a served session; ``apply`` re-analyzes for a grown
-pattern and for nothing else.
+directly and behind a served session; the sweep calls its segment kernel
+once per (rank, path supernode); ``apply`` re-analyzes for a grown pattern
+and for nothing else.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class Counters:
                             (repro.api, "_modification_plan"),
                             (updown, "path_union"),
                             (updown, "solve_reach"),
-                            (updown, "column_structure")):
+                            (updown, "column_structure"),
+                            (updown, "_sweep_segment")):
             monkeypatch.setattr(owner, name, self._counting(name, getattr(owner, name)))
 
     def _counting(self, name, fn):
@@ -156,6 +158,26 @@ class TestOnce:
 
         asyncio.run(go())
         counters.check_one_apply(2)
+
+
+class TestOneKernelCallPerSegment:
+    """The sweep calls its segment kernel once per (rank, supernode on that
+    rank's path) — not once per path column — through every door."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_update_on_the_64_grid(self, monkeypatch, k):
+        plan = repro.plan(grid_laplacian((64, 64)))
+        factor = plan.factorize(engine="rl")
+        W = structured_update(plan.symb, plan.perm, [7 + 11 * i for i in range(k)],
+                              nent=4, seed=k, scale=0.1)
+        mod = updown._modification_plan(plan.symb, W[plan.perm])
+        segments = sum(np.unique(plan.symb.col2sn[path]).size for path in mod.paths)
+        assert segments < sum(path.size for path in mod.paths)
+        counters = Counters(monkeypatch)
+        factor.update(W)
+        assert counters.calls["_sweep_segment"] == segments
+        rank_k_update(copy.deepcopy(factor.storage), W[plan.perm])
+        assert counters.calls["_sweep_segment"] == 2 * segments
 
 
 class TestApplyReanalyzesForGrowthOnly:

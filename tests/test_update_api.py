@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.api
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import column_structure
 from repro.numeric.procpool import close_default_pools
@@ -151,6 +152,23 @@ class TestFactorUpdate:
         for a, b in ((ref, got), (ref.downdate(W), got.downdate(W))):
             for p, q in zip(a.storage.panels, b.storage.panels):
                 np.testing.assert_array_equal(p, q)
+
+
+    def test_updated_fp32_factor_refines_through_a_grown_pattern(self):
+        """The fp64 fallback of an updated fp32 factor refactorizes
+        ``A + W Wᵀ``, whose pattern ``W Wᵀ`` grew beyond the plan's: it
+        re-plans (as ``apply`` does) instead of raising."""
+        plan = repro.plan(grid_laplacian((12, 12)))
+        n = plan.n
+        W = structured_update(plan.symb, plan.perm, [n // 2], seed=1)
+        updated = plan.factorize(engine="rl", dtype=np.float32).update(W)
+        with pytest.raises(repro.api.PatternMismatchError):
+            plan.factorize(updated.matrix.materialize())
+        b = np.ones(n)
+        tol = 1e-12  # fp64 reaches it in one step, fp32 not in max_iter=2
+        x = updated.solve_refined(b, tol=tol, max_iter=2)
+        assert updated.residual_norm(x, b) <= tol
+        assert updated.result.extra["refine_fallback"]["from_dtype"] == "float32"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -18,6 +21,7 @@ from repro.numeric import (
     rank1_update,
     rank_k_update,
 )
+from repro.numeric.updown import _modification_plan
 from repro.sparse import grid_laplacian, random_spd
 from repro.symbolic import analyze
 
@@ -45,6 +49,43 @@ def make_W(system, roots, nent, seed, scale=0.3):
     cols = [make_w(system, j0, nent, seed=seed + i, scale=scale)
             for i, j0 in enumerate(roots)]
     return np.stack(cols, axis=1)
+
+
+def reference_sweep(storage, W, downdate=False):
+    """The scalar GGMS rotation loop the supernode-blocked sweep replaced:
+    k sequential rank-1 sweeps, one rotation per (path column, rank)::
+
+        r = sqrt(L_jj^2 ± w_j^2),  c = r / L_jj,  s = w_j / L_jj
+        L_jj = r,  L_below,j = (L_below,j ± s w_below) / c,
+        w_below = c w_below - s L_below,j
+
+    In place on ``storage`` and a copy of ``W`` (factor ordering); raises
+    :class:`NotPositiveDefiniteError` at the first failing pivot, leaving
+    the panels as far as it got."""
+    symb = storage.symb
+    sign = -1.0 if downdate else 1.0
+    W = np.array(W, dtype=np.float64).reshape(symb.n, -1)
+    mod = _modification_plan(symb, W, check=False)
+    for r, path in zip(mod.cols, mod.paths):
+        for j in path.tolist():
+            s = int(symb.col2sn[j])
+            c_loc = j - int(symb.snptr[s])
+            panel = storage.panel(s)
+            rows_below = symb.snode_rows(s)[c_loc + 1:]
+            wj = W[j, r]
+            if wj == 0.0:
+                continue  # identity rotation
+            d = panel[c_loc, c_loc]
+            r2 = d * d + sign * wj * wj
+            if r2 <= 0.0 or d == 0.0:
+                raise NotPositiveDefiniteError(j)
+            rad = math.sqrt(r2)
+            c, sfac = rad / d, wj / d
+            panel[c_loc, c_loc] = rad
+            if rows_below.size:
+                col_new = (panel[c_loc + 1:, c_loc] + sign * sfac * W[rows_below, r]) / c
+                panel[c_loc + 1:, c_loc] = col_new
+                W[rows_below, r] = c * W[rows_below, r] - sfac * col_new
 
 
 def dense_ref(system, w, sign=+1.0):
@@ -333,3 +374,78 @@ class TestPropertyBased:
         rank1_update(storage, w)
         rank1_update(storage, w, downdate=True)
         np.testing.assert_allclose(storage.to_dense_lower(), ref, atol=1e-8)
+
+
+def strict_upper(storage):
+    """The dead strict upper triangle of every diagonal block."""
+    symb = storage.symb
+    return [np.triu(storage.panel(s)[:symb.snode_ncols(s)], 1)
+            for s in range(symb.nsup)]
+
+
+class TestAgainstReferenceLoop:
+    """The supernode-blocked sweep against :func:`reference_sweep`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(6, 30), st.floats(0.1, 0.4),
+           st.integers(1, 4), st.booleans(), st.data())
+    def test_same_panels_as_the_rotations(self, seed, n, density, k, downdate, data):
+        system = analyze(random_spd(n, density=density, seed=seed))
+        roots = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+        W = make_W(system, roots, data.draw(st.integers(0, 6)), seed=seed)
+        storage = factorize_rl_cpu(system.symb, system.matrix).storage
+        if downdate:  # from the factor of A + W W^T back to A's
+            reference_sweep(storage, W)
+        ref = copy.deepcopy(storage)
+        upper = strict_upper(storage)
+        path = rank_k_update(storage, W, downdate=downdate)
+        reference_sweep(ref, W, downdate)
+        assert path == path_union(system.symb, sorted(set(roots))).tolist()
+        for got, want in zip(storage.panels, ref.panels):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for got, want in zip(strict_upper(storage), upper):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(6, 30), st.floats(0.1, 0.4),
+           st.integers(1, 4), st.data())
+    def test_same_failing_column_for_an_indefinite_downdate(self, seed, n, density, k, data):
+        system = analyze(random_spd(n, density=density, seed=seed))
+        roots = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+        W = 0.05 * make_W(system, roots, 4, seed=seed)
+        # one rank carries a decisive poison: at its root, or deeper at the
+        # last row of its root's column structure (a later path column)
+        r = data.draw(st.integers(0, k - 1))
+        rows = column_structure(system.symb, roots[r])
+        at = rows[-1] if rows.size and data.draw(st.booleans()) else roots[r]
+        W[at, r] = 1e3
+        storage = factorize_rl_cpu(system.symb, system.matrix).storage
+        ref = copy.deepcopy(storage)
+        before = copy.deepcopy(storage)
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            rank_k_update(storage, W, downdate=True)
+        with pytest.raises(NotPositiveDefiniteError) as want:
+            reference_sweep(ref, W, downdate=True)
+        assert got.value.pivot == want.value.pivot
+        for a, b in zip(storage.panels, before.panels):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestNonFinitePivot:
+    """A pivot that is no Cholesky pivot (zero, NaN) on the path raises and
+    restores the panels — the sweep never returns a NaN factor."""
+
+    @pytest.mark.parametrize("pivot", [0.0, np.nan])
+    def test_rank1_raises_and_restores(self, factored, pivot):
+        system, storage = factored
+        w = make_w(system, 3, 4, seed=17)
+        j = affected_columns(system.symb, np.flatnonzero(w))[1]
+        s = int(system.symb.col2sn[j])
+        c = j - int(system.symb.snptr[s])
+        storage.panel(s)[c, c] = pivot
+        before = [p.copy() for p in storage.panels]
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            rank1_update(storage, w)
+        assert err.value.pivot == j
+        for p, q in zip(storage.panels, before):
+            np.testing.assert_array_equal(p, q)
