@@ -22,17 +22,22 @@ The example
 5. prints the batch's summed wall-clock next to a loop of the serial twin,
 6. replays the sweep through a streaming session, one submission at a
    time, with a mid-stream non-SPD request that fails only its own future,
-   and once more through a session on the serial ``rl`` engine.
+   and once more through a session on the serial ``rl`` engine,
+7. serves the sweep through a :class:`repro.serving.Gateway` by values
+   only: ``register`` the pattern once, then ``submit_values`` per member,
+   each answer equal to a full ``submit`` of the same matrix.
 
 Run:  python examples/batched_serving.py
 """
 
+import asyncio
 import time
 
 import numpy as np
 
 import repro
-from repro.sparse import grid_laplacian
+from repro.serving import Gateway
+from repro.sparse import SymmetricCSC, grid_laplacian
 
 
 def main():
@@ -114,6 +119,21 @@ def main():
                for x, data in zip(rl_xs, sweep))
     print("serial rl session: every solution bit-identical to "
           "plan.factorize(engine='rl').solve(b)")
+
+    # -- gateway, values only: the pattern is analyzed once at register();
+    # each sweep member then ships its values and the fingerprint only
+    async def values_only():
+        async with Gateway(workers=2) as gw:
+            fp = await gw.register(A)
+            for data in sweep:
+                x = await gw.submit_values(fp, data, b)
+                A_i = SymmetricCSC(A.n, A.indptr, A.indices, data, check=False)
+                assert np.array_equal(x, await gw.submit(A_i, b))
+            return gw.stats()
+
+    stats = asyncio.run(values_only())
+    print(f"gateway: {nbatch} submit_values requests on one registered "
+          f"pattern, each equal to a full submit ({stats.misses} misses)")
 
 
 if __name__ == "__main__":

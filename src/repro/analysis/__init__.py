@@ -1,7 +1,7 @@
 """Analysis utilities: Dolan–Moré performance profiles and report tables."""
 
 from .perfprofile import PerformanceProfile, performance_profile, render_ascii
-from .report import format_table, format_speedup_row
+from .report import format_table
 from .breakdown import Breakdown, breakdown, render_breakdowns, COST_CLASSES
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "performance_profile",
     "render_ascii",
     "format_table",
-    "format_speedup_row",
     "Breakdown",
     "breakdown",
     "render_breakdowns",

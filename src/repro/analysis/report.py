@@ -1,12 +1,12 @@
 """Tabular reporting helpers for the benchmark harness.
 
-Formats paper-vs-measured comparison tables (Tables I and II) and generic
-aligned-column tables for the benchmark logs and EXPERIMENTS.md.
+Formats the aligned-column tables of the CLI and the benchmark logs
+(the Table I and II reproductions among them).
 """
 
 from __future__ import annotations
 
-__all__ = ["format_table", "format_speedup_row"]
+__all__ = ["format_table"]
 
 
 def format_table(headers, rows, *, title=None):
@@ -28,19 +28,3 @@ def format_table(headers, rows, *, title=None):
         out.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(out)
 
-
-def format_speedup_row(name, measured_runtime, measured_speedup,
-                       snodes_on_gpu, total_snodes,
-                       paper_speedup=None, failed=False):
-    """One row of a Table I / Table II reproduction."""
-    if failed:
-        return (name, None, None, None, str(total_snodes),
-                f"{paper_speedup:.2f}" if paper_speedup else None)
-    return (
-        name,
-        f"{measured_runtime:.4f}",
-        f"{measured_speedup:.2f}",
-        str(snodes_on_gpu),
-        str(total_snodes),
-        f"{paper_speedup:.2f}" if paper_speedup else None,
-    )

@@ -138,14 +138,6 @@ def cmd_analyze(args):
     ]
     print(format_table(["statistic", "value"], rows,
                        title=f"Symbolic analysis: {args.matrix}"))
-    if args.tree:
-        from .symbolic import render_tree, tree_stats
-
-        print()
-        print(render_tree(symb, max_nodes=40))
-        print()
-        for label, value in tree_stats(symb).summary_lines():
-            print(f"{label:>24}: {value}")
     return 0
 
 
@@ -688,6 +680,7 @@ def build_parser():
     touching this file.
     """
     from .numeric.registry import BACKENDS
+    from .ordering import ORDERINGS
 
     backend_names = sorted(BACKENDS)
     p = argparse.ArgumentParser(
@@ -698,15 +691,13 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--ordering", default="nd",
-                        choices=["nd", "mindeg", "amd", "rcm", "natural"],
+                        choices=ORDERINGS,
                         help="fill-reducing ordering (default: nd)")
 
     sub.add_parser("list", help="show the benchmark suite")
 
     sp = sub.add_parser("analyze", help="symbolic statistics")
     sp.add_argument("matrix")
-    sp.add_argument("--tree", action="store_true",
-                    help="draw the supernodal elimination tree")
     common(sp)
 
     sp = sub.add_parser("factorize", help="run one engine")

@@ -33,7 +33,6 @@ from .procpool import (
 )
 from .blas_limits import BLAS_ENV_VARS, limit_blas_threads, pinned_blas_env
 from .left_looking_gpu import factorize_left_looking_gpu
-from .simplicial import simplicial_cholesky
 from .planner import MemoryPlan, plan, predict_peak_device_bytes
 from .updown import (
     rank1_update,
@@ -69,7 +68,6 @@ __all__ = [
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
     "factorize_left_looking_gpu",
-    "simplicial_cholesky",
     "assemble_update",
     "update_workspace_entries",
     "factor_snode",

@@ -175,7 +175,7 @@ class FactorizeResult:
     ----------
     method:
         ``"rl"`` / ``"rlb"`` / ``"rl_gpu"`` / ``"rlb_gpu_v1"`` /
-        ``"rlb_gpu_v2"`` / ``"left_looking_gpu"`` / ``"simplicial"``.
+        ``"rlb_gpu_v2"`` / ``"left_looking_gpu"``.
     storage:
         The numeric factor (:class:`~repro.numeric.storage.FactorStorage`).
     modeled_seconds:

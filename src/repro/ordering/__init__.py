@@ -8,7 +8,6 @@ from .graph import (
     connected_components,
     pseudo_peripheral_vertex,
 )
-from .amd import approximate_minimum_degree
 from .mindeg import minimum_degree
 from .rcm import reverse_cuthill_mckee
 from .nested_dissection import nested_dissection
@@ -20,14 +19,17 @@ __all__ = [
     "bfs_levels",
     "connected_components",
     "pseudo_peripheral_vertex",
-    "approximate_minimum_degree",
     "minimum_degree",
     "reverse_cuthill_mckee",
     "nested_dissection",
     "OrderingQuality",
     "evaluate_ordering",
     "order_matrix",
+    "ORDERINGS",
 ]
+
+#: The accepted ``method`` values of :func:`order_matrix`, default first.
+ORDERINGS = ("nd", "mindeg", "rcm", "natural")
 
 
 def order_matrix(A, method="nd", **kwargs):
@@ -38,22 +40,18 @@ def order_matrix(A, method="nd", **kwargs):
     A:
         :class:`~repro.sparse.csc.SymmetricCSC`.
     method:
-        ``"nd"`` (nested dissection, default — the paper's choice),
-        ``"mindeg"``, ``"amd"``, ``"rcm"`` or ``"natural"``.
+        One of :data:`ORDERINGS`: ``"nd"`` (nested dissection, default —
+        the paper's choice), ``"mindeg"``, ``"rcm"`` or ``"natural"``.
     kwargs:
         Forwarded to the underlying algorithm.
     """
     import numpy as np
 
+    if method not in ORDERINGS:
+        raise ValueError(f"unknown ordering method {method!r}; "
+                         f"expected one of {', '.join(ORDERINGS)}")
     if method == "natural":
         return np.arange(A.n, dtype=np.int64)
-    graph = adjacency_from_matrix(A)
-    if method == "nd":
-        return nested_dissection(graph, **kwargs)
-    if method == "mindeg":
-        return minimum_degree(graph, **kwargs)
-    if method == "amd":
-        return approximate_minimum_degree(graph, **kwargs)
-    if method == "rcm":
-        return reverse_cuthill_mckee(graph, **kwargs)
-    raise ValueError(f"unknown ordering method {method!r}")
+    algorithm = {"nd": nested_dissection, "mindeg": minimum_degree,
+                 "rcm": reverse_cuthill_mckee}[method]
+    return algorithm(adjacency_from_matrix(A), **kwargs)

@@ -46,7 +46,6 @@ import asyncio
 import contextlib
 import inspect
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,7 +54,6 @@ import numpy as np
 from ..api import plan as build_plan
 from ..numeric.executor import StreamPool
 from ..numeric.registry import resolve
-from ..sparse.csc import SymmetricCSC
 from ..symbolic.analyze import analyze
 from ..symbolic.structure import pattern_fingerprint
 
@@ -562,67 +560,6 @@ class Gateway:
         """The admission key :meth:`submit` would use for ``A``
         (:func:`repro.pattern_fingerprint`)."""
         return pattern_fingerprint(A)
-
-    # ------------------------------------------------------------------
-    # pattern-cache persistence
-    # ------------------------------------------------------------------
-    def save_manifest(self, path):
-        """Persist the warm patterns (fingerprint + structure, no values)
-        to ``path`` as a ``.npz`` manifest, LRU → MRU order.
-
-        A restarted gateway replays it with :meth:`prewarm` so hot
-        patterns are re-analyzed *before* traffic arrives.  Fingerprints
-        are process-stable (:func:`repro.pattern_fingerprint` hashes the
-        structure arrays only), so a manifest written by one process
-        admits ``submit_values`` fast-path traffic in another.  Returns
-        the number of patterns saved."""
-        arrays = {"fps": np.array(list(self._cache), dtype="U64")}
-        for i, entry in enumerate(self._cache.values()):
-            A = entry.plan.matrix
-            arrays[f"n{i}"] = np.asarray(A.n)
-            arrays[f"indptr{i}"] = np.asarray(A.indptr)
-            arrays[f"indices{i}"] = np.asarray(A.indices)
-        np.savez(path, **arrays)
-        return len(self._cache)
-
-    async def prewarm(self, path):
-        """Re-plan every pattern of a :meth:`save_manifest` manifest.
-
-        Runs the misses through the normal analysis executor (deduplicated
-        with any concurrent traffic, not counted against hit/miss stats or
-        admission budgets, oldest first so the LRU order survives a
-        save/restore round trip).  Entries whose stored structure no
-        longer matches their recorded fingerprint are skipped.  A missing
-        or unreadable manifest is likewise a graceful no-op (an empty
-        return): prewarming is an optimization replayed at startup, and a
-        stale path must never poison a gateway that would serve fine cold.
-        Returns the list of fingerprints now warm."""
-        self._bind_loop()
-        if self._closed:
-            raise RuntimeError("gateway is closed")
-        try:
-            with np.load(path) as manifest:
-                fps = [str(fp) for fp in manifest["fps"]]
-                structures = [
-                    (int(manifest[f"n{i}"]), manifest[f"indptr{i}"],
-                     manifest[f"indices{i}"])
-                    for i in range(len(fps))
-                ]
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile):
-            # missing file, truncated/corrupt archive, or a manifest
-            # missing expected arrays: skip, serve cold
-            return []
-        warmed = []
-        for fp, (n, indptr, indices) in zip(fps, structures):
-            A = SymmetricCSC(n, indptr, indices,
-                             np.ones(len(indices), dtype=np.float64),
-                             check=False)
-            if pattern_fingerprint(A) != fp:  # stale/corrupt manifest row
-                continue
-            await self._entry_for(fp, A, count=False)
-            warmed.append(fp)
-        return warmed
 
     async def _await_numeric(self, cf, fp, timeout):
         """Await a session future under the gateway's timeout contract."""

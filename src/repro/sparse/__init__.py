@@ -21,7 +21,6 @@ from .generators import (
     spd_value_sweep,
 )
 from .io import read_matrix_market, write_matrix_market
-from .rb import read_rutherford_boeing, write_rutherford_boeing
 from .collection import SUITE, SuiteEntry, PaperStats, suite_names, build_matrix, get_entry
 
 __all__ = [
@@ -41,9 +40,7 @@ __all__ = [
     "tridiagonal",
     "spd_value_sweep",
     "read_matrix_market",
-    "read_rutherford_boeing",
     "write_matrix_market",
-    "write_rutherford_boeing",
     "SUITE",
     "SuiteEntry",
     "PaperStats",

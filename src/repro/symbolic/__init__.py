@@ -10,10 +10,9 @@ from .etree import (
     is_postordered,
     first_descendants,
 )
-from .colcounts import column_counts, column_counts_reference
+from .colcounts import column_counts
 from .supernodes import fundamental_supernodes, snode_of_column, validate_snptr
 from .amalgamate import amalgamate, merge_extra_fill
-from .treeviz import render_tree, tree_stats, TreeStats
 from .structure import SymbolicFactor, pattern_fingerprint, symbolic_factorization
 from .relind import relative_indices, relative_indices_bottom
 from .blocks import Block, snode_blocks, all_blocks, count_blocks
@@ -23,9 +22,6 @@ from .levels import SolveSchedule, solve_levels, solve_schedule
 from .analyze import AnalyzedSystem, analyze
 
 __all__ = [
-    "render_tree",
-    "tree_stats",
-    "TreeStats",
     "elimination_tree",
     "postorder",
     "children_lists",
@@ -33,7 +29,6 @@ __all__ = [
     "is_postordered",
     "first_descendants",
     "column_counts",
-    "column_counts_reference",
     "fundamental_supernodes",
     "snode_of_column",
     "validate_snptr",

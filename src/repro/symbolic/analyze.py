@@ -76,8 +76,9 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
     A:
         :class:`~repro.sparse.csc.SymmetricCSC`.
     ordering:
-        Fill-reducing ordering (``"nd"`` | ``"mindeg"`` | ``"amd"`` |
-        ``"rcm"`` | ``"natural"``); the paper uses METIS nested dissection.
+        Fill-reducing ordering, one of
+        :data:`~repro.ordering.ORDERINGS`; the paper uses METIS nested
+        dissection (``"nd"``).
     merge:
         Apply relaxed supernode amalgamation (paper: on).
     refine:

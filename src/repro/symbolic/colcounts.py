@@ -5,9 +5,6 @@ ancestor algorithm (the one in CSparse's ``cs_counts``), which runs in nearly
 O(|A|) time: each strictly-lower entry ``a_ij`` is tested for being a leaf of
 the row subtree ``T_i`` via first-descendant numbers, and overlap between
 consecutive leaves is subtracted at their LCA (found with path compression).
-
-``column_counts_reference`` is the brute-force symbolic-elimination version
-used as the test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ import numpy as np
 
 from .etree import first_descendants, postorder
 
-__all__ = ["column_counts", "column_counts_reference"]
+__all__ = ["column_counts"]
 
 
 def column_counts(A, parent, post=None):
@@ -69,32 +66,3 @@ def column_counts(A, parent, post=None):
         if parent[j] != -1:
             counts[parent[j]] += counts[j]
     return np.asarray(counts, dtype=np.int64)
-
-
-def column_counts_reference(A, parent=None):
-    """O(|L|)-memory brute force: build each column's structure bottom-up
-    (``struct(j) = A-struct(j) ∪ ⋃_child struct(child) \\ {child}``) and
-    return its size.  Quadratic-ish; for tests only."""
-    from .etree import elimination_tree
-
-    n = A.n
-    if parent is None:
-        parent = elimination_tree(A)
-    structs = [None] * n
-    counts = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        rows = A.indices[A.indptr[j]:A.indptr[j + 1]]
-        s = set(int(r) for r in rows)
-        if structs[j] is not None:
-            s |= structs[j]
-        s.add(j)
-        counts[j] = len(s)
-        p = parent[j]
-        if p >= 0:
-            s.discard(j)
-            if structs[p] is None:
-                structs[p] = s
-            else:
-                structs[p] |= s
-        structs[j] = None
-    return counts

@@ -59,7 +59,6 @@ ORDERINGS = {
     "nd": ("nd", None),
     "nd8": ("nd", {"leaf_size": 8}),
     "mindeg": ("mindeg", None),
-    "amd": ("amd", None),
     "rcm": ("rcm", None),
     "natural": ("natural", None),
 }
@@ -117,12 +116,6 @@ GOLDEN = {
         "5b7cb0a666e0f34b", "219d833a62dba0e0", "a38f986f02d17d2a", "a38f986f02d17d2a",
         "add38c9d2cc6c816", "b8075ea4d3048bd4", "ccc20eae2c28a15f", "ccc20eae2c28a15f",
     ),
-    ("grid2d_5pt", "amd"): (
-        "0bd656e9189f0a57", "49058d8ebd9ee5f3", "ec3e4f711c6e9982", "ec3e4f711c6e9982",
-        "0bd656e9189f0a57", "49058d8ebd9ee5f3", "ec3e4f711c6e9982", "ec3e4f711c6e9982",
-        "aae71dc7d4ecc195", "aae71dc7d4ecc195", "fbfb16f29e030aa9", "fbfb16f29e030aa9",
-        "5ac601abfc3935e6", "776f5bd29f593daf", "9fc46a36a265a168", "9fc46a36a265a168",
-    ),
     ("grid2d_5pt", "rcm"): (
         "cf9fa323c8188470", "cf9fa323c8188470", "4677705cd5b7a3ea", "4677705cd5b7a3ea",
         "cf9fa323c8188470", "cf9fa323c8188470", "4677705cd5b7a3ea", "4677705cd5b7a3ea",
@@ -152,12 +145,6 @@ GOLDEN = {
         "a224f89ee4e763a4", "ff86e9b3c354f27a", "f7dfa06470541e82", "f7dfa06470541e82",
         "7c6c9f224299949b", "7c6c9f224299949b", "ab0c74542693c75b", "ab0c74542693c75b",
         "5a6bda71824ece97", "5a6bda71824ece97", "3f72534a63817f25", "3f72534a63817f25",
-    ),
-    ("grid2d_9pt", "amd"): (
-        "eec684e9acd3b618", "b4eca676b4ec9dcf", "10eed82c49d03d47", "10eed82c49d03d47",
-        "eec684e9acd3b618", "b4eca676b4ec9dcf", "10eed82c49d03d47", "10eed82c49d03d47",
-        "e1b66f6d192d8713", "e1b66f6d192d8713", "d846bd42b172da16", "d846bd42b172da16",
-        "68cdef701fdeaf31", "68cdef701fdeaf31", "913e6565353923e7", "913e6565353923e7",
     ),
     ("grid2d_9pt", "rcm"): (
         "6a0b1da2a9f7f34e", "6a0b1da2a9f7f34e", "9d984c6a03d18465", "9d984c6a03d18465",
@@ -189,12 +176,6 @@ GOLDEN = {
         "42829e5db9847efe", "fd3bf54639636a05", "fb10a7bd40a0ef9c", "fb10a7bd40a0ef9c",
         "28c057968981512b", "8e24f62e89e9464c", "d8c83164dbebf7f0", "d8c83164dbebf7f0",
     ),
-    ("grid3d", "amd"): (
-        "f11da66ad79d6218", "eb40ac1d7ab41431", "b9b870572bca3e6c", "b9b870572bca3e6c",
-        "f11da66ad79d6218", "eb40ac1d7ab41431", "b9b870572bca3e6c", "b9b870572bca3e6c",
-        "100b03165007e919", "7027746ce0e8e3fd", "e43d881b36554a9e", "e43d881b36554a9e",
-        "f17459490039b60a", "48ea01a1f2afdc80", "f509582159c10d11", "f509582159c10d11",
-    ),
     ("grid3d", "rcm"): (
         "9b91c41653cc3842", "9b91c41653cc3842", "5593e06662dca420", "5593e06662dca420",
         "9b91c41653cc3842", "9b91c41653cc3842", "5593e06662dca420", "5593e06662dca420",
@@ -224,12 +205,6 @@ GOLDEN = {
         "e6d336e450b2692e", "4d49614abefb687e", "f7abe25d06fa213e", "f7abe25d06fa213e",
         "a9bea075f74d737f", "97c646664a9f2387", "8b14c41e409eb1d7", "8b14c41e409eb1d7",
         "4086bd8691ef350d", "1e7d6380c570919b", "1e7d6380c570919b", "1e7d6380c570919b",
-    ),
-    ("vec3", "amd"): (
-        "9edb036565d39d58", "9edb036565d39d58", "d873e8f96bd03518", "d873e8f96bd03518",
-        "9edb036565d39d58", "9edb036565d39d58", "d873e8f96bd03518", "d873e8f96bd03518",
-        "eba8d79a2468bef3", "eba8d79a2468bef3", "5fff2db9dd589efb", "5fff2db9dd589efb",
-        "1177191d8609dab9", "1177191d8609dab9", "5f964fe9d9fb3f88", "5f964fe9d9fb3f88",
     ),
     ("vec3", "rcm"): (
         "7d162fe2ce42077f", "7d162fe2ce42077f", "e7703b4226f60418", "e7703b4226f60418",
@@ -261,12 +236,6 @@ GOLDEN = {
         "5583101773c455a7", "ded91b60383cf778", "89b319fc271fd955", "89b319fc271fd955",
         "df5d983a565d38b4", "df5d983a565d38b4", "1dd73ac4fd530e06", "1dd73ac4fd530e06",
     ),
-    ("kkt", "amd"): (
-        "1710e37f8a99a89d", "65cea30d909e8594", "46abe7f2ad6a0487", "46abe7f2ad6a0487",
-        "1710e37f8a99a89d", "65cea30d909e8594", "46abe7f2ad6a0487", "46abe7f2ad6a0487",
-        "774c39741daa4a1d", "774c39741daa4a1d", "9119fddd7439a073", "9119fddd7439a073",
-        "ec2b28a07d343e48", "ec2b28a07d343e48", "1dd73ac4fd530e06", "1dd73ac4fd530e06",
-    ),
     ("kkt", "rcm"): (
         "72b13f9647fa4a00", "1c1db0c64920ca67", "02d7aba990d48214", "02d7aba990d48214",
         "72b13f9647fa4a00", "1c1db0c64920ca67", "02d7aba990d48214", "02d7aba990d48214",
@@ -296,12 +265,6 @@ GOLDEN = {
         "a00b4fa845dc34ca", "ef6966e245621407", "eaec2fc76dc8b462", "eaec2fc76dc8b462",
         "3fee2f07d9c77396", "55504a3429812c9c", "bdb11ed347704c51", "bdb11ed347704c51",
         "9e22df59c8f91835", "b5b71cf356db499a", "b5b71cf356db499a", "b5b71cf356db499a",
-    ),
-    ("random", "amd"): (
-        "ac42e46753895619", "ac42e46753895619", "15a9503f612ec331", "15a9503f612ec331",
-        "ac42e46753895619", "ac42e46753895619", "15a9503f612ec331", "15a9503f612ec331",
-        "5362a112e3cb8edb", "5362a112e3cb8edb", "1737c7ea6f6dcf54", "1737c7ea6f6dcf54",
-        "0cd5cac6440355a0", "2b3911b28dcee4e8", "2b3911b28dcee4e8", "2b3911b28dcee4e8",
     ),
     ("random", "rcm"): (
         "2c0c10aafafe2eb5", "82c170897fda68b8", "82c170897fda68b8", "82c170897fda68b8",
@@ -333,12 +296,6 @@ GOLDEN = {
         "31c7975917e4ac66", "03cfeb5585316f66", "03cfeb5585316f66", "03cfeb5585316f66",
         "31c7975917e4ac66", "03cfeb5585316f66", "03cfeb5585316f66", "03cfeb5585316f66",
     ),
-    ("arrow", "amd"): (
-        "63cf5a4768c9d1d9", "c4038fcffb026f26", "bfcf081cb2c329df", "bfcf081cb2c329df",
-        "63cf5a4768c9d1d9", "c4038fcffb026f26", "bfcf081cb2c329df", "bfcf081cb2c329df",
-        "89af0e7be106a1d6", "89af0e7be106a1d6", "03cfeb5585316f66", "03cfeb5585316f66",
-        "89af0e7be106a1d6", "89af0e7be106a1d6", "03cfeb5585316f66", "03cfeb5585316f66",
-    ),
     ("arrow", "rcm"): (
         "f738c47d3d71c787", "4171a607d1751898", "0e1d5a2c5884f85f", "0e1d5a2c5884f85f",
         "f738c47d3d71c787", "4171a607d1751898", "0e1d5a2c5884f85f", "0e1d5a2c5884f85f",
@@ -364,12 +321,6 @@ GOLDEN = {
         "3913c6406975f75a", "3913c6406975f75a", "675c747df1aea001", "675c747df1aea001",
     ),
     ("path", "mindeg"): (
-        "f3ed52683abedc63", "f3ed52683abedc63", "f802e6f7118cf8df", "f802e6f7118cf8df",
-        "f3ed52683abedc63", "f3ed52683abedc63", "f802e6f7118cf8df", "f802e6f7118cf8df",
-        "2de62bc1cbee9d09", "2de62bc1cbee9d09", "227ccf10ac6e1561", "227ccf10ac6e1561",
-        "2de62bc1cbee9d09", "2de62bc1cbee9d09", "227ccf10ac6e1561", "227ccf10ac6e1561",
-    ),
-    ("path", "amd"): (
         "f3ed52683abedc63", "f3ed52683abedc63", "f802e6f7118cf8df", "f802e6f7118cf8df",
         "f3ed52683abedc63", "f3ed52683abedc63", "f802e6f7118cf8df", "f802e6f7118cf8df",
         "2de62bc1cbee9d09", "2de62bc1cbee9d09", "227ccf10ac6e1561", "227ccf10ac6e1561",
@@ -405,12 +356,6 @@ GOLDEN = {
         "b23364159cc512ea", "2edbd10fff9e34d3", "88ae4ee41c96f197", "88ae4ee41c96f197",
         "9479258281607926", "0f8667a25cfc7fe1", "39ffa2881145d103", "39ffa2881145d103",
     ),
-    ("two_components", "amd"): (
-        "3963033cdbb47030", "3963033cdbb47030", "1beb8eff2c236adb", "1beb8eff2c236adb",
-        "3963033cdbb47030", "3963033cdbb47030", "1beb8eff2c236adb", "1beb8eff2c236adb",
-        "a1dbab03414f5d1d", "a1dbab03414f5d1d", "fd4ef8bf43ded4ad", "fd4ef8bf43ded4ad",
-        "2d00b6600983b79f", "2d00b6600983b79f", "39ffa2881145d103", "39ffa2881145d103",
-    ),
     ("two_components", "rcm"): (
         "02fb534535391ded", "02fb534535391ded", "6f8ccd2917151c3e", "6f8ccd2917151c3e",
         "02fb534535391ded", "02fb534535391ded", "6f8ccd2917151c3e", "6f8ccd2917151c3e",
@@ -441,12 +386,6 @@ GOLDEN = {
         "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a",
         "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a",
     ),
-    ("diagonal", "amd"): (
-        "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a",
-        "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a",
-        "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a",
-        "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a", "4f701c4e9b75c81a",
-    ),
     ("diagonal", "rcm"): (
         "05153fcee0b013c4", "05153fcee0b013c4", "05153fcee0b013c4", "05153fcee0b013c4",
         "05153fcee0b013c4", "05153fcee0b013c4", "05153fcee0b013c4", "05153fcee0b013c4",
@@ -472,12 +411,6 @@ GOLDEN = {
         "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
     ),
     ("n1", "mindeg"): (
-        "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
-        "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
-        "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
-        "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
-    ),
-    ("n1", "amd"): (
         "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
         "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",
         "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a", "12ce1d122a048c3a",

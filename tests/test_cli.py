@@ -26,8 +26,9 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     def test_ordering_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["analyze", "x", "--ordering", "bogus"])
+        for bad in ("bogus", "amd"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["analyze", "x", "--ordering", bad])
 
     def test_backend_choices_track_registry(self):
         """``--backend`` choices derive from the registry's ``BACKENDS``."""
@@ -154,8 +155,8 @@ class TestCommands:
         assert main(["solve", SMALL, "--engine", "rlb"]) == 0
         assert "relative residual" in capsys.readouterr().out
 
-    def test_solve_with_amd_ordering(self, capsys):
-        assert main(["solve", SMALL, "--ordering", "amd"]) == 0
+    def test_solve_with_mindeg_ordering(self, capsys):
+        assert main(["solve", SMALL, "--ordering", "mindeg"]) == 0
 
     def test_suite_subset(self, capsys):
         assert main(["suite", SMALL]) == 0

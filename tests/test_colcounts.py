@@ -11,11 +11,32 @@ from repro.sparse import (
     tridiagonal,
     vector_stencil,
 )
-from repro.symbolic import (
-    column_counts,
-    column_counts_reference,
-    elimination_tree,
-)
+from repro.symbolic import column_counts, elimination_tree
+
+
+def column_counts_reference(A, parent):
+    """O(|L|)-memory brute force: build each column's structure bottom-up
+    (``struct(j) = A-struct(j) ∪ ⋃_child struct(child) \\ {child}``) and
+    return its size.  Quadratic-ish; the oracle for ``column_counts``."""
+    n = A.n
+    structs = [None] * n
+    counts = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        rows = A.indices[A.indptr[j]:A.indptr[j + 1]]
+        s = set(int(r) for r in rows)
+        if structs[j] is not None:
+            s |= structs[j]
+        s.add(j)
+        counts[j] = len(s)
+        p = parent[j]
+        if p >= 0:
+            s.discard(j)
+            if structs[p] is None:
+                structs[p] = s
+            else:
+                structs[p] |= s
+        structs[j] = None
+    return counts
 
 
 def check(A):

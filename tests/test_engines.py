@@ -2,19 +2,17 @@
 reference, plus engine-specific behaviour (workspace, block pairs, result
 metadata)."""
 
-import numpy as np
 import pytest
 
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import (
     factorize_rl_cpu,
     factorize_rlb_cpu,
-    simplicial_cholesky,
     update_workspace_entries,
 )
 from repro.sparse import grid_laplacian, random_spd, vector_stencil
 from repro.symbolic import analyze
-from tests.conftest import assert_factor_matches, dense_chol_lower
+from tests.conftest import assert_factor_matches
 
 ENGINES = [factorize_rl_cpu, factorize_rlb_cpu]
 
@@ -52,30 +50,6 @@ class TestCorrectness:
         system = analyze(small_grid.shift_diagonal(-100.0))
         with pytest.raises(NotPositiveDefiniteError):
             factorize_rl_cpu(system.symb, system.matrix)
-
-
-class TestSimplicial:
-    def test_matches_dense(self, system):
-        ip, ix, dv = simplicial_cholesky(system.matrix)
-        n = system.matrix.n
-        L = np.zeros((n, n))
-        for j in range(n):
-            L[ix[ip[j]:ip[j + 1]], j] = dv[ip[j]:ip[j + 1]]
-        assert np.abs(L - dense_chol_lower(system)).max() < 1e-9
-
-    def test_not_positive_definite(self):
-        from repro.sparse import tridiagonal
-
-        A = tridiagonal(5).shift_diagonal(-10.0)
-        with pytest.raises(NotPositiveDefiniteError):
-            simplicial_cholesky(A)
-
-    def test_structure_sorted(self, tiny_tridiag):
-        ip, ix, _ = simplicial_cholesky(tiny_tridiag)
-        for j in range(tiny_tridiag.n):
-            col = ix[ip[j]:ip[j + 1]]
-            assert col[0] == j
-            assert (np.diff(col) > 0).all()
 
 
 class TestResultMetadata:

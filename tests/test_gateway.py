@@ -361,146 +361,6 @@ def test_generous_timeout_serves_normally(base_matrix):
 
 
 # ---------------------------------------------------------------------------
-# manifest save / prewarm round trip
-# ---------------------------------------------------------------------------
-def test_save_manifest_prewarm_roundtrip(patterns, tmp_path):
-    """A restarted gateway prewarmed from a manifest admits values-only
-    traffic on every saved pattern without re-shipping structure."""
-    path = tmp_path / "manifest.npz"
-    b = np.ones(patterns[0].n)
-    values = {m: sweep(P, 1, seed=40 + m)[0]
-              for m, P in enumerate(patterns)}
-    fps = [repro.pattern_fingerprint(P) for P in patterns]
-
-    async def first_life():
-        async with Gateway() as gw:
-            for m, P in enumerate(patterns):
-                await gw.submit(with_values(P, values[m]), b)
-            return gw.save_manifest(path)
-
-    saved = run(first_life())
-    assert saved == len(patterns)
-
-    async def second_life():
-        async with Gateway() as gw:
-            warmed = await gw.prewarm(path)
-            cold_stats = gw.stats()
-            # the values-only fast path works for every saved pattern
-            xs = [await gw.submit_values(fp, values[m], b)
-                  for m, fp in enumerate(fps)]
-            return warmed, cold_stats, xs, gw.stats()
-
-    warmed, cold_stats, xs, stats = run(second_life())
-    assert warmed == fps  # oldest-first: LRU order survives the round trip
-    # prewarming is traffic-neutral: no hits/misses counted for the replay
-    assert (cold_stats.hits, cold_stats.misses) == (0, 0)
-    assert cold_stats.cached_plans == len(patterns)
-    for m, x in enumerate(xs):
-        assert np.array_equal(x, direct_solution(patterns[m], values[m], b))
-    assert stats.misses == 0  # every submission landed on a warm plan
-
-
-def test_prewarm_skips_fingerprint_mismatch(patterns, tmp_path):
-    """Manifest rows whose structure no longer hashes to the recorded
-    fingerprint are skipped, not served wrong."""
-    path = tmp_path / "manifest.npz"
-
-    async def save():
-        async with Gateway() as gw:
-            for P in patterns[:2]:
-                await gw.register(P)
-            gw.save_manifest(path)
-
-    run(save())
-    data = dict(np.load(path))
-    data["fps"][0] = "0" * 16  # corrupt one recorded fingerprint
-    np.savez(path, **data)
-
-    async def restore():
-        async with Gateway() as gw:
-            return await gw.prewarm(path)
-
-    warmed = run(restore())
-    assert warmed == [repro.pattern_fingerprint(patterns[1])]
-
-
-def test_prewarm_missing_manifest_is_graceful_noop(patterns, tmp_path):
-    """A nonexistent manifest path must not poison the gateway: prewarm
-    returns [] and the gateway still serves cold traffic normally."""
-    b = np.ones(patterns[0].n)
-    v = sweep(patterns[0], 1, seed=50)[0]
-
-    async def go():
-        async with Gateway() as gw:
-            warmed = await gw.prewarm(tmp_path / "never-written.npz")
-            x = await gw.submit(with_values(patterns[0], v), b)
-            return warmed, x, gw.stats()
-
-    warmed, x, stats = run(go())
-    assert warmed == []
-    assert np.array_equal(x, direct_solution(patterns[0], v, b))
-    assert (stats.hits, stats.misses) == (0, 1)
-
-
-def test_prewarm_corrupt_manifest_is_graceful_noop(patterns, tmp_path):
-    """Truncated/garbage manifest bytes are skipped, not raised, and the
-    gateway serves fine afterwards."""
-    b = np.ones(patterns[0].n)
-    v = sweep(patterns[0], 1, seed=51)[0]
-    garbage = tmp_path / "garbage.npz"
-    garbage.write_bytes(b"\x00not an npz archive\xff" * 7)
-    missing_keys = tmp_path / "missing-keys.npz"
-    np.savez(missing_keys, unrelated=np.arange(3))
-
-    async def go(path):
-        async with Gateway() as gw:
-            warmed = await gw.prewarm(path)
-            x = await gw.submit(with_values(patterns[0], v), b)
-            return warmed, x
-
-    for path in (garbage, missing_keys):
-        warmed, x = run(go(path))
-        assert warmed == []
-        assert np.array_equal(x, direct_solution(patterns[0], v, b))
-
-
-def test_save_manifest_roundtrip_after_evictions(patterns, tmp_path):
-    """A capacity-bound gateway saves only the survivors; prewarming the
-    manifest restores exactly those patterns, in LRU order."""
-    path = tmp_path / "manifest.npz"
-    b = np.ones(patterns[0].n)
-    values = {m: sweep(P, 1, seed=60 + m)[0]
-              for m, P in enumerate(patterns)}
-    fps = [repro.pattern_fingerprint(P) for P in patterns]
-
-    async def first_life():
-        async with Gateway(capacity=2) as gw:
-            for m, P in enumerate(patterns):  # third submit evicts fp 0
-                await gw.submit(with_values(P, values[m]), b)
-            saved = gw.save_manifest(path)
-            return saved, gw.stats()
-
-    saved, stats = run(first_life())
-    assert saved == 2
-    assert stats.evictions == 1
-
-    async def second_life():
-        async with Gateway(capacity=2) as gw:
-            warmed = await gw.prewarm(path)
-            # survivors admit values-only traffic; the evicted one doesn't
-            xs = [await gw.submit_values(fp, values[m], b)
-                  for m, fp in zip((1, 2), fps[1:])]
-            with pytest.raises(UnknownPatternError):
-                await gw.submit_values(fps[0], values[0], b)
-            return warmed, xs
-
-    warmed, xs = run(second_life())
-    assert warmed == fps[1:]  # eviction order survived the round trip
-    for m, x in zip((1, 2), xs):
-        assert np.array_equal(x, direct_solution(patterns[m], values[m], b))
-
-
-# ---------------------------------------------------------------------------
 # submit_values / register fast paths
 # ---------------------------------------------------------------------------
 def test_submit_values_requires_warm_pattern(base_matrix):

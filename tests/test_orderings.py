@@ -131,8 +131,9 @@ class TestDispatcher:
             assert is_permutation(order_matrix(small_grid, m), small_grid.n)
 
     def test_unknown_method(self, small_grid):
-        with pytest.raises(ValueError):
-            order_matrix(small_grid, "metis")
+        for method in ("metis", "amd"):
+            with pytest.raises(ValueError, match="nd, mindeg, rcm, natural"):
+                order_matrix(small_grid, method)
 
 
 class TestQualityMetrics:

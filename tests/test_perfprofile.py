@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    format_speedup_row,
     format_table,
     performance_profile,
     render_ascii,
@@ -86,13 +85,3 @@ class TestRendering:
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "--" in text
-
-    def test_format_speedup_row(self):
-        row = format_speedup_row("m", 1.234567, 2.5, 10, 100,
-                                 paper_speedup=3.0)
-        assert row[0] == "m"
-        assert row[1] == "1.2346"
-        assert row[5] == "3.00"
-        failed = format_speedup_row("m", None, None, None, 100,
-                                    paper_speedup=3.0, failed=True)
-        assert failed[1] is None
