@@ -3,17 +3,29 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.analysis import COST_CLASSES, breakdown, render_breakdowns
 from repro.cli import build_parser, main
 from repro.numeric.registry import BACKENDS
+from repro.ordering import ORDERINGS
 from repro.sparse import get_entry, grid_laplacian
 from repro.sparse.io import write_matrix_market
-from repro.symbolic import analyze
+from repro.symbolic import analyze, count_blocks
 
 SMALL = "Fault_639"  # smallest-ish suite member keeps CLI tests quick
+
+
+def stats_table(out):
+    """``{statistic: value}`` from ``analyze``'s two-column table."""
+    rows = {}
+    for line in out.splitlines():
+        cells = re.split(r"\s{2,}", line.strip())
+        if len(cells) == 2:
+            rows[cells[0]] = cells[1]
+    return rows
 
 
 class TestParser:
@@ -157,6 +169,32 @@ class TestCommands:
 
     def test_solve_with_mindeg_ordering(self, capsys):
         assert main(["solve", SMALL, "--ordering", "mindeg"]) == 0
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_analyze_statistics_match_library(self, tmp_path, capsys,
+                                              ordering):
+        A = grid_laplacian((6, 5, 2))
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, A)
+        assert main(["analyze", str(path), "--ordering", ordering]) == 0
+        stats = stats_table(capsys.readouterr().out)
+        symb = analyze(A, ordering=ordering).symb
+        assert stats["n"] == str(A.n)
+        assert stats["supernodes"] == str(symb.nsup)
+        assert stats["factor entries (dense panels)"] == str(
+            symb.factor_nnz_dense())
+        assert stats["largest update matrix entries"] == str(
+            symb.largest_update_size())
+        assert stats["RLB blocks"] == str(count_blocks(symb))
+        assert stats["ordering"] == ordering
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_solve_mtx_file(self, tmp_path, capsys, ordering):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, grid_laplacian((6, 5, 2)))
+        assert main(["solve", str(path), "--ordering", ordering]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("relative residual =")[1].split()[0]) < 1e-12
 
     def test_suite_subset(self, capsys):
         assert main(["suite", SMALL]) == 0

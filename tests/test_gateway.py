@@ -392,6 +392,38 @@ def test_register_then_submit_values_bit_identical(base_matrix):
     assert (stats.hits, stats.misses) == (1, 0)
 
 
+def test_register_twice_keeps_one_plan(base_matrix):
+    async def go():
+        async with Gateway() as gw:
+            fps = [await gw.register(base_matrix) for _ in range(2)]
+            return fps, gw.stats()
+
+    fps, stats = run(go())
+    assert fps[0] == fps[1]
+    assert (stats.cached_plans, stats.requests) == (1, 0)
+
+
+def test_new_gateway_serves_values_after_one_submit(base_matrix):
+    """The plan cache lives in memory: a restarted gateway knows no
+    fingerprint until the pattern is submitted once."""
+    b = np.ones(base_matrix.n)
+    v = sweep(base_matrix, 1, seed=4)[0]
+
+    async def go():
+        async with Gateway() as gw:
+            fp = await gw.register(base_matrix)
+        async with Gateway() as gw:
+            with pytest.raises(UnknownPatternError):
+                await gw.submit_values(fp, v, b)
+            await gw.submit(base_matrix, b)
+            x = await gw.submit_values(fp, v, b)
+            return x, gw.stats()
+
+    x, stats = run(go())
+    assert np.array_equal(x, direct_solution(base_matrix, v, b))
+    assert (stats.hits, stats.misses) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
