@@ -223,11 +223,6 @@ def main(out_path="EXPERIMENTS.md"):
     w("  by up to ~1.3% at suite scale.")
     w("* `breakdown.txt` — SYRK carries RL's time, GEMM carries RLB's, and")
     w("  the update-matrix D2H dominates transfers.")
-    w("* `left_vs_right.txt` — extension: a CHOLMOD-style left-looking")
-    w("  offload is competitive with the paper's RL on the simulated")
-    w("  machine but pays growing descendant re-transfers.")
-    w("* `solve_offload.txt` — extension: the memory-bound solve phase only")
-    w("  pays off on the GPU beyond ~64–256 simultaneous right-hand sides.")
     w("")
     text = "\n".join(lines)
     with open(out_path, "w") as fh:

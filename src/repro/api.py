@@ -63,7 +63,12 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from .dense.kernels import NonFiniteValuesError, NotPositiveDefiniteError, check_finite
+from .dense.kernels import (
+    NonFiniteValuesError,
+    NotPositiveDefiniteError,
+    check_finite,
+    check_real,
+)
 from .numeric.executor import (
     StreamPool,
     _resolve_workers,
@@ -72,14 +77,9 @@ from .numeric.executor import (
     dag_plan,
     stream_factorize_job,
 )
-from .numeric.registry import (
-    get_solve_mode,
-    resolve,
-    serial_twin,
-)
+from .numeric.registry import resolve, serial_twin
 from .numeric.storage import FactorStorage, ScatterPlan
 from .numeric.updown import _modification_plan, _run_atomic
-from .solve.gpu_solve import solve_factored_gpu_dag, solve_offload_estimate
 from .solve.refine import _RefinementChain, refine, relative_residual
 from .solve.triangular import check_rhs, solve_graph, solve_in_place
 from .sparse.csc import SymmetricCSC
@@ -108,7 +108,8 @@ def same_pattern_values(A, values):
     with ``A.data`` (lower-triangle CSC order), or a full same-pattern
     :class:`~repro.sparse.csc.SymmetricCSC`; returns the flat float64 data
     array.  Raises :class:`PatternMismatchError` (a ``ValueError``) on a
-    pattern or shape mismatch — the one definition of "same pattern".
+    pattern or shape mismatch — the one definition of "same pattern" — and
+    :class:`~repro.dense.kernels.UnsupportedDtypeError` on complex values.
     """
     if values is None:
         return A.data
@@ -121,7 +122,7 @@ def same_pattern_values(A, values):
                 "build a new plan with repro.plan(...)"
             )
         return values.data
-    data = np.ascontiguousarray(values, dtype=np.float64)
+    data = np.ascontiguousarray(check_real(values, "values"), dtype=np.float64)
     if data.shape != A.data.shape:
         raise PatternMismatchError(
             f"values must have shape {A.data.shape} "
@@ -488,15 +489,6 @@ class SolvePlan:
         block = leaf_block(self._plan.symb)
         return len(block.members), block.cols.size, block.pos.size, block.nbytes()
 
-    def offload_estimate(self, k=1, *, machine=None):
-        """Pattern-only modeled comparison of this pattern's solve phase
-        for ``k`` right-hand sides: best-over-threads host sweeps vs the
-        offloaded device sweeps (cold factor and device-resident), with a
-        ``recommended`` mode — what ``Factor.solve(mode="gpu")`` would
-        buy before factorizing anything.  See
-        :func:`repro.solve.gpu_solve.solve_offload_estimate`."""
-        return solve_offload_estimate(self._plan.symb, k, machine=machine)
-
     def __repr__(self):  # pragma: no cover - cosmetic
         return (f"SolvePlan(nsup={self.nsup}, nlevels={self.nlevels}, "
                 f"max_parallelism={self.max_parallelism}, "
@@ -607,41 +599,23 @@ class Factor:
         return self._plan.solve_plan()
 
     # ------------------------------------------------------------------
-    def solve(self, b, *, workers=None, mode=None):
+    def solve(self, b, *, workers=None):
         """Solve ``A x = b``.
 
-        ``mode`` picks the triangular-solve schedule from
-        :data:`repro.numeric.registry.SOLVE_MODES`: ``"serial"`` (one
-        supernode after another), ``"level"`` (the elimination-tree level
-        schedule of :meth:`solve_plan` on the threaded task-graph runtime;
-        accepts ``workers=``) or ``"gpu"`` (the serial sweeps priced on the
-        solve graphs' simulated-GPU clock —
-        :func:`repro.solve.gpu_solve.solve_factored_gpu_dag`).
-        ``mode=None`` infers ``"level"`` when ``workers`` is given, else
-        ``"serial"``.  Solutions are **bit-identical** across modes and
-        worker counts — every schedule preserves the serial accumulation
-        order.
+        ``workers=None`` runs the serial sweeps, one supernode after
+        another; ``workers=N`` runs the elimination-tree level schedule of
+        :meth:`solve_plan` as one task graph on N threads.  Solutions are
+        **bit-identical** for every worker count — the graph preserves the
+        serial accumulation order.
         """
-        spec = get_solve_mode(
-            mode if mode is not None
-            else "level" if workers is not None else "serial"
-        )
-        if workers is not None and not spec.parallel:
-            raise ValueError(
-                f"workers= applies to the parallel solve modes only "
-                f"(level), not {spec.name!r}"
-            )
         # validate BEFORE the permutation gather: b[perm] would silently
         # truncate an oversized right-hand side
         b = check_rhs(self.n, b, "b", copy=False)
+        if workers is not None:
+            workers = _resolve_workers(workers)
         perm = self._plan.perm
-        if spec.offload:
-            # b[perm] is a fresh gather the graphs may solve in place
-            y, _, _ = solve_factored_gpu_dag(self.storage, b[perm], overwrite_b=True)
-        else:
-            workers = _resolve_workers(workers) if spec.parallel else None
-            # b[perm] is a fresh gather; both sweeps run in place on it
-            y = solve_in_place(self.storage, b[perm], workers)
+        # b[perm] is a fresh gather; both sweeps run in place on it
+        y = solve_in_place(self.storage, b[perm], workers)
         x = np.empty_like(y)
         x[perm] = y
         return x
@@ -722,7 +696,7 @@ class Factor:
         factor's ordering (``B = P A P^T`` means ``W_perm = W[perm]``).
         ``dtype=None`` is the pattern-only door: values are neither
         converted nor required to be finite."""
-        W = np.asarray(W, dtype=dtype)
+        W = np.asarray(check_real(W, name), dtype=dtype)
         if W.ndim == 1:
             W = W[:, None]
         if W.ndim != 2 or W.shape[0] != self.n:
@@ -1174,8 +1148,8 @@ class ServingSession:
         index = self._submitted
         future = Future()
         # captured — and, like a NaN ``b``, refused — at submit
-        W = check_finite(np.array(W, dtype=np.float64, copy=True),
-                         "update vectors")
+        W = np.array(check_real(W, "update vectors"), dtype=np.float64, copy=True)
+        W = check_finite(W, "update vectors")
         y = None
         if b is not None:
             b = check_rhs(plan.n, b, "b", copy=False)

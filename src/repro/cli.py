@@ -44,9 +44,10 @@ in-flight counter tracks.
     Per-kernel-class modeled time for all four methods.
 
 ``factorize``, ``solve``, ``batch``, ``serve`` and ``update`` name the
-engine with ``--engine`` (any registry row; ``--backend`` re-targets it),
-resolved by :func:`repro.numeric.registry.resolve`: a bad engine or option
-exits 2 with the registry's message.
+engine with ``--engine`` (any registry row; ``factorize``, ``batch`` and
+``serve``'s ``--backend`` re-targets it), resolved by
+:func:`repro.numeric.registry.resolve`: a bad engine or option exits 2 with
+the registry's message.
 
 ``MATRIX`` is a suite name (see ``list``) or a path to a Matrix Market
 file.  All runtimes are modeled seconds on the simulated machine — see
@@ -215,28 +216,17 @@ def cmd_solve(args):
     if args.workers is not None and args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    # argparse restricts --backend to "gpu" (thread parallelism is
-    # --workers)
-    backend = args.backend
-    if backend == "gpu" and args.workers is not None:
-        print("--workers and --backend gpu are mutually exclusive (the "
-              "offloaded solve runs on device streams)", file=sys.stderr)
-        return 2
     A = _load_matrix(args.matrix)
     rng = np.random.default_rng(args.seed)
     shape = A.n if args.rhs == 1 else (A.n, args.rhs)
     b = rng.standard_normal(shape)
     plan = make_plan(A, ordering=args.ordering)
     try:
-        factor = plan.factorize(engine=args.engine, backend=backend,
-                                dtype=_cli_dtype(args))
+        factor = plan.factorize(engine=args.engine, dtype=_cli_dtype(args))
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if backend == "gpu":
-        x = factor.solve(b, mode="gpu")
-    else:
-        x = factor.solve(b)
+    x = factor.solve(b)
     rel = factor.residual_norm(x, b)
     print(f"n = {A.n}, method = {factor.engine}, "
           f"precision = {factor.dtype.name}, "
@@ -254,14 +244,6 @@ def cmd_solve(args):
               f"({out.iterations} refinement steps"
               + (f"; fp64 refactorize fallback: {fb['reason']}" if fb
                  else "") + ")")
-    if backend == "gpu":
-        est = plan.solve_plan().offload_estimate(k=args.rhs)
-        print(f"solve offload estimate (k={args.rhs}): "
-              f"cpu {est['cpu_seconds']:.3e}s "
-              f"({est['cpu_threads']} threads) vs "
-              f"gpu {est['gpu_seconds']:.3e}s cold / "
-              f"{est['gpu_resident_seconds']:.3e}s resident "
-              f"-> {est['recommended']}")
     if args.workers is not None:
         # serial sweeps vs the level-scheduled parallel sweeps, best of 3
         sp = factor.solve_plan()
@@ -738,11 +720,6 @@ def build_parser():
                     help="also run the level-scheduled parallel triangular "
                          "solves with this many threads and report "
                          "serial-vs-parallel solve timings (bit-identical)")
-    sp.add_argument("--backend", default=None, choices=["gpu"],
-                    help="offload both phases: factorize on the gpu "
-                         "engine and solve via the solve graphs on "
-                         "simulated-GPU streams (prints the offload "
-                         "estimate)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization; fp32 "
                          "additionally reports the fp64-refined residual "

@@ -35,6 +35,7 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "check_dtype",
     "check_finite",
+    "check_real",
     "potrf",
     "trsm_right",
     "syrk_lower",
@@ -166,6 +167,14 @@ def check_finite(x, what):
     finite = np.isfinite(x)
     if not finite.all():
         raise NonFiniteValuesError(x.size - np.count_nonzero(finite), what=what)
+    return x
+
+
+def check_real(x, what):
+    """``x`` — or :class:`UnsupportedDtypeError` naming ``what`` if it is complex: numpy's cast
+    to a real dtype would keep the real part and only warn."""
+    if np.iscomplexobj(x):
+        raise UnsupportedDtypeError(np.asarray(x).dtype, context=what)
     return x
 
 

@@ -1,5 +1,5 @@
 """Numeric factorization engines: RL / RLB (CPU), their GPU-offloaded
-variants, the left-looking offload ablation, and factor storage."""
+variants, and factor storage."""
 
 from .storage import FactorStorage, ScatterPlan
 from .result import CpuCostAccumulator, FactorizeResult
@@ -32,7 +32,6 @@ from .procpool import (
     close_default_pools,
 )
 from .blas_limits import BLAS_ENV_VARS, limit_blas_threads, pinned_blas_env
-from .left_looking_gpu import factorize_left_looking_gpu
 from .planner import MemoryPlan, plan, predict_peak_device_bytes
 from .updown import (
     rank1_update,
@@ -67,7 +66,6 @@ __all__ = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "factorize_left_looking_gpu",
     "assemble_update",
     "update_workspace_entries",
     "factor_snode",

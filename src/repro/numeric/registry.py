@@ -64,10 +64,6 @@ __all__ = [
     "serial_twin",
     "backend_engine",
     "resolve",
-    "SolveModeSpec",
-    "SOLVE_MODES",
-    "solve_mode_names",
-    "get_solve_mode",
 ]
 
 #: Task-DAG granularity of each family (the inverse of the executor's map).
@@ -232,51 +228,3 @@ def engine_table():
 
 __doc__ += "\n" + engine_table() + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Solve-side dispatch.  The triangular sweeps are one algorithm under two
-# *schedules*; this table is the one place their public names live, shared
-# by :meth:`repro.api.Factor.solve`, the CLI ``solve --workers`` path and
-# the docs (mirror of the factorization ENGINES table above).
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class SolveModeSpec:
-    """One registered triangular-solve schedule.
-
-    ``parallel`` marks the modes that accept ``workers=`` (executed by the
-    task-graph runtime); ``offload`` marks the simulated-device mode (the
-    solve graphs' modeled device clock,
-    :func:`~repro.solve.gpu_solve.solve_factored_gpu_dag`).
-    All modes produce bit-identical solutions — every schedule preserves the
-    serial sweeps' accumulation order.
-    """
-
-    name: str
-    parallel: bool
-    description: str
-    offload: bool = False
-
-
-#: Solve-mode name -> :class:`SolveModeSpec`; the solve-side registry.
-SOLVE_MODES = {
-    spec.name: spec
-    for spec in (
-        SolveModeSpec("serial", False, "one supernode after another (the historical sweeps)"),
-        SolveModeSpec("level", True, "level schedule on the task-graph runtime; accepts workers="),
-        SolveModeSpec("gpu", False, "solve graphs on simulated-GPU streams", offload=True),
-    )
-}
-
-
-def solve_mode_names():
-    """Sorted names of every registered solve mode."""
-    return sorted(SOLVE_MODES)
-
-
-def get_solve_mode(name):
-    """The :class:`SolveModeSpec` for ``name``; raises ``ValueError``
-    (listing the valid names) when unknown."""
-    spec = SOLVE_MODES.get(name)
-    if spec is None:
-        raise ValueError(f"unknown solve mode {name!r}; choose from {solve_mode_names()}")
-    return spec

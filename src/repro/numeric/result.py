@@ -174,8 +174,8 @@ class FactorizeResult:
     Attributes
     ----------
     method:
-        ``"rl"`` / ``"rlb"`` / ``"rl_gpu"`` / ``"rlb_gpu_v1"`` /
-        ``"rlb_gpu_v2"`` / ``"left_looking_gpu"``.
+        The registry row that produced the factor (``"rl"``, ``"rl_gpu"``,
+        ``"rlb_gpu_v2"``, ...).
     storage:
         The numeric factor (:class:`~repro.numeric.storage.FactorStorage`).
     modeled_seconds:

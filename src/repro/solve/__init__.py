@@ -1,5 +1,5 @@
-"""Solve layer: supernodal triangular solves (serial, level-scheduled and
-offloaded) and iterative refinement."""
+"""Solve layer: supernodal triangular solves (serial and level-scheduled)
+and iterative refinement."""
 
 from .triangular import (
     forward_solve,
@@ -11,12 +11,6 @@ from .triangular import (
     forward_solve_graph,
     backward_solve_graph,
     solve_graph,
-)
-from .gpu_solve import (
-    solve_factored_cpu,
-    solve_factored_gpu_dag,
-    solve_offload_estimate,
-    solve_flops,
 )
 from .sparse_rhs import solve_reach, forward_solve_sparse
 from .refine import RefinementResult, refine, relative_residual
@@ -31,10 +25,6 @@ __all__ = [
     "forward_solve_graph",
     "backward_solve_graph",
     "solve_graph",
-    "solve_factored_cpu",
-    "solve_factored_gpu_dag",
-    "solve_offload_estimate",
-    "solve_flops",
     "solve_reach",
     "forward_solve_sparse",
     "RefinementResult",

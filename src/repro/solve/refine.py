@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dense.kernels import check_real
 from .triangular import check_rhs, solve_in_place
 
 __all__ = ["RefinementResult", "refine", "relative_residual"]
@@ -20,7 +21,10 @@ __all__ = ["RefinementResult", "refine", "relative_residual"]
 
 def _relative_residual_norm(b, r):
     """Max over columns of ``||r||_inf / ||b||_inf`` (per-column norms so
-    no small-scale column hides behind a large one)."""
+    no small-scale column hides behind a large one); ``0.0`` for an empty
+    ``b``, whose solve is exact."""
+    if b.size == 0:
+        return 0.0
     denom = np.maximum(np.abs(b).max(axis=0), 1e-300)
     return float((np.abs(r).max(axis=0) / denom).max())
 
@@ -32,7 +36,7 @@ def relative_residual(A, x, b):
     The one residual convention shared by :func:`refine` and
     :meth:`repro.api.Factor.residual_norm`.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = np.asarray(check_real(b, "right-hand side"), dtype=np.float64)
     return _relative_residual_norm(b, b - A.matvec(x))
 
 
@@ -71,7 +75,7 @@ class _RefinementChain:
 
     def __init__(self, A, b, perm, dtype, tol, max_iter, stall_ratio=None):
         self.A = A
-        self.b = np.asarray(b, dtype=np.float64)
+        self.b = np.asarray(check_real(b, "right-hand side"), dtype=np.float64)
         self.perm = perm
         self.dtype = np.dtype(dtype if max_iter >= 1 else np.float64)
         self.tol = tol
@@ -86,7 +90,7 @@ class _RefinementChain:
         the cast neither overflows nor flushes to zero at any scale of ``b``."""
         if self.dtype == np.float64:
             return y
-        scale = np.abs(y).max(axis=0)
+        scale = np.abs(y).max(axis=0, initial=0.0)  # an empty y has no max
         self.scale = np.where(scale > 0, scale, 1.0)
         y /= self.scale
         return y.astype(self.dtype)

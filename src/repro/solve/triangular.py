@@ -47,7 +47,7 @@ from bisect import bisect_right
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
-from ..dense.kernels import check_finite, trtrs_lower
+from ..dense.kernels import check_finite, check_real, trtrs_lower
 from ..numeric.executor import Countdown, run_task_graph
 from ..symbolic.levels import leaf_block, solve_schedule
 
@@ -74,9 +74,10 @@ def check_rhs(n, b, name="b", *, copy=True):
     wants the validated conversion).  The one right-hand-side validation
     shared by both sweeps and the staged API, so every caller reports the
     same message with the expected ``n`` and the offending shape, and NaN/Inf
-    entries are refused here (:class:`~repro.dense.kernels.NonFiniteValuesError`).
+    entries are refused here (:class:`~repro.dense.kernels.NonFiniteValuesError`),
+    complex ones too (:class:`~repro.dense.kernels.UnsupportedDtypeError`).
     """
-    out = np.asarray(b, dtype=np.float64)
+    out = np.asarray(check_real(b, "right-hand side"), dtype=np.float64)
     if out.ndim not in (1, 2) or out.shape[0] != n:
         # one message for both sweeps: `name` is the argument being
         # validated (`b` forward, `y` backward) but it is always a

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..dense.kernels import check_real
+
 __all__ = ["SymmetricCSC"]
 
 
@@ -35,7 +37,8 @@ class SymmetricCSC:
         ``int64`` array of row indices, sorted ascending within each column,
         all ``>= j`` for column ``j`` (lower triangle including diagonal).
     data:
-        ``float64`` array of the corresponding numerical values.
+        ``float64`` array of the corresponding numerical values (complex
+        values raise :class:`~repro.dense.kernels.UnsupportedDtypeError`).
     check:
         When true (default) the structural invariants are validated; pass
         ``False`` only from internal code that constructs valid inputs.
@@ -47,7 +50,7 @@ class SymmetricCSC:
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.ascontiguousarray(check_real(data, "values"), dtype=np.float64)
         if check:
             self._validate()
 
@@ -83,7 +86,7 @@ class SymmetricCSC:
             raise ValueError("symmetry must be 'auto', 'full' or 'lower'")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
+        vals = np.asarray(check_real(vals, "values"), dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols, vals must have identical shapes")
         if rows.size and (rows.min() < 0 or cols.min() < 0

@@ -80,6 +80,41 @@ class TestPlan:
             x = session.submit_solve(np.empty(0), np.empty(0)).result()
         assert x.shape == (0,)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_empty_matrix_refines(self, dtype, workers):
+        """An empty ``b`` has nothing to refine: its residual is 0.0 and the
+        refined answer is the plain solve's empty array, fp32 included."""
+        factor = self._empty_plan().factorize(engine="rl", dtype=dtype)
+        b = np.empty(0)
+        x = factor.solve_refined(b, workers=workers)
+        assert x.shape == (0,) and x.dtype == np.float64
+        assert factor.residual_norm(x, b) == 0.0
+        out = factor.solve_refined(b, workers=workers, return_info=True)
+        assert out.converged and out.residual_norms == [0.0]
+        assert "refine_fallback" not in factor.result.extra
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_block_refines(self, base_plan, dtype):
+        """An ``(n, 0)`` block: what ``solve`` returns, ``solve_refined`` and
+        ``residual_norm`` return too."""
+        factor = base_plan.factorize(engine="rl", dtype=dtype)
+        B = np.empty((base_plan.n, 0))
+        assert factor.solve(B).shape == (base_plan.n, 0)
+        X = factor.solve_refined(B)
+        assert X.shape == (base_plan.n, 0)
+        assert factor.residual_norm(X, B) == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("empty", ["matrix", "block"])
+    def test_empty_refined_serves(self, base_plan, dtype, empty):
+        plan = self._empty_plan() if empty == "matrix" else base_plan
+        b = np.empty(0) if empty == "matrix" else np.empty((plan.n, 0))
+        with plan.serve(workers=2) as session:
+            x = session.submit_solve(None, b, refine=True, dtype=dtype).result(timeout=60)
+        assert x.shape == b.shape
+        assert np.array_equal(x, plan.factorize(engine="rl", dtype=dtype).solve_refined(b))
+
     def test_symbolic_reused_across_factorizations(self, base_plan,
                                                    value_batch):
         f1 = base_plan.factorize(value_batch[0], engine="rl")

@@ -57,10 +57,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "get_engine"),
     ("repro.numeric.registry", "engine_names"),
     ("repro.numeric.registry", "serial_twin"),
-    ("repro.numeric.registry", "SOLVE_MODES"),
-    ("repro.numeric.registry", "SolveModeSpec"),
-    ("repro.numeric.registry", "get_solve_mode"),
-    ("repro.numeric.registry", "solve_mode_names"),
     ("repro.numeric.registry", "BACKENDS"),
     ("repro.numeric.registry", "backend_engine"),
     ("repro.numeric.registry", "resolve"),
@@ -81,8 +77,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.blas_limits", "limit_blas_threads"),
     ("repro.numeric.blas_limits", "pinned_blas_env"),
     ("repro.solve", "solve_factored"),
-    ("repro.solve", "solve_factored_gpu_dag"),
-    ("repro.solve", "solve_offload_estimate"),
     ("repro.solve", "forward_solve_graph"),
     ("repro.solve", "backward_solve_graph"),
     ("repro.solve", "solve_graph"),
@@ -179,7 +173,7 @@ def test_solve_plan_surface():
 
     solve_plan = repro.plan(grid_laplacian((6, 5))).solve_plan()
     for name in ("plan", "schedule", "nsup", "nlevels", "max_parallelism", "avg_parallelism",
-                 "level_widths", "offload_estimate", "leaf_block"):
+                 "level_widths", "leaf_block"):
         assert hasattr(solve_plan, name), f"SolvePlan.{name} missing"
     block = solve_plan.leaf_block
     assert len(block) == 4 and all(int(v) == v and v > 0 for v in block)

@@ -167,6 +167,22 @@ class TestCommands:
         assert main(["solve", SMALL, "--engine", "rlb"]) == 0
         assert "relative residual" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["rl_gpu", "rlb_gpu_v2"])
+    def test_solve_factorizes_on_the_device(self, capsys, engine):
+        """``--engine rl_gpu`` factorizes on the simulated device; the
+        solve runs on the host and prints no device estimate."""
+        assert main(["solve", SMALL, "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert f"method = {engine}" in out
+        assert float(out.split("relative residual =")[1].split()[0]) < 1e-12
+        assert "estimate" not in out
+
+    def test_solve_takes_no_backend(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", SMALL, "--backend", "gpu"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend gpu" in capsys.readouterr().err
+
     def test_solve_with_mindeg_ordering(self, capsys):
         assert main(["solve", SMALL, "--ordering", "mindeg"]) == 0
 

@@ -10,7 +10,6 @@ from repro.dense import NotPositiveDefiniteError
 from repro.gpu import DeviceOutOfMemory, MachineModel, SimulatedGpu
 from repro.gpu.device import Timeline
 from repro.numeric import (
-    factorize_left_looking_gpu,
     factorize_rl_cpu,
     factorize_rl_gpu,
     factorize_rlb_cpu,
@@ -27,7 +26,6 @@ ALL_ENGINES = [
      dict(version=1, device_memory=10 ** 13)),
     ("rlb_gpu_v2", factorize_rlb_gpu,
      dict(version=2, device_memory=10 ** 13)),
-    ("ll_gpu", factorize_left_looking_gpu, dict(device_memory=10 ** 13)),
 ]
 
 
@@ -227,7 +225,6 @@ class TestInputValidation:
         doors = [
             lambda: factor.solve(b),
             lambda: factor.solve(block, workers=2),
-            lambda: factor.solve(b, mode="gpu"),
             lambda: factor.solve_refined(b),
         ]
         for door in doors:
@@ -323,13 +320,13 @@ class TestInputValidation:
         want = factor.solve(b)
         panel = factor.storage.panels[s]
         kept = panel[0, 0]
-        for how in (dict(), dict(workers=2), dict(mode="gpu")):
+        for how in (dict(), dict(workers=2)):
             panel[0, 0] = 1e-320
             with pytest.raises(repro.NonFiniteValuesError, match="solution") as ei:
                 factor.solve(b, **how)
             assert ei.value.what == "solution" and ei.value.count > 0
             with pytest.raises(repro.NonFiniteValuesError, match="solution"):
-                factor.solve_refined(b, **({} if "mode" in how else how))
+                factor.solve_refined(b, **how)
             panel[0, 0] = kept
             assert np.array_equal(factor.solve(b, **how), want)
 

@@ -342,6 +342,51 @@ def test_timeout_fails_only_its_own_request(base_matrix):
     assert stats.in_flight == 0  # the timed-out slot was released
 
 
+@pytest.mark.parametrize("door", ["submit", "submit_values"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_timeout_storm_leaves_every_budget_whole(base_matrix, door, workers):
+    """A storm of ``timeout=0.0`` requests from several tenants, each past
+    its ``tenant_budget``: every admitted request times out or answers
+    bit-identically, every refused one is a typed rejection, and afterwards
+    nothing is in flight, each tenant fills its whole budget at once again
+    (and not one request more), and the next request is the direct call's."""
+    tenants, budget = ("acme", "beta", "gamma"), 3
+    b = np.ones(base_matrix.n)
+    v = sweep(base_matrix, 2)
+    want = [direct_solution(base_matrix, vals, b) for vals in v]
+
+    async def go():
+        async with Gateway(tenant_budget=budget, workers=workers) as gw:
+            fp = await gw.register(base_matrix)  # analysis outside the storm
+
+            def send(vals, tenant, **kw):
+                if door == "submit":
+                    return gw.submit(with_values(base_matrix, vals), b, tenant=tenant, **kw)
+                return gw.submit_values(fp, vals, b, tenant=tenant, **kw)
+
+            storm = [send(v[0], t, timeout=0.0) for t in tenants for _ in range(budget + 2)]
+            outcomes = await asyncio.gather(*storm, return_exceptions=True)
+            calm = gw.stats()
+            refill = [asyncio.ensure_future(send(v[1], t)) for t in tenants for _ in range(budget)]
+            await asyncio.sleep(0)  # every refill request passes admission
+            for t in tenants:
+                with pytest.raises(TenantBudgetExceeded):
+                    await send(v[1], t)
+            xs = await asyncio.gather(*refill)
+            return outcomes, calm, xs, await send(v[1], tenants[0]), gw.stats()
+
+    outcomes, calm, xs, x, stats = run(go())
+    timeouts = sum(isinstance(o, GatewayTimeout) for o in outcomes)
+    assert sum(isinstance(o, TenantBudgetExceeded) for o in outcomes) == 2 * len(tenants)
+    for o in outcomes:
+        assert isinstance(o, (GatewayTimeout, TenantBudgetExceeded)) or np.array_equal(o, want[0])
+    assert timeouts >= 1 and calm.timeouts == timeouts
+    assert calm.in_flight == 0 and stats.in_flight == 0
+    assert all(np.array_equal(xi, want[1]) for xi in xs)
+    assert np.array_equal(x, want[1])
+    assert stats.rejected_tenant == 3 * len(tenants)
+
+
 def test_generous_timeout_serves_normally(base_matrix):
     b = np.ones(base_matrix.n)
     v = sweep(base_matrix, 1)[0]

@@ -9,9 +9,6 @@ supernodes.
   data, by ``tests/test_gpu_golden.py``;
 * every gpu row releases all device memory it allocated;
 * trace lanes of the device render next to the host lane;
-* the offloaded solve overlaps independent branches, charges panels at
-  the factor's itemsize, keeps its pinned clock and is the clock
-  ``offload_estimate`` reports;
 * the coarse and fine DAGs at one task per supernode (the singleton cut)
   follow the pattern's updates;
 * ``gpu_snode_mask`` edge cases (0 / inf / empty / singleton / NaN /
@@ -25,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.gpu import DeviceOutOfMemory, MachineModel, Tracer
+from repro.gpu import DeviceOutOfMemory, Tracer
 from repro.numeric import (
     factorize_rl_cpu,
     factorize_rl_gpu,
@@ -169,137 +166,6 @@ class TestRegistryAndApi:
             plan.factorize(engine="rl", devices=2)
         with pytest.raises(ValueError, match="workers"):
             plan.factorize(engine="rl", backend="gpu", workers=2)
-
-    def test_gpu_solve_mode_dispatch(self, system):
-        import repro
-
-        A = vector_stencil((5, 5, 4), 3, seed=4)
-        plan = repro.plan(A)
-        factor = plan.factorize(engine="rl")
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal((A.n, 3))
-        x = factor.solve(b)
-        assert np.array_equal(x, factor.solve(b, mode="gpu"))
-
-    def test_offload_estimate(self, system):
-        import repro
-
-        A = vector_stencil((5, 5, 4), 3, seed=4)
-        plan = repro.plan(A)
-        est = plan.solve_plan().offload_estimate(k=4)
-        assert est["rhs"] == 4
-        assert est["cpu_seconds"] > 0 and est["gpu_seconds"] > 0
-        assert est["recommended"] in ("cpu", "gpu")
-        assert est["speedup_cold"] == pytest.approx(
-            est["cpu_seconds"] / est["gpu_seconds"])
-
-
-#: ``(seconds, kernel_calls, panel_h2d_bytes)`` of ``solve_factored_gpu_dag``
-#: on an ``rl`` factor, as the solve graphs' clock printed them while it still
-#: ran inside the graphs' numerics — exact: a drift is a changed schedule
-SOLVE_CLOCK = {
-    ("grid", "float64", False, 1): (0.031799848799272216, 614, 183188.35341714576),
-    ("grid", "float64", False, 4): (0.0318008458467829, 614, 183188.35341714576),
-    ("grid", "float64", True, 1): (0.03148764760625007, 614, 0.0),
-    ("grid", "float64", True, 4): (0.031488644653760764, 614, 0.0),
-    ("grid", "float32", False, 1): (0.03179874820276115, 614, 91594.17670857288),
-    ("grid", "float32", False, 4): (0.031799745250271835, 614, 91594.17670857288),
-    ("grid", "float32", True, 1): (0.03148764760625007, 614, 0.0),
-    ("grid", "float32", True, 4): (0.031488644653760764, 614, 0.0),
-    ("vec", "float64", False, 1): (0.005731427934743831, 110, 287215.85770651855),
-    ("vec", "float64", False, 4): (0.005731712453235018, 110, 287215.85770651855),
-    ("vec", "float64", True, 1): (0.005657577810249997, 110, 0.0),
-    ("vec", "float64", True, 4): (0.005657862328741184, 110, 0.0),
-    ("vec", "float32", False, 1): (0.005729502872496913, 110, 143607.92885325928),
-    ("vec", "float32", False, 4): (0.0057297873909881005, 110, 143607.92885325928),
-    ("vec", "float32", True, 1): (0.005657577810249997, 110, 0.0),
-    ("vec", "float32", True, 4): (0.005657862328741184, 110, 0.0),
-}
-SOLVE_PATTERNS = {
-    "grid": lambda: grid_laplacian((12, 12, 4)),
-    "vec": lambda: vector_stencil((5, 5, 4), 3, seed=4),
-}
-
-
-class TestGpuSolveDag:
-    def test_bit_identical_and_scales(self, grid_system):
-        from repro.numeric import factorize_rl_cpu
-        from repro.solve.gpu_solve import solve_factored_gpu_dag
-        from repro.solve.triangular import solve_factored
-
-        symb = grid_system.symb
-        storage = factorize_rl_cpu(symb, grid_system.matrix).storage
-        rng = np.random.default_rng(1)
-        b = rng.standard_normal((symb.n, 2))
-        ref = solve_factored(storage, b)
-        tracer = Tracer()
-        x, t, stats = solve_factored_gpu_dag(storage, b, tracer=tracer)
-        assert np.array_equal(x, ref)
-        assert stats["kind"] == "gpu_dag"
-        # the graphs overlap independent branches on the copy and compute
-        # engines: the clock is shorter than the sum of the same charges
-        busy = sum(e.end - e.start for e in tracer.events
-                   if e.lane in ("gpu", "copy_in", "copy_out"))
-        assert t < busy
-        shapes = [symb.panel_shape(s) for s in range(symb.nsup)]
-        assert stats["kernel_calls"] == sum(2 + 2 * (m > w) for m, w in shapes)
-        assert stats["panel_h2d_bytes"] == pytest.approx(
-            sum(MachineModel().scaled_bytes(8.0 * m * w, 8) for m, w in shapes), rel=1e-12)
-
-    def test_fp32_panels_upload_at_half_the_bytes(self):
-        """An fp32 factor's panels cross the bus at four bytes an entry:
-        the solve used to charge them as fp64."""
-        import repro
-        from repro.solve.gpu_solve import solve_factored_gpu_dag
-
-        plan = repro.plan(grid_laplacian((12, 12, 4)))
-        b = np.ones(plan.n)
-        _, t64, s64 = solve_factored_gpu_dag(plan.factorize(engine="rl").storage, b)
-        _, t32, s32 = solve_factored_gpu_dag(
-            plan.factorize(engine="rl", dtype=np.float32).storage, b)
-        assert s32["panel_h2d_bytes"] * 2 == s64["panel_h2d_bytes"] > 0
-        assert t32 < t64
-
-    def test_resident_factor_cheaper(self, grid_system):
-        from repro.numeric import factorize_rl_cpu
-        from repro.solve.gpu_solve import solve_factored_gpu_dag
-
-        storage = factorize_rl_cpu(grid_system.symb,
-                                   grid_system.matrix).storage
-        b = np.ones(grid_system.symb.n)
-        _, cold, _ = solve_factored_gpu_dag(storage, b)
-        _, resident, _ = solve_factored_gpu_dag(storage, b,
-                                                factor_resident=True)
-        assert resident < cold
-
-    @pytest.mark.parametrize("key", sorted(SOLVE_CLOCK), ids=lambda key: "-".join(
-        (key[0], key[1], "resident" if key[2] else "cold", f"k{key[3]}")))
-    def test_clock_is_pinned(self, key):
-        import repro
-        from repro.solve.gpu_solve import solve_factored_gpu_dag
-
-        pattern, dtype, resident, k = key
-        plan = repro.plan(SOLVE_PATTERNS[pattern]())
-        factor = plan.factorize(engine="rl", dtype=np.dtype(dtype))
-        B = np.ones(plan.n) if k == 1 else np.ones((plan.n, k))
-        x, seconds, stats = solve_factored_gpu_dag(factor.storage, B, factor_resident=resident)
-        assert (seconds, stats["kernel_calls"], stats["panel_h2d_bytes"]) == SOLVE_CLOCK[key]
-        assert np.array_equal(factor.solve(B, mode="gpu"), factor.solve(B))
-
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_offload_estimate_reads_the_solve_clock(self, k):
-        """The pattern-only estimate and the offloaded solve of an fp64
-        factor are one clock, cold and resident."""
-        import repro
-        from repro.solve.gpu_solve import solve_factored_gpu_dag
-
-        plan = repro.plan(vector_stencil((5, 5, 4), 3, seed=4))
-        storage = plan.factorize(engine="rl").storage
-        B = np.ones((plan.n, k))
-        est = plan.solve_plan().offload_estimate(k)
-        assert est["gpu_seconds"] == solve_factored_gpu_dag(storage, B)[1]
-        assert est["gpu_resident_seconds"] == solve_factored_gpu_dag(
-            storage, B, factor_resident=True)[1]
 
 
 DAG_PATTERNS = {

@@ -160,8 +160,7 @@ class TestOracle:
         _check_against_dense_oracle(factor.storage)
         b = np.random.default_rng(3).standard_normal((plan.n, 4))
         serial = factor.solve(b)
-        for how in (dict(workers=2), dict(mode="gpu")):
-            np.testing.assert_array_equal(factor.solve(b, **how), serial)
+        np.testing.assert_array_equal(factor.solve(b, workers=2), serial)
 
 
 def _plan_under(cut, A):
@@ -176,8 +175,7 @@ def _check_every_schedule(plan, dtype, seed=0):
     rhs = [rng.standard_normal(plan.n), rng.standard_normal((plan.n, 5))]
     for b in rhs:
         serial = factor.solve(b)
-        for how in (dict(workers=1), dict(workers=2), dict(workers=4),
-                    dict(mode="gpu")):
+        for how in (dict(workers=1), dict(workers=2), dict(workers=4)):
             np.testing.assert_array_equal(factor.solve(b, **how), serial, err_msg=str(how))
         y = b[plan.perm]
         run_task_graph(*solve_graph(factor.storage, y, trivial_ranges(plan.symb)), 2)
@@ -210,7 +208,7 @@ class TestSameBitsInEverySchedule:
         assert child.storage.arena is None
         b = np.random.default_rng(4).standard_normal((plan.n, 3))
         serial = child.solve(b)
-        for how in (dict(workers=2), dict(workers=4), dict(mode="gpu")):
+        for how in (dict(workers=2), dict(workers=4)):
             np.testing.assert_array_equal(child.solve(b, **how), serial, err_msg=str(how))
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -439,7 +437,7 @@ class TestReadAtSolveTime:
         with pytest.raises(np.linalg.LinAlgError, match="diagonal entry 0 is exactly zero"):
             sweep(storage, np.ones(storage.symb.n))
 
-    @pytest.mark.parametrize("how", [dict(), dict(workers=2), dict(mode="gpu")])
+    @pytest.mark.parametrize("how", [dict(), dict(workers=2)])
     def test_zero_pivot_from_every_lane_and_the_lane_serves_after(self, factor, how):
         s = self._member_of_width(factor, lambda w: w >= 2)
         b = np.ones(factor.n)
@@ -468,8 +466,7 @@ class TestReadAtSolveTime:
         dense = A.to_dense() + W @ W.T
         assert np.linalg.norm(dense @ after - b) <= 1e-12 * np.linalg.norm(b)
         assert not np.array_equal(after, before)
-        for how in (dict(workers=2), dict(mode="gpu")):
-            np.testing.assert_array_equal(factor.solve(b, **how), after)
+        np.testing.assert_array_equal(factor.solve(b, workers=2), after)
 
 
 class TestObservability:

@@ -12,6 +12,7 @@ the CLI/serving precision knobs.
 """
 
 import asyncio
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,94 @@ class TestDtypeValidation:
         with pytest.raises(UnsupportedDtypeError):
             repro.plan(base_matrix).serve(engine="rlb_par",
                                           dtype=np.float16)
+
+
+class TestComplexInputRefused:
+    """A complex right-hand side, value array or update matrix is refused
+    with :class:`UnsupportedDtypeError` at every door it enters by; numpy's
+    cast would keep the real part and only warn, and the answer would be
+    the real part's (a relative residual of 1.0 against the complex ``b``)."""
+
+    @staticmethod
+    def _doors(plan, factor, cplx):
+        """``door name -> call`` feeding ``cplx(real_array)`` into one door."""
+        from repro.solve import forward_solve, solve_factored
+
+        A = plan.matrix
+        n = A.n
+        b, W = np.ones(n), 0.1 * np.eye(n)[:, :1]
+        vals = A.data * 1.01
+
+        def session(call):
+            with plan.serve(workers=2) as s:
+                return call(s).result(timeout=60)
+
+        def gateway(call):
+            async def go():
+                async with Gateway(workers=1) as gw:
+                    fp = await gw.register(A)
+                    await gw.submit(A)  # the base factor submit_update needs
+                    try:
+                        return await call(gw, fp)
+                    finally:
+                        assert gw.stats().in_flight == 0
+
+            return asyncio.run(go())
+
+        return {
+            "solve": lambda: factor.solve(cplx(b)),
+            "solve_workers": lambda: factor.solve(cplx(b), workers=2),
+            "solve_refined": lambda: factor.solve_refined(cplx(b)),
+            "residual_norm": lambda: factor.residual_norm(b, cplx(b)),
+            "solve_factored": lambda: solve_factored(factor.storage, cplx(b)),
+            "forward_solve": lambda: forward_solve(factor.storage, cplx(b)),
+            "factorize": lambda: plan.factorize(cplx(vals)),
+            "factorize_batch": lambda: plan.factorize_batch([vals, cplx(vals)]),
+            "SymmetricCSC": lambda: SymmetricCSC(n, A.indptr, A.indices, cplx(A.data)),
+            "from_coo": lambda: SymmetricCSC.from_coo(2, [0, 1], [0, 1], cplx(np.ones(2))),
+            "update": lambda: factor.update(cplx(W)),
+            "downdate": lambda: factor.downdate(cplx(W)),
+            "apply": lambda: factor.apply(cplx(W)),
+            "update_cost": lambda: factor.update_cost(cplx(W)),
+            "session.submit": lambda: session(lambda s: s.submit(cplx(vals))),
+            "session.submit_solve": lambda: session(lambda s: s.submit_solve(vals, cplx(b))),
+            "session.submit_update": lambda: session(lambda s: s.submit_update(factor, cplx(W))),
+            "gateway.submit": lambda: gateway(lambda gw, fp: gw.submit(A, cplx(b))),
+            "gateway.submit_values": lambda: gateway(
+                lambda gw, fp: gw.submit_values(fp, cplx(vals))),
+            "gateway.submit_update": lambda: gateway(
+                lambda gw, fp: gw.submit_update(fp, cplx(W))),
+        }
+
+    DOORS = ("solve", "solve_workers", "solve_refined", "residual_norm", "solve_factored",
+             "forward_solve", "factorize", "factorize_batch", "SymmetricCSC", "from_coo",
+             "update", "downdate", "apply", "update_cost", "session.submit",
+             "session.submit_solve", "session.submit_update", "gateway.submit",
+             "gateway.submit_values", "gateway.submit_update")
+
+    @pytest.mark.parametrize("kind", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("door", DOORS)
+    def test_refused(self, fp32_plan, door, kind):
+        factor = fp32_plan.factorize(engine="rl")
+        call = self._doors(fp32_plan, factor, lambda x: (x * (1 + 1j)).astype(kind))[door]
+        with warnings.catch_warnings():
+            # numpy's ComplexWarning: the real part was kept on the way
+            warnings.filterwarnings("error", message="Casting complex values to real")
+            with pytest.raises(UnsupportedDtypeError, match="complex"):
+                call()
+
+    def test_the_real_doors_still_serve(self, fp32_plan):
+        """The guard refuses complex input only: every door above answers
+        its real twin."""
+        factor = fp32_plan.factorize(engine="rl")
+        doors = self._doors(fp32_plan, factor, lambda x: x)
+        assert sorted(doors) == sorted(self.DOORS)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="Casting complex values to real")
+            for door, call in doors.items():
+                assert call() is not None, door
+        b = np.ones(fp32_plan.n)
+        assert np.array_equal(doors["solve"](), factor.solve(b))
 
 
 class TestStorageDtype:

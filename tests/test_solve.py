@@ -4,6 +4,8 @@ engine, iterative refinement."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.numeric import factorize_rl_cpu
@@ -14,7 +16,7 @@ from repro.solve import (
     refine,
     solve_factored,
 )
-from repro.sparse import grid_laplacian, vector_stencil
+from repro.sparse import grid_laplacian, random_spd, vector_stencil
 from repro.symbolic import analyze
 
 
@@ -209,3 +211,49 @@ class TestSolveInPlace:
         b = base.view(Tagged)
         solve_factored(res.storage, b)
         assert np.array_equal(base, np.ones(n))
+
+
+class TestMultiRhs:
+    """An ``(n, k)`` block solves like its ``k`` columns, through the host
+    sweeps (:func:`solve_factored`) and the staged door (``Factor.solve``)."""
+
+    @pytest.fixture(scope="class")
+    def factor(self):
+        return repro.plan(grid_laplacian((7, 7, 3))).factorize(engine="rl")
+
+    def test_block_solve_matches_column_solves(self, factor):
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((factor.n, 5))
+        X = solve_factored(factor.storage, B)
+        XF = factor.solve(B)
+        for j in range(5):
+            xj = solve_factored(factor.storage, B[:, j])
+            np.testing.assert_allclose(X[:, j], xj, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(XF[:, j], factor.solve(B[:, j]), rtol=0, atol=1e-12)
+
+    def test_block_residual(self, factor):
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((factor.n, 4))
+        A = factor.matrix.to_dense()
+        np.testing.assert_allclose(A @ factor.solve(B), B, atol=1e-8)
+        assert factor.residual_norm(factor.solve(B), B) < 1e-12
+
+    def test_shape_validation(self, factor):
+        storage = factor.storage
+        with pytest.raises(ValueError):
+            forward_solve(storage, np.zeros(3))
+        with pytest.raises(ValueError):
+            backward_solve(storage, np.zeros((storage.symb.n, 2, 2)))
+        with pytest.raises(ValueError):
+            factor.solve(np.zeros((factor.n, 2, 2)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=7), st.integers(0, 10 ** 6))
+    def test_property_block_solve(self, k, seed):
+        A = random_spd(25, density=0.2, seed=seed)
+        factor = repro.plan(A).factorize(engine="rl")
+        B = np.random.default_rng(seed).standard_normal((25, k))
+        X = factor.solve(B)
+        np.testing.assert_allclose(A.to_dense() @ X, B, atol=1e-7)
+        np.testing.assert_array_equal(
+            X[factor.plan.perm], solve_factored(factor.storage, B[factor.plan.perm]))

@@ -5,7 +5,8 @@ The solve-side determinism contract: the parallel forward/backward sweeps,
 must be *bit-identical* to the serial path for every worker count; a
 non-SPD matrix in a streaming session fails only its own future.  Also
 covers the :class:`SolvePlan` level-schedule introspection, the executor's
-per-task trace instrumentation and the solve-mode registry dispatch.
+per-task trace instrumentation and the ``workers=`` validation of the solve
+door.
 """
 
 import sys
@@ -21,7 +22,6 @@ from repro.dense import NotPositiveDefiniteError
 from repro.gpu import Tracer
 from repro.gpu.trace import LANES
 from repro.numeric import factorize_executor, factorize_rl_cpu
-from repro.numeric.registry import SOLVE_MODES, get_solve_mode
 from repro.solve import backward_solve, forward_solve, solve_factored
 from repro.sparse import (
     grid_laplacian,
@@ -207,25 +207,27 @@ class TestSolveSchedule:
 
 
 class TestSolveModeDispatch:
-    def test_registry_names(self):
-        assert set(SOLVE_MODES) == {"serial", "level", "gpu"}
-        assert get_solve_mode("level").parallel
-        assert not get_solve_mode("serial").parallel
-        assert get_solve_mode("gpu").offload
-        assert not get_solve_mode("gpu").parallel
-        with pytest.raises(ValueError, match="unknown solve mode"):
-            get_solve_mode("turbo")
+    """``workers=None`` is the serial sweeps, ``workers=N`` the level graph;
+    a worker count is a positive integer at every solve door."""
 
-    def test_factor_solve_mode_validation(self, aplan):
+    @pytest.mark.parametrize("door", ["solve", "solve_refined"])
+    def test_workers_zero_is_a_value_error(self, aplan, door):
         factor = aplan.factorize(engine="rl")
         b = rhs(aplan.n, "vector", seed=10)
-        with pytest.raises(ValueError, match="unknown solve mode"):
-            factor.solve(b, mode="turbo")
-        with pytest.raises(ValueError, match="parallel solve modes"):
-            factor.solve(b, workers=2, mode="serial")
-        # explicit level mode without workers uses the default pool size
-        assert np.array_equal(factor.solve(b, mode="level"),
-                              factor.solve(b))
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            getattr(factor, door)(b, workers=0)
+
+    @pytest.mark.parametrize("door", ["solve", "solve_refined"])
+    def test_fractional_workers_is_a_type_error(self, aplan, door):
+        factor = aplan.factorize(engine="rl")
+        b = rhs(aplan.n, "vector", seed=10)
+        with pytest.raises(TypeError):
+            getattr(factor, door)(b, workers=2.5)
+
+    def test_mode_is_not_a_keyword(self, aplan):
+        factor = aplan.factorize(engine="rl")
+        with pytest.raises(TypeError, match="mode"):
+            factor.solve(rhs(aplan.n, "vector", seed=10), mode="level")
 
 
 class TestServingSession:

@@ -94,7 +94,7 @@ def _check_against_dense_oracle(A, dtype, seed=0):
         assert y.shape == x.shape == b.shape
 
         serial = factor.solve(b)
-        for how in (dict(workers=1), dict(workers=2), dict(mode="gpu")):
+        for how in (dict(workers=1), dict(workers=2)):
             np.testing.assert_array_equal(
                 factor.solve(b, **how), serial, err_msg=f"{name} {how}")
 
