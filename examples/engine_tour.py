@@ -4,7 +4,8 @@ Runs every registry row once, under its one name — the paper's RL/RLB
 on the host, on worker threads and processes, and offloaded to the GPU
 (the paper's offload loops: RL, RLB versions 2 and 1) — on one suite
 matrix, verifying that every factor is identical,
-then prints the modeled-time comparison, the per-kernel-class breakdown,
+then prints the time comparison (modeled, or measured for the threads and
+process rows), the per-kernel-class breakdown,
 and the memory planner's feasibility report.
 
 Run:  python examples/engine_tour.py [matrix-name]
@@ -42,10 +43,13 @@ def main(name="Serena"):
         assert err < 1e-8, f"{engine} disagrees with reference ({err})"
         gpu = (f"{res.snodes_on_gpu}/{res.total_snodes}"
                if res.snodes_on_gpu else "--")
-        rows.append((engine, f"{res.modeled_seconds:.4f}",
-                     str(res.kernel_count), gpu))
+        if res.modeled_seconds is None:  # threads and process rows measure
+            seconds, calls = f"{res.wall_seconds:.4f} measured", "--"
+        else:
+            seconds, calls = f"{res.modeled_seconds:.4f} modeled", str(res.kernel_count)
+        rows.append((engine, seconds, calls, gpu))
     print(format_table(
-        ["engine", "modeled s", "BLAS calls", "snodes on GPU"], rows,
+        ["engine", "seconds", "BLAS calls", "snodes on GPU"], rows,
         title="All engines, identical factors"))
     print()
 

@@ -80,7 +80,7 @@ from .numeric.executor import (
 from .numeric.registry import resolve, serial_twin
 from .numeric.storage import FactorStorage, ScatterPlan
 from .numeric.updown import _modification_plan, _run_atomic
-from .solve.refine import _RefinementChain, refine, relative_residual
+from .solve.refine import _RefinementChain, _check_refinement, refine, relative_residual
 from .solve.triangular import check_rhs, solve_graph, solve_in_place
 from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
@@ -313,8 +313,8 @@ class SymbolicPlan:
             accuracy; see ``docs/precision.md``).  Unsupported dtypes
             raise :class:`~repro.dense.kernels.UnsupportedDtypeError`.
         engine_kwargs:
-            Forwarded to the engine (``machine=``, ``threshold=``,
-            ``device_memory=``, ``tracer=``, ...).
+            Forwarded to the engine (``threshold=``, ``device_memory=``,
+            ``tracer=``, a serial or GPU row's ``machine=``, ...).
 
         An option ``engine`` does not take raises ``ValueError`` naming
         the option and the engines that accept it
@@ -378,9 +378,9 @@ class SymbolicPlan:
         this plan shares it."""
         return SolvePlan(self, solve_schedule(self._system.symb))
 
-    def serve(self, *, engine="rlb_par", workers=None, machine=None,
-              backend=None, threshold=None, dtype=None, pool=None,
-              tracer=None, trace_origin=None, **engine_kwargs):
+    def serve(self, *, engine="rlb_par", workers=None, backend=None,
+              threshold=None, dtype=None, pool=None, tracer=None,
+              trace_origin=None, **engine_kwargs):
         """Open a streaming :class:`ServingSession` on this pattern.
 
         Where :meth:`factorize_batch` runs a closed batch one matrix after
@@ -396,8 +396,9 @@ class SymbolicPlan:
                 xs = [f.result() for f in futs]
 
         ``engine`` / ``backend`` / ``threshold`` (and any further engine
-        option, e.g. ``device_memory=``) select the engine exactly as in
-        :meth:`factorize`, and every registered row can be served.  The
+        option, e.g. ``device_memory=`` or a serial or GPU row's
+        ``machine=``) select the engine exactly as in :meth:`factorize`,
+        and every registered row can be served.  The
         threaded engines (``rl_par`` / ``rlb_par``) drain each submission's
         task DAG across the pool's workers; every other row runs each
         submission as ONE pool task (the process rows drain their DAG
@@ -424,10 +425,9 @@ class SymbolicPlan:
         value; default: session creation).
         """
         return ServingSession(self, engine=engine, workers=workers,
-                              machine=machine, backend=backend,
-                              threshold=threshold, dtype=dtype, pool=pool,
-                              tracer=tracer, trace_origin=trace_origin,
-                              **engine_kwargs)
+                              backend=backend, threshold=threshold,
+                              dtype=dtype, pool=pool, tracer=tracer,
+                              trace_origin=trace_origin, **engine_kwargs)
 
 
 class SolvePlan:
@@ -881,16 +881,15 @@ class ServingSession:
     """
 
     def __init__(self, plan, *, engine="rlb_par", workers=None,
-                 machine=None, backend=None, threshold=None, dtype=None,
-                 pool=None, tracer=None, trace_origin=None, **engine_kwargs):
+                 backend=None, threshold=None, dtype=None, pool=None,
+                 tracer=None, trace_origin=None, **engine_kwargs):
         spec, kwargs = resolve(
             engine, backend, workers=workers, threshold=threshold,
-            dtype=dtype, machine=machine, **engine_kwargs)
+            dtype=dtype, **engine_kwargs)
         self._dtype = kwargs.pop("dtype", None)
         self._plan = plan
         self._spec = spec
         self._granularity = spec.granularity
-        self._machine = machine
         self._tracer = tracer
         self._t0 = (time.perf_counter() if trace_origin is None
                     else trace_origin)
@@ -1017,8 +1016,8 @@ class ServingSession:
 
         if self._spec.backend == "threads":
             _, ntasks, roots, run_task, finish = stream_factorize_job(
-                plan.symb, M, self._granularity, self._machine,
-                extra={"workers": self.workers,
+                plan.symb, M, self._granularity,
+                extra={"workers": self.workers, "backend": "threads",
                        "granularity": self._granularity,
                        "stream_index": index},
                 dtype=dt,
@@ -1090,6 +1089,7 @@ class ServingSession:
         :meth:`Factor.solve_refined` when the system is ill-conditioned
         enough to need it).
         """
+        _check_refinement(tol, max_iter)  # raised here, not on the future
         plan = self._plan
         b = check_rhs(plan.n, b, "b", copy=refine)
         perm = plan.perm

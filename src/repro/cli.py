@@ -7,7 +7,8 @@ Commands
 ``analyze MATRIX``
     Symbolic pipeline statistics (ordering, merging, refinement, structure).
 ``factorize MATRIX``
-    Run one factorization engine; print the modeled-time report, optionally
+    Run one factorization engine; print its report (modeled time, or the
+    measured wall clock of a threads or process row), optionally
     an event-trace Gantt chart (``--gantt``) or Chrome trace (``--trace``).
 ``solve MATRIX``
     Factorize, solve against a random right-hand side (``--rhs K`` for a
@@ -50,8 +51,9 @@ engine with ``--engine`` (any registry row; ``factorize``, ``batch`` and
 the registry's message.
 
 ``MATRIX`` is a suite name (see ``list``) or a path to a Matrix Market
-file.  All runtimes are modeled seconds on the simulated machine — see
-``docs/backends.md`` and :mod:`repro.gpu.costmodel`.
+file.  Runtimes are modeled seconds on the simulated machine — see
+``docs/backends.md`` and :mod:`repro.gpu.costmodel` — except the threads
+and process rows', which are measured wall clock.
 """
 
 from __future__ import annotations
@@ -165,29 +167,27 @@ def cmd_factorize(args):
         return 2
     system = _analyzed(args.matrix, args.ordering)
     res = spec.fn(system.symb, system.matrix, **kwargs)
-    rows = [
-        ("method", res.method),
-        ("precision", res.storage.dtype.name),
-        ("modeled seconds", f"{res.modeled_seconds:.4f}"),
-        ("supernodes on GPU", f"{res.snodes_on_gpu} / {res.total_snodes}"),
-        ("BLAS calls", str(res.kernel_count)),
-        ("modeled flops", f"{res.flops:.3e}"),
-    ]
-    if res.best_threads:
-        rows.append(("best MKL threads", str(res.best_threads)))
-    if "start_method" in res.extra:
-        rows.append(("workers (process DAG)", str(res.extra["workers"])))
-        rows.append(("start method", res.extra["start_method"]))
-        rows.append(("task granularity", res.extra["granularity"]))
-        rows.append(("DAG tasks", str(res.extra["tasks"])))
-        rows.append(("measured wall seconds",
-                     f"{res.extra['wall_seconds']:.4f}"))
-    elif "wall_seconds" in res.extra:
-        rows.append(("workers (threaded DAG)", str(res.extra["workers"])))
-        rows.append(("task granularity", res.extra["granularity"]))
-        rows.append(("DAG tasks", str(res.extra["tasks"])))
-        rows.append(("measured wall seconds",
-                     f"{res.extra['wall_seconds']:.4f}"))
+    rows = [("method", res.method), ("precision", res.storage.dtype.name)]
+    if res.modeled_seconds is None:  # a threads or process row: measured
+        extra = res.extra
+        lane = "process" if extra["backend"] == "process" else "threaded"
+        rows.append((f"workers ({lane} DAG)", str(extra["workers"])))
+        if "start_method" in extra:
+            rows.append(("start method", extra["start_method"]))
+        rows += [
+            ("task granularity", extra["granularity"]),
+            ("DAG tasks", str(extra["tasks"])),
+            ("measured wall seconds", f"{extra['wall_seconds']:.4f}"),
+        ]
+    else:
+        rows += [
+            ("modeled seconds", f"{res.modeled_seconds:.4f}"),
+            ("supernodes on GPU", f"{res.snodes_on_gpu} / {res.total_snodes}"),
+            ("BLAS calls", str(res.kernel_count)),
+            ("modeled flops", f"{res.flops:.3e}"),
+        ]
+        if res.best_threads:
+            rows.append(("best MKL threads", str(res.best_threads)))
     if res.gpu_stats is not None:
         rows.append(("peak device memory (MiB)",
                      f"{res.gpu_stats.peak_memory / 2 ** 20:.1f}"))
@@ -228,9 +228,12 @@ def cmd_solve(args):
         return 2
     x = factor.solve(b)
     rel = factor.residual_norm(x, b)
+    res = factor.result
+    seconds = (f"measured factor time = {res.wall_seconds:.4f}s"
+               if res.modeled_seconds is None else
+               f"modeled factor time = {res.modeled_seconds:.4f}s")
     print(f"n = {A.n}, method = {factor.engine}, "
-          f"precision = {factor.dtype.name}, "
-          f"modeled factor time = {factor.result.modeled_seconds:.4f}s")
+          f"precision = {factor.dtype.name}, {seconds}")
     if args.rhs > 1:
         print(f"right-hand sides = {args.rhs} (one block solve)")
     print(f"relative residual = {rel:.3e}")

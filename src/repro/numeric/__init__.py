@@ -2,7 +2,7 @@
 variants, and factor storage."""
 
 from .storage import FactorStorage, ScatterPlan
-from .result import CpuCostAccumulator, FactorizeResult
+from .result import FactorizeResult
 from .rl import (
     factorize_rl_cpu,
     factor_snode,
@@ -60,7 +60,6 @@ from .registry import (
 __all__ = [
     "FactorStorage",
     "ScatterPlan",
-    "CpuCostAccumulator",
     "FactorizeResult",
     "factorize_rl_cpu",
     "factorize_rlb_cpu",

@@ -79,7 +79,7 @@ from ..dense.kernels import factor_routines
 from ..symbolic.blocks import pair_index
 from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
-from .result import cpu_cost
+from .result import FactorizeResult
 from .rl import _assemble, apply_run, factor_snode, factor_update, park_runs
 from .rlb import compute_block_pair, run_pair_range
 from .storage import FactorStorage
@@ -97,8 +97,7 @@ __all__ = [
 
 GRANULARITIES = ("coarse", "fine")
 
-#: Task granularity -> the serial engine family whose kernel stream (and
-#: hence modeled cost, :func:`~repro.numeric.result.cpu_cost`) the DAG runs.
+#: Task granularity -> the serial engine family whose bodies the DAG runs.
 _FAMILY = {"coarse": "rl", "fine": "rlb"}
 
 
@@ -689,7 +688,7 @@ def _check_granularity(granularity):
         )
 
 
-def stream_factorize_job(symb, M, granularity, machine, extra=None, dtype=None):
+def stream_factorize_job(symb, M, granularity, extra=None, dtype=None):
     """One streaming factorize job: ``(storage, ntasks, roots, run_task,
     finish)`` for a single same-pattern matrix ``M``.
 
@@ -697,11 +696,9 @@ def stream_factorize_job(symb, M, granularity, machine, extra=None, dtype=None):
     :class:`repro.api.ServingSession` and, through the session,
     :class:`repro.serving.Gateway`: the caller submits ``(ntasks, roots,
     run_task)`` to a :class:`StreamPool` and, once the graph drains, calls
-    ``finish(wall_seconds)`` for the
-    :class:`~repro.numeric.result.FactorizeResult` (same report as
-    :func:`factorize_executor`).  The pattern is priced here, on the
-    submitting thread — ``finish`` runs on a pool thread and only wraps
-    the report, so it never writes the symbolic cache.
+    ``finish(wall_seconds)`` for the measured
+    :class:`~repro.numeric.result.FactorizeResult` — ``extra`` plus the
+    wall clock and the task count; no model field.
     """
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
     # the static plan is shared (memoised on ``symb``); the parked store,
@@ -710,12 +707,11 @@ def stream_factorize_job(symb, M, granularity, machine, extra=None, dtype=None):
     plan = dag_plan(symb, granularity)
     run = range_tasks(symb, storage, plan, {})
     run_task = Countdown(plan.indeg).task(run, plan.children)
-    family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, itemsize=storage.itemsize)
+    method = _FAMILY[granularity] + "_par"
 
     def finish(wall_seconds):
         report = dict(extra or (), wall_seconds=wall_seconds, tasks=plan.ntasks)
-        return cost.result(family + "_par", storage, report)
+        return FactorizeResult(method, storage, symb.nsup, extra=report)
 
     return storage, plan.ntasks, plan.roots, run_task, finish
 
@@ -726,11 +722,15 @@ def factorize_executor(
     *,
     workers=None,
     granularity="coarse",
-    machine=None,
     tracer=None,
     dtype=None,
 ):
     """Factorize with the task-DAG runtime on worker threads.
+
+    A measured row: the result's model fields are ``None`` and ``extra``
+    holds ``workers``, ``backend``, ``granularity``, ``tasks`` and the
+    measured ``wall_seconds`` (the serial twin, ``rl`` / ``rlb``, carries
+    the paper's modeled CPU baseline).
 
     Parameters
     ----------
@@ -742,9 +742,6 @@ def factorize_executor(
         assembly), one task per task range; ``"fine"`` — the RLB bodies,
         one task per range of several supernodes, one factor task plus one
         task per block pair for each single supernode above the cut.
-    machine:
-        Machine model for the modeled-cost report (the numerics themselves
-        run on real BLAS; ``extra["wall_seconds"]`` holds measured time).
     tracer:
         Optional :class:`~repro.gpu.trace.Tracer`; when given, every task's
         measured start/stop is recorded on its worker thread's lane
@@ -758,7 +755,7 @@ def factorize_executor(
     workers = _resolve_workers(workers)
     extra = {"workers": workers, "backend": "threads", "granularity": granularity}
     _, ntasks, roots, run_task, finish = stream_factorize_job(
-        symb, A, granularity, machine, extra=extra, dtype=dtype
+        symb, A, granularity, extra=extra, dtype=dtype
     )
     t0 = time.perf_counter()
     if tracer is not None:
@@ -766,4 +763,3 @@ def factorize_executor(
         run_task = _traced_run(run_task, label_of, tracer, t0)
     run_task_graph(ntasks, roots, run_task, workers)
     return finish(time.perf_counter() - t0)
-

@@ -36,8 +36,8 @@ Scheduling & failure
 --------------------
 The parent owns the DAG: it tracks indegrees, dispatches ready tasks to
 the least-loaded worker over per-worker pipes (a small prefetch depth
-keeps workers busy between round trips); the modeled-cost report is the
-pattern's :func:`~repro.numeric.result.cpu_cost`, priced in the parent, so
+keeps workers busy between round trips); the report is what the parent
+measured (no model field), so
 nothing but ``("done", tid)`` acknowledgements crosses a pipe at run time
 (a traced job additionally collects its per-task spans at job end).  A
 worker that hits a non-SPD pivot reports
@@ -96,7 +96,7 @@ from .executor import (
     dag_plan,
     range_tasks,
 )
-from .result import cpu_cost
+from .result import FactorizeResult
 from .storage import FactorStorage, ScatterPlan
 
 __all__ = [
@@ -644,15 +644,13 @@ atexit.register(close_default_pools)
 # Engine
 # ---------------------------------------------------------------------------
 def factorize_process(symb, A, *, granularity="coarse", workers=None,
-                      start_method=None, machine=None, tracer=None,
-                      pool=None, dtype=None):
-    """Factorize with the task-DAG runtime on a worker-*process* pool
+                      start_method=None, tracer=None, pool=None, dtype=None):
+    """Factorize with the task-DAG runtime on a worker-process pool
     (engines ``rl_proc`` / ``rlb_proc``).
 
     Same contract as :func:`~repro.numeric.executor.factorize_executor`:
     factors are bit-identical to the serial twins at any worker count (the
-    pull rule above), the modeled-cost report is the same
-    priced-once :func:`~repro.numeric.result.cpu_cost` of the pattern, and
+    pull rule above), the model fields of the result are ``None``, and
     ``extra`` carries ``workers`` / ``backend`` / ``granularity`` /
     ``start_method`` / measured ``wall_seconds`` / ``tasks``.  Pass
     ``tracer=`` to record measured per-task spans on ``proc0``, ``proc1``,
@@ -671,12 +669,11 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
         pool = default_process_pool(workers, start_method)
     storage, wall, ntasks = pool.run_job(symb, A, granularity,
                                          tracer=tracer, dtype=dtype)
-    family = _FAMILY[granularity]
-    cost = cpu_cost(symb, family, machine, itemsize=storage.itemsize)
-    return cost.result(
-        family + "_proc",
+    return FactorizeResult(
+        _FAMILY[granularity] + "_proc",
         storage,
-        {
+        symb.nsup,
+        extra={
             "workers": pool.workers,
             "backend": "process",
             "granularity": granularity,

@@ -4,10 +4,12 @@
 factorization read off the pattern's index arrays
 (:func:`~repro.symbolic.relind.assembly_index`,
 :func:`~repro.symbolic.blocks.pair_index`); :func:`cpu_cost` prices it once
-per pattern.  A stream repeats few distinct calls many times (8 038 block
-pairs of 60-odd shapes on a 64² grid), so :class:`CpuCostAccumulator` prices
-each distinct ``(kind, m, n, k)`` once and only *adds* per call — in stream
-order, so the totals are the same floats a call-by-call pricing gives.
+per pattern for the serial engines.  A stream repeats few distinct calls many
+times (8 038 block pairs of 60-odd shapes on a 64² grid), so :func:`cpu_cost`
+prices each distinct ``(kind, m, n, k)`` once and only *adds* per call — in
+stream order, so the totals are the same floats a call-by-call pricing gives.
+The threads and process rows measure instead: their
+:class:`FactorizeResult` carries no model field.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from ..symbolic.blocks import pair_index
 from ..symbolic.relind import assembly_index
 
 __all__ = [
-    "CpuCostAccumulator",
     "GpuCostAccumulator",
     "CpuCost",
     "kernel_stream",
@@ -31,118 +32,13 @@ __all__ = [
 ]
 
 
-class CpuCostAccumulator:
-    """Accumulates modeled CPU time simultaneously for every MKL thread
-    count the paper sweeps, so one numeric run yields the whole
-    best-over-threads baseline.
-
-    ``assembly_threads`` selects how scatter-add assembly is charged:
-    ``None`` (default) charges it OpenMP-parallel at each configuration's
-    thread count (the paper parallelizes assembly loops with OpenMP); an
-    integer pins a fixed thread count.
-
-    ``itemsize`` is the factor's element size (8 for fp64, 4 for fp32):
-    kernels are charged at the single-precision BLAS rate and assembly
-    traffic at half the bytes when the factor is fp32.  Callers report
-    assembly in *fp64-normalized* bytes (the symbolic plans' 8-bytes/entry
-    convention); the accumulator rescales to actual bytes.
-    """
-
-    def __init__(
-        self,
-        machine: MachineModel,
-        thread_choices=CPU_THREAD_CHOICES,
-        *,
-        assembly_threads=None,
-        itemsize=8,
-    ):
-        self.machine = machine
-        self.times = {t: 0.0 for t in thread_choices}
-        self.assembly_threads = assembly_threads
-        self.itemsize = int(itemsize)
-        self.kernel_count = 0
-        self.flops = 0.0
-        self.assembly_bytes = 0
-
-    def _kernel_price(self, kind, m, n, k):
-        """``(dilated flops, modeled seconds per thread count)`` of one BLAS
-        call."""
-        f = self.machine.scaled_kernel_flops(kind, m, n, k)
-        cpu = self.machine.cpu
-        speedup = self.machine.cpu_fp_speedup(self.itemsize)
-        return f, [cpu.kernel_time(f, t, speedup) for t in self.times]
-
-    def _assembly_price(self, nbytes):
-        """``(dilated bytes, modeled seconds per thread count)`` of one
-        scatter-add pass."""
-        actual = nbytes * self.itemsize / 8.0
-        scaled = self.machine.scaled_bytes(actual, self.itemsize)
-        cpu = self.machine.cpu
-        return scaled, [cpu.assembly_time(scaled, self.assembly_threads or t) for t in self.times]
-
-    def kernel(self, kind, m=0, n=0, k=0):
-        """Charge one BLAS call (at dilated dimensions) to every thread
-        configuration."""
-        f, seconds = self._kernel_price(kind, m, n, k)
-        self.flops += f
-        self.kernel_count += 1
-        for t, dt in zip(self.times, seconds):
-            self.times[t] += dt
-
-    def assembly(self, nbytes):
-        """Charge a scatter-add moving ``nbytes`` (fp64-normalized raw
-        bytes; rescaled to the factor's itemsize and dilated inside)."""
-        scaled, seconds = self._assembly_price(nbytes)
-        self.assembly_bytes += scaled
-        for t, dt in zip(self.times, seconds):
-            self.times[t] += dt
-
-    def charge(self, stream):
-        """Charge a whole :func:`kernel_stream` — the same totals, to the
-        last bit, as one :meth:`kernel` / :meth:`assembly` per call, at a
-        fraction of the cost: each distinct ``(kind, m, n, k)`` is priced
-        once, and the additions still happen call by call, in stream order
-        (``cumsum`` accumulates sequentially; a call adds an exact ``0.0``
-        to the totals it does not touch)."""
-        # a row: kernel calls, flops, assembly bytes, seconds per thread count
-        rows = [(self.kernel_count, self.flops, self.assembly_bytes, *self.times.values())]
-        row_of = {}
-        calls = [0]
-        for call in stream:
-            call = call[1:]
-            row = row_of.get(call)
-            if row is None:
-                row = row_of[call] = len(rows)
-                if call[0] == "assembly":
-                    scaled, seconds = self._assembly_price(call[1])
-                    rows.append((0, 0.0, scaled, *seconds))
-                else:
-                    f, seconds = self._kernel_price(*call)
-                    rows.append((1, f, 0.0, *seconds))
-            calls.append(row)
-        totals = np.cumsum(np.array(rows, dtype=np.float64)[calls], axis=0)[-1].tolist()
-        count, self.flops, nbytes, *seconds = totals
-        self.kernel_count = int(count)
-        if any(call[0] == "assembly" for call in row_of):  # else it stays the int it was
-            self.assembly_bytes = nbytes
-        self.times = dict(zip(self.times, seconds))
-
-    def best(self):
-        """``(threads, seconds)`` of the fastest configuration."""
-        return self.machine.cpu.best_threads(self.times)
-
-    def at(self, threads):
-        """Modeled seconds for a specific thread count."""
-        return self.times[threads]
-
-
 class GpuCostAccumulator:
     """Work accounting of the GPU-offload engines.
 
     The offload engines charge modeled *time* onto a
     :class:`~repro.gpu.device.Timeline`; what this accumulator tracks is
     the dilated work totals (``flops``, ``kernel_count``,
-    ``assembly_bytes``) every engine reports on its
+    ``assembly_bytes``) every GPU engine reports on its
     :class:`FactorizeResult`.
     """
 
@@ -178,52 +74,53 @@ class FactorizeResult:
         ``"rlb_gpu_v2"``, ...).
     storage:
         The numeric factor (:class:`~repro.numeric.storage.FactorStorage`).
-    modeled_seconds:
-        Modeled runtime — for CPU methods the *best-over-threads* time (the
-        paper's baseline protocol); for GPU methods the timeline's final
-        host-clock value.
-    cpu_times_by_threads:
-        For CPU methods: modeled seconds per MKL thread count.
-    best_threads:
-        Thread count achieving ``modeled_seconds`` (CPU methods).
-    snodes_on_gpu / total_snodes:
+    total_snodes / snodes_on_gpu:
         The table columns of Tables I and II.
+    modeled_seconds:
+        Modeled runtime — for the serial rows the *best-over-threads* time
+        (the paper's baseline protocol); for the GPU rows the timeline's
+        final host-clock value.
+    cpu_times_by_threads:
+        For the serial rows: modeled seconds per MKL thread count.
+    best_threads:
+        Thread count achieving ``modeled_seconds`` (serial rows).
     gpu_stats:
         :class:`~repro.gpu.device.GpuStats` for GPU methods.
     flops / kernel_count / assembly_bytes:
         Work statistics at the machine model's dilated scale (flops × σ³,
         bytes × σ²) — the scale the modeled seconds correspond to.
     extra:
-        Engine-specific measurements.  The threaded and process executors
-        record ``workers``, ``granularity``, ``tasks`` and this one
-        factorization's measured ``wall_seconds``; a serving session adds
-        ``stream_index``.
+        Engine-specific measurements.  The threads and process rows are
+        measured, not modeled: every model field above is ``None``, and
+        ``extra`` records ``workers``, ``backend``, ``granularity``,
+        ``tasks`` and this one factorization's ``wall_seconds``; a serving
+        session adds ``stream_index``.
     """
 
     method: str
     storage: "object"
-    modeled_seconds: float
     total_snodes: int
+    modeled_seconds: Optional[float] = None
     cpu_times_by_threads: Optional[dict] = None
     best_threads: Optional[int] = None
     snodes_on_gpu: int = 0
     gpu_stats: Optional[object] = None
-    flops: float = 0.0
-    kernel_count: int = 0
-    assembly_bytes: int = 0
+    flops: Optional[float] = None
+    kernel_count: Optional[int] = None
+    assembly_bytes: Optional[float] = None
     extra: dict = field(default_factory=dict)
 
     @property
     def wall_seconds(self):
         """Measured wall-clock seconds, when the engine records one (the
-        threaded executor does; modeled-only engines return ``None``)."""
+        threads and process rows do; modeled-only engines return ``None``)."""
         return self.extra.get("wall_seconds")
 
 
 @dataclass(frozen=True)
 class CpuCost:
-    """Modeled CPU cost of one RL/RLB factorization — the frozen totals of
-    a :class:`CpuCostAccumulator` after :func:`cpu_cost`'s pattern walk.
+    """Modeled CPU cost of one serial RL/RLB factorization — the totals of
+    :func:`cpu_cost`'s pattern walk.
     ``times`` is ``((threads, seconds), ...)`` over the swept MKL thread
     counts; ``best_threads`` / ``seconds`` the paper's best-over-threads
     baseline."""
@@ -289,24 +186,53 @@ def kernel_stream(symb, family):
 
 def cpu_cost(symb, family, machine, thread_choices=CPU_THREAD_CHOICES, itemsize=8):
     """Price the pattern: the :class:`CpuCost` of ``family``'s
-    :func:`kernel_stream`, charged in the serial engines' order.
+    :func:`kernel_stream`, charged in the serial engines' order at every
+    MKL thread count of ``thread_choices`` (scatter-add assembly
+    OpenMP-parallel at that count, as the paper parallelizes it).
 
+    ``itemsize`` is the factor's element size (8 for fp64, 4 for fp32):
+    kernels are charged at the single-precision BLAS rate and assembly
+    traffic at half the bytes when the factor is fp32.
+
+    Each distinct ``(kind, m, n, k)`` is priced once, and the additions
+    still happen call by call, in stream order (``cumsum`` accumulates
+    sequentially; a call adds an exact ``0.0`` to the totals it does not
+    touch): the same totals, to the last bit, as pricing call by call.
     The cost depends on the pattern only, so it is computed once per
     ``(family, machine, thread_choices, itemsize)`` and memoised on
-    ``symb.cache()`` — every CPU-lane engine and backend reports this one
-    object, and later same-pattern factorizations do no accounting.
+    ``symb.cache()`` — later same-pattern factorizations do no accounting.
     ``machine=None`` is the default :class:`MachineModel`.
     """
     machine = machine or MachineModel()
     choices = tuple(thread_choices)
-    key = (family, machine, choices, int(itemsize))
+    itemsize = int(itemsize)
+    key = (family, machine, choices, itemsize)
     memo = symb.cache().setdefault("cpu_cost", {})
     if key in memo:
         return memo[key]
-    acc = CpuCostAccumulator(machine, choices, itemsize=itemsize)
-    acc.charge(kernel_stream(symb, family))
-    threads, seconds = acc.best()
-    times = tuple(acc.times.items())
-    cost = CpuCost(times, threads, seconds, acc.flops, acc.kernel_count, acc.assembly_bytes)
+    cpu = machine.cpu
+    speedup = machine.cpu_fp_speedup(itemsize)
+    # a row: kernel calls, flops, assembly bytes, seconds per thread count
+    rows = [(0, 0.0, 0.0) + (0.0,) * len(choices)]
+    row_of = {}
+    calls = [0]
+    for call in kernel_stream(symb, family):
+        call = call[1:]
+        row = row_of.get(call)
+        if row is None:
+            row = row_of[call] = len(rows)
+            if call[0] == "assembly":
+                # fp64-normalized bytes, rescaled to the itemsize, then dilated
+                scaled = machine.scaled_bytes(call[1] * itemsize / 8.0, itemsize)
+                rows.append((0, 0.0, scaled, *(cpu.assembly_time(scaled, t) for t in choices)))
+            else:
+                f = machine.scaled_kernel_flops(*call)
+                rows.append((1, f, 0.0, *(cpu.kernel_time(f, t, speedup) for t in choices)))
+        calls.append(row)
+    totals = np.cumsum(np.array(rows, dtype=np.float64)[calls], axis=0)[-1].tolist()
+    count, flops, nbytes, *seconds = totals
+    times = dict(zip(choices, seconds))
+    threads, best = cpu.best_threads(times)
+    cost = CpuCost(tuple(times.items()), threads, best, flops, int(count), nbytes)
     memo[key] = cost
     return cost

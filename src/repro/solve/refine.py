@@ -9,6 +9,8 @@ is classical fixed-precision refinement, a building block for the examples.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,19 @@ from ..dense.kernels import check_real
 from .triangular import check_rhs, solve_in_place
 
 __all__ = ["RefinementResult", "refine", "relative_residual"]
+
+
+def _check_refinement(tol, max_iter, stall_ratio=None):
+    """Refuse out-of-range refinement arguments with ``ValueError`` (a
+    non-integer ``max_iter`` with ``TypeError``): ``tol`` finite and
+    ``>= 0``, ``max_iter`` an integer ``>= 0``, ``stall_ratio`` ``> 0`` or
+    ``None``."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if operator.index(max_iter) < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if stall_ratio is not None and not stall_ratio > 0:
+        raise ValueError(f"stall_ratio must be > 0 or None, got {stall_ratio}")
 
 
 def _relative_residual_norm(b, r):
@@ -74,6 +89,7 @@ class _RefinementChain:
     """
 
     def __init__(self, A, b, perm, dtype, tol, max_iter, stall_ratio=None):
+        _check_refinement(tol, max_iter, stall_ratio)
         self.A = A
         self.b = np.asarray(check_real(b, "right-hand side"), dtype=np.float64)
         self.perm = perm
@@ -157,6 +173,9 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
         residual — the signature of a reduced-precision factor that cannot
         reach ``tol`` however long it iterates.  ``None`` (default)
         disables stall detection and keeps the historical behaviour.
+
+    A ``tol`` that is negative or not finite, a negative ``max_iter`` or a
+    ``stall_ratio <= 0`` raises ``ValueError`` before any solve.
     """
     chain = _RefinementChain(A, b, perm, storage.dtype, tol, max_iter, stall_ratio)
     rhs = chain.b if x0 is None else chain.advance(np.array(x0, dtype=np.float64))

@@ -63,15 +63,18 @@ def assert_factor_matches(result, system, tol=1e-10):
     assert err < tol, f"factor mismatch: max abs error {err}"
 
 
-REPORT_FIELDS = ("cpu_times_by_threads", "best_threads", "flops",
-                 "kernel_count", "assembly_bytes")
+MODEL_FIELDS = ("modeled_seconds", "cpu_times_by_threads", "best_threads",
+                "flops", "kernel_count", "assembly_bytes")
 
 
-def assert_same_report(res, ref):
-    """Assert two FactorizeResults carry the same modeled CPU report —
-    exact ``==``: every CPU-lane engine wraps the one priced pattern."""
-    for name in REPORT_FIELDS:
-        assert getattr(res, name) == getattr(ref, name), name
+def assert_measured(res):
+    """Assert a threads or process row's FactorizeResult is measured, not
+    modeled: every model field ``None``, a positive wall clock, and the
+    schedule it ran in ``extra``."""
+    for name in MODEL_FIELDS:
+        assert getattr(res, name) is None, name
+    assert res.wall_seconds > 0.0
+    assert {"workers", "backend", "granularity", "tasks"} <= res.extra.keys()
 
 
 def random_spd_dense(n, rng):

@@ -373,9 +373,9 @@ class TestPricedOnce:
     def test_walker_runs_once_per_family_and_itemsize(self, base_matrix,
                                                       value_batch,
                                                       monkeypatch):
-        """The modeled report is pattern-only: two factorizations and a
-        batch of four on one plan price each (family, itemsize) once; every
-        later same-pattern factorization does no cost accounting."""
+        """The modeled report is pattern-only: the serial rows price each
+        (family, itemsize) once, every later same-pattern factorization does
+        no cost accounting, and the measured rows never price."""
         from repro.numeric import result
 
         walks = []
@@ -389,19 +389,17 @@ class TestPricedOnce:
         plan = repro.plan(base_matrix)
         first = plan.factorize(engine="rl")
         again = plan.factorize(value_batch[0], engine="rl")
-        batch = plan.factorize_batch(value_batch[:4], engine="rlb_par",
-                                     workers=2)
-        assert walks == ["rl", "rlb"]
+        plan.factorize_batch(value_batch[:4], engine="rlb_par", workers=2)
+        assert walks == ["rl"]
         assert (again.result.cpu_times_by_threads
                 == first.result.cpu_times_by_threads)
-        # other backends of a priced family ride the same memo ...
         plan.factorize(engine="rl_par", workers=2)
         plan.factorize(engine="rlb")
         assert walks == ["rl", "rlb"]
-        # ... and a new itemsize is a new (single) walk
-        plan.factorize(engine="rl", dtype=np.float32)
-        plan.factorize_batch(value_batch[:2], engine="rl_par", workers=2,
-                             dtype=np.float32)
+        # a new itemsize is a new (single) walk
+        batch = plan.factorize_batch(value_batch[:2], engine="rl",
+                                     dtype=np.float32)
+        plan.factorize(engine="rl_par", workers=2, dtype=np.float32)
         assert walks == ["rl", "rlb", "rl"]
         assert all(f.result.kernel_count == batch[0].result.kernel_count
                    for f in batch)

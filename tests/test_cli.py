@@ -84,6 +84,25 @@ class TestCommands:
         assert "workers (threaded DAG)" in out
         assert "measured wall seconds" in out
 
+    @pytest.mark.parametrize("engine,lane", [("rl_par", "threaded"), ("rl_proc", "process")])
+    def test_factorize_measured_rows_print_one_measured_block(self, engine, lane, capsys):
+        """A threads or process row prints what it measured — workers,
+        granularity, tasks, wall clock — and no modeled row."""
+        assert main(["factorize", SMALL, "--engine", engine, "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"workers ({lane} DAG)" in out and "coarse" in out and "DAG tasks" in out
+        assert float(out.split("measured wall seconds")[1].split()[0]) > 0
+        assert ("start method" in out) == (lane == "process")
+        for modeled in ("modeled", "MKL", "BLAS calls", "on GPU"):
+            assert modeled not in out, modeled
+
+    @pytest.mark.parametrize("engine", ["rl_par", "rl_proc"])
+    def test_solve_measured_rows_print_measured_seconds(self, engine, capsys):
+        assert main(["solve", SMALL, "--engine", engine]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("measured factor time =")[1].split("s")[0]) > 0
+        assert "modeled" not in out
+
     def test_factorize_fine_threaded_engine(self, capsys):
         # the engine name carries the granularity; --backend re-targets it
         assert main(["factorize", SMALL, "--engine", "rlb",

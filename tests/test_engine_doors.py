@@ -21,13 +21,14 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.gpu import Tracer
+from repro.gpu import MachineModel, Tracer
 from repro.numeric import registry
 from repro.numeric.procpool import close_default_pools
-from repro.numeric.registry import BACKENDS, ENGINES, resolve
+from repro.numeric.registry import BACKENDS, ENGINES, resolve, serial_twin
 from repro.serving import Gateway
 from repro.sparse import grid_laplacian
 from repro.sparse.io import write_matrix_market
+from tests.conftest import assert_measured
 
 #: option -> a valid value for it (``bogus`` is a keyword no engine has)
 OPTIONS = {
@@ -63,6 +64,10 @@ CAPABILITIES = {
     "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
     "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM, "rlb_gpu_v1": _STREAM,
 }
+
+
+#: the rows that measure their wall clock instead of modeling one
+MEASURED = sorted(n for n, spec in ENGINES.items() if spec.backend in ("threads", "process"))
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +189,52 @@ def test_every_row_serves_the_direct_bits(plan, name, dtype):
     B = repro.SymmetricCSC(A.n, A.indptr, A.indices, values, check=False)
     got = _gateway(lambda gw: gw.submit(B, b), engine=name, dtype=dtype)
     np.testing.assert_array_equal(got, want)
+
+
+def _first_factor(door, name, A):
+    """The Factor of the first request for ``A`` on row ``name`` through
+    ``door``, on a plan no earlier request touched."""
+    if door == "gateway":
+        return _gateway(lambda gw: gw.submit(A), engine=name)
+    plan = repro.plan(A)
+    if door == "direct":
+        return plan.factorize(engine=name, workers=2)
+    if door == "batch":
+        return plan.factorize_batch([None, A.data * 2], engine=name, workers=2)[0]
+    with plan.serve(engine=name, workers=2) as session:
+        return session.submit().result()
+
+
+@pytest.mark.parametrize("door", ["direct", "batch", "session", "gateway"])
+@pytest.mark.parametrize("name", MEASURED)
+def test_measured_rows_report_no_model(name, door):
+    """A threads or process row returns its factor and what it measured,
+    at every door: no model field, and no pricing of the pattern on the
+    way — the serial twin's factor, bit for bit."""
+    assert len(MEASURED) == 4
+    factor = _first_factor(door, name, grid_laplacian((9, 8)))
+    assert_measured(factor.result)
+    assert "cpu_cost" not in factor.plan.symb.cache()
+    twin = factor.plan.factorize(engine=serial_twin(name))
+    for p, q in zip(factor.storage.panels, twin.storage.panels, strict=True):
+        assert np.array_equal(p, q)
+
+
+def test_machine_is_for_the_modeled_rows_only(plan):
+    """``machine=`` prices a modeled report: the serial and GPU rows take
+    it at every door, a measured row refuses it with the registry's one
+    ``ValueError``."""
+    doors = {
+        "plan.factorize": lambda **kw: plan.factorize(**kw),
+        "plan.factorize_batch": lambda **kw: plan.factorize_batch([None], **kw),
+        "plan.serve": lambda **kw: plan.serve(**kw).close(),
+    }
+    for door, call in doors.items():
+        for name in MEASURED:
+            with pytest.raises(ValueError, match=f"machine= is not accepted by engine {name!r}"):
+                call(engine=name, machine=MachineModel())
+        for name in ("rl", "rl_gpu"):
+            assert _outcome(lambda: call(engine=name, machine=MachineModel())) is None, door
 
 
 def test_the_doors_disagreed_at_the_parent(plan):

@@ -33,6 +33,7 @@ from repro.numeric import (
 from repro.numeric.registry import serial_twin
 from repro.numeric.threshold import DEFAULT_STALL_RATIO, refinement_stalled
 from repro.serving import Gateway, plan_nbytes
+from repro.solve import refine
 from repro.sparse import SymmetricCSC, grid_laplacian, random_spd
 from repro.symbolic import analyze
 from repro.symbolic.ranges import task_ranges
@@ -373,6 +374,49 @@ class TestStallFallback:
         assert "refine_fallback" not in f64.result.extra
 
 
+#: out-of-range refinement arguments: each raises ValueError at every door
+BAD_REFINEMENT = [{"max_iter": -3}, {"tol": float("nan")}, {"tol": -1e-14},
+                  {"tol": float("inf")}]
+BAD_STALL = BAD_REFINEMENT + [{"stall_ratio": 0.0}, {"stall_ratio": -1.0}]
+
+
+def _id(case):
+    ((key, value),) = case.items()
+    return f"{key}={value}"
+
+
+class TestRefinementArguments:
+    """Every refinement door refuses an out-of-range argument before it
+    solves, where they once served a plain solve (``max_iter < 0``), ran
+    every step and refactorized in fp64 (``tol`` NaN or negative), or
+    accepted a non-positive ``stall_ratio`` on a chain that converged at
+    its first residual (``tol=1e-6`` on an fp64 factor)."""
+
+    @pytest.mark.parametrize("bad", BAD_STALL, ids=_id)
+    def test_refine(self, fp32_plan, base_matrix, bad):
+        f64 = fp32_plan.factorize()
+        b = np.ones(base_matrix.n)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            refine(base_matrix, f64.storage, fp32_plan.perm, b, **{"tol": 1e-6, **bad})
+
+    @pytest.mark.parametrize("bad", BAD_STALL, ids=_id)
+    def test_factor_solve_refined(self, fp32_plan, base_matrix, bad):
+        # at tol=1e-6 an fp64 chain converges at its first residual, before
+        # it would read a stall ratio; an fp32 one would refactorize in fp64
+        dtype = np.float64 if "stall_ratio" in bad else np.float32
+        factor = fp32_plan.factorize(dtype=dtype)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            factor.solve_refined(np.ones(base_matrix.n), **{"tol": 1e-6, **bad})
+        assert "refine_fallback" not in factor.result.extra
+
+    @pytest.mark.parametrize("bad", BAD_REFINEMENT, ids=_id)
+    def test_submit_solve(self, fp32_plan, base_matrix, bad):
+        with fp32_plan.serve(engine="rlb_par", workers=2, dtype=np.float32) as session:
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                session.submit_solve(None, np.ones(base_matrix.n), refine=True, **bad)
+            assert session.submitted == 0
+
+
 class TestAccounting:
     def test_scaled_bytes_itemsize(self):
         m = MachineModel()
@@ -416,37 +460,28 @@ class TestServingPrecision:
         for p, q in zip(_panels(got64.result), _panels(ref64.result)):
             assert np.array_equal(p, q)
 
-    def test_dtype_override_prices_on_the_submitting_thread(
-            self, base_matrix, monkeypatch):
-        """A per-submission fp32 override on an fp64 session needs a report
-        the session never priced; the walk (and its memo write into
-        ``symb.cache()``) must happen inside ``submit`` on the caller's
-        thread — pool threads only read the symbolic cache."""
-        import threading
-
+    def test_dtype_override_prices_nothing(self, base_matrix, monkeypatch):
+        """A per-submission fp32 override on an fp64 threaded session is
+        measured like every submission: no thread walks a kernel stream,
+        nothing is written to ``symb.cache()["cpu_cost"]``, and the report
+        carries no modeled seconds."""
         from repro.numeric import result
 
         walks = []
         walker = result.kernel_stream
 
         def recording(symb, family):
-            walks.append((family, threading.current_thread()))
+            walks.append(family)
             return walker(symb, family)
 
         monkeypatch.setattr(result, "kernel_stream", recording)
         plan = repro.plan(base_matrix)
         with plan.serve(engine="rlb_par", workers=2) as session:
             session.submit().result()
-            memo = plan.symb.cache()["cpu_cost"]
-            assert [key[3] for key in memo] == [8]
-            fut = session.submit(dtype=np.float32)
-            # priced before submit returned, whatever the pool is doing
-            assert sorted(key[3] for key in memo) == [4, 8]
-            got = fut.result()
+            got = session.submit(dtype=np.float32).result()
         assert got.dtype == np.float32
-        assert walks == [("rlb", threading.main_thread())] * 2
-        oracle = plan.factorize(engine="rlb", dtype=np.float32).result
-        assert got.result.modeled_seconds == oracle.modeled_seconds
+        assert walks == [] and "cpu_cost" not in plan.symb.cache()
+        assert got.result.modeled_seconds is None
 
     def test_gateway_dtype_bit_identical(self, base_matrix):
         b = np.cos(np.arange(base_matrix.n))

@@ -85,7 +85,7 @@ def check_factor_orders(system, granularity, dtype, rng, repeats=3):
     plan = dag_plan(symb, granularity)
     for _ in range(repeats):
         storage, ntasks, roots, run_task, _ = stream_factorize_job(
-            symb, M, granularity, None, {}, dtype
+            symb, M, granularity, dtype=dtype
         )
         assert (ntasks, tuple(roots)) == (plan.ntasks, plan.roots)
         order = run_in_random_order(ntasks, roots, run_task, rng)
