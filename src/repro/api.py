@@ -28,9 +28,10 @@ pattern-only elimination-tree level schedule as a :class:`SolvePlan`;
 sweeps on the task-graph runtime (bit-identical to the serial sweeps for
 every worker count).  And when same-pattern requests *overlap* — arriving
 one at a time from concurrent clients — :meth:`SymbolicPlan.serve` opens a
-streaming :class:`ServingSession`: one persistent worker pool that drains
-every in-flight request, ``submit``/``submit_solve`` returning futures —
-on any registered engine::
+streaming :class:`ServingSession`: one persistent worker pool, each
+request ONE pool task (its factorization and, for ``submit_solve``, the
+serial sweeps right after it), ``submit``/``submit_solve`` returning
+futures — on any registered engine::
 
     with plan.serve(engine="rlb_par", workers=4) as session:
         futures = [session.submit_solve(vals, b) for vals in value_stream]
@@ -69,23 +70,19 @@ from .dense.kernels import (
     check_finite,
     check_real,
 )
-from .numeric.executor import (
-    StreamPool,
-    _resolve_workers,
-    _task_label_fn,
-    _traced_run,
-    dag_plan,
-    stream_factorize_job,
-)
+from .numeric.executor import StreamPool, _noop, _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
-from .numeric.storage import FactorStorage, ScatterPlan
+from .numeric.rl import update_workspace_entries
+from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
 from .numeric.updown import _modification_plan, _run_atomic
 from .solve.refine import _RefinementChain, _check_refinement, refine, relative_residual
-from .solve.triangular import check_rhs, solve_graph, solve_in_place
+from .solve.triangular import check_rhs, solve_in_place
 from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
-from .symbolic.levels import leaf_block, solve_schedule
+from .symbolic.blocks import pair_index
+from .symbolic.levels import leaf_block, solve_schedule, solve_shapes
+from .symbolic.relind import assembly_index
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
 from .update.crossover import update_cost as _modeled_update_cost
@@ -398,12 +395,13 @@ class SymbolicPlan:
         ``engine`` / ``backend`` / ``threshold`` (and any further engine
         option, e.g. ``device_memory=`` or a serial or GPU row's
         ``machine=``) select the engine exactly as in :meth:`factorize`,
-        and every registered row can be served.  The
-        threaded engines (``rl_par`` / ``rlb_par``) drain each submission's
-        task DAG across the pool's workers; every other row runs each
-        submission as ONE pool task (the process rows drain their DAG
-        through the shared worker-process pool — create it on the main
-        thread first via
+        and every registered row can be served.  Each submission is ONE
+        pool task on every row — no task graph inside a request,
+        concurrency across requests.  A threaded row (``rl_par`` /
+        ``rlb_par``) runs its serial twin (``rl`` / ``rlb``) in that task,
+        and its ``workers=`` is the pool's width: how many requests run at
+        once.  The process rows drain their DAG through the shared
+        worker-process pool (create it on the main thread first via
         :func:`repro.numeric.procpool.default_process_pool` when using
         ``fork``).  Every produced factor and solution is bit-identical
         to ``plan.factorize(values, engine=...).solve(b)`` on the same
@@ -419,10 +417,10 @@ class SymbolicPlan:
         :class:`~repro.numeric.executor.StreamPool` instead of creating
         (and later closing) its own — the sharing seam the multi-tenant
         :class:`repro.serving.Gateway` uses to multiplex many per-pattern
-        sessions over one set of workers.  ``tracer=`` records measured
-        per-task (threaded) or per-submission (every other row) spans, with
-        times relative to ``trace_origin`` (a ``time.perf_counter()``
-        value; default: session creation).
+        sessions over one set of workers.  ``tracer=`` records one
+        measured span per submission, with times relative to
+        ``trace_origin`` (a ``time.perf_counter()`` value; default:
+        session creation).
         """
         return ServingSession(self, engine=engine, workers=workers,
                               backend=backend, threshold=threshold,
@@ -493,38 +491,6 @@ class SolvePlan:
         return (f"SolvePlan(nsup={self.nsup}, nlevels={self.nlevels}, "
                 f"max_parallelism={self.max_parallelism}, "
                 f"leaf_block={self.leaf_block})")
-
-
-def _guarded(fn, future):
-    """Run a completion callback, routing its failure to ``future`` so a
-    broken callback can never strand a streaming submission unresolved."""
-
-    def run():
-        try:
-            fn()
-        except BaseException as exc:  # pragma: no cover - defensive
-            if not future.done():
-                future.set_exception(exc)
-
-    return run
-
-
-def _submit_solve_graph(pool, storage, y, future, on_done):
-    """Submit the fused level-scheduled solve of one factor on a
-    persistent pool.  ``y`` is the already-permuted right-hand side
-    (solved in place by :func:`repro.solve.triangular.solve_graph` — both
-    sweeps, one task graph); when it drains, ``on_done(y)`` runs on a
-    worker thread (its exceptions, like the graph's, land on
-    ``future``).  The graph preserves the serial accumulation order, so
-    the solved buffer is bit-identical to the serial sweeps'."""
-
-    def done():
-        on_done(check_finite(y, "solution"))
-
-    ntasks, roots, run_task = solve_graph(storage, y)
-    pool.submit_graph(ntasks, roots, run_task,
-                      on_complete=_guarded(done, future),
-                      on_error=future.set_exception)
 
 
 class Factor:
@@ -852,28 +818,35 @@ class ServingSession:
     submitted as they arrive.
 
     Produced by :meth:`SymbolicPlan.serve`, on any registered engine.  Each
-    :meth:`submit` / :meth:`submit_solve` call enqueues one factorization
-    graph (a threaded row's task DAG; one task for every other row) and,
-    for ``submit_solve``, the chained level-scheduled forward/backward
-    solve graphs on the session's :class:`~repro.numeric.executor.StreamPool`
-    and immediately returns a :class:`concurrent.futures.Future` — there is
-    no closed batch, and every in-flight submission's graph drains through
-    the one pool, so overlapping requests keep all workers busy.  This is
-    the one place the runtime runs several graphs at once (with
-    :class:`repro.serving.Gateway`, which multiplexes sessions over a
-    shared pool); :meth:`SymbolicPlan.factorize_batch` is a plain loop.
+    :meth:`submit` / :meth:`submit_solve` / :meth:`submit_update` call
+    enqueues ONE task on the session's
+    :class:`~repro.numeric.executor.StreamPool` and immediately returns a
+    :class:`concurrent.futures.Future`.  The task is the whole request: the
+    factorization (a threaded row, ``rl_par`` / ``rlb_par``, runs its
+    serial twin ``rl`` / ``rlb`` — the same bits) and, for a solve, the
+    serial sweeps and any refinement steps right after it, on the same
+    worker.  There is no task graph inside a request; overlapping requests
+    run side by side, one per worker, so the pool's width is the number of
+    requests in flight.  This is the one place the runtime runs several
+    requests at once (with :class:`repro.serving.Gateway`, which
+    multiplexes sessions over a shared pool);
+    :meth:`SymbolicPlan.factorize_batch` is a plain loop.
 
     Contracts:
 
     * **Determinism** — every factor and solution is bit-identical to the
       direct path (``plan.factorize(values, engine=...)`` /
-      ``factor.solve(b)``), for
-      any worker count and any interleaving of submissions (a panel is
-      written by its own task alone, as everywhere else in the runtime).
+      ``factor.solve(b)``), for any worker count and any interleaving of
+      submissions.
     * **Failure isolation** — a non-SPD matrix raises
       :class:`~repro.dense.kernels.NotPositiveDefiniteError` (annotated
       with ``stream_index``) on *its own* future only; the pool and every
       other submission keep running.
+    * **Cancellation** — a future cancelled before its task starts (a
+      :class:`~repro.serving.GatewayTimeout`, a cancelled client) computes
+      nothing: the task claims its future first
+      (``set_running_or_notify_cancel``) and skips a cancelled one.  A
+      running request cannot be cancelled and finishes normally.
     * **Lifecycle** — ``close()`` (or leaving the ``with`` block) drains
       all in-flight submissions, then stops the pool; submitting to a
       closed session raises ``RuntimeError``.  Submission is
@@ -890,26 +863,34 @@ class ServingSession:
         self._dtype = kwargs.pop("dtype", None)
         self._plan = plan
         self._spec = spec
-        self._granularity = spec.granularity
         self._tracer = tracer
         self._t0 = (time.perf_counter() if trace_origin is None
                     else trace_origin)
         if spec.backend == "threads":
-            # the pool's threads ARE the engine's parallelism
-            self._engine_kwargs = None
+            # a request runs the serial twin as one task; the row's workers
+            # are the pool's, one request each
             pool_width = kwargs.get("workers")
+            self._runner, self._engine_kwargs = resolve(serial_twin(spec.name))
         else:
-            # each submission runs its engine as ONE task; the pool only
-            # sequences submissions (the process engine runs on its
-            # worker-process pool, so width 1 avoids oversubscription)
-            self._engine_kwargs = kwargs
+            # the pool only sequences submissions (the process engine runs
+            # on its worker-process pool, so width 1 avoids oversubscription)
             pool_width = 1
-        # pre-build every memoised pattern structure on this (caller)
-        # thread: worker-thread callbacks may then only *read* the symbolic
-        # cache (DAG plan, solve schedule, scatter plan, block offsets)
-        if spec.family is not None:
-            dag_plan(plan.symb, self._granularity)
-        solve_schedule(plan.symb)
+            self._runner, self._engine_kwargs = spec, kwargs
+        # pre-build on this (caller) thread what a request reads from the
+        # symbolic cache, so worker threads only ever read it: the index
+        # under the running row's bodies (a process row's whole DAG plan),
+        # the panel layout and the serial sweeps' shapes and leaf block
+        runner, symb = self._runner, plan.symb
+        if runner.backend == "process":
+            dag_plan(symb, runner.granularity)
+        elif runner.family == "rl":
+            assembly_index(symb)
+            update_workspace_entries(symb)
+        else:
+            pair_index(symb)
+        _panel_layout(symb)
+        solve_shapes(symb)
+        leaf_block(symb)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")
@@ -931,7 +912,9 @@ class ServingSession:
 
     @property
     def engine(self):
-        """Name of the engine factorizing the submissions."""
+        """Name of the engine the session was opened with (a served
+        :class:`Factor` names the engine that ran: a threaded row's serial
+        twin)."""
         return self._spec.name
 
     @property
@@ -962,14 +945,20 @@ class ServingSession:
             self._pool.close()
 
     # ------------------------------------------------------------------
-    def _enqueue(self, ntasks, roots, run_task, label_of, index, future,
-                 done):
-        """Submit one graph of submission ``index`` under the session's
-        contracts: tasks traced (when the session has a tracer), a non-SPD
-        failure annotated with ``stream_index``, every failure — the
-        graph's or the completion callback ``done``'s — on ``future``."""
+    def _enqueue(self, request, label, index, future):
+        """``request()`` as ONE pool task resolving ``future`` with what it
+        returns, under the session's contracts: the task claims ``future``
+        first and does nothing once it is cancelled, its span is traced
+        (when the session has a tracer), a non-SPD failure is annotated
+        with ``stream_index``, every failure lands on ``future``."""
+
+        def run_task(tid):
+            if future.set_running_or_notify_cancel():
+                future.set_result(request())
+            return ()
+
         if self._tracer is not None:
-            run_task = _traced_run(run_task, label_of, self._tracer,
+            run_task = _traced_run(run_task, lambda tid: label, self._tracer,
                                    self._t0)
 
         def err(exc):
@@ -977,30 +966,15 @@ class ServingSession:
                 exc = NotPositiveDefiniteError.for_stream(exc, index)
             future.set_exception(exc)
 
-        self._pool.submit_graph(ntasks, roots, run_task,
-                                on_complete=_guarded(done, future),
+        self._pool.submit_graph(1, (0,), run_task, on_complete=_noop,
                                 on_error=err)
 
-    def _enqueue_one(self, compute, label, index, future, done):
-        """``compute()`` as ONE pool task (a whole factorization of a
-        non-threaded row, an update): the engine schedules its own lanes
-        internally, the pool still provides the streaming futures, failure
-        isolation and drain semantics.  ``done(value)`` gets what it
-        returned."""
-        holder = []
-
-        def run_task(tid):
-            holder.append(compute())
-            return ()
-
-        self._enqueue(1, (0,), run_task, lambda tid: label, index, future,
-                      lambda: done(holder.pop()))
-
-    def _factor_job(self, values, future, on_factor, dtype=None):
-        """Build one submission's factorize graph (on the caller thread —
-        values validation, permutation gather, panel scatter) and enqueue
-        it; ``on_factor(factor, storage)`` runs on a worker thread once the
-        DAG drains.  ``dtype`` overrides the session's default factor
+    def _submit(self, values, dtype, label, answer=None):
+        """Enqueue one factorization request; returns its future.  The
+        values are validated and gathered here, on the caller thread; the
+        task factorizes them on a worker with the running row and, given
+        ``answer``, resolves to ``answer(factor)`` computed right after,
+        in the same task.  ``dtype`` overrides the session's default factor
         precision for this submission only."""
         if self._closed:
             raise RuntimeError("serving session is closed")
@@ -1011,36 +985,22 @@ class ServingSession:
         data = plan._values_of(values)
         matrix = plan._original_matrix(data)  # copies: the Factor owns it
         M = plan._permuted_matrix(data)
+        runner, kwargs = self._runner, self._engine_kwargs
+        if dt is not None:
+            kwargs = dict(kwargs, dtype=dt)
+        t0 = time.perf_counter()
 
-        def done(result):
-            on_factor(Factor(plan, result, matrix), result.storage)
+        def request():
+            result = runner.fn(plan.symb, M, **kwargs)
+            result.extra["stream_index"] = index
+            result.extra["wall_seconds"] = time.perf_counter() - t0
+            factor = Factor(plan, result, matrix)
+            return factor if answer is None else answer(factor)
 
-        if self._spec.backend == "threads":
-            _, ntasks, roots, run_task, finish = stream_factorize_job(
-                plan.symb, M, self._granularity,
-                extra={"workers": self.workers, "backend": "threads",
-                       "granularity": self._granularity,
-                       "stream_index": index},
-                dtype=dt,
-            )
-            label_of = _task_label_fn(dag_plan(plan.symb, self._granularity))
-            t0 = time.perf_counter()
-            self._enqueue(ntasks, roots, run_task, label_of, index, future,
-                          lambda: done(finish(time.perf_counter() - t0)))
-        else:
-            spec, kwargs = self._spec, self._engine_kwargs
-            if dt is not None:
-                kwargs = dict(kwargs, dtype=dt)
-            t0 = time.perf_counter()
-
-            def finish(result):
-                result.extra["stream_index"] = index
-                result.extra["wall_seconds"] = time.perf_counter() - t0
-                done(result)
-
-            self._enqueue_one(lambda: spec.fn(plan.symb, M, **kwargs),
-                              f"factorize:{index}", index, future, finish)
+        future = Future()
+        self._enqueue(request, f"{label}:{index}", index, future)
         self._submitted += 1
+        return future
 
     def submit(self, values=None, *, dtype=None):
         """Enqueue one same-pattern factorization; returns a future
@@ -1054,68 +1014,54 @@ class ServingSession:
         precision for this submission (``numpy.float32`` /
         ``numpy.float64``).
         """
-        future = Future()
-        self._factor_job(values, future,
-                         lambda factor, storage: future.set_result(factor),
-                         dtype=dtype)
-        return future
+        return self._submit(values, dtype, "factorize")
 
     def submit_solve(self, values, b, *, refine=False, tol=1e-14,
                      max_iter=5, dtype=None):
-        """Enqueue factorize + level-scheduled solve; returns a future
-        resolving to the solution ``x`` of ``A(values) x = b``.
+        """Enqueue factorize + solve; returns a future resolving to the
+        solution ``x`` of ``A(values) x = b``.
 
-        The solve sweeps run as chained task graphs on the same pool, so a
-        stream of ``submit_solve`` calls keeps every worker busy across
-        both phases.  ``b`` is captured at submit time (``(n,)`` or
-        ``(n, k)``); the caller may reuse its buffer afterwards.
+        The serial sweeps run right after the factorization, in the same
+        pool task, so a request is handed to the pool once.  ``b`` is
+        captured at submit time (``(n,)`` or ``(n, k)``); the caller may
+        reuse its buffer afterwards.
 
-        ``refine=True`` chains iterative refinement onto the same pool:
-        after the initial solve, residuals are evaluated on a worker
-        thread and each correction runs as one more fused solve graph,
-        until the relative residual reaches ``tol`` or ``max_iter``
-        corrections were taken.  The resolved ``x`` is bit-identical to
-        ``factor.solve_refined(b, tol=tol, max_iter=max_iter)`` — mixed
-        factorize/solve/refine streams share one worker pool end to end.
+        ``refine=True`` runs iterative refinement in the same task: after
+        the initial solve, residuals are evaluated and each correction is
+        one more solve, until the relative residual reaches ``tol`` or
+        ``max_iter`` corrections were taken.  The resolved ``x`` is
+        bit-identical to ``factor.solve_refined(b, tol=tol,
+        max_iter=max_iter)``.
 
         ``dtype`` overrides the session's default factor precision for
         this submission.  Pair ``dtype=numpy.float32`` with
         ``refine=True`` for the mixed-precision serving lane: single
-        precision factorization and solves, fp64 residuals and ``x``, on
-        the same pool (``refine=False`` solves in float64, as
-        :meth:`Factor.solve` does).  The streaming chain caps at
-        ``max_iter`` without the fp64-refactorize stall fallback of
-        :meth:`Factor.solve_refined` (stall recovery needs a second
-        factorization — do that through :meth:`submit` +
-        :meth:`Factor.solve_refined` when the system is ill-conditioned
-        enough to need it).
+        precision factorization and solves, fp64 residuals and ``x``
+        (``refine=False`` solves in float64, as :meth:`Factor.solve`
+        does).  The streaming chain caps at ``max_iter`` without the
+        fp64-refactorize stall fallback of :meth:`Factor.solve_refined`
+        (stall recovery needs a second factorization — do that through
+        :meth:`submit` + :meth:`Factor.solve_refined` when the system is
+        ill-conditioned enough to need it).
         """
         _check_refinement(tol, max_iter)  # raised here, not on the future
         plan = self._plan
         b = check_rhs(plan.n, b, "b", copy=refine)
         perm = plan.perm
         y = b[perm]  # fresh gather, owned by the chain
-        future = Future()
 
-        def on_factor(factor, storage):
-            # the chain of refine(..., stall_ratio=None), its solves as
-            # graphs on this pool; a plain solve is the chain that stops
-            # at x0
-            chain = _RefinementChain(factor.matrix, b, perm, storage.dtype,
+        def solve(factor):
+            # the chain of refine(..., stall_ratio=None) on the serial
+            # sweeps; a plain solve is the chain that stops at x0
+            chain = _RefinementChain(factor.matrix, b, perm, factor.dtype,
                                      tol, max_iter if refine else 0)
+            rhs = chain.step(solve_in_place(factor.storage, chain.work(y)))
+            while rhs is not None:
+                rhs = chain.step(solve_in_place(factor.storage,
+                                                chain.work(rhs[perm])))
+            return chain.out.x
 
-            def advance(buf):
-                rhs = chain.step(buf)
-                if rhs is None:
-                    future.set_result(chain.out.x)
-                else:
-                    _submit_solve_graph(self._pool, storage,
-                                        chain.work(rhs[perm]), future, advance)
-
-            _submit_solve_graph(self._pool, storage, chain.work(y), future, advance)
-
-        self._factor_job(values, future, on_factor, dtype=dtype)
-        return future
+        return self._submit(values, dtype, "solve", solve)
 
     def submit_update(self, factor, W, *, b=None, downdate=False,
                       policy="update", on_factor=None):
@@ -1126,8 +1072,9 @@ class ServingSession:
         ``factor`` is a :class:`Factor` of this session's plan or a future
         from :meth:`submit` / a previous ``submit_update`` — chaining
         futures streams a whole update trajectory without ever blocking
-        the submitting thread.  The sweep runs as one pool task under the
-        session's failure-isolation contract: a downdate that destroys
+        the submitting thread.  The sweep — and, with ``b``, the serial
+        solve right after it — runs as one pool task under the session's
+        failure-isolation contract: a downdate that destroys
         positive definiteness (or an uncontained pattern under
         ``policy="update"``) rejects *this* future only, annotated with
         ``stream_index``; the parent factor and every other submission are
@@ -1138,10 +1085,10 @@ class ServingSession:
         path sweep, ``"auto"`` lets the modeled crossover fall back to a
         serial refactorize inside the task.
 
-        ``on_factor(new_factor)``, if given, runs on a worker thread as
-        soon as the updated factor exists — before any chained solve —
-        so callers resolving the future to ``x`` can still observe the
-        factor (the gateway records it as the pattern's next update base).
+        ``on_factor(new_factor)``, if given, runs on the worker thread as
+        soon as the updated factor exists — before any solve — so callers
+        resolving the future to ``x`` can still observe the factor (the
+        gateway records it as the pattern's next update base).
         """
         if self._closed:
             raise RuntimeError("serving session is closed")
@@ -1154,38 +1101,32 @@ class ServingSession:
         y = None
         if b is not None:
             b = check_rhs(plan.n, b, "b", copy=False)
-            y = b[plan.perm]  # fresh gather, owned by the chain
-
-        def solved(buf):
-            x = np.empty_like(buf)
-            x[plan.perm] = buf  # back to the original ordering
-            future.set_result(x)
+            y = b[plan.perm]  # fresh gather, owned by the request
 
         def enqueue(parent):
-            def done(new_factor):
+            def request():
+                new_factor = parent.apply(W, policy=policy, downdate=downdate)
                 if on_factor is not None:
                     on_factor(new_factor)
                 if y is None:
-                    future.set_result(new_factor)
-                else:
-                    _submit_solve_graph(self._pool, new_factor.storage, y,
-                                        future, solved)
+                    return new_factor
+                x = np.empty_like(y)
+                x[plan.perm] = solve_in_place(new_factor.storage, y)
+                return x
 
-            self._enqueue_one(
-                lambda: parent.apply(W, policy=policy, downdate=downdate),
-                f"update:{index}", index, future, done)
+            self._enqueue(request, f"update:{index}", index, future)
 
         if isinstance(factor, Future):
             # chained submission: enqueue once the parent resolves — the
             # callback may run on a worker thread; submit_graph from
-            # worker threads is race-free (the PR-4 contract refinement
-            # chains already rely on)
+            # worker threads is race-free
             def chain(parent_future):
-                exc = parent_future.exception()
-                if exc is not None:
-                    future.set_exception(exc)
-                    return
-                enqueue(parent_future.result())
+                if parent_future.cancelled():
+                    future.cancel()  # nothing to update: the chain ends here
+                elif parent_future.exception() is None:
+                    enqueue(parent_future.result())
+                elif future.set_running_or_notify_cancel():
+                    future.set_exception(parent_future.exception())
 
             factor.add_done_callback(chain)
         else:

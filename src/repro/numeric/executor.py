@@ -50,11 +50,12 @@ the pool.
   :func:`factorize_executor` and the level-scheduled triangular solves of
   :mod:`repro.solve.triangular`;
 * :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
-  keep one *persistent* pool alive and submit graphs (one
-  :func:`stream_factorize_job` per matrix) as requests arrive — the only
-  place several graphs share a pool, because only there do requests
-  overlap.  A closed batch (:meth:`repro.api.SymbolicPlan.factorize_batch`)
-  is a loop of factorizations, one graph after another.
+  keep one *persistent* pool alive and submit each request as ONE task
+  (a threads row runs its serial twin there, the solve right after it) —
+  the only place several requests share a pool, because only there do
+  requests overlap.  A closed batch
+  (:meth:`repro.api.SymbolicPlan.factorize_batch`) is a loop of
+  factorizations, one graph after another.
 
 Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor`
 records every task's measured start/stop interval on a per-worker-thread
@@ -692,11 +693,9 @@ def stream_factorize_job(symb, M, granularity, extra=None, dtype=None):
     """One streaming factorize job: ``(storage, ntasks, roots, run_task,
     finish)`` for a single same-pattern matrix ``M``.
 
-    The per-matrix seam of :func:`factorize_executor`,
-    :class:`repro.api.ServingSession` and, through the session,
-    :class:`repro.serving.Gateway`: the caller submits ``(ntasks, roots,
-    run_task)`` to a :class:`StreamPool` and, once the graph drains, calls
-    ``finish(wall_seconds)`` for the measured
+    The per-matrix seam of :func:`factorize_executor`: the caller runs
+    ``(ntasks, roots, run_task)`` on a :class:`StreamPool` and, once the
+    graph drains, calls ``finish(wall_seconds)`` for the measured
     :class:`~repro.numeric.result.FactorizeResult` — ``extra`` plus the
     wall clock and the task count; no model field.
     """

@@ -14,9 +14,9 @@ Architecture — three layers, one shared pool::
                        ONE shared StreamPool       (worker threads)
 
 Cache **hits** skip straight to the numeric stage: the request's values
-are pushed through the warm plan's serving session (the engine's
-factorization + chained level-scheduled solve graphs on the shared pool).  Cache
-**misses** run :func:`repro.plan` — ordering, supernode amalgamation,
+are pushed through the warm plan's serving session, ONE task on the shared
+pool (the factorization — a threads row's serial twin — and the serial
+solve right after it).  Cache **misses** run :func:`repro.plan` — ordering, supernode amalgamation,
 symbolic factorization — on a small analysis thread pool *off the event
 loop*, with concurrent same-pattern misses deduplicated onto one pending
 analysis.
@@ -90,11 +90,11 @@ class GatewayTimeout(TimeoutError):
     """An awaited ``submit``/``submit_values`` exceeded its ``timeout=``.
 
     Raised to the timed-out caller only: the underlying numeric future is
-    cancelled if still queued (a task already running on the pool finishes
-    harmlessly into a cancelled future), the admission slot and tenant
-    budget are released immediately, and the per-pattern session keeps
-    serving every other request — no poisoning.  Counted in
-    :attr:`GatewayStats.timeouts`."""
+    cancelled if still queued, and its task then computes nothing (a task
+    already running cannot be cancelled; it finishes and its answer is
+    dropped), the admission slot and tenant budget are released
+    immediately, and the per-pattern session keeps serving every other
+    request — no poisoning.  Counted in :attr:`GatewayStats.timeouts`."""
 
 
 class UnknownPatternError(KeyError):
@@ -115,8 +115,8 @@ def plan_nbytes(plan, *, dtype=None):
     Counts the pattern-describing arrays a cached plan keeps alive: the
     symbolic factor's structure arrays plus the pattern host's CSC arrays
     — each at its own ``.nbytes``, never an assumed element width.  The
-    memoised engine caches (scatter plan, relative-index runs, DAG
-    plans) scale with the same quantities, so this tracks the real
+    memoised engine caches (scatter plan, relative-index runs, leaf
+    block) scale with the same quantities, so this tracks the real
     footprint to within a small constant factor — good enough to rank
     plans for byte-budget eviction.
 
@@ -235,7 +235,8 @@ class Gateway:
         :class:`TenantBudgetExceeded` is raised for that tenant only.
     workers:
         Width of the ONE shared :class:`~repro.numeric.executor.StreamPool`
-        every per-pattern session runs on (``None``:
+        every per-pattern session runs on — how many requests run at once,
+        one pool task each (``None``:
         :func:`~repro.numeric.executor.default_workers`).
     engine / backend / threshold:
         Engine of every per-pattern session, exactly as
@@ -568,9 +569,9 @@ class Gateway:
         try:
             return await asyncio.wait_for(asyncio.wrap_future(cf), timeout)
         except asyncio.TimeoutError:
-            # still-queued work is cancelled outright; a task already
-            # running finishes into the cancelled future (every completion
-            # callback is guarded), so the session is never poisoned
+            # still-queued work is cancelled outright and its task computes
+            # nothing; a task already running cannot be cancelled and
+            # finishes normally, so the session is never poisoned
             cf.cancel()
             self._timeouts += 1
             raise GatewayTimeout(

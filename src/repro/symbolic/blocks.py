@@ -256,8 +256,9 @@ class PairIndex:
 
 def pair_index(symb):
     """The pattern's :class:`PairIndex`, built on first use and memoised on
-    the symbolic factor (``dag_plan(symb, "fine")`` warms it on the
-    submitting thread, so worker threads only ever read it)."""
+    the symbolic factor (``dag_plan(symb, "fine")`` and a serving session
+    warm it on the submitting thread, so worker threads only ever read
+    it)."""
     cache = symb.cache()
     index = cache.get("pair_index")
     if index is None:

@@ -260,8 +260,9 @@ class AssemblyIndex:
 
 def assembly_index(symb):
     """The pattern's :class:`AssemblyIndex`, built on first use and memoised
-    on the symbolic factor (``dag_plan(symb, "coarse")`` warms it on the
-    submitting thread, so worker threads only ever read it)."""
+    on the symbolic factor (``dag_plan(symb, "coarse")`` and a serving
+    session warm it on the submitting thread, so worker threads only ever
+    read it)."""
     cache = symb.cache()
     index = cache.get("assembly_index")
     if index is None:

@@ -210,10 +210,15 @@ def _first_factor(door, name, A):
 def test_measured_rows_report_no_model(name, door):
     """A threads or process row returns its factor and what it measured,
     at every door: no model field, and no pricing of the pattern on the
-    way — the serial twin's factor, bit for bit."""
+    way — the serial twin's factor, bit for bit.  A served request on a
+    threads row runs the serial twin as one pool task, so its factor
+    names the twin and nothing prices its report until it is read."""
     assert len(MEASURED) == 4
     factor = _first_factor(door, name, grid_laplacian((9, 8)))
-    assert_measured(factor.result)
+    if door in ("session", "gateway") and ENGINES[name].backend == "threads":
+        assert factor.engine == serial_twin(name)
+    else:
+        assert_measured(factor.result)
     assert "cpu_cost" not in factor.plan.symb.cache()
     twin = factor.plan.factorize(engine=serial_twin(name))
     for p, q in zip(factor.storage.panels, twin.storage.panels, strict=True):

@@ -461,10 +461,11 @@ class TestServingPrecision:
             assert np.array_equal(p, q)
 
     def test_dtype_override_prices_nothing(self, base_matrix, monkeypatch):
-        """A per-submission fp32 override on an fp64 threaded session is
-        measured like every submission: no thread walks a kernel stream,
-        nothing is written to ``symb.cache()["cpu_cost"]``, and the report
-        carries no modeled seconds."""
+        """A per-submission fp32 override on an fp64 threaded session runs
+        the serial twin like every submission and prices nothing on the
+        way: no thread walks a kernel stream and nothing is written to
+        ``symb.cache()["cpu_cost"]`` until the report is read — once, as
+        the direct ``rlb`` factor's is."""
         from repro.numeric import result
 
         walks = []
@@ -479,9 +480,11 @@ class TestServingPrecision:
         with plan.serve(engine="rlb_par", workers=2) as session:
             session.submit().result()
             got = session.submit(dtype=np.float32).result()
-        assert got.dtype == np.float32
+        assert got.dtype == np.float32 and got.engine == "rlb"
         assert walks == [] and "cpu_cost" not in plan.symb.cache()
-        assert got.result.modeled_seconds is None
+        want = plan.factorize(engine="rlb", dtype=np.float32).result
+        assert got.result.modeled_seconds == want.modeled_seconds
+        assert walks == ["rlb"]
 
     def test_gateway_dtype_bit_identical(self, base_matrix):
         b = np.cos(np.arange(base_matrix.n))

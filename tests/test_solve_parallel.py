@@ -301,12 +301,12 @@ class TestServingSession:
             x, aplan.factorize(engine="rlb").solve(b))
 
     def test_stream_result_metadata(self, aplan):
+        # a threads row's request runs its serial twin as one pool task
         with aplan.serve(engine="rl_par", workers=2) as session:
             factor = session.submit(None).result(timeout=60)
         assert factor.result.extra["stream_index"] == 0
-        assert factor.result.extra["granularity"] == "coarse"
         assert factor.result.extra["wall_seconds"] > 0.0
-        assert factor.engine == "rl_par"
+        assert factor.engine == "rl"
 
 
 class TestStreamPoolRobustness:
