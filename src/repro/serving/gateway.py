@@ -296,7 +296,7 @@ class Gateway:
             max_workers=analysis_workers,
             thread_name_prefix="repro-gw-analysis")
         self._cache = {}       # fp -> _CacheEntry, insertion = LRU order
-        self._pending = {}     # fp -> asyncio.Future[_CacheEntry]
+        self._pending = {}     # fp -> asyncio.Task[_CacheEntry]
         self._cached_bytes = 0
         self._tenants = {}     # tenant -> in-flight count
         self._in_flight = 0
@@ -425,52 +425,48 @@ class Gateway:
                 entry.hits += 1
                 self._hits += 1
             return entry
-        pending = self._pending.get(fp)
-        if pending is not None:
-            if count:
-                self._misses += 1
-            entry = await asyncio.shield(pending)
-            if count:
-                entry.misses += 1
-            return entry
-        if matrix is None:
-            raise UnknownPatternError(
-                f"no warm plan for pattern {fp!r}; submit the full matrix "
-                f"once (or register() it) before submitting values"
-            )
+        analysis = self._pending.get(fp)
+        if analysis is None:
+            if matrix is None:
+                raise UnknownPatternError(
+                    f"no warm plan for pattern {fp!r}; submit the full matrix "
+                    f"once (or register() it) before submitting values"
+                )
+            # one task owned by the loop: a cancelled requester cancels only
+            # its own await; a failure nobody is left to await must not warn
+            analysis = self._loop.create_task(self._analyze(fp, matrix))
+            analysis.add_done_callback(lambda t: t.cancelled() or t.exception())
+            self._pending[fp] = analysis
         if count:
             self._misses += 1
-        fut = self._loop.create_future()
-        self._pending[fp] = fut
+        entry = await asyncio.shield(analysis)
+        # evicted before this requester resumed: serve the analyzed plan
+        # again rather than a closed session
+        entry = self._cache.get(fp) or self._install(fp, entry.plan)
+        if count:
+            entry.misses += 1
+        return entry
+
+    async def _analyze(self, fp, matrix):
+        """Analyze ``matrix`` off the loop and install the entry of ``fp``."""
         t0 = time.perf_counter()
-
-        def build():
-            return build_plan(matrix, ordering=self._ordering,
-                              **self._analyze_kwargs)
-
         try:
-            plan = await self._loop.run_in_executor(self._analysis, build)
-            entry = self._install(fp, plan)
-        except BaseException as exc:
-            fut.set_exception(exc)
-            fut.exception()  # consumed: no-waiter misses must not warn
-            raise
+            plan = await self._loop.run_in_executor(self._analysis, lambda: build_plan(
+                matrix, ordering=self._ordering, **self._analyze_kwargs))
+            return self._install(fp, plan)
         finally:
             del self._pending[fp]
             if self._tracer is not None:
                 self._tracer.record("gateway-analysis", f"analyze:{fp[:8]}",
                                     t0 - self._origin,
                                     time.perf_counter() - self._origin)
-        fut.set_result(entry)
-        if count:
-            entry.misses += 1
-        return entry
 
     def _install(self, fp, plan):
         """Insert a freshly analyzed plan (MRU position), open its session
         on the shared pool, and evict LRU unpinned entries past the
-        capacity / byte budget.  Runs on the loop thread with no awaits, so
-        the new entry cannot be evicted before its caller pins it."""
+        capacity / byte budget.  Runs on the loop thread with no awaits;
+        its callers re-read the cache right before they pin, so no request
+        is served by an evicted entry."""
         session = plan.serve(engine=self._engine, backend=self._backend,
                              threshold=self._threshold, dtype=self._dtype,
                              pool=self._pool,

@@ -89,10 +89,6 @@ def _vec(shape, dof=3, connectivity="star", seed=0):
     return lambda: gen.vector_stencil(shape, dof, connectivity=connectivity, seed=seed)
 
 
-def _kkt(m, k, density, seed=0):
-    return lambda: gen.kkt_like(m, k, density=density, seed=seed)
-
-
 #: The 21 matrices of the paper's test set, in Table I order.
 SUITE: tuple[SuiteEntry, ...] = (
     SuiteEntry("CurlCurl_2", _aniso((16, 16, 10)), 806_529, 8_822,

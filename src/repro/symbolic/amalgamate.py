@@ -28,7 +28,7 @@ import numbers
 
 import numpy as np
 
-from .supernodes import snode_of_column
+from .supernodes import supernodal_tree
 
 __all__ = ["amalgamate", "amalgamate_counts", "merge_extra_fill"]
 
@@ -76,8 +76,7 @@ def amalgamate_counts(snptr, counts, parent, *, growth_cap=0.25):
     first column's structure, and its parent supernode holds ``parent[last]``."""
     snptr = np.asarray(snptr, dtype=np.int64)
     w = np.diff(snptr)
-    up = parent[snptr[1:] - 1]
-    sn_parent = np.where(up >= 0, snode_of_column(snptr)[up], -1)
+    sn_parent = supernodal_tree(snptr, parent)
     return _merge(snptr, w, counts[snptr[:-1]] - w, sn_parent, growth_cap)
 
 

@@ -30,8 +30,8 @@ from .amalgamate import amalgamate_counts
 from .colcounts import column_counts
 from .etree import elimination_tree, postorder
 from .partition_refinement import partition_refinement
-from .structure import SymbolicFactor, symbolic_factorization
-from .supernodes import fundamental_supernodes
+from .structure import SymbolicFactor, _supernodal_structure
+from .supernodes import fundamental_supernodes, supernodal_tree
 
 __all__ = ["AnalyzedSystem", "analyze"]
 
@@ -116,7 +116,7 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
     snptr = fundamental_supernodes(parent, counts, fundamental=fundamental)
     if merge:
         snptr = amalgamate_counts(snptr, counts, parent, growth_cap=growth_cap)
-    symb = symbolic_factorization(B, snptr)
+    symb = _supernodal_structure(B, snptr, supernodal_tree(snptr, parent))
     if refine:
         rperm = partition_refinement(symb, method=refine_method)
         perm = compose_permutations(rperm, perm)

@@ -139,10 +139,6 @@ class SolveSchedule:
         """Height of the schedule (number of solve rounds per sweep)."""
         return int(self.level_ptr.size - 1)
 
-    def level_supernodes(self, lev):
-        """Supernodes of level ``lev`` (ascending ids)."""
-        return self.level_nodes[self.level_ptr[lev]:self.level_ptr[lev + 1]]
-
     def level_widths(self):
         """Supernodes per level — the task-parallelism profile."""
         return np.diff(self.level_ptr)

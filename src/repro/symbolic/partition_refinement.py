@@ -28,14 +28,14 @@ they are the same permutation):
   better.  Guarded this way, refinement never increases the block count.
 
 Every method returns a permutation that is block-diagonal with respect to
-``snptr``.
+``snptr``; none loops over supernodes (one lexsort orders them all).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["partition_refinement", "segment_runs"]
+__all__ = ["partition_refinement"]
 
 
 def _pivot_segments(symb):
@@ -59,32 +59,31 @@ def _pivot_segments(symb):
     return ptr, np.cumsum(step) - 1, col
 
 
-def segment_runs(seg, cols, local_order):
-    """Total number of consecutive runs the segments split into when the
-    supernode's columns are permuted by ``local_order``.
-
-    ``cols`` are *local* column indices (``0..w-1``) and ``seg`` their
-    segment numbers (non-decreasing); ``local_order[k]`` is the local column
-    placed at position ``k``.  This is exactly the number of RLB blocks
-    these segments will contribute.
-    """
-    w = local_order.size
-    inv = np.empty(w, dtype=np.int64)
-    inv[local_order] = np.arange(w)
-    # stride w + 1 keeps the end of one segment from abutting the next
-    pos = np.sort(seg * (w + 1) + inv[cols])
-    return 1 + int(np.count_nonzero(np.diff(pos) != 1))
+def _runs(seg, pos, owner, nsup):
+    """Per supernode, the consecutive runs — RLB blocks — its segments form
+    when entry ``e`` puts column position ``pos[e]`` into segment ``seg[e]``
+    (non-decreasing) of supernode ``owner[e]``."""
+    key = np.sort(seg * (pos.max(initial=0) + 2) + pos)  # segments never abut
+    return np.bincount(owner[np.diff(key, prepend=-2) != 1], minlength=nsup)
 
 
-def _order_lex(seg, cols, w):
-    """Lexicographic membership-pattern order (local); ``seg`` starts at 0."""
-    sizes = np.bincount(seg)
-    row = np.empty(sizes.size, dtype=np.int64)
-    row[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)  # big sets first
-    keys = np.zeros((sizes.size, w), dtype=np.int8)
-    keys[row[seg], cols] = 1
-    # np.lexsort treats the *last* row as the primary key
-    return np.lexsort(keys[::-1])
+def _lex_order(sn, seg, col):
+    """Every supernode's lexicographic membership-pattern order, by one
+    stable lexsort keyed first by the supernode ``sn`` of each column.
+    Entry ``e`` puts column ``col[e]`` into segment ``seg[e]`` (0, 1, ...);
+    a column's key is its 0/1 membership, larger segments more significant
+    (ties: lower segment first), 64 ranks per ``uint64`` word, top bit first."""
+    size = np.bincount(seg)
+    owner = sn[col[np.cumsum(size) - size]]
+    group = np.flatnonzero(np.diff(owner, prepend=-1))
+    rank = np.empty(size.size, dtype=np.int64)
+    start = np.repeat(group, np.diff(group, append=size.size))  # its supernode's first
+    rank[np.lexsort((-size, owner))] = np.arange(size.size) - start
+    rank = rank[seg]
+    words = np.zeros((rank.max(initial=0) // 64 + 1, sn.size), dtype=np.uint64)
+    bit = np.uint64(1) << (63 - rank % 64).astype(np.uint64)
+    np.bitwise_or.at(words, (rank // 64, col), bit)
+    return np.lexsort((*words[::-1], sn))  # the last key is the primary one
 
 
 def partition_refinement(symb, *, method="best"):
@@ -110,14 +109,18 @@ def partition_refinement(symb, *, method="best"):
     if method not in ("best", "lex", "split"):
         raise ValueError("method must be 'best', 'lex' or 'split'")
     perm = np.arange(symb.n, dtype=np.int64)
-    ptr, seg, col = _pivot_segments(symb)
-    widths = np.diff(symb.snptr)
-    for s in np.flatnonzero((np.diff(ptr) > 0) & (widths > 1)):
-        first, w, lo, hi = symb.snptr[s], widths[s], ptr[s], ptr[s + 1]
-        sid, cols = seg[lo:hi] - seg[lo], col[lo:hi] - first
-        order = _order_lex(sid, cols, w)
-        # the natural order is the other candidate and wins ties
-        natural = np.arange(w)
-        if method != "best" or segment_runs(sid, cols, order) < segment_runs(sid, cols, natural):
-            perm[first : first + w] = first + order
+    _, seg, col = _pivot_segments(symb)
+    moves = (np.diff(symb.snptr) > 1)[symb.col2sn]  # width-1 supernodes stay
+    cols = np.flatnonzero(moves)
+    keep = moves[col]
+    seg, col = seg[keep], (np.cumsum(moves) - 1)[col[keep]]  # col: index into cols
+    seg = np.cumsum(np.diff(seg, prepend=-1) != 0) - 1
+    sn = symb.col2sn[cols]
+    order = _lex_order(sn, seg, col)
+    if method == "best":  # the natural order is the other candidate and wins ties
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        lex, natural = (_runs(seg, pos, sn[col], symb.nsup) for pos in (where[col], col))
+        order = np.where((lex < natural)[sn], order, np.arange(order.size))
+    perm[cols] = cols[order]
     return perm

@@ -22,7 +22,7 @@ import numpy as np
 
 from .etree import is_postordered
 
-__all__ = ["fundamental_supernodes", "snode_of_column", "validate_snptr"]
+__all__ = ["fundamental_supernodes", "snode_of_column", "supernodal_tree", "validate_snptr"]
 
 
 def fundamental_supernodes(parent, counts, *, fundamental=True):
@@ -62,6 +62,13 @@ def snode_of_column(snptr, n=None):
     if n is None:
         n = int(snptr[-1])
     return np.repeat(np.arange(snptr.size - 1, dtype=np.int64), np.diff(snptr))[:n]
+
+
+def supernodal_tree(snptr, parent):
+    """Parent of every supernode (``-1``: root) when each one's columns are
+    a chain of the elimination tree ``parent``: the one holding ``parent[last]``."""
+    up = parent[snptr[1:] - 1]
+    return np.where(up >= 0, snode_of_column(snptr)[up], -1)
 
 
 def validate_snptr(snptr, n):

@@ -2,8 +2,10 @@
 
 The reference implementations below are the deleted per-vertex /
 per-segment / per-supernode loops, verbatim (minimum degree's numpy-array
-bookkeeping, nested dissection's per-node extraction from the root graph
-and amalgamation's per-candidate heap seeding among them); every property requires the
+bookkeeping, nested dissection's per-node extraction from the root graph,
+amalgamation's per-candidate heap seeding, the supernodal symbolic
+factorization's ``pending`` lists and partition refinement's per-supernode
+lexsort among them); every property requires the
 vectorised code to return *equal arrays* (orders included, not just sets),
 which is what keeps ``analyze`` byte-identical (``test_analysis_golden``).
 The edge cases at the bottom are the inputs the old loops handled
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ordering import (
+    ORDERINGS,
     AdjacencyGraph,
     adjacency_from_matrix,
     bfs_levels,
@@ -36,6 +39,7 @@ from repro.sparse import (
     random_spd,
     symmetric_permute,
     tridiagonal,
+    vector_stencil,
 )
 from repro.symbolic import (
     amalgamate,
@@ -49,11 +53,9 @@ from repro.symbolic import (
     symbolic_factorization,
 )
 from repro.symbolic.amalgamate import _merge, _trapezoid, amalgamate_counts, merge_extra_fill
-from repro.symbolic.partition_refinement import (
-    _order_lex,
-    _pivot_segments,
-    segment_runs,
-)
+from repro.symbolic.partition_refinement import _lex_order, _pivot_segments, _runs
+from repro.symbolic.structure import SymbolicFactor, _supernodal_structure
+from repro.symbolic.supernodes import snode_of_column, supernodal_tree, validate_snptr
 
 # the package re-exports the function under the submodule's name
 analyze_module = importlib.import_module("repro.symbolic.analyze")
@@ -406,6 +408,110 @@ def partition_refinement_ref(symb, method):
     return perm
 
 
+# the loops ``symbolic_factorization`` (its per-supernode ``pending`` lists)
+# and ``partition_refinement`` (one lexsort and two run counts per supernode)
+# ran before the tree walk and the batched sort replaced them
+def symbolic_factorization_ref(A, snptr):
+    """Compute the :class:`SymbolicFactor` of ``A`` for partition ``snptr``.
+
+    ``A`` must already carry its final ordering (fill-reducing permutation +
+    postorder [+ within-supernode refinement] applied).
+    """
+    n = A.n
+    snptr = np.ascontiguousarray(snptr, dtype=np.int64)
+    validate_snptr(snptr, n)
+    nsup = snptr.size - 1
+    col2sn = snode_of_column(snptr, n)
+    sn_parent = np.full(nsup, -1, dtype=np.int64)
+    pending = [[] for _ in range(nsup)]  # rows children pass up the tree
+    panels = []
+    bounds = snptr.tolist()
+    colptr = A.indptr[snptr].tolist()
+    for s in range(nsup):
+        first, last = bounds[s], bounds[s + 1]
+        # a supernode's columns are contiguous: one slice holds all their rows
+        own = A.indices[colptr[s]:colptr[s + 1]]
+        b = np.unique(np.concatenate([own[own >= last], *pending[s]]))
+        pending[s] = None
+        panels += (np.arange(first, last), b)
+        if b.size:
+            p = col2sn[b[0]]
+            sn_parent[s] = p
+            # pass rows beyond the parent's columns up the tree
+            pending[p].append(b[b >= bounds[p + 1]])
+    rows = np.concatenate(panels) if panels else np.empty(0, dtype=np.int64)
+    nbelow = np.array([b.size for b in panels[1::2]], dtype=np.int64)
+    rowptr = np.concatenate(([0], np.cumsum(np.diff(snptr) + nbelow)))
+    return SymbolicFactor(
+        n=n, snptr=snptr, sn_parent=sn_parent,
+        rowptr=rowptr, rows=rows, col2sn=col2sn,
+    )
+
+
+def segment_runs_loop_ref(seg, cols, local_order):
+    """Total number of consecutive runs the segments split into when the
+    supernode's columns are permuted by ``local_order``.
+
+    ``cols`` are *local* column indices (``0..w-1``) and ``seg`` their
+    segment numbers (non-decreasing); ``local_order[k]`` is the local column
+    placed at position ``k``.  This is exactly the number of RLB blocks
+    these segments will contribute.
+    """
+    w = local_order.size
+    inv = np.empty(w, dtype=np.int64)
+    inv[local_order] = np.arange(w)
+    # stride w + 1 keeps the end of one segment from abutting the next
+    pos = np.sort(seg * (w + 1) + inv[cols])
+    return 1 + int(np.count_nonzero(np.diff(pos) != 1))
+
+
+def order_lex_loop_ref(seg, cols, w):
+    """Lexicographic membership-pattern order (local); ``seg`` starts at 0."""
+    sizes = np.bincount(seg)
+    row = np.empty(sizes.size, dtype=np.int64)
+    row[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)  # big sets first
+    keys = np.zeros((sizes.size, w), dtype=np.int8)
+    keys[row[seg], cols] = 1
+    # np.lexsort treats the *last* row as the primary key
+    return np.lexsort(keys[::-1])
+
+
+def partition_refinement_loop_ref(symb, *, method="best"):
+    """Compute the within-supernode refinement permutation.
+
+    Parameters
+    ----------
+    symb:
+        :class:`~repro.symbolic.structure.SymbolicFactor` of the current
+        (merged) partition.
+    method:
+        ``"best"`` (lex order where it strictly beats the natural order's
+        block count, default), ``"lex"`` (membership-pattern lexicographic
+        sort, unguarded) or ``"split"`` (classical class splitting — the
+        same order as ``"lex"``).
+
+    Returns
+    -------
+    perm:
+        ``int64`` permutation (``perm[k]`` = current column index placed at
+        position ``k``); columns never leave their supernode.
+    """
+    if method not in ("best", "lex", "split"):
+        raise ValueError("method must be 'best', 'lex' or 'split'")
+    perm = np.arange(symb.n, dtype=np.int64)
+    ptr, seg, col = _pivot_segments(symb)
+    widths = np.diff(symb.snptr)
+    for s in np.flatnonzero((np.diff(ptr) > 0) & (widths > 1)):
+        first, w, lo, hi = symb.snptr[s], widths[s], ptr[s], ptr[s + 1]
+        sid, cols = seg[lo:hi] - seg[lo], col[lo:hi] - first
+        order = order_lex_loop_ref(sid, cols, w)
+        # the natural order is the other candidate and wins ties
+        natural = np.arange(w)
+        if method != "best" or segment_runs_loop_ref(sid, cols, order) < segment_runs_loop_ref(sid, cols, natural):
+            perm[first : first + w] = first + order
+    return perm
+
+
 def fundamental_supernodes_ref(parent, counts, fundamental):
     n = parent.size
     childcount = np.zeros(n, dtype=np.int64)
@@ -524,6 +630,24 @@ def patterns(draw):
     return SymmetricCSC.from_coo(n, rows, cols, np.ones(rows.size), symmetry="lower")
 
 
+@st.composite
+def analysis_patterns(draw):
+    """:func:`patterns` plus arrow, dense and ``n = 1`` patterns and a
+    vector stencil whose supernodes are tens of columns wide."""
+    kind = draw(st.sampled_from(["patterns", "arrow", "dense", "one", "stencil"]))
+    if kind == "patterns":
+        return draw(patterns())
+    if kind == "arrow":
+        n = draw(st.integers(2, 120))
+        return arrow_matrix(n, bandwidth=draw(st.integers(1, 4)),
+                            arrow_width=draw(st.integers(1, min(n - 1, 8))))
+    if kind == "dense":
+        return random_spd(draw(st.integers(1, 40)), density=1.0, seed=draw(st.integers(0, 99)))
+    if kind == "one":
+        return diagonal(1)
+    return vector_stencil((3, 3, 3), 4, connectivity="box")
+
+
 def flat(segs):
     """The flat ``(seg, cols)`` form ``partition_refinement`` works on."""
     seg = np.repeat(np.arange(len(segs)), [s.size for s in segs])
@@ -631,9 +755,10 @@ class TestRefinementAgainstReference:
         if not segs:
             return
         seg, cols = flat(segs)
-        order = _order_lex(seg, cols, w)
+        order = _lex_order(np.zeros(w, dtype=np.int64), seg, cols)
         assert np.array_equal(order, order_split_ref(segs, w))
         assert np.array_equal(order, order_lex_ref(segs, w))
+        assert np.array_equal(order, order_lex_loop_ref(seg, cols, w))
 
     @given(segment_families(False), st.data())
     @PROPERTY
@@ -642,7 +767,12 @@ class TestRefinementAgainstReference:
         if not segs:
             return
         order = np.asarray(data.draw(st.permutations(range(w))))
-        assert segment_runs(*flat(segs), order) == segment_runs_ref(segs, order, w)
+        seg, cols = flat(segs)
+        where = np.empty(w, dtype=np.int64)
+        where[order] = np.arange(w)
+        runs = _runs(seg, where[cols], np.zeros(seg.size, dtype=np.int64), 1)
+        assert runs.tolist() == [segment_runs_ref(segs, order, w)]
+        assert runs[0] == segment_runs_loop_ref(seg, cols, order)
 
     @given(st.integers(20, 90), st.integers(0, 10**6), st.booleans())
     @PROPERTY
@@ -706,11 +836,11 @@ class TestRelabelledStructures:
     def test_analyze_walks_the_supernodal_tree_once(self, monkeypatch, merge):
         calls = []
 
-        def spy(B, snptr):
+        def spy(B, snptr, sn_parent):
             calls.append(snptr.size - 1)
-            return symbolic_factorization(B, snptr)
+            return _supernodal_structure(B, snptr, sn_parent)
 
-        monkeypatch.setattr(analyze_module, "symbolic_factorization", spy)
+        monkeypatch.setattr(analyze_module, "_supernodal_structure", spy)
         system = analyze(grid_laplacian((9, 8)), merge=merge)
         assert calls == [system.nsup]
 
@@ -743,6 +873,45 @@ class TestRelabelledStructures:
         assert len(got) == len(want)
         for g, r in zip(got, want):
             assert g.dtype == np.int64 and np.array_equal(g, r)
+
+
+class TestTreeWalkAndBatchedRefinement:
+    @given(analysis_patterns(), st.sampled_from(ORDERINGS), st.booleans(),
+           st.sampled_from([0, 0.1, 0.25, 1, 5]))
+    @PROPERTY
+    def test_structure_and_refinement(self, A, ordering, fundamental, growth_cap):
+        base = analyze(A, ordering=ordering, merge=False, refine=False, fundamental=fundamental)
+        parent = elimination_tree(base.matrix)
+        counts = column_counts(base.matrix, parent)
+        merged = amalgamate_counts(base.symb.snptr, counts, parent, growth_cap=growth_cap)
+        for snptr in (base.symb.snptr, merged):
+            want = symbolic_factorization_ref(base.matrix, snptr)
+            assert_same_symb(symbolic_factorization(base.matrix, snptr), want)
+            assert_same_symb(
+                _supernodal_structure(base.matrix, snptr, supernodal_tree(snptr, parent)), want)
+            for method in ("best", "lex", "split"):
+                got = partition_refinement(want, method=method)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, partition_refinement_loop_ref(want, method=method))
+        for method in ("best", "lex"):
+            system = analyze(A, ordering=ordering, fundamental=fundamental,
+                             growth_cap=growth_cap, refine_method=method)
+            rperm = partition_refinement_loop_ref(
+                symbolic_factorization_ref(base.matrix, merged), method=method)
+            assert np.array_equal(system.perm, compose_permutations(rperm, base.perm))
+            want = symbolic_factorization_ref(system.matrix, merged)
+            assert_same_symb(system.symb, want)
+            assert_same_symb(symbolic_factorization(system.matrix, merged), want)
+
+    @given(analysis_patterns(), st.booleans(), st.data())
+    @PROPERTY
+    def test_any_partition(self, A, ordered, data):
+        # the public door takes any partition the loop took, chains of the
+        # elimination tree or not, on any symmetric ordering
+        B = analyze(A, refine=False).matrix if ordered else A
+        cuts = data.draw(st.sets(st.integers(1, max(A.n - 1, 1)))) if A.n > 1 else set()
+        snptr = np.array(sorted(cuts | {0, A.n}), dtype=np.int64)
+        assert_same_symb(symbolic_factorization(B, snptr), symbolic_factorization_ref(B, snptr))
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,10 @@ twin there.  This module pins what that promises:
   solve schedule) in a fresh plan's symbolic cache, and worker threads never
   write that cache;
 * a cancelled or timed-out request computes nothing, and a storm of client
-  cancellations leaves the gateway's counters, pins and bits whole.
+  cancellations leaves the gateway's counters, pins and bits whole;
+* a cancelled client cancels only its own request: not the analysis other
+  clients of a cold pattern wait on, and a failed downdate not the update
+  racing it.
 """
 
 import asyncio
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.serving.gateway as gateway_module
 from repro.numeric.executor import StreamPool
 from repro.numeric.registry import serial_twin
 from repro.numeric.storage import FactorStorage
@@ -259,3 +263,107 @@ def test_a_client_cancellation_storm_leaves_the_gateway_whole(matrix, factorizat
     assert np.array_equal(x, direct.solve(b))
     want = plan.factorize(base, engine=serial_twin("rlb_par")).update(W).solve(b)
     assert np.array_equal(xu, want)
+
+
+def test_cancelling_the_client_that_started_an_analysis_fails_no_one_else(monkeypatch):
+    """The first client of a cold pattern is cancelled while its analysis
+    runs: only its own ``await`` is cancelled.  The analysis finishes once,
+    the entry is installed, and the second client, waiting on the same
+    analysis, gets the direct serial twin's answer, bit for bit."""
+    A = grid_laplacian((40, 40))
+    b = np.ones(A.n)
+    values = _values(A, 3)
+    gate, built = threading.Event(), []
+    real = gateway_module.build_plan
+
+    def held(matrix, **kw):
+        built.append(threading.current_thread().name)
+        gate.wait(60)
+        return real(matrix, **kw)
+
+    monkeypatch.setattr(gateway_module, "build_plan", held)
+
+    async def go():
+        async with Gateway(workers=1) as gw:
+            first = asyncio.ensure_future(gw.submit(_with(A, values), b))
+            for _ in range(3):
+                await asyncio.sleep(0)  # the first client's miss starts the analysis
+            second = asyncio.ensure_future(gw.submit(_with(A, values), b))
+            for _ in range(3):
+                await asyncio.sleep(0)  # the second client joins it
+            first.cancel()
+            await asyncio.sleep(0)
+            gate.set()
+            x = await second
+            cold = gw.stats()
+            await gw.submit(_with(A, values), b)
+            return first, x, cold, gw.stats()
+
+    first, x, cold, warm = asyncio.run(go())
+    assert first.cancelled() and len(built) == 1
+    assert cold.misses == 2 and cold.cached_plans == 1 and cold.in_flight == 0
+    assert warm.hits == 1 and warm.misses == 2
+    direct = repro.plan(A).factorize(values, engine=serial_twin("rlb_par"))
+    assert np.array_equal(x, direct.solve(b))
+
+
+def test_an_entry_evicted_before_its_requester_resumes_is_installed_again(monkeypatch):
+    """The analysis task installs the entry, but a competing install evicts
+    it before the requester resumes: the requester installs the analyzed
+    plan again instead of submitting to the evicted entry's closed session,
+    and its answer is the direct serial twin's."""
+    A, other = grid_laplacian((12, 12)), grid_laplacian((9, 9))
+    b = np.ones(A.n)
+    values = _values(A, 1)
+    real, installs = Gateway._install, []
+
+    def install_then_evict(gw, fp, plan):
+        entry = real(gw, fp, plan)
+        installs.append(fp)
+        if len(installs) == 1:  # the first install: another pattern takes the slot
+            real(gw, gw.fingerprint(other), repro.plan(other))
+        return entry
+
+    monkeypatch.setattr(Gateway, "_install", install_then_evict)
+
+    async def go():
+        async with Gateway(workers=1, capacity=1) as gw:
+            x = await gw.submit(_with(A, values), b)
+            return x, gw.stats(), gw.fingerprint(A)
+
+    x, stats, fp = asyncio.run(go())
+    assert installs == [fp, fp] and stats.evictions == 2
+    assert list(stats.per_pattern) == [fp]
+    direct = repro.plan(A).factorize(values, engine=serial_twin("rlb_par"))
+    assert np.array_equal(x, direct.solve(b))
+
+def test_an_indefinite_downdate_racing_an_update_keeps_the_base(matrix):
+    """``submit_update`` and a downdate that makes the matrix indefinite,
+    sent concurrently on one pattern: the downdate raises
+    ``NotPositiveDefiniteError``, the update succeeds, and the next update
+    continues from the successful update's factor."""
+    b = np.ones(matrix.n)
+    plan = repro.plan(matrix)
+    W = structured_update(plan.symb, plan.perm, [3, 11], seed=2)
+    W2 = structured_update(plan.symb, plan.perm, [5, 17], seed=4)
+    base = _values(matrix, 0)
+
+    async def go():
+        async with Gateway(workers=1) as gw:
+            fp = gw.fingerprint(matrix)
+            await gw.submit(_with(matrix, base))  # the update base
+            gate = _blocked(gw.pool)
+            race = [asyncio.ensure_future(gw.submit_update(fp, W, b)),
+                    asyncio.ensure_future(gw.submit_update(fp, 100.0 * W, b, downdate=True))]
+            for _ in range(3):
+                await asyncio.sleep(0)  # both are queued on the same base
+            gate.set()
+            outcomes = await asyncio.gather(*race, return_exceptions=True)
+            return outcomes, await gw.submit_update(fp, W2, b), gw.stats()
+
+    (x, failed), x_next, stats = asyncio.run(go())
+    assert isinstance(failed, repro.NotPositiveDefiniteError)
+    updated = plan.factorize(base, engine=serial_twin("rlb_par")).update(W)
+    assert np.array_equal(x, updated.solve(b))
+    assert np.array_equal(x_next, updated.update(W2).solve(b))
+    assert stats.updates == 2 and stats.in_flight == 0
