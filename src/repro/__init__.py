@@ -84,13 +84,7 @@ from .numeric import plan as memory_plan
 from .numeric.registry import ENGINES, engine_names, get_engine
 from .dense import NonFiniteValuesError, NotPositiveDefiniteError
 from .gpu import SimulatedGpu, MachineModel, DeviceOutOfMemory, Tracer
-from .api import (
-    plan,
-    SymbolicPlan,
-    SolvePlan,
-    Factor,
-    ServingSession,
-)
+from .api import plan, SymbolicPlan, Factor, ServingSession
 
 __version__ = "1.2.0"
 
@@ -100,7 +94,6 @@ __all__ = [
     "pattern_fingerprint",
     "plan",
     "SymbolicPlan",
-    "SolvePlan",
     "Factor",
     "ServingSession",
     "ENGINES",

@@ -22,11 +22,11 @@ position)::
     factors = plan.factorize_batch(values_list, engine="rl")
     xs = [f.solve(b) for f in factors]         # one solution per matrix
 
-The *solve* side is staged the same way.  ``plan.solve_plan()`` exposes the
-pattern-only elimination-tree level schedule as a :class:`SolvePlan`;
-``factor.solve(b, workers=N)`` executes the level-scheduled forward/backward
-sweeps on the task-graph runtime (bit-identical to the serial sweeps for
-every worker count).  And when same-pattern requests *overlap* — arriving
+The *solve* side reuses the plan too: ``factor.solve(b)`` runs the serial
+sweeps, and ``factor.solve(b, workers=N)`` runs both sweeps as one fused
+task graph over the pattern's memoised solve schedule
+(:func:`repro.symbolic.levels.solve_schedule`), bit-identical to the serial
+sweeps for every worker count.  And when same-pattern requests *overlap* — arriving
 one at a time from concurrent clients — :meth:`SymbolicPlan.serve` opens a
 streaming :class:`ServingSession`: one persistent worker pool, each
 request ONE pool task (its factorization and, for ``submit_solve``, the
@@ -81,14 +81,14 @@ from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
 from .symbolic.blocks import pair_index
-from .symbolic.levels import leaf_block, solve_schedule, solve_shapes
+from .symbolic.levels import leaf_block, solve_shapes
 from .symbolic.relind import assembly_index
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
 from .update.crossover import update_cost as _modeled_update_cost
 from .update.matrix import UpdatedMatrix
 
-__all__ = ["plan", "SymbolicPlan", "SolvePlan", "Factor", "ServingSession",
+__all__ = ["plan", "SymbolicPlan", "Factor", "ServingSession",
            "same_pattern_values", "PatternMismatchError"]
 
 
@@ -274,7 +274,7 @@ class SymbolicPlan:
     # numeric stage
     # ------------------------------------------------------------------
     def factorize(self, values=None, *, engine="rl", workers=None,
-                  backend=None, dtype=None, **engine_kwargs):
+                  dtype=None, **engine_kwargs):
         """Numeric factorization of same-pattern ``values``; returns an
         immutable :class:`Factor`.
 
@@ -288,20 +288,11 @@ class SymbolicPlan:
         engine:
             Engine name from :mod:`repro.numeric.registry` (``"rl"``,
             ``"rlb"``, ``"rl_par"``, ``"rlb_par"``, ``"rl_gpu"``,
-            ``"rlb_gpu_v2"``, ...).
+            ``"rlb_gpu_v2"``, ...).  The name says where it runs: factors
+            are bit-identical across the rows of one family.
         workers:
             Worker count for the engines that take one — the threads and
-            process backends (threads or processes respectively).
-        backend:
-            ``"threads"``, ``"gpu"`` or ``"process"``: run ``engine``'s
-            task-DAG granularity on that scheduling substrate
-            (:func:`repro.numeric.registry.backend_engine`) — e.g.
-            ``engine="rlb_par", backend="gpu"`` runs the fine DAG on
-            simulated-GPU streams (``rlb_gpu_v2``), and
-            ``backend="process", workers=N`` drains it through a
-            shared-memory worker-process pool (``rl_proc`` / ``rlb_proc``
-            — :mod:`repro.numeric.procpool`).  One DAG runs on one
-            substrate.  Factors are bit-identical across backends.
+            process rows (threads or processes respectively).
         dtype:
             Factor storage/compute precision for the RL/RLB engine
             families: ``numpy.float64`` (default) or ``numpy.float32``
@@ -317,8 +308,7 @@ class SymbolicPlan:
         the option and the engines that accept it
         (:func:`repro.numeric.registry.resolve`).
         """
-        spec, kwargs = resolve(engine, backend, workers=workers, dtype=dtype,
-                               **engine_kwargs)
+        spec, kwargs = resolve(engine, workers=workers, dtype=dtype, **engine_kwargs)
         return self._factor(spec, kwargs, self._values_of(values))
 
     def _factor(self, spec, kwargs, data):
@@ -328,7 +318,7 @@ class SymbolicPlan:
         return Factor(self, result, self._original_matrix(data))
 
     def factorize_batch(self, values_list, *, engine="rlb_par", workers=None,
-                        backend=None, dtype=None, **engine_kwargs):
+                        dtype=None, **engine_kwargs):
         """Factorize a batch of same-pattern matrices, one after another;
         returns the list of their :class:`Factor` objects.
 
@@ -336,9 +326,9 @@ class SymbolicPlan:
         ``engine`` and every option resolved once, exactly as in
         :meth:`factorize`, and every value set validated before the first
         factorization.  Each factor is therefore the one ``factorize``
-        returns for that matrix alone, bit for bit, on every engine and
-        backend.  Requests that *overlap* share a worker pool through
-        :meth:`serve` instead.
+        returns for that matrix alone, bit for bit, on every engine.
+        Requests that *overlap* share a worker pool through :meth:`serve`
+        instead.
 
         A NaN/Inf value set raises
         :class:`~repro.dense.kernels.NonFiniteValuesError` and a non-SPD
@@ -346,8 +336,7 @@ class SymbolicPlan:
         ``batch_index`` set to the first failing position in
         ``values_list``.
         """
-        spec, kwargs = resolve(engine, backend, workers=workers, dtype=dtype,
-                               **engine_kwargs)
+        spec, kwargs = resolve(engine, workers=workers, dtype=dtype, **engine_kwargs)
         datas = []
         for b, values in enumerate(values_list):
             try:
@@ -362,22 +351,9 @@ class SymbolicPlan:
                 raise NotPositiveDefiniteError.for_batch(exc, b) from exc
         return factors
 
-    # ------------------------------------------------------------------
-    # solve stage
-    # ------------------------------------------------------------------
-    def solve_plan(self):
-        """The pattern-only :class:`SolvePlan` of this pattern: the
-        elimination-tree level schedule both triangular sweeps follow when
-        run with ``workers=N``.  Computed once and memoised on
-        :meth:`SymbolicFactor.cache()
-        <repro.symbolic.structure.SymbolicFactor.cache>` (like the
-        factorization DAG plans), so every factor and serving session of
-        this plan shares it."""
-        return SolvePlan(self, solve_schedule(self._system.symb))
-
-    def serve(self, *, engine="rlb_par", workers=None, backend=None,
-              threshold=None, dtype=None, pool=None, tracer=None,
-              trace_origin=None, **engine_kwargs):
+    def serve(self, *, engine="rlb_par", workers=None, threshold=None,
+              dtype=None, pool=None, tracer=None, trace_origin=None,
+              **engine_kwargs):
         """Open a streaming :class:`ServingSession` on this pattern.
 
         Where :meth:`factorize_batch` runs a closed batch one matrix after
@@ -392,7 +368,7 @@ class SymbolicPlan:
                 futs = [session.submit_solve(v, b) for v in value_stream]
                 xs = [f.result() for f in futs]
 
-        ``engine`` / ``backend`` / ``threshold`` (and any further engine
+        ``engine`` / ``threshold`` (and any further engine
         option, e.g. ``device_memory=`` or a serial or GPU row's
         ``machine=``) select the engine exactly as in :meth:`factorize`,
         and every registered row can be served.  Each submission is ONE
@@ -423,74 +399,9 @@ class SymbolicPlan:
         session creation).
         """
         return ServingSession(self, engine=engine, workers=workers,
-                              backend=backend, threshold=threshold,
-                              dtype=dtype, pool=pool, tracer=tracer,
-                              trace_origin=trace_origin, **engine_kwargs)
-
-
-class SolvePlan:
-    """Pattern-only plan of the level-scheduled triangular solves.
-
-    Wraps the memoised :class:`~repro.symbolic.levels.SolveSchedule` of one
-    :class:`SymbolicPlan` with the introspection a capacity planner wants:
-    how many dependency *levels* each sweep has (the critical-path length)
-    and how wide they are (the exploitable task parallelism).  Purely
-    informational — :meth:`Factor.solve` consults the same cached schedule
-    internally; build it via :meth:`SymbolicPlan.solve_plan`.
-    """
-
-    __slots__ = ("_plan", "_schedule")
-
-    def __init__(self, plan, schedule):
-        self._plan = plan
-        self._schedule = schedule
-
-    @property
-    def plan(self):
-        """The :class:`SymbolicPlan` this solve plan belongs to."""
-        return self._plan
-
-    @property
-    def schedule(self):
-        """The underlying :class:`~repro.symbolic.levels.SolveSchedule`."""
-        return self._schedule
-
-    @property
-    def nsup(self):
-        return self._plan.nsup
-
-    @property
-    def nlevels(self):
-        """Dependency levels per sweep — the level schedule's round count
-        (the backward sweep runs the same levels in reverse)."""
-        return self._schedule.nlevels
-
-    @property
-    def max_parallelism(self):
-        """Peak number of independent per-supernode solve tasks."""
-        return self._schedule.max_width
-
-    @property
-    def avg_parallelism(self):
-        """Mean level width (supernodes / levels)."""
-        return self._schedule.avg_width
-
-    def level_widths(self):
-        """Supernodes per level, leaves first (``np.ndarray``)."""
-        return self._schedule.level_widths()
-
-    @property
-    def leaf_block(self):
-        """``(supernodes, columns, entries, nbytes)`` of the pattern's
-        :func:`~repro.symbolic.levels.leaf_block`: the narrow leaves solved as
-        one block, their columns, factor entries gathered per sweep, index bytes."""
-        block = leaf_block(self._plan.symb)
-        return len(block.members), block.cols.size, block.pos.size, block.nbytes()
-
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return (f"SolvePlan(nsup={self.nsup}, nlevels={self.nlevels}, "
-                f"max_parallelism={self.max_parallelism}, "
-                f"leaf_block={self.leaf_block})")
+                              threshold=threshold, dtype=dtype, pool=pool,
+                              tracer=tracer, trace_origin=trace_origin,
+                              **engine_kwargs)
 
 
 class Factor:
@@ -559,20 +470,17 @@ class Factor:
         except ValueError:
             return "rl"
 
-    def solve_plan(self):
-        """The pattern's :class:`SolvePlan` (shared, memoised) — what
-        ``workers=N`` executes."""
-        return self._plan.solve_plan()
-
     # ------------------------------------------------------------------
     def solve(self, b, *, workers=None):
         """Solve ``A x = b``.
 
         ``workers=None`` runs the serial sweeps, one supernode after
-        another; ``workers=N`` runs the elimination-tree level schedule of
-        :meth:`solve_plan` as one task graph on N threads.  Solutions are
-        **bit-identical** for every worker count — the graph preserves the
-        serial accumulation order.
+        another; ``workers=N`` runs both sweeps as ONE fused task graph
+        (:func:`repro.solve.triangular.solve_graph`, one task per task
+        range of the pattern's memoised
+        :func:`~repro.symbolic.levels.solve_schedule`) on N threads.
+        Solutions are **bit-identical** for every worker count — the graph
+        preserves the serial accumulation order.
         """
         # validate BEFORE the permutation gather: b[perm] would silently
         # truncate an oversized right-hand side
@@ -855,11 +763,10 @@ class ServingSession:
     """
 
     def __init__(self, plan, *, engine="rlb_par", workers=None,
-                 backend=None, threshold=None, dtype=None, pool=None,
-                 tracer=None, trace_origin=None, **engine_kwargs):
-        spec, kwargs = resolve(
-            engine, backend, workers=workers, threshold=threshold,
-            dtype=dtype, **engine_kwargs)
+                 threshold=None, dtype=None, pool=None, tracer=None,
+                 trace_origin=None, **engine_kwargs):
+        spec, kwargs = resolve(engine, workers=workers, threshold=threshold,
+                               dtype=dtype, **engine_kwargs)
         self._dtype = kwargs.pop("dtype", None)
         self._plan = plan
         self._spec = spec

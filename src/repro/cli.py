@@ -13,8 +13,9 @@ Commands
 ``solve MATRIX``
     Factorize, solve against a random right-hand side (``--rhs K`` for a
     block of K right-hand sides), report the residual; ``--workers N``
-    additionally times the level-scheduled parallel triangular solves
-    against the serial sweeps (bit-identical by contract).
+    additionally times the fused parallel solve graph against the serial
+    sweeps (bit-identical by contract) and prints the graph's task count
+    and the leaf block.
 ``batch MATRIX``
     Same-pattern batch: factorize ``--batch B`` value sets with
     ``plan.factorize_batch`` (one factorization after another) on the
@@ -45,8 +46,7 @@ in-flight counter tracks.
     Per-kernel-class modeled time for all four methods.
 
 ``factorize``, ``solve``, ``batch``, ``serve`` and ``update`` name the
-engine with ``--engine`` (any registry row; ``factorize``, ``batch`` and
-``serve``'s ``--backend`` re-targets it), resolved by
+engine with ``--engine`` (any registry row, one name per row), resolved by
 :func:`repro.numeric.registry.resolve`: a bad engine or option exits 2 with
 the registry's message.
 
@@ -151,7 +151,7 @@ def cmd_factorize(args):
 
     tracer = Tracer() if args.gantt or args.trace else None
     try:
-        spec, kwargs = resolve(args.engine, args.backend, workers=args.workers,
+        spec, kwargs = resolve(args.engine, workers=args.workers,
                                threshold=args.threshold, dtype=_cli_dtype(args),
                                device_memory=args.device_memory or None)
         if tracer is not None:
@@ -209,6 +209,7 @@ def cmd_solve(args):
     import time
 
     from .api import plan as make_plan
+    from .symbolic.levels import leaf_block, solve_schedule
 
     if args.rhs < 1:
         print("--rhs must be >= 1", file=sys.stderr)
@@ -248,8 +249,9 @@ def cmd_solve(args):
               + (f"; fp64 refactorize fallback: {fb['reason']}" if fb
                  else "") + ")")
     if args.workers is not None:
-        # serial sweeps vs the level-scheduled parallel sweeps, best of 3
-        sp = factor.solve_plan()
+        # serial sweeps vs the fused parallel solve graph, best of 3
+        symb = factor.plan.symb
+        sched, block = solve_schedule(symb), leaf_block(symb)
         t_ser = min(_timed(lambda: factor.solve(b)) for _ in range(3))
         t_par, x_par = float("inf"), None
         for _ in range(3):
@@ -257,11 +259,11 @@ def cmd_solve(args):
             x_par = factor.solve(b, workers=args.workers)
             t_par = min(t_par, time.perf_counter() - t0)
         identical = np.array_equal(x, x_par)
-        print(f"level schedule: {sp.nlevels} levels, "
-              f"max parallelism {sp.max_parallelism} "
-              f"(avg {sp.avg_parallelism:.1f}) over {sp.nsup} supernodes")
-        print("leaf block    : {} supernodes, {} columns, {} entries, "
-              "{} index bytes".format(*sp.leaf_block))
+        print(f"solve graph   : {len(sched.fused.children)} tasks over "
+              f"{len(sched.ranges)} task ranges, {symb.nsup} supernodes")
+        print(f"leaf block    : {len(block.members)} supernodes, "
+              f"{block.cols.size} columns, {block.pos.size} entries, "
+              f"{block.nbytes()} index bytes")
         print(f"serial solve   : {t_ser * 1e3:8.2f} ms")
         print(f"parallel solve : {t_par * 1e3:8.2f} ms "
               f"(workers={args.workers}, {t_ser / t_par:.2f}x, "
@@ -291,7 +293,7 @@ def cmd_serve(args):
     try:
         # the gateway's --workers sizes its shared pool, not the engine
         spec, _ = resolve(
-            args.engine, args.backend, threshold=args.threshold, dtype=dtype,
+            args.engine, threshold=args.threshold, dtype=dtype,
             workers=None if args.gateway else args.workers)
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -318,9 +320,9 @@ def cmd_serve(args):
         tracer = Tracer()
     t0 = time.perf_counter()
     first_latency = None
-    with plan.serve(engine=args.engine, workers=args.workers,
-                    backend=args.backend, threshold=args.threshold,
-                    dtype=dtype, tracer=tracer) as session:
+    with plan.serve(engine=engine, workers=args.workers,
+                    threshold=args.threshold, dtype=dtype,
+                    tracer=tracer) as session:
         futures = [session.submit_solve(d, b) for d in datas]
         xs = []
         for fut in futures:
@@ -405,8 +407,8 @@ def _cmd_serve_gateway(args, engine):
     async def run():
         async with Gateway(capacity=args.capacity,
                            max_in_flight=args.max_in_flight,
-                           workers=args.workers, engine=args.engine,
-                           backend=args.backend, threshold=args.threshold,
+                           workers=args.workers, engine=engine,
+                           threshold=args.threshold,
                            dtype=dtype, ordering=args.ordering,
                            tracer=tracer) as gw:
 
@@ -481,7 +483,7 @@ def cmd_batch(args):
     dtype = _cli_dtype(args)
     kwargs = {"workers": args.workers, "dtype": dtype}
     try:
-        spec, _ = resolve(args.engine, args.backend, **kwargs)
+        spec, _ = resolve(args.engine, **kwargs)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -657,17 +659,9 @@ def cmd_breakdown(args):
 
 
 def build_parser():
-    """The argparse command tree (exposed for tests and docs).
-
-    The ``--backend`` choices are derived from the registry's
-    :data:`~repro.numeric.registry.BACKENDS` table, so a newly registered
-    scheduling substrate appears in the CLI (and its help) without
-    touching this file.
-    """
-    from .numeric.registry import BACKENDS
+    """The argparse command tree (exposed for tests and docs)."""
     from .ordering import ORDERINGS
 
-    backend_names = sorted(BACKENDS)
     p = argparse.ArgumentParser(
         prog="repro",
         description="GPU-accelerated sparse Cholesky (SC'24) reproduction",
@@ -696,11 +690,6 @@ def build_parser():
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads or processes of the threads and "
                          "process engines (real wall-clock parallelism)")
-    sp.add_argument("--backend", default=None,
-                    choices=backend_names,
-                    help="run the engine's family on this substrate: "
-                         "worker threads or processes (measured), or "
-                         "the simulated GPU (modeled offload)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization "
                          "(fp32 halves factor memory and runs "
@@ -720,9 +709,9 @@ def build_parser():
                     help="number of right-hand sides (K > 1 solves one "
                          "(n, K) block with level-3 BLAS)")
     sp.add_argument("--workers", type=int, default=None,
-                    help="also run the level-scheduled parallel triangular "
-                         "solves with this many threads and report "
-                         "serial-vs-parallel solve timings (bit-identical)")
+                    help="also run the fused parallel solve graph with this "
+                         "many threads and report serial-vs-parallel solve "
+                         "timings (bit-identical)")
     sp.add_argument("--dtype", default=None, choices=["fp64", "fp32"],
                     help="numeric precision of the factorization; fp32 "
                          "additionally reports the fp64-refined residual "
@@ -738,10 +727,6 @@ def build_parser():
                          "after another (default: rlb_par)")
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads for the threaded engines")
-    sp.add_argument("--backend", default=None,
-                    choices=backend_names,
-                    help="scheduling substrate for the batch's task-DAG "
-                         "engine (gpu = modeled offload per matrix)")
     sp.add_argument("--batch", type=int, default=8,
                     help="number of same-pattern matrices (default: 8)")
     sp.add_argument("--rhs", type=int, default=1,
@@ -765,10 +750,6 @@ def build_parser():
                          "(default: rlb_par)")
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads of the persistent pool")
-    sp.add_argument("--backend", default=None,
-                    choices=backend_names,
-                    help="scheduling substrate for the serving engine "
-                         "(gpu = modeled offload)")
     sp.add_argument("--threshold", type=int, default=None,
                     help="GPU offload threshold (gpu engines)")
     sp.add_argument("--count", type=int, default=8,

@@ -49,9 +49,7 @@ from .threshold import (
 )
 from .registry import (
     ENGINES,
-    BACKENDS,
     EngineSpec,
-    backend_engine,
     engine_names,
     get_engine,
     serial_twin,
@@ -85,9 +83,7 @@ __all__ = [
     "GRANULARITIES",
     "default_workers",
     "ENGINES",
-    "BACKENDS",
     "EngineSpec",
-    "backend_engine",
     "engine_names",
     "get_engine",
     "serial_twin",

@@ -47,7 +47,7 @@ the pool.
 * :func:`run_task_graph` runs any static ``(ntasks, roots, run_task)``
   triple as one graph on a transient pool — a one-task graph on the calling
   thread — and re-raises its first exception: the runtime behind
-  :func:`factorize_executor` and the level-scheduled triangular solves of
+  :func:`factorize_executor` and the fused triangular solve graph of
   :mod:`repro.solve.triangular`;
 * :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
   keep one *persistent* pool alive and submit each request as ONE task

@@ -4,10 +4,10 @@ One table row per engine: ``(name, callable, family, backend)``.  Which
 keyword arguments a row takes is not typed in — :attr:`EngineSpec.accepts`
 is read off the callable's own signature — and every place a request
 enters (:meth:`repro.api.SymbolicPlan.factorize` / ``factorize_batch`` /
-``serve``, :class:`repro.serving.Gateway`, the CLI's ``--engine`` /
-``--backend``) asks :func:`resolve` which engine runs and with which
-arguments, so a new engine is registered exactly once, every row can be
-served, and every door gives the same answer.
+``serve``, :class:`repro.serving.Gateway`, the CLI's ``--engine``) asks
+:func:`resolve` which engine runs and with which arguments, so a new engine
+is registered exactly once, every row can be served, and every door gives
+the same answer.
 
 ``family`` names the algorithm a row runs (``"rl"`` — the per-supernode RL
 bodies, the coarse DAG; ``"rlb"`` — one body per block pair, the fine DAG;
@@ -21,8 +21,8 @@ schedules it:
     timing, real BLAS numerics.
 ``"threads"``
     The task DAG on a worker-thread pool (:mod:`repro.numeric.executor`);
-    measured wall-clock.  A serving session drains these rows' tasks
-    across its pool; every other row runs a submission as one pool task.
+    measured wall-clock.  A serving session runs the row's serial twin as
+    one pool task per submission, like every other row's submission.
 ``"gpu"``
     Offload to the simulated device; modeled seconds.  Each row is the
     paper's host loop over the supernodes driving one device
@@ -33,8 +33,9 @@ schedules it:
     shared-memory panels (:mod:`repro.numeric.procpool`).
 
 Within a family the backends are interchangeable — factors are
-bit-identical — which is what :func:`backend_engine` ("run rlb on the
-gpu") and :func:`serial_twin` look up.  The rows, as
+bit-identical — which is what :func:`serial_twin` looks up.  A row is
+named, never re-targeted: ``engine="rlb_gpu_v2"``, not ``engine="rlb"``
+plus a substrate.  The rows, as
 :func:`engine_table` prints them (``docs/backends.md`` and the README carry
 the same block) — appended below.
 """
@@ -57,12 +58,10 @@ from .rlb_gpu import factorize_rlb_gpu, factorize_rlb_gpu_v1
 __all__ = [
     "EngineSpec",
     "ENGINES",
-    "BACKENDS",
     "engine_names",
     "engine_table",
     "get_engine",
     "serial_twin",
-    "backend_engine",
     "resolve",
 ]
 
@@ -128,13 +127,6 @@ ENGINES = {spec.name: spec for spec in _ROWS}
 #: ``(family, backend)`` -> row name, over the rows with a family.
 _BY_COLUMNS = {(spec.family, spec.backend): spec.name for spec in _ROWS if spec.family}
 
-#: Public backend names -> the DAG engine of each task granularity:
-#: ``BACKENDS["gpu"]["fine"] == "rlb_gpu_v2"``.  The ``--backend`` choices.
-BACKENDS = {}
-for (_family, _backend), _name in _BY_COLUMNS.items():
-    if _backend != "serial":
-        BACKENDS.setdefault(_backend, {})[_GRANULARITY[_family]] = _name
-
 
 def engine_names():
     """Sorted names of every registered engine."""
@@ -164,39 +156,18 @@ def _names(rows):
     return ", ".join(sorted(spec.name for spec in rows)) or "no engine"
 
 
-def backend_engine(name, backend):
-    """The engine running ``name``'s task DAG on ``backend``.
-
-    ``backend`` is a :data:`BACKENDS` key (``"threads"``, ``"gpu"``,
-    ``"process"``); ``name`` is any engine with a family.
-    Raises ``ValueError`` for unknown backends or family-less engines.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}")
-    spec = get_engine(name)
-    if spec.family is None:
-        raise ValueError(
-            f"engine {name!r} has no task-DAG family; backends apply to the "
-            f"RL/RLB families ({_names(s for s in _ROWS if s.family)})"
-        )
-    return _BY_COLUMNS[spec.family, backend]
-
-
-def resolve(engine, backend=None, **options):
+def resolve(engine, **options):
     """Which engine runs and with which keyword arguments:
     ``(spec, kwargs)`` such that ``spec.fn(symb, A, **kwargs)`` is the
     request.
 
-    ``backend`` re-targets ``engine`` through :func:`backend_engine`;
-    options that are ``None`` mean "not given".  An option the row's
+    Options that are ``None`` mean "not given".  An option the row's
     callable does not take — or one its name already fixes — raises ONE
     ``ValueError`` naming the option, the engine and the engines that do
     accept it.  ``workers`` must be >= 1 and ``dtype`` passes
     through :func:`~repro.dense.kernels.check_dtype` (unsupported dtypes
     raise :class:`~repro.dense.kernels.UnsupportedDtypeError`).
     """
-    if backend is not None:
-        engine = backend_engine(engine, backend)
     spec = get_engine(engine)
     options = {k: v for k, v in options.items() if v is not None}
     for key in options:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import inspect
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -207,6 +208,18 @@ class GatewayStats:
         return self.hits / total if total else 0.0
 
 
+def _limit(name, value, optional=False):
+    """A gateway limit as an ``int`` >= 1, read through ``operator.index``
+    as :func:`~repro.numeric.registry.resolve` reads ``workers``; an
+    ``optional`` limit may be ``None`` (no limit)."""
+    if optional and value is None:
+        return None
+    value = operator.index(value)  # 2.5 and "10" are a TypeError
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
 class Gateway:
     """Multi-tenant async front door over the staged ``plan → Factor`` API.
 
@@ -221,7 +234,10 @@ class Gateway:
     Parameters
     ----------
     capacity:
-        Maximum number of warm plans in the LRU cache.
+        Maximum number of warm plans in the LRU cache.  This and every
+        other limit below is an integer >= 1, read as the registry reads
+        ``workers`` (a float or a string is a ``TypeError``), when the
+        gateway is built.
     plan_bytes_budget:
         Optional byte budget over the cached plans (:func:`plan_nbytes`
         heuristic); eviction drops least-recently-used *unpinned* plans
@@ -238,11 +254,12 @@ class Gateway:
         every per-pattern session runs on — how many requests run at once,
         one pool task each (``None``:
         :func:`~repro.numeric.executor.default_workers`).
-    engine / backend / threshold:
+    engine / threshold:
         Engine of every per-pattern session, exactly as
         :meth:`repro.api.SymbolicPlan.serve` takes them: any registered
-        row.  A bad engine or option raises the registry's ``ValueError``
-        here, before any request is analyzed.
+        row.  A bad engine or option, or a keyword neither the engine nor
+        :func:`~repro.symbolic.analyze.analyze` takes, raises the
+        registry's ``ValueError`` here, before any request is analyzed.
     dtype:
         Default factor precision of every per-pattern session
         (``numpy.float32`` for a mixed-precision gateway; see
@@ -263,27 +280,22 @@ class Gateway:
 
     def __init__(self, *, capacity=8, plan_bytes_budget=None,
                  max_in_flight=64, tenant_budget=None, workers=None,
-                 engine="rlb_par", backend=None, threshold=None,
-                 dtype=None, ordering="nd",
-                 analysis_workers=1, tracer=None, trace_origin=None,
-                 **analyze_kwargs):
-        # a keyword analyze() does not take, or an engine option the
-        # registry refuses, fails here, not on every miss
-        inspect.signature(analyze).bind_partial(**analyze_kwargs)
-        resolve(engine, backend, threshold=threshold, dtype=dtype)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if tenant_budget is not None and tenant_budget < 1:
-            raise ValueError("tenant_budget must be >= 1 (or None)")
-        self.capacity = int(capacity)
-        self.plan_bytes_budget = plan_bytes_budget
-        self.max_in_flight = int(max_in_flight)
-        self.tenant_budget = (None if tenant_budget is None
-                              else int(tenant_budget))
+                 engine="rlb_par", threshold=None, dtype=None,
+                 ordering="nd", analysis_workers=1, tracer=None,
+                 trace_origin=None, **analyze_kwargs):
+        # an engine option the registry refuses, or a keyword analyze() does
+        # not take, fails here, not on every miss: a stray keyword is the
+        # registry's "not accepted" unless it is an option of the engine
+        signature = inspect.signature(analyze)
+        stray = {k: v for k, v in analyze_kwargs.items() if k not in signature.parameters}
+        resolve(engine, threshold=threshold, dtype=dtype, **stray)
+        signature.bind_partial(**analyze_kwargs)
+        self.capacity = _limit("capacity", capacity)
+        self.plan_bytes_budget = _limit("plan_bytes_budget", plan_bytes_budget, True)
+        self.max_in_flight = _limit("max_in_flight", max_in_flight)
+        self.tenant_budget = _limit("tenant_budget", tenant_budget, True)
+        analysis_workers = _limit("analysis_workers", analysis_workers)
         self._engine = engine
-        self._backend = backend
         self._threshold = threshold
         self._dtype = dtype
         self._ordering = ordering
@@ -467,7 +479,7 @@ class Gateway:
         capacity / byte budget.  Runs on the loop thread with no awaits;
         its callers re-read the cache right before they pin, so no request
         is served by an evicted entry."""
-        session = plan.serve(engine=self._engine, backend=self._backend,
+        session = plan.serve(engine=self._engine,
                              threshold=self._threshold, dtype=self._dtype,
                              pool=self._pool,
                              tracer=self._tracer, trace_origin=self._origin)

@@ -1,4 +1,4 @@
-"""Solve layer: supernodal triangular solves (serial and level-scheduled)
+"""Solve layer: supernodal triangular solves (serial and one fused task graph)
 and iterative refinement."""
 
 from .triangular import (
@@ -8,8 +8,6 @@ from .triangular import (
     check_rhs,
     forward_snode,
     backward_snode,
-    forward_solve_graph,
-    backward_solve_graph,
     solve_graph,
 )
 from .sparse_rhs import solve_reach, forward_solve_sparse
@@ -22,8 +20,6 @@ __all__ = [
     "check_rhs",
     "forward_snode",
     "backward_snode",
-    "forward_solve_graph",
-    "backward_solve_graph",
     "solve_graph",
     "solve_reach",
     "forward_solve_sparse",

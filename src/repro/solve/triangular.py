@@ -13,25 +13,25 @@ pattern's :class:`~repro.symbolic.levels.LeafBlock`) — a few array-at-a-time
 column stages and one compiled sparse product per sweep instead of a
 ``?trtrs`` and a GEMV per leaf.
 
-Both sweeps exist in two *schedules* over the same task bodies (the block's
-halves, :func:`forward_snode` / :func:`backward_snode` for every other
-supernode — the kernels exist exactly once):
+The full solve exists in two *schedules* over the same task bodies (the
+block's halves, :func:`forward_snode` / :func:`backward_snode` for every
+other supernode — the kernels exist exactly once):
 
 * **serial** (``workers=None``) — the block, then one supernode after
-  another (backward: the mirror);
-* **level-scheduled parallel** (``workers=N``) — the elimination-tree
-  schedule of :func:`repro.symbolic.levels.solve_schedule` executed on the
+  another; backward the mirror;
+* **one fused task graph** (``workers=N``, :func:`solve_graph`) — both
+  sweeps of :func:`repro.symbolic.levels.solve_schedule` on the
   shared-ready-queue runtime of :mod:`repro.numeric.executor`, one task per
-  *task range* (:mod:`repro.symbolic.ranges`): a range of whole subtrees is
-  the serial sweep over its supernodes, only the single supernodes above
-  the cut are tasks of their own.  A forward update that leaves a range is
-  parked, and the task owning the rows subtracts what was parked for it
-  itself, in ascending source order, so solutions are **bit-identical** to
-  the serial sweeps for any worker count and any order the ready tasks run
-  in; the backward sweep only reads finalized ancestor segments, so its
-  graph is a pure countdown (:class:`~repro.numeric.executor.Countdown`).
-  The block's halves are tasks too: ahead of every forward root, behind
-  every backward task.
+  *task range* (:mod:`repro.symbolic.ranges`) and sweep: a range of whole
+  subtrees is the serial sweep over its supernodes, only the single
+  supernodes above the cut are tasks of their own.  A forward update that
+  leaves a range is parked, and the task owning the rows subtracts what was
+  parked for it itself, in ascending source order, so solutions are
+  **bit-identical** to the serial sweeps for any worker count and any order
+  the ready tasks run in; a backward task only reads finalized ancestor
+  segments (:class:`~repro.numeric.executor.Countdown` releases it).  The
+  block's halves are tasks too: ahead of every forward root, behind every
+  backward task.
 
 The bodies read the factor's *solve program*
 (:meth:`~repro.numeric.storage.FactorStorage.solve_program`), derived once
@@ -41,7 +41,6 @@ direct ``?trtrs`` and one product.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 
 import numpy as np
@@ -59,8 +58,6 @@ __all__ = [
     "check_rhs",
     "forward_snode",
     "backward_snode",
-    "forward_solve_graph",
-    "backward_solve_graph",
     "solve_graph",
 ]
 
@@ -185,7 +182,7 @@ def _leaf_sweep(storage, y, backward=False):
 
 
 # ----------------------------------------------------------------------
-# level-scheduled task graphs (transient pools and the streaming session)
+# the fused task graph of both sweeps
 # ----------------------------------------------------------------------
 def _forward_range(storage, y, sched, parked, tid):
     """Forward task ``tid``: subtract the updates parked for it
@@ -228,43 +225,6 @@ def _backward_range(storage, x, sched, tid):
         backward_snode(storage, x, s)
 
 
-def _graph(edges, run):
-    """``(ntasks, roots, run_task)`` over one sweep's
-    :class:`~repro.symbolic.levels.SweepEdges`: task ``tid`` is ``run(tid)``,
-    then one part to each task it feeds."""
-    return len(edges.children), edges.roots, Countdown(edges.indeg).task(run, edges.children)
-
-
-def forward_solve_graph(storage, y, ranges=None):
-    """``(ntasks, roots, run_task)`` of the level-scheduled forward sweep
-    on ``y`` (solved in place).
-
-    One task per range of ``ranges`` (default: the pattern's
-    :func:`~repro.symbolic.ranges.task_ranges`), behind the leaf block's.
-    A task is released once every range with rows leaving into it has run;
-    it subtracts their parked updates itself, in ascending source order —
-    the serial accumulation order, so the sweep is bit-identical — then runs
-    the forward body over its supernodes in elimination order.  Feed the
-    triple to :func:`repro.numeric.executor.run_task_graph` or a
-    :class:`~repro.numeric.executor.StreamPool`.
-    """
-    sched = solve_schedule(storage.symb, ranges)
-    return _graph(sched.fwd, functools.partial(_forward_range, storage, y, sched, {}))
-
-
-def backward_solve_graph(storage, x, ranges=None):
-    """``(ntasks, roots, run_task)`` of the level-scheduled backward sweep
-    on ``x`` (solved in place).
-
-    One task per range, ready once every range owning one of its leaving
-    below rows has finalized its own segments; the leaf block's runs behind
-    them all.  There are no cross-range writes, so the graph is a pure
-    countdown — each GEMV reads the same finalized values as the serial sweep.
-    """
-    sched = solve_schedule(storage.symb, ranges)
-    return _graph(sched.bwd, functools.partial(_backward_range, storage, x, sched))
-
-
 def solve_graph(storage, y, ranges=None):
     """``(ntasks, roots, run_task)`` of the FUSED full solve
     ``L L^T x = b`` on ``y`` (solved in place) — both sweeps as one task
@@ -280,7 +240,7 @@ def solve_graph(storage, y, ranges=None):
     time with the forward root, and a full solve costs ONE pool, not two.
     """
     sched = solve_schedule(storage.symb, ranges)
-    nforward, parked = len(sched.fwd.children), {}
+    nforward, parked, edges = len(sched.fwd.children), {}, sched.fused
 
     def run(tid):
         if tid < nforward:
@@ -288,7 +248,7 @@ def solve_graph(storage, y, ranges=None):
         else:
             _backward_range(storage, y, sched, tid - nforward)
 
-    return _graph(sched.fused, run)
+    return len(edges.children), edges.roots, Countdown(edges.indeg).task(run, edges.children)
 
 
 # ----------------------------------------------------------------------
@@ -314,34 +274,20 @@ def _backward(storage, x):
     return x
 
 
-def forward_solve(storage, b, *, overwrite_b=False, workers=None):
+def forward_solve(storage, b, *, overwrite_b=False):
     """Solve ``L Y = B``; returns ``y``.
 
     ``b`` may be a single ``(n,)`` vector or an ``(n, k)`` block of
     right-hand sides (solved together with level-3 BLAS).  By default the
     solve runs on a copy; ``overwrite_b=True`` solves in place on ``b``.
-
-    ``workers=N`` runs the elimination-tree level schedule on N threads
-    (see the module docstring); the result is bit-identical to the serial
-    sweep for every worker count.
     """
-    y = check_rhs(storage.symb.n, b, "b", copy=not overwrite_b)
-    if workers is None:
-        return _forward(storage, y)
-    run_task_graph(*forward_solve_graph(storage, y), workers)
-    return y
+    return _forward(storage, check_rhs(storage.symb.n, b, "b", copy=not overwrite_b))
 
 
-def backward_solve(storage, y, *, overwrite_y=False, workers=None):
+def backward_solve(storage, y, *, overwrite_y=False):
     """Solve ``L^T X = Y``; accepts ``(n,)`` or ``(n, k)``; returns ``x``.
-    ``overwrite_y=True`` solves in place on ``y`` instead of a copy;
-    ``workers=N`` runs the level schedule in reverse on N threads
-    (bit-identical to the serial sweep)."""
-    x = check_rhs(storage.symb.n, y, "y", copy=not overwrite_y)
-    if workers is None:
-        return _backward(storage, x)
-    run_task_graph(*backward_solve_graph(storage, x), workers)
-    return x
+    ``overwrite_y=True`` solves in place on ``y`` instead of a copy."""
+    return _backward(storage, check_rhs(storage.symb.n, y, "y", copy=not overwrite_y))
 
 
 def solve_in_place(storage, y, workers=None):
@@ -363,8 +309,8 @@ def solve_factored(storage, b, *, overwrite_b=False, workers=None):
     The right-hand side is validated and copied exactly once, here, then
     solved by :func:`solve_in_place`.  ``overwrite_b=True`` skips even that
     copy and clobbers ``b`` (natural when ``b`` is already a temporary).
-    ``workers=N`` runs the fused level-scheduled task graph on N threads —
-    backward leaves overlap the forward root — bit-identical to serial.
+    ``workers=N`` runs the fused task graph on N threads — backward leaves
+    overlap the forward root — bit-identical to serial.
     """
     y = check_rhs(storage.symb.n, b, "b", copy=not overwrite_b)
     return solve_in_place(storage, y, workers)

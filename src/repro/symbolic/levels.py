@@ -1,4 +1,4 @@
-"""Elimination-tree level schedule for the supernodal triangular solves.
+"""Elimination-tree schedule of the supernodal triangular solves.
 
 The forward sweep ``L y = b`` has exactly the elimination tree's dependency
 structure: supernode ``J`` may solve its diagonal block only after every
@@ -8,12 +8,12 @@ subtracted its contribution, and ``J``'s own GEMV then updates segments of
 the leaves yields the classical *level schedule*: every supernode in level
 ``ℓ`` depends only on supernodes in levels ``< ℓ``, so whole levels are
 independent solve tasks (the backward sweep runs the same schedule in
-reverse).  The number of levels is the height of the supernodal elimination
-tree; the width of each level bounds the exploitable task parallelism.
+reverse).  The number of levels (:func:`solve_levels`) is the height of the
+supernodal elimination tree.
 
-:func:`solve_schedule` computes everything the parallel sweeps need —
-levels, per-supernode update *runs* (which ancestor owns which slice of the
-below rows; all supernodes in one array pass) and, over a partition of the
+:func:`solve_schedule` computes everything the fused parallel solve needs —
+per-supernode update *runs* (which ancestor owns which slice of the below
+rows; all supernodes in one array pass) and, over a partition of the
 supernodes into task ranges (:mod:`repro.symbolic.ranges`; one task per
 range, not per supernode), which runs leave their range, which reach each
 task from outside (what it pulls) and both dependency directions between the
@@ -76,8 +76,8 @@ class SweepEdges(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveSchedule:
-    """Pattern-only schedule of the level-scheduled triangular solves over
-    one partition of the supernodes into task ranges
+    """Pattern-only schedule of the parallel triangular solves over one
+    partition of the supernodes into task ranges
     (:mod:`repro.symbolic.ranges`).
 
     Task ``t`` of a sweep runs the serial body over the supernodes of range
@@ -89,13 +89,6 @@ class SolveSchedule:
 
     Attributes
     ----------
-    level:
-        Forward level per supernode (leaves = 0); the backward sweep uses
-        the same levels in descending order.
-    level_ptr / level_nodes:
-        CSR grouping of supernodes by level: level ``ℓ`` holds
-        ``level_nodes[level_ptr[ℓ]:level_ptr[ℓ+1]]`` (ascending supernode
-        ids, the serial sweep order within a level).
     runs:
         Per supernode ``s``, a tuple of ``(owner, lo, hi)`` triples: slice
         ``lo:hi`` of ``s``'s below-diagonal row list is owned by ancestor
@@ -115,7 +108,8 @@ class SolveSchedule:
     fwd / bwd / fused:
         The :class:`SweepEdges` of the forward sweep (a range feeds the
         tasks owning its leaving rows), of the backward sweep (the same
-        edges reversed) and of the *combined* full solve.  A leaf block's
+        edges reversed) and of the *combined* full solve, the one graph
+        that runs.  A leaf block's
         halves are task ``R`` of each sweep: a *source* every forward root
         waits for, a *sink* behind every backward task.  ``fused`` keeps the
         forward ids and puts backward task ``t`` under ``len(fwd.children) +
@@ -123,9 +117,6 @@ class SolveSchedule:
         one pool, overlapping the backward leaves with the forward root.
     """
 
-    level: np.ndarray
-    level_ptr: np.ndarray
-    level_nodes: np.ndarray
     runs: tuple
     ranges: TaskRanges
     leaving: tuple
@@ -134,31 +125,16 @@ class SolveSchedule:
     bwd: SweepEdges
     fused: SweepEdges
 
-    @property
-    def nlevels(self):
-        """Height of the schedule (number of solve rounds per sweep)."""
-        return int(self.level_ptr.size - 1)
-
-    def level_widths(self):
-        """Supernodes per level — the task-parallelism profile."""
-        return np.diff(self.level_ptr)
-
-    @property
-    def max_width(self):
-        """Widest level: the peak number of independent solve tasks."""
-        return int(self.level_widths().max())
-
-    @property
-    def avg_width(self):
-        """Mean level width — the average exploitable parallelism."""
-        return float(self.level.size / self.nlevels)
-
 
 def _below_runs(symb):
     """Per supernode, the contiguous same-owner runs ``(owner, lo, hi)`` of
     its below rows, from ONE pass over all below rows (the pass
     :func:`~repro.symbolic.blocks.pair_index` makes): a run starts where the
-    owner or the source changes."""
+    owner or the source changes.  No partition changes them: memoised on
+    ``symb``."""
+    cache = symb.cache()
+    if "solve_structure" in cache:
+        return cache["solve_structure"]
     w = np.diff(symb.snptr)
     _, source, k = _ranges(np.diff(symb.rowptr) - w)
     owner = symb.col2sn[symb.rows[(symb.rowptr[:-1] + w)[source] + k]]
@@ -168,7 +144,8 @@ def _below_runs(symb):
     hi = k[at] + np.diff(np.append(at, owner.size))
     runs = list(zip(owner[at].tolist(), k[at].tolist(), hi.tolist()))
     ptr = np.searchsorted(source[at], np.arange(symb.nsup + 1)).tolist()
-    return tuple(tuple(runs[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
+    got = cache["solve_structure"] = tuple(tuple(runs[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
+    return got
 
 
 class LeafBlock:
@@ -274,20 +251,6 @@ def solve_shapes(symb):
     return shapes
 
 
-def _solve_structure(symb):
-    """``(level, level_ptr, level_nodes, runs)`` — the part of a
-    :class:`SolveSchedule` that no partition changes, memoised on ``symb``."""
-    cache = symb.cache()
-    got = cache.get("solve_structure")
-    if got is None:
-        level = solve_levels(symb)
-        level_ptr = np.concatenate(([0], np.cumsum(np.bincount(level))))
-        # stable ascending-id order within each level (the serial sweep order)
-        level_nodes = np.argsort(level, kind="stable").astype(np.int64)
-        got = cache["solve_structure"] = (level, level_ptr, level_nodes, _below_runs(symb))
-    return got
-
-
 def solve_schedule(symb, ranges=None):
     """The :class:`SolveSchedule` of ``symb`` over ``ranges`` (default: the
     pattern's :func:`~repro.symbolic.ranges.task_ranges`), memoised on the
@@ -297,7 +260,7 @@ def solve_schedule(symb, ranges=None):
     sched = ranges.memo.get("solve")
     if sched is not None:
         return sched
-    level, level_ptr, level_nodes, runs = _solve_structure(symb)
+    runs = _below_runs(symb)
     block = leaf_block(symb)
     nranges = len(ranges)
     bounds, range_of = ranges.bounds, ranges.range_of
@@ -335,9 +298,6 @@ def solve_schedule(symb, ranges=None):
         bwd = edges(sources, owners, [()] * nranges)
     ntasks = len(fwd.children)
     sched = ranges.memo["solve"] = SolveSchedule(
-        level=level,
-        level_ptr=level_ptr,
-        level_nodes=level_nodes,
         runs=runs,
         ranges=ranges,
         leaving=tuple(leaving),

@@ -77,6 +77,16 @@ def assert_measured(res):
     assert {"workers", "backend", "granularity", "tasks"} <= res.extra.keys()
 
 
+def engine_of(family, backend=None):
+    """The registry row running ``family`` (``"rl"`` / ``"rlb"``) on
+    ``backend`` (``None``: serial) — rows are named, never re-targeted."""
+    from repro.numeric.registry import ENGINES
+
+    (name,) = [s.name for s in ENGINES.values()
+               if s.family == family and s.backend == (backend or "serial")]
+    return name
+
+
 def random_spd_dense(n, rng):
     """Dense random SPD matrix for oracle tests."""
     M = rng.standard_normal((n, n))

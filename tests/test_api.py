@@ -18,7 +18,7 @@ from repro.gpu.costmodel import MachineModel
 from repro.numeric.result import cpu_cost
 from repro.sparse import SymmetricCSC, grid_laplacian
 from repro.symbolic import task_ranges
-from tests.conftest import MODEL_FIELDS, force_cut
+from tests.conftest import MODEL_FIELDS, engine_of, force_cut
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +304,7 @@ class TestFactorizeBatch:
         """Panel for panel, ``factorize_batch(values, **kw)`` is
         ``[factorize(v, **kw) for v in values]`` on every backend and in
         either precision; two non-SPD matrices raise the lower position."""
-        kw = {"engine": family, "backend": backend, "dtype": dtype}
+        kw = {"engine": engine_of(family, backend), "dtype": dtype}
         if backend in ("threads", "process"):
             kw["workers"] = 2
         values = value_batch[:3]

@@ -15,7 +15,6 @@ import repro
 DOCUMENTED_TOP_LEVEL = [
     "plan",
     "SymbolicPlan",
-    "SolvePlan",
     "Factor",
     "ServingSession",
     "analyze",
@@ -46,7 +45,6 @@ DOCUMENTED_TOP_LEVEL = [
 DOCUMENTED_SUBPACKAGE = [
     ("repro.api", "plan"),
     ("repro.api", "SymbolicPlan"),
-    ("repro.api", "SolvePlan"),
     ("repro.api", "Factor"),
     ("repro.api", "ServingSession"),
     ("repro.api", "same_pattern_values"),
@@ -57,8 +55,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "get_engine"),
     ("repro.numeric.registry", "engine_names"),
     ("repro.numeric.registry", "serial_twin"),
-    ("repro.numeric.registry", "BACKENDS"),
-    ("repro.numeric.registry", "backend_engine"),
     ("repro.numeric.registry", "resolve"),
     ("repro.numeric.registry", "engine_table"),
     ("repro.numeric", "scaled_panel_entries_array"),
@@ -77,8 +73,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.blas_limits", "limit_blas_threads"),
     ("repro.numeric.blas_limits", "pinned_blas_env"),
     ("repro.solve", "solve_factored"),
-    ("repro.solve", "forward_solve_graph"),
-    ("repro.solve", "backward_solve_graph"),
     ("repro.solve", "solve_graph"),
     ("repro.solve", "check_rhs"),
     ("repro.solve", "refine"),
@@ -166,18 +160,25 @@ def test_subpackage_name_importable(module, name):
     assert hasattr(mod, name), f"{module}.{name} missing"
 
 
-def test_solve_plan_surface():
-    """The documented ``SolvePlan`` introspection, ``leaf_block`` included:
-    ``(supernodes, columns, entries, nbytes)`` as plain ints."""
-    from repro.sparse import grid_laplacian
+#: Names a dated "Removed" row of docs/api.md retired: (module, dotted path).
+REMOVED = [
+    ("repro", "SolvePlan"),
+    ("repro.api", "SymbolicPlan.solve_plan"),
+    ("repro.api", "Factor.solve_plan"),
+    ("repro.numeric.registry", "BACKENDS"),
+    ("repro.numeric.registry", "backend_engine"),
+    ("repro.solve", "forward_solve_graph"),
+    ("repro.solve", "backward_solve_graph"),
+]
 
-    solve_plan = repro.plan(grid_laplacian((6, 5))).solve_plan()
-    for name in ("plan", "schedule", "nsup", "nlevels", "max_parallelism", "avg_parallelism",
-                 "level_widths", "leaf_block"):
-        assert hasattr(solve_plan, name), f"SolvePlan.{name} missing"
-    block = solve_plan.leaf_block
-    assert len(block) == 4 and all(int(v) == v and v > 0 for v in block)
-    assert "leaf_block=" in repr(solve_plan)
+
+@pytest.mark.parametrize("module,path", REMOVED)
+def test_removed_name_is_gone(module, path):
+    obj = importlib.import_module(module)
+    *owners, name = path.split(".")
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, name), f"{module}.{path} is back"
 
 
 def test_registry_consistency():

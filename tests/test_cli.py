@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis import COST_CLASSES, breakdown, render_breakdowns
 from repro.cli import build_parser, main
-from repro.numeric.registry import BACKENDS
 from repro.ordering import ORDERINGS
 from repro.sparse import get_entry, grid_laplacian
 from repro.sparse.io import write_matrix_market
@@ -42,16 +41,14 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["analyze", "x", "--ordering", bad])
 
-    def test_backend_choices_track_registry(self):
-        """``--backend`` choices derive from the registry's ``BACKENDS``."""
-        parser = build_parser()
-        for name in BACKENDS:
-            args = parser.parse_args(["factorize", "x", "--backend", name])
-            assert args.backend == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["factorize", "x", "--backend", "quantum"])
-        with pytest.raises(SystemExit):
-            parser.parse_args(["batch", "x", "--backend", "quantum"])
+    def test_no_command_takes_backend(self, capsys):
+        """A row is named with ``--engine`` alone: ``--backend`` is a flag no
+        command has."""
+        for command in ("factorize", "solve", "batch", "serve", "update"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, "x", "--backend", "gpu"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --backend gpu" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -104,9 +101,9 @@ class TestCommands:
         assert "modeled" not in out
 
     def test_factorize_fine_threaded_engine(self, capsys):
-        # the engine name carries the granularity; --backend re-targets it
-        assert main(["factorize", SMALL, "--engine", "rlb",
-                     "--backend", "threads", "--workers", "2"]) == 0
+        # the engine name carries the granularity and the substrate
+        assert main(["factorize", SMALL, "--engine", "rlb_par",
+                     "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "rlb_par" in out and "fine" in out
 

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import _load_matrix, build_parser, main
+from repro.symbolic.levels import leaf_block, solve_schedule
 
 SMALL = "Fault_639"  # smallest-ish suite member keeps CLI tests quick
 
@@ -100,10 +102,18 @@ class TestBatchCommand:
 
 class TestSolveWorkers:
     def test_parallel_solve_report(self, capsys):
+        """``--workers`` reports the graph that runs: the fused solve graph's
+        task count and the leaf block, as the pattern's schedule has them."""
         assert main(["solve", SMALL, "--engine", "rlb", "--rhs", "4",
                      "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "level schedule:" in out
+        symb = repro.plan(_load_matrix(SMALL)).symb
+        sched, block = solve_schedule(symb), leaf_block(symb)
+        assert (f"solve graph   : {len(sched.fused.children)} tasks over "
+                f"{len(sched.ranges)} task ranges, {symb.nsup} supernodes") in out
+        assert (f"leaf block    : {len(block.members)} supernodes, {block.cols.size} "
+                f"columns, {block.pos.size} entries, {block.nbytes()} index bytes") in out
+        assert "level schedule" not in out
         assert "serial solve" in out
         assert "parallel solve" in out
         assert "bit-identical: yes" in out

@@ -24,7 +24,7 @@ from repro.cli import main
 from repro.gpu import MachineModel, Tracer
 from repro.numeric import registry
 from repro.numeric.procpool import close_default_pools
-from repro.numeric.registry import BACKENDS, ENGINES, resolve, serial_twin
+from repro.numeric.registry import ENGINES, resolve, serial_twin
 from repro.serving import Gateway
 from repro.sparse import grid_laplacian
 from repro.sparse.io import write_matrix_market
@@ -320,16 +320,18 @@ def test_every_advertised_option_reaches_the_engine(plan, monkeypatch, name):
 def _refused_at_every_door(plan, matrix_file, capsys, retired):
     """``retired`` (one ``engine=`` or ``backend=``) is one registry
     ``ValueError`` at every API door; the CLI exits 2 with it, or argparse
-    refuses a ``--backend`` outside its choices (``solve`` has none)."""
+    refuses ``--backend``, a flag no command has."""
     ((key, value),) = retired.items()
-    want = _outcome(lambda: resolve(**{"engine": "rl", **retired}))
-    assert want.startswith(f"unknown {key} {value!r}")
+    request = {"engine": "rl", **retired}
+    want = _outcome(lambda: resolve(**request))
+    assert want.startswith(f"unknown engine {value!r}" if key == "engine"
+                           else "backend= is not accepted by engine 'rl'")
 
     doors = {
-        "plan.factorize": lambda: plan.factorize(**retired),
-        "plan.factorize_batch": lambda: plan.factorize_batch([None], **retired),
-        "plan.serve": lambda: plan.serve(**retired).close(),
-        "Gateway": lambda: _gateway(**retired),
+        "plan.factorize": lambda: plan.factorize(**request),
+        "plan.factorize_batch": lambda: plan.factorize_batch([None], **request),
+        "plan.serve": lambda: plan.serve(**request).close(),
+        "Gateway": lambda: _gateway(**request),
     }
     for door, call in doors.items():
         assert _outcome(call) == want, door
@@ -345,23 +347,21 @@ def _refused_at_every_door(plan, matrix_file, capsys, retired):
         if key == "engine":
             assert main(argv) == 2, argv[0]
             assert capsys.readouterr().err.strip() == want, argv[0]
-        else:  # --backend's choices are BACKENDS: argparse refuses the name
+        else:  # no command has --backend: argparse refuses the flag
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            # solve runs on the host and takes no --backend at all
-            refusal = ("unrecognized arguments: --backend" if argv[0] == "solve"
-                       else f"invalid choice: {value!r}")
-            assert refusal in capsys.readouterr().err
+            assert f"unrecognized arguments: --backend {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("retired", [
     {"engine": "rl_hybrid"}, {"engine": "rlb_hybrid"}, {"backend": "hybrid"},
 ], ids=["rl_hybrid", "rlb_hybrid", "backend-hybrid"])
 def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, retired):
-    """The CPU-worker + GPU-stream lane is gone: its engine names and its
-    backend name are one registry ``ValueError`` at every door."""
-    assert sorted(BACKENDS) == ["gpu", "process", "threads"]
+    """The CPU-worker + GPU-stream lane is gone: its engine names, and the
+    ``backend=`` keyword that once re-targeted a row to it, are one registry
+    ``ValueError`` at every door."""
+    assert {spec.backend for spec in ENGINES.values()} == {"serial", "threads", "gpu", "process"}
     _refused_at_every_door(plan, matrix_file, capsys, retired)
 
 
@@ -386,8 +386,9 @@ def test_the_second_spellings_are_refused_at_every_door(plan, matrix_file, capsy
 def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):
     """The simulated GPU is one host-coupled device, so ``devices=`` has no
     door left: one registry ``ValueError`` where a door resolves its
-    options, a ``TypeError`` where the signature is fixed, and an unknown
-    flag (exit 2) at every CLI command."""
+    options (the gateway resolves every keyword ``analyze`` does not take),
+    a ``TypeError`` where the signature is fixed, and an unknown flag
+    (exit 2) at every CLI command."""
     want = _outcome(lambda: resolve("rl_gpu", devices=2))
     assert want == "devices= is not accepted by engine 'rl_gpu'; accepted by: no engine"
     doors = {
@@ -395,15 +396,14 @@ def test_devices_is_refused_at_every_door(plan, matrix_file, capsys):
         "plan.factorize_batch": lambda: plan.factorize_batch(
             [None], engine="rl_gpu", devices=2),
         "plan.serve": lambda: plan.serve(engine="rl_gpu", devices=2).close(),
+        "Gateway": lambda: _gateway(engine="rl_gpu", devices=2),
     }
     for door, call in doors.items():
         assert _outcome(call) == want, door
 
     factor = plan.factorize(engine="rl")
-    for door in (lambda: factor.solve(np.ones(plan.n), devices=2),
-                 lambda: Gateway(devices=2)):
-        with pytest.raises(TypeError, match="devices"):
-            door()
+    with pytest.raises(TypeError, match="devices"):
+        factor.solve(np.ones(plan.n), devices=2)
 
     for argv in (["factorize", matrix_file], ["batch", matrix_file],
                  ["solve", matrix_file], ["serve", matrix_file]):

@@ -3,17 +3,18 @@
 Covers the gateway's contracts end to end: pattern fingerprints as cache
 keys, hit/miss accounting, bit-identity of every gateway-returned
 solution against the direct ``plan → factorize → solve`` path (including
-under many concurrent tenants on a multi-worker pool and on the gpu
-backend), LRU + byte-budget eviction with in-flight pinning, per-tenant
+under many concurrent tenants on a multi-worker pool and on a gpu row),
+LRU + byte-budget eviction with in-flight pinning, per-tenant
 admission budgets and the global in-flight cap (typed rejections that
 fail only the offending request), non-SPD failure isolation through the
 shared per-pattern session, ``submit_values``/``register`` fast paths,
-tracer request/analysis spans and counter tracks, the unified
-``plan.serve(backend=...)`` kwargs with the legacy-facade deprecation, and
-engine options refused when the gateway is built.
+tracer request/analysis spans and counter tracks, ``plan.serve`` options
+validated as ``factorize`` validates them, and engine options and limits
+refused when the gateway is built.
 """
 
 import asyncio
+import threading
 import warnings
 
 import numpy as np
@@ -158,7 +159,7 @@ def test_gateway_gpu_backend_matches_direct(base_matrix):
     v = sweep(base_matrix, 1)[0]
 
     async def go():
-        async with Gateway(backend="gpu") as gw:
+        async with Gateway(engine="rlb_gpu_v2") as gw:
             return await gw.submit(with_values(base_matrix, v), b)
 
     x = run(go())
@@ -222,6 +223,45 @@ def test_pinned_entries_survive_eviction(patterns):
     assert before == 0
     assert after == {repro.pattern_fingerprint(patterns[1])}
     assert stats.evictions == 1
+
+
+def test_eviction_racing_a_pinned_request(patterns):
+    """A real request pins its entry: with the one worker held, a request on
+    A waits pinned while a miss on B installs over ``capacity=1``; A
+    survives, is evicted once its request unpins, and both answers are the
+    serial twin's bits."""
+    b = np.ones(patterns[0].n)
+    va, vb = sweep(patterns[0], 1)[0], sweep(patterns[1], 1, seed=1)[0]
+    fa, fb = (repro.pattern_fingerprint(P) for P in patterns[:2])
+
+    async def until(ready):
+        for _ in range(6000):
+            if ready():
+                return
+            await asyncio.sleep(0.005)
+        raise AssertionError("timed out")
+
+    async def go():
+        async with Gateway(capacity=1, workers=1) as gw:
+            await gw.register(patterns[0])
+            gate = threading.Event()
+            gw.pool.submit_graph(1, (0,), lambda tid: (gate.wait(60), ())[1],
+                                 on_complete=lambda: None, on_error=lambda exc: None)
+            ta = asyncio.ensure_future(gw.submit(with_values(patterns[0], va), b))
+            await until(lambda: gw._cache[fa].pins == 1)
+            tb = asyncio.ensure_future(gw.submit(with_values(patterns[1], vb), b))
+            await until(lambda: fb in gw._cache)
+            racing = set(gw._cache), gw.stats().evictions
+            gate.set()
+            xa = await ta
+            xb = await tb
+            return racing, xa, xb, set(gw._cache), gw.stats()
+
+    racing, xa, xb, after, stats = run(go())
+    assert racing == ({fa, fb}, 0)
+    assert after == {fb} and stats.evictions == 1
+    assert np.array_equal(xa, direct_solution(patterns[0], va, b))
+    assert np.array_equal(xb, direct_solution(patterns[1], vb, b))
 
 
 def test_byte_budget_eviction(patterns):
@@ -505,14 +545,32 @@ def test_serve_backend_kwargs_match_factorize_validation(base_matrix):
         plan.serve(engine="rlb", workers=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         plan.serve(workers=0)
-    with pytest.raises(ValueError, match="backend"):
-        plan.serve(backend="nope")
-    # the gpu substrate opens fine and serves bit-identically
-    with plan.serve(backend="gpu") as session:
+    with pytest.raises(ValueError, match="backend= is not accepted by engine 'rlb_par'"):
+        plan.serve(backend="gpu")
+    # the gpu row opens fine and serves bit-identically
+    with plan.serve(engine="rlb_gpu_v2") as session:
         f = session.submit(base_matrix.data).result()
     ref = plan.factorize(engine="rlb_gpu_v2")
     assert all(np.array_equal(p, q) for p, q in
                zip(f.storage.panels, ref.result.storage.panels))
+
+
+@pytest.mark.parametrize("limit,value,error", [
+    ("capacity", 0, ValueError), ("capacity", 2.5, TypeError),
+    ("max_in_flight", 0, ValueError), ("max_in_flight", "64", TypeError),
+    ("tenant_budget", 0, ValueError), ("tenant_budget", 1.5, TypeError),
+    ("analysis_workers", 0, ValueError), ("analysis_workers", 1.0, TypeError),
+    ("plan_bytes_budget", -5, ValueError), ("plan_bytes_budget", "10", TypeError),
+])
+def test_limits_are_checked_when_built(limit, value, error):
+    """Every limit is an integer >= 1, read as the registry reads
+    ``workers``: a float or a string is refused when the gateway is built,
+    not truncated or left to fail (or to serve nothing) later."""
+    with pytest.raises(error, match=f"{limit} must be >= 1" if error is ValueError else None):
+        Gateway(**{limit: value})
+    gw = Gateway(**{limit: np.int64(3)})  # an integer of any type is read as an int
+    run(gw.close())
+    assert getattr(gw, limit, 3) == 3 and type(getattr(gw, limit, 3)) is int
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -523,9 +581,9 @@ def test_bad_engine_fails_at_construction(kwargs):
     """A gateway's engine options are resolved once, when it is built: the
     registry's ``ValueError`` is raised there, not on every request after
     that request paid for its ordering and symbolic analysis."""
-    request = {"engine": "rlb_par", "backend": None, **kwargs}
+    request = {"engine": "rlb_par", **kwargs}
     with pytest.raises(ValueError) as want:
-        resolve(request.pop("engine"), request.pop("backend"), **request)
+        resolve(**request)
     with pytest.raises(ValueError) as got:
         Gateway(**kwargs)
     assert str(got.value) == str(want.value)

@@ -31,8 +31,7 @@ from repro.numeric import (
     gpu_snode_mask,
 )
 from repro.numeric.executor import dag_plan
-from repro.numeric.registry import BACKENDS, backend_engine, get_engine, \
-    resolve, serial_twin
+from repro.numeric.registry import get_engine, resolve, serial_twin
 from repro.sparse import grid_laplacian, random_spd, tridiagonal, vector_stencil
 from repro.symbolic import analyze, trivial_ranges
 from tests.conftest import arrow_spd, assert_factor_matches, \
@@ -140,32 +139,28 @@ class TestRegistryAndApi:
         assert serial_twin("rl_gpu") == "rl"
         assert serial_twin("rlb_gpu_v2") == "rlb"
 
-    def test_backend_engine_mapping(self):
-        assert BACKENDS["gpu"]["coarse"] == "rl_gpu"
-        assert backend_engine("rl_par", "gpu") == "rl_gpu"
-        assert backend_engine("rlb_gpu_v2", "threads") == "rlb_par"
-        assert backend_engine("rl", "gpu") == "rl_gpu"
-        with pytest.raises(ValueError, match="unknown backend"):
-            backend_engine("rl_par", "quantum")
-        with pytest.raises(ValueError, match="family"):
-            backend_engine("rlb_gpu_v1", "gpu")
-
     def test_plan_factorize_backend(self, system):
         import repro
 
         A = vector_stencil((5, 5, 4), 3, seed=4)
         plan = repro.plan(A)
-        f_thr = plan.factorize(engine="rlb_par", backend="threads",
-                               workers=2)
-        f_gpu = plan.factorize(engine="rlb_par", backend="gpu",
-                               device_memory=BIG)
+        f_thr = plan.factorize(engine="rlb_par", workers=2)
+        f_gpu = plan.factorize(engine="rlb_gpu_v2", device_memory=BIG)
         assert f_thr.engine == "rlb_par"
         assert f_gpu.engine == "rlb_gpu_v2"
         assert _bit_identical(f_thr.result, f_gpu.result, plan.symb)
         with pytest.raises(ValueError, match="devices"):
             plan.factorize(engine="rl", devices=2)
         with pytest.raises(ValueError, match="workers"):
-            plan.factorize(engine="rl", backend="gpu", workers=2)
+            plan.factorize(engine="rl_gpu", workers=2)
+        # the row is named, never re-targeted: backend= is one more option
+        # no engine takes
+        with pytest.raises(ValueError) as want:
+            resolve("rlb", backend="gpu")
+        assert str(want.value) == "backend= is not accepted by engine 'rlb'; accepted by: no engine"
+        with pytest.raises(ValueError) as got:
+            plan.factorize(engine="rlb", backend="gpu")
+        assert str(got.value) == str(want.value)
 
 
 DAG_PATTERNS = {

@@ -7,8 +7,8 @@ no model field, ``NotPositiveDefiniteError``
 propagation across the process boundary (raw pivot, ``batch_index``
 through :meth:`SymbolicPlan.factorize_batch`, ``stream_index`` through
 ``plan.serve``), leak-free shared-memory teardown on :meth:`ProcessPool.
-close`, the registry wiring (``rl_proc``/``rlb_proc``,
-``backend="process"``), and the measured ``proc0``/``proc1`` tracer lanes.
+close`, the registry wiring (``rl_proc``/``rlb_proc``), and the measured
+``proc0``/``proc1`` tracer lanes.
 """
 
 import multiprocessing as mp
@@ -27,7 +27,7 @@ from repro.numeric import (
 )
 from repro.numeric.executor import dag_plan
 from repro.numeric.procpool import close_default_pools, default_process_pool
-from repro.numeric.registry import BACKENDS, get_engine, serial_twin
+from repro.numeric.registry import get_engine, serial_twin
 from repro.sparse import grid_laplacian, spd_value_sweep
 from repro.symbolic import analyze, task_ranges
 from tests.conftest import (
@@ -142,7 +142,7 @@ class TestFailurePropagation:
         poisoned[A.indptr[:-1]] = -1.0
         with pytest.raises(NotPositiveDefiniteError) as info:
             plan.factorize_batch([good[0], poisoned, good[1]],
-                                 backend="process", workers=2)
+                                 engine="rlb_proc", workers=2)
         assert info.value.batch_index == 1
         assert info.value.pivot >= 0
 
@@ -153,7 +153,7 @@ class TestFailurePropagation:
         poisoned = A.data.copy()
         poisoned[A.indptr[:-1]] = -1.0
         default_process_pool(2)  # warm on the main thread (fork safety)
-        with plan.serve(backend="process", workers=2) as session:
+        with plan.serve(engine="rlb_proc", workers=2) as session:
             futs = [session.submit(v) for v in (good[0], poisoned, good[1])]
             with pytest.raises(NotPositiveDefiniteError) as info:
                 futs[1].result()
@@ -249,11 +249,10 @@ class TestPoolLifecycle:
 # ---------------------------------------------------------------------------
 class TestBackendSeam:
     def test_registry_wiring(self):
-        assert BACKENDS["process"] == {"coarse": "rl_proc",
-                                       "fine": "rlb_proc"}
-        for name in ("rl_proc", "rlb_proc"):
+        for name, granularity in (("rl_proc", "coarse"), ("rlb_proc", "fine")):
             spec = get_engine(name)
             assert spec.backend == "process"
+            assert spec.granularity == granularity
             assert "workers" in spec.accepts
             assert "devices" not in spec.accepts
         assert serial_twin("rl_proc") == "rl"
@@ -269,7 +268,7 @@ class TestApiIntegration:
         return repro.plan(grid_laplacian((6, 5, 3)))
 
     def test_plan_factorize_process(self, plan):
-        f = plan.factorize(backend="process", workers=2)
+        f = plan.factorize(engine="rl_proc", workers=2)
         twin = serial_twin(f.result.method)
         ref = plan.factorize(engine=twin)
         assert_same_panels(f.result, ref.result)
@@ -279,7 +278,7 @@ class TestApiIntegration:
 
     def test_factorize_batch_process(self, plan):
         datas = spd_value_sweep(plan.matrix, 3)
-        batch = plan.factorize_batch(datas, backend="process", workers=2)
+        batch = plan.factorize_batch(datas, engine="rlb_proc", workers=2)
         for d, f in zip(datas, batch):
             twin = serial_twin(f.result.method)
             assert_same_panels(f.result, plan.factorize(d,
@@ -289,7 +288,7 @@ class TestApiIntegration:
         datas = spd_value_sweep(plan.matrix, 2)
         b = np.ones(plan.n)
         default_process_pool(2)  # warm on the main thread (fork safety)
-        with plan.serve(backend="process", workers=2) as session:
+        with plan.serve(engine="rlb_proc", workers=2) as session:
             f = session.submit(datas[0]).result()
             x = session.submit_solve(datas[1], b).result()
         ref0 = plan.factorize(datas[0], engine="rlb")

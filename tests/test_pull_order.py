@@ -4,8 +4,8 @@ A panel (a segment of the right-hand side) is written only by its own task,
 which applies the plan's ``incoming`` list itself, so the bits cannot depend
 on the order the scheduler happens to run ready tasks in.
 
-* **any topological order** — every graph (coarse and fine factorization, the
-  forward, backward and fused solves) run on ONE thread in a drawn random
+* **any topological order** — every graph (coarse and fine factorization,
+  the fused solve of both sweeps) run on ONE thread in a drawn random
   topological order equals the serial twin, ``np.array_equal`` on whole
   arenas and solutions, on the edge patterns of ``test_task_ranges`` at every
   forced cut, fp64 and fp32, and under Hypothesis;
@@ -39,14 +39,7 @@ from repro.numeric.executor import Countdown, dag_plan, range_tasks, stream_fact
 from repro.numeric.rl import _assemble, apply_run, assemble_update, park_runs
 from repro.numeric.storage import FactorStorage
 from repro.solve import triangular
-from repro.solve.triangular import (
-    backward_solve,
-    backward_solve_graph,
-    forward_solve,
-    forward_solve_graph,
-    solve_factored,
-    solve_graph,
-)
+from repro.solve.triangular import solve_factored, solve_graph
 from repro.sparse import grid_laplacian
 from repro.symbolic import analyze, task_ranges
 from repro.symbolic.relind import assembly_index
@@ -101,16 +94,11 @@ def check_solve_orders(system, rng, repeats=2):
     storage = factorize_rl_cpu(system.symb, system.matrix).storage
     gen = np.random.default_rng(system.symb.n)
     for b in (gen.standard_normal(system.symb.n), gen.standard_normal((system.symb.n, 16))):
-        sweeps = (
-            (forward_solve_graph, forward_solve(storage, b)),
-            (backward_solve_graph, backward_solve(storage, b)),
-            (solve_graph, solve_factored(storage, b)),
-        )
-        for graph, want in sweeps:
-            for _ in range(repeats):
-                y = b.copy()
-                order = run_in_random_order(*graph(storage, y), rng)
-                assert np.array_equal(y, want), (graph.__name__, order)
+        want = solve_factored(storage, b)
+        for _ in range(repeats):
+            y = b.copy()
+            order = run_in_random_order(*solve_graph(storage, y), rng)
+            assert np.array_equal(y, want), order
 
 
 class TestAnyTopologicalOrder:

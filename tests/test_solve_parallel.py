@@ -1,10 +1,10 @@
-"""Level-scheduled parallel triangular solves + streaming serving tests.
+"""Parallel triangular solves + streaming serving tests.
 
-The solve-side determinism contract: the parallel forward/backward sweeps,
+The solve-side determinism contract: the fused solve graph,
 ``Factor.solve(workers=N)`` and every ``ServingSession`` result
 must be *bit-identical* to the serial path for every worker count; a
 non-SPD matrix in a streaming session fails only its own future.  Also
-covers the :class:`SolvePlan` level-schedule introspection, the executor's
+covers the solve schedule and the elimination-tree levels, the executor's
 per-task trace instrumentation and the ``workers=`` validation of the solve
 door.
 """
@@ -67,14 +67,6 @@ class TestBitIdentity:
     def test_sweeps_match_serial(self, factored, workers, shape_kind):
         b = rhs(factored.storage.symb.n, shape_kind)
         assert np.array_equal(
-            forward_solve(factored.storage, b, workers=workers),
-            forward_solve(factored.storage, b),
-        )
-        assert np.array_equal(
-            backward_solve(factored.storage, b, workers=workers),
-            backward_solve(factored.storage, b),
-        )
-        assert np.array_equal(
             solve_factored(factored.storage, b, workers=workers),
             solve_factored(factored.storage, b),
         )
@@ -131,9 +123,9 @@ class TestEdgeCases:
         sysc = analyze(tridiagonal(24), ordering="natural", merge=False,
                        refine=False)
         res = factorize_rl_cpu(sysc.symb, sysc.matrix)
-        sched = solve_schedule(sysc.symb)
-        assert sched.nlevels == sysc.symb.nsup  # pure chain: width-1 levels
-        assert sched.max_width == 1
+        level = solve_levels(sysc.symb)
+        assert level.max() + 1 == sysc.symb.nsup  # pure chain: width-1 levels
+        assert np.bincount(level).max() == 1
         b = rhs(sysc.symb.n, "vector", seed=7)
         assert np.array_equal(solve_factored(res.storage, b, workers=4),
                               solve_factored(res.storage, b))
@@ -166,12 +158,12 @@ class TestEdgeCases:
 
 class TestSolveSchedule:
     def test_levels_respect_dependencies(self, system):
-        sched = solve_schedule(system.symb)
+        sched, level = solve_schedule(system.symb), solve_levels(system.symb)
         # every forward source sits at a strictly lower level than its
         # target, so processing whole levels is a valid schedule
         for src, runs in enumerate(sched.runs):
             for target, _, _ in runs:
-                assert sched.level[src] < sched.level[target]
+                assert level[src] < level[target]
 
     def test_levels_match_tree_depth(self, system):
         symb = system.symb
@@ -193,17 +185,6 @@ class TestSolveSchedule:
 
     def test_memoised_on_symbolic_cache(self, system):
         assert solve_schedule(system.symb) is solve_schedule(system.symb)
-
-    def test_solve_plan_introspection(self, aplan):
-        sp = aplan.solve_plan()
-        assert sp.nsup == aplan.nsup
-        assert sp.level_widths().sum() == aplan.nsup
-        assert 1 <= sp.max_parallelism <= aplan.nsup
-        assert sp.nlevels >= 1
-        assert sp.plan is aplan
-        # shared memoised schedule: factor-side access hits the same object
-        factor = aplan.factorize(engine="rl")
-        assert factor.solve_plan().schedule is sp.schedule
 
 
 class TestSolveModeDispatch:

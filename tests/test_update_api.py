@@ -26,6 +26,7 @@ from repro.numeric.procpool import close_default_pools
 from repro.serving import Gateway, NoBaseFactorError, UnknownPatternError
 from repro.sparse import grid_laplacian
 from repro.update import UpdateCost, UpdatedMatrix, structured_update
+from tests.conftest import engine_of
 
 
 @pytest.fixture(scope="module")
@@ -137,18 +138,15 @@ class TestFactorUpdate:
 
     @pytest.mark.parametrize("engine", ["rl", "rlb"])
     @pytest.mark.parametrize(
-        "backend_kwargs",
-        [{}, {"backend": "threads", "workers": 2},
-         {"backend": "gpu"},
-         {"backend": "process", "workers": 2}],
+        "backend,workers",
+        [("serial", None), ("threads", 2), ("gpu", None), ("process", 2)],
         ids=["serial", "threads", "gpu", "process"])
-    def test_bit_identity_across_backends(self, splan, engine,
-                                          backend_kwargs):
+    def test_bit_identity_across_backends(self, splan, engine, backend, workers):
         """Updating, then downdating, bit-identical base factors gives
         bit-identical factors on every scheduling substrate."""
         W = make_W(splan, [0, 4], seed=8)
         ref = splan.factorize(engine=engine).update(W)
-        got = splan.factorize(engine=engine, **backend_kwargs).update(W)
+        got = splan.factorize(engine=engine_of(engine, backend), workers=workers).update(W)
         for a, b in ((ref, got), (ref.downdate(W), got.downdate(W))):
             for p, q in zip(a.storage.panels, b.storage.panels):
                 np.testing.assert_array_equal(p, q)
