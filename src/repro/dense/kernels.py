@@ -98,7 +98,7 @@ def factor_routines(dtype):
 
 def pair_routines(dtype):
     """The raw ``(?syrk, ?gemm)`` f2py routines of ``dtype`` — RLB's two
-    block-pair kernels, for a caller that hands them F-contiguous row blocks
+    block-pair kernels, for a caller that hands them F-contiguous operands
     itself (:func:`repro.numeric.rlb.pair_updates`)."""
     dt = check_dtype(dtype, context="storage")
     return _SYRK[dt], _GEMM[dt]

@@ -16,17 +16,20 @@ relative index (a contiguous offset into the target panel).
 The pair program
 ----------------
 :func:`run_pair_range` is the one body: per supernode, :func:`factor_entry
-<repro.numeric.rl.factor_entry>` hands back the factorized rectangle,
-:func:`pair_updates` cuts it into row blocks that are made F-contiguous
-ONCE (so no pair copies an operand across f2py again), calls the dtype's raw
-``?syrk`` / ``?gemm`` once per pair — the same routines, flags and operand
-values as :func:`compute_block_pair`, hence the same bits — and commits.  A
-small source on an arena-backed storage commits all its pairs as ONE
-``arena[dst] -= stream`` over the flat form of the pattern's
-:func:`~repro.symbolic.blocks.pair_index`; a large source (or a storage of
-loose panels) subtracts each update from its panel slice as it is computed,
-so no more than one pair update is alive at a time.  Pairs of one source
-write disjoint entries, so both commits give the same factor.
+<repro.numeric.rl.factor_entry>` hands back the factorized rectangle and
+:func:`pair_updates` forms and commits its pair updates.  A narrow small
+source on an arena-backed storage (:data:`~repro.symbolic.blocks.BATCHED_GEMM_MADDS`)
+takes every off-diagonal pair from ONE ``?gemm(rect, rectᵀ)``, writes each
+diagonal pair's own ``?syrk`` over its diagonal block (a one-column GEMM
+already is its SYRK) and commits the lower triangle as RL does, ONE
+``arena[dst] -= G[src]`` through the flat form of the pattern's
+:func:`~repro.symbolic.relind.assembly_index` — the same bits as one call
+per pair by the GEMM property ``tests/test_pair_program.py`` pins within the
+width bound.  Any other source cuts the rectangle into row blocks made
+F-contiguous once and calls ``?syrk`` / ``?gemm`` once per pair — the
+routines, flags and operands of :func:`compute_block_pair` — subtracting
+each update from its panel slice.  Pairs of one source write disjoint
+entries, so both give the same factor.
 
 The serial engine runs the body over all supernodes; the threaded and
 process task ranges run it over theirs with the pairs that leave the range
@@ -38,12 +41,14 @@ handed to ``leave`` (:func:`repro.numeric.executor.range_tasks`).
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from ..dense import kernels as dk
 from ..symbolic.blocks import pair_index
 from .result import serial_result
-from .rl import factor_entry
+from .rl import _assemble, factor_entry
 from .storage import FactorStorage
 
 __all__ = [
@@ -119,10 +124,32 @@ def apply_block_pair(symb, storage, panel, w, bi, bj):
     return pair_kernel(w, bi, bj)
 
 
+def _batched_product(rect, cuts, syrk, gemm):
+    """The lower triangle of ``G`` holds every pair update of a batched
+    source: off the diagonal blocks ONE ``?gemm(rect, rectᵀ)``, on them each
+    block's own ``?syrk`` (the only block's is the whole product)."""
+    if len(cuts) == 1:
+        return syrk(1.0, rect, lower=1, trans=0)
+    G = gemm(1.0, rect, rect, trans_b=1)
+    if rect.shape[1] > 1:
+        for a, e in cuts:
+            G[a:e, a:e] = syrk(1.0, rect[a:e], lower=1, trans=0)
+    return G
+
+
+def _pair_slices(G, cuts):
+    """The pair updates of the blocks ``cuts`` out of a batched product, in
+    serial order, each diagonal pair cut to its lower triangle."""
+    for i, (a, e) in enumerate(cuts):
+        yield np.tril(G[a:e, a:e])
+        for c, d in cuts[i + 1 :]:
+            yield G[c:d, a:e]
+
+
 def pair_updates(storage, index, s, rect, routines, plan=None, leave=None):
     """Every block-pair update of source supernode ``s``, computed from its
     factorized below-diagonal rectangle ``rect`` and subtracted from the
-    ancestors' panels (see the module docstring for the two commit forms).
+    ancestors' panels (see the module docstring for the two forms).
 
     ``routines`` is the dtype's :func:`~repro.dense.kernels.pair_routines`.
     With a fine :class:`~repro.numeric.executor.DagPlan`, only the pairs of
@@ -133,24 +160,23 @@ def pair_updates(storage, index, s, rect, routines, plan=None, leave=None):
     """
     syrk, gemm = routines
     cuts, flat = index.sources[s]
-    # a block of a one-column supernode, or the only block, already is
-    blocks = [np.asfortranarray(rect[a:e]) for a, e in cuts]
-    nb = len(blocks)
+    nb = len(cuts)
     nstay = nb if plan is None else plan.stay[s]
     if flat is not None and storage.arena is not None:
-        us = []
-        for i, bi in enumerate(blocks):
-            us.append(syrk(1.0, bi, lower=1, trans=0))
-            for bj in blocks[i + 1 :]:
-                us.append(gemm(1.0, bj, bi, trans_b=1))
+        G = _batched_product(rect, cuts, syrk, gemm)
+        stop = None
         if nstay < nb:
-            kstay = nstay * (2 * nb - nstay + 1) // 2  # pairs of the first nstay upper blocks
-            leave(plan.pair_ids[s][0], us[kstay:])
-            if not kstay:
+            leave(plan.pair_ids[s][0], _pair_slices(G, cuts[nstay:]))
+            if not nstay:
                 return
-            flat, us = index.flat_prefix(s, nstay), us[:kstay]
-        storage.arena[flat] -= np.concatenate(us, axis=None)
+            # the staying blocks are the runs whose owner lies in the range
+            ranges = plan.ranges
+            hi = ranges.bounds[ranges.range_of[s] + 1]
+            stop = bisect.bisect_left(index.assembly.targets[s], hi)
+        _assemble(storage, index.assembly, s, G, stop)
         return
+    # each block F-contiguous once (a block of a one-column supernode already is)
+    blocks = [np.asfortranarray(rect[a:e]) for a, e in cuts]
     panels = storage.panels
     targets = iter(index.targets(s))
     pids = iter(plan.pair_ids[s]) if nstay < nb else None

@@ -46,6 +46,7 @@ from scipy.linalg.blas import dgemm, dger
 
 from ..dense.kernels import NotPositiveDefiniteError, check_finite, trtrs_lower
 from ..solve.sparse_rhs import solve_reach
+from ..symbolic.structure import _sorted_unique
 
 __all__ = [
     "rank1_update",
@@ -161,9 +162,9 @@ def _modification_plan(symb, W, check=True):
         cols.append(r)
         roots.append(j0)
         paths.append(path_union(symb, [j0]))
-    union = np.unique(np.concatenate(paths)) if paths else np.empty(0, dtype=np.int64)
+    union = _sorted_unique(np.concatenate(paths)) if paths else np.empty(0, dtype=np.int64)
     return _Modification(tuple(cols), tuple(roots), tuple(paths), union,
-                         np.unique(symb.col2sn[union]), uncontained)
+                         _sorted_unique(symb.col2sn[union]), uncontained)
 
 
 _BLOCK = 64  #: columns per GEMM of a segment's rewrite

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
+from ..symbolic.structure import _sorted_unique
+
 __all__ = [
     "AdjacencyGraph",
     "adjacency_from_matrix",
@@ -79,7 +81,7 @@ class AdjacencyGraph:
         Returns ``(graph, vertices_sorted)`` where vertex ``k`` of the
         subgraph corresponds to ``vertices_sorted[k]`` in the parent.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = _sorted_unique(np.asarray(vertices, dtype=np.int64))
         k = vertices.size
         local = np.full(self.n, -1, dtype=np.int64)
         local[vertices] = np.arange(k, dtype=np.int64)

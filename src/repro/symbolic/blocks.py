@@ -24,21 +24,20 @@ and every pair's row offset inside its owner's panel comes from a single
 :func:`~repro.symbolic.relind.locate_rows` — one global ``searchsorted``
 instead of one per off-diagonal pair.
 
-It holds the same pairs in two forms, cut exactly as the assembly index is:
+Per source it also names the commit the RLB body takes (:attr:`PairIndex.sources`):
 
 * **per pair** — ``(owner, r0, r1, c0, c1)``: the update of the pair lands
   at ``panel(owner)[r0:r1, c0:c1]``; :meth:`PairIndex.targets` materialises
   a source's pairs from the arrays on demand, as :meth:`PairIndex.blocks`
   does its :class:`Block` tuples.
-* **flat** — for a source whose pair updates together are small (``b² <=``
-  :data:`~repro.symbolic.relind.FLAT_UPDATE_ENTRIES`, RL's cut: the pair
-  updates of a source tile the lower triangle of its RL update matrix), one
-  array of arena positions for the source's whole pair-update stream, in
-  the order ``np.concatenate(updates, axis=None)`` lays the updates out (pair
-  after pair, each row-major).  Committing such a source is ONE
-  ``arena[dst] -= stream``; the stream positions where each upper block's
-  pairs begin are kept, so the pairs of the leading upper blocks — the ones
-  whose owner lies inside the source's task range — are a slice.
+* **batched** — for a source whose pair updates are all slices of ONE
+  ``?gemm(rect, rectᵀ)`` with the same bits (:data:`BATCHED_GEMM_MADDS`), the
+  flat form of the pattern's :func:`~repro.symbolic.relind.assembly_index`:
+  the pair updates of a source tile the lower triangle of its RL update
+  matrix, so the product commits as RL's does, ONE ``arena[dst] -= G[src]``.
+  Its columns ascend by owner, so the pairs of the leading upper blocks —
+  the ones whose owner lies inside the source's task range — are a prefix
+  of its runs.
 
 Pairs of one source write pairwise-disjoint regions, so either form (and any
 mix) subtracts exactly the same values from exactly the same entries.
@@ -54,6 +53,15 @@ from . import relind
 from .relind import _ranges, locate_rows
 
 __all__ = ["Block", "PairIndex", "pair_index", "snode_blocks", "all_blocks", "count_blocks"]
+
+#: A source is *batched* — all its pair updates slices of ONE
+#: ``?gemm(rect, rectᵀ)``, with the bits of one call per pair — when ``b²``
+#: and ``w²`` are at most :data:`~repro.symbolic.relind.FLAT_UPDATE_ENTRIES`
+#: and the product's ``b² w`` multiply-adds at most this (``64³``: OpenBLAS
+#: runs such a GEMM on one thread).  A GEMM entry not depending on where its
+#: rows sit in the operand is a property of the BLAS, not a law, pinned by
+#: ``tests/test_pair_program.py`` inside this bound; outside it, it was seen to fail.
+BATCHED_GEMM_MADDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,22 +123,24 @@ class PairIndex:
     sources:
         Per supernode ``(cuts, flat)`` — what the RLB body reads: ``cuts``
         the ``(start, stop)`` of each block among the below rows, ``flat``
-        the arena positions of the whole pair-update stream, or ``None``
-        above :data:`~repro.symbolic.relind.FLAT_UPDATE_ENTRIES`.
+        the source's entry of the assembly index's flat form when the source
+        is batched (:data:`BATCHED_GEMM_MADDS`), else ``None``.
+    assembly:
+        The pattern's :func:`~repro.symbolic.relind.assembly_index`, which a
+        batched source commits through.
     """
 
     __slots__ = (
         "nblocks", "npairs", "blk_ptr", "pair_ptr",
         "blk_source", "blk_start", "blk_len", "blk_first", "blk_owner",
-        "upper", "lower", "row_off", "col_off", "sources",
-        "_flat_ptr", "_flat_dst", "_widths", "_blocks", "_targets",
+        "upper", "lower", "row_off", "col_off", "sources", "assembly",
+        "_widths", "_blocks", "_targets",
     )  # fmt: skip
 
     def __init__(self, symb):
         nsup = symb.nsup
         w = np.diff(symb.snptr)
-        m = np.diff(symb.rowptr)
-        b = m - w
+        b = np.diff(symb.rowptr) - w
         # every below-diagonal row of every supernode, grouped by source
         _, source, k = _ranges(b)
         below = symb.rows[(symb.rowptr[:-1] + w)[source] + k]
@@ -152,48 +162,21 @@ class PairIndex:
         self.npairs = upper.size
         self.upper = upper
         self.lower = lower = upper + down
-        p = blk_owner[upper]
-        self.row_off = row_off = locate_rows(symb, p, self.blk_first[lower])
-        self.col_off = col_off = (self.blk_first - symb.snptr[blk_owner])[upper]
+        self.row_off = locate_rows(symb, blk_owner[upper], self.blk_first[lower])
+        self.col_off = (self.blk_first - symb.snptr[blk_owner])[upper]
         self.blk_ptr = blk_ptr.tolist()
         self.pair_ptr = first_pair[blk_ptr].tolist()
-
-        # the flat form of every small source: one entry per entry of each
-        # pair update, pair after pair, each update row-major.  Along a row
-        # of an update the arena position advances by the owner's panel
-        # height, so the stream is the running sum of one step per entry
-        # with a jump where a row starts
-        small = (b > 0) & (b * b <= relind.FLAT_UPDATE_ENTRIES)
-        nrow = np.where(small[blk_source[upper]], blk_len[lower], 0)
-        ncol = blk_len[upper]
-        height = m[p]
-        corner = symb.panel_offsets()[p] + row_off + col_off * height
-        _, pair, r = _ranges(nrow)
-        start, step, count = corner[pair] + r, height[pair], ncol[pair]
-        self._flat_dst = dst = np.repeat(step, count)
-        if dst.size:
-            row_at = np.cumsum(count) - count  # where each row starts in the stream
-            dst[0] = start[0]
-            dst[row_at[1:]] = start[1:] - (start[:-1] + (count[:-1] - 1) * step[:-1])
-            np.cumsum(dst, out=dst)
-        # where each upper block's pairs begin in the stream
-        stream_ptr = np.concatenate(([0], np.cumsum(nrow * ncol)))
-        self._flat_ptr = flat_ptr = stream_ptr[first_pair].tolist()
+        self.assembly = assembly = relind.assembly_index(symb)
+        batched = (w * w <= relind.FLAT_UPDATE_ENTRIES) & (b * b * w <= BATCHED_GEMM_MADDS)
         cuts = list(zip(self.blk_start.tolist(), (self.blk_start + blk_len).tolist()))
+        ptr = self.blk_ptr
         self.sources = tuple(
-            (cuts[b0:b1], dst[flat_ptr[b0] : flat_ptr[b1]] if flat else None)
-            for b0, b1, flat in zip(self.blk_ptr[:-1], self.blk_ptr[1:], small.tolist())
+            (cuts[b0:b1], flat if ok else None)
+            for b0, b1, flat, ok in zip(ptr[:-1], ptr[1:], assembly.flat, batched.tolist())
         )
         self._widths = w
         self._blocks = [None] * nsup
         self._targets = [None] * nsup
-
-    def flat_prefix(self, s, nblocks):
-        """The leading part of small source ``s``'s flat form: the stream
-        positions of every pair whose upper block is among its first
-        ``nblocks`` blocks."""
-        b0 = self.blk_ptr[s]
-        return self._flat_dst[self._flat_ptr[b0] : self._flat_ptr[b0 + nblocks]]
 
     def blocks(self, s):
         """The :class:`Block` tuple of supernode ``s`` — see
@@ -248,9 +231,10 @@ class PairIndex:
         return self.targets(s)[i * (2 * nb - i + 1) // 2 + bj.index - i]
 
     def nbytes(self):
-        """Bytes of the index's arrays (the per-pair and flat forms)."""
+        """Bytes of the index's own arrays (the flat form it commits through
+        is the assembly index's)."""
         arrays = (self.blk_source, self.blk_start, self.blk_len, self.blk_first, self.blk_owner,
-                  self.upper, self.lower, self.row_off, self.col_off, self._flat_dst)  # fmt: skip
+                  self.upper, self.lower, self.row_off, self.col_off)  # fmt: skip
         return sum(a.nbytes for a in arrays)
 
 

@@ -45,10 +45,9 @@ alone, a property of the input.  Every destination is written once per
 source in either form, so which form applies an update never changes the
 result.
 
-RLB's counterpart, :func:`repro.symbolic.blocks.pair_index`, is built from
-the same two pieces — :func:`locate_rows` for every block pair's offset and
-:data:`FLAT_UPDATE_ENTRIES` for which sources get a flat form — so both
-families cut a pattern's sources at the same ``b``.
+RLB's :func:`repro.symbolic.blocks.pair_index` locates every block pair
+with :func:`locate_rows`, and its batched sources commit through this flat
+form.
 """
 
 from __future__ import annotations
@@ -64,11 +63,11 @@ __all__ = [
     "FLAT_UPDATE_ENTRIES",
 ]
 
-#: A source supernode gets the flat form (RL assembly and RLB pair commits
-#: alike) when its update matrix has
-#: at most this many entries (``b² <= 16384``, i.e. ``b <= 128``): below it
-#: the per-run Python and fancy-index setup cost exceeds the per-entry cost,
-#: above it the flat index would cost more memory than it saves time.
+#: A source supernode gets the flat form (RL assembly and RLB's batched
+#: commits alike) when its update matrix has at most this many entries
+#: (``b² <= 16384``, i.e. ``b <= 128``): below it the per-run Python and
+#: fancy-index setup cost exceeds the per-entry cost, above it the flat
+#: index would cost more memory than it saves time.
 FLAT_UPDATE_ENTRIES = 16384
 
 

@@ -1,6 +1,6 @@
 """The pair program: one pattern-wide block/pair index, every row block
-through f2py once, one arena commit per small source supernode — behind every
-RLB lane.
+through f2py once, one GEMM and one arena commit per narrow small source
+supernode — behind every RLB lane.
 
 Contracts, attacked with generated SPD patterns and the degenerate ones:
 
@@ -11,13 +11,17 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
   a storage of loose panels ≡ ``rlb_par`` at any worker count under every
   forced task-range cut ≡ ``rlb_proc`` ≡ ``factorize_batch``,
   ``np.array_equal`` on whole arenas, dead space included, fp64 and fp32;
-  the flat and the per-pair commit forms are interchangeable;
+  the batched and the per-pair forms are interchangeable;
 * **the index** — blocks, owners and every pair's ``(owner, row_off,
-  col_off)`` equal the scalar construction; the flat form is the per-pair
-  slices in stream order, writes every destination once per source, stays
-  inside the owner's panel, its leading slices match ``DagPlan.stay``; it is
+  col_off)`` equal the scalar construction; a batched source's flat form
+  (the assembly index's) lands on exactly the lower triangles of its pair
+  updates, writes every destination once per source, and the runs a range
+  commits are exactly the pairs of the blocks ``DagPlan.stay`` keeps; it is
   built without a per-pair ``searchsorted`` and costs a bounded multiple of
   the factor's own bytes;
+* **the batched product** — the BLAS property it stands on (the slices of
+  one ``?gemm(rect, rectᵀ)`` are the pairs' own calls, bit for bit, within
+  the width bound) and its call count, one GEMM per source;
 * **failures** — a non-SPD matrix raises the reference loop's pivot from
   every lane.
 """
@@ -49,7 +53,7 @@ from repro.numeric.procpool import close_default_pools
 from repro.numeric.rlb import run_pair_range
 from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, tridiagonal, vector_stencil
 from repro.symbolic import relind, snode_blocks, task_ranges
-from repro.symbolic.blocks import pair_index
+from repro.symbolic.blocks import BATCHED_GEMM_MADDS, pair_index
 from tests.conftest import CUTS, arrow_spd, force_cut, spd_from_pattern, two_component_spd
 
 DTYPES = [np.float64, np.float32]
@@ -199,9 +203,10 @@ def _check_parallel_lanes(monkeypatch, A, dtype, want, cuts=CUTS, procs=True):
 
 
 def _check_index(symb):
-    """The index against the scalar construction, source by source, and the
-    flat form against the per-pair slices."""
+    """The index against the scalar construction, source by source, and a
+    batched source's flat form against the per-pair slices."""
     index = pair_index(symb)
+    assert index.assembly is relind.assembly_index(symb)
     offsets = symb.panel_offsets()
     ranges = task_ranges(symb)
     stay = dag_plan(symb, "fine").stay
@@ -219,9 +224,9 @@ def _check_index(symb):
         assert len(targets) == len(blocks) * (len(blocks) + 1) // 2
         assert index.pair_ptr[s + 1] - index.pair_ptr[s] == len(targets)
         assert index.blk_ptr[s + 1] - index.blk_ptr[s] == len(blocks)
-        stream, k = [], 0
-        ends = [0]  # stream position after each upper block's pairs
+        stream, k = [], 0  # per upper block, the arena entries its pairs update
         for i, bi in enumerate(blocks):
+            lands = []
             for j in range(i, len(blocks)):
                 bj = blocks[j]
                 p, row_off, col_off = _reference_target(symb, want_blocks[i], want_blocks[j])
@@ -230,28 +235,29 @@ def _check_index(symb):
                 m = symb.panel_shape(p)[0]
                 rows = np.arange(row_off, row_off + bj.length)[:, None]
                 cols = np.arange(col_off, col_off + bi.length)
-                where = (offsets[p] + rows + cols * m).ravel()  # row-major, as the stream is
+                where = offsets[p] + rows + cols * m
                 assert (where >= offsets[p]).all() and (where < offsets[p + 1]).all()
-                stream.append(where)
+                lands.append(where[np.tril_indices_from(where)] if j == i else where.ravel())
                 k += 1
-            ends.append(sum(x.size for x in stream))
+            stream.append(np.concatenate(lands))
         nblocks += len(blocks)
         npairs += len(targets)
-        b = symb.snode_below_rows(s).size
-        if flat is None:
-            assert b == 0 or b * b > relind.FLAT_UPDATE_ENTRIES
-            continue
-        assert 0 < b * b <= relind.FLAT_UPDATE_ENTRIES
-        want = np.concatenate(stream)
-        assert np.array_equal(flat, want)
-        assert np.unique(flat).size == flat.size, "a destination written twice"
-        for nstay, end in enumerate(ends):
-            assert np.array_equal(index.flat_prefix(s, nstay), want[:end])
         # the prefix the range body commits is exactly what stays in range
         hi = ranges.bounds[ranges.range_of[s] + 1]
         assert stay[s] == sum(bl.owner < hi for bl in blocks)
-        inside = index.flat_prefix(s, stay[s])
-        assert (inside < offsets[hi]).all() and (want[inside.size :] >= offsets[hi]).all()
+        b = symb.snode_below_rows(s).size
+        narrow = max(b, w) ** 2 <= relind.FLAT_UPDATE_ENTRIES and b * b * w <= BATCHED_GEMM_MADDS
+        assert (flat is not None) == (b > 0 and narrow)
+        if flat is None:
+            continue
+        dst, _, bounds = flat
+        assert flat is index.assembly.flat[s]
+        assert np.array_equal(np.sort(dst), np.sort(np.concatenate(stream)))
+        assert np.unique(dst).size == dst.size, "a destination written twice"
+        stop = sum(p < hi for p, _, _ in bounds)
+        end = bounds[stop - 1][2] if stop else 0
+        inside = np.concatenate([np.zeros(0, np.int64)] + stream[: stay[s]])
+        assert np.array_equal(np.sort(dst[:end]), np.sort(inside))
     assert (index.nblocks, index.npairs) == (nblocks, npairs)
 
 
@@ -330,6 +336,89 @@ class TestOneBodySameBits:
                     _assert_same_factor(factor.storage, want, "stressed batch")
         finally:
             sys.setswitchinterval(interval)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestBatchedProduct:
+    """What a batched source stands on: the GEMM property inside the bound,
+    and one GEMM per source instead of one call per block pair."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), fp32=st.booleans(), seed=st.integers(0, 2**16))
+    def test_product_slices_are_the_pair_calls(self, data, fp32, seed):
+        """Every off-diagonal block of ONE ``?gemm(rect, rectᵀ)`` is that
+        pair's own ``?gemm`` bit for bit, and a one-column ``?gemm`` is
+        ``?syrk`` on each block's lower triangle, for every batched ``(b,
+        w)``: ``b, w <= 128`` and ``b² w <= BATCHED_GEMM_MADDS``.  A property
+        of the BLAS, not a law: on a single-thread OpenBLAS 0.3.31 (AVX-512
+        Xeon) ``w = 600`` broke it for 111 of 247 fp64 and 124 of 266 fp32
+        pairs drawn like these, and a two-thread one broke 94 of 3 680 fp64
+        pairs with ``b, w <= 128``, all with ``b² w`` above ``10⁶`` — so the
+        width bound and ``BATCHED_GEMM_MADDS`` are load-bearing."""
+        dtype = np.float32 if fp32 else np.float64
+        cut = relind.FLAT_UPDATE_ENTRIES
+        w = data.draw(st.integers(1, int(cut**0.5)), label="w")
+        bmax = min(int(cut**0.5), int((BATCHED_GEMM_MADDS // w) ** 0.5))
+        b = data.draw(st.integers(1, bmax), label="b")
+        inner = data.draw(st.sets(st.integers(1, b - 1), max_size=12) if b > 1 else st.just(set()))
+        edges = [0, *sorted(inner), b]
+        cuts = list(zip(edges[:-1], edges[1:]))
+        rect = np.asfortranarray(np.random.default_rng(seed).standard_normal((b, w)), dtype=dtype)
+        syrk, gemm = dk.pair_routines(dtype)
+        G = gemm(1.0, rect, rect, trans_b=1)
+        blocks = [np.asfortranarray(rect[a:e]) for a, e in cuts]
+        for i, (a, e) in enumerate(cuts):
+            if w == 1:
+                assert _same_bits(np.tril(G[a:e, a:e]), syrk(1.0, blocks[i], lower=1, trans=0))
+            for j in range(i + 1, len(cuts)):
+                c, d = cuts[j]
+                assert _same_bits(gemm(1.0, blocks[j], blocks[i], trans_b=1), G[c:d, a:e])
+
+    def test_one_gemm_per_narrow_source(self, monkeypatch):
+        """The call-count guard: a batched source with ``nb`` blocks makes 1
+        GEMM plus ``nb`` SYRKs when ``w > 1`` (the only block's SYRK alone
+        when ``nb == 1``); any other source one call per pair,
+        ``nb (nb + 1) / 2``."""
+        calls = []
+        routines = dk.pair_routines
+
+        def counted(dtype):
+            def count(kind, fn):
+                def call(*args, **kwargs):
+                    calls.append(kind)
+                    return fn(*args, **kwargs)
+
+                return call
+
+            syrk, gemm = routines(dtype)
+            return count("syrk", syrk), count("gemm", gemm)
+
+        seen = set()
+        for A in (grid_laplacian((9, 8)), PATTERNS["vec3d_wide"]()):
+            plan = repro.plan(A)
+            symb, M = plan.symb, plan.system.matrix
+            index = pair_index(symb)
+            storage = FactorStorage.from_matrix(symb, M)
+            with monkeypatch.context() as patch:
+                patch.setattr(dk, "pair_routines", counted)
+                for s in range(symb.nsup):
+                    calls.clear()
+                    run_pair_range(storage, index, s, s + 1)
+                    cuts, flat = index.sources[s]
+                    nb, w = len(cuts), symb.snode_ncols(s)
+                    if flat is None:
+                        want = {"syrk": nb, "gemm": nb * (nb - 1) // 2}
+                    elif nb == 1:
+                        want = {"syrk": 1, "gemm": 0}
+                    else:
+                        want = {"syrk": nb if w > 1 else 0, "gemm": 1}
+                    assert {k: calls.count(k) for k in want} == want, s
+                    seen.add((flat is not None, nb > 1, w > 1))
+            _assert_same_factor(storage, _reference_rlb(symb, M, np.float64), "source by source")
+        assert {(True, True, True), (True, True, False), (False, True, True)} <= seen
 
 
 class TestForcedCuts:
