@@ -794,7 +794,11 @@ class ServingSession:
             assembly_index(symb)
             update_workspace_entries(symb)
         else:
-            pair_index(symb)
+            index = pair_index(symb)
+            if runner.backend == "gpu":  # the device loop reads every block pair
+                for s in range(symb.nsup):
+                    index.blocks(s)
+                    index.targets(s)
         _panel_layout(symb)
         solve_shapes(symb)
         leaf_block(symb)

@@ -525,8 +525,6 @@ def _coarse_edges(symb, ranges):
     children = [[] for _ in range(nranges)]
     index = assembly_index(symb)
     for s, targets in enumerate(index.targets):
-        if index.flat[s] is None:
-            index.pieces(s)  # what the tasks read, built here
         t = range_of[s]
         # runs ascend by target, so the ones inside the range come first
         stay.append(bisect.bisect_left(targets, bounds[t + 1]))

@@ -27,6 +27,8 @@ per-supernode signatures.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..dense import kernels as dk
 from ..symbolic.relind import assembly_index
 from .result import serial_result
@@ -131,39 +133,31 @@ def snode_update(symb, storage, s, W=None):
     return W[:b, :b]
 
 
-def _subtract_pieces(panel, pieces, U):
-    """One run of the block form: each piece is a slice subtraction."""
-    for r0, r1, c0, c1, i0, i1, j0, j1 in pieces:
-        panel[r0:r1, c0:c1] -= U[i0:i1, j0:j1]
-
-
 def _assemble(storage, index, s, U, stop=None):
     """Subtract source ``s``'s update matrix ``U`` from its ancestors — all
     of its assembly runs, or only the first ``stop`` (the ones whose target
     lies inside ``s``'s task range; runs ascend by target)."""
-    flat = index.flat[s] if storage.arena is not None else None
-    if flat is not None:
-        dst, src, bounds = flat
-        if stop is not None:
-            end = bounds[stop - 1][2]
-            dst, src = dst[:end], src[:end]
-        storage.arena[dst] -= U.reshape(-1, order="F")[src]
+    flat = index.flat[s]
+    if flat is None or storage.arena is None:
+        parked = park_runs(storage, index, s, U)
+        for r in range(len(index.targets[s]) if stop is None else stop):
+            apply_run(storage, index, s, r, parked)
         return
-    for p, pieces in index.pieces(s)[:stop]:
-        _subtract_pieces(storage.panels[p], pieces, U)
+    dst, src, bounds = flat
+    if stop is not None:
+        end = bounds[stop - 1][2]
+        dst, src = dst[:end], src[:end]
+    storage.arena[dst] -= U.reshape(-1, order="F")[src]
 
 
 def assemble_update(symb, storage, s, U):
     """Subtract supernode ``s``'s update matrix from its ancestors.
 
     ``U`` is the ``(b, b)`` lower-valid update matrix over the below-diagonal
-    rows of ``s`` (upper triangle zero).  A small source on an arena-backed
-    storage is ONE fancy-indexed ``-=`` over the arena (the flat form of the
-    pattern's :func:`~repro.symbolic.relind.assembly_index`); otherwise each
-    run of rows owned by a single ancestor is a few slice ``-=`` into that
-    ancestor's panel (the block form; the loop nest the paper parallelizes
-    with OpenMP).  Either way every destination is written once, so the
-    result is the same.
+    rows of ``s`` (upper triangle zero), through the pattern's
+    :func:`~repro.symbolic.relind.assembly_index`: ONE fancy-indexed ``-=``
+    for a small source, a few slice ``-=`` per ancestor for a large one (the
+    loop nest the paper parallelizes with OpenMP) — the same result.
 
     Returns the number of bytes moved (for the assembly cost model).
     """
@@ -177,29 +171,34 @@ def park_runs(storage, index, s, U, stay=0):
     matrix ``U``, to be subtracted later, run by run (:func:`apply_run`): a
     flat source's entries gathered once for all of them — under a third of
     ``U``'s bytes, and ``U`` is free to go — else ``U`` itself."""
-    flat = index.flat[s] if storage.arena is not None else None
-    if flat is None:
-        return U
-    return U.reshape(-1, order="F")[flat[1][flat[2][stay][1] :]]
+    flat = index.flat[s]
+    return U if flat is None else U.reshape(-1, order="F")[flat[1][flat[2][stay][1] :]]
 
 
 def apply_run(storage, index, s, r, parked, stay=0):
-    """Run ``r`` of source ``s``'s assembly alone: subtract the part of its
-    update matrix owned by one ancestor from that ancestor's panel, out of
-    what :func:`park_runs` kept of it — a slice of the flat form's gather,
-    or the run's pieces of the block form.  All runs of a source together
-    are :func:`assemble_update` — the same subtractions, the same bits; a
-    target's task applies the runs parked for it one by one, in ascending
-    source order."""
-    flat = index.flat[s] if storage.arena is not None else None
-    if flat is not None:
-        dst, _, bounds = flat
-        _, f0, f1 = bounds[r]
-        first = bounds[stay][1]
-        storage.arena[dst[f0:f1]] -= parked[f0 - first : f1 - first]
+    """Run ``r`` of source ``s``'s assembly alone: the part of its update
+    matrix owned by one ancestor, out of what :func:`park_runs` kept of it
+    from run ``stay`` on, subtracted from that ancestor's panel — the block
+    form's pieces, or the flat form's entries in ONE fancy-indexed ``-=``
+    (into the arena, or a loose panel).  All runs of a source together are
+    :func:`assemble_update`, the same bits; a target's task applies its
+    parked runs in ascending source order."""
+    flat = index.flat[s]
+    if flat is None:
+        p, pieces = index.pieces(s)[r]
+        panel = storage.panels[p]
+        for r0, r1, c0, c1, i0, i1, j0, j1 in pieces:
+            panel[r0:r1, c0:c1] -= parked[i0:i1, j0:j1]
         return
-    p, pieces = index.pieces(s)[r]
-    _subtract_pieces(storage.panels[p], pieces, parked)
+    dst, _, bounds = flat
+    p, f0, f1 = bounds[r]
+    values = parked[f0 - bounds[stay][1] : f1 - bounds[stay][1]]
+    if storage.arena is not None:
+        storage.arena[dst[f0:f1]] -= values
+        return
+    panel = storage.panels[p]
+    col, row = np.divmod(dst[f0:f1] - storage.symb.panel_offsets()[p], panel.shape[0])
+    panel[row, col] -= values
 
 
 def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):

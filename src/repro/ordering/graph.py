@@ -97,18 +97,13 @@ class AdjacencyGraph:
 def adjacency_from_matrix(A):
     """Adjacency graph of the symmetric matrix ``A`` (diagonal dropped)."""
     cols = np.repeat(np.arange(A.n, dtype=np.int64), np.diff(A.indptr))
-    rows = A.indices
-    off = rows != cols
-    r, c = rows[off], cols[off]
-    # both directions
-    src = np.concatenate([r, c])
-    dst = np.concatenate([c, r])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    off = A.indices != cols
+    r, c = A.indices[off], cols[off]
+    src, dst = np.concatenate([r, c]), np.concatenate([c, r])  # both directions
+    order = np.argsort(src * A.n + dst, kind="stable")
     xadj = np.zeros(A.n + 1, dtype=np.int64)
-    np.add.at(xadj, src + 1, 1)
-    np.cumsum(xadj, out=xadj)
-    return AdjacencyGraph(A.n, xadj, dst)
+    np.cumsum(np.bincount(src, minlength=A.n), out=xadj[1:])
+    return AdjacencyGraph(A.n, xadj, dst[order])
 
 
 def _csgraph(graph, root, mask):

@@ -10,8 +10,8 @@ two standard accelerations from the minimum-degree literature:
   on pop, avoiding decrease-key.
 
 Exact (not approximate) degrees keep the code honest and testable; the cost
-is fine at the suite's scale, and nested dissection only calls this on small
-leaf subgraphs.
+is fine at the suite's scale.  It runs on plain Python sets of subgraphs
+induced in one pass (:func:`_order_pieces`), all pieces of a dissection at once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,34 @@ def minimum_degree(graph, *, tie_break="index"):
     """
     if tie_break != "index":
         raise ValueError("only tie_break='index' is supported")
-    n = graph.n
-    # plain-int lists: the elimination below is scalar set bookkeeping
-    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
-    adj = [set(adjncy[xadj[v] : xadj[v + 1]]) for v in range(n)]
+    return _order_pieces(graph, [np.arange(graph.n, dtype=np.int64)])
+
+
+def _order_pieces(graph, pieces):
+    """The minimum-degree orders of the subgraphs of ``graph`` induced by
+    ``pieces`` (disjoint ascending vertex arrays covering it), concatenated;
+    all induced in one pass, ascending ids keeping the tie-breaks."""
+    n, verts = graph.n, np.concatenate(pieces)
+    start = np.cumsum([0] + [p.size for p in pieces])  # piece k: verts[start[k]:start[k + 1]]
+    piece = np.repeat(np.arange(len(pieces)), np.diff(start))
+    piece_of, local_of = np.empty((2, n), dtype=np.int64)
+    piece_of[verts], local_of[verts] = piece, np.arange(n) - start[piece]
+    # the edges inside a piece, renumbered locally, as plain-int sets
+    src = np.repeat(np.arange(n), graph.degrees())
+    keep = piece_of[src] == piece_of[graph.adjncy]
+    nb = local_of[graph.adjncy[keep]].tolist()
+    x = np.concatenate(([0], np.cumsum(np.bincount(src[keep], minlength=n)))).tolist()
+    adj = [set(nb[x[v] : x[v + 1]]) for v in verts.tolist()]
+    order = []
+    for s0, s1 in zip(start[:-1].tolist(), start[1:].tolist()):
+        order.extend(s0 + v for v in _eliminate(adj[s0:s1]))
+    return verts[np.array(order, dtype=np.int64)]
+
+
+def _eliminate(adj):
+    """:func:`minimum_degree`'s order, a list, of the graph whose vertex
+    ``v`` has the neighbour set ``adj[v]`` (consumed; no self loops)."""
+    n = len(adj)
     eliminated = [False] * n
     heap = [(len(adj[v]), v) for v in range(n)]
     heapq.heapify(heap)
@@ -75,4 +99,4 @@ def minimum_degree(graph, *, tie_break="index"):
             adj[u].discard(u)
             heapq.heappush(heap, (len(adj[u]), u))
         adj[v] = set()
-    return np.array(perm, dtype=np.int64)
+    return perm

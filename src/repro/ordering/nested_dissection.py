@@ -10,8 +10,10 @@ dissection with BFS level-set vertex separators:
 3. shrink the chosen level to a minimal separator by moving vertices that
    touch only one side into that side;
 4. recurse on the parts, ordering the separator last;
-5. order leaf subgraphs (and graphs with no useful separator) with exact
-   minimum degree.
+5. order leaves, separators and graphs with no useful separator by exact
+   minimum degree, each recorded as a *piece* (ascending ids) and all induced
+   from the top graph in ONE pass after the recursion (induced subgraphs
+   compose, and ascending ids keep minimum degree's tie-breaks).
 
 This produces the balanced elimination trees with fat top separators that
 give supernodal Cholesky its large dense panels — the property all of the
@@ -20,10 +22,13 @@ paper's GPU results rely on.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .graph import connected_components, pseudo_peripheral_vertex
-from .mindeg import minimum_degree
+from .mindeg import _order_pieces
 
 __all__ = ["nested_dissection"]
 
@@ -40,24 +45,13 @@ def _level_separator(sub, levels, *, balance=0.2):
     if depth < 2:
         return None
     counts = np.bincount(levels, minlength=depth + 1)
-    below = np.cumsum(counts)  # below[l] = # vertices at level <= l
-    best = None
-    for lvl in range(1, depth):
-        na = below[lvl - 1]
-        ns = counts[lvl]
-        nb = n - na - ns
-        if na == 0 or nb == 0:
-            continue
-        balanced = min(na, nb) >= balance * (n - ns)
-        key = (not balanced, ns, abs(int(na) - int(nb)))
-        if best is None or key < best[0]:
-            best = (key, lvl)
-    if best is None:
-        return None
-    lvl = best[1]
-    sep = levels == lvl
-    a = levels < lvl
-    b = levels > lvl
+    # candidate levels 1 .. depth-1, ranked by (unbalanced, separator size,
+    # imbalance) and then by depth: one stable lexsort takes the first
+    na, ns = np.cumsum(counts)[: depth - 1], counts[1:depth]  # above, at each candidate
+    nb = n - na - ns
+    unbalanced = np.minimum(na, nb) < balance * (n - ns)
+    lvl = 1 + int(np.lexsort((np.abs(na - nb), ns, unbalanced))[0])
+    sep, a, b = levels == lvl, levels < lvl, levels > lvl
     # minimal-separator cleanup: a separator vertex with no side-B neighbour
     # sinks into A without reconnecting the sides (every level-``lvl`` vertex
     # has its BFS parent in A, so none can sink into B, and sinking only
@@ -66,8 +60,7 @@ def _level_separator(sub, levels, *, balance=0.2):
     nb, counts = sub.gather(sepv)
     owner = np.repeat(np.arange(sepv.size), counts)
     sink = sepv[np.bincount(owner[b[nb]], minlength=sepv.size) == 0]
-    sep[sink] = False
-    a[sink] = True
+    sep[sink], a[sink] = False, True
     if not a.any() or not b.any() or not sep.any():
         return None
     return sep, a, b
@@ -81,10 +74,11 @@ def nested_dissection(graph, *, leaf_size=64, balance=0.2):
     graph:
         :class:`~repro.ordering.graph.AdjacencyGraph`.
     leaf_size:
-        Subgraphs at or below this size are ordered by minimum degree.
+        Subgraphs at or below this size are ordered by minimum degree; an
+        integer ``>= 1``.
     balance:
         Minimum fraction of non-separator vertices each side must hold for a
-        level to count as "balanced".
+        level to count as "balanced"; a real number in ``[0, 0.5]``.
 
     Returns
     -------
@@ -92,16 +86,23 @@ def nested_dissection(graph, *, leaf_size=64, balance=0.2):
         ``int64`` array; ``perm[k]`` is the original vertex eliminated at
         step ``k``.
     """
-    parts = []  # each subproblem's order, in elimination order
+    if not isinstance(leaf_size, numbers.Integral):
+        raise TypeError(f"leaf_size must be an integer, got {leaf_size!r}")
+    if not isinstance(balance, numbers.Real):
+        raise TypeError(f"balance must be a real number, got {balance!r}")
+    if leaf_size < 1:
+        raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
+    if not (math.isfinite(balance) and 0 <= balance <= 0.5):
+        raise ValueError(f"balance must be finite and in [0, 0.5], got {balance}")
+    pieces = []  # each piece's vertices, ascending, in elimination order
 
     def rec(parent, verts, local):
-        # the subproblem on ``parent``'s vertices ``local`` (``verts``: their
-        # global ids), induced from the parent to cost the parent's size
+        # ``parent``'s ascending vertices ``local`` (global ids ``verts``), induced if dissected
+        if local.size <= leaf_size:
+            pieces.append(verts[local])
+            return
         sub, local = parent.subgraph(local)
         verts = verts[local]
-        if sub.n <= leaf_size:
-            parts.append(verts[minimum_degree(sub)])
-            return
         _, levels, order = pseudo_peripheral_vertex(sub, int(np.argmin(sub.degrees())))
         if order.size < sub.n:  # the BFS missed a vertex: dissect each component
             for comp in connected_components(sub):
@@ -109,17 +110,12 @@ def nested_dissection(graph, *, leaf_size=64, balance=0.2):
             return
         found = _level_separator(sub, levels, balance=balance)
         if found is None:
-            parts.append(verts[minimum_degree(sub)])
+            pieces.append(verts)
             return
         sep, a, b = found
         rec(sub, verts, np.flatnonzero(a))
         rec(sub, verts, np.flatnonzero(b))
-        # separator vertices are eliminated last; order them among
-        # themselves by minimum degree on their induced subgraph
-        ssub, sep = sub.subgraph(np.flatnonzero(sep))
-        parts.append(verts[sep[minimum_degree(ssub)]])
+        pieces.append(verts[sep])  # the separator is eliminated last
 
     rec(graph, np.arange(graph.n, dtype=np.int64), np.arange(graph.n))
-    out = np.concatenate(parts)
-    assert out.size == graph.n
-    return out
+    return _order_pieces(graph, pieces)

@@ -85,7 +85,7 @@ def _permuted_entries(A, perm):
     new_c = iperm[cols]
     lo = np.maximum(new_r, new_c)
     hi = np.minimum(new_r, new_c)
-    order = np.lexsort((lo, hi))
+    order = np.argsort(hi * A.n + lo, kind="stable")  # one sort, column-major
     return order, lo[order], hi[order]
 
 
@@ -110,6 +110,5 @@ def symmetric_permute(A, perm):
     order, rows, cols2 = _permuted_entries(A, perm)
     vals = A.data[order]
     indptr = np.zeros(A.n + 1, dtype=np.int64)
-    np.add.at(indptr, cols2 + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(cols2, minlength=A.n), out=indptr[1:])
     return SymmetricCSC(A.n, indptr, rows, vals, check=False)

@@ -28,7 +28,7 @@ from ..sparse.permute import (
 )
 from .amalgamate import amalgamate_counts
 from .colcounts import column_counts
-from .etree import elimination_tree, postorder
+from .etree import _liu, _row_lists, postorder
 from .partition_refinement import partition_refinement
 from .structure import SymbolicFactor, _supernodal_structure
 from .supernodes import fundamental_supernodes, supernodal_tree
@@ -94,17 +94,17 @@ def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,
         Partition-refinement method (``"best"`` | ``"lex"`` | ``"split"``;
         the last two name the same order).
 
-    Each stage is computed once: the postordered matrix's elimination tree
-    is a relabelling of the one already in hand, amalgamation reads the
-    column counts, and the one symbolic factorization (of the merged
-    partition) is relabelled by the refinement (``docs/api.md``, "What a
-    cold request pays").
+    Each stage is computed once: the ordered matrix's elimination tree is
+    read off ``A``'s entries, the postordered one's is its relabelling,
+    amalgamation reads the column counts, and the one symbolic
+    factorization (of the merged partition) is relabelled by the refinement
+    (``docs/api.md``, "What a cold request pays").
     """
     from ..ordering import order_matrix
 
     perm = order_matrix(A, ordering, **(ordering_kwargs or {}))
-    B = symmetric_permute(A, perm)
-    parent = elimination_tree(B)
+    # the ordered matrix is only read for its tree: take it off A's entries
+    parent = _liu(A.n, *_row_lists(A, perm))
     post = postorder(parent)
     perm = compose_permutations(post, perm)
     B = symmetric_permute(A, perm)

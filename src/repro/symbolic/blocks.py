@@ -177,6 +177,9 @@ class PairIndex:
         self._widths = w
         self._blocks = [None] * nsup
         self._targets = [None] * nsup
+        for s, (cuts, flat) in enumerate(self.sources):
+            if cuts and flat is None:  # what the RLB body reads, so threads only read
+                self.targets(s)
 
     def blocks(self, s):
         """The :class:`Block` tuple of supernode ``s`` — see
@@ -216,7 +219,7 @@ class PairIndex:
 
     def targets(self, s):
         """:meth:`targets_of` the pairs of supernode ``s``, in serial order
-        (materialised on first request and kept)."""
+        (built with the index when ``s`` is not batched, else on first use)."""
         targets = self._targets[s]
         if targets is None:
             pairs = slice(self.pair_ptr[s], self.pair_ptr[s + 1])

@@ -26,8 +26,9 @@ __all__ = [
 ]
 
 
-def _row_lists(A):
-    """CSR-style arrays of the strictly-lower entries grouped by *row*.
+def _row_lists(A, perm=None):
+    """CSR-style arrays of the strictly-lower entries grouped by *row* — of
+    ``A``, or of ``P A P^T`` (read off ``A``'s entries) given ``perm``.
 
     Returns ``(rowptr, cols)``: row ``i``'s below-diagonal column indices are
     ``cols[rowptr[i]:rowptr[i+1]]`` (ascending).
@@ -35,14 +36,16 @@ def _row_lists(A):
     n = A.n
     cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr))
     rows = A.indices
+    if perm is not None:
+        iperm = np.argsort(perm)  # the inverse permutation
+        r, c = iperm[rows], iperm[cols]
+        rows, cols = np.maximum(r, c), np.minimum(r, c)
     off = rows != cols
     r, c = rows[off], cols[off]
-    order = np.lexsort((c, r))
-    r, c = r[order], c[order]
+    order = np.argsort(r * n + c, kind="stable")  # one sort, row-major
     rowptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(rowptr, r + 1, 1)
-    np.cumsum(rowptr, out=rowptr)
-    return rowptr, c
+    np.cumsum(np.bincount(r, minlength=n), out=rowptr[1:])
+    return rowptr, c[order]
 
 
 def elimination_tree(A):
@@ -53,8 +56,12 @@ def elimination_tree(A):
     ``k < i`` with ``a_ik != 0`` to the current root, path-compressing
     through an ``ancestor`` array.
     """
-    n = A.n
-    rowptr, rcols = (a.tolist() for a in _row_lists(A))  # plain ints: fast scalar walk
+    return _liu(A.n, *_row_lists(A))
+
+
+def _liu(n, rowptr, rcols):
+    """:func:`elimination_tree` of :func:`_row_lists` ``(rowptr, rcols)``."""
+    rowptr, rcols = rowptr.tolist(), rcols.tolist()  # plain ints: fast scalar walk
     parent = [-1] * n
     ancestor = [-1] * n
     for i in range(n):

@@ -18,32 +18,27 @@ The assembly index
 need for a pattern in ONE array-at-a-time pass — all below-diagonal rows of
 all supernodes expanded into their per-ancestor *runs*, one global
 ``searchsorted`` over ``(supernode, row)`` keys (:func:`locate_rows`) — and
-memoises it on the symbolic factor.  It holds
-two forms of the same ``(destination, source)`` pairs:
+memoises it on the symbolic factor.  Each source takes one of two forms,
+decided by its number of below rows ``b`` alone:
 
-* **blocks** — for each maximal run of a source's below rows owned by one
-  ancestor, the relative rows of the remaining tail and the run's column
-  positions, each cut into stretches that step by one: every (row stretch,
-  column stretch) rectangle is one *piece*, a plain slice subtraction
-  ``panel[r0:r1, c0:c1] -= U[i0:i1, j0:j1]`` (:meth:`AssemblyIndex.pieces`).
-  A piece wholly above ``U``'s diagonal would subtract zeros and is left out.
-* **flat** — for a source whose update matrix is small (``b² <=``
-  :data:`FLAT_UPDATE_ENTRIES`), one ``dst`` array of positions in the
-  factor's arena (:meth:`SymbolicFactor.panel_offsets` layout) and one
-  ``src`` array of positions in the F-ordered ``(b, b)`` update matrix,
-  lower triangle only, ordered by ancestor with the run boundaries kept.
-  Assembly of such a source is a single ``arena[dst] -= u[src]``.
+* **flat** (``b² <=`` :data:`FLAT_UPDATE_ENTRIES`) — one ``dst`` array of
+  positions in the factor's arena (:meth:`SymbolicFactor.panel_offsets`
+  layout) and one ``src`` array of positions in the F-ordered ``(b, b)``
+  update matrix, lower triangle only, ordered by ancestor with the run
+  boundaries kept: assembly is ONE ``arena[dst] -= u[src]`` (one per run
+  into the ancestor's panel on a storage of loose panels, which has no arena).
+* **blocks** (larger ``b``) — per run, the relative rows of the remaining
+  tail and the run's column positions, each cut into stretches that step by
+  one: every (row stretch, column stretch) rectangle not wholly above ``U``'s
+  diagonal is one *piece*, ``panel[r0:r1, c0:c1] -= U[i0:i1, j0:j1]``
+  (:meth:`AssemblyIndex.pieces`).
 
-Why both: a NumPy op costs a microsecond or more before it moves its first
-entry, so on narrow supernodes a per-run loop is all overhead (2 635 runs on
-a 64² grid against 956 flat ops) and the flat form wins; its memory is
-``b (b + 1) / 2`` index pairs per source, which for a 1 500-row update
-matrix would be tens of megabytes for no gain — the per-entry work
-dominates there, and slices move it without the gather and scatter of an
-index — so large sources take the block form.  The cut depends on ``b``
-alone, a property of the input.  Every destination is written once per
-source in either form, so which form applies an update never changes the
-result.
+Why both: a NumPy op costs a microsecond before it moves an entry, so on
+narrow supernodes a per-run loop is all overhead (2 635 runs on a 64² grid
+against 956 flat ops), while a 1 500-row source's flat index would be tens of
+megabytes for no gain.  Each destination is written once per source in either
+form, so the form never changes the result.  The index is built whole and
+never changes: threads and worker processes only read it.
 
 RLB's :func:`repro.symbolic.blocks.pair_index` locates every block pair
 with :func:`locate_rows`, and its batched sources commit through this flat
@@ -65,9 +60,8 @@ __all__ = [
 
 #: A source supernode gets the flat form (RL assembly and RLB's batched
 #: commits alike) when its update matrix has at most this many entries
-#: (``b² <= 16384``, i.e. ``b <= 128``): below it the per-run Python and
-#: fancy-index setup cost exceeds the per-entry cost, above it the flat
-#: index would cost more memory than it saves time.
+#: (``b <= 128``): below, per-run setup costs more than the entries; above,
+#: the flat index costs more memory than it saves time.
 FLAT_UPDATE_ENTRIES = 16384
 
 
@@ -149,10 +143,10 @@ class AssemblyIndex:
         positions in the F-ordered ``(b, b)`` update matrix, and
         ``(ancestor, f0, f1)`` per run delimiting ``dst[f0:f1]`` — or
         ``None`` for a source without below rows or above
-        :data:`FLAT_UPDATE_ENTRIES`.
+        :data:`FLAT_UPDATE_ENTRIES`, which has :meth:`pieces` instead.
     """
 
-    __slots__ = ("moved", "targets", "flat", "_table", "_pieces")
+    __slots__ = ("moved", "targets", "flat", "_pieces")
 
     def __init__(self, symb):
         nsup = symb.nsup
@@ -172,42 +166,18 @@ class AssemblyIndex:
         run_source = source[run_start]
         run_p = owner[run_start]
         run_k0 = k[run_start]
-        run_k1 = run_k0 + (run_end - run_start)
         run_ptr = np.searchsorted(run_source, np.arange(nsup + 1))
         # each run updates its ancestor with the whole remaining tail of the
         # source's rows: locate all tails in their ancestors at once
         tail = b[run_source] - run_k0
         rel_ptr, run_of, t = _ranges(tail)
         rel = locate_rows(symb, run_p[run_of], below[run_start[run_of] + t])
-        nbytes = 2 * 8 * tail * (run_k1 - run_k0)
+        nbytes = 2 * 8 * tail * (run_end - run_start)
         moved_ptr = np.concatenate(([0], np.cumsum(nbytes)))[run_ptr]
         self.moved = np.diff(moved_ptr).tolist()
         run = np.cumsum(first) - 1
-
-        # the block form: a run's tail rows and its columns cut into
-        # stretches that step by one in the ancestor's panel, ``(r0, r1, i0,
-        # i1)`` / ``(c0, c1, j0, j1)`` each; per run every (column stretch,
-        # row stretch) pair is a piece unless i1 <= j0 — wholly above U's
-        # diagonal
-        nruns = run_start.size
-        at, n = _stretches(rel, t == 0)
-        i0 = run_k0[run_of[at]] + t[at]
-        rows = np.column_stack((rel[at], rel[at] + n, i0, i0 + n))
-        nr = np.bincount(run_of[at], minlength=nruns)
-        at, n = _stretches(colpos, first)
-        cols = np.column_stack((colpos[at], colpos[at] + n, k[at], k[at] + n))
-        nc = np.bincount(run[at], minlength=nruns)
-        _, piece_run, within = _ranges(nr * nc)
-        ci, ri = np.divmod(within, nr[piece_run])
-        ri += (np.cumsum(nr) - nr)[piece_run]
-        ci += (np.cumsum(nc) - nc)[piece_run]
-        keep = rows[ri, 3] > cols[ci, 2]
-        table = np.hstack((rows[ri[keep]], cols[ci[keep]]))[:, [0, 1, 4, 5, 2, 3, 6, 7]]
-        piece_ptr = np.cumsum(np.bincount(piece_run[keep], minlength=nruns))
         run_ptr, run_p = run_ptr.tolist(), run_p.tolist()
         self.targets = tuple(tuple(run_p[r0:r1]) for r0, r1 in zip(run_ptr[:-1], run_ptr[1:]))
-        self._table = table, [0] + piece_ptr.tolist(), run_ptr
-        self._pieces = [None] * nsup
 
         # the flat form of every small source, built at once: one entry per
         # lower-triangle position (i, j) of each update matrix, column by
@@ -236,24 +206,49 @@ class AssemblyIndex:
             flat[s] = dst[f0:f1], src[f0:f1], bounds
         self.flat = tuple(flat)
 
+        # the block form of the other sources: per run, its tail rows' and
+        # its columns' stretches, ``(r0, r1, i0, i1)`` / ``(c0, c1, j0, j1)``;
+        # every (column, row) stretch pair is a piece unless i1 <= j0
+        pieces = [None if f else () for f in small.tolist()]
+        big = np.flatnonzero(~small & (b > 0)).tolist()
+        if big:
+            nruns = run_start.size
+            keep = ~small[run_source[run_of]]  # the tails of the big sources' runs
+            rel, t, run_of = rel[keep], t[keep], run_of[keep]
+            at, n = _stretches(rel, t == 0)
+            i0 = run_k0[run_of[at]] + t[at]
+            rows = np.column_stack((rel[at], rel[at] + n, i0, i0 + n))
+            nr = np.bincount(run_of[at], minlength=nruns)
+            keep = ~small[source]  # the big sources' below rows
+            colpos, k, run = colpos[keep], k[keep], run[keep]
+            at, n = _stretches(colpos, first[keep])
+            cols = np.column_stack((colpos[at], colpos[at] + n, k[at], k[at] + n))
+            nc = np.bincount(run[at], minlength=nruns)
+            _, piece_run, within = _ranges(nr * nc)
+            ci, ri = np.divmod(within, nr[piece_run])
+            ri += (np.cumsum(nr) - nr)[piece_run]
+            ci += (np.cumsum(nc) - nc)[piece_run]
+            keep = rows[ri, 3] > cols[ci, 2]
+            table = np.hstack((rows[ri[keep]], cols[ci[keep]]))[:, [0, 1, 4, 5, 2, 3, 6, 7]]
+            table = list(map(tuple, table.tolist()))
+            piece_ptr = [0] + np.cumsum(np.bincount(piece_run[keep], minlength=nruns)).tolist()
+            for s in big:
+                pieces[s] = tuple(
+                    (p, tuple(table[piece_ptr[r] : piece_ptr[r + 1]]))
+                    for p, r in zip(self.targets[s], range(run_ptr[s], run_ptr[s + 1]))
+                )
+        self._pieces = tuple(pieces)
+
     def pieces(self, s):
-        """The block form of source ``s``, built on first request: per run
-        ``(ancestor, pieces)``, a piece ``(r0, r1, c0, c1, i0, i1, j0, j1)``
-        standing for ``panels[ancestor][r0:r1, c0:c1] -= U[i0:i1, j0:j1]``.
-        The pieces of a source are disjoint and cover ``U``'s lower
-        triangle."""
+        """The block form of source ``s`` (``ValueError`` if it takes the
+        flat form): per run ``(ancestor, pieces)``, a piece ``(r0, r1, c0,
+        c1, i0, i1, j0, j1)`` standing for ``panels[ancestor][r0:r1, c0:c1]
+        -= U[i0:i1, j0:j1]``; disjoint, they cover ``U``'s lower triangle."""
         if not 0 <= s < len(self._pieces):
             raise IndexError(f"source supernode {s} is outside [0, {len(self._pieces)})")
         pieces = self._pieces[s]
         if pieces is None:
-            table, piece_ptr, run_ptr = self._table
-            first, last = run_ptr[s], run_ptr[s + 1]
-            base = piece_ptr[first]
-            rows = list(map(tuple, table[base : piece_ptr[last]].tolist()))
-            pieces = self._pieces[s] = tuple(
-                (p, tuple(rows[piece_ptr[r] - base : piece_ptr[r + 1] - base]))
-                for p, r in zip(self.targets[s], range(first, last))
-            )
+            raise ValueError(f"source supernode {s} takes the flat form; it has no pieces")
         return pieces
 
 

@@ -2,7 +2,8 @@
 
 The reference implementations below are the deleted per-vertex /
 per-segment / per-supernode loops, verbatim (minimum degree's numpy-array
-bookkeeping, nested dissection's per-node extraction from the root graph,
+bookkeeping, nested dissection's per-node extraction from the root graph
+with the per-level separator choice loop,
 amalgamation's per-candidate heap seeding, the supernodal symbolic
 factorization's ``pending`` lists and partition refinement's per-supernode
 lexsort among them); every property requires the
@@ -134,11 +135,9 @@ def subgraph_ref(graph, vertices):
     return AdjacencyGraph(vertices.size, xadj, adjncy), vertices
 
 
-def level_separator_ref(sub, *, balance=0.2):
+def level_separator_ref(sub, levels, *, balance=0.2):
     n = sub.n
-    start = int(np.argmin(sub.degrees()))
-    _, levels, order = pseudo_peripheral_vertex(sub, start)
-    depth = int(levels[order].max())
+    depth = int(levels.max())
     if depth < 2:
         return None
     counts = np.bincount(levels[levels >= 0], minlength=depth + 1)
@@ -242,7 +241,7 @@ def nested_dissection_ref(graph, *, leaf_size=64, balance=0.2):
             for comp in connected_components(sub):
                 rec(verts[comp])
             return
-        found = _level_separator(sub, levels, balance=balance)
+        found = level_separator_ref(sub, levels, balance=balance)
         if found is None:
             emit(verts[minimum_degree_ref(sub)])
             return
@@ -658,6 +657,17 @@ def spd_pattern(n, seed):
     return random_spd(n, density=3.0 / n, seed=seed)
 
 
+def assert_same_separator(sub, balance):
+    """``_level_separator`` and the loop it replaced pick the same level of
+    the same BFS level structure and clean it up alike."""
+    _, levels, _ = pseudo_peripheral_vertex(sub, int(np.argmin(sub.degrees())))
+    found = _level_separator(sub, levels, balance=balance)
+    ref = level_separator_ref(sub, levels, balance=balance)
+    assert (found is None) == (ref is None)
+    if ref is not None:
+        assert all(np.array_equal(x, y) for x, y in zip(found, ref))
+
+
 def assert_same_symb(got, want):
     for name in ("snptr", "sn_parent", "rowptr", "rows", "col2sn"):
         a, b = getattr(got, name), getattr(want, name)
@@ -729,18 +739,25 @@ class TestGraphAgainstReference:
         for c, r in zip(comps, ref):
             assert c.dtype == np.int64 and np.array_equal(c, r)
 
-    @given(graphs(max_n=40), st.sampled_from([0.0, 0.2, 0.4]))
+    @given(graphs(max_n=40), st.sampled_from([0.0, 0.2, 0.4, 0.5]))
     @PROPERTY
     def test_level_separator(self, g, balance):
         # the sequential cleanup loop sank vertices one at a time, in either
         # direction; on a BFS level structure only A ever grows
         sub, _ = g.subgraph(max(connected_components(g), key=len))
-        _, levels, _ = pseudo_peripheral_vertex(sub, int(np.argmin(sub.degrees())))
-        found = _level_separator(sub, levels, balance=balance)
-        ref = level_separator_ref(sub, balance=balance)
-        assert (found is None) == (ref is None)
-        if ref is not None:
-            assert all(np.array_equal(x, y) for x, y in zip(found, ref))
+        assert_same_separator(sub, balance)
+
+    @pytest.mark.parametrize("balance", [0.0, 0.2, 0.4, 0.5])
+    @pytest.mark.parametrize("shape", [
+        # paths: every level one vertex, so an even path ties two levels on
+        # size and imbalance; ladders tie at two; a star has one candidate
+        ("path", 7), ("path", 8), ("path", 12), ("ladder", 6), ("ladder", 9), ("star", 9),
+    ], ids=lambda s: f"{s[0]}{s[1]}" if isinstance(s, tuple) else None)
+    def test_level_separator_on_tied_levels(self, shape, balance):
+        kind, n = shape
+        A = {"path": lambda: grid_laplacian((n,)), "ladder": lambda: grid_laplacian((2, n)),
+             "star": lambda: star(n)}[kind]()
+        assert_same_separator(adjacency_from_matrix(A), balance)
 
 
 # ----------------------------------------------------------------------
@@ -932,6 +949,22 @@ class TestOrderingAndMergeLoops:
         got = nested_dissection(g, leaf_size=leaf_size)
         want = nested_dissection_ref(g, leaf_size=leaf_size)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @given(disconnected_graphs(), st.sampled_from([1, 2, 8, 64]), st.sampled_from([0.0, 0.5]))
+    @PROPERTY
+    def test_nested_dissection_disconnected(self, g, leaf_size, balance):
+        # components are dissected one by one, their pieces induced together
+        got = nested_dissection(g, leaf_size=leaf_size, balance=balance)
+        want = nested_dissection_ref(g, leaf_size=leaf_size, balance=balance)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("leaf_size", [1, 2, 64])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_nested_dissection_of_no_and_one_vertex(self, n, leaf_size):
+        g = AdjacencyGraph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        got = nested_dissection(g, leaf_size=leaf_size)
+        assert got.dtype == np.int64 and np.array_equal(got, np.arange(n))
+        assert np.array_equal(got, nested_dissection_ref(g, leaf_size=leaf_size))
 
     @given(patterns(), st.sampled_from([0, 0.1, 0.25, 1, 2]), st.booleans())
     @PROPERTY

@@ -16,6 +16,11 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
   once per source and stays inside the ancestor's panel; the index is built
   without a per-run ``searchsorted``, costs a bounded multiple of the
   factor's own bytes and a bounded number of pieces per run;
+* **the piece table only where it is read** — a source in the flat form has
+  no pieces (a pattern of flat sources builds none, on every lane), a large
+  source's pieces are the per-run loop's entry by entry, a storage of loose
+  panels commits a flat source run by run through the flat arrays, and a
+  serving session leaves nothing for its workers to build;
 * **the storage** — panels are F-contiguous views tiling one arena, copies
   come back arena-backed, a storage of loose panels still works;
 * **failures** — a non-SPD matrix raises the reference loop's pivot from
@@ -46,6 +51,7 @@ from repro.numeric import (
     update_workspace_entries,
 )
 from repro.numeric.procpool import ProcessPool, close_default_pools, factorize_process
+from repro.numeric.rl import _assemble, apply_run, park_runs
 from repro.solve import backward_solve, forward_solve
 from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, vector_stencil
 from repro.symbolic import relind
@@ -182,30 +188,14 @@ def _check_index(symb):
             want_dst = (offsets[p] + relrows[:, None] + colpos * m)[lower]
             want.append(sorted(zip(want_dst.tolist(), (rows + cols * b)[lower].tolist())))
 
-        pieces = index.pieces(s)
-        assert len(pieces) == len(runs)
-        written = []
-        for (p, k0, k1, relrows, colpos), (q, run_pieces), pairs in zip(runs, pieces, want):
-            assert p == q and run_pieces
-            m, w = symb.panel_shape(p)
-            got = []
-            for r0, r1, c0, c1, i0, i1, j0, j1 in run_pieces:
-                assert 0 <= r0 < r1 <= m and 0 <= c0 < c1 <= w, "outside the panel"
-                assert k0 <= i0 < i1 <= b and k0 <= j0 < j1 <= k1
-                assert i1 - 1 >= j0, "a piece wholly above the diagonal"
-                assert np.array_equal(relrows[i0 - k0 : i1 - k0], np.arange(r0, r1))
-                assert np.array_equal(colpos[j0 - k0 : j1 - k0], np.arange(c0, c1))
-                i, j = np.arange(i0, i1)[:, None], np.arange(j0, j1)
-                dst = offsets[p] + np.arange(r0, r1)[:, None] + np.arange(c0, c1) * m
-                written += dst.ravel().tolist()
-                got += zip(dst[i >= j].tolist(), (i + j * b)[i >= j].tolist())
-            assert sorted(got) == pairs
-        assert len(set(written)) == len(written), "pieces overlap"
-
         flat = index.flat[s]
         if flat is None:
             assert b == 0 or b * b > relind.FLAT_UPDATE_ENTRIES
+            _check_pieces(symb, index.pieces(s), runs, want, b)
             continue
+        # a source in the flat form has no piece table
+        with pytest.raises(ValueError, match=rf"source supernode {s} takes the flat form"):
+            index.pieces(s)
         assert 0 < b * b <= relind.FLAT_UPDATE_ENTRIES
         dst, src, bounds = flat
         assert dst.size == src.size == b * (b + 1) // 2
@@ -217,6 +207,35 @@ def _check_index(symb):
             assert (dst[f0:f1] >= offsets[p]).all() and (dst[f0:f1] < offsets[p + 1]).all()
         assert bounds[0][1] == 0 and bounds[-1][2] == dst.size
         assert all(a[2] == c[1] for a, c in zip(bounds, bounds[1:]))
+
+
+def _check_pieces(symb, pieces, runs, want, b):
+    """One block-form source's pieces against its reference runs."""
+    offsets = symb.panel_offsets()
+    assert len(pieces) == len(runs)
+    written = []
+    for (p, k0, k1, relrows, colpos), (q, run_pieces), pairs in zip(runs, pieces, want):
+        assert p == q and run_pieces
+        m, w = symb.panel_shape(p)
+        got = []
+        for r0, r1, c0, c1, i0, i1, j0, j1 in run_pieces:
+            assert 0 <= r0 < r1 <= m and 0 <= c0 < c1 <= w, "outside the panel"
+            assert k0 <= i0 < i1 <= b and k0 <= j0 < j1 <= k1
+            assert i1 - 1 >= j0, "a piece wholly above the diagonal"
+            assert np.array_equal(relrows[i0 - k0 : i1 - k0], np.arange(r0, r1))
+            assert np.array_equal(colpos[j0 - k0 : j1 - k0], np.arange(c0, c1))
+            i, j = np.arange(i0, i1)[:, None], np.arange(j0, j1)
+            dst = offsets[p] + np.arange(r0, r1)[:, None] + np.arange(c0, c1) * m
+            written += dst.ravel().tolist()
+            got += zip(dst[i >= j].tolist(), (i + j * b)[i >= j].tolist())
+        assert sorted(got) == pairs
+    assert len(set(written)) == len(written), "pieces overlap"
+
+
+def _mixed_cut(symb):
+    """A flat-form cut between the smallest and the largest update matrix."""
+    b = np.diff(symb.rowptr) - np.diff(symb.snptr)
+    return int(b[b > 0].min() ** 2 + b.max() ** 2) // 2
 
 
 class TestOneBodySameBits:
@@ -278,9 +297,8 @@ class TestOneBodySameBits:
         A = PATTERNS[pattern]()
         base = repro.plan(A)
         want = base.factorize(engine="rl", dtype=dtype).storage
-        if cut is None:  # between the smallest and the largest update matrix
-            b = np.diff(base.symb.rowptr) - np.diff(base.symb.snptr)
-            cut = int(b[b > 0].min() ** 2 + b.max() ** 2) // 2
+        if cut is None:
+            cut = _mixed_cut(base.symb)
         monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", cut)
         plan = repro.plan(A)
         index = assembly_index(plan.symb)
@@ -307,6 +325,120 @@ class TestOneBodySameBits:
         factor = plan.factorize(engine="rl")
         _assert_same_panels(factor.storage, want, "engine")
         assert np.linalg.norm(A.matvec(factor.solve(b)) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def _stretch_ref(values, base):
+    """``(v0, v1, k0, k1)`` of every maximal stretch of ``values`` stepping
+    by one, ``k`` counting from ``base``."""
+    out, start = [], 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[i - 1] + 1:
+            out.append((int(values[start]), int(values[i - 1]) + 1, base + start, base + i))
+            start = i
+    return out
+
+
+def _pieces_ref(symb, s):
+    """Source ``s``'s block form as the index built it for every source:
+    per reference run, (column stretch, row stretch) rectangles, columns
+    outer, the ones wholly above the diagonal left out."""
+    out = []
+    for p, k0, _, relrows, colpos in _reference_runs(symb, s):
+        rows, cols = _stretch_ref(relrows, k0), _stretch_ref(colpos, k0)
+        out.append((p, tuple((r0, r1, c0, c1, i0, i1, j0, j1)
+                             for c0, c1, j0, j1 in cols
+                             for r0, r1, i0, i1 in rows if i1 > j0)))
+    return tuple(out)
+
+
+class TestPieceTableOnlyWhereRead:
+    @pytest.mark.parametrize("engine", ["rl", "rlb", "rl_par"])
+    def test_all_flat_pattern_builds_no_piece(self, monkeypatch, engine):
+        A = grid_laplacian((12, 12))
+        base = repro.plan(A)
+        want = (base.factorize(engine="rlb").storage if engine == "rlb"
+                else _reference_rl(base.symb, base.system.matrix, np.float64))
+
+        def no_piece(*args):
+            raise AssertionError("a piece table was built")
+
+        monkeypatch.setattr(relind, "_stretches", no_piece)
+        plan = repro.plan(A)
+        index = assembly_index(plan.symb)
+        for s, targets in enumerate(index.targets):
+            assert (index.flat[s] is not None) == bool(targets)
+            if targets:
+                with pytest.raises(ValueError, match="takes the flat form"):
+                    index.pieces(s)
+        kwargs = {"workers": 2} if engine == "rl_par" else {}
+        got = plan.factorize(engine=engine, **kwargs).storage
+        assert got.arena is not None
+        _assert_same_panels(got, want, engine)
+
+    @pytest.mark.parametrize("cut", [None, "mixed"])
+    def test_block_form_is_the_per_run_loop_entry_by_entry(self, monkeypatch, cut):
+        A = PATTERNS["vec3d_wide"]()  # 4 dofs per grid point
+        if cut == "mixed":
+            monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", _mixed_cut(repro.plan(A).symb))
+        symb = repro.plan(A).symb
+        index = assembly_index(symb)
+        big = [s for s in range(symb.nsup) if index.flat[s] is None and index.targets[s]]
+        assert big and len(big) < symb.nsup
+        for s in big:
+            assert index.pieces(s) == _pieces_ref(symb, s)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("pattern", ["grid2d", "vec3d_wide", "kkt", "two_components"])
+    def test_loose_panels_commit_run_by_run(self, monkeypatch, pattern, dtype):
+        """No arena: whole sources and parked runs alike go through the flat
+        arrays one run at a time, with the reference loop's bits."""
+        A = PATTERNS[pattern]()
+        monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", _mixed_cut(repro.plan(A).symb))
+        plan = repro.plan(A)
+        symb, M = plan.symb, plan.system.matrix
+        index = assembly_index(symb)
+        want = _reference_rl(symb, M, dtype)
+        loose = [p.copy(order="F") for p in FactorStorage.from_matrix(symb, M, dtype=dtype).panels]
+        got = _public_bodies(symb, FactorStorage(symb, loose), False)
+        assert got.arena is None
+        _assert_same_panels(got, want, "whole sources")
+        loose = [p.copy(order="F") for p in FactorStorage.from_matrix(symb, M, dtype=dtype).panels]
+        storage = FactorStorage(symb, loose)
+        for s in range(symb.nsup):
+            factor_snode(symb, storage, s)
+            if not index.targets[s]:
+                continue
+            U = snode_update(symb, storage, s)
+            stay = len(index.targets[s]) // 2  # the first half at once, the rest parked
+            if stay:
+                _assemble(storage, index, s, U, stay)
+            parked = park_runs(storage, index, s, U, stay)
+            for r in range(stay, len(index.targets[s])):
+                apply_run(storage, index, s, r, parked, stay)
+        _assert_same_panels(storage, want, "parked runs")
+
+    @pytest.mark.parametrize("engine", ["rl", "rlb", "rl_par", "rlb_par", "rl_gpu",
+                                        "rlb_gpu_v2"])
+    def test_serve_leaves_nothing_for_a_worker_to_build(self, engine):
+        A = PATTERNS["vec3d_wide"]()  # both assembly forms, batched and per-pair RLB sources
+        plan = repro.plan(A)
+        symb = plan.symb
+
+        def lazy_state():
+            index = symb.cache().get("pair_index")
+            built = () if index is None else (
+                [x is None for x in index._blocks], [x is None for x in index._targets])
+            return sorted(symb.cache()), built
+
+        kwargs = {"workers": 2} if engine.endswith("_par") else {}
+        with plan.serve(engine=engine, **kwargs) as session:
+            warmed = lazy_state()
+            b = np.ones(A.n)
+            futures = [session.submit_solve(None, b) for _ in range(3)]
+            for future in futures:
+                x = future.result(timeout=60)
+                assert np.linalg.norm(A.matvec(x) - b) <= 1e-10 * np.linalg.norm(b)
+            assert lazy_state() == warmed
 
 
 class TestStorage:
@@ -445,15 +577,17 @@ class TestIndexCost:
         assert flat_nbytes <= 3 * FactorStorage.zeros(plan.symb).nbytes()
 
     @pytest.mark.parametrize("pattern, per_run", [
-        (PATTERNS["vec3d_wide"], 7),  # measured 90 pieces over 13 runs
-        (lambda: vector_stencil((10, 10, 10), 4, connectivity="box"), 12),  # 809 over 71
+        # measured over the block-form sources' runs: 4 pieces over 3, 778 over 65
+        (PATTERNS["vec3d_wide"], 7),
+        (lambda: vector_stencil((10, 10, 10), 4, connectivity="box"), 12),
     ], ids=["vec3d_wide", "refactor_vec3d_full"])
     def test_block_form_pieces_per_run_stay_bounded(self, pattern, per_run):
         """Every piece is one NumPy op per factorization: a rule that cut
         runs finer than consecutive rows × consecutive columns shows here."""
         symb = repro.plan(pattern()).symb
         index = assembly_index(symb)
-        runs = [run for s in range(symb.nsup) for run in index.pieces(s)]
+        runs = [run for s in range(symb.nsup) if index.flat[s] is None
+                for run in index.pieces(s)]
         assert sum(len(pieces) for _, pieces in runs) <= per_run * len(runs)
 
     def test_index_build_searches_once_not_per_run(self, monkeypatch):

@@ -140,6 +140,44 @@ class TestNestedDissection:
             assert is_permutation(nested_dissection(g, leaf_size=leaf),
                                   small_grid.n)
 
+    @pytest.mark.parametrize("leaf_size", ["x", 2.5, 8.0, None])
+    def test_non_integer_leaf_size_is_a_type_error(self, small_grid, leaf_size):
+        g = adjacency_from_matrix(small_grid)
+        with pytest.raises(TypeError, match="leaf_size must be an integer"):
+            nested_dissection(g, leaf_size=leaf_size)
+
+    @pytest.mark.parametrize("leaf_size", [0, -1, np.int64(-3)])
+    def test_leaf_size_below_one_is_a_value_error(self, small_grid, leaf_size):
+        g = adjacency_from_matrix(small_grid)
+        with pytest.raises(ValueError, match="leaf_size must be >= 1"):
+            nested_dissection(g, leaf_size=leaf_size)
+
+    @pytest.mark.parametrize("balance", ["x", None, 0.2j])
+    def test_non_real_balance_is_a_type_error(self, small_grid, balance):
+        g = adjacency_from_matrix(small_grid)
+        with pytest.raises(TypeError, match="balance must be a real number"):
+            nested_dissection(g, balance=balance)
+
+    @pytest.mark.parametrize("balance", [-1, -0.01, 0.6, 1, float("nan"), float("inf")])
+    def test_balance_outside_zero_half_is_a_value_error(self, small_grid, balance):
+        g = adjacency_from_matrix(small_grid)
+        with pytest.raises(ValueError, match=r"balance must be finite and in \[0, 0.5\]"):
+            nested_dissection(g, balance=balance)
+
+    def test_validated_at_the_door(self, small_grid):
+        # the bad argument is refused before any work, through every door
+        with pytest.raises(ValueError, match="leaf_size"):
+            order_matrix(small_grid, "nd", leaf_size=0)
+        with pytest.raises(ValueError, match="balance"):
+            repro.analyze(small_grid, ordering_kwargs={"balance": 0.6})
+
+    @pytest.mark.parametrize("leaf_size, balance",
+                             [(1, 0), (1, 0.5), (np.int64(4), np.float64(0.3))])
+    def test_bounds_are_accepted(self, small_grid, leaf_size, balance):
+        g = adjacency_from_matrix(small_grid)
+        perm = nested_dissection(g, leaf_size=leaf_size, balance=balance)
+        assert is_permutation(perm, small_grid.n)
+
     @given(st.integers(min_value=2, max_value=40), st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_always_a_permutation_property(self, n, seed):
