@@ -58,8 +58,10 @@ so every entry point below rejects the same requests with the same
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import time
+from collections import deque
 from concurrent.futures import Future
 
 import numpy as np
@@ -73,7 +75,7 @@ from .dense.kernels import (
 from .numeric.executor import StreamPool, _noop, _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
-from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
+from .numeric.storage import FactorStorage, ScatterPlan
 from .numeric.updown import _modification_plan, _run_atomic
 from .solve.refine import _RefinementChain, _check_refinement, refine, relative_residual
 from .solve.triangular import check_rhs, solve_in_place
@@ -81,7 +83,7 @@ from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
 from .symbolic.blocks import pair_index
-from .symbolic.levels import leaf_block, solve_shapes
+from .symbolic.levels import leaf_block
 from .symbolic.relind import assembly_index
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
@@ -166,6 +168,7 @@ class SymbolicPlan:
         self._system = system
         self._gather = None  # values → permuted values; computed on demand
         self._fingerprint = None
+        self._work = {}  # dtype -> free work storages (_work_storage)
         # pre-warm the panel scatter plan so every factorize is index-free
         ScatterPlan.get(system.symb, system.matrix)
 
@@ -269,6 +272,27 @@ class SymbolicPlan:
             return B
         return SymmetricCSC(B.n, B.indptr, B.indices, data[self.gather],
                             check=False)
+
+    @contextlib.contextmanager
+    def _work_storage(self, dtype):
+        """A work storage at ``dtype`` for ONE request whose factor never
+        leaves it (``docs/api.md``, "Storage lifetime"): popped from the
+        plan's free list — built, programs and leaf block, when all are in
+        use — and pushed back when the request ends, failed or not.  Deque
+        pop and append are atomic, so threads need no lock."""
+        dtype = np.dtype(dtype)
+        free = self._work.setdefault(dtype, deque())
+        try:
+            storage = free.pop()
+        except IndexError:
+            storage = FactorStorage.zeros(self.symb, dtype)
+            storage.factor_program()
+            storage.solve_program()
+            leaf_block(self.symb)
+        try:
+            yield storage
+        finally:
+            free.append(storage)
 
     # ------------------------------------------------------------------
     # numeric stage
@@ -785,9 +809,12 @@ class ServingSession:
             self._runner, self._engine_kwargs = spec, kwargs
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
-        # under the running row's bodies (a process row's whole DAG plan),
-        # the panel layout and the serial sweeps' shapes and leaf block
+        # under the running row's bodies (a process row's whole DAG plan)
+        # and the plan's first work storage, whose build reads the panel
+        # layout, the serial sweeps' shapes and the leaf block
         runner, symb = self._runner, plan.symb
+        with plan._work_storage(np.float64 if self._dtype is None else self._dtype):
+            pass
         if runner.backend == "process":
             dag_plan(symb, runner.granularity)
         elif runner.family == "rl":
@@ -799,9 +826,6 @@ class ServingSession:
                 for s in range(symb.nsup):
                     index.blocks(s)
                     index.targets(s)
-        _panel_layout(symb)
-        solve_shapes(symb)
-        leaf_block(symb)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")
@@ -885,8 +909,11 @@ class ServingSession:
         values are validated and gathered here, on the caller thread; the
         task factorizes them on a worker with the running row and, given
         ``answer``, resolves to ``answer(factor)`` computed right after,
-        in the same task.  ``dtype`` overrides the session's default factor
-        precision for this submission only."""
+        in the same task — in one of the plan's work storages
+        (:meth:`SymbolicPlan._work_storage`) when the row takes
+        ``storage=``, since that factor never leaves the task.  ``dtype``
+        overrides the session's default factor precision for this
+        submission only."""
         if self._closed:
             raise RuntimeError("serving session is closed")
         plan = self._plan
@@ -901,15 +928,23 @@ class ServingSession:
             kwargs = dict(kwargs, dtype=dt)
         t0 = time.perf_counter()
 
-        def request():
-            result = runner.fn(plan.symb, M, **kwargs)
+        def request(**work):
+            result = runner.fn(plan.symb, M, **kwargs, **work)
             result.extra["stream_index"] = index
             result.extra["wall_seconds"] = time.perf_counter() - t0
             factor = Factor(plan, result, matrix)
             return factor if answer is None else answer(factor)
 
+        body = request
+        if answer is not None and "storage" in runner.accepts:
+            work_dtype = np.float64 if dt is None else dt
+
+            def body():
+                with plan._work_storage(work_dtype) as storage:
+                    return request(storage=storage)
+
         future = Future()
-        self._enqueue(request, f"{label}:{index}", index, future)
+        self._enqueue(body, f"{label}:{index}", index, future)
         self._submitted += 1
         return future
 

@@ -97,7 +97,7 @@ from .executor import (
     range_tasks,
 )
 from .result import FactorizeResult
-from .storage import FactorStorage, ScatterPlan
+from .storage import FactorStorage
 
 __all__ = [
     "ProcessPool",
@@ -449,17 +449,6 @@ class ProcessPool:
         self._warm[key] = entry
         return entry
 
-    def _scatter(self, entry, A):
-        """Scatter ``A``'s values into the shared factor arena — the
-        :meth:`FactorStorage.from_matrix` assignment, preceded by the
-        clearing a fresh arena does not need.  Assigning fp64 values into
-        an fp32 arena rounds exactly like the explicit ``astype`` downcast,
-        so fp32 arenas start bit-identical to an fp32
-        :meth:`FactorStorage.from_matrix`."""
-        arena = entry.storage.arena
-        arena.fill(0.0)
-        arena[ScatterPlan.get(entry.symb, A).dst] = A.data
-
     # ------------------------------------------------------------------
     def run_job(self, symb, A, granularity, *, tracer=None, dtype=None):
         """Factorize one matrix on the pool.  Returns ``(storage,
@@ -472,7 +461,7 @@ class ProcessPool:
                 raise RuntimeError("process pool is closed")
             try:
                 entry = self._warm_entry(symb, granularity, dt)
-                self._scatter(entry, A)
+                entry.storage.refill(A)  # the shared arena, cleared and scattered
                 return self._drain(entry, tracer)
             except (ConnectionError, EOFError, WorkerDiedError) as exc:
                 # a send to / recv from a dead worker: this request fails

@@ -184,26 +184,32 @@ class FactorStorage:
     @classmethod
     def from_matrix(cls, symb, A, *, plan=None, dtype=None):
         """Initialise panels from the permuted matrix ``A`` (which must be
-        the matrix the symbolic factorization was computed for).
-
-        The positional scatter is driven by a :class:`ScatterPlan` cached on
-        ``symb`` (pass ``plan`` explicitly to bypass the cache), so repeated
-        same-pattern calls perform only one bulk value assignment.
+        the matrix the symbolic factorization was computed for): a
+        :meth:`zeros` storage, :meth:`refill`-ed.
 
         ``dtype`` selects the panel precision; ``None`` keeps the values'
         own (validated) dtype.  An explicit ``dtype`` different from the
         values' is the one sanctioned conversion (e.g. fp64 values into
         fp32 panels for the mixed-precision lane).
         """
-        if A.n != symb.n:
-            raise ValueError("matrix/symbolic dimension mismatch")
         data_dtype = check_dtype(A.data.dtype)
         storage = cls.zeros(symb, data_dtype if dtype is None else dtype)
-        if plan is None:
-            plan = ScatterPlan.get(symb, A)
+        return storage.refill(A, plan=plan, zeroed=True)
+
+    def refill(self, A, *, plan=None, zeroed=False):
+        """Zero the arena (unless it is: ``zeroed``), scatter the permuted
+        matrix ``A``'s values into it and return ``self``, views and programs
+        kept — how a plan's work storage serves request after request
+        (:meth:`repro.api.SymbolicPlan._work_storage`).  The scatter is the
+        :class:`ScatterPlan` cached on ``symb`` (or ``plan``): one bulk
+        value assignment, no index work."""
+        if A.n != self.symb.n:
+            raise ValueError("matrix/symbolic dimension mismatch")
+        if not zeroed:
+            self.arena.fill(0)
         # assigning fp64 values into an fp32 arena rounds exactly like astype
-        storage.arena[plan.dst] = A.data
-        return storage
+        self.arena[(plan or ScatterPlan.get(self.symb, A)).dst] = A.data
+        return self
 
     @classmethod
     def zeros(cls, symb, dtype=np.float64):

@@ -125,7 +125,10 @@ def plan_nbytes(plan, *, dtype=None):
     precision (``factor_nnz_dense() × itemsize``): a gateway entry keeps
     the pattern's latest served factor alive as the update base, and an
     fp32 serving lane holds half the panel bytes of an fp64 one — the
-    eviction ranking should see that difference.
+    eviction ranking should see that difference.  Beside it, ``dtype``
+    adds the arenas of the plan's free work storages at that precision
+    (:meth:`~repro.api.SymbolicPlan._work_storage`): a served plan holds at
+    least the one its session built, which every solve request borrows.
     """
     symb = plan.symb
     A = plan.matrix
@@ -133,7 +136,9 @@ def plan_nbytes(plan, *, dtype=None):
                                         symb.rowptr, symb.rows, symb.col2sn))
     total += int(A.indptr.nbytes) + int(A.indices.nbytes) + int(A.data.nbytes)
     if dtype is not None:
-        total += int(symb.factor_nnz_dense()) * np.dtype(dtype).itemsize
+        dtype = np.dtype(dtype)
+        arenas = len(plan._work.get(dtype, ())) * int(symb.panel_offsets()[-1])
+        total += (int(symb.factor_nnz_dense()) + arenas) * dtype.itemsize
     return total
 
 

@@ -282,6 +282,29 @@ def test_byte_budget_eviction(patterns):
     assert stats.cached_bytes <= int(nbytes * 1.5)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["fp64", "fp32"])
+def test_an_entry_counts_its_retained_factor_and_work_arena(patterns, dtype):
+    """A warm entry at a precision costs the pattern's arrays, ONE retained
+    factor's panels and the work arena its session built; requests served
+    one at a time borrow that arena and build no second."""
+    P = patterns[0]
+    values = sweep(P, 2)
+
+    async def go():
+        async with Gateway(workers=1, dtype=dtype) as gw:
+            for v in values:
+                await gw.submit(with_values(P, v), np.ones(P.n))
+            return gw.stats()
+
+    stats = run(go())
+    plan = repro.plan(P)
+    symb = plan.symb
+    itemsize = np.dtype(dtype).itemsize
+    assert plan_nbytes(plan, dtype=dtype) == plan_nbytes(plan) + symb.factor_nnz_dense() * itemsize
+    arena = int(symb.panel_offsets()[-1]) * itemsize
+    assert stats.cached_bytes == plan_nbytes(plan, dtype=dtype) + arena
+
+
 # ---------------------------------------------------------------------------
 # admission control: typed rejections fail only the offending request
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ class TestOneBody:
             )
             thread_run = range_tasks(symb, entry.storage, plan, {})
             assert state.run_task.__code__ is thread_run.__code__
-            procpool.ProcessPool._scatter(None, entry, M)
+            entry.storage.refill(M)
             count = Countdown(plan.indeg)
             run_in_random_order(
                 plan.ntasks, plan.roots, count.task(state.run_task, plan.children), random.Random(7)

@@ -16,14 +16,21 @@ twin there.  This module pins what that promises:
   cancellations leaves the gateway's counters, pins and bits whole;
 * a cancelled client cancels only its own request: not the analysis other
   clients of a cold pattern wait on, and a failed downdate not the update
-  racing it.
+  racing it;
+* a solve request factors in one of the plan's work storages: a second
+  request cuts no view, concurrent requests never share one, a failed one
+  leaves nothing stale, each dtype has its own.
 """
 
 import asyncio
+import contextlib
 import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.serving.gateway as gateway_module
@@ -33,6 +40,7 @@ from repro.numeric.storage import FactorStorage
 from repro.serving import Gateway, GatewayTimeout
 from repro.sparse import SymmetricCSC, grid_laplacian
 from repro.update import structured_update
+from tests.conftest import spd_from_pattern
 
 THREADS_ROWS = ("rl_par", "rlb_par")
 DTYPES = (np.float64, np.float32)
@@ -61,15 +69,16 @@ def _with(A, values):
 @pytest.fixture
 def factorizations(monkeypatch):
     """Every numeric factorization started while the test runs (each one
-    scatters its values into a new storage first)."""
+    scatters its values into a storage first, a new one or a plan's work
+    storage: :meth:`FactorStorage.refill`)."""
     started = []
-    real = FactorStorage.from_matrix.__func__
+    real = FactorStorage.refill
 
-    def counted(cls, symb, A, **kw):
+    def counted(self, A, **kw):
         started.append(threading.current_thread().name)
-        return real(cls, symb, A, **kw)
+        return real(self, A, **kw)
 
-    monkeypatch.setattr(FactorStorage, "from_matrix", classmethod(counted))
+    monkeypatch.setattr(FactorStorage, "refill", counted)
     return started
 
 
@@ -367,3 +376,140 @@ def test_an_indefinite_downdate_racing_an_update_keeps_the_base(matrix):
     assert np.array_equal(x, updated.solve(b))
     assert np.array_equal(x_next, updated.update(W2).solve(b))
     assert stats.updates == 2 and stats.in_flight == 0
+
+
+# ---------------------------------------------------------------------------
+# work storages: a solve request borrows one of its plan's
+# ---------------------------------------------------------------------------
+def _direct(plan, values, b, dtype=np.float64, refine=False, engine="rl"):
+    factor = plan.factorize(values, engine=engine, dtype=dtype)
+    if refine:
+        return factor.solve_refined(b, tol=1e-13, stall_ratio=None, fallback=False)
+    return factor.solve(b)
+
+
+def _pool(plan, dtype=np.float64):
+    return plan._work.get(np.dtype(dtype), ())
+
+
+class TestWorkStorage:
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("name", ["rl", "rlb", *THREADS_ROWS])
+    def test_a_second_request_cuts_no_view(self, matrix, name, dtype, monkeypatch):
+        """The session builds the plan's first work storage; after it, no
+        solve request cuts a panel view or builds a program."""
+        plan = repro.plan(matrix)
+        cuts = []
+        panels = FactorStorage.panels.fget
+
+        def spy_panels(storage):
+            if storage._panels is None:
+                cuts.append("panels")
+            return panels(storage)
+
+        monkeypatch.setattr(FactorStorage, "panels", property(spy_panels))
+        for builder in ("factor_program", "solve_program"):
+            real = getattr(FactorStorage, builder)
+
+            def spy(storage, real=real, builder=builder):
+                if getattr(storage, f"_{builder}") is None:
+                    cuts.append(builder)
+                return real(storage)
+
+            monkeypatch.setattr(FactorStorage, builder, spy)
+        b = np.ones(plan.n)
+        with plan.serve(engine=name, dtype=dtype) as session:
+            assert sorted(cuts) == ["factor_program", "panels", "solve_program"]
+            cuts.clear()
+            xs = [session.submit_solve(_values(matrix, k), b, refine=k == 1).result(timeout=60)
+                  for k in range(3)]
+        assert cuts == [] and len(_pool(plan, dtype)) == 1
+        for k, x in enumerate(xs):
+            want = _direct(plan, _values(matrix, k), b, dtype, k == 1, serial_twin(name))
+            assert np.array_equal(x, want)
+
+    def test_concurrent_requests_never_share_a_storage(self, matrix, monkeypatch):
+        """One request holds its work storage while a second runs: the
+        second builds its own, and both answers are the direct bits."""
+        plan = repro.plan(matrix)
+        held, release, seen = threading.Event(), threading.Event(), []
+        b = np.cos(np.arange(plan.n))
+        with plan.serve(engine="rlb_par", workers=2) as session:
+            borrow = plan._work_storage
+
+            @contextlib.contextmanager
+            def holding(dtype):
+                with borrow(dtype) as storage:
+                    seen.append(storage)
+                    if len(seen) == 1:
+                        held.set()
+                        assert release.wait(60)
+                    yield storage
+
+            monkeypatch.setattr(plan, "_work_storage", holding)
+            first = session.submit_solve(_values(matrix, 1), b)
+            assert held.wait(60)
+            second = session.submit_solve(_values(matrix, 2), b).result(timeout=60)
+            assert not first.done()
+            release.set()
+            first = first.result(timeout=60)
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert not np.shares_memory(seen[0].arena, seen[1].arena)
+        assert {id(s) for s in _pool(plan)} == {id(s) for s in seen}
+        assert np.array_equal(first, _direct(plan, _values(matrix, 1), b, engine="rlb"))
+        assert np.array_equal(second, _direct(plan, _values(matrix, 2), b, engine="rlb"))
+
+    @pytest.mark.parametrize("name", ["rl", "rlb"])
+    def test_a_failed_request_leaves_nothing_stale(self, matrix, name):
+        """An indefinite matrix fails midway through the work storage; the
+        storage goes back, and the next request on it is the direct bits."""
+        plan = repro.plan(matrix)
+        indefinite = _values(matrix, 0)
+        indefinite[matrix.indptr[:-1]] -= 6.0  # inside the Laplacian's spectrum
+        b = np.ones(plan.n)
+        with plan.serve(engine=name) as session:
+            (storage,) = _pool(plan)
+            with pytest.raises(repro.NotPositiveDefiniteError):
+                session.submit_solve(indefinite, b).result(timeout=60)
+            assert tuple(_pool(plan)) == (storage,) and storage.arena.any()
+            x = session.submit_solve(_values(matrix, 3), b).result(timeout=60)
+        assert tuple(_pool(plan)) == (storage,)
+        want = plan.factorize(_values(matrix, 3), engine=name)
+        assert np.array_equal(storage.arena, want.storage.arena)
+        assert np.array_equal(x, want.solve(b))
+
+    def test_each_dtype_has_its_own_pool(self, matrix):
+        plan = repro.plan(matrix)
+        b = np.sin(np.arange(plan.n))
+        with plan.serve(engine="rl_par", workers=2) as session:
+            for k in range(2):
+                for dtype in DTYPES:
+                    for refine in (False, True):
+                        x = session.submit_solve(_values(matrix, k), b, dtype=dtype,
+                                                 refine=refine, tol=1e-13).result(timeout=60)
+                        want = _direct(plan, _values(matrix, k), b, dtype, refine)
+                        assert np.array_equal(x, want), (k, dtype, refine)
+        (f64,), (f32,) = _pool(plan, np.float64), _pool(plan, np.float32)
+        assert f64.dtype == np.float64 and f32.dtype == np.float32
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(2, 40), density=st.floats(0.02, 0.6),
+           seed=st.integers(0, 2**16), rlb=st.booleans(), fp32=st.booleans(),
+           scales=st.lists(st.floats(1.0, 4.0), min_size=2, max_size=4))
+    def test_reuse_is_the_direct_bits(self, n, density, seed, rlb, fp32, scales):
+        """Random SPD patterns, each request's values a new scaling of the
+        diagonal: every answer out of the reused storage is the direct
+        door's."""
+        pattern = sp.random(n, n, density=density, random_state=seed, format="csr")
+        A = spd_from_pattern(pattern.toarray() != 0)
+        plan = repro.plan(A)
+        name, dtype = ("rlb" if rlb else "rl"), (np.float32 if fp32 else np.float64)
+        b = np.cos(np.arange(n) + seed)
+        with plan.serve(engine=name, dtype=dtype) as session:
+            for k, scale in enumerate(scales):
+                values = A.data.copy()
+                values[A.indptr[:-1]] *= scale
+                refine = k % 2 == 1
+                x = session.submit_solve(values, b, refine=refine, tol=1e-13).result(timeout=60)
+                assert np.array_equal(x, _direct(plan, values, b, dtype, refine, name))
+        assert len(_pool(plan, dtype)) == 1
