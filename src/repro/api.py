@@ -75,7 +75,7 @@ from .dense.kernels import (
 from .numeric.executor import StreamPool, _noop, _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
-from .numeric.storage import FactorStorage, ScatterPlan
+from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
 from .numeric.updown import _modification_plan, _run_atomic
 from .solve.refine import _RefinementChain, _check_refinement, refine, relative_residual
 from .solve.triangular import check_rhs, solve_in_place
@@ -83,7 +83,7 @@ from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
 from .symbolic.blocks import pair_index
-from .symbolic.levels import leaf_block
+from .symbolic.levels import leaf_block, solve_shapes
 from .symbolic.relind import assembly_index
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
@@ -809,12 +809,18 @@ class ServingSession:
             self._runner, self._engine_kwargs = spec, kwargs
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
-        # under the running row's bodies (a process row's whole DAG plan)
-        # and the plan's first work storage, whose build reads the panel
-        # layout, the serial sweeps' shapes and the leaf block
+        # under the running row's bodies (a process row's whole DAG plan),
+        # the panel layout and the serial sweeps' shapes and leaf block —
+        # on a row that borrows work storages, the plan's first one, whose
+        # build reads all three
         runner, symb = self._runner, plan.symb
-        with plan._work_storage(np.float64 if self._dtype is None else self._dtype):
-            pass
+        if self.borrows_work:
+            with plan._work_storage(np.float64 if self._dtype is None else self._dtype):
+                pass
+        else:
+            _panel_layout(symb)
+            solve_shapes(symb)
+            leaf_block(symb)
         if runner.backend == "process":
             dag_plan(symb, runner.granularity)
         elif runner.family == "rl":
@@ -851,6 +857,13 @@ class ServingSession:
         :class:`Factor` names the engine that ran: a threaded row's serial
         twin)."""
         return self._spec.name
+
+    @property
+    def borrows_work(self):
+        """Whether a ``submit_solve`` factors in one of the plan's work
+        storages: on the rows that run a registry ``into`` body — ``rl``,
+        ``rlb`` and the threads rows, which serve them."""
+        return self._runner.into is not None
 
     @property
     def submitted(self):
@@ -909,11 +922,10 @@ class ServingSession:
         values are validated and gathered here, on the caller thread; the
         task factorizes them on a worker with the running row and, given
         ``answer``, resolves to ``answer(factor)`` computed right after,
-        in the same task — in one of the plan's work storages
-        (:meth:`SymbolicPlan._work_storage`) when the row takes
-        ``storage=``, since that factor never leaves the task.  ``dtype``
-        overrides the session's default factor precision for this
-        submission only."""
+        in the same task — in one of the plan's work storages when the
+        session :attr:`borrows_work`, since that factor never leaves the
+        task.  ``dtype`` overrides the session's default factor precision
+        for this submission only."""
         if self._closed:
             raise RuntimeError("serving session is closed")
         plan = self._plan
@@ -924,24 +936,26 @@ class ServingSession:
         matrix = plan._original_matrix(data)  # copies: the Factor owns it
         M = plan._permuted_matrix(data)
         runner, kwargs = self._runner, self._engine_kwargs
-        if dt is not None:
-            kwargs = dict(kwargs, dtype=dt)
         t0 = time.perf_counter()
 
-        def request(**work):
-            result = runner.fn(plan.symb, M, **kwargs, **work)
+        def finish(result):
             result.extra["stream_index"] = index
             result.extra["wall_seconds"] = time.perf_counter() - t0
             factor = Factor(plan, result, matrix)
             return factor if answer is None else answer(factor)
 
-        body = request
-        if answer is not None and "storage" in runner.accepts:
-            work_dtype = np.float64 if dt is None else dt
+        if answer is not None and self.borrows_work:
+            work_dtype = np.float64 if dt is None else dt  # the values are fp64
 
             def body():
                 with plan._work_storage(work_dtype) as storage:
-                    return request(storage=storage)
+                    return finish(runner.into(storage.refill(M), **kwargs))
+        else:
+            if dt is not None:
+                kwargs = dict(kwargs, dtype=dt)
+
+            def body():
+                return finish(runner.fn(plan.symb, M, **kwargs))
 
         future = Future()
         self._enqueue(body, f"{label}:{index}", index, future)

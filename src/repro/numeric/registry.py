@@ -50,9 +50,9 @@ from typing import Callable
 from ..dense.kernels import check_dtype
 from .executor import _FAMILY, factorize_executor
 from .procpool import factorize_process
-from .rl import factorize_rl_cpu
+from .rl import _factorize_rl_in, factorize_rl_cpu
 from .rl_gpu import factorize_rl_gpu
-from .rlb import factorize_rlb_cpu
+from .rlb import _factorize_rlb_in, factorize_rlb_cpu
 from .rlb_gpu import factorize_rlb_gpu, factorize_rlb_gpu_v1
 
 __all__ = [
@@ -78,7 +78,9 @@ class EngineSpec:
     ``"threads"`` | ``"gpu"`` | ``"process"`` (see the module docstring).
     ``accepts`` — the option names a caller may pass — is computed from
     ``fn``'s signature: every parameter after ``(symb, A)`` that ``fixed``
-    does not already bind.
+    does not already bind.  ``into(storage, **options)``, on the serial
+    rows only and never a caller's option, runs the engine on a storage
+    already holding the values (a served request's work storage).
     """
 
     name: str
@@ -87,6 +89,7 @@ class EngineSpec:
     family: str | None = None
     backend: str = "serial"
     description: str = ""
+    into: Callable | None = None
     accepts: frozenset = field(init=False)
 
     def __post_init__(self):
@@ -100,17 +103,19 @@ class EngineSpec:
         return _GRANULARITY.get(self.family)
 
 
-def _row(name, fn, family, backend, description, **fixed):
+def _row(name, fn, family, backend, description, into=None, **fixed):
     """A table row; the DAG callables are bound to the family's
     granularity."""
     if "granularity" in inspect.signature(fn).parameters:
         fixed["granularity"] = _GRANULARITY[family]
-    return EngineSpec(name, fn, fixed, family, backend, description)
+    return EngineSpec(name, fn, fixed, family, backend, description, into)
 
 
 _ROWS = (
-    _row("rl", factorize_rl_cpu, "rl", "serial", "right-looking, full update matrix"),
-    _row("rlb", factorize_rlb_cpu, "rlb", "serial", "right-looking blocked, in-place updates"),
+    _row("rl", factorize_rl_cpu, "rl", "serial", "right-looking, full update matrix",
+         into=_factorize_rl_in),
+    _row("rlb", factorize_rlb_cpu, "rlb", "serial", "right-looking blocked, in-place updates",
+         into=_factorize_rlb_in),
     _row("rl_par", factorize_executor, "rl", "threads", "coarse DAG on worker threads"),
     _row("rlb_par", factorize_executor, "rlb", "threads", "fine DAG on worker threads"),
     _row("rl_gpu", factorize_rl_gpu, "rl", "gpu", "RL offload (Table I): per-supernode loop"),

@@ -201,7 +201,7 @@ def apply_run(storage, index, s, r, parked, stay=0):
     panel[row, col] -= values
 
 
-def factorize_rl_cpu(symb, A, *, machine=None, dtype=None, storage=None):
+def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):
     """CPU-only RL factorization.
 
     The numerics run here; the modeled time for every MKL thread count the
@@ -209,13 +209,14 @@ def factorize_rl_cpu(symb, A, *, machine=None, dtype=None, storage=None):
     protocol; assembly loops are OpenMP-parallel, §III) is the pattern's
     :func:`~repro.numeric.result.cpu_cost`, priced on first read, once.
     ``dtype`` selects the factor precision (``None`` keeps the values').
-    ``storage`` is an arena-backed storage of ``symb`` (its dtype wins) to
-    :meth:`~repro.numeric.storage.FactorStorage.refill` and factor into.
     """
-    if storage is None:
-        storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    else:
-        storage.refill(A)
+    return _factorize_rl_in(FactorStorage.from_matrix(symb, A, dtype=dtype), machine=machine)
+
+
+def _factorize_rl_in(storage, *, machine=None):
+    """:func:`factorize_rl_cpu` on a storage already holding the permuted
+    values: a fresh one, or a served request's work storage."""
+    symb = storage.symb
     index = assembly_index(symb)
     routines = dk.factor_routines(storage.dtype)
     for s, entry in enumerate(storage.factor_program()):

@@ -204,20 +204,21 @@ def run_pair_range(storage, index, lo, hi, plan=None, leave=None):
             pair_updates(storage, index, s, rect, routines, plan, leave)
 
 
-def factorize_rlb_cpu(symb, A, *, machine=None, dtype=None, storage=None):
+def factorize_rlb_cpu(symb, A, *, machine=None, dtype=None):
     """CPU-only RLB factorization (direct in-place updates, no assembly).
 
     As with RL, the modeled time for all MKL thread counts is the
     pattern's :func:`~repro.numeric.result.cpu_cost`, priced on first
     read; RLB's cost profile differs from RL's by many smaller BLAS calls
     and the absence of the assembly pass.
-    ``dtype`` selects the factor precision (``None`` keeps the values');
-    ``storage`` is one to factor into, as for RL.
+    ``dtype`` selects the factor precision (``None`` keeps the values').
     """
-    if storage is None:
-        storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
-    else:
-        storage.refill(A)
-    index = pair_index(symb)
-    run_pair_range(storage, index, 0, symb.nsup)
+    return _factorize_rlb_in(FactorStorage.from_matrix(symb, A, dtype=dtype), machine=machine)
+
+
+def _factorize_rlb_in(storage, *, machine=None):
+    """:func:`factorize_rlb_cpu` on a storage that already holds the
+    permuted matrix's values, as :func:`~repro.numeric.rl._factorize_rl_in`."""
+    index = pair_index(storage.symb)
+    run_pair_range(storage, index, 0, storage.symb.nsup)
     return serial_result("rlb", storage, machine, block_pairs=index.npairs)

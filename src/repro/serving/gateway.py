@@ -110,7 +110,7 @@ class NoBaseFactorError(LookupError):
     full :meth:`Gateway.submit` (without ``b``) on the fingerprint first."""
 
 
-def plan_nbytes(plan, *, dtype=None):
+def plan_nbytes(plan, *, dtype=None, work_arena=False):
     """Byte-budget heuristic for one warm :class:`~repro.api.SymbolicPlan`.
 
     Counts the pattern-describing arrays a cached plan keeps alive: the
@@ -125,10 +125,11 @@ def plan_nbytes(plan, *, dtype=None):
     precision (``factor_nnz_dense() × itemsize``): a gateway entry keeps
     the pattern's latest served factor alive as the update base, and an
     fp32 serving lane holds half the panel bytes of an fp64 one — the
-    eviction ranking should see that difference.  Beside it, ``dtype``
-    adds the arenas of the plan's free work storages at that precision
-    (:meth:`~repro.api.SymbolicPlan._work_storage`): a served plan holds at
-    least the one its session built, which every solve request borrows.
+    eviction ranking should see that difference.  With ``dtype``,
+    ``work_arena`` adds ONE work storage's arena at that precision: the one
+    a session that :attr:`~repro.api.ServingSession.borrows_work` builds
+    when it opens.  The gateway counts an entry once, at install, so the
+    arenas that requests in flight at once build later are not counted.
     """
     symb = plan.symb
     A = plan.matrix
@@ -136,9 +137,10 @@ def plan_nbytes(plan, *, dtype=None):
                                         symb.rowptr, symb.rows, symb.col2sn))
     total += int(A.indptr.nbytes) + int(A.indices.nbytes) + int(A.data.nbytes)
     if dtype is not None:
-        dtype = np.dtype(dtype)
-        arenas = len(plan._work.get(dtype, ())) * int(symb.panel_offsets()[-1])
-        total += (int(symb.factor_nnz_dense()) + arenas) * dtype.itemsize
+        panels = int(symb.factor_nnz_dense())
+        if work_arena:
+            panels += int(symb.panel_offsets()[-1])
+        total += panels * np.dtype(dtype).itemsize
     return total
 
 
@@ -488,8 +490,8 @@ class Gateway:
                              threshold=self._threshold, dtype=self._dtype,
                              pool=self._pool,
                              tracer=self._tracer, trace_origin=self._origin)
-        entry = _CacheEntry(fp, plan, session,
-                            plan_nbytes(plan, dtype=self._dtype))
+        entry = _CacheEntry(fp, plan, session, plan_nbytes(
+            plan, dtype=self._dtype, work_arena=session.borrows_work))
         self._cache[fp] = entry
         self._cached_bytes += entry.nbytes
         self._evict(keep=fp)

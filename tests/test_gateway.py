@@ -300,9 +300,25 @@ def test_an_entry_counts_its_retained_factor_and_work_arena(patterns, dtype):
     plan = repro.plan(P)
     symb = plan.symb
     itemsize = np.dtype(dtype).itemsize
-    assert plan_nbytes(plan, dtype=dtype) == plan_nbytes(plan) + symb.factor_nnz_dense() * itemsize
+    factor = plan_nbytes(plan, dtype=dtype)
+    assert factor == plan_nbytes(plan) + symb.factor_nnz_dense() * itemsize
     arena = int(symb.panel_offsets()[-1]) * itemsize
-    assert stats.cached_bytes == plan_nbytes(plan, dtype=dtype) + arena
+    assert plan_nbytes(plan, dtype=dtype, work_arena=True) == factor + arena
+    assert stats.cached_bytes == factor + arena
+
+
+def test_an_entry_on_a_row_that_owns_its_storage_counts_no_work_arena(patterns):
+    """A gpu row's requests factor into a storage of their own, so its
+    entry costs the pattern's arrays and the retained factor only."""
+    P = patterns[0]
+
+    async def go():
+        async with Gateway(engine="rl_gpu", workers=1, dtype=np.float64) as gw:
+            await gw.submit(with_values(P, sweep(P, 1)[0]), np.ones(P.n))
+            return gw.stats()
+
+    stats = run(go())
+    assert stats.cached_bytes == plan_nbytes(repro.plan(P), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,31 @@ class TestWorkStorage:
         (f64,), (f32,) = _pool(plan, np.float64), _pool(plan, np.float32)
         assert f64.dtype == np.float64 and f32.dtype == np.float32
 
+    @pytest.mark.parametrize("name", ["rl", "rlb", *THREADS_ROWS])
+    def test_no_door_takes_a_storage(self, matrix, name):
+        """A work storage is private to a served request: no door lets a
+        caller hand one in, so no factor it returns shares an arena."""
+        plan = repro.plan(matrix)
+        s = FactorStorage.zeros(plan.symb)
+        for door in (lambda: plan.factorize(engine=name, storage=s),
+                     lambda: plan.factorize_batch([None], engine=name, storage=s),
+                     lambda: plan.serve(engine=name, storage=s)):
+            with pytest.raises(ValueError, match="storage= is not accepted"):
+                door()
+        assert not plan._work
+
+    @pytest.mark.parametrize("name", ["rl_gpu", "rlb_gpu_v2", "rl_proc"])
+    def test_rows_that_own_their_storage_keep_no_work_storage(self, matrix, name):
+        """The gpu and process rows factor into a storage of their own, so
+        their sessions build and keep no work storage."""
+        plan = repro.plan(matrix)
+        b = np.ones(plan.n)
+        with plan.serve(engine=name) as session:
+            assert not session.borrows_work
+            x = session.submit_solve(_values(matrix, 1), b).result(timeout=60)
+        assert not any(plan._work.values())
+        assert np.array_equal(x, _direct(plan, _values(matrix, 1), b, engine=serial_twin(name)))
+
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(2, 40), density=st.floats(0.02, 0.6),
            seed=st.integers(0, 2**16), rlb=st.booleans(), fp32=st.booleans(),
