@@ -83,7 +83,7 @@ from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
 from .symbolic.blocks import pair_index
-from .symbolic.levels import leaf_block, solve_shapes
+from .symbolic.levels import leaf_block, path_tables, solve_shapes
 from .symbolic.relind import assembly_index
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
@@ -611,7 +611,10 @@ class Factor:
 
         Copy-on-write: only the panels of supernodes on the merged
         elimination-tree path union are copied; every untouched panel is
-        *shared* with this factor, which stays valid and unmodified.  Each
+        *shared* with this factor, which stays valid and unmodified, and
+        read through the arena at the bottom of the update chain
+        (:meth:`~repro.numeric.storage.FactorStorage.derived`), so a solve
+        re-cuts only the copied panels' views.  Each
         column of ``W`` must satisfy the no-new-fill containment condition
         (``ValueError`` otherwise — use :meth:`apply` to fall back to a
         refactorize automatically).  A downdate that destroys positive
@@ -635,10 +638,7 @@ class Factor:
         mod.require_contained()
         storage = self.storage
         if mod.roots:
-            panels = list(storage.panels)
-            for s in mod.snodes.tolist():
-                panels[s] = panels[s].copy(order="F")
-            storage = FactorStorage(storage.symb, panels)
+            storage = FactorStorage.derived(storage, mod.snodes)
             # the sweep runs on private copies; a failure discards the
             # whole candidate storage, so the atomicity snapshot is moot
             _run_atomic(storage, Wp, mod, downdate, snapshot=False)
@@ -810,10 +810,11 @@ class ServingSession:
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
         # under the running row's bodies (a process row's whole DAG plan),
-        # the panel layout and the serial sweeps' shapes and leaf block —
-        # on a row that borrows work storages, the plan's first one, whose
-        # build reads all three
+        # the update path's walk tables, the panel layout and the serial
+        # sweeps' shapes and leaf block — on a row that borrows work
+        # storages, the plan's first one, whose build reads all three
         runner, symb = self._runner, plan.symb
+        path_tables(symb)
         if self.borrows_work:
             with plan._work_storage(np.float64 if self._dtype is None else self._dtype):
                 pass

@@ -22,10 +22,13 @@ factor with one index array instead of one per panel: the value scatter is
 buffer: :meth:`FactorStorage.from_matrix` allocates one (a private mapping
 of its own once it is large, ``_MAPPED_ARENA_BYTES``), the process pool
 puts one in shared memory (:meth:`FactorStorage.over`) — the same class
-either way.  A storage assembled from loose panels (``FactorStorage(symb,
-panels)``, the copy-on-write shape :meth:`repro.api.Factor.update` builds
-from shared and copied panels) has ``arena is None`` and is addressed panel
-by panel.
+either way.  A storage of loose panels (``FactorStorage(symb, panels)``)
+has ``arena is None`` and is addressed panel by panel.  So has the
+copy-on-write storage :meth:`repro.api.Factor.update` builds
+(:meth:`FactorStorage.derived`), but it reads through its *root*, the
+arena-backed storage at the bottom of its update chain: only its private
+path panels are its own.  Every storage cuts one set of views: a solve
+program takes the factor program's panels and rectangles when there is one.
 
 Scattering the input matrix into this layout is a hot path for repeated
 factorizations, so the index arithmetic lives in a reusable
@@ -142,13 +145,38 @@ def _panel_layout(symb):
     return layout
 
 
+def _factor_entry(layout, panel):
+    """The :meth:`FactorStorage.factor_program` entry of ``panel`` with
+    layout ``(m, w, offset)``: the one place views of a panel are cut."""
+    m, w, _ = layout
+    if m > w:
+        return m, w, m - w, panel, panel[:w, :w], panel[w:, :w]
+    return m, w, 0, panel, panel, None
+
+
+def _solve_entry(shape, panel):
+    """The :meth:`FactorStorage.solve_program` entry of ``panel`` with solve
+    shape ``(first, last, w, below)``, for a panel no factor program entry
+    has cut views of (a derived storage's copies, a never-factorized storage)."""
+    first, last, w, below = shape
+    return first, last, w, panel, panel[w:] if below.size else None, below
+
+
+def _patched(entries, fresh):
+    """``entries`` (per supernode) as a list with ``fresh[s]`` at each ``s``."""
+    entries = list(entries)
+    for s, entry in fresh.items():
+        entries[s] = entry
+    return entries
+
+
 class FactorStorage:
     """Dense supernode panels of a (being-)factorized matrix.
 
     Create with :meth:`from_matrix` to scatter the permuted input's values
     into the symbolic structure (explicit zeros where amalgamation padded).
     ``arena`` is the flat array every panel is a view of (module docstring),
-    or ``None`` for a storage built from loose ``panels``.
+    or ``None`` for a storage of loose ``panels`` or :meth:`derived`.
     """
 
     def __init__(self, symb, panels=None, *, arena=None):
@@ -157,19 +185,40 @@ class FactorStorage:
         self._panels = panels
         self._solve_program = None
         self._factor_program = None
+        self._root = self._over = None  # derived(): the root, supernode -> private panel
+
+    @classmethod
+    def derived(cls, base, copied):
+        """Copy-on-write of ``base``: private copies of the ``copied``
+        supernodes' panels, ``base``'s everywhere else.  Its root is
+        ``base`` when arena-backed, else ``base``'s root, whose copies it
+        merges: a chain of updates has one root.  A rootless ``base`` (an
+        unpickled derived storage) gives loose panels."""
+        root = base if base.arena is not None else base._root
+        fresh = {s: base.panel(s).copy(order="F") for s in copied}
+        if root is None:
+            return cls(base.symb, _patched(base.panels, fresh))
+        storage = cls(base.symb)
+        storage._root, storage._over = root, {**(base._over or {}), **fresh}
+        return storage
 
     @property
     def panels(self):
         """The per-supernode ``(m, w)`` panels; for an arena-backed storage
         they are views cut on first use (a storage that is only scattered
-        into or copied whole never pays for them)."""
+        into or copied whole never pays for them), for a derived one the
+        root's with the private copies in place."""
         panels = self._panels
         if panels is None:
-            arena = self.arena
-            panels = self._panels = [
-                arena[off : off + m * w].reshape((m, w), order="F")
-                for m, w, off in _panel_layout(self.symb)
-            ]
+            if self._root is not None:
+                panels = _patched(self._root.panels, self._over)
+            else:
+                arena = self.arena
+                panels = [
+                    arena[off : off + m * w].reshape((m, w), order="F")
+                    for m, w, off in _panel_layout(self.symb)
+                ]
+            self._panels = panels
         return panels
 
     @classmethod
@@ -222,6 +271,8 @@ class FactorStorage:
         """The panels' dtype (float64 unless the factor is fp32)."""
         if self.arena is not None:
             return self.arena.dtype
+        if self._root is not None:
+            return self._root.dtype
         return self.panels[0].dtype if self.panels else np.dtype(np.float64)
 
     @property
@@ -245,20 +296,20 @@ class FactorStorage:
         """
         prog = self._factor_program
         if prog is None:
-            prog = self._factor_program = tuple(
-                (m, w, m - w, panel, panel[:w, :w], panel[w:, :w])
-                if m > w
-                else (m, w, 0, panel, panel, None)
-                for (m, w, _), panel in zip(_panel_layout(self.symb), self.panels)
-            )
+            prog = map(_factor_entry, _panel_layout(self.symb), self.panels)
+            prog = self._factor_program = tuple(prog)
         return prog
 
     def solve_program(self):
         """Per supernode ``(first, last, w, panel, rect, below)`` — what the
         triangular sweeps read (:mod:`repro.solve.triangular`): the
         pattern-static :func:`~repro.symbolic.levels.solve_shapes` entry
-        plus this storage's panel and its below-diagonal rectangle
-        ``panel[w:]`` (``None`` when there are no below rows).
+        plus the panel and its below-diagonal rectangle ``panel[w:]``
+        (``None`` when there are no below rows) — the :meth:`factor_program`
+        entry's own views when it was built (``panel[w:, :w]`` is
+        ``panel[w:]``: a panel has ``w`` columns), so a factorized storage
+        cuts no view twice.  A derived storage's is its root's, only the
+        copied supernodes' entries cut anew.
 
         Built on first use and kept: nothing rebinds ``panels[s]`` (engines
         and in-place updates write *into* the arrays, a copy-on-write
@@ -267,31 +318,50 @@ class FactorStorage:
         """
         prog = self._solve_program
         if prog is None:
-            prog = self._solve_program = tuple(
-                (first, last, w, panel, panel[w:] if below.size else None, below)
-                for (first, last, w, below), panel in zip(solve_shapes(self.symb), self.panels)
-            )
+            shapes, entries = solve_shapes(self.symb), self._factor_program
+            if self._root is not None:
+                fresh = {s: _solve_entry(shapes[s], p) for s, p in self._over.items()}
+                prog = _patched(self._root.solve_program(), fresh)
+            elif entries is not None:
+                prog = ((first, last, w, e[3], e[5], below)
+                        for (first, last, w, below), e in zip(shapes, entries))
+            else:
+                prog = map(_solve_entry, shapes, self.panels)
+            prog = self._solve_program = tuple(prog)
         return prog
 
     def leaf_values(self, block, dtype=np.float64):
         """The values at ``block.pos`` (:class:`~repro.symbolic.levels.LeafBlock`)
         in the sweep's work ``dtype`` (an fp32 factor under a float64 buffer
         is upcast exactly), gathered *now*: nothing is kept that an in-place
-        update could leave stale.  A loose-panel storage gathers from its
-        member panels laid back to back (``block.loose_pos``)."""
+        update could leave stale.  A derived storage gathers from its root's
+        arena and overwrites the values of its copied members
+        (``block.owner``) from their own panels; a loose-panel storage
+        gathers from its member panels laid back to back
+        (``block.loose_pos``)."""
         if self.arena is not None:
             values = self.arena[block.pos]
+        elif self._root is not None:
+            values = self._root.arena[block.pos]
+            copied = np.zeros(self.symb.nsup, dtype=bool)
+            copied[list(self._over)] = True
+            at, offsets = np.flatnonzero(copied[block.owner]), self.symb.panel_offsets()
+            for s in np.unique(block.owner[at]).tolist():
+                sel = at[block.owner[at] == s]
+                values[sel] = self._over[s].ravel(order="F")[block.pos[sel] - offsets[s]]
         else:
             flat = [self.panels[s].ravel(order="F") for s in block.members.tolist()]
             values = np.concatenate(flat)[block.loose_pos]
         return values.astype(dtype, copy=False)
 
     def __getstate__(self):
-        # a copy's panels are new arrays: its views must be rebuilt, and an
-        # arena-backed storage travels as its arena alone
-        state = dict(self.__dict__, _solve_program=None, _factor_program=None)
-        if self.arena is not None:
-            state["_panels"] = None
+        # a copy's panels are new arrays: its views must be rebuilt, an
+        # arena-backed storage travels as its arena alone and a derived one
+        # as loose panels
+        state = dict(
+            self.__dict__, _solve_program=None, _factor_program=None, _root=None, _over=None
+        )
+        state["_panels"] = None if self.arena is not None else self.panels
         return state
 
     def nbytes(self):

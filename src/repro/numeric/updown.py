@@ -39,14 +39,15 @@ failed downdate leaves the factor exactly as it was.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger
 
 from ..dense.kernels import NotPositiveDefiniteError, check_finite, trtrs_lower
-from ..solve.sparse_rhs import solve_reach
-from ..symbolic.structure import _sorted_unique
+from ..symbolic.levels import path_tables
+from ..symbolic.relind import _ranges
 
 __all__ = [
     "rank1_update",
@@ -66,38 +67,45 @@ def column_structure(symb, j):
     return np.concatenate((own, symb.snode_below_rows(s)))
 
 
+def _columns(snptr, segments):
+    """The columns ``j_in .. last`` of each ``(s, j_in)`` of ``segments``
+    (ascending supernodes), concatenated: one array pass."""
+    starts = np.array([j for _, j in segments], dtype=np.int64)
+    counts = np.array([snptr[s + 1] for s, _ in segments], dtype=np.int64) - starts
+    _, owner, within = _ranges(counts)
+    return starts[owner] + within
+
+
+def _walk(tables, j):
+    """The ``(s, j_in)`` segments of the elimination-tree path from column
+    ``j`` to its root: the path enters each supernode ``s`` it crosses at
+    column ``j_in`` and runs to its last column (plain ints throughout)."""
+    snptr, _, parent, exit_ = tables
+    s = bisect_right(snptr, j) - 1
+    segments = []
+    while s >= 0:
+        segments.append((s, j))
+        j, s = exit_[s], parent[s]
+    return segments
+
+
 def path_union(symb, roots):
     """Merged elimination-tree path columns for entry columns ``roots``.
 
-    The union of the column paths root -> tree root, ascending.  Vectorized
-    through :func:`~repro.solve.sparse_rhs.solve_reach`: the touched
-    supernodes are the reach of ``roots`` under ``sn_parent``, and within
-    each reached supernode the path occupies the contiguous column range
-    from its earliest entry point to the supernode's last column, so one
-    ascending walk propagating entry columns recovers the exact column set
-    without any per-column recomputation.
+    The union of the column paths root -> tree root, ascending: within
+    each supernode a path crosses it occupies the contiguous column range
+    from its entry point to the supernode's last column, so the union there
+    starts at the earliest entry point.
     """
     roots = np.asarray(roots, dtype=np.int64)
-    if roots.size == 0:
-        return np.empty(0, dtype=np.int64)
-    reached = solve_reach(symb, roots)
-    # earliest column through which the path enters each reached supernode
-    entry = np.full(symb.nsup, symb.n, dtype=np.int64)
-    np.minimum.at(entry, symb.col2sn[roots], roots)
-    cols = []
-    for s in reached:
-        s = int(s)
-        _first, last = symb.snode_cols(s)
-        j_in = int(entry[s])
-        cols.append(np.arange(j_in, last, dtype=np.int64))
-        below = symb.snode_below_rows(s)
-        if below.size:
-            # the path exits at the first below-diagonal row, which lives in
-            # sn_parent[s]; parents have larger indices, so the ascending
-            # walk sees every entry point before consuming it
-            p = int(symb.col2sn[below[0]])
-            entry[p] = min(entry[p], int(below[0]))
-    return np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    if roots.size and (roots.min() < 0 or roots.max() >= symb.n):
+        raise ValueError("roots out of range")
+    tables = path_tables(symb)
+    entry = {}  # earliest column through which a path enters each supernode
+    for j in roots.tolist():
+        for s, j_in in _walk(tables, j):
+            entry[s] = min(entry.get(s, j_in), j_in)
+    return _columns(tables[0], sorted(entry.items()))
 
 
 def affected_columns(symb, w_pattern):
@@ -114,17 +122,22 @@ class _Modification(NamedTuple):
 
     ``cols`` are the nonempty columns of ``W``, ``roots`` their entry columns
     ``j0 = min struct(W[:, r])``, ``paths[i]`` the elimination-tree path the
-    sweep walks for ``cols[i]``, ``union`` their merged union (ascending)
-    and ``snodes`` the supernodes it touches.  ``uncontained`` is
-    ``None`` when every column passes the no-new-fill check, else ``(r, j0,
-    rows)`` of the first column ``r`` that fails.
+    sweep walks for ``cols[i]`` and ``segments[i]`` that path as the sweep
+    reads it, one ``(s, c0, j_in, rows, below)`` per supernode it crosses:
+    the path enters panel column ``c0`` (global column ``j_in``) and the
+    carry lives on the panel's ``rows`` from there, then moves on to
+    ``below``.  ``union`` is the paths' merged union (ascending) and
+    ``snodes`` the supernodes it touches (ascending ``int`` tuple).
+    ``uncontained`` is ``None`` when every column passes the no-new-fill
+    check, else ``(r, j0, rows)`` of the first column ``r`` that fails.
     """
 
     cols: tuple
     roots: tuple
     paths: tuple
+    segments: tuple
     union: np.ndarray
-    snodes: np.ndarray
+    snodes: tuple
     uncontained: tuple | None
 
     def require_contained(self, name_column=True):
@@ -144,27 +157,45 @@ def _modification_plan(symb, W, check=True):
     """Everything a consumer of the modification ``A ± W W^T`` derives from
     the pattern of ``W`` (``(n, k)``, factor ordering, values ignored), once:
     per column the entry column, the containment verdict (skipped with
-    ``check=False``) and the path; the merged union; the touched supernodes.
-    The sweep, the copy-on-write of :meth:`repro.api.Factor.update` and the
-    pricing of :func:`repro.update.crossover.update_cost` all read the
-    returned :class:`_Modification`."""
-    cols, roots, paths = [], [], []
+    ``check=False``), the path and its segments; the merged union; the
+    touched supernodes.  The paths are walked over the memoised plain-int
+    :func:`~repro.symbolic.levels.path_tables`.  The sweep, the
+    copy-on-write of :meth:`repro.api.Factor.update` and the pricing of
+    :func:`repro.update.crossover.update_cost` all read the returned
+    :class:`_Modification`."""
+    tables = path_tables(symb)
+    snptr, rowptr, _, exit_ = tables
+    rows = symb.rows
+    cols, roots, paths, segments = [], [], [], []
+    entry = {}  # earliest column through which any path enters each supernode
     uncontained = None
     for r in range(W.shape[1]):
         nz = np.flatnonzero(W[:, r])
         if nz.size == 0:
             continue  # identity column
         j0 = int(nz[0])
+        walk = _walk(tables, j0)
         if check and uncontained is None:
-            outside = np.setdiff1d(nz[1:], column_structure(symb, j0))
-            if outside.size:
-                uncontained = (r, j0, outside)
+            # struct(L[:, j0]) is the rest of its supernode's sorted rows
+            s = walk[0][0]
+            struct, rest = rows[rowptr[s] + j0 - snptr[s] + 1 : rowptr[s + 1]], nz[1:]
+            found = np.zeros(rest.size, dtype=bool)
+            if struct.size:
+                found = struct[np.minimum(np.searchsorted(struct, rest), struct.size - 1)] == rest
+            if not found.all():
+                uncontained = (r, j0, rest[~found])
         cols.append(r)
         roots.append(j0)
-        paths.append(path_union(symb, [j0]))
-    union = _sorted_unique(np.concatenate(paths)) if paths else np.empty(0, dtype=np.int64)
-    return _Modification(tuple(cols), tuple(roots), tuple(paths), union,
-                         _sorted_unique(symb.col2sn[union]), uncontained)
+        paths.append(_columns(snptr, walk))
+        segs = []
+        for s, j in walk:
+            c0, lo, hi = j - snptr[s], rowptr[s], rowptr[s + 1]
+            segs.append((s, c0, j, rows[lo + c0 : hi], rows[lo + snptr[s + 1] - snptr[s] : hi]))
+            entry[s] = min(entry.get(s, j), j)
+        segments.append(tuple(segs))
+    union = sorted(entry.items())
+    return _Modification(tuple(cols), tuple(roots), tuple(paths), tuple(segments),
+                         _columns(snptr, union), tuple(s for s, _ in union), uncontained)
 
 
 _BLOCK = 64  #: columns per GEMM of a segment's rewrite
@@ -213,18 +244,12 @@ def _sweep_segment(panel, c0, z, sign, j_in):
 
 def _sweep(storage, W, mod, sign):
     """Sweep each rank's carry ``W[:, r]`` (mutated) along its own path,
-    one :func:`_sweep_segment` per supernode the path crosses; raises
+    one :func:`_sweep_segment` per segment of ``mod.segments``; raises
     :class:`NotPositiveDefiniteError` at the offending column (the caller
     restores its snapshot)."""
-    symb = storage.symb
-    for r, path in zip(mod.cols, mod.paths):
-        sn = symb.col2sn[path]
-        enter = np.flatnonzero(np.r_[True, sn[1:] != sn[:-1]])
-        for s, j_in in zip(sn[enter].tolist(), path[enter].tolist()):
-            c0 = j_in - int(symb.snptr[s])
-            rows = symb.snode_rows(s)[c0:]
-            carry = _sweep_segment(storage.panel(s), c0, W[rows, r], sign, j_in)
-            W[symb.snode_below_rows(s), r] = carry
+    for r, segments in zip(mod.cols, mod.segments):
+        for s, c0, j_in, rows, below in segments:
+            W[below, r] = _sweep_segment(storage.panel(s), c0, W[rows, r], sign, j_in)
 
 
 def _run_atomic(storage, W, mod, downdate, snapshot):
@@ -232,7 +257,7 @@ def _run_atomic(storage, W, mod, downdate, snapshot):
     restoring the touched panels on failure when ``snapshot``."""
     saved = None
     if snapshot:
-        saved = {s: storage.panel(s).copy() for s in mod.snodes.tolist()}
+        saved = {s: storage.panel(s).copy() for s in mod.snodes}
     try:
         _sweep(storage, W, mod, -1.0 if downdate else 1.0)
     except NotPositiveDefiniteError:

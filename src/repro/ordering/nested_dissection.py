@@ -9,7 +9,7 @@ dissection with BFS level-set vertex separators:
    minimum balance fraction), preferring small separators;
 3. shrink the chosen level to a minimal separator by moving vertices that
    touch only one side into that side;
-4. recurse on the parts, ordering the separator last;
+4. dissect the parts in turn, ordering the separator last;
 5. order leaves, separators and graphs with no useful separator by exact
    minimum degree, each recorded as a *piece* (ascending ids) and all induced
    from the top graph in ONE pass after the recursion (induced subgraphs
@@ -95,27 +95,29 @@ def nested_dissection(graph, *, leaf_size=64, balance=0.2):
     if not (math.isfinite(balance) and 0 <= balance <= 0.5):
         raise ValueError(f"balance must be finite and in [0, 0.5], got {balance}")
     pieces = []  # each piece's vertices, ascending, in elimination order
-
-    def rec(parent, verts, local):
-        # ``parent``'s ascending vertices ``local`` (global ids ``verts``), induced if dissected
-        if local.size <= leaf_size:
-            pieces.append(verts[local])
-            return
+    # an explicit stack, not recursion: a tiny ``balance`` peels a few
+    # vertices per level, thousands of levels deep.  An entry is a part to
+    # dissect — ``parent``'s ascending vertices ``local`` (global ids
+    # ``verts``), induced if dissected — or a separator to emit; pushed in
+    # reverse, so pieces come out a-part, b-part, separator
+    stack = [(graph, np.arange(graph.n, dtype=np.int64), np.arange(graph.n))]
+    while stack:
+        parent, verts, local = stack.pop()
+        if parent is None or local.size <= leaf_size:
+            pieces.append(verts if parent is None else verts[local])
+            continue
         sub, local = parent.subgraph(local)
         verts = verts[local]
         _, levels, order = pseudo_peripheral_vertex(sub, int(np.argmin(sub.degrees())))
         if order.size < sub.n:  # the BFS missed a vertex: dissect each component
-            for comp in connected_components(sub):
-                rec(sub, verts, comp)
-            return
+            stack.extend((sub, verts, comp) for comp in reversed(connected_components(sub)))
+            continue
         found = _level_separator(sub, levels, balance=balance)
         if found is None:
             pieces.append(verts)
-            return
+            continue
         sep, a, b = found
-        rec(sub, verts, np.flatnonzero(a))
-        rec(sub, verts, np.flatnonzero(b))
-        pieces.append(verts[sep])  # the separator is eliminated last
-
-    rec(graph, np.arange(graph.n, dtype=np.int64), np.arange(graph.n))
+        # the separator is eliminated last
+        stack += [(None, verts[sep], None), (sub, verts, np.flatnonzero(b)),
+                  (sub, verts, np.flatnonzero(a))]
     return _order_pieces(graph, pieces)

@@ -490,8 +490,10 @@ class Gateway:
                              threshold=self._threshold, dtype=self._dtype,
                              pool=self._pool,
                              tracer=self._tracer, trace_origin=self._origin)
+        # the entry's factors are fp64 unless the gateway serves another dtype
+        dtype = np.float64 if self._dtype is None else self._dtype
         entry = _CacheEntry(fp, plan, session, plan_nbytes(
-            plan, dtype=self._dtype, work_arena=session.borrows_work))
+            plan, dtype=dtype, work_arena=session.borrows_work))
         self._cache[fp] = entry
         self._cached_bytes += entry.nbytes
         self._evict(keep=fp)

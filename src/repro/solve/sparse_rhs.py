@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..symbolic.levels import path_tables
+
 __all__ = ["solve_reach", "forward_solve_sparse"]
 
 
@@ -32,13 +34,13 @@ def solve_reach(symb, pattern):
         return np.empty(0, dtype=np.int64)
     if pattern.min() < 0 or pattern.max() >= symb.n:
         raise ValueError("pattern indices out of range")
-    flagged = np.zeros(symb.nsup, dtype=bool)
-    for s in np.unique(symb.col2sn[pattern]):
-        s = int(s)
-        while s != -1 and not flagged[s]:
-            flagged[s] = True
-            s = int(symb.sn_parent[s])
-    return np.flatnonzero(flagged)
+    parent = path_tables(symb)[2]
+    flagged = set()
+    for s in set(symb.col2sn[pattern].tolist()):
+        while s != -1 and s not in flagged:
+            flagged.add(s)
+            s = parent[s]
+    return np.array(sorted(flagged), dtype=np.int64)
 
 
 def forward_solve_sparse(storage, b_indices, b_values):

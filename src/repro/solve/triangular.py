@@ -41,10 +41,10 @@ direct ``?trtrs`` and one product.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
 
 from ..dense.kernels import check_finite, check_real, trtrs_lower
 from ..numeric.executor import Countdown, run_task_graph
@@ -147,7 +147,8 @@ def _leaf_sweep(storage, y, backward=False):
     ``y_C = L_CC^-1 y_C`` by column *stages* — the same column of every
     member at once: one division of a slice, one fancy-indexed ``-=`` on
     distinct targets — then ``y -= L_RC @ y_C`` as ONE compiled sparse
-    product: the members' contributions come first, in block-column order,
+    product (a shallow copy of the block's ``lower`` over this sweep's
+    values): the members' contributions come first, in block-column order,
     in every schedule.  Backward, after all other backward work, the mirror
     ``x_C = L_CC^-T (x_C - L_RC^T x)``: the same arrays read as CSR, stages
     descending.  Values are read from ``storage`` now; an exactly-zero
@@ -163,11 +164,13 @@ def _leaf_sweep(storage, y, backward=False):
         raise np.linalg.LinAlgError(
             f"singular triangular block: diagonal entry {stage} is exactly zero"
         )
-    rect = values[c:], block.rowidx, block.colptr
+    # this sweep's own operator: the block's, shallow-copied, over its values
+    rect = copy.copy(block.upper if backward else block.lower)
+    rect.data = values[c:]
     values = values.reshape((-1,) + (1,) * (y.ndim - 1))  # broadcast over (n, k)
     z = y[block.cols]
     if backward:
-        z -= csr_matrix(rect, shape=(ncols, len(y))) @ y
+        z -= rect @ y
         (src, tgt, at), lower, stages = block.bwd, values[b:c], range(len(ptr) - 2, -1, -1)
     else:
         (src, tgt, at), lower, stages = block.fwd, values[a:b], range(len(ptr) - 1)
@@ -178,7 +181,7 @@ def _leaf_sweep(storage, y, backward=False):
             z[tgt[lo:hi]] -= lower[lo:hi] * z[src[lo:hi]]
     y[block.cols] = z
     if not backward:
-        y -= csc_matrix(rect, shape=(len(y), ncols)) @ z
+        y -= rect @ z
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import get_index_dtype
+from scipy.sparse import csc_matrix, csr_matrix, get_index_dtype
 
 from .ranges import TaskRanges, task_ranges
 from .relind import _ranges
 
 __all__ = ["LEAF_BLOCK_COLS", "LeafBlock", "SolveSchedule", "SweepEdges", "leaf_block",
-           "solve_schedule", "solve_levels", "solve_shapes"]  # fmt: skip
+           "path_tables", "solve_schedule", "solve_levels", "solve_shapes"]  # fmt: skip
 
 #: Widest childless supernode the leaf block takes (:func:`leaf_block`).  A
 #: supernode costs the per-supernode sweeps about 3 µs whatever its flops; the
@@ -175,14 +175,20 @@ class LeafBlock:
     colptr / rowidx:
         ``L_RC`` as CSC over the block columns, rows sorted per column; read
         as CSR the same arrays are ``L_RC^T``.
-    pos / loose_pos / cuts:
+    pos / loose_pos / cuts / owner:
         Where a sweep's values live — diagonal, ``fwd``, ``bwd`` and ``L_RC``
         entries back to back, split at ``cuts`` — in the arena, and in the
-        member panels alone laid back to back (a loose-panel storage).
+        member panels alone laid back to back (a loose-panel storage); the
+        member supernode each value belongs to (a derived storage patches
+        its copied members' values by it).
+    lower / upper:
+        ``L_RC`` (``csc_matrix``) and ``L_RC^T`` (``csr_matrix``) with
+        placeholder values: a sweep multiplies a shallow copy over its own
+        values, so it validates no index array and shares no operator.
     """
 
-    __slots__ = ("members", "rest", "cols", "stage_ptr", "fwd", "bwd",
-                 "colptr", "rowidx", "pos", "loose_pos", "cuts")  # fmt: skip
+    __slots__ = ("members", "rest", "cols", "stage_ptr", "fwd", "bwd", "colptr", "rowidx",
+                 "pos", "loose_pos", "cuts", "owner", "lower", "upper")  # fmt: skip
 
     def __init__(self, symb):
         widths, parent = np.diff(symb.snptr), symb.sn_parent
@@ -214,13 +220,18 @@ class LeafBlock:
                (corner + w[a])[c] + k)  # fmt: skip
         self.pos = np.concatenate(pos)
         self.cuts = tuple(np.cumsum([p.size for p in pos[:3]]).tolist())
+        member_of = np.concatenate((a, a[fsrc], a[bsrc], a[c]))
+        self.owner = members[member_of]
         shift = off - (np.cumsum(m * w) - m * w)  # a panel's move when only members are kept
-        self.loose_pos = self.pos - shift[np.concatenate((a, a[fsrc], a[bsrc], a[c]))]
+        self.loose_pos = self.pos - shift[member_of]
+        placeholder = np.zeros(c.size)
+        self.lower = csc_matrix((placeholder, self.rowidx, self.colptr), shape=(symb.n, a.size))
+        self.upper = csr_matrix((placeholder, self.rowidx, self.colptr), shape=(a.size, symb.n))
 
     def nbytes(self):
         """Bytes of the block's index arrays."""
-        arrays = (self.members, self.cols, *self.fwd[:2], *self.bwd[:2],
-                  self.colptr, self.rowidx, self.pos, self.loose_pos)  # fmt: skip
+        arrays = (self.members, self.cols, *self.fwd[:2], *self.bwd[:2], self.colptr,
+                  self.rowidx, self.pos, self.loose_pos, self.owner, self.lower.data)  # fmt: skip
         return sum(a.nbytes for a in arrays)
 
 
@@ -249,6 +260,21 @@ def solve_shapes(symb):
             for s in range(symb.nsup)
         )
     return shapes
+
+
+def path_tables(symb):
+    """``(snptr, rowptr, sn_parent, exit)`` as plain-int lists, memoised on
+    the symbolic cache: what an elimination-tree path walk reads.
+    ``exit[s]`` is ``s``'s first below-diagonal row, through which a path
+    leaves ``s`` for ``sn_parent[s]``, or ``-1`` at a root."""
+    cache = symb.cache()
+    tables = cache.get("path_tables")
+    if tables is None:
+        top = symb.rowptr[:-1] + np.diff(symb.snptr)
+        exit_ = np.where(top < symb.rowptr[1:], symb.rows[np.minimum(top, symb.rows.size - 1)], -1)
+        tables = cache["path_tables"] = (symb.snptr.tolist(), symb.rowptr.tolist(),
+                                         symb.sn_parent.tolist(), exit_.tolist())
+    return tables
 
 
 def solve_schedule(symb, ranges=None):

@@ -122,9 +122,9 @@ def update_cost(symb, mod, *, model=None):
     # individually (the union alone would overprice disjoint short paths)
     update_flops = 0.0
     segments = 0
-    for path in mod.paths:
+    for path, path_segments in zip(mod.paths, mod.segments):
         update_flops += _FLOPS_PER_ENTRY * float(_column_entries(symb, path).sum())
-        segments += len(set(symb.col2sn[path].tolist()))
+        segments += len(path_segments)
     refz_flops = float(symb.factor_flops())
     up_s = model.update_seconds(update_flops, segments)
     refz_s = model.refactorize_seconds(refz_flops, symb.nsup)
@@ -132,7 +132,7 @@ def update_cost(symb, mod, *, model=None):
     return UpdateCost(
         rank=len(mod.roots),
         path_cols=int(mod.union.size),
-        path_snodes=int(mod.snodes.size),
+        path_snodes=len(mod.snodes),
         update_flops=update_flops,
         refactorize_flops=refz_flops,
         update_seconds=up_s,

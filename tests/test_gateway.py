@@ -266,7 +266,8 @@ def test_eviction_racing_a_pinned_request(patterns):
 
 def test_byte_budget_eviction(patterns):
     b = np.ones(patterns[0].n)
-    nbytes = plan_nbytes(repro.plan(patterns[0]))
+    # what a default gateway counts per entry: fp64 factors and a work arena
+    nbytes = plan_nbytes(repro.plan(patterns[0]), dtype=np.float64, work_arena=True)
 
     async def go():
         # budget fits one plan (patterns are same-size permutations)
@@ -280,6 +281,22 @@ def test_byte_budget_eviction(patterns):
     assert stats.cached_plans == 1
     assert stats.evictions == 1
     assert stats.cached_bytes <= int(nbytes * 1.5)
+
+
+def test_a_default_gateway_counts_fp64_factors(patterns):
+    """``dtype=None`` serves fp64 factors, so its entries count fp64 panels
+    — the retained factor and the work arena — not the pattern alone."""
+    P = patterns[0]
+
+    async def go():
+        async with Gateway(workers=1) as gw:
+            await gw.submit(P, np.ones(P.n))
+            return gw.stats()
+
+    plan = repro.plan(P)
+    expect = plan_nbytes(plan, dtype=np.float64, work_arena=True)
+    assert expect > plan_nbytes(plan)
+    assert run(go()).cached_bytes == expect
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["fp64", "fp32"])

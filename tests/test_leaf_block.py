@@ -22,6 +22,7 @@ The scalar constructions the array-at-a-time ``_below_runs`` /
 from __future__ import annotations
 
 import asyncio
+import copy
 import sys
 import threading
 
@@ -210,6 +211,28 @@ class TestSameBitsInEverySchedule:
         serial = child.solve(b)
         for how in (dict(workers=2), dict(workers=4)):
             np.testing.assert_array_equal(child.solve(b, **how), serial, err_msg=str(how))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_schedule_of_derived_and_loose_storages_at_cuts(self, cut, dtype):
+        """An updated factor's copy-on-write storage (its root's arena plus
+        private path panels) and a loose storage of the same panels solve
+        to the serial derived bits in every schedule."""
+        plan = _plan_under(cut, grid_laplacian((9, 8)))
+        factor = plan.factorize(engine="rl", dtype=dtype)
+        child = factor.update(structured_update(plan.symb, plan.perm, [0, 5], seed=1))
+        derived = child.storage
+        assert derived._root is factor.storage
+        assert set(derived._over) & set(leaf_block(plan.symb).members.tolist())
+        b = np.random.default_rng(4).standard_normal((plan.n, 3))[plan.perm]
+        serial = backward_solve(derived, forward_solve(derived, b))
+        for storage in (derived, _loose(derived)):
+            np.testing.assert_array_equal(backward_solve(storage, forward_solve(storage, b)),
+                                          serial)
+            for ranges in (None, trivial_ranges(plan.symb)):
+                y = b.copy()
+                run_task_graph(*solve_graph(storage, y, ranges), 2)
+                np.testing.assert_array_equal(y, serial)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("cut", CUTS)
@@ -405,6 +428,51 @@ class TestStructure:
             np.testing.assert_array_equal(block.pos, got[0].pos)
             np.testing.assert_array_equal(block.cols, got[0].cols)
             assert block.rest == got[0].rest
+
+
+class TestOperators:
+    """``L_RC`` and ``L_RC^T`` are built once, with the block: a sweep
+    multiplies a shallow copy over its own values."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("pattern", ["small_grid", "small_vec", "small_random"])
+    def test_products_equal_a_fresh_operators(self, pattern, dtype):
+        plan = repro.plan(PATTERNS[pattern]())
+        storage = plan.factorize(engine="rl", dtype=dtype).storage
+        block = leaf_block(plan.symb)
+        values = storage.leaf_values(block, dtype)[block.cuts[2]:]
+        rng = np.random.default_rng(1)
+        for template, fresh in ((block.lower, sp.csc_matrix), (block.upper, sp.csr_matrix)):
+            op = copy.copy(template)
+            op.data = values
+            want = fresh((values, block.rowidx, block.colptr), shape=template.shape)
+            k = template.shape[1]
+            for z in (rng.standard_normal(k), rng.standard_normal((k, 3))):
+                z = z.astype(dtype)
+                got = op @ z
+                assert got.dtype == (want @ z).dtype
+                np.testing.assert_array_equal(got, want @ z)
+            assert not template.data.any(), "a sweep wrote the block's operator"
+
+    def test_no_sweep_builds_a_sparse_matrix(self, monkeypatch):
+        plan = repro.plan(grid_laplacian((9, 8)))
+        factor = plan.factorize(engine="rl")
+        child = factor.update(structured_update(plan.symb, plan.perm, [0, 5], seed=1))
+        b = np.random.default_rng(2).standard_normal((plan.n, 2))
+        want = [f.solve(b) for f in (factor, child)]
+        built = []
+        for cls in (sp.csc_matrix, sp.csr_matrix):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        got = [f.solve(b) for f in (factor, child)] + [factor.solve(b[:, 0], workers=2)]
+        assert built == []
+        for x, w in zip(got, want):
+            np.testing.assert_array_equal(x, w)
 
 
 class TestReadAtSolveTime:

@@ -101,7 +101,7 @@ class Counters:
         for owner, name in ((repro.api.Factor, "_permuted_W"),
                             (repro.api, "_modification_plan"),
                             (updown, "path_union"),
-                            (updown, "solve_reach"),
+                            (updown, "_walk"),
                             (updown, "column_structure"),
                             (updown, "_sweep_segment")):
             monkeypatch.setattr(owner, name, self._counting(name, getattr(owner, name)))
@@ -119,7 +119,7 @@ class Counters:
         assert self.calls["_permuted_W"] == 1, "W is gathered once"
         assert self.calls["_modification_plan"] == 1, "containment is evaluated once"
         assert self.calls["column_structure"] <= k
-        assert self.calls["path_union"] <= k and self.calls["solve_reach"] <= k
+        assert self.calls["path_union"] <= k and self.calls["_walk"] <= k
         self.calls = dict.fromkeys(self.calls, 0)
 
 

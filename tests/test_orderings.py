@@ -178,6 +178,14 @@ class TestNestedDissection:
         perm = nested_dissection(g, leaf_size=leaf_size, balance=balance)
         assert is_permutation(perm, small_grid.n)
 
+    @pytest.mark.parametrize("shape", [(64, 64), (13, 13, 13)])
+    def test_balance_zero_dissects_thousands_of_levels_deep(self, shape):
+        # the smallest separator wins at balance 0, so each level peels a few
+        # vertices: about a thousand levels, past Python's recursion limit
+        A = grid_laplacian(shape)
+        assert is_permutation(nested_dissection(adjacency_from_matrix(A), balance=0.0), A.n)
+        assert is_permutation(repro.plan(A, ordering_kwargs={"balance": 0.0}).perm, A.n)
+
     @given(st.integers(min_value=2, max_value=40), st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_always_a_permutation_property(self, n, seed):
