@@ -62,7 +62,7 @@ import contextlib
 import copy
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from .dense.kernels import (
     check_finite,
     check_real,
 )
-from .numeric.executor import StreamPool, _noop, _resolve_workers, _traced_run, dag_plan
+from .numeric.executor import _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
 from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
@@ -414,8 +414,8 @@ class SymbolicPlan:
         override.
 
         ``pool=`` binds the session to an externally owned
-        :class:`~repro.numeric.executor.StreamPool` instead of creating
-        (and later closing) its own — the sharing seam the multi-tenant
+        :class:`concurrent.futures.Executor` instead of creating (and later
+        shutting down) its own — the sharing seam the multi-tenant
         :class:`repro.serving.Gateway` uses to multiplex many per-pattern
         sessions over one set of workers.  ``tracer=`` records one
         measured span per submission, with times relative to
@@ -752,7 +752,7 @@ class ServingSession:
     Produced by :meth:`SymbolicPlan.serve`, on any registered engine.  Each
     :meth:`submit` / :meth:`submit_solve` / :meth:`submit_update` call
     enqueues ONE task on the session's
-    :class:`~repro.numeric.executor.StreamPool` and immediately returns a
+    :class:`concurrent.futures.ThreadPoolExecutor` and immediately returns a
     :class:`concurrent.futures.Future`.  The task is the whole request: the
     factorization (a threaded row, ``rl_par`` / ``rlb_par``, runs its
     serial twin ``rl`` / ``rlb`` — the same bits) and, for a solve, the
@@ -780,10 +780,10 @@ class ServingSession:
       (``set_running_or_notify_cancel``) and skips a cancelled one.  A
       running request cannot be cancelled and finishes normally.
     * **Lifecycle** — ``close()`` (or leaving the ``with`` block) drains
-      all in-flight submissions, then stops the pool; submitting to a
-      closed session raises ``RuntimeError``.  Submission is
-      single-producer: call ``submit``/``submit_solve`` from one thread
-      (results may be consumed anywhere).
+      all in-flight submissions, chained updates included, then shuts the
+      pool down; submitting to a closed session raises ``RuntimeError``.
+      Submission is single-producer: call ``submit``/``submit_solve`` from
+      one thread (results may be consumed anywhere).
     """
 
     def __init__(self, plan, *, engine="rlb_par", workers=None,
@@ -838,11 +838,13 @@ class ServingSession:
                 raise ValueError("pass either workers= or pool=, not both")
             self._pool = pool
             self._owns_pool = False
-            self.workers = pool.workers
+            self.workers = None  # the width belongs to the pool's owner
         else:
-            self._pool = StreamPool(pool_width, name="repro-serve")
+            # resolved here: ThreadPoolExecutor(None) is min(32, cpus + 4)
+            self.workers = _resolve_workers(pool_width)
+            self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="repro-serve")
             self._owns_pool = True
-            self.workers = self._pool.workers
+        self._tasks = set()  # the pool futures of queued or running requests
         self._submitted = 0
         self._closed = False
 
@@ -885,13 +887,18 @@ class ServingSession:
         return False
 
     def close(self):
-        """Drain every in-flight submission, then stop the worker pool.
+        """Drain every in-flight submission, then shut the worker pool down.
         Futures already handed out keep resolving during the drain.
         A session bound to an external ``pool=`` only marks itself closed —
         the pool belongs to its owner (the gateway) and keeps running."""
         self._closed = True
         if self._owns_pool:
-            self._pool.close()
+            # a chained update enqueues from its parent's task, and a shut
+            # down executor refuses submit: wait until no task is left that
+            # could still enqueue one
+            while pending := [f for f in self._tasks.copy() if not f.done()]:
+                wait(pending)
+            self._pool.shutdown()
 
     # ------------------------------------------------------------------
     def _enqueue(self, request, label, index, future):
@@ -901,22 +908,23 @@ class ServingSession:
         (when the session has a tracer), a non-SPD failure is annotated
         with ``stream_index``, every failure lands on ``future``."""
 
-        def run_task(tid):
-            if future.set_running_or_notify_cancel():
-                future.set_result(request())
-            return ()
+        def task(_):
+            if not future.set_running_or_notify_cancel():
+                return
+            try:
+                result = request()
+            except BaseException as exc:  # lands on the future, as in the executor
+                if isinstance(exc, NotPositiveDefiniteError):
+                    exc = NotPositiveDefiniteError.for_stream(exc, index)
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
 
         if self._tracer is not None:
-            run_task = _traced_run(run_task, lambda tid: label, self._tracer,
-                                   self._t0)
-
-        def err(exc):
-            if isinstance(exc, NotPositiveDefiniteError):
-                exc = NotPositiveDefiniteError.for_stream(exc, index)
-            future.set_exception(exc)
-
-        self._pool.submit_graph(1, (0,), run_task, on_complete=_noop,
-                                on_error=err)
+            task = _traced_run(task, lambda _: label, self._tracer, self._t0)
+        queued = self._pool.submit(task, None)
+        self._tasks.add(queued)
+        queued.add_done_callback(self._tasks.discard)
 
     def _submit(self, values, dtype, label, answer=None):
         """Enqueue one factorization request; returns its future.  The
@@ -1079,13 +1087,16 @@ class ServingSession:
 
         if isinstance(factor, Future):
             # chained submission: enqueue once the parent resolves — the
-            # callback may run on a worker thread; submit_graph from
-            # worker threads is race-free
+            # callback may run on a worker thread, inside the parent's task
             def chain(parent_future):
                 if parent_future.cancelled():
                     future.cancel()  # nothing to update: the chain ends here
                 elif parent_future.exception() is None:
-                    enqueue(parent_future.result())
+                    try:
+                        enqueue(parent_future.result())
+                    except RuntimeError as exc:  # a shared pool shut down by its owner
+                        if future.set_running_or_notify_cancel():
+                            future.set_exception(exc)
                 elif future.set_running_or_notify_cancel():
                     future.set_exception(parent_future.exception())
 

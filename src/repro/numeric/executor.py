@@ -30,7 +30,7 @@ serial engines' accumulation order), before it factorizes.
   the schedule: any topological order of the graph gives the serial
   engines' bits at any worker count (``tests/test_pull_order.py``).
 
-**One plan, one pool.**  :func:`dag_plan` is the single static description
+**One plan, one drain.**  :func:`dag_plan` is the single static description
 of a task DAG per granularity and partition (task ids, incoming updates,
 roots, edges), memoised on the partition with the index beneath
 it (RL's assembly index, RLB's pair index) on
@@ -38,24 +38,17 @@ it (RL's assembly index, RLB's pair index) on
 (``SymbolicPlan.factorize``) re-executes only the numeric kernels; the
 thread and process substrates read it at the pattern's
 :func:`~repro.symbolic.ranges.task_ranges`.  One graph runs on one
-substrate, threads or processes, never a mix.  :class:`StreamPool` is the single
-threaded dispatch loop: a shared ready queue of ``(graph, task)`` entries
-drained by ``workers`` threads, any number of graphs in flight, a failing
-graph (a non-SPD matrix) failing only its own ``on_error`` callback, never
-the pool.
-
-* :func:`run_task_graph` runs any static ``(ntasks, roots, run_task)``
-  triple as one graph on a transient pool — a one-task graph on the calling
-  thread — and re-raises its first exception: the runtime behind
-  :func:`factorize_executor` and the fused triangular solve graph of
-  :mod:`repro.solve.triangular`;
-* :class:`repro.api.ServingSession` and :class:`repro.serving.Gateway`
-  keep one *persistent* pool alive and submit each request as ONE task
-  (a threads row runs its serial twin there, the solve right after it) —
-  the only place several requests share a pool, because only there do
-  requests overlap.  A closed batch
-  (:meth:`repro.api.SymbolicPlan.factorize_batch`) is a loop of
-  factorizations, one graph after another.
+substrate, threads or processes, never a mix.  :func:`run_task_graph` is the
+threaded drain: any static ``(ntasks, roots, run_task)`` triple, one graph
+per call, on ``min(workers, ntasks)`` threads over one ready queue — a
+one-task graph on the calling thread — re-raising its first exception; it
+runs :func:`factorize_executor` and the fused triangular solve graph of
+:mod:`repro.solve.triangular`.  Requests are not graphs:
+:class:`repro.api.ServingSession` and :class:`repro.serving.Gateway` submit
+each one as ONE task to a :class:`concurrent.futures.ThreadPoolExecutor`
+(a threads row runs its serial twin there, the solve right after it), and a
+closed batch (:meth:`repro.api.SymbolicPlan.factorize_batch`) is a loop of
+factorizations.
 
 Passing a :class:`~repro.gpu.trace.Tracer` to :func:`factorize_executor`
 records every task's measured start/stop interval on a per-worker-thread
@@ -89,8 +82,6 @@ __all__ = [
     "factorize_executor",
     "run_task_graph",
     "Countdown",
-    "StreamPool",
-    "stream_factorize_job",
     "dag_plan",
     "GRANULARITIES",
     "default_workers",
@@ -151,211 +142,66 @@ class Countdown:
         return run_task
 
 
-class _StreamJob:
-    """One task graph in flight on a :class:`StreamPool`."""
-
-    __slots__ = ("run_task", "outstanding", "failed", "on_complete", "on_error")
-
-    def __init__(self, run_task, ntasks, on_complete, on_error):
-        self.run_task = run_task
-        self.outstanding = ntasks
-        self.failed = False
-        self.on_complete = on_complete
-        self.on_error = on_error
-
-
-class StreamPool:
-    """The shared-ready-queue worker pool: the one threaded dispatch loop.
-
-    A ``StreamPool`` keeps ``workers`` threads alive across any number of
-    :meth:`submit_graph` calls — task graphs arrive whenever the caller has
-    them and all drain through one shared ready queue, so the pool stays
-    saturated across graph boundaries.  Streaming serving keeps one pool
-    for the session's life; :func:`run_task_graph` opens one for its one
-    graph.
-
-    Failure isolation: the first exception inside a graph marks *that*
-    graph failed — its ``on_error`` callback fires once, its not-yet-run
-    tasks are dropped from the queue — while every other graph and the pool
-    itself keep running.  This is what lets a streaming serving session
-    surface a non-SPD matrix on its own future instead of killing the pool.
-
-    :meth:`close` drains every in-flight graph, then stops and joins the
-    workers; the pool is a context manager (``with StreamPool(4) as pool:``).
-    Submission is single-producer: callbacks run on worker threads, but
-    ``submit_graph`` itself is expected from one controlling thread.
-    """
-
-    def __init__(self, workers=None, *, name="repro-stream"):
-        self.workers = workers = _resolve_workers(workers)
-        self._cv = threading.Condition()
-        self._ready = deque()  # (job, tid)
-        self._active = 0  # submitted graphs not yet completed/failed
-        self._closed = False
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"{name}-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
-
-    # ------------------------------------------------------------------
-    def submit_graph(self, ntasks, roots, run_task, *, on_complete, on_error):
-        """Enqueue one static task graph; returns immediately.
-
-        ``on_complete()`` fires (on a worker thread) when every task ran;
-        ``on_error(exc)`` fires instead on the graph's first task
-        exception.  ``on_complete`` may itself submit a follow-up graph —
-        the pool counts the current graph as active until the callback
-        returns, so a chained submission can never race ``close`` into a
-        premature shutdown.  A non-empty graph without a root could never
-        start (and would wedge :meth:`close`), so it is refused here.
-        """
-        roots = list(roots)
-        if ntasks and not roots:
-            raise ValueError("ntasks > 0 needs at least one root")
-        job = _StreamJob(run_task, ntasks, on_complete, on_error)
-        with self._cv:
-            # a closed pool still accepts submissions while graphs are in
-            # flight (the drain): chained follow-up graphs from completion
-            # callbacks keep `active` > 0, so the workers are provably
-            # still alive.  Only a closed AND drained pool (threads gone)
-            # must refuse.
-            if self._closed and self._active == 0:
-                raise RuntimeError("pool is closed")
-            self._active += 1
-            if ntasks:
-                self._ready.extend((job, t) for t in roots)
-                self._cv.notify(len(roots))
-        if not ntasks:
-            self._finish(job)
-        return job
-
-    @property
-    def active(self):
-        """Number of submitted graphs not yet completed or failed.
-
-        The pool-sharing seam: a front door multiplexing many serving
-        sessions over ONE pool (:class:`repro.serving.Gateway`) samples
-        this for queue-depth metrics and back-pressure decisions without
-        reaching into the pool's internals."""
-        with self._cv:
-            return self._active
-
-    def close(self):
-        """Drain all in-flight graphs, then stop and join the workers."""
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
-        for t in self._threads:
-            t.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    # ------------------------------------------------------------------
-    def _finish(self, job):
-        """Run a graph's completion callback, then retire it.  The active
-        count drops only after ``on_complete`` returns, so a follow-up
-        ``submit_graph`` from the callback keeps the pool awake.  A
-        raising ``on_complete`` is rerouted to ``on_error`` — a broken
-        callback must never kill a worker thread or strand the pool."""
-        try:
-            job.on_complete()
-        except BaseException as exc:
-            self._report(job, exc)
-        finally:
-            with self._cv:
-                self._active -= 1
-                self._cv.notify_all()
-
-    def _fail(self, job, exc):
-        try:
-            self._report(job, exc)
-        finally:
-            with self._cv:
-                self._active -= 1
-                self._cv.notify_all()
-
-    @staticmethod
-    def _report(job, exc):
-        """Deliver ``exc`` to the job's error callback; a failure inside
-        ``on_error`` itself is unreportable and must not take the worker
-        thread down with it."""
-        try:
-            job.on_error(exc)
-        except BaseException:  # pragma: no cover - defensive
-            pass
-
-    def _worker(self):
-        while True:
-            with self._cv:
-                while not self._ready and not (self._closed and self._active == 0):
-                    self._cv.wait()
-                if not self._ready:
-                    return  # closed and fully drained
-                job, tid = self._ready.popleft()
-                if job.failed:
-                    continue  # job already reported; drop its leftovers
-            try:
-                newly = job.run_task(tid)
-            except BaseException as exc:
-                with self._cv:
-                    first = not job.failed
-                    job.failed = True
-                if first:
-                    self._fail(job, exc)
-                continue
-            with self._cv:
-                if job.failed:
-                    continue
-                job.outstanding -= 1
-                finished = job.outstanding == 0
-                if newly:
-                    self._ready.extend((job, t) for t in newly)
-                    self._cv.notify(len(newly))
-            if finished:
-                self._finish(job)
-
-
-def _noop():
-    return None
-
-
-def _run_on_pool(ntasks, roots, run_task, workers, name):
-    """One graph on a transient :class:`StreamPool` named ``name``, sized
-    ``min(workers, ntasks)`` (more threads than tasks can never help) and
-    torn down when the graph drains; the first task exception is
-    re-raised.  A graph of one task needs no pool: it runs right here, on
-    the calling thread (starting and joining a thread costs more than the
-    whole factorization of a small matrix)."""
-    roots = tuple(roots)
-    if ntasks == 1 and roots:
-        run_task(roots[0])
-        return
-    errors = []
-    with StreamPool(max(1, min(workers, ntasks)), name=name) as pool:
-        pool.submit_graph(ntasks, roots, run_task, on_complete=_noop, on_error=errors.append)
-    if errors:
-        raise errors[0]
-
-
 def run_task_graph(ntasks, roots, run_task, workers):
-    """Execute one static task graph on a transient worker pool.
+    """Execute one static task graph on ``min(workers, ntasks)`` threads.
 
     ``run_task(tid)`` performs task ``tid`` and returns the task ids it
-    released; ``roots`` are the initially ready tasks.  The graph is one
-    :meth:`StreamPool.submit_graph` on a pool of ``min(workers, ntasks)``
-    ``repro-exec-*`` threads; the first task exception drops the graph's
-    remaining tasks and is re-raised.  This is the generic runtime behind
-    :func:`factorize_executor` and the parallel triangular sweeps of
+    released; ``roots`` are the initially ready tasks.  ``repro-exec-{i}``
+    threads drain one shared ready queue until every task ran; the first task
+    exception stops the drain (tasks already running finish, no new one
+    starts) and is re-raised here.  A graph of one task runs on the calling
+    thread (starting and joining a thread costs more than the whole
+    factorization of a small matrix).  This is the generic runtime behind
+    :func:`factorize_executor` and the fused triangular solve graph of
     :mod:`repro.solve.triangular`.
     """
-    _run_on_pool(ntasks, roots, run_task, _resolve_workers(workers), "repro-exec")
+    workers = _resolve_workers(workers)
+    ready = deque(roots)
+    if ntasks and not ready:
+        # no task could ever start, and the drain would wait forever
+        raise ValueError("ntasks > 0 needs at least one root")
+    if ntasks <= 1:
+        if ntasks:
+            run_task(ready[0])
+        return
+    cv = threading.Condition()
+    left = ntasks  # tasks not yet finished
+    errors = []
+
+    def drain():
+        nonlocal left
+        while True:
+            with cv:
+                while not ready and left and not errors:
+                    cv.wait()
+                if errors or not ready:
+                    return  # failed, or every task ran
+                tid = ready.popleft()
+            try:
+                newly = run_task(tid)
+            except BaseException as exc:  # re-raised on the calling thread
+                with cv:
+                    errors.append(exc)
+                    cv.notify_all()
+                return
+            with cv:
+                left -= 1
+                if newly:
+                    ready.extend(newly)
+                    cv.notify(len(newly))
+                if not left:
+                    cv.notify_all()
+
+    threads = [
+        threading.Thread(target=drain, name=f"repro-exec-{i}", daemon=True)
+        for i in range(min(workers, ntasks))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _traced_run(run_task, label_of, tracer, t0):
@@ -687,32 +533,6 @@ def _check_granularity(granularity):
         )
 
 
-def stream_factorize_job(symb, M, granularity, extra=None, dtype=None):
-    """One streaming factorize job: ``(storage, ntasks, roots, run_task,
-    finish)`` for a single same-pattern matrix ``M``.
-
-    The per-matrix seam of :func:`factorize_executor`: the caller runs
-    ``(ntasks, roots, run_task)`` on a :class:`StreamPool` and, once the
-    graph drains, calls ``finish(wall_seconds)`` for the measured
-    :class:`~repro.numeric.result.FactorizeResult` — ``extra`` plus the
-    wall clock and the task count; no model field.
-    """
-    storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
-    # the static plan is shared (memoised on ``symb``); the parked store,
-    # the countdown and the task closures are per-matrix state, so any
-    # number of same-pattern instances can run concurrently on one pool
-    plan = dag_plan(symb, granularity)
-    run = range_tasks(symb, storage, plan, {})
-    run_task = Countdown(plan.indeg).task(run, plan.children)
-    method = _FAMILY[granularity] + "_par"
-
-    def finish(wall_seconds):
-        report = dict(extra or (), wall_seconds=wall_seconds, tasks=plan.ntasks)
-        return FactorizeResult(method, storage, symb.nsup, extra=report)
-
-    return storage, plan.ntasks, plan.roots, run_task, finish
-
-
 def factorize_executor(
     symb,
     A,
@@ -750,13 +570,18 @@ def factorize_executor(
     """
     _check_granularity(granularity)
     workers = _resolve_workers(workers)
-    extra = {"workers": workers, "backend": "threads", "granularity": granularity}
-    _, ntasks, roots, run_task, finish = stream_factorize_job(
-        symb, A, granularity, extra=extra, dtype=dtype
-    )
+    storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
+    plan = dag_plan(symb, granularity)
+    run_task = Countdown(plan.indeg).task(range_tasks(symb, storage, plan, {}), plan.children)
     t0 = time.perf_counter()
     if tracer is not None:
-        label_of = _task_label_fn(dag_plan(symb, granularity))
-        run_task = _traced_run(run_task, label_of, tracer, t0)
-    run_task_graph(ntasks, roots, run_task, workers)
-    return finish(time.perf_counter() - t0)
+        run_task = _traced_run(run_task, _task_label_fn(plan), tracer, t0)
+    run_task_graph(plan.ntasks, plan.roots, run_task, workers)
+    extra = {
+        "workers": workers,
+        "backend": "threads",
+        "granularity": granularity,
+        "wall_seconds": time.perf_counter() - t0,
+        "tasks": plan.ntasks,
+    }
+    return FactorizeResult(_FAMILY[granularity] + "_par", storage, symb.nsup, extra=extra)

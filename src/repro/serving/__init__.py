@@ -5,7 +5,7 @@ from many concurrent tenants, keys them by sparsity-pattern fingerprint
 (:func:`repro.pattern_fingerprint`) into an LRU cache of warm
 :class:`~repro.api.SymbolicPlan` objects, and multiplexes every
 per-pattern :class:`~repro.api.ServingSession` over ONE shared
-:class:`~repro.numeric.executor.StreamPool` — symbolic analysis (the
+:class:`concurrent.futures.ThreadPoolExecutor` — symbolic analysis (the
 expensive, perfectly-cacheable stage) is paid once per pattern and
 amortized across every tenant that shares it.
 

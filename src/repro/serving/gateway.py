@@ -11,7 +11,7 @@ Architecture — three layers, one shared pool::
                        per-pattern ServingSession  (one per warm plan)
                                   │  submit()/submit_solve() futures
                                   ▼
-                       ONE shared StreamPool       (worker threads)
+                       ONE shared ThreadPoolExecutor  (worker threads)
 
 Cache **hits** skip straight to the numeric stage: the request's values
 are pushed through the warm plan's serving session, ONE task on the shared
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api import plan as build_plan
-from ..numeric.executor import StreamPool
+from ..numeric.executor import _resolve_workers
 from ..numeric.registry import resolve
 from ..symbolic.analyze import analyze
 from ..symbolic.structure import pattern_fingerprint
@@ -257,10 +257,10 @@ class Gateway:
         Per-tenant in-flight cap (``None``: unlimited); beyond it
         :class:`TenantBudgetExceeded` is raised for that tenant only.
     workers:
-        Width of the ONE shared :class:`~repro.numeric.executor.StreamPool`
-        every per-pattern session runs on — how many requests run at once,
-        one pool task each (``None``:
-        :func:`~repro.numeric.executor.default_workers`).
+        Width of the ONE shared
+        :class:`~concurrent.futures.ThreadPoolExecutor` every per-pattern
+        session runs on — how many requests run at once, one pool task each
+        (``None``: :func:`~repro.numeric.executor.default_workers`).
     engine / threshold:
         Engine of every per-pattern session, exactly as
         :meth:`repro.api.SymbolicPlan.serve` takes them: any registered
@@ -310,7 +310,8 @@ class Gateway:
         self._tracer = tracer
         self._origin = (time.perf_counter() if trace_origin is None
                         else trace_origin)
-        self._pool = StreamPool(workers, name="repro-gateway")
+        self.workers = _resolve_workers(workers)
+        self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="repro-gateway")
         self._analysis = ThreadPoolExecutor(
             max_workers=analysis_workers,
             thread_name_prefix="repro-gw-analysis")
@@ -319,6 +320,7 @@ class Gateway:
         self._cached_bytes = 0
         self._tenants = {}     # tenant -> in-flight count
         self._in_flight = 0
+        self._queued = 0       # numeric futures submitted, not yet resolved
         self._requests = 0
         self._hits = 0
         self._misses = 0
@@ -381,7 +383,7 @@ class Gateway:
             entry.session.close()
         self._cache.clear()
         self._cached_bytes = 0
-        await self._loop.run_in_executor(None, self._pool.close)
+        await self._loop.run_in_executor(None, self._pool.shutdown)
         self._analysis.shutdown(wait=True)
 
     # ------------------------------------------------------------------
@@ -426,8 +428,7 @@ class Gateway:
         if self._tracer is not None:
             t = time.perf_counter() - self._origin
             self._tracer.counter("gateway", "in_flight", t, self._in_flight)
-            self._tracer.counter("gateway", "queue_depth", t,
-                                 self._pool.active)
+            self._tracer.counter("gateway", "queue_depth", t, self._queued)
 
     # ------------------------------------------------------------------
     # plan cache
@@ -580,20 +581,27 @@ class Gateway:
         return pattern_fingerprint(A)
 
     async def _await_numeric(self, cf, fp, timeout):
-        """Await a session future under the gateway's timeout contract."""
-        if timeout is None:
-            return await asyncio.wrap_future(cf)
+        """Await a session future under the gateway's timeout contract,
+        counted in :attr:`GatewayStats.queue_depth` until it resolves, times
+        out or its client cancels."""
+        self._queued += 1
         try:
-            return await asyncio.wait_for(asyncio.wrap_future(cf), timeout)
-        except asyncio.TimeoutError:
-            # still-queued work is cancelled outright and its task computes
-            # nothing; a task already running cannot be cancelled and
-            # finishes normally, so the session is never poisoned
-            cf.cancel()
-            self._timeouts += 1
-            raise GatewayTimeout(
-                f"request on pattern {fp[:8]} timed out after {timeout}s"
-            ) from None
+            if timeout is None:
+                return await asyncio.wrap_future(cf)
+            try:
+                return await asyncio.wait_for(asyncio.wrap_future(cf), timeout)
+            except asyncio.TimeoutError:
+                # still-queued work is cancelled outright and its task
+                # computes nothing; a task already running cannot be
+                # cancelled and finishes normally, so the session is never
+                # poisoned
+                cf.cancel()
+                self._timeouts += 1
+                raise GatewayTimeout(
+                    f"request on pattern {fp[:8]} timed out after {timeout}s"
+                ) from None
+        finally:
+            self._queued -= 1
 
     @contextlib.asynccontextmanager
     async def _request(self, fp, matrix, tenant, *, update=False):
@@ -717,7 +725,7 @@ class Gateway:
             updates=self._updates,
             evictions=self._evictions,
             in_flight=self._in_flight,
-            queue_depth=self._pool.active,
+            queue_depth=self._queued,
             cached_plans=len(self._cache),
             cached_bytes=self._cached_bytes,
             per_pattern=per_pattern,

@@ -59,8 +59,6 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.numeric.registry", "engine_table"),
     ("repro.numeric", "scaled_panel_entries_array"),
     ("repro.numeric.executor", "run_task_graph"),
-    ("repro.numeric.executor", "StreamPool"),
-    ("repro.numeric.executor", "stream_factorize_job"),
     ("repro.numeric.executor", "dag_plan"),
     ("repro.numeric", "ProcessPool"),
     ("repro.numeric", "factorize_process"),

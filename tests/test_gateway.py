@@ -245,8 +245,7 @@ def test_eviction_racing_a_pinned_request(patterns):
         async with Gateway(capacity=1, workers=1) as gw:
             await gw.register(patterns[0])
             gate = threading.Event()
-            gw.pool.submit_graph(1, (0,), lambda tid: (gate.wait(60), ())[1],
-                                 on_complete=lambda: None, on_error=lambda exc: None)
+            gw.pool.submit(gate.wait, 60)
             ta = asyncio.ensure_future(gw.submit(with_values(patterns[0], va), b))
             await until(lambda: gw._cache[fa].pins == 1)
             tb = asyncio.ensure_future(gw.submit(with_values(patterns[1], vb), b))
@@ -481,6 +480,37 @@ def test_timeout_storm_leaves_every_budget_whole(base_matrix, door, workers):
     assert all(np.array_equal(xi, want[1]) for xi in xs)
     assert np.array_equal(x, want[1])
     assert stats.rejected_tenant == 3 * len(tenants)
+
+
+def test_queue_depth_counts_unresolved_numeric_requests(base_matrix):
+    """With the only worker held, N queued requests read ``queue_depth ==
+    N``; one more that times out leaves the count; once the worker is
+    released every answer is the direct call's and the depth reads 0."""
+    N = 3
+    b = np.ones(base_matrix.n)
+    v = sweep(base_matrix, N + 1)
+
+    async def go():
+        async with Gateway(workers=1) as gw:
+            fp = await gw.register(base_matrix)
+            gate = threading.Event()
+            gw.pool.submit(gate.wait, 60)
+            queued = [asyncio.ensure_future(gw.submit_values(fp, d, b)) for d in v[:N]]
+            for _ in range(3):
+                await asyncio.sleep(0)  # every request reaches its await
+            depths = [gw.stats().queue_depth]
+            with pytest.raises(GatewayTimeout):
+                await gw.submit_values(fp, v[N], b, timeout=0.05)
+            depths.append(gw.stats().queue_depth)
+            gate.set()
+            xs = await asyncio.gather(*queued)
+            depths.append(gw.stats().queue_depth)
+            return depths, xs
+
+    depths, xs = run(go())
+    assert depths == [N, N, 0]
+    for d, x in zip(v, xs):
+        assert np.array_equal(x, direct_solution(base_matrix, d, b))
 
 
 def test_generous_timeout_serves_normally(base_matrix):

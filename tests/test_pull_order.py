@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.numeric import executor, factorize_rl_cpu, factorize_rlb_cpu, procpool
-from repro.numeric.executor import Countdown, dag_plan, range_tasks, stream_factorize_job
+from repro.numeric.executor import Countdown, dag_plan, range_tasks
 from repro.numeric.rl import _assemble, apply_run, assemble_update, park_runs
 from repro.numeric.storage import FactorStorage
 from repro.solve import triangular
@@ -77,11 +77,9 @@ def check_factor_orders(system, granularity, dtype, rng, repeats=3):
     want = SERIAL[granularity](symb, M, dtype=dtype)
     plan = dag_plan(symb, granularity)
     for _ in range(repeats):
-        storage, ntasks, roots, run_task, _ = stream_factorize_job(
-            symb, M, granularity, dtype=dtype
-        )
-        assert (ntasks, tuple(roots)) == (plan.ntasks, plan.roots)
-        order = run_in_random_order(ntasks, roots, run_task, rng)
+        storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
+        run_task = Countdown(plan.indeg).task(range_tasks(symb, storage, plan, {}), plan.children)
+        order = run_in_random_order(plan.ntasks, plan.roots, run_task, rng)
         # the drawn order is a topological order of DagPlan.children
         position = {tid: i for i, tid in enumerate(order)}
         for tid, kids in enumerate(plan.children):

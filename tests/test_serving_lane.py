@@ -25,6 +25,7 @@ twin there.  This module pins what that promises:
 import asyncio
 import contextlib
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from hypothesis import strategies as st
 
 import repro
 import repro.serving.gateway as gateway_module
-from repro.numeric.executor import StreamPool
 from repro.numeric.registry import serial_twin
 from repro.numeric.storage import FactorStorage
 from repro.serving import Gateway, GatewayTimeout
@@ -85,8 +85,7 @@ def factorizations(monkeypatch):
 def _blocked(pool):
     """Occupy one worker of ``pool`` until the returned event is set."""
     gate = threading.Event()
-    pool.submit_graph(1, (0,), lambda tid: (gate.wait(60), ())[1],
-                      on_complete=lambda: None, on_error=lambda exc: None)
+    pool.submit(gate.wait, 60)
     return gate
 
 
@@ -174,7 +173,7 @@ def test_a_session_builds_no_task_graph(matrix, name):
 def test_cancelled_submissions_do_not_compute(plan, factorizations):
     """Twelve submissions behind a busy worker, eleven cancelled before
     they run: exactly one factorization happens."""
-    with StreamPool(1) as pool:
+    with ThreadPoolExecutor(1) as pool:
         gate = _blocked(pool)
         session = plan.serve(engine="rl", pool=pool)
         futures = [session.submit(_values(plan.matrix, k)) for k in range(12)]
@@ -189,7 +188,7 @@ def test_cancelled_submissions_do_not_compute(plan, factorizations):
 
 def test_an_update_chained_on_a_cancelled_factor_is_cancelled(plan, factorizations):
     W = structured_update(plan.symb, plan.perm, [3], seed=1)
-    with StreamPool(1) as pool:
+    with ThreadPoolExecutor(1) as pool:
         gate = _blocked(pool)
         session = plan.serve(engine="rlb_par", pool=pool)
         parent = session.submit()

@@ -11,6 +11,7 @@ door.
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.dense import NotPositiveDefiniteError
 from repro.gpu import Tracer
 from repro.gpu.trace import LANES
 from repro.numeric import factorize_executor, factorize_rl_cpu
+from repro.numeric.executor import run_task_graph
 from repro.solve import backward_solve, forward_solve, solve_factored
 from repro.sparse import (
     grid_laplacian,
@@ -90,7 +92,6 @@ class TestBitIdentity:
     def test_fused_graph_matches_split_sweeps(self, factored):
         """solve_graph fuses both sweeps into one task graph; it must agree
         exactly with running the two per-sweep graphs back to back."""
-        from repro.numeric.executor import run_task_graph
         from repro.solve import solve_graph
 
         n = factored.storage.symb.n
@@ -248,6 +249,22 @@ class TestServingSession:
         assert np.array_equal(
             x2, aplan.factorize(datas[2], engine="rlb").solve(b))
 
+    def test_a_non_spd_request_fails_alone_on_a_shared_executor(self, aplan):
+        """Two sessions on one executor's only worker: the non-SPD request
+        fails its own future, the other session's answer is the direct
+        call's, bit for bit."""
+        other = repro.plan(grid_laplacian((6, 5)))
+        bad = aplan.matrix.data.copy()
+        bad[aplan.matrix.indptr[:-1]] = -100.0
+        b = rhs(other.n, "vector", seed=14)
+        with ThreadPoolExecutor(1) as pool:
+            poisoned = aplan.serve(engine="rlb_par", pool=pool).submit(bad)
+            served = other.serve(engine="rlb_par", pool=pool).submit_solve(None, b)
+            exc = poisoned.exception(timeout=60)
+            x = served.result(timeout=60)
+        assert isinstance(exc, NotPositiveDefiniteError) and exc.stream_index == 0
+        assert np.array_equal(x, other.factorize(engine="rlb").solve(b))
+
     def test_submit_after_close_raises(self, aplan):
         session = aplan.serve(engine="rl_par", workers=2)
         session.close()
@@ -290,71 +307,6 @@ class TestServingSession:
         assert factor.engine == "rl"
 
 
-class TestStreamPoolRobustness:
-    def test_raising_on_complete_reroutes_to_on_error(self):
-        """A broken completion callback must neither kill a worker thread
-        nor strand later graphs (regression: the pool's only worker died
-        and close() returned with futures unresolved)."""
-        from concurrent.futures import Future
-
-        from repro.numeric.executor import StreamPool
-
-        first, second = Future(), Future()
-        with StreamPool(1) as pool:
-            pool.submit_graph(
-                1, [0], lambda tid: [],
-                on_complete=lambda: (_ for _ in ()).throw(RuntimeError("cb")),
-                on_error=first.set_exception)
-            pool.submit_graph(
-                1, [0], lambda tid: [],
-                on_complete=lambda: second.set_result("ok"),
-                on_error=second.set_exception)
-            assert isinstance(first.exception(timeout=30), RuntimeError)
-            assert second.result(timeout=30) == "ok"
-
-    def test_raising_on_error_does_not_kill_worker(self):
-        from concurrent.futures import Future
-
-        from repro.numeric.executor import StreamPool
-
-        def boom(tid):
-            raise ValueError("task")
-
-        done = Future()
-        with StreamPool(1) as pool:
-            pool.submit_graph(
-                1, [0], boom,
-                on_complete=lambda: done.set_result("no"),
-                on_error=lambda exc: (_ for _ in ()).throw(exc))
-            pool.submit_graph(
-                1, [0], lambda tid: [],
-                on_complete=lambda: done.set_result("ok"),
-                on_error=done.set_exception)
-            assert done.result(timeout=30) == "ok"
-
-
-    def test_rootless_graph_is_refused_at_submission(self):
-        """A non-empty graph without a root can never start: the workers
-        would wait forever and close() would block on the active graph
-        (by reading the parent's code; never returned there)."""
-        from repro.numeric.executor import StreamPool, run_task_graph
-
-        with pytest.raises(ValueError, match="at least one root"):
-            run_task_graph(3, [], lambda tid: [], 2)
-        with StreamPool(1) as pool:
-            with pytest.raises(ValueError, match="at least one root"):
-                pool.submit_graph(3, [], lambda tid: [],
-                                  on_complete=lambda: None,
-                                  on_error=lambda exc: None)
-            assert pool.active == 0
-        # the pool closed cleanly: nothing was left active
-
-    def test_empty_graph_completes(self):
-        from repro.numeric.executor import run_task_graph
-
-        run_task_graph(0, [], lambda tid: [], 2)
-
-
 class _Boom(Exception):
     pass
 
@@ -375,8 +327,6 @@ class _RecordedGraph:
         self.waiting = [len(p) for p in preds]
         self.lock = threading.Lock()
         self.order = []
-        self.completed = 0
-        self.errors = []
 
     def run_task(self, tid):
         with self.lock:
@@ -391,11 +341,7 @@ class _RecordedGraph:
                     newly.append(c)
         return newly
 
-    def on_complete(self):
-        with self.lock:
-            self.completed += 1
-
-    def check(self):
+    def check(self, raised):
         # exactly once, and only after every predecessor
         assert len(set(self.order)) == len(self.order)
         seen = set()
@@ -404,11 +350,9 @@ class _RecordedGraph:
             seen.add(t)
         if self.bad is None:
             assert sorted(self.order) == list(range(self.ntasks))
-            assert self.completed == 1 and not self.errors
+            assert raised is None
         else:
-            assert self.completed == 0
-            assert [type(e) for e in self.errors] == [_Boom]
-            assert self.errors[0].args == (self.bad,)
+            assert type(raised) is _Boom and raised.args == (self.bad,)
             assert not set(self.children[self.bad]) & set(self.order)
 
 
@@ -421,44 +365,42 @@ def _recorded_graphs(draw):
     return preds, bad
 
 
-class TestOneWorkerPool:
-    """The one threaded dispatch loop under generated load: random DAGs x
-    workers 1-4 (more than this box's cores) x 1-3 graphs in flight."""
+class TestRunTaskGraph:
+    """The one-graph threaded drain, under generated load: random DAGs x
+    workers 1-4 (more than this box's cores)."""
+
+    def test_rootless_graph_is_refused_at_submission(self):
+        """A non-empty graph without a root can never start: the drain
+        would wait forever."""
+        with pytest.raises(ValueError, match="at least one root"):
+            run_task_graph(3, [], lambda tid: [], 2)
+
+    def test_empty_graph_completes(self):
+        run_task_graph(0, [], lambda tid: [], 2)
 
     @settings(max_examples=60, deadline=None)
-    @given(specs=st.lists(_recorded_graphs(), min_size=1, max_size=3),
-           workers=st.integers(1, 4))
-    def test_random_dags_run_once_in_order_and_fail_alone(self, specs,
-                                                          workers):
-        from repro.numeric.executor import StreamPool, run_task_graph
+    @given(spec=_recorded_graphs(), workers=st.integers(1, 4))
+    def test_random_dags_run_once_in_order_and_fail_first(self, spec, workers):
+        graph = _RecordedGraph(*spec)
+        raised = []
 
-        graphs = [_RecordedGraph(preds, bad) for preds, bad in specs]
+        def drive():
+            try:
+                run_task_graph(graph.ntasks, graph.roots, graph.run_task, workers)
+                raised.append(None)
+            except _Boom as exc:
+                raised.append(exc)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            pool = StreamPool(workers)
-            for g in graphs:
-                pool.submit_graph(g.ntasks, g.roots, g.run_task,
-                                  on_complete=g.on_complete,
-                                  on_error=g.errors.append)
-            closer = threading.Thread(target=pool.close)
-            closer.start()
-            closer.join(timeout=60)
-            assert not closer.is_alive()
+            driver = threading.Thread(target=drive)
+            driver.start()
+            driver.join(timeout=60)
+            assert not driver.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        for g in graphs:
-            g.check()
-        # the transient-pool door re-raises a graph's failure
-        preds, bad = specs[0]
-        again = _RecordedGraph(preds, bad)
-        if bad is None:
-            run_task_graph(again.ntasks, again.roots, again.run_task, workers)
-            assert sorted(again.order) == list(range(again.ntasks))
-        else:
-            with pytest.raises(_Boom):
-                run_task_graph(again.ntasks, again.roots, again.run_task,
-                               workers)
+        graph.check(*raised)
 
 
 class TestExecutorTraceInstrumentation:

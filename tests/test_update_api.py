@@ -14,6 +14,8 @@ fallback and the pattern-growth fresh-plan road,
 from __future__ import annotations
 
 import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -310,6 +312,36 @@ class TestSessionUpdates:
         base = splan.factorize(A.data, engine="rlb")
         x_ref = scratch(splan, base.update(W1), W2).solve(b)
         np.testing.assert_allclose(x, x_ref, rtol=1e-9, atol=1e-11)
+
+    def test_close_drains_a_chained_trajectory(self, splan, A):
+        """The ``with`` block is left before any result is read: the chain
+        enqueues from its parents' tasks while the session closes, and the
+        last future still resolves to the direct answer, bit for bit."""
+        W1 = make_W(splan, [0], seed=22)
+        W2 = make_W(splan, [5], seed=23)
+        b = np.ones(splan.n)
+        with splan.serve(engine="rlb_par", workers=2) as session:
+            f0 = session.submit(A.data)
+            f1 = session.submit_update(f0, W1)
+            f2 = session.submit_update(f1, W2, b=b)
+        x = f2.result(timeout=30)
+        base = splan.factorize(A.data, engine="rlb")
+        assert np.array_equal(x, base.update(W1).update(W2).solve(b))
+
+    def test_a_chain_on_a_shut_down_shared_pool_fails_its_future(self, splan, A):
+        """A shared executor shut down by its owner refuses the chained
+        update: the future resolves with that ``RuntimeError`` instead of
+        staying pending."""
+        W = make_W(splan, [0], seed=22)
+        pool, gate = ThreadPoolExecutor(1), threading.Event()
+        pool.submit(gate.wait, 60)  # the parent stays queued until shutdown
+        session = splan.serve(engine="rl", pool=pool)
+        f1 = session.submit_update(session.submit(A.data), W)
+        pool.shutdown(wait=False)
+        gate.set()
+        with pytest.raises(RuntimeError, match="shutdown"):
+            f1.result(timeout=30)
+        pool.shutdown()
 
     def test_failed_downdate_rejects_only_its_future(self, splan, A):
         Wbad = np.zeros(splan.n)
