@@ -29,9 +29,9 @@ task graph over the pattern's memoised solve schedule
 sweeps for every worker count.  And when same-pattern requests *overlap* — arriving
 one at a time from concurrent clients — :meth:`SymbolicPlan.serve` opens a
 streaming :class:`ServingSession`: one persistent worker pool, each
-request ONE pool task (its factorization and, for ``submit_solve``, the
-serial sweeps right after it), ``submit``/``submit_solve`` returning
-futures — on any registered engine::
+request ONE pool task running the direct door's code (the plan's request
+body, then for ``submit_solve`` the refinement loop right after it),
+``submit``/``submit_solve`` returning futures — on any registered engine::
 
     with plan.serve(engine="rlb_par", workers=4) as session:
         futures = [session.submit_solve(vals, b) for vals in value_stream]
@@ -77,8 +77,8 @@ from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
 from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
 from .numeric.updown import _modification_plan, _run_atomic
-from .solve.refine import _RefinementChain, _check_refinement, refine, relative_residual
-from .solve.triangular import check_rhs, solve_in_place
+from .solve.refine import _check_refinement, _refine, _solve_permuted, refine, relative_residual
+from .solve.triangular import check_rhs
 from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
@@ -333,13 +333,23 @@ class SymbolicPlan:
         (:func:`repro.numeric.registry.resolve`).
         """
         spec, kwargs = resolve(engine, workers=workers, dtype=dtype, **engine_kwargs)
-        return self._factor(spec, kwargs, self._values_of(values))
+        return self._request(spec, kwargs, self._original_matrix(self._values_of(values)))
 
-    def _factor(self, spec, kwargs, data):
-        """Run a resolved engine on validated same-pattern ``data``."""
-        result = spec.fn(self._system.symb, self._permuted_matrix(data),
-                         **kwargs)
-        return Factor(self, result, self._original_matrix(data))
+    def _request(self, spec, kwargs, matrix, answer=None):
+        """ONE request, the body of :meth:`factorize`, :meth:`factorize_batch`
+        and every :class:`ServingSession` task: the resolved row ``spec``
+        runs with ``kwargs`` on the permuted gather of ``matrix`` (owned by
+        the request: :meth:`_original_matrix`) and returns the
+        :class:`Factor` — or ``answer(factor)``, a factor that never leaves
+        the request, so a row with an ``into`` body factors in one of the
+        plan's work storages (:meth:`_work_storage`)."""
+        M = self._permuted_matrix(matrix.data)
+        if answer is None or spec.into is None:
+            factor = Factor(self, spec.fn(self._system.symb, M, **kwargs), matrix)
+            return factor if answer is None else answer(factor)
+        options = dict(kwargs)
+        with self._work_storage(options.pop("dtype", np.float64)) as storage:
+            return answer(Factor(self, spec.into(storage.refill(M), **options), matrix))
 
     def factorize_batch(self, values_list, *, engine="rlb_par", workers=None,
                         dtype=None, **engine_kwargs):
@@ -370,7 +380,7 @@ class SymbolicPlan:
         factors = []
         for b, data in enumerate(datas):
             try:
-                factors.append(self._factor(spec, kwargs, data))
+                factors.append(self._request(spec, kwargs, self._original_matrix(data)))
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError.for_batch(exc, b) from exc
         return factors
@@ -506,32 +516,22 @@ class Factor:
         Solutions are **bit-identical** for every worker count — the graph
         preserves the serial accumulation order.
         """
-        # validate BEFORE the permutation gather: b[perm] would silently
-        # truncate an oversized right-hand side
-        b = check_rhs(self.n, b, "b", copy=False)
+        b = check_rhs(self.n, b, "b", copy=False)  # before the gather, which would truncate it
         if workers is not None:
             workers = _resolve_workers(workers)
-        perm = self._plan.perm
-        # b[perm] is a fresh gather; both sweeps run in place on it
-        y = solve_in_place(self.storage, b[perm], workers)
-        x = np.empty_like(y)
-        x[perm] = y
-        return x
+        return _solve_permuted(self.storage, self._plan.perm, b, workers=workers)
 
-    def solve_refined(self, b, *, tol=1e-14, max_iter=5, workers=None,
+    def solve_refined(self, b, *, tol=1e-14, max_iter=5,
                       return_info=False, stall_ratio=None, fallback=True):
         """Solve ``A x = b`` with iterative refinement.
 
-        Runs iterative refinement (:func:`repro.solve.refine.refine`)
-        until the relative residual reaches ``tol`` or ``max_iter``
-        residuals were evaluated; ``max_iter=0`` is the plain
-        :meth:`solve`, bit for bit.  ``workers=N`` routes every repeated
-        solve (the initial one and each correction) through the
-        level-scheduled fused task graph — the refined solution is
-        bit-identical to the serial path, the inner solves just run in
-        parallel.  Returns the refined ``x``; with ``return_info=True``
-        returns the full :class:`~repro.solve.refine.RefinementResult`
-        (residual history, iteration count, convergence flag).
+        Runs iterative refinement (:func:`repro.solve.refine.refine`, on
+        the serial sweeps) until the relative residual reaches ``tol`` or
+        ``max_iter`` residuals were evaluated; ``max_iter=0`` is the plain
+        :meth:`solve`, bit for bit.  Returns the refined ``x``; with
+        ``return_info=True`` the full
+        :class:`~repro.solve.refine.RefinementResult` (residual history,
+        iteration count, convergence flag).
 
         **Mixed-precision recovery** (see ``docs/precision.md``): on a
         reduced-precision factor the triangular solves run in the
@@ -561,8 +561,7 @@ class Factor:
         if ratio is None and is_reduced:
             ratio = DEFAULT_STALL_RATIO
         out = refine(self._matrix, self.storage, self._plan.perm, b,
-                     tol=tol, max_iter=max_iter, workers=workers,
-                     stall_ratio=ratio)
+                     tol=tol, max_iter=max_iter, stall_ratio=ratio)
         if is_reduced and fallback and out.residual_norms and not out.converged:
             # precision-limited chain: refactorize at full precision and
             # refine on the fp64 factor (serial twin of this engine)
@@ -578,7 +577,7 @@ class Factor:
                 "residual_norms": list(out.residual_norms),
             }
             out = refine(matrix, full.storage, full.plan.perm, b,
-                         tol=tol, max_iter=max_iter, workers=workers)
+                         tol=tol, max_iter=max_iter)
         return out if return_info else out.x
 
     def residual_norm(self, x, b):
@@ -753,11 +752,14 @@ class ServingSession:
     :meth:`submit` / :meth:`submit_solve` / :meth:`submit_update` call
     enqueues ONE task on the session's
     :class:`concurrent.futures.ThreadPoolExecutor` and immediately returns a
-    :class:`concurrent.futures.Future`.  The task is the whole request: the
-    factorization (a threaded row, ``rl_par`` / ``rlb_par``, runs its
-    serial twin ``rl`` / ``rlb`` — the same bits) and, for a solve, the
-    serial sweeps and any refinement steps right after it, on the same
-    worker.  There is no task graph inside a request; overlapping requests
+    :class:`concurrent.futures.Future`.  The task is the whole request, on
+    the direct door's code: the plan's request body
+    (:meth:`SymbolicPlan._request`; a threaded row, ``rl_par`` /
+    ``rlb_par``, runs its serial twin ``rl`` / ``rlb`` — the same bits),
+    then :func:`~repro.solve.refine.refine`'s loop for a solve, or
+    :meth:`Factor.apply` and :meth:`Factor.solve` for an update.  The
+    session keeps only futures, ordering, cancellation, tracing and
+    ``close()``.  There is no task graph inside a request; overlapping requests
     run side by side, one per worker, so the pool's width is the number of
     requests in flight.  This is the one place the runtime runs several
     requests at once (with :class:`repro.serving.Gateway`, which
@@ -791,7 +793,6 @@ class ServingSession:
                  trace_origin=None, **engine_kwargs):
         spec, kwargs = resolve(engine, workers=workers, threshold=threshold,
                                dtype=dtype, **engine_kwargs)
-        self._dtype = kwargs.pop("dtype", None)
         self._plan = plan
         self._spec = spec
         self._tracer = tracer
@@ -801,35 +802,35 @@ class ServingSession:
             # a request runs the serial twin as one task; the row's workers
             # are the pool's, one request each
             pool_width = kwargs.get("workers")
-            self._runner, self._engine_kwargs = resolve(serial_twin(spec.name))
+            self._row, self._engine_kwargs = resolve(serial_twin(spec.name), dtype=dtype)
         else:
             # the pool only sequences submissions (the process engine runs
             # on its worker-process pool, so width 1 avoids oversubscription)
             pool_width = 1
-            self._runner, self._engine_kwargs = spec, kwargs
+            self._row, self._engine_kwargs = spec, kwargs
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
         # under the running row's bodies (a process row's whole DAG plan),
         # the update path's walk tables, the panel layout and the serial
         # sweeps' shapes and leaf block — on a row that borrows work
         # storages, the plan's first one, whose build reads all three
-        runner, symb = self._runner, plan.symb
+        row, symb = self._row, plan.symb
         path_tables(symb)
         if self.borrows_work:
-            with plan._work_storage(np.float64 if self._dtype is None else self._dtype):
+            with plan._work_storage(self._engine_kwargs.get("dtype", np.float64)):
                 pass
         else:
             _panel_layout(symb)
             solve_shapes(symb)
             leaf_block(symb)
-        if runner.backend == "process":
-            dag_plan(symb, runner.granularity)
-        elif runner.family == "rl":
+        if row.backend == "process":
+            dag_plan(symb, row.granularity)
+        elif row.family == "rl":
             assembly_index(symb)
             update_workspace_entries(symb)
         else:
             index = pair_index(symb)
-            if runner.backend == "gpu":  # the device loop reads every block pair
+            if row.backend == "gpu":  # the device loop reads every block pair
                 for s in range(symb.nsup):
                     index.blocks(s)
                     index.targets(s)
@@ -866,7 +867,7 @@ class ServingSession:
         """Whether a ``submit_solve`` factors in one of the plan's work
         storages: on the rows that run a registry ``into`` body — ``rl``,
         ``rlb`` and the threads rows, which serve them."""
-        return self._runner.into is not None
+        return self._row.into is not None
 
     @property
     def submitted(self):
@@ -928,46 +929,31 @@ class ServingSession:
 
     def _submit(self, values, dtype, label, answer=None):
         """Enqueue one factorization request; returns its future.  The
-        values are validated and gathered here, on the caller thread; the
-        task factorizes them on a worker with the running row and, given
-        ``answer``, resolves to ``answer(factor)`` computed right after,
-        in the same task — in one of the plan's work storages when the
-        session :attr:`borrows_work`, since that factor never leaves the
-        task.  ``dtype`` overrides the session's default factor precision
-        for this submission only."""
+        values are validated and copied here, on the caller thread; the
+        task is the plan's one request body (:meth:`SymbolicPlan._request`)
+        with the running row, resolving to the :class:`Factor` — stamped
+        with ``stream_index`` and ``wall_seconds`` — or, given ``answer``,
+        to ``answer(factor)``.  ``dtype`` overrides the session's default
+        factor precision for this submission only."""
         if self._closed:
             raise RuntimeError("serving session is closed")
         plan = self._plan
         index = self._submitted
-        dt = (self._dtype if dtype is None
-              else resolve(self.engine, dtype=dtype)[1]["dtype"])
-        data = plan._values_of(values)
-        matrix = plan._original_matrix(data)  # copies: the Factor owns it
-        M = plan._permuted_matrix(data)
-        runner, kwargs = self._runner, self._engine_kwargs
+        row, kwargs = self._row, self._engine_kwargs
+        if dtype is not None:
+            kwargs = dict(kwargs, dtype=resolve(self.engine, dtype=dtype)[1]["dtype"])
+        matrix = plan._original_matrix(plan._values_of(values))  # copies: the Factor owns it
         t0 = time.perf_counter()
 
-        def finish(result):
-            result.extra["stream_index"] = index
-            result.extra["wall_seconds"] = time.perf_counter() - t0
-            factor = Factor(plan, result, matrix)
-            return factor if answer is None else answer(factor)
-
-        if answer is not None and self.borrows_work:
-            work_dtype = np.float64 if dt is None else dt  # the values are fp64
-
-            def body():
-                with plan._work_storage(work_dtype) as storage:
-                    return finish(runner.into(storage.refill(M), **kwargs))
-        else:
-            if dt is not None:
-                kwargs = dict(kwargs, dtype=dt)
-
-            def body():
-                return finish(runner.fn(plan.symb, M, **kwargs))
+        def request():
+            if answer is not None:
+                return plan._request(row, kwargs, matrix, answer)
+            factor = plan._request(row, kwargs, matrix)
+            factor.result.extra.update(stream_index=index, wall_seconds=time.perf_counter() - t0)
+            return factor
 
         future = Future()
-        self._enqueue(body, f"{label}:{index}", index, future)
+        self._enqueue(request, f"{label}:{index}", index, future)
         self._submitted += 1
         return future
 
@@ -990,45 +976,34 @@ class ServingSession:
         """Enqueue factorize + solve; returns a future resolving to the
         solution ``x`` of ``A(values) x = b``.
 
-        The serial sweeps run right after the factorization, in the same
-        pool task, so a request is handed to the pool once.  ``b`` is
-        captured at submit time (``(n,)`` or ``(n, k)``); the caller may
-        reuse its buffer afterwards.
-
-        ``refine=True`` runs iterative refinement in the same task: after
-        the initial solve, residuals are evaluated and each correction is
-        one more solve, until the relative residual reaches ``tol`` or
-        ``max_iter`` corrections were taken.  The resolved ``x`` is
-        bit-identical to ``factor.solve_refined(b, tol=tol,
-        max_iter=max_iter)``.
+        The answer, right after the factorization in the same pool task, is
+        ``refine(factor.matrix, factor.storage, factor.plan.perm, b,
+        tol=tol, max_iter=max_iter if refine else 0, stall_ratio=None).x``
+        (:func:`repro.solve.refine.refine`): without ``refine`` the plain
+        :meth:`Factor.solve`, with it ``factor.solve_refined(b, tol=tol,
+        max_iter=max_iter, stall_ratio=None, fallback=False)``, bit for
+        bit.  ``b`` (``(n,)`` or ``(n, k)``) is validated and copied at
+        submit; the caller may reuse its buffer afterwards.
 
         ``dtype`` overrides the session's default factor precision for
         this submission.  Pair ``dtype=numpy.float32`` with
         ``refine=True`` for the mixed-precision serving lane: single
         precision factorization and solves, fp64 residuals and ``x``
         (``refine=False`` solves in float64, as :meth:`Factor.solve`
-        does).  The streaming chain caps at ``max_iter`` without the
+        does).  The served chain caps at ``max_iter`` without the
         fp64-refactorize stall fallback of :meth:`Factor.solve_refined`
         (stall recovery needs a second factorization — do that through
         :meth:`submit` + :meth:`Factor.solve_refined` when the system is
         ill-conditioned enough to need it).
         """
         _check_refinement(tol, max_iter)  # raised here, not on the future
-        plan = self._plan
-        b = check_rhs(plan.n, b, "b", copy=refine)
-        perm = plan.perm
-        y = b[perm]  # fresh gather, owned by the chain
+        b = check_rhs(self._plan.n, b, "b")
+        steps = max_iter if refine else 0
 
         def solve(factor):
-            # the chain of refine(..., stall_ratio=None) on the serial
-            # sweeps; a plain solve is the chain that stops at x0
-            chain = _RefinementChain(factor.matrix, b, perm, factor.dtype,
-                                     tol, max_iter if refine else 0)
-            rhs = chain.step(solve_in_place(factor.storage, chain.work(y)))
-            while rhs is not None:
-                rhs = chain.step(solve_in_place(factor.storage,
-                                                chain.work(rhs[perm])))
-            return chain.out.x
+            # refine(..., stall_ratio=None) of the b validated above
+            return _refine(factor.matrix, factor.storage, factor.plan.perm, b,
+                           tol=tol, max_iter=steps).x
 
         return self._submit(values, dtype, "solve", solve)
 
@@ -1041,18 +1016,19 @@ class ServingSession:
         ``factor`` is a :class:`Factor` of this session's plan or a future
         from :meth:`submit` / a previous ``submit_update`` — chaining
         futures streams a whole update trajectory without ever blocking
-        the submitting thread.  The sweep — and, with ``b``, the serial
-        solve right after it — runs as one pool task under the session's
-        failure-isolation contract: a downdate that destroys
-        positive definiteness (or an uncontained pattern under
-        ``policy="update"``) rejects *this* future only, annotated with
-        ``stream_index``; the parent factor and every other submission are
-        untouched (updates are copy-on-write); a NaN or ±Inf entry of
-        ``W`` raises :class:`~repro.dense.kernels.NonFiniteValuesError`
-        here, at submission.  ``policy`` is
-        :meth:`Factor.apply`'s knob — ``"update"`` (default) forces the
-        path sweep, ``"auto"`` lets the modeled crossover fall back to a
-        serial refactorize inside the task.
+        the submitting thread.  The request is :meth:`Factor.apply` and,
+        with ``b`` (copied at submit), ``new_factor.solve(b)`` on the new
+        factor's own plan, as one pool task under the session's
+        failure-isolation contract: a downdate that destroys positive
+        definiteness (or an uncontained pattern under ``policy="update"``)
+        rejects *this* future only, annotated with ``stream_index``; the
+        parent factor and every other submission are untouched (updates
+        are copy-on-write); a NaN or ±Inf entry of ``W`` raises
+        :class:`~repro.dense.kernels.NonFiniteValuesError` here, at
+        submission.  ``policy`` is :meth:`Factor.apply`'s knob —
+        ``"update"`` (default) forces the path sweep, ``"auto"`` lets the
+        modeled crossover fall back to a refactorize inside the task (on a
+        new plan when ``W`` grows the pattern).
 
         ``on_factor(new_factor)``, if given, runs on the worker thread as
         soon as the updated factor exists — before any solve — so callers
@@ -1061,27 +1037,20 @@ class ServingSession:
         """
         if self._closed:
             raise RuntimeError("serving session is closed")
-        plan = self._plan
         index = self._submitted
         future = Future()
         # captured — and, like a NaN ``b``, refused — at submit
         W = np.array(check_real(W, "update vectors"), dtype=np.float64, copy=True)
         W = check_finite(W, "update vectors")
-        y = None
         if b is not None:
-            b = check_rhs(plan.n, b, "b", copy=False)
-            y = b[plan.perm]  # fresh gather, owned by the request
+            b = check_rhs(self._plan.n, b, "b")
 
         def enqueue(parent):
             def request():
                 new_factor = parent.apply(W, policy=policy, downdate=downdate)
                 if on_factor is not None:
                     on_factor(new_factor)
-                if y is None:
-                    return new_factor
-                x = np.empty_like(y)
-                x[plan.perm] = solve_in_place(new_factor.storage, y)
-                return x
+                return new_factor if b is None else new_factor.solve(b)
 
             self._enqueue(request, f"update:{index}", index, future)
 

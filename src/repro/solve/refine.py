@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dense.kernels import check_real
+from ..numeric.threshold import refinement_stalled
 from .triangular import check_rhs, solve_in_place
 
 __all__ = ["RefinementResult", "refine", "relative_residual"]
@@ -73,74 +74,26 @@ class RefinementResult:
     stalled: bool = False
 
 
-class _RefinementChain:
-    """One refinement chain's state, advanced in one place.
-
-    Whoever runs the solves — :func:`refine`'s loop, or the pool callbacks
-    of :meth:`repro.api.ServingSession.submit_solve` — solves the
-    :meth:`work` vector of each gathered right-hand side (``rhs[perm]``) in
-    place and hands it to :meth:`step`: first ``b``'s, then the residuals'.
-    ``step`` returns the next right-hand side (``b - A x``), or ``None``
-    once the chain has ended — ``tol`` reached, ``max_iter`` residuals
-    evaluated, or, with a ``stall_ratio``, a step failed to contract the
-    residual; ``out`` is then the result.  The one work-dtype rule: a chain
-    that refines solves in the factor's ``dtype``, one that stops at ``x0``
-    in float64 — bit for bit the plain solve.
-    """
-
-    def __init__(self, A, b, perm, dtype, tol, max_iter, stall_ratio=None):
-        _check_refinement(tol, max_iter, stall_ratio)
-        self.A = A
-        self.b = np.asarray(check_real(b, "right-hand side"), dtype=np.float64)
-        self.perm = perm
-        self.dtype = np.dtype(dtype if max_iter >= 1 else np.float64)
-        self.tol = tol
-        self.max_iter = max_iter
-        self.stall_ratio = stall_ratio
-        self.scale = None
-        self.out = RefinementResult(None, [], 0, converged=False)
-
-    def work(self, y):
-        """``y`` (a float64 gather the chain owns) in the work dtype: a
-        narrower one gets ``y`` divided by its per-column max-norm first, so
-        the cast neither overflows nor flushes to zero at any scale of ``b``."""
-        if self.dtype == np.float64:
-            return y
+def _solve_permuted(storage, perm, b, dtype=np.float64, workers=None):
+    """``x`` with ``A x = b``, for a factor of ``P A Pᵀ`` and a ``b`` that
+    :func:`~repro.solve.triangular.check_rhs` passed (the gather would
+    truncate an oversized one): the sweeps run in place on the gather
+    ``b[perm]`` in the work ``dtype`` — a narrower one divided first by its
+    per-column max-norm, so the cast neither overflows nor flushes to zero
+    at any scale of ``b``; ``x`` is float64."""
+    y = b[perm]
+    scale = None
+    if dtype != np.float64:
         scale = np.abs(y).max(axis=0, initial=0.0)  # an empty y has no max
-        self.scale = np.where(scale > 0, scale, 1.0)
-        y /= self.scale
-        return y.astype(self.dtype)
-
-    def step(self, solved):
-        """:meth:`advance` by the solved work vector, unscaled and scattered
-        back to the original ordering in float64."""
-        x = np.empty(solved.shape)
-        x[self.perm] = solved
-        if self.scale is not None:
-            x *= self.scale
-        return self.advance(x)
-
-    def advance(self, x):
-        """Add ``x`` (float64, original ordering) to the solution."""
-        out = self.out
-        out.x = x if out.x is None else out.x + x
-        if out.iterations >= self.max_iter:
-            return None
-        r = self.b - self.A.matvec(out.x)
-        out.residual_norms.append(_relative_residual_norm(self.b, r))
-        out.iterations += 1
-        if out.residual_norms[-1] <= self.tol:
-            out.converged = True
-            return None
-        if self.stall_ratio is not None:
-            from ..numeric.threshold import refinement_stalled
-
-            out.stalled = refinement_stalled(out.residual_norms, ratio=self.stall_ratio)
-        return None if out.stalled else r
+        scale = np.where(scale > 0, scale, 1.0)
+        y = (y / scale).astype(dtype)
+    x = np.empty(y.shape)
+    x[perm] = solve_in_place(storage, y, workers)
+    return x if scale is None else x * scale
 
 
 def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
-           workers=None, stall_ratio=None):
+           stall_ratio=None):
     """Iteratively refine a solve of ``A x = b``.
 
     Parameters
@@ -160,13 +113,8 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
     tol:
         Target relative residual (infinity norm).
     max_iter:
-        Refinement step limit; ``0`` is the plain float64 solve.
-    workers:
-        When given, every repeated solve (the initial one and each
-        correction) runs the level-scheduled fused task graph on
-        ``workers`` threads (:func:`repro.solve.triangular.solve_in_place`)
-        — bit-identical to the serial sweeps, so the refinement trajectory
-        is unchanged; only the wall-clock of the inner solves drops.
+        Refinement step limit; ``0`` is the plain float64 solve, bit for
+        bit :meth:`repro.api.Factor.solve`.
     stall_ratio:
         When given, stop early (``stalled=True``) as soon as one step fails
         to shrink the residual to below ``stall_ratio ×`` the previous
@@ -174,13 +122,36 @@ def refine(A, storage, perm, b, *, x0=None, tol=1e-14, max_iter=5,
         reach ``tol`` however long it iterates.  ``None`` (default)
         disables stall detection and keeps the historical behaviour.
 
-    A ``tol`` that is negative or not finite, a negative ``max_iter`` or a
-    ``stall_ratio <= 0`` raises ``ValueError`` before any solve.
+    One loop on the serial sweeps; ``b`` and each residual are validated
+    before their solve.  A ``tol`` that is negative or not finite, a
+    negative ``max_iter`` or a ``stall_ratio <= 0`` raises ``ValueError``
+    before any solve.
     """
-    chain = _RefinementChain(A, b, perm, storage.dtype, tol, max_iter, stall_ratio)
-    rhs = chain.b if x0 is None else chain.advance(np.array(x0, dtype=np.float64))
-    while rhs is not None:
-        # validated before the gather, which would truncate an oversized rhs
-        y = chain.work(check_rhs(storage.symb.n, rhs, copy=False)[perm])
-        rhs = chain.step(solve_in_place(storage, y, workers))
-    return chain.out
+    _check_refinement(tol, max_iter, stall_ratio)
+    b = check_rhs(storage.symb.n, b, copy=False)
+    return _refine(A, storage, perm, b, x0=x0, tol=tol, max_iter=max_iter,
+                   stall_ratio=stall_ratio)
+
+
+def _refine(A, storage, perm, b, *, tol, max_iter, x0=None, stall_ratio=None):
+    """:func:`refine` of a validated ``b`` with validated arguments."""
+    dtype = storage.dtype if max_iter >= 1 else np.float64  # the one work-dtype rule
+    if x0 is None:
+        x = _solve_permuted(storage, perm, b, dtype)
+    else:
+        x = np.array(x0, dtype=np.float64)
+    out = RefinementResult(x, [], 0, converged=False)
+    while out.iterations < max_iter:
+        r = b - A.matvec(out.x)
+        out.residual_norms.append(_relative_residual_norm(b, r))
+        out.iterations += 1
+        if out.residual_norms[-1] <= tol:
+            out.converged = True
+            break
+        if stall_ratio is not None:
+            out.stalled = refinement_stalled(out.residual_norms, ratio=stall_ratio)
+            if out.stalled:
+                break
+        r = check_rhs(storage.symb.n, r, copy=False)  # an overflowed residual is refused
+        out.x = out.x + _solve_permuted(storage, perm, r, dtype)
+    return out

@@ -326,7 +326,7 @@ class TestInputValidation:
                 factor.solve(b, **how)
             assert ei.value.what == "solution" and ei.value.count > 0
             with pytest.raises(repro.NonFiniteValuesError, match="solution"):
-                factor.solve_refined(b, **how)
+                factor.solve_refined(b)
             panel[0, 0] = kept
             assert np.array_equal(factor.solve(b, **how), want)
 

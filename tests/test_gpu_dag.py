@@ -216,18 +216,6 @@ class TestFactorizationGraphs:
 
 
 class TestRefinement:
-    def test_refine_workers_bit_identical(self, grid_system):
-        import repro
-
-        A = grid_laplacian((9, 9, 3))
-        plan = repro.plan(A)
-        factor = plan.factorize(engine="rl")
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal(A.n)
-        ref = factor.solve_refined(b, tol=1e-30, max_iter=3)
-        par = factor.solve_refined(b, tol=1e-30, max_iter=3, workers=3)
-        assert np.array_equal(ref, par)
-
     def test_serving_refine_chain(self, grid_system):
         import repro
         from repro.sparse import spd_value_sweep

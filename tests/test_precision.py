@@ -36,9 +36,7 @@ from repro.serving import Gateway, plan_nbytes
 from repro.solve import refine
 from repro.sparse import SymmetricCSC, grid_laplacian, random_spd
 from repro.symbolic import analyze
-from repro.symbolic.ranges import task_ranges
 from repro.update import UpdatedMatrix
-from tests.conftest import force_cut
 
 
 @pytest.fixture(scope="module")
@@ -600,19 +598,6 @@ class TestRefinementWorkPrecision:
             out = f32.solve_refined(b, return_info=True)
             assert out.converged and not out.x.any()
         assert "refine_fallback" not in f32.result.extra
-
-    def test_parallel_refinement_is_the_serial_bits(self, monkeypatch):
-        force_cut(monkeypatch, "singletons")
-        plan = repro.plan(grid_laplacian((9, 8, 3)))
-        assert len(task_ranges(plan.symb).bounds) > 3
-        f32 = plan.factorize(dtype=np.float32)
-        rng = np.random.default_rng(1)
-        for b in (rng.standard_normal(plan.n), rng.standard_normal((plan.n, 3))):
-            serial = f32.solve_refined(b, return_info=True)
-            par = f32.solve_refined(b, workers=2, return_info=True)
-            assert serial.converged and serial.iterations >= 2
-            assert np.array_equal(par.x, serial.x)
-            assert par.residual_norms == serial.residual_norms
 
 
 class TestResidualProduct:

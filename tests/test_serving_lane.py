@@ -537,3 +537,44 @@ class TestWorkStorage:
                 x = session.submit_solve(values, b, refine=refine, tol=1e-13).result(timeout=60)
                 assert np.array_equal(x, _direct(plan, values, b, dtype, refine, name))
         assert len(_pool(plan, dtype)) == 1
+
+
+# ---------------------------------------------------------------------------
+# an update that grows the pattern: the answer solves on the new factor's plan
+# ---------------------------------------------------------------------------
+def _pattern_growing_update(A):
+    """``W`` nonzero at rows 0 and n-1 of a grid, which no grid entry
+    couples: ``policy="auto"`` falls back to a refactorize on a NEW plan,
+    whose permutation is not the base plan's."""
+    W = np.zeros(A.n)
+    W[[0, A.n - 1]] = [0.75, -0.5]
+    return W
+
+
+def test_a_session_update_that_grows_the_pattern_solves_on_its_own_plan():
+    A = grid_laplacian((6, 5))
+    plan = repro.plan(A)
+    W, b = _pattern_growing_update(A), np.cos(np.arange(A.n))
+    base = plan.factorize(engine="rl")
+    updated = base.apply(W, policy="auto")
+    assert updated.plan is not plan  # the road the answer must follow
+    with plan.serve(engine="rl") as session:
+        x = session.submit_update(base, W, b=b, policy="auto").result(timeout=60)
+    assert np.array_equal(x, updated.solve(b))
+    assert updated.residual_norm(x, b) < 1e-10
+
+
+def test_a_gateway_update_that_grows_the_pattern_solves_on_its_own_plan():
+    A = grid_laplacian((6, 5))
+    W, b = _pattern_growing_update(A), np.sin(np.arange(A.n) + 1.0)
+
+    async def go():
+        async with Gateway(engine="rl", workers=1) as gw:
+            base = await gw.submit(A)
+            return base, await gw.submit_update(gw.fingerprint(A), W, b, policy="auto")
+
+    base, x = asyncio.run(go())
+    updated = base.apply(W, policy="auto")
+    assert updated.plan is not base.plan
+    assert np.array_equal(x, updated.solve(b))
+    assert updated.residual_norm(x, b) < 1e-10

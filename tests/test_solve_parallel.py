@@ -190,21 +190,19 @@ class TestSolveSchedule:
 
 class TestSolveModeDispatch:
     """``workers=None`` is the serial sweeps, ``workers=N`` the level graph;
-    a worker count is a positive integer at every solve door."""
+    a worker count is a positive integer at the solve door."""
 
-    @pytest.mark.parametrize("door", ["solve", "solve_refined"])
-    def test_workers_zero_is_a_value_error(self, aplan, door):
+    def test_workers_zero_is_a_value_error(self, aplan):
         factor = aplan.factorize(engine="rl")
         b = rhs(aplan.n, "vector", seed=10)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            getattr(factor, door)(b, workers=0)
+            factor.solve(b, workers=0)
 
-    @pytest.mark.parametrize("door", ["solve", "solve_refined"])
-    def test_fractional_workers_is_a_type_error(self, aplan, door):
+    def test_fractional_workers_is_a_type_error(self, aplan):
         factor = aplan.factorize(engine="rl")
         b = rhs(aplan.n, "vector", seed=10)
         with pytest.raises(TypeError):
-            getattr(factor, door)(b, workers=2.5)
+            factor.solve(b, workers=2.5)
 
     def test_mode_is_not_a_keyword(self, aplan):
         factor = aplan.factorize(engine="rl")
