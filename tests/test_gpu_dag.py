@@ -216,6 +216,18 @@ class TestFactorizationGraphs:
 
 
 class TestRefinement:
+    def test_solve_refined_is_refine(self, grid_system):
+        import repro
+        from repro.solve import refine
+
+        A = grid_laplacian((9, 9, 3))
+        factor = repro.plan(A).factorize(engine="rl")
+        b = np.random.default_rng(2).standard_normal(A.n)
+        ref = refine(A, factor.storage, factor.plan.perm, b, tol=1e-30, max_iter=3)
+        out = factor.solve_refined(b, tol=1e-30, max_iter=3, return_info=True)
+        assert np.array_equal(out.x, ref.x)
+        assert out.residual_norms == ref.residual_norms and out.iterations == 3
+
     def test_serving_refine_chain(self, grid_system):
         import repro
         from repro.sparse import spd_value_sweep

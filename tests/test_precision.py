@@ -593,6 +593,21 @@ class TestRefinementWorkPrecision:
         assert block.converged and block.iterations == ref.iterations
         assert "refine_fallback" not in f32.result.extra
 
+    @pytest.mark.parametrize("shape", ["vector", "block"])
+    def test_a_shorter_chain_is_a_prefix_of_a_longer_one(self, f32, base_matrix, shape):
+        """One loop: the ``x`` of a ``k``-step chain is the iterate whose
+        residual the ``k+1``-step chain measures next, bit for bit."""
+        n = base_matrix.n
+        b = np.cos(np.outer(np.arange(n), [1.0, 2.0]))
+        if shape == "vector":
+            b = b[:, 0].copy()
+        short = refine(base_matrix, f32.storage, f32.plan.perm, b, tol=0.0, max_iter=2)
+        long = refine(base_matrix, f32.storage, f32.plan.perm, b, tol=0.0, max_iter=3)
+        assert short.iterations == 2 and long.iterations == 3
+        assert short.residual_norms == long.residual_norms[:2]
+        assert long.residual_norms[2] == repro.solve.relative_residual(base_matrix, short.x, b)
+        assert long.residual_norms[2] < long.residual_norms[0]
+
     def test_zero_rhs_is_converged_zeros(self, f32, base_matrix):
         for b in (np.zeros(base_matrix.n), np.zeros((base_matrix.n, 2))):
             out = f32.solve_refined(b, return_info=True)

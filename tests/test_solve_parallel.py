@@ -204,6 +204,18 @@ class TestSolveModeDispatch:
         with pytest.raises(TypeError):
             factor.solve(b, workers=2.5)
 
+    @pytest.mark.parametrize("door", ["solve_refined", "refine"])
+    def test_refinement_takes_no_workers(self, aplan, door):
+        """Refinement runs the serial sweeps only: ``workers=`` is not a
+        keyword of ``Factor.solve_refined`` or ``repro.solve.refine``."""
+        factor = aplan.factorize(engine="rl")
+        b = rhs(aplan.n, "vector", seed=10)
+        with pytest.raises(TypeError, match="workers"):
+            if door == "solve_refined":
+                factor.solve_refined(b, workers=2)
+            else:
+                repro.solve.refine(factor.matrix, factor.storage, aplan.perm, b, workers=2)
+
     def test_mode_is_not_a_keyword(self, aplan):
         factor = aplan.factorize(engine="rl")
         with pytest.raises(TypeError, match="mode"):
