@@ -76,8 +76,6 @@ from .numeric import (
     factorize_rlb_cpu,
     factorize_rl_gpu,
     factorize_rlb_gpu,
-    rank1_update,
-    rank_k_update,
 )
 from .numeric import WorkerDiedError
 from .numeric import plan as memory_plan
@@ -106,8 +104,6 @@ __all__ = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "rank1_update",
-    "rank_k_update",
     "memory_plan",
     "SimulatedGpu",
     "MachineModel",

@@ -76,7 +76,7 @@ from .numeric.executor import _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
 from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
-from .numeric.updown import _modification_plan, _run_atomic
+from .numeric.updown import _modification_plan, _sweep
 from .solve.refine import _check_refinement, _refine, _solve_permuted, refine, relative_residual
 from .solve.triangular import check_rhs
 from .sparse.csc import SymmetricCSC
@@ -637,10 +637,9 @@ class Factor:
         mod.require_contained()
         storage = self.storage
         if mod.roots:
+            # the sweep runs on private copies: a failure discards them
             storage = FactorStorage.derived(storage, mod.snodes)
-            # the sweep runs on private copies; a failure discards the
-            # whole candidate storage, so the atomicity snapshot is moot
-            _run_atomic(storage, Wp, mod, downdate, snapshot=False)
+            _sweep(storage, Wp, mod, -1.0 if downdate else 1.0)
         extra = dict(self._result.extra,
                      update_rank=int(Wp.shape[1]),
                      update_cols=int(mod.union.size),

@@ -33,13 +33,7 @@ from .procpool import (
 )
 from .blas_limits import BLAS_ENV_VARS, limit_blas_threads, pinned_blas_env
 from .planner import MemoryPlan, plan, predict_peak_device_bytes
-from .updown import (
-    rank1_update,
-    rank_k_update,
-    affected_columns,
-    column_structure,
-    path_union,
-)
+from .updown import column_structure
 from .threshold import (
     DEFAULT_RL_THRESHOLD,
     DEFAULT_RLB_THRESHOLD,
@@ -92,12 +86,8 @@ __all__ = [
     "DEFAULT_DEVICE_MEMORY",
     "gpu_snode_mask",
     "scaled_panel_entries_array",
-    "rank1_update",
-    "rank_k_update",
-    "path_union",
     "MemoryPlan",
     "plan",
     "predict_peak_device_bytes",
-    "affected_columns",
     "column_structure",
 ]

@@ -312,9 +312,8 @@ class FactorStorage:
         copied supernodes' entries cut anew.
 
         Built on first use and kept: nothing rebinds ``panels[s]`` (engines
-        and in-place updates write *into* the arrays, a copy-on-write
-        update builds a new storage), so the views always read current
-        values.
+        and :meth:`refill` write *into* the arrays, a copy-on-write update
+        builds a new storage), so the views always read current values.
         """
         prog = self._solve_program
         if prog is None:
@@ -333,8 +332,8 @@ class FactorStorage:
     def leaf_values(self, block, dtype=np.float64):
         """The values at ``block.pos`` (:class:`~repro.symbolic.levels.LeafBlock`)
         in the sweep's work ``dtype`` (an fp32 factor under a float64 buffer
-        is upcast exactly), gathered *now*: nothing is kept that an in-place
-        update could leave stale.  A derived storage gathers from its root's
+        is upcast exactly), gathered *now*: nothing is kept that a
+        :meth:`refill` could leave stale.  A derived storage gathers from its root's
         arena and overwrites the values of its copied members
         (``block.owner``) from their own panels; a loose-panel storage
         gathers from its member panels laid back to back

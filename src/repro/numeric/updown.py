@@ -1,15 +1,16 @@
 """Rank-k update / downdate of a supernodal Cholesky factor.
 
 Given the factor ``L L^T = A`` held in
-:class:`~repro.numeric.storage.FactorStorage`, compute in place the factor
-of ``A + W W^T`` (update) or ``A - W W^T`` (downdate) without
+:class:`~repro.numeric.storage.FactorStorage`, sweep the panels of the
+factor of ``A + W W^T`` (update) or ``A - W W^T`` (downdate) without
 refactorizing — the classic Gill-Golub-Murray-Saunders sweep of (hyperbolic)
 rotations, in its sparse form (Davis & Hager): only the columns on the
 elimination-tree path from ``j0 = min struct(w)`` to the root are touched,
 and no new fill is created when ``struct(w) \\ {j0}`` is contained in
 ``struct(L_{:,j0})`` — the factor's column structures nest along the path,
-so containment at ``j0`` propagates.  The condition is checked up front and
-a clear ``ValueError`` names the offending rows otherwise.
+so containment at ``j0`` propagates.  The condition is checked up front
+(:meth:`_Modification.require_contained`) and a clear ``ValueError`` names
+the offending rows otherwise.
 
 The sweep is blocked by supernode (Davis & Hager, TOMS 2009).  Each rank
 runs after the previous one, over its own path, so rank k is k sequential
@@ -30,10 +31,9 @@ a segment's lower trapezoid is touched.  A column where ``t ≤ 0`` or ``t``
 is not finite (a zero or NaN pivot, an overflow) raises before its segment
 is written.
 
-Both entry points are *atomic*: the affected panels are snapshotted up
-front and restored before a
-:class:`~repro.dense.kernels.NotPositiveDefiniteError` propagates, so a
-failed downdate leaves the factor exactly as it was.
+:meth:`repro.api.Factor.update` is the one caller: it sweeps private
+copies of the path's panels (copy-on-write), so a failed downdate discards
+them and leaves its base exactly as it was.
 """
 
 from __future__ import annotations
@@ -45,17 +45,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.blas import dgemm, dger
 
-from ..dense.kernels import NotPositiveDefiniteError, check_finite, trtrs_lower
+from ..dense.kernels import NotPositiveDefiniteError, trtrs_lower
 from ..symbolic.levels import path_tables
 from ..symbolic.relind import _ranges
 
-__all__ = [
-    "rank1_update",
-    "rank_k_update",
-    "affected_columns",
-    "column_structure",
-    "path_union",
-]
+__all__ = ["column_structure"]
 
 
 def column_structure(symb, j):
@@ -89,34 +83,6 @@ def _walk(tables, j):
     return segments
 
 
-def path_union(symb, roots):
-    """Merged elimination-tree path columns for entry columns ``roots``.
-
-    The union of the column paths root -> tree root, ascending: within
-    each supernode a path crosses it occupies the contiguous column range
-    from its entry point to the supernode's last column, so the union there
-    starts at the earliest entry point.
-    """
-    roots = np.asarray(roots, dtype=np.int64)
-    if roots.size and (roots.min() < 0 or roots.max() >= symb.n):
-        raise ValueError("roots out of range")
-    tables = path_tables(symb)
-    entry = {}  # earliest column through which a path enters each supernode
-    for j in roots.tolist():
-        for s, j_in in _walk(tables, j):
-            entry[s] = min(entry.get(s, j_in), j_in)
-    return _columns(tables[0], sorted(entry.items()))
-
-
-def affected_columns(symb, w_pattern):
-    """Columns a rank-1 modification with pattern ``w_pattern`` touches:
-    the elimination-tree path from ``min(w_pattern)`` to its root."""
-    w_pattern = np.asarray(w_pattern)
-    if w_pattern.size == 0:
-        return []
-    return path_union(symb, [int(w_pattern.min())]).tolist()
-
-
 class _Modification(NamedTuple):
     """What one rank-k modification touches — see :func:`_modification_plan`.
 
@@ -140,25 +106,24 @@ class _Modification(NamedTuple):
     snodes: tuple
     uncontained: tuple | None
 
-    def require_contained(self, name_column=True):
+    def require_contained(self):
         """Raise the containment ``ValueError`` if a column failed."""
         if self.uncontained is None:
             return
         r, j0, outside = self.uncontained
-        which = f" (column {r} of W)" if name_column else ""
         raise ValueError(
-            f"rank-1 vector{which} has entries at rows "
+            f"rank-1 vector (column {r} of W) has entries at rows "
             f"{outside[:5].tolist()} outside struct(L[:, {j0}]) — the "
             "modification would create new fill; refactorize instead"
         )
 
 
-def _modification_plan(symb, W, check=True):
+def _modification_plan(symb, W):
     """Everything a consumer of the modification ``A ± W W^T`` derives from
     the pattern of ``W`` (``(n, k)``, factor ordering, values ignored), once:
-    per column the entry column, the containment verdict (skipped with
-    ``check=False``), the path and its segments; the merged union; the
-    touched supernodes.  The paths are walked over the memoised plain-int
+    per column the entry column, the containment verdict, the path and its
+    segments; the merged union; the touched supernodes.  The paths are
+    walked over the memoised plain-int
     :func:`~repro.symbolic.levels.path_tables`.  The sweep, the
     copy-on-write of :meth:`repro.api.Factor.update` and the pricing of
     :func:`repro.update.crossover.update_cost` all read the returned
@@ -175,7 +140,7 @@ def _modification_plan(symb, W, check=True):
             continue  # identity column
         j0 = int(nz[0])
         walk = _walk(tables, j0)
-        if check and uncontained is None:
+        if uncontained is None:
             # struct(L[:, j0]) is the rest of its supernode's sorted rows
             s = walk[0][0]
             struct, rest = rows[rowptr[s] + j0 - snptr[s] + 1 : rowptr[s + 1]], nz[1:]
@@ -245,97 +210,8 @@ def _sweep_segment(panel, c0, z, sign, j_in):
 def _sweep(storage, W, mod, sign):
     """Sweep each rank's carry ``W[:, r]`` (mutated) along its own path,
     one :func:`_sweep_segment` per segment of ``mod.segments``; raises
-    :class:`NotPositiveDefiniteError` at the offending column (the caller
-    restores its snapshot)."""
+    :class:`NotPositiveDefiniteError` at the offending column, the panels
+    swept as far as it got (the caller discards its private copies)."""
     for r, segments in zip(mod.cols, mod.segments):
         for s, c0, j_in, rows, below in segments:
             W[below, r] = _sweep_segment(storage.panel(s), c0, W[rows, r], sign, j_in)
-
-
-def _run_atomic(storage, W, mod, downdate, snapshot):
-    """Sweep the carry vectors ``W`` (mutated) along ``mod.paths``,
-    restoring the touched panels on failure when ``snapshot``."""
-    saved = None
-    if snapshot:
-        saved = {s: storage.panel(s).copy() for s in mod.snodes}
-    try:
-        _sweep(storage, W, mod, -1.0 if downdate else 1.0)
-    except NotPositiveDefiniteError:
-        if saved is not None:
-            for s, panel in saved.items():
-                storage.panel(s)[...] = panel
-        raise
-
-
-def _modify(storage, W, downdate, check_structure, snapshot, name_column):
-    """The in-place entry points after shape validation: refuse non-finite
-    values, plan, check containment, sweep ``W`` (a private copy)."""
-    mod = _modification_plan(storage.symb, check_finite(W, "update vectors"), check_structure)
-    mod.require_contained(name_column)
-    _run_atomic(storage, W, mod, downdate, snapshot)
-    return mod.union.tolist()
-
-
-def rank1_update(storage, w, *, downdate=False, check_structure=True, snapshot=True):
-    """In-place rank-1 update (``A + w w^T``) or downdate (``A - w w^T``).
-
-    Parameters
-    ----------
-    storage:
-        The factor to modify (any engine's output).
-    w:
-        Dense ``(n,)`` vector; its *nonzero pattern* determines the affected
-        elimination-tree path.
-    downdate:
-        Subtract instead of add.  Raises
-        :class:`~repro.dense.kernels.NotPositiveDefiniteError` if the
-        downdated matrix is not positive definite.
-    check_structure:
-        Verify the no-new-fill condition
-        ``struct(w) \\ {j0} ⊆ struct(L_{:,j0})`` (``ValueError`` otherwise).
-    snapshot:
-        Snapshot the affected panels up front and restore them before a
-        ``NotPositiveDefiniteError`` propagates, making the call atomic.
-        Callers sweeping private panel copies may disable it.
-
-    Returns
-    -------
-    list of affected column indices (the elimination-tree path from ``j0``).
-    """
-    symb = storage.symb
-    w = np.array(w, dtype=np.float64, copy=True)
-    if w.shape != (symb.n,):
-        raise ValueError("w must have shape (n,)")
-    return _modify(storage, w[:, None], downdate, check_structure, snapshot, name_column=False)
-
-
-def rank_k_update(storage, W, *, downdate=False, check_structure=True, snapshot=True):
-    """In-place rank-k update (``A + W W^T``) or downdate (``A - W W^T``).
-
-    Sweeps the k columns of ``W`` one after the other, each over its own
-    elimination-tree path, one supernode segment at a time.  Bitwise
-    identical to k sequential :func:`rank1_update` calls (see the module
-    docstring), and atomic on failure like them.
-
-    Parameters
-    ----------
-    storage:
-        The factor to modify (any engine's output).
-    W:
-        Dense ``(n, k)`` matrix (a ``(n,)`` vector is treated as rank 1);
-        each column's nonzero pattern determines its elimination-tree path.
-    downdate, check_structure, snapshot:
-        As for :func:`rank1_update`; the containment check runs per column
-        *before* any panel is touched.
-
-    Returns
-    -------
-    list of affected column indices — the merged path union, ascending.
-    """
-    symb = storage.symb
-    W = np.array(W, dtype=np.float64, copy=True)
-    if W.ndim == 1:
-        W = W[:, None]
-    if W.ndim != 2 or W.shape[0] != symb.n:
-        raise ValueError("W must have shape (n,) or (n, k)")
-    return _modify(storage, W, downdate, check_structure, snapshot, name_column=True)

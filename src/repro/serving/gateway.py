@@ -666,6 +666,9 @@ class Gateway:
         update, so a stream of ``submit_update`` calls walks an update
         trajectory; with ``b`` the call resolves to the solution of the
         *updated* system instead (the new factor still becomes the base).
+        A ``policy="auto"`` or ``"refactorize"`` call whose ``W`` grew the
+        pattern answers on a new plan, but that factor is another
+        fingerprint's and the base stays where it was.
 
         Requires a base: a full :meth:`submit` (without ``b``) must have
         served a factor for the pattern first
@@ -688,8 +691,9 @@ class Gateway:
             result = await self._await_numeric(cf, fp, timeout)
             # a successful await implies the factor stage completed (any
             # chained solve runs after it), so ``made`` holds the factor;
-            # back on the loop thread, advance the base
-            entry.latest_factor = made[0]
+            # back on the loop thread, advance the base within the pattern
+            if made[0].plan is entry.plan:
+                entry.latest_factor = made[0]
             entry.updates += 1
             self._updates += 1
             return result

@@ -31,8 +31,6 @@ DOCUMENTED_TOP_LEVEL = [
     "factorize_rlb_cpu",
     "factorize_rl_gpu",
     "factorize_rlb_gpu",
-    "rank1_update",
-    "rank_k_update",
     "memory_plan",
     "SimulatedGpu",
     "MachineModel",
@@ -94,13 +92,7 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.serving", "UnknownPatternError"),
     ("repro.serving", "NoBaseFactorError"),
     ("repro.serving", "plan_nbytes"),
-    ("repro.numeric", "rank_k_update"),
-    ("repro.numeric", "path_union"),
-    ("repro.numeric.updown", "rank1_update"),
-    ("repro.numeric.updown", "rank_k_update"),
-    ("repro.numeric.updown", "affected_columns"),
     ("repro.numeric.updown", "column_structure"),
-    ("repro.numeric.updown", "path_union"),
     ("repro.update", "UpdateCost"),
     ("repro.update", "UpdateCostModel"),
     ("repro.update", "update_cost"),
@@ -167,6 +159,14 @@ REMOVED = [
     ("repro.numeric.registry", "backend_engine"),
     ("repro.solve", "forward_solve_graph"),
     ("repro.solve", "backward_solve_graph"),
+    ("repro", "rank1_update"),
+    ("repro", "rank_k_update"),
+    ("repro.numeric", "rank_k_update"),
+    ("repro.numeric", "path_union"),
+    ("repro.numeric.updown", "rank1_update"),
+    ("repro.numeric.updown", "rank_k_update"),
+    ("repro.numeric.updown", "affected_columns"),
+    ("repro.numeric.updown", "path_union"),
 ]
 
 

@@ -6,9 +6,10 @@ touched.  Pinned here:
 
 * **bits** — under Hypothesis (random SPD patterns, ranks 1-3, fp64 and fp32,
   chains of 1-3 updates and safe downdates), every derived factor's panels
-  are the in-place sweep's and its ``solve`` (vector, block, fused) and
-  ``solve_refined`` are those of a rootless loose storage of the same panels
-  (the representation before copy-on-write); no base is ever written;
+  are those of ``updown._sweep`` run step by step on a loose copy, its
+  ``solve`` (vector, block, fused) and ``solve_refined`` are those of a
+  rootless loose storage of the same panels (the representation before
+  copy-on-write); no base is ever written;
 * **one view set per storage** — the first solve of an updated factor cuts
   views for its copied panels only, on a base that was solved and on one
   that was not;
@@ -18,8 +19,7 @@ touched.  Pinned here:
   pickled derived factor solves to the same bits;
 * **the modification plan** — its paths, union, supernodes, segments and
   containment verdicts equal the per-supernode loops it replaced (kept
-  below verbatim as references), and so do ``path_union`` and
-  ``solve_reach``.
+  below verbatim as references), and so does ``solve_reach``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api import Factor
-from repro.numeric import column_structure, path_union, rank_k_update
+from repro.numeric import column_structure, updown
 from repro.numeric import storage as storage_module
 from repro.numeric.storage import FactorStorage
 from repro.numeric.updown import _modification_plan
@@ -81,7 +81,8 @@ class TestBits:
         plan = repro.plan(random_spd(n, density=density, seed=seed))
         base = plan.factorize(engine="rl", dtype=dtype)
         arena = base.storage.arena.copy()
-        oracle = copy.deepcopy(base.storage)  # the in-place sweeps, step by step
+        # the sweeps, step by step, on a loose copy of the base's panels
+        oracle = FactorStorage(plan.symb, [p.copy() for p in base.storage.panels])
         rng = np.random.default_rng(seed)
         factor, added, kept = base, [], []
         for rank, downdate in steps:
@@ -93,7 +94,9 @@ class TestBits:
                 added.append(W)
                 downdate = False
             factor = factor.update(W, downdate=downdate)
-            rank_k_update(oracle, W[plan.perm], downdate=downdate)
+            Wp = W[plan.perm]
+            mod = _modification_plan(plan.symb, Wp)
+            updown._sweep(oracle, Wp, mod, -1.0 if downdate else 1.0)
             storage = factor.storage
             assert storage.arena is None and storage._root is base.storage
             assert panel_bytes(storage) == panel_bytes(oracle)
@@ -222,6 +225,35 @@ class TestChainsAndPickles:
         assert_solves_like_loose(again, 7)
 
 
+class TestADerivedFactorOutlivesItsBase:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_nothing_done_to_the_base_moves_the_derived_solve(self, grid, dtype):
+        """``Factor.update`` is the only door that changes a factor, and it
+        never writes its base: whatever is done to the base afterwards —
+        updates, downdates (one failing), ``apply`` on every road, a
+        refined solve that falls back to fp64, pickle round-trips — the
+        derived factor solves to its first bits."""
+        A, plan = grid
+        base = plan.factorize(engine="rl", dtype=dtype)
+        derived = base.update(structured_update(plan.symb, plan.perm, [0, A.n // 2], seed=11))
+        b = np.random.default_rng(12).standard_normal(A.n)
+        first = derived.solve(b)
+        W = structured_update(plan.symb, plan.perm, [5, A.n // 3], seed=13)
+        base.update(W)
+        base.downdate(W)
+        with pytest.raises(repro.NotPositiveDefiniteError):
+            base.downdate(100.0 * W)
+        for policy in ("update", "refactorize", "auto"):
+            base.apply(W, policy=policy)
+        base.solve_refined(b, tol=0.0, max_iter=1)  # never converges
+        assert ("refine_fallback" in base.result.extra) == (dtype == np.float32)
+        for factor in (base, derived):
+            twin = pickle.loads(pickle.dumps(factor))
+            twin.solve(b)
+            twin.update(W)
+        assert np.array_equal(derived.solve(b), first)
+
+
 # ----------------------------------------------------------------------
 # the modification plan against the loops it replaced
 # ----------------------------------------------------------------------
@@ -334,7 +366,6 @@ class TestModificationPlan:
         else:
             (r, j0, outside), (r2, j2, outside2) = mod.uncontained, uncontained
             assert (r, j0) == (r2, j2) and np.array_equal(outside, outside2)
-        assert np.array_equal(path_union(symb, roots), union)
         pattern = np.flatnonzero(W.any(axis=1))
         assert np.array_equal(solve_reach(symb, pattern), reference_solve_reach(symb, pattern))
 
@@ -342,4 +373,4 @@ class TestModificationPlan:
     def test_a_root_outside_the_matrix_is_refused(self, grid, root):
         _, plan = grid
         with pytest.raises(ValueError, match="out of range"):
-            path_union(plan.symb, [0, plan.n if root == "n" else root])
+            structured_update(plan.symb, plan.perm, [0, plan.n if root == "n" else root])

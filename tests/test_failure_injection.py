@@ -152,10 +152,8 @@ class TestInputValidation:
         enter — ``update_cost`` alone ignores values — and a valid update
         after the refused one succeeds."""
         import asyncio
-        import copy
 
         import repro
-        from repro.numeric import rank1_update, rank_k_update
         from repro.serving import Gateway
         from repro.update import structured_update
 
@@ -166,21 +164,17 @@ class TestInputValidation:
         W = good.copy()
         W[np.flatnonzero(W[:, 1])[0], 1] = bad
         before = factor.storage.arena.copy()
-        scratch = copy.deepcopy(factor.storage)
         doors = [
             lambda: factor.update(W),
             lambda: factor.downdate(W),
             lambda: factor.apply(W),
             lambda: factor.apply(W, policy="refactorize"),
-            lambda: rank_k_update(scratch, W[plan.perm]),
-            lambda: rank1_update(scratch, W[plan.perm][:, 1]),
         ]
         for door in doors:
             with pytest.raises(repro.NonFiniteValuesError, match="update vectors") as ei:
                 door()
             assert ei.value.count == 1 and ei.value.what == "update vectors"
         assert np.array_equal(factor.storage.arena, before)
-        assert np.array_equal(scratch.arena, before)
         assert factor.update_cost(W) == factor.update_cost(good)  # pattern only
         b = np.ones(A.n)
         want = factor.update(good).solve(b)

@@ -34,8 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.numeric import rank_k_update
 from repro.numeric.executor import run_task_graph
+from repro.numeric.registry import resolve
 from repro.numeric.storage import FactorStorage
 from repro.serving import Gateway
 from repro.solve import backward_solve, forward_solve, solve_graph
@@ -514,24 +514,29 @@ class TestReadAtSolveTime:
         factor.storage.panels[s][1, 1] = kept
         np.testing.assert_array_equal(factor.solve(b, **how), want)
 
-    def test_in_place_update_is_read_by_the_next_solve(self):
-        """No stale gather: ``rank_k_update`` writes into the arena after a
-        solve has run, the next solve reads the new values."""
+    def test_a_refilled_work_storage_is_read_by_the_next_solve(self):
+        """No stale gather: a plan's work storage, solved once, is refilled
+        and refactored for the next request (the one writer into a solved
+        arena); both sweeps of the next solve read the new leaf values."""
         A = grid_laplacian((7, 6, 3))
         plan = repro.plan(A)
-        factor = plan.factorize(engine="rl")
+        spec, kwargs = resolve("rl")
         b = np.random.default_rng(3).standard_normal(plan.n)
-        before = factor.solve(b)
-        # columns of leaf supernodes: the update path starts inside members
-        members = leaf_block(plan.symb).members
-        cols = plan.symb.snptr[members[:2]].tolist()
-        W = structured_update(plan.symb, plan.perm, cols, seed=5)
-        rank_k_update(factor.storage, W[plan.perm])
-        after = factor.solve(b)
-        dense = A.to_dense() + W @ W.T
-        assert np.linalg.norm(dense @ after - b) <= 1e-12 * np.linalg.norm(b)
+        values = A.data.copy()
+        values[A.indptr[:-1]] *= 1.5  # every leaf member's diagonal moves
+        used = []
+
+        def answer(factor):
+            used.append(factor.storage)
+            return factor.solve(b), factor.solve(b, workers=2)
+
+        (before, _), (after, fused) = [
+            plan._request(spec, kwargs, plan._original_matrix(data), answer)
+            for data in (A.data, values)]
+        assert used[0] is used[1]
+        np.testing.assert_array_equal(after, plan.factorize(values, engine="rl").solve(b))
         assert not np.array_equal(after, before)
-        np.testing.assert_array_equal(factor.solve(b, workers=2), after)
+        np.testing.assert_array_equal(fused, after)
 
 
 class TestObservability:

@@ -2,19 +2,17 @@
 
 Pins what "once" means on the update path: the containment verdict that
 prices a modification is the one that admits or refuses its sweep (drawn
-patterns, ranks 1-4, empty / contained / uncontained columns); the three
-doors of a sweep — copy-on-write ``Factor.update``, in-place
-``rank_k_update``, k sequential ``rank1_update`` — write the same bits; one
-``apply`` gathers ``W`` once, plans it once and walks each root's path once,
-directly and behind a served session; the sweep calls its segment kernel
-once per (rank, path supernode); ``apply`` re-analyzes for a grown pattern
-and for nothing else.
+patterns, ranks 1-4, empty / contained / uncontained columns); a rank-k
+``Factor.update`` writes the bits of k sequential rank-1 updates and its
+plan's union is the reference path union; one ``apply`` gathers ``W`` once,
+plans it once and walks each root's path once, directly and behind a served
+session; the sweep calls its segment kernel once per (rank, path supernode);
+``apply`` re-analyzes for a grown pattern and for nothing else.
 """
 
 from __future__ import annotations
 
 import asyncio
-import copy
 
 import numpy as np
 import pytest
@@ -23,15 +21,11 @@ from hypothesis import strategies as st
 
 import repro
 import repro.api
-from repro.numeric import (
-    column_structure,
-    rank1_update,
-    rank_k_update,
-    updown,
-)
+from repro.numeric import column_structure, updown
 from repro.serving import Gateway
 from repro.sparse import grid_laplacian, random_spd
 from repro.update import structured_update
+from tests.test_copy_on_write import reference_path_union
 
 
 def draw_W(symb, perm, kinds, rng):
@@ -84,13 +78,14 @@ class TestOneVerdictOneSweep:
             return
         updated = factor.update(W)
         assert updated.result.extra["update_cols"] == cost.path_cols
-        # the same bits through the in-place doors, on copies of the factor
-        Wp = W[plan.perm]
-        block, single = copy.deepcopy(factor.storage), copy.deepcopy(factor.storage)
-        paths = [rank1_update(single, Wp[:, r]) for r in range(Wp.shape[1])]
-        assert rank_k_update(block, Wp) == sorted(set().union(*paths))
-        for got, a, b in zip(updated.storage.panels, block.panels, single.panels):
-            assert np.array_equal(got, a) and np.array_equal(got, b)
+        mod = updown._modification_plan(plan.symb, W[plan.perm])
+        assert np.array_equal(mod.union, reference_path_union(plan.symb, sorted(set(mod.roots))))
+        # the same bits as k sequential rank-1 updates
+        single = factor
+        for r in range(W.shape[1]):
+            single = single.update(W[:, r])
+        for got, want in zip(updated.storage.panels, single.storage.panels):
+            assert np.array_equal(got, want)
 
 
 class Counters:
@@ -100,7 +95,6 @@ class Counters:
         self.calls = {}
         for owner, name in ((repro.api.Factor, "_permuted_W"),
                             (repro.api, "_modification_plan"),
-                            (updown, "path_union"),
                             (updown, "_walk"),
                             (updown, "column_structure"),
                             (updown, "_sweep_segment")):
@@ -119,7 +113,7 @@ class Counters:
         assert self.calls["_permuted_W"] == 1, "W is gathered once"
         assert self.calls["_modification_plan"] == 1, "containment is evaluated once"
         assert self.calls["column_structure"] <= k
-        assert self.calls["path_union"] <= k and self.calls["_walk"] <= k
+        assert self.calls["_walk"] <= k
         self.calls = dict.fromkeys(self.calls, 0)
 
 
@@ -176,7 +170,7 @@ class TestOneKernelCallPerSegment:
         counters = Counters(monkeypatch)
         factor.update(W)
         assert counters.calls["_sweep_segment"] == segments
-        rank_k_update(copy.deepcopy(factor.storage), W[plan.perm])
+        factor.apply(W, policy="update")
         assert counters.calls["_sweep_segment"] == 2 * segments
 
 

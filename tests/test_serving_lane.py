@@ -578,3 +578,28 @@ def test_a_gateway_update_that_grows_the_pattern_solves_on_its_own_plan():
     assert updated.plan is not base.plan
     assert np.array_equal(x, updated.solve(b))
     assert updated.residual_norm(x, b) < 1e-10
+
+
+def test_a_gateway_update_that_grows_the_pattern_leaves_the_base_on_the_entrys_plan():
+    """The grown matrix is another fingerprint: the update answers its call
+    on a new plan, but the entry's base stays a factor of the entry's own
+    plan, the entry's byte count is unchanged, and the next update of the
+    fingerprint continues from that base bit for bit."""
+    A = grid_laplacian((6, 5))
+    W, b = _pattern_growing_update(A), np.sin(np.arange(A.n) + 1.0)
+    plan = repro.plan(A)
+    W2 = structured_update(plan.symb, plan.perm, [2, 9], seed=3)
+
+    async def go():
+        async with Gateway(engine="rl", workers=1) as gw:
+            fp = gw.fingerprint(A)
+            base = await gw.submit(A)
+            nbytes = gw.stats().per_pattern[fp].nbytes
+            await gw.submit_update(fp, W, b, policy="auto")
+            entry = gw._cache[fp]
+            assert entry.latest_factor.plan is entry.plan
+            assert gw.stats().per_pattern[fp].nbytes == nbytes
+            return base, await gw.submit_update(fp, W2, b)
+
+    base, x = asyncio.run(go())
+    assert np.array_equal(x, base.update(W2).solve(b))

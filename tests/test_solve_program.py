@@ -11,8 +11,8 @@ Three contracts of the triangular sweeps (``solve/triangular.py``):
   one-column division path and on the ``?trtrs`` path;
 * **derived once, never stale** — after the first solve nothing re-derives
   column ranges, below rows or panel shapes, and the views a storage keeps
-  read current values through copy-on-write updates, in-place updates and
-  the atomic restore of a failed downdate.
+  read current values through copy-on-write updates, a failed downdate and
+  a work storage refilled for its next request.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from hypothesis import strategies as st
 
 import repro
 from repro.dense import NotPositiveDefiniteError
-from repro.numeric import rank_k_update
 from repro.numeric import storage as storage_module
 from repro.numeric.procpool import close_default_pools
-from repro.numeric.registry import ENGINES
+from repro.numeric.registry import ENGINES, resolve
 from repro.solve import backward_solve, forward_solve
 from repro.sparse import grid_laplacian
 from repro.symbolic.structure import SymbolicFactor
@@ -236,19 +235,28 @@ class TestDerivedOnce:
         with pytest.raises(NotPositiveDefiniteError):
             factor.downdate(W)
         np.testing.assert_array_equal(factor.solve(b), before)
-        # the in-place sweep restores its snapshot INTO the same arrays
-        with pytest.raises(NotPositiveDefiniteError):
-            rank_k_update(factor.storage, W[plan.perm], downdate=True)
-        np.testing.assert_array_equal(factor.solve(b), before)
 
-    def test_in_place_update_is_read_by_the_next_solve(self, plan, A):
-        factor = plan.factorize(engine="rl")
+    def test_a_refilled_work_storage_is_read_by_the_next_solve(self, plan, A):
+        """The one writer into a solved arena: a plan's work storage, its
+        programs built, refilled and refactored for the next request.  The
+        next solve reads the new values through the views it kept."""
+        spec, kwargs = resolve("rl")
         b = np.random.default_rng(3).standard_normal(plan.n)
-        factor.solve(b)  # views built against the pre-update values
-        W = structured_update(plan.symb, plan.perm, [2, 9], seed=5)
-        rank_k_update(factor.storage, W[plan.perm])
-        assert _dense_residual(A.to_dense() + W @ W.T, factor.solve(b),
-                               b) < 1e-12
+        values = A.data.copy()
+        values[A.indptr[:-1]] *= 1.5  # a new diagonal, the same pattern
+        used = []
+
+        def answer(factor):
+            used.append((factor.storage, factor.storage.solve_program()))
+            return factor.solve(b)
+
+        got = [plan._request(spec, kwargs, plan._original_matrix(data), answer)
+               for data in (A.data, values)]
+        (first, program), (second, kept) = used
+        assert first is second and program is kept
+        np.testing.assert_array_equal(got[0], plan.factorize(engine="rl").solve(b))
+        np.testing.assert_array_equal(got[1], plan.factorize(values, engine="rl").solve(b))
+        assert not np.array_equal(got[0], got[1])
 
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda s: pickle.loads(pickle.dumps(s))])

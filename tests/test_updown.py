@@ -1,8 +1,13 @@
-"""Tests for rank-1 / rank-k update/downdate of the supernodal factor."""
+"""Rank-1 / rank-k update and downdate of the supernodal factor, through
+the one door that changes a factor: copy-on-write :meth:`Factor.update` /
+:meth:`Factor.downdate`.
+
+The vectors are built in the factor's ordering (on its column structures)
+and scattered back for the door (:func:`update`).  A failed call leaves its
+base's panels bit for bit as they were."""
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -11,26 +16,49 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.dense import NotPositiveDefiniteError
-from repro.numeric import (
-    affected_columns,
-    column_structure,
-    factorize_rl_cpu,
-    factorize_rlb_cpu,
-    path_union,
-    rank1_update,
-    rank_k_update,
-)
+from repro.numeric import column_structure
+from repro.numeric.storage import FactorStorage
 from repro.numeric.updown import _modification_plan
 from repro.sparse import grid_laplacian, random_spd
-from repro.symbolic import analyze
 
 
 @pytest.fixture()
 def factored():
-    system = analyze(grid_laplacian((6, 6, 2)))
-    res = factorize_rl_cpu(system.symb, system.matrix)
-    return system, res.storage
+    plan = repro.plan(grid_laplacian((6, 6, 2)))
+    return plan.system, plan.factorize(engine="rl")
+
+
+def original(factor, W):
+    """``W`` given in the factor's ordering, in the original ordering."""
+    out = np.empty_like(W)
+    out[factor.plan.perm] = W
+    return out
+
+
+def update(factor, W, downdate=False):
+    """``factor.update`` of ``W`` given in the factor's ordering."""
+    return factor.update(original(factor, W), downdate=downdate)
+
+
+def panel_bytes(factor):
+    return [p.tobytes(order="F") for p in factor.storage.panels]
+
+
+def loose_copy(factor):
+    """A rootless storage over copies of ``factor``'s panels."""
+    storage = factor.storage
+    return FactorStorage(storage.symb, [p.copy() for p in storage.panels])
+
+
+def tree_path(symb, j):
+    """The column elimination-tree path from ``j`` to its root: each
+    column's parent is the first row of its column structure."""
+    path = [j]
+    while (rows := column_structure(symb, path[-1])).size:
+        path.append(int(rows[0]))
+    return path
 
 
 def make_w(system, j0, nent, seed, scale=0.4):
@@ -65,7 +93,7 @@ def reference_sweep(storage, W, downdate=False):
     symb = storage.symb
     sign = -1.0 if downdate else 1.0
     W = np.array(W, dtype=np.float64).reshape(symb.n, -1)
-    mod = _modification_plan(symb, W, check=False)
+    mod = _modification_plan(symb, W)
     for r, path in zip(mod.cols, mod.paths):
         for j in path.tolist():
             s = int(symb.col2sn[j])
@@ -97,35 +125,36 @@ def dense_ref(system, w, sign=+1.0):
 
 class TestUpdate:
     def test_matches_dense_recomputation(self, factored):
-        system, storage = factored
+        system, factor = factored
         w = make_w(system, 7, 5, seed=1)
-        rank1_update(storage, w)
-        np.testing.assert_allclose(storage.to_dense_lower(),
+        np.testing.assert_allclose(update(factor, w).storage.to_dense_lower(),
                                    dense_ref(system, w), atol=1e-10)
 
-    def test_affected_columns_is_tree_path(self, factored):
-        system, storage = factored
+    def test_only_the_tree_path_is_touched(self, factored):
+        system, factor = factored
+        symb = system.symb
         w = make_w(system, 3, 4, seed=2)
-        before = [storage.panel(s).copy()
-                  for s in range(system.symb.nsup)]
-        path = rank1_update(storage, w)
-        assert path == affected_columns(system.symb, np.flatnonzero(w))
-        assert path[0] == 3 and sorted(path) == path
-        # panels whose columns are all off the path are untouched
-        touched = set(path)
-        for s in range(system.symb.nsup):
-            first, last = system.symb.snode_cols(s)
-            if not touched.intersection(range(first, last)):
-                np.testing.assert_array_equal(storage.panel(s), before[s])
+        before = panel_bytes(factor)
+        updated = update(factor, w)
+        path = _modification_plan(symb, w[:, None]).union.tolist()
+        assert path == tree_path(symb, 3)
+        assert updated.result.extra["update_cols"] == len(path)
+        # panels whose columns are all off the path are shared, untouched
+        on_path = set(symb.col2sn[path].tolist())
+        for s in range(symb.nsup):
+            if s not in on_path:
+                assert updated.storage.panel(s) is factor.storage.panel(s)
+        assert panel_bytes(factor) == before
 
     def test_zero_vector_noop(self, factored):
-        system, storage = factored
-        before = storage.to_dense_lower()
-        assert rank1_update(storage, np.zeros(system.symb.n)) == []
-        np.testing.assert_array_equal(storage.to_dense_lower(), before)
+        system, factor = factored
+        before = factor.storage.to_dense_lower()
+        updated = update(factor, np.zeros(system.symb.n))
+        assert updated.result.extra["update_cols"] == 0
+        np.testing.assert_array_equal(updated.storage.to_dense_lower(), before)
 
     def test_structure_violation_raises(self, factored):
-        system, storage = factored
+        system, factor = factored
         w = np.zeros(system.symb.n)
         w[0] = 1.0
         # find a row guaranteed outside struct(L[:,0])
@@ -135,124 +164,104 @@ class TestUpdate:
             pytest.skip("column 0 structure is full")
         w[outside[0]] = 1.0
         with pytest.raises(ValueError, match="new fill"):
-            rank1_update(storage, w)
-
-    def test_check_can_be_disabled(self, factored):
-        """check_structure=False lets the sweep run (wrong answer, caller's
-        responsibility) — verify it simply does not raise."""
-        system, storage = factored
-        w = np.zeros(system.symb.n)
-        w[0] = 1e-8
-        outside = np.setdiff1d(np.arange(1, system.symb.n),
-                               column_structure(system.symb, 0))
-        if outside.size == 0:
-            pytest.skip("column 0 structure is full")
-        w[outside[0]] = 1e-8
-        rank1_update(storage, w, check_structure=False)
+            update(factor, w)
 
     def test_shape_validation(self, factored):
-        _, storage = factored
+        _, factor = factored
         with pytest.raises(ValueError):
-            rank1_update(storage, np.ones(3))
+            factor.update(np.ones(3))
 
 
 class TestDowndate:
     def test_update_then_downdate_roundtrip(self, factored):
-        system, storage = factored
-        ref = storage.to_dense_lower().copy()
+        system, factor = factored
         w = make_w(system, 11, 6, seed=3)
-        rank1_update(storage, w)
-        rank1_update(storage, w, downdate=True)
-        np.testing.assert_allclose(storage.to_dense_lower(), ref,
-                                   atol=1e-10)
+        back = update(update(factor, w), w, downdate=True)
+        np.testing.assert_allclose(back.storage.to_dense_lower(),
+                                   factor.storage.to_dense_lower(), atol=1e-10)
 
     def test_downdate_matches_dense(self, factored):
-        system, storage = factored
+        system, factor = factored
         w = 0.05 * make_w(system, 5, 3, seed=4)  # small: A - w w^T stays SPD
-        rank1_update(storage, w, downdate=True)
-        np.testing.assert_allclose(storage.to_dense_lower(),
+        np.testing.assert_allclose(update(factor, w, downdate=True).storage.to_dense_lower(),
                                    dense_ref(system, w, sign=-1.0),
                                    atol=1e-9)
 
     def test_indefinite_downdate_raises(self, factored):
-        system, storage = factored
+        system, factor = factored
         w = np.zeros(system.symb.n)
         j0 = 8
         w[j0] = 100.0  # far larger than any pivot
+        before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError):
-            rank1_update(storage, w, downdate=True)
+            update(factor, w, downdate=True)
+        assert panel_bytes(factor) == before
 
 
 class TestSolveAfterUpdate:
     def test_solve_against_updated_matrix(self, factored):
-        system, storage = factored
+        system, factor = factored
         from repro.solve import solve_factored
 
         w = make_w(system, 2, 4, seed=5)
-        rank1_update(storage, w)
+        updated = update(factor, w)
         A1 = system.matrix.to_dense() + np.outer(w, w)
         rng = np.random.default_rng(6)
         b = rng.standard_normal(system.symb.n)
-        x = solve_factored(storage, b)
+        x = solve_factored(updated.storage, b)
         np.testing.assert_allclose(A1 @ x, b, atol=1e-8)
 
 
 class TestRankK:
     @pytest.mark.parametrize("roots", [[7], [3, 11, 20, 9]])
     def test_matches_dense_recomputation(self, factored, roots):
-        system, storage = factored
+        system, factor = factored
         W = make_W(system, roots, 4, seed=10)
-        rank_k_update(storage, W)
-        np.testing.assert_allclose(storage.to_dense_lower(),
+        np.testing.assert_allclose(update(factor, W).storage.to_dense_lower(),
                                    dense_ref(system, W), atol=1e-10)
 
     def test_bitwise_equals_sequential_rank1(self, factored):
-        system, _ = factored
+        system, factor = factored
         roots = [2, 9, 14]
         W = make_W(system, roots, 5, seed=11)
-        seq = factorize_rl_cpu(system.symb, system.matrix).storage
+        seq = factor
         for r in range(W.shape[1]):
-            rank1_update(seq, W[:, r])
-        blk = factorize_rl_cpu(system.symb, system.matrix).storage
-        rank_k_update(blk, W)
-        for s in range(system.symb.nsup):
-            np.testing.assert_array_equal(blk.panel(s), seq.panel(s))
+            seq = update(seq, W[:, r])
+        assert panel_bytes(update(factor, W)) == panel_bytes(seq)
 
-    def test_returns_sorted_path_union(self, factored):
-        system, storage = factored
+    def test_touches_the_sorted_path_union(self, factored):
+        system, factor = factored
+        symb = system.symb
         roots = [5, 16]
         W = make_W(system, roots, 3, seed=12)
-        path = rank_k_update(storage, W)
-        assert sorted(path) == path
-        expect = sorted(set(affected_columns(system.symb, [roots[0]]))
-                        | set(affected_columns(system.symb, [roots[1]])))
-        assert path == expect
+        union = _modification_plan(symb, W).union.tolist()
+        assert union == sorted(set(tree_path(symb, 5)) | set(tree_path(symb, 16)))
+        assert update(factor, W).result.extra["update_cols"] == len(union)
 
     def test_downdate_roundtrip(self, factored):
-        system, storage = factored
-        ref = storage.to_dense_lower().copy()
+        system, factor = factored
         W = make_W(system, [4, 13], 4, seed=13, scale=0.2)
-        rank_k_update(storage, W)
-        rank_k_update(storage, W, downdate=True)
-        np.testing.assert_allclose(storage.to_dense_lower(), ref, atol=1e-9)
+        back = update(update(factor, W), W, downdate=True)
+        np.testing.assert_allclose(back.storage.to_dense_lower(),
+                                   factor.storage.to_dense_lower(), atol=1e-9)
 
     def test_one_dim_vector_is_rank_one(self, factored):
-        system, _ = factored
+        system, factor = factored
         w = make_w(system, 7, 5, seed=14)
-        a = factorize_rl_cpu(system.symb, system.matrix).storage
-        b = factorize_rl_cpu(system.symb, system.matrix).storage
-        assert rank_k_update(a, w) == rank1_update(b, w)
-        for s in range(system.symb.nsup):
-            np.testing.assert_array_equal(a.panel(s), b.panel(s))
+        a, b = update(factor, w), update(factor, w[:, None])
+        assert a.result.extra["update_cols"] == b.result.extra["update_cols"]
+        assert a.result.extra["update_rank"] == 1
+        assert panel_bytes(a) == panel_bytes(b)
 
     def test_zero_block_noop(self, factored):
-        system, storage = factored
-        before = storage.to_dense_lower()
-        assert rank_k_update(storage, np.zeros((system.symb.n, 3))) == []
-        np.testing.assert_array_equal(storage.to_dense_lower(), before)
+        system, factor = factored
+        before = factor.storage.to_dense_lower()
+        updated = update(factor, np.zeros((system.symb.n, 3)))
+        assert updated.result.extra["update_cols"] == 0
+        np.testing.assert_array_equal(updated.storage.to_dense_lower(), before)
 
     def test_structure_violation_names_rank(self, factored):
-        system, storage = factored
+        system, factor = factored
         W = np.zeros((system.symb.n, 2))
         W[:, 0] = make_w(system, 6, 3, seed=15)
         W[0, 1] = 1.0
@@ -261,22 +270,22 @@ class TestRankK:
         if outside.size == 0:
             pytest.skip("column 0 structure is full")
         W[outside[0], 1] = 1.0
-        before = storage.to_dense_lower()
-        with pytest.raises(ValueError, match="new fill"):
-            rank_k_update(storage, W)
+        before = panel_bytes(factor)
+        with pytest.raises(ValueError, match=r"column 1 of W.*new fill"):
+            update(factor, W)
         # the check runs before any panel is touched
-        np.testing.assert_array_equal(storage.to_dense_lower(), before)
+        assert panel_bytes(factor) == before
 
     def test_shape_validation(self, factored):
-        system, storage = factored
+        system, factor = factored
         with pytest.raises(ValueError):
-            rank_k_update(storage, np.ones((3, 2)))
+            factor.update(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            rank_k_update(storage, np.ones((system.symb.n, 2, 2)))
+            factor.update(np.ones((system.symb.n, 2, 2)))
 
 
 class TestAtomicity:
-    """A failed downdate must leave the factor exactly as it found it."""
+    """A failed downdate must leave its base exactly as it found it."""
 
     @staticmethod
     def _poison(system, j0=8):
@@ -285,22 +294,22 @@ class TestAtomicity:
         return w
 
     def test_rank1_failed_downdate_restores(self, factored):
-        system, storage = factored
-        before = storage.to_dense_lower().copy()
+        system, factor = factored
+        before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError):
-            rank1_update(storage, self._poison(system), downdate=True)
-        np.testing.assert_array_equal(storage.to_dense_lower(), before)
+            update(factor, self._poison(system), downdate=True)
+        assert panel_bytes(factor) == before
 
     def test_rank_k_failed_downdate_restores(self, factored):
-        system, storage = factored
-        # rank 0 succeeds at its columns, rank 1 then fails mid-path: the
-        # snapshot must roll back rank 0's completed work too
+        system, factor = factored
+        # rank 0 succeeds at its columns, rank 1 then fails mid-path: rank
+        # 0's completed work must not reach the base either
         W = np.stack([make_w(system, 2, 4, seed=16),
                       self._poison(system)], axis=1)
-        before = storage.to_dense_lower().copy()
+        before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError):
-            rank_k_update(storage, W, downdate=True)
-        np.testing.assert_array_equal(storage.to_dense_lower(), before)
+            update(factor, W, downdate=True)
+        assert panel_bytes(factor) == before
 
     @staticmethod
     def _mid_path_poison(system, j0=2):
@@ -313,40 +322,42 @@ class TestAtomicity:
         return w
 
     def test_mid_path_failure_restores(self, factored):
-        system, storage = factored
-        before = storage.to_dense_lower().copy()
+        system, factor = factored
+        before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError):
-            rank1_update(storage, self._mid_path_poison(system),
-                         downdate=True)
-        np.testing.assert_array_equal(storage.to_dense_lower(), before)
-
-    def test_snapshot_false_leaves_partial_state(self, factored):
-        system, storage = factored
-        before = storage.to_dense_lower().copy()
-        with pytest.raises(NotPositiveDefiniteError):
-            rank1_update(storage, self._mid_path_poison(system),
-                         downdate=True, snapshot=False)
-        assert not np.array_equal(storage.to_dense_lower(), before)
+            update(factor, self._mid_path_poison(system), downdate=True)
+        assert panel_bytes(factor) == before
 
 
 class TestPathUnion:
+    """The merged union of the modification's plan, and what
+    ``Factor.update_cost`` reports of it."""
+
     def test_matches_per_column_union(self, factored):
-        system, _ = factored
+        system, factor = factored
+        symb = system.symb
         roots = [1, 6, 17]
-        got = path_union(system.symb, roots)
-        expect = sorted(set().union(
-            *(affected_columns(system.symb, [j]) for j in roots)))
+        W = make_W(system, roots, 3, seed=18)
+        got = _modification_plan(symb, W).union
+        expect = sorted(set().union(*(tree_path(symb, j) for j in roots)))
         assert got.tolist() == expect
+        cost = factor.update_cost(original(factor, W))
+        assert cost.path_cols == len(expect)
+        assert cost.path_snodes == np.unique(symb.col2sn[expect]).size
 
     def test_empty_roots(self, factored):
-        system, _ = factored
-        assert path_union(system.symb, []).size == 0
+        system, factor = factored
+        assert _modification_plan(system.symb, np.zeros((system.symb.n, 2))).union.size == 0
+        cost = factor.update_cost(np.zeros(system.symb.n))
+        assert cost.path_cols == cost.path_snodes == 0
 
-    def test_single_root_is_affected_columns(self, factored):
+    def test_single_root_is_the_tree_path(self, factored):
         system, _ = factored
-        for j0 in (0, 9, system.symb.n - 1):
-            assert (path_union(system.symb, [j0]).tolist()
-                    == affected_columns(system.symb, [j0]))
+        symb = system.symb
+        for j0 in (0, 9, symb.n - 1):
+            w = np.zeros((symb.n, 1))
+            w[j0] = 1.0
+            assert _modification_plan(symb, w).union.tolist() == tree_path(symb, j0)
 
 
 class TestPropertyBased:
@@ -354,26 +365,22 @@ class TestPropertyBased:
     @given(st.integers(0, 10 ** 6), st.integers(min_value=8, max_value=26),
            st.data())
     def test_update_random_systems(self, seed, n, data):
-        A = random_spd(n, density=0.25, seed=seed)
-        system = analyze(A)
-        storage = factorize_rlb_cpu(system.symb, system.matrix).storage
+        plan = repro.plan(random_spd(n, density=0.25, seed=seed))
+        system, factor = plan.system, plan.factorize(engine="rlb")
         j0 = data.draw(st.integers(min_value=0, max_value=n - 1))
         w = make_w(system, j0, data.draw(st.integers(0, 6)), seed=seed)
-        rank1_update(storage, w)
-        np.testing.assert_allclose(storage.to_dense_lower(),
+        np.testing.assert_allclose(update(factor, w).storage.to_dense_lower(),
                                    dense_ref(system, w), atol=1e-8)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(min_value=8, max_value=22))
     def test_roundtrip_random(self, seed, n):
-        A = random_spd(n, density=0.3, seed=seed)
-        system = analyze(A)
-        storage = factorize_rl_cpu(system.symb, system.matrix).storage
-        ref = storage.to_dense_lower().copy()
+        plan = repro.plan(random_spd(n, density=0.3, seed=seed))
+        system, factor = plan.system, plan.factorize(engine="rl")
         w = make_w(system, seed % n, 4, seed=seed, scale=0.2)
-        rank1_update(storage, w)
-        rank1_update(storage, w, downdate=True)
-        np.testing.assert_allclose(storage.to_dense_lower(), ref, atol=1e-8)
+        back = update(update(factor, w), w, downdate=True)
+        np.testing.assert_allclose(back.storage.to_dense_lower(),
+                                   factor.storage.to_dense_lower(), atol=1e-8)
 
 
 def strict_upper(storage):
@@ -384,33 +391,37 @@ def strict_upper(storage):
 
 
 class TestAgainstReferenceLoop:
-    """The supernode-blocked sweep against :func:`reference_sweep`."""
+    """``Factor.update``'s supernode-blocked sweep against
+    :func:`reference_sweep`."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(6, 30), st.floats(0.1, 0.4),
            st.integers(1, 4), st.booleans(), st.data())
     def test_same_panels_as_the_rotations(self, seed, n, density, k, downdate, data):
-        system = analyze(random_spd(n, density=density, seed=seed))
+        plan = repro.plan(random_spd(n, density=density, seed=seed))
+        system = plan.system
         roots = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
         W = make_W(system, roots, data.draw(st.integers(0, 6)), seed=seed)
-        storage = factorize_rl_cpu(system.symb, system.matrix).storage
+        factor = plan.factorize(engine="rl")
         if downdate:  # from the factor of A + W W^T back to A's
-            reference_sweep(storage, W)
-        ref = copy.deepcopy(storage)
-        upper = strict_upper(storage)
-        path = rank_k_update(storage, W, downdate=downdate)
+            factor = update(factor, W)
+        ref = loose_copy(factor)
+        upper = strict_upper(factor.storage)
+        got = update(factor, W, downdate=downdate)
         reference_sweep(ref, W, downdate)
-        assert path == path_union(system.symb, sorted(set(roots))).tolist()
-        for got, want in zip(storage.panels, ref.panels):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        for got, want in zip(strict_upper(storage), upper):
-            np.testing.assert_array_equal(got, want)
+        union = sorted(set().union(*(tree_path(system.symb, j) for j in roots)))
+        assert got.result.extra["update_cols"] == len(union)
+        for a, want in zip(got.storage.panels, ref.panels):
+            assert np.abs(a - want).max() <= 1e-12 * np.abs(want).max()
+        for a, want in zip(strict_upper(got.storage), upper):
+            np.testing.assert_array_equal(a, want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(6, 30), st.floats(0.1, 0.4),
            st.integers(1, 4), st.data())
     def test_same_failing_column_for_an_indefinite_downdate(self, seed, n, density, k, data):
-        system = analyze(random_spd(n, density=density, seed=seed))
+        plan = repro.plan(random_spd(n, density=density, seed=seed))
+        system = plan.system
         roots = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
         W = 0.05 * make_W(system, roots, 4, seed=seed)
         # one rank carries a decisive poison: at its root, or deeper at the
@@ -419,33 +430,31 @@ class TestAgainstReferenceLoop:
         rows = column_structure(system.symb, roots[r])
         at = rows[-1] if rows.size and data.draw(st.booleans()) else roots[r]
         W[at, r] = 1e3
-        storage = factorize_rl_cpu(system.symb, system.matrix).storage
-        ref = copy.deepcopy(storage)
-        before = copy.deepcopy(storage)
+        factor = plan.factorize(engine="rl")
+        ref = loose_copy(factor)
+        before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError) as got:
-            rank_k_update(storage, W, downdate=True)
+            update(factor, W, downdate=True)
         with pytest.raises(NotPositiveDefiniteError) as want:
             reference_sweep(ref, W, downdate=True)
         assert got.value.pivot == want.value.pivot
-        for a, b in zip(storage.panels, before.panels):
-            np.testing.assert_array_equal(a, b)
+        assert panel_bytes(factor) == before
 
 
 class TestNonFinitePivot:
     """A pivot that is no Cholesky pivot (zero, NaN) on the path raises and
-    restores the panels — the sweep never returns a NaN factor."""
+    leaves the base's panels — the sweep never returns a NaN factor."""
 
     @pytest.mark.parametrize("pivot", [0.0, np.nan])
     def test_rank1_raises_and_restores(self, factored, pivot):
-        system, storage = factored
+        system, factor = factored
         w = make_w(system, 3, 4, seed=17)
-        j = affected_columns(system.symb, np.flatnonzero(w))[1]
+        j = tree_path(system.symb, 3)[1]
         s = int(system.symb.col2sn[j])
         c = j - int(system.symb.snptr[s])
-        storage.panel(s)[c, c] = pivot
-        before = [p.copy() for p in storage.panels]
+        factor.storage.panel(s)[c, c] = pivot
+        before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            rank1_update(storage, w)
+            update(factor, w)
         assert err.value.pivot == j
-        for p, q in zip(storage.panels, before):
-            np.testing.assert_array_equal(p, q)
+        assert panel_bytes(factor) == before
