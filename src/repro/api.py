@@ -547,9 +547,9 @@ class Factor:
         ``tol``, the factor's precision is the binding constraint and
         ``fallback=True`` (default) **refactorizes in fp64** (this
         factor's serial-twin engine) and re-refines on the full-precision
-        factor.  The recovery is recorded in
-        ``factor.result.extra["refine_fallback"]`` (reason, the
-        reduced-precision residual history, and the fp64 engine used);
+        factor.  The recovery is recorded on the returned result's
+        ``fallback`` (reason, the reduced-precision residual history, and
+        the fp64 engine used); the factor itself is never written.
         ``fallback=False`` returns the stalled result as-is.  The
         fallback only follows a measured residual: a chain with
         ``max_iter=0`` never refactorizes.  On fp64 factors stall
@@ -570,7 +570,7 @@ class Factor:
             if hasattr(matrix, "materialize"):  # UpdatedMatrix
                 matrix = matrix.materialize()
             full = self._refactorized(matrix, eng)
-            self._result.extra["refine_fallback"] = {
+            record = {
                 "reason": "stalled" if out.stalled else "max_iter",
                 "from_dtype": self.dtype.name,
                 "engine": eng,
@@ -578,6 +578,7 @@ class Factor:
             }
             out = refine(matrix, full.storage, full.plan.perm, b,
                          tol=tol, max_iter=max_iter)
+            out.fallback = record
         return out if return_info else out.x
 
     def residual_norm(self, x, b):

@@ -243,7 +243,7 @@ def cmd_solve(args):
         # (automatic fp64-refactorize fallback when the chain stalls)
         out = factor.solve_refined(b, return_info=True)
         x, rel = out.x, factor.residual_norm(out.x, b)
-        fb = factor.result.extra.get("refine_fallback")
+        fb = out.fallback
         print(f"refined residual  = {rel:.3e} "
               f"({out.iterations} refinement steps"
               + (f"; fp64 refactorize fallback: {fb['reason']}" if fb

@@ -23,9 +23,31 @@ task pulls, :func:`repro.numeric.executor.range_tasks`), both reading the patter
 threaded and process task bodies and the GPU engines' CPU path all run these;
 :func:`factor_snode` and :func:`snode_update` are the same steps behind the
 per-supernode signatures.
+
+The serial loop, compiled
+-------------------------
+The serial engine (``rl``: :func:`factorize_rl_cpu`, a served request's
+work storage, ``factorize_batch``, the update road's refactorization) runs
+steps 1–3 for every supernode in ONE call into ``_rl_loop.c``, built on
+first use (:func:`_rl_loop`) and called through ``ctypes`` with the
+interpreter lock released.  It calls the same OpenBLAS routines on the same
+operands in place (leading dimension ``m``) and subtracts through the same
+assembly index, read as plain arrays, so the arena is the Python body's
+(:func:`_python_body`) byte for byte.  Where no compiler can build it, the
+Python body runs.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shlex
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -215,12 +237,123 @@ def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):
 
 def _factorize_rl_in(storage, *, machine=None):
     """:func:`factorize_rl_cpu` on a storage already holding the permuted
-    values: a fresh one, or a served request's work storage."""
-    symb = storage.symb
-    index = assembly_index(symb)
+    values: a fresh one, or a served request's work storage.  It runs the
+    compiled loop (:func:`_rl_loop`) when it could be built, else the Python
+    body — the same bits either way."""
+    loops = _rl_loop()
+    if loops is None:
+        _python_body(storage)
+    else:
+        _compiled_body(storage, loops[storage.arena.dtype])
+    workspace = update_workspace_entries(storage.symb)
+    return serial_result("rl", storage, machine, workspace_entries=workspace)
+
+
+def _python_body(storage):
+    """Serial RL in place, one supernode at a time through :func:`factor_update`
+    and the assembly index — the fallback and the compiled loop's oracle."""
+    index = assembly_index(storage.symb)
     routines = dk.factor_routines(storage.dtype)
     for s, entry in enumerate(storage.factor_program()):
         U = factor_update(entry, routines)
         if U is not None:
             _assemble(storage, index, s, U)
-    return serial_result("rl", storage, machine, workspace_entries=update_workspace_entries(symb))
+
+
+def _compiled_body(storage, loop):
+    """Serial RL in place on ``storage``'s arena: ONE call of ``loop``, a
+    ``(function, routines)`` entry of :func:`_rl_loop`, with the interpreter
+    lock released.  It reads the panel layout and the assembly index's
+    plain arrays and one workspace of the largest update matrix's size."""
+    fn, routines = loop
+    symb, arena = storage.symb, storage.arena
+    m, w = (np.diff(a).astype(np.int64, copy=False) for a in (symb.rowptr, symb.snptr))
+    offsets = symb.panel_offsets()
+    if not arena.flags.c_contiguous or not arena.flags.writeable or arena.size != offsets[-1]:
+        raise ValueError("the compiled RL loop needs a writable contiguous arena")
+    if m.size and m.max() >= 2**31:
+        raise ValueError("a panel has more rows than BLAS can address")
+    index = assembly_index(symb)
+    work = np.empty(update_workspace_entries(symb), dtype=arena.dtype)
+    flat = (index.flat_ptr, index.flat_dst, index.flat_src)
+    operands = (m, w, offsets, arena, *flat, index.piece_ptr, index.piece_table, work)
+    info = ctypes.c_int64()
+    s = fn(symb.nsup, *(a.ctypes.data for a in operands), *routines, ctypes.addressof(info))
+    if s >= 0:
+        if info.value > 0:
+            raise dk.NotPositiveDefiniteError(info.value - 1)
+        raise ValueError(f"potrf: illegal argument {-info.value}")
+
+
+_LOOP_SOURCE = Path(__file__).with_name("_rl_loop.c")
+
+
+def _cache_dir():
+    """Where built loops are kept: ``$XDG_CACHE_HOME/repro`` (default
+    ``~/.cache/repro``), or a fresh private temporary directory when that
+    cannot be written."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "repro")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        if os.access(path, os.W_OK | os.X_OK):
+            return path
+    except OSError:
+        pass
+    return tempfile.mkdtemp(prefix="repro-")
+
+
+def _build(path):
+    """Compile :data:`_LOOP_SOURCE` to ``path`` with ``$CC`` (default
+    ``cc``): into a temporary name beside it, then renamed, so processes
+    that build at once each install a whole library."""
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        cc = shlex.split(os.environ.get("CC") or "cc")
+        command = [*cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_LOOP_SOURCE)]
+        subprocess.run(command, check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _capsule_pointer(module, name):
+    """The C function behind ``module.__pyx_capi__[name]`` (a Cython capsule)."""
+    capsule = module.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+    name = get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    return get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+
+
+@functools.cache
+def _rl_loop():
+    """``{dtype: (function, routines)}`` of the compiled loop
+    (``_rl_loop.c``), or ``None`` when it cannot be built or loaded.
+
+    Built at most once per source hash into :func:`_cache_dir` and loaded
+    once per process, on first use.  ``routines`` are the dtype's
+    ``?potrf`` / ``?trsm`` / ``?syrk`` from scipy's ``cython_lapack`` /
+    ``cython_blas`` capsules: the library the f2py wrappers call."""
+    try:
+        from scipy.linalg import cython_blas, cython_lapack
+
+        source = _LOOP_SOURCE.read_bytes()
+        tag = hashlib.sha256(source + platform.machine().encode()).hexdigest()[:16]
+        path = os.path.join(_cache_dir(), f"_rl_loop-{tag}.so")
+        if not os.path.exists(path):
+            _build(path)
+        lib = ctypes.CDLL(path)
+        loops = {}
+        for dtype, t in ((np.float64, "d"), (np.float32, "s")):
+            fn = getattr(lib, f"rl_loop_{t}")
+            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 14
+            fn.restype = ctypes.c_int64
+            routines = [_capsule_pointer(cython_lapack, t + "potrf")]
+            routines += [_capsule_pointer(cython_blas, t + k) for k in ("trsm", "syrk")]
+            loops[np.dtype(dtype)] = fn, routines
+    except (ImportError, OSError, ValueError, subprocess.SubprocessError, AttributeError, KeyError):
+        return None
+    return loops

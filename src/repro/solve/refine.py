@@ -65,6 +65,11 @@ class RefinementResult:
     .refinement_stalled`) — the factor's precision, not the iteration
     budget, was the binding constraint.  A stalled result is never
     ``converged``.
+
+    ``fallback`` is set by :meth:`repro.api.Factor.solve_refined` when a
+    reduced-precision chain fell back to an fp64 refactorization: the
+    reason, the factor's dtype, the fp64 engine and the reduced-precision
+    residual history (``None`` when nothing fell back).
     """
 
     x: np.ndarray
@@ -72,6 +77,7 @@ class RefinementResult:
     iterations: int
     converged: bool
     stalled: bool = False
+    fallback: dict | None = None
 
 
 def _solve_permuted(storage, perm, b, dtype=np.float64, workers=None):

@@ -144,9 +144,31 @@ class AssemblyIndex:
         ``(ancestor, f0, f1)`` per run delimiting ``dst[f0:f1]`` — or
         ``None`` for a source without below rows or above
         :data:`FLAT_UPDATE_ENTRIES`, which has :meth:`pieces` instead.
+    flat_ptr, flat_dst, flat_src:
+        The same as plain ``int64`` arrays: every source's ``dst`` and
+        ``src`` back to back, source ``s``'s at ``flat_ptr[s]:flat_ptr[s +
+        1]`` (empty for a source in the block form).
+    piece_ptr, piece_table:
+        The block form as plain ``int64`` arrays: one row ``(base, ld, r0,
+        r1, c0, c1, i0, i1, j0, j1)`` per piece — the target panel's arena
+        offset and leading dimension, then the :meth:`pieces` entry —
+        source ``s``'s at ``piece_ptr[s]:piece_ptr[s + 1]``.
+
+    The plain arrays are what the compiled RL loop reads
+    (:func:`repro.numeric.rl._compiled_body`).
     """
 
-    __slots__ = ("moved", "targets", "flat", "_pieces")
+    __slots__ = (
+        "moved",
+        "targets",
+        "flat",
+        "flat_ptr",
+        "flat_dst",
+        "flat_src",
+        "piece_ptr",
+        "piece_table",
+        "_pieces",
+    )
 
     def __init__(self, symb):
         nsup = symb.nsup
@@ -176,8 +198,8 @@ class AssemblyIndex:
         moved_ptr = np.concatenate(([0], np.cumsum(nbytes)))[run_ptr]
         self.moved = np.diff(moved_ptr).tolist()
         run = np.cumsum(first) - 1
-        run_ptr, run_p = run_ptr.tolist(), run_p.tolist()
-        self.targets = tuple(tuple(run_p[r0:r1]) for r0, r1 in zip(run_ptr[:-1], run_ptr[1:]))
+        ptr, targets = run_ptr.tolist(), run_p.tolist()
+        self.targets = tuple(tuple(targets[r0:r1]) for r0, r1 in zip(ptr[:-1], ptr[1:]))
 
         # the flat form of every small source, built at once: one entry per
         # lower-triangle position (i, j) of each update matrix, column by
@@ -189,7 +211,8 @@ class AssemblyIndex:
         count = np.where(small[source], b[source] - k, 0)  # rows i >= j of column j
         col_ptr = np.concatenate(([0], np.cumsum(count)))
         rel0 = rel_ptr[run] + (k - run_k0[run])
-        dst0 = symb.panel_offsets()[owner] + colpos * m[owner]
+        offsets = symb.panel_offsets()
+        dst0 = offsets[owner] + colpos * m[owner]
         src0 = k * (b[source] + 1)
         at = np.arange(col_ptr[-1], dtype=np.int64)
         at += np.repeat(rel0 - col_ptr[:-1], count)  # every entry's position in ``rel``
@@ -197,12 +220,13 @@ class AssemblyIndex:
         dst = rel[at] + np.repeat(dst0, count)
         f_run0 = col_ptr[run_start].tolist()
         f_run1 = col_ptr[run_end].tolist()
-        f_source = col_ptr[below_ptr].tolist()
+        self.flat_ptr, self.flat_dst, self.flat_src = col_ptr[below_ptr], dst, src
+        f_source = self.flat_ptr.tolist()
         flat = [None] * nsup
         for s in np.flatnonzero(small).tolist():
             f0, f1 = f_source[s], f_source[s + 1]
-            runs = range(run_ptr[s], run_ptr[s + 1])
-            bounds = tuple((run_p[r], f_run0[r] - f0, f_run1[r] - f0) for r in runs)
+            runs = range(ptr[s], ptr[s + 1])
+            bounds = tuple((targets[r], f_run0[r] - f0, f_run1[r] - f0) for r in runs)
             flat[s] = dst[f0:f1], src[f0:f1], bounds
         self.flat = tuple(flat)
 
@@ -211,6 +235,8 @@ class AssemblyIndex:
         # every (column, row) stretch pair is a piece unless i1 <= j0
         pieces = [None if f else () for f in small.tolist()]
         big = np.flatnonzero(~small & (b > 0)).tolist()
+        self.piece_ptr = np.zeros(nsup + 1, dtype=np.int64)
+        self.piece_table = np.zeros((0, 10), dtype=np.int64)
         if big:
             nruns = run_start.size
             keep = ~small[run_source[run_of]]  # the tails of the big sources' runs
@@ -230,12 +256,19 @@ class AssemblyIndex:
             ci += (np.cumsum(nc) - nc)[piece_run]
             keep = rows[ri, 3] > cols[ci, 2]
             table = np.hstack((rows[ri[keep]], cols[ci[keep]]))[:, [0, 1, 4, 5, 2, 3, 6, 7]]
+            target = run_p[piece_run[keep]]
+            self.piece_table = np.ascontiguousarray(
+                np.column_stack((offsets[target], m[target], table))
+            )
+            counts = np.bincount(piece_run[keep], minlength=nruns)
+            piece_ptr = np.concatenate(([0], np.cumsum(counts)))
+            self.piece_ptr = piece_ptr[run_ptr]
             table = list(map(tuple, table.tolist()))
-            piece_ptr = [0] + np.cumsum(np.bincount(piece_run[keep], minlength=nruns)).tolist()
+            piece_ptr = piece_ptr.tolist()
             for s in big:
                 pieces[s] = tuple(
                     (p, tuple(table[piece_ptr[r] : piece_ptr[r + 1]]))
-                    for p, r in zip(self.targets[s], range(run_ptr[s], run_ptr[s + 1]))
+                    for p, r in zip(self.targets[s], range(ptr[s], ptr[s + 1]))
                 )
         self._pieces = tuple(pieces)
 

@@ -91,9 +91,10 @@ class TestPlan:
         x = factor.solve_refined(b)
         assert x.shape == (0,) and x.dtype == np.float64
         assert factor.residual_norm(x, b) == 0.0
+        extra = dict(factor.result.extra)
         out = factor.solve_refined(b, return_info=True)
         assert out.converged and out.residual_norms == [0.0]
-        assert "refine_fallback" not in factor.result.extra
+        assert out.fallback is None and factor.result.extra == extra
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_empty_block_refines(self, base_plan, dtype):

@@ -1,0 +1,218 @@
+"""The compiled RL loop (``numeric/_rl_loop.c``) against the Python body it
+stands in for.
+
+Contracts:
+
+* **same bytes** — ``plan.factorize(engine="rl")`` (one call into the
+  compiled loop where it could be built) leaves the arena the Python body
+  (:func:`repro.numeric.rl._python_body`) leaves, byte for byte, dead space
+  and upper triangles included: every pattern family, fp64 and fp32, every
+  flat-form cut (all blocks, a mix, the default, all flat);
+* **threads** — two threads running the loop at once on distinct storages
+  both get the serial bytes;
+* **fallback** — a loader that cannot build (``$CC`` fails) or load gives
+  ``None``, the door then runs the Python body, same bytes;
+* **pivots** — a failed ``?potrf`` inside the loop raises the Python body's
+  ``NotPositiveDefiniteError`` column from ``factorize``,
+  ``factorize_batch`` (``batch_index``) and a serving session
+  (``stream_index``), and the plan's work storage serves the next request
+  with the serial bits.
+
+Where no compiler is available the door *is* the Python body, and every
+test here still holds: that is the fallback run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import threading
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import repro
+from repro.dense import NotPositiveDefiniteError
+from repro.numeric import FactorStorage, rl
+from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, vector_stencil
+from repro.symbolic import relind
+from tests.conftest import spd_from_pattern as _spd
+
+DTYPES = [np.float64, np.float32]
+
+PATTERNS = {
+    "n1": lambda: _spd(np.zeros((1, 1), dtype=bool)),
+    "diagonal": lambda: _spd(np.zeros((9, 9), dtype=bool)),
+    "dense": lambda: _spd(np.ones((11, 11), dtype=bool)),
+    "grid2d": lambda: grid_laplacian((9, 8)),
+    "grid3d": lambda: grid_laplacian((6, 5, 4)),
+    "vec3d": lambda: vector_stencil((5, 5, 5), 4, connectivity="box"),
+    "kkt": lambda: kkt_like(120, 30, density=0.05),
+    "random": lambda: _spd(sp.random(60, 60, density=0.08, random_state=7).toarray() != 0),
+}
+
+
+def _mixed_cut(symb):
+    """A flat-form cut between the smallest and the largest update matrix."""
+    b = np.diff(symb.rowptr) - np.diff(symb.snptr)
+    b = b[b > 0]
+    return int(b.min() ** 2 + b.max() ** 2) // 2 if b.size else 0
+
+
+def _python(plan, values=None, dtype=np.float64):
+    """The Python body's arena for ``values`` (the plan's own by default)."""
+    M = plan.system.matrix
+    if values is not None:
+        M = SymmetricCSC(M.n, M.indptr, M.indices, values[plan.gather], check=False)
+    storage = FactorStorage.from_matrix(plan.symb, M, dtype=dtype)
+    rl._python_body(storage)
+    return storage.arena
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+#: no ``cc`` to build with, or ``$CC`` names another compiler (the fallback run)
+NO_DEFAULT_CC = "CC" in os.environ or shutil.which("cc") is None
+
+
+@pytest.mark.skipif(NO_DEFAULT_CC, reason="no default compiler")
+def test_a_machine_with_cc_builds_the_loop():
+    """Where ``cc`` exists and ``$CC`` does not name another compiler, the
+    door runs compiled: the differential tests below compare two bodies."""
+    loops = rl._rl_loop()
+    assert loops is not None and set(loops) == {np.dtype(np.float64), np.dtype(np.float32)}
+
+
+def test_the_door_runs_the_loop_when_there_is_one(monkeypatch):
+    ran = []
+    for name in ("_python_body", "_compiled_body"):
+        body = getattr(rl, name)
+        monkeypatch.setattr(rl, name, lambda *a, _n=name, _b=body: ran.append(_n) or _b(*a))
+    repro.plan(PATTERNS["grid2d"]()).factorize(engine="rl")
+    assert ran == ["_python_body" if rl._rl_loop() is None else "_compiled_body"]
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
+@pytest.mark.parametrize("cut", ["per_run", "mixed", "default", "flat"])
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_door_is_the_python_body_byte_for_byte(monkeypatch, pattern, cut, dtype):
+    A = PATTERNS[pattern]()
+    if cut != "default":
+        value = {"per_run": 0, "flat": 10**9}.get(cut)
+        if value is None:
+            value = _mixed_cut(repro.plan(A).symb)
+        monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", value)
+    plan = repro.plan(A)
+    got = plan.factorize(engine="rl", dtype=dtype).storage.arena
+    _same_bytes(got, _python(plan, dtype=dtype))
+
+
+def test_two_threads_at_once_get_the_serial_bytes():
+    """Both threads run the loop on their own storage, over and over, lined
+    up by a barrier: each arena is the Python body's."""
+    plan = repro.plan(vector_stencil((6, 6, 6), 4, connectivity="box"))
+    want = _python(plan)
+    barrier, errors, rounds = threading.Barrier(2), [], 8
+
+    def run():
+        try:
+            for _ in range(rounds):
+                storage = FactorStorage.from_matrix(plan.symb, plan.system.matrix)
+                barrier.wait(timeout=60)
+                rl._factorize_rl_in(storage)
+                _same_bytes(storage.arena, want)
+        except BaseException as exc:  # reported below, on the main thread
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_a_failed_loader_takes_the_python_body(monkeypatch):
+    plan = repro.plan(PATTERNS["vec3d"]())
+    want = {dtype: plan.factorize(engine="rl", dtype=dtype).storage.arena for dtype in DTYPES}
+    calls = []
+    body = rl._python_body
+    monkeypatch.setattr(rl, "_rl_loop", lambda: None)
+    monkeypatch.setattr(rl, "_python_body", lambda storage: calls.append(1) or body(storage))
+    for dtype in DTYPES:
+        _same_bytes(plan.factorize(engine="rl", dtype=dtype).storage.arena, want[dtype])
+    assert calls == [1, 1]
+
+
+def test_the_loader_gives_none_when_the_compiler_fails(monkeypatch, tmp_path):
+    """``$CC`` that cannot compile, an empty cache: no library, no error."""
+    monkeypatch.setenv("CC", "false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert rl._rl_loop.__wrapped__() is None
+    assert [p.name for p in (tmp_path / "repro").iterdir()] == []  # no temporary left
+
+
+@pytest.mark.skipif(NO_DEFAULT_CC, reason="no default compiler")
+def test_a_build_lands_in_the_cache_once(monkeypatch, tmp_path):
+    """A fresh cache directory gets one library named by the source hash;
+    a second load builds nothing."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert rl._rl_loop.__wrapped__() is not None
+    (built,) = (tmp_path / "repro").iterdir()
+    assert built.name.startswith("_rl_loop-") and built.suffix == ".so"
+    stamp = built.stat().st_mtime_ns
+    monkeypatch.setenv("CC", "false")  # a rebuild would fail
+    assert rl._rl_loop.__wrapped__() is not None
+    assert [p.stat().st_mtime_ns for p in (tmp_path / "repro").iterdir()] == [stamp]
+
+
+class TestPivotParity:
+    @pytest.fixture(scope="class")
+    def broken(self):
+        A = grid_laplacian((7, 6, 3))
+        plan = repro.plan(A)
+        bad = A.data.copy()
+        bad[A.indptr[A.n // 2]] = -5.0  # a negative diagonal entry mid-matrix
+        pivots = {}
+        for dtype in DTYPES:
+            with pytest.raises(NotPositiveDefiniteError) as ei:
+                _python(plan, bad, dtype)
+            pivots[np.dtype(dtype)] = ei.value.pivot
+        return plan, A.data.copy(), bad, pivots
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
+    def test_factorize(self, broken, dtype):
+        plan, good, bad, pivots = broken
+        with pytest.raises(NotPositiveDefiniteError) as ei:
+            plan.factorize(bad, engine="rl", dtype=dtype)
+        assert ei.value.pivot == pivots[np.dtype(dtype)]
+        _same_bytes(plan.factorize(good, engine="rl", dtype=dtype).storage.arena,
+                    _python(plan, good, dtype))
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
+    def test_factorize_batch(self, broken, dtype):
+        plan, good, bad, pivots = broken
+        with pytest.raises(NotPositiveDefiniteError) as ei:
+            plan.factorize_batch([good, bad, good], engine="rl", dtype=dtype)
+        assert ei.value.pivot == pivots[np.dtype(dtype)] and ei.value.batch_index == 1
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
+    def test_session_then_the_work_storage_serves(self, broken, dtype):
+        plan, good, bad, pivots = broken
+        b = np.cos(np.arange(plan.n))
+        with plan.serve(engine="rl", dtype=dtype) as session:
+            session.submit_solve(good, b).result(timeout=60)
+            (storage,) = plan._work[np.dtype(dtype)]
+            with pytest.raises(NotPositiveDefiniteError) as ei:
+                session.submit_solve(bad, b).result(timeout=60)
+            assert ei.value.pivot == pivots[np.dtype(dtype)] and ei.value.stream_index == 1
+            x = session.submit_solve(good, b).result(timeout=60)
+        assert tuple(plan._work[np.dtype(dtype)]) == (storage,)
+        _same_bytes(storage.arena, _python(plan, good, dtype))
+        want = plan.factorize(good, engine="rl", dtype=dtype).solve(b)
+        assert np.array_equal(x, want)

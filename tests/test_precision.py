@@ -317,10 +317,11 @@ class TestRefinementRecovery:
     def test_refined_recovers_fp64_accuracy(self, base_matrix, fp32_plan):
         f32 = fp32_plan.factorize(dtype=np.float32)
         b = np.cos(np.arange(base_matrix.n))
+        extra = dict(f32.result.extra)
         out = f32.solve_refined(b, return_info=True)
         assert out.converged and not out.stalled
         assert f32.residual_norm(out.x, b) <= 1e-12
-        assert "refine_fallback" not in f32.result.extra
+        assert out.fallback is None and f32.result.extra == extra
 
     def test_refined_matches_fp64_quality(self, base_matrix, fp32_plan):
         b = np.sin(np.arange(base_matrix.n))
@@ -343,8 +344,10 @@ class TestStallFallback:
     def test_stall_triggers_fp64_refactorize(self, graded, rhs):
         plan = repro.plan(graded)
         f32 = plan.factorize(dtype=np.float32)
+        extra = dict(f32.result.extra)
         out = f32.solve_refined(rhs, return_info=True)
-        fb = f32.result.extra["refine_fallback"]
+        fb = out.fallback
+        assert f32.result.extra == extra  # the factor is not written
         assert fb["reason"] == "stalled"
         assert fb["from_dtype"] == "float32"
         assert len(fb["residual_norms"]) >= 2
@@ -355,21 +358,24 @@ class TestStallFallback:
 
     def test_fallback_off_returns_stalled_result(self, graded, rhs):
         f32 = repro.plan(graded).factorize(dtype=np.float32)
+        extra = dict(f32.result.extra)
         out = f32.solve_refined(rhs, return_info=True, fallback=False)
         assert out.stalled and not out.converged
-        assert "refine_fallback" not in f32.result.extra
+        assert out.fallback is None and f32.result.extra == extra
 
     def test_fallback_records_threaded_twin(self, graded, rhs):
         f32 = repro.plan(graded).factorize(engine="rlb_par", workers=2,
                                            dtype=np.float32)
-        f32.solve_refined(rhs)
-        assert f32.result.extra["refine_fallback"]["engine"] == "rlb"
+        extra = dict(f32.result.extra)
+        assert f32.solve_refined(rhs, return_info=True).fallback["engine"] == "rlb"
+        assert f32.result.extra == extra
 
     def test_fp64_factor_unaffected_by_default(self, graded, rhs):
         f64 = repro.plan(graded).factorize()
+        extra = dict(f64.result.extra)
         out = f64.solve_refined(rhs, return_info=True)
         assert not out.stalled
-        assert "refine_fallback" not in f64.result.extra
+        assert out.fallback is None and f64.result.extra == extra
 
 
 #: out-of-range refinement arguments: each raises ValueError at every door
@@ -403,9 +409,10 @@ class TestRefinementArguments:
         # it would read a stall ratio; an fp32 one would refactorize in fp64
         dtype = np.float64 if "stall_ratio" in bad else np.float32
         factor = fp32_plan.factorize(dtype=dtype)
+        extra = dict(factor.result.extra)
         with pytest.raises(ValueError, match=next(iter(bad))):
             factor.solve_refined(np.ones(base_matrix.n), **{"tol": 1e-6, **bad})
-        assert "refine_fallback" not in factor.result.extra
+        assert factor.result.extra == extra
 
     @pytest.mark.parametrize("bad", BAD_REFINEMENT, ids=_id)
     def test_submit_solve(self, fp32_plan, base_matrix, bad):
@@ -573,17 +580,19 @@ class TestRefinementWorkPrecision:
     def test_max_iter_zero_is_the_plain_solve(self, f32, base_matrix):
         """No residual was measured, so there is nothing to fall back from:
         the chain returns ``Factor.solve``'s bits and refactorizes nothing."""
+        extra = dict(f32.result.extra)
         for b in (np.cos(np.arange(base_matrix.n)), np.ones((base_matrix.n, 2))):
             out = f32.solve_refined(b, max_iter=0, return_info=True)
             assert np.array_equal(out.x, f32.solve(b))
             assert out.residual_norms == [] and out.iterations == 0
-            assert "refine_fallback" not in f32.result.extra
+            assert out.fallback is None and f32.result.extra == extra
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
     def test_rhs_scale_does_not_matter(self, f32, base_matrix, scale):
         """An unscaled fp32 cast of ``b`` would overflow (1e30, 1e300) or
         flush to zero (1e-300); scaled per column it converges as ``b``."""
         b = np.cos(np.arange(base_matrix.n))
+        extra = dict(f32.result.extra)
         ref = f32.solve_refined(b, return_info=True)
         out = f32.solve_refined(b * scale, return_info=True)
         assert out.converged and out.iterations == ref.iterations
@@ -591,7 +600,8 @@ class TestRefinementWorkPrecision:
         assert f32.residual_norm(out.x, b * scale) <= 1e-14
         block = f32.solve_refined(np.column_stack([b, b * scale]), return_info=True)
         assert block.converged and block.iterations == ref.iterations
-        assert "refine_fallback" not in f32.result.extra
+        assert out.fallback is None and block.fallback is None
+        assert f32.result.extra == extra
 
     @pytest.mark.parametrize("shape", ["vector", "block"])
     def test_a_shorter_chain_is_a_prefix_of_a_longer_one(self, f32, base_matrix, shape):
@@ -609,10 +619,11 @@ class TestRefinementWorkPrecision:
         assert long.residual_norms[2] < long.residual_norms[0]
 
     def test_zero_rhs_is_converged_zeros(self, f32, base_matrix):
+        extra = dict(f32.result.extra)
         for b in (np.zeros(base_matrix.n), np.zeros((base_matrix.n, 2))):
             out = f32.solve_refined(b, return_info=True)
-            assert out.converged and not out.x.any()
-        assert "refine_fallback" not in f32.result.extra
+            assert out.converged and not out.x.any() and out.fallback is None
+        assert f32.result.extra == extra
 
 
 class TestResidualProduct:

@@ -166,9 +166,11 @@ class TestFactorUpdate:
             plan.factorize(updated.matrix.materialize())
         b = np.ones(n)
         tol = 1e-12  # fp64 reaches it in one step, fp32 not in max_iter=2
-        x = updated.solve_refined(b, tol=tol, max_iter=2)
-        assert updated.residual_norm(x, b) <= tol
-        assert updated.result.extra["refine_fallback"]["from_dtype"] == "float32"
+        extra = dict(updated.result.extra)
+        out = updated.solve_refined(b, tol=tol, max_iter=2, return_info=True)
+        assert updated.residual_norm(out.x, b) <= tol
+        assert out.fallback["from_dtype"] == "float32"
+        assert updated.result.extra == extra
 
 
 # ---------------------------------------------------------------------------
