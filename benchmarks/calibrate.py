@@ -1,232 +1,84 @@
 """Cost-model calibration tool (developer utility).
 
-Extracts each suite matrix's symbolic schedule once (supernode shapes,
-assembly traffic, block pairs) and then *replays* the four engines' timing
-logic — without numerics — for many candidate machine-model constants,
-scoring each against the paper's target shapes.  The replay mirrors
-``repro.numeric.{rl,rlb,rl_gpu,rlb_gpu}`` exactly and is validated against
-the real engines before any sweep (``--validate``).
+Analyzes each suite matrix once, then prices its pattern under a candidate
+:class:`~repro.gpu.costmodel.MachineModel` with the product's own walks —
+:func:`~repro.numeric.result.cpu_cost` for the serial RL/RLB baselines,
+:func:`~repro.numeric.rl_gpu.gpu_schedule` for the offload rows — and
+prints the paper's target shapes.  No numerics run, so a sweep over many
+candidate constants costs a pattern walk per candidate; the prices are the
+ones Tables I/II print at the same machine, out-of-memory failures included.
 
 This is how the defaults in ``repro.gpu.costmodel`` were chosen; it is kept
-in the repository so the calibration is reproducible.
+in the repository so the calibration is reproducible::
+
+    PYTHONPATH=src python benchmarks/calibrate.py [matrix ...]
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-import numpy as np
-
-from repro.gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
+from repro.gpu import DeviceOutOfMemory, MachineModel
+from repro.numeric import DEFAULT_DEVICE_MEMORY, DEFAULT_RL_THRESHOLD, \
+    DEFAULT_RLB_THRESHOLD
+from repro.numeric.result import cpu_cost
+from repro.numeric.rl_gpu import gpu_schedule
 from repro.sparse import get_entry
 from repro.symbolic import analyze
-from repro.symbolic.blocks import snode_blocks
-
-LAUNCH = 2.0e-6  # SimulatedGpu.launch_overhead_s
-
-
-@dataclass
-class SnodeSched:
-    m: int
-    w: int
-    b: int
-    panel_bytes: int
-    assembly_bytes: int          # RL scatter traffic (raw bytes)
-    update_bytes: int            # 8 * b*b
-    pairs: list                  # [(li, lj, raw_bytes, is_syrk)]
 
 
 def extract(name):
-    """Per-supernode schedule data for one suite matrix."""
-    A = get_entry(name).builder()
-    system = analyze(A)
-    symb = system.symb
-    sn = []
-    col2sn = symb.col2sn
-    for s in range(symb.nsup):
-        m, w = symb.panel_shape(s)
-        b = m - w
-        below = symb.snode_below_rows(s)
-        ab = 0
-        if below.size:
-            owners = col2sn[below]
-            cut = np.flatnonzero(np.diff(owners)) + 1
-            starts = np.concatenate(([0], cut))
-            ends = np.concatenate((cut, [below.size]))
-            for k0, k1 in zip(starts, ends):
-                ab += 2 * 8 * (below.size - k0) * (k1 - k0)
-        blocks = snode_blocks(symb, s)
-        pairs = []
-        for i, bi in enumerate(blocks):
-            for bj in blocks[i:]:
-                pairs.append((bi.length, bj.length,
-                              2 * 8 * bi.length * bj.length, bj is bi))
-        sn.append(SnodeSched(m, w, b, 8 * m * w, ab, 8 * b * b, pairs))
-    return sn
+    """The symbolic factor of one suite matrix — all any price reads."""
+    return analyze(get_entry(name).builder()).symb
 
 
-# ----------------------------------------------------------------------
-# replay of the engine timing logic
-# ----------------------------------------------------------------------
-
-def replay_rl_cpu(sn, mm):
-    times = {t: 0.0 for t in CPU_THREAD_CHOICES}
-    for s in sn:
-        for t in times:
-            times[t] += mm.cpu_kernel_seconds("potrf", n=s.w, threads=t)
-            if s.b:
-                times[t] += mm.cpu_kernel_seconds("trsm", m=s.b, n=s.w,
-                                                  threads=t)
-                times[t] += mm.cpu_kernel_seconds("syrk", n=s.b, k=s.w,
-                                                  threads=t)
-                times[t] += mm.assembly_seconds(s.assembly_bytes, threads=t)
-    return min(times.values())
+def _gpu_seconds(symb, method, mm, threshold, device_memory):
+    """Modeled seconds of gpu row ``method``, or ``None`` when it runs out
+    of device memory."""
+    try:
+        return gpu_schedule(symb, method, machine=mm, threshold=threshold,
+                            device_memory=device_memory).modeled_seconds
+    except DeviceOutOfMemory:
+        return None
 
 
-def replay_rlb_cpu(sn, mm):
-    times = {t: 0.0 for t in CPU_THREAD_CHOICES}
-    for s in sn:
-        for t in times:
-            times[t] += mm.cpu_kernel_seconds("potrf", n=s.w, threads=t)
-            if s.b:
-                times[t] += mm.cpu_kernel_seconds("trsm", m=s.b, n=s.w,
-                                                  threads=t)
-        for (li, lj, _, is_syrk) in s.pairs:
-            for t in times:
-                if is_syrk:
-                    times[t] += mm.cpu_kernel_seconds("syrk", n=li, k=s.w,
-                                                      threads=t)
-                else:
-                    times[t] += mm.cpu_kernel_seconds("gemm", m=lj, n=li,
-                                                      k=s.w, threads=t)
-    return min(times.values())
-
-
-class _Clocks:
-    def __init__(self):
-        self.cpu = self.gpu = self.copy_in = self.copy_out = 0.0
-
-    def launch(self):
-        self.cpu += LAUNCH
-
-    def kern(self, dt, ready=0.0):
-        self.launch()
-        start = max(self.gpu, self.cpu, ready)
-        self.gpu = start + dt
-        return self.gpu
-
-    def xfer(self, dt, ready=0.0, direction="d2h"):
-        self.launch()
-        if direction == "h2d":
-            start = max(self.copy_in, self.cpu, ready)
-            self.copy_in = start + dt
-            return self.copy_in
-        start = max(self.copy_out, self.cpu, ready)
-        self.copy_out = start + dt
-        return self.copy_out
-
-
-def replay_rl_gpu(sn, mm, threshold):
-    tl = _Clocks()
-    t = mm.gpu_run_cpu_threads
-    for s in sn:
-        if mm.scaled_panel_entries(s.m * s.w) < threshold:
-            tl.cpu += mm.cpu_kernel_seconds("potrf", n=s.w, threads=t)
-            if s.b:
-                tl.cpu += mm.cpu_kernel_seconds("trsm", m=s.b, n=s.w,
-                                                threads=t)
-                tl.cpu += mm.cpu_kernel_seconds("syrk", n=s.b, k=s.w,
-                                                threads=t)
-                tl.cpu += mm.assembly_seconds(s.assembly_bytes, threads=t)
-            continue
-        pr = tl.xfer(mm.transfer_seconds(s.panel_bytes), direction="h2d")
-        pr = tl.kern(mm.gpu_kernel_seconds("potrf", n=s.w), ready=pr)
-        if s.b:
-            pr = tl.kern(mm.gpu_kernel_seconds("trsm", m=s.b, n=s.w),
-                         ready=pr)
-        back = tl.xfer(mm.transfer_seconds(s.panel_bytes), ready=pr)
-        if s.b:
-            tl.launch()  # alloc_like
-            ur = tl.kern(mm.gpu_kernel_seconds("syrk", n=s.b, k=s.w),
-                         ready=pr)
-            done = tl.xfer(mm.transfer_seconds(s.update_bytes), ready=ur)
-            tl.cpu = max(tl.cpu, done)
-            tl.cpu += mm.assembly_seconds(s.assembly_bytes, threads=t)
-        tl.cpu = max(tl.cpu, back)
-    return tl.cpu
-
-
-def replay_rlb_gpu(sn, mm, threshold, inflight=2):
-    tl = _Clocks()
-    t = mm.gpu_run_cpu_threads
-    for s in sn:
-        if mm.scaled_panel_entries(s.m * s.w) < threshold:
-            tl.cpu += mm.cpu_kernel_seconds("potrf", n=s.w, threads=t)
-            if s.b:
-                tl.cpu += mm.cpu_kernel_seconds("trsm", m=s.b, n=s.w,
-                                                threads=t)
-            for (li, lj, _, is_syrk) in s.pairs:
-                if is_syrk:
-                    tl.cpu += mm.cpu_kernel_seconds("syrk", n=li, k=s.w,
-                                                    threads=t)
-                else:
-                    tl.cpu += mm.cpu_kernel_seconds("gemm", m=lj, n=li,
-                                                    k=s.w, threads=t)
-            continue
-        pr = tl.xfer(mm.transfer_seconds(s.panel_bytes), direction="h2d")
-        pr = tl.kern(mm.gpu_kernel_seconds("potrf", n=s.w), ready=pr)
-        if s.b:
-            pr = tl.kern(mm.gpu_kernel_seconds("trsm", m=s.b, n=s.w),
-                         ready=pr)
-        back = tl.xfer(mm.transfer_seconds(s.panel_bytes), ready=pr)
-        fifo = []
-        for (li, lj, raw, is_syrk) in s.pairs:
-            if len(fifo) >= inflight:
-                done, ab = fifo.pop(0)
-                tl.cpu = max(tl.cpu, done)
-                tl.cpu += mm.assembly_seconds(ab, threads=t)
-            tl.launch()  # alloc_like
-            if is_syrk:
-                kr = tl.kern(mm.gpu_kernel_seconds("syrk", n=li, k=s.w),
-                             ready=pr)
-            else:
-                kr = tl.kern(mm.gpu_kernel_seconds("gemm", m=lj, n=li,
-                                                   k=s.w), ready=pr)
-            done = tl.xfer(mm.transfer_seconds(raw / 2), ready=kr)
-            fifo.append((done, raw))
-        while fifo:
-            done, ab = fifo.pop(0)
-            tl.cpu = max(tl.cpu, done)
-            tl.cpu += mm.assembly_seconds(ab, threads=t)
-        tl.cpu = max(tl.cpu, back)
-    return tl.cpu
-
-
-def evaluate(sched, mm, rl_thr=600_000, rlb_thr=750_000):
+def evaluate(sched, mm, rl_thr=DEFAULT_RL_THRESHOLD,
+             rlb_thr=DEFAULT_RLB_THRESHOLD,
+             device_memory=DEFAULT_DEVICE_MEMORY):
+    """``{name: prices}`` over ``sched`` (``{name: symb}``): the serial
+    rows' best-over-threads seconds (``rl_c``, ``rlb_c``, ``cpu_best``) and
+    the gpu rows' (``rl_g``, ``rlb_g``, and ``rl_g0`` at threshold 0),
+    ``None`` for an out-of-memory run."""
     out = {}
-    for name, sn in sched.items():
-        rl = replay_rl_cpu(sn, mm)
-        rlb = replay_rlb_cpu(sn, mm)
-        cb = min(rl, rlb)
+    for name, symb in sched.items():
+        rl = cpu_cost(symb, "rl", mm).seconds
+        rlb = cpu_cost(symb, "rlb", mm).seconds
         out[name] = {
-            "rl_c": rl, "rlb_c": rlb, "cpu_best": cb,
-            "rl_g": replay_rl_gpu(sn, mm, rl_thr),
-            "rlb_g": replay_rlb_gpu(sn, mm, rlb_thr),
-            "rl_g0": replay_rl_gpu(sn, mm, 0),
+            "rl_c": rl, "rlb_c": rlb, "cpu_best": min(rl, rlb),
+            "rl_g": _gpu_seconds(symb, "rl_gpu", mm, rl_thr, device_memory),
+            "rlb_g": _gpu_seconds(symb, "rlb_gpu_v2", mm, rlb_thr,
+                                  device_memory),
+            "rl_g0": _gpu_seconds(symb, "rl_gpu", mm, 0, device_memory),
         }
     return out
+
+
+def speedup(prices, key):
+    """``cpu_best`` over a gpu row's seconds, ``None`` when it ran out of
+    memory."""
+    seconds = prices[key]
+    return None if seconds is None else prices["cpu_best"] / seconds
 
 
 def report(results):
     print(f"{'matrix':<14} {'RL_C':>7} {'RLB/RL':>6} {'sRLG':>5} "
           f"{'sRLBG':>6} {'sTHR0':>6}")
     for name, r in results.items():
+        cols = [speedup(r, key) for key in ("rl_g", "rlb_g", "rl_g0")]
+        s1, s2, s0 = ("OOM" if s is None else f"{s:.2f}" for s in cols)
         print(f"{name:<14} {r['rl_c']:>7.2f} "
               f"{r['rlb_c'] / r['rl_c']:>6.2f} "
-              f"{r['cpu_best'] / r['rl_g']:>5.2f} "
-              f"{r['cpu_best'] / r['rlb_g']:>6.2f} "
-              f"{r['cpu_best'] / r['rl_g0']:>6.2f}")
+              f"{s1:>5} {s2:>6} {s0:>6}")
 
 
 if __name__ == "__main__":

@@ -829,11 +829,7 @@ class ServingSession:
             assembly_index(symb)
             update_workspace_entries(symb)
         else:
-            index = pair_index(symb)
-            if row.backend == "gpu":  # the device loop reads every block pair
-                for s in range(symb.nsup):
-                    index.blocks(s)
-                    index.targets(s)
+            pair_index(symb)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")

@@ -4,8 +4,8 @@ The paper ran on a Perlmutter node: 2× AMD EPYC 7763 (128 cores, MKL
 multithreaded BLAS) and one NVIDIA A100-40GB (MAGMA BLAS, CUDA transfers over
 PCIe 4).  No GPU exists in this environment, so runtimes are *modeled*: every
 BLAS call and transfer advances a simulated clock according to the models
-below, while the numerics execute exactly (NumPy/LAPACK) so results stay
-verifiable.
+below, while the factor itself is the serial engines' (LAPACK/BLAS on the
+host) so results stay verifiable.
 
 **Dimension dilation.**  The surrogate matrices are scaled-down meshes of the
 paper's problems: a surrogate supernode with an ``(m, w)`` panel corresponds

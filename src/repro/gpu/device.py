@@ -1,8 +1,9 @@
 """The simulated GPU: memory, streams, transfers and a three-clock timeline.
 
 This is the substitute for the paper's A100 + CUDA + MAGMA stack (see
-:mod:`repro.gpu.costmodel`).  It executes every numeric kernel *for real* (NumPy/LAPACK on
-the host) while modeling *when* each operation would complete on a device:
+:mod:`repro.gpu.costmodel`).  It computes nothing: it models *when* each
+operation would complete on a device and how much device memory it holds,
+from sizes alone:
 
 * one **compute stream** — kernels run in issue order, each starting when
   both the stream and its input buffers are ready;
@@ -20,20 +21,19 @@ paper-scale panel.  Device memory is byte-accounted against a capacity;
 exceeding it raises :class:`DeviceOutOfMemory` — exactly how the paper's RL
 fails on nlpkkt120.
 
-Buffer discipline: data "moves" to the device via :meth:`SimulatedGpu.h2d`,
-which hands back a :class:`DeviceBuffer` wrapping the *same* NumPy array.
-Device kernels only accept :class:`DeviceBuffer`; host code must call
-:meth:`d2h` (or wait on the async handle) before using the array again, and
-violations raise — so the simulation catches real transfer-ordering bugs.
+Buffer discipline: :meth:`SimulatedGpu.h2d` and :meth:`SimulatedGpu.alloc`
+hand back a :class:`DeviceBuffer` — a handle carrying the raw byte size and
+itemsize of the data it stands for.  Device kernels only accept handles; a
+kernel on a freed buffer, or on one handed back to the host by
+:meth:`~SimulatedGpu.wait`, raises — so the schedule walk
+(:func:`repro.numeric.rl_gpu.gpu_schedule`) is checked for
+transfer-ordering bugs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..dense import kernels as _dk
 from .costmodel import MachineModel
 
 __all__ = [
@@ -127,17 +127,20 @@ class Timeline:
 
 
 class DeviceBuffer:
-    """A device allocation mirroring a host NumPy array.
+    """A device allocation of ``raw_nbytes`` bytes of ``itemsize``-byte
+    elements.
 
     ``ready`` is the simulated time at which the most recent operation
     writing this buffer completes; kernels reading it start no earlier.
     ``nbytes`` is the *dilated* (simulated) size.
     """
 
-    __slots__ = ("array", "nbytes", "ready", "alive", "on_device")
+    __slots__ = ("raw_nbytes", "itemsize", "nbytes", "ready", "alive",
+                 "on_device")
 
-    def __init__(self, array, nbytes, ready):
-        self.array = array
+    def __init__(self, raw_nbytes, itemsize, nbytes, ready):
+        self.raw_nbytes = raw_nbytes
+        self.itemsize = itemsize
         self.nbytes = float(nbytes)
         self.ready = float(ready)
         self.alive = True
@@ -173,7 +176,7 @@ class GpuStats:
 
 
 class SimulatedGpu:
-    """Simulated device: allocator + kernel/transfer scheduling + numerics.
+    """Simulated device: allocator + kernel/transfer scheduling.
 
     Parameters
     ----------
@@ -207,11 +210,15 @@ class SimulatedGpu:
         """Unallocated device memory (dilated bytes)."""
         return self.capacity - self.used
 
-    def _alloc(self, nbytes):
+    def _reserve(self, raw_nbytes, itemsize):
+        """Account a new allocation of ``raw_nbytes`` (raises
+        :class:`DeviceOutOfMemory` when it does not fit)."""
+        nbytes = self.machine.scaled_bytes(raw_nbytes, itemsize)
         if nbytes > self.free_bytes:
             raise DeviceOutOfMemory(nbytes, self.free_bytes, self.capacity)
         self.used += nbytes
         self.stats.peak_memory = max(self.stats.peak_memory, self.used)
+        return nbytes
 
     def free(self, buf):
         """Release a buffer's device memory (host side, immediate)."""
@@ -226,37 +233,33 @@ class SimulatedGpu:
         """Charge the host-side issue overhead of one device operation."""
         self.timeline.advance_cpu(self.launch_overhead_s, label="launch")
 
-    def h2d(self, array):
-        """Allocate and copy a host array to the device (async; the returned
-        buffer's ``ready`` marks copy completion)."""
-        itemsize = array.itemsize
-        nbytes = self.machine.scaled_bytes(array.nbytes, itemsize)
-        self._alloc(nbytes)
+    def h2d(self, raw_nbytes, itemsize=8):
+        """Allocate ``raw_nbytes`` on the device and copy host data into
+        it (async; the returned buffer's ``ready`` marks copy
+        completion)."""
+        nbytes = self._reserve(raw_nbytes, itemsize)
         self._launch()
         done = self.timeline.enqueue_copy(
-            self.machine.transfer_seconds(array.nbytes, itemsize),
+            self.machine.transfer_seconds(raw_nbytes, itemsize),
             direction="h2d", label="h2d", nbytes=nbytes,
         )
         self.stats.h2d_bytes += nbytes
         self.stats.transfers += 1
-        return DeviceBuffer(array, nbytes, done)
+        return DeviceBuffer(raw_nbytes, itemsize, nbytes, done)
 
-    def alloc_like(self, shape, dtype=np.float64):
-        """Allocate an uninitialised device buffer (e.g. an update matrix)
-        backed by a fresh host mirror array."""
-        array = np.zeros(shape, dtype=dtype, order="F")
-        nbytes = self.machine.scaled_bytes(array.nbytes, array.itemsize)
-        self._alloc(nbytes)
+    def alloc(self, raw_nbytes, itemsize=8):
+        """Allocate an uninitialised device buffer (e.g. an update
+        matrix)."""
+        nbytes = self._reserve(raw_nbytes, itemsize)
         self._launch()
-        return DeviceBuffer(array, nbytes, self.timeline.cpu)
+        return DeviceBuffer(raw_nbytes, itemsize, nbytes, self.timeline.cpu)
 
-    def d2h_async(self, buf, *, raw_nbytes=None):
+    def d2h_async(self, buf):
         """Start copying a buffer back to the host; returns a
         :class:`TransferHandle` to wait on."""
         buf._check()
         self._launch()
-        raw = raw_nbytes if raw_nbytes is not None else buf.array.nbytes
-        itemsize = buf.array.itemsize
+        raw, itemsize = buf.raw_nbytes, buf.itemsize
         done = self.timeline.enqueue_copy(
             self.machine.transfer_seconds(raw, itemsize), ready=buf.ready,
             label="d2h", nbytes=self.machine.scaled_bytes(raw, itemsize),
@@ -272,7 +275,7 @@ class SimulatedGpu:
 
     def wait(self, handle, *, keep_on_device=False):
         """Block the host until an async transfer completes; afterwards the
-        host may read the mirrored array.
+        host holds the data.
 
         By default the buffer is considered handed back to the host (further
         device kernels on it raise — the transfer-ordering discipline).
@@ -287,14 +290,14 @@ class SimulatedGpu:
                 handle.buffer.on_device = False
 
     # ------------------------------------------------------------------
-    # kernels (numerics execute for real; time is modeled)
+    # kernels (time is modeled from the shapes; nothing is computed)
     # ------------------------------------------------------------------
     def _issue(self, kind, m, n, k, *bufs):
         for b in bufs:
             b._check()
         self._launch()
         dt = self.machine.gpu_kernel_seconds(
-            kind, m, n, k, itemsize=bufs[0].array.itemsize
+            kind, m, n, k, itemsize=bufs[0].itemsize
         )
         ready = max(b.ready for b in bufs)
         done = self.timeline.enqueue_gpu(dt, ready=ready, label=kind)
@@ -304,23 +307,20 @@ class SimulatedGpu:
         self.stats.kernel_seconds += dt
         return done
 
-    def potrf(self, buf, view):
-        """Device DPOTRF on ``view`` (a square sub-array of ``buf.array``)."""
-        _dk.potrf(view)
-        return self._issue("potrf", 0, view.shape[0], 0, buf)
+    def potrf(self, buf, n):
+        """Device DPOTRF on an ``n × n`` diagonal block within ``buf``."""
+        return self._issue("potrf", 0, n, 0, buf)
 
-    def trsm(self, buf, rect, tri):
-        """Device DTRSM ``rect := rect tri^{-T}`` within ``buf``."""
-        _dk.trsm_right(rect, tri)
-        return self._issue("trsm", rect.shape[0], tri.shape[0], 0, buf)
+    def trsm(self, buf, m, n):
+        """Device DTRSM on an ``m × n`` rectangle within ``buf``."""
+        return self._issue("trsm", m, n, 0, buf)
 
-    def syrk(self, src, dst, rect, out):
-        """Device DSYRK: ``out[:n,:n] (lower) = rect @ rect^T``."""
-        _dk.syrk_lower(rect, out=out)
-        return self._issue("syrk", 0, rect.shape[0], rect.shape[1], src, dst)
+    def syrk(self, src, dst, n, k):
+        """Device DSYRK: an ``n × n`` lower update from ``n × k`` rows of
+        ``src`` into ``dst``."""
+        return self._issue("syrk", 0, n, k, src, dst)
 
-    def gemm(self, src, dst, a, b, out):
-        """Device DGEMM: ``out = a @ b^T``."""
-        _dk.gemm_nt(a, b, out=out)
-        return self._issue("gemm", a.shape[0], b.shape[0], a.shape[1],
-                           src, dst)
+    def gemm(self, src, dst, m, n, k):
+        """Device DGEMM: an ``m × n`` update from two row blocks (``m × k``,
+        ``n × k``) of ``src`` into ``dst``."""
+        return self._issue("gemm", m, n, k, src, dst)

@@ -12,9 +12,7 @@ the same answer.
 ``family`` names the algorithm a row runs (``"rl"`` — the per-supernode RL
 bodies, the coarse DAG; ``"rlb"`` — one body per block pair, the fine DAG;
 the CPU backends schedule whole task ranges of either,
-:mod:`repro.symbolic.ranges`; ``None`` for the one row with no serial twin,
-the paper's negative-result ``rlb_gpu_v1``).  ``backend`` names what
-schedules it:
+:mod:`repro.symbolic.ranges`).  ``backend`` names what schedules it:
 
 ``"serial"``
     One supernode after another on the host; modeled best-over-threads
@@ -24,8 +22,10 @@ schedules it:
     measured wall-clock.  A serving session runs the row's serial twin as
     one pool task per submission, like every other row's submission.
 ``"gpu"``
-    Offload to the simulated device; modeled seconds.  Each row is the
-    paper's host loop over the supernodes driving one device
+    Offload to the simulated device; modeled seconds.  Each row's clock is
+    the paper's host loop over the supernodes driving one device, walked
+    on the pattern (:func:`~repro.numeric.rl_gpu.gpu_schedule`), and its
+    factor is the serial twin's body
     (:func:`~repro.numeric.rl_gpu.factorize_rl_gpu`,
     :func:`~repro.numeric.rlb_gpu.factorize_rlb_gpu` versions 2 and 1).
 ``"process"``
@@ -74,7 +74,7 @@ class EngineSpec:
     """One registered factorization engine.
 
     ``fn(symb, A, **fixed, **options)`` runs the engine.  ``family`` is
-    ``"rl"`` | ``"rlb"`` | ``None`` and ``backend`` is ``"serial"`` |
+    ``"rl"`` | ``"rlb"`` and ``backend`` is ``"serial"`` |
     ``"threads"`` | ``"gpu"`` | ``"process"`` (see the module docstring).
     ``accepts`` — the option names a caller may pass — is computed from
     ``fn``'s signature: every parameter after ``(symb, A)`` that ``fixed``
@@ -99,7 +99,7 @@ class EngineSpec:
     @property
     def granularity(self):
         """Task-DAG granularity of the row's family (rl: ``"coarse"``,
-        rlb: ``"fine"``); ``None`` without a family."""
+        rlb: ``"fine"``)."""
         return _GRANULARITY.get(self.family)
 
 
@@ -122,15 +122,14 @@ _ROWS = (
     _row("rlb_gpu_v2", factorize_rlb_gpu, "rlb", "gpu", "RLB offload v2 (Table II)", version=2),
     _row("rl_proc", factorize_process, "rl", "process", "coarse DAG on worker processes"),
     _row("rlb_proc", factorize_process, "rlb", "process", "fine DAG on worker processes"),
-    _row("rlb_gpu_v1", factorize_rlb_gpu_v1, None, "gpu", "RLB offload v1: one batched D2H"),
+    _row("rlb_gpu_v1", factorize_rlb_gpu_v1, "rlb", "gpu", "RLB offload v1: one batched D2H"),
 )
 
-#: Engine name -> :class:`EngineSpec`; the single source of truth.  Rows
-#: with a family are unique on ``(family, backend)``.
+#: Engine name -> :class:`EngineSpec`; the single source of truth.
 ENGINES = {spec.name: spec for spec in _ROWS}
 
-#: ``(family, backend)`` -> row name, over the rows with a family.
-_BY_COLUMNS = {(spec.family, spec.backend): spec.name for spec in _ROWS if spec.family}
+#: family -> its one serial row (two gpu rows share ``("rlb", "gpu")``).
+_SERIAL = {spec.family: spec.name for spec in _ROWS if spec.backend == "serial"}
 
 
 def engine_names():
@@ -150,10 +149,9 @@ def get_engine(name):
 def serial_twin(name):
     """The serial engine of ``name``'s family — bit-identical factors on
     one host thread (``rl_par`` / ``rl_gpu`` / ``rl_proc`` -> ``rl``,
-    likewise ``rlb``); engines without a family map to themselves.  Unknown
-    names raise like :func:`get_engine`."""
-    spec = get_engine(name)
-    return _BY_COLUMNS.get((spec.family, "serial"), spec.name)
+    likewise ``rlb``, ``rlb_gpu_v1`` included).  Unknown names raise like
+    :func:`get_engine`."""
+    return _SERIAL[get_engine(name).family]
 
 
 def _names(rows):
@@ -198,7 +196,7 @@ def engine_table():
     lines = ["| engine | family | backend | accepted options |", "|---|---|---|---|"]
     for spec in _ROWS:
         options = ", ".join(f"`{o}`" for o in sorted(spec.accepts))
-        lines.append(f"| `{spec.name}` | {spec.family or '—'} | {spec.backend} | {options} |")
+        lines.append(f"| `{spec.name}` | {spec.family} | {spec.backend} | {options} |")
     return "\n".join(lines)
 
 

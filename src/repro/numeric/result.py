@@ -38,7 +38,7 @@ __all__ = [
 class GpuCostAccumulator:
     """Work accounting of the GPU-offload engines.
 
-    The offload engines charge modeled *time* onto a
+    The offload schedule walk charges modeled *time* onto a
     :class:`~repro.gpu.device.Timeline`; what this accumulator tracks is
     the dilated work totals (``flops``, ``kernel_count``,
     ``assembly_bytes``) every GPU engine reports on its

@@ -9,8 +9,8 @@ For each supernode ``J`` (left to right):
 3. the update matrix is *assembled* (scatter-subtracted) into every ancestor
    supernode's panel using generalized relative indices.
 
-The assembly routine is shared with the GPU variant (where it runs on the
-host, OpenMP-parallel in the paper's implementation).
+The GPU variant runs the assembly on the host too (OpenMP-parallel in the
+paper's implementation); here the ``rl_gpu`` row runs this engine's body.
 
 One body, every lane
 --------------------
@@ -20,7 +20,7 @@ Steps 1–2 are :func:`factor_update` over one entry of the storage's
 (source, ancestor) run out of what :func:`park_runs` kept — what a target's
 task pulls, :func:`repro.numeric.executor.range_tasks`), both reading the pattern's
 :func:`~repro.symbolic.relind.assembly_index`.  The serial engine, the
-threaded and process task bodies and the GPU engines' CPU path all run these;
+threaded and process task bodies (and so the ``rl_gpu`` row) all run these;
 :func:`factor_snode` and :func:`snode_update` are the same steps behind the
 per-supernode signatures.
 

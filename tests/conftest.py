@@ -78,13 +78,14 @@ def assert_measured(res):
 
 
 def engine_of(family, backend=None):
-    """The registry row running ``family`` (``"rl"`` / ``"rlb"``) on
-    ``backend`` (``None``: serial) — rows are named, never re-targeted."""
+    """The first registry row running ``family`` (``"rl"`` / ``"rlb"``) on
+    ``backend`` (``None``: serial) — rows are named, never re-targeted;
+    ``("rlb", "gpu")`` is ``rlb_gpu_v2``, the paper's method, ahead of
+    ``rlb_gpu_v1``."""
     from repro.numeric.registry import ENGINES
 
-    (name,) = [s.name for s in ENGINES.values()
-               if s.family == family and s.backend == (backend or "serial")]
-    return name
+    return next(s.name for s in ENGINES.values()
+                if s.family == family and s.backend == (backend or "serial"))
 
 
 def random_spd_dense(n, rng):
@@ -146,7 +147,8 @@ def force_cut(monkeypatch, cut):
 
 def capture_devices(monkeypatch):
     """Record every :class:`~repro.gpu.device.SimulatedGpu` the offload
-    engines construct (they all build theirs in :mod:`repro.numeric.rl_gpu`)."""
+    engines construct (they all build theirs in
+    :func:`repro.numeric.rl_gpu.gpu_schedule`)."""
     from repro.numeric import rl_gpu
 
     made = []

@@ -181,7 +181,8 @@ def test_removed_name_is_gone(module, path):
 
 def test_registry_consistency():
     """Every registered engine resolves through get_engine under its one
-    name; rows with a family are unique on (family, backend)."""
+    name; every row has a family, and each family one serial row; rows
+    are unique on (family, backend) but for the two rlb gpu rows."""
     from repro.numeric.registry import ENGINES, engine_names, get_engine
 
     assert engine_names() == sorted(ENGINES)
@@ -190,11 +191,13 @@ def test_registry_consistency():
         assert get_engine(name) is spec
         assert spec.name == name
         assert callable(spec.fn)
-        assert spec.family in ("rl", "rlb", None)
+        assert spec.family in ("rl", "rlb")
         assert spec.backend in ("serial", "threads", "gpu", "process")
         rows[spec.name] = spec
-    columns = [(s.family, s.backend) for s in rows.values() if s.family]
+    columns = [(s.family, s.backend) for s in rows.values()
+               if s.name != "rlb_gpu_v1"]
     assert len(columns) == len(set(columns))
+    assert {f for f, b in columns if b == "serial"} == {"rl", "rlb"}
 
 
 def test_accepts_is_read_off_the_signature():

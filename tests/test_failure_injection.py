@@ -14,7 +14,10 @@ from repro.numeric import (
     factorize_rl_gpu,
     factorize_rlb_cpu,
     factorize_rlb_gpu,
+    gpu_snode_mask,
+    scaled_panel_entries_array,
 )
+from repro.numeric.registry import resolve
 from repro.sparse import SymmetricCSC, grid_laplacian
 from repro.symbolic import analyze
 
@@ -29,15 +32,16 @@ ALL_ENGINES = [
 ]
 
 
-def indefinite_system():
-    """An analyzed system whose matrix is *not* positive definite."""
+def indefinite_system(j=None):
+    """An analyzed system whose matrix is *not* positive definite: the
+    diagonal entry of permuted column ``j`` flipped (default: the last,
+    deep enough into the elimination to pass the early pivots)."""
     A = grid_laplacian((5, 5))
     system = analyze(A)
     B = system.matrix
     data = B.data.copy()
-    # flip one diagonal entry deep enough into the elimination to pass
-    # the early pivots
-    j = B.n - 1
+    if j is None:
+        j = B.n - 1
     for p in range(B.indptr[j], B.indptr[j + 1]):
         if B.indices[p] == j:
             data[p] = -50.0
@@ -53,6 +57,24 @@ class TestNotPositiveDefinite:
         with pytest.raises(NotPositiveDefiniteError):
             fn(symb, bad, **kwargs)
 
+    @pytest.mark.parametrize("name", ["rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"])
+    def test_device_out_of_memory_before_any_numerics(self, name):
+        """A gpu row walks its modeled schedule before it factors: with the
+        first pivot broken on a host-path supernode and only the largest
+        supernode offloaded onto a device too small for its panel, the row
+        raises DeviceOutOfMemory (a property of the pattern), not the
+        pivot's NotPositiveDefiniteError."""
+        symb, bad = indefinite_system(0)
+        largest = float(scaled_panel_entries_array(
+            MachineModel(), np.diff(symb.rowptr) * np.diff(symb.snptr)).max())
+        offload = gpu_snode_mask(symb, largest)
+        assert offload.any() and not offload[0]
+        spec, kwargs = resolve(name, threshold=largest, device_memory=16)
+        with pytest.raises(NotPositiveDefiniteError):
+            factorize_rl_cpu(symb, bad)
+        with pytest.raises(DeviceOutOfMemory):
+            spec.fn(symb, bad, **kwargs)
+
     def test_pivot_index_reported(self):
         symb, bad = indefinite_system()
         with pytest.raises(NotPositiveDefiniteError) as ei:
@@ -64,33 +86,33 @@ class TestDeviceDiscipline:
     def test_use_after_free_raises(self):
         gpu = SimulatedGpu(10 ** 9, machine=MachineModel(),
                            timeline=Timeline())
-        buf = gpu.h2d(np.eye(4, order="F"))
+        buf = gpu.h2d(8 * 4 * 4)
         gpu.free(buf)
         with pytest.raises(RuntimeError, match="freed"):
-            gpu.potrf(buf, buf.array)
+            gpu.potrf(buf, 4)
 
     def test_kernel_after_blocking_d2h_raises(self):
         """Reading a buffer on the device after it was handed back to the
         host is a transfer-ordering bug; the simulator catches it."""
         gpu = SimulatedGpu(10 ** 9, machine=MachineModel(),
                            timeline=Timeline())
-        buf = gpu.h2d(np.eye(4, order="F"))
+        buf = gpu.h2d(8 * 4 * 4)
         gpu.d2h(buf)
         with pytest.raises(RuntimeError, match="host"):
-            gpu.potrf(buf, buf.array)
+            gpu.potrf(buf, 4)
 
     def test_keep_on_device_snapshot_allows_reuse(self):
         gpu = SimulatedGpu(10 ** 9, machine=MachineModel(),
                            timeline=Timeline())
-        buf = gpu.h2d(np.eye(4, order="F"))
+        buf = gpu.h2d(8 * 4 * 4)
         handle = gpu.d2h_async(buf)
         gpu.wait(handle, keep_on_device=True)
-        gpu.potrf(buf, buf.array)  # must not raise
+        gpu.potrf(buf, 4)  # must not raise
 
     def test_double_free_is_idempotent(self):
         gpu = SimulatedGpu(10 ** 9, machine=MachineModel(),
                            timeline=Timeline())
-        buf = gpu.h2d(np.eye(4, order="F"))
+        buf = gpu.h2d(8 * 4 * 4)
         gpu.free(buf)
         gpu.free(buf)
         assert gpu.used == 0.0
@@ -98,7 +120,7 @@ class TestDeviceDiscipline:
     def test_oom_leaves_accounting_consistent(self):
         gpu = SimulatedGpu(1000, machine=MachineModel(), timeline=Timeline())
         with pytest.raises(DeviceOutOfMemory) as ei:
-            gpu.h2d(np.zeros((64, 64), order="F"))
+            gpu.h2d(8 * 64 * 64)
         assert ei.value.requested > ei.value.free
         assert gpu.used == 0.0  # failed alloc must not leak
 

@@ -1,8 +1,9 @@
 """Tests for the GPU offload engines — the paper's host loops over the
 supernodes.
 
-* ``rl_gpu`` / ``rlb_gpu_v2`` are bit-identical to the serial CPU engines
-  for every threshold, through every entry point
+* ``rl_gpu`` / ``rlb_gpu_v2`` / ``rlb_gpu_v1`` are bit-identical to their
+  serial twins ``rl`` / ``rlb`` — whole arenas, fp64 and fp32 — for every
+  threshold, through every entry point
   (:func:`factorize_rl_gpu` / :func:`factorize_rlb_gpu`, the registry);
 * the modeled seconds, transfer counts and
   :class:`~repro.gpu.device.DeviceOutOfMemory` accounting are pinned, as
@@ -23,13 +24,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import DeviceOutOfMemory, Tracer
-from repro.numeric import (
-    factorize_rl_cpu,
-    factorize_rl_gpu,
-    factorize_rlb_cpu,
-    factorize_rlb_gpu,
-    gpu_snode_mask,
-)
+from repro.numeric import factorize_rl_gpu, factorize_rlb_gpu, gpu_snode_mask
 from repro.numeric.executor import dag_plan
 from repro.numeric.registry import get_engine, resolve, serial_twin
 from repro.sparse import grid_laplacian, random_spd, tridiagonal, vector_stencil
@@ -43,7 +38,6 @@ GPU = {
     "coarse": factorize_rl_gpu,
     "fine": lambda s, m, **kw: factorize_rlb_gpu(s, m, version=2, **kw),
 }
-SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
 
 
 @pytest.fixture(scope="module")
@@ -61,18 +55,29 @@ def _bit_identical(a, b, symb):
                for s in range(symb.nsup))
 
 
+#: gpu row -> the serial row whose factor it must repeat, byte for byte
+TWINS = {"rl_gpu": "rl", "rlb_gpu_v2": "rlb", "rlb_gpu_v1": "rlb"}
+
+
 class TestBitIdentity:
-    @pytest.mark.parametrize("granularity", ["coarse", "fine"])
-    def test_matches_serial_twin(self, system, grid_system, granularity):
-        """All offloaded and a CPU/GPU split, on the vector stencil and on
-        the 9x9x3 grid; each factor also against the dense reference."""
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", sorted(TWINS))
+    def test_matches_serial_twin(self, system, grid_system, name, dtype):
+        """Every gpu row, in either precision, all offloaded and a CPU/GPU
+        split, on the vector stencil and on the 9x9x3 grid: the whole arena,
+        dead space included, is its serial twin's; each fp64 factor also
+        against the dense reference."""
+        spec, twin = get_engine(name), get_engine(TWINS[name])
         for sy in (system, grid_system):
-            ref = SERIAL[granularity](sy.symb, sy.matrix)
+            ref = twin.fn(sy.symb, sy.matrix, dtype=dtype).storage.arena
             for threshold in (0, 50_000):
-                res = GPU[granularity](sy.symb, sy.matrix,
-                                       threshold=threshold, device_memory=BIG)
-                assert _bit_identical(res, ref, sy.symb)
-                assert_factor_matches(res, sy)
+                res = spec.fn(sy.symb, sy.matrix, **spec.fixed, dtype=dtype,
+                              threshold=threshold, device_memory=BIG)
+                arena = res.storage.arena
+                assert arena.dtype == ref.dtype == dtype
+                assert arena.tobytes() == ref.tobytes()
+                if dtype == np.float64:
+                    assert_factor_matches(res, sy)
 
     def test_method_names(self, system):
         for version in (1, 2):
@@ -136,8 +141,25 @@ class TestRegistryAndApi:
     def test_engines_registered(self):
         assert get_engine("rl_gpu").backend == "gpu"
         assert get_engine("rlb_gpu_v2").granularity == "fine"
-        assert serial_twin("rl_gpu") == "rl"
-        assert serial_twin("rlb_gpu_v2") == "rlb"
+        for name, twin in TWINS.items():
+            assert get_engine(name).family == get_engine(twin).family
+            assert serial_twin(name) == twin
+
+    def test_v1_refactorizes_on_its_serial_twin(self):
+        """``rlb_gpu_v1``'s factor is ``rlb``'s body, so a v1 factor's
+        ``apply(policy="refactorize")`` runs ``rlb`` — not the simulated
+        device — and gives ``rlb``'s bits."""
+        import repro
+
+        A = grid_laplacian((6, 5))
+        plan = repro.plan(A)
+        W = np.linspace(0.1, 1.0, A.n)[:, None]
+        v1 = plan.factorize(engine="rlb_gpu_v1", device_memory=BIG)
+        got = v1.apply(W, policy="refactorize")
+        want = plan.factorize(engine="rlb").apply(W, policy="refactorize")
+        assert got.engine == want.engine == "rlb"
+        for p, q in zip(got.storage.panels, want.storage.panels, strict=True):
+            assert np.array_equal(p, q)
 
     def test_plan_factorize_backend(self, system):
         import repro

@@ -50,3 +50,27 @@ class TestHarness:
         system = analyze(get_entry("CurlCurl_2").builder())
         r = run_matrix("CurlCurl_2", use_cache=False, system=system)
         assert r.nsup == system.nsup
+
+
+class TestCalibrate:
+    def test_prices_are_the_harness_runs(self, curlcurl_run):
+        """``calibrate.evaluate`` prices with the product's own walks: at
+        the default machine it repeats the harness's (Tables I/II) seconds
+        and speedups on CurlCurl_2, and reports nlpkkt120's RL as out of
+        device memory, as Table I does."""
+        import calibrate
+
+        from repro.gpu import MachineModel
+
+        names = ("CurlCurl_2", "nlpkkt120")
+        got = calibrate.evaluate({n: calibrate.extract(n) for n in names},
+                                 MachineModel())
+        r, c = curlcurl_run, got["CurlCurl_2"]
+        assert c["cpu_best"] == r.cpu_best_seconds
+        assert c["rl_g"] == r.rl_gpu.modeled_seconds
+        assert c["rlb_g"] == r.rlb_gpu.modeled_seconds
+        assert calibrate.speedup(c, "rl_g") == r.speedup(r.rl_gpu)
+        assert calibrate.speedup(c, "rlb_g") == r.speedup(r.rlb_gpu)
+        assert got["nlpkkt120"]["rl_g"] is None
+        assert calibrate.speedup(got["nlpkkt120"], "rl_g") is None
+        assert got["nlpkkt120"]["rlb_g"] > 0
