@@ -75,6 +75,7 @@ from .dense.kernels import (
 from .numeric.executor import _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
+from .numeric.rl_gpu import warm_schedule
 from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
 from .numeric.updown import _modification_plan, _sweep
 from .solve.refine import _check_refinement, _refine, _solve_permuted, refine, relative_residual
@@ -335,17 +336,20 @@ class SymbolicPlan:
         spec, kwargs = resolve(engine, workers=workers, dtype=dtype, **engine_kwargs)
         return self._request(spec, kwargs, self._original_matrix(self._values_of(values)))
 
-    def _request(self, spec, kwargs, matrix, answer=None):
+    def _request(self, spec, kwargs, matrix, answer=None, records=None):
         """ONE request, the body of :meth:`factorize`, :meth:`factorize_batch`
         and every :class:`ServingSession` task: the resolved row ``spec``
         runs with ``kwargs`` on the permuted gather of ``matrix`` (owned by
-        the request: :meth:`_original_matrix`) and returns the
-        :class:`Factor` — or ``answer(factor)``, a factor that never leaves
-        the request, so a row with an ``into`` body factors in one of the
-        plan's work storages (:meth:`_work_storage`)."""
+        the request: :meth:`_original_matrix`) and returns the read-only
+        :class:`Factor`, ``records`` in its result's extra — or
+        ``answer(factor)``, a factor that never leaves the request, so a row
+        with an ``into`` body factors in a work storage (:meth:`_work_storage`)."""
         M = self._permuted_matrix(matrix.data)
         if answer is None or spec.into is None:
-            factor = Factor(self, spec.fn(self._system.symb, M, **kwargs), matrix)
+            result = spec.fn(self._system.symb, M, **kwargs)
+            result.storage.freeze()
+            result.extra.update(records or {})
+            factor = Factor(self, result, matrix)
             return factor if answer is None else answer(factor)
         options = dict(kwargs)
         with self._work_storage(options.pop("dtype", np.float64)) as storage:
@@ -632,19 +636,21 @@ class Factor:
         mod = _modification_plan(self.storage.symb, Wp)
         return self._updated(W, Wp, mod, downdate)
 
-    def _updated(self, W, Wp, mod, downdate):
+    def _updated(self, W, Wp, mod, downdate, **records):
         """:meth:`update` of a gathered (``Wp``: a private copy, swept in
-        place) and planned modification."""
+        place) and planned modification, ``records`` in its result's extra."""
         mod.require_contained()
         storage = self.storage
         if mod.roots:
             # the sweep runs on private copies: a failure discards them
             storage = FactorStorage.derived(storage, mod.snodes)
             _sweep(storage, Wp, mod, -1.0 if downdate else 1.0)
+            storage.freeze()
         extra = dict(self._result.extra,
                      update_rank=int(Wp.shape[1]),
                      update_cols=int(mod.union.size),
-                     update_downdate=bool(downdate))
+                     update_downdate=bool(downdate),
+                     **records)
         # not dataclasses.replace, which reads (so prices) every model field
         result = copy.copy(self._result)
         result.storage, result.extra = storage, extra
@@ -696,45 +702,38 @@ class Factor:
         mod = _modification_plan(symb, Wp)
         cost = _modeled_update_cost(symb, mod)
         choice = cost.recommended if policy == "auto" else policy
+        records = {"applied_policy": choice, "update_recommended": cost.recommended}
         if choice == "update":
-            out = self._updated(W, Wp, mod, downdate)
-        else:
-            B = UpdatedMatrix(self._matrix, W,
-                              downdate=downdate).materialize()
-            if engine is None:
-                engine = self._serial_engine()
-            out = self._refactorized(B, engine, **engine_kwargs)
-        out._result.extra["applied_policy"] = choice
-        out._result.extra["update_recommended"] = cost.recommended
-        return out
+            return self._updated(W, Wp, mod, downdate, **records)
+        B = UpdatedMatrix(self._matrix, W, downdate=downdate).materialize()
+        engine = self._serial_engine() if engine is None else engine
+        return self._refactorized(B, engine, records, **engine_kwargs)
 
-    def _refactorized(self, B, engine, **engine_kwargs):
+    def _refactorized(self, B, engine, records=None, **engine_kwargs):
         """Factorize the modified matrix ``B`` on this factor's plan, or —
         when a modification grew ``A``'s pattern beyond the plan's
-        (:class:`PatternMismatchError`, nothing else) — on a fresh one."""
+        (:class:`PatternMismatchError`, nothing else) — on a fresh one,
+        ``records`` in the new factor's ``result.extra``."""
+        spec, kwargs = resolve(engine, **engine_kwargs)
         try:
-            return self._plan.factorize(B, engine=engine, **engine_kwargs)
+            target, data = self._plan, self._plan._values_of(B)
         except PatternMismatchError:
-            return plan(B).factorize(engine=engine, **engine_kwargs)
+            target = plan(B)
+            data = target._values_of(None)
+        return target._request(spec, kwargs, target._original_matrix(data), records=records)
 
     # ------------------------------------------------------------------
     def _diag_permuted(self):
-        """Diagonal of ``L`` in the factor's (permuted) ordering."""
-        symb = self.storage.symb
-        d = np.empty(symb.n)
-        for s in range(symb.nsup):
-            first, last = symb.snode_cols(s)
-            w = last - first
-            d[first:last] = np.diagonal(self.storage.panel(s)[:w, :w])
-        return d
+        """Diagonal of ``L`` in the factor's (permuted) ordering, float64:
+        each panel's diagonal is its supernode's columns'."""
+        return np.concatenate([np.zeros(0), *map(np.diagonal, self.storage.panels)])
 
     def diag(self):
         """Diagonal entries of the Cholesky factor ``L``, mapped back to
         the original ordering (entry ``i`` corresponds to row/column ``i``
         of ``A``)."""
-        d = self._diag_permuted()
-        out = np.empty_like(d)
-        out[self._plan.perm] = d
+        out = np.empty(self.n)
+        out[self._plan.perm] = self._diag_permuted()
         return out
 
     def logdet(self):
@@ -810,10 +809,10 @@ class ServingSession:
             self._row, self._engine_kwargs = spec, kwargs
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
-        # under the running row's bodies (a process row's whole DAG plan),
-        # the update path's walk tables, the panel layout and the serial
-        # sweeps' shapes and leaf block — on a row that borrows work
-        # storages, the plan's first one, whose build reads all three
+        # under the running row's bodies (a process row's whole DAG plan, a
+        # gpu row's schedule walk), the update path's walk tables, the panel
+        # layout and the serial sweeps' shapes and leaf block — on a row that
+        # borrows work storages, the plan's first one, whose build reads all three
         row, symb = self._row, plan.symb
         path_tables(symb)
         if self.borrows_work:
@@ -830,6 +829,8 @@ class ServingSession:
             update_workspace_entries(symb)
         else:
             pair_index(symb)
+        if row.backend == "gpu" and "tracer" not in self._engine_kwargs:
+            warm_schedule(symb, row.name, **self._engine_kwargs)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")

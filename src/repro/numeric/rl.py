@@ -160,10 +160,9 @@ def _assemble(storage, index, s, U, stop=None):
     of its assembly runs, or only the first ``stop`` (the ones whose target
     lies inside ``s``'s task range; runs ascend by target)."""
     flat = index.flat[s]
-    if flat is None or storage.arena is None:
-        parked = park_runs(storage, index, s, U)
+    if flat is None:  # U is what park_runs keeps of a source without a flat form
         for r in range(len(index.targets[s]) if stop is None else stop):
-            apply_run(storage, index, s, r, parked)
+            apply_run(storage, index, s, r, U)
         return
     dst, src, bounds = flat
     if stop is not None:
@@ -202,7 +201,7 @@ def apply_run(storage, index, s, r, parked, stay=0):
     matrix owned by one ancestor, out of what :func:`park_runs` kept of it
     from run ``stay`` on, subtracted from that ancestor's panel — the block
     form's pieces, or the flat form's entries in ONE fancy-indexed ``-=``
-    (into the arena, or a loose panel).  All runs of a source together are
+    into the arena.  All runs of a source together are
     :func:`assemble_update`, the same bits; a target's task applies its
     parked runs in ascending source order."""
     flat = index.flat[s]
@@ -213,14 +212,8 @@ def apply_run(storage, index, s, r, parked, stay=0):
             panel[r0:r1, c0:c1] -= parked[i0:i1, j0:j1]
         return
     dst, _, bounds = flat
-    p, f0, f1 = bounds[r]
-    values = parked[f0 - bounds[stay][1] : f1 - bounds[stay][1]]
-    if storage.arena is not None:
-        storage.arena[dst[f0:f1]] -= values
-        return
-    panel = storage.panels[p]
-    col, row = np.divmod(dst[f0:f1] - storage.symb.panel_offsets()[p], panel.shape[0])
-    panel[row, col] -= values
+    _, f0, f1 = bounds[r]
+    storage.arena[dst[f0:f1]] -= parked[f0 - bounds[stay][1] : f1 - bounds[stay][1]]
 
 
 def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):

@@ -18,10 +18,10 @@ The pair program
 :func:`run_pair_range` is the one body: per supernode, :func:`factor_entry
 <repro.numeric.rl.factor_entry>` hands back the factorized rectangle and
 :func:`pair_updates` forms and commits its pair updates.  A narrow small
-source on an arena-backed storage (:data:`~repro.symbolic.blocks.BATCHED_GEMM_MADDS`)
-takes every off-diagonal pair from ONE ``?gemm(rect, rectᵀ)``, writes each
-diagonal pair's own ``?syrk`` over its diagonal block (a one-column GEMM
-already is its SYRK) and commits the lower triangle as RL does, ONE
+source (:data:`~repro.symbolic.blocks.BATCHED_GEMM_MADDS`) takes every
+off-diagonal pair from ONE ``?gemm(rect, rectᵀ)``, writes each diagonal
+pair's own ``?syrk`` over its diagonal block (a one-column GEMM already is
+its SYRK) and commits the lower triangle as RL does, ONE
 ``arena[dst] -= G[src]`` through the flat form of the pattern's
 :func:`~repro.symbolic.relind.assembly_index` — the same bits as one call
 per pair by the GEMM property ``tests/test_pair_program.py`` pins within the
@@ -162,7 +162,7 @@ def pair_updates(storage, index, s, rect, routines, plan=None, leave=None):
     cuts, flat = index.sources[s]
     nb = len(cuts)
     nstay = nb if plan is None else plan.stay[s]
-    if flat is not None and storage.arena is not None:
+    if flat is not None:
         G = _batched_product(rect, cuts, syrk, gemm)
         stop = None
         if nstay < nb:

@@ -22,13 +22,14 @@ factor with one index array instead of one per panel: the value scatter is
 buffer: :meth:`FactorStorage.from_matrix` allocates one (a private mapping
 of its own once it is large, ``_MAPPED_ARENA_BYTES``), the process pool
 puts one in shared memory (:meth:`FactorStorage.over`) — the same class
-either way.  A storage of loose panels (``FactorStorage(symb, panels)``)
-has ``arena is None`` and is addressed panel by panel.  So has the
-copy-on-write storage :meth:`repro.api.Factor.update` builds
-(:meth:`FactorStorage.derived`), but it reads through its *root*, the
-arena-backed storage at the bottom of its update chain: only its private
-path panels are its own.  Every storage cuts one set of views: a solve
-program takes the factor program's panels and rectangles when there is one.
+either way.  The one other shape is the copy-on-write storage
+:meth:`repro.api.Factor.update` builds (:meth:`FactorStorage.derived`): it
+has no arena of its own (``arena is None``) and reads through its *root*,
+the arena-backed storage at the bottom of its update chain; only its
+private path panels are its own.  Every storage cuts one set of views: a
+solve program takes the factor program's panels and rectangles when there
+is one.  A storage that leaves in a :class:`~repro.api.Factor` is read-only,
+views included (:meth:`FactorStorage.freeze`).
 
 Scattering the input matrix into this layout is a hot path for repeated
 factorizations, so the index arithmetic lives in a reusable
@@ -176,13 +177,13 @@ class FactorStorage:
     Create with :meth:`from_matrix` to scatter the permuted input's values
     into the symbolic structure (explicit zeros where amalgamation padded).
     ``arena`` is the flat array every panel is a view of (module docstring),
-    or ``None`` for a storage of loose ``panels`` or :meth:`derived`.
+    or ``None`` for a :meth:`derived` storage.
     """
 
-    def __init__(self, symb, panels=None, *, arena=None):
+    def __init__(self, symb, *, arena=None):
         self.symb = symb
         self.arena = arena
-        self._panels = panels
+        self._panels = None
         self._solve_program = None
         self._factor_program = None
         self._root = self._over = None  # derived(): the root, supernode -> private panel
@@ -192,15 +193,27 @@ class FactorStorage:
         """Copy-on-write of ``base``: private copies of the ``copied``
         supernodes' panels, ``base``'s everywhere else.  Its root is
         ``base`` when arena-backed, else ``base``'s root, whose copies it
-        merges: a chain of updates has one root.  A rootless ``base`` (an
-        unpickled derived storage) gives loose panels."""
-        root = base if base.arena is not None else base._root
-        fresh = {s: base.panel(s).copy(order="F") for s in copied}
-        if root is None:
-            return cls(base.symb, _patched(base.panels, fresh))
+        merges: a chain of updates has one root."""
         storage = cls(base.symb)
-        storage._root, storage._over = root, {**(base._over or {}), **fresh}
+        storage._root = base if base._root is None else base._root
+        storage._over = {**(base._over or {}), **{s: base.panel(s).copy(order="F") for s in copied}}
         return storage
+
+    def _base(self):
+        """The arena this storage reads: its own, or its root's."""
+        return self.arena if self._root is None else self._root.arena
+
+    def freeze(self):
+        """Make the bytes this storage owns (its arena, or a derived one's
+        private panels) and every view cut so far read-only, and return it:
+        the storage of every returned :class:`~repro.api.Factor`."""
+        views = [*(self._over or {}).values(), self.arena, *(self._panels or ())]
+        views += [view for entry in self._factor_program or () for view in entry[4:]]
+        views += [entry[4] for entry in self._solve_program or ()]
+        for view in views:
+            if view is not None:
+                view.setflags(write=False)
+        return self
 
     @property
     def panels(self):
@@ -213,11 +226,8 @@ class FactorStorage:
             if self._root is not None:
                 panels = _patched(self._root.panels, self._over)
             else:
-                arena = self.arena
-                panels = [
-                    arena[off : off + m * w].reshape((m, w), order="F")
-                    for m, w, off in _panel_layout(self.symb)
-                ]
+                layout, arena = _panel_layout(self.symb), self.arena
+                panels = [arena[o : o + m * w].reshape((m, w), order="F") for m, w, o in layout]
             self._panels = panels
         return panels
 
@@ -269,11 +279,7 @@ class FactorStorage:
     @property
     def dtype(self):
         """The panels' dtype (float64 unless the factor is fp32)."""
-        if self.arena is not None:
-            return self.arena.dtype
-        if self._root is not None:
-            return self._root.dtype
-        return self.panels[0].dtype if self.panels else np.dtype(np.float64)
+        return self._base().dtype
 
     @property
     def itemsize(self):
@@ -335,78 +341,51 @@ class FactorStorage:
         is upcast exactly), gathered *now*: nothing is kept that a
         :meth:`refill` could leave stale.  A derived storage gathers from its root's
         arena and overwrites the values of its copied members
-        (``block.owner``) from their own panels; a loose-panel storage
-        gathers from its member panels laid back to back
-        (``block.loose_pos``)."""
-        if self.arena is not None:
-            values = self.arena[block.pos]
-        elif self._root is not None:
-            values = self._root.arena[block.pos]
+        (``block.owner``) from their own panels."""
+        values = self._base()[block.pos]
+        if self._root is not None:
             copied = np.zeros(self.symb.nsup, dtype=bool)
             copied[list(self._over)] = True
             at, offsets = np.flatnonzero(copied[block.owner]), self.symb.panel_offsets()
             for s in np.unique(block.owner[at]).tolist():
                 sel = at[block.owner[at] == s]
                 values[sel] = self._over[s].ravel(order="F")[block.pos[sel] - offsets[s]]
-        else:
-            flat = [self.panels[s].ravel(order="F") for s in block.members.tolist()]
-            values = np.concatenate(flat)[block.loose_pos]
         return values.astype(dtype, copy=False)
 
     def __getstate__(self):
-        # a copy's panels are new arrays: its views must be rebuilt, an
-        # arena-backed storage travels as its arena alone and a derived one
-        # as loose panels
-        state = dict(
-            self.__dict__, _solve_program=None, _factor_program=None, _root=None, _over=None
-        )
-        state["_panels"] = None if self.arena is not None else self.panels
-        return state
+        # ONE arena travels (a derived one's panels merged), read-only if this is
+        arena = self.arena
+        if arena is None:
+            arena = np.concatenate([p.ravel(order="F") for p in self.panels])
+        return {"symb": self.symb, "arena": arena, "frozen": not self._base().flags.writeable}
+
+    def __setstate__(self, state):
+        self.__init__(state["symb"], arena=state["arena"])
+        if state["frozen"]:
+            self.freeze()
 
     def nbytes(self):
-        """Total bytes of panel storage."""
-        if self.arena is not None:
-            return self.arena.nbytes
-        return sum(p.nbytes for p in self.panels)
+        """Total bytes of panel storage (a derived storage's root's)."""
+        return self._base().nbytes
 
     # ------------------------------------------------------------------
     # extraction (tests / solves)
     # ------------------------------------------------------------------
     def to_dense_lower(self):
-        """Materialise the factor ``L`` as a dense lower-triangular array
-        (dead panel space excluded)."""
-        symb = self.symb
-        n = symb.n
-        L = np.zeros((n, n))
-        for s in range(symb.nsup):
-            first, last = symb.snode_cols(s)
-            rows_s = symb.snode_rows(s)
-            panel = self.panels[s]
-            for c in range(last - first):
-                j = first + c
-                take = rows_s >= j
-                L[rows_s[take], j] = panel[take, c]
-        return L
+        """Materialise the factor ``L`` as a dense float64 lower-triangular
+        array (dead panel space excluded)."""
+        return self.to_scipy_lower().toarray().astype(np.float64, copy=False)
 
     def to_scipy_lower(self):
         """Factor ``L`` as a ``scipy.sparse.csc_matrix`` (lower triangle)."""
         from scipy.sparse import csc_matrix
 
-        symb = self.symb
-        rows_all, cols_all, vals_all = [], [], []
-        for s in range(symb.nsup):
+        symb, empty = self.symb, np.zeros(0, dtype=np.int64)
+        parts = [(np.zeros(0, dtype=self.dtype), empty, empty)]  # values, rows, columns
+        for s, panel in enumerate(self.panels):
             first, last = symb.snode_cols(s)
-            rows_s = symb.snode_rows(s)
-            panel = self.panels[s]
-            for c in range(last - first):
-                j = first + c
-                take = rows_s >= j
-                rows_all.append(rows_s[take])
-                cols_all.append(np.full(int(take.sum()), j, dtype=np.int64))
-                vals_all.append(panel[take, c])
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-        vals = np.concatenate(vals_all)
-        m = csc_matrix((vals, (rows, cols)), shape=(symb.n, symb.n))
-        m.sum_duplicates()
-        return m
+            rows = symb.snode_rows(s)
+            r, c = np.nonzero(rows[:, None] >= np.arange(first, last))
+            parts.append((panel[r, c], rows[r], first + c))
+        values, rows, cols = map(np.concatenate, zip(*parts))
+        return csc_matrix((values, (rows, cols)), shape=(symb.n, symb.n))

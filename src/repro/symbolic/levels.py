@@ -175,12 +175,11 @@ class LeafBlock:
     colptr / rowidx:
         ``L_RC`` as CSC over the block columns, rows sorted per column; read
         as CSR the same arrays are ``L_RC^T``.
-    pos / loose_pos / cuts / owner:
-        Where a sweep's values live — diagonal, ``fwd``, ``bwd`` and ``L_RC``
-        entries back to back, split at ``cuts`` — in the arena, and in the
-        member panels alone laid back to back (a loose-panel storage); the
-        member supernode each value belongs to (a derived storage patches
-        its copied members' values by it).
+    pos / cuts / owner:
+        Where a sweep's values live in the arena — diagonal, ``fwd``,
+        ``bwd`` and ``L_RC`` entries back to back, split at ``cuts`` — and
+        the member supernode each value belongs to (a derived storage
+        patches its copied members' values by it).
     lower / upper:
         ``L_RC`` (``csc_matrix``) and ``L_RC^T`` (``csr_matrix``) with
         placeholder values: a sweep multiplies a shallow copy over its own
@@ -188,7 +187,7 @@ class LeafBlock:
     """
 
     __slots__ = ("members", "rest", "cols", "stage_ptr", "fwd", "bwd", "colptr", "rowidx",
-                 "pos", "loose_pos", "cuts", "owner", "lower", "upper")  # fmt: skip
+                 "pos", "cuts", "owner", "lower", "upper")  # fmt: skip
 
     def __init__(self, symb):
         widths, parent = np.diff(symb.snptr), symb.sn_parent
@@ -220,10 +219,7 @@ class LeafBlock:
                (corner + w[a])[c] + k)  # fmt: skip
         self.pos = np.concatenate(pos)
         self.cuts = tuple(np.cumsum([p.size for p in pos[:3]]).tolist())
-        member_of = np.concatenate((a, a[fsrc], a[bsrc], a[c]))
-        self.owner = members[member_of]
-        shift = off - (np.cumsum(m * w) - m * w)  # a panel's move when only members are kept
-        self.loose_pos = self.pos - shift[member_of]
+        self.owner = members[np.concatenate((a, a[fsrc], a[bsrc], a[c]))]
         placeholder = np.zeros(c.size)
         self.lower = csc_matrix((placeholder, self.rowidx, self.colptr), shape=(symb.n, a.size))
         self.upper = csr_matrix((placeholder, self.rowidx, self.colptr), shape=(a.size, symb.n))
@@ -231,7 +227,7 @@ class LeafBlock:
     def nbytes(self):
         """Bytes of the block's index arrays."""
         arrays = (self.members, self.cols, *self.fwd[:2], *self.bwd[:2], self.colptr,
-                  self.rowidx, self.pos, self.loose_pos, self.owner, self.lower.data)  # fmt: skip
+                  self.rowidx, self.pos, self.owner, self.lower.data)  # fmt: skip
         return sum(a.nbytes for a in arrays)
 
 

@@ -25,8 +25,7 @@ decided by its number of below rows ``b`` alone:
   positions in the factor's arena (:meth:`SymbolicFactor.panel_offsets`
   layout) and one ``src`` array of positions in the F-ordered ``(b, b)``
   update matrix, lower triangle only, ordered by ancestor with the run
-  boundaries kept: assembly is ONE ``arena[dst] -= u[src]`` (one per run
-  into the ancestor's panel on a storage of loose panels, which has no arena).
+  boundaries kept: assembly is ONE ``arena[dst] -= u[src]``.
 * **blocks** (larger ``b``) — per run, the relative rows of the remaining
   tail and the run's column positions, each cut into stretches that step by
   one: every (row stretch, column stretch) rectangle not wholly above ``U``'s

@@ -145,12 +145,14 @@ def force_cut(monkeypatch, cut):
         assert cut == "default"
 
 
-def capture_devices(monkeypatch):
+def capture_devices(monkeypatch, symb):
     """Record every :class:`~repro.gpu.device.SimulatedGpu` the offload
     engines construct (they all build theirs in
-    :func:`repro.numeric.rl_gpu.gpu_schedule`)."""
+    :func:`repro.numeric.rl_gpu.gpu_schedule`), after dropping the walks
+    memoised on ``symb`` so that every later row on it walks again."""
     from repro.numeric import rl_gpu
 
+    symb.cache().pop("gpu_schedule", None)
     made = []
 
     class Recorded(rl_gpu.SimulatedGpu):
@@ -160,3 +162,27 @@ def capture_devices(monkeypatch):
 
     monkeypatch.setattr(rl_gpu, "SimulatedGpu", Recorded)
     return made
+
+
+def arena_copy(storage):
+    """A writable arena-backed storage holding ``storage``'s panels — a
+    derived storage's merged over its root, as a pickle ships it.  A
+    returned factor is read-only, so a test that writes into a factor
+    (a hand-damaged pivot, a reference sweep) writes into this copy."""
+    from repro.numeric.storage import FactorStorage
+
+    flat = [p.ravel(order="F") for p in storage.panels]
+    return FactorStorage(storage.symb, arena=np.concatenate(flat or [np.zeros(0, storage.dtype)]))
+
+
+def writable_twin(factor):
+    """``factor`` under the same plan and matrix over :func:`arena_copy`
+    of its storage: the factor a fault-injection test damages."""
+    import copy
+
+    from repro.api import Factor
+
+    result = copy.copy(factor.result)
+    result.extra = dict(result.extra)
+    result.storage = arena_copy(factor.storage)
+    return Factor(factor.plan, result, factor.matrix)

@@ -6,17 +6,18 @@ touched.  Pinned here:
 
 * **bits** — under Hypothesis (random SPD patterns, ranks 1-3, fp64 and fp32,
   chains of 1-3 updates and safe downdates), every derived factor's panels
-  are those of ``updown._sweep`` run step by step on a loose copy, its
-  ``solve`` (vector, block, fused) and ``solve_refined`` are those of a
-  rootless loose storage of the same panels (the representation before
-  copy-on-write); no base is ever written;
+  are those of ``updown._sweep`` run step by step on an arena copy, its
+  ``solve`` (vector, block, fused) and ``solve_refined`` are those of one
+  arena holding the same panels (what a pickle ships); no base is ever
+  written;
 * **one view set per storage** — the first solve of an updated factor cuts
   views for its copied panels only, on a base that was solved and on one
   that was not;
 * **concurrency** — updates of one base solved on many threads at once
   give the lone thread's bits;
 * **chains and pickles** — a chain has one root and merges its copies; a
-  pickled derived factor solves to the same bits;
+  pickled derived factor comes back arena-backed with the same panel bytes,
+  solves to the same bits, and its updates are copy-on-write over it;
 * **the modification plan** — its paths, union, supernodes, segments and
   containment verdicts equal the per-supernode loops it replaced (kept
   below verbatim as references), and so does ``solve_reach``.
@@ -24,7 +25,6 @@ touched.  Pinned here:
 
 from __future__ import annotations
 
-import copy
 import pickle
 import sys
 import threading
@@ -35,7 +35,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api import Factor
 from repro.numeric import column_structure, updown
 from repro.numeric import storage as storage_module
 from repro.numeric.storage import FactorStorage
@@ -44,25 +43,19 @@ from repro.solve import solve_reach
 from repro.sparse import grid_laplacian, random_spd
 from repro.symbolic.levels import leaf_block
 from repro.update import structured_update
+from tests.conftest import writable_twin
 
 DTYPES = [np.float64, np.float32]
-
-
-def loose_twin(factor):
-    """``factor`` over a rootless loose storage of its own panels."""
-    result = copy.copy(factor.result)
-    result.extra = dict(result.extra)
-    result.storage = FactorStorage(factor.storage.symb, list(factor.storage.panels))
-    return Factor(factor.plan, result, factor.matrix)
 
 
 def panel_bytes(storage):
     return [p.tobytes(order="F") for p in storage.panels]
 
 
-def assert_solves_like_loose(factor, seed):
-    twin = loose_twin(factor)
-    assert twin.storage.arena is None and twin.storage._root is None
+def assert_solves_like_merged(factor, seed):
+    """``factor`` solves like one arena holding its own panels."""
+    twin = writable_twin(factor)
+    assert twin.storage.arena is not None and twin.storage._root is None
     rng = np.random.default_rng(seed)
     b, B = rng.standard_normal(factor.plan.n), rng.standard_normal((factor.plan.n, 3))
     for got, want in ((factor.solve(b), twin.solve(b)),
@@ -77,12 +70,12 @@ class TestBits:
     @given(st.integers(8, 60), st.floats(0.05, 0.3), st.integers(0, 10**6),
            st.sampled_from(DTYPES),
            st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=3))
-    def test_chains_solve_like_loose_panels(self, n, density, seed, dtype, steps):
+    def test_chains_solve_like_merged_panels(self, n, density, seed, dtype, steps):
         plan = repro.plan(random_spd(n, density=density, seed=seed))
         base = plan.factorize(engine="rl", dtype=dtype)
         arena = base.storage.arena.copy()
-        # the sweeps, step by step, on a loose copy of the base's panels
-        oracle = FactorStorage(plan.symb, [p.copy() for p in base.storage.panels])
+        # the sweeps, step by step, on a copy of the base's arena
+        oracle = FactorStorage(plan.symb, arena=base.storage.arena.copy())
         rng = np.random.default_rng(seed)
         factor, added, kept = base, [], []
         for rank, downdate in steps:
@@ -100,7 +93,7 @@ class TestBits:
             storage = factor.storage
             assert storage.arena is None and storage._root is base.storage
             assert panel_bytes(storage) == panel_bytes(oracle)
-            assert_solves_like_loose(factor, seed)
+            assert_solves_like_merged(factor, seed)
             kept.append((storage, panel_bytes(storage)))
         assert np.array_equal(base.storage.arena, arena), "a base was written"
         for storage, panels in kept:
@@ -142,7 +135,7 @@ class TestOneViewSetPerStorage:
         assert len(cut) == len(over)
         assert {id(p) for p in cut} == {id(p) for p in over.values()}
         assert base.storage.panels is root_panels
-        np.testing.assert_array_equal(x, loose_twin(updated).solve(b))
+        np.testing.assert_array_equal(x, writable_twin(updated).solve(b))
 
     def test_solve_program_shares_the_factor_programs_views(self, grid):
         _, plan = grid
@@ -209,7 +202,7 @@ class TestChainsAndPickles:
             copied |= set(_modification_plan(plan.symb, W[plan.perm]).snodes)
             assert factor.storage._root is base.storage
             assert set(factor.storage._over) == copied
-        assert_solves_like_loose(factor, 5)
+        assert_solves_like_merged(factor, 5)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_a_pickled_derived_factor_solves_to_the_same_bits(self, grid, dtype):
@@ -217,14 +210,16 @@ class TestChainsAndPickles:
         base = plan.factorize(engine="rl", dtype=dtype)
         updated = base.update(structured_update(plan.symb, plan.perm, [0, 9], seed=4))
         twin = pickle.loads(pickle.dumps(updated))
-        assert twin.storage.arena is None and twin.storage._root is None
+        # ONE merged arena: the root's bytes with the private panels written in
+        assert twin.storage.arena is not None and twin.storage._root is None
+        assert panel_bytes(twin.storage) == panel_bytes(updated.storage)
         b = np.random.default_rng(6).standard_normal((A.n, 2))
         np.testing.assert_array_equal(twin.solve(b), updated.solve(b))
         np.testing.assert_array_equal(twin.solve_refined(b[:, 0]), updated.solve_refined(b[:, 0]))
-        # an update of the unpickled (rootless) factor copies as loose panels
+        # an update of the unpickled factor is copy-on-write over its arena
         again = twin.update(structured_update(plan.symb, plan.perm, [3], seed=5))
-        assert again.storage.arena is None and again.storage._root is None
-        assert_solves_like_loose(again, 7)
+        assert again.storage.arena is None and again.storage._root is twin.storage
+        assert_solves_like_merged(again, 7)
 
 
 class TestADerivedFactorOutlivesItsBase:

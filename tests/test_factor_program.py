@@ -18,11 +18,11 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
   factor's own bytes and a bounded number of pieces per run;
 * **the piece table only where it is read** — a source in the flat form has
   no pieces (a pattern of flat sources builds none, on every lane), a large
-  source's pieces are the per-run loop's entry by entry, a storage of loose
-  panels commits a flat source run by run through the flat arrays, and a
-  serving session leaves nothing for its workers to build;
+  source's pieces are the per-run loop's entry by entry, parked runs commit
+  run by run through the flat arrays, and a serving session leaves nothing
+  for its workers to build;
 * **the storage** — panels are F-contiguous views tiling one arena, copies
-  come back arena-backed, a storage of loose panels still works;
+  come back arena-backed, and so does a pickled copy-on-write storage;
 * **failures** — a non-SPD matrix raises the reference loop's pivot from
   every lane.
 """
@@ -138,10 +138,6 @@ def _check_every_lane(A, dtype, procs=True):
     for workspace in (True, False):
         got = _public_bodies(symb, FactorStorage.from_matrix(symb, M, dtype=dtype), workspace)
         _assert_same_panels(got, want, f"public bodies, workspace={workspace}")
-    loose = [p.copy(order="F") for p in FactorStorage.from_matrix(symb, M, dtype=dtype).panels]
-    got = _public_bodies(symb, FactorStorage(symb, loose), True)
-    assert got.arena is None
-    _assert_same_panels(got, want, "arena-less storage")
     for workers in (1, 2, 4):
         got = plan.factorize(engine="rl_par", workers=workers, dtype=dtype).storage
         _assert_same_panels(got, want, f"rl_par workers={workers}")
@@ -389,21 +385,17 @@ class TestPieceTableOnlyWhereRead:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("pattern", ["grid2d", "vec3d_wide", "kkt", "two_components"])
-    def test_loose_panels_commit_run_by_run(self, monkeypatch, pattern, dtype):
-        """No arena: whole sources and parked runs alike go through the flat
-        arrays one run at a time, with the reference loop's bits."""
+    def test_parked_runs_commit_run_by_run(self, monkeypatch, pattern, dtype):
+        """Half of every source's runs at once, the other half parked and
+        applied one run at a time (the flat arrays' run bounds, or the
+        pieces): the reference loop's bits."""
         A = PATTERNS[pattern]()
         monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", _mixed_cut(repro.plan(A).symb))
         plan = repro.plan(A)
         symb, M = plan.symb, plan.system.matrix
         index = assembly_index(symb)
         want = _reference_rl(symb, M, dtype)
-        loose = [p.copy(order="F") for p in FactorStorage.from_matrix(symb, M, dtype=dtype).panels]
-        got = _public_bodies(symb, FactorStorage(symb, loose), False)
-        assert got.arena is None
-        _assert_same_panels(got, want, "whole sources")
-        loose = [p.copy(order="F") for p in FactorStorage.from_matrix(symb, M, dtype=dtype).panels]
-        storage = FactorStorage(symb, loose)
+        storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
         for s in range(symb.nsup):
             factor_snode(symb, storage, s)
             if not index.targets[s]:
@@ -495,14 +487,15 @@ class TestStorage:
         assert np.array_equal(np.frombuffer(buffer, dtype=np.float64,
                                             count=want.arena.size), want.arena)
 
-    def test_loose_panel_storage_solves_and_updates(self):
-        """The ``Factor.update`` shape: shared and copied panels, no arena."""
+    def test_derived_storage_solves_updates_and_pickles(self):
+        """The ``Factor.update`` shape: shared and copied panels over the
+        root's arena; a pickle ships them as ONE arena."""
         A = PATTERNS["grid3d"]()
         plan = repro.plan(A)
         factor = plan.factorize(engine="rl")
         W = structured_update(plan.symb, plan.perm, [3, 11], seed=2)
         updated = factor.update(W)
-        assert updated.storage.arena is None and factor.storage.arena is not None
+        assert updated.storage.arena is None and updated.storage._root is factor.storage
         shared = sum(p is q for p, q in zip(updated.storage.panels, factor.storage.panels))
         assert 0 < shared < plan.symb.nsup
         b = np.random.default_rng(4).standard_normal(A.n)
@@ -512,8 +505,8 @@ class TestStorage:
         again = updated.update(W)
         assert np.linalg.norm((dense + W @ W.T) @ again.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
         twin = pickle.loads(pickle.dumps(updated.storage))
-        assert twin.arena is None
-        _assert_same_panels(twin, updated.storage, "loose pickle")
+        assert twin.arena is not None and twin._root is None
+        _assert_same_panels(twin, updated.storage, "merged pickle")
 
 
 class TestNotPositiveDefinite:

@@ -20,6 +20,7 @@ from repro.numeric import (
 from repro.numeric.registry import resolve
 from repro.sparse import SymmetricCSC, grid_laplacian
 from repro.symbolic import analyze
+from tests.conftest import writable_twin
 
 ALL_ENGINES = [
     ("rl", factorize_rl_cpu, {}),
@@ -329,7 +330,7 @@ class TestInputValidation:
 
         A = grid_laplacian((6, 5, 2))
         plan = repro.plan(A)
-        factor = plan.factorize(engine="rl")
+        factor = writable_twin(plan.factorize(engine="rl"))  # a returned factor is read-only
         block = leaf_block(plan.symb)
         s = block.members[0] if where == "member" else block.rest[0]
         b = np.ones(A.n)

@@ -5,8 +5,8 @@ Contracts of ``symbolic/levels.py::leaf_block`` and the two block bodies of
 
 * **oracle** — both sweeps agree with scipy's ``solve_triangular`` on the
   dense factor within a conditioning-scaled bound, on every test pattern,
-  right-hand-side shape, dtype and storage kind (arena-backed, loose
-  panels);
+  right-hand-side shape, dtype and storage shape (arena-backed, derived
+  copy-on-write);
 * **schedule** — every schedule of the solve is bitwise the serial sweep, at
   every forced task-range cut;
 * **structure** — members are narrow leaves, block and rest cover every
@@ -50,7 +50,7 @@ from repro.symbolic import levels
 from repro.symbolic.levels import leaf_block, solve_levels, solve_schedule
 from repro.symbolic.ranges import trivial_ranges
 from repro.update import structured_update
-from tests.conftest import CUTS, force_cut, random_spd_dense
+from tests.conftest import CUTS, arena_copy, force_cut, random_spd_dense, writable_twin
 from tests.conftest import spd_from_pattern as _spd
 from tests.test_solve_program import EDGE_PATTERNS, _rhs_variants
 from tests.test_task_ranges import plan_under
@@ -73,10 +73,11 @@ def _random_spd(n, density, seed):
     return _spd(pattern.toarray() != 0)
 
 
-def _loose(storage):
-    """The same factor as loose panels (``arena is None``) — the storage
-    shape ``Factor.update`` builds."""
-    return FactorStorage(storage.symb, [p.copy(order="F") for p in storage.panels])
+def _derived(storage):
+    """The same factor as a copy-on-write storage over ``storage`` with
+    every panel private — the storage shape ``Factor.update`` builds, each
+    leaf value patched from its own panel."""
+    return FactorStorage.derived(storage, range(storage.symb.nsup))
 
 
 def _assert_close_to_oracle(got, want, L, what):
@@ -108,16 +109,16 @@ def _check_against_dense_oracle(storage, seed=0):
 class TestOracle:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-    def test_patterns_arena_and_loose(self, pattern, dtype):
+    def test_patterns_arena_and_derived(self, pattern, dtype):
         storage = repro.plan(PATTERNS[pattern]()).factorize(engine="rl", dtype=dtype).storage
         _check_against_dense_oracle(storage)
-        loose = _loose(storage)
-        assert loose.arena is None
-        _check_against_dense_oracle(loose)
+        derived = _derived(storage)
+        assert derived.arena is None
+        _check_against_dense_oracle(derived)
         # the same values through the other gather: the same bits
         b = np.random.default_rng(1).standard_normal((storage.symb.n, 3))
         for sweep in (forward_solve, backward_solve):
-            np.testing.assert_array_equal(sweep(loose, b), sweep(storage, b))
+            np.testing.assert_array_equal(sweep(derived, b), sweep(storage, b))
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 36), density=st.floats(0.02, 0.6),
@@ -126,12 +127,12 @@ class TestOracle:
         plan = repro.plan(_random_spd(n, density, seed))
         storage = plan.factorize(engine="rl", dtype=np.float32 if fp32 else None).storage
         _check_against_dense_oracle(storage, seed)
-        _check_against_dense_oracle(_loose(storage), seed)
+        _check_against_dense_oracle(_derived(storage), seed)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_after_factor_update(self, dtype):
-        """The loose-panel storage ``Factor.update`` really builds: shared
-        and copied panels mixed."""
+        """The copy-on-write storage ``Factor.update`` really builds:
+        shared and copied panels mixed."""
         A = grid_laplacian((7, 6, 3))
         plan = repro.plan(A)
         factor = plan.factorize(engine="rl", dtype=dtype)
@@ -200,7 +201,7 @@ class TestSameBitsInEverySchedule:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("cut", CUTS)
-    def test_schedule_of_loose_panel_storage_at_cuts(self, cut, dtype):
+    def test_schedule_of_updated_storage_at_cuts(self, cut, dtype):
         plan = _plan_under(cut, grid_laplacian((9, 8)))
         factor = plan.factorize(engine="rl", dtype=dtype)
         child = factor.update(structured_update(plan.symb, plan.perm, [0, 5], seed=1))
@@ -212,10 +213,10 @@ class TestSameBitsInEverySchedule:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("cut", CUTS)
-    def test_schedule_of_derived_and_loose_storages_at_cuts(self, cut, dtype):
+    def test_schedule_of_derived_and_merged_storages_at_cuts(self, cut, dtype):
         """An updated factor's copy-on-write storage (its root's arena plus
-        private path panels) and a loose storage of the same panels solve
-        to the serial derived bits in every schedule."""
+        private path panels) and one arena of the same panels solve to the
+        serial derived bits in every schedule."""
         plan = _plan_under(cut, grid_laplacian((9, 8)))
         factor = plan.factorize(engine="rl", dtype=dtype)
         child = factor.update(structured_update(plan.symb, plan.perm, [0, 5], seed=1))
@@ -224,7 +225,7 @@ class TestSameBitsInEverySchedule:
         assert set(derived._over) & set(leaf_block(plan.symb).members.tolist())
         b = np.random.default_rng(4).standard_normal((plan.n, 3))[plan.perm]
         serial = backward_solve(derived, forward_solve(derived, b))
-        for storage in (derived, _loose(derived)):
+        for storage in (derived, arena_copy(derived)):
             np.testing.assert_array_equal(backward_solve(storage, forward_solve(storage, b)),
                                           serial)
             for ranges in (None, trivial_ranges(plan.symb)):
@@ -330,7 +331,6 @@ def _check_structure(symb):
     a, b, c = block.cuts
     assert a == block.cols.size and b - a == c - b == block.fwd[0].size
     assert block.pos.size - c == block.rowidx.size
-    assert block.pos.size == block.loose_pos.size
 
 
 class TestStructure:
@@ -350,16 +350,16 @@ class TestStructure:
             _check_structure(repro.plan(PATTERNS[pattern]()).symb)
 
     def test_pos_addresses_the_entries_it_names(self):
-        """Gathered through ``pos`` (arena) and ``loose_pos`` (member panels
-        back to back), the block holds exactly the members' entries of the
-        dense factor."""
+        """Gathered through ``pos`` from the arena, and patched from the
+        private panels of a derived storage, the block holds exactly the
+        members' entries of the dense factor."""
         plan = repro.plan(grid_laplacian((9, 8)))
         storage = plan.factorize(engine="rl").storage
         block = leaf_block(plan.symb)
         L = storage.to_dense_lower()
         a, b, c = block.cuts
         cols = block.cols
-        for values in (storage.leaf_values(block), _loose(storage).leaf_values(block)):
+        for values in (storage.leaf_values(block), _derived(storage).leaf_values(block)):
             np.testing.assert_array_equal(values[:a], L[cols, cols])
             src, tgt, _ = block.fwd
             np.testing.assert_array_equal(values[a:b], L[cols[tgt], cols[src]])
@@ -484,12 +484,16 @@ class TestReadAtSolveTime:
         return next(s for s in leaf_block(factor.storage.symb).members.tolist()
                     if pick(widths[s]))
 
-    @pytest.mark.parametrize("loose", [False, True])
+    @pytest.mark.parametrize("derived", [False, True])
     @pytest.mark.parametrize("sweep", [forward_solve, backward_solve])
-    def test_zero_pivot_inside_a_member(self, factor, sweep, loose):
+    def test_zero_pivot_inside_a_member(self, factor, sweep, derived):
         """The same ``LinAlgError`` text ``TestZeroDiagonal`` expects of the
-        per-supernode paths, naming the entry inside the member."""
-        storage = _loose(factor.storage) if loose else factor.storage
+        per-supernode paths, naming the entry inside the member — damaged
+        in a writable copy of the factor's arena, or in a derived storage's
+        private panels over it."""
+        storage = arena_copy(factor.storage)
+        if derived:
+            storage = _derived(storage)
         s = self._member_of_width(factor, lambda w: w >= 3)
         storage.panels[s][2, 2] = 0.0
         for b in (np.ones(storage.symb.n), np.ones((storage.symb.n, 3))):
@@ -505,6 +509,7 @@ class TestReadAtSolveTime:
     @pytest.mark.parametrize("how", [dict(), dict(workers=2)])
     def test_zero_pivot_from_every_lane_and_the_lane_serves_after(self, factor, how):
         s = self._member_of_width(factor, lambda w: w >= 2)
+        factor = writable_twin(factor)  # a returned factor is read-only
         b = np.ones(factor.n)
         want = factor.solve(b)
         kept = factor.storage.panels[s][1, 1]

@@ -7,10 +7,10 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
 * **one body, same bits** — ``factorize_rlb_cpu`` ≡ the parent commit's pair
   loop (kept here as the reference: ``compute``/``commit`` on strided panel
   slices, blocks cut per supernode, one scalar ``searchsorted`` per
-  off-diagonal pair) ≡ a loop of the public single-pair bodies ≡ the same on
-  a storage of loose panels ≡ ``rlb_par`` at any worker count under every
-  forced task-range cut ≡ ``rlb_proc`` ≡ ``factorize_batch``,
-  ``np.array_equal`` on whole arenas, dead space included, fp64 and fp32;
+  off-diagonal pair) ≡ a loop of the public single-pair bodies ≡ ``rlb_par``
+  at any worker count under every forced task-range cut ≡ ``rlb_proc`` ≡
+  ``factorize_batch``, ``np.array_equal`` on whole arenas, dead space
+  included, fp64 and fp32;
   the batched and the per-pair forms are interchangeable;
 * **the index** — blocks, owners and every pair's ``(owner, row_off,
   col_off)`` equal the scalar construction; a batched source's flat form
@@ -156,8 +156,7 @@ def _assert_same_factor(got, want, what):
     for s, (p, q) in enumerate(zip(got.panels, want.panels)):
         assert p.dtype == q.dtype and p.shape == q.shape
         assert np.array_equal(p, q), f"{what}: panel {s} differs"
-    if got.arena is not None and want.arena is not None:
-        assert np.array_equal(got.arena, want.arena), what
+    assert np.array_equal(got.arena, want.arena), what
 
 
 def plan_under(monkeypatch, cut, A):
@@ -178,12 +177,6 @@ def _check_serial_lanes(A, dtype):
     for fused in (True, False):
         got = _public_bodies(symb, FactorStorage.from_matrix(symb, M, dtype=dtype), fused)
         _assert_same_factor(got, want, f"public bodies, fused={fused}")
-    # a storage of loose panels: the engine's own body, no arena to index
-    loose = [p.copy(order="F") for p in FactorStorage.from_matrix(symb, M, dtype=dtype).panels]
-    storage = FactorStorage(symb, loose)
-    run_pair_range(storage, pair_index(symb), 0, symb.nsup)
-    assert storage.arena is None
-    _assert_same_factor(storage, want, "arena-less storage")
     return plan, want
 
 

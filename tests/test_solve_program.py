@@ -37,6 +37,7 @@ from repro.solve import backward_solve, forward_solve
 from repro.sparse import grid_laplacian
 from repro.symbolic.structure import SymbolicFactor
 from repro.update import structured_update
+from tests.conftest import arena_copy
 from tests.conftest import arrow_spd as _arrow
 from tests.conftest import spd_from_pattern as _spd
 from tests.conftest import engine_of
@@ -121,13 +122,14 @@ class TestDifferential:
 
 
 class TestZeroDiagonal:
-    """A hand-damaged storage: the solve refuses an exactly-zero pivot on
-    both paths instead of dividing by it."""
+    """A hand-damaged storage (a writable copy: a returned factor is
+    read-only): the solve refuses an exactly-zero pivot on both paths
+    instead of dividing by it."""
 
     @pytest.fixture()
     def storage(self):
         plan = repro.plan(grid_laplacian((6, 5, 2)))
-        return plan.factorize(engine="rl").storage
+        return arena_copy(plan.factorize(engine="rl").storage)
 
     @staticmethod
     def _snode_of_width(storage, pick):
@@ -261,7 +263,8 @@ class TestDerivedOnce:
     @pytest.mark.parametrize("clone", [copy.deepcopy,
                                        lambda s: pickle.loads(pickle.dumps(s))])
     def test_a_copied_storage_rebuilds_its_views(self, plan, clone):
-        storage = plan.factorize(engine="rl").storage
+        # a writable storage (a returned factor's copies are read-only too)
+        storage = arena_copy(plan.factorize(engine="rl").storage)
         b = np.ones(plan.n)
         y = forward_solve(storage, b)
         twin = clone(storage)

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import repro
 from repro.dense import NotPositiveDefiniteError
 from repro.numeric import column_structure
-from repro.numeric.storage import FactorStorage
 from repro.numeric.updown import _modification_plan
 from repro.sparse import grid_laplacian, random_spd
+from tests.conftest import arena_copy, writable_twin
 
 
 @pytest.fixture()
@@ -46,10 +46,6 @@ def panel_bytes(factor):
     return [p.tobytes(order="F") for p in factor.storage.panels]
 
 
-def loose_copy(factor):
-    """A rootless storage over copies of ``factor``'s panels."""
-    storage = factor.storage
-    return FactorStorage(storage.symb, [p.copy() for p in storage.panels])
 
 
 def tree_path(symb, j):
@@ -405,7 +401,7 @@ class TestAgainstReferenceLoop:
         factor = plan.factorize(engine="rl")
         if downdate:  # from the factor of A + W W^T back to A's
             factor = update(factor, W)
-        ref = loose_copy(factor)
+        ref = arena_copy(factor.storage)
         upper = strict_upper(factor.storage)
         got = update(factor, W, downdate=downdate)
         reference_sweep(ref, W, downdate)
@@ -431,7 +427,7 @@ class TestAgainstReferenceLoop:
         at = rows[-1] if rows.size and data.draw(st.booleans()) else roots[r]
         W[at, r] = 1e3
         factor = plan.factorize(engine="rl")
-        ref = loose_copy(factor)
+        ref = arena_copy(factor.storage)
         before = panel_bytes(factor)
         with pytest.raises(NotPositiveDefiniteError) as got:
             update(factor, W, downdate=True)
@@ -448,6 +444,7 @@ class TestNonFinitePivot:
     @pytest.mark.parametrize("pivot", [0.0, np.nan])
     def test_rank1_raises_and_restores(self, factored, pivot):
         system, factor = factored
+        factor = writable_twin(factor)  # a returned factor is read-only
         w = make_w(system, 3, 4, seed=17)
         j = tree_path(system.symb, 3)[1]
         s = int(system.symb.col2sn[j])
