@@ -75,7 +75,6 @@ from .dense.kernels import (
 from .numeric.executor import _resolve_workers, _traced_run, dag_plan
 from .numeric.registry import resolve, serial_twin
 from .numeric.rl import update_workspace_entries
-from .numeric.rl_gpu import warm_schedule
 from .numeric.storage import FactorStorage, ScatterPlan, _panel_layout
 from .numeric.updown import _modification_plan, _sweep
 from .solve.refine import _check_refinement, _refine, _solve_permuted, refine, relative_residual
@@ -345,12 +344,13 @@ class SymbolicPlan:
         ``answer(factor)``, a factor that never leaves the request, so a row
         with an ``into`` body factors in a work storage (:meth:`_work_storage`)."""
         M = self._permuted_matrix(matrix.data)
-        if answer is None or spec.into is None:
+        if answer is None:
             result = spec.fn(self._system.symb, M, **kwargs)
             result.storage.freeze()
             result.extra.update(records or {})
-            factor = Factor(self, result, matrix)
-            return factor if answer is None else answer(factor)
+            return Factor(self, result, matrix)
+        if spec.into is None:
+            return answer(Factor(self, spec.fn(self._system.symb, M, **kwargs), matrix))
         options = dict(kwargs)
         with self._work_storage(options.pop("dtype", np.float64)) as storage:
             return answer(Factor(self, spec.into(storage.refill(M), **options), matrix))
@@ -724,16 +724,22 @@ class Factor:
 
     # ------------------------------------------------------------------
     def _diag_permuted(self):
-        """Diagonal of ``L`` in the factor's (permuted) ordering, float64:
-        each panel's diagonal is its supernode's columns'."""
-        return np.concatenate([np.zeros(0), *map(np.diagonal, self.storage.panels)])
+        """Diagonal of ``L`` in the factor's (permuted) ordering."""
+        symb = self.storage.symb
+        d = np.empty(symb.n)
+        for s in range(symb.nsup):
+            first, last = symb.snode_cols(s)
+            w = last - first
+            d[first:last] = np.diagonal(self.storage.panel(s)[:w, :w])
+        return d
 
     def diag(self):
         """Diagonal entries of the Cholesky factor ``L``, mapped back to
         the original ordering (entry ``i`` corresponds to row/column ``i``
         of ``A``)."""
-        out = np.empty(self.n)
-        out[self._plan.perm] = self._diag_permuted()
+        d = self._diag_permuted()
+        out = np.empty_like(d)
+        out[self._plan.perm] = d
         return out
 
     def logdet(self):
@@ -809,10 +815,10 @@ class ServingSession:
             self._row, self._engine_kwargs = spec, kwargs
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
-        # under the running row's bodies (a process row's whole DAG plan, a
-        # gpu row's schedule walk), the update path's walk tables, the panel
-        # layout and the serial sweeps' shapes and leaf block — on a row that
-        # borrows work storages, the plan's first one, whose build reads all three
+        # under the running row's bodies (a process row's whole DAG plan),
+        # the update path's walk tables, the panel layout and the serial
+        # sweeps' shapes and leaf block — on a row that borrows work
+        # storages, the plan's first one, whose build reads all three
         row, symb = self._row, plan.symb
         path_tables(symb)
         if self.borrows_work:
@@ -829,8 +835,6 @@ class ServingSession:
             update_workspace_entries(symb)
         else:
             pair_index(symb)
-        if row.backend == "gpu" and "tracer" not in self._engine_kwargs:
-            warm_schedule(symb, row.name, **self._engine_kwargs)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")

@@ -36,24 +36,21 @@ twin's, bit for bit.  So a row is two parts:
 
 from __future__ import annotations
 
-import contextlib
-import copy
 from collections import deque
-from dataclasses import replace
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
 from ..gpu.costmodel import MachineModel
-from ..gpu.device import DeviceOutOfMemory, SimulatedGpu, Timeline
+from ..gpu.device import SimulatedGpu, Timeline
 from .result import FactorizeResult, GpuCostAccumulator, kernel_stream
 from .rl import _factorize_rl_in
 from .storage import FactorStorage
 from .threshold import DEFAULT_DEVICE_MEMORY, DEFAULT_RL_THRESHOLD, \
     DEFAULT_RLB_THRESHOLD, gpu_snode_mask
 
-__all__ = ["factorize_rl_gpu", "gpu_schedule", "warm_schedule"]
+__all__ = ["factorize_rl_gpu", "gpu_schedule"]
 
 #: gpu row -> the serial family whose call stream it schedules
 _FAMILY = {"rl_gpu": "rl", "rlb_gpu_v2": "rlb", "rlb_gpu_v1": "rlb"}
@@ -73,42 +70,15 @@ def gpu_schedule(symb, method, *, machine=None, threshold=None,
     ``rl_gpu`` and ``inflight`` to ``rlb_gpu_v2`` (see the rows).  Raises
     :class:`~repro.gpu.device.DeviceOutOfMemory` at the first allocation
     that does not fit ``device_memory``; ``device_memory=float("inf")``
-    gives the unbounded peak (``gpu_stats.peak_memory``).  Untraced, the walk
-    is memoised per option set on ``symb.cache()``, as
-    :func:`~repro.numeric.result.cpu_cost` is: each call gets its own report,
-    or the overflow again.
+    gives the unbounded peak (``gpu_stats.peak_memory``).
     """
     if method not in _FAMILY:
         raise ValueError(f"unknown method {method!r}; one of {tuple(_FAMILY)}")
     if threshold is None:
         threshold = DEFAULT_RL_THRESHOLD if method == "rl_gpu" else DEFAULT_RLB_THRESHOLD
     machine = machine or MachineModel()
-    key = (method, machine, threshold, device_memory, int(itemsize), async_panel_d2h, inflight)
-    if tracer is not None:
-        return _walk(symb, *key, tracer)
-    memo = symb.cache().setdefault("gpu_schedule", {})
-    if key not in memo:
-        try:
-            memo[key] = _walk(symb, *key, None)
-        except DeviceOutOfMemory as exc:
-            memo[key] = exc
-    report = memo[key]
-    if isinstance(report, DeviceOutOfMemory):
-        raise DeviceOutOfMemory(report.requested, report.free, report.capacity)
-    return replace(report, gpu_stats=copy.copy(report.gpu_stats), extra=dict(report.extra))
-
-
-def warm_schedule(symb, method, *, dtype=None, version=None, **options):
-    """Memoise the walk of row ``method`` called with untraced ``options``
-    (a serving session's prewarm)."""
-    with contextlib.suppress(DeviceOutOfMemory):
-        gpu_schedule(symb, method, itemsize=np.dtype(dtype or np.float64).itemsize, **options)
-
-
-def _walk(symb, method, machine, threshold, device_memory, itemsize, async_panel_d2h, inflight,
-          tracer):
-    """:func:`gpu_schedule`'s walk, its options resolved."""
-    gpu = SimulatedGpu(device_memory, machine=machine, timeline=Timeline(tracer=tracer))
+    gpu = SimulatedGpu(device_memory, machine=machine,
+                       timeline=Timeline(tracer=tracer))
     host = gpu.timeline
     offload = gpu_snode_mask(symb, threshold, machine=machine)
     acc = GpuCostAccumulator(machine, itemsize=itemsize)

@@ -207,7 +207,10 @@ class FactorStorage:
         """Make the bytes this storage owns (its arena, or a derived one's
         private panels) and every view cut so far read-only, and return it:
         the storage of every returned :class:`~repro.api.Factor`."""
-        views = [*(self._over or {}).values(), self.arena, *(self._panels or ())]
+        if self._root is not None:  # its other panels are its root's views
+            views = list(self._over.values())
+        else:
+            views = [self.arena, *(self._panels or ())]
         views += [view for entry in self._factor_program or () for view in entry[4:]]
         views += [entry[4] for entry in self._solve_program or ()]
         for view in views:
@@ -226,8 +229,11 @@ class FactorStorage:
             if self._root is not None:
                 panels = _patched(self._root.panels, self._over)
             else:
-                layout, arena = _panel_layout(self.symb), self.arena
-                panels = [arena[o : o + m * w].reshape((m, w), order="F") for m, w, o in layout]
+                arena = self.arena
+                panels = [
+                    arena[off : off + m * w].reshape((m, w), order="F")
+                    for m, w, off in _panel_layout(self.symb)
+                ]
             self._panels = panels
         return panels
 
@@ -372,20 +378,40 @@ class FactorStorage:
     # extraction (tests / solves)
     # ------------------------------------------------------------------
     def to_dense_lower(self):
-        """Materialise the factor ``L`` as a dense float64 lower-triangular
-        array (dead panel space excluded)."""
-        return self.to_scipy_lower().toarray().astype(np.float64, copy=False)
+        """Materialise the factor ``L`` as a dense lower-triangular array
+        (dead panel space excluded)."""
+        symb = self.symb
+        n = symb.n
+        L = np.zeros((n, n))
+        for s in range(symb.nsup):
+            first, last = symb.snode_cols(s)
+            rows_s = symb.snode_rows(s)
+            panel = self.panels[s]
+            for c in range(last - first):
+                j = first + c
+                take = rows_s >= j
+                L[rows_s[take], j] = panel[take, c]
+        return L
 
     def to_scipy_lower(self):
         """Factor ``L`` as a ``scipy.sparse.csc_matrix`` (lower triangle)."""
         from scipy.sparse import csc_matrix
 
-        symb, empty = self.symb, np.zeros(0, dtype=np.int64)
-        parts = [(np.zeros(0, dtype=self.dtype), empty, empty)]  # values, rows, columns
-        for s, panel in enumerate(self.panels):
+        symb = self.symb
+        rows_all, cols_all, vals_all = [], [], []
+        for s in range(symb.nsup):
             first, last = symb.snode_cols(s)
-            rows = symb.snode_rows(s)
-            r, c = np.nonzero(rows[:, None] >= np.arange(first, last))
-            parts.append((panel[r, c], rows[r], first + c))
-        values, rows, cols = map(np.concatenate, zip(*parts))
-        return csc_matrix((values, (rows, cols)), shape=(symb.n, symb.n))
+            rows_s = symb.snode_rows(s)
+            panel = self.panels[s]
+            for c in range(last - first):
+                j = first + c
+                take = rows_s >= j
+                rows_all.append(rows_s[take])
+                cols_all.append(np.full(int(take.sum()), j, dtype=np.int64))
+                vals_all.append(panel[take, c])
+        rows = np.concatenate(rows_all)
+        cols = np.concatenate(cols_all)
+        vals = np.concatenate(vals_all)
+        m = csc_matrix((vals, (rows, cols)), shape=(symb.n, symb.n))
+        m.sum_duplicates()
+        return m

@@ -145,14 +145,12 @@ def force_cut(monkeypatch, cut):
         assert cut == "default"
 
 
-def capture_devices(monkeypatch, symb):
+def capture_devices(monkeypatch):
     """Record every :class:`~repro.gpu.device.SimulatedGpu` the offload
     engines construct (they all build theirs in
-    :func:`repro.numeric.rl_gpu.gpu_schedule`), after dropping the walks
-    memoised on ``symb`` so that every later row on it walks again."""
+    :func:`repro.numeric.rl_gpu.gpu_schedule`)."""
     from repro.numeric import rl_gpu
 
-    symb.cache().pop("gpu_schedule", None)
     made = []
 
     class Recorded(rl_gpu.SimulatedGpu):

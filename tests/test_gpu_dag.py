@@ -9,11 +9,6 @@ supernodes.
   :class:`~repro.gpu.device.DeviceOutOfMemory` accounting are pinned, as
   data, by ``tests/test_gpu_golden.py``;
 * every gpu row releases all device memory it allocated;
-* the schedule walk is memoised per pattern and option set: a second call
-  walks nothing and reports equal fields in a result of its own, a
-  memoised overflow is raised again at the same allocation, first calls on
-  many threads at once agree, and a traced call still walks and fills its
-  tracer;
 * trace lanes of the device render next to the host lane;
 * the coarse and fine DAGs at one task per supernode (the singleton cut)
   follow the pattern's updates;
@@ -23,9 +18,6 @@ supernodes.
 
 from __future__ import annotations
 
-import dataclasses
-import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +26,6 @@ import pytest
 from repro.gpu import DeviceOutOfMemory, Tracer
 from repro.numeric import factorize_rl_gpu, factorize_rlb_gpu, gpu_snode_mask
 from repro.numeric.executor import dag_plan
-from repro.numeric.rl_gpu import gpu_schedule
 from repro.numeric.registry import get_engine, resolve, serial_twin
 from repro.sparse import grid_laplacian, random_spd, tridiagonal, vector_stencil
 from repro.symbolic import analyze, trivial_ranges
@@ -129,88 +120,12 @@ class TestMemoryParity:
     def test_all_memory_released(self, system, monkeypatch):
         """Every gpu row frees every buffer it allocated, everything
         offloaded."""
-        made = capture_devices(monkeypatch, system.symb)
+        made = capture_devices(monkeypatch)
         for name in ("rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"):
             spec, kwargs = resolve(name, threshold=0, device_memory=BIG)
             spec.fn(system.symb, system.matrix, **kwargs)
         assert len(made) == 3
         assert all(gpu.used == 0 and gpu.stats.peak_memory > 0 for gpu in made)
-
-
-class TestScheduleMemo:
-    @pytest.mark.parametrize("name", ["rl_gpu", "rlb_gpu_v2", "rlb_gpu_v1"])
-    def test_a_second_call_walks_nothing(self, system, monkeypatch, name):
-        made = capture_devices(monkeypatch, system.symb)
-        spec, kwargs = resolve(name, threshold=0, device_memory=BIG)
-        first = spec.fn(system.symb, system.matrix, **kwargs)
-        second = spec.fn(system.symb, system.matrix, **kwargs)
-        assert len(made) == 1
-        assert first is not second and first.storage is not second.storage
-        assert first.extra is not second.extra and first.gpu_stats is not second.gpu_stats
-        for field in dataclasses.fields(first):
-            if field.name != "storage":
-                assert getattr(first, field.name) == getattr(second, field.name), field.name
-        np.testing.assert_array_equal(first.storage.arena, second.storage.arena)
-        # another option set walks once more
-        spec.fn(system.symb, system.matrix, **dict(kwargs, dtype=np.float32))
-        assert len(made) == 2
-
-    def test_an_overflow_is_raised_again(self, system, monkeypatch):
-        made = capture_devices(monkeypatch, system.symb)
-        raised = []
-        for _ in range(2):
-            with pytest.raises(DeviceOutOfMemory) as oom:
-                factorize_rl_gpu(system.symb, system.matrix, threshold=0, device_memory=4096)
-            raised.append(oom.value)
-        assert len(made) == 1 and raised[0] is not raised[1]
-        for exc in raised:
-            assert (exc.requested, exc.free, exc.capacity) == (
-                raised[0].requested, raised[0].free, 4096.0)
-            assert str(exc) == str(raised[0])
-
-    def test_first_calls_on_many_threads_agree(self):
-        """Eight threads make the first calls on one fresh pattern at once
-        (the memo is filled under contention): every report is the lone
-        walk's."""
-        symb = analyze(grid_laplacian((9, 9, 3))).symb
-        want = gpu_schedule(analyze(grid_laplacian((9, 9, 3))).symb, "rlb_gpu_v2", threshold=0,
-                            device_memory=BIG)
-        barrier, got, errors = threading.Barrier(8), [None] * 8, []
-
-        def walk(t):
-            try:
-                barrier.wait(timeout=30)
-                got[t] = gpu_schedule(symb, "rlb_gpu_v2", threshold=0, device_memory=BIG)
-            except BaseException as exc:  # pragma: no cover - reported below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=walk, args=(t,)) for t in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors and not any(thread.is_alive() for thread in threads)
-        assert len({id(report) for report in got}) == 8
-        for report in got:
-            assert report.modeled_seconds == want.modeled_seconds
-            assert report.gpu_stats == want.gpu_stats and report.extra == want.extra
-
-    def test_a_traced_call_walks_and_fills_its_tracer(self, system, monkeypatch):
-        made = capture_devices(monkeypatch, system.symb)
-        plain = factorize_rl_gpu(system.symb, system.matrix, threshold=0, device_memory=BIG)
-        traces = []
-        for _ in range(2):
-            tracer = Tracer()
-            traced = factorize_rl_gpu(system.symb, system.matrix, threshold=0,
-                                      device_memory=BIG, tracer=tracer)
-            traces.append(len(tracer.events))
-            assert traced.modeled_seconds == plain.modeled_seconds
-        assert len(made) == 3 and traces[0] == traces[1] > 0
 
 
 class TestTraceLanes:

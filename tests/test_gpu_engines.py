@@ -111,7 +111,7 @@ class TestMemoryBehaviour:
 
     def test_all_memory_released(self, system, monkeypatch):
         """Every gpu row, everything offloaded and a CPU/GPU split."""
-        made = capture_devices(monkeypatch, system.symb)
+        made = capture_devices(monkeypatch)
         for threshold in (0, 50_000):
             for _, fn in GPU_VARIANTS:
                 fn(system.symb, system.matrix, threshold=threshold,

@@ -8,7 +8,8 @@ is read-only by construction.
   ``ValueError``;
 * **the one writer stays** — a plan's work storages stay writable, and a
   ``submit_solve`` served from them gives the direct door's bits, also
-  after a refused write;
+  after a refused write; a factor that only answers a ``submit_solve``
+  inside its request is not frozen;
 * **nothing moves** — under Hypothesis, any sequence of public calls on a
   pool of factors (solves, refined solves with an fp32 chain that falls
   back, updates, downdates, ``apply`` under each policy, ``update_cost``,
@@ -29,9 +30,10 @@ from hypothesis import strategies as st
 import repro
 from repro.api import Factor
 from repro.numeric.procpool import close_default_pools
+from repro.numeric.storage import FactorStorage
 from repro.sparse import grid_laplacian, random_spd
 from repro.update import structured_update
-from tests.conftest import engine_of
+from tests.conftest import engine_of, writable_twin
 
 GRID = grid_laplacian((9, 8))
 
@@ -114,6 +116,16 @@ class TestEveryDoorReturnsAReadOnlyFactor:
         assert built[0].dtype == np.float64
         assert_read_only(built[0], "fp64 fallback")
 
+    def test_an_update_freezes_only_its_own_copies(self, plan):
+        """A derived storage owns only its private panels: freezing it leaves
+        the views of its root (here a writable copy) writable."""
+        twin = writable_twin(plan.factorize(GRID.data, engine="rl"))
+        W = structured_update(plan.symb, plan.perm, [0, 40], seed=1, scale=0.3)
+        storage = twin.update(W).storage
+        assert storage._root is twin.storage and storage._over
+        assert not any(panel.flags.writeable for panel in storage._over.values())
+        assert all(panel.flags.writeable for panel in twin.storage.panels)
+
 
 class TestTheWorkStorageStaysTheOneWriter:
     @pytest.mark.parametrize("engine", ["rl", "rlb"])
@@ -138,6 +150,19 @@ class TestTheWorkStorageStaysTheOneWriter:
         np.testing.assert_array_equal(again, want)
         work = plan._work[np.dtype(np.float64)]
         assert work and all(storage.arena.flags.writeable for storage in work)
+
+    def test_a_factor_that_only_answers_is_not_frozen(self, plan, monkeypatch):
+        """A gpu row borrows no work storage: the factor a ``submit_solve``
+        builds never leaves its request, so nothing is frozen for it."""
+        frozen = []
+        monkeypatch.setattr(FactorStorage, "freeze", lambda self: frozen.append(self) or self)
+        b = np.random.default_rng(4).standard_normal(plan.n)
+        with plan.serve(engine="rl_gpu") as session:
+            x = session.submit_solve(GRID.data, b).result(timeout=60)
+            assert frozen == []
+            session.submit(GRID.data).result(timeout=60)
+        assert len(frozen) == 1
+        np.testing.assert_array_equal(x, plan.factorize(GRID.data, engine="rl_gpu").solve(b))
 
 
 def _snapshot(factor):
