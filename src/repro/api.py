@@ -335,19 +335,28 @@ class SymbolicPlan:
         spec, kwargs = resolve(engine, workers=workers, dtype=dtype, **engine_kwargs)
         return self._request(spec, kwargs, self._original_matrix(self._values_of(values)))
 
-    def _request(self, spec, kwargs, matrix, answer=None, records=None):
+    def _request(self, spec, kwargs, matrix, answer=None, records=None, since=None):
         """ONE request, the body of :meth:`factorize`, :meth:`factorize_batch`
         and every :class:`ServingSession` task: the resolved row ``spec``
         runs with ``kwargs`` on the permuted gather of ``matrix`` (owned by
         the request: :meth:`_original_matrix`) and returns the read-only
-        :class:`Factor`, ``records`` in its result's extra — or
-        ``answer(factor)``, a factor that never leaves the request, so a row
-        with an ``into`` body factors in a work storage (:meth:`_work_storage`)."""
+        :class:`Factor`, ``records`` in its result's extra — with
+        ``wall_seconds``, the time since ``since`` (a ``time.perf_counter()``
+        reading), when given — or ``answer(factor)``, a factor that never
+        leaves the request, so a row with an ``into`` body factors in a work
+        storage (:meth:`_work_storage`).
+
+        A returned factor's storage is frozen, then its solve program is
+        built: the compiled serial loops cut no views, and views cut after
+        the freeze are read-only without being flagged, so an update of the
+        factor finds them cut."""
         M = self._permuted_matrix(matrix.data)
         if answer is None:
             result = spec.fn(self._system.symb, M, **kwargs)
-            result.storage.freeze()
             result.extra.update(records or {})
+            if since is not None:
+                result.extra["wall_seconds"] = time.perf_counter() - since
+            result.storage.freeze().solve_program()
             return Factor(self, result, matrix)
         if spec.into is None:
             return answer(Factor(self, spec.fn(self._system.symb, M, **kwargs), matrix))
@@ -830,11 +839,9 @@ class ServingSession:
             leaf_block(symb)
         if row.backend == "process":
             dag_plan(symb, row.granularity)
-        elif row.family == "rl":
-            assembly_index(symb)
+        else:  # the serial loop's index and workspace size
+            (assembly_index if row.family == "rl" else pair_index)(symb)
             update_workspace_entries(symb)
-        else:
-            pair_index(symb)
         if pool is not None:
             if workers is not None and spec.backend == "threads":
                 raise ValueError("pass either workers= or pool=, not both")
@@ -949,9 +956,7 @@ class ServingSession:
         def request():
             if answer is not None:
                 return plan._request(row, kwargs, matrix, answer)
-            factor = plan._request(row, kwargs, matrix)
-            factor.result.extra.update(stream_index=index, wall_seconds=time.perf_counter() - t0)
-            return factor
+            return plan._request(row, kwargs, matrix, records={"stream_index": index}, since=t0)
 
         future = Future()
         self._enqueue(request, f"{label}:{index}", index, future)

@@ -257,7 +257,7 @@ class LeavingPairs:
     def __init__(self, index, pairs):
         upper, lower = index.upper[pairs], index.lower[pairs]
         source = index.blk_source[upper]
-        first = np.asarray(index.blk_ptr)[source]
+        first = index.blk_ptr[source]
         self.source = source.tolist()
         self._index = index
         self._upper, self._lower = upper - first, lower - first  # positions among s's blocks

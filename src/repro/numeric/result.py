@@ -183,7 +183,7 @@ def kernel_stream(symb, family):
         moved = assembly_index(symb).moved
     else:
         index = pair_index(symb)
-        pair_ptr = index.pair_ptr
+        pair_ptr = index.pair_ptr.tolist()
         diagonal = index.upper == index.lower
         kinds = np.where(diagonal, "syrk", "gemm").tolist()
         rows = np.where(diagonal, 0, index.blk_len[index.lower]).tolist()

@@ -34,7 +34,8 @@ interpreter lock released.  It calls the same OpenBLAS routines on the same
 operands in place (leading dimension ``m``) and subtracts through the same
 assembly index, read as plain arrays, so the arena is the Python body's
 (:func:`_python_body`) byte for byte.  Where no compiler can build it, the
-Python body runs.
+Python body runs.  The ``rlb`` door runs the same loop with its pair
+index (:func:`repro.numeric.rlb._factorize_rlb_in`).
 """
 
 from __future__ import annotations
@@ -253,11 +254,13 @@ def _python_body(storage):
             _assemble(storage, index, s, U)
 
 
-def _compiled_body(storage, loop):
+def _compiled_body(storage, loop, pairs=None):
     """Serial RL in place on ``storage``'s arena: ONE call of ``loop``, a
     ``(function, routines)`` entry of :func:`_rl_loop`, with the interpreter
     lock released.  It reads the panel layout and the assembly index's
-    plain arrays and one workspace of the largest update matrix's size."""
+    plain arrays and one workspace of the largest update matrix's size.
+    Given ``pairs`` — the per-source form codes and the pair index's arrays
+    (:func:`repro.numeric.rlb._pair_operands`) — it is serial RLB."""
     fn, routines = loop
     symb, arena = storage.symb, storage.arena
     m, w = (np.diff(a).astype(np.int64, copy=False) for a in (symb.rowptr, symb.snptr))
@@ -270,8 +273,10 @@ def _compiled_body(storage, loop):
     work = np.empty(update_workspace_entries(symb), dtype=arena.dtype)
     flat = (index.flat_ptr, index.flat_dst, index.flat_src)
     operands = (m, w, offsets, arena, *flat, index.piece_ptr, index.piece_table, work)
+    pair_args = (None,) * 10 if pairs is None else [a.ctypes.data for a in pairs]
     info = ctypes.c_int64()
-    s = fn(symb.nsup, *(a.ctypes.data for a in operands), *routines, ctypes.addressof(info))
+    args = (*(a.ctypes.data for a in operands), *routines, *pair_args, ctypes.addressof(info))
+    s = fn(symb.nsup, *args)
     if s >= 0:
         if info.value > 0:
             raise dk.NotPositiveDefiniteError(info.value - 1)
@@ -328,8 +333,9 @@ def _rl_loop():
 
     Built at most once per source hash into :func:`_cache_dir` and loaded
     once per process, on first use.  ``routines`` are the dtype's
-    ``?potrf`` / ``?trsm`` / ``?syrk`` from scipy's ``cython_lapack`` /
-    ``cython_blas`` capsules: the library the f2py wrappers call."""
+    ``?potrf`` / ``?trsm`` / ``?syrk`` / ``?gemm`` from scipy's
+    ``cython_lapack`` / ``cython_blas`` capsules: the library the f2py
+    wrappers call."""
     try:
         from scipy.linalg import cython_blas, cython_lapack
 
@@ -342,10 +348,10 @@ def _rl_loop():
         loops = {}
         for dtype, t in ((np.float64, "d"), (np.float32, "s")):
             fn = getattr(lib, f"rl_loop_{t}")
-            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 14
+            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 25
             fn.restype = ctypes.c_int64
             routines = [_capsule_pointer(cython_lapack, t + "potrf")]
-            routines += [_capsule_pointer(cython_blas, t + k) for k in ("trsm", "syrk")]
+            routines += [_capsule_pointer(cython_blas, t + k) for k in ("trsm", "syrk", "gemm")]
             loops[np.dtype(dtype)] = fn, routines
     except (ImportError, OSError, ValueError, subprocess.SubprocessError, AttributeError, KeyError):
         return None

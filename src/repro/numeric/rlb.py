@@ -31,9 +31,24 @@ routines, flags and operands of :func:`compute_block_pair` — subtracting
 each update from its panel slice.  Pairs of one source write disjoint
 entries, so both give the same factor.
 
-The serial engine runs the body over all supernodes; the threaded and
-process task ranges run it over theirs with the pairs that leave the range
-handed to ``leave`` (:func:`repro.numeric.executor.range_tasks`).
+The threaded and process task ranges run the body over their supernodes
+with the pairs that leave the range handed to ``leave``
+(:func:`repro.numeric.executor.range_tasks`).
+
+The serial loop, compiled
+-------------------------
+The serial engine (``rlb``: :func:`factorize_rlb_cpu`, a served request's
+work storage, ``factorize_batch``, the ``rlb_gpu_v2`` / ``v1`` rows' factor)
+runs the body over every supernode in ONE call into ``rl``'s compiled loop
+(:func:`repro.numeric.rl._rl_loop`, ``_rl_loop.c``), with a form code per
+source: a batched source's ONE ``?gemm`` (or ``?syrk``) and diagonal-block
+``?syrk`` calls into a workspace, committed through the flat form; any
+other source's ``?syrk`` / ``?gemm`` per pair into the workspace, each
+subtracted from its target.  It reads the pair index's arrays and the
+assembly index's flat form, and calls the same routines on the same
+operands in place (leading dimension ``m``), so the arena is
+:func:`run_pair_range`'s byte for byte.  Where no compiler can build it,
+:func:`run_pair_range` runs over all supernodes.
 :func:`compute_block_pair` / :func:`commit_block_pair` /
 :func:`apply_block_pair` are the same work for ONE pair — the bodies of pair
 *tasks* (a single supernode above the cut).
@@ -48,7 +63,7 @@ import numpy as np
 from ..dense import kernels as dk
 from ..symbolic.blocks import pair_index
 from .result import serial_result
-from .rl import _assemble, factor_entry
+from .rl import _assemble, _compiled_body, _rl_loop, factor_entry
 from .storage import FactorStorage
 
 __all__ = [
@@ -218,7 +233,22 @@ def factorize_rlb_cpu(symb, A, *, machine=None, dtype=None):
 
 def _factorize_rlb_in(storage, *, machine=None):
     """:func:`factorize_rlb_cpu` on a storage that already holds the
-    permuted matrix's values, as :func:`~repro.numeric.rl._factorize_rl_in`."""
+    permuted matrix's values, as :func:`~repro.numeric.rl._factorize_rl_in`:
+    the compiled loop when it could be built, else :func:`run_pair_range`
+    over every supernode — the same bits either way."""
     index = pair_index(storage.symb)
-    run_pair_range(storage, index, 0, storage.symb.nsup)
+    loops = _rl_loop()
+    if loops is None:
+        run_pair_range(storage, index, 0, storage.symb.nsup)
+    else:
+        _compiled_body(storage, loops[storage.arena.dtype], _pair_operands(index))
     return serial_result("rlb", storage, machine, block_pairs=index.npairs)
+
+
+def _pair_operands(index):
+    """What the compiled loop reads of the pair index: per source its form
+    code (``_rl_loop.c``'s ``BATCHED`` = 1 when the source commits through
+    the flat form, else ``PAIRS`` = 2), then the index's own arrays."""
+    form = np.array([2 if flat is None else 1 for _, flat in index.sources], dtype=np.int8)
+    return (form, index.blk_ptr, index.blk_start, index.blk_len, index.pair_ptr, index.upper,
+            index.lower, index.row_off, index.col_off, index.blk_owner)  # fmt: skip

@@ -102,8 +102,8 @@ class PairIndex:
 
     Blocks are numbered globally, source supernode by source supernode, in
     row order; pairs likewise, in the serial engines' order.  Array
-    attributes are ``int64``; the ``*_ptr`` boundaries are plain ``int``
-    lists.
+    attributes are ``int64`` — what the compiled RLB loop reads
+    (:func:`repro.numeric.rlb._pair_operands`).
 
     Attributes
     ----------
@@ -164,12 +164,12 @@ class PairIndex:
         self.lower = lower = upper + down
         self.row_off = locate_rows(symb, blk_owner[upper], self.blk_first[lower])
         self.col_off = (self.blk_first - symb.snptr[blk_owner])[upper]
-        self.blk_ptr = blk_ptr.tolist()
-        self.pair_ptr = first_pair[blk_ptr].tolist()
+        self.blk_ptr = blk_ptr
+        self.pair_ptr = first_pair[blk_ptr]
         self.assembly = assembly = relind.assembly_index(symb)
         batched = (w * w <= relind.FLAT_UPDATE_ENTRIES) & (b * b * w <= BATCHED_GEMM_MADDS)
         cuts = list(zip(self.blk_start.tolist(), (self.blk_start + blk_len).tolist()))
-        ptr = self.blk_ptr
+        ptr = blk_ptr.tolist()
         self.sources = tuple(
             (cuts[b0:b1], flat if ok else None)
             for b0, b1, flat, ok in zip(ptr[:-1], ptr[1:], assembly.flat, batched.tolist())

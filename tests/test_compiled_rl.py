@@ -1,13 +1,17 @@
-"""The compiled RL loop (``numeric/_rl_loop.c``) against the Python body it
-stands in for.
+"""The compiled serial loop (``numeric/_rl_loop.c``) against the Python
+bodies it stands in for: ``rl``'s (:func:`repro.numeric.rl._python_body`)
+and ``rlb``'s (:func:`repro.numeric.rlb.run_pair_range` over every
+supernode).
 
-Contracts:
+Contracts, on both families:
 
-* **same bytes** — ``plan.factorize(engine="rl")`` (one call into the
+* **same bytes** — ``plan.factorize(engine=...)`` (one call into the
   compiled loop where it could be built) leaves the arena the Python body
-  (:func:`repro.numeric.rl._python_body`) leaves, byte for byte, dead space
-  and upper triangles included: every pattern family, fp64 and fp32, every
-  flat-form cut (all blocks, a mix, the default, all flat);
+  leaves, byte for byte, dead space and upper triangles included: every
+  pattern family, fp64 and fp32, every flat-form cut (all blocks, a mix, the
+  default, all flat); ``rlb`` with its batched sources (the default
+  :data:`~repro.symbolic.blocks.BATCHED_GEMM_MADDS`) and with every source
+  per pair (``BATCHED_GEMM_MADDS = 0``);
 * **threads** — two threads running the loop at once on distinct storages
   both get the serial bytes;
 * **fallback** — a loader that cannot build (``$CC`` fails) or load gives
@@ -34,9 +38,9 @@ import scipy.sparse as sp
 
 import repro
 from repro.dense import NotPositiveDefiniteError
-from repro.numeric import FactorStorage, rl
+from repro.numeric import FactorStorage, rl, rlb
 from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, vector_stencil
-from repro.symbolic import relind
+from repro.symbolic import blocks, relind
 from tests.conftest import spd_from_pattern as _spd
 
 DTYPES = [np.float64, np.float32]
@@ -60,13 +64,28 @@ def _mixed_cut(symb):
     return int(b.min() ** 2 + b.max() ** 2) // 2 if b.size else 0
 
 
-def _python(plan, values=None, dtype=np.float64):
+FAMILIES = ["rl", "rlb"]
+
+#: each family's Python body, in place on a storage
+PYTHON_BODIES = {
+    "rl": rl._python_body,
+    "rlb": lambda storage: rlb.run_pair_range(
+        storage, blocks.pair_index(storage.symb), 0, storage.symb.nsup
+    ),
+}
+
+#: each family's door and the module it looks its loader and bodies up in
+DOORS = {"rl": (rl, "_factorize_rl_in", "_python_body"),
+         "rlb": (rlb, "_factorize_rlb_in", "run_pair_range")}  # fmt: skip
+
+
+def _python(plan, values=None, dtype=np.float64, family="rl"):
     """The Python body's arena for ``values`` (the plan's own by default)."""
     M = plan.system.matrix
     if values is not None:
         M = SymmetricCSC(M.n, M.indptr, M.indices, values[plan.gather], check=False)
     storage = FactorStorage.from_matrix(plan.symb, M, dtype=dtype)
-    rl._python_body(storage)
+    PYTHON_BODIES[family](storage)
     return storage.arena
 
 
@@ -86,35 +105,44 @@ def test_a_machine_with_cc_builds_the_loop():
     assert loops is not None and set(loops) == {np.dtype(np.float64), np.dtype(np.float32)}
 
 
-def test_the_door_runs_the_loop_when_there_is_one(monkeypatch):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_door_runs_the_loop_when_there_is_one(monkeypatch, family):
+    module, _, python_body = DOORS[family]
     ran = []
-    for name in ("_python_body", "_compiled_body"):
-        body = getattr(rl, name)
-        monkeypatch.setattr(rl, name, lambda *a, _n=name, _b=body: ran.append(_n) or _b(*a))
-    repro.plan(PATTERNS["grid2d"]()).factorize(engine="rl")
-    assert ran == ["_python_body" if rl._rl_loop() is None else "_compiled_body"]
+    for name in (python_body, "_compiled_body"):
+        body = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _b=body: ran.append(_n) or _b(*a))
+    repro.plan(PATTERNS["grid2d"]()).factorize(engine=family)
+    assert ran == [python_body if module._rl_loop() is None else "_compiled_body"]
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
 @pytest.mark.parametrize("cut", ["per_run", "mixed", "default", "flat"])
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-def test_door_is_the_python_body_byte_for_byte(monkeypatch, pattern, cut, dtype):
+@pytest.mark.parametrize("family", ["rl", "rlb", "rlb_per_pair"])
+def test_door_is_the_python_body_byte_for_byte(monkeypatch, family, pattern, cut, dtype):
     A = PATTERNS[pattern]()
     if cut != "default":
         value = {"per_run": 0, "flat": 10**9}.get(cut)
         if value is None:
             value = _mixed_cut(repro.plan(A).symb)
         monkeypatch.setattr(relind, "FLAT_UPDATE_ENTRIES", value)
+    if family == "rlb_per_pair":
+        family = "rlb"
+        monkeypatch.setattr(blocks, "BATCHED_GEMM_MADDS", 0)
     plan = repro.plan(A)
-    got = plan.factorize(engine="rl", dtype=dtype).storage.arena
-    _same_bytes(got, _python(plan, dtype=dtype))
+    got = plan.factorize(engine=family, dtype=dtype).storage.arena
+    _same_bytes(got, _python(plan, dtype=dtype, family=family))
 
 
-def test_two_threads_at_once_get_the_serial_bytes():
+@pytest.mark.parametrize("family", FAMILIES)
+def test_two_threads_at_once_get_the_serial_bytes(family):
     """Both threads run the loop on their own storage, over and over, lined
     up by a barrier: each arena is the Python body's."""
     plan = repro.plan(vector_stencil((6, 6, 6), 4, connectivity="box"))
-    want = _python(plan)
+    want = _python(plan, family=family)
+    module, door, _ = DOORS[family]
+    door = getattr(module, door)
     barrier, errors, rounds = threading.Barrier(2), [], 8
 
     def run():
@@ -122,7 +150,7 @@ def test_two_threads_at_once_get_the_serial_bytes():
             for _ in range(rounds):
                 storage = FactorStorage.from_matrix(plan.symb, plan.system.matrix)
                 barrier.wait(timeout=60)
-                rl._factorize_rl_in(storage)
+                door(storage)
                 _same_bytes(storage.arena, want)
         except BaseException as exc:  # reported below, on the main thread
             errors.append(exc)
@@ -137,15 +165,17 @@ def test_two_threads_at_once_get_the_serial_bytes():
     assert errors == []
 
 
-def test_a_failed_loader_takes_the_python_body(monkeypatch):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_failed_loader_takes_the_python_body(monkeypatch, family):
     plan = repro.plan(PATTERNS["vec3d"]())
-    want = {dtype: plan.factorize(engine="rl", dtype=dtype).storage.arena for dtype in DTYPES}
+    want = {dtype: plan.factorize(engine=family, dtype=dtype).storage.arena for dtype in DTYPES}
+    module, _, python_body = DOORS[family]
     calls = []
-    body = rl._python_body
-    monkeypatch.setattr(rl, "_rl_loop", lambda: None)
-    monkeypatch.setattr(rl, "_python_body", lambda storage: calls.append(1) or body(storage))
+    body = getattr(module, python_body)
+    monkeypatch.setattr(module, "_rl_loop", lambda: None)
+    monkeypatch.setattr(module, python_body, lambda *a: calls.append(1) or body(*a))
     for dtype in DTYPES:
-        _same_bytes(plan.factorize(engine="rl", dtype=dtype).storage.arena, want[dtype])
+        _same_bytes(plan.factorize(engine=family, dtype=dtype).storage.arena, want[dtype])
     assert calls == [1, 1]
 
 
@@ -171,9 +201,10 @@ def test_a_build_lands_in_the_cache_once(monkeypatch, tmp_path):
     assert [p.stat().st_mtime_ns for p in (tmp_path / "repro").iterdir()] == [stamp]
 
 
+@pytest.mark.parametrize("family", FAMILIES, scope="class")
 class TestPivotParity:
     @pytest.fixture(scope="class")
-    def broken(self):
+    def broken(self, family):
         A = grid_laplacian((7, 6, 3))
         plan = repro.plan(A)
         bad = A.data.copy()
@@ -181,31 +212,31 @@ class TestPivotParity:
         pivots = {}
         for dtype in DTYPES:
             with pytest.raises(NotPositiveDefiniteError) as ei:
-                _python(plan, bad, dtype)
+                _python(plan, bad, dtype, family)
             pivots[np.dtype(dtype)] = ei.value.pivot
         return plan, A.data.copy(), bad, pivots
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
-    def test_factorize(self, broken, dtype):
+    def test_factorize(self, broken, family, dtype):
         plan, good, bad, pivots = broken
         with pytest.raises(NotPositiveDefiniteError) as ei:
-            plan.factorize(bad, engine="rl", dtype=dtype)
+            plan.factorize(bad, engine=family, dtype=dtype)
         assert ei.value.pivot == pivots[np.dtype(dtype)]
-        _same_bytes(plan.factorize(good, engine="rl", dtype=dtype).storage.arena,
-                    _python(plan, good, dtype))
+        _same_bytes(plan.factorize(good, engine=family, dtype=dtype).storage.arena,
+                    _python(plan, good, dtype, family))
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
-    def test_factorize_batch(self, broken, dtype):
+    def test_factorize_batch(self, broken, family, dtype):
         plan, good, bad, pivots = broken
         with pytest.raises(NotPositiveDefiniteError) as ei:
-            plan.factorize_batch([good, bad, good], engine="rl", dtype=dtype)
+            plan.factorize_batch([good, bad, good], engine=family, dtype=dtype)
         assert ei.value.pivot == pivots[np.dtype(dtype)] and ei.value.batch_index == 1
 
     @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
-    def test_session_then_the_work_storage_serves(self, broken, dtype):
+    def test_session_then_the_work_storage_serves(self, broken, family, dtype):
         plan, good, bad, pivots = broken
         b = np.cos(np.arange(plan.n))
-        with plan.serve(engine="rl", dtype=dtype) as session:
+        with plan.serve(engine=family, dtype=dtype) as session:
             session.submit_solve(good, b).result(timeout=60)
             (storage,) = plan._work[np.dtype(dtype)]
             with pytest.raises(NotPositiveDefiniteError) as ei:
@@ -213,6 +244,6 @@ class TestPivotParity:
             assert ei.value.pivot == pivots[np.dtype(dtype)] and ei.value.stream_index == 1
             x = session.submit_solve(good, b).result(timeout=60)
         assert tuple(plan._work[np.dtype(dtype)]) == (storage,)
-        _same_bytes(storage.arena, _python(plan, good, dtype))
-        want = plan.factorize(good, engine="rl", dtype=dtype).solve(b)
+        _same_bytes(storage.arena, _python(plan, good, dtype, family))
+        want = plan.factorize(good, engine=family, dtype=dtype).solve(b)
         assert np.array_equal(x, want)

@@ -110,8 +110,7 @@ class TestOneViewSetPerStorage:
     @pytest.mark.parametrize("solved", [False, True])
     def test_first_solve_cuts_only_the_copied_panels(self, monkeypatch, grid, solved):
         A, plan = grid
-        # rlb reads the factor program, so its factor comes with views cut
-        # (the compiled rl loop reads the arena and cuts none)
+        # a returned factor comes with its solve program's views cut
         base = plan.factorize(engine="rlb")
         b = np.ones(A.n)
         if solved:
@@ -139,7 +138,8 @@ class TestOneViewSetPerStorage:
 
     def test_solve_program_shares_the_factor_programs_views(self, grid):
         _, plan = grid
-        storage = plan.factorize(engine="rlb").storage  # rlb reads the factor program
+        # the direct threads rows' task bodies read the factor program
+        storage = plan.factorize(engine="rlb_par", workers=2).storage
         for (_, _, _, panel, rect, _), entry in zip(storage.solve_program(),
                                                     storage.factor_program()):
             assert panel is entry[3] and rect is entry[5]

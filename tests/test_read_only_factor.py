@@ -14,7 +14,8 @@ is read-only by construction.
   pool of factors (solves, refined solves with an fp32 chain that falls
   back, updates, downdates, ``apply`` under each policy, ``update_cost``,
   ``residual_norm``, pickle round-trips) leaves every factor's panel bytes
-  and every ``result`` field equal to a snapshot taken at return.
+  and every ``result`` field equal to a snapshot taken at return; a served
+  factor's ``result.extra`` is complete when the request body returns it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.api import Factor
+from repro.api import Factor, SymbolicPlan
 from repro.numeric.procpool import close_default_pools
 from repro.numeric.storage import FactorStorage
 from repro.sparse import grid_laplacian, random_spd
@@ -163,6 +164,28 @@ class TestTheWorkStorageStaysTheOneWriter:
             session.submit(GRID.data).result(timeout=60)
         assert len(frozen) == 1
         np.testing.assert_array_equal(x, plan.factorize(GRID.data, engine="rl_gpu").solve(b))
+
+
+@pytest.mark.parametrize("engine", ["rlb_par", "rl_gpu"])
+def test_a_served_factors_extra_is_written_inside_its_request(plan, monkeypatch, engine):
+    """``stream_index`` and ``wall_seconds`` are in a served factor's
+    ``result.extra`` when the request body returns it: nothing writes into
+    a factor after it left :meth:`repro.api.SymbolicPlan._request`."""
+    returned = []
+    request = SymbolicPlan._request
+
+    def spy(self, *args, **kwargs):
+        factor = request(self, *args, **kwargs)
+        returned.append((factor, dict(factor.result.extra)))
+        return factor
+
+    monkeypatch.setattr(SymbolicPlan, "_request", spy)
+    with plan.serve(engine=engine) as session:
+        factors = [session.submit(GRID.data).result(timeout=60) for _ in range(2)]
+    assert len(returned) == 2
+    for k, (factor, (built, extra)) in enumerate(zip(factors, returned)):
+        assert factor is built and factor.result.extra == extra
+        assert extra["stream_index"] == k and extra["wall_seconds"] > 0
 
 
 def _snapshot(factor):
