@@ -277,16 +277,17 @@ class SymbolicPlan:
     def _work_storage(self, dtype):
         """A work storage at ``dtype`` for ONE request whose factor never
         leaves it (``docs/api.md``, "Storage lifetime"): popped from the
-        plan's free list — built, programs and leaf block, when all are in
-        use — and pushed back when the request ends, failed or not.  Deque
-        pop and append are atomic, so threads need no lock."""
+        plan's free list — built, solve program and leaf block, when all are
+        in use — and pushed back when the request ends, failed or not.  The
+        compiled loops read no views, so the factor program is cut only by
+        the Python fallback, on first use.  Deque pop and append are atomic,
+        so threads need no lock."""
         dtype = np.dtype(dtype)
         free = self._work.setdefault(dtype, deque())
         try:
             storage = free.pop()
         except IndexError:
             storage = FactorStorage.zeros(self.symb, dtype)
-            storage.factor_program()
             storage.solve_program()
             leaf_block(self.symb)
         try:

@@ -5,17 +5,14 @@ from .storage import FactorStorage, ScatterPlan
 from .result import FactorizeResult
 from .rl import (
     factorize_rl_cpu,
-    factor_snode,
     snode_update,
     assemble_update,
     update_workspace_entries,
 )
 from .rlb import (
     factorize_rlb_cpu,
-    apply_block_pair,
     compute_block_pair,
     commit_block_pair,
-    block_pair_targets,
 )
 from .executor import (
     factorize_executor,
@@ -59,12 +56,9 @@ __all__ = [
     "factorize_rlb_gpu",
     "assemble_update",
     "update_workspace_entries",
-    "factor_snode",
     "snode_update",
-    "apply_block_pair",
     "compute_block_pair",
     "commit_block_pair",
-    "block_pair_targets",
     "factorize_executor",
     "ProcessPool",
     "WorkerDiedError",

@@ -12,8 +12,7 @@ on real cores.
 under descendants — whole elimination subtrees — executes the serial
 bodies in elimination order as ONE task (:func:`run_coarse_range` /
 :func:`~repro.numeric.rlb.run_pair_range`).  Only the supernodes at the top
-of the tree are tasks of their own (coarse: POTRF + TRSM + SYRK per
-supernode; fine: one factor task plus one task per block pair).
+of the tree are tasks of their own, one task each at either granularity.
 
 **The target pulls.**  The right-looking step's one cross-task write — a
 factorized supernode's update assembled into an ancestor of another range —
@@ -74,8 +73,8 @@ from ..symbolic.blocks import pair_index
 from ..symbolic.ranges import TaskRanges, task_ranges
 from ..symbolic.relind import assembly_index
 from .result import FactorizeResult
-from .rl import _assemble, apply_run, factor_snode, factor_update, park_runs
-from .rlb import compute_block_pair, run_pair_range
+from .rl import _assemble, apply_run, factor_update, park_runs
+from .rlb import run_pair_range
 from .storage import FactorStorage
 
 __all__ = [
@@ -227,48 +226,15 @@ def _traced_run(run_task, label_of, tracer, t0):
 
 def _task_label_fn(plan):
     """Human-readable task labels for trace events: a range of several
-    supernodes is ``snodes:lo-hi`` (its first and last supernode); a single
-    supernode is ``snode:12`` (coarse) or ``factor:3`` with its pair tasks
-    ``pair:3`` (fine — pairs named by their source supernode)."""
+    supernodes is ``snodes:lo-hi`` (its first and last supernode), a single
+    supernode ``snode:12``."""
     bounds = plan.ranges.bounds
-    nranges = len(plan.ranges)
-    single = "snode" if plan.granularity == "coarse" else "factor"
 
     def label(tid):
-        if tid >= nranges:
-            return f"pair:{plan.pairs.source[tid - nranges]}"
         lo, hi = bounds[tid], bounds[tid + 1]
-        if hi - lo == 1:
-            return f"{single}:{lo}"
-        return f"snodes:{lo}-{hi - 1}"
+        return f"snode:{lo}" if hi - lo == 1 else f"snodes:{lo}-{hi - 1}"
 
     return label
-
-
-class LeavingPairs:
-    """The block pairs of :attr:`DagPlan.pairs` as a sequence of ``(s, bi,
-    bj)`` — source supernode, upper and lower
-    :class:`~repro.symbolic.blocks.Block` — read off the pattern's
-    :func:`~repro.symbolic.blocks.pair_index` when asked for; ``source`` is
-    the plain list of the pairs' source supernodes."""
-
-    __slots__ = ("source", "_index", "_upper", "_lower")
-
-    def __init__(self, index, pairs):
-        upper, lower = index.upper[pairs], index.lower[pairs]
-        source = index.blk_source[upper]
-        first = index.blk_ptr[source]
-        self.source = source.tolist()
-        self._index = index
-        self._upper, self._lower = upper - first, lower - first  # positions among s's blocks
-
-    def __len__(self):
-        return len(self.source)
-
-    def __getitem__(self, i):
-        s = self.source[i]
-        blocks = self._index.blocks(s)
-        return s, blocks[self._upper[i]], blocks[self._lower[i]]
 
 
 # NOTE: dag_plan and range_tasks below are the shared substrate of both DAG
@@ -278,11 +244,8 @@ class DagPlan(NamedTuple):
     """Static task DAG of one granularity over one partition of the
     supernodes (see :func:`dag_plan`).
 
-    Task ids ``0..len(ranges)-1`` are the range tasks: a range of several
-    supernodes runs the serial bodies over all of them, a single-supernode
-    range is that supernode's task (coarse: the whole RL supernode; fine:
-    its factor task).  Fine plans continue with one task per block pair of
-    every single-supernode range.
+    Task ``t`` is range ``t``: it runs the serial bodies over the range's
+    supernodes, one supernode or several, so ``ntasks == len(ranges)``.
     """
 
     granularity: str
@@ -292,30 +255,25 @@ class DagPlan(NamedTuple):
     #: blocks (fine) are owned by a supernode of its own range — their
     #: updates are applied by the range's task itself; the rest *leave*
     stay: tuple
-    #: fine only (empty for coarse): ``(s, bi, bj)`` of every pair that leaves
-    #: its source's range (a :class:`LeavingPairs`), pair ``i`` under the id
-    #: ``len(ranges) + i``; where each lands — ``(owner, r0, r1, c0, c1)``,
+    #: fine only (empty for coarse): per block pair that leaves its source's
+    #: range, under its slot ``0..`` (the leaving pairs in serial order),
+    #: where it lands — ``(owner, r0, r1, c0, c1)``,
     #: :meth:`~repro.symbolic.blocks.PairIndex.targets` — and per supernode
-    #: the (consecutive) ids of its leaving pairs, in serial order.  The
-    #: pairs of single-supernode ranges come first and are the pair tasks; an
-    #: id from ``ntasks`` up only names a leaving pair of a multi-supernode
-    #: range (its slot in the process pool's scratch arena)
-    pairs: object
+    #: the (consecutive) slots of its leaving pairs
     targets: tuple
     pair_ids: tuple
     #: tasks that wait for nothing (initially ready)
     roots: tuple
     #: tasks each task feeds / how many parts each task waits for (counted by
     #: a :class:`Countdown` or the process pool's parent): a finished range
-    #: delivers one part to every task it parked an update for, a factor task
-    #: to its pair tasks, a pair task to its target
+    #: delivers one part to every task it parked an update for
     children: tuple
     indeg: tuple
     #: per range task, the updates that reach it from outside its range, in
     #: the serial engines' accumulation order — coarse: ``(source, run)``,
     #: ``run`` the position among the source's assembly runs (what
     #: :func:`~repro.numeric.rl.apply_run` takes), ascending by source; fine:
-    #: pair ids, ascending source, then the serial pair enumeration order
+    #: pair slots, ascending source, then the serial pair enumeration order
     incoming: tuple
 
 
@@ -327,11 +285,10 @@ def dag_plan(symb, granularity, ranges=None):
 
     Building it builds the index beneath it (the pattern's
     :func:`~repro.symbolic.relind.assembly_index` for coarse, its
-    :func:`~repro.symbolic.blocks.pair_index` and the ``Block`` tuples of
-    the pair tasks for fine), so call it once on the submitting thread and
-    later reads from worker threads or streaming callbacks never mutate the
-    symbolic cache concurrently.  Idempotent and cheap after the first
-    call.
+    :func:`~repro.symbolic.blocks.pair_index` for fine), so call it once on
+    the submitting thread and later reads from worker threads or streaming
+    callbacks never mutate the symbolic cache concurrently.  Idempotent and
+    cheap after the first call.
     """
     if ranges is None:
         ranges = task_ranges(symb)
@@ -340,20 +297,17 @@ def dag_plan(symb, granularity, ranges=None):
     if plan is not None:
         return plan
     build = _coarse_edges if granularity == "coarse" else _fine_edges
-    stay, incoming, indeg, children, pairs, targets, pair_ids = build(symb, ranges)
-    nranges = len(ranges)
-    ntasks = len(children)
+    stay, incoming, indeg, children, targets, pair_ids = build(symb, ranges)
     plan = ranges.memo[key] = DagPlan(
         granularity=granularity,
         ranges=ranges,
-        ntasks=ntasks,
+        ntasks=len(ranges),
         stay=tuple(stay),
-        pairs=pairs,
         targets=targets,
         pair_ids=tuple(pair_ids),
         roots=tuple(p for p, n in enumerate(indeg) if not n),
         children=tuple(tuple(kids) for kids in children),
-        indeg=tuple(indeg) + (1,) * (ntasks - nranges),
+        indeg=tuple(indeg),
         incoming=tuple(tuple(x) for x in incoming),
     )
     return plan
@@ -381,58 +335,40 @@ def _coarse_edges(symb, ranges):
                 indeg[p] += 1
                 children[t].append(p)
             incoming[p].append((s, r))
-    return stay, incoming, indeg, children, (), (), ()
+    return stay, incoming, indeg, children, (), ()
 
 
 def _fine_edges(symb, ranges):
     """The fine half of :func:`dag_plan`, array-at-a-time from the pattern's
     :func:`~repro.symbolic.blocks.pair_index`: a block stays when its owner
     lies inside its source's range (owners ascend, so the staying blocks of
-    a source lead), a pair leaves with its upper block."""
+    a source lead), a pair leaves with its upper block and is parked under
+    its slot, its position among the leaving pairs in serial order."""
     index = pair_index(symb)
     nsup, nranges = symb.nsup, len(ranges)
     bounds = np.asarray(ranges.bounds)
     range_of = np.asarray(ranges.range_of, dtype=np.int64)  # an empty list is float64
-    single = np.diff(bounds) == 1
     blk_range = range_of[index.blk_source]
     inside = index.blk_owner < bounds[blk_range + 1]
     stay = np.bincount(index.blk_source[inside], minlength=nsup).tolist()
     gone = np.flatnonzero(~inside[index.upper])  # the leaving pairs, serial order
     source = index.blk_source[index.upper[gone]]
     src, dst = range_of[source], range_of[index.blk_owner[index.upper[gone]]]
-    # the pair tasks take the first ids: single-supernode ranges before the
-    # rest, serial order kept within each
-    order = np.argsort(~single[src], kind="stable")
-    pid = np.empty(gone.size, dtype=np.int64)
-    pid[order] = np.arange(nranges, nranges + gone.size)
-    ntasks = nranges + int(np.count_nonzero(single[src]))
     count = np.bincount(source, minlength=nsup)
-    first = np.append(pid, 0)[np.cumsum(count) - count]  # of each source's leaving pairs
+    first = np.cumsum(count) - count  # each source's first slot
     pair_ids = [range(a, a + n) for a, n in zip(first.tolist(), count.tolist())]
     # per target, ascending source then serial order — the order of ``gone``
     by_target = np.argsort(dst, kind="stable")
     cut = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=nranges)))).tolist()
-    reaching = pid[by_target].tolist()
+    reaching = by_target.tolist()
     incoming = [reaching[a:b] for a, b in zip(cut[:-1], cut[1:])]
-    # one part per (range, target), but one per pair task of a single source
-    edges, parts = np.unique(dst * nranges + src, return_counts=True)
-    edge_dst, edge_src = np.divmod(edges, nranges)
-    indeg = [0] * nranges
+    # one part per (source range, target)
+    edge_dst, edge_src = np.divmod(np.unique(dst * nranges + src), nranges)
+    indeg = np.bincount(edge_dst, minlength=nranges).tolist()
     children = [[] for _ in range(nranges)]
-    for p, t, n, alone in zip(
-        edge_dst.tolist(), edge_src.tolist(), parts.tolist(), single[edge_src].tolist()
-    ):
-        indeg[p] += n if alone else 1
-        if not alone:
-            children[t].append(p)
-    for t in np.flatnonzero(single).tolist():
-        children[t] = pair_ids[bounds[t]]
-    children += [(p,) for p in dst[order][: ntasks - nranges].tolist()]
-    pairs = LeavingPairs(index, gone[order])
-    for s in set(pairs.source[: ntasks - nranges]):  # what the pair tasks read
-        index.blocks(s)
-        index.targets(s)
-    return stay, incoming, indeg, children, pairs, index.targets_of(gone[order]), pair_ids
+    for p, t in zip(edge_dst.tolist(), edge_src.tolist()):
+        children[t].append(p)
+    return stay, incoming, indeg, children, index.targets_of(gone), pair_ids
 
 
 def run_coarse_range(storage, index, plan, program, routines, lo, hi, leave):
@@ -463,13 +399,11 @@ def range_tasks(symb, storage, plan, parked):
     reach it from outside its range, :attr:`DagPlan.incoming` in the order
     listed, read from ``parked``, each entry dropped after its last reader.
     Then it runs the serial bodies over the range (:func:`run_coarse_range` /
-    ``run_pair_range``; a single supernode of a fine plan only factorizes,
-    its pairs are tasks that park one product each), parking what leaves.  ``parked`` maps a coarse source supernode to
-    what :func:`~repro.numeric.rl.park_runs` keeps of its update matrix and a
-    fine pair's slot (id minus ``len(plan.ranges)``) to its product: a plain
-    dict in-process, the shared scratch views across processes.
+    ``run_pair_range``), parking what leaves.  ``parked`` maps a coarse
+    source supernode to what :func:`~repro.numeric.rl.park_runs` keeps of its
+    update matrix and a fine pair's slot to its product: a plain dict
+    in-process, the shared scratch views across processes.
     """
-    nranges = len(plan.ranges)
     bounds = plan.ranges.bounds
     incoming = plan.incoming
     program = storage.factor_program()  # built here, on the submitting thread
@@ -497,40 +431,20 @@ def range_tasks(symb, storage, plan, parked):
         return run
 
     index = pair_index(symb)
-    panels, pairs, targets = storage.panels, plan.pairs, plan.targets
+    panels, targets = storage.panels, plan.targets
 
-    def pull(tid):
-        for pid in incoming[tid]:
-            p, r0, r1, c0, c1 = targets[pid - nranges]
-            panels[p][r0:r1, c0:c1] -= parked[pid - nranges]
-            del parked[pid - nranges]
-
-    def leave(pid, updates):
-        for slot, u in enumerate(updates, pid - nranges):
+    def leave(first, updates):
+        for slot, u in enumerate(updates, first):
             parked[slot] = u
 
     def run(tid):
-        if tid >= nranges:
-            s, bi, bj = pairs[tid - nranges]
-            parked[tid - nranges] = compute_block_pair(
-                storage.panel(s), symb.snode_ncols(s), bi, bj
-            )
-            return
-        pull(tid)
-        lo, hi = bounds[tid], bounds[tid + 1]
-        if hi - lo == 1:
-            factor_snode(symb, storage, lo)
-        else:
-            run_pair_range(storage, index, lo, hi, plan, leave)
+        for slot in incoming[tid]:
+            p, r0, r1, c0, c1 = targets[slot]
+            panels[p][r0:r1, c0:c1] -= parked[slot]
+            del parked[slot]
+        run_pair_range(storage, index, bounds[tid], bounds[tid + 1], plan, leave)
 
     return run
-
-
-def _check_granularity(granularity):
-    if granularity not in GRANULARITIES:
-        raise ValueError(
-            f"unknown granularity {granularity!r}; choose from {GRANULARITIES}",
-        )
 
 
 def factorize_executor(
@@ -556,9 +470,8 @@ def factorize_executor(
         bit-identical for every value — see :func:`range_tasks`.
     granularity:
         ``"coarse"`` — the RL bodies (POTRF + TRSM + SYRK + ordered
-        assembly), one task per task range; ``"fine"`` — the RLB bodies,
-        one task per range of several supernodes, one factor task plus one
-        task per block pair for each single supernode above the cut.
+        assembly), ``"fine"`` — the RLB bodies; one task per task range
+        either way.
     tracer:
         Optional :class:`~repro.gpu.trace.Tracer`; when given, every task's
         measured start/stop is recorded on its worker thread's lane
@@ -568,7 +481,8 @@ def factorize_executor(
         mixed-precision lane).  Bit-identity across worker counts holds in
         every precision — the order a panel accumulates in is dtype-independent.
     """
-    _check_granularity(granularity)
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"unknown granularity {granularity!r}; choose from {GRANULARITIES}")
     workers = _resolve_workers(workers)
     storage = FactorStorage.from_matrix(symb, A, dtype=dtype)
     plan = dag_plan(symb, granularity)

@@ -1,10 +1,10 @@
-"""Shared-memory multiprocess execution of the factorization task DAGs.
+"""Shared-memory multiprocess execution of the coarse (RL) task DAG.
 
 Worker threads only scale where BLAS releases the GIL; the
 scatter/commit/bookkeeping Python inside the task bodies serializes on
 real multicore hosts.  This module escapes the GIL with a third
 substrate: a persistent pool of **worker processes** draining
-the same coarse/fine task DAGs as :mod:`repro.numeric.executor`, with the
+the coarse task DAG of :mod:`repro.numeric.executor`, with the
 :class:`~repro.numeric.storage.FactorStorage` panels living in a
 ``multiprocessing.shared_memory`` arena so the per-task protocol is
 pickle-free (the shared factor is an ordinary ``FactorStorage`` over the
@@ -14,9 +14,8 @@ segment, :meth:`FactorStorage.over <repro.numeric.storage.FactorStorage.over>`)
 rebuilds the parent's :func:`~repro.numeric.executor.dag_plan` from them
 (the parent counts down its ``children`` / ``indeg`` edges, the workers
 apply its ``incoming`` lists), and every task message is just
-``("task", tid)`` — one per task range (plus, fine, one per block pair of
-the single supernodes above the cut), not one per supernode: a job on the
-64² grid is 21 messages each way instead of 957.
+``("task", tid)`` — one per task range, not one per supernode: a job on
+the 64² grid is 21 messages each way instead of 957.
 
 Determinism (the target pulls, across processes)
 ------------------------------------------------
@@ -26,7 +25,7 @@ first subtracts the updates parked for its range
 (:attr:`~repro.numeric.executor.DagPlan.incoming`, ascending source order —
 the serial engines' per-panel accumulation order), then runs the serial
 bodies over the range and parks what *leaves* it.  The only difference to the
-threads is the store — a private slot per leaving source or pair in a shared
+threads is the store — a private slot per leaving source in a shared
 scratch arena, written with ``np.copyto``, instead of a dict holding arrays
 by reference.  A panel has one writer, so nothing needs a lock that would
 have to cross a process boundary, and factors are bit-identical to the serial
@@ -88,14 +87,7 @@ from ..dense.kernels import NotPositiveDefiniteError, check_dtype
 from ..symbolic.ranges import TaskRanges
 from ..symbolic.relind import assembly_index
 from .blas_limits import pinned_blas_env, process_worker_main
-from .executor import (
-    _FAMILY,
-    _check_granularity,
-    _resolve_workers,
-    _task_label_fn,
-    dag_plan,
-    range_tasks,
-)
+from .executor import _resolve_workers, _task_label_fn, dag_plan, range_tasks
 from .result import FactorizeResult
 from .storage import FactorStorage
 
@@ -138,21 +130,17 @@ def _resolve_start_method(start_method):
 def _scratch_shapes(symb, plan):
     """``{slot: shape}`` of the parked-update scratch arena, in arena order.
     Only updates that *leave* their source's task range are parked, so only
-    they get a slot: coarse, per such source supernode ``s`` (keyed ``s``)
-    what :func:`~repro.numeric.rl.park_runs` keeps of its update matrix; fine,
-    per leaving block pair, keyed by its position in :attr:`DagPlan.pairs` and
-    shaped like its target slice (:attr:`DagPlan.targets`)."""
-    if plan.granularity == "coarse":
-        index = assembly_index(symb)
-        below = (np.diff(symb.rowptr) - np.diff(symb.snptr)).tolist()
-        shapes = {}
-        for s, stay in enumerate(plan.stay):
-            if stay < len(index.targets[s]):
-                flat = index.flat[s]  # what rl.park_runs keeps of the update
-                shapes[s] = ((below[s], below[s]) if flat is None
-                             else (len(flat[1]) - flat[2][stay][1],))
-        return shapes
-    return {i: (r1 - r0, c1 - c0) for i, (_, r0, r1, c0, c1) in enumerate(plan.targets)}
+    they get a slot: per such source supernode ``s`` (keyed ``s``) what
+    :func:`~repro.numeric.rl.park_runs` keeps of its update matrix."""
+    index = assembly_index(symb)
+    below = (np.diff(symb.rowptr) - np.diff(symb.snptr)).tolist()
+    shapes = {}
+    for s, stay in enumerate(plan.stay):
+        if stay < len(index.targets[s]):
+            flat = index.flat[s]  # what rl.park_runs keeps of the update
+            shapes[s] = ((below[s], below[s]) if flat is None
+                         else (len(flat[1]) - flat[2][stay][1],))
+    return shapes
 
 
 def _scratch_views(shapes, buf, dtype):
@@ -209,13 +197,12 @@ class _WorkerState:
     the task body (:func:`~repro.numeric.executor.range_tasks`) over the DAG
     plan rebuilt locally from the parent's partition."""
 
-    def __init__(self, symb, granularity, bounds, panels_name, scratch_name,
-                 dtype=np.float64):
+    def __init__(self, symb, bounds, panels_name, scratch_name, dtype=np.float64):
         self.panels_shm = _attach_shm(panels_name)
         self.scratch_shm = _attach_shm(scratch_name)
         # the same storage class as in-process, its arena in shared memory
         self.storage = FactorStorage.over(symb, self.panels_shm.buf, dtype)
-        plan = dag_plan(symb, granularity, TaskRanges(bounds))
+        plan = dag_plan(symb, "coarse", TaskRanges(bounds))
         shapes = _scratch_shapes(symb, plan)
         scratch = _SharedParked(_scratch_views(shapes, self.scratch_shm.buf, dtype))
         # the thread lane's task body, over the shared arenas
@@ -267,11 +254,9 @@ def _worker_loop(conn, worker_index):
                 conn.send(("spans", spans))
                 spans = None
             elif cmd == "warm":
-                (_, key, blob, granularity, bounds, panels_name,
-                 scratch_name, dtype_name) = msg
+                _, key, blob, bounds, panels_name, scratch_name, dtype_name = msg
                 symb = pickle.loads(blob)
-                states[key] = _WorkerState(symb, granularity, bounds,
-                                           panels_name, scratch_name,
+                states[key] = _WorkerState(symb, bounds, panels_name, scratch_name,
                                            np.dtype(dtype_name))
                 conn.send(("warmed", key))
             elif cmd == "close":
@@ -298,12 +283,12 @@ class _WarmEntry:
     __slots__ = ("key", "wkey", "symb", "plan", "dtype", "panels_shm",
                  "scratch_shm", "storage")
 
-    def __init__(self, key, symb, granularity, dtype=np.float64):
+    def __init__(self, key, symb, dtype=np.float64):
         self.key = key
         self.dtype = np.dtype(dtype)
-        self.wkey = f"{id(symb):x}:{granularity}:{self.dtype.name}"
+        self.wkey = f"{id(symb):x}:{self.dtype.name}"
         self.symb = symb
-        self.plan = dag_plan(symb, granularity)
+        self.plan = dag_plan(symb, "coarse")
         itemsize = self.dtype.itemsize
         entries = sum(map(math.prod, _scratch_shapes(symb, self.plan).values()))
         self.panels_shm = _create_shm(int(symb.panel_offsets()[-1]) * itemsize)
@@ -327,7 +312,7 @@ class ProcessPool:
     """Persistent pool of worker processes draining factorization DAGs.
 
     One pool serves any number of patterns (warm state is cached per
-    ``(symbolic factor, granularity)``) and any number of sequential jobs;
+    ``(symbolic factor, dtype)``) and any number of sequential jobs;
     concurrent callers (e.g. several gateway serving sessions sharing the
     default pool) serialize on an internal lock — one DAG at a time, which
     is also what keeps per-job wall time honest.  Create pools on the main
@@ -423,20 +408,19 @@ class ProcessPool:
                     "timed out waiting for a process backend worker"
                 )
 
-    def _warm_entry(self, symb, granularity, dtype=np.float64):
+    def _warm_entry(self, symb, dtype=np.float64):
         dtype = np.dtype(dtype)
         # entry keeps symb alive, id is stable
-        key = (id(symb), granularity, dtype)
+        key = (id(symb), dtype)
         entry = self._warm.get(key)
         if entry is not None:
             return entry
-        entry = _WarmEntry(key, symb, granularity, dtype)
+        entry = _WarmEntry(key, symb, dtype)
         blob = pickle.dumps(dataclasses.replace(symb, _cache=None))
         try:
             for conn in self._conns:
-                conn.send(("warm", entry.wkey, blob, granularity,
-                           entry.plan.ranges.bounds, entry.panels_shm.name,
-                           entry.scratch_shm.name, dtype.name))
+                conn.send(("warm", entry.wkey, blob, entry.plan.ranges.bounds,
+                           entry.panels_shm.name, entry.scratch_shm.name, dtype.name))
             for conn in self._conns:
                 msg = self._recv(conn)
                 if msg[0] != "warmed" or msg[1] != entry.wkey:
@@ -450,7 +434,7 @@ class ProcessPool:
         return entry
 
     # ------------------------------------------------------------------
-    def run_job(self, symb, A, granularity, *, tracer=None, dtype=None):
+    def run_job(self, symb, A, *, tracer=None, dtype=None):
         """Factorize one matrix on the pool.  Returns ``(storage,
         wall_seconds, ntasks)`` with ``storage`` a fresh (non-shared)
         :class:`FactorStorage`."""
@@ -460,7 +444,7 @@ class ProcessPool:
             if self._closed:
                 raise RuntimeError("process pool is closed")
             try:
-                entry = self._warm_entry(symb, granularity, dt)
+                entry = self._warm_entry(symb, dt)
                 entry.storage.refill(A)  # the shared arena, cleared and scattered
                 return self._drain(entry, tracer)
             except (ConnectionError, EOFError, WorkerDiedError) as exc:
@@ -632,13 +616,13 @@ atexit.register(close_default_pools)
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-def factorize_process(symb, A, *, granularity="coarse", workers=None,
-                      start_method=None, tracer=None, pool=None, dtype=None):
-    """Factorize with the task-DAG runtime on a worker-process pool
-    (engines ``rl_proc`` / ``rlb_proc``).
+def factorize_process(symb, A, *, workers=None, start_method=None, tracer=None,
+                      pool=None, dtype=None):
+    """Factorize with the coarse task-DAG runtime on a worker-process pool
+    (engine ``rl_proc``).
 
     Same contract as :func:`~repro.numeric.executor.factorize_executor`:
-    factors are bit-identical to the serial twins at any worker count (the
+    factors are bit-identical to the serial ``rl`` at any worker count (the
     pull rule above), the model fields of the result are ``None``, and
     ``extra`` carries ``workers`` / ``backend`` / ``granularity`` /
     ``start_method`` / measured ``wall_seconds`` / ``tasks``.  Pass
@@ -648,7 +632,6 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
     / ``start_method=``); otherwise the module's default pool for
     ``(workers, start_method)`` is used and kept warm across calls.
     """
-    _check_granularity(granularity)
     if pool is not None:
         if workers is not None or start_method is not None:
             raise ValueError(
@@ -656,16 +639,15 @@ def factorize_process(symb, A, *, granularity="coarse", workers=None,
             )
     else:
         pool = default_process_pool(workers, start_method)
-    storage, wall, ntasks = pool.run_job(symb, A, granularity,
-                                         tracer=tracer, dtype=dtype)
+    storage, wall, ntasks = pool.run_job(symb, A, tracer=tracer, dtype=dtype)
     return FactorizeResult(
-        _FAMILY[granularity] + "_proc",
+        "rl_proc",
         storage,
         symb.nsup,
         extra={
             "workers": pool.workers,
             "backend": "process",
-            "granularity": granularity,
+            "granularity": "coarse",
             "start_method": pool.start_method,
             "wall_seconds": wall,
             "tasks": ntasks,

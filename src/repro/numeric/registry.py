@@ -29,8 +29,8 @@ the CPU backends schedule whole task ranges of either,
     (:func:`~repro.numeric.rl_gpu.factorize_rl_gpu`,
     :func:`~repro.numeric.rlb_gpu.factorize_rlb_gpu` versions 2 and 1).
 ``"process"``
-    The task DAG drained by a persistent worker-process pool over
-    shared-memory panels (:mod:`repro.numeric.procpool`).
+    The coarse task DAG drained by a persistent worker-process pool over
+    shared-memory panels (:mod:`repro.numeric.procpool`); rl only.
 
 Within a family the backends are interchangeable — factors are
 bit-identical — which is what :func:`serial_twin` looks up.  A row is
@@ -121,7 +121,6 @@ _ROWS = (
     _row("rl_gpu", factorize_rl_gpu, "rl", "gpu", "RL offload (Table I): per-supernode loop"),
     _row("rlb_gpu_v2", factorize_rlb_gpu, "rlb", "gpu", "RLB offload v2 (Table II)", version=2),
     _row("rl_proc", factorize_process, "rl", "process", "coarse DAG on worker processes"),
-    _row("rlb_proc", factorize_process, "rlb", "process", "fine DAG on worker processes"),
     _row("rlb_gpu_v1", factorize_rlb_gpu_v1, "rlb", "gpu", "RLB offload v1: one batched D2H"),
 )
 

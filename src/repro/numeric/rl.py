@@ -21,8 +21,7 @@ Steps 1–2 are :func:`factor_update` over one entry of the storage's
 task pulls, :func:`repro.numeric.executor.range_tasks`), both reading the pattern's
 :func:`~repro.symbolic.relind.assembly_index`.  The serial engine, the
 threaded and process task bodies (and so the ``rl_gpu`` row) all run these;
-:func:`factor_snode` and :func:`snode_update` are the same steps behind the
-per-supernode signatures.
+:func:`snode_update` is step 2 behind a per-supernode signature.
 
 The serial loop, compiled
 -------------------------
@@ -61,7 +60,6 @@ __all__ = [
     "factorize_rl_cpu",
     "factor_entry",
     "factor_update",
-    "factor_snode",
     "snode_update",
     "assemble_update",
     "park_runs",
@@ -121,21 +119,6 @@ def factor_update(entry, routines):
     if out is None:
         return None
     return syrk(1.0, out, lower=1, trans=0)
-
-
-def factor_snode(symb, storage, s):
-    """Factorize supernode ``s``'s panel in place: DPOTRF on the diagonal
-    block, DTRSM on the rectangle below (:func:`factor_entry` on the
-    storage's program entry).
-
-    This is the per-supernode *factor body* of the RLB engines and of every
-    caller that drives a factorization supernode by supernode.
-    Returns ``(panel, w, b)``.
-    """
-    entry = storage.factor_program()[s]
-    potrf, trsm, _ = dk.factor_routines(entry[3].dtype)
-    factor_entry(entry, potrf, trsm)
-    return entry[3], entry[1], entry[2]
 
 
 def snode_update(symb, storage, s, W=None):

@@ -49,9 +49,8 @@ assembly index's flat form, and calls the same routines on the same
 operands in place (leading dimension ``m``), so the arena is
 :func:`run_pair_range`'s byte for byte.  Where no compiler can build it,
 :func:`run_pair_range` runs over all supernodes.
-:func:`compute_block_pair` / :func:`commit_block_pair` /
-:func:`apply_block_pair` are the same work for ONE pair — the bodies of pair
-*tasks* (a single supernode above the cut).
+:func:`compute_block_pair` / :func:`commit_block_pair` are the same work
+for ONE pair, its product and its commit apart.
 """
 
 from __future__ import annotations
@@ -70,51 +69,18 @@ __all__ = [
     "factorize_rlb_cpu",
     "run_pair_range",
     "pair_updates",
-    "pair_kernel",
-    "apply_block_pair",
     "compute_block_pair",
     "commit_block_pair",
-    "block_pair_targets",
 ]
-
-
-def block_pair_targets(symb, bi, bj):
-    """Target slice of the pair ``(B_i, B_j)`` (``B_j`` at or below ``B_i``).
-
-    Returns ``(owner, row_off, col_off)``: inside the owner supernode's
-    panel the update lands at
-    ``panel[row_off : row_off + len(B_j), col_off : col_off + len(B_i)]``.
-    For the diagonal pair (``bi is bj``) ``row_off == col_off`` because the
-    panel's first ``w`` rows are its own columns.
-
-    Each pair's single generalized relative index is a row of the pattern's
-    :func:`~repro.symbolic.blocks.pair_index` (all pairs located by one
-    ``searchsorted`` when it is built), so repeated factorizations look the
-    offsets up instead of recomputing them.
-    """
-    p, r0, _, c0, _ = pair_index(symb).target(bi, bj)
-    return p, r0, c0
-
-
-def pair_kernel(w, bi, bj):
-    """``(kind, m, n, k)`` of the BLAS call of the pair ``(B_i, B_j)`` of a
-    ``w``-column supernode — what the cost accounting is charged with."""
-    if bj is bi:
-        return "syrk", 0, bi.length, w
-    return "gemm", bj.length, bi.length, w
 
 
 def compute_block_pair(panel, w, bi, bj):
     """DSYRK/DGEMM body of one block pair: the update contribution of
     ``(B_i, B_j)`` from the factorized ``panel`` of the descendant
-    supernode.
-
-    This is the per-pair *compute half* of a pair task in the task-DAG
-    runtimes (:mod:`repro.numeric.executor`), which must separate computing
-    a pair's update (parallel) from committing it into the ancestor's panel
-    (ordered, see :func:`commit_block_pair`).  Returns the dense update
-    block ``u`` — ``(len(B_i), len(B_i))`` lower-valid for the diagonal
-    pair, ``(len(B_j), len(B_i))`` otherwise.
+    supernode — the *compute half* of one pair, apart from its commit
+    (:func:`commit_block_pair`).  Returns the dense update block ``u`` —
+    ``(len(B_i), len(B_i))`` lower-valid for the diagonal pair,
+    ``(len(B_j), len(B_i))`` otherwise.
     """
     rows_i = panel[bi.panel_start:bi.panel_start + bi.length, :w]
     if bj is bi:
@@ -125,18 +91,10 @@ def compute_block_pair(panel, w, bi, bj):
 
 def commit_block_pair(symb, storage, bi, bj, u):
     """Commit half: subtract a computed pair update ``u`` from the owning
-    ancestor's panel (one contiguous generalized relative index)."""
+    ancestor's panel (one contiguous generalized relative index, the pair's
+    row of the pattern's :func:`~repro.symbolic.blocks.pair_index`)."""
     p, r0, r1, c0, c1 = pair_index(symb).target(bi, bj)
     storage.panels[p][r0:r1, c0:c1] -= u
-
-
-def apply_block_pair(symb, storage, panel, w, bi, bj):
-    """Compute and apply the update of one block pair directly into the
-    owning ancestor's panel.  Returns ``(kind, m, n, k)`` describing the
-    BLAS call for cost accounting."""
-    u = compute_block_pair(panel, w, bi, bj)
-    commit_block_pair(symb, storage, bi, bj, u)
-    return pair_kernel(w, bi, bj)
 
 
 def _batched_product(rect, cuts, syrk, gemm):
@@ -170,8 +128,9 @@ def pair_updates(storage, index, s, rect, routines, plan=None, leave=None):
     With a fine :class:`~repro.numeric.executor.DagPlan`, only the pairs of
     the leading ``plan.stay[s]`` upper blocks — the ones owned inside
     ``s``'s task range — are committed; the others are handed over, in
-    serial order, as ``leave(pid, updates)``: ``updates[t]`` is the update
-    of the leaving pair with id ``pid + t``.
+    serial order, as ``leave(slot, updates)``: ``updates[t]`` is the update
+    of the leaving pair in slot ``slot + t`` (:attr:`DagPlan.pair_ids
+    <repro.numeric.executor.DagPlan.pair_ids>`).
     """
     syrk, gemm = routines
     cuts, flat = index.sources[s]

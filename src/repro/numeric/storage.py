@@ -205,13 +205,15 @@ class FactorStorage:
 
     def freeze(self):
         """Make the bytes this storage owns (its arena, or a derived one's
-        private panels) and every view cut so far read-only, and return it:
-        the storage of every returned :class:`~repro.api.Factor`."""
+        private panels) and every view it keeps read-only, and return it:
+        the storage of every returned :class:`~repro.api.Factor`.  The factor
+        program is dropped, not flagged: only a factorization reads it, and
+        one cut again later inherits the flag from the panels."""
         if self._root is not None:  # its other panels are its root's views
             views = list(self._over.values())
         else:
             views = [self.arena, *(self._panels or ())]
-        views += [view for entry in self._factor_program or () for view in entry[4:]]
+        self._factor_program = None
         views += [entry[4] for entry in self._solve_program or ()]
         for view in views:
             if view is not None:

@@ -88,6 +88,31 @@ def engine_of(family, backend=None):
                 if s.family == family and s.backend == (backend or "serial"))
 
 
+def rows_of(families, backends):
+    """One ``pytest.param(family, backend)``, id ``family-backend``, per
+    pair of ``families`` x ``backends`` the registry has a row for
+    (``backend`` ``None``: serial) — the process backend runs rl only."""
+    from repro.numeric.registry import ENGINES
+
+    have = {(s.family, s.backend) for s in ENGINES.values()}
+    return [pytest.param(f, b, id=f"{f}-{b}")
+            for f in families for b in backends if (f, b or "serial") in have]
+
+
+def factor_snode(storage, s):
+    """Supernode ``s`` of ``storage`` factorized in place — ``?potrf`` on
+    the diagonal block, ``?trsm`` on the rectangle below, the serial bodies'
+    routines — for loops that drive a factorization supernode by supernode;
+    returns ``(panel, w, b)``."""
+    from repro.dense.kernels import factor_routines
+    from repro.numeric.rl import factor_entry
+
+    entry = storage.factor_program()[s]
+    potrf, trsm, _ = factor_routines(storage.dtype)
+    factor_entry(entry, potrf, trsm)
+    return entry[3], entry[1], entry[2]
+
+
 def random_spd_dense(n, rng):
     """Dense random SPD matrix for oracle tests."""
     M = rng.standard_normal((n, n))

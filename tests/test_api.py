@@ -18,7 +18,7 @@ from repro.gpu.costmodel import MachineModel
 from repro.numeric.result import cpu_cost
 from repro.sparse import SymmetricCSC, grid_laplacian
 from repro.symbolic import task_ranges
-from tests.conftest import MODEL_FIELDS, engine_of, force_cut
+from tests.conftest import MODEL_FIELDS, engine_of, force_cut, rows_of
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +297,8 @@ class TestFactorizeBatch:
         return plan
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("backend", [None, "threads", "process", "gpu"])
-    @pytest.mark.parametrize("family", ["rl", "rlb"])
+    @pytest.mark.parametrize("family,backend",
+                             rows_of(["rl", "rlb"], [None, "threads", "process", "gpu"]))
     def test_batch_is_a_loop_of_factorize(self, cut_plan, value_batch,
                                           family, backend, dtype):
         """Panel for panel, ``factorize_batch(values, **kw)`` is

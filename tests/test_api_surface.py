@@ -215,10 +215,11 @@ def test_accepts_is_read_off_the_signature():
 def test_facade_methods_is_registry_view():
     """The registry is the only engine table: the deprecated facade, its
     ``METHODS`` view, the reference multi-device loop, the batch wrapper,
-    the serving-only resolver and the stream-DAG scheduler are gone
-    (docs/api.md, "Removed")."""
+    the serving-only resolver, the stream-DAG scheduler and the pair tasks'
+    helpers are gone (docs/api.md, "Removed")."""
     import repro.numeric
     import repro.numeric.executor
+    import repro.numeric.rlb
     import repro.solve
 
     for mod, name in ((repro, "CholeskySolver"),
@@ -230,7 +231,12 @@ def test_facade_methods_is_registry_view():
                       (repro.numeric.registry, "resolve_serving"),
                       (repro.numeric, "GpuStreamBackend"),
                       (repro.numeric.executor, "GpuStreamBackend"),
-                      (repro.numeric, "factorize_gpu_dag")):
+                      (repro.numeric, "factorize_gpu_dag"),
+                      (repro.numeric, "factor_snode"),
+                      (repro.numeric, "apply_block_pair"),
+                      (repro.numeric, "block_pair_targets"),
+                      (repro.numeric.rlb, "pair_kernel"),
+                      (repro.numeric.executor, "LeavingPairs")):
         assert not hasattr(mod, name)
     assert "METHODS" not in repro.numeric.registry.__all__ + repro.solve.__all__
 

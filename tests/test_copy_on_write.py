@@ -37,10 +37,12 @@ from hypothesis import strategies as st
 import repro
 from repro.numeric import column_structure, updown
 from repro.numeric import storage as storage_module
+from repro.numeric.rlb import run_pair_range
 from repro.numeric.storage import FactorStorage
 from repro.numeric.updown import _modification_plan
 from repro.solve import solve_reach
 from repro.sparse import grid_laplacian, random_spd
+from repro.symbolic.blocks import pair_index
 from repro.symbolic.levels import leaf_block
 from repro.update import structured_update
 from tests.conftest import writable_twin
@@ -138,11 +140,20 @@ class TestOneViewSetPerStorage:
 
     def test_solve_program_shares_the_factor_programs_views(self, grid):
         _, plan = grid
-        # the direct threads rows' task bodies read the factor program
-        storage = plan.factorize(engine="rlb_par", workers=2).storage
+        # the Python bodies read the factor program (a work storage's, where
+        # no compiler built the loop); its solve program cuts no view again
+        storage = FactorStorage.from_matrix(plan.symb, plan.system.matrix)
+        run_pair_range(storage, pair_index(plan.symb), 0, plan.symb.nsup)
         for (_, _, _, panel, rect, _), entry in zip(storage.solve_program(),
                                                     storage.factor_program()):
             assert panel is entry[3] and rect is entry[5]
+        # a returned factor drops the program its task bodies read on freeze:
+        # the solve program cut after it takes read-only rectangles
+        frozen = plan.factorize(engine="rlb_par", workers=2).storage
+        assert frozen._factor_program is None
+        for s, (_, _, _, panel, rect, _) in enumerate(frozen.solve_program()):
+            assert panel is frozen.panels[s] and not panel.flags.writeable
+            assert rect is None or not rect.flags.writeable
         # a storage never factorized here (a process-pool result) cuts only
         # the solve's views: the same panels and rectangles, no factor program
         fresh = FactorStorage(plan.symb, arena=storage.arena)

@@ -61,7 +61,7 @@ _PAR = {"workers", "dtype", "tracer"}
 _STREAM = {"threshold", "dtype", "tracer"}
 CAPABILITIES = {
     "rl": _CPU, "rlb": _CPU,
-    "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR, "rlb_proc": _PAR,
+    "rl_par": _PAR, "rlb_par": _PAR, "rl_proc": _PAR,
     "rl_gpu": _STREAM, "rlb_gpu_v2": _STREAM, "rlb_gpu_v1": _STREAM,
 }
 
@@ -115,11 +115,11 @@ def test_capabilities_are_the_parents():
         assert got == CAPABILITIES[name], name
 
 
-def test_nine_rows_all_take_dtype_none_takes_device():
-    """The paper's {rl, rlb} x {serial, threads, gpu, process} rows plus
+def test_eight_rows_all_take_dtype_none_takes_device():
+    """The paper's {rl, rlb} x {serial, threads, gpu} rows, ``rl_proc`` and
     ``rlb_gpu_v1``: every row is in the precision lane, and a trace reaches
     a row through ``tracer=`` only — no row is handed a device."""
-    assert len(ENGINES) == 9
+    assert len(ENGINES) == 8
     assert all("dtype" in spec.accepts for spec in ENGINES.values())
     assert not any("device" in spec.accepts for spec in ENGINES.values())
 
@@ -213,7 +213,7 @@ def test_measured_rows_report_no_model(name, door):
     way — the serial twin's factor, bit for bit.  A served request on a
     threads row runs the serial twin as one pool task, so its factor
     names the twin and nothing prices its report until it is read."""
-    assert len(MEASURED) == 4
+    assert len(MEASURED) == 3
     factor = _first_factor(door, name, grid_laplacian((9, 8)))
     if door in ("session", "gateway") and ENGINES[name].backend == "threads":
         assert factor.engine == serial_twin(name)
@@ -363,6 +363,16 @@ def test_the_hybrid_lane_is_refused_at_every_door(plan, matrix_file, capsys, ret
     ``ValueError`` at every door."""
     assert {spec.backend for spec in ENGINES.values()} == {"serial", "threads", "gpu", "process"}
     _refused_at_every_door(plan, matrix_file, capsys, retired)
+
+
+def test_rlb_proc_is_refused_at_every_door(plan, matrix_file, capsys):
+    """The fine DAG on worker processes left the registry: ``rlb_proc`` is
+    the unknown-engine ``ValueError`` naming the eight rows, at every door."""
+    with pytest.raises(ValueError) as info:
+        resolve("rlb_proc")
+    assert str(info.value) == f"unknown engine 'rlb_proc'; choose from {sorted(ENGINES)}"
+    assert len(ENGINES) == 8
+    _refused_at_every_door(plan, matrix_file, capsys, {"engine": "rlb_proc"})
 
 
 @pytest.mark.parametrize(

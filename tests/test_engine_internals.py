@@ -7,15 +7,16 @@ import pytest
 from repro.gpu.costmodel import CPU_THREAD_CHOICES, MachineModel
 from repro.numeric import (
     FactorStorage,
-    apply_block_pair,
     assemble_update,
-    block_pair_targets,
+    commit_block_pair,
+    compute_block_pair,
     factorize_rl_cpu,
     update_workspace_entries,
 )
 from repro.numeric.result import cpu_cost, kernel_stream
 from repro.sparse import SymmetricCSC, tridiagonal
 from repro.symbolic import analyze, snode_blocks
+from repro.symbolic.blocks import pair_index
 
 
 class TestAssembleUpdate:
@@ -86,9 +87,10 @@ class TestBlockPairTargets:
         symb = analyzed_vec.symb
         for s in range(symb.nsup):
             for blk in snode_blocks(symb, s):
-                p, ro, co = block_pair_targets(symb, blk, blk)
+                p, ro, r1, co, c1 = pair_index(symb).target(blk, blk)
                 assert p == blk.owner
                 assert ro == co == blk.first_row - symb.snptr[p]
+                assert r1 - ro == c1 - co == blk.length
 
     def test_off_pair_rows_located(self, analyzed_vec):
         symb = analyzed_vec.symb
@@ -96,13 +98,14 @@ class TestBlockPairTargets:
             blocks = snode_blocks(symb, s)
             for i, bi in enumerate(blocks):
                 for bj in blocks[i + 1:]:
-                    p, ro, co = block_pair_targets(symb, bi, bj)
+                    p, ro, _, co, _ = pair_index(symb).target(bi, bj)
+                    assert co == bi.first_row - symb.snptr[p]
                     prows = symb.snode_rows(p)
                     assert np.array_equal(
                         prows[ro:ro + bj.length],
                         np.arange(bj.first_row, bj.first_row + bj.length))
 
-    def test_apply_block_pair_matches_bruteforce(self, analyzed_vec):
+    def test_compute_and_commit_match_bruteforce(self, analyzed_vec):
         symb = analyzed_vec.symb
         rng = np.random.default_rng(1)
         cand = max(range(symb.nsup), key=lambda s: len(snode_blocks(symb, s)))
@@ -113,7 +116,7 @@ class TestBlockPairTargets:
         st1 = FactorStorage.zeros(symb)
         for i, bi in enumerate(blocks):
             for bj in blocks[i:]:
-                apply_block_pair(symb, st1, panel, w, bi, bj)
+                commit_block_pair(symb, st1, bi, bj, compute_block_pair(panel, w, bi, bj))
         # brute force: full update over the below rows
         below = symb.snode_below_rows(cand)
         R = panel[w:, :w]

@@ -6,7 +6,7 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
 * **one body, same bits** — ``factorize_rl_cpu`` ≡ the parent commit's loop
   (kept here as the reference: ``dk.potrf`` / ``trsm_right`` / ``syrk_lower``
   on panel slices, one ``relative_indices`` per run) ≡ a loop of the public
-  ``factor_snode`` / ``snode_update`` / ``assemble_update`` bodies ≡
+  ``factor_entry`` / ``snode_update`` / ``assemble_update`` bodies ≡
   ``rl_par`` at any worker count ≡ ``rl_proc``, ``np.array_equal`` on whole
   panels, dead space included, fp64 and fp32; the flat and the block
   assembly forms are interchangeable;
@@ -45,7 +45,6 @@ from repro.dense import kernels as dk
 from repro.numeric import (
     FactorStorage,
     assemble_update,
-    factor_snode,
     factorize_rl_cpu,
     snode_update,
     update_workspace_entries,
@@ -58,6 +57,7 @@ from repro.symbolic import relind
 from repro.symbolic.relind import assembly_index, relative_indices
 from repro.update import structured_update
 from tests.conftest import arrow_spd as _arrow
+from tests.conftest import factor_snode
 from tests.conftest import spd_from_pattern as _spd
 from tests.conftest import two_component_spd as _two_components
 
@@ -116,7 +116,7 @@ def _public_bodies(symb, storage, workspace):
     bmax = int(np.sqrt(update_workspace_entries(symb)))
     W = np.zeros((bmax, bmax), dtype=storage.dtype, order="F") if workspace and bmax else None
     for s in range(symb.nsup):
-        _, _, b = factor_snode(symb, storage, s)
+        _, _, b = factor_snode(storage, s)
         if b:
             U = snode_update(symb, storage, s, W=W)
             assert assemble_update(symb, storage, s, U) == assembly_index(symb).moved[s]
@@ -397,7 +397,7 @@ class TestPieceTableOnlyWhereRead:
         want = _reference_rl(symb, M, dtype)
         storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
         for s in range(symb.nsup):
-            factor_snode(symb, storage, s)
+            factor_snode(storage, s)
             if not index.targets[s]:
                 continue
             U = snode_update(symb, storage, s)

@@ -209,12 +209,11 @@ class TestFactorizationGraphs:
         assert plan.ntasks == dag_symb.nsup
         assert list(plan.ranges.bounds) == list(range(dag_symb.nsup + 1))
 
-    def test_fine_has_factor_plus_pairs(self, dag_symb):
-        from repro.symbolic.blocks import snode_blocks
-
+    def test_fine_task_per_snode(self, dag_symb):
+        """No task of its own for a block pair: a supernode's pairs run in
+        its own task and are parked for their owners."""
         plan = dag_plan(dag_symb, "fine", trivial_ranges(dag_symb))
-        nblocks = [len(snode_blocks(dag_symb, s)) for s in range(dag_symb.nsup)]
-        assert plan.ntasks == dag_symb.nsup + sum(b * (b + 1) // 2 for b in nblocks)
+        assert plan.ntasks == dag_symb.nsup == len(plan.incoming)
 
     def test_coarse_edges_follow_updates(self, dag_symb):
         plan = dag_plan(dag_symb, "coarse", trivial_ranges(dag_symb))
@@ -224,17 +223,18 @@ class TestFactorizationGraphs:
             assert set(plan.children[s]) == owners
             assert plan.indeg[s] == sum(s in kids for kids in plan.children)
 
-    def test_fine_pair_edges_target_owner_factor(self, dag_symb):
-        nsup = dag_symb.nsup
+    def test_fine_edges_follow_updates(self, dag_symb):
+        """A supernode feeds the owners of its blocks, each once, and every
+        pair it parks is pulled by its owner's task."""
         plan = dag_plan(dag_symb, "fine", trivial_ranges(dag_symb))
-        feeders = [[] for _ in range(plan.ntasks)]
-        for t, kids in enumerate(plan.children):
-            for c in kids:
-                feeders[c].append(t)
-        for tid in range(nsup, plan.ntasks):
-            source, upper, _ = plan.pairs[tid - nsup]
-            assert feeders[tid] == [source] and plan.indeg[tid] == 1
-            assert plan.children[tid] == (upper.owner,) and upper.owner < nsup
+        for s in range(dag_symb.nsup):
+            below = dag_symb.snode_below_rows(s)
+            owners = set(np.unique(dag_symb.col2sn[below]).tolist())
+            assert sorted(plan.children[s]) == sorted(owners)
+            assert plan.indeg[s] == sum(s in kids for kids in plan.children)
+            for slot in plan.pair_ids[s]:
+                owner = plan.targets[slot][0]
+                assert owner in owners and slot in plan.incoming[owner]
 
 
 class TestRefinement:

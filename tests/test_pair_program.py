@@ -8,8 +8,8 @@ Contracts, attacked with generated SPD patterns and the degenerate ones:
   loop (kept here as the reference: ``compute``/``commit`` on strided panel
   slices, blocks cut per supernode, one scalar ``searchsorted`` per
   off-diagonal pair) ≡ a loop of the public single-pair bodies ≡ ``rlb_par``
-  at any worker count under every forced task-range cut ≡ ``rlb_proc`` ≡
-  ``factorize_batch``, ``np.array_equal`` on whole arenas, dead space
+  at any worker count under every forced task-range cut, one task per range
+  ≡ ``factorize_batch``, ``np.array_equal`` on whole arenas, dead space
   included, fp64 and fp32;
   the batched and the per-pair forms are interchangeable;
 * **the index** — blocks, owners and every pair's ``(owner, row_off,
@@ -41,28 +41,25 @@ from repro.dense import NotPositiveDefiniteError
 from repro.dense import kernels as dk
 from repro.numeric import (
     FactorStorage,
-    apply_block_pair,
-    block_pair_targets,
     commit_block_pair,
     compute_block_pair,
-    factor_snode,
     factorize_rlb_cpu,
 )
 from repro.numeric.executor import dag_plan
-from repro.numeric.procpool import close_default_pools
 from repro.numeric.rlb import run_pair_range
 from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, tridiagonal, vector_stencil
 from repro.symbolic import relind, snode_blocks, task_ranges
 from repro.symbolic.blocks import BATCHED_GEMM_MADDS, pair_index
-from tests.conftest import CUTS, arrow_spd, force_cut, spd_from_pattern, two_component_spd
+from tests.conftest import (
+    CUTS,
+    arrow_spd,
+    factor_snode,
+    force_cut,
+    spd_from_pattern,
+    two_component_spd,
+)
 
 DTYPES = [np.float64, np.float32]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _release_default_pools():
-    yield
-    close_default_pools()
 
 
 PATTERNS = {
@@ -115,7 +112,7 @@ def _reference_rlb(symb, M, dtype):
     owner's panel."""
     storage = FactorStorage.from_matrix(symb, M, dtype=dtype)
     for s in range(symb.nsup):
-        panel, w, b = factor_snode(symb, storage, s)
+        panel, w, b = factor_snode(storage, s)
         if not b:
             continue
         blocks = _reference_blocks(symb, s)
@@ -132,22 +129,16 @@ def _reference_rlb(symb, M, dtype):
     return storage
 
 
-def _public_bodies(symb, storage, fused):
+def _public_bodies(symb, storage):
     """Serial RLB through the public single-pair bodies, in place."""
     for s in range(symb.nsup):
-        panel, w, b = factor_snode(symb, storage, s)
+        panel, w, b = factor_snode(storage, s)
         blocks = snode_blocks(symb, s)
         assert bool(blocks) == bool(b)
         for i, bi in enumerate(blocks):
             for bj in blocks[i:]:
-                if fused:
-                    kind, m, n, k = apply_block_pair(symb, storage, panel, w, bi, bj)
-                    assert (kind, m, n, k) == (
-                        ("syrk", 0, bi.length, w) if bj is bi else ("gemm", bj.length, bi.length, w)
-                    )
-                else:
-                    u = compute_block_pair(panel, w, bi, bj)
-                    commit_block_pair(symb, storage, bi, bj, u)
+                u = compute_block_pair(panel, w, bi, bj)
+                commit_block_pair(symb, storage, bi, bj, u)
     return storage
 
 
@@ -174,24 +165,22 @@ def _check_serial_lanes(A, dtype):
     want = _reference_rlb(symb, M, dtype)
     _assert_same_factor(factorize_rlb_cpu(symb, M, dtype=dtype).storage, want, "engine")
     _assert_same_factor(plan.factorize(engine="rlb", dtype=dtype).storage, want, "plan.factorize")
-    for fused in (True, False):
-        got = _public_bodies(symb, FactorStorage.from_matrix(symb, M, dtype=dtype), fused)
-        _assert_same_factor(got, want, f"public bodies, fused={fused}")
+    got = _public_bodies(symb, FactorStorage.from_matrix(symb, M, dtype=dtype))
+    _assert_same_factor(got, want, "public bodies")
     return plan, want
 
 
-def _check_parallel_lanes(monkeypatch, A, dtype, want, cuts=CUTS, procs=True):
+def _check_parallel_lanes(monkeypatch, A, dtype, want, cuts=CUTS):
     for cut in cuts:
         plan = plan_under(monkeypatch, cut, A)
+        # one task per range: no task of its own for a block pair
+        assert dag_plan(plan.symb, "fine").ntasks == len(task_ranges(plan.symb))
         for workers in (1, 2, 4):
             got = plan.factorize(engine="rlb_par", workers=workers, dtype=dtype).storage
             _assert_same_factor(got, want, f"rlb_par workers={workers} cut={cut}")
         batch = plan.factorize_batch([None, None], engine="rlb_par", workers=2, dtype=dtype)
         for factor in batch:
             _assert_same_factor(factor.storage, want, f"factorize_batch cut={cut}")
-        if procs:
-            got = plan.factorize(engine="rlb_proc", workers=2, dtype=dtype).storage
-            _assert_same_factor(got, want, f"rlb_proc cut={cut}")
         _check_index(plan.symb)
 
 
@@ -223,8 +212,8 @@ def _check_index(symb):
             for j in range(i, len(blocks)):
                 bj = blocks[j]
                 p, row_off, col_off = _reference_target(symb, want_blocks[i], want_blocks[j])
-                assert block_pair_targets(symb, bi, bj) == (p, row_off, col_off)
                 assert targets[k] == (p, row_off, row_off + bj.length, col_off, col_off + bi.length)
+                assert index.target(bi, bj) == targets[k]
                 m = symb.panel_shape(p)[0]
                 rows = np.arange(row_off, row_off + bj.length)[:, None]
                 cols = np.arange(col_off, col_off + bi.length)
@@ -273,7 +262,7 @@ class TestOneBodySameBits:
         plan, want = _check_serial_lanes(A, dtype)
         _check_index(plan.symb)
         with pytest.MonkeyPatch.context() as patch:
-            _check_parallel_lanes(patch, A, dtype, want, cuts=(cut,), procs=seed % 4 == 0)
+            _check_parallel_lanes(patch, A, dtype, want, cuts=(cut,))
 
     def test_wide_stencil_has_both_commit_forms(self):
         symb = repro.plan(PATTERNS["vec3d_wide"]()).symb
@@ -296,9 +285,8 @@ class TestOneBodySameBits:
         assert any(flat) == (cut > 0) and (cut < 10**9 or sum(flat) == below)
         assert 0 < sum(flat) < below or cut != 36
         _assert_same_factor(plan.factorize(engine="rlb", dtype=dtype).storage, want, "rlb")
-        for engine in ("rlb_par", "rlb_proc"):
-            got = plan.factorize(engine=engine, workers=2, dtype=dtype).storage
-            _assert_same_factor(got, want, engine)
+        got = plan.factorize(engine="rlb_par", workers=2, dtype=dtype).storage
+        _assert_same_factor(got, want, "rlb_par")
         _check_index(symb)
 
     def test_whole_request_solution_is_the_reference(self):
@@ -449,7 +437,6 @@ class TestNotPositiveDefinite:
         dict(engine="rlb"),
         dict(engine="rlb_par", workers=1),
         dict(engine="rlb_par", workers=3),
-        dict(engine="rlb_proc", workers=2),
         dict(engine="rlb", dtype=np.float32),
     ])
     def test_same_pivot_from_every_lane(self, broken, how):
@@ -463,7 +450,6 @@ class TestNotPositiveDefinite:
     @pytest.mark.parametrize("how", [
         dict(engine="rlb_par", workers=2),
         dict(engine="rlb"),
-        dict(engine="rlb_proc", workers=2),
     ])
     def test_batch_names_the_position(self, broken, how):
         plan, good, bad, pivot = broken

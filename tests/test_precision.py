@@ -282,12 +282,10 @@ class TestFp32BitIdentity:
         for p, q in zip(_panels(res), _panels(serial32[granularity])):
             assert np.array_equal(p, q)
 
-    @pytest.mark.parametrize("granularity", ["coarse", "fine"])
-    def test_process_backend_matches_serial(self, system, serial32,
-                                            granularity):
+    def test_process_backend_matches_serial(self, system, serial32):
         res = factorize_process(system.symb, system.matrix, workers=2,
-                                granularity=granularity, dtype=np.float32)
-        for p, q in zip(_panels(res), _panels(serial32[granularity])):
+                                dtype=np.float32)
+        for p, q in zip(_panels(res), _panels(serial32["coarse"])):
             assert np.array_equal(p, q)
 
     @pytest.mark.parametrize("engine", ["rl_par", "rlb_par", "rl_gpu",

@@ -1,13 +1,13 @@
 """Worker-process backend tests (:mod:`repro.numeric.procpool`).
 
 Covers the multiprocess executor's contracts end to end: bit-identity
-against the serial engines for every worker count under BOTH start
-methods (fork and spawn) and both granularities, a measured report with
-no model field, ``NotPositiveDefiniteError``
+against the serial ``rl`` for every worker count under BOTH start
+methods (fork and spawn), a measured report with no model field,
+``NotPositiveDefiniteError``
 propagation across the process boundary (raw pivot, ``batch_index``
 through :meth:`SymbolicPlan.factorize_batch`, ``stream_index`` through
 ``plan.serve``), leak-free shared-memory teardown on :meth:`ProcessPool.
-close`, the registry wiring (``rl_proc``/``rlb_proc``), and the measured
+close`, the registry wiring (``rl_proc``, the one process row), and the measured
 ``proc0``/``proc1`` tracer lanes.
 """
 
@@ -19,12 +19,7 @@ import pytest
 
 import repro
 from repro.dense import NotPositiveDefiniteError
-from repro.numeric import (
-    ProcessPool,
-    factorize_process,
-    factorize_rl_cpu,
-    factorize_rlb_cpu,
-)
+from repro.numeric import ProcessPool, factorize_process, factorize_rl_cpu
 from repro.numeric.executor import dag_plan
 from repro.numeric.procpool import close_default_pools, default_process_pool
 from repro.numeric.registry import get_engine, serial_twin
@@ -37,8 +32,6 @@ from tests.conftest import (
     force_cut,
 )
 
-GRANULARITIES = ["coarse", "fine"]
-SERIAL = {"coarse": factorize_rl_cpu, "fine": factorize_rlb_cpu}
 START_METHODS = [m for m in ("fork", "spawn")
                  if m in mp.get_all_start_methods()]
 
@@ -55,8 +48,8 @@ def system():
 
 
 @pytest.fixture(scope="module")
-def serial_refs(system):
-    return {g: SERIAL[g](system.symb, system.matrix) for g in GRANULARITIES}
+def serial_ref(system):
+    return factorize_rl_cpu(system.symb, system.matrix)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -69,55 +62,43 @@ def _release_default_pools():
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: workers x granularity x start method
+# bit-identity: workers x start method
 # ---------------------------------------------------------------------------
 class TestDeterminism:
     """The reduction-order contract survives the process boundary: factors
-    bit-identical to the serial engine of the same granularity, for any
-    worker count, under fork AND spawn."""
+    bit-identical to serial ``rl``, for any worker count, under fork AND
+    spawn."""
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("granularity", GRANULARITIES)
-    def test_bit_identical_to_serial(self, system, serial_refs, start_method,
-                                     workers, granularity):
-        res = factorize_process(
-            system.symb, system.matrix, granularity=granularity,
-            workers=workers, start_method=start_method,
-        )
-        assert_same_panels(res, serial_refs[granularity])
+    def test_bit_identical_to_serial(self, system, serial_ref, start_method, workers):
+        res = factorize_process(system.symb, system.matrix, workers=workers,
+                                start_method=start_method)
+        assert_same_panels(res, serial_ref)
 
-    @pytest.mark.parametrize("granularity", GRANULARITIES)
-    def test_repeated_runs_identical(self, system, granularity):
-        one = factorize_process(system.symb, system.matrix,
-                                granularity=granularity, workers=2)
-        two = factorize_process(system.symb, system.matrix,
-                                granularity=granularity, workers=2)
+    def test_repeated_runs_identical(self, system):
+        one = factorize_process(system.symb, system.matrix, workers=2)
+        two = factorize_process(system.symb, system.matrix, workers=2)
         assert_same_panels(one, two)
 
     def test_matches_dense_reference(self, system):
         res = factorize_process(system.symb, system.matrix, workers=2)
         assert_factor_matches(res, system)
 
-    @pytest.mark.parametrize("granularity", GRANULARITIES)
-    def test_result_metadata_is_measured(self, system, granularity):
-        res = factorize_process(system.symb, system.matrix,
-                                granularity=granularity, workers=2)
-        assert res.method == ("rl_proc" if granularity == "coarse"
-                              else "rlb_proc")
+    def test_result_metadata_is_measured(self, system):
+        res = factorize_process(system.symb, system.matrix, workers=2)
+        assert res.method == "rl_proc"
         assert res.extra["workers"] == 2
         assert res.extra["backend"] == "process"
-        assert res.extra["granularity"] == granularity
+        assert res.extra["granularity"] == "coarse"
         assert res.extra["start_method"] in mp.get_all_start_methods()
         assert res.extra["wall_seconds"] > 0.0
-        # the scheduled tasks: one per task range, plus (fine) the pair
-        # tasks of the single supernodes above the cut
-        plan = dag_plan(system.symb, granularity)
-        assert res.extra["tasks"] == plan.ntasks >= len(task_ranges(system.symb))
+        # the scheduled tasks: one per task range
+        plan = dag_plan(system.symb, "coarse")
+        assert res.extra["tasks"] == plan.ntasks == len(task_ranges(system.symb))
         # measured, not modeled, in either precision
         for dtype in (np.float64, np.float32):
-            res = factorize_process(system.symb, system.matrix, dtype=dtype,
-                                    granularity=granularity, workers=2)
+            res = factorize_process(system.symb, system.matrix, dtype=dtype, workers=2)
             assert_measured(res)
 
 
@@ -142,7 +123,7 @@ class TestFailurePropagation:
         poisoned[A.indptr[:-1]] = -1.0
         with pytest.raises(NotPositiveDefiniteError) as info:
             plan.factorize_batch([good[0], poisoned, good[1]],
-                                 engine="rlb_proc", workers=2)
+                                 engine="rl_proc", workers=2)
         assert info.value.batch_index == 1
         assert info.value.pivot >= 0
 
@@ -153,7 +134,7 @@ class TestFailurePropagation:
         poisoned = A.data.copy()
         poisoned[A.indptr[:-1]] = -1.0
         default_process_pool(2)  # warm on the main thread (fork safety)
-        with plan.serve(engine="rlb_proc", workers=2) as session:
+        with plan.serve(engine="rl_proc", workers=2) as session:
             futs = [session.submit(v) for v in (good[0], poisoned, good[1])]
             with pytest.raises(NotPositiveDefiniteError) as info:
                 futs[1].result()
@@ -161,7 +142,7 @@ class TestFailurePropagation:
             # only its own future — the session keeps serving
             assert info.value.stream_index == 1
             for fut, values in ((futs[0], good[0]), (futs[2], good[1])):
-                ref = plan.factorize(values, engine="rlb")
+                ref = plan.factorize(values, engine="rl")
                 assert_same_panels(fut.result().result, ref.result)
 
 
@@ -183,13 +164,12 @@ class TestPoolLifecycle:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
         with pytest.raises(RuntimeError, match="closed"):
-            pool.run_job(system.symb, system.matrix, "coarse")
+            pool.run_job(system.symb, system.matrix)
         pool.close()  # idempotent
 
     def test_context_manager_closes(self, system):
         with ProcessPool(1) as pool:
-            factorize_process(system.symb, system.matrix, pool=pool,
-                              granularity="fine")
+            factorize_process(system.symb, system.matrix, pool=pool)
             assert not pool.closed
         assert pool.closed
         assert pool.shm_names() == []
@@ -231,8 +211,8 @@ class TestPoolLifecycle:
     def test_rejects_bad_arguments(self, system):
         with pytest.raises(ValueError, match="workers"):
             ProcessPool(0)
-        with pytest.raises(ValueError, match="granularity"):
-            factorize_process(system.symb, system.matrix, granularity="huge")
+        with pytest.raises(TypeError, match="granularity"):  # coarse is the only DAG
+            factorize_process(system.symb, system.matrix, granularity="coarse")
         with pytest.raises(ValueError, match="start method"):
             ProcessPool(1, start_method="teleport")
         with ProcessPool(1) as pool:
@@ -249,14 +229,12 @@ class TestPoolLifecycle:
 # ---------------------------------------------------------------------------
 class TestBackendSeam:
     def test_registry_wiring(self):
-        for name, granularity in (("rl_proc", "coarse"), ("rlb_proc", "fine")):
-            spec = get_engine(name)
-            assert spec.backend == "process"
-            assert spec.granularity == granularity
-            assert "workers" in spec.accepts
-            assert "devices" not in spec.accepts
+        spec = get_engine("rl_proc")
+        assert spec.backend == "process"
+        assert spec.granularity == "coarse"
+        assert "workers" in spec.accepts
+        assert "devices" not in spec.accepts
         assert serial_twin("rl_proc") == "rl"
-        assert serial_twin("rlb_proc") == "rlb"
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +256,7 @@ class TestApiIntegration:
 
     def test_factorize_batch_process(self, plan):
         datas = spd_value_sweep(plan.matrix, 3)
-        batch = plan.factorize_batch(datas, engine="rlb_proc", workers=2)
+        batch = plan.factorize_batch(datas, engine="rl_proc", workers=2)
         for d, f in zip(datas, batch):
             twin = serial_twin(f.result.method)
             assert_same_panels(f.result, plan.factorize(d,
@@ -288,13 +266,13 @@ class TestApiIntegration:
         datas = spd_value_sweep(plan.matrix, 2)
         b = np.ones(plan.n)
         default_process_pool(2)  # warm on the main thread (fork safety)
-        with plan.serve(engine="rlb_proc", workers=2) as session:
+        with plan.serve(engine="rl_proc", workers=2) as session:
             f = session.submit(datas[0]).result()
             x = session.submit_solve(datas[1], b).result()
-        ref0 = plan.factorize(datas[0], engine="rlb")
+        ref0 = plan.factorize(datas[0], engine="rl")
         assert_same_panels(f.result, ref0.result)
         assert np.array_equal(x, plan.factorize(datas[1],
-                                                engine="rlb").solve(b))
+                                                engine="rl").solve(b))
 
 
 # ---------------------------------------------------------------------------

@@ -181,21 +181,19 @@ class TestOneBody:
         assert procpool.range_tasks is executor.range_tasks
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("granularity", sorted(SERIAL))
-    def test_worker_state_runs_the_thread_lanes_body(self, granularity, dtype):
+    def test_worker_state_runs_the_thread_lanes_body(self, dtype):
         """A worker's warmed state, built in this process over the parent's
         shared arenas, runs the function the threads run — and, driven in a
         random topological order by the parent's edges, gives the serial bits."""
         system = system_under("mixed", grid_laplacian((9, 8)))
         symb, M = system.symb, system.matrix
-        plan = dag_plan(symb, granularity)
+        plan = dag_plan(symb, "coarse")
         assert plan.ntasks > 3
-        entry = procpool._WarmEntry(None, symb, granularity, dtype)
+        entry = procpool._WarmEntry(None, symb, dtype)
         state = None
         try:
             state = procpool._WorkerState(
                 symb,
-                granularity,
                 plan.ranges.bounds,
                 entry.panels_shm.name,
                 entry.scratch_shm.name,
@@ -208,7 +206,7 @@ class TestOneBody:
             run_in_random_order(
                 plan.ntasks, plan.roots, count.task(state.run_task, plan.children), random.Random(7)
             )
-            want = SERIAL[granularity](symb, M, dtype=dtype)
+            want = SERIAL["coarse"](symb, M, dtype=dtype)
             assert np.array_equal(entry.storage.arena, want.storage.arena)
         finally:
             thread_run = None

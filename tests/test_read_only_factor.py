@@ -34,7 +34,7 @@ from repro.numeric.procpool import close_default_pools
 from repro.numeric.storage import FactorStorage
 from repro.sparse import grid_laplacian, random_spd
 from repro.update import structured_update
-from tests.conftest import engine_of, writable_twin
+from tests.conftest import engine_of, rows_of, writable_twin
 
 GRID = grid_laplacian((9, 8))
 
@@ -66,8 +66,8 @@ class TestEveryDoorReturnsAReadOnlyFactor:
         yield
         close_default_pools()
 
-    @pytest.mark.parametrize("backend", [None, "threads", "gpu", "process"])
-    @pytest.mark.parametrize("family", ["rl", "rlb"])
+    @pytest.mark.parametrize("family,backend",
+                             rows_of(["rl", "rlb"], [None, "threads", "gpu", "process"]))
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_factorize_on_every_row(self, plan, family, backend, dtype):
         engine = engine_of(family, backend)

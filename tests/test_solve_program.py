@@ -40,7 +40,7 @@ from repro.update import structured_update
 from tests.conftest import arena_copy
 from tests.conftest import arrow_spd as _arrow
 from tests.conftest import spd_from_pattern as _spd
-from tests.conftest import engine_of
+from tests.conftest import engine_of, rows_of
 from tests.conftest import two_component_spd as _two_components
 
 DTYPES = [np.float64, np.float32]
@@ -296,8 +296,8 @@ class TestPanelsStayFortranOrdered:
     def test_every_engine(self, plan, engine):
         self._assert_fortran(plan.factorize(engine=engine), engine)
 
-    @pytest.mark.parametrize("backend", ["gpu", "process", "threads"])
-    @pytest.mark.parametrize("engine", ["rl", "rlb"])
+    @pytest.mark.parametrize("engine,backend",
+                             rows_of(["rl", "rlb"], ["gpu", "process", "threads"]))
     def test_every_backend(self, plan, engine, backend):
         factor = plan.factorize(engine=engine_of(engine, backend))
         self._assert_fortran(factor, f"{engine}/{backend}")

@@ -9,6 +9,7 @@
 * **same bits at every cut** — threads, processes, the batch, the serving
   session (plain and refined) and the level solves against their serial
   twins, ``np.array_equal`` on whole arenas and solutions, fp64 and fp32;
+  the fine DAG one task per range, its ``rlb_par`` arenas ``rlb``'s bytes;
 * **failures** — a non-SPD pivot inside a multi-supernode range raises the
   serial engine's pivot from every lane and leaves the lane serviceable.
 """
@@ -29,8 +30,9 @@ from repro.numeric.executor import dag_plan
 from repro.numeric.procpool import close_default_pools
 from repro.numeric.registry import serial_twin
 from repro.solve import refine
-from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, tridiagonal
+from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, tridiagonal, vector_stencil
 from repro.symbolic import solve_schedule, task_ranges, trivial_ranges
+from repro.symbolic.blocks import pair_index
 from repro.symbolic.relind import assembly_index
 from tests.conftest import (
     CUTS,
@@ -97,10 +99,9 @@ def check_partition(symb, ranges):
 def check_plans(symb, ranges):
     """The plans over ``ranges`` against the partition, edge for edge."""
     bounds, range_of = ranges.bounds, ranges.range_of
-    single = [bounds[t + 1] - bounds[t] == 1 for t in range(len(ranges))]
     index = assembly_index(symb)
     coarse = dag_plan(symb, "coarse", ranges)
-    assert coarse.ntasks == len(ranges) and not coarse.pairs
+    assert coarse.ntasks == len(ranges) and not coarse.targets
     want_in = [[] for _ in ranges.bounds[1:]]
     for s, targets in enumerate(index.targets):
         hi = bounds[range_of[s] + 1]
@@ -118,31 +119,30 @@ def check_plans(symb, ranges):
     for t, kids in enumerate(coarse.children):
         assert sorted(kids) == [p for p, f in enumerate(feeders) if t in f]
 
+    # fine: one task per range too, every leaving pair parked in a slot
     fine = dag_plan(symb, "fine", ranges)
-    nranges = len(ranges)
-    assert fine.ntasks == nranges + sum(
-        len(fine.pair_ids[bounds[t]]) for t in range(nranges) if single[t]
-    )
-    seen = []
+    assert fine.ntasks == len(ranges) == len(fine.incoming)
+    blocks = pair_index(symb)
+    source_of = []
     for s in range(symb.nsup):
-        t = range_of[s]
-        for pid in fine.pair_ids[s]:
-            src, bi, _ = fine.pairs[pid - nranges]
-            assert src == s and bi.owner >= bounds[t + 1]
-            assert (pid < fine.ntasks) == single[t]
-            seen.append(pid)
-    assert sorted(seen) == list(range(nranges, nranges + len(fine.pairs)))
-    # a target applies its incoming pairs in ascending source order
-    for inc in fine.incoming:
-        sources = [fine.pairs[pid - nranges][0] for pid in inc]
+        hi = bounds[range_of[s] + 1]
+        pairs = range(blocks.pair_ptr[s], blocks.pair_ptr[s + 1])
+        gone = [k for k in pairs if blocks.blk_owner[blocks.upper[k]] >= hi]
+        # the source's slots: consecutive, next, in serial order
+        slots = range(len(source_of), len(source_of) + len(gone))
+        assert fine.pair_ids[s] == slots
+        assert [fine.targets[slot] for slot in slots] == list(blocks.targets_of(gone))
+        source_of += [s] * len(gone)
+    assert len(fine.targets) == len(source_of)
+    # a target pulls its incoming slots in ascending source order
+    for t, inc in enumerate(fine.incoming):
+        sources = [source_of[slot] for slot in inc]
         assert sources == sorted(sources)
-    assert sum(len(inc) for inc in fine.incoming) == len(fine.pairs)
-    assert len(fine.children) == len(fine.indeg) == fine.ntasks
-    indeg = [0] * fine.ntasks
-    for kids in fine.children:
-        for c in kids:
-            indeg[c] += 1
-    assert tuple(indeg) == fine.indeg
+        assert all(range_of[fine.targets[slot][0]] == t for slot in inc)
+    assert sorted(slot for inc in fine.incoming for slot in inc) == list(range(len(source_of)))
+    # the pairs leave for the ranges the assembly runs do: the coarse edges
+    assert fine.indeg == coarse.indeg and fine.roots == coarse.roots
+    assert [sorted(kids) for kids in fine.children] == [sorted(k) for k in coarse.children]
 
     sched = solve_schedule(symb, ranges)
     for s, runs in enumerate(sched.runs):
@@ -185,15 +185,16 @@ class TestPartition:
             check_plans(symb, part)
 
     def test_default_cut_on_the_benchmark_grid(self):
-        """The claimed sizes: 957 supernodes in 21 ranges, 74 fine tasks, and
-        scratch slots only where a run leaves its range."""
+        """The claimed sizes: 957 supernodes in 21 ranges, one task per range
+        at either granularity, and scratch slots only where a run leaves its
+        range."""
         from repro.numeric.procpool import _scratch_shapes
 
         symb = repro.plan(grid_laplacian((64, 64))).symb
         ranges = task_ranges(symb)
         check_partition(symb, ranges)
         coarse, fine = dag_plan(symb, "coarse"), dag_plan(symb, "fine")
-        assert (symb.nsup, coarse.ntasks, fine.ntasks) == (957, 21, 74)
+        assert (symb.nsup, coarse.ntasks, fine.ntasks) == (957, 21, 21)
         slots = _scratch_shapes(symb, coarse)
         targets = assembly_index(symb).targets
         assert sorted(slots) == [s for s in range(symb.nsup) if coarse.stay[s] < len(targets[s])]
@@ -212,6 +213,7 @@ def _check_every_lane(plan, dtype, procs):
     """Every scheduled lane of ``plan`` against its serial twin."""
     rng = np.random.default_rng(plan.n)
     values = [plan.matrix.data * (1.0 + 0.1 * k) for k in range(3)]
+    assert dag_plan(plan.symb, "fine").ntasks == len(task_ranges(plan.symb))
 
     def serial(v, engine):
         return plan.factorize(v, engine=serial_twin(engine), dtype=dtype)
@@ -225,7 +227,6 @@ def _check_every_lane(plan, dtype, procs):
         check("rlb_par", workers)
     if procs:
         check("rl_proc", 2)
-        check("rlb_proc", 2)
     for engine in ("rl_par", "rlb_par"):
         batch = plan.factorize_batch(values, engine=engine, workers=2, dtype=dtype)
         for v, f in zip(values, batch):
@@ -302,11 +303,41 @@ class TestSameBitsAtEveryCut:
         ranges = task_ranges(plan.symb)
         assert 1 < len(ranges) < plan.symb.nsup
         f = plan.factorize(engine="rl_par", workers=2)
-        plan.factorize(engine="rlb_proc", workers=2, dtype=np.float32)
+        plan.factorize(engine="rlb_par", workers=2, dtype=np.float32)
         f.solve(np.ones(plan.n), workers=2)
         assert task_ranges(plan.symb) is ranges
         assert {"executor_coarse", "executor_fine", "solve"} <= set(ranges.memo)
         assert f.result.extra["tasks"] == len(ranges)
+
+
+FINE_PATTERNS = {
+    "grid2d": lambda: grid_laplacian((20, 18)),
+    "grid3d": lambda: grid_laplacian((7, 6, 5)),
+    "vec": lambda: vector_stencil((5, 5, 4), 3, seed=7),
+    "kkt": lambda: kkt_like(300, 75, density=0.02),
+}
+
+
+class TestOneTaskPerRange:
+    """The fine DAG runs one task per range — a single supernode's block
+    pairs are no tasks of their own — and ``rlb_par`` writes ``rlb``'s
+    bytes: the whole arena, dead space included, compared as raw bytes so a
+    signed zero or a NaN payload would show."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("cut", CUTS)
+    @pytest.mark.parametrize("pattern", sorted(FINE_PATTERNS))
+    def test_rlb_par_writes_the_serial_bytes(self, monkeypatch, pattern, cut, dtype, workers):
+        plan = plan_under(monkeypatch, cut, FINE_PATTERNS[pattern]())
+        ranges = task_ranges(plan.symb)
+        assert dag_plan(plan.symb, "fine").ntasks == len(ranges)
+        got = plan.factorize(engine="rlb_par", workers=workers, dtype=dtype)
+        want = plan.factorize(engine="rlb", dtype=dtype)
+        assert got.result.extra["granularity"] == "fine"
+        assert got.result.extra["tasks"] == len(ranges)
+        assert got.storage.arena.dtype == want.storage.arena.dtype == dtype
+        assert got.storage.arena.tobytes() == want.storage.arena.tobytes()
 
 
 class TestNotPositiveDefinite:
@@ -339,7 +370,6 @@ class TestNotPositiveDefinite:
             dict(engine="rl_par", workers=3),
             dict(engine="rlb_par", workers=2),
             dict(engine="rl_proc", workers=2),
-            dict(engine="rlb_proc", workers=2),
         ],
     )
     def test_same_pivot_from_every_lane(self, broken, how):
