@@ -83,7 +83,7 @@ from .sparse.csc import SymmetricCSC
 from .sparse.permute import permutation_gather
 from .symbolic.analyze import analyze
 from .symbolic.blocks import pair_index
-from .symbolic.levels import leaf_block, path_tables, solve_shapes
+from .symbolic.levels import path_tables, solve_shapes
 from .symbolic.relind import assembly_index
 from .symbolic.structure import pattern_digest
 from .numeric.threshold import DEFAULT_STALL_RATIO
@@ -277,19 +277,17 @@ class SymbolicPlan:
     def _work_storage(self, dtype):
         """A work storage at ``dtype`` for ONE request whose factor never
         leaves it (``docs/api.md``, "Storage lifetime"): popped from the
-        plan's free list — built, solve program and leaf block, when all are
-        in use — and pushed back when the request ends, failed or not.  The
-        compiled loops read no views, so the factor program is cut only by
-        the Python fallback, on first use.  Deque pop and append are atomic,
-        so threads need no lock."""
+        plan's free list — built when all are in use — and pushed back when
+        the request ends, failed or not.  The compiled loops and the
+        compiled solve read no views, so the factor and solve programs are
+        cut only by the Python bodies, on first use.  Deque pop and append
+        are atomic, so threads need no lock."""
         dtype = np.dtype(dtype)
         free = self._work.setdefault(dtype, deque())
         try:
             storage = free.pop()
         except IndexError:
             storage = FactorStorage.zeros(self.symb, dtype)
-            storage.solve_program()
-            leaf_block(self.symb)
         try:
             yield storage
         finally:
@@ -347,17 +345,16 @@ class SymbolicPlan:
         leaves the request, so a row with an ``into`` body factors in a work
         storage (:meth:`_work_storage`).
 
-        A returned factor's storage is frozen, then its solve program is
-        built: the compiled serial loops cut no views, and views cut after
-        the freeze are read-only without being flagged, so an update of the
-        factor finds them cut."""
+        A returned factor's storage is frozen; nothing more is built for it:
+        the compiled solve reads the arena, and the views the Python bodies
+        cut later are read-only without being flagged."""
         M = self._permuted_matrix(matrix.data)
         if answer is None:
             result = spec.fn(self._system.symb, M, **kwargs)
             result.extra.update(records or {})
             if since is not None:
                 result.extra["wall_seconds"] = time.perf_counter() - since
-            result.storage.freeze().solve_program()
+            result.storage.freeze()
             return Factor(self, result, matrix)
         if spec.into is None:
             return answer(Factor(self, spec.fn(self._system.symb, M, **kwargs), matrix))
@@ -523,12 +520,17 @@ class Factor:
         """Solve ``A x = b``.
 
         ``workers=None`` runs the serial sweeps, one supernode after
-        another; ``workers=N`` runs both sweeps as ONE fused task graph
+        another, as ONE compiled call (the Python walk where no library
+        could be built, and for an fp32 factor, whose blocks are upcast
+        under the float64 buffer: :func:`repro.solve.triangular.serial_body`).
+        ``workers=N`` runs both sweeps as ONE fused task graph
         (:func:`repro.solve.triangular.solve_graph`, one task per task
         range of the pattern's memoised
-        :func:`~repro.symbolic.levels.solve_schedule`) on N threads.
-        Solutions are **bit-identical** for every worker count — the graph
-        preserves the serial accumulation order.
+        :func:`~repro.symbolic.levels.solve_schedule`) on N threads, with
+        the Python task bodies: it loses to the compiled serial solve on
+        every benchmark pattern (``docs/solve.md``).  Solutions are
+        **bit-identical** for every worker count — the graph preserves the
+        serial accumulation order and calls the same routines.
         """
         b = check_rhs(self.n, b, "b", copy=False)  # before the gather, which would truncate it
         if workers is not None:
@@ -826,18 +828,17 @@ class ServingSession:
         # pre-build on this (caller) thread what a request reads from the
         # symbolic cache, so worker threads only ever read it: the index
         # under the running row's bodies (a process row's whole DAG plan),
-        # the update path's walk tables, the panel layout and the serial
-        # sweeps' shapes and leaf block — on a row that borrows work
-        # storages, the plan's first one, whose build reads all three
+        # the update path's walk tables, the panel layout and the Python
+        # solve walk's shapes (an fp32 factor's float64 solve, or no
+        # compiler) — and on a row that borrows work storages, the plan's
+        # first one
         row, symb = self._row, plan.symb
         path_tables(symb)
+        _panel_layout(symb)
+        solve_shapes(symb)
         if self.borrows_work:
             with plan._work_storage(self._engine_kwargs.get("dtype", np.float64)):
                 pass
-        else:
-            _panel_layout(symb)
-            solve_shapes(symb)
-            leaf_block(symb)
         if row.backend == "process":
             dag_plan(symb, row.granularity)
         else:  # the serial loop's index and workspace size

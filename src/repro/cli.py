@@ -15,7 +15,7 @@ Commands
     block of K right-hand sides), report the residual; ``--workers N``
     additionally times the fused parallel solve graph against the serial
     sweeps (bit-identical by contract) and prints the graph's task count
-    and the leaf block.
+    and which serial body ran (compiled, or the Python fallback).
 ``batch MATRIX``
     Same-pattern batch: factorize ``--batch B`` value sets with
     ``plan.factorize_batch`` (one factorization after another) on the
@@ -209,7 +209,8 @@ def cmd_solve(args):
     import time
 
     from .api import plan as make_plan
-    from .symbolic.levels import leaf_block, solve_schedule
+    from .solve.triangular import serial_body
+    from .symbolic.levels import solve_schedule
 
     if args.rhs < 1:
         print("--rhs must be >= 1", file=sys.stderr)
@@ -251,7 +252,7 @@ def cmd_solve(args):
     if args.workers is not None:
         # serial sweeps vs the fused parallel solve graph, best of 3
         symb = factor.plan.symb
-        sched, block = solve_schedule(symb), leaf_block(symb)
+        sched = solve_schedule(symb)
         t_ser = min(_timed(lambda: factor.solve(b)) for _ in range(3))
         t_par, x_par = float("inf"), None
         for _ in range(3):
@@ -261,9 +262,9 @@ def cmd_solve(args):
         identical = np.array_equal(x, x_par)
         print(f"solve graph   : {len(sched.fused.children)} tasks over "
               f"{len(sched.ranges)} task ranges, {symb.nsup} supernodes")
-        print(f"leaf block    : {len(block.members)} supernodes, "
-              f"{block.cols.size} columns, {block.pos.size} entries, "
-              f"{block.nbytes()} index bytes")
+        body = serial_body(factor.storage)
+        print("serial body   : " + ("compiled (one C call per solve)" if body == "compiled"
+                                    else "Python walk (fallback)"))
         print(f"serial solve   : {t_ser * 1e3:8.2f} ms")
         print(f"parallel solve : {t_par * 1e3:8.2f} ms "
               f"(workers={args.workers}, {t_ser / t_par:.2f}x, "

@@ -5,8 +5,8 @@ square holds the (lower-triangular) diagonal block and whose remaining
 ``(m - w) x w`` rectangle holds the below-diagonal rows.  The four kernels
 here are exactly the paper's DPOTRF / DTRSM / DSYRK / DGEMM calls; every
 numeric factorization variant is a different schedule of these four.  The
-triangular sweeps add one more, :func:`trtrs_lower` (DTRTRS on a panel's
-diagonal block).
+triangular sweeps add two more, :func:`trtrs_lower` (DTRTRS on a panel's
+diagonal block) and :func:`rect_product` (DGEMM with its rectangle).
 
 They always compute with real BLAS through SciPy (so the numerics match a
 Fortran implementation); callers that need *modeled* device timing wrap them
@@ -41,6 +41,7 @@ __all__ = [
     "syrk_lower",
     "gemm_nt",
     "trtrs_lower",
+    "rect_product",
     "factorize_panel",
     "factor_routines",
     "pair_routines",
@@ -265,6 +266,19 @@ def trtrs_lower(panel, b, trans=0):
     if info < 0:
         raise ValueError(f"trtrs: illegal argument {-info}")
     return x
+
+
+def rect_product(rect, x, trans=0):
+    """``rect @ x`` (``trans=1``: ``rect.T @ x``) for an ``(r,)`` or
+    ``(r, k)`` ``x``, a new array of ``x``'s shape class: scipy's ``?gemm``
+    at every ``k`` — the routine and flags of the compiled solve
+    (``numeric/_solve.c``), whose bits do not depend on the operands'
+    layout, so both give the same bits (``?gemv``'s do, and numpy's ``@``
+    runs another BLAS build).  The routine is the promoted dtype's; a
+    narrower operand is upcast exactly."""
+    dt = np.promote_types(rect.dtype, x.dtype)
+    out = _GEMM[dt](1.0, rect, x if x.ndim == 2 else x[:, None], trans_a=trans)
+    return out if x.ndim == 2 else out[:, 0]
 
 
 def factorize_panel(panel, w):

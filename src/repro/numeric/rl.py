@@ -28,11 +28,11 @@ The serial loop, compiled
 The serial engine (``rl``: :func:`factorize_rl_cpu`, a served request's
 work storage, ``factorize_batch``, the update road's refactorization) runs
 steps 1–3 for every supernode in ONE call into ``_rl_loop.c``, built on
-first use (:func:`_rl_loop`) and called through ``ctypes`` with the
-interpreter lock released.  It calls the same OpenBLAS routines on the same
-operands in place (leading dimension ``m``) and subtracts through the same
-assembly index, read as plain arrays, so the arena is the Python body's
-(:func:`_python_body`) byte for byte.  Where no compiler can build it, the
+first use (:func:`repro.numeric._native.rl_loop`) and called through
+``ctypes`` with the interpreter lock released.  It calls the same OpenBLAS
+routines on the same operands in place (leading dimension ``m``) and
+subtracts through the same assembly index, read as plain arrays, so the
+arena is the Python body's (:func:`_python_body`) byte for byte.  Where no compiler can build it, the
 Python body runs.  The ``rlb`` door runs the same loop with its pair
 index (:func:`repro.numeric.rlb._factorize_rlb_in`).
 """
@@ -40,19 +40,12 @@ index (:func:`repro.numeric.rlb._factorize_rlb_in`).
 from __future__ import annotations
 
 import ctypes
-import functools
-import hashlib
-import os
-import platform
-import shlex
-import subprocess
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from ..dense import kernels as dk
 from ..symbolic.relind import assembly_index
+from ._native import rl_loop
 from .result import serial_result
 from .storage import FactorStorage
 
@@ -215,9 +208,9 @@ def factorize_rl_cpu(symb, A, *, machine=None, dtype=None):
 def _factorize_rl_in(storage, *, machine=None):
     """:func:`factorize_rl_cpu` on a storage already holding the permuted
     values: a fresh one, or a served request's work storage.  It runs the
-    compiled loop (:func:`_rl_loop`) when it could be built, else the Python
-    body — the same bits either way."""
-    loops = _rl_loop()
+    compiled loop (:func:`~repro.numeric._native.rl_loop`) when it could be
+    built, else the Python body — the same bits either way."""
+    loops = rl_loop()
     if loops is None:
         _python_body(storage)
     else:
@@ -239,9 +232,10 @@ def _python_body(storage):
 
 def _compiled_body(storage, loop, pairs=None):
     """Serial RL in place on ``storage``'s arena: ONE call of ``loop``, a
-    ``(function, routines)`` entry of :func:`_rl_loop`, with the interpreter
-    lock released.  It reads the panel layout and the assembly index's
-    plain arrays and one workspace of the largest update matrix's size.
+    ``(function, routines)`` entry of :func:`~repro.numeric._native.rl_loop`,
+    with the interpreter lock released.  It reads the panel layout, the
+    assembly index's plain arrays and one workspace of the largest update
+    matrix's size.
     Given ``pairs`` — the per-source form codes and the pair index's arrays
     (:func:`repro.numeric.rlb._pair_operands`) — it is serial RLB."""
     fn, routines = loop
@@ -264,78 +258,3 @@ def _compiled_body(storage, loop, pairs=None):
         if info.value > 0:
             raise dk.NotPositiveDefiniteError(info.value - 1)
         raise ValueError(f"potrf: illegal argument {-info.value}")
-
-
-_LOOP_SOURCE = Path(__file__).with_name("_rl_loop.c")
-
-
-def _cache_dir():
-    """Where built loops are kept: ``$XDG_CACHE_HOME/repro`` (default
-    ``~/.cache/repro``), or a fresh private temporary directory when that
-    cannot be written."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    path = os.path.join(base, "repro")
-    try:
-        os.makedirs(path, mode=0o700, exist_ok=True)
-        if os.access(path, os.W_OK | os.X_OK):
-            return path
-    except OSError:
-        pass
-    return tempfile.mkdtemp(prefix="repro-")
-
-
-def _build(path):
-    """Compile :data:`_LOOP_SOURCE` to ``path`` with ``$CC`` (default
-    ``cc``): into a temporary name beside it, then renamed, so processes
-    that build at once each install a whole library."""
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
-    os.close(fd)
-    try:
-        cc = shlex.split(os.environ.get("CC") or "cc")
-        command = [*cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_LOOP_SOURCE)]
-        subprocess.run(command, check=True, capture_output=True, timeout=300)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _capsule_pointer(module, name):
-    """The C function behind ``module.__pyx_capi__[name]`` (a Cython capsule)."""
-    capsule = module.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
-    name = get_name(("PyCapsule_GetName", ctypes.pythonapi))(capsule)
-    return get_pointer(("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
-
-
-@functools.cache
-def _rl_loop():
-    """``{dtype: (function, routines)}`` of the compiled loop
-    (``_rl_loop.c``), or ``None`` when it cannot be built or loaded.
-
-    Built at most once per source hash into :func:`_cache_dir` and loaded
-    once per process, on first use.  ``routines`` are the dtype's
-    ``?potrf`` / ``?trsm`` / ``?syrk`` / ``?gemm`` from scipy's
-    ``cython_lapack`` / ``cython_blas`` capsules: the library the f2py
-    wrappers call."""
-    try:
-        from scipy.linalg import cython_blas, cython_lapack
-
-        source = _LOOP_SOURCE.read_bytes()
-        tag = hashlib.sha256(source + platform.machine().encode()).hexdigest()[:16]
-        path = os.path.join(_cache_dir(), f"_rl_loop-{tag}.so")
-        if not os.path.exists(path):
-            _build(path)
-        lib = ctypes.CDLL(path)
-        loops = {}
-        for dtype, t in ((np.float64, "d"), (np.float32, "s")):
-            fn = getattr(lib, f"rl_loop_{t}")
-            fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 25
-            fn.restype = ctypes.c_int64
-            routines = [_capsule_pointer(cython_lapack, t + "potrf")]
-            routines += [_capsule_pointer(cython_blas, t + k) for k in ("trsm", "syrk", "gemm")]
-            loops[np.dtype(dtype)] = fn, routines
-    except (ImportError, OSError, ValueError, subprocess.SubprocessError, AttributeError, KeyError):
-        return None
-    return loops

@@ -40,7 +40,7 @@ The serial loop, compiled
 The serial engine (``rlb``: :func:`factorize_rlb_cpu`, a served request's
 work storage, ``factorize_batch``, the ``rlb_gpu_v2`` / ``v1`` rows' factor)
 runs the body over every supernode in ONE call into ``rl``'s compiled loop
-(:func:`repro.numeric.rl._rl_loop`, ``_rl_loop.c``), with a form code per
+(:func:`repro.numeric._native.rl_loop`, ``_rl_loop.c``), with a form code per
 source: a batched source's ONE ``?gemm`` (or ``?syrk``) and diagonal-block
 ``?syrk`` calls into a workspace, committed through the flat form; any
 other source's ``?syrk`` / ``?gemm`` per pair into the workspace, each
@@ -62,7 +62,8 @@ import numpy as np
 from ..dense import kernels as dk
 from ..symbolic.blocks import pair_index
 from .result import serial_result
-from .rl import _assemble, _compiled_body, _rl_loop, factor_entry
+from ._native import rl_loop
+from .rl import _assemble, _compiled_body, factor_entry
 from .storage import FactorStorage
 
 __all__ = [
@@ -196,7 +197,7 @@ def _factorize_rlb_in(storage, *, machine=None):
     the compiled loop when it could be built, else :func:`run_pair_range`
     over every supernode — the same bits either way."""
     index = pair_index(storage.symb)
-    loops = _rl_loop()
+    loops = rl_loop()
     if loops is None:
         run_pair_range(storage, index, 0, storage.symb.nsup)
     else:

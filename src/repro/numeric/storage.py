@@ -26,9 +26,11 @@ either way.  The one other shape is the copy-on-write storage
 :meth:`repro.api.Factor.update` builds (:meth:`FactorStorage.derived`): it
 has no arena of its own (``arena is None``) and reads through its *root*,
 the arena-backed storage at the bottom of its update chain; only its
-private path panels are its own.  Every storage cuts one set of views: a
-solve program takes the factor program's panels and rectangles when there
-is one.  A storage that leaves in a :class:`~repro.api.Factor` is read-only,
+private path panels are its own.  Every storage cuts one set of views, for
+the Python bodies only: a solve program takes the factor program's panels
+and rectangles when there is one; the compiled loops read the arena, and the
+compiled solve a table of panel addresses (:meth:`FactorStorage.panel_addresses`).
+A storage that leaves in a :class:`~repro.api.Factor` is read-only,
 views included (:meth:`FactorStorage.freeze`).
 
 Scattering the input matrix into this layout is a hot path for repeated
@@ -186,6 +188,7 @@ class FactorStorage:
         self._panels = None
         self._solve_program = None
         self._factor_program = None
+        self._addresses = None
         self._root = self._over = None  # derived(): the root, supernode -> private panel
 
     @classmethod
@@ -316,7 +319,8 @@ class FactorStorage:
 
     def solve_program(self):
         """Per supernode ``(first, last, w, panel, rect, below)`` — what the
-        triangular sweeps read (:mod:`repro.solve.triangular`): the
+        Python solve bodies read (:mod:`repro.solve.triangular`: the
+        fallback walk and the ``workers=N`` graph's tasks): the
         pattern-static :func:`~repro.symbolic.levels.solve_shapes` entry
         plus the panel and its below-diagonal rectangle ``panel[w:]``
         (``None`` when there are no below rows) — the :meth:`factor_program`
@@ -343,22 +347,22 @@ class FactorStorage:
             prog = self._solve_program = tuple(prog)
         return prog
 
-    def leaf_values(self, block, dtype=np.float64):
-        """The values at ``block.pos`` (:class:`~repro.symbolic.levels.LeafBlock`)
-        in the sweep's work ``dtype`` (an fp32 factor under a float64 buffer
-        is upcast exactly), gathered *now*: nothing is kept that a
-        :meth:`refill` could leave stale.  A derived storage gathers from its root's
-        arena and overwrites the values of its copied members
-        (``block.owner``) from their own panels."""
-        values = self._base()[block.pos]
-        if self._root is not None:
-            copied = np.zeros(self.symb.nsup, dtype=bool)
-            copied[list(self._over)] = True
-            at, offsets = np.flatnonzero(copied[block.owner]), self.symb.panel_offsets()
-            for s in np.unique(block.owner[at]).tolist():
-                sel = at[block.owner[at] == s]
-                values[sel] = self._over[s].ravel(order="F")[block.pos[sel] - offsets[s]]
-        return values.astype(dtype, copy=False)
+    def panel_addresses(self):
+        """Per supernode, the address of its panel's first entry (``int64``)
+        — what the compiled solve reads instead of views: the arena's address
+        plus the pattern's panel offsets, or for a derived storage its root's
+        table with the private panels patched in.  Built on first use and
+        kept: nothing rebinds an arena or a private panel."""
+        table = self._addresses
+        if table is None:
+            if self._root is None:
+                offsets = self.symb.panel_offsets()[:-1]
+                table = self.arena.ctypes.data + offsets * self.itemsize
+            else:
+                table = self._root.panel_addresses().copy()
+                table[list(self._over)] = [p.ctypes.data for p in self._over.values()]
+            self._addresses = table
+        return table
 
     def __getstate__(self):
         # ONE arena travels (a derived one's panels merged), read-only if this is

@@ -7,59 +7,61 @@ each diagonal block and a GEMV-style update with each rectangle — the
 standard supernodal solve that completes the paper's "direct method" story
 (§I: the triangular factors are used to compute the solution).
 
-The narrow leaves of the elimination tree are not walked: nothing updates
-them, so they are solved as ONE sparse block (:func:`_leaf_sweep` over the
-pattern's :class:`~repro.symbolic.levels.LeafBlock`) — a few array-at-a-time
-column stages and one compiled sparse product per sweep instead of a
-``?trtrs`` and a GEMV per leaf.
+The full solve exists in two *schedules* over the same per-supernode
+arithmetic (:func:`forward_snode` / :func:`backward_snode`: a ``?trtrs`` on
+the diagonal block and a ``?gemm`` with the rectangle, scipy's routines):
 
-The full solve exists in two *schedules* over the same task bodies (the
-block's halves, :func:`forward_snode` / :func:`backward_snode` for every
-other supernode — the kernels exist exactly once):
-
-* **serial** (``workers=None``) — the block, then one supernode after
-  another; backward the mirror;
+* **serial** (``workers=None``) — one supernode after another; backward the
+  mirror.  It is ONE call into the compiled walk (``numeric/_solve.c``,
+  :func:`repro.numeric._native.solve_loop`) with the interpreter lock
+  released: the same routines with the same flags on the same sizes, the
+  below rows gathered and scattered in C, so the same bits as the Python
+  walk.  The Python walk runs where no library could be built, and for an
+  fp32 factor under a float64 right-hand side (:func:`serial_body`);
 * **one fused task graph** (``workers=N``, :func:`solve_graph`) — both
   sweeps of :func:`repro.symbolic.levels.solve_schedule` on the
   shared-ready-queue runtime of :mod:`repro.numeric.executor`, one task per
   *task range* (:mod:`repro.symbolic.ranges`) and sweep: a range of whole
-  subtrees is the serial sweep over its supernodes, only the single
+  subtrees is the Python walk over its supernodes, only the single
   supernodes above the cut are tasks of their own.  A forward update that
   leaves a range is parked, and the task owning the rows subtracts what was
   parked for it itself, in ascending source order, so solutions are
   **bit-identical** to the serial sweeps for any worker count and any order
   the ready tasks run in; a backward task only reads finalized ancestor
-  segments (:class:`~repro.numeric.executor.Countdown` releases it).  The
-  block's halves are tasks too: ahead of every forward root, behind every
-  backward task.
+  segments (:class:`~repro.numeric.executor.Countdown` releases it).
 
-The bodies read the factor's *solve program*
-(:meth:`~repro.numeric.storage.FactorStorage.solve_program`), derived once
-per pattern and storage, so a task is a tuple unpack plus kernel calls: a
-direct ``?trtrs`` and one product.
+The Python bodies read the factor's *solve program*
+(:meth:`~repro.numeric.storage.FactorStorage.solve_program`), cut on their
+first use; the compiled walk reads the storage's panel addresses
+(:meth:`~repro.numeric.storage.FactorStorage.panel_addresses`) and the
+pattern's ``snptr`` / ``rowptr`` / ``rows``.
 """
 
 from __future__ import annotations
 
-import copy
-from bisect import bisect_right
+import ctypes
 
 import numpy as np
 
-from ..dense.kernels import check_finite, check_real, trtrs_lower
+from ..dense.kernels import check_finite, check_real, rect_product, trtrs_lower
+from ..numeric._native import solve_loop
 from ..numeric.executor import Countdown, run_task_graph
-from ..symbolic.levels import leaf_block, solve_schedule
+from ..symbolic.levels import solve_schedule
 
 __all__ = [
     "forward_solve",
     "backward_solve",
     "solve_factored",
     "solve_in_place",
+    "serial_body",
     "check_rhs",
     "forward_snode",
     "backward_snode",
     "solve_graph",
 ]
+
+#: ``_solve.c``'s sweep flags
+FORWARD, BACKWARD = 1, 2
 
 
 def check_rhs(n, b, name="b", *, copy=True):
@@ -93,13 +95,12 @@ def check_rhs(n, b, name="b", *, copy=True):
 
 
 # ----------------------------------------------------------------------
-# shared per-supernode task bodies (serial sweeps and parallel tasks)
+# shared per-supernode task bodies (the Python walk and the graph's tasks)
 # ----------------------------------------------------------------------
 def _solve_diagonal(panel, seg, trans=0):
     """In-place solve of ``seg`` (a supernode's own rows of the right-hand
     side) against the lower-triangular diagonal block of ``panel``: a direct
-    ``?trtrs`` (:func:`~repro.dense.kernels.trtrs_lower`) at every width —
-    the one-column supernodes are leaves, and those are the leaf block's."""
+    ``?trtrs`` (:func:`~repro.dense.kernels.trtrs_lower`) at every width."""
     x = trtrs_lower(panel, seg, trans)
     if x is not seg:  # seg was not overwritable in place (multi-RHS rows)
         seg[...] = x
@@ -111,77 +112,32 @@ def forward_snode(storage, y, s):
     the below-diagonal rows.
 
     Returns ``(below, u)`` — the below-row indices and the dense update
-    ``u`` to subtract from ``y[below]`` (``None`` when ``s`` has no below
-    rows).  The serial sweep subtracts ``u`` whole; the parallel sweep
-    splits it into per-ancestor runs, each subtracted by its owner.  One body,
-    two schedules: the arithmetic (one triangular solve + one GEMV) is
-    identical, which is what makes the parallel sweep bit-identical.
+    ``u = rect @ seg`` (:func:`~repro.dense.kernels.rect_product`) to
+    subtract from ``y[below]`` (``None`` when ``s`` has no below rows).  The
+    serial walk subtracts ``u`` whole; the parallel sweep splits it into
+    per-ancestor runs, each subtracted by its owner.  One body, two
+    schedules: the arithmetic is identical, which is what makes the
+    parallel sweep bit-identical.
     """
     first, last, w, panel, rect, below = storage.solve_program()[s]
     seg = y[first:last]
     _solve_diagonal(panel, seg)
     if rect is None:
         return below, None
-    return below, rect @ seg
+    return below, rect_product(rect, seg)
 
 
 def backward_snode(storage, x, s):
     """Backward task body of supernode ``s``: subtract the (finalized)
-    ancestor segments' contribution, then triangular-solve the transposed
-    diagonal block on ``x``'s own segment.  Reads ``x[below]`` and writes
-    only ``x[first:last]`` — the backward sweep has no cross-supernode
-    writes at all."""
+    ancestor segments' contribution ``rect.T @ x[below]``, then
+    triangular-solve the transposed diagonal block on ``x``'s own segment.
+    Reads ``x[below]`` and writes only ``x[first:last]`` — the backward
+    sweep has no cross-supernode writes at all."""
     first, last, w, panel, rect, below = storage.solve_program()[s]
     seg = x[first:last]
     if rect is not None:
-        seg -= rect.T @ x[below]
+        seg -= rect_product(rect, x[below], trans=1)
     _solve_diagonal(panel, seg, trans=1)
-
-
-# ----------------------------------------------------------------------
-# the leaf block: every narrow leaf supernode at once
-# ----------------------------------------------------------------------
-def _leaf_sweep(storage, y, backward=False):
-    """One half of the leaf block (:class:`~repro.symbolic.levels.LeafBlock`)
-    in place on ``y``.  Forward, before any other forward work:
-    ``y_C = L_CC^-1 y_C`` by column *stages* — the same column of every
-    member at once: one division of a slice, one fancy-indexed ``-=`` on
-    distinct targets — then ``y -= L_RC @ y_C`` as ONE compiled sparse
-    product (a shallow copy of the block's ``lower`` over this sweep's
-    values): the members' contributions come first, in block-column order,
-    in every schedule.  Backward, after all other backward work, the mirror
-    ``x_C = L_CC^-T (x_C - L_RC^T x)``: the same arrays read as CSR, stages
-    descending.  Values are read from ``storage`` now; an exactly-zero
-    diagonal entry is refused as ``?trtrs`` refuses it."""
-    block = leaf_block(storage.symb)
-    ncols, ptr = block.cols.size, block.stage_ptr
-    if not ncols:
-        return
-    values = storage.leaf_values(block, y.dtype)
-    a, b, c = block.cuts
-    if not values[:a].all():
-        stage = bisect_right(ptr, int(np.flatnonzero(values[:a] == 0)[0])) - 1
-        raise np.linalg.LinAlgError(
-            f"singular triangular block: diagonal entry {stage} is exactly zero"
-        )
-    # this sweep's own operator: the block's, shallow-copied, over its values
-    rect = copy.copy(block.upper if backward else block.lower)
-    rect.data = values[c:]
-    values = values.reshape((-1,) + (1,) * (y.ndim - 1))  # broadcast over (n, k)
-    z = y[block.cols]
-    if backward:
-        z -= rect @ y
-        (src, tgt, at), lower, stages = block.bwd, values[b:c], range(len(ptr) - 2, -1, -1)
-    else:
-        (src, tgt, at), lower, stages = block.fwd, values[a:b], range(len(ptr) - 1)
-    for j in stages:
-        z[ptr[j] : ptr[j + 1]] /= values[ptr[j] : ptr[j + 1]]
-        lo, hi = at[j], at[j + 1]
-        if hi > lo:
-            z[tgt[lo:hi]] -= lower[lo:hi] * z[src[lo:hi]]
-    y[block.cols] = z
-    if not backward:
-        y -= rect @ z
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +146,9 @@ def _leaf_sweep(storage, y, backward=False):
 def _forward_range(storage, y, sched, parked, tid):
     """Forward task ``tid``: subtract the updates parked for it
     (``sched.fwd.incoming``, ascending source — the serial accumulation
-    order), then run the serial forward body over the supernodes of range
-    ``tid``, ascending.  Updates of rows inside the range are subtracted at
-    once; a source whose rows leave parks its ``(below, u)`` for their owners.
-    The task past the last range is the leaf block's forward half."""
-    if tid == len(sched.rest):
-        return _leaf_sweep(storage, y)
+    order), then run the forward body over the supernodes of range ``tid``,
+    ascending.  Updates of rows inside the range are subtracted at once; a
+    source whose rows leave parks its ``(below, u)`` for their owners."""
     for s, lo, hi in sched.fwd.incoming[tid]:
         below, u = parked[s]
         y[below[lo:hi]] -= u[lo:hi]
@@ -203,8 +156,8 @@ def _forward_range(storage, y, sched, parked, tid):
         # tree, so the one reading its last rows reads last
         if hi == len(below):
             del parked[s]
-    leaving = sched.leaving
-    for s in sched.rest[tid]:
+    leaving, bounds = sched.leaving, sched.ranges.bounds
+    for s in range(bounds[tid], bounds[tid + 1]):
         below, u = forward_snode(storage, y, s)
         if u is None:
             continue
@@ -218,13 +171,12 @@ def _forward_range(storage, y, sched, parked, tid):
 
 
 def _backward_range(storage, x, sched, tid):
-    """Backward task ``tid``: the serial backward body over the supernodes
-    of range ``tid``, descending (every row it reads is final: in-range
+    """Backward task ``tid``: the backward body over the supernodes of
+    range ``tid``, descending (every row it reads is final: in-range
     ancestors ran earlier in this loop, the others are this task's
-    dependencies).  The task past the last range is the leaf block's."""
-    if tid == len(sched.rest):
-        return _leaf_sweep(storage, x, backward=True)
-    for s in reversed(sched.rest[tid]):
+    dependencies)."""
+    bounds = sched.ranges.bounds
+    for s in range(bounds[tid + 1] - 1, bounds[tid] - 1, -1):
         backward_snode(storage, x, s)
 
 
@@ -255,26 +207,64 @@ def solve_graph(storage, y, ranges=None):
 
 
 # ----------------------------------------------------------------------
-# public sweeps
+# the serial sweeps
 # ----------------------------------------------------------------------
-def _forward(storage, y):
-    """The serial forward sweep: the leaf block, then every other supernode
-    in elimination order."""
-    _leaf_sweep(storage, y)
-    for s in leaf_block(storage.symb).rest:
-        below, u = forward_snode(storage, y, s)
-        if u is not None:
-            y[below] -= u
+def serial_body(storage, dtype=np.float64):
+    """Which body runs the serial sweeps of ``storage`` on a ``dtype``
+    buffer: ``"compiled"`` (ONE call into ``_solve.c``), or ``"python"`` —
+    where no library could be built, or for a buffer of another dtype than
+    the factor's (an fp32 factor under :meth:`~repro.api.Factor.solve`'s
+    float64 buffer: its blocks are upcast per supernode, exactly)."""
+    if solve_loop() is None or np.dtype(dtype) != storage.dtype:
+        return "python"
+    return "compiled"
+
+
+def _compiled(storage, y, sweeps):
+    """``sweeps`` in place on ``y`` (the factor's dtype): ONE call of the
+    compiled walk, the interpreter lock released, on an F-ordered buffer —
+    ``y`` itself, or a copy written back.  A zero pivot raises
+    :func:`~repro.dense.kernels.trtrs_lower`'s error."""
+    fn, routines = solve_loop()[y.dtype]
+    symb = storage.symb
+    buf = y if y.flags.f_contiguous else np.array(y, order="F")
+    index = (np.ascontiguousarray(a, dtype=np.int64) for a in (symb.snptr, symb.rowptr, symb.rows))
+    operands = (*index, storage.panel_addresses(), buf)  # alive through the call
+    info = ctypes.c_int64()
+    k = 1 if y.ndim == 1 else y.shape[1]
+    pointers = [a.ctypes.data for a in operands]
+    s = fn(symb.nsup, symb.n, k, sweeps, *pointers, *routines, ctypes.byref(info))
+    if buf is not y:
+        y[...] = buf
+    if s == -2:
+        raise MemoryError("no workspace for the compiled solve")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"singular triangular block: diagonal entry {info.value - 1} is exactly zero"
+        )
+    if s >= 0:
+        raise ValueError(f"trtrs: illegal argument {-info.value}")
+
+
+def _serial(storage, y, sweeps):
+    """The serial ``sweeps`` in place on ``y``, by :func:`serial_body`: the
+    compiled walk, or the Python walk over every supernode (forward
+    ascending, backward descending).  A read-only ``y`` is refused before
+    either writes (``?trtrs`` would write through the flag)."""
+    if not y.flags.writeable:
+        raise ValueError("cannot solve in place: the right-hand side is read-only")
+    if serial_body(storage, y.dtype) == "compiled":
+        _compiled(storage, y, sweeps)
+        return y
+    if sweeps & FORWARD:
+        for s in range(storage.symb.nsup):
+            below, u = forward_snode(storage, y, s)
+            if u is not None:
+                y[below] -= u
+    if sweeps & BACKWARD:
+        for s in range(storage.symb.nsup - 1, -1, -1):
+            backward_snode(storage, y, s)
     return y
-
-
-def _backward(storage, x):
-    """The serial backward sweep, :func:`_forward` mirrored: every other
-    supernode descending, the leaf block last."""
-    for s in reversed(leaf_block(storage.symb).rest):
-        backward_snode(storage, x, s)
-    _leaf_sweep(storage, x, backward=True)
-    return x
 
 
 def forward_solve(storage, b, *, overwrite_b=False):
@@ -284,23 +274,24 @@ def forward_solve(storage, b, *, overwrite_b=False):
     right-hand sides (solved together with level-3 BLAS).  By default the
     solve runs on a copy; ``overwrite_b=True`` solves in place on ``b``.
     """
-    return _forward(storage, check_rhs(storage.symb.n, b, "b", copy=not overwrite_b))
+    return _serial(storage, check_rhs(storage.symb.n, b, "b", copy=not overwrite_b), FORWARD)
 
 
 def backward_solve(storage, y, *, overwrite_y=False):
     """Solve ``L^T X = Y``; accepts ``(n,)`` or ``(n, k)``; returns ``x``.
     ``overwrite_y=True`` solves in place on ``y`` instead of a copy."""
-    return _backward(storage, check_rhs(storage.symb.n, y, "y", copy=not overwrite_y))
+    return _serial(storage, check_rhs(storage.symb.n, y, "y", copy=not overwrite_y), BACKWARD)
 
 
 def solve_in_place(storage, y, workers=None):
     """Full solve ``L L^T x = y`` in place on ``y``, a float64 (or, in a
     refinement chain, factor-dtype) buffer the caller owns and has validated
     (:func:`check_rhs`): the sweeps trust their own buffer, the *solution* is
-    checked once on the way out (a NaN is never served).  ``workers=N``: ONE
-    fused task graph (:func:`solve_graph`)."""
+    checked once on the way out (a NaN is never served).  ``workers=None``:
+    both serial sweeps, ONE compiled call where :func:`serial_body` says so;
+    ``workers=N``: ONE fused task graph (:func:`solve_graph`)."""
     if workers is None:
-        _backward(storage, _forward(storage, y))
+        _serial(storage, y, FORWARD | BACKWARD)
     else:
         run_task_graph(*solve_graph(storage, y), workers)
     return check_finite(y, "solution")

@@ -76,9 +76,7 @@ DOCUMENTED_SUBPACKAGE = [
     ("repro.symbolic", "solve_schedule"),
     ("repro.symbolic", "solve_levels"),
     ("repro.symbolic", "SolveSchedule"),
-    ("repro.symbolic.levels", "leaf_block"),
-    ("repro.symbolic.levels", "LeafBlock"),
-    ("repro.symbolic.levels", "LEAF_BLOCK_COLS"),
+    ("repro.solve.triangular", "serial_body"),
     ("repro.solve.triangular", "solve_in_place"),
     ("repro.dense.kernels", "check_finite"),
     ("repro.symbolic", "pattern_fingerprint"),
@@ -167,6 +165,10 @@ REMOVED = [
     ("repro.numeric.updown", "rank_k_update"),
     ("repro.numeric.updown", "affected_columns"),
     ("repro.numeric.updown", "path_union"),
+    ("repro.symbolic.levels", "leaf_block"),
+    ("repro.symbolic.levels", "LeafBlock"),
+    ("repro.symbolic.levels", "LEAF_BLOCK_COLS"),
+    ("repro.numeric.storage", "FactorStorage.leaf_values"),
 ]
 
 

@@ -8,7 +8,8 @@ import pytest
 
 import repro
 from repro.cli import _load_matrix, build_parser, main
-from repro.symbolic.levels import leaf_block, solve_schedule
+from repro.solve.triangular import serial_body
+from repro.symbolic.levels import solve_schedule
 
 SMALL = "Fault_639"  # smallest-ish suite member keeps CLI tests quick
 
@@ -103,16 +104,20 @@ class TestBatchCommand:
 class TestSolveWorkers:
     def test_parallel_solve_report(self, capsys):
         """``--workers`` reports the graph that runs: the fused solve graph's
-        task count and the leaf block, as the pattern's schedule has them."""
+        task count, as the pattern's schedule has it, and which serial body
+        ran, so a failed build is not silent."""
         assert main(["solve", SMALL, "--engine", "rlb", "--rhs", "4",
                      "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        symb = repro.plan(_load_matrix(SMALL)).symb
-        sched, block = solve_schedule(symb), leaf_block(symb)
+        plan = repro.plan(_load_matrix(SMALL))
+        symb = plan.symb
+        sched = solve_schedule(symb)
         assert (f"solve graph   : {len(sched.fused.children)} tasks over "
                 f"{len(sched.ranges)} task ranges, {symb.nsup} supernodes") in out
-        assert (f"leaf block    : {len(block.members)} supernodes, {block.cols.size} "
-                f"columns, {block.pos.size} entries, {block.nbytes()} index bytes") in out
+        body = serial_body(plan.factorize(engine="rlb").storage)
+        assert ("serial body   : compiled (one C call per solve)" if body == "compiled"
+                else "serial body   : Python walk (fallback)") in out
+        assert "leaf block" not in out
         assert "level schedule" not in out
         assert "serial solve" in out
         assert "parallel solve" in out

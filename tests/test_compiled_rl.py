@@ -15,7 +15,8 @@ Contracts, on both families:
 * **threads** — two threads running the loop at once on distinct storages
   both get the serial bytes;
 * **fallback** — a loader that cannot build (``$CC`` fails) or load gives
-  ``None``, the door then runs the Python body, same bytes;
+  ``None``, the door then runs the Python body, same bytes; a truncated
+  cached library is rebuilt once (``numeric/_native.py``);
 * **pivots** — a failed ``?potrf`` inside the loop raises the Python body's
   ``NotPositiveDefiniteError`` column from ``factorize``,
   ``factorize_batch`` (``batch_index``) and a serving session
@@ -38,7 +39,7 @@ import scipy.sparse as sp
 
 import repro
 from repro.dense import NotPositiveDefiniteError
-from repro.numeric import FactorStorage, rl, rlb
+from repro.numeric import FactorStorage, _native, rl, rlb
 from repro.sparse import SymmetricCSC, grid_laplacian, kkt_like, vector_stencil
 from repro.symbolic import blocks, relind
 from tests.conftest import spd_from_pattern as _spd
@@ -101,7 +102,7 @@ NO_DEFAULT_CC = "CC" in os.environ or shutil.which("cc") is None
 def test_a_machine_with_cc_builds_the_loop():
     """Where ``cc`` exists and ``$CC`` does not name another compiler, the
     door runs compiled: the differential tests below compare two bodies."""
-    loops = rl._rl_loop()
+    loops = _native.rl_loop()
     assert loops is not None and set(loops) == {np.dtype(np.float64), np.dtype(np.float32)}
 
 
@@ -113,7 +114,7 @@ def test_the_door_runs_the_loop_when_there_is_one(monkeypatch, family):
         body = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _n=name, _b=body: ran.append(_n) or _b(*a))
     repro.plan(PATTERNS["grid2d"]()).factorize(engine=family)
-    assert ran == [python_body if module._rl_loop() is None else "_compiled_body"]
+    assert ran == [python_body if module.rl_loop() is None else "_compiled_body"]
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["fp64", "fp32"])
@@ -172,7 +173,7 @@ def test_a_failed_loader_takes_the_python_body(monkeypatch, family):
     module, _, python_body = DOORS[family]
     calls = []
     body = getattr(module, python_body)
-    monkeypatch.setattr(module, "_rl_loop", lambda: None)
+    monkeypatch.setattr(module, "rl_loop", lambda: None)
     monkeypatch.setattr(module, python_body, lambda *a: calls.append(1) or body(*a))
     for dtype in DTYPES:
         _same_bytes(plan.factorize(engine=family, dtype=dtype).storage.arena, want[dtype])
@@ -183,22 +184,44 @@ def test_the_loader_gives_none_when_the_compiler_fails(monkeypatch, tmp_path):
     """``$CC`` that cannot compile, an empty cache: no library, no error."""
     monkeypatch.setenv("CC", "false")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert rl._rl_loop.__wrapped__() is None
+    assert _native.library.__wrapped__() is None
     assert [p.name for p in (tmp_path / "repro").iterdir()] == []  # no temporary left
 
 
 @pytest.mark.skipif(NO_DEFAULT_CC, reason="no default compiler")
 def test_a_build_lands_in_the_cache_once(monkeypatch, tmp_path):
-    """A fresh cache directory gets one library named by the source hash;
-    a second load builds nothing."""
+    """A fresh cache directory gets one library named by the hash of every
+    source; a second load builds nothing."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert rl._rl_loop.__wrapped__() is not None
+    assert _native.library.__wrapped__() is not None
     (built,) = (tmp_path / "repro").iterdir()
-    assert built.name.startswith("_rl_loop-") and built.suffix == ".so"
+    assert built.name.startswith("_native-") and built.suffix == ".so"
+    assert str(built) == _native.library_path()
     stamp = built.stat().st_mtime_ns
     monkeypatch.setenv("CC", "false")  # a rebuild would fail
-    assert rl._rl_loop.__wrapped__() is not None
+    assert _native.library.__wrapped__() is not None
     assert [p.stat().st_mtime_ns for p in (tmp_path / "repro").iterdir()] == [stamp]
+
+
+@pytest.mark.skipif(NO_DEFAULT_CC, reason="no default compiler")
+def test_a_corrupt_cached_library_is_rebuilt(monkeypatch, tmp_path):
+    """A truncated library in the cache is rebuilt once and loaded, not
+    given up on; where the rebuild fails too, there is no library.  Each
+    cache directory is fresh, so no process has its file loaded."""
+    for sub, cc in (("rebuilt", None), ("no_compiler", "false")):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / sub))
+        if cc is not None:
+            monkeypatch.setenv("CC", cc)
+        path = _native.library_path()
+        with open(path, "wb") as out:
+            out.write(b"\x7fELF" + bytes(96))  # the first 100 bytes survived
+        lib = _native.library.__wrapped__()
+        if cc is None:
+            assert lib is not None and hasattr(lib, "solve_loop_d") and hasattr(lib, "rl_loop_d")
+            assert os.path.getsize(path) > 100
+        else:
+            assert lib is None
+        assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]
 
 
 @pytest.mark.parametrize("family", FAMILIES, scope="class")

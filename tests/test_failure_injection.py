@@ -319,20 +319,20 @@ class TestInputValidation:
         assert sorted(c for c in calls if c != "values") == ["right-hand side", "solution"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("where", ["member", "rest"])
+    @pytest.mark.parametrize("where", ["leaf", "inner"])
     def test_overflowing_sweep_raises_the_typed_solution_error(self, where):
         """A pivot overwritten in place with 1e-320: the forward sweep
         overflows.  Every lane raises the typed error naming the *solution*
         (it used to surface as "values contain N non-finite entries" from the
         backward sweep's entry check) and serves again once repaired."""
         import repro
-        from repro.symbolic.levels import leaf_block
 
         A = grid_laplacian((6, 5, 2))
         plan = repro.plan(A)
         factor = writable_twin(plan.factorize(engine="rl"))  # a returned factor is read-only
-        block = leaf_block(plan.symb)
-        s = block.members[0] if where == "member" else block.rest[0]
+        parents = plan.symb.sn_parent
+        leaves = np.bincount(parents[parents >= 0], minlength=plan.symb.nsup) == 0
+        s = int(np.flatnonzero(leaves if where == "leaf" else ~leaves)[0])
         b = np.ones(A.n)
         want = factor.solve(b)
         panel = factor.storage.panels[s]

@@ -33,7 +33,7 @@ from repro.numeric import (
 from repro.numeric.registry import serial_twin
 from repro.numeric.threshold import DEFAULT_STALL_RATIO, refinement_stalled
 from repro.serving import Gateway, plan_nbytes
-from repro.solve import refine
+from repro.solve import refine, triangular
 from repro.sparse import SymmetricCSC, grid_laplacian, random_spd
 from repro.symbolic import analyze
 from repro.update import UpdatedMatrix
@@ -522,10 +522,10 @@ class TestCliPrecision:
 
 
 class TestRefinementWorkPrecision:
-    """A refining chain solves in the factor's own dtype — ``strtrs`` and
-    fp32 products on the fp32 panels, each right-hand side scaled to unit
-    max-norm before the cast — while ``x`` and the residuals stay fp64; a
-    plain solve keeps its float64 buffer."""
+    """A refining chain solves in the factor's own dtype — the compiled
+    fp32 walk (or ``strtrs`` and fp32 products on the fp32 panels), each
+    right-hand side scaled to unit max-norm before the cast — while ``x``
+    and the residuals stay fp64; a plain solve keeps its float64 buffer."""
 
     @pytest.fixture()
     def f32(self, fp32_plan):
@@ -533,10 +533,10 @@ class TestRefinementWorkPrecision:
 
     @staticmethod
     def _spy(monkeypatch, storage):
-        """Record every ``?trtrs`` call as ``(routine, panel is the factor's
-        own memory, right-hand side dtype)`` and every leaf-block gather's
-        dtype."""
-        calls, leaves = [], []
+        """Record every Python-walk ``?trtrs`` call as ``(routine, panel is
+        the factor's own memory, right-hand side dtype)`` and every compiled
+        solve's buffer dtype."""
+        calls, compiled = [], []
 
         def spied(routine):
             def call(a, b, **kw):
@@ -547,33 +547,36 @@ class TestRefinementWorkPrecision:
 
         routines = {dt: spied(fn) for dt, fn in kernels._TRTRS.items()}
         monkeypatch.setattr(kernels, "_TRTRS", routines)
-        gather = FactorStorage.leaf_values
+        real = triangular._compiled
 
-        def leaf_values(self, block, dtype=np.float64):
-            values = gather(self, block, dtype)
-            leaves.append(values.dtype)
-            return values
+        def spied_compiled(storage, y, sweeps):
+            compiled.append(y.dtype)
+            return real(storage, y, sweeps)
 
-        monkeypatch.setattr(FactorStorage, "leaf_values", leaf_values)
-        return calls, leaves
+        monkeypatch.setattr(triangular, "_compiled", spied_compiled)
+        return calls, compiled
 
     def test_refinement_solves_in_fp32_on_the_panels(self, monkeypatch, f32, base_matrix):
         b = np.cos(np.arange(base_matrix.n))
-        calls, leaves = self._spy(monkeypatch, f32.storage)
+        calls, compiled = self._spy(monkeypatch, f32.storage)
         out = f32.solve_refined(b, return_info=True)
         assert out.converged and out.x.dtype == np.float64
-        assert calls and leaves
-        assert set(calls) == {(lapack.strtrs, True, np.dtype(np.float32))}
-        assert set(leaves) == {np.dtype(np.float32)}
+        if triangular.serial_body(f32.storage, np.float32) == "compiled":
+            assert calls == [] and compiled and set(compiled) == {np.dtype(np.float32)}
+        else:
+            assert compiled == [] and calls
+            assert set(calls) == {(lapack.strtrs, True, np.dtype(np.float32))}
 
     def test_plain_solve_keeps_the_float64_buffer(self, monkeypatch, f32, base_matrix):
+        """An fp32 factor under a float64 buffer takes the Python walk,
+        compiled library or not: ``dtrtrs`` on upcast diagonal blocks."""
         b = np.cos(np.arange(base_matrix.n))
         want = f32.solve(b)
-        calls, leaves = self._spy(monkeypatch, f32.storage)
+        calls, compiled = self._spy(monkeypatch, f32.storage)
+        assert triangular.serial_body(f32.storage) == "python"
         assert np.array_equal(f32.solve(b), want)
-        assert calls and leaves
+        assert calls and compiled == []
         assert set(calls) == {(lapack.dtrtrs, False, np.dtype(np.float64))}
-        assert set(leaves) == {np.dtype(np.float64)}
 
     def test_max_iter_zero_is_the_plain_solve(self, f32, base_matrix):
         """No residual was measured, so there is nothing to fall back from:

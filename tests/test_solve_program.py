@@ -1,6 +1,8 @@
-"""The per-factor solve program: direct ``?trtrs``, derived once, never stale.
+"""The solve program the Python bodies read: direct ``?trtrs``, derived
+once, never stale.
 
-Three contracts of the triangular sweeps (``solve/triangular.py``):
+Three contracts of the triangular sweeps (``solve/triangular.py``), on the
+compiled serial walk and the Python bodies alike:
 
 * **differential** — both sweeps agree with a dense oracle (scipy's
   ``solve_triangular`` on ``L`` assembled from the panels; the oracle lives
@@ -34,6 +36,7 @@ from repro.numeric import storage as storage_module
 from repro.numeric.procpool import close_default_pools
 from repro.numeric.registry import ENGINES, resolve
 from repro.solve import backward_solve, forward_solve
+from repro.solve.triangular import serial_body
 from repro.sparse import grid_laplacian
 from repro.symbolic.structure import SymbolicFactor
 from repro.update import structured_update
@@ -171,8 +174,10 @@ class TestDerivedOnce:
     def test_no_per_solve_derivation_and_one_view_build(self, plan,
                                                         monkeypatch):
         """After a factor's first solve, a vector solve, a 16-column solve
-        and a refined solve re-derive nothing per supernode; the views are
-        built once per storage."""
+        and a refined solve re-derive nothing per supernode; the compiled
+        solve builds no shapes and one address table per storage, the
+        Python walk the shapes once per pattern and the views once per
+        storage."""
         builds = []
         shapes = storage_module.solve_shapes
 
@@ -185,7 +190,9 @@ class TestDerivedOnce:
         rng = np.random.default_rng(0)
         b, B = rng.standard_normal(plan.n), rng.standard_normal((plan.n, 16))
         first = factor.solve(b)
-        assert len(builds) == 1
+        compiled = serial_body(factor.storage) == "compiled"
+        assert len(builds) == (0 if compiled else 1)
+        table = factor.storage.panel_addresses() if compiled else None
 
         calls = []
         for name in ("snode_cols", "snode_below_rows", "panel_shape"):
@@ -200,7 +207,8 @@ class TestDerivedOnce:
         factor.solve(B)
         factor.solve_refined(b, tol=1e-12)
         assert calls == []
-        assert len(builds) == 1
+        assert len(builds) == (0 if compiled else 1)
+        assert table is None or factor.storage.panel_addresses() is table
         program = factor.storage.solve_program()
         assert program is factor.storage.solve_program()
         # the program's views alias the panels: no copy was taken
