@@ -520,9 +520,9 @@ class Factor:
         """Solve ``A x = b``.
 
         ``workers=None`` runs the serial sweeps, one supernode after
-        another, as ONE compiled call (the Python walk where no library
-        could be built, and for an fp32 factor, whose blocks are upcast
-        under the float64 buffer: :func:`repro.solve.triangular.serial_body`).
+        another, as ONE compiled call (an fp32 factor's over an exact
+        float64 upcast of its panels; the Python walk where no library could
+        be built: :func:`repro.solve.triangular.serial_body`).
         ``workers=N`` runs both sweeps as ONE fused task graph
         (:func:`repro.solve.triangular.solve_graph`, one task per task
         range of the pattern's memoised
@@ -829,8 +829,7 @@ class ServingSession:
         # symbolic cache, so worker threads only ever read it: the index
         # under the running row's bodies (a process row's whole DAG plan),
         # the update path's walk tables, the panel layout and the Python
-        # solve walk's shapes (an fp32 factor's float64 solve, or no
-        # compiler) — and on a row that borrows work storages, the plan's
+        # solve walk's shapes (where no compiler built the walk) — and on a row that borrows work storages, the plan's
         # first one
         row, symb = self._row, plan.symb
         path_tables(symb)

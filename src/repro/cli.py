@@ -210,6 +210,7 @@ def cmd_solve(args):
 
     from .api import plan as make_plan
     from .solve.triangular import serial_body
+    from .symbolic.analyze import analysis_body
     from .symbolic.levels import solve_schedule
 
     if args.rhs < 1:
@@ -236,6 +237,8 @@ def cmd_solve(args):
                f"modeled factor time = {res.modeled_seconds:.4f}s")
     print(f"n = {A.n}, method = {factor.engine}, "
           f"precision = {factor.dtype.name}, {seconds}")
+    print("analysis body : " + ("compiled (one C call per loop)" if analysis_body() == "compiled"
+                                else "Python loops (fallback)"))
     if args.rhs > 1:
         print(f"right-hand sides = {args.rhs} (one block solve)")
     print(f"relative residual = {rel:.3e}")

@@ -2,18 +2,24 @@
 
 ``_rl_loop.c`` holds the serial RL / RLB factorization loops
 (:func:`repro.numeric.rl._compiled_body`), ``_solve.c`` the serial
-triangular sweeps (:func:`repro.solve.triangular.solve_in_place`).  Both are
+triangular sweeps (:func:`repro.solve.triangular.solve_in_place`) and
+``_analysis.c`` the scalar loops of the symbolic analysis
+(:func:`analysis_loops`: ``md_order`` for minimum degree, ``pp_vertex`` for
+the pseudo-peripheral search and every breadth-first search, ``etree_liu``,
+``post_order``, ``col_counts`` and ``amalg_merge``).  All three are
 compiled together with ``$CC`` (default ``cc``) on first use, into ONE
 shared library named by a hash of every source, kept in
 ``${XDG_CACHE_HOME:-~/.cache}/repro/`` and loaded once per process.  A cached
 library that cannot be loaded (a truncated file) is rebuilt once.  Where
-nothing can be built, :func:`rl_loop` and :func:`solve_loop` are ``None`` and
-the callers run their Python bodies, the same bits.
+nothing can be built, :func:`rl_loop`, :func:`solve_loop` and
+:func:`analysis_loops` are ``None`` and the callers run their Python bodies,
+the same bits and the same plans.
 
-Every entry point is declared here by name and argument types and gets its
-BLAS / LAPACK routines from scipy's ``cython_blas`` / ``cython_lapack``
-capsules: the library the f2py wrappers of the Python bodies call.  A
-``ctypes`` call releases the interpreter lock.
+Every entry point is declared here by name and argument types.  The factor
+and solve loops get their BLAS / LAPACK routines from scipy's
+``cython_blas`` / ``cython_lapack`` capsules: the library the f2py wrappers
+of the Python bodies call; the analysis loops take int64 and pointer
+arguments only.  A ``ctypes`` call releases the interpreter lock.
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ import platform
 import shlex
 import subprocess
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["library", "rl_loop", "solve_loop"]
+__all__ = ["analysis_loops", "library", "rl_loop", "solve_loop"]
 
 _SOURCES = sorted(Path(__file__).parent.glob("*.c"))
 
@@ -146,3 +153,43 @@ def solve_loop():
     """``_solve.c``'s ``solve_loop_d`` / ``solve_loop_s`` as ``{dtype:
     (function, [?trtrs, ?gemm])}``, or ``None``."""
     return _entries("solve_loop_", 4, 8, ("trtrs",), ("gemm",))
+
+
+#: ``_analysis.c``'s entry points: ``(int64 arguments, pointer arguments)``
+_ANALYSIS = {
+    "md_order": (2, 5),
+    "pp_vertex": (3, 8),
+    "etree_liu": (1, 4),
+    "post_order": (1, 5),
+    "col_counts": (1, 6),
+    "amalg_merge": (2, 5),
+}
+
+
+def _arrays_by_address(fn):
+    """``fn`` called with every ndarray argument passed as its address (the
+    caller keeps the arrays alive, contiguous and of the declared dtype)."""
+
+    def call(*args):
+        return fn(*(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args))
+
+    return call
+
+
+@functools.cache
+def analysis_loops():
+    """``_analysis.c``'s entry points as a namespace of functions (ndarray
+    arguments by address, an ``int64`` result), or ``None``."""
+    lib = library()
+    if lib is None:
+        return None
+    loops = {}
+    try:
+        for name, (nints, nptrs) in _ANALYSIS.items():
+            fn = getattr(lib, name)
+            fn.argtypes = [ctypes.c_int64] * nints + [ctypes.c_void_p] * nptrs
+            fn.restype = ctypes.c_int64
+            loops[name] = _arrays_by_address(fn)
+    except AttributeError:
+        return None
+    return types.SimpleNamespace(**loops)

@@ -364,6 +364,21 @@ class FactorStorage:
             self._addresses = table
         return table
 
+    def upcast_addresses(self, dtype):
+        """``(table, copies)``: a :meth:`panel_addresses` table of exact
+        ``dtype`` copies of the panels, built per call — the root's arena
+        upcast whole, a derived storage's private panels each — and the
+        copies, to keep alive while the table is read.  What the compiled
+        solve of an fp32 factor reads under a float64 buffer."""
+        root = self if self._root is None else self._root
+        arena = root.arena.astype(dtype)
+        table = arena.ctypes.data + self.symb.panel_offsets()[:-1] * arena.itemsize
+        copies = [arena]
+        for s, panel in (self._over or {}).items():
+            copies.append(panel.astype(dtype, order="F"))
+            table[s] = copies[-1].ctypes.data
+        return table, copies
+
     def __getstate__(self):
         # ONE arena travels (a derived one's panels merged), read-only if this is
         arena = self.arena

@@ -5,14 +5,18 @@ is stored CSR-style in two flat arrays — the format every ordering algorithm
 here walks.  Helpers provide BFS level structures, connected components,
 pseudo-peripheral vertices (for RCM and for the level-set separators used by
 nested dissection), and subgraph extraction.
+
+The George–Liu search (every breadth-first search included) is one call
+into the compiled analysis loops (``numeric/_analysis.c``'s ``pp_vertex``)
+where a library could be built; the FIFO loop of :func:`_bfs` on plain ints
+where not, the same levels and visiting order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
+from ..numeric import _native
 from ..symbolic.structure import _sorted_unique
 
 __all__ = [
@@ -106,47 +110,20 @@ def adjacency_from_matrix(A):
     return AdjacencyGraph(A.n, xadj, dst[order])
 
 
-def _csgraph(graph, root, mask):
-    """``graph`` as a scipy CSR matrix for :func:`_bfs`, edges into
-    ``mask``-false vertices dropped (``ValueError`` if ``root`` is one).
-
-    float64 data and int32 indices are what ``scipy.sparse.csgraph``
-    validates to, so every BFS on the result copies nothing.
-    """
-    xadj, adjncy = graph.xadj, graph.adjncy
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask[root]:
-            raise ValueError("root excluded by mask")
-        keep = mask[adjncy]
-        xadj = np.concatenate(([0], np.cumsum(keep)))[xadj]
-        adjncy = adjncy[keep]
-    return csr_matrix(
-        (np.ones(adjncy.size), adjncy.astype(np.int32), xadj.astype(np.int32)),
-        shape=(graph.n, graph.n),
-    )
-
-
-def _bfs(G, root):
-    """``(levels, order)`` of a FIFO breadth-first search of ``G`` from
-    ``root``, neighbours taken in CSR order."""
-    order, pred = breadth_first_order(G, root, directed=True, return_predecessors=True)
-    order = order.astype(np.int64)
-    n = G.shape[0]
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(order.size)
-    # pointer jumping over the BFS tree in queue positions: ``depth[k]`` is
-    # the distance from ``order[k]`` to ``order[up[k]]``, and ``up`` doubles
-    # its reach each pass until every vertex points at the root
-    up = np.zeros(order.size, dtype=np.int64)
-    up[1:] = pos[pred[order[1:]]]
-    depth = np.ones(order.size, dtype=np.int64)
-    depth[0] = 0
-    while up.any():
-        depth += depth[up]
-        up = up[up]
-    levels = np.full(n, -1, dtype=np.int64)
-    levels[order] = depth
+def _bfs(xadj, adjncy, keep, root):
+    """``(levels, order)`` lists of a FIFO breadth-first search from
+    ``root`` over the plain-int CSR ``xadj`` / ``adjncy``, neighbours in
+    ``adjncy`` order, visiting only vertices whose ``keep`` is true (all
+    when ``keep`` is ``None``)."""
+    levels = [-1] * (len(xadj) - 1)
+    levels[root] = 0
+    order = [root]
+    for v in order:  # the queue: appended to while it is read
+        depth = levels[v] + 1
+        for u in adjncy[xadj[v] : xadj[v + 1]]:
+            if levels[u] < 0 and (keep is None or keep[u]):
+                levels[u] = depth
+                order.append(u)
     return levels, order
 
 
@@ -169,7 +146,8 @@ def bfs_levels(graph, root, *, mask=None):
     order:
         Vertices in FIFO visitation order, neighbours in ``adjncy`` order.
     """
-    return _bfs(_csgraph(graph, root, mask), root)
+    _, levels, order = pseudo_peripheral_vertex(graph, root, mask=mask, max_iter=0)
+    return levels, order
 
 
 def connected_components(graph, *, mask=None):
@@ -206,20 +184,38 @@ def pseudo_peripheral_vertex(graph, start, *, mask=None, max_iter=10):
     """George–Liu pseudo-peripheral vertex heuristic.
 
     Repeatedly BFS from the current candidate and jump to a minimum-degree
-    vertex of the last (deepest) level until the eccentricity stops growing.
-    Returns ``(vertex, levels, order)`` of the final BFS.
+    vertex (degree in ``graph``, first in visiting order) of the last
+    (deepest) level until the eccentricity stops growing, at most
+    ``max_iter`` times.  Only ``mask``-true vertices are visited (a
+    ``ValueError`` if ``start`` is not one).  Returns ``(vertex, levels,
+    order)`` of the final BFS (:func:`bfs_levels`' arrays).
     """
-    v = int(start)
-    G = _csgraph(graph, v, mask)
-    levels, order = _bfs(G, v)
+    v, n = int(start), graph.n
+    if not 0 <= v < n:
+        raise ValueError(f"start vertex {v} out of range for {n} vertices")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n,):
+            raise ValueError(f"mask must have shape ({n},), got {mask.shape}")
+        if not mask[v]:
+            raise ValueError("root excluded by mask")
+    loops = _native.analysis_loops()
+    if loops is not None:
+        levels, order = np.full((2, n), -1, dtype=np.int64), np.empty((2, n), dtype=np.int64)
+        keep = None if mask is None else np.ascontiguousarray(mask).view(np.uint8)
+        found = np.empty(1, dtype=np.int64)
+        buffers = (levels[0], order[0], levels[1], order[1], found)
+        count = loops.pp_vertex(n, v, max_iter, graph.xadj, graph.adjncy, keep, *buffers)
+        return int(found[0]), levels[0], order[0, :count]
+    xadj, adjncy = graph.xadj.tolist(), graph.adjncy.tolist()
+    keep = None if mask is None else mask.tolist()
+    levels, order = _bfs(xadj, adjncy, keep, v)
     ecc = levels[order[-1]]
     for _ in range(max_iter):
-        last = order[levels[order] == ecc]
-        degs = graph.xadj[last + 1] - graph.xadj[last]
-        cand = int(last[np.argmin(degs)])
-        lv, od = _bfs(G, cand)
-        new_ecc = lv[od[-1]]
-        if new_ecc <= ecc:
+        last = [u for u in order if levels[u] == ecc]
+        cand = min(last, key=lambda u: xadj[u + 1] - xadj[u])  # the first minimum
+        lv, od = _bfs(xadj, adjncy, keep, cand)
+        if lv[od[-1]] <= ecc:
             break
-        v, levels, order, ecc = cand, lv, od, new_ecc
-    return v, levels, order
+        v, levels, order, ecc = cand, lv, od, lv[od[-1]]
+    return v, np.asarray(levels, dtype=np.int64), np.asarray(order, dtype=np.int64)

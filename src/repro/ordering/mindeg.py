@@ -10,8 +10,11 @@ two standard accelerations from the minimum-degree literature:
   on pop, avoiding decrease-key.
 
 Exact (not approximate) degrees keep the code honest and testable; the cost
-is fine at the suite's scale.  It runs on plain Python sets of subgraphs
-induced in one pass (:func:`_order_pieces`), all pieces of a dissection at once.
+is fine at the suite's scale.  All pieces of a dissection are induced from
+the top graph and ordered in ONE call into the compiled analysis loops
+(``numeric/_analysis.c``'s ``md_order``, :func:`_order_pieces`); where no
+library could be built, the same order is computed on plain Python sets of
+subgraphs induced in one pass.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+
+from ..numeric import _native
 
 __all__ = ["minimum_degree"]
 
@@ -50,8 +55,14 @@ def _order_pieces(graph, pieces):
     """The minimum-degree orders of the subgraphs of ``graph`` induced by
     ``pieces`` (disjoint ascending vertex arrays covering it), concatenated;
     all induced in one pass, ascending ids keeping the tie-breaks."""
-    n, verts = graph.n, np.concatenate(pieces)
+    n, verts = graph.n, np.concatenate(pieces).astype(np.int64, copy=False)
     start = np.cumsum([0] + [p.size for p in pieces])  # piece k: verts[start[k]:start[k + 1]]
+    loops = _native.analysis_loops()
+    if loops is not None:
+        perm = np.empty(n, dtype=np.int64)
+        if loops.md_order(n, len(pieces), graph.xadj, graph.adjncy, start, verts, perm) < 0:
+            raise MemoryError("no memory for the minimum-degree elimination graph")
+        return perm
     piece = np.repeat(np.arange(len(pieces)), np.diff(start))
     piece_of, local_of = np.empty((2, n), dtype=np.int64)
     piece_of[verts], local_of[verts] = piece, np.arange(n) - start[piece]

@@ -16,8 +16,10 @@ the diagonal block and a ``?gemm`` with the rectangle, scipy's routines):
   :func:`repro.numeric._native.solve_loop`) with the interpreter lock
   released: the same routines with the same flags on the same sizes, the
   below rows gathered and scattered in C, so the same bits as the Python
-  walk.  The Python walk runs where no library could be built, and for an
-  fp32 factor under a float64 right-hand side (:func:`serial_body`);
+  walk.  An fp32 factor under a float64 right-hand side takes the same
+  call over an exact float64 upcast of its panels, built per call (the
+  Python walk upcasts each block as it reads it: the same bits).  The
+  Python walk runs where no library could be built (:func:`serial_body`);
 * **one fused task graph** (``workers=N``, :func:`solve_graph`) — both
   sweeps of :func:`repro.symbolic.levels.solve_schedule` on the
   shared-ready-queue runtime of :mod:`repro.numeric.executor`, one task per
@@ -211,25 +213,30 @@ def solve_graph(storage, y, ranges=None):
 # ----------------------------------------------------------------------
 def serial_body(storage, dtype=np.float64):
     """Which body runs the serial sweeps of ``storage`` on a ``dtype``
-    buffer: ``"compiled"`` (ONE call into ``_solve.c``), or ``"python"`` —
-    where no library could be built, or for a buffer of another dtype than
-    the factor's (an fp32 factor under :meth:`~repro.api.Factor.solve`'s
-    float64 buffer: its blocks are upcast per supernode, exactly)."""
-    if solve_loop() is None or np.dtype(dtype) != storage.dtype:
+    buffer: ``"compiled"`` (ONE call into ``_solve.c``; for an fp32 factor
+    under :meth:`~repro.api.Factor.solve`'s float64 buffer, over an exact
+    float64 upcast of its panels), or ``"python"`` — where no library could
+    be built, or for a buffer narrower than the factor."""
+    if solve_loop() is None or np.promote_types(storage.dtype, dtype) != np.dtype(dtype):
         return "python"
     return "compiled"
 
 
 def _compiled(storage, y, sweeps):
-    """``sweeps`` in place on ``y`` (the factor's dtype): ONE call of the
-    compiled walk, the interpreter lock released, on an F-ordered buffer —
-    ``y`` itself, or a copy written back.  A zero pivot raises
+    """``sweeps`` in place on ``y`` (the factor's dtype, or float64 over an
+    fp32 factor: its upcast panels): ONE call of the compiled walk, the
+    interpreter lock released, on an F-ordered buffer — ``y`` itself, or a
+    copy written back.  A zero pivot raises
     :func:`~repro.dense.kernels.trtrs_lower`'s error."""
     fn, routines = solve_loop()[y.dtype]
     symb = storage.symb
     buf = y if y.flags.f_contiguous else np.array(y, order="F")
     index = (np.ascontiguousarray(a, dtype=np.int64) for a in (symb.snptr, symb.rowptr, symb.rows))
-    operands = (*index, storage.panel_addresses(), buf)  # alive through the call
+    if storage.dtype == y.dtype:
+        table, copies = storage.panel_addresses(), None
+    else:
+        table, copies = storage.upcast_addresses(y.dtype)
+    operands = (*index, table, buf)  # alive through the call, with copies
     info = ctypes.c_int64()
     k = 1 if y.ndim == 1 else y.shape[1]
     pointers = [a.ctypes.data for a in operands]

@@ -18,6 +18,11 @@ When child ``C`` (``w_C`` columns, ``b_C`` below-rows) merges into its parent
 ``P`` (``w_P``, ``b_P``), the subset property gives the merged panel
 ``w_C + w_P`` columns over ``b_P`` below-rows, and the storage delta is the
 difference of dense trapezoid sizes.
+
+The greedy loop is one call into the compiled analysis loops
+(``numeric/_analysis.c``'s ``amalg_merge``, its heap keyed ``(extra,
+snode)`` in int64) where a library could be built, the Python loop of
+:func:`_merge` where not: the same partition.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numbers
 
 import numpy as np
 
+from ..numeric import _native
 from .supernodes import supernodal_tree
 
 __all__ = ["amalgamate", "amalgamate_counts", "merge_extra_fill"]
@@ -89,6 +95,26 @@ def _merge(snptr, w, b, sn_parent, growth_cap):
         raise ValueError(f"growth_cap must be finite and >= 0, got {growth_cap}")
     nsup = snptr.size - 1
     budget = int(growth_cap * int(np.sum(_trapezoid(w, b))))
+    loops = _native.analysis_loops()
+    if loops is None:
+        alive = _merge_loop(w, b, sn_parent, budget)
+    else:
+        alive, work = np.empty(nsup, dtype=np.uint8), np.empty(2 * nsup, dtype=np.int64)
+        w, b, sn_parent = (np.array(a, dtype=np.int64) for a in (w, b, sn_parent))
+        budget = min(budget, np.iinfo(np.int64).max)
+        if loops.amalg_merge(nsup, budget, w, b, sn_parent, alive, work) < 0:
+            raise MemoryError("no memory for the amalgamation heap")
+    # a merged run keeps its last member's id: a boundary survives where the
+    # snode before it is alive
+    keep = np.ones(nsup + 1, dtype=bool)
+    keep[1:] = alive
+    return snptr[keep]
+
+
+def _merge_loop(w, b, sn_parent, budget):
+    """:func:`_merge`'s greedy loop in Python: per supernode, whether it
+    survives (was not merged into its successor)."""
+    nsup = w.size
     # an alive snode ``p`` has absorbed exactly the original snodes after its
     # alive predecessor ``c``, so ``c``'s parent (that of its last original
     # snode) is ``p`` iff it lies in ``(c, p]``; before any merge, iff it is
@@ -139,9 +165,4 @@ def _merge(snptr, w, b, sn_parent, growth_cap):
         cur = candidate(p)
         if cur is not None:
             heapq.heappush(heap, (cur, p))
-
-    # a merged run keeps its last member's id: a boundary survives where the
-    # snode before it is alive
-    keep = np.ones(nsup + 1, dtype=bool)
-    keep[1:] = alive
-    return snptr[keep]
+    return alive

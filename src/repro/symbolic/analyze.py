@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numeric import _native
 from ..sparse.permute import (
     compose_permutations,
     invert_permutation,
@@ -33,7 +34,7 @@ from .partition_refinement import partition_refinement
 from .structure import SymbolicFactor, _supernodal_structure
 from .supernodes import fundamental_supernodes, supernodal_tree
 
-__all__ = ["AnalyzedSystem", "analyze"]
+__all__ = ["AnalyzedSystem", "analysis_body", "analyze"]
 
 
 @dataclass
@@ -64,6 +65,15 @@ class AnalyzedSystem:
     def nsup(self):
         """Number of supernodes after merging."""
         return self.symb.nsup
+
+
+def analysis_body():
+    """Which body runs the analysis's scalar loops (minimum degree, the
+    pseudo-peripheral BFS, etree, postorder, column counts, the
+    amalgamation merge): ``"compiled"`` (one call into
+    ``numeric/_analysis.c`` each), or ``"python"`` where no library could
+    be built.  Both give the same plans."""
+    return "python" if _native.analysis_loops() is None else "compiled"
 
 
 def analyze(A, *, ordering="nd", merge=True, refine=True, growth_cap=0.25,

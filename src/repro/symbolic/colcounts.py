@@ -5,12 +5,16 @@ ancestor algorithm (the one in CSparse's ``cs_counts``), which runs in nearly
 O(|A|) time: each strictly-lower entry ``a_ij`` is tested for being a leaf of
 the row subtree ``T_i`` via first-descendant numbers, and overlap between
 consecutive leaves is subtracted at their LCA (found with path compression).
+The walk, first descendants included, is one call into the compiled analysis
+loops (``numeric/_analysis.c``) where a library could be built, the Python
+loop below where not: the same counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..numeric import _native
 from .etree import first_descendants, postorder
 
 __all__ = ["column_counts"]
@@ -31,6 +35,12 @@ def column_counts(A, parent, post=None):
     n = A.n
     if post is None:
         post = postorder(parent)
+    loops = _native.analysis_loops()
+    if loops is not None:
+        parent, post = (np.ascontiguousarray(a, dtype=np.int64) for a in (parent, post))
+        counts, work = np.empty(n, dtype=np.int64), np.empty(4 * n, dtype=np.int64)
+        loops.col_counts(n, parent, post, A.indptr, A.indices, counts, work)
+        return counts
     first = first_descendants(parent, post).tolist()
     # delta[j] = 1 iff j is a leaf of the elimination tree
     delta = (np.bincount(parent[parent >= 0], minlength=n) == 0).astype(np.int64).tolist()

@@ -8,6 +8,11 @@ the supernodal assembly tree.  This module implements
 * :func:`postorder` — iterative depth-first postorder of a forest,
 * helpers for tree heights, child lists and checking postorderedness.
 
+Liu's walk and the postorder are one call each into the compiled analysis
+loops (``numeric/_analysis.c``, :func:`repro.numeric._native.analysis_loops`)
+with the interpreter lock released; the Python loops below run where no
+library could be built, and are the oracle the compiled ones equal.
+
 References: J. W. H. Liu, "The role of elimination trees in sparse
 factorization", SIAM J. Matrix Anal. Appl. 11(1), 1990 (paper's ref [2]).
 """
@@ -15,6 +20,8 @@ factorization", SIAM J. Matrix Anal. Appl. 11(1), 1990 (paper's ref [2]).
 from __future__ import annotations
 
 import numpy as np
+
+from ..numeric import _native
 
 __all__ = [
     "elimination_tree",
@@ -61,6 +68,11 @@ def elimination_tree(A):
 
 def _liu(n, rowptr, rcols):
     """:func:`elimination_tree` of :func:`_row_lists` ``(rowptr, rcols)``."""
+    loops = _native.analysis_loops()
+    if loops is not None:
+        parent, ancestor = np.empty((2, n), dtype=np.int64)
+        loops.etree_liu(n, rowptr, rcols, parent, ancestor)
+        return parent
     rowptr, rcols = rowptr.tolist(), rcols.tolist()  # plain ints: fast scalar walk
     parent = [-1] * n
     ancestor = [-1] * n
@@ -95,8 +107,16 @@ def postorder(parent):
     Returns ``post`` with ``post[k]`` = node visited k-th; children are
     visited in ascending node order, roots in ascending order.
     """
+    parent = np.ascontiguousarray(parent, dtype=np.int64)
     n = parent.size
-    childptr, child = (a.tolist() for a in children_lists(parent))
+    childptr, child = children_lists(parent)
+    loops = _native.analysis_loops()
+    if loops is not None:
+        post, stack = np.empty(n, dtype=np.int64), np.empty(2 * n, dtype=np.int64)
+        if loops.post_order(n, parent, childptr, child, post, stack) != n:
+            raise ValueError("parent array is not a forest (cycle detected)")
+        return post
+    childptr, child = childptr.tolist(), child.tolist()
     post = []
     for root in np.flatnonzero(parent < 0).tolist():
         # iterative DFS; stack holds (node, next-child cursor)

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.cli import _load_matrix, build_parser, main
+from repro.numeric import _native
 from repro.solve.triangular import serial_body
 from repro.symbolic.levels import solve_schedule
 
@@ -122,6 +123,23 @@ class TestSolveWorkers:
         assert "serial solve" in out
         assert "parallel solve" in out
         assert "bit-identical: yes" in out
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_the_report_names_the_analysis_body(self, capsys, monkeypatch, compiled):
+        """The report says which body ran the analysis loops — beside the
+        serial body under ``--workers`` and without it — so a fallback
+        analysis is not silent."""
+        if not compiled:
+            monkeypatch.setattr(_native, "analysis_loops", lambda: None)
+        elif _native.analysis_loops() is None:
+            pytest.skip("no compiler")
+        line = ("analysis body : compiled (one C call per loop)" if compiled
+                else "analysis body : Python loops (fallback)")
+        for extra in ([], ["--workers", "2"]):
+            assert main(["solve", SMALL, "--engine", "rl", *extra]) == 0
+            out = capsys.readouterr().out
+            assert line in out.splitlines()
+            assert ("serial body" in out) == bool(extra)
 
     def test_workers_must_be_positive(self, capsys):
         assert main(["solve", SMALL, "--workers", "0"]) == 2

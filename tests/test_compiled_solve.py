@@ -20,8 +20,8 @@ Contracts:
   ``LinAlgError`` text from every lane, which serves again once repaired,
   and a refilled work storage is read by the next solve;
 * **mixed precision** — an fp32 factor under a float64 right-hand side takes
-  the Python walk, and its answer is the compiled fp64 solve of the
-  exactly upcast factor;
+  the compiled float64 walk over an exact upcast of its panels, the Python
+  walk's bytes, and its answer is the fp64 solve of the upcast factor;
 * **schedule structure** — the below-row runs and the tree levels equal
   their scalar references, and every graph has one task per range and
   sweep.
@@ -239,14 +239,19 @@ class TestSameBytes:
 class TestMixedPrecision:
     @pytest.mark.parametrize("pattern", ["grid", "small_vec", "arrow"])
     def test_fp32_factor_under_a_float64_buffer(self, pattern):
-        """``Factor.solve`` on an fp32 factor takes the Python walk, and its
-        answer is the float64 solve of the exactly upcast factor — on the
-        compiled walk where there is one."""
+        """``Factor.solve`` on an fp32 factor takes the compiled float64 walk
+        over an exact upcast of its panels, built per call, on arena-backed
+        and derived copy-on-write storages alike: its bytes are the Python
+        walk's (which upcasts block by block), and the answer is the float64
+        solve of the exactly upcast factor."""
         plan = repro.plan(PATTERNS[pattern]())
         f32 = plan.factorize(engine="rl", dtype=np.float32)
-        assert triangular.serial_body(f32.storage) == "python"
-        assert triangular.serial_body(f32.storage, np.float32) == triangular.serial_body(
-            FactorStorage(plan.symb, arena=f32.storage.arena.astype(np.float64)))
+        body = "python" if _native.solve_loop() is None else "compiled"
+        updated = f32.update(structured_update(plan.symb, plan.perm, [plan.n // 2], seed=1))
+        for storage in (f32.storage, _derived(f32.storage), updated.storage):
+            assert triangular.serial_body(storage) == body
+            assert triangular.serial_body(storage, np.float32) == body
+            _check_same_bytes(storage, np.float64)
         upcast = FactorStorage(plan.symb, arena=f32.storage.arena.astype(np.float64))
         rng = np.random.default_rng(2)
         for b in (rng.standard_normal(plan.n), rng.standard_normal((plan.n, 16))):
@@ -255,6 +260,10 @@ class TestMixedPrecision:
             want = np.empty_like(x)
             want[plan.perm] = triangular.solve_factored(upcast, b[plan.perm])
             _same_bytes(x, want)
+
+    def test_a_narrower_buffer_than_the_factor_takes_the_python_walk(self):
+        storage = repro.plan(grid_laplacian((6, 5))).factorize().storage
+        assert triangular.serial_body(storage, np.float32) == "python"
 
 
 def _assert_close_to_oracle(got, want, L, what):

@@ -230,7 +230,10 @@ class TestNothingMoves:
         pool = [(first, _snapshot(first), None)]  # (factor, snapshot, the W it added)
         for op, pick in steps:
             factor, _, added = pool[pick % len(pool)]
-            W = structured_update(plan.symb, plan.perm, [int(pick % n)], seed=pick, scale=0.3)
+            # inside the structure of the factor's own plan: a re-planned
+            # factor's (apply_refactorize, apply_auto) is not ``plan``'s
+            own = factor.plan
+            W = structured_update(own.symb, own.perm, [int(pick % n)], seed=pick, scale=0.3)
             new = None
             if op == "solve":
                 factor.solve(b)
