@@ -829,8 +829,8 @@ class ServingSession:
         # symbolic cache, so worker threads only ever read it: the index
         # under the running row's bodies (a process row's whole DAG plan),
         # the update path's walk tables, the panel layout and the Python
-        # solve walk's shapes (where no compiler built the walk) — and on a row that borrows work storages, the plan's
-        # first one
+        # solve walk's shapes (where no compiler built the walk) — and on a
+        # row that borrows work storages, the plan's first one
         row, symb = self._row, plan.symb
         path_tables(symb)
         _panel_layout(symb)

@@ -12,7 +12,8 @@ Commands
     an event-trace Gantt chart (``--gantt``) or Chrome trace (``--trace``).
 ``solve MATRIX``
     Factorize, solve against a random right-hand side (``--rhs K`` for a
-    block of K right-hand sides), report the residual; ``--workers N``
+    block of K right-hand sides), report the residual and which analysis
+    body planned it (compiled, or the Python fallback); ``--workers N``
     additionally times the fused parallel solve graph against the serial
     sweeps (bit-identical by contract) and prints the graph's task count
     and which serial body ran (compiled, or the Python fallback).

@@ -429,7 +429,7 @@ static int candidate(int64_t c, const int64_t *w, const int64_t *b, const int64_
 int64_t amalg_merge(int64_t nsup, int64_t budget, int64_t *w, const int64_t *b,
                     const int64_t *parent, uint8_t *alive, int64_t *work)
 {
-    int64_t *prev = work, *next = work + nsup, spent = 0, cur;
+    int64_t *prev = work, *next = work + nsup, spent = 0, cur, status = -1;
     heap h = {0};
     for (int64_t s = 0; s < nsup; s++) {
         alive[s] = 1;
@@ -467,9 +467,8 @@ int64_t amalg_merge(int64_t nsup, int64_t budget, int64_t *w, const int64_t *b,
         if (candidate(p, w, b, parent, next, &cur) && heap_push(&h, cur, p))
             goto fail;
     }
-    free(h.at);
-    return 0;
+    status = 0;
 fail:
     free(h.at);
-    return -1;
+    return status;
 }

@@ -33,11 +33,14 @@ def column_counts(A, parent, post=None):
         Optional postorder of ``parent`` (computed when omitted).
     """
     n = A.n
-    if post is None:
-        post = postorder(parent)
+    parent = np.ascontiguousarray(parent, dtype=np.int64)
+    if parent.shape != (n,):
+        raise ValueError(f"parent must have shape ({n},), got {parent.shape}")
+    post = postorder(parent) if post is None else np.ascontiguousarray(post, dtype=np.int64)
+    if post.shape != (n,):
+        raise ValueError(f"post must have shape ({n},), got {post.shape}")
     loops = _native.analysis_loops()
     if loops is not None:
-        parent, post = (np.ascontiguousarray(a, dtype=np.int64) for a in (parent, post))
         counts, work = np.empty(n, dtype=np.int64), np.empty(4 * n, dtype=np.int64)
         loops.col_counts(n, parent, post, A.indptr, A.indices, counts, work)
         return counts

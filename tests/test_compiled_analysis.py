@@ -289,6 +289,15 @@ class TestTreeLoops:
         with pytest.raises(ValueError, match="cycle"):
             _python(postorder, parent)
 
+    def test_a_tree_of_another_size_is_refused_by_both(self):
+        A = tridiagonal(5)
+        parent = elimination_tree(A)
+        for args in ((parent[:-1],), (parent, postorder(parent)[:-1])):
+            with pytest.raises(ValueError, match="shape"):
+                column_counts(A, *args)
+            with pytest.raises(ValueError, match="shape"):
+                _python(column_counts, A, *args)
+
 
 class TestMerge:
     @given(patterns(), st.sampled_from([0, 0.25, 1e9]), st.booleans())
